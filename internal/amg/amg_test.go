@@ -2,6 +2,7 @@ package amg
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -639,6 +640,19 @@ func TestRugeStubenSecondPassProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestRugeStubenSecondPassRetractsTentative(t *testing.T) {
+	// Row 0 has two strong F neighbours and no C point anywhere: the first
+	// violation promotes neighbour 1 tentatively, the second promotes row 0
+	// itself, and the tentative promotion must then be taken back — row 0
+	// as a C point already serves both pairs.
+	s := &Strength{N: 3, Rows: [][]int{{1, 2}, {0}, {0}}}
+	types := make([]PointType, 3)
+	rsSecondPass(s, types)
+	if want := []PointType{CPoint, FPoint, FPoint}; !slices.Equal(types, want) {
+		t.Fatalf("splitting %v, want %v", types, want)
 	}
 }
 

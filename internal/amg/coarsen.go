@@ -47,12 +47,18 @@ func (m CoarsenMethod) String() string {
 // the requested method. seed controls the random tie-breaking measures used
 // by the PMIS stage.
 func Coarsen(s *Strength, method CoarsenMethod, seed int64) []PointType {
+	return coarsen(s, s.Transpose(), method, seed)
+}
+
+// coarsen is Coarsen given the transpose st of s, which every method
+// needs and the callers compute once per graph.
+func coarsen(s, st *Strength, method CoarsenMethod, seed int64) []PointType {
 	switch method {
 	case HMIS:
-		pre := rsFirstPass(s)
-		return pmisFiltered(s, pre, seed)
+		pre := rsFirstPass(s, st)
+		return pmisFiltered(s, st, pre, seed)
 	case RugeStuben:
-		pre := rsFirstPass(s)
+		pre := rsFirstPass(s, st)
 		types := make([]PointType, s.N)
 		for i, c := range pre {
 			if c {
@@ -66,7 +72,7 @@ func Coarsen(s *Strength, method CoarsenMethod, seed int64) []PointType {
 		for i := range all {
 			all[i] = true
 		}
-		return pmisFiltered(s, all, seed)
+		return pmisFiltered(s, st, all, seed)
 	}
 }
 
@@ -82,7 +88,7 @@ func CoarsenAggressive(s *Strength, method CoarsenMethod, seed int64) []PointTyp
 		keep[i] = t == CPoint
 	}
 	d2 := s.distanceTwo(keep)
-	second := pmisFiltered(d2, keep, seed+1)
+	second := pmisFiltered(d2, d2.Transpose(), keep, seed+1)
 	// Points not kept in the first pass stay F.
 	for i := range second {
 		if !keep[i] {
@@ -96,9 +102,8 @@ func CoarsenAggressive(s *Strength, method CoarsenMethod, seed int64) []PointTyp
 // greedily pick the point with the largest measure λ_i = |Sᵀ_i| as a C
 // point, make everything it strongly influences F, and bump the measures of
 // the F points' strong influences. Returns candidate[i] == true for the
-// preliminary C points.
-func rsFirstPass(s *Strength) []bool {
-	st := s.Transpose()
+// preliminary C points. st is the transpose of s.
+func rsFirstPass(s, st *Strength) []bool {
 	n := s.N
 	lambda := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -200,10 +205,10 @@ func rsFirstPass(s *Strength) []bool {
 //
 // Measures are λ_i = |Sᵀ_i| + rand[0,1), per the PMIS algorithm. A candidate
 // becomes C when its measure beats all undecided candidate neighbours
-// (in either edge direction); it becomes F when a neighbour wins.
-func pmisFiltered(s *Strength, candidate []bool, seed int64) []PointType {
+// (in either edge direction); it becomes F when a neighbour wins. st is the
+// transpose of s.
+func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 	n := s.N
-	st := s.Transpose()
 	rng := rand.New(rand.NewSource(seed))
 	measure := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -352,7 +357,7 @@ func rsSecondPass(s *Strength, types []PointType) {
 				// Second violation: promote the row itself and retract the
 				// tentative promotion.
 				types[i] = CPoint
-				tentative = -1
+				types[tentative] = FPoint
 				break
 			}
 			tentative = j
@@ -360,7 +365,6 @@ func rsSecondPass(s *Strength, types []PointType) {
 			types[j] = CPoint
 			mark[j] = stamp
 		}
-		_ = tentative
 	}
 }
 

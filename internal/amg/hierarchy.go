@@ -243,10 +243,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 			it = Multipass
 		}
 		t0 = time.Now()
-		p := BuildInterpolationFunc(cur, s, types, it, fun)
-		if opt.TruncMax > 0 || opt.TruncTol > 0 {
-			p = TruncateInterp(p, opt.TruncTol, opt.TruncMax)
-		}
+		p := stageInterp(cur, s, types, it, fun).toCSR(opt.TruncTol, opt.TruncMax)
 		st.Interp += time.Since(t0)
 		// One transpose per level, shared by the triple product here and
 		// by the engine's restriction view (which used to recompute it).

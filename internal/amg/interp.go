@@ -1,9 +1,10 @@
 package amg
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
-	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
@@ -66,111 +67,279 @@ func BuildInterpolation(a *sparse.CSR, s *Strength, types []PointType, typ Inter
 // formulas are restricted to same-function couplings (cross-function
 // entries behave as weak connections, matching StrengthGraphFunc).
 func BuildInterpolationFunc(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int) *sparse.CSR {
-	switch typ {
-	case Direct:
-		return directInterp(a, s, types, fun)
-	case Multipass:
-		return multipassInterp(a, s, types, fun)
-	default:
-		return classicalInterp(a, s, types)
-	}
+	return stageInterp(a, s, types, typ, fun).toCSR(0, 0)
 }
 
-// rowsToCSR assembles per-row staging buffers into a CSR matrix sized
-// exactly by a prefix sum over the row lengths (no append regrowth).
-// Rows keep their staged order, so the assembly is deterministic.
-func rowsToCSR(n, nc int, rowCols [][]int, rowVals [][]float64) *sparse.CSR {
-	p := &sparse.CSR{Rows: n, Cols: nc, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		p.RowPtr[i+1] = p.RowPtr[i] + len(rowCols[i])
+// TruncateInterp limits each row of P to its maxPerRow largest-magnitude
+// entries and drops entries below relTol times the row's largest magnitude,
+// rescaling the kept entries so the row sum is preserved (BoomerAMG's
+// interpolation truncation). maxPerRow <= 0 means unlimited.
+func TruncateInterp(p *sparse.CSR, relTol float64, maxPerRow int) *sparse.CSR {
+	st := &stagedRows{nc: p.Cols, cols: make([][]int, p.Rows), vals: make([][]float64, p.Rows)}
+	for i := range st.cols {
+		st.cols[i] = p.ColIdx[p.RowPtr[i]:p.RowPtr[i+1]]
+		st.vals[i] = p.Vals[p.RowPtr[i]:p.RowPtr[i+1]]
 	}
-	nnz := p.RowPtr[n]
-	p.ColIdx = make([]int, nnz)
-	p.Vals = make([]float64, nnz)
-	for i := 0; i < n; i++ {
-		copy(p.ColIdx[p.RowPtr[i]:], rowCols[i])
-		copy(p.Vals[p.RowPtr[i]:], rowVals[i])
+	return st.toCSR(relTol, maxPerRow)
+}
+
+// stageInterp builds the untruncated rows of P. Build packs them straight
+// into the truncated CSR, so the untruncated P of an aggressive level (tens
+// of entries per row, against the handful that truncation keeps) is never
+// assembled.
+func stageInterp(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int) *stagedRows {
+	cidx, nc := coarseIndex(types)
+	// A row that interpolates from the strong C neighbours of matrix row i
+	// alone has at most as many entries as that row (one, for a C point).
+	rowCap := make([]int, a.Rows)
+	for i := range rowCap {
+		rowCap[i] = a.RowPtr[i+1] - a.RowPtr[i] + 1
 	}
+	st := newStagedRows(nc, rowCap)
+	strong := strongMask(a, s)
+	switch typ {
+	case Direct:
+		runRows(a.Rows, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st})
+	case Multipass:
+		multipassInterp(a, strong, types, cidx, fun, st)
+	default:
+		runRows(a.Rows, a.NNZ(), &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
+	}
+	return st
+}
+
+// strongMask flags the strong connections on A's own pattern: mask[q] is
+// true when entry q of row i has its column in s.Rows[i]. StrengthGraphFunc
+// lists a row's strong columns in the order the matrix row has them, so
+// one two-pointer walk per row finds them all.
+func strongMask(a *sparse.CSR, s *Strength) []bool {
+	mask := make([]bool, a.NNZ())
+	for i, sr := range s.Rows {
+		z := 0
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1] && z < len(sr); q++ {
+			if a.ColIdx[q] == sr[z] {
+				mask[q] = true
+				z++
+			}
+		}
+	}
+	return mask
+}
+
+// stagedRows holds rows of P between their computation and the exactly
+// sized CSR. Row i is the pair cols[i], vals[i]; the rows are windows into
+// flat arenas that only grow at the end and never move, so staging a row
+// allocates nothing and copies nothing.
+type stagedRows struct {
+	nc   int
+	cols [][]int
+	vals [][]float64
+}
+
+// newStagedRows gives row i an empty window of capacity rowCap[i] in one
+// flat arena; put fills the windows, each row its own, so sharded kernels
+// never meet.
+func newStagedRows(nc int, rowCap []int) *stagedRows {
+	n := len(rowCap)
+	total := 0
+	for _, c := range rowCap {
+		total += c
+	}
+	st := &stagedRows{nc: nc, cols: make([][]int, n), vals: make([][]float64, n)}
+	cols, vals := make([]int, total), make([]float64, total)
+	lo := 0
+	for i, c := range rowCap {
+		st.cols[i] = cols[lo : lo : lo+c]
+		st.vals[i] = vals[lo : lo : lo+c]
+		lo += c
+	}
+	return st
+}
+
+// put appends one entry to row i, within the window newStagedRows gave it.
+func (st *stagedRows) put(i, col int, val float64) {
+	st.cols[i] = append(st.cols[i], col)
+	st.vals[i] = append(st.vals[i], val)
+}
+
+// toCSR packs the staged rows into a CSR sized exactly by a prefix sum over
+// the row lengths, first truncating each row as TruncateInterp documents
+// when relTol or maxPerRow asks for it. Rows are independent, so both
+// sweeps shard over the kernel pool, and the result is bitwise-identical to
+// serial for any worker count.
+func (st *stagedRows) toCSR(relTol float64, maxPerRow int) *sparse.CSR {
+	n := len(st.cols)
+	if relTol > 0 || maxPerRow > 0 {
+		// A truncated row is no longer than the row, nor than maxPerRow.
+		rowCap := make([]int, n)
+		entries := 0
+		for i, c := range st.cols {
+			entries += len(c)
+			rowCap[i] = len(c)
+			if maxPerRow > 0 && rowCap[i] > maxPerRow {
+				rowCap[i] = maxPerRow
+			}
+		}
+		out := newStagedRows(st.nc, rowCap)
+		runRows(n, entries, &truncateKernel{in: st, out: out, relTol: relTol, maxPerRow: maxPerRow})
+		st = out
+	}
+	p := &sparse.CSR{Rows: n, Cols: st.nc, RowPtr: make([]int, n+1)}
+	for i, c := range st.cols {
+		p.RowPtr[i+1] = p.RowPtr[i] + len(c)
+	}
+	p.ColIdx = make([]int, p.RowPtr[n])
+	p.Vals = make([]float64, p.RowPtr[n])
+	runRows(n, p.RowPtr[n], &packKernel{st: st, p: p})
 	return p
 }
 
-// directInterp builds direct interpolation:
+// packKernel copies staged rows to their places in the CSR.
+type packKernel struct {
+	st *stagedRows
+	p  *sparse.CSR
+}
+
+func (k *packKernel) Do(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		copy(k.p.ColIdx[k.p.RowPtr[i]:], k.st.cols[i])
+		copy(k.p.Vals[k.p.RowPtr[i]:], k.st.vals[i])
+	}
+}
+
+// truncateKernel stages the truncation of each row of in as the same row
+// of out.
+type truncateKernel struct {
+	in, out   *stagedRows
+	relTol    float64
+	maxPerRow int
+}
+
+type interpEntry struct {
+	col int
+	val float64
+}
+
+func (k *truncateKernel) Do(_, lo, hi int) {
+	relTol, maxPerRow := k.relTol, k.maxPerRow
+	var kept []interpEntry // per-worker scratch
+	for i := lo; i < hi; i++ {
+		cols, vals := k.in.cols[i], k.in.vals[i]
+		rowSum := 0.0
+		maxMag := 0.0
+		for _, v := range vals {
+			rowSum += v
+			if m := math.Abs(v); m > maxMag {
+				maxMag = m
+			}
+		}
+		// Drop small entries.
+		kept = kept[:0]
+		for z, v := range vals {
+			if math.Abs(v) >= relTol*maxMag {
+				kept = append(kept, interpEntry{cols[z], v})
+			}
+		}
+		// Keep only the largest maxPerRow by magnitude.
+		if maxPerRow > 0 && len(kept) > maxPerRow {
+			// Selection of the top maxPerRow; ties go to the entry that
+			// comes first in the order the earlier swaps left.
+			for a := 0; a < maxPerRow; a++ {
+				best, bestMag := a, math.Abs(kept[a].val)
+				for b := a + 1; b < len(kept); b++ {
+					if m := math.Abs(kept[b].val); m > bestMag {
+						best, bestMag = b, m
+					}
+				}
+				kept[a], kept[best] = kept[best], kept[a]
+			}
+			kept = kept[:maxPerRow]
+			// Restore column order.
+			slices.SortFunc(kept, func(x, y interpEntry) int { return cmp.Compare(x.col, y.col) })
+		}
+		keptSum := 0.0
+		for _, e := range kept {
+			keptSum += e.val
+		}
+		scale := 1.0
+		if keptSum != 0 && rowSum != 0 {
+			scale = rowSum / keptSum
+		}
+		for _, e := range kept {
+			k.out.put(i, e.col, e.val*scale)
+		}
+	}
+}
+
+// directInterpKernel builds direct interpolation:
 //
 //	w_ij = -α_i a_ij / a_ii,  α_i = Σ_{k≠i} a_ik / Σ_{j∈C_i} a_ij
 //
 // which preserves row sums (interpolates constants exactly for zero-row-sum
 // operators). Rows with no strong C neighbour or a degenerate denominator
-// get an empty P row (no coarse correction for that point).
+// get an empty P row (no coarse correction for that point). It is also
+// pass 1 of multipass interpolation, which passes done to learn which rows
+// now have a stencil.
 //
 // The row loop is sharded over the kernel pool: each row reads only A,
-// the splitting and the strength sets (all read-only here) and writes its
-// own staging slice, so the result is bitwise-identical to serial.
-func directInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int) *sparse.CSR {
-	cidx, nc := coarseIndex(types)
-	k := &directInterpKernel{
-		a: a, isStrong: strongSet(s), types: types, cidx: cidx, fun: fun,
-		rowCols: make([][]int, a.Rows), rowVals: make([][]float64, a.Rows),
-	}
-	if par.Par(a.NNZ()) {
-		par.Default().Run(a.Rows, k)
-	} else {
-		k.Do(0, 0, a.Rows)
-	}
-	return rowsToCSR(a.Rows, nc, k.rowCols, k.rowVals)
-}
-
+// the splitting and the strength mask (all read-only here) and writes its
+// own slot (and done flag), so the result is bitwise-identical to serial.
 type directInterpKernel struct {
-	a        *sparse.CSR
-	isStrong func(i, j int) bool
-	types    []PointType
-	cidx     []int
-	fun      []int
-	rowCols  [][]int
-	rowVals  [][]float64
+	a      *sparse.CSR
+	strong []bool
+	types  []PointType
+	cidx   []int
+	fun    []int
+	st     *stagedRows
+	done   []bool // nil outside multipass
 }
 
 func (k *directInterpKernel) Do(_, lo, hi int) {
-	a, isStrong, types, cidx, fun := k.a, k.isStrong, k.types, k.cidx, k.fun
-	sameFun := func(i, j int) bool { return fun == nil || fun[i] == fun[j] }
 	for i := lo; i < hi; i++ {
-		if types[i] == CPoint {
-			k.rowCols[i] = []int{cidx[i]}
-			k.rowVals[i] = []float64{1}
-			continue
+		if k.types[i] == CPoint {
+			k.st.put(i, k.cidx[i], 1)
+		} else {
+			k.fRow(i)
 		}
-		var diag, rowSum, cSum float64
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColIdx[q]
-			v := a.Vals[q]
-			if j == i {
-				diag = v
-				continue
-			}
-			if !sameFun(i, j) {
-				continue
-			}
-			rowSum += v
-			if types[j] == CPoint && isStrong(i, j) {
-				cSum += v
-			}
-		}
-		if diag == 0 || cSum == 0 {
-			continue
-		}
-		alpha := rowSum / cSum
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColIdx[q]
-			if j == i || types[j] != CPoint || !isStrong(i, j) {
-				continue
-			}
-			w := -alpha * a.Vals[q] / diag
-			k.rowCols[i] = append(k.rowCols[i], cidx[j])
-			k.rowVals[i] = append(k.rowVals[i], w)
+		if k.done != nil {
+			k.done[i] = len(k.st.cols[i]) > 0
 		}
 	}
 }
 
-// classicalInterp builds Ruge-Stüben classical interpolation with the
+// fRow stages the direct-interpolation row of F point i.
+func (k *directInterpKernel) fRow(i int) {
+	a, strong, types, fun := k.a, k.strong, k.types, k.fun
+	var diag, rowSum, cSum float64
+	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+		j := a.ColIdx[q]
+		v := a.Vals[q]
+		if j == i {
+			diag = v
+			continue
+		}
+		if fun != nil && fun[i] != fun[j] {
+			continue
+		}
+		rowSum += v
+		if types[j] == CPoint && strong[q] {
+			cSum += v
+		}
+	}
+	if diag == 0 || cSum == 0 {
+		return
+	}
+	alpha := rowSum / cSum
+	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+		j := a.ColIdx[q]
+		if j == i || types[j] != CPoint || !strong[q] {
+			continue
+		}
+		k.st.put(i, k.cidx[j], -alpha*a.Vals[q]/diag)
+	}
+}
+
+// classicalInterpKernel builds Ruge-Stüben classical interpolation with the
 // "modified" treatment:
 //
 //	w_ij = -( a_ij + Σ_{k∈Fs_i} a_ik ā_kj / Σ_{m∈C_i} ā_km ) / ( a_ii + Σ_{n∈Nw_i} a_in )
@@ -182,33 +351,18 @@ func (k *directInterpKernel) Do(_, lo, hi int) {
 // diagonal instead.
 // The row loop is sharded over the kernel pool: the slot/cols/wts
 // workspace is per-worker, every other input is read-only during the
-// sweep, and each row stages into its own slice — bitwise-identical to
+// sweep, and each row stages into its own slot — bitwise-identical to
 // serial for any worker count.
-func classicalInterp(a *sparse.CSR, s *Strength, types []PointType) *sparse.CSR {
-	cidx, nc := coarseIndex(types)
-	k := &classicalInterpKernel{
-		a: a, isStrong: strongSet(s), types: types, cidx: cidx,
-		rowCols: make([][]int, a.Rows), rowVals: make([][]float64, a.Rows),
-	}
-	if par.Par(a.NNZ()) {
-		par.Default().Run(a.Rows, k)
-	} else {
-		k.Do(0, 0, a.Rows)
-	}
-	return rowsToCSR(a.Rows, nc, k.rowCols, k.rowVals)
-}
-
 type classicalInterpKernel struct {
-	a        *sparse.CSR
-	isStrong func(i, j int) bool
-	types    []PointType
-	cidx     []int
-	rowCols  [][]int
-	rowVals  [][]float64
+	a      *sparse.CSR
+	strong []bool
+	types  []PointType
+	cidx   []int
+	st     *stagedRows
 }
 
 func (k *classicalInterpKernel) Do(_, lo, hi int) {
-	a, isStrong, types, cidx := k.a, k.isStrong, k.types, k.cidx
+	a, strong, types, cidx, st := k.a, k.strong, k.types, k.cidx, k.st
 
 	// Per-worker workspace mapping coarse column -> accumulator slot for
 	// the current row.
@@ -221,8 +375,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 
 	for i := lo; i < hi; i++ {
 		if types[i] == CPoint {
-			k.rowCols[i] = []int{cidx[i]}
-			k.rowVals[i] = []float64{1}
+			st.put(i, cidx[i], 1)
 			continue
 		}
 		cols = cols[:0]
@@ -236,11 +389,11 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 			switch {
 			case j == i:
 				diag += v
-			case isStrong(i, j) && types[j] == CPoint:
+			case strong[q] && types[j] == CPoint:
 				slot[j] = len(cols)
 				cols = append(cols, j)
 				wts = append(wts, v)
-			case !isStrong(i, j):
+			case !strong[q]:
 				diag += v // weak neighbours (C or F) are lumped
 			}
 		}
@@ -252,7 +405,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 		// points.
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 			k := a.ColIdx[q]
-			if k == i || !isStrong(i, k) || types[k] != FPoint {
+			if k == i || !strong[q] || types[k] != FPoint {
 				continue
 			}
 			aik := a.Vals[q]
@@ -284,16 +437,14 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 			}
 		}
 		if diag != 0 {
+			// cols follows the matrix row, so the staged columns keep its
+			// order (ascending for a sorted CSR).
 			inv := -1 / diag
 			for z, j := range cols {
-				w := wts[z] * inv
-				if w != 0 {
-					k.rowCols[i] = append(k.rowCols[i], cidx[j])
-					k.rowVals[i] = append(k.rowVals[i], w)
+				if w := wts[z] * inv; w != 0 {
+					st.put(i, cidx[j], w)
 				}
 			}
-			// Keep columns sorted: cols came from a sorted CSR row, and we
-			// appended in that order, so they are already ascending.
 		}
 		for _, j := range cols {
 			slot[j] = -1
@@ -306,42 +457,31 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 // neighbours. Later passes interpolate remaining rows through
 // already-interpolated strong neighbours, composing their P rows. Rows that
 // never acquire an interpolated strong neighbour end up empty.
-func multipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int) *sparse.CSR {
-	cidx, nc := coarseIndex(types)
-	isStrong := strongSet(s)
-	sameFun := func(i, j int) bool { return fun == nil || fun[i] == fun[j] }
+//
+// Pass 1 shards over the kernel pool. The later passes stay serial: a row
+// composes through every strong neighbour that is done when the sweep
+// reaches it, including rows finished earlier in the same sweep, and that
+// ordering is part of what P is. Each row is summed in a dense accumulator
+// over the coarse columns, in the neighbour order of the matrix row, with a
+// stamped marker telling which columns the row has touched; the touched
+// columns are then sorted and the row appended to the arena.
+func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows) {
 	n := a.Rows
-
-	// Per-row assembled interpolation stencils (dense maps are fine: rows
-	// are short).
-	rowCols := make([][]int, n)
-	rowVals := make([][]float64, n)
 	done := make([]bool, n)
+	runRows(n, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
 
-	for i := 0; i < n; i++ {
-		if types[i] == CPoint {
-			rowCols[i] = []int{cidx[i]}
-			rowVals[i] = []float64{1}
-			done[i] = true
-		}
-	}
-	// Pass 1: direct interpolation. Rows are independent (each writes only
-	// its own stencil and done flag), so this pass shards over the kernel
-	// pool; the later passes read neighbours' stencils across rows and
-	// stay serial.
-	p1 := &multipassPass1Kernel{
-		a: a, isStrong: isStrong, types: types, cidx: cidx, fun: fun,
-		rowCols: rowCols, rowVals: rowVals, done: done,
-	}
-	if par.Par(a.NNZ()) {
-		par.Default().Run(n, p1)
-	} else {
-		p1.Do(0, 0, n)
-	}
-	// Later passes: compose through done strong neighbours.
-	acc := map[int]float64{}
-	for {
-		progress := false
+	acc := make([]float64, st.nc)
+	mark := make([]int, st.nc) // mark[c] == stamp: the current row has touched c
+	stamp := 0
+	var touched []int
+	// The composed rows go to chunks the size of pass 1's arena, opened as
+	// the rows come: they are many times longer than the matrix rows, and
+	// how long is known only once each has been summed.
+	chunk := a.NNZ() + n
+	var chunkCols []int
+	var chunkVals []float64
+	for progress := true; progress; {
+		progress = false
 		for i := 0; i < n; i++ {
 			if done[i] {
 				continue
@@ -354,11 +494,11 @@ func multipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int) *
 					diag = v
 					continue
 				}
-				if !sameFun(i, j) {
+				if fun != nil && fun[i] != fun[j] {
 					continue
 				}
 				rowSum += v
-				if isStrong(i, j) && done[j] {
+				if strong[q] && done[j] {
 					dSum += v
 				}
 			}
@@ -366,188 +506,42 @@ func multipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int) *
 				continue
 			}
 			alpha := rowSum / dSum
-			clear(acc)
+			stamp++
+			touched = touched[:0]
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 				k := a.ColIdx[q]
-				if k == i || !isStrong(i, k) || !done[k] {
+				if k == i || !strong[q] || !done[k] {
 					continue
 				}
 				wk := -alpha * a.Vals[q] / diag
-				for z, c := range rowCols[k] {
-					acc[c] += wk * rowVals[k][z]
+				kc := st.cols[k]
+				kv := st.vals[k][:len(kc)]
+				for z, c := range kc {
+					if mark[c] != stamp {
+						mark[c] = stamp
+						acc[c] = 0
+						touched = append(touched, c)
+					}
+					acc[c] += wk * kv[z]
 				}
 			}
-			if len(acc) == 0 {
+			if len(touched) == 0 {
 				continue
 			}
-			cs := make([]int, 0, len(acc))
-			for c := range acc {
-				cs = append(cs, c)
+			slices.Sort(touched)
+			if cap(chunkCols)-len(chunkCols) < len(touched) {
+				size := max(chunk, len(touched))
+				chunkCols, chunkVals = make([]int, 0, size), make([]float64, 0, size)
 			}
-			sortInts(cs)
-			vs := make([]float64, len(cs))
-			for z, c := range cs {
-				vs[z] = acc[c]
+			lo := len(chunkCols)
+			chunkCols = append(chunkCols, touched...)
+			for _, c := range touched {
+				chunkVals = append(chunkVals, acc[c])
 			}
-			rowCols[i], rowVals[i] = cs, vs
+			hi := len(chunkCols)
+			st.cols[i], st.vals[i] = chunkCols[lo:hi:hi], chunkVals[lo:hi:hi]
 			done[i] = true
 			progress = true
 		}
-		if !progress {
-			break
-		}
 	}
-	return rowsToCSR(n, nc, rowCols, rowVals)
-}
-
-// multipassPass1Kernel is the sharded first pass of multipass
-// interpolation: direct interpolation for every row with a strong C
-// neighbour.
-type multipassPass1Kernel struct {
-	a        *sparse.CSR
-	isStrong func(i, j int) bool
-	types    []PointType
-	cidx     []int
-	fun      []int
-	rowCols  [][]int
-	rowVals  [][]float64
-	done     []bool
-}
-
-func (k *multipassPass1Kernel) Do(_, lo, hi int) {
-	a, isStrong, types, cidx, fun := k.a, k.isStrong, k.types, k.cidx, k.fun
-	sameFun := func(i, j int) bool { return fun == nil || fun[i] == fun[j] }
-	for i := lo; i < hi; i++ {
-		if k.done[i] {
-			continue
-		}
-		var diag, rowSum, cSum float64
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColIdx[q]
-			v := a.Vals[q]
-			if j == i {
-				diag = v
-				continue
-			}
-			if !sameFun(i, j) {
-				continue
-			}
-			rowSum += v
-			if types[j] == CPoint && isStrong(i, j) {
-				cSum += v
-			}
-		}
-		if diag == 0 || cSum == 0 {
-			continue
-		}
-		alpha := rowSum / cSum
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColIdx[q]
-			if j == i || types[j] != CPoint || !isStrong(i, j) {
-				continue
-			}
-			k.rowCols[i] = append(k.rowCols[i], cidx[j])
-			k.rowVals[i] = append(k.rowVals[i], -alpha*a.Vals[q]/diag)
-		}
-		k.done[i] = len(k.rowCols[i]) > 0
-	}
-}
-
-// strongSet returns a membership predicate over the strength graph with
-// O(1) expected lookups.
-func strongSet(s *Strength) func(i, j int) bool {
-	sets := make([]map[int]struct{}, s.N)
-	for i, row := range s.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		m := make(map[int]struct{}, len(row))
-		for _, j := range row {
-			m[j] = struct{}{}
-		}
-		sets[i] = m
-	}
-	return func(i, j int) bool {
-		m := sets[i]
-		if m == nil {
-			return false
-		}
-		_, ok := m[j]
-		return ok
-	}
-}
-
-// TruncateInterp limits each row of P to its maxPerRow largest-magnitude
-// entries and drops entries below relTol times the row's largest magnitude,
-// rescaling the kept entries so the row sum is preserved (BoomerAMG's
-// interpolation truncation). maxPerRow <= 0 means unlimited.
-func TruncateInterp(p *sparse.CSR, relTol float64, maxPerRow int) *sparse.CSR {
-	out := &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int, p.Rows+1)}
-	type ent struct {
-		col int
-		val float64
-	}
-	var row []ent
-	for i := 0; i < p.Rows; i++ {
-		row = row[:0]
-		rowSum := 0.0
-		maxMag := 0.0
-		for q := p.RowPtr[i]; q < p.RowPtr[i+1]; q++ {
-			v := p.Vals[q]
-			rowSum += v
-			if m := math.Abs(v); m > maxMag {
-				maxMag = m
-			}
-			row = append(row, ent{p.ColIdx[q], v})
-		}
-		if len(row) == 0 {
-			out.RowPtr[i+1] = len(out.Vals)
-			continue
-		}
-		// Drop small entries.
-		kept := row[:0]
-		for _, e := range row {
-			if math.Abs(e.val) >= relTol*maxMag {
-				kept = append(kept, e)
-			}
-		}
-		// Keep only the largest maxPerRow by magnitude.
-		if maxPerRow > 0 && len(kept) > maxPerRow {
-			// Selection sort of the top maxPerRow (rows are short).
-			for a := 0; a < maxPerRow; a++ {
-				best := a
-				for b := a + 1; b < len(kept); b++ {
-					if math.Abs(kept[b].val) > math.Abs(kept[best].val) {
-						best = b
-					}
-				}
-				kept[a], kept[best] = kept[best], kept[a]
-			}
-			kept = kept[:maxPerRow]
-			// Restore column order.
-			for a := 1; a < len(kept); a++ {
-				e := kept[a]
-				b := a - 1
-				for b >= 0 && kept[b].col > e.col {
-					kept[b+1] = kept[b]
-					b--
-				}
-				kept[b+1] = e
-			}
-		}
-		keptSum := 0.0
-		for _, e := range kept {
-			keptSum += e.val
-		}
-		scale := 1.0
-		if keptSum != 0 && rowSum != 0 {
-			scale = rowSum / keptSum
-		}
-		for _, e := range kept {
-			out.ColIdx = append(out.ColIdx, e.col)
-			out.Vals = append(out.Vals, e.val*scale)
-		}
-		out.RowPtr[i+1] = len(out.Vals)
-	}
-	return out
 }

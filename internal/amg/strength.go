@@ -7,15 +7,41 @@
 package amg
 
 import (
+	"slices"
+
 	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
 // Strength is the strong-connection graph of a matrix: Rows[i] lists the
-// columns j != i that strongly influence row i, sorted ascending.
+// columns j != i that strongly influence row i, in the column order of
+// the matrix row (ascending for a sorted CSR). The rows of one graph are
+// windows into a single flat buffer, capped so that an append to one
+// cannot run into the next.
 type Strength struct {
 	N    int
 	Rows [][]int
+}
+
+// runRows runs a row kernel over n rows: across the kernel pool when the
+// work (in entries touched) is large enough, on the caller otherwise.
+func runRows(n, work int, k par.Kernel) {
+	if par.Par(work) {
+		par.Default().Run(n, k)
+	} else {
+		k.Do(0, 0, n)
+	}
+}
+
+// splitRows cuts a flat buffer into rows, row i ending at end[i].
+func splitRows(buf, end []int) [][]int {
+	rows := make([][]int, len(end))
+	start := 0
+	for i, e := range end {
+		rows[i] = buf[start:e:e]
+		start = e
+	}
+	return rows
 }
 
 // StrengthGraph computes the classical strength-of-connection graph with
@@ -39,24 +65,21 @@ func StrengthGraph(a *sparse.CSR, theta float64) *Strength {
 // fun == nil treats all rows as one function.
 func StrengthGraphFunc(a *sparse.CSR, theta float64, fun []int) *Strength {
 	s := &Strength{N: a.Rows, Rows: make([][]int, a.Rows)}
-	k := &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows}
-	if par.Par(a.NNZ()) {
-		par.Default().Run(a.Rows, k)
-	} else {
-		k.Do(0, 0, a.Rows)
-	}
+	runRows(a.Rows, a.NNZ(), &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
 	return s
 }
 
 // strengthKernel computes the strong-neighbour list of each row in
-// [lo, hi). Rows only read A (and fun) and write their own Rows[i]
-// slice, so the sharded result is identical to the serial one for any
-// worker count.
+// [lo, hi). A row's strong columns are a subset of its columns, so they
+// are written into the row's own span of buf (shaped like a.ColIdx): rows
+// only read A (and fun) and write their own span and Rows[i], and the
+// sharded result is identical to the serial one for any worker count.
 type strengthKernel struct {
 	a     *sparse.CSR
 	theta float64
 	fun   []int
 	rows  [][]int
+	buf   []int
 }
 
 func (k *strengthKernel) Do(_, lo, hi int) {
@@ -91,6 +114,7 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 		} else {
 			thresh = theta * maxNeg
 		}
+		row := k.buf[a.RowPtr[i]:a.RowPtr[i]:a.RowPtr[i+1]]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.ColIdx[p]
 			if j == i || !sameFun(i, j) {
@@ -108,22 +132,35 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 				strong = -v >= thresh
 			}
 			if strong {
-				k.rows[i] = append(k.rows[i], j)
+				row = append(row, j)
 			}
 		}
+		k.rows[i] = row
 	}
 }
 
 // Transpose returns the influence-transpose graph: T.Rows[j] lists the rows
 // i that j strongly influences (i.e., j ∈ S.Rows[i]).
 func (s *Strength) Transpose() *Strength {
-	t := &Strength{N: s.N, Rows: make([][]int, s.N)}
-	for i, row := range s.Rows {
+	// Count, prefix-sum, fill: next[j] walks from the start of row j to
+	// its end, which is where splitRows wants it.
+	next := make([]int, s.N+1)
+	for _, row := range s.Rows {
 		for _, j := range row {
-			t.Rows[j] = append(t.Rows[j], i)
+			next[j+1]++
 		}
 	}
-	return t
+	for j := 0; j < s.N; j++ {
+		next[j+1] += next[j]
+	}
+	buf := make([]int, next[s.N])
+	for i, row := range s.Rows {
+		for _, j := range row {
+			buf[next[j]] = i
+			next[j]++
+		}
+	}
+	return &Strength{N: s.N, Rows: splitRows(buf, next[:s.N])}
 }
 
 // NNZ returns the number of strong connections.
@@ -140,43 +177,30 @@ func (s *Strength) NNZ() int {
 // there is a path u→w→v of strong edges (w arbitrary). This is the graph on
 // which aggressive (distance-two) coarsening runs its second pass.
 func (s *Strength) distanceTwo(keep []bool) *Strength {
-	d2 := &Strength{N: s.N, Rows: make([][]int, s.N)}
 	mark := make([]int, s.N)
 	for i := range mark {
 		mark[i] = -1
 	}
+	var buf []int
+	end := make([]int, s.N)
 	for u := 0; u < s.N; u++ {
-		if !keep[u] {
-			continue
-		}
-		var nbrs []int
-		add := func(v int) {
-			if v != u && keep[v] && mark[v] != u {
-				mark[v] = u
-				nbrs = append(nbrs, v)
+		if keep[u] {
+			start := len(buf)
+			add := func(v int) {
+				if v != u && keep[v] && mark[v] != u {
+					mark[v] = u
+					buf = append(buf, v)
+				}
 			}
-		}
-		for _, w := range s.Rows[u] {
-			add(w)
-			for _, v := range s.Rows[w] {
-				add(v)
+			for _, w := range s.Rows[u] {
+				add(w)
+				for _, v := range s.Rows[w] {
+					add(v)
+				}
 			}
+			slices.Sort(buf[start:])
 		}
-		sortInts(nbrs)
-		d2.Rows[u] = nbrs
+		end[u] = len(buf)
 	}
-	return d2
-}
-
-func sortInts(v []int) {
-	// Insertion sort: neighbour lists are short.
-	for i := 1; i < len(v); i++ {
-		x := v[i]
-		j := i - 1
-		for j >= 0 && v[j] > x {
-			v[j+1] = v[j]
-			j--
-		}
-		v[j+1] = x
-	}
+	return &Strength{N: s.N, Rows: splitRows(buf, end)}
 }

@@ -5,13 +5,17 @@
 // baseline (-baseline), exiting non-zero when any benchmark's allocs/op
 // regresses beyond the tolerance. Times are recorded for reference but
 // never enforced — they are machine-dependent; allocation counts are
-// contracts.
+// contracts. One ratio of times is enforced, because a ratio taken within
+// one run is not machine-dependent: the setup cost per fine row of a
+// stencil at n=32 against the same stencil at n=16 (see setupRowCostGrowth).
+// A benchmark that appears more than once on stdin (-count N) counts with
+// its fastest run.
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^BenchmarkSetup$' -benchtime 20x . | \
+//	go test -run '^$' -bench '^BenchmarkSetup$' -benchtime 5x -count 3 . | \
 //	    go run ./scripts/benchguard -write BENCH_setup.json
-//	go test -run '^$' -bench '^BenchmarkSetup$' -benchtime 20x . | \
+//	go test -run '^$' -bench '^BenchmarkSetup$' -benchtime 5x -count 3 . | \
 //	    go run ./scripts/benchguard -baseline BENCH_setup.json
 //
 // A second mode guards the solver-service benchmark: `-serve` reads a
@@ -249,15 +253,56 @@ func main() {
 				name, got.AllocsPerOp, want.AllocsPerOp)
 		}
 	}
+	failed += checkSetupScaling(run)
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed allocs/op beyond baseline\n", failed)
+		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed allocs/op beyond baseline or grew faster than their matrix\n", failed)
 		os.Exit(1)
 	}
 }
 
+// setupRowCostGrowth bounds how much more one fine row may cost to set up
+// at n=32 than at n=16, per stencil of BenchmarkSetup. A setup that is
+// linear in the matrix sits at 1. The 7pt stencil holds 2. The 27pt
+// stencil cannot: the in-sweep multipass composition of its aggressive
+// level stages rows that grow from 21 to 124 entries between the two sizes
+// (until they hold every coarse column), each summed through up to 26
+// neighbours, so its bound only keeps that stage from getting worse
+// (DESIGN.md §9 has the open question).
+var setupRowCostGrowth = []struct {
+	stencil string
+	limit   float64
+}{{"7pt", 2}, {"27pt", 4}}
+
+// checkSetupScaling enforces setupRowCostGrowth on every n=16/n=32 pair of
+// the run and returns the number of violations. A run without the n=32
+// rows checks nothing.
+func checkSetupScaling(run map[string]entry) int {
+	failed := 0
+	for _, g := range setupRowCostGrowth {
+		for _, mode := range []string{"serial", "parallel"} {
+			small, okS := run["BenchmarkSetup/"+g.stencil+"/"+mode]
+			large, okL := run["BenchmarkSetup/"+g.stencil+"-n32/"+mode]
+			if !okS || !okL || small.NsPerOp == 0 {
+				continue
+			}
+			// n=32 has (32/16)³ = 8 times the fine rows of n=16.
+			growth := large.NsPerOp / (8 * small.NsPerOp)
+			verdict := "ok  "
+			if growth > g.limit {
+				verdict = "FAIL"
+				failed++
+			}
+			fmt.Printf("benchguard: %s %s/%s: a fine row costs %.2fx at n=32 what it costs at n=16 (limit %.1fx)\n",
+				verdict, g.stencil, mode, growth, g.limit)
+		}
+	}
+	return failed
+}
+
 const defaultComment = "AMG setup-phase benchmark baseline (BenchmarkSetup in setup_bench_test.go): " +
-	"serial vs sharded setup for the paper's four matrices. Regenerate with scripts/bench_setup.sh. " +
-	"ns_per_op is machine-dependent reference only; allocs_per_op is the enforced contract " +
+	"serial vs sharded setup for the paper's four matrices, the two stencils also at n=32. " +
+	"Regenerate with scripts/bench_setup.sh. ns_per_op (fastest of the repeats) is machine-dependent " +
+	"reference only; allocs_per_op is the enforced contract, with the n=32/n=16 cost per fine row " +
 	"(CI runs benchguard -baseline and fails on regression)."
 
 // serveBench mirrors the BENCH_serve.json schema written by
@@ -552,7 +597,7 @@ func checkKrylov(path string) error {
 }
 
 // parse reads `go test -bench` output, returning one entry per benchmark
-// plus the reported cpu line.
+// (the fastest, when -count repeats it) plus the reported cpu line.
 func parse(sc *bufio.Scanner) (map[string]entry, string, error) {
 	out := map[string]entry{}
 	cpu := ""
@@ -586,7 +631,9 @@ func parse(sc *bufio.Scanner) (map[string]entry, string, error) {
 				e.BytesPerOp = v
 			}
 		}
-		out[name] = e
+		if prev, ok := out[name]; !ok || e.NsPerOp < prev.NsPerOp {
+			out[name] = e
+		}
 	}
 	return out, cpu, sc.Err()
 }

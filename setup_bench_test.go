@@ -19,7 +19,10 @@ import (
 
 // setupBenchCases mirrors harness.AllProblems with CI-sized meshes: large
 // enough that every kernel crosses the sharding threshold, small enough to
-// keep `-benchtime 20x` runs in seconds.
+// keep the CI runs in seconds. The two n=32 stencil rows have eight times
+// the fine rows of their n=16 rows; benchguard bounds their cost per fine
+// row against that of n=16 (2x on 7pt, 4x on 27pt), which is what catches a
+// setup stage that grows faster than the matrix.
 var setupBenchCases = []struct {
 	name    string
 	problem string
@@ -29,6 +32,8 @@ var setupBenchCases = []struct {
 }{
 	{"7pt", "7pt", 16, 1, 0},
 	{"27pt", "27pt", 16, 1, 0},
+	{"7pt-n32", "7pt", 32, 1, 0},
+	{"27pt-n32", "27pt", 32, 1, 0},
 	{"FEMLaplace", "mfem-laplace", 16, 1, 0},
 	{"Elasticity", "mfem-elasticity", 5, 0, 3},
 }
