@@ -52,12 +52,12 @@ import (
 	"asyncmg/internal/async"
 	"asyncmg/internal/chaotic"
 	"asyncmg/internal/distmem"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/fault"
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/model"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
@@ -257,27 +257,27 @@ func DefaultSmoother() SmootherConfig { return smoother.DefaultConfig() }
 
 // Setup bundles the hierarchy, per-level smoothers, and the smoothed
 // interpolants of Multadd.
-type Setup = mg.Setup
+type Setup = engine.Engine
 
 // Method selects a multigrid algorithm.
-type Method = mg.Method
+type Method = engine.Method
 
 // The multigrid methods.
 const (
-	Mult    = mg.Mult
-	Multadd = mg.Multadd
-	AFACx   = mg.AFACx
-	BPX     = mg.BPX
+	Mult    = engine.Mult
+	Multadd = engine.Multadd
+	AFACx   = engine.AFACx
+	BPX     = engine.BPX
 )
 
 // NewSetup builds the AMG hierarchy and all solver operators for a.
 func NewSetup(a *Matrix, amgOpt AMGOptions, smoCfg SmootherConfig) (*Setup, error) {
-	return mg.NewSetup(a, amgOpt, smoCfg)
+	return engine.New(a, amgOpt, smoCfg)
 }
 
 // NewSetupFromHierarchy builds solver operators on an existing hierarchy.
 func NewSetupFromHierarchy(h *Hierarchy, smoCfg SmootherConfig) (*Setup, error) {
-	return mg.NewSetupFromHierarchy(h, smoCfg)
+	return engine.NewFromHierarchy(h, smoCfg)
 }
 
 // ---- Operator abstraction: matrix-free fine levels, mixed precision ----
@@ -325,7 +325,7 @@ func NewStencil27(n int) *Stencil27 { return op.NewStencil27(n) }
 // the fine-level matrix is never materialized. A CSR-backed operator
 // takes the standard NewSetup path.
 func NewSetupMatrixFree(a Operator, amgOpt AMGOptions, smoCfg SmootherConfig) (*Setup, error) {
-	return mg.NewSetupOperator(a, amgOpt, smoCfg)
+	return engine.NewOperator(a, amgOpt, smoCfg)
 }
 
 // SolveSync runs tmax sequential V-cycles of the chosen method from x = 0

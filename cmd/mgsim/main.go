@@ -25,8 +25,8 @@ import (
 	"strconv"
 	"strings"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/harness"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/model"
 	"asyncmg/internal/obs"
 )
@@ -216,14 +216,14 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseMethods(s string) ([]mg.Method, error) {
+func parseMethods(s string) ([]engine.Method, error) {
 	switch strings.ToLower(s) {
 	case "multadd":
-		return []mg.Method{mg.Multadd}, nil
+		return []engine.Method{engine.Multadd}, nil
 	case "afacx":
-		return []mg.Method{mg.AFACx}, nil
+		return []engine.Method{engine.AFACx}, nil
 	case "both":
-		return []mg.Method{mg.AFACx, mg.Multadd}, nil
+		return []engine.Method{engine.AFACx, engine.Multadd}, nil
 	}
 	return nil, fmt.Errorf("unknown method %q (want multadd, afacx, both)", s)
 }

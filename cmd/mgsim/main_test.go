@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -30,7 +30,7 @@ func TestParseMethods(t *testing.T) {
 		t.Errorf("both: %v, %v", both, err)
 	}
 	ma, err := parseMethods("multadd")
-	if err != nil || len(ma) != 1 || ma[0] != mg.Multadd {
+	if err != nil || len(ma) != 1 || ma[0] != engine.Multadd {
 		t.Errorf("multadd: %v, %v", ma, err)
 	}
 	if _, err := parseMethods("nope"); err == nil {

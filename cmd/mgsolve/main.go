@@ -21,10 +21,10 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
@@ -146,11 +146,11 @@ func main() {
 		opt.NumFunctions = 3 // unknown approach for the vector problem
 	}
 	scfg := smoother.Config{Kind: kind, Omega: *omega, Blocks: 1}
-	var setup *mg.Setup
+	var setup *engine.Engine
 	if aOp != nil {
-		setup, err = mg.NewSetupOperator(aOp, opt, scfg)
+		setup, err = engine.NewOperator(aOp, opt, scfg)
 	} else {
-		setup, err = mg.NewSetup(a, opt, scfg)
+		setup, err = engine.New(a, opt, scfg)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -172,7 +172,7 @@ func main() {
 		if *runAsync {
 			log.Fatalf("-solver %s runs the synchronous Krylov path; drop -async", *solver)
 		}
-		if *solver == "pcg" && m == mg.AFACx {
+		if *solver == "pcg" && m == engine.AFACx {
 			log.Fatal("afacx is not an SPD preconditioner; use -solver fgmres with it")
 		}
 		setup.SetObserver(o)
@@ -288,16 +288,16 @@ func formatOmegas(ws []float64) string {
 	return sb.String()
 }
 
-func parseMethod(s string) (mg.Method, error) {
+func parseMethod(s string) (engine.Method, error) {
 	switch strings.ToLower(s) {
 	case "mult":
-		return mg.Mult, nil
+		return engine.Mult, nil
 	case "multadd":
-		return mg.Multadd, nil
+		return engine.Multadd, nil
 	case "afacx":
-		return mg.AFACx, nil
+		return engine.AFACx, nil
 	case "bpx":
-		return mg.BPX, nil
+		return engine.BPX, nil
 	}
 	return 0, fmt.Errorf("unknown method %q (want mult, multadd, afacx, bpx)", s)
 }

@@ -3,16 +3,16 @@ package main
 import (
 	"testing"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/smoother"
 )
 
 func TestParseMethod(t *testing.T) {
-	cases := map[string]mg.Method{
-		"mult": mg.Mult, "MULT": mg.Mult,
-		"multadd": mg.Multadd,
-		"afacx":   mg.AFACx,
-		"bpx":     mg.BPX,
+	cases := map[string]engine.Method{
+		"mult": engine.Mult, "MULT": engine.Mult,
+		"multadd": engine.Multadd,
+		"afacx":   engine.AFACx,
+		"bpx":     engine.BPX,
 	}
 	for in, want := range cases {
 		got, err := parseMethod(in)

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 )
 
@@ -16,13 +16,13 @@ import (
 // on the calling goroutine, which makes it measurable with AllocsPerRun.
 func TestComputeCorrectionZeroAllocs(t *testing.T) {
 	a := grid.Laplacian7pt(10)
-	s, err := mg.NewSetup(a, amg.DefaultOptions(), smoother.DefaultConfig())
+	s, err := engine.New(a, amg.DefaultOptions(), smoother.DefaultConfig())
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	l := s.NumLevels()
 	b := grid.RandomRHS(s.LevelSize(0), 1)
-	for _, m := range []mg.Method{mg.Multadd, mg.AFACx} {
+	for _, m := range []engine.Method{engine.Multadd, engine.AFACx} {
 		rt := &solverState{
 			s: s, cfg: Config{Method: m, Threads: l, MaxCycles: 1},
 			n: s.LevelSize(0), b: b,
@@ -52,13 +52,13 @@ func TestComputeCorrectionZeroAllocs(t *testing.T) {
 // the controller bookkeeping around it) must not allocate either.
 func TestDampedCorrectionZeroAllocs(t *testing.T) {
 	a := grid.Laplacian7pt(10)
-	s, err := mg.NewSetup(a, amg.DefaultOptions(), smoother.DefaultConfig())
+	s, err := engine.New(a, amg.DefaultOptions(), smoother.DefaultConfig())
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	l := s.NumLevels()
 	b := grid.RandomRHS(s.LevelSize(0), 1)
-	for _, m := range []mg.Method{mg.Multadd, mg.AFACx} {
+	for _, m := range []engine.Method{engine.Multadd, engine.AFACx} {
 		rt := &solverState{
 			s: s, cfg: Config{Method: m, Threads: l, MaxCycles: 1,
 				Damping: DampingPolicy{Mode: DampAuto, Omega: 0.8, Rollback: true}},

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"asyncmg/internal/engine"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/partition"
 	"asyncmg/internal/smoother"
@@ -99,9 +98,9 @@ func (c Criterion) String() string {
 
 // Config parameterizes a parallel solve.
 type Config struct {
-	// Method is mg.Multadd or mg.AFACx for the additive solvers, or
-	// mg.Mult for the synchronous multiplicative baseline.
-	Method mg.Method
+	// Method is engine.Multadd or engine.AFACx for the additive solvers, or
+	// engine.Mult for the synchronous multiplicative baseline.
+	Method engine.Method
 	// Sync runs the synchronous variant: all threads share one global
 	// barrier per cycle and the residual is recomputed globally, exactly
 	// like the paper's "sync Multadd"/"sync AFACx" baselines. Mult is
@@ -182,7 +181,7 @@ type Result struct {
 // Solve runs the configured parallel multigrid solver on A x = b, x0 = 0.
 // Cancelling ctx (or passing a deadline) stops the teams at the next cycle
 // boundary and returns ctx's error.
-func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, error) {
+func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 	if cfg.MaxCycles <= 0 {
 		return nil, fmt.Errorf("async: MaxCycles must be positive, got %d", cfg.MaxCycles)
 	}
@@ -197,17 +196,17 @@ func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, 
 		return nil, err
 	}
 	switch cfg.Method {
-	case mg.Mult:
+	case engine.Mult:
 		if cfg.Damping.Mode != DampOff {
 			return nil, fmt.Errorf("async: damping applies to the additive methods, not Mult")
 		}
 		return solveMult(ctx, s, b, cfg)
-	case mg.Multadd, mg.AFACx:
+	case engine.Multadd, engine.AFACx:
 		l := s.NumLevels()
 		if cfg.Threads < l {
 			return nil, fmt.Errorf("async: %d threads for %d grids; need at least one thread per grid", cfg.Threads, l)
 		}
-		if cfg.Res == ResidualRes && cfg.Method != mg.Multadd {
+		if cfg.Res == ResidualRes && cfg.Method != engine.Multadd {
 			return nil, fmt.Errorf("async: residual-based update (r-Multadd) requires Multadd")
 		}
 		if err := cfg.Perturb.validate(l); err != nil {
@@ -222,7 +221,7 @@ func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, 
 // solverState is the shared state of one additive parallel solve.
 type solverState struct {
 	ctx context.Context
-	s   *mg.Setup
+	s   *engine.Engine
 	cfg Config
 	n   int
 	b   []float64
@@ -326,14 +325,14 @@ func (rt *solverState) recordCorrection(k int, staleness int64) {
 		return
 	}
 	o.Relaxed(k, 1)
-	if rt.cfg.Method == mg.AFACx && k+1 < rt.s.NumLevels() {
+	if rt.cfg.Method == engine.AFACx && k+1 < rt.s.NumLevels() {
 		o.Relaxed(k+1, 1)
 	}
 	o.Corrected(k, staleness)
 }
 
 // solveAdditive runs Multadd/AFACx, synchronous or asynchronous.
-func solveAdditive(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, error) {
+func solveAdditive(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 	l := s.NumLevels()
 	rt := &solverState{
 		ctx: ctx, s: s, cfg: cfg, n: s.LevelSize(0), b: b,
@@ -439,17 +438,17 @@ func solveAdditive(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*
 // gridWork estimates grid k's per-correction flop count: the restriction
 // and prolongation chain down to level k, the smoothing work, and the
 // residual computation it is responsible for.
-func gridWork(s *mg.Setup, cfg Config, k int) float64 {
+func gridWork(s *engine.Engine, cfg Config, k int) float64 {
 	w := 0.0
 	chain := s.SItp
-	if cfg.Method == mg.AFACx {
+	if cfg.Method == engine.AFACx {
 		chain = s.Itp
 	}
 	for j := 0; j < k; j++ {
 		w += 2 * float64(chain[j].NNZEquivalent()) // restrict + prolong
 	}
 	w += float64(s.Ops[k].NNZEquivalent()) // smoothing at level k
-	if cfg.Method == mg.AFACx && k < s.NumLevels()-1 {
+	if cfg.Method == engine.AFACx && k < s.NumLevels()-1 {
 		// e_{k+1} smoothing plus the modified-RHS SpMV.
 		w += float64(s.Ops[k+1].NNZEquivalent()) + float64(s.Itp[k].NNZEquivalent()) + float64(s.Ops[k].NNZEquivalent())
 	}
@@ -508,7 +507,7 @@ func newGridRun(rt *solverState, k, m int) (*gridRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("async: grid %d smoother: %w", k, err)
 	}
-	if rt.cfg.Method == mg.AFACx && k+1 < l {
+	if rt.cfg.Method == engine.AFACx && k+1 < l {
 		g.smoNext, err = s.NewLevelSmoother(k+1, m)
 		if err != nil {
 			return nil, fmt.Errorf("async: grid %d next-level smoother: %w", k, err)

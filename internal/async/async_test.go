@@ -7,19 +7,19 @@ import (
 	"testing"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 )
 
-func buildSetup(t *testing.T, n int, kind smoother.Kind) *mg.Setup {
+func buildSetup(t *testing.T, n int, kind smoother.Kind) *engine.Engine {
 	t.Helper()
 	a := grid.Laplacian7pt(n)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 1
 	cfg := smoother.Config{Kind: kind, Omega: 0.9, Blocks: 1}
-	s, err := mg.NewSetup(a, opt, cfg)
+	s, err := engine.New(a, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,22 +75,22 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	s := buildSetup(t, 6, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 1)
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, Threads: 4, MaxCycles: 0}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, Threads: 4, MaxCycles: 0}); err == nil {
 		t.Error("accepted MaxCycles=0")
 	}
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, Threads: 0, MaxCycles: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, Threads: 0, MaxCycles: 5}); err == nil {
 		t.Error("accepted Threads=0")
 	}
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, Threads: 1, MaxCycles: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, Threads: 1, MaxCycles: 5}); err == nil {
 		t.Error("accepted fewer threads than grids")
 	}
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.BPX, Threads: 8, MaxCycles: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.BPX, Threads: 8, MaxCycles: 5}); err == nil {
 		t.Error("accepted unsupported method")
 	}
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.AFACx, Res: ResidualRes, Threads: 8, MaxCycles: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.AFACx, Res: ResidualRes, Threads: 8, MaxCycles: 5}); err == nil {
 		t.Error("accepted residual-based AFACx")
 	}
-	if _, err := Solve(context.Background(), s, b[:3], Config{Method: mg.Multadd, Threads: 8, MaxCycles: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b[:3], Config{Method: engine.Multadd, Threads: 8, MaxCycles: 5}); err == nil {
 		t.Error("accepted short RHS")
 	}
 }
@@ -102,11 +102,11 @@ func TestParallelMultMatchesSequential(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	n := s.LevelSize(0)
 	b := grid.RandomRHS(n, 2)
-	res, err := Solve(context.Background(), s, b, Config{Method: mg.Mult, Threads: 4, MaxCycles: 12})
+	res, err := Solve(context.Background(), s, b, Config{Method: engine.Mult, Threads: 4, MaxCycles: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.Mult, b, 12)
+	_, hist := s.Solve(engine.Mult, b, 12)
 	want := hist[len(hist)-1]
 	// Jacobi smoothing is block-independent, so results agree to rounding.
 	if math.Abs(res.RelRes-want) > 1e-10*(1+want) {
@@ -124,13 +124,13 @@ func TestSyncMultaddMatchesSequential(t *testing.T) {
 	n := s.LevelSize(0)
 	b := grid.RandomRHS(n, 3)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Sync: true, Write: AtomicWrite,
+		Method: engine.Multadd, Sync: true, Write: AtomicWrite,
 		Threads: 6, MaxCycles: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.Multadd, b, 10)
+	_, hist := s.Solve(engine.Multadd, b, 10)
 	want := hist[len(hist)-1]
 	if math.Abs(res.RelRes-want) > 1e-9*(1+want) {
 		t.Errorf("sync parallel Multadd relres %g, sequential %g", res.RelRes, want)
@@ -141,13 +141,13 @@ func TestSyncAFACxMatchesSequential(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 4)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.AFACx, Sync: true, Write: LockWrite,
+		Method: engine.AFACx, Sync: true, Write: LockWrite,
 		Threads: 6, MaxCycles: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.AFACx, b, 10)
+	_, hist := s.Solve(engine.AFACx, b, 10)
 	want := hist[len(hist)-1]
 	if math.Abs(res.RelRes-want) > 1e-9*(1+want) {
 		t.Errorf("sync parallel AFACx relres %g, sequential %g", res.RelRes, want)
@@ -160,7 +160,7 @@ func TestAsyncMultaddConvergesAllVariants(t *testing.T) {
 	for _, wm := range []WriteMode{LockWrite, AtomicWrite} {
 		for _, rm := range []ResMode{LocalRes, GlobalRes, ResidualRes} {
 			res, err := Solve(context.Background(), s, b, Config{
-				Method: mg.Multadd, Write: wm, Res: rm,
+				Method: engine.Multadd, Write: wm, Res: rm,
 				Criterion: Criterion1, Threads: 7, MaxCycles: 40,
 			})
 			if err != nil {
@@ -192,7 +192,7 @@ func TestAsyncAFACxConverges(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 6)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.AFACx, Write: LockWrite, Res: LocalRes,
+		Method: engine.AFACx, Write: LockWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 7, MaxCycles: 80,
 	})
 	if err != nil {
@@ -207,7 +207,7 @@ func TestAsyncGSSmootherConverges(t *testing.T) {
 	s := buildSetup(t, 8, smoother.AsyncGS)
 	b := grid.RandomRHS(s.LevelSize(0), 7)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 7, MaxCycles: 40,
 	})
 	if err != nil {
@@ -222,7 +222,7 @@ func TestHybridJGSSmootherConverges(t *testing.T) {
 	s := buildSetup(t, 8, smoother.HybridJGS)
 	b := grid.RandomRHS(s.LevelSize(0), 8)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: LockWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: LockWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 7, MaxCycles: 40,
 	})
 	if err != nil {
@@ -237,7 +237,7 @@ func TestCriterion2AllGridsReachTarget(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 9)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion2, Threads: 7, MaxCycles: 15,
 	})
 	if err != nil {
@@ -257,7 +257,7 @@ func TestParallelMultAllSmoothers(t *testing.T) {
 	for _, kind := range []smoother.Kind{smoother.WJacobi, smoother.L1Jacobi, smoother.HybridJGS, smoother.AsyncGS} {
 		s := buildSetup(t, 6, kind)
 		b := grid.RandomRHS(s.LevelSize(0), 10)
-		res, err := Solve(context.Background(), s, b, Config{Method: mg.Mult, Threads: 4, MaxCycles: 40})
+		res, err := Solve(context.Background(), s, b, Config{Method: engine.Mult, Threads: 4, MaxCycles: 40})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -273,7 +273,7 @@ func TestSingleThreadPerGridStillWorks(t *testing.T) {
 	l := s.NumLevels()
 	b := grid.RandomRHS(s.LevelSize(0), 11)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: l, MaxCycles: 30,
 	})
 	if err != nil {
@@ -288,7 +288,7 @@ func TestManyThreads(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 12)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 32, MaxCycles: 25,
 	})
 	if err != nil {
@@ -303,7 +303,7 @@ func TestResultElapsedPositive(t *testing.T) {
 	s := buildSetup(t, 6, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 13)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 5, MaxCycles: 5,
 	})
 	if err != nil {
@@ -331,7 +331,7 @@ func TestGridWorkDecreasesWithLevelForStencil(t *testing.T) {
 	// grows but is dominated by the fine-level work. Work estimates should
 	// give the fine grid the largest share.
 	s := buildSetup(t, 8, smoother.WJacobi)
-	cfg := Config{Method: mg.Multadd, Res: LocalRes}
+	cfg := Config{Method: engine.Multadd, Res: LocalRes}
 	w0 := gridWork(s, cfg, 0)
 	wl := gridWork(s, cfg, s.NumLevels()-1)
 	if w0 <= 0 || wl <= 0 {
@@ -349,7 +349,7 @@ func TestAsyncAFACxAllSmoothers(t *testing.T) {
 		s := buildSetup(t, 8, kind)
 		b := grid.RandomRHS(s.LevelSize(0), 14)
 		res, err := Solve(context.Background(), s, b, Config{
-			Method: mg.AFACx, Write: AtomicWrite, Res: LocalRes,
+			Method: engine.AFACx, Write: AtomicWrite, Res: LocalRes,
 			Criterion: Criterion1, Threads: 7, MaxCycles: 60,
 		})
 		if err != nil {
@@ -371,7 +371,7 @@ func TestCriterion1FinishedGridsLeaveOthersRunning(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 15)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: GlobalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: GlobalRes,
 		Criterion: Criterion1, Threads: 7, MaxCycles: 25,
 	})
 	if err != nil {
@@ -401,13 +401,13 @@ func TestElasticityUnknownApproachAsyncPipeline(t *testing.T) {
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 0
 	opt.NumFunctions = 3
-	setup, err := mg.NewSetup(prob.A, opt, smoother.Config{Kind: smoother.AsyncGS, Omega: 0.5, Blocks: 1})
+	setup, err := engine.New(prob.A, opt, smoother.Config{Kind: smoother.AsyncGS, Omega: 0.5, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := grid.RandomRHS(prob.A.Rows, 16)
 	res, err := Solve(context.Background(), setup, b, Config{
-		Method: mg.Multadd, Write: LockWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: LockWrite, Res: LocalRes,
 		Criterion: Criterion2, Threads: 8, MaxCycles: 60,
 	})
 	if err != nil {
@@ -422,7 +422,7 @@ func TestRecordHistorySyncRun(t *testing.T) {
 	s := buildSetup(t, 8, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 17)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Sync: true, Write: AtomicWrite,
+		Method: engine.Multadd, Sync: true, Write: AtomicWrite,
 		Threads: 6, MaxCycles: 10, RecordHistory: true,
 	})
 	if err != nil {
@@ -442,7 +442,7 @@ func TestRecordHistorySyncRun(t *testing.T) {
 		t.Errorf("final history %g != RelRes %g", res.History[10], res.RelRes)
 	}
 	// History matches the sequential cycle trajectory.
-	_, hist := s.Solve(mg.Multadd, b, 10)
+	_, hist := s.Solve(engine.Multadd, b, 10)
 	for i := range hist {
 		if math.Abs(res.History[i]-hist[i]) > 1e-9*(1+hist[i]) {
 			t.Fatalf("history[%d] = %g, sequential %g", i, res.History[i], hist[i])
@@ -454,7 +454,7 @@ func TestRecordHistoryIgnoredForAsync(t *testing.T) {
 	s := buildSetup(t, 6, smoother.WJacobi)
 	b := grid.RandomRHS(s.LevelSize(0), 18)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Write: AtomicWrite, Res: LocalRes,
+		Method: engine.Multadd, Write: AtomicWrite, Res: LocalRes,
 		Criterion: Criterion1, Threads: 5, MaxCycles: 5, RecordHistory: true,
 	})
 	if err != nil {

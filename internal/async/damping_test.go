@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 )
@@ -31,13 +31,13 @@ func TestDampingPolicyValidation(t *testing.T) {
 		{Mode: DampMode(99)},         // unknown mode
 	}
 	for i, p := range bad {
-		cfg := Config{Method: mg.Multadd, Threads: 8, MaxCycles: 2, Damping: p}
+		cfg := Config{Method: engine.Multadd, Threads: 8, MaxCycles: 2, Damping: p}
 		if _, err := Solve(context.Background(), s, b, cfg); err == nil {
 			t.Errorf("case %d: accepted invalid policy %+v", i, p)
 		}
 	}
 	// Damping is an additive-methods feature.
-	cfg := Config{Method: mg.Mult, Threads: 4, MaxCycles: 2,
+	cfg := Config{Method: engine.Mult, Threads: 4, MaxCycles: 2,
 		Damping: DampingPolicy{Mode: DampFixed, Omega: 0.5}}
 	if _, err := Solve(context.Background(), s, b, cfg); err == nil {
 		t.Error("accepted damping on Mult")
@@ -55,7 +55,7 @@ func TestPerturbValidation(t *testing.T) {
 		{Stragglers: []int{l}},
 	}
 	for i, p := range bad {
-		cfg := Config{Method: mg.Multadd, Threads: l, MaxCycles: 2, Perturb: p}
+		cfg := Config{Method: engine.Multadd, Threads: l, MaxCycles: 2, Perturb: p}
 		if _, err := Solve(context.Background(), s, b, cfg); err == nil {
 			t.Errorf("case %d: accepted invalid perturb %+v", i, p)
 		}
@@ -94,7 +94,7 @@ func TestDampedCorrectionWorkerCountBitwise(t *testing.T) {
 		n := s.LevelSize(0)
 		rfine := grid.RandomRHS(n, 42)
 		const omega = 0.375 // exactly representable; scaling is one multiply
-		for _, m := range []mg.Method{mg.Multadd, mg.AFACx} {
+		for _, m := range []engine.Method{engine.Multadd, engine.AFACx} {
 			// Serial damped reference.
 			want := make([][]float64, l)
 			w := s.NewCorrWorkspace()
@@ -155,7 +155,7 @@ func runTeamCorrection(g *gridRun, rfine []float64) []float64 {
 // locations), grid for grid, up to reduction rounding.
 func TestFixedDampingSyncMatchesSequential(t *testing.T) {
 	const omega = 0.5
-	for _, m := range []mg.Method{mg.Multadd, mg.AFACx} {
+	for _, m := range []engine.Method{engine.Multadd, engine.AFACx} {
 		s := buildSetup(t, 8, smoother.WJacobi)
 		b := grid.RandomRHS(s.LevelSize(0), 3)
 		const cycles = 8
@@ -185,7 +185,7 @@ func TestFixedDampingSyncMatchesSequential(t *testing.T) {
 // here as -race tests.
 type stabilisationScenario struct {
 	name    string
-	method  mg.Method
+	method  engine.Method
 	perturb Perturb
 	// threadsPerGrid scales the pool (1 = one thread per grid).
 	threadsPerGrid int
@@ -195,14 +195,14 @@ type stabilisationScenario struct {
 // stabilisationScenarios are shared with TestStabilisationScenarios and
 // the harness shape test; each corresponds to a stability-map cell.
 var stabilisationScenarios = []stabilisationScenario{
-	{name: "uniform-hold-8", method: mg.Multadd,
+	{name: "uniform-hold-8", method: engine.Multadd,
 		perturb: Perturb{ReadHold: 8}, threadsPerGrid: 1, cycles: 240},
-	{name: "straggler-fine-grid", method: mg.Multadd,
+	{name: "straggler-fine-grid", method: engine.Multadd,
 		perturb:        Perturb{ReadHold: 2, Stragglers: []int{0}, StragglerHold: 12},
 		threadsPerGrid: 1, cycles: 240},
-	{name: "oversubscribed-hold-6", method: mg.Multadd,
+	{name: "oversubscribed-hold-6", method: engine.Multadd,
 		perturb: Perturb{ReadHold: 6}, threadsPerGrid: 4, cycles: 240},
-	{name: "afacx-hold-8", method: mg.AFACx,
+	{name: "afacx-hold-8", method: engine.AFACx,
 		perturb: Perturb{ReadHold: 8}, threadsPerGrid: 1, cycles: 240},
 }
 
@@ -266,7 +266,7 @@ func TestAdaptiveDampingNoPerturbStaysNearUndamped(t *testing.T) {
 	b := grid.RandomRHS(s.LevelSize(0), 1)
 	l := s.NumLevels()
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Res: LocalRes, Write: AtomicWrite,
+		Method: engine.Multadd, Res: LocalRes, Write: AtomicWrite,
 		Criterion: Criterion1, Threads: l, MaxCycles: 60,
 		Damping: DampingPolicy{Mode: DampAuto, Rollback: true},
 	})
@@ -290,7 +290,7 @@ func TestDampingObserverSignals(t *testing.T) {
 	l := s.NumLevels()
 	o := obs.New(l)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Res: LocalRes, Write: AtomicWrite,
+		Method: engine.Multadd, Res: LocalRes, Write: AtomicWrite,
 		Criterion: Criterion1, Threads: l, MaxCycles: 240,
 		Perturb:  Perturb{ReadHold: 8},
 		Damping:  DampingPolicy{Mode: DampAuto, Rollback: true},
@@ -321,7 +321,7 @@ func TestDampingObserverSignals(t *testing.T) {
 	// An undamped armed run must roll back and count it.
 	o2 := obs.New(l)
 	res, err = Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Res: LocalRes, Write: AtomicWrite,
+		Method: engine.Multadd, Res: LocalRes, Write: AtomicWrite,
 		Criterion: Criterion1, Threads: l, MaxCycles: 240,
 		Perturb:  Perturb{ReadHold: 8},
 		Damping:  DampingPolicy{Mode: DampOff, Rollback: true},
@@ -349,7 +349,7 @@ func TestStalenessRecordedAfterApply(t *testing.T) {
 	l := s.NumLevels()
 	o := obs.New(l)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, Res: LocalRes, Write: AtomicWrite,
+		Method: engine.Multadd, Res: LocalRes, Write: AtomicWrite,
 		Criterion: Criterion1, Threads: l, MaxCycles: 30,
 		Observer: o,
 	})

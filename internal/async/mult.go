@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/partition"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/vec"
@@ -20,7 +20,7 @@ import (
 // points are exactly what asynchronous additive multigrid eliminates, so
 // the harness also counts them (see Result.Corrections, which for Mult
 // holds the cycle count on every level).
-func solveMult(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, error) {
+func solveMult(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 	n := s.LevelSize(0)
 	l := s.NumLevels()
 	t := cfg.Threads

@@ -33,8 +33,8 @@ import (
 	"sync"
 	"time"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/fault"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/vec"
 )
@@ -71,8 +71,8 @@ func watchdogDelay(seed int64, fires int, backoff time.Duration) time.Duration {
 
 // Config parameterizes a distributed simulation.
 type Config struct {
-	// Method is mg.Multadd or mg.AFACx.
-	Method mg.Method
+	// Method is engine.Multadd or engine.AFACx.
+	Method engine.Method
 	// MaxCorrections is the number of corrections each grid process
 	// performs.
 	MaxCorrections int
@@ -230,8 +230,8 @@ type correction struct {
 // x0 = 0. It returns an error when ctx is cancelled or its deadline passes
 // before the solve finishes; faults the recovery machinery survives (drops,
 // crashes, retired grids) are reported in the Result instead.
-func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, error) {
-	if cfg.Method != mg.Multadd && cfg.Method != mg.AFACx {
+func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Result, error) {
+	if cfg.Method != engine.Multadd && cfg.Method != engine.AFACx {
 		return nil, fmt.Errorf("distmem: method %v not supported", cfg.Method)
 	}
 	if cfg.MaxCorrections <= 0 {
@@ -360,7 +360,7 @@ func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, 
 	// discarded duplicates are not double-counted).
 	relaxed := func(k int) {
 		o.Relaxed(k, 1)
-		if cfg.Method == mg.AFACx && k+1 < l {
+		if cfg.Method == engine.AFACx && k+1 < l {
 			o.Relaxed(k+1, 1)
 		}
 	}

@@ -6,18 +6,18 @@ import (
 	"time"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 )
 
-func buildSetup(t *testing.T, n int) *mg.Setup {
+func buildSetup(t *testing.T, n int) *engine.Engine {
 	t.Helper()
 	a := grid.Laplacian7pt(n)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 1
-	s, err := mg.NewSetup(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	s, err := engine.New(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +27,13 @@ func buildSetup(t *testing.T, n int) *mg.Setup {
 func TestValidation(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 1)
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.Mult, MaxCorrections: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.Mult, MaxCorrections: 5}); err == nil {
 		t.Error("Mult accepted")
 	}
-	if _, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 0}); err == nil {
+	if _, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 0}); err == nil {
 		t.Error("zero corrections accepted")
 	}
-	if _, err := Solve(context.Background(), s, b[:2], Config{Method: mg.Multadd, MaxCorrections: 5}); err == nil {
+	if _, err := Solve(context.Background(), s, b[:2], Config{Method: engine.Multadd, MaxCorrections: 5}); err == nil {
 		t.Error("short RHS accepted")
 	}
 }
@@ -41,7 +41,7 @@ func TestValidation(t *testing.T) {
 func TestDistributedMultaddConverges(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 2)
-	res, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 40})
+	res, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDistributedMultaddConverges(t *testing.T) {
 func TestDistributedAFACxConverges(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 3)
-	res, err := Solve(context.Background(), s, b, Config{Method: mg.AFACx, MaxCorrections: 80})
+	res, err := Solve(context.Background(), s, b, Config{Method: engine.AFACx, MaxCorrections: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLatencySlowsButConverges(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 4)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, MaxCorrections: 40, Latency: 200 * time.Microsecond,
+		Method: engine.Multadd, MaxCorrections: 40, Latency: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestBroadcastCadence(t *testing.T) {
 	var err error
 	go func() {
 		res, err = Solve(context.Background(), s, b, Config{
-			Method: mg.Multadd, MaxCorrections: 30, BroadcastEvery: 4,
+			Method: engine.Multadd, MaxCorrections: 30, BroadcastEvery: 4,
 		})
 		close(done)
 	}()
@@ -129,7 +129,7 @@ func TestStaleDropsObservedUnderPressure(t *testing.T) {
 	// guaranteed by the scheduler, so only log when zero.
 	s := buildSetup(t, 10)
 	b := grid.RandomRHS(s.LevelSize(0), 6)
-	res, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 50})
+	res, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestDistributedMatchesSharedMemoryQuality(t *testing.T) {
 	// the comparison noisy).
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 7)
-	dist, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 30})
+	dist, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.Multadd, b, 30)
+	_, hist := s.Solve(engine.Multadd, b, 30)
 	sync := hist[len(hist)-1]
 	if dist.RelRes > sync*1e4 {
 		t.Errorf("distributed relres %g far worse than sequential %g", dist.RelRes, sync)
@@ -165,11 +165,11 @@ func TestUnbalancedCorrectionsHurtConvergence(t *testing.T) {
 	// compared to the balanced (bounded-lead) run.
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 8)
-	balanced, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 30})
+	balanced, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbalanced, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 30, MaxLead: -1})
+	unbalanced, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 30, MaxLead: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMaxLeadOneIsNearLockstep(t *testing.T) {
 	// should be at least as good as the default.
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 9)
-	res, err := Solve(context.Background(), s, b, Config{Method: mg.Multadd, MaxCorrections: 30, MaxLead: 1})
+	res, err := Solve(context.Background(), s, b, Config{Method: engine.Multadd, MaxCorrections: 30, MaxLead: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCorrectionPayloadCounters(t *testing.T) {
 	b := grid.RandomRHS(s.LevelSize(0), 3)
 	o := obs.New(s.NumLevels())
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: mg.Multadd, MaxCorrections: 10, Observer: o,
+		Method: engine.Multadd, MaxCorrections: 10, Observer: o,
 	})
 	if err != nil {
 		t.Fatal(err)

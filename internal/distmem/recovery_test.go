@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/fault"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 )
 
 func TestActionableTable(t *testing.T) {
@@ -57,7 +57,7 @@ func TestDropsAndCrashStillConverge(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid7ptRHS(t, s, 21)
 	res, err := Solve(context.Background(), s, b, fastRecovery(Config{
-		Method:         mg.Multadd,
+		Method:         engine.Multadd,
 		MaxCorrections: 60,
 		Fault: fault.Config{
 			Seed:     1,
@@ -104,7 +104,7 @@ func TestSeededFaultScheduleIsStable(t *testing.T) {
 	b := grid7ptRHS(t, s, 5)
 	for run := 0; run < 3; run++ {
 		res, err := Solve(context.Background(), s, b, fastRecovery(Config{
-			Method:         mg.Multadd,
+			Method:         engine.Multadd,
 			MaxCorrections: 40,
 			Fault: fault.Config{
 				Seed:     7,
@@ -136,7 +136,7 @@ func TestDeadCoarseGridDegradesGracefully(t *testing.T) {
 	var err error
 	go func() {
 		res, err = Solve(context.Background(), s, b, fastRecovery(Config{
-			Method:         mg.Multadd,
+			Method:         engine.Multadd,
 			MaxCorrections: 30,
 			RetireAfter:    3,
 			Fault:          fault.Config{Seed: 2, DeadGrids: []int{dead}},
@@ -181,7 +181,7 @@ func TestDeadlineInsteadOfHang(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	res, err := Solve(ctx, s, b, Config{
-		Method:          mg.Multadd,
+		Method:          engine.Multadd,
 		MaxCorrections:  10,
 		WatchdogTimeout: 20 * time.Millisecond,
 		RetireAfter:     1 << 30, // never retire: force the deadline path
@@ -203,7 +203,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	b := grid7ptRHS(t, s, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Solve(ctx, s, b, Config{Method: mg.Multadd, MaxCorrections: 5}); !errors.Is(err, context.Canceled) {
+	if _, err := Solve(ctx, s, b, Config{Method: engine.Multadd, MaxCorrections: 5}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestDivergenceMonitorRollsBack(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid7ptRHS(t, s, 8)
 	res, err := Solve(context.Background(), s, b, fastRecovery(Config{
-		Method:         mg.Multadd,
+		Method:         engine.Multadd,
 		MaxCorrections: 5,
 		DivergeFactor:  1e-12,
 	}))
@@ -237,7 +237,7 @@ func TestDuplicatesAreDeduplicated(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid7ptRHS(t, s, 9)
 	res, err := Solve(context.Background(), s, b, fastRecovery(Config{
-		Method:         mg.Multadd,
+		Method:         engine.Multadd,
 		MaxCorrections: 40,
 		Fault:          fault.Config{Seed: 11, DupRate: 0.5},
 	}))
@@ -264,7 +264,7 @@ func TestReorderingDelaysStillConverge(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid7ptRHS(t, s, 10)
 	res, err := Solve(context.Background(), s, b, fastRecovery(Config{
-		Method:         mg.Multadd,
+		Method:         engine.Multadd,
 		MaxCorrections: 40,
 		Fault: fault.Config{
 			Seed:       13,
@@ -286,7 +286,7 @@ func TestReorderingDelaysStillConverge(t *testing.T) {
 }
 
 // grid7ptRHS builds a reproducible random right-hand side for a setup.
-func grid7ptRHS(t *testing.T, s *mg.Setup, seed int64) []float64 {
+func grid7ptRHS(t *testing.T, s *engine.Engine, seed int64) []float64 {
 	t.Helper()
 	return grid.RandomRHS(s.LevelSize(0), seed)
 }

@@ -2,7 +2,7 @@
 // operators of the paper's Section III): restrict the fine residual to
 // grid k, smooth (or coarse-solve, or apply AFACx's modified right-hand
 // side), and prolongate the correction back to the finest level. Serial
-// callers (mg, model, distmem, krylov) and goroutine-team callers
+// callers (model, distmem, krylov) and goroutine-team callers
 // (async) both run this body; the Site interface abstracts what differs
 // — the row span each executor owns, the barrier between stages, and how
 // a smoothing sweep is dispatched.

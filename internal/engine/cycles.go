@@ -1,8 +1,9 @@
-// The multigrid cycles, moved here from package mg so every consumer
-// shares one implementation. The cycles run on the fused/parallel CSR
-// kernels of package sparse: the V-cycle down-leg collapses pre-smooth,
-// residual and restriction into one matrix sweep for diagonal smoothers,
-// and every SpMV/axpy shards onto the par worker pool for large levels.
+// The multigrid cycles: one body per cycle family (multiplicative,
+// additive, AFACx), every entry point a choice of its parameters. The
+// cycles run on the fused/parallel kernels behind package op: the V-cycle
+// down-leg collapses pre-smooth, residual and restriction into one matrix
+// sweep for diagonal smoothers, and every SpMV/axpy shards onto the par
+// worker pool for large levels.
 // All kernel substitutions are bitwise-identical to the plain serial
 // sequence, so residual histories are unchanged from the pre-engine
 // solvers; only reductions (norms) could differ, and Solve keeps the
@@ -35,42 +36,74 @@ func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
 	}
 }
 
+// ---- the multiplicative family ----
+
 // MultCycle performs one classical multiplicative V(1,1)-cycle
 // (Algorithm 1): pre-smooth and restrict down the hierarchy, exact-solve on
 // the coarsest grid, prolong and post-smooth back up, then correct x.
-func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
-	l := s.NumLevels()
-	a0 := s.Ops[0]
-	a0.Residual(w.r[0], b, x)
-	// Downward sweep. For diagonal smoothers the pre-smooth, the
-	// post-smoothing residual and the restriction fuse into one matrix
-	// sweep; block smoothers take the two-step path.
-	for k := 0; k < l-1; k++ {
-		ak := s.Ops[k]
-		if id := s.Smo[k].InvDiag(); id != nil {
-			op.FusedJacobiResidualRestrict(ak, s.Itp[k], w.e[k], w.r[k+1], id, w.r[k], w.tmp[k])
-		} else {
-			vec.Zero(w.e[k])
-			s.Smo[k].Apply(w.e[k], w.r[k]) // pre-smoothing from zero guess
-			// r_{k+1} = Pᵀ (r_k − A_k e_k)
-			op.FusedResidualRestrict(ak, s.Itp[k], w.r[k+1], w.r[k], w.e[k], w.tmp[k])
-		}
-		s.obs.Relaxed(k, 1)
+func (s *Engine) MultCycle(x, b []float64, w *Workspace) { s.multCycle(x, b, w, 1, 1) }
+
+// MultCycleSweeps performs one multiplicative V(s1,s2)-cycle: s1
+// pre-smoothing sweeps on the way down and s2 post-smoothing sweeps on the
+// way up (the paper's experiments all use V(1,1); extra sweeps trade work
+// for per-cycle convergence, the standard knob real AMG deployments tune).
+func (s *Engine) MultCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
+	s.multCycle(x, b, w, s1, s2)
+}
+
+// MultCycleSawtooth performs one sawtooth V(0,1)-cycle: a V-cycle with no
+// pre-smoothing, as used by the "chaotic cycle" method of Hawkes et al.
+// (reference [11] of the paper), the closest prior asynchronous-multigrid
+// work. Residuals are restricted directly on the way down; corrections are
+// prolongated and post-smoothed on the way up. Exposed as a baseline for
+// comparing against the paper's fully asynchronous additive methods.
+func (s *Engine) MultCycleSawtooth(x, b []float64, w *Workspace) { s.multCycle(x, b, w, 0, 1) }
+
+// multCycle is the one multiplicative body, V(s1,s2).
+func (s *Engine) multCycle(x, b []float64, w *Workspace, s1, s2 int) {
+	if s1 < 0 || s2 < 0 || s1+s2 == 0 {
+		panic(fmt.Sprintf("mg: V(%d,%d) needs non-negative sweep counts with at least one sweep", s1, s2))
 	}
-	// Coarsest solve.
+	l := s.NumLevels()
+	s.Ops[0].Residual(w.r[0], b, x)
+	// Downward sweep: r_{k+1} = Pᵀ (r_k − A_k e_k) after s1 pre-smoothing
+	// sweeps from a zero guess.
+	for k := 0; k < l-1; k++ {
+		switch id := s.Smo[k].InvDiag(); {
+		case s1 == 0:
+			s.Itp[k].ApplyT(w.r[k+1], w.r[k])
+			continue
+		case s1 == 1 && id != nil:
+			// One diagonal sweep: the pre-smooth, the post-smoothing
+			// residual and the restriction fuse into one matrix sweep.
+			op.FusedJacobiResidualRestrict(s.Ops[k], s.Itp[k], w.e[k], w.r[k+1], id, w.r[k], w.tmp[k])
+		default:
+			vec.Zero(w.e[k])
+			s.smoothSweeps(k, w.e[k], w.r[k], w.tmp[k], s1)
+			op.FusedResidualRestrict(s.Ops[k], s.Itp[k], w.r[k+1], w.r[k], w.e[k], w.tmp[k])
+		}
+		s.obs.Relaxed(k, int64(s1))
+	}
 	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
 	s.obs.Relaxed(l-1, 1)
-	// Upward sweep.
+	// Upward sweep: e_k += P e_{k+1} (e_k is unset without pre-smoothing),
+	// then s2 post-smoothing sweeps e_k += Λ_k (r_k − A_k e_k).
 	for k := l - 2; k >= 0; k-- {
-		// e_k += P e_{k+1}
-		s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
-		// e_k += Λ_k (r_k − A_k e_k): post-smoothing.
-		s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
-		s.obs.Relaxed(k, 1)
+		if s1 == 0 {
+			s.Itp[k].Apply(w.e[k], w.e[k+1])
+		} else {
+			s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
+		}
+		for t := 0; t < s2; t++ {
+			s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
+		}
+		s.obs.Relaxed(k, int64(s2))
 	}
 	vec.AxpyPar(1, x, w.e[0])
 	s.countCorrections()
 }
+
+// ---- the additive family ----
 
 // MultaddCycle performs one additive Multadd V-cycle (Equation 2):
 //
@@ -80,43 +113,79 @@ func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
 // restricted residuals cascade down once and each grid's correction is
 // prolongated back up and added into x.
 func (s *Engine) MultaddCycle(x, b []float64, w *Workspace) {
-	s.MultaddCycleDamped(x, b, w, 1)
+	s.additiveCycle(x, b, w, s.SItp, false, 1)
 }
 
-// MultaddCycleDamped performs one Multadd V-cycle with every grid's
-// correction scaled by omega before prolongation (x ← x + ω Σ_k B_k r):
-// the deterministic sequential reference for the asynchronous damped
-// path. omega = 1 reproduces MultaddCycle bit for bit — the scaling pass
-// is skipped and AxpyPar with α = 1 is exact.
-func (s *Engine) MultaddCycleDamped(x, b []float64, w *Workspace, omega float64) {
+// MultaddCycleSymmetrized performs one Multadd V-cycle with the symmetrized
+// smoother Λ_k = M̄_k⁻¹ = M⁻ᵀ(M + Mᵀ − A)M⁻¹ in place of the single-sweep
+// Λ_k = M_k⁻¹. Per Section II.B.1 of the paper (Vassilevski & Yang), this
+// additive cycle is mathematically equivalent to the symmetric
+// multiplicative V(1,1)-cycle — for the diagonal smoothers (M = Mᵀ) it
+// reproduces MultCycle exactly, bit-for-bit up to floating-point rounding.
+// Only diagonal smoothers are supported (see smoother.ApplySymmetrized).
+func (s *Engine) MultaddCycleSymmetrized(x, b []float64, w *Workspace) {
+	s.additiveCycle(x, b, w, s.SItp, true, 1)
+}
+
+// BPXCycle performs one BPX update x ← x + Σ_k P⁰_k Λ_k (P⁰_k)ᵀ r
+// (Equation 1). As a standalone solver this over-corrects and diverges; it
+// is exposed for the ablation benchmarks and for use as a preconditioner.
+func (s *Engine) BPXCycle(x, b []float64, w *Workspace) {
+	s.additiveCycle(x, b, w, s.Itp, false, 1)
+}
+
+// additiveCycle is the one additive body x ← x + ω Σ_k Π_k Λ_k Π_kᵀ r:
+// chain holds the two-level interpolants Π_k is composed from (smoothed
+// for Multadd, plain for BPX), and symmetrized selects Λ_k = M̄_k⁻¹ (two
+// sweeps) over the single zero-guess sweep Λ_k = M_k⁻¹. Every grid's
+// correction is scaled by omega before prolongation — the deterministic
+// sequential reference for the asynchronous damped path; omega = 1 is the
+// undamped cycle bit for bit (the scaling pass is skipped and AxpyPar with
+// α = 1 is exact).
+func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64) {
 	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
-	// Cascade restrictions with the smoothed interpolants.
-	for k := 0; k < l-1; k++ {
-		s.SItp[k].ApplyT(w.r[k+1], w.r[k])
-	}
+	s.restrictCascade(w, chain, x, b)
 	for k := 0; k < l; k++ {
 		// Grid k's correction at its own level.
-		if k == l-1 {
+		switch {
+		case k == l-1:
 			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
-		} else {
+			s.obs.Relaxed(k, 1)
+		case symmetrized:
+			s.Smo[k].ApplySymmetrized(w.e[k], w.r[k], w.tmp[k])
+			s.obs.Relaxed(k, 2)
+		default:
 			vec.Zero(w.e[k])
 			s.Smo[k].Apply(w.e[k], w.r[k])
+			s.obs.Relaxed(k, 1)
 		}
-		s.obs.Relaxed(k, 1)
-		// Damp at level k, matching where DampedCorrection scales.
-		if omega != 1 {
-			vec.Scale(omega, w.e[k])
-		}
-		// Prolongate to the finest level through the smoothed chain.
-		cur := w.e[k]
-		for j := k - 1; j >= 0; j-- {
-			s.SItp[j].Apply(w.tmp[j], cur)
-			cur = w.tmp[j]
-		}
-		vec.AxpyPar(1, x, cur)
+		s.addCorrection(x, w, chain, k, omega)
 	}
 	s.countCorrections()
+}
+
+// restrictCascade forms the fine residual w.r[0] = b − A x and restricts it
+// once down the chain into w.r[1:].
+func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64) {
+	s.Ops[0].Residual(w.r[0], b, x)
+	for k, t := range chain {
+		t.ApplyT(w.r[k+1], w.r[k])
+	}
+}
+
+// addCorrection damps grid k's correction w.e[k] by omega at its own level
+// (matching where DampedCorrection scales; omega = 1 skips the pass),
+// prolongates it to the finest level through chain and adds it into x.
+func (s *Engine) addCorrection(x []float64, w *Workspace, chain []op.Interp, k int, omega float64) {
+	if omega != 1 {
+		vec.Scale(omega, w.e[k])
+	}
+	cur := w.e[k]
+	for j := k - 1; j >= 0; j-- {
+		chain[j].Apply(w.tmp[j], cur)
+		cur = w.tmp[j]
+	}
+	vec.AxpyPar(1, x, cur)
 }
 
 // countCorrections records one applied correction per grid: a synchronous
@@ -141,32 +210,27 @@ func (s *Engine) countCorrections() {
 //
 // and the coarsest grid contributes x += P⁰_ℓ A_ℓ⁻¹ r_ℓ. Restriction uses
 // the plain interpolants.
-func (s *Engine) AFACxCycle(x, b []float64, w *Workspace) {
-	s.AFACxCycleSweeps(x, b, w, 1, 1)
-}
+func (s *Engine) AFACxCycle(x, b []float64, w *Workspace) { s.afacxCycle(x, b, w, 1, 1, 1) }
 
 // AFACxCycleSweeps performs one AFACx V(s1/s2,0)-cycle: s1 smoothing sweeps
 // compute each grid's own correction and s2 sweeps compute the next-coarser
 // correction that is subtracted to prevent over-correction. The paper
 // evaluates V(1/1,0); more sweeps trade work for per-cycle convergence.
 func (s *Engine) AFACxCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
-	s.AFACxCycleSweepsDamped(x, b, w, s1, s2, 1)
+	s.afacxCycle(x, b, w, s1, s2, 1)
 }
 
-// AFACxCycleSweepsDamped is AFACxCycleSweeps with every grid's final
-// correction ẽ_k scaled by omega before prolongation (the next-coarser
-// helper sweep e_{k+1} inside the modified right-hand side stays
-// undamped, matching the asynchronous DampedCorrection). omega = 1
-// reproduces AFACxCycleSweeps bit for bit.
-func (s *Engine) AFACxCycleSweepsDamped(x, b []float64, w *Workspace, s1, s2 int, omega float64) {
+// afacxCycle is AFACxCycleSweeps with every grid's final correction ẽ_k
+// scaled by omega before prolongation (the next-coarser helper sweep
+// e_{k+1} inside the modified right-hand side stays undamped, matching the
+// asynchronous DampedCorrection). It shares the additive body's restriction
+// cascade, damping and prolong-add; omega = 1 is undamped bit for bit.
+func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega float64) {
 	if s1 < 1 || s2 < 1 {
 		panic(fmt.Sprintf("mg: AFACx sweep counts must be >= 1, got (%d/%d)", s1, s2))
 	}
 	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
-	for k := 0; k < l-1; k++ {
-		s.Itp[k].ApplyT(w.r[k+1], w.r[k])
-	}
+	s.restrictCascade(w, s.Itp, x, b)
 	for k := 0; k < l; k++ {
 		if k == l-1 {
 			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
@@ -183,11 +247,10 @@ func (s *Engine) AFACxCycleSweepsDamped(x, b []float64, w *Workspace, s1, s2 int
 			// modified system, so the redundant prolongations cancel.)
 			pe := w.e[k] // reuse e_k as scratch for P e_{k+1}
 			s.Itp[k].Apply(pe, ec)
-			ak := s.Ops[k]
 			mod := w.tmp[k]
 			// Apply-then-subtract, not Residual: the subtraction order here
 			// is the one the golden histories pin.
-			ak.Apply(mod, pe)
+			s.Ops[k].Apply(mod, pe)
 			for i := range mod {
 				mod[i] = w.r[k][i] - mod[i]
 			}
@@ -198,16 +261,7 @@ func (s *Engine) AFACxCycleSweepsDamped(x, b []float64, w *Workspace, s1, s2 int
 			s.smoothSweeps(k, w.e[k], mod, w.r[k], s1)
 			s.obs.Relaxed(k, int64(s1))
 		}
-		if omega != 1 {
-			vec.Scale(omega, w.e[k])
-		}
-		// Prolongate grid k's correction to the finest level (plain P).
-		cur := w.e[k]
-		for j := k - 1; j >= 0; j-- {
-			s.Itp[j].Apply(w.tmp[j], cur)
-			cur = w.tmp[j]
-		}
-		vec.AxpyPar(1, x, cur)
+		s.addCorrection(x, w, s.Itp, k, omega)
 	}
 	s.countCorrections()
 }
@@ -223,32 +277,7 @@ func (s *Engine) smoothSweeps(k int, e, r, scratch []float64, sweeps int) {
 	}
 }
 
-// BPXCycle performs one BPX update x ← x + Σ_k P⁰_k Λ_k (P⁰_k)ᵀ r
-// (Equation 1). As a standalone solver this over-corrects and diverges; it
-// is exposed for the ablation benchmarks and for use as a preconditioner.
-func (s *Engine) BPXCycle(x, b []float64, w *Workspace) {
-	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
-	for k := 0; k < l-1; k++ {
-		s.Itp[k].ApplyT(w.r[k+1], w.r[k])
-	}
-	for k := 0; k < l; k++ {
-		if k == l-1 {
-			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
-		} else {
-			vec.Zero(w.e[k])
-			s.Smo[k].Apply(w.e[k], w.r[k])
-		}
-		s.obs.Relaxed(k, 1)
-		cur := w.e[k]
-		for j := k - 1; j >= 0; j-- {
-			s.Itp[j].Apply(w.tmp[j], cur)
-			cur = w.tmp[j]
-		}
-		vec.AxpyPar(1, x, cur)
-	}
-	s.countCorrections()
-}
+// ---- solve loops ----
 
 // Solve runs tmax V-cycles of method m starting from x = 0 and returns the
 // final iterate together with the relative residual 2-norm history
@@ -267,6 +296,33 @@ func (s *Engine) Solve(m Method, b []float64, tmax int) (x []float64, hist []flo
 // error. The iterate and history are bitwise-identical to Solve's for the
 // cycles that did run.
 func (s *Engine) SolveCtx(ctx context.Context, m Method, b []float64, tmax int) (x []float64, hist []float64, err error) {
+	return s.solve(ctx, b, tmax, func(x []float64, w *Workspace) { s.Cycle(m, x, b, w) })
+}
+
+// SolveDamped runs tmax uniformly damped additive V-cycles of method m
+// (Multadd or AFACx) from x = 0 and returns the iterate and relative
+// residual history, exactly as Solve does. It is the deterministic
+// sequential reference the damped golden tests pin: the asynchronous
+// damped path applies the same ω_k scaling per correction, but its
+// histories depend on scheduling while these do not. omega = 1 matches
+// Solve bit for bit.
+func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x []float64, hist []float64) {
+	var cycle func(x []float64, w *Workspace)
+	switch m {
+	case Multadd:
+		cycle = func(x []float64, w *Workspace) { s.additiveCycle(x, b, w, s.SItp, false, omega) }
+	case AFACx:
+		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, 1, 1, omega) }
+	default:
+		panic(fmt.Sprintf("mg: SolveDamped supports Multadd and AFACx, got %v", m))
+	}
+	x, hist, _ = s.solve(context.Background(), b, tmax, cycle)
+	return x, hist
+}
+
+// solve is the one cycling loop: from x = 0, up to tmax calls of cycle,
+// each followed by a residual-history sample.
+func (s *Engine) solve(ctx context.Context, b []float64, tmax int, cycle func(x []float64, w *Workspace)) (x []float64, hist []float64, err error) {
 	n := s.LevelSize(0)
 	x = make([]float64, n)
 	w := s.AcquireWorkspace()
@@ -282,7 +338,7 @@ func (s *Engine) SolveCtx(ctx context.Context, m Method, b []float64, tmax int) 
 		if err := ctx.Err(); err != nil {
 			return x, hist, err
 		}
-		s.Cycle(m, x, b, w)
+		cycle(x, w)
 		s.Ops[0].Residual(r, b, x)
 		rel := vec.Norm2(r) / nb
 		hist = append(hist, rel)
@@ -294,76 +350,6 @@ func (s *Engine) SolveCtx(ctx context.Context, m Method, b []float64, tmax int) 
 	return x, hist, nil
 }
 
-// SolveDamped runs tmax uniformly damped additive V-cycles of method m
-// (Multadd or AFACx) from x = 0 and returns the iterate and relative
-// residual history, exactly as Solve does. It is the deterministic
-// sequential reference the damped golden tests pin: the asynchronous
-// damped path applies the same ω_k scaling per correction, but its
-// histories depend on scheduling while these do not. omega = 1 matches
-// Solve bit for bit.
-func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x []float64, hist []float64) {
-	if m != Multadd && m != AFACx {
-		panic(fmt.Sprintf("mg: SolveDamped supports Multadd and AFACx, got %v", m))
-	}
-	n := s.LevelSize(0)
-	x = make([]float64, n)
-	w := s.AcquireWorkspace()
-	defer s.ReleaseWorkspace(w)
-	r := make([]float64, n)
-	nb := vec.Norm2(b)
-	if nb == 0 {
-		nb = 1
-	}
-	hist = make([]float64, 1, tmax+1)
-	hist[0] = 1
-	for t := 0; t < tmax; t++ {
-		if m == Multadd {
-			s.MultaddCycleDamped(x, b, w, omega)
-		} else {
-			s.AFACxCycleSweepsDamped(x, b, w, 1, 1, omega)
-		}
-		s.Ops[0].Residual(r, b, x)
-		rel := vec.Norm2(r) / nb
-		hist = append(hist, rel)
-		s.obs.CycleDone(rel)
-		if vec.HasNonFinite(x) {
-			break
-		}
-	}
-	return x, hist
-}
-
-// MultaddCycleSymmetrized performs one Multadd V-cycle with the symmetrized
-// smoother Λ_k = M̄_k⁻¹ = M⁻ᵀ(M + Mᵀ − A)M⁻¹ in place of the single-sweep
-// Λ_k = M_k⁻¹. Per Section II.B.1 of the paper (Vassilevski & Yang), this
-// additive cycle is mathematically equivalent to the symmetric
-// multiplicative V(1,1)-cycle — for the diagonal smoothers (M = Mᵀ) it
-// reproduces MultCycle exactly, bit-for-bit up to floating-point rounding.
-// Only diagonal smoothers are supported (see smoother.ApplySymmetrized).
-func (s *Engine) MultaddCycleSymmetrized(x, b []float64, w *Workspace) {
-	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
-	for k := 0; k < l-1; k++ {
-		s.SItp[k].ApplyT(w.r[k+1], w.r[k])
-	}
-	for k := 0; k < l; k++ {
-		if k == l-1 {
-			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
-			s.obs.Relaxed(k, 1)
-		} else {
-			s.Smo[k].ApplySymmetrized(w.e[k], w.r[k], w.tmp[k])
-			// The symmetrized smoother is two sweeps (M and Mᵀ).
-			s.obs.Relaxed(k, 2)
-		}
-		cur := w.e[k]
-		for j := k - 1; j >= 0; j-- {
-			s.SItp[j].Apply(w.tmp[j], cur)
-			cur = w.tmp[j]
-		}
-		vec.AxpyPar(1, x, cur)
-	}
-}
-
 // PreconditionCycle applies one cycle of method m from a zero initial
 // guess: z = B r, the multigrid-preconditioner application of the Krylov
 // subsystem. For symmetric A with diagonal smoothers, Mult (the symmetric
@@ -372,62 +358,6 @@ func (s *Engine) MultaddCycleSymmetrized(x, b []float64, w *Workspace) {
 func (s *Engine) PreconditionCycle(m Method, z, r []float64, w *Workspace) {
 	vec.Zero(z)
 	s.Cycle(m, z, r, w)
-}
-
-// MultCycleSawtooth performs one sawtooth V(0,1)-cycle: a V-cycle with no
-// pre-smoothing, as used by the "chaotic cycle" method of Hawkes et al.
-// (reference [11] of the paper), the closest prior asynchronous-multigrid
-// work. Residuals are restricted directly on the way down; corrections are
-// prolongated and post-smoothed on the way up. Exposed as a baseline for
-// comparing against the paper's fully asynchronous additive methods.
-func (s *Engine) MultCycleSawtooth(x, b []float64, w *Workspace) {
-	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
-	for k := 0; k < l-1; k++ {
-		s.Itp[k].ApplyT(w.r[k+1], w.r[k])
-	}
-	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
-	s.obs.Relaxed(l-1, 1)
-	for k := l - 2; k >= 0; k-- {
-		s.Itp[k].Apply(w.e[k], w.e[k+1])
-		s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
-		s.obs.Relaxed(k, 1)
-	}
-	vec.AxpyPar(1, x, w.e[0])
-	s.countCorrections()
-}
-
-// MultCycleSweeps performs one multiplicative V(s1,s2)-cycle: s1
-// pre-smoothing sweeps on the way down and s2 post-smoothing sweeps on the
-// way up (the paper's experiments all use V(1,1); extra sweeps trade work
-// for per-cycle convergence, the standard knob real AMG deployments tune).
-func (s *Engine) MultCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
-	if s1 < 0 || s2 < 0 || s1+s2 == 0 {
-		panic(fmt.Sprintf("mg: V(%d,%d) needs non-negative sweep counts with at least one sweep", s1, s2))
-	}
-	l := s.NumLevels()
-	a0 := s.Ops[0]
-	a0.Residual(w.r[0], b, x)
-	for k := 0; k < l-1; k++ {
-		ak := s.Ops[k]
-		vec.Zero(w.e[k])
-		if s1 > 0 {
-			s.smoothSweeps(k, w.e[k], w.r[k], w.tmp[k], s1)
-			s.obs.Relaxed(k, int64(s1))
-		}
-		op.FusedResidualRestrict(ak, s.Itp[k], w.r[k+1], w.r[k], w.e[k], w.tmp[k])
-	}
-	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
-	s.obs.Relaxed(l-1, 1)
-	for k := l - 2; k >= 0; k-- {
-		s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
-		for t := 0; t < s2; t++ {
-			s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
-		}
-		s.obs.Relaxed(k, int64(s2))
-	}
-	vec.AxpyPar(1, x, w.e[0])
-	s.countCorrections()
 }
 
 // ConvergenceFactor estimates the asymptotic convergence factor ρ of one

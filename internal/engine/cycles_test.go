@@ -1,4 +1,4 @@
-package mg
+package engine
 
 import (
 	"math"
@@ -18,10 +18,10 @@ func testOptions() amg.Options {
 	return opt
 }
 
-func setup7pt(t *testing.T, n int, cfg smoother.Config) *Setup {
+func setup7pt(t *testing.T, n int, cfg smoother.Config) *Engine {
 	t.Helper()
 	a := grid.Laplacian7pt(n)
-	s, err := NewSetup(a, testOptions(), cfg)
+	s, err := New(a, testOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSmoothedInterpolantFormula(t *testing.T) {
 	// P̄ = (I − ωD⁻¹A) P entry-wise on a small problem.
 	a := grid.Laplacian7pt(4)
 	cfg := smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1}
-	s, err := NewSetup(a, testOptions(), cfg)
+	s, err := New(a, testOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMultaddTwoGridFormula(t *testing.T) {
 	opt := testOptions()
 	opt.MaxLevels = 2
 	cfg := smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1}
-	s, err := NewSetup(a, opt, cfg)
+	s, err := New(a, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestAFACxTwoGridModifiedRHSEquivalence(t *testing.T) {
 	opt := testOptions()
 	opt.MaxLevels = 2
 	cfg := smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1}
-	s, err := NewSetup(a, opt, cfg)
+	s, err := New(a, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSingleLevelHierarchySolvesDirectly(t *testing.T) {
 	a := grid.Laplacian7pt(3)
 	opt := testOptions()
 	opt.MaxLevels = 1
-	s, err := NewSetup(a, opt, smoother.DefaultConfig())
+	s, err := New(a, opt, smoother.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSolveDetectsDivergence(t *testing.T) {
 	// non-finite-safe history rather than spinning NaNs for all cycles.
 	a := grid.Laplacian7pt(6)
 	cfg := smoother.Config{Kind: smoother.WJacobi, Omega: 2.0, Blocks: 1}
-	s, err := NewSetup(a, testOptions(), cfg)
+	s, err := New(a, testOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

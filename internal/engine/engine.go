@@ -2,8 +2,8 @@
 // hierarchy view (the AMG levels plus every matrix-derived operator the
 // solvers need — transposes, smoothed interpolants, cached diagonals and
 // row norms), pooled per-level workspaces, and the single implementation
-// of the per-grid correction math that the synchronous solvers (package
-// mg), the goroutine-team asynchronous runtime (package async), the
+// of the cycles and of the per-grid correction math that the synchronous
+// solvers, the goroutine-team asynchronous runtime (package async), the
 // sequential §III models (package model), the Krylov preconditioners
 // (package krylov) and the distributed-memory simulation (package
 // distmem) all consume.
@@ -295,12 +295,12 @@ func (s *Engine) ReleaseFloat64Storage() {
 	for k := range s.H.Levels {
 		lev := &s.H.Levels[k]
 		if k < len(s.Itp) {
-			if _, ok := s.Itp[k].(*op.CSR32Interp); ok {
+			if _, ok := s.Itp[k].(*op.CSRInterp[float32, int32]); ok {
 				lev.P, lev.PT = nil, nil
 				lev.Itp = s.Itp[k]
 			}
 		}
-		if _, ok := s.Ops[k].(*op.CSR32); ok {
+		if _, ok := s.Ops[k].(*op.CSR[float32, int32]); ok {
 			lev.A = nil
 			lev.Op = s.Ops[k]
 		}

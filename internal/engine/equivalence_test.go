@@ -1,4 +1,4 @@
-package mg
+package engine
 
 import (
 	"math"
@@ -30,7 +30,7 @@ func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
 			for _, n := range []int{4, 6, 8} {
 				a := grid.Laplacian7pt(n)
 				opt := testOptions() // no aggressive coarsening
-				s, err := NewSetup(a, opt, tc.cfg)
+				s, err := New(a, opt, tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
 func TestMultaddSymmetrizedManyCycles(t *testing.T) {
 	a := grid.Laplacian7pt(8)
 	cfg := smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1}
-	s, err := NewSetup(a, testOptions(), cfg)
+	s, err := New(a, testOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,3 +84,78 @@ func TestWorkspaceReuseAfterReleaseBitwise(t *testing.T) {
 		})
 	}
 }
+
+// TestCycleEntryPointsRecordCounts pins what every cycle entry point
+// reports to the observer per cycle: exactly one correction per grid at
+// staleness 0 (a synchronous cycle corrects every grid once from a fresh
+// residual), and the documented relaxation sweep counts — the coarsest
+// grid's exact solve counts as one.
+func TestCycleEntryPointsRecordCounts(t *testing.T) {
+	s := allocTestEngine(t)
+	l := s.NumLevels()
+	if l < 3 {
+		t.Fatalf("want >= 3 levels to tell the grids apart, got %d", l)
+	}
+	n := s.LevelSize(0)
+	b := grid.RandomRHS(n, 2)
+	// uniform is the sweep count of a cycle that relaxes every fine grid
+	// the same number of times.
+	uniform := func(sweeps int64) func(k int) int64 {
+		return func(int) int64 { return sweeps }
+	}
+	// AFACx V(s1/s2,0) sweeps each grid s1 times for its own correction and
+	// s2 times as the next-finer grid's helper.
+	afacx := func(s1, s2 int64) func(k int) int64 {
+		return func(k int) int64 {
+			if k == 0 {
+				return s1
+			}
+			return s1 + s2
+		}
+	}
+	type cycleFn func(x []float64, w *Workspace)
+	viaCycle := func(m Method) cycleFn { return func(x []float64, w *Workspace) { s.Cycle(m, x, b, w) } }
+	for _, tc := range []struct {
+		name    string
+		run     cycleFn
+		relaxed func(k int) int64 // grids k < l-1
+		coarse  int64
+	}{
+		{"Cycle(Mult)", viaCycle(Mult), uniform(2), 1},
+		{"Cycle(Multadd)", viaCycle(Multadd), uniform(1), 1},
+		{"Cycle(AFACx)", viaCycle(AFACx), afacx(1, 1), 2},
+		{"Cycle(BPX)", viaCycle(BPX), uniform(1), 1},
+		{"PreconditionCycle(Multadd)", func(x []float64, w *Workspace) { s.PreconditionCycle(Multadd, x, b, w) }, uniform(1), 1},
+		{"MultCycle", func(x []float64, w *Workspace) { s.MultCycle(x, b, w) }, uniform(2), 1},
+		{"MultCycleSweeps(2,3)", func(x []float64, w *Workspace) { s.MultCycleSweeps(x, b, w, 2, 3) }, uniform(5), 1},
+		{"MultCycleSawtooth", func(x []float64, w *Workspace) { s.MultCycleSawtooth(x, b, w) }, uniform(1), 1},
+		{"MultaddCycle", func(x []float64, w *Workspace) { s.MultaddCycle(x, b, w) }, uniform(1), 1},
+		{"MultaddCycleSymmetrized", func(x []float64, w *Workspace) { s.MultaddCycleSymmetrized(x, b, w) }, uniform(2), 1},
+		{"BPXCycle", func(x []float64, w *Workspace) { s.BPXCycle(x, b, w) }, uniform(1), 1},
+		{"AFACxCycle", func(x []float64, w *Workspace) { s.AFACxCycle(x, b, w) }, afacx(1, 1), 2},
+		{"AFACxCycleSweeps(2,3)", func(x []float64, w *Workspace) { s.AFACxCycleSweeps(x, b, w, 2, 3) }, afacx(2, 3), 4},
+		{"Solve(Mult)", func([]float64, *Workspace) { s.Solve(Mult, b, 1) }, uniform(2), 1},
+		{"SolveDamped(Multadd)", func([]float64, *Workspace) { s.SolveDamped(Multadd, b, 1, 0.8) }, uniform(1), 1},
+		{"SolveDamped(AFACx)", func([]float64, *Workspace) { s.SolveDamped(AFACx, b, 1, 0.8) }, afacx(1, 1), 2},
+	} {
+		o := obs.New(l)
+		s.SetObserver(o)
+		tc.run(make([]float64, n), s.NewWorkspace())
+		snap := o.Snapshot()
+		if snap.Staleness.Count != int64(l) || snap.Staleness.Sum != 0 {
+			t.Errorf("%s: staleness recorded %d samples summing to %d, want %d at 0", tc.name, snap.Staleness.Count, snap.Staleness.Sum, l)
+		}
+		for k := 0; k < l; k++ {
+			want := tc.coarse
+			if k < l-1 {
+				want = tc.relaxed(k)
+			}
+			if got := snap.Corrections[k]; got != 1 {
+				t.Errorf("%s: grid %d recorded %d corrections, want 1", tc.name, k, got)
+			}
+			if got := snap.Relaxations[k]; got != want {
+				t.Errorf("%s: grid %d recorded %d relaxation sweeps, want %d", tc.name, k, got, want)
+			}
+		}
+	}
+}

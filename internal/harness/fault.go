@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"asyncmg/internal/distmem"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/fault"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 )
@@ -105,7 +105,7 @@ func FaultSweep(w io.Writer, cfg FaultConfig) error {
 	for _, sc := range scenarios {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 		res, err := distmem.Solve(ctx, s, b, distmem.Config{
-			Method:          mg.Multadd,
+			Method:          engine.Multadd,
 			MaxCorrections:  cfg.Updates,
 			WatchdogTimeout: cfg.Watchdog,
 			Fault:           sc.cfg,

@@ -6,8 +6,8 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/model"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
@@ -39,12 +39,12 @@ func PaperSetup(problem string, aggressiveLevels int, kind smoother.Kind) SetupO
 }
 
 // buildSetup generates the matrix and runs the AMG setup.
-func buildSetup(problem string, size int, opt SetupOptions) (*mg.Setup, error) {
+func buildSetup(problem string, size int, opt SetupOptions) (*engine.Engine, error) {
 	a, err := BuildProblem(problem, size)
 	if err != nil {
 		return nil, err
 	}
-	return mg.NewSetup(a, opt.AMG, opt.Smoother)
+	return engine.New(a, opt.AMG, opt.Smoother)
 }
 
 // Fig1Config parameterizes the semi-async model figure (Figure 1): final
@@ -52,7 +52,7 @@ func buildSetup(problem string, size int, opt SetupOptions) (*mg.Setup, error) {
 // of minimum update probabilities, with δ = 0.
 type Fig1Config struct {
 	Problem string
-	Method  mg.Method
+	Method  engine.Method
 	Sizes   []int
 	Alphas  []float64
 	Updates int
@@ -67,7 +67,7 @@ type Fig1Config struct {
 
 // DefaultFig1 mirrors the paper at reduced scale (the paper uses the 27pt
 // set with sizes 40..80 and 20 runs).
-func DefaultFig1(method mg.Method) Fig1Config {
+func DefaultFig1(method engine.Method) Fig1Config {
 	return Fig1Config{
 		Problem: Problem27pt,
 		Method:  method,
@@ -142,7 +142,7 @@ func writeMetricsCols(w io.Writer, row *obs.Observer, runs int) {
 // α = 0.1, for the solution-based and residual-based variants.
 type Fig2Config struct {
 	Problem string
-	Method  mg.Method
+	Method  engine.Method
 	Variant model.Variant // FullAsyncSolution or FullAsyncResidual
 	Sizes   []int
 	Deltas  []int
@@ -156,7 +156,7 @@ type Fig2Config struct {
 }
 
 // DefaultFig2 mirrors the paper at reduced scale.
-func DefaultFig2(method mg.Method, variant model.Variant) Fig2Config {
+func DefaultFig2(method engine.Method, variant model.Variant) Fig2Config {
 	return Fig2Config{
 		Problem: Problem27pt,
 		Method:  method,
@@ -244,12 +244,12 @@ func DefaultFig4(problem string) Fig4Config {
 // fig4Methods is the method set shown in Figures 4 and 5.
 func fig4Methods() []MethodSpec {
 	return []MethodSpec{
-		{"sync Mult", async.Config{Method: mg.Mult, Sync: true}},
-		{"sync Multadd", async.Config{Method: mg.Multadd, Sync: true, Write: async.LockWrite}},
-		{"sync AFACx", async.Config{Method: mg.AFACx, Sync: true, Write: async.LockWrite}},
-		{"AFACx lock-write", async.Config{Method: mg.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
-		{"Multadd lock global-res", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
-		{"Multadd lock local-res", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
+		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
+		{"sync Multadd", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
+		{"sync AFACx", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}},
+		{"AFACx lock-write", async.Config{Method: engine.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
+		{"Multadd lock global-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
+		{"Multadd lock local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
 	}
 }
 
@@ -337,7 +337,7 @@ func Table1(w io.Writer, cfg Table1Config) error {
 	// smoother's iteration matrix).
 	for _, kind := range cfg.Smoothers {
 		opt := PaperSetup(cfg.Problem, cfg.Agg, kind)
-		s, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+		s, err := engine.New(a, opt.AMG, opt.Smoother)
 		if err != nil {
 			return err
 		}
@@ -388,9 +388,9 @@ func Fig6(w io.Writer, cfg Fig6Config) error {
 		return err
 	}
 	methods := []MethodSpec{
-		{"sync Mult", async.Config{Method: mg.Mult, Sync: true}},
-		{"sync Multadd lock-write", async.Config{Method: mg.Multadd, Sync: true, Write: async.LockWrite}},
-		{"Multadd lock-write local-res", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
+		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
+		{"sync Multadd lock-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
+		{"Multadd lock-write local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
 	}
 	l := s.NumLevels()
 	// Global synchronization points per V-cycle: Mult synchronizes all

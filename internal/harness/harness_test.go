@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/model"
 	"asyncmg/internal/smoother"
 )
@@ -137,7 +137,7 @@ func TestFormatTT(t *testing.T) {
 func TestFig1Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Fig1Config{
-		Problem: Problem27pt, Method: mg.Multadd,
+		Problem: Problem27pt, Method: engine.Multadd,
 		Sizes: []int{6, 8}, Alphas: []float64{0.1, 0.9},
 		Updates: 10, Runs: 2, Agg: 1,
 	}
@@ -167,7 +167,7 @@ func TestFig1Smoke(t *testing.T) {
 func TestFig2Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Fig2Config{
-		Problem: Problem27pt, Method: mg.AFACx, Variant: model.FullAsyncResidual,
+		Problem: Problem27pt, Method: engine.AFACx, Variant: model.FullAsyncResidual,
 		Sizes: []int{6}, Deltas: []int{0, 4}, Alpha: 0.1,
 		Updates: 8, Runs: 2, Agg: 1,
 	}
@@ -259,10 +259,10 @@ func TestDefaultConfigsAreSane(t *testing.T) {
 	if p := DefaultProtocol(); p.Tau != 1e-9 || p.CycleMax < p.CycleStep || p.Runs < 1 || p.Threads < 1 {
 		t.Errorf("DefaultProtocol: %+v", p)
 	}
-	if c := DefaultFig1(mg.Multadd); len(c.Sizes) == 0 || len(c.Alphas) == 0 || c.Updates != 20 {
+	if c := DefaultFig1(engine.Multadd); len(c.Sizes) == 0 || len(c.Alphas) == 0 || c.Updates != 20 {
 		t.Errorf("DefaultFig1: %+v", c)
 	}
-	if c := DefaultFig2(mg.AFACx, model.FullAsyncResidual); len(c.Deltas) == 0 || c.Alpha != 0.1 {
+	if c := DefaultFig2(engine.AFACx, model.FullAsyncResidual); len(c.Deltas) == 0 || c.Alpha != 0.1 {
 		t.Errorf("DefaultFig2: %+v", c)
 	}
 	if c := DefaultFig4(Problem7pt); c.Cycles != 20 || c.Agg != 1 {

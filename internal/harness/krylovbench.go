@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 )
@@ -154,19 +154,19 @@ func KrylovBench(w io.Writer, cfg KrylovBenchConfig) (*KrylovReport, error) {
 			return nil, err
 		}
 		opt := PaperSetup(problem, 1, smoother.WJacobi)
-		s, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+		s, err := engine.New(a, opt.AMG, opt.Smoother)
 		if err != nil {
 			return nil, err
 		}
 		b := grid.RandomRHS(a.Rows, 11)
 
-		_, hist := s.Solve(mg.Mult, b, cfg.MaxIter)
+		_, hist := s.Solve(engine.Mult, b, cfg.MaxIter)
 		itersCycle := itersTo(hist, cfg.Tau)
 		// Time-to-tau, not time-for-the-whole-budget: mean cycle time
 		// times the cycles the target actually needed.
 		cycleNS := timeCycles(s, b, 10) * int64(itersCycle)
 
-		p := krylov.NewMGPreconditioner(s, mg.Mult)
+		p := krylov.NewMGPreconditioner(s, engine.Mult)
 		ko := krylov.DefaultOptions()
 		ko.Tol = cfg.Tau
 		ko.MaxIter = cfg.MaxIter
@@ -216,16 +216,16 @@ func KrylovBench(w io.Writer, cfg KrylovBenchConfig) (*KrylovReport, error) {
 func krylovConvDiffRow(cfg KrylovBenchConfig) (*KrylovConvDiffRow, error) {
 	a := grid.ConvectionDiffusion7pt(cfg.ConvDiffSize, cfg.ConvDiffBeta)
 	opt := PaperSetup(ProblemConvDiff, 1, smoother.WJacobi)
-	s, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+	s, err := engine.New(a, opt.AMG, opt.Smoother)
 	if err != nil {
 		return nil, err
 	}
 	b := grid.RandomRHS(a.Rows, 11)
 
-	_, hist := s.Solve(mg.Mult, b, cfg.ConvDiffBudget)
+	_, hist := s.Solve(engine.Mult, b, cfg.ConvDiffBudget)
 	last := hist[len(hist)-1]
 
-	p := krylov.NewMGPreconditioner(s, mg.Multadd)
+	p := krylov.NewMGPreconditioner(s, engine.Multadd)
 	defer p.Release()
 	ko := krylov.DefaultOptions()
 	ko.Tol = cfg.ConvDiffTau
@@ -254,12 +254,12 @@ func krylovConvDiffRow(cfg KrylovBenchConfig) (*KrylovConvDiffRow, error) {
 func measureKrylovAllocs() (pcg, fgmres float64) {
 	a := grid.Laplacian7pt(10)
 	opt := PaperSetup(Problem7pt, 1, smoother.WJacobi)
-	s, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+	s, err := engine.New(a, opt.AMG, opt.Smoother)
 	if err != nil {
 		return -1, -1
 	}
 	b := grid.RandomRHS(a.Rows, 7)
-	p := krylov.NewMGPreconditioner(s, mg.Mult)
+	p := krylov.NewMGPreconditioner(s, engine.Mult)
 	defer p.Release()
 	ko := krylov.DefaultOptions()
 	ko.Tol = 1e-8
@@ -286,7 +286,7 @@ func measureKrylovAllocs() (pcg, fgmres float64) {
 func checkBlockMatchesSolo(k int) bool {
 	a := grid.Laplacian7pt(10)
 	opt := PaperSetup(Problem7pt, 1, smoother.WJacobi)
-	s, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+	s, err := engine.New(a, opt.AMG, opt.Smoother)
 	if err != nil {
 		return false
 	}
@@ -300,13 +300,13 @@ func checkBlockMatchesSolo(k int) bool {
 	ko := krylov.DefaultOptions()
 	ko.Tol = 1e-8
 	ko.MaxIter = 200
-	blk, err := krylov.BlockPCG(s, mg.Mult, packed, k, ko)
+	blk, err := krylov.BlockPCG(s, engine.Mult, packed, k, ko)
 	if err != nil {
 		return false
 	}
 	got := make([]float64, n)
 	for c := 0; c < k; c++ {
-		p := krylov.NewMGPreconditioner(s, mg.Mult)
+		p := krylov.NewMGPreconditioner(s, engine.Mult)
 		solo := ko
 		solo.M = p
 		ref, err := krylov.PCG(s.Ops[0], cols[c], solo)

@@ -7,8 +7,8 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/distmem"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
@@ -98,12 +98,12 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = d.Seed
 	}
-	var method mg.Method
+	var method engine.Method
 	switch cfg.Method {
 	case "", "multadd":
-		cfg.Method, method = "multadd", mg.Multadd
+		cfg.Method, method = "multadd", engine.Multadd
 	case "afacx":
-		method = mg.AFACx
+		method = engine.AFACx
 	default:
 		return nil, fmt.Errorf("msgvolume: method %q (want multadd or afacx)", cfg.Method)
 	}
@@ -112,19 +112,19 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 		return nil, err
 	}
 	opt := PaperSetup(cfg.Problem, 1, smoother.WJacobi)
-	golden, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+	golden, err := engine.New(a, opt.AMG, opt.Smoother)
 	if err != nil {
 		return nil, err
 	}
 	sOpt := opt.AMG
 	sOpt.Sparsify = amg.SparsifyOptions{Theta: cfg.Theta, Mode: sparse.SparsifyLump}
-	sparsified, err := mg.NewSetup(a, sOpt, opt.Smoother)
+	sparsified, err := engine.New(a, sOpt, opt.Smoother)
 	if err != nil {
 		return nil, err
 	}
 	b := grid.RandomRHS(a.Rows, cfg.Seed)
 
-	run := func(s *mg.Setup) (int64, []int64, float64, error) {
+	run := func(s *engine.Engine) (int64, []int64, float64, error) {
 		o := obs.New(s.NumLevels())
 		res, err := distmem.Solve(context.Background(), s, b, distmem.Config{
 			Method:         method,

@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 )
 
@@ -22,18 +22,18 @@ type MethodSpec struct {
 // paper's row order.
 func TableIMethods() []MethodSpec {
 	return []MethodSpec{
-		{"sync Mult", async.Config{Method: mg.Mult, Sync: true}},
-		{"sync Multadd, lock-write", async.Config{Method: mg.Multadd, Sync: true, Write: async.LockWrite}},
-		{"sync Multadd, atomic-write", async.Config{Method: mg.Multadd, Sync: true, Write: async.AtomicWrite}},
-		{"sync AFACx, lock-write", async.Config{Method: mg.AFACx, Sync: true, Write: async.LockWrite}},
-		{"sync AFACx, atomic-write", async.Config{Method: mg.AFACx, Sync: true, Write: async.AtomicWrite}},
-		{"AFACx, lock-write", async.Config{Method: mg.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
-		{"AFACx, atomic-write", async.Config{Method: mg.AFACx, Write: async.AtomicWrite, Res: async.LocalRes}},
-		{"Multadd, lock-write, global-res", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
-		{"Multadd, lock-write, local-res", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
-		{"Multadd, atomic-write, global-res", async.Config{Method: mg.Multadd, Write: async.AtomicWrite, Res: async.GlobalRes}},
-		{"Multadd, atomic-write, local-res", async.Config{Method: mg.Multadd, Write: async.AtomicWrite, Res: async.LocalRes}},
-		{"r-Multadd, atomic-write, local-res", async.Config{Method: mg.Multadd, Write: async.AtomicWrite, Res: async.ResidualRes}},
+		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
+		{"sync Multadd, lock-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
+		{"sync Multadd, atomic-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.AtomicWrite}},
+		{"sync AFACx, lock-write", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}},
+		{"sync AFACx, atomic-write", async.Config{Method: engine.AFACx, Sync: true, Write: async.AtomicWrite}},
+		{"AFACx, lock-write", async.Config{Method: engine.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
+		{"AFACx, atomic-write", async.Config{Method: engine.AFACx, Write: async.AtomicWrite, Res: async.LocalRes}},
+		{"Multadd, lock-write, global-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
+		{"Multadd, lock-write, local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
+		{"Multadd, atomic-write, global-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.GlobalRes}},
+		{"Multadd, atomic-write, local-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.LocalRes}},
+		{"r-Multadd, atomic-write, local-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.ResidualRes}},
 	}
 }
 
@@ -86,7 +86,7 @@ func DefaultProtocol() Protocol {
 // cycle count, it averages the wall-clock time and final relative residual
 // over p.Runs runs with fresh random right-hand sides, then reports the
 // first cycle count whose mean residual is below p.Tau.
-func (p Protocol) TimeToTol(s *mg.Setup, spec MethodSpec) TTResult {
+func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
 	n := s.LevelSize(0)
 	// Prescreen at the largest cycle count: if even CycleMax cycles do not
 	// reach the tolerance on the first right-hand side, no smaller count
@@ -152,7 +152,7 @@ func (p Protocol) TimeToTol(s *mg.Setup, spec MethodSpec) TTResult {
 // MeanRelRes runs the method for a fixed cycle count and returns the mean
 // relative residual over p.Runs runs (the quantity plotted in Figures 4
 // and 5).
-func (p Protocol) MeanRelRes(s *mg.Setup, spec MethodSpec, cycles int) (float64, bool) {
+func (p Protocol) MeanRelRes(s *engine.Engine, spec MethodSpec, cycles int) (float64, bool) {
 	n := s.LevelSize(0)
 	var sum float64
 	for run := 0; run < p.Runs; run++ {
@@ -186,7 +186,7 @@ func FormatTT(r TTResult) string {
 // relResAfter runs the sequential reference solver for a fixed number of
 // cycles and reports the final relative residual (used as the "sync"
 // baseline in the model figures).
-func relResAfter(s *mg.Setup, method mg.Method, b []float64, cycles int) float64 {
+func relResAfter(s *engine.Engine, method engine.Method, b []float64, cycles int) float64 {
 	_, hist := s.Solve(method, b, cycles)
 	return hist[len(hist)-1]
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/model"
 	"asyncmg/internal/smoother"
 )
@@ -29,12 +29,12 @@ func TestShapeFig1AlphaOrderingAndSizeIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := grid.RandomRHS(s.LevelSize(0), 42)
-		sync := relResAfter(s, mg.Multadd, b, 20)
+		sync := relResAfter(s, engine.Multadd, b, 20)
 		for _, alpha := range alphas {
 			sum := 0.0
 			for run := 0; run < runs; run++ {
 				res, err := model.Run(s, b, model.Config{
-					Variant: model.SemiAsync, Method: mg.Multadd,
+					Variant: model.SemiAsync, Method: engine.Multadd,
 					Alpha: alpha, Updates: 20, Seed: int64(500 + run),
 				})
 				if err != nil {
@@ -72,7 +72,7 @@ func TestShapeFig2ResidualBasedBeatsSolutionBased(t *testing.T) {
 		sum := 0.0
 		for run := 0; run < runs; run++ {
 			res, err := model.Run(s, b, model.Config{
-				Variant: v, Method: mg.Multadd,
+				Variant: v, Method: engine.Multadd,
 				Alpha: 0.1, Delta: 8, Updates: 20, Seed: int64(900 + run),
 			})
 			if err != nil {
@@ -100,8 +100,8 @@ func TestShapeFig4LocalResTracksSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Protocol{Tau: 1e-9, CycleStep: 10, CycleMax: 100, Runs: 3, Threads: 10, Seed0: 1}
-	syncV, d1 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: mg.Multadd, Sync: true, Write: async.LockWrite}}, 20)
-	local, d2 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.LocalRes}}, 20)
+	syncV, d1 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}}, 20)
+	local, d2 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}}, 20)
 	if d1 || d2 {
 		t.Fatal("unexpected divergence")
 	}
@@ -115,7 +115,7 @@ func TestShapeFig4LocalResTracksSync(t *testing.T) {
 // residual version.
 func TestShapeFig4AsyncGSBeatsJacobi(t *testing.T) {
 	p := Protocol{Tau: 1e-9, CycleStep: 10, CycleMax: 100, Runs: 3, Threads: 10, Seed0: 1}
-	spec := MethodSpec{"", async.Config{Method: mg.Multadd, Write: async.LockWrite, Res: async.LocalRes}}
+	spec := MethodSpec{"", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}}
 	var vals []float64
 	for _, kind := range []smoother.Kind{smoother.WJacobi, smoother.AsyncGS} {
 		s, err := buildSetup(Problem27pt, 10, PaperSetup(Problem27pt, 1, kind))
@@ -141,8 +141,8 @@ func TestShapeTable1AFACxNeedsMoreCyclesThanMultadd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Protocol{Tau: 1e-6, CycleStep: 10, CycleMax: 200, Runs: 2, Threads: 8, Seed0: 1}
-	ma := p.TimeToTol(s, MethodSpec{"", async.Config{Method: mg.Multadd, Sync: true, Write: async.LockWrite}})
-	af := p.TimeToTol(s, MethodSpec{"", async.Config{Method: mg.AFACx, Sync: true, Write: async.LockWrite}})
+	ma := p.TimeToTol(s, MethodSpec{"", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}})
+	af := p.TimeToTol(s, MethodSpec{"", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}})
 	if ma.Diverged || ma.NotConverged || af.Diverged || af.NotConverged {
 		t.Fatal("baseline did not converge")
 	}

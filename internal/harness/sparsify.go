@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 )
@@ -117,14 +117,14 @@ func sparsifyProblemSize(problem string, size int) int {
 }
 
 // timeCycles measures the mean wall time of one multiplicative V-cycle.
-func timeCycles(s *mg.Setup, b []float64, reps int) int64 {
+func timeCycles(s *engine.Engine, b []float64, reps int) int64 {
 	x := make([]float64, len(b))
 	w := s.AcquireWorkspace()
 	defer s.ReleaseWorkspace(w)
-	s.Cycle(mg.Mult, x, b, w) // warm pools and caches
+	s.Cycle(engine.Mult, x, b, w) // warm pools and caches
 	t0 := time.Now()
 	for r := 0; r < reps; r++ {
-		s.Cycle(mg.Mult, x, b, w)
+		s.Cycle(engine.Mult, x, b, w)
 	}
 	return time.Since(t0).Nanoseconds() / int64(reps)
 }
@@ -181,20 +181,20 @@ func SparsifyBench(w io.Writer, cfg SparsifyBenchConfig) (*SparsifyReport, error
 			return nil, err
 		}
 		opt := PaperSetup(problem, 1, smoother.WJacobi)
-		golden, err := mg.NewSetup(a, opt.AMG, opt.Smoother)
+		golden, err := engine.New(a, opt.AMG, opt.Smoother)
 		if err != nil {
 			return nil, err
 		}
 		sOpt := opt.AMG
 		sOpt.Sparsify = amg.SparsifyOptions{Theta: cfg.Theta, Mode: mode}
-		sparsified, err := mg.NewSetup(a, sOpt, opt.Smoother)
+		sparsified, err := engine.New(a, sOpt, opt.Smoother)
 		if err != nil {
 			return nil, err
 		}
 
 		b := grid.RandomRHS(a.Rows, 11)
-		_, gHist := golden.Solve(mg.Mult, b, cfg.MaxCycles)
-		_, sHist := sparsified.Solve(mg.Mult, b, cfg.MaxCycles)
+		_, gHist := golden.Solve(engine.Mult, b, cfg.MaxCycles)
+		_, sHist := sparsified.Solve(engine.Mult, b, cfg.MaxCycles)
 
 		pr := SparsifyProblemReport{
 			Problem:           problem,

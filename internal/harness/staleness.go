@@ -7,8 +7,8 @@ import (
 	"io"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 )
@@ -148,7 +148,7 @@ const (
 // stalenessScenario is one row of the sweep.
 type stalenessScenario struct {
 	name           string
-	method         mg.Method
+	method         engine.Method
 	perturb        async.Perturb
 	threadsPerGrid int
 }
@@ -162,7 +162,7 @@ func (cfg StalenessConfig) scenarios() []stalenessScenario {
 	for _, h := range cfg.Holds {
 		out = append(out, stalenessScenario{
 			name:   fmt.Sprintf("uniform-hold-%d", h),
-			method: mg.Multadd, perturb: async.Perturb{ReadHold: h}, threadsPerGrid: 1,
+			method: engine.Multadd, perturb: async.Perturb{ReadHold: h}, threadsPerGrid: 1,
 		})
 		if h > maxHold {
 			maxHold = h
@@ -171,7 +171,7 @@ func (cfg StalenessConfig) scenarios() []stalenessScenario {
 	out = append(out,
 		stalenessScenario{
 			name:   fmt.Sprintf("straggler-hold-%d", cfg.StragglerHold),
-			method: mg.Multadd,
+			method: engine.Multadd,
 			perturb: async.Perturb{
 				ReadHold: 2, Stragglers: []int{0}, StragglerHold: cfg.StragglerHold,
 			},
@@ -179,13 +179,13 @@ func (cfg StalenessConfig) scenarios() []stalenessScenario {
 		},
 		stalenessScenario{
 			name:           fmt.Sprintf("oversub-x%d-hold-6", cfg.Oversubscribe),
-			method:         mg.Multadd,
+			method:         engine.Multadd,
 			perturb:        async.Perturb{ReadHold: 6},
 			threadsPerGrid: cfg.Oversubscribe,
 		},
 		stalenessScenario{
 			name:           fmt.Sprintf("afacx-hold-%d", maxHold),
-			method:         mg.AFACx,
+			method:         engine.AFACx,
 			perturb:        async.Perturb{ReadHold: maxHold},
 			threadsPerGrid: 1,
 		},

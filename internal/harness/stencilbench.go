@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 )
@@ -91,15 +91,15 @@ func StencilBench(w io.Writer, cfg StencilBenchConfig) error {
 		opt.AggressiveLevels = 1
 		builds := []struct {
 			label string
-			build func() (*mg.Setup, error)
+			build func() (*engine.Engine, error)
 		}{
-			{"float64 (baseline)", func() (*mg.Setup, error) { return mg.NewSetup(a, opt, smo) }},
-			{"float32 coarse", func() (*mg.Setup, error) {
+			{"float64 (baseline)", func() (*engine.Engine, error) { return engine.New(a, opt, smo) }},
+			{"float32 coarse", func() (*engine.Engine, error) {
 				o := opt
 				o.CoarsePrecision = op.CoarseFloat32
-				return mg.NewSetup(a, o, smo)
+				return engine.New(a, o, smo)
 			}},
-			{"matrix-free fine", func() (*mg.Setup, error) { return mg.NewSetupOperator(st, opt, smo) }},
+			{"matrix-free fine", func() (*engine.Engine, error) { return engine.NewOperator(st, opt, smo) }},
 		}
 		fmt.Fprintf(w, "%-24s %12s %12s %10s\n", "hierarchy storage", "bytes", "rows/GB", "vs f64")
 		var base int

@@ -3,8 +3,8 @@ package krylov
 import (
 	"testing"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/op"
 )
 
@@ -18,7 +18,7 @@ func TestPCGSteadyStateAllocFree(t *testing.T) {
 	a := s.Ops[0]
 	n := a.Rows()
 	b := grid.RandomRHS(n, 9)
-	p := NewMGPreconditioner(s, mg.Mult)
+	p := NewMGPreconditioner(s, engine.Mult)
 	defer p.Release()
 	opt := DefaultOptions()
 	opt.Tol = 1e-9
@@ -45,7 +45,7 @@ func TestFGMRESSteadyStateAllocFree(t *testing.T) {
 	a := s.Ops[0]
 	n := a.Rows()
 	b := grid.RandomRHS(n, 10)
-	p := NewMGPreconditioner(s, mg.Mult)
+	p := NewMGPreconditioner(s, engine.Mult)
 	defer p.Release()
 	opt := DefaultOptions()
 	opt.Tol = 1e-9

@@ -6,7 +6,7 @@ import (
 	"math"
 	"sync"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/op"
 	"asyncmg/internal/par"
 	"asyncmg/internal/vec"
@@ -26,7 +26,7 @@ type BlockResult struct {
 }
 
 // BlockPCG is BlockPCGCtx without cancellation.
-func BlockPCG(s *mg.Setup, m mg.Method, b []float64, k int, opt Options) (*BlockResult, error) {
+func BlockPCG(s *engine.Engine, m engine.Method, b []float64, k int, opt Options) (*BlockResult, error) {
 	return BlockPCGCtx(context.Background(), s, m, b, k, opt)
 }
 
@@ -46,7 +46,7 @@ func BlockPCG(s *mg.Setup, m mg.Method, b []float64, k int, opt Options) (*Block
 // multi-RHS product capability (op.BlockApplier). Options.M, Options.X
 // and Options.History are ignored. Cancelling ctx stops at the next
 // iteration boundary, returning the partial result with ctx's error.
-func BlockPCGCtx(ctx context.Context, s *mg.Setup, m mg.Method, b []float64, k int, opt Options) (*BlockResult, error) {
+func BlockPCGCtx(ctx context.Context, s *engine.Engine, m engine.Method, b []float64, k int, opt Options) (*BlockResult, error) {
 	n := s.LevelSize(0)
 	if k <= 0 || len(b) != n*k {
 		return nil, fmt.Errorf("krylov: block solve needs len(b) == %d*%d, got %d", n, k, len(b))

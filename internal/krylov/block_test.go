@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/sparse"
 )
 
@@ -28,7 +28,7 @@ func TestBlockPCGBitwiseMatchesSolo(t *testing.T) {
 	opt.Tol = 1e-9
 	opt.MaxIter = 100
 
-	for _, m := range []mg.Method{mg.Mult, mg.Multadd} {
+	for _, m := range []engine.Method{engine.Mult, engine.Multadd} {
 		blk, err := BlockPCGCtx(context.Background(), s, m, packed, k, opt)
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
@@ -78,7 +78,7 @@ func TestBlockPCGZeroColumn(t *testing.T) {
 	sparse.PackBlock(packed, cols)
 	opt := DefaultOptions()
 	opt.MaxIter = 100
-	blk, err := BlockPCGCtx(context.Background(), s, mg.Mult, packed, k, opt)
+	blk, err := BlockPCGCtx(context.Background(), s, engine.Mult, packed, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestBlockPCGValidation(t *testing.T) {
 	s := buildSetup(t, 5)
 	n := s.LevelSize(0)
 	opt := DefaultOptions()
-	if _, err := BlockPCGCtx(context.Background(), s, mg.Mult, make([]float64, n), 2, opt); err == nil {
+	if _, err := BlockPCGCtx(context.Background(), s, engine.Mult, make([]float64, n), 2, opt); err == nil {
 		t.Error("bad packed length accepted")
 	}
-	if _, err := BlockPCGCtx(context.Background(), s, mg.BPX, make([]float64, n*2), 2, opt); err == nil {
+	if _, err := BlockPCGCtx(context.Background(), s, engine.BPX, make([]float64, n*2), 2, opt); err == nil {
 		t.Error("method without a block path accepted")
 	}
 	opt.MaxIter = 0
-	if _, err := BlockPCGCtx(context.Background(), s, mg.Mult, make([]float64, n*2), 2, opt); err == nil {
+	if _, err := BlockPCGCtx(context.Background(), s, engine.Mult, make([]float64, n*2), 2, opt); err == nil {
 		t.Error("MaxIter 0 accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestBlockPCGCancellation(t *testing.T) {
 	copy(b, grid.RandomRHS(n*2, 31))
 	opt := DefaultOptions()
 	opt.MaxIter = 100
-	res, err := BlockPCGCtx(ctx, s, mg.Mult, b, 2, opt)
+	res, err := BlockPCGCtx(ctx, s, engine.Mult, b, 2, opt)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

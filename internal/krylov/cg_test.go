@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
@@ -87,12 +87,12 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	}
 }
 
-func buildSetup(t *testing.T, n int) *mg.Setup {
+func buildSetup(t *testing.T, n int) *engine.Engine {
 	t.Helper()
 	a := grid.Laplacian7pt(n)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 0
-	s, err := mg.NewSetup(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	s, err := engine.New(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBPXPreconditionedCGBeatsPlainCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	opt.M = NewMGPreconditioner(s, mg.BPX)
+	opt.M = NewMGPreconditioner(s, engine.BPX)
 	pcg, err := Solve(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestBPXPCGIterationsGridIndependent(t *testing.T) {
 		b := grid.RandomRHS(a.Rows, 4)
 		opt := DefaultOptions()
 		opt.Tol = 1e-8
-		opt.M = NewMGPreconditioner(s, mg.BPX)
+		opt.M = NewMGPreconditioner(s, engine.BPX)
 		res, err := Solve(a, b, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSymmetrizedMultaddPreconditioner(t *testing.T) {
 	s := buildSetup(t, 10)
 	a := s.H.Levels[0].A
 	b := grid.RandomRHS(a.Rows, 5)
-	p := NewMGPreconditioner(s, mg.Multadd)
+	p := NewMGPreconditioner(s, engine.Multadd)
 	p.Symmetrized = true
 	opt := DefaultOptions()
 	opt.M = p

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 )
@@ -14,12 +14,12 @@ import (
 // buildConvDiffSetup builds an AMG hierarchy on the non-symmetric upwind
 // operator (the classical strength/interp machinery stays well-defined
 // for M-matrices) plus a reproducible right-hand side.
-func buildConvDiffSetup(t *testing.T, n int, beta float64) (*mg.Setup, []float64) {
+func buildConvDiffSetup(t *testing.T, n int, beta float64) (*engine.Engine, []float64) {
 	t.Helper()
 	a := grid.ConvectionDiffusion7pt(n, beta)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 0
-	s, err := mg.NewSetup(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	s, err := engine.New(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFGMRESNonSymmetricConvectionDiffusion(t *testing.T) {
 	// The headline capability: AMG-preconditioned FGMRES converges on the
 	// strongly non-symmetric upwind convection-diffusion operator.
 	s, b := buildConvDiffSetup(t, 10, 4.0)
-	p := NewMGPreconditioner(s, mg.Multadd)
+	p := NewMGPreconditioner(s, engine.Multadd)
 	defer p.Release()
 	opt := DefaultOptions()
 	opt.Tol = 1e-8
@@ -90,7 +90,7 @@ func TestFGMRESRestartsStillConverge(t *testing.T) {
 	// A tiny restart length forces many restart sweeps; the solver must
 	// still reach tolerance (more slowly).
 	s, b := buildConvDiffSetup(t, 8, 2.0)
-	p := NewMGPreconditioner(s, mg.Multadd)
+	p := NewMGPreconditioner(s, engine.Multadd)
 	defer p.Release()
 	opt := DefaultOptions()
 	opt.Tol = 1e-8
@@ -111,7 +111,7 @@ func TestFGMRESHistoryMonotone(t *testing.T) {
 	// non-increasing; across restarts the recomputed true residual equals
 	// the last estimate up to rounding. The history must never grow.
 	s, b := buildConvDiffSetup(t, 8, 4.0)
-	p := NewMGPreconditioner(s, mg.Multadd)
+	p := NewMGPreconditioner(s, engine.Multadd)
 	defer p.Release()
 	opt := DefaultOptions()
 	opt.Tol = 1e-10
@@ -154,12 +154,12 @@ func TestFGMRESMatrixFreePreconditioned(t *testing.T) {
 	st := op.NewStencil7(8)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 0
-	s, err := mg.NewSetupOperator(st, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	s, err := engine.NewOperator(st, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := grid.RandomRHS(st.Rows(), 3)
-	p := NewMGPreconditioner(s, mg.Mult)
+	p := NewMGPreconditioner(s, engine.Mult)
 	defer p.Release()
 	o := DefaultOptions()
 	o.Tol = 1e-8

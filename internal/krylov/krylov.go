@@ -25,7 +25,7 @@ import (
 	"errors"
 	"sync"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/vec"
 )
@@ -52,19 +52,19 @@ func (Identity) Precondition(z, r []float64) { copy(z, r) }
 // AFACx. FGMRES tolerates any of them (flexible preconditioning makes no
 // symmetry or constancy assumption).
 type MGPreconditioner struct {
-	Setup *mg.Setup
-	// Method selects the cycle; mg.BPX is the classical choice.
-	Method mg.Method
-	// Symmetrized uses MultaddCycleSymmetrized when Method == mg.Multadd,
+	Setup *engine.Engine
+	// Method selects the cycle; engine.BPX is the classical choice.
+	Method engine.Method
+	// Symmetrized uses MultaddCycleSymmetrized when Method == engine.Multadd,
 	// which is SPD for diagonal smoothers (required for PCG theory).
 	Symmetrized bool
-	ws          *mg.Workspace
+	ws          *engine.Workspace
 }
 
 // NewMGPreconditioner builds a one-cycle multigrid preconditioner. The
 // cycle workspace comes from the setup's pool, so building (and
 // discarding) preconditioners on one setup reuses scratch.
-func NewMGPreconditioner(s *mg.Setup, method mg.Method) *MGPreconditioner {
+func NewMGPreconditioner(s *engine.Engine, method engine.Method) *MGPreconditioner {
 	return &MGPreconditioner{Setup: s, Method: method, ws: s.AcquireWorkspace()}
 }
 
@@ -79,7 +79,7 @@ func (p *MGPreconditioner) Release() {
 
 // Precondition runs one cycle on A z = r from z = 0.
 func (p *MGPreconditioner) Precondition(z, r []float64) {
-	if p.Symmetrized && p.Method == mg.Multadd {
+	if p.Symmetrized && p.Method == engine.Multadd {
 		vec.Zero(z)
 		p.Setup.MultaddCycleSymmetrized(z, r, p.ws)
 		return

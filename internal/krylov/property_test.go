@@ -3,8 +3,8 @@ package krylov
 import (
 	"testing"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/par"
 )
 
@@ -30,7 +30,7 @@ func TestPCGBitwiseAcrossWorkerCounts(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 17)
 	solve := func() Result {
-		p := NewMGPreconditioner(s, mg.Mult)
+		p := NewMGPreconditioner(s, engine.Mult)
 		defer p.Release()
 		opt := DefaultOptions()
 		opt.Tol = 1e-10
@@ -70,7 +70,7 @@ func TestPCGBitwiseAcrossWorkerCounts(t *testing.T) {
 func TestFGMRESBitwiseAcrossWorkerCounts(t *testing.T) {
 	s, b := buildConvDiffSetup(t, 8, 4.0)
 	solve := func() Result {
-		p := NewMGPreconditioner(s, mg.Multadd)
+		p := NewMGPreconditioner(s, engine.Multadd)
 		defer p.Release()
 		opt := DefaultOptions()
 		opt.Tol = 1e-9

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/vec"
 )
@@ -54,8 +54,8 @@ func (v Variant) String() string {
 type Config struct {
 	// Variant is the asynchronous model to simulate.
 	Variant Variant
-	// Method is the additive correction operator: mg.Multadd or mg.AFACx.
-	Method mg.Method
+	// Method is the additive correction operator: engine.Multadd or engine.AFACx.
+	Method engine.Method
 	// Alpha is the minimum update probability α ∈ (0, 1]; p_k ~ U[α, 1].
 	Alpha float64
 	// Delta is the maximum read delay δ >= 0.
@@ -94,7 +94,7 @@ type Result struct {
 }
 
 // Run simulates one asynchronous execution on the given multigrid setup.
-func Run(s *mg.Setup, b []float64, cfg Config) (*Result, error) {
+func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
 		return nil, fmt.Errorf("model: alpha %v outside (0, 1]", cfg.Alpha)
 	}
@@ -104,7 +104,7 @@ func Run(s *mg.Setup, b []float64, cfg Config) (*Result, error) {
 	if cfg.Updates <= 0 {
 		return nil, fmt.Errorf("model: Updates must be positive, got %d", cfg.Updates)
 	}
-	if cfg.Method != mg.Multadd && cfg.Method != mg.AFACx {
+	if cfg.Method != engine.Multadd && cfg.Method != engine.AFACx {
 		return nil, fmt.Errorf("model: method %v not supported (want Multadd or AFACx)", cfg.Method)
 	}
 	maxT := cfg.MaxInstants
@@ -173,7 +173,7 @@ func Run(s *mg.Setup, b []float64, cfg Config) (*Result, error) {
 			return
 		}
 		o.Relaxed(k, 1)
-		if cfg.Method == mg.AFACx && k+1 < l {
+		if cfg.Method == engine.AFACx && k+1 < l {
 			o.Relaxed(k+1, 1)
 		}
 		o.Corrected(k, int64(t-z))
@@ -276,10 +276,10 @@ type corrWorkspace struct {
 	rfine []float64 // input: fine residual
 	corr  []float64 // output: fine-level correction of grid k
 	av    []float64 // scratch for residual-based commit
-	cw    *mg.CorrWorkspace
+	cw    *engine.CorrWorkspace
 }
 
-func newCorrWorkspace(s *mg.Setup) *corrWorkspace {
+func newCorrWorkspace(s *engine.Engine) *corrWorkspace {
 	n := s.LevelSize(0)
 	return &corrWorkspace{
 		rfine: make([]float64, n),
@@ -291,13 +291,13 @@ func newCorrWorkspace(s *mg.Setup) *corrWorkspace {
 
 // release returns the pooled engine scratch; the workspace must not be
 // used afterwards.
-func (w *corrWorkspace) release(s *mg.Setup) { s.ReleaseCorrWorkspace(w.cw) }
+func (w *corrWorkspace) release(s *engine.Engine) { s.ReleaseCorrWorkspace(w.cw) }
 
 // applyCorrection computes grid k's fine-level correction from the fine
 // residual in w.rfine into w.corr. This is B_k (solution-based) and C_k
 // (residual-based): the operators coincide once the fine residual is in
 // hand.
-func applyCorrection(s *mg.Setup, method mg.Method, k int, w *corrWorkspace) {
+func applyCorrection(s *engine.Engine, method engine.Method, k int, w *corrWorkspace) {
 	s.GridCorrection(method, k, w.corr, w.rfine, w.cw)
 }
 

@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 )
 
-func buildSetup(t *testing.T, n int) *mg.Setup {
+func buildSetup(t *testing.T, n int) *engine.Engine {
 	t.Helper()
 	a := grid.Laplacian27pt(n)
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 1
-	s, err := mg.NewSetup(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	s, err := engine.New(a, opt, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +26,11 @@ func TestRunValidation(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 1)
 	bad := []Config{
-		{Variant: SemiAsync, Method: mg.Multadd, Alpha: 0, Updates: 5},
-		{Variant: SemiAsync, Method: mg.Multadd, Alpha: 1.5, Updates: 5},
-		{Variant: SemiAsync, Method: mg.Multadd, Alpha: 0.5, Delta: -1, Updates: 5},
-		{Variant: SemiAsync, Method: mg.Multadd, Alpha: 0.5, Updates: 0},
-		{Variant: SemiAsync, Method: mg.Mult, Alpha: 0.5, Updates: 5},
+		{Variant: SemiAsync, Method: engine.Multadd, Alpha: 0, Updates: 5},
+		{Variant: SemiAsync, Method: engine.Multadd, Alpha: 1.5, Updates: 5},
+		{Variant: SemiAsync, Method: engine.Multadd, Alpha: 0.5, Delta: -1, Updates: 5},
+		{Variant: SemiAsync, Method: engine.Multadd, Alpha: 0.5, Updates: 0},
+		{Variant: SemiAsync, Method: engine.Mult, Alpha: 0.5, Updates: 5},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(s, b, cfg); err == nil {
@@ -38,7 +38,7 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 	short := make([]float64, 3)
-	if _, err := Run(s, short, Config{Variant: SemiAsync, Method: mg.Multadd, Alpha: 0.5, Updates: 5}); err == nil {
+	if _, err := Run(s, short, Config{Variant: SemiAsync, Method: engine.Multadd, Alpha: 0.5, Updates: 5}); err == nil {
 		t.Error("accepted wrong-length RHS")
 	}
 }
@@ -51,13 +51,13 @@ func TestSemiAsyncAlphaOneDeltaZeroMatchesSyncMultadd(t *testing.T) {
 	n := s.LevelSize(0)
 	b := grid.RandomRHS(n, 2)
 	res, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd,
+		Variant: SemiAsync, Method: engine.Multadd,
 		Alpha: 1, Delta: 0, Updates: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.Multadd, b, 10)
+	_, hist := s.Solve(engine.Multadd, b, 10)
 	want := hist[len(hist)-1]
 	if math.Abs(res.RelRes-want) > 1e-9*(1+want) {
 		t.Errorf("model relres %g, sync Multadd %g", res.RelRes, want)
@@ -76,13 +76,13 @@ func TestSemiAsyncAlphaOneAFACxMatchesSync(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 4)
 	res, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.AFACx,
+		Variant: SemiAsync, Method: engine.AFACx,
 		Alpha: 1, Delta: 0, Updates: 8, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hist := s.Solve(mg.AFACx, b, 8)
+	_, hist := s.Solve(engine.AFACx, b, 8)
 	want := hist[len(hist)-1]
 	if math.Abs(res.RelRes-want) > 1e-9*(1+want) {
 		t.Errorf("model relres %g, sync AFACx %g", res.RelRes, want)
@@ -94,11 +94,11 @@ func TestFullAsyncDeltaZeroAlphaOneMatchesSync(t *testing.T) {
 	// both full-async variants collapse to the synchronous method.
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 5)
-	_, hist := s.Solve(mg.Multadd, b, 6)
+	_, hist := s.Solve(engine.Multadd, b, 6)
 	want := hist[len(hist)-1]
 	for _, v := range []Variant{FullAsyncSolution, FullAsyncResidual} {
 		res, err := Run(s, b, Config{
-			Variant: v, Method: mg.Multadd,
+			Variant: v, Method: engine.Multadd,
 			Alpha: 1, Delta: 0, Updates: 6, Seed: 9,
 		})
 		if err != nil {
@@ -116,7 +116,7 @@ func TestSemiAsyncConvergesWithSmallAlpha(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 6)
 	res, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd,
+		Variant: SemiAsync, Method: engine.Multadd,
 		Alpha: 0.1, Delta: 0, Updates: 20, Seed: 11,
 	})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSmallerAlphaConvergesSlower(t *testing.T) {
 		const runs = 8
 		for seed := int64(0); seed < runs; seed++ {
 			res, err := Run(s, b, Config{
-				Variant: SemiAsync, Method: mg.Multadd,
+				Variant: SemiAsync, Method: engine.Multadd,
 				Alpha: alpha, Delta: 0, Updates: 12, Seed: 100 + seed,
 			})
 			if err != nil {
@@ -167,7 +167,7 @@ func TestLargerDeltaConvergesSlower(t *testing.T) {
 		const runs = 8
 		for seed := int64(0); seed < runs; seed++ {
 			res, err := Run(s, b, Config{
-				Variant: FullAsyncSolution, Method: mg.Multadd,
+				Variant: FullAsyncSolution, Method: engine.Multadd,
 				Alpha: 0.5, Delta: delta, Updates: 12, Seed: 200 + seed,
 			})
 			if err != nil {
@@ -186,7 +186,7 @@ func TestLargerDeltaConvergesSlower(t *testing.T) {
 func TestDeterministicUnderSeed(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 9)
-	cfg := Config{Variant: FullAsyncResidual, Method: mg.AFACx, Alpha: 0.3, Delta: 4, Updates: 10, Seed: 77}
+	cfg := Config{Variant: FullAsyncResidual, Method: engine.AFACx, Alpha: 0.3, Delta: 4, Updates: 10, Seed: 77}
 	r1, err := Run(s, b, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestInstantCapHonoured(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 10)
 	res, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd,
+		Variant: SemiAsync, Method: engine.Multadd,
 		Alpha: 0.05, Delta: 0, Updates: 1000, Seed: 1, MaxInstants: 25,
 	})
 	if err != nil {
@@ -261,7 +261,7 @@ func TestResidualBasedTracksTrueResidual(t *testing.T) {
 	n := s.LevelSize(0)
 	b := grid.RandomRHS(n, 11)
 	res, err := Run(s, b, Config{
-		Variant: FullAsyncResidual, Method: mg.Multadd,
+		Variant: FullAsyncResidual, Method: engine.Multadd,
 		Alpha: 0.7, Delta: 0, Updates: 10, Seed: 13,
 	})
 	if err != nil {
@@ -284,7 +284,7 @@ func TestUnbalancedUpdatesLoseGridIndependence(t *testing.T) {
 	b := grid.RandomRHS(s.LevelSize(0), 21)
 	l := s.NumLevels()
 	balanced, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd,
+		Variant: SemiAsync, Method: engine.Multadd,
 		Alpha: 0.9, Delta: 0, Updates: 20, Seed: 5,
 	})
 	if err != nil {
@@ -296,7 +296,7 @@ func TestUnbalancedUpdatesLoseGridIndependence(t *testing.T) {
 	}
 	unb[0] = 2 // fine grid starved
 	starved, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd,
+		Variant: SemiAsync, Method: engine.Multadd,
 		Alpha: 0.9, Delta: 0, Updates: 20, UpdatesPerGrid: unb, Seed: 5,
 	})
 	if err != nil {
@@ -315,14 +315,14 @@ func TestUpdatesPerGridValidation(t *testing.T) {
 	s := buildSetup(t, 6)
 	b := grid.RandomRHS(s.LevelSize(0), 22)
 	if _, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd, Alpha: 0.5, Updates: 5,
+		Variant: SemiAsync, Method: engine.Multadd, Alpha: 0.5, Updates: 5,
 		UpdatesPerGrid: []int{1},
 	}); err == nil {
 		t.Error("wrong-length UpdatesPerGrid accepted")
 	}
 	bad := make([]int, s.NumLevels())
 	if _, err := Run(s, b, Config{
-		Variant: SemiAsync, Method: mg.Multadd, Alpha: 0.5, Updates: 5,
+		Variant: SemiAsync, Method: engine.Multadd, Alpha: 0.5, Updates: 5,
 		UpdatesPerGrid: bad,
 	}); err == nil {
 		t.Error("zero UpdatesPerGrid entry accepted")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
@@ -165,10 +164,10 @@ func (g *GeomInterp) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	}
 }
 
-// applyAddRange computes fine[lo:hi] += (P coarse)[lo:hi]: the row sum
+// ApplyAddRange computes fine[lo:hi] += (P coarse)[lo:hi]: the row sum
 // accumulates fully before the single add, matching MatVecAdd's
 // `y[i] += s` association.
-func (g *GeomInterp) applyAddRange(fine, coarse []float64, lo, hi int) {
+func (g *GeomInterp) ApplyAddRange(fine, coarse []float64, lo, hi int) {
 	n, nc := g.n, g.nc
 	nn := n * n
 	i, j, k := lo/nn, (lo%nn)/n, lo%n
@@ -204,33 +203,15 @@ func (g *GeomInterp) applyAddRange(fine, coarse []float64, lo, hi int) {
 }
 
 func (g *GeomInterp) Apply(fine, coarse []float64) {
-	if !par.Par(g.nnz) {
-		g.ApplyRange(fine, coarse, 0, g.FineRows())
-		return
-	}
-	runSharded(g.FineRows(), func(k *shardKernel) {
-		k.mode, k.itp, k.y, k.x = modeInterpApply, g, fine, coarse
-	})
+	sparse.RunRows(g.nnz, g.FineRows(), sparse.KApply, g, fine, coarse)
 }
 
 func (g *GeomInterp) ApplyAdd(fine, coarse []float64) {
-	if !par.Par(g.nnz) {
-		g.applyAddRange(fine, coarse, 0, g.FineRows())
-		return
-	}
-	runSharded(g.FineRows(), func(k *shardKernel) {
-		k.mode, k.itp, k.y, k.x = modeInterpApplyAdd, g, fine, coarse
-	})
+	sparse.RunRows(g.nnz, g.FineRows(), sparse.KApplyAdd, g, fine, coarse)
 }
 
 func (g *GeomInterp) ApplyT(coarse, fine []float64) {
-	if !par.Par(g.nnz) {
-		g.ApplyTRange(coarse, fine, 0, g.CoarseRows())
-		return
-	}
-	runSharded(g.CoarseRows(), func(k *shardKernel) {
-		k.mode, k.itp, k.y, k.x = modeInterpApplyT, g, coarse, fine
-	})
+	sparse.RunRows(g.nnz, g.CoarseRows(), sparse.KApplyT, g, coarse, fine)
 }
 
 // CSR materializes the interpolant as a float64 CSR matrix (setup-time

@@ -5,14 +5,15 @@
 //
 // Implementations:
 //
-//   - CSROp wraps a float64 *sparse.CSR and delegates to the sharded/fused
-//     kernels of package sparse — it IS today's behavior, bitwise (the
-//     golden tests pin it).
-//   - CSR32 stores a matrix in float32 values with int32 indices (half the
-//     bytes per nonzero) and accumulates products in float64 — the
-//     mixed-precision storage for coarse-level and interpolant matrices
-//     (AMGCL's design: hierarchy storage drops ~50% with no convergence
-//     cost at multigrid tolerances).
+//   - CSR[V, I] adapts a stored sparse.Matrix[V, I] and CSRInterp[V, I] a
+//     stored (P, Pᵀ) pair; the row kernels are package sparse's, written
+//     once for every value and index type. FromCSR / InterpFromCSR wrap a
+//     float64/int matrix zero-copy (the default hierarchy, bitwise-pinned
+//     by the golden tests); NewCSR32 / NewCSR32Interp re-store it in
+//     float32 values with int32 indices (half the bytes per nonzero,
+//     float64 accumulation) — the mixed-precision storage for coarse-level
+//     and interpolant matrices (AMGCL's design: hierarchy storage drops
+//     ~50% with no convergence cost at multigrid tolerances).
 //   - Stencil7/Stencil27 are matrix-free operators for the structured
 //     7-point/27-point Laplacians of package grid: the fine level of a
 //     structured solve never materializes a CSR matrix. Their kernels are
@@ -25,15 +26,13 @@
 //     an Interp without materializing P̄ or P̄ᵀ (Multadd's smoothed
 //     interpolants become zero-storage).
 //
-// All kernels follow the package sparse contract: row loops shard over the
-// par pool above the work threshold and are bitwise-identical to their
-// serial forms at any worker count.
+// All kernels follow the package sparse contract: every implementation
+// provides serial Range methods, full-vector methods shard them through
+// sparse.RunRows above the work threshold, and the sharded form is
+// bitwise-identical to the serial one at any worker count.
 package op
 
 import (
-	"sync"
-
-	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
@@ -166,23 +165,6 @@ type BlockInterp interface {
 	ApplyTBlock(coarse, fine []float64, k int)
 }
 
-// Materializer is implemented by operators backed by (or able to cheaply
-// expose) a float64 CSR matrix. Consumers that genuinely need row storage
-// (block-triangular smoothers, the dense coarse factorization, sparse
-// products) use it; AsCSR returns nil for matrix-free operators.
-type Materializer interface {
-	CSR() *sparse.CSR
-}
-
-// AsCSR returns the float64 CSR behind a, or nil when a is matrix-free or
-// stored in another precision.
-func AsCSR(a Operator) *sparse.CSR {
-	if m, ok := a.(Materializer); ok {
-		return m.CSR()
-	}
-	return nil
-}
-
 // Coarsenable is an Operator that can produce its own first coarsening:
 // the interpolant to a coarser space plus the Galerkin coarse matrix
 // Pᵀ·A·P as a materialized CSR, without ever materializing A itself. The
@@ -260,88 +242,4 @@ func SmoothedResidual(a Operator, w, scale, r, scratch []float64) {
 	for i := range w {
 		w[i] = r[i] - w[i]
 	}
-}
-
-// ---- generic sharding machinery ----
-
-// ranger is the internal face of sharded full-vector kernels: every
-// operator/interp in this package implements serial Range methods, and the
-// shared shard kernel below dispatches onto them without per-call closure
-// allocation.
-type shardKernel struct {
-	mode            int
-	opr             Operator
-	itp             Interp
-	jac             jacobiRanger
-	sm              SmoothedApplier
-	y, x, b, e, inv []float64
-	k               int
-	blk             blockRanger
-}
-
-type jacobiRanger interface {
-	fusedJacobiResidualRange(e, t, invDiag, r []float64, lo, hi int)
-}
-
-type blockRanger interface {
-	matVecBlockRange(y, x []float64, k, lo, hi int)
-	matVecAddBlockRange(y, x []float64, k, lo, hi int)
-	residualBlockRange(r, b, x []float64, k, lo, hi int)
-}
-
-const (
-	modeApply = iota
-	modeResidual
-	modeInterpApply
-	modeInterpApplyAdd
-	modeInterpApplyT
-	modeJacobi
-	modeScaledRes
-	modeSmoothedRes
-	modeBlockApply
-	modeBlockApplyAdd
-	modeBlockResidual
-)
-
-func (s *shardKernel) Do(_, lo, hi int) {
-	switch s.mode {
-	case modeApply:
-		s.opr.ApplyRange(s.y, s.x, lo, hi)
-	case modeResidual:
-		s.opr.ResidualRange(s.y, s.b, s.x, lo, hi)
-	case modeInterpApply:
-		s.itp.ApplyRange(s.y, s.x, lo, hi)
-	case modeInterpApplyAdd:
-		s.itp.(applyAddRanger).applyAddRange(s.y, s.x, lo, hi)
-	case modeInterpApplyT:
-		s.itp.ApplyTRange(s.y, s.x, lo, hi)
-	case modeJacobi:
-		s.jac.fusedJacobiResidualRange(s.e, s.y, s.inv, s.x, lo, hi)
-	case modeScaledRes:
-		s.sm.ScaledResidualRange(s.y, s.inv, s.x, lo, hi)
-	case modeSmoothedRes:
-		s.sm.SmoothedResidualRange(s.y, s.inv, s.x, lo, hi)
-	case modeBlockApply:
-		s.blk.matVecBlockRange(s.y, s.x, s.k, lo, hi)
-	case modeBlockApplyAdd:
-		s.blk.matVecAddBlockRange(s.y, s.x, s.k, lo, hi)
-	case modeBlockResidual:
-		s.blk.residualBlockRange(s.y, s.b, s.x, s.k, lo, hi)
-	}
-}
-
-var shardPool = sync.Pool{New: func() any { return new(shardKernel) }}
-
-func runSharded(n int, fill func(k *shardKernel)) {
-	k := shardPool.Get().(*shardKernel)
-	fill(k)
-	par.Default().Run(n, k)
-	*k = shardKernel{}
-	shardPool.Put(k)
-}
-
-// applyAddRanger is the internal add-range face sharded ApplyAdd
-// dispatches onto: fine[lo:hi] += (P coarse)[lo:hi].
-type applyAddRanger interface {
-	applyAddRange(fine, coarse []float64, lo, hi int)
 }

@@ -3,7 +3,7 @@ package op
 import (
 	"fmt"
 
-	"asyncmg/internal/par"
+	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
 
@@ -120,19 +120,11 @@ func (s *Stencil7) ResidualRange(r, b, x []float64, lo, hi int) {
 }
 
 func (s *Stencil7) Apply(y, x []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ApplyRange(y, x, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) { k.mode, k.opr, k.y, k.x = modeApply, s, y, x })
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KApply, s, y, x)
 }
 
 func (s *Stencil7) Residual(r, b, x []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ResidualRange(r, b, x, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) { k.mode, k.opr, k.y, k.b, k.x = modeResidual, s, r, b, x })
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KResidual, s, r, b, x)
 }
 
 func (s *Stencil7) Diag() []float64 {
@@ -181,7 +173,7 @@ func (s *Stencil7) RowL1Norms() []float64 {
 	return l1
 }
 
-func (s *Stencil7) fusedJacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
+func (s *Stencil7) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
 	n := s.n
 	nn := n * n
 	i, j, k := lo/nn, (lo%nn)/n, lo%n
@@ -219,13 +211,7 @@ func (s *Stencil7) fusedJacobiResidualRange(e, t, invDiag, r []float64, lo, hi i
 }
 
 func (s *Stencil7) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.fusedJacobiResidualRange(e, t, invDiag, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.jac, k.e, k.y, k.inv, k.x = modeJacobi, s, e, t, invDiag, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
 }
 
 func (s *Stencil7) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
@@ -301,23 +287,11 @@ func (s *Stencil7) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
 }
 
 func (s *Stencil7) ScaledResidual(w, scale, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ScaledResidualRange(w, scale, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.sm, k.y, k.inv, k.x = modeScaledRes, s, w, scale, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KScaledResidual, s, w, scale, r)
 }
 
 func (s *Stencil7) SmoothedResidual(w, scale, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.SmoothedResidualRange(w, scale, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.sm, k.y, k.inv, k.x = modeSmoothedRes, s, w, scale, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
 }
 
 // ResidualAtomicRange is the stencil form of the asynchronous runtime's
@@ -569,19 +543,11 @@ func (s *Stencil27) ResidualRange(r, b, x []float64, lo, hi int) {
 }
 
 func (s *Stencil27) Apply(y, x []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ApplyRange(y, x, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) { k.mode, k.opr, k.y, k.x = modeApply, s, y, x })
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KApply, s, y, x)
 }
 
 func (s *Stencil27) Residual(r, b, x []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ResidualRange(r, b, x, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) { k.mode, k.opr, k.y, k.b, k.x = modeResidual, s, r, b, x })
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KResidual, s, r, b, x)
 }
 
 func (s *Stencil27) Diag() []float64 {
@@ -622,7 +588,7 @@ func (s *Stencil27) RowL1Norms() []float64 {
 	return l1
 }
 
-func (s *Stencil27) fusedJacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
+func (s *Stencil27) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
 	n := s.n
 	nn := n * n
 	i, j, k := lo/nn, (lo%nn)/n, lo%n
@@ -666,13 +632,7 @@ func (s *Stencil27) fusedJacobiResidualRange(e, t, invDiag, r []float64, lo, hi 
 }
 
 func (s *Stencil27) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.fusedJacobiResidualRange(e, t, invDiag, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.jac, k.e, k.y, k.inv, k.x = modeJacobi, s, e, t, invDiag, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
 }
 
 func (s *Stencil27) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
@@ -760,23 +720,11 @@ func (s *Stencil27) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
 }
 
 func (s *Stencil27) ScaledResidual(w, scale, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.ScaledResidualRange(w, scale, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.sm, k.y, k.inv, k.x = modeScaledRes, s, w, scale, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KScaledResidual, s, w, scale, r)
 }
 
 func (s *Stencil27) SmoothedResidual(w, scale, r []float64) {
-	if !par.Par(s.NNZEquivalent()) {
-		s.SmoothedResidualRange(w, scale, r, 0, s.Rows())
-		return
-	}
-	runSharded(s.Rows(), func(k *shardKernel) {
-		k.mode, k.sm, k.y, k.inv, k.x = modeSmoothedRes, s, w, scale, r
-	})
+	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
 }
 
 // ResidualAtomicRange is the stencil form of the asynchronous runtime's

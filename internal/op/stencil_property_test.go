@@ -90,7 +90,7 @@ func TestStencilMatchesCSRBitwise(t *testing.T) {
 		f.csr.Residual(wantRes, b, x)
 		wantE := make([]float64, rows)
 		wantT := make([]float64, rows)
-		f.csr.FusedJacobiResidual(wantE, wantT, invDiag, b)
+		f.csr.JacobiResidualRange(wantE, wantT, invDiag, b, 0, rows)
 		wantScaled := make([]float64, rows)
 		f.csr.ScaledResidualRange(wantScaled, scale, b, 0, rows)
 		wantSmoothed := make([]float64, rows)
@@ -231,99 +231,5 @@ func TestStencilCoarsenMatchesAlgebraicGalerkin(t *testing.T) {
 				t.Fatalf("%s: Vals[%d] = %v, want %v", f.name, q, a1.Vals[q], want.Vals[q])
 			}
 		}
-	}
-}
-
-// TestCSR32RoundTrip pins the float32 storage contract: conversion
-// rounds each entry once, kernels accumulate in float64 and match a
-// float64 CSR holding the rounded values bitwise, at any worker count.
-func TestCSR32RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := grid.Laplacian27pt(6)
-	// Perturb values so float32 rounding is actually exercised.
-	for i := range a.Vals {
-		a.Vals[i] *= 1 + 1e-3*(2*rng.Float64()-1)
-	}
-	a32 := NewCSR32(a)
-	rounded := a32.ToCSR()
-	for i, v := range a.Vals {
-		if float64(float32(v)) != rounded.Vals[i] {
-			t.Fatalf("entry %d: rounded %v, want %v", i, rounded.Vals[i], float64(float32(v)))
-		}
-	}
-	x := randVec(rng, a.Cols)
-	b := randVec(rng, a.Rows)
-	want := make([]float64, a.Rows)
-	rounded.MatVec(want, x)
-	wantRes := make([]float64, a.Rows)
-	rounded.Residual(wantRes, b, x)
-
-	check := func(t *testing.T) {
-		got := make([]float64, a.Rows)
-		a32.Apply(got, x)
-		assertBitwise(t, "csr32/apply", got, want)
-		a32.Residual(got, b, x)
-		assertBitwise(t, "csr32/residual", got, wantRes)
-	}
-	t.Run("serial", check)
-	for _, workers := range []int{1, 2, 8} {
-		t.Run("workers", func(t *testing.T) {
-			withWorkers(t, workers)
-			check(t)
-		})
-	}
-
-	// Block residual: bitwise-identical per column to k single-RHS calls.
-	const k = 3
-	xb := make([]float64, a.Cols*k)
-	bb := make([]float64, a.Rows*k)
-	for i := range xb {
-		xb[i] = 2*rng.Float64() - 1
-	}
-	for i := range bb {
-		bb[i] = 2*rng.Float64() - 1
-	}
-	rb := make([]float64, a.Rows*k)
-	a32.ResidualBlock(rb, bb, xb, k)
-	col := make([]float64, a.Cols)
-	bcol := make([]float64, a.Rows)
-	wcol := make([]float64, a.Rows)
-	for c := 0; c < k; c++ {
-		for i := 0; i < a.Cols; i++ {
-			col[i] = xb[i*k+c]
-		}
-		for i := 0; i < a.Rows; i++ {
-			bcol[i] = bb[i*k+c]
-		}
-		rounded.Residual(wcol, bcol, col)
-		for i := 0; i < a.Rows; i++ {
-			if math.Float64bits(rb[i*k+c]) != math.Float64bits(wcol[i]) {
-				t.Fatalf("csr32/block col %d row %d: %v vs %v", c, i, rb[i*k+c], wcol[i])
-			}
-		}
-	}
-}
-
-// TestCSROpDelegatesBitwise pins the adapter: CSROp methods produce the
-// same bits as direct CSR calls.
-func TestCSROpDelegatesBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := grid.Laplacian7pt(6)
-	a := FromCSR(m)
-	x := randVec(rng, m.Cols)
-	b := randVec(rng, m.Rows)
-	want := make([]float64, m.Rows)
-	m.MatVec(want, x)
-	got := make([]float64, m.Rows)
-	a.Apply(got, x)
-	assertBitwise(t, "csrop/apply", got, want)
-	m.Residual(want, b, x)
-	a.Residual(got, b, x)
-	assertBitwise(t, "csrop/residual", got, want)
-	if AsCSR(a) != m {
-		t.Fatal("AsCSR should return the wrapped matrix")
-	}
-	if AsCSR(NewStencil7(4)) != nil {
-		t.Fatal("AsCSR on a stencil should be nil")
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/sparse"
 )
@@ -17,7 +17,7 @@ import (
 // maxiter) triple for Krylov solves. Only identical iterations coalesce,
 // so batching stays bitwise-invisible per column.
 type batchKey struct {
-	method  mg.Method
+	method  engine.Method
 	cycles  int
 	solver  string // "" for plain cycling, SolverPCG for block PCG
 	tol     float64
@@ -198,7 +198,7 @@ func (bt *batcher) runPCG(e *entry, key batchKey, members []batchMember) {
 // soloKrylov runs one AMG-preconditioned Krylov solve on a cached
 // hierarchy. The plain (non-symmetrized) cycle preconditioner keeps the
 // solo path bitwise-identical to the batched block path.
-func soloKrylov(ctx context.Context, setup *mg.Setup, solver string, method mg.Method, b []float64, opt krylov.Options) (krylov.Result, error) {
+func soloKrylov(ctx context.Context, setup *engine.Engine, solver string, method engine.Method, b []float64, opt krylov.Options) (krylov.Result, error) {
 	p := krylov.NewMGPreconditioner(setup, method)
 	defer p.Release()
 	opt.M = p

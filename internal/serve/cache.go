@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 )
@@ -21,7 +21,7 @@ type entry struct {
 
 	// ready is closed when setup/err are final.
 	ready chan struct{}
-	setup *mg.Setup
+	setup *engine.Engine
 	err   error
 	// setupNS is the wall time the builder spent (hierarchy + smoothers);
 	// cache hits report 0 because they pay nothing.
@@ -61,7 +61,7 @@ func newCache(max int, o *obs.Observer) *cache {
 // getOrBuild returns the entry for key, building it with build on a miss.
 // hit reports whether a cached (or in-flight) entry was found. The caller
 // must wait on entry.ready before touching setup/err.
-func (c *cache) getOrBuild(key string, build func() (*mg.Setup, error)) (e *entry, hit bool) {
+func (c *cache) getOrBuild(key string, build func() (*engine.Engine, error)) (e *entry, hit bool) {
 	c.mu.Lock()
 	if e = c.entries[key]; e != nil {
 		c.order.MoveToFront(e.elem)

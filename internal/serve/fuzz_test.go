@@ -5,7 +5,7 @@ import (
 	"net/url"
 	"testing"
 
-	"asyncmg/internal/mg"
+	"asyncmg/internal/engine"
 )
 
 // FuzzParseSolveRequest is the decoder's no-panic contract: the /solve
@@ -138,7 +138,7 @@ func FuzzKrylovRequest(f *testing.F) {
 		switch sp.solver {
 		case SolverCycle:
 		case SolverPCG:
-			if sp.method == mg.AFACx {
+			if sp.method == engine.AFACx {
 				t.Fatal("decoder accepted pcg with a non-SPD preconditioner")
 			}
 			fallthrough

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
 )
 
@@ -235,7 +235,7 @@ func TestSoloKrylovHelperFGMRES(t *testing.T) {
 	if _, err := parseMethod("mult"); err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := parseMethod("afacx"); m != mg.AFACx {
+	if m, _ := parseMethod("afacx"); m != engine.AFACx {
 		t.Fatal("parseMethod afacx")
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/smoother"
 )
 
@@ -142,7 +142,7 @@ const (
 type spec struct {
 	problem string // harness family, or "" for an uploaded matrix
 	size    int
-	method  mg.Method
+	method  engine.Method
 	smoCfg  smoother.Config
 	cycles  int
 	mode    string
@@ -280,7 +280,7 @@ func specFromRequest(req *SolveRequest) (*spec, error) {
 		if sp.mode != ModeAsync {
 			return nil, fmt.Errorf("damping requires mode async, got %q", sp.mode)
 		}
-		if sp.method != mg.Multadd && sp.method != mg.AFACx {
+		if sp.method != engine.Multadd && sp.method != engine.AFACx {
 			return nil, fmt.Errorf("damping applies to the additive methods (multadd, afacx), got %q", methodName(sp.method))
 		}
 	}
@@ -338,7 +338,7 @@ func validateSolver(req *SolveRequest, sp *spec) error {
 		// an additive cycle built from SPD level terms (multadd, bpx).
 		// AFACx is not SPD — route non-symmetric preconditioning through
 		// fgmres instead.
-		if sp.method == mg.AFACx {
+		if sp.method == engine.AFACx {
 			return fmt.Errorf("pcg needs an SPD preconditioner (mult, multadd or bpx); use fgmres with afacx")
 		}
 	case SolverFGMRES:
@@ -440,16 +440,16 @@ func specFromQuery(q map[string][]string) (*spec, error) {
 	return specFromRequest(&req)
 }
 
-func parseMethod(s string) (mg.Method, error) {
+func parseMethod(s string) (engine.Method, error) {
 	switch strings.ToLower(s) {
 	case "", "multadd":
-		return mg.Multadd, nil
+		return engine.Multadd, nil
 	case "mult":
-		return mg.Mult, nil
+		return engine.Mult, nil
 	case "afacx":
-		return mg.AFACx, nil
+		return engine.AFACx, nil
 	case "bpx":
-		return mg.BPX, nil
+		return engine.BPX, nil
 	}
 	return 0, fmt.Errorf("unknown method %q (want mult, multadd, afacx, bpx)", s)
 }
@@ -470,4 +470,4 @@ func parseSmoother(s string) (smoother.Kind, error) {
 	return 0, fmt.Errorf("unknown smoother %q", s)
 }
 
-func methodName(m mg.Method) string { return m.String() }
+func methodName(m engine.Method) string { return m.String() }

@@ -38,10 +38,10 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
 	"asyncmg/internal/distmem"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
@@ -249,7 +249,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := problemKey(sp.problem, sp.size, sp.smoCfg)
-	build := func() (*mg.Setup, error) {
+	build := func() (*engine.Engine, error) {
 		if s.cfg.MatrixFree {
 			if a, ok := harness.BuildProblemOperator(sp.problem, sp.size); ok {
 				return s.newSetupOperator(a, sp.smoCfg)
@@ -313,7 +313,7 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 	// fingerprint instead of needing the client to re-upload it.
 	s.matrices.put(fp, raw)
 	key := matrixKey(fp, sp.smoCfg)
-	build := func() (*mg.Setup, error) {
+	build := func() (*engine.Engine, error) {
 		a, err := mtx.Read(bytes.NewReader(raw))
 		if err != nil {
 			return nil, err
@@ -329,8 +329,8 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 // newSetup builds the engine for a and wires the service observer in, so
 // per-setup stage timings land in the setup_*_ns counters (which stay
 // flat across cache hits — the loadgen's cache evidence).
-func (s *Server) newSetup(a *sparse.CSR, smo smoother.Config) (*mg.Setup, error) {
-	setup, err := mg.NewSetup(a, *s.cfg.AMG, smo)
+func (s *Server) newSetup(a *sparse.CSR, smo smoother.Config) (*engine.Engine, error) {
+	setup, err := engine.New(a, *s.cfg.AMG, smo)
 	if err != nil {
 		return nil, err
 	}
@@ -339,8 +339,8 @@ func (s *Server) newSetup(a *sparse.CSR, smo smoother.Config) (*mg.Setup, error)
 }
 
 // newSetupOperator is newSetup for matrix-free fine-level operators.
-func (s *Server) newSetupOperator(a op.Operator, smo smoother.Config) (*mg.Setup, error) {
-	setup, err := mg.NewSetupOperator(a, *s.cfg.AMG, smo)
+func (s *Server) newSetupOperator(a op.Operator, smo smoother.Config) (*engine.Engine, error) {
+	setup, err := engine.NewOperator(a, *s.cfg.AMG, smo)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +412,7 @@ func (s *Server) recordSolveNS(ns int64) {
 
 // ---- the solve pipeline ----
 
-func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key string, build func() (*mg.Setup, error)) {
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key string, build func() (*engine.Engine, error)) {
 	timeout := s.cfg.MaxTimeout
 	if sp.timeout > 0 && sp.timeout < timeout {
 		timeout = sp.timeout
@@ -567,7 +567,7 @@ func (s *Server) solveKrylov(ctx context.Context, w http.ResponseWriter, r *http
 	writeJSON(w, resp)
 }
 
-func (s *Server) solveAsync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *mg.Setup, b []float64, resp *SolveResponse) {
+func (s *Server) solveAsync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
 	start := time.Now()
 	res, err := async.Solve(ctx, setup, b, async.Config{
 		Method:    sp.method,
@@ -602,8 +602,8 @@ func (s *Server) solveAsync(ctx context.Context, w http.ResponseWriter, r *http.
 	writeJSON(w, resp)
 }
 
-func (s *Server) solveDist(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *mg.Setup, b []float64, resp *SolveResponse) {
-	if sp.method != mg.Multadd && sp.method != mg.AFACx {
+func (s *Server) solveDist(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
+	if sp.method != engine.Multadd && sp.method != engine.AFACx {
 		http.Error(w, "dist mode supports multadd and afacx only", http.StatusBadRequest)
 		return
 	}

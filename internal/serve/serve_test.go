@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
@@ -73,7 +73,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	const size, cycles, clients = 6, 6, 6
 	// Private reference engine: identical problem, options and smoother.
 	a := grid.Laplacian7pt(size)
-	ref, err := mg.NewSetup(a, amg.DefaultOptions(), smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
+	ref, err := engine.New(a, amg.DefaultOptions(), smoother.Config{Kind: smoother.WJacobi, Omega: 0.9, Blocks: 1})
 	if err != nil {
 		t.Fatalf("reference setup: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		// Bitwise identity with a private solve, through JSON and (for
 		// most clients) the block-solve path.
 		b := grid.RandomRHS(a.Rows, int64(c))
-		wantX, wantH := ref.Solve(mg.Mult, b, cycles)
+		wantX, wantH := ref.Solve(engine.Mult, b, cycles)
 		if len(out.History) != len(wantH) {
 			t.Fatalf("client %d: history length %d, want %d", c, len(out.History), len(wantH))
 		}
@@ -651,7 +651,7 @@ func TestSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if sp.method != mg.Multadd || sp.mode != ModeSync || sp.cycles != 30 || sp.threads != 8 {
+	if sp.method != engine.Multadd || sp.mode != ModeSync || sp.cycles != 30 || sp.threads != 8 {
 		t.Errorf("defaults wrong: %+v", sp)
 	}
 	if sp.smoCfg.Omega != 0.5 {

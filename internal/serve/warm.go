@@ -12,8 +12,8 @@ import (
 	"net/http"
 	"sync"
 
+	"asyncmg/internal/engine"
 	"asyncmg/internal/harness"
-	"asyncmg/internal/mg"
 	"asyncmg/internal/mtx"
 )
 
@@ -83,16 +83,16 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var key string
-	var build func() (*mg.Setup, error)
+	var build func() (*engine.Engine, error)
 	switch {
 	case req.MatrixFP != "":
 		key = matrixKey(req.MatrixFP, sp.smoCfg)
-		build = func() (*mg.Setup, error) {
+		build = func() (*engine.Engine, error) {
 			return s.buildFromFingerprint(r.Context(), req.MatrixFP, req.Source, sp)
 		}
 	case req.Problem != "":
 		key = problemKey(req.Problem, req.Size, sp.smoCfg)
-		build = func() (*mg.Setup, error) {
+		build = func() (*engine.Engine, error) {
 			a, err := harness.BuildProblem(req.Problem, req.Size)
 			if err != nil {
 				return nil, err
@@ -135,7 +135,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 // the local byte store, pulling the bytes from the warm's source peer when
 // they are not resident. The pulled bytes are fingerprint-verified: a
 // replica never caches under an identity the bytes do not hash to.
-func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, sp *spec) (*mg.Setup, error) {
+func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, sp *spec) (*engine.Engine, error) {
 	raw, ok := s.matrices.get(fp)
 	if !ok {
 		pulled, err := s.pullMatrix(ctx, fp, source)

@@ -73,17 +73,15 @@ type Config struct {
 // (the stencil test sets; the FEM sets use 0.5).
 func DefaultConfig() Config { return Config{Kind: WJacobi, Omega: 0.9, Blocks: 1} }
 
-// S is a smoother bound to a matrix (or, for the diagonal kinds, to any
-// operator).
+// S is a smoother bound to an operator.
 type S struct {
 	Kind Kind
-	// A is the CSR view of the operator; nil when the smoother was built
-	// on a matrix-free or reduced-precision operator (diagonal kinds
-	// only — the block kinds need row storage).
-	A *sparse.CSR
-	// Op is the operator view; set by NewOperator, nil for smoothers built
-	// directly on a CSR. When A is nil every matrix access goes through Op.
-	Op     op.Operator
+	// Op is the operator view every residual and product goes through.
+	Op op.Operator
+	// A is the float64 CSR behind Op, which the block kinds' triangular
+	// solves need; nil on a matrix-free or reduced-precision operator
+	// (diagonal kinds only).
+	A      *sparse.CSR
 	Omega  float64
 	Blocks []partition.Range
 	// invDiag is ω/d_i for WJacobi, 1/Σ|a_ij| for L1Jacobi; nil otherwise.
@@ -91,7 +89,7 @@ type S struct {
 	// l1Off is the ℓ1 norm of each row's off-block entries (L1HybridJGS
 	// diagonal augmentation); nil for other kinds.
 	l1Off []float64
-	// delta is scratch for the hybrid block sweep, allocated on first use.
+	// delta is scratch for the hybrid block sweep.
 	delta []float64
 }
 
@@ -108,77 +106,40 @@ type Precomputed struct {
 
 // New builds a smoother for a. cfg.Blocks <= 0 defaults to 1 block.
 func New(a *sparse.CSR, cfg Config) (*S, error) {
-	return NewWith(a, cfg, Precomputed{})
+	return NewOperator(op.FromCSR(a), cfg, Precomputed{})
 }
 
-// NewOperator builds a smoother bound to an arbitrary operator. When the
-// operator is backed by a float64 CSR this is exactly NewWith; otherwise
-// only the diagonal kinds (WJacobi, L1Jacobi) are supported — the block
-// kinds need triangular row storage, which matrix-free and
-// reduced-precision operators do not expose.
-func NewOperator(a op.Operator, cfg Config, pre Precomputed) (*S, error) {
-	if m := op.AsCSR(a); m != nil {
-		s, err := NewWith(m, cfg, pre)
-		if err == nil {
-			s.Op = a
+// diagonalScaling returns the diagonal M⁻¹ of a Jacobi-type iteration on
+// a: 1/Σ_j|a_ij| for the ℓ1 form (omega is ignored), omega/a_ii otherwise.
+// The row norms or diagonal come from pre when available.
+func diagonalScaling(a op.Operator, l1 bool, omega float64, pre Precomputed) ([]float64, error) {
+	d, what := pre.Diag, "zero diagonal at"
+	if l1 {
+		d, what, omega = pre.RowL1, "empty", 1
+	}
+	if d == nil && l1 {
+		d = a.RowL1Norms()
+	} else if d == nil {
+		d = a.Diag()
+	}
+	out := make([]float64, a.Rows())
+	for i, v := range d {
+		if v == 0 {
+			return nil, fmt.Errorf("smoother: %s row %d", what, i)
 		}
-		return s, err
+		out[i] = omega / v
 	}
-	switch cfg.Kind {
-	case WJacobi, L1Jacobi:
-	default:
-		return nil, fmt.Errorf("smoother: %v requires a materialized float64 matrix; matrix-free and reduced-precision operators support only the diagonal smoothers (w-jacobi, l1-jacobi)", cfg.Kind)
-	}
+	return out, nil
+}
+
+// NewOperator builds a smoother bound to an arbitrary operator, reusing
+// any precomputed diagonal or row-norm vectors instead of rescanning the
+// matrix. The block kinds need triangular row storage, so they require an
+// operator backed by a float64 CSR; matrix-free and reduced-precision
+// operators support only the diagonal kinds (WJacobi, L1Jacobi).
+func NewOperator(a op.Operator, cfg Config, pre Precomputed) (*S, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("smoother: operator must be square, got %dx%d", a.Rows(), a.Cols())
-	}
-	nb := cfg.Blocks
-	if nb <= 0 {
-		nb = 1
-	}
-	s := &S{
-		Kind:   cfg.Kind,
-		Op:     a,
-		Omega:  cfg.Omega,
-		Blocks: partition.SplitRows(a.Rows(), nb),
-	}
-	switch cfg.Kind {
-	case WJacobi:
-		if cfg.Omega <= 0 || cfg.Omega > 2 {
-			return nil, fmt.Errorf("smoother: ω-Jacobi weight %v outside (0, 2]", cfg.Omega)
-		}
-		d := pre.Diag
-		if d == nil {
-			d = a.Diag()
-		}
-		s.invDiag = make([]float64, a.Rows())
-		for i, v := range d {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: zero diagonal at row %d", i)
-			}
-			s.invDiag[i] = cfg.Omega / v
-		}
-	case L1Jacobi:
-		l1 := pre.RowL1
-		if l1 == nil {
-			l1 = a.RowL1Norms()
-		}
-		s.invDiag = make([]float64, a.Rows())
-		for i, v := range l1 {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: empty row %d", i)
-			}
-			s.invDiag[i] = 1 / v
-		}
-	}
-	return s, nil
-}
-
-// NewWith builds a smoother for a, reusing any precomputed diagonal or
-// row-norm vectors instead of rescanning the matrix.
-func NewWith(a *sparse.CSR, cfg Config, pre Precomputed) (*S, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("smoother: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
 	nb := cfg.Blocks
 	if nb <= 0 {
@@ -189,66 +150,62 @@ func NewWith(a *sparse.CSR, cfg Config, pre Precomputed) (*S, error) {
 	// block even on levels smaller than the team.
 	s := &S{
 		Kind:   cfg.Kind,
-		A:      a,
+		Op:     a,
+		A:      op.AsCSR(a),
 		Omega:  cfg.Omega,
-		Blocks: partition.SplitRows(a.Rows, nb),
+		Blocks: partition.SplitRows(a.Rows(), nb),
 	}
+	var err error
 	switch cfg.Kind {
 	case WJacobi:
 		if cfg.Omega <= 0 || cfg.Omega > 2 {
 			return nil, fmt.Errorf("smoother: ω-Jacobi weight %v outside (0, 2]", cfg.Omega)
 		}
-		d := pre.Diag
-		if d == nil {
-			d = a.Diag()
-		}
-		s.invDiag = make([]float64, a.Rows)
-		for i, v := range d {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: zero diagonal at row %d", i)
-			}
-			s.invDiag[i] = cfg.Omega / v
-		}
+		s.invDiag, err = diagonalScaling(a, false, cfg.Omega, pre)
 	case L1Jacobi:
-		l1 := pre.RowL1
-		if l1 == nil {
-			l1 = a.RowL1Norms()
+		s.invDiag, err = diagonalScaling(a, true, 0, pre)
+	case HybridJGS, AsyncGS, L1HybridJGS:
+		if s.A == nil {
+			return nil, fmt.Errorf("smoother: %v requires a materialized float64 matrix; matrix-free and reduced-precision operators support only the diagonal smoothers (w-jacobi, l1-jacobi)", cfg.Kind)
 		}
-		s.invDiag = make([]float64, a.Rows)
-		for i, v := range l1 {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: empty row %d", i)
-			}
-			s.invDiag[i] = 1 / v
-		}
-	case HybridJGS, AsyncGS:
-		// Block smoothers use the matrix directly. The sweep scratch is
-		// allocated eagerly: team threads call the block sweeps
-		// concurrently (on disjoint blocks), so lazy allocation would race.
-		s.delta = make([]float64, a.Rows)
-	case L1HybridJGS:
-		s.delta = make([]float64, a.Rows)
-		s.l1Off = make([]float64, a.Rows)
-		for _, blk := range s.Blocks {
-			for i := blk.Lo; i < blk.Hi; i++ {
-				off := 0.0
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					j := a.ColIdx[p]
-					if j < blk.Lo || j >= blk.Hi {
-						v := a.Vals[p]
-						if v < 0 {
-							v = -v
-						}
-						off += v
-					}
-				}
-				s.l1Off[i] = off
-			}
+		// The sweep scratch is allocated eagerly: team threads call the
+		// block sweeps concurrently (on disjoint blocks), so lazy
+		// allocation would race.
+		s.delta = make([]float64, a.Rows())
+		if cfg.Kind == L1HybridJGS {
+			s.l1Off = s.offBlockL1()
 		}
 	default:
 		return nil, fmt.Errorf("smoother: unknown kind %d", cfg.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// offBlockL1 returns the ℓ1 norm of each row's entries outside its own
+// block (the L1HybridJGS diagonal augmentation).
+func (s *S) offBlockL1() []float64 {
+	a := s.A
+	l1Off := make([]float64, a.Rows)
+	for _, blk := range s.Blocks {
+		for i := blk.Lo; i < blk.Hi; i++ {
+			off := 0.0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				j := a.ColIdx[p]
+				if j < blk.Lo || j >= blk.Hi {
+					v := a.Vals[p]
+					if v < 0 {
+						v = -v
+					}
+					off += v
+				}
+			}
+			l1Off[i] = off
+		}
+	}
+	return l1Off
 }
 
 // NumBlocks returns the number of blocks of the smoother's partition.
@@ -367,24 +324,14 @@ func (s *S) ApplyBlockAtomic(e *vec.Atomic, r []float64, b int) {
 	}
 }
 
-// residual computes scratch = r − A e through whichever matrix view the
-// smoother holds. The CSR path stays the exact serial kernel the golden
-// histories pin; the operator path (matrix-free / reduced precision) uses
-// the sharded residual, bitwise-identical to serial by kernel contract.
-func (s *S) residual(scratch, r, e []float64) {
-	if s.A != nil {
-		s.A.Residual(scratch, r, e)
-		return
-	}
-	s.Op.Residual(scratch, r, e)
-}
-
-// Sweep performs one general smoothing sweep e ← e + M⁻¹ (r − A e) serially.
-// scratch must have length A.Rows and is clobbered.
+// Sweep performs one general smoothing sweep e ← e + M⁻¹ (r − A e). The
+// residual goes through the operator view, which shards large levels and is
+// bitwise-identical to the serial kernel at any worker count. scratch must
+// have length A.Rows and is clobbered.
 func (s *S) Sweep(e, r, scratch []float64) {
 	switch s.Kind {
 	case WJacobi, L1Jacobi:
-		s.residual(scratch, r, e)
+		s.Op.Residual(scratch, r, e)
 		for i := range e {
 			e[i] += s.invDiag[i] * scratch[i]
 		}
@@ -392,7 +339,7 @@ func (s *S) Sweep(e, r, scratch []float64) {
 		// Hybrid semantics: every block reads the same frozen incoming
 		// iterate. Compute res = r − A e once, then add each block's
 		// lower-triangular correction e_b += L_b⁻¹ res_b.
-		s.A.Residual(scratch, r, e)
+		s.Op.Residual(scratch, r, e)
 		for _, blk := range s.Blocks {
 			for i := blk.Lo; i < blk.Hi; i++ {
 				s.delta[i] = 0
@@ -401,7 +348,7 @@ func (s *S) Sweep(e, r, scratch []float64) {
 			vec.AxpyRange(1, e, s.delta, blk.Lo, blk.Hi)
 		}
 	case L1HybridJGS:
-		s.A.Residual(scratch, r, e)
+		s.Op.Residual(scratch, r, e)
 		for _, blk := range s.Blocks {
 			for i := blk.Lo; i < blk.Hi; i++ {
 				s.delta[i] = 0
@@ -419,82 +366,18 @@ func (s *S) Sweep(e, r, scratch []float64) {
 // uses the ω-Jacobi iteration matrix (s_i = ω/a_ii) so the interpolants stay
 // sparse.
 func InterpolantScaling(a *sparse.CSR, cfg Config) ([]float64, error) {
-	return InterpolantScalingWith(a, cfg, Precomputed{})
+	return InterpolantScalingOp(op.FromCSR(a), cfg, Precomputed{})
 }
 
-// InterpolantScalingWith is InterpolantScaling sourcing the diagonal and
-// row-norm vectors from pre when available, so hierarchy-view owners do
-// not rescan each level's matrix a second time.
-func InterpolantScalingWith(a *sparse.CSR, cfg Config, pre Precomputed) ([]float64, error) {
-	switch cfg.Kind {
-	case L1Jacobi:
-		l1 := pre.RowL1
-		if l1 == nil {
-			l1 = a.RowL1Norms()
-		}
-		out := make([]float64, a.Rows)
-		for i, v := range l1 {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: empty row %d", i)
-			}
-			out[i] = 1 / v
-		}
-		return out, nil
-	default:
-		omega := cfg.Omega
-		if omega <= 0 {
-			omega = 0.9
-		}
-		d := pre.Diag
-		if d == nil {
-			d = a.Diag()
-		}
-		out := make([]float64, a.Rows)
-		for i, v := range d {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: zero diagonal at row %d", i)
-			}
-			out[i] = omega / v
-		}
-		return out, nil
-	}
-}
-
-// InterpolantScalingOp is InterpolantScalingWith for an arbitrary
-// operator (the matrix-free and reduced-precision hierarchy levels).
+// InterpolantScalingOp is InterpolantScaling for an arbitrary operator,
+// sourcing the diagonal and row-norm vectors from pre when available so
+// hierarchy-view owners do not rescan each level's matrix a second time.
 func InterpolantScalingOp(a op.Operator, cfg Config, pre Precomputed) ([]float64, error) {
-	switch cfg.Kind {
-	case L1Jacobi:
-		l1 := pre.RowL1
-		if l1 == nil {
-			l1 = a.RowL1Norms()
-		}
-		out := make([]float64, a.Rows())
-		for i, v := range l1 {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: empty row %d", i)
-			}
-			out[i] = 1 / v
-		}
-		return out, nil
-	default:
-		omega := cfg.Omega
-		if omega <= 0 {
-			omega = 0.9
-		}
-		d := pre.Diag
-		if d == nil {
-			d = a.Diag()
-		}
-		out := make([]float64, a.Rows())
-		for i, v := range d {
-			if v == 0 {
-				return nil, fmt.Errorf("smoother: zero diagonal at row %d", i)
-			}
-			out[i] = omega / v
-		}
-		return out, nil
+	omega := cfg.Omega
+	if omega <= 0 {
+		omega = 0.9
 	}
+	return diagonalScaling(a, cfg.Kind == L1Jacobi, omega, pre)
 }
 
 // SolveSweepBlockAtomic performs one relaxation sweep of block b directly on
@@ -591,11 +474,7 @@ func (s *S) ApplySymmetrized(e, r, scratch []float64) {
 			e[i] = s.invDiag[i] * r[i]
 		}
 		// scratch = A u
-		if s.A != nil {
-			s.A.MatVec(scratch, e)
-		} else {
-			s.Op.Apply(scratch, e)
-		}
+		s.Op.Apply(scratch, e)
 		// e = 2u − M⁻¹ scratch
 		for i := range e {
 			e[i] = 2*e[i] - s.invDiag[i]*scratch[i]

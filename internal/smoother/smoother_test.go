@@ -524,7 +524,9 @@ func TestKindStrings(t *testing.T) {
 
 func TestSweepBlockFromResidualMatchesSweep(t *testing.T) {
 	// A full residual + per-block SweepBlockFromResidual must equal Sweep
-	// for every kind.
+	// for every kind, with the blocks swept concurrently as team threads
+	// do (each block writes only its own rows of e and of the shared
+	// scratch; the race job checks that).
 	for _, cfg := range allKinds() {
 		a := grid.Laplacian7pt(3)
 		n := a.Rows
@@ -544,9 +546,15 @@ func TestSweepBlockFromResidualMatchesSweep(t *testing.T) {
 
 		res := make([]float64, n)
 		a.Residual(res, b, e2)
+		var wg sync.WaitGroup
 		for blk := 0; blk < s2.NumBlocks(); blk++ {
-			s2.SweepBlockFromResidual(e2, res, blk)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s2.SweepBlockFromResidual(e2, res, blk)
+			}()
 		}
+		wg.Wait()
 		for i := range e1 {
 			if math.Abs(e1[i]-e2[i]) > 1e-13 {
 				t.Fatalf("%v: block sweep differs at %d: %v vs %v", cfg.Kind, i, e1[i], e2[i])

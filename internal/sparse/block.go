@@ -9,37 +9,24 @@
 // column, to k invocations of the corresponding single-vector kernel: the
 // inner q-loop visits nonzeros in the same ascending order and each
 // column's accumulation is an independent float64 chain, so y[i*k+c]
-// rounds exactly as the serial y[i] of column c. The *Par wrappers shard
-// rows on the par pool like their single-vector counterparts (row loops
-// are independent, so sharding preserves bitwise identity for any worker
-// count).
+// rounds exactly as the serial y[i] of column c. RunBlock shards rows on
+// the par pool like the single-vector wrappers (row loops are independent,
+// so sharding preserves bitwise identity for any worker count).
 package sparse
 
-import (
-	"fmt"
-	"sync"
+import "fmt"
 
-	"asyncmg/internal/par"
-)
-
-// blockDim validates the row-major block operands of a block kernel.
-func (a *CSR) blockDim(name string, y, x []float64, k int) {
-	if k <= 0 || len(x) != a.Cols*k || len(y) != a.Rows*k {
-		panic(fmt.Sprintf("sparse: %s dimension mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
-			name, a.Rows, a.Cols, k, len(x), len(y)))
-	}
-}
-
-// MatVecBlockRange computes rows [lo, hi) of Y = A X for k packed columns.
-func (a *CSR) MatVecBlockRange(y, x []float64, k, lo, hi int) {
+// ApplyBlockRange computes rows [lo, hi) of Y = A X for k packed columns.
+func (a *Matrix[V, I]) ApplyBlockRange(y, x []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yi := y[i*k : (i+1)*k]
 		for c := range yi {
 			yi[c] = 0
 		}
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			v := a.Vals[q]
-			xj := x[a.ColIdx[q]*k : (a.ColIdx[q]+1)*k]
+		cols, vals := a.row(i)
+		for q, j := range cols {
+			v := float64(vals[q])
+			xj := x[int(j)*k : (int(j)+1)*k]
 			for c := range yi {
 				yi[c] += v * xj[c]
 			}
@@ -47,18 +34,18 @@ func (a *CSR) MatVecBlockRange(y, x []float64, k, lo, hi int) {
 	}
 }
 
-// MatVecAddBlockRange computes rows [lo, hi) of Y += A X for k packed
+// ApplyAddBlockRange computes rows [lo, hi) of Y += A X for k packed
 // columns. The row sum accumulates in a fresh accumulator per column and
-// is added to y once, matching MatVecAdd's `y[i] += s` association so the
-// result rounds identically to the single-vector kernel.
-func (a *CSR) MatVecAddBlockRange(y, x []float64, k, lo, hi int) {
+// is added to y once, matching ApplyAddRange's `y[i] += s` association so
+// the result rounds identically to the single-vector kernel.
+func (a *Matrix[V, I]) ApplyAddBlockRange(y, x []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yi := y[i*k : (i+1)*k]
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.row(i)
 		for c := range yi {
 			s := 0.0
-			for q := lo; q < hi; q++ {
-				s += a.Vals[q] * x[a.ColIdx[q]*k+c]
+			for q, j := range cols {
+				s += float64(vals[q]) * x[int(j)*k+c]
 			}
 			yi[c] += s
 		}
@@ -66,15 +53,16 @@ func (a *CSR) MatVecAddBlockRange(y, x []float64, k, lo, hi int) {
 }
 
 // ResidualBlockRange computes rows [lo, hi) of R = B − A X for k packed
-// columns.
-func (a *CSR) ResidualBlockRange(r, b, x []float64, k, lo, hi int) {
+// columns. r and b may alias.
+func (a *Matrix[V, I]) ResidualBlockRange(r, b, x []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ri := r[i*k : (i+1)*k]
 		bi := b[i*k : (i+1)*k]
 		copy(ri, bi)
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			v := a.Vals[q]
-			xj := x[a.ColIdx[q]*k : (a.ColIdx[q]+1)*k]
+		cols, vals := a.row(i)
+		for q, j := range cols {
+			v := float64(vals[q])
+			xj := x[int(j)*k : (int(j)+1)*k]
 			for c := range ri {
 				ri[c] -= v * xj[c]
 			}
@@ -82,69 +70,24 @@ func (a *CSR) ResidualBlockRange(r, b, x []float64, k, lo, hi int) {
 	}
 }
 
-type blockKernel struct {
-	a       *CSR
-	y, b, x []float64
-	k       int
-	op      int // 0 = matvec, 1 = matvec-add, 2 = residual
-}
-
-func (kr *blockKernel) Do(_, lo, hi int) {
-	switch kr.op {
-	case 0:
-		kr.a.MatVecBlockRange(kr.y, kr.x, kr.k, lo, hi)
-	case 1:
-		kr.a.MatVecAddBlockRange(kr.y, kr.x, kr.k, lo, hi)
-	default:
-		kr.a.ResidualBlockRange(kr.y, kr.b, kr.x, kr.k, lo, hi)
+// RunBlock runs one of the three block kernels over all rows: Y = A X
+// (KApplyBlock), Y += A X (KApplyAddBlock) or Y = B − A X (KResidualBlock;
+// b is ignored by the other two) for k packed columns. It validates the
+// operand shapes and shards rows across the kernel pool when the matrix
+// carries enough work (k times the single-vector work).
+func (a *Matrix[V, I]) RunBlock(kernel Kernel, y, b, x []float64, k int) {
+	if k <= 0 || len(x) != a.Cols*k || len(y) != a.Rows*k {
+		panic(fmt.Sprintf("sparse: block kernel dimension mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
+			a.Rows, a.Cols, k, len(x), len(y)))
 	}
-}
-
-var blockPool = sync.Pool{New: func() any { return new(blockKernel) }}
-
-func (a *CSR) runBlock(y, b, x []float64, k, op int) {
-	kr := blockPool.Get().(*blockKernel)
-	kr.a, kr.y, kr.b, kr.x, kr.k, kr.op = a, y, b, x, k, op
-	par.Default().Run(a.Rows, kr)
-	*kr = blockKernel{}
-	blockPool.Put(kr)
-}
-
-// MatVecBlockPar computes Y = A X for k packed columns, sharding rows
-// across the kernel pool when the matrix carries enough work (k times the
-// single-vector work). Bitwise-identical to k serial MatVec calls.
-func (a *CSR) MatVecBlockPar(y, x []float64, k int) {
-	a.blockDim("MatVecBlock", y, x, k)
-	if !par.Par(a.NNZ() * k) {
-		a.MatVecBlockRange(y, x, k, 0, a.Rows)
-		return
+	s := shard{kernel: kernel, on: a, v: [4][]float64{y, x}, k: k}
+	if kernel == KResidualBlock {
+		if len(b) != a.Rows*k {
+			panic(fmt.Sprintf("sparse: block residual rhs length %d, want %d", len(b), a.Rows*k))
+		}
+		s.v = [4][]float64{y, b, x}
 	}
-	a.runBlock(y, nil, x, k, 0)
-}
-
-// MatVecAddBlockPar computes Y += A X for k packed columns with the same
-// sharding policy as MatVecBlockPar.
-func (a *CSR) MatVecAddBlockPar(y, x []float64, k int) {
-	a.blockDim("MatVecAddBlock", y, x, k)
-	if !par.Par(a.NNZ() * k) {
-		a.MatVecAddBlockRange(y, x, k, 0, a.Rows)
-		return
-	}
-	a.runBlock(y, nil, x, k, 1)
-}
-
-// ResidualBlockPar computes R = B − A X for k packed columns with the same
-// sharding policy as MatVecBlockPar. r and b may alias.
-func (a *CSR) ResidualBlockPar(r, b, x []float64, k int) {
-	a.blockDim("ResidualBlock", r, x, k)
-	if len(b) != a.Rows*k {
-		panic(fmt.Sprintf("sparse: ResidualBlock rhs length %d, want %d", len(b), a.Rows*k))
-	}
-	if !par.Par(a.NNZ() * k) {
-		a.ResidualBlockRange(r, b, x, k, 0, a.Rows)
-		return
-	}
-	a.runBlock(r, b, x, k, 2)
+	s.run(a.NNZ()*k, a.Rows)
 }
 
 // PackBlock interleaves k column vectors into a row-major block vector

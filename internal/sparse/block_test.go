@@ -66,25 +66,25 @@ func TestBlockKernelsBitwiseMatchSerialColumns(t *testing.T) {
 			for _, f := range fixtures {
 				n, k := f.a.Rows, f.k
 				y := make([]float64, n*k)
-				f.a.MatVecBlockPar(y, f.x, k)
+				f.a.RunBlock(KApplyBlock, y, nil, f.x, k)
 				for c := 0; c < k; c++ {
-					eqCol(t, "MatVecBlockPar", y, k, c, f.matvec[c])
+					eqCol(t, "RunBlock(KApplyBlock)", y, k, c, f.matvec[c])
 				}
 				ya := append([]float64(nil), f.y0...)
-				f.a.MatVecAddBlockPar(ya, f.x, k)
+				f.a.RunBlock(KApplyAddBlock, ya, nil, f.x, k)
 				for c := 0; c < k; c++ {
-					eqCol(t, "MatVecAddBlockPar", ya, k, c, f.matvecAdd[c])
+					eqCol(t, "RunBlock(KApplyAddBlock)", ya, k, c, f.matvecAdd[c])
 				}
 				r := make([]float64, n*k)
-				f.a.ResidualBlockPar(r, f.b, f.x, k)
+				f.a.RunBlock(KResidualBlock, r, f.b, f.x, k)
 				for c := 0; c < k; c++ {
-					eqCol(t, "ResidualBlockPar", r, k, c, f.residual[c])
+					eqCol(t, "RunBlock(KResidualBlock)", r, k, c, f.residual[c])
 				}
 				// Aliased residual (r == b) must agree too.
 				rb := append([]float64(nil), f.b...)
-				f.a.ResidualBlockPar(rb, rb, f.x, k)
+				f.a.RunBlock(KResidualBlock, rb, rb, f.x, k)
 				for c := 0; c < k; c++ {
-					eqCol(t, "ResidualBlockPar(aliased)", rb, k, c, f.residual[c])
+					eqCol(t, "RunBlock(KResidualBlock, aliased)", rb, k, c, f.residual[c])
 				}
 				// Pack/unpack round trip.
 				col := make([]float64, n)

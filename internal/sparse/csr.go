@@ -5,43 +5,93 @@
 // Gauss-Seidel-type smoothers, and a COO assembly builder for the FEM and
 // stencil problem generators.
 //
-// All matrices use 0-based indices, float64 values, and row-major CSR
-// storage. Within each row, column indices are kept sorted ascending; every
-// constructor and transformation in this package preserves that invariant,
-// and Validate checks it.
+// All matrices use 0-based indices and row-major CSR storage, generic over
+// the stored value and index types (Matrix); every kernel accumulates in
+// float64 against float64 vectors. The setup phase (assembly, GEMM,
+// sparsification) works on CSR, the float64/int instantiation. Within each
+// row, column indices are kept sorted ascending; every constructor and
+// transformation in this package preserves that invariant, and Validate
+// checks it.
 package sparse
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"asyncmg/internal/par"
 )
 
-// CSR is a sparse matrix in compressed sparse row format.
+// Value is a stored matrix-entry type; Index a stored row-pointer and
+// column-index type.
+type (
+	Value interface{ float32 | float64 }
+	Index interface{ int32 | int }
+)
+
+// Matrix is a sparse matrix in compressed sparse row format, generic over
+// its stored value and index types.
 //
 // Row i occupies the half-open range RowPtr[i]:RowPtr[i+1] of ColIdx and
 // Vals. ColIdx is sorted ascending within each row and contains no
 // duplicates.
-type CSR struct {
+type Matrix[V Value, I Index] struct {
 	// Rows and Cols are the matrix dimensions.
 	Rows, Cols int
 	// RowPtr has length Rows+1; RowPtr[0] == 0 and RowPtr[Rows] == len(Vals).
-	RowPtr []int
+	RowPtr []I
 	// ColIdx holds the column index of each stored entry.
-	ColIdx []int
+	ColIdx []I
 	// Vals holds the value of each stored entry.
-	Vals []float64
+	Vals []V
+}
+
+// CSR is the float64/int matrix the setup phase builds and transforms.
+type CSR = Matrix[float64, int]
+
+// Convert re-stores m with value type V and index type I (float32 values
+// round once, here). It panics if a dimension or the entry count does not
+// fit I.
+func Convert[V Value, I Index, V0 Value, I0 Index](m *Matrix[V0, I0]) *Matrix[V, I] {
+	for _, n := range [...]int{m.Rows, m.Cols, len(m.Vals)} {
+		if int(I(n)) != n {
+			panic(fmt.Sprintf("sparse: Convert: %d does not fit the index type", n))
+		}
+	}
+	c := &Matrix[V, I]{
+		Rows:   m.Rows,
+		Cols:   m.Cols,
+		RowPtr: make([]I, len(m.RowPtr)),
+		ColIdx: make([]I, len(m.ColIdx)),
+		Vals:   make([]V, len(m.Vals)),
+	}
+	for i, p := range m.RowPtr {
+		c.RowPtr[i] = I(p)
+	}
+	for i, j := range m.ColIdx {
+		c.ColIdx[i] = I(j)
+	}
+	for i, v := range m.Vals {
+		c.Vals[i] = V(v)
+	}
+	return c
 }
 
 // NNZ returns the number of stored entries.
-func (a *CSR) NNZ() int { return len(a.Vals) }
+func (a *Matrix[V, I]) NNZ() int { return len(a.Vals) }
+
+// Bytes reports the resident storage of the three CSR arrays.
+func (a *Matrix[V, I]) Bytes() int {
+	var v V
+	var i I
+	return int(unsafe.Sizeof(i))*(len(a.RowPtr)+len(a.ColIdx)) + int(unsafe.Sizeof(v))*len(a.Vals)
+}
 
 // Validate checks the structural invariants of the CSR storage: monotone row
 // pointers, in-range sorted column indices with no duplicates, and finite
 // values. It returns a descriptive error for the first violation found.
-func (a *CSR) Validate() error {
+func (a *Matrix[V, I]) Validate() error {
 	if a.Rows < 0 || a.Cols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", a.Rows, a.Cols)
 	}
@@ -51,7 +101,7 @@ func (a *CSR) Validate() error {
 	if a.RowPtr[0] != 0 {
 		return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
 	}
-	if a.RowPtr[a.Rows] != len(a.Vals) || len(a.ColIdx) != len(a.Vals) {
+	if int(a.RowPtr[a.Rows]) != len(a.Vals) || len(a.ColIdx) != len(a.Vals) {
 		return fmt.Errorf("sparse: RowPtr[last]=%d, len(ColIdx)=%d, len(Vals)=%d disagree",
 			a.RowPtr[a.Rows], len(a.ColIdx), len(a.Vals))
 	}
@@ -61,15 +111,15 @@ func (a *CSR) Validate() error {
 		}
 		prev := -1
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
+			j, v := int(a.ColIdx[p]), float64(a.Vals[p])
 			if j < 0 || j >= a.Cols {
 				return fmt.Errorf("sparse: row %d has column %d out of range [0,%d)", i, j, a.Cols)
 			}
 			if j <= prev {
 				return fmt.Errorf("sparse: row %d columns not strictly ascending at %d", i, j)
 			}
-			if math.IsNaN(a.Vals[p]) || math.IsInf(a.Vals[p], 0) {
-				return fmt.Errorf("sparse: row %d col %d has non-finite value %v", i, j, a.Vals[p])
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("sparse: row %d col %d has non-finite value %v", i, j, v)
 			}
 			prev = j
 		}
@@ -79,25 +129,24 @@ func (a *CSR) Validate() error {
 
 // At returns the value stored at (i, j), or 0 if no entry exists. It is
 // O(log nnz(row i)) and intended for tests and small problems, not kernels.
-func (a *CSR) At(i, j int) float64 {
-	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	k := sort.SearchInts(a.ColIdx[lo:hi], j) + lo
-	if k < hi && a.ColIdx[k] == j {
-		return a.Vals[k]
+func (a *Matrix[V, I]) At(i, j int) float64 {
+	cols, vals := a.row(i)
+	k := sort.Search(len(cols), func(k int) bool { return int(cols[k]) >= j })
+	if k < len(cols) && int(cols[k]) == j {
+		return float64(vals[k])
 	}
 	return 0
 }
 
 // Clone returns a deep copy of the matrix.
-func (a *CSR) Clone() *CSR {
-	b := &CSR{
+func (a *Matrix[V, I]) Clone() *Matrix[V, I] {
+	return &Matrix[V, I]{
 		Rows:   a.Rows,
 		Cols:   a.Cols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Vals:   append([]float64(nil), a.Vals...),
+		RowPtr: append([]I(nil), a.RowPtr...),
+		ColIdx: append([]I(nil), a.ColIdx...),
+		Vals:   append([]V(nil), a.Vals...),
 	}
-	return b
 }
 
 // Identity returns the n-by-n identity matrix.
@@ -115,123 +164,15 @@ func Identity(n int) *CSR {
 	return a
 }
 
-// Diag extracts the main diagonal into a new slice. Missing diagonal entries
-// are reported as 0.
-func (a *CSR) Diag() []float64 {
-	d := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if a.ColIdx[p] == i {
-				d[i] = a.Vals[p]
-				break
-			}
-		}
-	}
-	return d
-}
-
-// RowL1Norms returns the l1 norm of each row, sum_j |a_ij|. This is the
-// diagonal of the l1-Jacobi smoothing matrix described in the paper
-// (Baker, Falgout, Kolev & Yang, "Multigrid smoothers for ultraparallel
-// computing").
-func (a *CSR) RowL1Norms() []float64 {
-	d := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += math.Abs(a.Vals[p])
-		}
-		d[i] = s
-	}
-	return d
-}
-
-// MatVec computes y = A x. len(x) must be a.Cols and len(y) must be a.Rows;
-// x and y must not alias.
-func (a *CSR) MatVec(y, x []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MatVec dimension mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
-			a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += a.Vals[p] * x[a.ColIdx[p]]
-		}
-		y[i] = s
-	}
-}
-
-// MatVecRange computes y[lo:hi] = (A x)[lo:hi] for the row range [lo, hi).
-// It is the building block used by goroutine teams, which split the row
-// space of a shared SpMV among themselves.
-func (a *CSR) MatVecRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += a.Vals[p] * x[a.ColIdx[p]]
-		}
-		y[i] = s
-	}
-}
-
-// MatVecAdd computes y += A x.
-func (a *CSR) MatVecAdd(y, x []float64) {
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += a.Vals[p] * x[a.ColIdx[p]]
-		}
-		y[i] += s
-	}
-}
-
-// MatVecAddRange computes y[lo:hi] += (A x)[lo:hi] for the row range
-// [lo, hi).
-func (a *CSR) MatVecAddRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += a.Vals[p] * x[a.ColIdx[p]]
-		}
-		y[i] += s
-	}
-}
-
-// Residual computes r = b - A x.
-func (a *CSR) Residual(r, b, x []float64) {
-	if len(r) != a.Rows || len(b) != a.Rows || len(x) != a.Cols {
-		panic("sparse: Residual dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		s := b[i]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s -= a.Vals[p] * x[a.ColIdx[p]]
-		}
-		r[i] = s
-	}
-}
-
-// ResidualRange computes r[lo:hi] = (b - A x)[lo:hi].
-func (a *CSR) ResidualRange(r, b, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := b[i]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s -= a.Vals[p] * x[a.ColIdx[p]]
-		}
-		r[i] = s
-	}
-}
-
 // Transpose returns Aᵀ as a new CSR matrix. The result has sorted rows by
 // construction (counting sort over rows of A). Large transposes shard the
 // count and scatter passes over the kernel pool (see transposePar); the
 // output is bitwise-identical either way.
-func (a *CSR) Transpose() *CSR {
-	t := &CSR{Rows: a.Cols, Cols: a.Rows,
-		RowPtr: make([]int, a.Cols+1),
-		ColIdx: make([]int, a.NNZ()),
-		Vals:   make([]float64, a.NNZ()),
+func (a *Matrix[V, I]) Transpose() *Matrix[V, I] {
+	t := &Matrix[V, I]{Rows: a.Cols, Cols: a.Rows,
+		RowPtr: make([]I, a.Cols+1),
+		ColIdx: make([]I, a.NNZ()),
+		Vals:   make([]V, a.NNZ()),
 	}
 	if par.Par(a.NNZ()) {
 		a.transposePar(t)
@@ -244,13 +185,13 @@ func (a *CSR) Transpose() *CSR {
 	for i := 0; i < a.Cols; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := append([]int(nil), t.RowPtr[:a.Cols]...)
+	next := append([]I(nil), t.RowPtr[:a.Cols]...)
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.ColIdx[p]
 			q := next[j]
 			next[j]++
-			t.ColIdx[q] = i
+			t.ColIdx[q] = I(i)
 			t.Vals[q] = a.Vals[p]
 		}
 	}
@@ -261,40 +202,40 @@ func (a *CSR) Transpose() *CSR {
 // entries are always kept). Used to post-filter near-zero fill-in from
 // sparse products such as the smoothed interpolants. The output is sized
 // exactly by a counting pass, so no append regrowth occurs.
-func (a *CSR) DropSmall(tol float64) *CSR {
+func (a *Matrix[V, I]) DropSmall(tol float64) *Matrix[V, I] {
 	keep := 0
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if math.Abs(a.Vals[p]) > tol || a.ColIdx[p] == i {
+			if math.Abs(float64(a.Vals[p])) > tol || int(a.ColIdx[p]) == i {
 				keep++
 			}
 		}
 	}
-	c := &CSR{Rows: a.Rows, Cols: a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int, 0, keep),
-		Vals:   make([]float64, 0, keep),
+	c := &Matrix[V, I]{Rows: a.Rows, Cols: a.Cols,
+		RowPtr: make([]I, a.Rows+1),
+		ColIdx: make([]I, 0, keep),
+		Vals:   make([]V, 0, keep),
 	}
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if math.Abs(a.Vals[p]) > tol || a.ColIdx[p] == i {
+			if math.Abs(float64(a.Vals[p])) > tol || int(a.ColIdx[p]) == i {
 				c.ColIdx = append(c.ColIdx, a.ColIdx[p])
 				c.Vals = append(c.Vals, a.Vals[p])
 			}
 		}
-		c.RowPtr[i+1] = len(c.Vals)
+		c.RowPtr[i+1] = I(len(c.Vals))
 	}
 	return c
 }
 
 // ScaleRows multiplies row i of a by s[i] in place.
-func (a *CSR) ScaleRows(s []float64) {
+func (a *Matrix[V, I]) ScaleRows(s []float64) {
 	if len(s) != a.Rows {
 		panic("sparse: ScaleRows length mismatch")
 	}
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			a.Vals[p] *= s[i]
+			a.Vals[p] = V(float64(a.Vals[p]) * s[i])
 		}
 	}
 }
@@ -352,12 +293,12 @@ func addScaled(a, b *CSR, beta float64) *CSR {
 // or below the diagonal, which is exactly one block of the hybrid
 // Jacobi-Gauss-Seidel smoother. Entries of x outside [lo, hi) are not
 // touched. Rows with a zero diagonal leave x unchanged for that row.
-func (a *CSR) LowerTriSolveRange(x, b []float64, lo, hi int) {
+func (a *Matrix[V, I]) LowerTriSolveRange(x, b []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s := b[i]
 		diag := 0.0
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
+			j := int(a.ColIdx[p])
 			if j < lo {
 				continue
 			}
@@ -365,9 +306,9 @@ func (a *CSR) LowerTriSolveRange(x, b []float64, lo, hi int) {
 				break // sorted columns: nothing at or below the diagonal remains
 			}
 			if j == i {
-				diag = a.Vals[p]
+				diag = float64(a.Vals[p])
 			} else {
-				s -= a.Vals[p] * x[j]
+				s -= float64(a.Vals[p]) * x[j]
 			}
 		}
 		if diag != 0 {
@@ -380,16 +321,16 @@ func (a *CSR) LowerTriSolveRange(x, b []float64, lo, hi int) {
 // block [lo, hi) of A x = b, reading the most recent values of x everywhere
 // (including outside the block). It is the serial kernel underneath both
 // hybrid JGS (with block-local reads) and async GS (with shared reads).
-func (a *CSR) GaussSeidelSweepRange(x, b []float64, lo, hi int) {
+func (a *Matrix[V, I]) GaussSeidelSweepRange(x, b []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s := b[i]
 		diag := 0.0
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
+			j := int(a.ColIdx[p])
 			if j == i {
-				diag = a.Vals[p]
+				diag = float64(a.Vals[p])
 			} else {
-				s -= a.Vals[p] * x[j]
+				s -= float64(a.Vals[p]) * x[j]
 			}
 		}
 		if diag != 0 {
@@ -400,7 +341,7 @@ func (a *CSR) GaussSeidelSweepRange(x, b []float64, lo, hi int) {
 
 // IsSymmetric reports whether A equals its transpose up to tol, comparing
 // entry by entry. Intended for tests and setup-time validation.
-func (a *CSR) IsSymmetric(tol float64) bool {
+func (a *Matrix[V, I]) IsSymmetric(tol float64) bool {
 	if a.Rows != a.Cols {
 		return false
 	}
@@ -413,7 +354,7 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 			return false
 		}
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if a.ColIdx[p] != t.ColIdx[p] || math.Abs(a.Vals[p]-t.Vals[p]) > tol {
+			if a.ColIdx[p] != t.ColIdx[p] || math.Abs(float64(a.Vals[p]-t.Vals[p])) > tol {
 				return false
 			}
 		}
@@ -423,13 +364,13 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 
 // ToDense expands the matrix into a dense row-major slice of slices.
 // Intended for tests and the coarse-grid direct solver.
-func (a *CSR) ToDense() [][]float64 {
+func (a *Matrix[V, I]) ToDense() [][]float64 {
 	d := make([][]float64, a.Rows)
 	flat := make([]float64, a.Rows*a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		d[i] = flat[i*a.Cols : (i+1)*a.Cols]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			d[i][a.ColIdx[p]] = a.Vals[p]
+			d[i][a.ColIdx[p]] = float64(a.Vals[p])
 		}
 	}
 	return d

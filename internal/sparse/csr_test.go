@@ -127,7 +127,7 @@ func TestMatVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMatVecRangeMatchesFull(t *testing.T) {
+func TestApplyRangeMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randCSR(rng, 25, 17, 0.3)
 	x := randVec(rng, 17)
@@ -135,7 +135,7 @@ func TestMatVecRangeMatchesFull(t *testing.T) {
 	a.MatVec(full, x)
 	pieces := make([]float64, 25)
 	for _, r := range [][2]int{{0, 7}, {7, 20}, {20, 25}} {
-		a.MatVecRange(pieces, x, r[0], r[1])
+		a.ApplyRange(pieces, x, r[0], r[1])
 	}
 	if d := maxAbsDiff(full, pieces); d != 0 {
 		t.Errorf("range SpMV differs from full by %g", d)

@@ -268,12 +268,12 @@ func releaseTransScratch(s *transScratch) { transScratchPool.Put(s) }
 
 // transposeCountKernel counts, per shard, how many entries of A fall in
 // each column. Each shard zeroes and fills only its own count array.
-type transposeCountKernel struct {
-	a      *CSR
+type transposeCountKernel[V Value, I Index] struct {
+	a      *Matrix[V, I]
 	counts [][]int
 }
 
-func (k *transposeCountKernel) Do(shard, lo, hi int) {
+func (k *transposeCountKernel[V, I]) Do(shard, lo, hi int) {
 	cnt := k.counts[shard]
 	for j := range cnt {
 		cnt[j] = 0
@@ -286,12 +286,12 @@ func (k *transposeCountKernel) Do(shard, lo, hi int) {
 
 // transposeScatterKernel writes each shard's entries into its
 // pre-computed disjoint slots (counts rewritten as next-write cursors).
-type transposeScatterKernel struct {
-	a, t *CSR
+type transposeScatterKernel[V Value, I Index] struct {
+	a, t *Matrix[V, I]
 	next [][]int
 }
 
-func (k *transposeScatterKernel) Do(shard, lo, hi int) {
+func (k *transposeScatterKernel[V, I]) Do(shard, lo, hi int) {
 	next := k.next[shard]
 	a, t := k.a, k.t
 	for i := lo; i < hi; i++ {
@@ -299,16 +299,11 @@ func (k *transposeScatterKernel) Do(shard, lo, hi int) {
 			j := a.ColIdx[p]
 			q := next[j]
 			next[j]++
-			t.ColIdx[q] = i
+			t.ColIdx[q] = I(i)
 			t.Vals[q] = a.Vals[p]
 		}
 	}
 }
-
-var (
-	transposeCountPool   = sync.Pool{New: func() any { return new(transposeCountKernel) }}
-	transposeScatterPool = sync.Pool{New: func() any { return new(transposeScatterKernel) }}
-)
 
 // transposePar is the sharded counting-sort transpose: a parallel
 // per-shard column count, a serial O(workers·cols) offset combine, and
@@ -316,16 +311,12 @@ var (
 // s's entries land after those of shards < s and are ordered by source
 // row within the shard, so the global order is source-row ascending —
 // exactly the serial result.
-func (a *CSR) transposePar(t *CSR) {
+func (a *Matrix[V, I]) transposePar(t *Matrix[V, I]) {
 	pool := par.Default()
 	w := pool.Workers()
 	s := acquireTransScratch(w, a.Cols)
 
-	ck := transposeCountPool.Get().(*transposeCountKernel)
-	ck.a, ck.counts = a, s.counts
-	pool.Run(a.Rows, ck)
-	*ck = transposeCountKernel{}
-	transposeCountPool.Put(ck)
+	pool.Run(a.Rows, &transposeCountKernel[V, I]{a, s.counts})
 
 	// Combine: column totals into RowPtr, then rewrite each live shard's
 	// counts as its starting offset within the column's slot range.
@@ -343,10 +334,10 @@ func (a *CSR) transposePar(t *CSR) {
 				total += s.counts[shard][j]
 			}
 		}
-		t.RowPtr[j+1] = t.RowPtr[j] + total
+		t.RowPtr[j+1] = t.RowPtr[j] + I(total)
 	}
 	for j := 0; j < a.Cols; j++ {
-		off := t.RowPtr[j]
+		off := int(t.RowPtr[j])
 		for shard := 0; shard < w; shard++ {
 			if !live[shard] {
 				continue
@@ -357,11 +348,7 @@ func (a *CSR) transposePar(t *CSR) {
 		}
 	}
 
-	sk := transposeScatterPool.Get().(*transposeScatterKernel)
-	sk.a, sk.t, sk.next = a, t, s.counts
-	pool.Run(a.Rows, sk)
-	*sk = transposeScatterKernel{}
-	transposeScatterPool.Put(sk)
+	pool.Run(a.Rows, &transposeScatterKernel[V, I]{a, t, s.counts})
 
 	releaseTransScratch(s)
 }

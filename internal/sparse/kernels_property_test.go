@@ -21,16 +21,18 @@ func withWorkers(t *testing.T, workers int) {
 	})
 }
 
-// TestFusedKernelsBitwiseAcrossWorkerCounts is the property the kernel
-// layer promises: every fused or sharded kernel is bitwise-identical to
+// TestFusedKernelsBitwiseAcrossWorkerCounts is the property the two
+// float64-pair fused scatter kernels promise: each is bitwise-identical to
 // the composed serial sequence it replaces, for any worker count. The
 // serial references are computed once (before any pool swap) and compared
 // against runs with 1, 2, and 8 workers over several random operators.
+// (The row kernels themselves are covered for every value/index type by
+// op.TestCSRKernelTable.)
 func TestFusedKernelsBitwiseAcrossWorkerCounts(t *testing.T) {
 	type fixture struct {
 		a, p, pT              *CSR
 		b, x, invDiag         []float64
-		matvec, residual      []float64 // serial references
+		residual              []float64 // serial references
 		e, tpost              []float64
 		restrict, tripleE, rc []float64
 	}
@@ -49,8 +51,6 @@ func TestFusedKernelsBitwiseAcrossWorkerCounts(t *testing.T) {
 			f.invDiag[i] = 0.9 / d[i]
 		}
 		// Composed serial references.
-		f.matvec = make([]float64, f.a.Rows)
-		f.a.MatVec(f.matvec, f.x)
 		f.residual = make([]float64, f.a.Rows)
 		f.a.Residual(f.residual, f.b, f.x)
 		f.e = make([]float64, f.a.Rows)
@@ -80,13 +80,6 @@ func TestFusedKernelsBitwiseAcrossWorkerCounts(t *testing.T) {
 			withWorkers(t, workers)
 			for _, f := range fixtures {
 				n, nc := f.a.Rows, f.p.Cols
-				y := make([]float64, n)
-				f.a.MatVecPar(y, f.x)
-				eq(t, "MatVecPar", y, f.matvec)
-				r := make([]float64, n)
-				f.a.ResidualPar(r, f.b, f.x)
-				eq(t, "ResidualPar", r, f.residual)
-
 				rc := make([]float64, nc)
 				tmp := make([]float64, n)
 				FusedResidualRestrict(f.a, f.p, f.pT, rc, f.b, f.x, tmp)
@@ -95,12 +88,6 @@ func TestFusedKernelsBitwiseAcrossWorkerCounts(t *testing.T) {
 				rcSerial := make([]float64, nc)
 				FusedResidualRestrict(f.a, f.p, nil, rcSerial, f.b, f.x, tmp)
 				eq(t, "FusedResidualRestrict(serial)", rcSerial, f.restrict)
-
-				e := make([]float64, n)
-				tv := make([]float64, n)
-				f.a.FusedJacobiResidual(e, tv, f.invDiag, f.b)
-				eq(t, "FusedJacobiResidual e", e, f.e)
-				eq(t, "FusedJacobiResidual t", tv, f.tpost)
 
 				e2 := make([]float64, n)
 				rc2 := make([]float64, nc)

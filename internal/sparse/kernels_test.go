@@ -35,55 +35,6 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { par.SetThreshold(old) })
 }
 
-func TestMatVecParBitwiseMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randKernelCSR(t, rng, 313, 313, 9)
-	x := randVec(rng, a.Cols)
-	want := make([]float64, a.Rows)
-	a.MatVec(want, x)
-
-	got := make([]float64, a.Rows)
-	a.MatVecPar(got, x) // below threshold: serial fallback
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("serial fallback differs at %d", i)
-		}
-	}
-	forceParallel(t)
-	a.MatVecPar(got, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parallel MatVec differs at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-	// MatVecAddPar
-	y1 := randVec(rand.New(rand.NewSource(2)), a.Rows)
-	y2 := append([]float64(nil), y1...)
-	a.MatVecAdd(y1, x)
-	a.MatVecAddPar(y2, x)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("parallel MatVecAdd differs at %d", i)
-		}
-	}
-}
-
-func TestResidualParBitwiseMatchesSerial(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(3))
-	a := randKernelCSR(t, rng, 257, 257, 7)
-	x, b := randVec(rng, a.Cols), randVec(rng, a.Rows)
-	want := make([]float64, a.Rows)
-	got := make([]float64, a.Rows)
-	a.Residual(want, b, x)
-	a.ResidualPar(got, b, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parallel Residual differs at %d", i)
-		}
-	}
-}
-
 // fusedFixture builds a fine operator and an interpolation-shaped p
 // (tall, few entries per row) plus its transpose.
 func fusedFixture(t *testing.T, seed int64) (a, p, pT *CSR, b, x []float64) {
@@ -118,41 +69,6 @@ func TestFusedResidualRestrictBitwise(t *testing.T) {
 	for i := range want {
 		if got2[i] != want[i] {
 			t.Fatalf("fused parallel differs at %d: %v vs %v", i, got2[i], want[i])
-		}
-	}
-}
-
-func TestFusedJacobiResidualBitwise(t *testing.T) {
-	a, _, _, _, r := fusedFixture(t, 5)
-	invDiag := make([]float64, a.Rows)
-	d := a.Diag()
-	for i := range invDiag {
-		invDiag[i] = 0.9 / d[i]
-	}
-	// Unfused reference: e = D⁻¹ r; t = r − A e.
-	wantE := make([]float64, a.Rows)
-	for i := range wantE {
-		wantE[i] = invDiag[i] * r[i]
-	}
-	wantT := make([]float64, a.Rows)
-	a.Residual(wantT, r, wantE)
-
-	e := make([]float64, a.Rows)
-	tv := make([]float64, a.Rows)
-	a.FusedJacobiResidual(e, tv, invDiag, r)
-	for i := range wantE {
-		if e[i] != wantE[i] || tv[i] != wantT[i] {
-			t.Fatalf("fused jacobi+residual differs at %d: e %v vs %v, t %v vs %v",
-				i, e[i], wantE[i], tv[i], wantT[i])
-		}
-	}
-	forceParallel(t)
-	e2 := make([]float64, a.Rows)
-	t2 := make([]float64, a.Rows)
-	a.FusedJacobiResidual(e2, t2, invDiag, r)
-	for i := range wantE {
-		if e2[i] != wantE[i] || t2[i] != wantT[i] {
-			t.Fatalf("parallel fused jacobi+residual differs at %d", i)
 		}
 	}
 }
