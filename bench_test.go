@@ -345,8 +345,7 @@ func BenchmarkKernelSpMV27pt(b *testing.B) {
 // BenchmarkKernelSparsify measures the strength-aware sparsification
 // kernel on the densified 27-point coarse-operator workload, one
 // sub-benchmark per compensation mode. The kernel's contract is 0
-// allocs/op on a warm destination (benchguard -sparsify also enforces it
-// via the measurement embedded in BENCH_sparsify.json).
+// allocs/op on a warm destination (TestSparsifyIntoSteadyStateAllocs).
 func BenchmarkKernelSparsify(b *testing.B) {
 	a, err := asyncmg.BuildProblem("27pt", 16)
 	if err != nil {
@@ -383,84 +382,6 @@ func BenchmarkKernelAMGSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkStencilApply compares the fine-level operator application of
-// the assembled CSR Laplacians against their matrix-free stencil twins on
-// the same grid. The stencil rows/s must stay ahead of CSR (benchguard
-// -stencil enforces >= 2x) and both paths are allocation-free.
-func BenchmarkStencilApply(b *testing.B) {
-	for _, tc := range []struct {
-		problem string
-		st      asyncmg.Operator
-	}{
-		{"7pt", asyncmg.NewStencil7(24)},
-		{"27pt", asyncmg.NewStencil27(24)},
-	} {
-		a, err := asyncmg.BuildProblem(tc.problem, 24)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := asyncmg.RandomRHS(a.Rows, 1)
-		y := make([]float64, a.Rows)
-		rows := float64(a.Rows)
-		b.Run(tc.problem+"/csr", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MatVec(y, x)
-			}
-			b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrow/s")
-		})
-		b.Run(tc.problem+"/stencil", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.st.ApplyRange(y, x, 0, a.Rows)
-			}
-			b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrow/s")
-		})
-	}
-}
-
-// BenchmarkMixedPrecisionCycle drives one Multadd cycle on the float64
-// and float32-coarse hierarchies of the same problem: the compressed
-// hierarchy must keep the engine's 0 allocs/op steady-state contract, and
-// the reported hierarchy_B metric records the resident-bytes gap.
-func BenchmarkMixedPrecisionCycle(b *testing.B) {
-	a, err := asyncmg.BuildProblem("27pt", 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	smo := asyncmg.SmootherConfig{Kind: asyncmg.WJacobi, Omega: 0.9, Blocks: 1}
-	for _, tc := range []struct {
-		name string
-		prec asyncmg.Precision
-	}{
-		{"f64", asyncmg.Float64},
-		{"f32-coarse", asyncmg.CoarseFloat32},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			opt := asyncmg.DefaultAMGOptions()
-			opt.AggressiveLevels = 1
-			opt.CoarsePrecision = tc.prec
-			s, err := asyncmg.NewSetup(a, opt, smo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rhs := asyncmg.RandomRHS(s.LevelSize(0), 1)
-			x := make([]float64, s.LevelSize(0))
-			w := s.AcquireWorkspace()
-			defer s.ReleaseWorkspace(w)
-			s.Cycle(asyncmg.Multadd, x, rhs, w) // warm up the coarse solver
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Cycle(asyncmg.Multadd, x, rhs, w)
-			}
-			b.ReportMetric(float64(s.HierarchyBytes()), "hierarchy_B")
-		})
-	}
-}
-
 // BenchmarkKernelCycleAllocs drives one engine cycle per method on a held
 // workspace with allocation reporting: the engine's contract is 0
 // allocs/op in steady state (see internal/engine's alloc tests).
@@ -485,7 +406,7 @@ func BenchmarkKernelCycleAllocs(b *testing.B) {
 // BenchmarkKernelCycleObserved repeats BenchmarkKernelCycleAllocs with a
 // metrics observer attached: the observability contract is 0 allocs/op and
 // under 5% time overhead relative to the unobserved cycle (the instruments
-// are preallocated atomics; see BENCH_kernels.json for the recorded delta).
+// are preallocated atomics; bench/'s obs.observer_overhead_pct measures it).
 func BenchmarkKernelCycleObserved(b *testing.B) {
 	for _, m := range []asyncmg.Method{asyncmg.Mult, asyncmg.Multadd, asyncmg.AFACx, asyncmg.BPX} {
 		b.Run(m.String(), func(b *testing.B) {

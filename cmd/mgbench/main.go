@@ -11,9 +11,6 @@
 //	mgbench -fig 4                         # 7pt and 27pt series
 //	mgbench -fig 5                         # mfem-laplace series
 //	mgbench -fig 6 -threads-list 4,8,16,32
-//	mgbench -setup -par-workers 8          # AMG setup-phase timing, serial vs parallel
-//	mgbench -sparsify -out BENCH_sparsify.json  # coarse-operator sparsification table
-//	mgbench -krylov -out BENCH_krylov.json  # AMG-preconditioned Krylov vs plain cycling
 //	mgbench -msgvol                        # distmem message volume, golden vs sparsified
 package main
 
@@ -41,15 +38,9 @@ func main() {
 
 	table := flag.Int("table", 0, "table to regenerate (1)")
 	fig := flag.Int("fig", 0, "figure to regenerate (4, 5 or 6)")
-	setup := flag.Bool("setup", false, "print the AMG setup-phase timing breakdown (serial vs parallel)")
-	stencil := flag.Bool("stencil", false, "print the matrix-free stencil vs CSR comparison (SpMV throughput, hierarchy bytes, rows/GB)")
-	sparsify := flag.Bool("sparsify", false, "print the coarse-stencil-growth table (nnz/row per level before/after sparsification, iteration and cycle-time deltas)")
-	sparsifyTheta := flag.Float64("sparsify-theta", 0, "sparsification drop threshold for -sparsify (0 = default 0.25)")
-	sparsifyMode := flag.String("sparsify-mode", "", "sparsification compensation mode for -sparsify: lump, rescale or drop (default lump)")
-	krylovB := flag.Bool("krylov", false, "print the Krylov-vs-cycling table (PCG iterations vs plain cycling on the paper problems, the conv-diff FGMRES stall row, allocs/solve, block-vs-solo)")
 	msgvol := flag.Bool("msgvol", false, "print the distmem message-volume table (sent-nnz before/after coarse-operator sparsification)")
 	msgvolMethod := flag.String("msgvol-method", "", "additive method for -msgvol: multadd or afacx (default multadd)")
-	out := flag.String("out", "", "with -sparsify or -krylov, also write the machine-readable report (BENCH_sparsify.json / BENCH_krylov.json) to this file")
+	sparsifyTheta := flag.Float64("sparsify-theta", 0, "sparsification drop threshold for -msgvol (0 = default 0.25)")
 	all := flag.Bool("all", false, "regenerate Table I and Figures 4-6 in sequence")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	problem := flag.String("problem", "", "restrict to one problem family")
@@ -67,7 +58,7 @@ func main() {
 	par.SetWorkers(*parWorkers)
 	par.SetThreshold(*parThreshold)
 
-	if *table == 0 && *fig == 0 && !*all && !*setup && !*stencil && !*sparsify && !*krylovB && !*msgvol {
+	if *table == 0 && *fig == 0 && !*all && !*msgvol {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -108,54 +99,6 @@ func main() {
 	}
 	defer finish()
 
-	if *sparsify {
-		cfg := harness.DefaultSparsifyBench()
-		if *problem != "" {
-			cfg.Problems = []string{*problem}
-		}
-		if *size > 0 {
-			cfg.Size = *size
-		}
-		if *runs > 0 {
-			cfg.Reps = *runs
-		}
-		cfg.Theta = *sparsifyTheta
-		cfg.Mode = *sparsifyMode
-		rep, err := harness.SparsifyBench(os.Stdout, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *out != "" {
-			if err := harness.WriteSparsifyReport(*out, rep); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-
-	if *krylovB {
-		cfg := harness.DefaultKrylovBench()
-		if *problem != "" {
-			cfg.Problems = []string{*problem}
-		}
-		if *size > 0 {
-			cfg.Size = *size
-		}
-		if *tau > 0 {
-			cfg.Tau = *tau
-		}
-		rep, err := harness.KrylovBench(os.Stdout, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *out != "" {
-			if err := harness.WriteKrylovReport(*out, rep); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-
 	if *msgvol {
 		cfg := harness.DefaultMsgVolume()
 		if *problem != "" {
@@ -171,39 +114,6 @@ func main() {
 			cfg.Theta = *sparsifyTheta
 		}
 		if _, err := harness.MsgVolume(os.Stdout, cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *stencil {
-		cfg := harness.DefaultStencilBench()
-		if *problem != "" {
-			cfg.Problems = []string{*problem}
-		}
-		if *size > 0 {
-			cfg.Size = *size
-		}
-		if *runs > 0 {
-			cfg.Reps = *runs
-		}
-		if err := harness.StencilBench(os.Stdout, cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *setup {
-		cfg := harness.DefaultSetupBreakdown()
-		if *problem != "" {
-			cfg.Problems = []string{*problem}
-		}
-		if *size > 0 {
-			cfg.Size = *size
-		}
-		cfg.Workers = *parWorkers
-		cfg.Observer = o
-		if err := harness.SetupBreakdown(os.Stdout, cfg); err != nil {
 			log.Fatal(err)
 		}
 		return

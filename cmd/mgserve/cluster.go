@@ -2,58 +2,39 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"asyncmg/internal/cluster"
-	"asyncmg/internal/fault"
-	"asyncmg/internal/obs"
 	"asyncmg/internal/serve"
 )
 
 // runCluster serves the fault-tolerant routing tier: consistent-hash
 // forwarding to the peer fleet, with an embedded local engine as the
 // full-partition fallback.
-func runCluster(addr, peers string, replicas int, cfg serve.Config, o *obs.Observer, timeout time.Duration) error {
-	var nodes []cluster.Node
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			nodes = append(nodes, cluster.Node{Addr: p})
-		}
-	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("-cluster needs -peers host:port[,host:port...]")
-	}
+func runCluster(m mode, cfg serve.Config) error {
 	rt, err := cluster.New(cluster.Config{
-		Nodes:      nodes,
-		Replicas:   replicas,
-		Observer:   o,
+		Nodes:      m.peers,
+		Replicas:   m.replicas,
+		Observer:   cfg.Observer,
 		Local:      serve.New(cfg),
-		MaxTimeout: timeout,
+		MaxTimeout: cfg.MaxTimeout,
 	})
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
 
-	l, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", m.addr)
 	if err != nil {
 		return err
 	}
 	log.Printf("cluster router on http://%s -> %d peers, RF=%d (POST /solve, GET /cluster, GET /metrics)",
-		l.Addr(), len(nodes), replicas)
+		l.Addr(), len(m.peers), m.replicas)
 
 	srv := &http.Server{Handler: rt.Handler()}
 	stop := make(chan os.Signal, 1)
@@ -65,293 +46,8 @@ func runCluster(addr, peers string, replicas int, cfg serve.Config, o *obs.Obser
 		return err
 	case sig := <-stop:
 		log.Printf("%v: stopping router", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout)
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
-}
-
-// ---- cluster load generator ----
-
-// clusterPhase is one load phase's measurements in BENCH_cluster.json.
-type clusterPhase struct {
-	Name     string  `json:"name"`
-	Requests int64   `json:"requests"`
-	Failed   int64   `json:"failed"`
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	WallNS   int64   `json:"wall_ns"`
-	QPS      float64 `json:"qps"`
-	P50NS    int64   `json:"p50_ns"`
-	P99NS    int64   `json:"p99_ns"`
-}
-
-// clusterBench is the BENCH_cluster.json schema, enforced by
-// `benchguard -cluster`: structural fault-tolerance invariants (zero
-// failed requests through kill/restart/straggle/drain, replication
-// keeping the restart phase cache-hot), with QPS/latency recorded for
-// reference.
-type clusterBench struct {
-	Comment  string `json:"_comment"`
-	Recorded string `json:"recorded"`
-	Go       string `json:"go"`
-	Nodes    int    `json:"nodes"`
-	Replicas int    `json:"replicas"`
-	Seed     int64  `json:"seed"`
-	Problem  string `json:"problem"`
-	Sizes    []int  `json:"sizes"`
-	Cycles   int    `json:"cycles"`
-
-	Phases         []clusterPhase `json:"phases"`
-	FailedTotal    int64          `json:"failed_total"`
-	RestartHitRate float64        `json:"restart_hit_rate"`
-
-	Forwards       int64 `json:"forwards_total"`
-	Retries        int64 `json:"retries_total"`
-	Hedges         int64 `json:"hedges_total"`
-	HedgeWins      int64 `json:"hedge_wins_total"`
-	Failovers      int64 `json:"failovers_total"`
-	LocalFallbacks int64 `json:"local_fallbacks_total"`
-	BreakerOpens   int64 `json:"breaker_opens_total"`
-	RingRebuilds   int64 `json:"ring_rebuilds_total"`
-	ReplicaWarms   int64 `json:"replica_warms_total"`
-	ChaosRefused   int64 `json:"chaos_refused"`
-	ChaosResets    int64 `json:"chaos_resets"`
-}
-
-// clusterLoad is the in-process fleet the loadgen drives: N serve
-// handlers on a LocalTransport behind fault.HTTPChaos, one router in
-// front. Same harness as the package's -race acceptance tests, sized for
-// throughput measurement.
-type clusterLoad struct {
-	lt      *cluster.LocalTransport
-	chaos   *fault.HTTPChaos
-	client  *http.Client
-	srvs    []*serve.Server
-	obs     []*obs.Observer
-	rt      *cluster.Router
-	problem string
-	cycles  int
-}
-
-func (cl *clusterLoad) startNode(i int) {
-	o := obs.New(16)
-	s := serve.New(serve.Config{Observer: o, BatchWindow: -1, PeerClient: cl.client})
-	cl.lt.Register(fmt.Sprintf("node%d", i), s.Handler())
-	if i < len(cl.srvs) {
-		cl.srvs[i], cl.obs[i] = s, o
-		return
-	}
-	cl.srvs = append(cl.srvs, s)
-	cl.obs = append(cl.obs, o)
-}
-
-// solve issues one request through the router handler in-process.
-func (cl *clusterLoad) solve(size int) (code int, cache string) {
-	body := fmt.Sprintf(`{"problem":%q,"size":%d,"cycles":%d,"no_batch":true}`, cl.problem, size, cl.cycles)
-	req := httptest.NewRequest("POST", "/solve", strings.NewReader(body))
-	w := httptest.NewRecorder()
-	cl.rt.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		return w.Code, ""
-	}
-	var resp serve.SolveResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		return http.StatusInternalServerError, ""
-	}
-	return w.Code, resp.Cache
-}
-
-// runPhase drives conc workers through perWorker solves each, round-robin
-// over sizes. mid (if set) fires ~10ms in, while requests are in flight —
-// that is how "kill mid-load" and "drain mid-load" are staged.
-func (cl *clusterLoad) runPhase(name string, sizes []int, conc, perWorker int, mid func()) clusterPhase {
-	ph := clusterPhase{Name: name}
-	durs := make([]time.Duration, 0, conc*perWorker)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < conc; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				t0 := time.Now()
-				code, cache := cl.solve(sizes[(g+i)%len(sizes)])
-				d := time.Since(t0)
-				mu.Lock()
-				ph.Requests++
-				durs = append(durs, d)
-				switch {
-				case code != http.StatusOK:
-					ph.Failed++
-				case cache == "hit":
-					ph.Hits++
-				default:
-					ph.Misses++
-				}
-				mu.Unlock()
-			}
-		}(g)
-	}
-	if mid != nil {
-		time.Sleep(10 * time.Millisecond)
-		mid()
-	}
-	wg.Wait()
-	ph.WallNS = time.Since(start).Nanoseconds()
-	if ph.WallNS > 0 {
-		ph.QPS = float64(ph.Requests) / (float64(ph.WallNS) / 1e9)
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	if len(durs) > 0 {
-		ph.P50NS = durs[len(durs)/2].Nanoseconds()
-		ph.P99NS = durs[len(durs)*99/100].Nanoseconds()
-	}
-	fmt.Printf("%-8s requests=%d failed=%d hits=%d misses=%d qps=%.0f p50=%.2fms p99=%.2fms\n",
-		ph.Name, ph.Requests, ph.Failed, ph.Hits, ph.Misses, ph.QPS,
-		float64(ph.P50NS)/1e6, float64(ph.P99NS)/1e6)
-	return ph
-}
-
-// sizeOwnedBy finds a problem size whose primary owner is node idx, so
-// each staged fault hits a node that actually carries traffic.
-func (cl *clusterLoad) sizeOwnedBy(idx, from int) (int, error) {
-	for size := from; size < from+200; size++ {
-		key := cluster.ShardKey(&serve.SolveRequest{Problem: cl.problem, Size: size})
-		if own := cl.rt.Owners(key); len(own) > 0 && own[0] == idx {
-			return size, nil
-		}
-	}
-	return 0, fmt.Errorf("no size in [%d,%d) hashes to node %d", from, from+200, idx)
-}
-
-// runClusterLoadgen measures the cluster tier under the acceptance
-// fault schedule: warmup, steady state, kill mid-load, restart, a
-// straggling node (hedging), and a drain mid-load. Everything is
-// in-process and seed-deterministic.
-func runClusterLoadgen(out, problem string, baseSize, cycles, nodes, replicas, conc, perWorker int, seed int64) error {
-	cl := &clusterLoad{lt: cluster.NewLocalTransport(), problem: problem, cycles: cycles}
-	cl.chaos = fault.NewHTTPChaos(fault.HTTPConfig{Seed: seed}, cl.lt)
-	cl.client = &http.Client{Transport: cl.chaos}
-	var peerList []cluster.Node
-	for i := 0; i < nodes; i++ {
-		cl.startNode(i)
-		peerList = append(peerList, cluster.Node{Addr: fmt.Sprintf("node%d", i)})
-	}
-	rt, err := cluster.New(cluster.Config{
-		Nodes:         peerList,
-		Replicas:      replicas,
-		Client:        cl.client,
-		ProbeInterval: -1, // membership transitions are staged, not timed
-		HedgeAfter:    5 * time.Millisecond,
-		RetryBase:     5 * time.Millisecond,
-		RetryAfterCap: 50 * time.Millisecond,
-		Seed:          seed,
-	})
-	if err != nil {
-		return err
-	}
-	cl.rt = rt
-	defer rt.Close()
-
-	// One shard per node (so the kill and the straggler both land on
-	// owned traffic) plus one extra for spread.
-	var sizes []int
-	next := baseSize
-	for i := 0; i < nodes; i++ {
-		sz, err := cl.sizeOwnedBy(i, next)
-		if err != nil {
-			return err
-		}
-		sizes = append(sizes, sz)
-		next = sz + 1
-	}
-	sizes = append(sizes, next)
-
-	bench := clusterBench{
-		Comment: "Cluster-tier benchmark: consistent-hash routing with hierarchy replication " +
-			"under the fault acceptance schedule (kill mid-load, restart, straggler, drain). " +
-			"Regenerate with scripts/bench_cluster.sh; enforced by scripts/benchguard -cluster.",
-		Recorded: time.Now().UTC().Format("2006-01-02"),
-		Go:       runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		Nodes:    nodes,
-		Replicas: replicas,
-		Seed:     seed,
-		Problem:  problem,
-		Sizes:    sizes,
-		Cycles:   cycles,
-	}
-
-	// Warmup: build every shard on its primary, then wait for the
-	// replica warm pushes so the fault phases run against a replicated
-	// fleet.
-	bench.Phases = append(bench.Phases, cl.runPhase("warmup", sizes, 1, len(sizes), nil))
-	rt.Quiesce()
-
-	bench.Phases = append(bench.Phases, cl.runPhase("steady", sizes, conc, perWorker, nil))
-
-	// Kill node0 mid-load: in-flight requests see the reset, failover
-	// answers them from the warm replica, the probe rebuilds the ring.
-	bench.Phases = append(bench.Phases, cl.runPhase("kill", sizes, conc, perWorker, func() {
-		cl.chaos.Kill("node0")
-		rt.ProbeNow()
-	}))
-
-	// Restart node0 with an empty cache; replication and re-builds
-	// repopulate it. The hit rate of this phase is the guarded evidence.
-	cl.startNode(0)
-	cl.chaos.Restart("node0")
-	rt.ProbeNow()
-	restart := cl.runPhase("restart", sizes, conc, perWorker, nil)
-	bench.Phases = append(bench.Phases, restart)
-	if restart.Requests > 0 {
-		bench.RestartHitRate = float64(restart.Hits) / float64(restart.Requests)
-	}
-	rt.Quiesce()
-
-	// Straggle node1: its shard's requests hedge to the replica.
-	cl.chaos.Straggle("node1", 150*time.Millisecond)
-	bench.Phases = append(bench.Phases, cl.runPhase("straggle", sizes, conc, perWorker, nil))
-	cl.chaos.Straggle("node1", 0)
-
-	// Drain node2 mid-load: in-flight solves finish, new requests fail
-	// over after its 503s, the ring rebalances — zero failures.
-	bench.Phases = append(bench.Phases, cl.runPhase("drain", sizes, conc, perWorker, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		cl.srvs[2].Shutdown(ctx)
-		rt.ProbeNow()
-	}))
-	rt.Quiesce()
-
-	for _, ph := range bench.Phases {
-		bench.FailedTotal += ph.Failed
-	}
-	o := rt.Observer()
-	bench.Forwards = o.RouteForwards.Load()
-	bench.Retries = o.RouteRetries.Load()
-	bench.Hedges = o.RouteHedges.Load()
-	bench.HedgeWins = o.RouteHedgeWins.Load()
-	bench.Failovers = o.RouteFailovers.Load()
-	bench.LocalFallbacks = o.RouteLocalFallbacks.Load()
-	bench.BreakerOpens = o.BreakerOpens.Load()
-	bench.RingRebuilds = o.RingRebuilds.Load()
-	bench.ReplicaWarms = o.ReplicaWarms.Load()
-	st := cl.chaos.Stats()
-	bench.ChaosRefused = st.Refused
-	bench.ChaosResets = st.Resets
-
-	buf, err := json.MarshalIndent(&bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("totals: failed=%d restart_hit_rate=%.2f failovers=%d hedge_wins=%d rebuilds=%d warms=%d\n",
-		bench.FailedTotal, bench.RestartHitRate, bench.Failovers, bench.HedgeWins,
-		bench.RingRebuilds, bench.ReplicaWarms)
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }

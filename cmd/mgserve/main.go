@@ -10,47 +10,30 @@
 //	    'localhost:8080/solve/matrix?method=mult&cycles=30'
 //	curl -s localhost:8080/metrics
 //
-// Load generator (also the benchmark that produces BENCH_serve.json):
-//
-//	mgserve -loadgen -out BENCH_serve.json
-//
-// The loadgen starts an in-process server, then (a) repeats one problem to
-// show cache hits skip the AMG setup, and (b) fires the same k solves
-// concurrently (one batched block solve) and sequentially (k independent
-// solves) to measure the batching speedup.
-//
 // Cluster router (consistent-hash routing over N solver nodes, with
 // hierarchy replication, hedged failover, circuit breaking, and local
 // fallback under full partition — see internal/cluster):
 //
 //	mgserve -cluster -addr :8080 -peers host1:8081,host2:8082,host3:8083 -replicas 2
 //	curl -s localhost:8080/cluster
-//
-// Cluster load generator (produces BENCH_cluster.json): drives an
-// in-process 3-node fleet behind the chaos transport through a
-// warmup/steady/kill/restart/straggle/drain schedule:
-//
-//	mgserve -cluster-loadgen -out BENCH_cluster.json
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"sync"
+	"strings"
 	"syscall"
 	"time"
 
 	"asyncmg/internal/amg"
+	"asyncmg/internal/cluster"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
 	"asyncmg/internal/par"
@@ -58,44 +41,48 @@ import (
 	"asyncmg/internal/sparse"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("mgserve: ")
+// mode is what the flags select beyond the serve.Config: which tier this
+// process runs and where it listens.
+type mode struct {
+	addr       string
+	parWorkers int
+	cluster    bool           // serve the routing tier instead of a solver node
+	peers      []cluster.Node // cluster: the solver fleet
+	replicas   int            // cluster: owners per shard
+}
 
-	addr := flag.String("addr", "localhost:8080", "listen address")
-	cacheSize := flag.Int("cache", 8, "hierarchy LRU capacity (setups)")
-	maxQueue := flag.Int("queue", 64, "admission queue bound (excess requests get 429)")
-	workers := flag.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long the first request of a batch waits for company (negative disables batching)")
-	maxBatch := flag.Int("max-batch", 8, "right-hand sides per block solve")
-	timeout := flag.Duration("max-timeout", 60*time.Second, "per-request deadline cap and default")
-	parWorkers := flag.Int("par-workers", 0, "worker-pool size for sharded kernels (0 = GOMAXPROCS)")
-	matrixFree := flag.Bool("matrix-free", false, "build structured stencil problems (7pt, 27pt) matrix-free: the fine level is never materialized as CSR")
-	f32Coarse := flag.Bool("f32-coarse", false, "store coarse operators and interpolants in float32 (shrinks cached hierarchies)")
-	sparsify := flag.Bool("sparsify", false, "sparsify coarse operators after RAP (shrinks cached hierarchies and per-cycle work; guarded per level)")
-	sparsifyTheta := flag.Float64("sparsify-theta", 0.25, "drop threshold for -sparsify")
-	sparsifyMode := flag.String("sparsify-mode", "lump", "compensation mode for -sparsify: lump, rescale, drop")
+// parseFlags turns the command line into the service configuration. Every
+// bad combination is an error here, before anything listens.
+func parseFlags(args []string) (serve.Config, mode, error) {
+	fs := flag.NewFlagSet("mgserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are returned, not printed
 
-	clusterMode := flag.Bool("cluster", false, "serve the routing tier instead of a node (requires -peers)")
-	peers := flag.String("peers", "", "cluster: comma-separated peer node addresses (host:port)")
-	replicas := flag.Int("replicas", 2, "cluster: owners per shard (primary + warm secondaries)")
+	var m mode
+	fs.StringVar(&m.addr, "addr", "localhost:8080", "listen address")
+	cacheSize := fs.Int("cache", 8, "hierarchy LRU capacity (setups)")
+	maxQueue := fs.Int("queue", 64, "admission queue bound (excess requests get 429)")
+	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
+	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "how long the first request of a batch waits for company (negative disables batching)")
+	maxBatch := fs.Int("max-batch", 8, "right-hand sides per block solve")
+	timeout := fs.Duration("max-timeout", 60*time.Second, "per-request deadline cap and default")
+	fs.IntVar(&m.parWorkers, "par-workers", 0, "worker-pool size for sharded kernels (0 = GOMAXPROCS)")
+	matrixFree := fs.Bool("matrix-free", false, "build structured stencil problems (7pt, 27pt) matrix-free: the fine level is never materialized as CSR")
+	f32Coarse := fs.Bool("f32-coarse", false, "store coarse operators and interpolants in float32 (shrinks cached hierarchies)")
+	sparsify := fs.Bool("sparsify", false, "sparsify coarse operators after RAP (shrinks cached hierarchies and per-cycle work; guarded per level)")
+	sparsifyTheta := fs.Float64("sparsify-theta", 0.25, "drop threshold for -sparsify")
+	sparsifyMode := fs.String("sparsify-mode", "lump", "compensation mode for -sparsify: lump, rescale, drop")
 
-	loadgen := flag.Bool("loadgen", false, "run the load generator against an in-process server and exit")
-	clusterLoadgen := flag.Bool("cluster-loadgen", false, "run the cluster load generator against an in-process fleet and exit")
-	out := flag.String("out", "BENCH_serve.json", "loadgen: result file")
-	problem := flag.String("problem", "7pt", "loadgen: problem family")
-	size := flag.Int("size", 16, "loadgen: mesh parameter")
-	cycles := flag.Int("cycles", 20, "loadgen: V-cycles per solve")
-	repeats := flag.Int("repeats", 6, "loadgen: sequential repeats for the cache experiment")
-	batchK := flag.Int("batch", 8, "loadgen: concurrent clients for the batching experiment")
-	clusterNodes := flag.Int("cluster-nodes", 3, "cluster-loadgen: fleet size")
-	clusterConc := flag.Int("cluster-conc", 4, "cluster-loadgen: concurrent clients per phase")
-	clusterReqs := flag.Int("cluster-reqs", 8, "cluster-loadgen: requests per client per phase")
-	seed := flag.Int64("seed", 7, "cluster-loadgen: chaos/jitter seed")
-	flag.Parse()
-	par.SetWorkers(*parWorkers)
+	fs.BoolVar(&m.cluster, "cluster", false, "serve the routing tier instead of a node (requires -peers)")
+	peers := fs.String("peers", "", "cluster: comma-separated peer node addresses (host:port)")
+	fs.IntVar(&m.replicas, "replicas", 2, "cluster: owners per shard (primary + warm secondaries)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stderr)
+			fs.Usage()
+		}
+		return serve.Config{}, mode{}, err
+	}
 
-	o := obs.New(32)
 	cfg := serve.Config{
 		CacheSize:   *cacheSize,
 		MaxQueue:    *maxQueue,
@@ -103,7 +90,7 @@ func main() {
 		BatchWindow: *batchWindow,
 		MaxBatch:    *maxBatch,
 		MaxTimeout:  *timeout,
-		Observer:    o,
+		Observer:    obs.New(32),
 		MatrixFree:  *matrixFree,
 	}
 	if *f32Coarse || *sparsify {
@@ -112,41 +99,47 @@ func main() {
 			opt.CoarsePrecision = op.CoarseFloat32
 		}
 		if *sparsify {
-			mode, err := sparse.ParseSparsifyMode(*sparsifyMode)
+			sm, err := sparse.ParseSparsifyMode(*sparsifyMode)
 			if err != nil {
-				log.Fatal(err)
+				return serve.Config{}, mode{}, err
 			}
-			opt.Sparsify = amg.SparsifyOptions{Theta: *sparsifyTheta, Mode: mode}
+			opt.Sparsify = amg.SparsifyOptions{Theta: *sparsifyTheta, Mode: sm}
 		}
 		cfg.AMG = &opt
 	}
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			m.peers = append(m.peers, cluster.Node{Addr: p})
+		}
+	}
+	if m.cluster && len(m.peers) == 0 {
+		return serve.Config{}, mode{}, fmt.Errorf("-cluster needs -peers host:port[,host:port...]")
+	}
+	return cfg, m, nil
+}
 
-	if *loadgen {
-		if err := runLoadgen(cfg, o, *out, *problem, *size, *cycles, *repeats, *batchK); err != nil {
-			log.Fatal(err)
-		}
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("mgserve: ")
+
+	cfg, m, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	if *clusterLoadgen {
-		cOut := *out
-		if cOut == "BENCH_serve.json" {
-			cOut = "BENCH_cluster.json"
-		}
-		if err := runClusterLoadgen(cOut, *problem, 5, 4, *clusterNodes, *replicas,
-			*clusterConc, *clusterReqs, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *clusterMode {
-		if err := runCluster(*addr, *peers, *replicas, cfg, o, *timeout); err != nil {
+	par.SetWorkers(m.parWorkers)
+
+	if m.cluster {
+		if err := runCluster(m, cfg); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	s := serve.New(cfg)
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", m.addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,196 +154,11 @@ func main() {
 		log.Fatal(err)
 	case sig := <-stop:
 		log.Printf("%v: draining (in-flight solves finish, new requests get 503)", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			log.Fatalf("drain: %v", err)
 		}
 		log.Print("drained cleanly")
 	}
-}
-
-// serveBench is the BENCH_serve.json schema, enforced by
-// `benchguard -serve`: the cache invariants are exact, the batching
-// speedup is a ratio of measured solve times.
-type serveBench struct {
-	Comment  string `json:"_comment"`
-	Recorded string `json:"recorded"`
-	Go       string `json:"go"`
-	Problem  string `json:"problem"`
-	Size     int    `json:"size"`
-	Rows     int    `json:"rows"`
-	Cycles   int    `json:"cycles"`
-
-	// Cache experiment: `repeats` identical sequential requests. Only the
-	// first may build (pay setup); the hits must report setup_ns == 0 and
-	// the process-wide setup counters must not move after the miss.
-	Repeats        int   `json:"repeats"`
-	SetupNSFirst   int64 `json:"setup_ns_first"`
-	SetupNSRestMax int64 `json:"setup_ns_rest_max"`
-	SetupBuilds    int64 `json:"setup_builds"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheHits      int64 `json:"cache_hits"`
-
-	// Batching experiment: the same k solves, concurrent (coalesced into
-	// one block solve) vs sequential (k independent engine solves).
-	// Speedup = sequential_solve_ns / batch_solve_ns.
-	BatchK           int     `json:"batch_k"`
-	BatchedObserved  int     `json:"batched_observed"`
-	BatchSolveNS     int64   `json:"batch_solve_ns"`
-	SequentialNS     int64   `json:"sequential_solve_ns"`
-	BatchSpeedup     float64 `json:"batch_speedup"`
-	RequestsTotal    int64   `json:"requests_total"`
-	RejectedRequests int64   `json:"rejected_total"`
-}
-
-func runLoadgen(cfg serve.Config, o *obs.Observer, out, problem string, size, cycles, repeats, batchK int) error {
-	if cfg.Workers == 0 {
-		cfg.Workers = max(runtime.GOMAXPROCS(0), batchK)
-	}
-	if cfg.MaxBatch < batchK {
-		cfg.MaxBatch = batchK
-	}
-	// A wide window so the concurrent phase reliably coalesces; the
-	// group launches as soon as it is full, so this adds no latency.
-	cfg.BatchWindow = 200 * time.Millisecond
-	s := serve.New(cfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go s.Serve(l)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	url := "http://" + l.Addr().String()
-
-	bench := serveBench{
-		Comment: "Solver-service benchmark: cache (repeated requests skip AMG setup) " +
-			"and batching (k concurrent solves coalesce into one block solve). " +
-			"Regenerate with scripts/bench_serve.sh; enforced by scripts/benchguard -serve.",
-		Recorded: time.Now().UTC().Format("2006-01-02"),
-		Go:       runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		Problem:  problem,
-		Size:     size,
-		Cycles:   cycles,
-		Repeats:  repeats,
-		BatchK:   batchK,
-	}
-
-	// ---- cache experiment ----
-	for i := 0; i < repeats; i++ {
-		r, err := post(url, serve.SolveRequest{
-			Problem: problem, Size: size, Method: "mult", Cycles: cycles,
-			Seed: int64(i), NoBatch: true,
-		})
-		if err != nil {
-			return fmt.Errorf("cache repeat %d: %w", i, err)
-		}
-		bench.Rows = r.Rows
-		if i == 0 {
-			if r.Cache != "miss" {
-				return fmt.Errorf("first request: cache %q, want miss", r.Cache)
-			}
-			bench.SetupNSFirst = r.SetupNS
-		} else {
-			if r.Cache != "hit" {
-				return fmt.Errorf("repeat %d: cache %q, want hit", i, r.Cache)
-			}
-			if r.SetupNS > bench.SetupNSRestMax {
-				bench.SetupNSRestMax = r.SetupNS
-			}
-		}
-		fmt.Printf("cache: repeat %d: cache=%s setup_ns=%d solve_ns=%d relres=%.3e\n",
-			i, r.Cache, r.SetupNS, r.SolveNS, r.RelRes)
-	}
-
-	// ---- batching experiment: concurrent (coalesced) ----
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		batchErr error
-	)
-	for c := 0; c < batchK; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r, err := post(url, serve.SolveRequest{
-				Problem: problem, Size: size, Method: "mult", Cycles: cycles,
-				Seed: int64(100 + c),
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				batchErr = err
-				return
-			}
-			if r.Batched > bench.BatchedObserved {
-				bench.BatchedObserved = r.Batched
-				bench.BatchSolveNS = r.SolveNS
-			}
-		}(c)
-	}
-	wg.Wait()
-	if batchErr != nil {
-		return fmt.Errorf("batched solve: %w", batchErr)
-	}
-
-	// ---- batching experiment: the same solves, sequential ----
-	for c := 0; c < batchK; c++ {
-		r, err := post(url, serve.SolveRequest{
-			Problem: problem, Size: size, Method: "mult", Cycles: cycles,
-			Seed: int64(100 + c), NoBatch: true,
-		})
-		if err != nil {
-			return fmt.Errorf("sequential solve %d: %w", c, err)
-		}
-		bench.SequentialNS += r.SolveNS
-	}
-	if bench.BatchSolveNS > 0 {
-		bench.BatchSpeedup = float64(bench.SequentialNS) / float64(bench.BatchSolveNS)
-	}
-
-	bench.SetupBuilds = o.SetupBuilds.Load()
-	bench.CacheMisses = o.CacheMisses.Load()
-	bench.CacheHits = o.CacheHits.Load()
-	bench.RequestsTotal = o.Requests.Load()
-	bench.RejectedRequests = o.Rejected.Load()
-
-	buf, err := json.MarshalIndent(&bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("batch: k=%d coalesced=%d block_solve_ns=%d sequential_ns=%d speedup=%.2fx\n",
-		bench.BatchK, bench.BatchedObserved, bench.BatchSolveNS, bench.SequentialNS, bench.BatchSpeedup)
-	fmt.Printf("cache: builds=%d misses=%d hits=%d (setup paid once, then %d hits at setup_ns=%d)\n",
-		bench.SetupBuilds, bench.CacheMisses, bench.CacheHits, bench.CacheHits, bench.SetupNSRestMax)
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-func post(url string, req serve.SolveRequest) (*serve.SolveResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(url+"/solve", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var out serve.SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

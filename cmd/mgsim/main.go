@@ -51,7 +51,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "fault-schedule seed for the -fault sweep")
 	staleness := flag.Bool("staleness", false, "run the staleness × damping-policy stability sweep instead of a figure")
 	holds := flag.String("holds", "", "comma-separated uniform read-holds for the -staleness sweep (default 1,4,8)")
-	jsonOut := flag.String("out", "", "write the -staleness stability map to this file as JSON (for benchguard -async)")
+	jsonOut := flag.String("out", "", "write the -staleness stability map to this file as JSON")
 	metricsOut := flag.String("metrics-out", "", "write solver metrics (per-grid relaxation counts, staleness histogram, fault counters) to this file in exposition format")
 	pprofAddr := flag.String("pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")

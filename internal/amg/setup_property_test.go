@@ -1,6 +1,8 @@
 package amg
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/fem"
@@ -170,5 +172,46 @@ func TestLevelPTMatchesTranspose(t *testing.T) {
 			t.Fatalf("level %d missing cached PT", k)
 		}
 		csrEq(t, "PT", lv.PT, lv.P.Transpose())
+	}
+}
+
+// TestBuildAllocBudget keeps the setup's containers flat: a Build makes a
+// bounded number of allocations however many rows it is given. The budget
+// is a few times the 650-1 400 the array-based setup makes and far under
+// one allocation per row (4 096 at n=16, 32 768 at n=32), which is what a
+// per-row slice or map anywhere in strength, coarsening, interpolation or
+// RAP costs: the map-based interpolation made 95 000.
+func TestBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design; pooled scratch is re-allocated at random")
+	}
+	const budget = 2000
+	// A collection inside AllocsPerRun empties the kernels' scratch pools
+	// and charges their re-allocation to the Build being measured, so
+	// collect between the measurements only.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opt := DefaultOptions()
+	opt.AggressiveLevels = 1
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"7pt n=16", grid.Laplacian7pt(16)},
+		{"27pt n=16", grid.Laplacian27pt(16)},
+		{"7pt n=32", grid.Laplacian7pt(32)},
+		{"27pt n=32", grid.Laplacian27pt(32)},
+	} {
+		for _, workers := range []int{1, 8} {
+			withSetupWorkers(t, workers)
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := Build(tc.a, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			runtime.GC()
+			if allocs > budget {
+				t.Errorf("%s, %d workers: Build made %.0f allocations, budget %d", tc.name, workers, allocs, budget)
+			}
+		}
 	}
 }

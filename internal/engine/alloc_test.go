@@ -6,6 +6,7 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/vec"
 )
@@ -24,21 +25,29 @@ func allocTestEngine(t testing.TB) *Engine {
 }
 
 // TestCycleZeroAllocs is the tentpole's steady-state guarantee: once a
-// workspace exists, a V-cycle of any method performs no allocations.
+// workspace exists, a V-cycle of any method performs no allocations, on
+// the float64 hierarchy and on the float32-coarse one alike.
 func TestCycleZeroAllocs(t *testing.T) {
-	s := allocTestEngine(t)
-	n := s.LevelSize(0)
-	b := grid.RandomRHS(n, 1)
-	x := make([]float64, n)
-	w := s.NewWorkspace()
-	for _, m := range []Method{Mult, Multadd, AFACx, BPX} {
-		vec.Zero(x)
-		s.Cycle(m, x, b, w) // warm up (first LU solve, pools, etc.)
-		allocs := testing.AllocsPerRun(10, func() {
-			s.Cycle(m, x, b, w)
-		})
-		if allocs != 0 {
-			t.Errorf("%v cycle: %v allocs/run in steady state, want 0", m, allocs)
+	for _, prec := range []op.Precision{op.Float64, op.CoarseFloat32} {
+		opt := amg.DefaultOptions()
+		opt.CoarsePrecision = prec
+		s, err := New(grid.Laplacian7pt(10), opt, smoother.DefaultConfig())
+		if err != nil {
+			t.Fatalf("setup: %v", err)
+		}
+		n := s.LevelSize(0)
+		b := grid.RandomRHS(n, 1)
+		x := make([]float64, n)
+		w := s.NewWorkspace()
+		for _, m := range []Method{Mult, Multadd, AFACx, BPX} {
+			vec.Zero(x)
+			s.Cycle(m, x, b, w) // warm up (first LU solve, pools, etc.)
+			allocs := testing.AllocsPerRun(10, func() {
+				s.Cycle(m, x, b, w)
+			})
+			if allocs != 0 {
+				t.Errorf("%v cycle, coarse precision %v: %v allocs/run in steady state, want 0", m, prec, allocs)
+			}
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 // TestStalenessSweepShape runs the default sweep and checks the claims
 // the stability map is supposed to certify: every (scenario, policy)
 // cell is present and classified, the undamped column rolls back on the
-// destabilising scenarios, and the adaptive column rescues at least
-// three of them (the acceptance floor the benchguard baseline pins).
+// destabilising scenarios, and the adaptive column never does, ending
+// stable in at least three of the scenarios ω = 1 loses. Which of the
+// adaptive cells end stable rather than stalled just above Tol depends on
+// the scheduler (straggler-hold-12 and afacx-hold-8 stall in about one run
+// in four on two cores), so the test does not name them.
 func TestStalenessSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep in -short mode")
-	}
 	cfg := DefaultStaleness()
 	var buf bytes.Buffer
 	m, err := StalenessSweep(&buf, cfg)
@@ -50,6 +50,11 @@ func TestStalenessSweepShape(t *testing.T) {
 			t.Errorf("uniform-hold-1/%s: outcome %s, want a stable solve", p, c.Outcome)
 		}
 	}
+	for _, sc := range cfg.scenarios() {
+		if c := m.Cell(sc.name, PolicyAuto); c == nil || OutcomeRank(c.Outcome) == 0 {
+			t.Errorf("%s/%s: %+v, want no rollback under the adaptive policy", sc.name, PolicyAuto, c)
+		}
+	}
 	if n := m.Rescued(); n < 3 {
 		t.Errorf("adaptive policy rescued %d rolled-back scenarios, want >= 3", n)
 	}
@@ -57,7 +62,7 @@ func TestStalenessSweepShape(t *testing.T) {
 	if !strings.Contains(buf.String(), "roll back at ω=1") {
 		t.Errorf("table output missing the rescue summary line:\n%s", buf.String())
 	}
-	// The map round-trips through JSON (benchguard parses this).
+	// The map round-trips through JSON (mgsim -staleness -out writes it).
 	var jb bytes.Buffer
 	if err := m.WriteJSON(&jb); err != nil {
 		t.Fatal(err)

@@ -328,7 +328,7 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 
 // newSetup builds the engine for a and wires the service observer in, so
 // per-setup stage timings land in the setup_*_ns counters (which stay
-// flat across cache hits — the loadgen's cache evidence).
+// flat across cache hits).
 func (s *Server) newSetup(a *sparse.CSR, smo smoother.Config) (*engine.Engine, error) {
 	setup, err := engine.New(a, *s.cfg.AMG, smo)
 	if err != nil {

@@ -107,6 +107,10 @@ func TestServeConcurrentClients(t *testing.T) {
 		} else {
 			misses++
 		}
+		// Only the builder pays for the setup.
+		if (out.Cache == "hit") != (out.SetupNS == 0) {
+			t.Errorf("client %d: cache %q with setup_ns %d", c, out.Cache, out.SetupNS)
+		}
 		if out.Batched > maxBatch {
 			maxBatch = out.Batched
 		}

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/par"
@@ -206,6 +208,15 @@ func TestSparsifyWorkerCountBitwise(t *testing.T) {
 // contract: re-sparsifying an unchanged-size operator through a warm
 // destination allocates nothing and constructs no new pooled scratch.
 func TestSparsifyIntoSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design; the scratch pool cannot stay warm")
+	}
+	// AllocsPerRun pins the measurement to one P, and sync.Pool keeps its
+	// most recent item in a per-P slot no other P can reach: warm the pool
+	// on that same P, and keep a collection from emptying it in between.
+	// The contract is allocation behaviour with a warm pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	a := anisoLaplacian(10, 0.02)
 	dst := &CSR{}
 	SparsifyStrengthInto(dst, a, 0.5, SparsifyLump) // warm dst and the scratch pool
