@@ -350,17 +350,6 @@ func SolveSyncDamped(s *Setup, m Method, b []float64, tmax int, omega float64) (
 	return s.SolveDamped(m, b, tmax, omega)
 }
 
-// SolveSyncBlock solves k right-hand sides at once. b packs the columns
-// row-major (b[i*k+c] is row i of column c) and x is packed the same way;
-// hists[c] is column c's relative-residual history. Column by column the
-// result is bitwise identical to k independent SolveSync calls: Mult and
-// Multadd run fused block kernels that traverse each matrix once per
-// level instead of k times, and methods without a block path fall back to
-// per-column solves.
-func SolveSyncBlock(ctx context.Context, s *Setup, m Method, b []float64, k, tmax int) (x []float64, hists [][]float64, err error) {
-	return s.SolveBlockCtx(ctx, m, b, k, tmax)
-}
-
 // ---- Asynchronous models (Section III) ----
 
 // ModelVariant selects one of the three §III simulation models.
@@ -499,16 +488,6 @@ func SolvePCG(a Operator, b []float64, opt CGOptions) (CGResult, error) {
 // non-SPD/varying preconditioners (AFACx, asynchronous cycles).
 func SolveFGMRES(a Operator, b []float64, opt CGOptions) (CGResult, error) {
 	return krylov.FGMRES(a, b, opt)
-}
-
-// BlockCGResult reports a block multi-RHS PCG solve.
-type BlockCGResult = krylov.BlockResult
-
-// SolveBlockPCG runs k simultaneous multigrid-preconditioned CG solves
-// sharing one block cycle per iteration, bitwise identical to k solo
-// solves. b holds the k right-hand sides column-major (len k*n).
-func SolveBlockPCG(s *Setup, m Method, b []float64, k int, opt CGOptions) (*BlockCGResult, error) {
-	return krylov.BlockPCG(s, m, b, k, opt)
 }
 
 // ---- Distributed-memory simulation ----

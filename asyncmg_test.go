@@ -284,7 +284,7 @@ func TestPublicChaoticRelaxation(t *testing.T) {
 	}
 }
 
-func TestPublicSolveSyncCtxAndBlock(t *testing.T) {
+func TestPublicSolveSyncCtx(t *testing.T) {
 	a := asyncmg.Laplacian7pt(6)
 	setup, err := asyncmg.NewSetup(a, asyncmg.DefaultAMGOptions(), asyncmg.DefaultSmoother())
 	if err != nil {
@@ -304,29 +304,6 @@ func TestPublicSolveSyncCtxAndBlock(t *testing.T) {
 	for i := range refX {
 		if x[i] != refX[i] {
 			t.Fatalf("SolveSyncCtx x[%d] = %v, want %v", i, x[i], refX[i])
-		}
-	}
-	// A block of two right-hand sides, column 0 = b: bitwise identical to
-	// the single-RHS solve, column by column.
-	const k = 2
-	b2 := asyncmg.RandomRHS(a.Rows, 4)
-	blk := make([]float64, a.Rows*k)
-	for i := 0; i < a.Rows; i++ {
-		blk[i*k] = b[i]
-		blk[i*k+1] = b2[i]
-	}
-	bx, hists, err := asyncmg.SolveSyncBlock(context.Background(), setup, asyncmg.Mult, blk, k, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refH {
-		if hists[0][i] != refH[i] {
-			t.Fatalf("block hist[0][%d] = %v, want %v", i, hists[0][i], refH[i])
-		}
-	}
-	for i := range refX {
-		if bx[i*k] != refX[i] {
-			t.Fatalf("block x[%d] = %v, want %v", i, bx[i*k], refX[i])
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,5 @@
 // Command mgserve runs the solver service: the multigrid library behind an
-// HTTP API with hierarchy caching, multi-RHS request batching and admission
-// control.
+// HTTP API with hierarchy caching and admission control.
 //
 // Server:
 //
@@ -62,8 +61,6 @@ func parseFlags(args []string) (serve.Config, mode, error) {
 	cacheSize := fs.Int("cache", 8, "hierarchy LRU capacity (setups)")
 	maxQueue := fs.Int("queue", 64, "admission queue bound (excess requests get 429)")
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "how long the first request of a batch waits for company (negative disables batching)")
-	maxBatch := fs.Int("max-batch", 8, "right-hand sides per block solve")
 	timeout := fs.Duration("max-timeout", 60*time.Second, "per-request deadline cap and default")
 	fs.IntVar(&m.parWorkers, "par-workers", 0, "worker-pool size for sharded kernels (0 = GOMAXPROCS)")
 	matrixFree := fs.Bool("matrix-free", false, "build structured stencil problems (7pt, 27pt) matrix-free: the fine level is never materialized as CSR")
@@ -84,14 +81,12 @@ func parseFlags(args []string) (serve.Config, mode, error) {
 	}
 
 	cfg := serve.Config{
-		CacheSize:   *cacheSize,
-		MaxQueue:    *maxQueue,
-		Workers:     *workers,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
-		MaxTimeout:  *timeout,
-		Observer:    obs.New(32),
-		MatrixFree:  *matrixFree,
+		CacheSize:  *cacheSize,
+		MaxQueue:   *maxQueue,
+		Workers:    *workers,
+		MaxTimeout: *timeout,
+		Observer:   obs.New(32),
+		MatrixFree: *matrixFree,
 	}
 	if *f32Coarse || *sparsify {
 		opt := amg.DefaultOptions()

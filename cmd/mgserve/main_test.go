@@ -23,10 +23,7 @@ func TestParseFlags(t *testing.T) {
 
 	// The values serve.Config documents as its defaults, spelled out: the
 	// flags must not drift from the library.
-	defCfg := serve.Config{
-		CacheSize: 8, MaxQueue: 64, Workers: 0, BatchWindow: 2 * time.Millisecond,
-		MaxBatch: 8, MaxTimeout: 60 * time.Second,
-	}
+	defCfg := serve.Config{CacheSize: 8, MaxQueue: 64, Workers: 0, MaxTimeout: 60 * time.Second}
 	defMode := mode{addr: "localhost:8080", replicas: 2}
 
 	for _, tc := range []struct {
@@ -38,10 +35,9 @@ func TestParseFlags(t *testing.T) {
 		wantErr string
 	}{
 		{name: "defaults"},
-		{name: "node knobs", args: "-addr :9 -cache 3 -queue 5 -workers 2 -batch-window -1ns -max-batch 4 -max-timeout 5s -par-workers 6 -matrix-free",
+		{name: "node knobs", args: "-addr :9 -cache 3 -queue 5 -workers 2 -max-timeout 5s -par-workers 6 -matrix-free",
 			cfg: func(c *serve.Config) {
-				*c = serve.Config{CacheSize: 3, MaxQueue: 5, Workers: 2, BatchWindow: -1,
-					MaxBatch: 4, MaxTimeout: 5 * time.Second, MatrixFree: true}
+				*c = serve.Config{CacheSize: 3, MaxQueue: 5, Workers: 2, MaxTimeout: 5 * time.Second, MatrixFree: true}
 			},
 			mode: func(m *mode) { m.addr, m.parWorkers = ":9", 6 }},
 		{name: "f32 coarse", args: "-f32-coarse", wantAMG: &f32},
@@ -56,7 +52,7 @@ func TestParseFlags(t *testing.T) {
 			}},
 		{name: "cluster without peers", args: "-cluster", wantErr: "-peers"},
 		{name: "cluster with empty peers", args: "-cluster -peers ,", wantErr: "-peers"},
-		{name: "not a duration", args: "-batch-window soon", wantErr: "batch-window"},
+		{name: "not a duration", args: "-max-timeout soon", wantErr: "max-timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, m, err := parseFlags(strings.Fields(tc.args))
@@ -94,11 +90,13 @@ func TestParseFlags(t *testing.T) {
 }
 
 // TestLoadGeneratorFlagsAreGone: the load generators and their knobs left
-// with the legacy benchmark pipeline; bench/ drives the service now.
+// with the legacy benchmark pipeline; bench/ drives the service now. The
+// request-coalescing knobs left with the coalescing.
 func TestLoadGeneratorFlagsAreGone(t *testing.T) {
 	for _, name := range []string{
 		"loadgen", "cluster-loadgen", "out", "problem", "size", "cycles", "repeats",
 		"batch", "cluster-nodes", "cluster-conc", "cluster-reqs", "seed",
+		"batch-window", "max-batch",
 	} {
 		if _, _, err := parseFlags([]string{"-" + name + "=1"}); err == nil ||
 			!strings.Contains(err.Error(), "not defined") {

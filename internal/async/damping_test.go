@@ -100,7 +100,7 @@ func TestDampedCorrectionWorkerCountBitwise(t *testing.T) {
 			w := s.NewCorrWorkspace()
 			for k := 0; k < l; k++ {
 				want[k] = make([]float64, n)
-				s.GridCorrectionDamped(m, k, want[k], rfine, omega, w)
+				s.GridCorrection(m, k, want[k], rfine, omega, w)
 			}
 			for _, teamSize := range []int{1, 2, 8} {
 				rt := &solverState{

@@ -178,7 +178,7 @@ func (g *gridRun) runSync(tid int) {
 // scaling pass bit for bit); every teammate reads the same omega because
 // thread 0 publishes it only in the pre-barrier block at the cycle top.
 func (g *gridRun) computeCorrection(tid int, rfine []float64) []float64 {
-	return g.rt.s.DampedCorrection(g.rt.cfg.Method, g.k, rfine, g.omega, &g.buf, &g.sites[tid])
+	return g.rt.s.Correction(g.rt.cfg.Method, g.k, rfine, g.omega, &g.buf, &g.sites[tid])
 }
 
 // teamSite adapts one team thread to the engine's Site interface: spans

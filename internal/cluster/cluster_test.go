@@ -69,7 +69,7 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 // models the process coming back with an empty cache under its old name.
 func (tc *testCluster) startNode(i int) {
 	o := obs.New(16)
-	s := serve.New(serve.Config{Observer: o, BatchWindow: -1, PeerClient: tc.client})
+	s := serve.New(serve.Config{Observer: o, PeerClient: tc.client})
 	tc.lt.Register(fmt.Sprintf("node%d", i), s.Handler())
 	if i < len(tc.obs) {
 		tc.obs[i], tc.srvs[i] = o, s
@@ -85,7 +85,7 @@ func (tc *testCluster) restart(i int) {
 }
 
 func (tc *testCluster) solve(size int) *httptest.ResponseRecorder {
-	body := fmt.Sprintf(`{"problem":"7pt","size":%d,"cycles":4,"no_batch":true}`, size)
+	body := fmt.Sprintf(`{"problem":"7pt","size":%d,"cycles":4}`, size)
 	req := httptest.NewRequest("POST", "/solve", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	tc.rt.Handler().ServeHTTP(w, req)
@@ -240,7 +240,7 @@ func TestRestartRepopulatesCache(t *testing.T) {
 // forwarding after the partition heals.
 func TestFullPartitionFallsBackToLocal(t *testing.T) {
 	localObs := obs.New(16)
-	local := serve.New(serve.Config{Observer: localObs, BatchWindow: -1})
+	local := serve.New(serve.Config{Observer: localObs})
 	tc := newTestCluster(t, 2, func(c *Config) { c.Local = local })
 
 	tc.chaos.Partition("node0", "node1")
@@ -322,7 +322,7 @@ func TestDrainRebalanceZeroFailures(t *testing.T) {
 // returns, the readiness transition closes the breaker and forwarding
 // resumes.
 func TestBreakerRoutesAroundDeadNode(t *testing.T) {
-	local := serve.New(serve.Config{BatchWindow: -1})
+	local := serve.New(serve.Config{})
 	tc := newTestCluster(t, 2, func(c *Config) {
 		c.Replicas = 1
 		c.HedgeAfter = -1 // isolate the breaker: no hedging

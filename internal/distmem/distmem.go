@@ -317,7 +317,7 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 				if tr.CrashNow(k, it) {
 					return // scheduled crash: the process dies mid-solve
 				}
-				s.GridCorrection(cfg.Method, k, out, snap.r, ws)
+				s.GridCorrection(cfg.Method, k, out, snap.r, 1, ws)
 				tr.SendUp(k, fault.Msg{From: k, Seq: int64(it), Payload: correction{
 					grid: k, it: it, base: snap.applied, c: append([]float64(nil), out...),
 				}})

@@ -62,9 +62,9 @@ func TestGridCorrectionZeroAllocs(t *testing.T) {
 	w := s.NewCorrWorkspace()
 	for _, m := range []Method{Multadd, AFACx} {
 		for k := 0; k < s.NumLevels(); k++ {
-			s.GridCorrection(m, k, out, r, w)
+			s.GridCorrection(m, k, out, r, 1, w)
 			allocs := testing.AllocsPerRun(10, func() {
-				s.GridCorrection(m, k, out, r, w)
+				s.GridCorrection(m, k, out, r, 1, w)
 			})
 			if allocs != 0 {
 				t.Errorf("%v grid %d correction: %v allocs/run in steady state, want 0", m, k, allocs)

@@ -1,20 +1,21 @@
 // Block (multi-RHS) cycle path: one V-cycle over k packed right-hand
-// sides, streaming every level matrix once for all k columns. The solver
-// service batches concurrent requests that hit the same cached hierarchy
-// into one block solve here — the setup-once/solve-many throughput lever.
+// sides, streaming every level matrix once for all k columns.
+//
+// No solver calls it: with the operators resident in cache a block cycle
+// costs about k single cycles, so the service solves every request alone
+// (EXPERIMENTS.md, "Request coalescing deleted"). BlockCycle and its
+// workspaces stay only because the benchmark's
+// engine.block4_cycle_ms_per_rhs probe calls them; they go with the op
+// block interfaces and the sparse block kernels once that probe is
+// retired.
 //
 // The block cycles are bitwise-identical, column by column, to k
 // independent single-RHS cycles: each step is a block kernel with that
-// contract (see sparse/block.go), the coarse solve runs the same LU
-// arithmetic per gathered column, and residual histories use the same
-// serial Norm2 as Solve. The fused path covers Mult and Multadd with
-// diagonal smoothers (the default configuration); other methods and block
-// smoothers fall back to per-column solves, so SolveBlockCtx accepts any
-// configuration.
+// contract (see sparse/block.go) and the coarse solve runs the same LU
+// arithmetic per gathered column.
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -27,8 +28,8 @@ import (
 type BlockWorkspace struct {
 	k         int
 	r, e, tmp [][]float64
-	// colR/colE/colS are single-column gather buffers (finest-level
-	// sized) for the coarse LU solve and the per-column residual norms.
+	// colR/colE/colS are single-column gather buffers (coarsest-level
+	// sized) for the per-column coarse LU solve.
 	colR, colE, colS []float64
 }
 
@@ -53,7 +54,7 @@ func (s *Engine) NewBlockWorkspace(k int) *BlockWorkspace {
 		w.e[lev] = make([]float64, n*k)
 		w.tmp[lev] = make([]float64, n*k)
 	}
-	n := s.LevelSize(0)
+	n := s.LevelSize(l - 1)
 	w.colR = make([]float64, n)
 	w.colE = make([]float64, n)
 	w.colS = make([]float64, n)
@@ -77,8 +78,7 @@ func (s *Engine) ReleaseBlockWorkspace(w *BlockWorkspace) {
 }
 
 // blockPool returns this engine's workspace pool for column count k,
-// creating it on first use (the service batches at a few fixed sizes, so
-// per-k pools stay small).
+// creating it on first use.
 func (s *Engine) blockPool(k int) *sync.Pool {
 	if p, ok := s.blockPools.Load(k); ok {
 		return p.(*sync.Pool)
@@ -87,45 +87,13 @@ func (s *Engine) blockPool(k int) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// CanBlockCycle reports whether method m has a fused block path on this
-// engine: Mult or Multadd with diagonal (Jacobi-type) smoothers on every
-// level, and every level operator and interpolant the method touches
-// providing the multi-RHS capability (CSR and float32 CSR do; the
-// matrix-free stencil operators and composed smoothed interpolants do
-// not). Other configurations still solve through SolveBlockCtx, but
-// column by column.
-func (s *Engine) CanBlockCycle(m Method) bool {
-	if m != Mult && m != Multadd {
-		return false
-	}
-	for _, sm := range s.Smo {
-		if sm.InvDiag() == nil {
-			return false
-		}
-	}
-	for _, a := range s.Ops {
-		if _, ok := a.(op.BlockOperator); !ok {
-			return false
-		}
-	}
-	itp := s.Itp
-	if m == Multadd {
-		itp = s.SItp
-	}
-	for _, t := range itp {
-		if _, ok := t.(op.BlockInterp); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// blockOp returns level k's operator as its multi-RHS face; only valid
-// after CanBlockCycle.
+// blockOp returns level k's operator as its multi-RHS face; it panics on
+// an operator without one (matrix-free stencils).
 func (s *Engine) blockOp(k int) op.BlockOperator { return s.Ops[k].(op.BlockOperator) }
 
 // blockItp returns the plain (or, for sbar, smoothed) interpolant of
-// level pair k as its multi-RHS face; only valid after CanBlockCycle.
+// level pair k as its multi-RHS face; it panics on an interpolant without
+// one (composed smoothed interpolants).
 func (s *Engine) blockItp(k int, sbar bool) op.BlockInterp {
 	if sbar {
 		return s.SItp[k].(op.BlockInterp)
@@ -164,24 +132,7 @@ func (s *Engine) blockCoarseSolve(e, r []float64, k int, w *BlockWorkspace) {
 	l := s.NumLevels()
 	n := s.LevelSize(l - 1)
 	if s.H.Coarse == nil {
-		if id := s.Smo[l-1].InvDiag(); id != nil {
-			blockScale(e, id, r, k)
-			return
-		}
-		// Block coarsest smoother: per-column apply (rare — only
-		// hand-built hierarchies lack the factorization).
-		for c := 0; c < k; c++ {
-			colR := w.colR[:n]
-			colE := w.colE[:n]
-			for i := 0; i < n; i++ {
-				colR[i] = r[i*k+c]
-			}
-			vec.Zero(colE)
-			s.Smo[l-1].Apply(colE, colR)
-			for i := 0; i < n; i++ {
-				e[i*k+c] = colE[i]
-			}
-		}
+		blockScale(e, s.Smo[l-1].InvDiag(), r, k)
 		return
 	}
 	for c := 0; c < k; c++ {
@@ -197,10 +148,10 @@ func (s *Engine) blockCoarseSolve(e, r []float64, k int, w *BlockWorkspace) {
 	}
 }
 
-// BlockMultCycle performs one multiplicative V(1,1)-cycle on k packed
+// blockMultCycle performs one multiplicative V(1,1)-cycle on k packed
 // right-hand sides, updating the packed iterate x in place. Requires
-// diagonal smoothers on every level (CanBlockCycle(Mult)).
-func (s *Engine) BlockMultCycle(x, b []float64, k int, w *BlockWorkspace) {
+// diagonal smoothers on every level (see BlockCycle).
+func (s *Engine) blockMultCycle(x, b []float64, k int, w *BlockWorkspace) {
 	l := s.NumLevels()
 	s.blockOp(0).ResidualBlock(w.r[0], b, x, k)
 	for lev := 0; lev < l-1; lev++ {
@@ -226,9 +177,9 @@ func (s *Engine) BlockMultCycle(x, b []float64, k int, w *BlockWorkspace) {
 	s.countBlockCorrections(k)
 }
 
-// BlockMultaddCycle performs one additive Multadd V-cycle on k packed
-// right-hand sides. Requires diagonal smoothers (CanBlockCycle(Multadd)).
-func (s *Engine) BlockMultaddCycle(x, b []float64, k int, w *BlockWorkspace) {
+// blockMultaddCycle performs one additive Multadd V-cycle on k packed
+// right-hand sides. Requires diagonal smoothers (see BlockCycle).
+func (s *Engine) blockMultaddCycle(x, b []float64, k int, w *BlockWorkspace) {
 	l := s.NumLevels()
 	s.blockOp(0).ResidualBlock(w.r[0], b, x, k)
 	for lev := 0; lev < l-1; lev++ {
@@ -264,136 +215,22 @@ func (s *Engine) countBlockCorrections(k int) {
 	}
 }
 
-// BlockCycle runs one block V-cycle of the chosen method. The method must
-// have a fused block path (CanBlockCycle).
+// BlockCycle runs one block V-cycle of Mult or Multadd on k packed
+// right-hand sides. It needs the default configuration: diagonal
+// (Jacobi-type) smoothers on every level and CSR-stored operators and
+// interpolants. It panics otherwise.
 func (s *Engine) BlockCycle(m Method, x, b []float64, k int, w *BlockWorkspace) {
+	for _, sm := range s.Smo {
+		if sm.InvDiag() == nil {
+			panic("mg: block cycle needs diagonal smoothers on every level")
+		}
+	}
 	switch m {
 	case Mult:
-		s.BlockMultCycle(x, b, k, w)
+		s.blockMultCycle(x, b, k, w)
 	case Multadd:
-		s.BlockMultaddCycle(x, b, k, w)
+		s.blockMultaddCycle(x, b, k, w)
 	default:
 		panic(fmt.Sprintf("mg: method %v has no block cycle", m))
 	}
-}
-
-// BlockPreconditionCycle applies one block cycle of method m from a zero
-// initial guess: Z = B R column by column, the preconditioner application
-// of the block Krylov path. By the block-cycle contract each column of Z
-// is bitwise-identical to a single-RHS PreconditionCycle on that column.
-// The method must have a fused block path (CanBlockCycle).
-func (s *Engine) BlockPreconditionCycle(m Method, z, r []float64, k int, w *BlockWorkspace) {
-	for i := range z {
-		z[i] = 0
-	}
-	s.BlockCycle(m, z, r, k, w)
-}
-
-// SolveBlockCtx runs tmax V-cycles of method m on k packed right-hand
-// sides from x = 0 and returns the packed iterate plus one relative
-// residual history per column (hists[c][0] == 1). Results are
-// bitwise-identical to k independent SolveCtx calls, one per column: when
-// the method has a fused block path the cycles stream each level matrix
-// once for all columns; otherwise the columns solve sequentially. A
-// column whose iterate turns non-finite is frozen exactly where the
-// single-RHS solver would have stopped (its history ends there; the
-// remaining columns keep cycling). Cancelling ctx stops at the next cycle
-// boundary, returning the partial iterate and histories with ctx's error.
-func (s *Engine) SolveBlockCtx(ctx context.Context, m Method, b []float64, k, tmax int) (x []float64, hists [][]float64, err error) {
-	n := s.LevelSize(0)
-	if k <= 0 || len(b) != n*k {
-		return nil, nil, fmt.Errorf("mg: block solve needs len(b) == %d*%d, got %d", n, k, len(b))
-	}
-	x = make([]float64, n*k)
-	hists = make([][]float64, k)
-	if !s.CanBlockCycle(m) {
-		// Per-column fallback: gather each column, run the single-RHS
-		// solver, scatter back. Identical by construction.
-		for c := 0; c < k; c++ {
-			colB := make([]float64, n)
-			for i := range colB {
-				colB[i] = b[i*k+c]
-			}
-			colX, hist, cerr := s.SolveCtx(ctx, m, colB, tmax)
-			for i, v := range colX {
-				x[i*k+c] = v
-			}
-			hists[c] = hist
-			if cerr != nil {
-				return x, hists, cerr
-			}
-		}
-		return x, hists, nil
-	}
-
-	w := s.AcquireBlockWorkspace(k)
-	defer s.ReleaseBlockWorkspace(w)
-	nb := make([]float64, k)
-	for c := 0; c < k; c++ {
-		col := w.colR[:n]
-		for i := range col {
-			col[i] = b[i*k+c]
-		}
-		nb[c] = vec.Norm2(col)
-		if nb[c] == 0 {
-			nb[c] = 1
-		}
-		h := make([]float64, 1, tmax+1)
-		h[0] = 1
-		hists[c] = h
-	}
-	var frozen []bool
-	var saved []float64
-	rblk := make([]float64, n*k)
-	for t := 0; t < tmax; t++ {
-		if err := ctx.Err(); err != nil {
-			return x, hists, err
-		}
-		s.BlockCycle(m, x, b, k, w)
-		if frozen != nil {
-			// Columns stopped by divergence keep the iterate they stopped
-			// with: restore them after the block cycle (columns never
-			// interact, so the live columns are unaffected).
-			for c, fr := range frozen {
-				if fr {
-					for i := 0; i < n; i++ {
-						x[i*k+c] = saved[i*k+c]
-					}
-				}
-			}
-		}
-		s.blockOp(0).ResidualBlock(rblk, b, x, k)
-		for c := 0; c < k; c++ {
-			if frozen != nil && frozen[c] {
-				continue
-			}
-			col := w.colR[:n]
-			for i := range col {
-				col[i] = rblk[i*k+c]
-			}
-			rel := vec.Norm2(col) / nb[c]
-			hists[c] = append(hists[c], rel)
-			s.obs.CycleDone(rel)
-			for i := range col {
-				col[i] = x[i*k+c]
-			}
-			if vec.HasNonFinite(col) {
-				if frozen == nil {
-					frozen = make([]bool, k)
-					saved = make([]float64, n*k)
-				}
-				frozen[c] = true
-				for i := 0; i < n; i++ {
-					saved[i*k+c] = x[i*k+c]
-				}
-			}
-		}
-	}
-	return x, hists, nil
-}
-
-// SolveBlock is SolveBlockCtx without cancellation.
-func (s *Engine) SolveBlock(m Method, b []float64, k, tmax int) (x []float64, hists [][]float64) {
-	x, hists, _ = s.SolveBlockCtx(context.Background(), m, b, k, tmax)
-	return x, hists
 }

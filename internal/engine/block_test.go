@@ -21,11 +21,12 @@ func withEngineWorkers(t *testing.T, workers int) {
 	})
 }
 
-// TestSolveBlockBitwiseMatchesSerialSolves is the batching contract: a
-// block solve over k packed right-hand sides returns, column by column,
-// exactly the iterate and residual history of k independent single-RHS
-// solves — at any worker count, for both fused-block methods.
-func TestSolveBlockBitwiseMatchesSerialSolves(t *testing.T) {
+// TestBlockCycleBitwiseMatchesCycles is the block-cycle contract: after
+// every cycle, each packed column of a BlockCycle iterate equals bitwise
+// the iterate of single-RHS Cycles on that column, at any worker count,
+// for both block methods. A configuration without a block path (block
+// smoothers) panics instead of returning wrong columns.
+func TestBlockCycleBitwiseMatchesCycles(t *testing.T) {
 	a := grid.Laplacian7pt(8)
 	s, err := New(a, amg.DefaultOptions(), smoother.DefaultConfig())
 	if err != nil {
@@ -34,83 +35,50 @@ func TestSolveBlockBitwiseMatchesSerialSolves(t *testing.T) {
 	n := a.Rows
 	const k, tmax = 5, 8
 	cols := make([][]float64, k)
+	b := make([]float64, n*k)
 	for c := range cols {
 		cols[c] = grid.RandomRHS(n, int64(100+c))
-	}
-	b := make([]float64, n*k)
-	for c, col := range cols {
-		for i, v := range col {
-			b[i*k+c] = v
-		}
-	}
-	for _, m := range []Method{Mult, Multadd} {
-		if !s.CanBlockCycle(m) {
-			t.Fatalf("%v: expected a fused block path with the default smoother", m)
-		}
-		// Serial references, computed on the default pool.
-		refX := make([][]float64, k)
-		refH := make([][]float64, k)
-		for c := 0; c < k; c++ {
-			refX[c], refH[c] = s.Solve(m, cols[c], tmax)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			withEngineWorkers(t, workers)
-			x, hists := s.SolveBlock(m, b, k, tmax)
-			for c := 0; c < k; c++ {
-				if len(hists[c]) != len(refH[c]) {
-					t.Fatalf("%v workers=%d col %d: history length %d, want %d", m, workers, c, len(hists[c]), len(refH[c]))
-				}
-				for i := range refH[c] {
-					if hists[c][i] != refH[c][i] {
-						t.Fatalf("%v workers=%d col %d: history[%d] = %v, want %v", m, workers, c, i, hists[c][i], refH[c][i])
-					}
-				}
-				for i := range refX[c] {
-					if x[i*k+c] != refX[c][i] {
-						t.Fatalf("%v workers=%d col %d: x[%d] = %v, want %v", m, workers, c, i, x[i*k+c], refX[c][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSolveBlockFallbackColumns covers the per-column fallback: methods
-// without a fused block path (AFACx) and block smoothers still produce
-// exactly the single-RHS results.
-func TestSolveBlockFallbackColumns(t *testing.T) {
-	a := grid.Laplacian7pt(6)
-	s, err := New(a, amg.DefaultOptions(), smoother.Config{Kind: smoother.HybridJGS, Omega: 0.9, Blocks: 2})
-	if err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	if s.CanBlockCycle(Mult) {
-		t.Fatal("block smoother should not have a fused block path")
-	}
-	n := a.Rows
-	const k, tmax = 3, 5
-	b := make([]float64, n*k)
-	cols := make([][]float64, k)
-	for c := range cols {
-		cols[c] = grid.RandomRHS(n, int64(7+c))
 		for i, v := range cols[c] {
 			b[i*k+c] = v
 		}
 	}
-	x, hists := s.SolveBlock(Mult, b, k, tmax)
-	for c := 0; c < k; c++ {
-		refX, refH := s.Solve(Mult, cols[c], tmax)
-		for i := range refH {
-			if hists[c][i] != refH[i] {
-				t.Fatalf("col %d history[%d] = %v, want %v", c, i, hists[c][i], refH[i])
+	w := s.AcquireWorkspace()
+	defer s.ReleaseWorkspace(w)
+	for _, m := range []Method{Mult, Multadd} {
+		for _, workers := range []int{1, 2, 8} {
+			withEngineWorkers(t, workers)
+			bw := s.AcquireBlockWorkspace(k)
+			x := make([]float64, n*k)
+			ref := make([][]float64, k)
+			for c := range ref {
+				ref[c] = make([]float64, n)
 			}
-		}
-		for i := range refX {
-			if x[i*k+c] != refX[i] {
-				t.Fatalf("col %d x[%d] = %v, want %v", c, i, x[i*k+c], refX[i])
+			for it := 1; it <= tmax; it++ {
+				s.BlockCycle(m, x, b, k, bw)
+				for c := 0; c < k; c++ {
+					s.Cycle(m, ref[c], cols[c], w)
+					for i, v := range ref[c] {
+						if x[i*k+c] != v {
+							t.Fatalf("%v workers=%d cycle %d col %d: x[%d] = %v, want %v", m, workers, it, c, i, x[i*k+c], v)
+						}
+					}
+				}
 			}
+			s.ReleaseBlockWorkspace(bw)
 		}
 	}
+
+	hy, err := New(grid.Laplacian7pt(6), amg.DefaultOptions(), smoother.Config{Kind: smoother.HybridJGS, Omega: 0.9, Blocks: 2})
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BlockCycle with a block smoother did not panic")
+		}
+	}()
+	m := hy.LevelSize(0)
+	hy.BlockCycle(Mult, make([]float64, m), make([]float64, m), 1, hy.NewBlockWorkspace(1))
 }
 
 // TestSolveCtxCancel checks the ctx plumbing of the synchronous solve
@@ -146,10 +114,6 @@ func TestSolveCtxCancel(t *testing.T) {
 	}
 	if len(hist) != 1 {
 		t.Fatalf("cancelled SolveCtx ran %d cycles, want 0", len(hist)-1)
-	}
-	_, _, err = s.SolveBlockCtx(ctx, Mult, b[:0+a.Rows*1], 1, 6)
-	if err != context.Canceled {
-		t.Fatalf("cancelled SolveBlockCtx error = %v, want context.Canceled", err)
 	}
 }
 

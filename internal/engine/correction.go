@@ -55,18 +55,15 @@ type CorrBuffers struct {
 // (fully populated only after every cooperating site returns). method
 // must be Multadd or AFACx. The fine residual must not be reused by the
 // caller until the correction completes.
-func (s *Engine) Correction(method Method, k int, rfine []float64, b *CorrBuffers, site Site) []float64 {
-	return s.DampedCorrection(method, k, rfine, 1, b, site)
-}
-
-// DampedCorrection is Correction with the grid's level-k correction
-// scaled by omega before prolongation: the additive damping ω_k B_k of
-// the stabilised asynchronous cycle. By linearity of the interpolants,
-// scaling at level k equals scaling the finest-level output while
-// touching only level-k entries, and the elementwise scale is bitwise
-// reproducible for any team size. omega = 1 skips the scaling pass (and
-// its barrier) entirely, so the undamped path is unchanged bit for bit.
-func (s *Engine) DampedCorrection(method Method, k int, rfine []float64, omega float64, b *CorrBuffers, site Site) []float64 {
+//
+// The level-k correction is scaled by omega before prolongation: the
+// additive damping ω_k B_k of the stabilised asynchronous cycle. By
+// linearity of the interpolants, scaling at level k equals scaling the
+// finest-level output while touching only level-k entries, and the
+// elementwise scale is bitwise reproducible for any team size. omega = 1
+// skips the scaling pass (and its barrier) entirely, so the undamped path
+// is unchanged bit for bit.
+func (s *Engine) Correction(method Method, k int, rfine []float64, omega float64, b *CorrBuffers, site Site) []float64 {
 	l := s.NumLevels()
 	var chain []op.Interp
 	switch method {
@@ -190,20 +187,13 @@ func (s *Engine) NewCorrWorkspace() *CorrWorkspace {
 }
 
 // GridCorrection computes grid k's additive correction at the finest level
-// from the fine-grid residual rfine, writing it into out: the B_k/C_k
-// operator of the Section III models, and the unit of work one grid process
-// performs in a distributed-memory implementation. method must be Multadd
-// or AFACx.
-func (s *Engine) GridCorrection(method Method, k int, out, rfine []float64, w *CorrWorkspace) {
-	res := s.Correction(method, k, rfine, &w.buf, &w.site)
-	copy(out, res)
-}
-
-// GridCorrectionDamped is GridCorrection with the correction damped by
-// omega at level k (see DampedCorrection). It is the serial reference
-// the worker-count property tests compare the team-parallel damped path
-// against.
-func (s *Engine) GridCorrectionDamped(method Method, k int, out, rfine []float64, omega float64, w *CorrWorkspace) {
-	res := s.DampedCorrection(method, k, rfine, omega, &w.buf, &w.site)
+// from the fine-grid residual rfine, damped by omega at level k (1 for
+// none), writing it into out: the B_k/C_k operator of the Section III
+// models, and the unit of work one grid process performs in a
+// distributed-memory implementation. method must be Multadd or AFACx. It
+// is also the serial reference the worker-count property tests compare
+// the team-parallel damped path against.
+func (s *Engine) GridCorrection(method Method, k int, out, rfine []float64, omega float64, w *CorrWorkspace) {
+	res := s.Correction(method, k, rfine, omega, &w.buf, &w.site)
 	copy(out, res)
 }

@@ -174,7 +174,7 @@ func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64
 }
 
 // addCorrection damps grid k's correction w.e[k] by omega at its own level
-// (matching where DampedCorrection scales; omega = 1 skips the pass),
+// (matching where Correction scales; omega = 1 skips the pass),
 // prolongates it to the finest level through chain and adds it into x.
 func (s *Engine) addCorrection(x []float64, w *Workspace, chain []op.Interp, k int, omega float64) {
 	if omega != 1 {
@@ -223,7 +223,7 @@ func (s *Engine) AFACxCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
 // afacxCycle is AFACxCycleSweeps with every grid's final correction ẽ_k
 // scaled by omega before prolongation (the next-coarser helper sweep
 // e_{k+1} inside the modified right-hand side stays undamped, matching the
-// asynchronous DampedCorrection). It shares the additive body's restriction
+// asynchronous Correction). It shares the additive body's restriction
 // cascade, damping and prolong-add; omega = 1 is undamped bit for bit.
 func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega float64) {
 	if s1 < 1 || s2 < 1 {

@@ -447,7 +447,7 @@ func TestGridCorrectionSumsToMultaddCycle(t *testing.T) {
 	cw := s.NewCorrWorkspace()
 	out := make([]float64, n)
 	for k := 0; k < s.NumLevels(); k++ {
-		s.GridCorrection(Multadd, k, out, rfine, cw)
+		s.GridCorrection(Multadd, k, out, rfine, 1, cw)
 		vec.Axpy(1, sum, out)
 	}
 	for i := range sum {
@@ -470,7 +470,7 @@ func TestGridCorrectionSumsToAFACxCycle(t *testing.T) {
 	cw := s.NewCorrWorkspace()
 	out := make([]float64, n)
 	for k := 0; k < s.NumLevels(); k++ {
-		s.GridCorrection(AFACx, k, out, b, cw) // residual of x=0 is b
+		s.GridCorrection(AFACx, k, out, b, 1, cw) // residual of x=0 is b
 		vec.Axpy(1, sum, out)
 	}
 	for i := range sum {
@@ -489,7 +489,7 @@ func TestGridCorrectionPanicsOnMult(t *testing.T) {
 	}()
 	n := s.LevelSize(0)
 	cw := s.NewCorrWorkspace()
-	s.GridCorrection(Mult, 0, make([]float64, n), make([]float64, n), cw)
+	s.GridCorrection(Mult, 0, make([]float64, n), make([]float64, n), 1, cw)
 }
 
 func TestMethodStrings(t *testing.T) {

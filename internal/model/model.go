@@ -298,7 +298,7 @@ func (w *corrWorkspace) release(s *engine.Engine) { s.ReleaseCorrWorkspace(w.cw)
 // (residual-based): the operators coincide once the fine residual is in
 // hand.
 func applyCorrection(s *engine.Engine, method engine.Method, k int, w *corrWorkspace) {
-	s.GridCorrection(method, k, w.corr, w.rfine, w.cw)
+	s.GridCorrection(method, k, w.corr, w.rfine, 1, w.cw)
 }
 
 // ring is a fixed-depth history of vectors indexed by absolute time

@@ -84,11 +84,10 @@ type Observer struct {
 	KrylovConverged, KrylovBreakdowns  *Counter
 
 	// Serving counters of the solver service (package serve): hierarchy
-	// setup-cache traffic, batched multi-RHS solve sizes, admission-queue
-	// depth, and requests rejected by admission control (backpressure or
-	// drain). Zero-valued and harmless for non-serving solves.
+	// setup-cache traffic, admission-queue depth, and requests rejected by
+	// admission control (backpressure or drain). Zero-valued and harmless
+	// for non-serving solves.
 	CacheHits, CacheMisses, CacheEvictions *Counter
-	BatchSizes                             *Histogram
 	QueueDepth                             *Gauge
 	Rejected, Requests                     *Counter
 	// Warms counts replication warm requests a node served (package
@@ -113,10 +112,6 @@ type Observer struct {
 	// observer was built WithTrace).
 	Trace *Tracer
 }
-
-// DefaultBatchBounds is the bucket layout for batched solve sizes
-// (requests coalesced per block solve).
-func DefaultBatchBounds() []int64 { return []int64{1, 2, 4, 8, 16, 32} }
 
 // New builds an observer for a solve over `grids` grids (hierarchy
 // levels). Pass the hierarchy depth; out-of-range grid indices are
@@ -163,7 +158,6 @@ func New(grids int) *Observer {
 		CacheHits:           r.NewCounter("serve_cache_hits_total"),
 		CacheMisses:         r.NewCounter("serve_cache_misses_total"),
 		CacheEvictions:      r.NewCounter("serve_cache_evictions_total"),
-		BatchSizes:          r.NewHistogram("serve_batch_size", DefaultBatchBounds()),
 		QueueDepth:          r.NewGauge("serve_queue_depth"),
 		Rejected:            r.NewCounter("serve_rejected_total"),
 		Requests:            r.NewCounter("serve_requests_total"),

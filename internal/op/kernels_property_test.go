@@ -181,16 +181,21 @@ func perColumn(rows int, f func(y, x, b []float64), xBlock, bBlock, yInit []floa
 	cols := len(xBlock) / blockK
 	o := make([]float64, rows*blockK)
 	x, b, y := make([]float64, cols), make([]float64, rows), make([]float64, rows)
+	column := func(dst, block []float64, c int) {
+		for i := range dst {
+			dst[i] = block[i*blockK+c]
+		}
+	}
 	for c := 0; c < blockK; c++ {
-		sparse.UnpackBlockColumn(x, xBlock, blockK, c)
+		column(x, xBlock, c)
 		if bBlock != nil {
-			sparse.UnpackBlockColumn(b, bBlock, blockK, c)
+			column(b, bBlock, c)
 		}
 		for i := range y {
 			y[i] = 0
 		}
 		if yInit != nil {
-			sparse.UnpackBlockColumn(y, yInit, blockK, c)
+			column(y, yInit, c)
 		}
 		f(y, x, b)
 		for i, v := range y {

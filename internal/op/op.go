@@ -152,8 +152,7 @@ type BlockOperator interface {
 }
 
 // BlockApplier is the multi-RHS product capability y = A x (k packed
-// columns, row-major). The block Krylov path requires it on the fine
-// level; the CSR-backed operators provide it.
+// columns, row-major). The CSR-backed operators provide it.
 type BlockApplier interface {
 	ApplyBlock(y, x []float64, k int)
 }

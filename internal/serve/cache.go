@@ -11,10 +11,10 @@ import (
 	"asyncmg/internal/smoother"
 )
 
-// entry is one cached AMG hierarchy plus the per-hierarchy batching state.
-// An entry is published in the cache before its setup has run; the first
-// requester builds while later ones wait on ready (singleflight), so a
-// burst of identical cold requests pays for exactly one setup.
+// entry is one cached AMG hierarchy. An entry is published in the cache
+// before its setup has run; the first requester builds while later ones
+// wait on ready (singleflight), so a burst of identical cold requests pays
+// for exactly one setup.
 type entry struct {
 	key  string
 	elem *list.Element
@@ -30,12 +30,6 @@ type entry struct {
 	// bytes is the resident hierarchy footprint (operators + interpolants
 	// across all levels) — the number the float32 coarse option shrinks.
 	bytes int
-
-	// groups are the open batch groups for this hierarchy, keyed by
-	// (method, cycles) so only requests running the same iteration can
-	// coalesce into one block solve.
-	bmu    sync.Mutex
-	groups map[batchKey]*batchGroup
 }
 
 // cache is a bounded LRU of solver hierarchies keyed by problem identity
@@ -71,7 +65,7 @@ func (c *cache) getOrBuild(key string, build func() (*engine.Engine, error)) (e 
 		}
 		return e, true
 	}
-	e = &entry{key: key, ready: make(chan struct{}), groups: make(map[batchKey]*batchGroup)}
+	e = &entry{key: key, ready: make(chan struct{})}
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
 	for c.order.Len() > c.max {

@@ -16,7 +16,7 @@ func FuzzParseSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"problem":"7pt","size":8}`))
 	f.Add([]byte(`{"problem":"27pt","size":6,"method":"mult","smoother":"l1-jacobi","omega":0.8}`))
 	f.Add([]byte(`{"problem":"mfem-laplace","size":8,"mode":"async","threads":4,"cycles":12}`))
-	f.Add([]byte(`{"problem":"7pt","size":4,"rhs":[1,2,3],"seed":9,"timeout_ms":100,"no_batch":true}`))
+	f.Add([]byte(`{"problem":"7pt","size":4,"rhs":[1,2,3],"seed":9,"timeout_ms":100}`))
 	f.Add([]byte(`{"problem":"7pt","size":1e9}`))
 	f.Add([]byte(`{"size":-1}`))
 	f.Add([]byte(`{`))
@@ -90,7 +90,7 @@ func FuzzSpecFromQuery(f *testing.F) {
 	f.Add("smoother=l1-jacobi&omega=0.7&mode=dist&timeout_ms=50")
 	f.Add("omega=nan")
 	f.Add("cycles=&threads=99999999999999999999")
-	f.Add("no_batch=maybe&return_x=1")
+	f.Add("return_x=maybe")
 	f.Add("mode=async&damping=auto&damp_omega=0.8&damp_rollback=true")
 	f.Add("damping=fixed&damp_omega=inf")
 	f.Add("solver=pcg&tol=1e-9&maxiter=100")

@@ -43,8 +43,6 @@ type SolveRequest struct {
 	// TimeoutMS bounds the solve wall time (capped by the server's
 	// per-request ceiling).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoBatch opts this request out of multi-RHS coalescing.
-	NoBatch bool `json:"no_batch,omitempty"`
 	// ReturnX asks for the solution vector in the response (off by
 	// default: n floats of JSON per request is rarely what a load test
 	// wants).
@@ -101,8 +99,8 @@ type SolveResponse struct {
 	// HierarchyBytes is the resident footprint of the cached hierarchy
 	// (operators + interpolants); float32 coarse storage shrinks it.
 	HierarchyBytes int `json:"hierarchy_bytes,omitempty"`
-	// Batched is the number of right-hand sides in the block solve this
-	// request rode in (1 = solo).
+	// Batched is always 1: every request solves alone. The field stays so
+	// clients that read it keep working.
 	Batched int `json:"batched"`
 	// SetupNS is the AMG setup time this request paid (0 on a cache hit);
 	// SolveNS the solve time.
@@ -150,7 +148,6 @@ type spec struct {
 	rhs     []float64
 	seed    int64
 	timeout time.Duration
-	noBatch bool
 	returnX bool
 	damping async.DampingPolicy
 	solver  string // SolverCycle, SolverPCG or SolverFGMRES
@@ -195,7 +192,6 @@ func specFromRequest(req *SolveRequest) (*spec, error) {
 		threads: req.Threads,
 		rhs:     req.RHS,
 		seed:    req.Seed,
-		noBatch: req.NoBatch,
 		returnX: req.ReturnX,
 	}
 	if req.Problem != "" {
@@ -422,11 +418,6 @@ func specFromQuery(q map[string][]string) (*spec, error) {
 	if s := get("timeout_ms"); s != "" {
 		if req.TimeoutMS, err = strconv.ParseInt(s, 10, 64); err != nil {
 			return nil, fmt.Errorf("bad timeout_ms %q", s)
-		}
-	}
-	if s := get("no_batch"); s != "" {
-		if req.NoBatch, err = strconv.ParseBool(s); err != nil {
-			return nil, fmt.Errorf("bad no_batch %q", s)
 		}
 	}
 	if s := get("return_x"); s != "" {

@@ -1,18 +1,21 @@
 // Package serve turns the solver library into a long-running service:
 // an HTTP API over the synchronous engine, the asynchronous runtime and
-// the distributed-memory simulation, with three production mechanisms on
+// the distributed-memory simulation, with two production mechanisms on
 // top of the solvers themselves:
 //
 //   - a bounded LRU cache of AMG hierarchies keyed by problem identity
 //     (generator family+size+smoother, or the sha256 fingerprint of an
 //     uploaded matrix), with singleflight builds so a cold burst pays for
 //     one setup;
-//   - a request batcher that coalesces concurrent same-hierarchy solves
-//     into one multi-RHS block solve (bitwise identical per column to
-//     independent solves);
 //   - admission control and lifecycle: a bounded queue with 429
 //     backpressure, a worker semaphore, per-request deadlines, 503 while
 //     draining, and a graceful shutdown that finishes in-flight solves.
+//
+// Every request solves alone on its worker slot. Requests are not
+// coalesced into multi-RHS block solves: the hot operators fit in cache,
+// so a block cycle costs about k single cycles, and waiting for company
+// only delayed each request (EXPERIMENTS.md, "Request coalescing
+// deleted").
 //
 // Everything is stdlib net/http; metrics are the obs registry in text
 // exposition format at /metrics.
@@ -60,11 +63,6 @@ type Config struct {
 	MaxQueue int
 	// Workers bounds concurrently executing solves (default GOMAXPROCS).
 	Workers int
-	// BatchWindow is how long the first request of a batch waits for
-	// company (default 2ms; negative disables batching).
-	BatchWindow time.Duration
-	// MaxBatch caps right-hand sides per block solve (default 8).
-	MaxBatch int
 	// MaxBodyBytes caps request bodies, uploads included (default 64 MiB).
 	MaxBodyBytes int64
 	// MaxTimeout caps per-request deadlines; it is also the default for
@@ -101,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
@@ -135,7 +127,6 @@ type Server struct {
 	cfg     Config
 	obs     *obs.Observer
 	cache   *cache
-	batch   *batcher
 	mux     *http.ServeMux
 	httpSrv *http.Server
 
@@ -160,7 +151,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		obs:      cfg.Observer,
 		cache:    newCache(cfg.CacheSize, cfg.Observer),
-		batch:    &batcher{window: cfg.BatchWindow, maxBatch: cfg.MaxBatch, obs: cfg.Observer},
 		sem:      make(chan struct{}, cfg.Workers),
 		matrices: newMatrixStore(cfg.MatrixStoreSize),
 	}
@@ -470,7 +460,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key str
 
 	switch sp.mode {
 	case ModeSync:
-		s.solveSync(ctx, w, r, sp, e, b, &resp)
+		s.solveSync(ctx, w, r, sp, setup, b, &resp)
 	case ModeAsync:
 		s.solveAsync(ctx, w, r, sp, setup, b, &resp)
 	case ModeDist:
@@ -478,40 +468,27 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key str
 	}
 }
 
-func (s *Server) solveSync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, e *entry, b []float64, resp *SolveResponse) {
+func (s *Server) solveSync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
 	if sp.solver != SolverCycle {
-		s.solveKrylov(ctx, w, r, sp, e, b, resp)
+		s.solveKrylov(ctx, w, r, sp, setup, b, resp)
 		return
 	}
-	key := batchKey{method: sp.method, cycles: sp.cycles}
-	var res batchResult
-	if !sp.noBatch && e.setup.CanBlockCycle(sp.method) {
-		select {
-		case res = <-s.batch.join(ctx, e, key, b):
-		case <-ctx.Done():
-			s.fail(w, r, ctx.Err())
-			return
-		}
-	} else {
-		start := time.Now()
-		x, hist, err := e.setup.SolveCtx(ctx, sp.method, b, sp.cycles)
-		res = batchResult{x: x, hist: hist, k: 1, solveNS: time.Since(start).Nanoseconds(), err: err}
-	}
-	if res.err != nil {
-		s.fail(w, r, res.err)
+	start := time.Now()
+	x, hist, err := setup.SolveCtx(ctx, sp.method, b, sp.cycles)
+	if err != nil {
+		s.fail(w, r, err)
 		return
 	}
-	s.recordSolveNS(res.solveNS)
-	resp.Batched = res.k
-	resp.SolveNS = res.solveNS
-	resp.History = res.hist
-	resp.Cycles = len(res.hist) - 1
-	if len(res.hist) > 0 {
-		resp.RelRes = res.hist[len(res.hist)-1]
+	resp.SolveNS = time.Since(start).Nanoseconds()
+	s.recordSolveNS(resp.SolveNS)
+	resp.History = hist
+	resp.Cycles = len(hist) - 1
+	if len(hist) > 0 {
+		resp.RelRes = hist[len(hist)-1]
 	}
-	resp.Diverged = vec.Diverged(res.x, resp.RelRes)
+	resp.Diverged = vec.Diverged(x, resp.RelRes)
 	if sp.returnX {
-		resp.X = res.x
+		resp.X = x
 	}
 	writeJSON(w, resp)
 }
@@ -519,52 +496,45 @@ func (s *Server) solveSync(ctx context.Context, w http.ResponseWriter, r *http.R
 // solveKrylov runs the request as an AMG-preconditioned Krylov solve on
 // the cached hierarchy: the setup this request would have cycled with
 // becomes the preconditioner, applied as one cycle from a zero guess per
-// iteration. PCG requests ride the batcher (block PCG, bitwise-identical
-// per column to solo solves); FGMRES always runs solo — its flexible
-// basis has no block path.
-func (s *Server) solveKrylov(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, e *entry, b []float64, resp *SolveResponse) {
+// iteration.
+func (s *Server) solveKrylov(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
 	resp.Solver = sp.solver
-	var res batchResult
-	if sp.solver == SolverPCG && !sp.noBatch && e.setup.CanBlockCycle(sp.method) {
-		key := batchKey{method: sp.method, solver: SolverPCG, tol: sp.tol, maxiter: sp.maxiter}
-		select {
-		case res = <-s.batch.join(ctx, e, key, b):
-		case <-ctx.Done():
-			s.fail(w, r, ctx.Err())
-			return
-		}
-	} else {
-		opt := krylov.DefaultOptions()
-		opt.Tol = sp.tol
-		opt.MaxIter = sp.maxiter
-		opt.Restart = sp.restart
-		opt.Observer = s.obs
-		start := time.Now()
-		kres, err := soloKrylov(ctx, e.setup, sp.solver, sp.method, b, opt)
-		res = batchResult{
-			x: kres.X, hist: kres.History, k: 1,
-			solveNS: time.Since(start).Nanoseconds(), err: err,
-			iters: kres.Iterations, converged: kres.Converged,
-		}
-	}
-	if res.err != nil {
-		s.fail(w, r, res.err)
+	opt := krylov.DefaultOptions()
+	opt.Tol = sp.tol
+	opt.MaxIter = sp.maxiter
+	opt.Restart = sp.restart
+	opt.Observer = s.obs
+	start := time.Now()
+	res, err := soloKrylov(ctx, setup, sp.solver, sp.method, b, opt)
+	if err != nil {
+		s.fail(w, r, err)
 		return
 	}
-	s.recordSolveNS(res.solveNS)
-	resp.Batched = res.k
-	resp.SolveNS = res.solveNS
-	resp.History = res.hist
-	resp.Iterations = res.iters
-	resp.Converged = res.converged
-	if len(res.hist) > 0 {
-		resp.RelRes = res.hist[len(res.hist)-1]
+	resp.SolveNS = time.Since(start).Nanoseconds()
+	s.recordSolveNS(resp.SolveNS)
+	resp.History = res.History
+	resp.Iterations = res.Iterations
+	resp.Converged = res.Converged
+	if len(res.History) > 0 {
+		resp.RelRes = res.History[len(res.History)-1]
 	}
-	resp.Diverged = vec.Diverged(res.x, resp.RelRes)
+	resp.Diverged = vec.Diverged(res.X, resp.RelRes)
 	if sp.returnX {
-		resp.X = res.x
+		resp.X = res.X
 	}
 	writeJSON(w, resp)
+}
+
+// soloKrylov runs one AMG-preconditioned Krylov solve on a cached
+// hierarchy, with the plain (non-symmetrized) cycle as the preconditioner.
+func soloKrylov(ctx context.Context, setup *engine.Engine, solver string, method engine.Method, b []float64, opt krylov.Options) (krylov.Result, error) {
+	p := krylov.NewMGPreconditioner(setup, method)
+	defer p.Release()
+	opt.M = p
+	if solver == SolverFGMRES {
+		return krylov.FGMRESCtx(ctx, setup.Ops[0], b, opt)
+	}
+	return krylov.PCGCtx(ctx, setup.Ops[0], b, opt)
 }
 
 func (s *Server) solveAsync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {

@@ -59,16 +59,11 @@ func postSolve(t *testing.T, url string, req SolveRequest) (*SolveResponse, int)
 
 // TestServeConcurrentClients is the end-to-end contract under -race:
 // concurrent clients over one hierarchy share the cache (one setup build),
-// coalesce into block solves, and every client still gets bitwise the
-// answer a private engine would have produced.
+// each solves alone, and every client gets bitwise the answer a private
+// engine would have produced.
 func TestServeConcurrentClients(t *testing.T) {
 	o := obs.New(16)
-	_, ts := newTestServer(t, Config{
-		Workers:     16,
-		BatchWindow: 100 * time.Millisecond,
-		MaxBatch:    8,
-		Observer:    o,
-	})
+	_, ts := newTestServer(t, Config{Workers: 16, Observer: o})
 
 	const size, cycles, clients = 6, 6, 6
 	// Private reference engine: identical problem, options and smoother.
@@ -97,7 +92,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	misses, hits, maxBatch := 0, 0, 0
+	misses, hits := 0, 0
 	for c, out := range results {
 		if out == nil {
 			t.Fatalf("client %d got no result", c)
@@ -111,11 +106,10 @@ func TestServeConcurrentClients(t *testing.T) {
 		if (out.Cache == "hit") != (out.SetupNS == 0) {
 			t.Errorf("client %d: cache %q with setup_ns %d", c, out.Cache, out.SetupNS)
 		}
-		if out.Batched > maxBatch {
-			maxBatch = out.Batched
+		if out.Batched != 1 {
+			t.Errorf("client %d: batched %d, want 1 (every request solves alone)", c, out.Batched)
 		}
-		// Bitwise identity with a private solve, through JSON and (for
-		// most clients) the block-solve path.
+		// Bitwise identity with a private solve, through JSON.
 		b := grid.RandomRHS(a.Rows, int64(c))
 		wantX, wantH := ref.Solve(engine.Mult, b, cycles)
 		if len(out.History) != len(wantH) {
@@ -139,23 +133,31 @@ func TestServeConcurrentClients(t *testing.T) {
 	if got := o.SetupBuilds.Load(); got != 1 {
 		t.Errorf("setup_builds_total = %d, want 1", got)
 	}
-	if maxBatch < 2 {
-		t.Errorf("no batching observed (max batched = %d)", maxBatch)
-	}
 }
 
-// TestServeModesAndNoBatch covers the async and dist solve modes and the
-// no_batch opt-out over one shared cache entry.
-func TestServeModesAndNoBatch(t *testing.T) {
+// TestServeModes covers the sync, async and dist solve modes over one
+// shared cache entry, and the 400 for the removed no_batch field.
+func TestServeModes(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 8})
 	base := SolveRequest{Problem: "7pt", Size: 5, Cycles: 8, Seed: 1}
 
-	nb := base
-	nb.Method = "mult"
-	nb.NoBatch = true
-	out, code := postSolve(t, ts.URL, nb)
+	sy := base
+	sy.Method = "mult"
+	out, code := postSolve(t, ts.URL, sy)
 	if code != http.StatusOK || out.Batched != 1 {
-		t.Fatalf("no_batch solve: status %d, batched %v", code, out)
+		t.Fatalf("sync solve: status %d, response %+v", code, out)
+	}
+	// Request coalescing is gone and so is its opt-out: the decoder
+	// rejects unknown fields, so a client still sending it gets a 400.
+	resp, err := http.Post(ts.URL+"/solve", "application/json",
+		strings.NewReader(`{"problem":"7pt","size":5,"no_batch":true}`))
+	if err != nil {
+		t.Fatalf("POST /solve: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("no_batch request: status %d, want 400", resp.StatusCode)
 	}
 
 	as := base
@@ -240,22 +242,18 @@ func TestServeMatrixUpload(t *testing.T) {
 // TestServeBackpressure checks admission control: with one worker and a
 // queue of two, a burst gets some 429s while admitted requests finish.
 func TestServeBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers:     1,
-		MaxQueue:    2,
-		BatchWindow: -1, // solves must hold the worker to create pressure
-	})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxQueue: 2})
 	// Warm the cache, then park a slow solve on the single worker so the
 	// burst below finds the queue occupied.
 	if _, code := postSolve(t, ts.URL, SolveRequest{
-		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2, NoBatch: true,
+		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2,
 	}); code != http.StatusOK {
 		t.Fatalf("warmup: status %d", code)
 	}
 	slow := make(chan int, 1)
 	go func() {
 		_, code := postSolve(t, ts.URL, SolveRequest{
-			Problem: "7pt", Size: 10, Method: "mult", Cycles: 3000, NoBatch: true,
+			Problem: "7pt", Size: 10, Method: "mult", Cycles: 3000,
 		})
 		slow <- code
 	}()
@@ -270,7 +268,7 @@ func TestServeBackpressure(t *testing.T) {
 			defer wg.Done()
 			_, code := postSolve(t, ts.URL, SolveRequest{
 				Problem: "7pt", Size: 10, Method: "mult", Cycles: 2,
-				NoBatch: true, Seed: int64(c),
+				Seed: int64(c),
 			})
 			switch code {
 			case http.StatusOK:
@@ -302,7 +300,7 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeCancellation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	body, _ := json.Marshal(SolveRequest{
-		Problem: "7pt", Size: 10, Method: "mult", Cycles: 3000, NoBatch: true,
+		Problem: "7pt", Size: 10, Method: "mult", Cycles: 3000,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/solve", bytes.NewReader(body))
@@ -322,7 +320,7 @@ func TestServeCancellation(t *testing.T) {
 	}
 	// The server must still serve.
 	out, code := postSolve(t, ts.URL, SolveRequest{
-		Problem: "7pt", Size: 10, Method: "mult", Cycles: 3, NoBatch: true,
+		Problem: "7pt", Size: 10, Method: "mult", Cycles: 3,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("post-cancellation solve: status %d", code)
@@ -338,13 +336,13 @@ func TestServeTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	_, code := postSolve(t, ts.URL, SolveRequest{
 		Problem: "7pt", Size: 10, Method: "mult", Cycles: 10000,
-		TimeoutMS: 1, NoBatch: true,
+		TimeoutMS: 1,
 	})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("1ms budget: status %d, want 504", code)
 	}
 	if _, code = postSolve(t, ts.URL, SolveRequest{
-		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2, NoBatch: true,
+		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2,
 	}); code != http.StatusOK {
 		t.Fatalf("after timeout: status %d, want 200", code)
 	}
@@ -364,7 +362,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 	// Warm the cache so the in-flight request is solve-only.
 	if _, code := postSolve(t, url, SolveRequest{
-		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2, NoBatch: true,
+		Problem: "7pt", Size: 10, Method: "mult", Cycles: 2,
 	}); code != http.StatusOK {
 		t.Fatalf("warmup: status %d", code)
 	}
@@ -372,7 +370,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	inflight := make(chan int, 1)
 	go func() {
 		_, code := postSolve(t, url, SolveRequest{
-			Problem: "7pt", Size: 10, Method: "mult", Cycles: 400, NoBatch: true,
+			Problem: "7pt", Size: 10, Method: "mult", Cycles: 400,
 		})
 		inflight <- code
 	}()
@@ -449,7 +447,7 @@ func TestRetryAfterFromLoad(t *testing.T) {
 // TestRetryAfterHeaderOnBackpressure checks the wire: a 429 carries a
 // numeric Retry-After computed from load, not the old hardcoded "1".
 func TestRetryAfterHeaderOnBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, MaxQueue: 1, BatchWindow: -1})
+	s := New(Config{Workers: 1, MaxQueue: 1})
 	s.recordSolveNS((3 * time.Second).Nanoseconds())
 	s.queued.Store(1) // the queue is full when the next request arrives
 	rec := httptest.NewRecorder()
@@ -497,7 +495,7 @@ func TestWarmProblem(t *testing.T) {
 	if w := warm(); !w.Cached || w.SetupNS != 0 {
 		t.Fatalf("second warm: %+v, want cached no-op", w)
 	}
-	out, code := postSolve(t, ts.URL, SolveRequest{Problem: "7pt", Size: 5, Method: "mult", Cycles: 3, NoBatch: true})
+	out, code := postSolve(t, ts.URL, SolveRequest{Problem: "7pt", Size: 5, Method: "mult", Cycles: 3})
 	if code != http.StatusOK || out.Cache != "hit" {
 		t.Fatalf("solve after warm: status %d cache %q, want 200/hit", code, out.Cache)
 	}
@@ -580,7 +578,7 @@ func TestServeCacheEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CacheSize: 1, Observer: o})
 	for _, size := range []int{4, 5, 4} {
 		if _, code := postSolve(t, ts.URL, SolveRequest{
-			Problem: "7pt", Size: size, Method: "mult", Cycles: 2, NoBatch: true,
+			Problem: "7pt", Size: size, Method: "mult", Cycles: 2,
 		}); code != http.StatusOK {
 			t.Fatalf("size %d: status %d", size, code)
 		}

@@ -2,8 +2,8 @@
 //
 // A block vector packs k right-hand sides row-major: X[i*k+c] is row i of
 // column c, so the k values of one matrix row sit contiguously and a block
-// SpMV streams A exactly once for all k columns — the batching lever of
-// SParSH-AMG-style solver services, where many requests share one operator.
+// SpMV streams A exactly once for all k columns. engine.BlockCycle is the
+// only caller.
 //
 // Every block kernel is constructed to be bitwise-identical, column by
 // column, to k invocations of the corresponding single-vector kernel: the
@@ -88,35 +88,4 @@ func (a *Matrix[V, I]) RunBlock(kernel Kernel, y, b, x []float64, k int) {
 		s.v = [4][]float64{y, b, x}
 	}
 	s.run(a.NNZ()*k, a.Rows)
-}
-
-// PackBlock interleaves k column vectors into a row-major block vector
-// (dst[i*k+c] = cols[c][i]), allocating when dst is nil or too short.
-func PackBlock(dst []float64, cols [][]float64) []float64 {
-	k := len(cols)
-	if k == 0 {
-		return dst[:0]
-	}
-	n := len(cols[0])
-	if cap(dst) < n*k {
-		dst = make([]float64, n*k)
-	}
-	dst = dst[:n*k]
-	for c, col := range cols {
-		if len(col) != n {
-			panic(fmt.Sprintf("sparse: PackBlock column %d has length %d, want %d", c, len(col), n))
-		}
-		for i, v := range col {
-			dst[i*k+c] = v
-		}
-	}
-	return dst
-}
-
-// UnpackBlockColumn extracts column c of a row-major block vector into dst
-// (len n), the inverse of PackBlock for one column.
-func UnpackBlockColumn(dst, block []float64, k, c int) {
-	for i := range dst {
-		dst[i] = block[i*k+c]
-	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestBlockKernelsBitwiseMatchSerialColumns is the contract the multi-RHS
-// batching path rests on: a block kernel over k packed columns is
+// TestBlockKernelsBitwiseMatchSerialColumns is the contract the block
+// cycle rests on: a block kernel over k packed columns is
 // bitwise-identical, column by column, to k single-vector serial kernels,
 // for any worker count. References are computed with the plain serial
 // kernels before any pool swap.
@@ -30,13 +30,13 @@ func TestBlockKernelsBitwiseMatchSerialColumns(t *testing.T) {
 			f.xs = append(f.xs, randVec(rng, f.a.Cols))
 			f.bs = append(f.bs, randVec(rng, n))
 		}
-		f.x = PackBlock(nil, f.xs)
-		f.b = PackBlock(nil, f.bs)
+		f.x = packColumns(f.xs)
+		f.b = packColumns(f.bs)
 		var y0s [][]float64
 		for c := 0; c < f.k; c++ {
 			y0s = append(y0s, randVec(rng, n))
 		}
-		f.y0 = PackBlock(nil, y0s)
+		f.y0 = packColumns(y0s)
 		for c := 0; c < f.k; c++ {
 			mv := make([]float64, n)
 			f.a.MatVec(mv, f.xs[c])
@@ -86,17 +86,20 @@ func TestBlockKernelsBitwiseMatchSerialColumns(t *testing.T) {
 				for c := 0; c < k; c++ {
 					eqCol(t, "RunBlock(KResidualBlock, aliased)", rb, k, c, f.residual[c])
 				}
-				// Pack/unpack round trip.
-				col := make([]float64, n)
-				for c := 0; c < k; c++ {
-					UnpackBlockColumn(col, f.b, k, c)
-					for i := range col {
-						if col[i] != f.bs[c][i] {
-							t.Fatalf("UnpackBlockColumn round trip differs at (%d,%d)", i, c)
-						}
-					}
-				}
 			}
 		})
 	}
+}
+
+// packColumns interleaves k equal-length columns into a row-major block
+// vector: out[i*k+c] = cols[c][i].
+func packColumns(cols [][]float64) []float64 {
+	k := len(cols)
+	out := make([]float64, len(cols[0])*k)
+	for c, col := range cols {
+		for i, v := range col {
+			out[i*k+c] = v
+		}
+	}
+	return out
 }
