@@ -4,11 +4,12 @@
 //
 // The package provides:
 //
-//   - problem generators: 3-D Laplacians on 7-point and 27-point stencils,
-//     and P1 tetrahedral FEM assemblies (Laplace on a ball, multi-material
-//     linear elasticity on a cantilever beam);
-//   - a classical AMG setup phase (strength of connection, PMIS/HMIS
-//     coarsening with aggressive levels, classical-modified and multipass
+//   - problem generators: 3-D Laplacians on 7-point and 27-point stencils
+//     (assembled or matrix-free), and P1 tetrahedral FEM assemblies
+//     (Laplace on a ball, multi-material linear elasticity on a cantilever
+//     beam);
+//   - a classical AMG setup phase (strength of connection, HMIS coarsening
+//     with aggressive levels, classical-modified and multipass
 //     interpolation, Galerkin products) standing in for BoomerAMG;
 //   - four smoothers: weighted Jacobi, ℓ1-Jacobi, hybrid Jacobi-Gauss-Seidel
 //     and asynchronous Gauss-Seidel;
@@ -20,10 +21,8 @@
 //     local-res algorithms, lock-write and atomic-write modes, the
 //     residual-based r-Multadd variant, and the paper's two stopping
 //     criteria;
-//   - an experiment harness that regenerates every table and figure of the
-//     paper's evaluation;
-//   - a solver service (cmd/mgserve) exposing the solvers over HTTP with
-//     hierarchy caching, batched multi-RHS solves and admission control.
+//   - multigrid-preconditioned PCG and FGMRES, and a message-passing
+//     distributed solve with fault injection.
 //
 // # Quick start
 //
@@ -39,31 +38,28 @@
 //	})
 //	fmt.Println(res.RelRes)
 //
-// The subpackage structure is internal; everything a user needs is exported
-// here via type aliases, so godoc for this one package documents the whole
-// public surface.
+// The subpackage structure is internal; the library surface is exported
+// here via type aliases, so godoc for this one package documents it. The
+// experiment harness and the solver service are commands (cmd/mgbench,
+// cmd/mgsim, cmd/mgserve), not part of this API.
 package asyncmg
 
 import (
 	"context"
-	"io"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
-	"asyncmg/internal/chaotic"
 	"asyncmg/internal/distmem"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/fault"
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/model"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
 	"asyncmg/internal/par"
-	"asyncmg/internal/serve"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/spectral"
@@ -83,9 +79,6 @@ func SetParallelKernels(workers, threshold int) {
 	par.SetWorkers(workers)
 	par.SetThreshold(threshold)
 }
-
-// ParallelKernelThreshold reports the current serial-fallback threshold.
-func ParallelKernelThreshold() int { return par.Threshold() }
 
 // ---- Sparse linear algebra ----
 
@@ -129,11 +122,6 @@ func BallMesh(n int) *Mesh { return fem.BallMesh(n) }
 // BeamMesh builds the multi-material cantilever beam mesh.
 func BeamMesh(n int) *Mesh { return fem.BeamMesh(n) }
 
-// BoxMesh builds a structured tetrahedral mesh of a box.
-func BoxMesh(nx, ny, nz int, lx, ly, lz float64) *Mesh {
-	return fem.BoxMesh(nx, ny, nz, lx, ly, lz)
-}
-
 // AssembleLaplace assembles the P1 stiffness matrix of -Δu with homogeneous
 // Dirichlet conditions on the mesh's boundary nodes.
 func AssembleLaplace(m *Mesh) (*FEMProblem, error) { return fem.AssembleLaplace(m) }
@@ -152,46 +140,9 @@ func DefaultBeamMaterials() []Material { return fem.DefaultBeamMaterials() }
 // AMGOptions configures the algebraic multigrid setup phase.
 type AMGOptions = amg.Options
 
-// CoarsenMethod selects PMIS or HMIS coarsening.
-type CoarsenMethod = amg.CoarsenMethod
-
-// InterpType selects the interpolation scheme.
-type InterpType = amg.InterpType
-
-// Hierarchy is the output of the AMG setup.
-type Hierarchy = amg.Hierarchy
-
-// Coarsening methods and interpolation types (BoomerAMG-style options).
-const (
-	PMIS              = amg.PMIS
-	HMIS              = amg.HMIS
-	RugeStuben        = amg.RugeStuben
-	ClassicalModified = amg.ClassicalModified
-	DirectInterp      = amg.Direct
-	MultipassInterp   = amg.Multipass
-)
-
 // DefaultAMGOptions mirrors the paper's BoomerAMG configuration: HMIS
 // coarsening, classical modified interpolation, one aggressive level.
 func DefaultAMGOptions() AMGOptions { return amg.DefaultOptions() }
-
-// BuildHierarchy runs the AMG setup phase on a.
-func BuildHierarchy(a *Matrix, opt AMGOptions) (*Hierarchy, error) { return amg.Build(a, opt) }
-
-// SetupStats is the per-stage wall-time breakdown of one AMG setup
-// (strength graph, coarsening, interpolation, Galerkin products, coarse
-// factorization).
-type SetupStats = amg.SetupStats
-
-// BuildHierarchyWithStats is BuildHierarchy plus the per-stage timing
-// breakdown. The setup pipeline shards over the worker pool configured
-// by SetParallelKernels and is bitwise-identical to the serial path for
-// any worker count.
-func BuildHierarchyWithStats(a *Matrix, opt AMGOptions) (*Hierarchy, *SetupStats, error) {
-	return amg.BuildWithStats(a, opt)
-}
-
-// ---- Coarse-operator sparsification ----
 
 // SparsifyOptions configures post-RAP sparsification of interior coarse
 // operators (AMGOptions.Sparsify): entries weak under the classical
@@ -200,37 +151,6 @@ func BuildHierarchyWithStats(a *Matrix, opt AMGOptions) (*Hierarchy, *SetupStats
 // any level whose removal degrades a deterministic probe cycle beyond
 // GuardTol. The zero value disables sparsification.
 type SparsifyOptions = amg.SparsifyOptions
-
-// SparsifyMode selects how dropped mass is compensated.
-type SparsifyMode = sparse.SparsifyMode
-
-// The compensation modes: lumping onto the diagonal (preserves row sums
-// and symmetry), rescaling the kept off-diagonals (row sums only), or
-// uncompensated dropping (experiments only).
-const (
-	SparsifyLump     = sparse.SparsifyLump
-	SparsifyRescale  = sparse.SparsifyRescale
-	SparsifyDropOnly = sparse.SparsifyDropOnly
-)
-
-// SparsifyLevelStat records one level's sparsification outcome in
-// SetupStats (nnz before/after, skip and guard-revert flags).
-type SparsifyLevelStat = amg.SparsifyLevelStat
-
-// SparsifyStrength returns a sparsified copy of a: off-diagonal entries
-// weak under the strength measure at threshold theta in both endpoint
-// rows are dropped and compensated per mode. Sharded over the worker
-// pool, bitwise-identical to the serial result at any worker count.
-func SparsifyStrength(a *Matrix, theta float64, mode SparsifyMode) *Matrix {
-	return sparse.SparsifyStrength(a, theta, mode)
-}
-
-// SparsifyStrengthInto is SparsifyStrength writing into dst, reusing its
-// buffers when capacities suffice — zero steady-state allocations on a
-// warm destination.
-func SparsifyStrengthInto(dst, a *Matrix, theta float64, mode SparsifyMode) {
-	sparse.SparsifyStrengthInto(dst, a, theta, mode)
-}
 
 // ---- Smoothers ----
 
@@ -275,20 +195,12 @@ func NewSetup(a *Matrix, amgOpt AMGOptions, smoCfg SmootherConfig) (*Setup, erro
 	return engine.New(a, amgOpt, smoCfg)
 }
 
-// NewSetupFromHierarchy builds solver operators on an existing hierarchy.
-func NewSetupFromHierarchy(h *Hierarchy, smoCfg SmootherConfig) (*Setup, error) {
-	return engine.NewFromHierarchy(h, smoCfg)
-}
-
 // ---- Operator abstraction: matrix-free fine levels, mixed precision ----
 
 // Operator is the storage-agnostic linear operator the cycle engine runs
 // on: float64 CSR (the default), float32 CSR with float64 accumulation,
 // or the matrix-free stencil operators below.
 type Operator = op.Operator
-
-// Interp is the prolongation/restriction view of one hierarchy level pair.
-type Interp = op.Interp
 
 // Precision selects the storage precision of the solver's hierarchy view
 // (AMGOptions.CoarsePrecision).
@@ -332,14 +244,6 @@ func NewSetupMatrixFree(a Operator, amgOpt AMGOptions, smoCfg SmootherConfig) (*
 // and returns the final iterate and the relative-residual history.
 func SolveSync(s *Setup, m Method, b []float64, tmax int) (x []float64, hist []float64) {
 	return s.Solve(m, b, tmax)
-}
-
-// SolveSyncCtx is SolveSync with cancellation: the solve stops at the next
-// cycle boundary and returns ctx's error when ctx is cancelled or its
-// deadline passes. With a live context it reproduces SolveSync bit for
-// bit.
-func SolveSyncCtx(ctx context.Context, s *Setup, m Method, b []float64, tmax int) (x []float64, hist []float64, err error) {
-	return s.SolveCtx(ctx, m, b, tmax)
 }
 
 // SolveSyncDamped runs tmax uniformly damped additive V-cycles (Multadd
@@ -398,10 +302,6 @@ type DampingPolicy = async.DampingPolicy
 // DampMode selects the damping policy's mode.
 type DampMode = async.DampMode
 
-// AsyncPerturb injects deterministic read-delay and straggler adversity
-// into asynchronous runs (testing and the staleness-sweep harness).
-type AsyncPerturb = async.Perturb
-
 // Write modes, residual modes, stopping criteria and damping modes.
 const (
 	LockWrite   = async.LockWrite
@@ -430,17 +330,6 @@ func SolveAsync(s *Setup, b []float64, cfg AsyncConfig) (*AsyncResult, error) {
 func SolveAsyncCtx(ctx context.Context, s *Setup, b []float64, cfg AsyncConfig) (*AsyncResult, error) {
 	return async.Solve(ctx, s, b, cfg)
 }
-
-// ---- Experiment harness ----
-
-// BuildProblem generates a test matrix by family name ("7pt", "27pt",
-// "mfem-laplace", "mfem-elasticity") and mesh parameter.
-func BuildProblem(name string, size int) (*Matrix, error) {
-	return harness.BuildProblem(name, size)
-}
-
-// ProblemNames lists the four test-matrix families of the paper.
-func ProblemNames() []string { return harness.AllProblems() }
 
 // ---- Krylov solvers ----
 
@@ -522,16 +411,8 @@ func SolveDistributedCtx(ctx context.Context, s *Setup, b []float64, cfg DistCon
 
 // ---- Matrix Market I/O ----
 
-// ReadMatrixMarket parses a Matrix Market stream (coordinate format,
-// real/integer/pattern, general/symmetric) into a Matrix.
-func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return mtx.Read(r) }
-
 // ReadMatrixMarketFile reads a Matrix Market file from disk.
 func ReadMatrixMarketFile(path string) (*Matrix, error) { return mtx.ReadFile(path) }
-
-// WriteMatrixMarket emits a Matrix in Matrix Market coordinate/real/general
-// format.
-func WriteMatrixMarket(w io.Writer, a *Matrix) error { return mtx.Write(w, a) }
 
 // WriteMatrixMarketFile writes a Matrix to a Matrix Market file.
 func WriteMatrixMarketFile(path string, a *Matrix) error { return mtx.WriteFile(path, a) }
@@ -539,9 +420,8 @@ func WriteMatrixMarketFile(path string, a *Matrix) error { return mtx.WriteFile(
 // ---- Convergence diagnostics ----
 
 // AsyncSmootherRadius estimates ρ(|I − diag(scale)·A|): the asynchronous
-// smoother iteration of Equation 5 converges when this is below 1. scale is
-// obtained from the smoother configuration via InterpolantScaling-style
-// diagonal scalings; pass ω/diag(A) for ω-Jacobi.
+// smoother iteration (the paper's Eq. 5) converges when this is below 1.
+// SmootherScaling gives scale for a smoother configuration.
 func AsyncSmootherRadius(a *Matrix, scale []float64) (float64, error) {
 	return spectral.AsyncSmootherRadius(a, scale)
 }
@@ -559,14 +439,6 @@ func SmootherScaling(a *Matrix, cfg SmootherConfig) ([]float64, error) {
 	return smoother.InterpolantScaling(a, cfg)
 }
 
-// ConvergenceFactor estimates the asymptotic per-cycle convergence factor
-// of a method on a setup (power iteration on the homogeneous problem). A
-// factor below 1 means the method converges as a standalone solver; BPX's
-// exceeds 1 (the over-correction that motivates Multadd and AFACx).
-func ConvergenceFactor(s *Setup, m Method, iters int, seed int64) float64 {
-	return s.ConvergenceFactor(m, iters, seed)
-}
-
 // ---- Observability ----
 
 // Observer is the zero-allocation metrics sink every solver can report
@@ -581,72 +453,10 @@ func ConvergenceFactor(s *Setup, m Method, iters int, seed int64) float64 {
 // solves.
 type Observer = obs.Observer
 
-// MetricsSnapshot is a point-in-time copy of an observer's signals.
-type MetricsSnapshot = obs.Snapshot
-
-// TraceEvent is one entry of an observer's bounded event timeline.
-type TraceEvent = obs.Event
-
 // NewObserver builds an observer for solves over at most `grids` grids
 // (hierarchy levels). Chain WithTrace(capacity) to retain an event
 // timeline.
 func NewObserver(grids int) *Observer { return obs.New(grids) }
 
-// ServeDebug starts an HTTP server on addr exposing /metrics (plain-text
-// exposition of o's registry) and the standard /debug/pprof/ endpoints,
-// returning the bound address. Pass a nil observer for profiling only.
-func ServeDebug(addr string, o *Observer) (string, error) { return obs.ServeDebug(addr, o) }
-
-// StartExecutionTrace begins a runtime/trace capture into path and
-// returns a stop function; an empty path is a no-op.
-func StartExecutionTrace(path string) (stop func() error, err error) { return obs.StartTrace(path) }
-
 // WriteMetricsFile writes o's exposition text to path (truncating).
 func WriteMetricsFile(path string, o *Observer) error { return obs.WriteMetricsFile(path, o) }
-
-// ---- Solver service ----
-
-// ServeConfig tunes the solver service (hierarchy-cache size, admission
-// queue bound, worker and batch limits, request deadlines). The zero
-// value picks sensible defaults.
-type ServeConfig = serve.Config
-
-// SolverServer is the solver-as-a-service HTTP server: POST /solve
-// (named problems) and POST /solve/matrix (MatrixMarket uploads, gzip
-// accepted) with an LRU cache of AMG hierarchies, multi-RHS request
-// batching over the block solve path, admission control with 429/503
-// backpressure, and /healthz + /metrics endpoints. See cmd/mgserve for
-// the standalone binary.
-type SolverServer = serve.Server
-
-// ServeSolveRequest is the JSON body of the service's /solve endpoint.
-type ServeSolveRequest = serve.SolveRequest
-
-// ServeSolveResponse is the JSON reply of the service's solve endpoints.
-type ServeSolveResponse = serve.SolveResponse
-
-// NewSolverServer builds a solver service from cfg.
-func NewSolverServer(cfg ServeConfig) *SolverServer { return serve.New(cfg) }
-
-// ---- Chaotic relaxation (Section II.C, Equation 5) ----
-
-// ChaoticConfig parameterizes a distributed (a)synchronous relaxation
-// solve: row-block processes exchanging halo values through newest-wins
-// mailboxes — the Chazan-Miranker chaotic relaxation the paper's theory
-// builds on.
-type ChaoticConfig = chaotic.Config
-
-// ChaoticResult reports a chaotic relaxation solve.
-type ChaoticResult = chaotic.Result
-
-// Relaxation kinds for SolveChaotic.
-const (
-	ChaoticJacobi      = chaotic.Jacobi
-	ChaoticGaussSeidel = chaotic.GaussSeidel
-)
-
-// SolveChaotic runs the distributed asynchronous relaxation of Equation 5
-// on A x = b. It converges whenever AsyncSmootherRadius(a, scale) < 1.
-func SolveChaotic(a *Matrix, b []float64, cfg ChaoticConfig) (*ChaoticResult, error) {
-	return chaotic.Solve(a, b, cfg)
-}

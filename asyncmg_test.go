@@ -7,14 +7,19 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"asyncmg"
+	"asyncmg/internal/harness"
+	"asyncmg/internal/serve"
 )
 
 // These tests exercise the public façade end to end, the way a downstream
 // user would: generate or load a problem, set up, solve with each solver
-// family, and check the numbers.
+// family, and check the numbers. The problem registry and the solver
+// service are not part of the façade; the commands reach them through
+// internal/harness and internal/serve, and so do the tests of them here.
 
 func TestPublicQuickstartFlow(t *testing.T) {
 	a := asyncmg.Laplacian27pt(8)
@@ -133,11 +138,11 @@ func TestPublicDistributedFlow(t *testing.T) {
 
 func TestPublicMatrixMarketRoundTrip(t *testing.T) {
 	a := asyncmg.Laplacian7pt(4)
-	var buf bytes.Buffer
-	if err := asyncmg.WriteMatrixMarket(&buf, a); err != nil {
+	path := filepath.Join(t.TempDir(), "lap7.mtx")
+	if err := asyncmg.WriteMatrixMarketFile(path, a); err != nil {
 		t.Fatal(err)
 	}
-	back, err := asyncmg.ReadMatrixMarket(&buf)
+	back, err := asyncmg.ReadMatrixMarketFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,43 +179,19 @@ func TestPublicCOOAssembly(t *testing.T) {
 	}
 }
 
-func TestPublicProblemRegistry(t *testing.T) {
-	names := asyncmg.ProblemNames()
-	if len(names) != 4 {
-		t.Fatalf("problem families = %v", names)
-	}
-	for _, name := range names {
-		size := 4
-		if name == "mfem-elasticity" {
-			size = 2
-		}
-		a, err := asyncmg.BuildProblem(name, size)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if a.Rows == 0 {
-			t.Errorf("%s: empty matrix", name)
-		}
-	}
-}
-
 func TestPublicHierarchyIntrospection(t *testing.T) {
 	a := asyncmg.Laplacian7pt(8)
-	h, err := asyncmg.BuildHierarchy(a, asyncmg.DefaultAMGOptions())
+	setup, err := asyncmg.NewSetup(a, asyncmg.DefaultAMGOptions(), asyncmg.DefaultSmoother())
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := setup.H
 	sizes := h.GridSizes()
 	if len(sizes) < 2 || sizes[0] != a.Rows {
 		t.Errorf("GridSizes = %v", sizes)
 	}
 	if oc := h.OperatorComplexity(); oc < 1 || math.IsNaN(oc) {
 		t.Errorf("operator complexity %v", oc)
-	}
-	setup, err := asyncmg.NewSetupFromHierarchy(h, asyncmg.DefaultSmoother())
-	if err != nil {
-		t.Fatal(err)
 	}
 	if setup.NumLevels() != h.NumLevels() {
 		t.Error("setup levels disagree with hierarchy")
@@ -235,22 +216,6 @@ func TestPublicSpectralDiagnostics(t *testing.T) {
 	}
 }
 
-func TestPublicRugeStubenOption(t *testing.T) {
-	a := asyncmg.Laplacian7pt(6)
-	opt := asyncmg.DefaultAMGOptions()
-	opt.Coarsening = asyncmg.RugeStuben
-	opt.AggressiveLevels = 0
-	setup, err := asyncmg.NewSetup(a, opt, asyncmg.DefaultSmoother())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := asyncmg.RandomRHS(a.Rows, 8)
-	_, hist := asyncmg.SolveSync(setup, asyncmg.Mult, b, 30)
-	if hist[len(hist)-1] > 1e-8 {
-		t.Errorf("RS hierarchy Mult relres %g", hist[len(hist)-1])
-	}
-}
-
 func TestPublicSyncHistory(t *testing.T) {
 	a := asyncmg.Laplacian7pt(6)
 	setup, err := asyncmg.NewSetup(a, asyncmg.DefaultAMGOptions(), asyncmg.DefaultSmoother())
@@ -270,17 +235,24 @@ func TestPublicSyncHistory(t *testing.T) {
 	}
 }
 
-func TestPublicChaoticRelaxation(t *testing.T) {
-	a := asyncmg.Laplacian7pt(5)
-	b := asyncmg.RandomRHS(a.Rows, 10)
-	res, err := asyncmg.SolveChaotic(a, b, asyncmg.ChaoticConfig{
-		Processes: 4, Sweeps: 300, Omega: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
+func TestPublicProblemRegistry(t *testing.T) {
+	names := harness.AllProblems()
+	if len(names) != 4 {
+		t.Fatalf("problem families = %v", names)
 	}
-	if res.Diverged || res.RelRes > 1e-5 {
-		t.Errorf("chaotic relaxation relres %g", res.RelRes)
+	for _, name := range names {
+		size := 4
+		if name == harness.ProblemElasticity {
+			size = 2
+		}
+		a, err := harness.BuildProblem(name, size)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if a.Rows == 0 {
+			t.Errorf("%s: empty matrix", name)
+		}
 	}
 }
 
@@ -292,32 +264,32 @@ func TestPublicSolveSyncCtx(t *testing.T) {
 	}
 	b := asyncmg.RandomRHS(a.Rows, 3)
 	refX, refH := asyncmg.SolveSync(setup, asyncmg.Mult, b, 10)
-	x, hist, err := asyncmg.SolveSyncCtx(context.Background(), setup, asyncmg.Mult, b, 10)
+	x, hist, err := setup.SolveCtx(context.Background(), asyncmg.Mult, b, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range refH {
 		if hist[i] != refH[i] {
-			t.Fatalf("SolveSyncCtx hist[%d] = %v, want %v", i, hist[i], refH[i])
+			t.Fatalf("SolveCtx hist[%d] = %v, want %v", i, hist[i], refH[i])
 		}
 	}
 	for i := range refX {
 		if x[i] != refX[i] {
-			t.Fatalf("SolveSyncCtx x[%d] = %v, want %v", i, x[i], refX[i])
+			t.Fatalf("SolveCtx x[%d] = %v, want %v", i, x[i], refX[i])
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := asyncmg.SolveSyncCtx(ctx, setup, asyncmg.Mult, b, 10); err != context.Canceled {
-		t.Fatalf("cancelled SolveSyncCtx error = %v, want context.Canceled", err)
+	if _, _, err := setup.SolveCtx(ctx, asyncmg.Mult, b, 10); err != context.Canceled {
+		t.Fatalf("cancelled SolveCtx error = %v, want context.Canceled", err)
 	}
 }
 
 func TestPublicSolverServer(t *testing.T) {
-	srv := asyncmg.NewSolverServer(asyncmg.ServeConfig{Workers: 2})
+	srv := serve.New(serve.Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(asyncmg.ServeSolveRequest{
+	body, _ := json.Marshal(serve.SolveRequest{
 		Problem: "7pt", Size: 5, Method: "mult", Cycles: 8,
 	})
 	resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
@@ -328,7 +300,7 @@ func TestPublicSolverServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out asyncmg.ServeSolveResponse
+	var out serve.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -181,6 +181,40 @@ func TestAggressiveCoarseningMuchCoarser(t *testing.T) {
 	}
 }
 
+// TestAggressiveLevelsCutComplexity pins the hierarchy-shape side of the
+// aggressive-coarsening ablation: the first aggressive level cuts operator
+// complexity without adding levels, and a second one adds none back (on
+// 7pt it cuts further).
+func TestAggressiveLevelsCutComplexity(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		a            *sparse.CSR
+		strictSecond bool
+	}{
+		{"7pt", grid.Laplacian7pt(12), true},
+		{"27pt", grid.Laplacian27pt(12), false},
+	} {
+		var levels [3]int
+		var oc [3]float64
+		for agg := range levels {
+			opt := DefaultOptions()
+			opt.AggressiveLevels = agg
+			h, err := Build(tc.a, opt)
+			if err != nil {
+				t.Fatalf("%s agg=%d: %v", tc.name, agg, err)
+			}
+			levels[agg], oc[agg] = h.NumLevels(), h.OperatorComplexity()
+		}
+		t.Logf("%s: levels %v, operator complexity %.3f", tc.name, levels, oc)
+		if oc[1] >= oc[0] || levels[1] > levels[0] {
+			t.Errorf("%s: agg 0→1 gave complexity %.3f → %.3f, levels %d → %d", tc.name, oc[0], oc[1], levels[0], levels[1])
+		}
+		if oc[2] > oc[1] || (tc.strictSecond && oc[2] >= oc[1]) {
+			t.Errorf("%s: agg 1→2 gave complexity %.3f → %.3f", tc.name, oc[1], oc[2])
+		}
+	}
+}
+
 func TestCoarsenDeterministicUnderSeed(t *testing.T) {
 	a := grid.Laplacian7pt(6)
 	s := StrengthGraph(a, 0.25)

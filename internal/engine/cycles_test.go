@@ -155,6 +155,20 @@ func TestBPXOverCorrects(t *testing.T) {
 	}
 }
 
+func TestRugeStubenHierarchyMultConverges(t *testing.T) {
+	a := grid.Laplacian7pt(6)
+	opt := testOptions()
+	opt.Coarsening = amg.RugeStuben
+	s, err := New(a, opt, smoother.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hist := s.Solve(Mult, grid.RandomRHS(a.Rows, 8), 30)
+	if r := hist[len(hist)-1]; r > 1e-8 {
+		t.Errorf("RS hierarchy Mult relres %g after 30 cycles", r)
+	}
+}
+
 func TestMultaddTwoGridFormula(t *testing.T) {
 	// On a forced two-level hierarchy, one Multadd cycle from x=0 must
 	// equal x = Λ₀ b + P̄ A₁⁻¹ P̄ᵀ b exactly (Equation 11 of the paper).

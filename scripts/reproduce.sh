@@ -19,9 +19,6 @@ go run ./cmd/mgbench -fig 5   | tee results/fig5.txt
 go run ./cmd/mgbench -table 1 | tee results/table1.txt
 go run ./cmd/mgbench -fig 6   | tee results/fig6.txt
 
-echo "== Benchmarks (one per table/figure + ablations) =="
-go test -bench=. -benchmem . | tee results/bench.txt
-
 {
 	echo "ok"
 	go version
