@@ -31,13 +31,11 @@ import (
 	"syscall"
 	"time"
 
-	"asyncmg/internal/amg"
 	"asyncmg/internal/cluster"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/op"
 	"asyncmg/internal/par"
 	"asyncmg/internal/serve"
-	"asyncmg/internal/sparse"
+	"asyncmg/internal/solve"
 )
 
 // mode is what the flags select beyond the serve.Config: which tier this
@@ -63,11 +61,8 @@ func parseFlags(args []string) (serve.Config, mode, error) {
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
 	timeout := fs.Duration("max-timeout", 60*time.Second, "per-request deadline cap and default")
 	fs.IntVar(&m.parWorkers, "par-workers", 0, "worker-pool size for sharded kernels (0 = GOMAXPROCS)")
-	matrixFree := fs.Bool("matrix-free", false, "build structured stencil problems (7pt, 27pt) matrix-free: the fine level is never materialized as CSR")
-	f32Coarse := fs.Bool("f32-coarse", false, "store coarse operators and interpolants in float32 (shrinks cached hierarchies)")
-	sparsify := fs.Bool("sparsify", false, "sparsify coarse operators after RAP (shrinks cached hierarchies and per-cycle work; guarded per level)")
-	sparsifyTheta := fs.Float64("sparsify-theta", 0.25, "drop threshold for -sparsify")
-	sparsifyMode := fs.String("sparsify-mode", "lump", "compensation mode for -sparsify: lump, rescale, drop")
+	var setup solve.SetupFlags
+	setup.Bind(fs)
 
 	fs.BoolVar(&m.cluster, "cluster", false, "serve the routing tier instead of a node (requires -peers)")
 	peers := fs.String("peers", "", "cluster: comma-separated peer node addresses (host:port)")
@@ -80,27 +75,18 @@ func parseFlags(args []string) (serve.Config, mode, error) {
 		return serve.Config{}, mode{}, err
 	}
 
+	opt, err := setup.AMG()
+	if err != nil {
+		return serve.Config{}, mode{}, err
+	}
 	cfg := serve.Config{
 		CacheSize:  *cacheSize,
 		MaxQueue:   *maxQueue,
 		Workers:    *workers,
 		MaxTimeout: *timeout,
 		Observer:   obs.New(32),
-		MatrixFree: *matrixFree,
-	}
-	if *f32Coarse || *sparsify {
-		opt := amg.DefaultOptions()
-		if *f32Coarse {
-			opt.CoarsePrecision = op.CoarseFloat32
-		}
-		if *sparsify {
-			sm, err := sparse.ParseSparsifyMode(*sparsifyMode)
-			if err != nil {
-				return serve.Config{}, mode{}, err
-			}
-			opt.Sparsify = amg.SparsifyOptions{Theta: *sparsifyTheta, Mode: sm}
-		}
-		cfg.AMG = &opt
+		AMG:        opt,
+		MatrixFree: setup.MatrixFree,
 	}
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {

@@ -2,88 +2,191 @@
 // method and prints the convergence history, hierarchy statistics, and (for
 // parallel runs) the per-grid correction counts.
 //
+// The solve knobs are the service's request fields under the same names
+// (internal/solve): -method, -smoother, -omega, -cycles, -mode, -threads,
+// -seed, -solver, -tol, -maxiter, -restart and the -damp… family, plus
+// -problem and -size. A flag line and the equivalent /solve body resolve
+// to the same plan and the same residual history.
+//
 // Examples:
 //
-//	mgsolve -problem 27pt -size 16 -method multadd -smoother async-gs -async -threads 8
+//	mgsolve -problem 27pt -size 16 -method multadd -smoother async-gs -mode async -threads 8
 //	mgsolve -problem mfem-laplace -size 12 -method mult -cycles 40
 //	mgsolve -matrix system.mtx -method mult -cycles 40
 //	mgsolve -problem 27pt -size 16 -solver pcg -tol 1e-8       # AMG-preconditioned CG
 //	mgsolve -problem conv-diff -size 16 -solver fgmres -method multadd
+//	mgsolve -problem 7pt -size 16 -mode async -threads 8 -damping auto -damp_rollback
+//	mgsolve -problem 7pt -size 16 -mode dist -method afacx
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
 	"asyncmg/internal/engine"
-	"asyncmg/internal/grid"
 	"asyncmg/internal/harness"
-	"asyncmg/internal/krylov"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/op"
 	"asyncmg/internal/par"
-	"asyncmg/internal/smoother"
-	"asyncmg/internal/sparse"
+	"asyncmg/internal/solve"
 )
+
+// config is what mgsolve's own flags select beyond the solve plan: the
+// operator source, the hierarchy setup, and the outputs.
+type config struct {
+	matrix       string
+	aggressive   int
+	setup        solve.SetupFlags
+	parWorkers   int
+	parThreshold int
+	metricsOut   string
+	pprofAddr    string
+	traceOut     string
+}
+
+// parseArgs turns the command line into mgsolve's configuration and the
+// validated solve plan. Every bad knob is an error here, before any setup.
+func parseArgs(args []string) (config, *solve.Plan, error) {
+	fs := flag.NewFlagSet("mgsolve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are returned, not printed
+
+	spec := solve.Spec{Problem: harness.Problem7pt, Size: 12, Seed: 1}
+	spec.Bind(fs)
+	var c config
+	fs.StringVar(&c.matrix, "matrix", "", "Matrix Market file to solve instead of a generated problem")
+	fs.IntVar(&c.aggressive, "aggressive", 1, "aggressive coarsening levels")
+	c.setup.Bind(fs)
+	write := fs.String("write", "lock", "async write mode: lock, atomic")
+	res := fs.String("res", "local", "async residual mode: local, global, residual")
+	readHold := fs.Int("read-hold", 0, "perturbation: each grid refreshes its read only every N of its own corrections (0/1 = off)")
+	stragglers := fs.String("stragglers", "", "perturbation: comma-separated grid indices that refresh 4x slower")
+	fs.IntVar(&c.parWorkers, "par-workers", 0, "worker-pool size for the sharded level kernels (0 = GOMAXPROCS)")
+	fs.IntVar(&c.parThreshold, "par-threshold", 0, "minimum kernel work before sharding; smaller levels stay serial (0 = default)")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write solver metrics (per-grid relaxation counts, staleness histogram, pool gauges) to this file in exposition format")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&c.traceOut, "trace", "", "write a runtime execution trace to this file (view with go tool trace)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stderr)
+			fs.Usage()
+		}
+		return c, nil, err
+	}
+	if c.matrix != "" {
+		// An uploaded operator: validated like a /solve/matrix query.
+		spec.Problem, spec.Size = "", 0
+	}
+	plan, err := spec.Validate()
+	if err != nil {
+		return c, nil, err
+	}
+
+	// The async runtime's write and residual modes and the perturbations
+	// are mgsolve-only overrides on the resolved plan.
+	switch *write {
+	case "lock":
+		plan.Write = async.LockWrite
+	case "atomic":
+		plan.Write = async.AtomicWrite
+	default:
+		return c, nil, fmt.Errorf("unknown write mode %q (want lock, atomic)", *write)
+	}
+	switch *res {
+	case "local":
+		plan.Res = async.LocalRes
+	case "global":
+		plan.Res = async.GlobalRes
+	case "residual":
+		plan.Res = async.ResidualRes
+	default:
+		return c, nil, fmt.Errorf("unknown residual mode %q (want local, global, residual)", *res)
+	}
+	plan.Perturb.ReadHold = *readHold
+	for _, f := range strings.Split(*stragglers, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		k, err := strconv.Atoi(f)
+		if err != nil {
+			return c, nil, fmt.Errorf("bad -stragglers entry %q", f)
+		}
+		plan.Perturb.Stragglers = append(plan.Perturb.Stragglers, k)
+	}
+	return c, plan, nil
+}
+
+// build prints the operator line and runs the AMG setup: the uploaded
+// matrix, or the generated problem under its family's setup rule,
+// matrix-free when asked.
+func build(c config, plan *solve.Plan) (*engine.Engine, error) {
+	opt := amg.DefaultOptions()
+	if o, err := c.setup.AMG(); err != nil {
+		return nil, err
+	} else if o != nil {
+		opt = *o
+	}
+	opt.AggressiveLevels = c.aggressive
+	if c.matrix != "" {
+		a, err := mtx.ReadFile(c.matrix)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("matrix %s: %d rows, %d nonzeros\n", c.matrix, a.Rows, a.NNZ())
+		return engine.New(a, opt, plan.Smoother)
+	}
+	opt = harness.ProblemOptions(plan.Problem, opt)
+	if c.setup.MatrixFree {
+		a, ok := harness.BuildProblemOperator(plan.Problem, plan.Size)
+		if !ok {
+			return nil, fmt.Errorf("-matrix-free needs a structured problem (7pt, 27pt), got %q", plan.Problem)
+		}
+		fmt.Printf("problem %s size %d: %d rows, %d stencil nonzeros (matrix-free)\n",
+			plan.Problem, plan.Size, a.Rows(), a.NNZEquivalent())
+		return engine.NewOperator(a, opt, plan.Smoother)
+	}
+	a, err := harness.BuildProblem(plan.Problem, plan.Size)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("problem %s size %d: %d rows, %d nonzeros\n", plan.Problem, plan.Size, a.Rows, a.NNZ())
+	return engine.New(a, opt, plan.Smoother)
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mgsolve: ")
 
-	problem := flag.String("problem", "7pt", "problem family: 7pt, 27pt, mfem-laplace, mfem-elasticity")
-	matrix := flag.String("matrix", "", "Matrix Market file to solve instead of a generated problem")
-	size := flag.Int("size", 12, "mesh parameter (grid length / mesh resolution)")
-	method := flag.String("method", "multadd", "multigrid method: mult, multadd, afacx, bpx")
-	smo := flag.String("smoother", "w-jacobi", "smoother: w-jacobi, l1-jacobi, hybrid-jgs, async-gs")
-	omega := flag.Float64("omega", 0, "Jacobi weight (0 = family default: 0.9 stencil, 0.5 FEM)")
-	cycles := flag.Int("cycles", 30, "number of V-cycles (t_max)")
-	solver := flag.String("solver", "cycle", "outer solver: cycle (plain multigrid cycling), pcg or fgmres (AMG-preconditioned Krylov)")
-	tol := flag.Float64("tol", 1e-8, "relative-residual tolerance for -solver pcg|fgmres")
-	maxiter := flag.Int("maxiter", 500, "iteration cap for -solver pcg|fgmres")
-	restart := flag.Int("restart", 0, "FGMRES restart length m (0 = default 30)")
-	aggressive := flag.Int("aggressive", 1, "aggressive coarsening levels")
-	matrixFree := flag.Bool("matrix-free", false, "apply the fine level from the stencil without materializing CSR (7pt/27pt only)")
-	f32Coarse := flag.Bool("f32-coarse", false, "store coarse operators and interpolants in float32")
-	sparsify := flag.Bool("sparsify", false, "sparsify coarse operators after RAP (strength-aware dropping with the per-level convergence guard)")
-	sparsifyTheta := flag.Float64("sparsify-theta", 0.25, "drop threshold for -sparsify")
-	sparsifyMode := flag.String("sparsify-mode", "lump", "compensation mode for -sparsify: lump, rescale, drop")
-	runAsync := flag.Bool("async", false, "run the asynchronous parallel solver instead of the sequential one")
-	threads := flag.Int("threads", 8, "goroutines for -async")
-	writeMode := flag.String("write", "atomic", "async write mode: lock, atomic")
-	resMode := flag.String("res", "local", "async residual mode: local, global, residual")
-	damp := flag.Float64("damp", 0, "fixed correction damping factor ω in (0,1] for -async additive runs (0 = off)")
-	dampAuto := flag.Bool("damp-auto", false, "adaptive staleness-driven damping with rollback-last (overrides -damp's mode; -damp then sets the starting/maximum ω)")
-	readHold := flag.Int("read-hold", 0, "perturbation: each grid refreshes its read only every N of its own corrections (0/1 = off)")
-	stragglers := flag.String("stragglers", "", "perturbation: comma-separated grid indices that refresh 4x slower")
-	seed := flag.Int64("seed", 1, "right-hand-side seed")
-	parWorkers := flag.Int("par-workers", 0, "worker-pool size for the sharded level kernels (0 = GOMAXPROCS)")
-	parThreshold := flag.Int("par-threshold", 0, "minimum kernel work before sharding; smaller levels stay serial (0 = default)")
-	metricsOut := flag.String("metrics-out", "", "write solver metrics (per-grid relaxation counts, staleness histogram, pool gauges) to this file in exposition format")
-	pprofAddr := flag.String("pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
-	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
-	flag.Parse()
-	par.SetWorkers(*parWorkers)
-	par.SetThreshold(*parThreshold)
+	c, plan, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	par.SetWorkers(c.parWorkers)
+	par.SetThreshold(c.parThreshold)
 
 	var o *obs.Observer
-	if *metricsOut != "" || *pprofAddr != "" {
+	if c.metricsOut != "" || c.pprofAddr != "" {
 		o = obs.New(32).WithTrace(4096)
 	}
-	if *pprofAddr != "" {
-		addr, err := obs.ServeDebug(*pprofAddr, o)
+	if c.pprofAddr != "" {
+		addr, err := obs.ServeDebug(c.pprofAddr, o)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("serving metrics and pprof on http://%s", addr)
 	}
-	stopTrace, err := obs.StartTrace(*traceOut)
+	stopTrace, err := obs.StartTrace(c.traceOut)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,68 +196,17 @@ func main() {
 		if err := stopTrace(); err != nil {
 			log.Fatal(err)
 		}
-		if err := obs.WriteMetricsFile(*metricsOut, o); err != nil {
+		if err := obs.WriteMetricsFile(c.metricsOut, o); err != nil {
 			log.Fatal(err)
 		}
 	}
 	defer finish()
 
-	var a *sparse.CSR
-	var aOp op.Operator
-	if *matrix != "" {
-		a, err = mtx.ReadFile(*matrix)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("matrix %s: %d rows, %d nonzeros\n", *matrix, a.Rows, a.NNZ())
-	} else if *matrixFree {
-		var ok bool
-		aOp, ok = harness.BuildProblemOperator(*problem, *size)
-		if !ok {
-			log.Fatalf("-matrix-free needs a structured problem (7pt, 27pt), got %q", *problem)
-		}
-		fmt.Printf("problem %s size %d: %d rows, %d stencil nonzeros (matrix-free)\n",
-			*problem, *size, aOp.Rows(), aOp.NNZEquivalent())
-	} else {
-		a, err = harness.BuildProblem(*problem, *size)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("problem %s size %d: %d rows, %d nonzeros\n", *problem, *size, a.Rows, a.NNZ())
-	}
-
-	if *omega == 0 {
-		*omega = harness.DefaultOmega(*problem)
-	}
-	kind, err := parseSmoother(*smo)
+	setup, err := build(c, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := amg.DefaultOptions()
-	opt.AggressiveLevels = *aggressive
-	if *f32Coarse {
-		opt.CoarsePrecision = op.CoarseFloat32
-	}
-	if *sparsify {
-		mode, err := sparse.ParseSparsifyMode(*sparsifyMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt.Sparsify = amg.SparsifyOptions{Theta: *sparsifyTheta, Mode: mode}
-	}
-	if *problem == harness.ProblemElasticity && *matrix == "" {
-		opt.NumFunctions = 3 // unknown approach for the vector problem
-	}
-	scfg := smoother.Config{Kind: kind, Omega: *omega, Blocks: 1}
-	var setup *engine.Engine
-	if aOp != nil {
-		setup, err = engine.NewOperator(aOp, opt, scfg)
-	} else {
-		setup, err = engine.New(a, opt, scfg)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	setup.SetObserver(o)
 	fmt.Printf("hierarchy: %d levels, sizes %v, operator complexity %.2f, %d bytes resident\n",
 		setup.NumLevels(), setup.H.GridSizes(), setup.H.OperatorComplexity(), setup.HierarchyBytes())
 	if st := setup.Setup; st != nil && len(st.SparsifyLevels) > 0 {
@@ -162,116 +214,51 @@ func main() {
 			st.DroppedNNZ(), len(st.SparsifyLevels), st.SparsifyFallbacks, st.Sparsify)
 	}
 
-	m, err := parseMethod(*method)
+	b, err := plan.RightHandSide(setup.LevelSize(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	b := grid.RandomRHS(setup.LevelSize(0), *seed)
-
-	if *solver != "cycle" {
-		if *runAsync {
-			log.Fatalf("-solver %s runs the synchronous Krylov path; drop -async", *solver)
+	out, err := solve.Run(context.Background(), setup, plan, b, o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := plan.Method
+	failed := false
+	switch {
+	case plan.Mode == solve.ModeAsync:
+		res := out.Async
+		fmt.Printf("async %v %v %v: rel res %.3e in %v (diverged=%v)\n",
+			m, plan.Write, plan.Res, res.RelRes, res.Elapsed, res.Diverged)
+		fmt.Printf("per-grid corrections: %v (avg %.1f)\n", res.Corrections, res.AvgCorrects)
+		if plan.Damping.Mode != async.DampOff {
+			fmt.Printf("damping %v: final ω per grid %v (tightens %d, relaxes %d, rolled back=%v)\n",
+				plan.Damping.Mode, formatOmegas(res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
 		}
-		if *solver == "pcg" && m == engine.AFACx {
-			log.Fatal("afacx is not an SPD preconditioner; use -solver fgmres with it")
-		}
-		setup.SetObserver(o)
-		p := krylov.NewMGPreconditioner(setup, m)
-		defer p.Release()
-		opt := krylov.DefaultOptions()
-		opt.Tol, opt.MaxIter, opt.Restart = *tol, *maxiter, *restart
-		opt.M, opt.Observer = p, o
-		var res krylov.Result
-		switch *solver {
-		case "pcg":
-			res, err = krylov.PCG(setup.Ops[0], b, opt)
-		case "fgmres":
-			res, err = krylov.FGMRES(setup.Ops[0], b, opt)
-		default:
-			log.Fatalf("unknown solver %q (want cycle, pcg, fgmres)", *solver)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s(%v-preconditioned) convergence (rel res per iteration):\n", *solver, m)
-		for t, h := range res.History {
+		failed = res.Diverged
+	case plan.Mode == solve.ModeDist:
+		fmt.Printf("dist %v: rel res %.3e after %d corrections per grid (diverged=%v)\n",
+			m, out.RelRes, out.Cycles, out.Diverged)
+		failed = out.Diverged
+	case plan.Solver != solve.SolverCycle:
+		fmt.Printf("%s(%v-preconditioned) convergence (rel res per iteration):\n", plan.Solver, m)
+		for t, h := range out.History {
 			fmt.Printf("  iter %3d: %.6e\n", t, h)
 		}
 		fmt.Printf("%s: rel res %.3e in %d iterations (converged=%v)\n",
-			*solver, res.RelRes, res.Iterations, res.Converged)
-		if !res.Converged {
-			finish()
-			os.Exit(1)
+			plan.Solver, out.RelRes, out.Iterations, out.Converged)
+		failed = !out.Converged
+	default:
+		fmt.Printf("sequential %v convergence (rel res per cycle):\n", m)
+		for t, h := range out.History {
+			fmt.Printf("  cycle %3d: %.6e\n", t, h)
 		}
-		return
+		fmt.Printf("asymptotic convergence factor (power iteration): %.4f\n",
+			setup.ConvergenceFactor(m, 30, plan.Seed))
 	}
-
-	if *runAsync {
-		wm := async.AtomicWrite
-		if *writeMode == "lock" {
-			wm = async.LockWrite
-		} else if *writeMode != "atomic" {
-			log.Fatalf("unknown write mode %q", *writeMode)
-		}
-		var rm async.ResMode
-		switch *resMode {
-		case "local":
-			rm = async.LocalRes
-		case "global":
-			rm = async.GlobalRes
-		case "residual":
-			rm = async.ResidualRes
-		default:
-			log.Fatalf("unknown residual mode %q", *resMode)
-		}
-		policy := async.DampingPolicy{}
-		if *dampAuto {
-			policy = async.DampingPolicy{Mode: async.DampAuto, Omega: *damp, Rollback: true}
-		} else if *damp != 0 {
-			policy = async.DampingPolicy{Mode: async.DampFixed, Omega: *damp}
-		}
-		perturb := async.Perturb{ReadHold: *readHold}
-		for _, f := range strings.Split(*stragglers, ",") {
-			if f = strings.TrimSpace(f); f == "" {
-				continue
-			}
-			var k int
-			if _, err := fmt.Sscanf(f, "%d", &k); err != nil {
-				log.Fatalf("bad -stragglers entry %q", f)
-			}
-			perturb.Stragglers = append(perturb.Stragglers, k)
-		}
-		res, err := async.Solve(context.Background(), setup, b, async.Config{
-			Method: m, Write: wm, Res: rm,
-			Criterion: async.Criterion1, Threads: *threads, MaxCycles: *cycles,
-			Damping: policy, Perturb: perturb,
-			Observer: o,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("async %v %v %v: rel res %.3e in %v (diverged=%v)\n",
-			m, wm, rm, res.RelRes, res.Elapsed, res.Diverged)
-		fmt.Printf("per-grid corrections: %v (avg %.1f)\n", res.Corrections, res.AvgCorrects)
-		if policy.Mode != async.DampOff {
-			fmt.Printf("damping %v: final ω per grid %v (tightens %d, relaxes %d, rolled back=%v)\n",
-				policy.Mode, formatOmegas(res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
-		}
-		if res.Diverged {
-			finish() // os.Exit skips the deferred flush
-			os.Exit(1)
-		}
-		return
+	if failed {
+		finish() // os.Exit skips the deferred flush
+		os.Exit(1)
 	}
-
-	setup.SetObserver(o)
-	_, hist := setup.Solve(m, b, *cycles)
-	fmt.Printf("sequential %v convergence (rel res per cycle):\n", m)
-	for t, h := range hist {
-		fmt.Printf("  cycle %3d: %.6e\n", t, h)
-	}
-	fmt.Printf("asymptotic convergence factor (power iteration): %.4f\n",
-		setup.ConvergenceFactor(m, 30, *seed))
 }
 
 // formatOmegas prints the per-grid damping factors compactly.
@@ -286,34 +273,4 @@ func formatOmegas(ws []float64) string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
-}
-
-func parseMethod(s string) (engine.Method, error) {
-	switch strings.ToLower(s) {
-	case "mult":
-		return engine.Mult, nil
-	case "multadd":
-		return engine.Multadd, nil
-	case "afacx":
-		return engine.AFACx, nil
-	case "bpx":
-		return engine.BPX, nil
-	}
-	return 0, fmt.Errorf("unknown method %q (want mult, multadd, afacx, bpx)", s)
-}
-
-func parseSmoother(s string) (smoother.Kind, error) {
-	switch strings.ToLower(s) {
-	case "w-jacobi", "wjacobi", "jacobi":
-		return smoother.WJacobi, nil
-	case "l1-jacobi", "l1jacobi", "l1":
-		return smoother.L1Jacobi, nil
-	case "hybrid-jgs", "hybrid", "jgs":
-		return smoother.HybridJGS, nil
-	case "async-gs", "asyncgs", "gs":
-		return smoother.AsyncGS, nil
-	case "l1-hybrid-jgs", "l1-hybrid":
-		return smoother.L1HybridJGS, nil
-	}
-	return 0, fmt.Errorf("unknown smoother %q (want w-jacobi, l1-jacobi, hybrid-jgs, async-gs, l1-hybrid-jgs)", s)
 }

@@ -2,7 +2,6 @@ package amg
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -629,92 +628,5 @@ func TestUnknownApproachImprovesElasticityLikeSystem(t *testing.T) {
 	}
 	if e := run(2); e > 0 {
 		t.Errorf("unknown approach left %v empty interpolation rows", e)
-	}
-}
-
-func TestRugeStubenSecondPassProperty(t *testing.T) {
-	// After two-pass RS coarsening, every strongly connected F-F pair must
-	// share a common strong C point (the classical interpolation
-	// requirement).
-	for _, build := range []func() *sparse.CSR{
-		func() *sparse.CSR { return grid.Laplacian7pt(7) },
-		func() *sparse.CSR { return grid.Laplacian27pt(6) },
-	} {
-		a := build()
-		s := StrengthGraph(a, 0.25)
-		types := Coarsen(s, RugeStuben, 1)
-		if CountC(types) == 0 || CountC(types) >= a.Rows {
-			t.Fatal("degenerate splitting")
-		}
-		// Check the F-F requirement.
-		isC := func(j int) bool { return types[j] == CPoint }
-		for i := 0; i < a.Rows; i++ {
-			if types[i] != FPoint {
-				continue
-			}
-			cset := map[int]bool{}
-			for _, j := range s.Rows[i] {
-				if isC(j) {
-					cset[j] = true
-				}
-			}
-			for _, j := range s.Rows[i] {
-				if types[j] != FPoint {
-					continue
-				}
-				ok := false
-				for _, m := range s.Rows[j] {
-					if cset[m] {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("strong F-F pair (%d,%d) without a common C point", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestRugeStubenSecondPassRetractsTentative(t *testing.T) {
-	// Row 0 has two strong F neighbours and no C point anywhere: the first
-	// violation promotes neighbour 1 tentatively, the second promotes row 0
-	// itself, and the tentative promotion must then be taken back — row 0
-	// as a C point already serves both pairs.
-	s := &Strength{N: 3, Rows: [][]int{{1, 2}, {0}, {0}}}
-	types := make([]PointType, 3)
-	rsSecondPass(s, types)
-	if want := []PointType{CPoint, FPoint, FPoint}; !slices.Equal(types, want) {
-		t.Fatalf("splitting %v, want %v", types, want)
-	}
-}
-
-func TestRugeStubenDenserThanHMIS(t *testing.T) {
-	a := grid.Laplacian27pt(7)
-	s := StrengthGraph(a, 0.25)
-	rs := CountC(Coarsen(s, RugeStuben, 1))
-	hm := CountC(Coarsen(s, HMIS, 1))
-	if rs < hm {
-		t.Errorf("RS C count %d < HMIS %d — second pass should only add C points", rs, hm)
-	}
-}
-
-func TestRugeStubenHierarchyConverges(t *testing.T) {
-	a := grid.Laplacian7pt(8)
-	opt := DefaultOptions()
-	opt.Coarsening = RugeStuben
-	opt.AggressiveLevels = 0
-	h, err := Build(a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumLevels() < 2 {
-		t.Fatal("no coarsening")
-	}
-	for l, lev := range h.Levels {
-		if err := lev.A.Validate(); err != nil {
-			t.Fatalf("level %d: %v", l, err)
-		}
 	}
 }

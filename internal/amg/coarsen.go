@@ -23,12 +23,6 @@ const (
 	// then filters the preliminary C set with PMIS, matching BoomerAMG's
 	// HMIS option used in the paper.
 	HMIS
-	// RugeStuben is the classical two-pass coarsening: the measure-based
-	// first pass followed by the second pass that promotes F points so
-	// every strong F-F pair shares a common C point (the classical
-	// interpolation requirement). Denser C sets than PMIS/HMIS, kept as
-	// the textbook baseline.
-	RugeStuben
 )
 
 func (m CoarsenMethod) String() string {
@@ -37,8 +31,6 @@ func (m CoarsenMethod) String() string {
 		return "PMIS"
 	case HMIS:
 		return "HMIS"
-	case RugeStuben:
-		return "Ruge-Stuben"
 	}
 	return "unknown"
 }
@@ -57,16 +49,6 @@ func coarsen(s, st *Strength, method CoarsenMethod, seed int64) []PointType {
 	case HMIS:
 		pre := rsFirstPass(s, st)
 		return pmisFiltered(s, st, pre, seed)
-	case RugeStuben:
-		pre := rsFirstPass(s, st)
-		types := make([]PointType, s.N)
-		for i, c := range pre {
-			if c {
-				types[i] = CPoint
-			}
-		}
-		rsSecondPass(s, types)
-		return types
 	default:
 		all := make([]bool, s.N)
 		for i := range all {
@@ -316,56 +298,6 @@ func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 		}
 	}
 	return out
-}
-
-// rsSecondPass enforces the classical interpolation requirement: every
-// pair of strongly connected F points must share at least one strong C
-// point. Violations are repaired by promoting F points to C: the first
-// violating neighbour is tentatively promoted; a second violation on the
-// same row promotes the row itself instead (the standard Ruge-Stüben
-// heuristic).
-func rsSecondPass(s *Strength, types []PointType) {
-	n := s.N
-	// mark[j] == i+1 when j is a strong C neighbour of the current row i.
-	mark := make([]int, n)
-	for i := 0; i < n; i++ {
-		if types[i] != FPoint {
-			continue
-		}
-		stamp := i + 1
-		for _, j := range s.Rows[i] {
-			if types[j] == CPoint {
-				mark[j] = stamp
-			}
-		}
-		tentative := -1
-		for _, j := range s.Rows[i] {
-			if types[j] != FPoint {
-				continue
-			}
-			shares := false
-			for _, m := range s.Rows[j] {
-				if types[m] == CPoint && mark[m] == stamp {
-					shares = true
-					break
-				}
-			}
-			if shares {
-				continue
-			}
-			if tentative >= 0 {
-				// Second violation: promote the row itself and retract the
-				// tentative promotion.
-				types[i] = CPoint
-				types[tentative] = FPoint
-				break
-			}
-			tentative = j
-			// Tentatively promote j so later neighbours see it as C.
-			types[j] = CPoint
-			mark[j] = stamp
-		}
-	}
 }
 
 // CountC returns the number of C points in a splitting.

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"asyncmg/internal/fault"
+	"asyncmg/internal/grid"
+	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/serve"
 )
@@ -106,7 +108,7 @@ func (tc *testCluster) mustSolve(size int) serve.SolveResponse {
 }
 
 func (tc *testCluster) key(size int) string {
-	return problemShard(&serve.SolveRequest{Problem: "7pt", Size: size})
+	return ShardKey(&serve.SolveRequest{Problem: "7pt", Size: size})
 }
 
 // sizeOwnedBy finds a problem size whose primary owner is node idx on
@@ -422,5 +424,57 @@ func TestRetryAfterDelayCap(t *testing.T) {
 	h.Set("Retry-After", "junk")
 	if d := rt.retryAfterDelay(h); d != 5*time.Millisecond {
 		t.Fatalf("junk header: delay %v, want RetryBase", d)
+	}
+}
+
+// TestAliasSpellingsShareAShard: spellings of one request that the node
+// resolves to one hierarchy (an omitted smoother or "jacobi", an omitted ω
+// or the family default, an empty omega= query parameter or 0.9) have one
+// shard key, so with one owner per shard the second spelling lands on the
+// node the first one warmed and hits its cache.
+func TestAliasSpellingsShareAShard(t *testing.T) {
+	for _, pair := range [][2]serve.SolveRequest{
+		{{Problem: "7pt", Size: 6}, {Problem: "7pt", Size: 6, Smoother: "jacobi"}},
+		{{Problem: "7pt", Size: 6}, {Problem: "7pt", Size: 6, Smoother: "W-Jacobi", Omega: 0.9}},
+		{{Problem: "mfem-laplace", Size: 4}, {Problem: "mfem-laplace", Size: 4, Omega: 0.5}},
+		{{Problem: "27pt", Size: 5, Smoother: "l1"}, {Problem: "27pt", Size: 5, Smoother: "l1-jacobi"}},
+	} {
+		a, b := ShardKey(&pair[0]), ShardKey(&pair[1])
+		if a == "" || a != b {
+			t.Errorf("%+v and %+v: shard keys %q and %q", pair[0], pair[1], a, b)
+		}
+	}
+	if ShardKey(&serve.SolveRequest{Problem: "7pt", Size: 6, Smoother: "l1"}) == ShardKey(&serve.SolveRequest{Problem: "7pt", Size: 6}) {
+		t.Error("different smoothers share a shard key")
+	}
+
+	tc := newTestCluster(t, 3, func(c *Config) { c.Replicas = 1 })
+	post := func(path, body string) serve.SolveResponse {
+		t.Helper()
+		w := httptest.NewRecorder()
+		tc.rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body, w.Code, w.Body.String())
+		}
+		var resp serve.SolveResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	var upload strings.Builder
+	if err := mtx.Write(&upload, grid.Laplacian7pt(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2][2]string{
+		{{"/solve", `{"problem":"7pt","size":6,"cycles":2}`}, {"/solve", `{"problem":"7pt","size":6,"cycles":2,"smoother":"jacobi","omega":0.9}`}},
+		{{"/solve/matrix?cycles=2&omega=", upload.String()}, {"/solve/matrix?cycles=2&omega=0.9&smoother=jacobi", upload.String()}},
+	} {
+		if r := post(pair[0][0], pair[0][1]); r.Cache != "miss" {
+			t.Fatalf("%s: cache %q, want miss", pair[0][0], r.Cache)
+		}
+		if r := post(pair[1][0], pair[1][1]); r.Cache != "hit" {
+			t.Errorf("%s after %s: cache %q, want hit on the same owner", pair[1][0], pair[0][0], r.Cache)
+		}
 	}
 }

@@ -15,24 +15,20 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"asyncmg/internal/fault"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/serve"
+	"asyncmg/internal/solve"
 )
 
 // Config tunes the cluster router. The zero value of every field picks a
@@ -300,24 +296,22 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rt.Status())
 }
 
-// handleSolve shards a JSON solve on its problem fingerprint and routes
-// it. The body is forwarded verbatim; the node does full validation.
+// handleSolve shards a JSON solve on its hierarchy identity and routes
+// it. The router validates the body by the node's own rules (solve.Parse),
+// so a bad request is refused before any hop; the body is forwarded
+// verbatim.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, _, status, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes, false)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+	sp, err := solve.Parse(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req serve.SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Problem == "" {
+	if sp.Problem == "" {
 		http.Error(w, "problem is required (use /solve/matrix to upload a matrix)", http.StatusBadRequest)
 		return
 	}
@@ -326,77 +320,52 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		body:   body,
 		header: copyHeaders(r.Header, "Content-Type"),
 	}
-	key := problemShard(&req)
-	rt.route(w, r, fwd, key, serve.WarmRequest{
-		Problem: req.Problem, Size: req.Size,
-		Smoother: req.Smoother, Omega: req.Omega,
+	rt.route(w, r, fwd, solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother), serve.WarmRequest{
+		Problem: sp.Problem, Size: sp.Size,
+		Smoother: sp.Smoother.Kind.String(), Omega: sp.Smoother.Omega,
 	})
 }
 
-// handleSolveMatrix shards an upload on the matrix's sha256 fingerprint
-// (plus smoother identity), so repeat uploads of the same operator hit
-// the same node's cache.
+// handleSolveMatrix shards an upload on the node's cache key — the
+// matrix's sha256 fingerprint plus the resolved smoother — so repeat
+// uploads of the same operator hit the same node's cache.
 func (rt *Router) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	// Fingerprint the decompressed bytes (the node's rule) but forward
+	// the body exactly as received.
+	raw, plain, status, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes, true)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if int64(len(raw)) > rt.cfg.MaxBodyBytes {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+	fp := serve.Fingerprint(plain)
+	sp, err := solve.FromQuery(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Fingerprint the decompressed bytes (same rule as the node) but
-	// forward the body exactly as received.
-	plain := raw
-	if r.Header.Get("Content-Encoding") == "gzip" ||
-		(len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b) {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			http.Error(w, "gzip: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		plain, err = io.ReadAll(io.LimitReader(zr, rt.cfg.MaxBodyBytes+1))
-		if err != nil {
-			http.Error(w, "gzip: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(plain)) > rt.cfg.MaxBodyBytes {
-			http.Error(w, "decompressed body too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
-	sum := sha256.Sum256(plain)
-	fp := hex.EncodeToString(sum[:])
-	q := r.URL.Query()
-	key := fmt.Sprintf("mtx:%s:%s:%s", fp, strings.ToLower(q.Get("smoother")), q.Get("omega"))
-	omega, _ := strconv.ParseFloat(q.Get("omega"), 64)
 	fwd := &forwardReq{
 		path:   "/solve/matrix",
 		query:  r.URL.RawQuery,
 		body:   raw,
 		header: copyHeaders(r.Header, "Content-Type", "Content-Encoding"),
 	}
-	rt.route(w, r, fwd, key, serve.WarmRequest{
-		Smoother: q.Get("smoother"), Omega: omega, MatrixFP: fp,
+	rt.route(w, r, fwd, solve.MatrixKey(fp, sp.Smoother), serve.WarmRequest{
+		Smoother: sp.Smoother.Kind.String(), Omega: sp.Smoother.Omega, MatrixFP: fp,
 	})
 }
 
-// problemShard is the router's shard key for a generated problem: the
-// fields that determine hierarchy identity. It need not match the node's
-// cache key byte for byte — only be stable, so the same problem keeps
-// landing on the same owners.
-// ShardKey exposes the routing key of a generated-problem solve, so a
-// load generator can find a shard's owners (Owners) and aim faults at a
-// node it knows carries traffic.
-func ShardKey(req *serve.SolveRequest) string { return problemShard(req) }
-
-func problemShard(req *serve.SolveRequest) string {
-	omega := req.Omega
-	if omega == 0 {
-		omega = harness.DefaultOmega(req.Problem)
+// ShardKey is the routing key of a generated-problem solve: the node's
+// own cache key of the hierarchy the request resolves to, so spellings
+// that share a hierarchy ("jacobi" or no smoother, ω omitted or the family
+// default) share owners. A load generator uses it to find a shard's owners
+// (Owners) and aim faults at a node it knows carries traffic. An invalid
+// request has no key ("").
+func ShardKey(req *serve.SolveRequest) string {
+	sp, err := req.Validate()
+	if err != nil {
+		return ""
 	}
-	return fmt.Sprintf("prob:%s:%d:%s:%g", req.Problem, req.Size, strings.ToLower(req.Smoother), omega)
+	return solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother)
 }
 
 func copyHeaders(from http.Header, keys ...string) http.Header {

@@ -47,17 +47,12 @@ func (s *Engine) MultCycle(x, b []float64, w *Workspace) { s.multCycle(x, b, w, 
 // pre-smoothing sweeps on the way down and s2 post-smoothing sweeps on the
 // way up (the paper's experiments all use V(1,1); extra sweeps trade work
 // for per-cycle convergence, the standard knob real AMG deployments tune).
+// V(0,1) is the sawtooth cycle of the "chaotic cycle" method of Hawkes et
+// al. (reference [11] of the paper): residuals are restricted directly on
+// the way down, corrections prolongated and post-smoothed on the way up.
 func (s *Engine) MultCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
 	s.multCycle(x, b, w, s1, s2)
 }
-
-// MultCycleSawtooth performs one sawtooth V(0,1)-cycle: a V-cycle with no
-// pre-smoothing, as used by the "chaotic cycle" method of Hawkes et al.
-// (reference [11] of the paper), the closest prior asynchronous-multigrid
-// work. Residuals are restricted directly on the way down; corrections are
-// prolongated and post-smoothed on the way up. Exposed as a baseline for
-// comparing against the paper's fully asynchronous additive methods.
-func (s *Engine) MultCycleSawtooth(x, b []float64, w *Workspace) { s.multCycle(x, b, w, 0, 1) }
 
 // multCycle is the one multiplicative body, V(s1,s2).
 func (s *Engine) multCycle(x, b []float64, w *Workspace, s1, s2 int) {

@@ -155,20 +155,6 @@ func TestBPXOverCorrects(t *testing.T) {
 	}
 }
 
-func TestRugeStubenHierarchyMultConverges(t *testing.T) {
-	a := grid.Laplacian7pt(6)
-	opt := testOptions()
-	opt.Coarsening = amg.RugeStuben
-	s, err := New(a, opt, smoother.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hist := s.Solve(Mult, grid.RandomRHS(a.Rows, 8), 30)
-	if r := hist[len(hist)-1]; r > 1e-8 {
-		t.Errorf("RS hierarchy Mult relres %g after 30 cycles", r)
-	}
-}
-
 func TestMultaddTwoGridFormula(t *testing.T) {
 	// On a forced two-level hierarchy, one Multadd cycle from x=0 must
 	// equal x = Λ₀ b + P̄ A₁⁻¹ P̄ᵀ b exactly (Equation 11 of the paper).
@@ -422,7 +408,7 @@ func TestSawtoothCycleConverges(t *testing.T) {
 	r := make([]float64, n)
 	var prev float64 = math.Inf(1)
 	for c := 0; c < 60; c++ {
-		s.MultCycleSawtooth(x, b, w)
+		s.MultCycleSweeps(x, b, w, 0, 1)
 	}
 	s.H.Levels[0].A.Residual(r, b, x)
 	got := vec.Norm2(r) / vec.Norm2(b)

@@ -128,7 +128,6 @@ func TestCycleEntryPointsRecordCounts(t *testing.T) {
 		{"PreconditionCycle(Multadd)", func(x []float64, w *Workspace) { s.PreconditionCycle(Multadd, x, b, w) }, uniform(1), 1},
 		{"MultCycle", func(x []float64, w *Workspace) { s.MultCycle(x, b, w) }, uniform(2), 1},
 		{"MultCycleSweeps(2,3)", func(x []float64, w *Workspace) { s.MultCycleSweeps(x, b, w, 2, 3) }, uniform(5), 1},
-		{"MultCycleSawtooth", func(x []float64, w *Workspace) { s.MultCycleSawtooth(x, b, w) }, uniform(1), 1},
 		{"MultaddCycle", func(x []float64, w *Workspace) { s.MultaddCycle(x, b, w) }, uniform(1), 1},
 		{"MultaddCycleSymmetrized", func(x []float64, w *Workspace) { s.MultaddCycleSymmetrized(x, b, w) }, uniform(2), 1},
 		{"BPXCycle", func(x []float64, w *Workspace) { s.BPXCycle(x, b, w) }, uniform(1), 1},

@@ -27,13 +27,8 @@ func PaperSetup(problem string, aggressiveLevels int, kind smoother.Kind) SetupO
 	a.Coarsening = amg.HMIS
 	a.Interp = amg.ClassicalModified
 	a.AggressiveLevels = aggressiveLevels
-	if problem == ProblemElasticity {
-		// Elasticity has three interleaved displacement components per
-		// node: use the unknown approach, as BoomerAMG does for systems.
-		a.NumFunctions = 3
-	}
 	return SetupOptions{
-		AMG:      a,
+		AMG:      ProblemOptions(problem, a),
 		Smoother: smoother.Config{Kind: kind, Omega: DefaultOmega(problem), Blocks: 1},
 	}
 }

@@ -7,6 +7,7 @@ package harness
 import (
 	"fmt"
 
+	"asyncmg/internal/amg"
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
@@ -41,6 +42,19 @@ func AllProblems() []string {
 // plus the non-symmetric convection-diffusion extension.
 func KnownProblems() []string {
 	return append(AllProblems(), ProblemConvDiff)
+}
+
+// ProblemOptions applies a family's own AMG settings to opt. It is the one
+// per-family setup rule: the service, mgsolve and PaperSetup all build
+// through it. Elasticity has three interleaved displacement components per
+// node, so it uses the unknown approach (NumFunctions 3), as BoomerAMG does
+// for systems. Any other name, an uploaded matrix's included, gets opt
+// unchanged.
+func ProblemOptions(problem string, opt amg.Options) amg.Options {
+	if problem == ProblemElasticity {
+		opt.NumFunctions = 3
+	}
+	return opt
 }
 
 // BuildProblem generates a test matrix by family name and mesh parameter.

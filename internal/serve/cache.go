@@ -2,13 +2,11 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"time"
 
 	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/smoother"
 )
 
 // entry is one cached AMG hierarchy. An entry is published in the cache
@@ -109,21 +107,4 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// problemKey is the cache identity of a generated problem. The smoother
-// configuration is part of the key because the engine bakes smoothers and
-// smoothed interpolants P̄ into the setup.
-func problemKey(problem string, size int, smo smoother.Config) string {
-	return fmt.Sprintf("prob:%s:%d:%s", problem, size, smoKeyPart(smo))
-}
-
-// matrixKey is the cache identity of an uploaded matrix, from the sha256
-// fingerprint of its (decompressed) MatrixMarket bytes.
-func matrixKey(fingerprint string, smo smoother.Config) string {
-	return fmt.Sprintf("mtx:%s:%s", fingerprint, smoKeyPart(smo))
-}
-
-func smoKeyPart(smo smoother.Config) string {
-	return fmt.Sprintf("smo=%d:omega=%.17g:blocks=%d", smo.Kind, smo.Omega, smo.Blocks)
 }

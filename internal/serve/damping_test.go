@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/solve"
 )
 
 // postSolveBody posts a raw JSON body to /solve (for requests whose
@@ -50,15 +51,15 @@ func TestDampingRequestValidation(t *testing.T) {
 		`{"problem":"7pt","size":5,"damp_rollback":true}`,
 	}
 	for _, body := range bad {
-		if sp, err := parseSolveRequest([]byte(body)); err == nil {
+		if sp, err := solve.Parse([]byte(body)); err == nil {
 			t.Errorf("accepted %s as %+v", body, sp)
 		}
 	}
 	// NaN/Inf cannot be written in JSON, but the struct path (and the
 	// query path below) can carry them; Validate must catch both.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		req := &SolveRequest{Problem: "7pt", Size: 5, Mode: ModeAsync, Damping: "auto", DampOmega: v}
-		if sp, err := specFromRequest(req); err == nil {
+		req := &SolveRequest{Problem: "7pt", Size: 5, Mode: solve.ModeAsync, Damping: "auto", DampOmega: v}
+		if sp, err := req.Validate(); err == nil {
 			t.Errorf("accepted damp_omega %v as %+v", v, sp)
 		}
 	}
@@ -75,27 +76,27 @@ func TestDampingRequestValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
-		if sp, err := specFromQuery(vals); err == nil {
+		if sp, err := solve.FromQuery(vals); err == nil {
 			t.Errorf("accepted query %q as %+v", q, sp)
 		}
 	}
 
 	// The happy paths produce the policy they name.
-	sp, err := parseSolveRequest([]byte(
+	sp, err := solve.Parse([]byte(
 		`{"problem":"7pt","size":5,"mode":"async","damping":"auto","damp_omega":0.9,"damp_rollback":true}`))
 	if err != nil {
 		t.Fatalf("good auto request rejected: %v", err)
 	}
-	if sp.damping.Mode != async.DampAuto || sp.damping.Omega != 0.9 || !sp.damping.Rollback {
-		t.Errorf("auto policy decoded as %+v", sp.damping)
+	if sp.Damping.Mode != async.DampAuto || sp.Damping.Omega != 0.9 || !sp.Damping.Rollback {
+		t.Errorf("auto policy decoded as %+v", sp.Damping)
 	}
-	sp, err = parseSolveRequest([]byte(
+	sp, err = solve.Parse([]byte(
 		`{"problem":"7pt","size":5,"mode":"async","damping":"fixed","damp_omega":0.5}`))
 	if err != nil {
 		t.Fatalf("good fixed request rejected: %v", err)
 	}
-	if sp.damping.Mode != async.DampFixed || sp.damping.Omega != 0.5 {
-		t.Errorf("fixed policy decoded as %+v", sp.damping)
+	if sp.Damping.Mode != async.DampFixed || sp.Damping.Omega != 0.5 {
+		t.Errorf("fixed policy decoded as %+v", sp.Damping)
 	}
 }
 

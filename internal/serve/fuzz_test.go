@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/engine"
+	"asyncmg/internal/solve"
 )
 
 // FuzzParseSolveRequest is the decoder's no-panic contract: the /solve
@@ -32,54 +33,62 @@ func FuzzParseSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"problem":"7pt","size":8,"solver":"fgmres","mode":"async"}`))
 	f.Add([]byte(`{"problem":"7pt","size":8,"solver":"cycle","tol":0.5}`))
 	f.Add([]byte(`{"problem":"7pt","size":8,"solver":"pcg","tol":-3e2,"restart":-1}`))
+	f.Add([]byte(`{"problem":"7pt","size":8,"mode":"dist","method":"bpx"}`))
+	f.Add([]byte(`{"problem":"7pt","size":8,"mode":"dist","method":"afacx","cycles":5}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		sp, err := parseSolveRequest(body)
+		sp, err := solve.Parse(body)
 		if err != nil {
 			if sp != nil {
 				t.Fatal("error with non-nil spec")
 			}
 			return
 		}
-		if err := sp.damping.Validate(); err != nil {
+		if err := sp.Damping.Validate(); err != nil {
 			t.Fatalf("validated spec has bad damping policy: %v", err)
 		}
-		if sp.cycles < 1 || sp.cycles > maxCycles {
-			t.Fatalf("validated spec has cycles %d", sp.cycles)
+		if sp.Cycles < 1 || sp.Cycles > solve.MaxCycles {
+			t.Fatalf("validated spec has cycles %d", sp.Cycles)
 		}
-		if sp.threads < 1 || sp.threads > maxThreads {
-			t.Fatalf("validated spec has threads %d", sp.threads)
+		if sp.Threads < 1 || sp.Threads > solve.MaxThreads {
+			t.Fatalf("validated spec has threads %d", sp.Threads)
 		}
-		if sp.problem != "" && (sp.size < 2 || sp.size > maxSize) {
-			t.Fatalf("validated spec has size %d", sp.size)
+		if sp.Problem != "" && (sp.Size < 2 || sp.Size > solve.MaxSize) {
+			t.Fatalf("validated spec has size %d", sp.Size)
 		}
-		switch sp.mode {
-		case ModeSync, ModeAsync, ModeDist:
+		switch sp.Mode {
+		case solve.ModeSync, solve.ModeAsync, solve.ModeDist:
 		default:
-			t.Fatalf("validated spec has mode %q", sp.mode)
+			t.Fatalf("validated spec has mode %q", sp.Mode)
 		}
-		if sp.timeout < 0 {
-			t.Fatalf("validated spec has negative timeout %v", sp.timeout)
+		// The message-passing simulation runs the additive methods only;
+		// anything else must be refused here, before a worker slot and a
+		// hierarchy are spent on it.
+		if sp.Mode == solve.ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
+			t.Fatalf("validated dist spec has method %v", sp.Method)
 		}
-		switch sp.solver {
-		case SolverCycle:
-			if sp.tol != 0 || sp.maxiter != 0 || sp.restart != 0 {
+		if sp.Timeout < 0 {
+			t.Fatalf("validated spec has negative timeout %v", sp.Timeout)
+		}
+		switch sp.Solver {
+		case solve.SolverCycle:
+			if sp.Tol != 0 || sp.MaxIter != 0 || sp.Restart != 0 {
 				t.Fatalf("cycle spec carries krylov knobs: %+v", sp)
 			}
-		case SolverPCG, SolverFGMRES:
-			if sp.mode != ModeSync {
-				t.Fatalf("krylov spec has mode %q", sp.mode)
+		case solve.SolverPCG, solve.SolverFGMRES:
+			if sp.Mode != solve.ModeSync {
+				t.Fatalf("krylov spec has mode %q", sp.Mode)
 			}
-			if !(sp.tol > 0 && sp.tol < 1) {
-				t.Fatalf("krylov spec has tol %v", sp.tol)
+			if !(sp.Tol > 0 && sp.Tol < 1) {
+				t.Fatalf("krylov spec has tol %v", sp.Tol)
 			}
-			if sp.maxiter < 1 || sp.maxiter > maxKrylovIter {
-				t.Fatalf("krylov spec has maxiter %d", sp.maxiter)
+			if sp.MaxIter < 1 || sp.MaxIter > solve.MaxKrylovIter {
+				t.Fatalf("krylov spec has maxiter %d", sp.MaxIter)
 			}
-			if sp.solver == SolverFGMRES && (sp.restart < 1 || sp.restart > maxRestart) {
-				t.Fatalf("fgmres spec has restart %d", sp.restart)
+			if sp.Solver == solve.SolverFGMRES && (sp.Restart < 1 || sp.Restart > solve.MaxRestart) {
+				t.Fatalf("fgmres spec has restart %d", sp.Restart)
 			}
 		default:
-			t.Fatalf("validated spec has solver %q", sp.solver)
+			t.Fatalf("validated spec has solver %q", sp.Solver)
 		}
 	})
 }
@@ -102,9 +111,20 @@ func FuzzSpecFromQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sp, err := specFromQuery(q)
-		if err == nil && sp == nil {
+		sp, err := solve.FromQuery(q)
+		if err != nil {
+			return
+		}
+		if sp == nil {
 			t.Fatal("nil spec without error")
+		}
+		// An upload's operator comes from the body: the query can name
+		// no generated problem and no right-hand side.
+		if sp.Problem != "" || sp.Size != 0 || sp.RHS != nil {
+			t.Fatalf("query spec carries JSON-only knobs: %+v", sp)
+		}
+		if sp.Mode == solve.ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
+			t.Fatalf("validated dist spec has method %v", sp.Method)
 		}
 	})
 }
@@ -128,26 +148,26 @@ func FuzzKrylovRequest(f *testing.F) {
 			Solver: solver, Method: method, Mode: mode,
 			Tol: tol, MaxIter: maxiter, Restart: restart,
 		}
-		sp, err := specFromRequest(req)
+		sp, err := req.Validate()
 		if err != nil {
 			if sp != nil {
 				t.Fatal("error with non-nil spec")
 			}
 			return
 		}
-		switch sp.solver {
-		case SolverCycle:
-		case SolverPCG:
-			if sp.method == engine.AFACx {
+		switch sp.Solver {
+		case solve.SolverCycle:
+		case solve.SolverPCG:
+			if sp.Method == engine.AFACx {
 				t.Fatal("decoder accepted pcg with a non-SPD preconditioner")
 			}
 			fallthrough
-		case SolverFGMRES:
-			if sp.mode != ModeSync || !(sp.tol > 0 && sp.tol < 1) || sp.maxiter < 1 || sp.maxiter > maxKrylovIter {
+		case solve.SolverFGMRES:
+			if sp.Mode != solve.ModeSync || !(sp.Tol > 0 && sp.Tol < 1) || sp.MaxIter < 1 || sp.MaxIter > solve.MaxKrylovIter {
 				t.Fatalf("decoder accepted an unusable krylov spec: %+v", sp)
 			}
 		default:
-			t.Fatalf("spec has solver %q", sp.solver)
+			t.Fatalf("spec has solver %q", sp.Solver)
 		}
 	})
 }
@@ -167,22 +187,22 @@ func FuzzDampingRequest(f *testing.F) {
 	f.Add("auto", math.NaN(), math.Inf(1), int64(1<<62), false)
 	f.Fuzz(func(t *testing.T, name string, omega, minOmega float64, ref int64, rollback bool) {
 		req := &SolveRequest{
-			Problem: "7pt", Size: 6, Mode: ModeAsync,
+			Problem: "7pt", Size: 6, Mode: solve.ModeAsync,
 			Damping: name, DampOmega: omega, DampMinOmega: minOmega,
 			DampStalenessRef: ref, DampRollback: rollback,
 		}
-		sp, err := specFromRequest(req)
+		sp, err := req.Validate()
 		if err != nil {
 			if sp != nil {
 				t.Fatal("error with non-nil spec")
 			}
 			return
 		}
-		if err := sp.damping.Validate(); err != nil {
+		if err := sp.Damping.Validate(); err != nil {
 			t.Fatalf("decoder accepted a policy the solver rejects: %v", err)
 		}
-		if sp.mode != ModeAsync {
-			t.Fatalf("damped spec has mode %q", sp.mode)
+		if sp.Mode != solve.ModeAsync {
+			t.Fatalf("damped spec has mode %q", sp.Mode)
 		}
 	})
 }

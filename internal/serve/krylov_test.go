@@ -12,6 +12,7 @@ import (
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 // TestServePCGConvergesAndReusesCache is the tentpole contract end to
@@ -41,7 +42,7 @@ func TestServePCGConvergesAndReusesCache(t *testing.T) {
 	if resp.Cache != "hit" || resp.SetupNS != 0 {
 		t.Errorf("pcg request should reuse the cached hierarchy: cache=%q setup_ns=%d", resp.Cache, resp.SetupNS)
 	}
-	if resp.Solver != SolverPCG || !resp.Converged {
+	if resp.Solver != solve.SolverPCG || !resp.Converged {
 		t.Fatalf("solver=%q converged=%v, want pcg converged", resp.Solver, resp.Converged)
 	}
 	if resp.Iterations <= 0 || resp.Iterations > cycIters {
@@ -77,7 +78,7 @@ func TestServeFGMRESNonSymmetric(t *testing.T) {
 	if !resp.Converged {
 		t.Fatalf("fgmres did not converge: %d its, relres %g", resp.Iterations, resp.RelRes)
 	}
-	if resp.Solver != SolverFGMRES {
+	if resp.Solver != solve.SolverFGMRES {
 		t.Errorf("solver echoed as %q", resp.Solver)
 	}
 }
@@ -87,20 +88,20 @@ func TestServeFGMRESNonSymmetric(t *testing.T) {
 func TestServeKrylovValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []SolveRequest{
-		{Problem: "7pt", Size: 6, Solver: "sor"},                             // unknown solver
-		{Problem: "7pt", Size: 6, Solver: "pcg", Tol: -1e-9},                 // negative tol
-		{Problem: "7pt", Size: 6, Solver: "pcg", Tol: 2},                     // tol >= 1
-		{Problem: "7pt", Size: 6, Solver: "pcg", MaxIter: -3},                // negative maxiter
-		{Problem: "7pt", Size: 6, Solver: "pcg", MaxIter: maxKrylovIter + 1}, // maxiter too big
-		{Problem: "7pt", Size: 6, Solver: "pcg", Restart: 10},                // restart without fgmres
-		{Problem: "7pt", Size: 6, Solver: "fgmres", Restart: -1},             // negative restart
-		{Problem: "7pt", Size: 6, Solver: "fgmres", Restart: maxRestart + 1}, // restart too big
-		{Problem: "7pt", Size: 6, Solver: "pcg", Method: "afacx"},            // non-SPD preconditioner
-		{Problem: "7pt", Size: 6, Solver: "pcg", Mode: "async"},              // krylov is sync-only
-		{Problem: "7pt", Size: 6, Solver: "fgmres", Mode: "dist"},            // krylov is sync-only
-		{Problem: "7pt", Size: 6, Tol: 1e-8},                                 // krylov knob with cycle solver
-		{Problem: "7pt", Size: 6, MaxIter: 50},                               // krylov knob with cycle solver
-		{Problem: "7pt", Size: 6, Restart: 20},                               // krylov knob with cycle solver
+		{Problem: "7pt", Size: 6, Solver: "sor"},                                   // unknown solver
+		{Problem: "7pt", Size: 6, Solver: "pcg", Tol: -1e-9},                       // negative tol
+		{Problem: "7pt", Size: 6, Solver: "pcg", Tol: 2},                           // tol >= 1
+		{Problem: "7pt", Size: 6, Solver: "pcg", MaxIter: -3},                      // negative maxiter
+		{Problem: "7pt", Size: 6, Solver: "pcg", MaxIter: solve.MaxKrylovIter + 1}, // maxiter too big
+		{Problem: "7pt", Size: 6, Solver: "pcg", Restart: 10},                      // restart without fgmres
+		{Problem: "7pt", Size: 6, Solver: "fgmres", Restart: -1},                   // negative restart
+		{Problem: "7pt", Size: 6, Solver: "fgmres", Restart: solve.MaxRestart + 1}, // restart too big
+		{Problem: "7pt", Size: 6, Solver: "pcg", Method: "afacx"},                  // non-SPD preconditioner
+		{Problem: "7pt", Size: 6, Solver: "pcg", Mode: "async"},                    // krylov is sync-only
+		{Problem: "7pt", Size: 6, Solver: "fgmres", Mode: "dist"},                  // krylov is sync-only
+		{Problem: "7pt", Size: 6, Tol: 1e-8},                                       // krylov knob with cycle solver
+		{Problem: "7pt", Size: 6, MaxIter: 50},                                     // krylov knob with cycle solver
+		{Problem: "7pt", Size: 6, Restart: 20},                                     // krylov knob with cycle solver
 	}
 	for i, req := range cases {
 		if _, code := postSolve(t, ts.URL, req); code != 400 {
@@ -108,7 +109,7 @@ func TestServeKrylovValidation(t *testing.T) {
 		}
 	}
 	// NaN tol cannot ride JSON; exercise it through the decoder directly.
-	if _, err := specFromRequest(&SolveRequest{Problem: "7pt", Size: 6, Solver: "pcg", Tol: nan()}); err == nil {
+	if _, err := (&SolveRequest{Problem: "7pt", Size: 6, Solver: "pcg", Tol: nan()}).Validate(); err == nil {
 		t.Error("NaN tol accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestServeConcurrentPCGMatchesSolo(t *testing.T) {
 		}
 		opt := krylov.DefaultOptions()
 		opt.Tol = 1e-8
-		opt.MaxIter = defaultKrylovMaxIter
+		opt.MaxIter = solve.DefaultKrylovMaxIter
 		p := krylov.NewMGPreconditioner(ref, engine.Multadd)
 		opt.M = p
 		want, err := krylov.PCG(ref.Ops[0], grid.RandomRHS(a.Rows, int64(c+1)), opt)
@@ -209,21 +210,24 @@ func TestServeKrylovMatrixFreeStencil(t *testing.T) {
 	}
 }
 
-// TestSoloKrylovHelperFGMRES pins the solver dispatch inside soloKrylov.
+// TestSoloKrylovHelperFGMRES pins what the service hands the Krylov
+// dispatch in solve.Run: an fgmres request over afacx resolves to FGMRES
+// with the library's restart default, and the defaults are in range.
 func TestSoloKrylovHelperFGMRES(t *testing.T) {
-	// Exercised indirectly by the HTTP tests; here just check the
-	// defaults the serve layer hands to the library are in range.
+	// Exercised end to end by the HTTP tests; here just check the
+	// defaults the request layer hands to the library are in range.
 	opt := krylov.DefaultOptions()
 	if opt.Tol <= 0 || opt.MaxIter <= 0 {
 		t.Fatalf("library defaults unusable: %+v", opt)
 	}
-	if defaultKrylovMaxIter > maxKrylovIter {
-		t.Fatal("serve default exceeds its own bound")
+	if solve.DefaultKrylovMaxIter > solve.MaxKrylovIter {
+		t.Fatal("request default exceeds its own bound")
 	}
-	if _, err := parseMethod("mult"); err != nil {
+	p, err := solve.Parse([]byte(`{"problem":"7pt","size":6,"method":"afacx","solver":"fgmres"}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := parseMethod("afacx"); m != engine.AFACx {
-		t.Fatal("parseMethod afacx")
+	if p.Method != engine.AFACx || p.Solver != solve.SolverFGMRES || p.Restart != krylov.DefaultRestart {
+		t.Fatalf("fgmres over afacx resolved to %+v", p)
 	}
 }

@@ -17,6 +17,10 @@
 // only delayed each request (EXPERIMENTS.md, "Request coalescing
 // deleted").
 //
+// Requests are parsed, validated and dispatched to the solvers by
+// internal/solve, the one solve spec that mgsolve and the cluster router
+// read too; this package adds HTTP, the cache and admission.
+//
 // Everything is stdlib net/http; metrics are the obs registry in text
 // exposition format at /metrics.
 package serve
@@ -40,17 +44,13 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
-	"asyncmg/internal/distmem"
 	"asyncmg/internal/engine"
-	"asyncmg/internal/grid"
 	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
-	"asyncmg/internal/sparse"
-	"asyncmg/internal/vec"
+	"asyncmg/internal/solve"
 )
 
 // Config tunes the solver service. The zero value picks sensible defaults
@@ -220,38 +220,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, _, status, err := ReadBody(r, s.cfg.MaxBodyBytes, false)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	sp, err := parseSolveRequest(body)
+	sp, err := solve.Parse(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if sp.problem == "" {
+	if sp.Problem == "" {
 		http.Error(w, "problem is required (use /solve/matrix to upload a matrix)", http.StatusBadRequest)
 		return
 	}
-	key := problemKey(sp.problem, sp.size, sp.smoCfg)
-	build := func() (*engine.Engine, error) {
-		if s.cfg.MatrixFree {
-			if a, ok := harness.BuildProblemOperator(sp.problem, sp.size); ok {
-				return s.newSetupOperator(a, sp.smoCfg)
-			}
-		}
-		a, err := harness.BuildProblem(sp.problem, sp.size)
-		if err != nil {
-			return nil, err
-		}
-		return s.newSetup(a, sp.smoCfg)
-	}
-	s.solve(w, r, sp, key, build)
+	s.solve(w, r, sp, solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother), func() (*engine.Engine, error) {
+		return s.buildProblem(sp.Problem, sp.Size, sp.Smoother)
+	})
 }
 
 // handleSolveMatrix solves on an uploaded MatrixMarket operator. The body
@@ -263,74 +248,98 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	sp, err := specFromQuery(r.URL.Query())
+	sp, err := solve.FromQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	_, raw, status, err := ReadBody(r, s.cfg.MaxBodyBytes, true)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if int64(len(raw)) > s.cfg.MaxBodyBytes {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	// Decompress before fingerprinting so the same matrix hits the same
-	// cache entry whether or not the client compressed it.
-	if r.Header.Get("Content-Encoding") == "gzip" ||
-		(len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b) {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			http.Error(w, "gzip: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		raw, err = io.ReadAll(io.LimitReader(zr, s.cfg.MaxBodyBytes+1))
-		if err != nil {
-			http.Error(w, "gzip: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(raw)) > s.cfg.MaxBodyBytes {
-			http.Error(w, "decompressed body too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
-	sum := sha256.Sum256(raw)
-	fp := hex.EncodeToString(sum[:])
-	sp.problem = "mtx:" + fp[:12]
+	// The fingerprint is of the decompressed bytes, so the same matrix
+	// hits the same cache entry whether or not the client compressed it.
+	fp := Fingerprint(raw)
+	sp.Problem = "mtx:" + fp[:12]
 	// Retain the bytes so replica nodes can pull this matrix by
 	// fingerprint instead of needing the client to re-upload it.
 	s.matrices.put(fp, raw)
-	key := matrixKey(fp, sp.smoCfg)
-	build := func() (*engine.Engine, error) {
-		a, err := mtx.Read(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		if a.Rows != a.Cols {
-			return nil, fmt.Errorf("matrix is %dx%d, want square", a.Rows, a.Cols)
-		}
-		return s.newSetup(a, sp.smoCfg)
-	}
-	s.solve(w, r, sp, key, build)
+	s.solve(w, r, sp, solve.MatrixKey(fp, sp.Smoother), func() (*engine.Engine, error) {
+		return s.buildMatrix(raw, sp.Smoother)
+	})
 }
 
-// newSetup builds the engine for a and wires the service observer in, so
-// per-setup stage timings land in the setup_*_ns counters (which stay
-// flat across cache hits).
-func (s *Server) newSetup(a *sparse.CSR, smo smoother.Config) (*engine.Engine, error) {
-	setup, err := engine.New(a, *s.cfg.AMG, smo)
+// ReadBody reads r's body, capped at limit bytes. With unzip, a gzip body
+// (by Content-Encoding header or magic bytes) is decompressed under the
+// same cap: raw is what arrived, plain what it says (the same slice when
+// it was not compressed). On failure status is the HTTP status to answer.
+// The cluster router reads uploads through it too, so node and router
+// fingerprint the same bytes.
+func ReadBody(r *http.Request, limit int64, unzip bool) (raw, plain []byte, status int, err error) {
+	raw, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err != nil {
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	}
+	if int64(len(raw)) > limit {
+		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("body too large")
+	}
+	if !unzip || (r.Header.Get("Content-Encoding") != "gzip" && !(len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b)) {
+		return raw, raw, 0, nil
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err == nil {
+		plain, err = io.ReadAll(io.LimitReader(zr, limit+1))
+	}
+	if err != nil {
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("gzip: %w", err)
+	}
+	if int64(len(plain)) > limit {
+		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("decompressed body too large")
+	}
+	return raw, plain, 0, nil
+}
+
+// Fingerprint is the identity of an uploaded matrix: the hex sha256 of its
+// decompressed MatrixMarket bytes.
+func Fingerprint(plain []byte) string {
+	sum := sha256.Sum256(plain)
+	return hex.EncodeToString(sum[:])
+}
+
+// buildProblem builds the engine of a generated problem under the
+// family's setup rule, matrix-free when the server is configured so and
+// the family has a stencil form.
+func (s *Server) buildProblem(problem string, size int, smo smoother.Config) (*engine.Engine, error) {
+	opt := harness.ProblemOptions(problem, *s.cfg.AMG)
+	if s.cfg.MatrixFree {
+		if a, ok := harness.BuildProblemOperator(problem, size); ok {
+			return s.observed(engine.NewOperator(a, opt, smo))
+		}
+	}
+	a, err := harness.BuildProblem(problem, size)
 	if err != nil {
 		return nil, err
 	}
-	setup.SetObserver(s.obs)
-	return setup, nil
+	return s.observed(engine.New(a, opt, smo))
 }
 
-// newSetupOperator is newSetup for matrix-free fine-level operators.
-func (s *Server) newSetupOperator(a op.Operator, smo smoother.Config) (*engine.Engine, error) {
-	setup, err := engine.NewOperator(a, *s.cfg.AMG, smo)
+// buildMatrix builds the engine of an uploaded MatrixMarket operator.
+func (s *Server) buildMatrix(raw []byte, smo smoother.Config) (*engine.Engine, error) {
+	a, err := mtx.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("matrix is %dx%d, want square", a.Rows, a.Cols)
+	}
+	return s.observed(engine.New(a, *s.cfg.AMG, smo))
+}
+
+// observed wires the service observer into a new engine, so per-setup
+// stage timings land in the setup_*_ns counters (which stay flat across
+// cache hits).
+func (s *Server) observed(setup *engine.Engine, err error) (*engine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -402,10 +411,10 @@ func (s *Server) recordSolveNS(ns int64) {
 
 // ---- the solve pipeline ----
 
-func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key string, build func() (*engine.Engine, error)) {
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, key string, build func() (*engine.Engine, error)) {
 	timeout := s.cfg.MaxTimeout
-	if sp.timeout > 0 && sp.timeout < timeout {
-		timeout = sp.timeout
+	if sp.Timeout > 0 && sp.Timeout < timeout {
+		timeout = sp.Timeout
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -431,169 +440,57 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *spec, key str
 		http.Error(w, "setup: "+e.err.Error(), http.StatusBadRequest)
 		return
 	}
-	setup := e.setup
-	n := e.rows
-
-	b := sp.rhs
-	if len(b) == 0 {
-		b = grid.RandomRHS(n, sp.seed)
-	} else if len(b) != n {
-		http.Error(w, fmt.Sprintf("rhs has %d entries, operator has %d rows", len(b), n), http.StatusBadRequest)
+	b, err := sp.RightHandSide(e.rows)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
+	start := time.Now()
+	out, err := solve.Run(ctx, e.setup, sp, b, s.obs)
+	if err != nil {
+		s.fail(w, r, err)
+		return
+	}
 	resp := SolveResponse{
-		Problem:        sp.problem,
-		Rows:           n,
-		Levels:         setup.NumLevels(),
-		Method:         methodName(sp.method),
-		Mode:           sp.mode,
+		Problem:        sp.Problem,
+		Rows:           e.rows,
+		Levels:         e.setup.NumLevels(),
+		Method:         sp.Method.String(),
+		Mode:           sp.Mode,
+		Cycles:         out.Cycles,
+		Iterations:     out.Iterations,
+		Converged:      out.Converged,
+		RelRes:         out.RelRes,
+		History:        out.History,
 		Cache:          "miss",
 		HierarchyBytes: e.bytes,
 		Batched:        1,
+		SolveNS:        time.Since(start).Nanoseconds(),
+		Diverged:       out.Diverged,
+		RolledBack:     out.RolledBack,
 	}
+	s.recordSolveNS(resp.SolveNS)
 	if hit {
 		resp.Cache = "hit"
 	} else {
 		resp.SetupNS = e.setupNS
 	}
-
-	switch sp.mode {
-	case ModeSync:
-		s.solveSync(ctx, w, r, sp, setup, b, &resp)
-	case ModeAsync:
-		s.solveAsync(ctx, w, r, sp, setup, b, &resp)
-	case ModeDist:
-		s.solveDist(ctx, w, r, sp, setup, b, &resp)
+	if sp.Solver != solve.SolverCycle {
+		resp.Solver = sp.Solver
 	}
-}
-
-func (s *Server) solveSync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
-	if sp.solver != SolverCycle {
-		s.solveKrylov(ctx, w, r, sp, setup, b, resp)
-		return
+	if sp.ReturnX {
+		resp.X = out.X
 	}
-	start := time.Now()
-	x, hist, err := setup.SolveCtx(ctx, sp.method, b, sp.cycles)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	resp.SolveNS = time.Since(start).Nanoseconds()
-	s.recordSolveNS(resp.SolveNS)
-	resp.History = hist
-	resp.Cycles = len(hist) - 1
-	if len(hist) > 0 {
-		resp.RelRes = hist[len(hist)-1]
-	}
-	resp.Diverged = vec.Diverged(x, resp.RelRes)
-	if sp.returnX {
-		resp.X = x
-	}
-	writeJSON(w, resp)
-}
-
-// solveKrylov runs the request as an AMG-preconditioned Krylov solve on
-// the cached hierarchy: the setup this request would have cycled with
-// becomes the preconditioner, applied as one cycle from a zero guess per
-// iteration.
-func (s *Server) solveKrylov(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
-	resp.Solver = sp.solver
-	opt := krylov.DefaultOptions()
-	opt.Tol = sp.tol
-	opt.MaxIter = sp.maxiter
-	opt.Restart = sp.restart
-	opt.Observer = s.obs
-	start := time.Now()
-	res, err := soloKrylov(ctx, setup, sp.solver, sp.method, b, opt)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	resp.SolveNS = time.Since(start).Nanoseconds()
-	s.recordSolveNS(resp.SolveNS)
-	resp.History = res.History
-	resp.Iterations = res.Iterations
-	resp.Converged = res.Converged
-	if len(res.History) > 0 {
-		resp.RelRes = res.History[len(res.History)-1]
-	}
-	resp.Diverged = vec.Diverged(res.X, resp.RelRes)
-	if sp.returnX {
-		resp.X = res.X
-	}
-	writeJSON(w, resp)
-}
-
-// soloKrylov runs one AMG-preconditioned Krylov solve on a cached
-// hierarchy, with the plain (non-symmetrized) cycle as the preconditioner.
-func soloKrylov(ctx context.Context, setup *engine.Engine, solver string, method engine.Method, b []float64, opt krylov.Options) (krylov.Result, error) {
-	p := krylov.NewMGPreconditioner(setup, method)
-	defer p.Release()
-	opt.M = p
-	if solver == SolverFGMRES {
-		return krylov.FGMRESCtx(ctx, setup.Ops[0], b, opt)
-	}
-	return krylov.PCGCtx(ctx, setup.Ops[0], b, opt)
-}
-
-func (s *Server) solveAsync(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
-	start := time.Now()
-	res, err := async.Solve(ctx, setup, b, async.Config{
-		Method:    sp.method,
-		Threads:   sp.threads,
-		MaxCycles: sp.cycles,
-		Damping:   sp.damping,
-		Observer:  s.obs,
-	})
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	resp.SolveNS = time.Since(start).Nanoseconds()
-	s.recordSolveNS(resp.SolveNS)
-	resp.RelRes = res.RelRes
-	resp.Cycles = sp.cycles
-	resp.Diverged = res.Diverged
-	resp.RolledBack = res.RolledBack
-	if sp.damping.Mode != async.DampOff {
-		resp.DampTightens = res.DampTightens
-		resp.DampRelaxes = res.DampRelaxes
+	if sp.Damping.Mode != async.DampOff {
+		resp.DampTightens = out.Async.DampTightens
+		resp.DampRelaxes = out.Async.DampRelaxes
 		resp.MinOmega = 1
-		for _, w := range res.FinalOmega {
+		for _, w := range out.Async.FinalOmega {
 			if w < resp.MinOmega {
 				resp.MinOmega = w
 			}
 		}
-	}
-	if sp.returnX {
-		resp.X = res.X
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) solveDist(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *spec, setup *engine.Engine, b []float64, resp *SolveResponse) {
-	if sp.method != engine.Multadd && sp.method != engine.AFACx {
-		http.Error(w, "dist mode supports multadd and afacx only", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	res, err := distmem.Solve(ctx, setup, b, distmem.Config{
-		Method:         sp.method,
-		MaxCorrections: sp.cycles,
-		Observer:       s.obs,
-	})
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	resp.SolveNS = time.Since(start).Nanoseconds()
-	s.recordSolveNS(resp.SolveNS)
-	resp.RelRes = res.RelRes
-	resp.Cycles = sp.cycles
-	resp.Diverged = res.Diverged
-	if sp.returnX {
-		resp.X = res.X
 	}
 	writeJSON(w, resp)
 }

@@ -22,9 +22,11 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/harness"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -649,17 +651,68 @@ func TestServeBadRequests(t *testing.T) {
 
 // TestSpecDefaults pins the request→spec defaulting rules.
 func TestSpecDefaults(t *testing.T) {
-	sp, err := parseSolveRequest([]byte(`{"problem":"mfem-laplace","size":8}`))
+	sp, err := solve.Parse([]byte(`{"problem":"mfem-laplace","size":8}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if sp.method != engine.Multadd || sp.mode != ModeSync || sp.cycles != 30 || sp.threads != 8 {
+	if sp.Method != engine.Multadd || sp.Mode != solve.ModeSync || sp.Cycles != 30 || sp.Threads != 8 {
 		t.Errorf("defaults wrong: %+v", sp)
 	}
-	if sp.smoCfg.Omega != 0.5 {
-		t.Errorf("mfem omega = %v, want the family default 0.5", sp.smoCfg.Omega)
+	if sp.Smoother.Omega != 0.5 {
+		t.Errorf("mfem omega = %v, want the family default 0.5", sp.Smoother.Omega)
 	}
-	if _, err := parseSolveRequest([]byte(fmt.Sprintf(`{"problem":"7pt","size":%d}`, 1<<21))); err == nil {
+	if _, err := solve.Parse([]byte(fmt.Sprintf(`{"problem":"7pt","size":%d}`, 1<<21))); err == nil {
 		t.Error("oversized problem accepted")
+	}
+}
+
+// TestDistMethodRefusedBeforeSetup: a dist request with a method the
+// message-passing simulation cannot run is a 400 from validation, before
+// it takes a worker slot or builds a hierarchy.
+func TestDistMethodRefusedBeforeSetup(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, method := range []string{"mult", "bpx"} {
+		body := fmt.Sprintf(`{"problem":"7pt","size":6,"mode":"dist","method":%q}`, method)
+		if _, code := postSolveBody(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Errorf("dist + %s: status %d, want 400", method, code)
+		}
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("cache_entries = %d after refused requests, want 0", n)
+	}
+	if _, code := postSolveBody(t, ts.URL, `{"problem":"7pt","size":6,"mode":"dist","method":"afacx","cycles":4}`); code != http.StatusOK {
+		t.Errorf("dist + afacx: status %d, want 200", code)
+	}
+}
+
+// TestServeFamiliesMatchLibrarySetup: every family the service accepts is
+// built by the library's one per-family setup rule, so /solve reports the
+// levels and hierarchy bytes the library builds (elasticity's three
+// displacement components included).
+func TestServeFamiliesMatchLibrarySetup(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sizes := map[string]int{"7pt": 6, "27pt": 5, "mfem-laplace": 4, "mfem-elasticity": 3, "conv-diff": 6}
+	for _, p := range harness.KnownProblems() {
+		size, ok := sizes[p]
+		if !ok {
+			t.Fatalf("no test size for family %q", p)
+		}
+		got, code := postSolve(t, ts.URL, SolveRequest{Problem: p, Size: size, Cycles: 1})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", p, code)
+		}
+		a, err := harness.BuildProblem(p, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smo := smoother.Config{Kind: smoother.WJacobi, Omega: harness.DefaultOmega(p), Blocks: 1}
+		want, err := engine.New(a, harness.ProblemOptions(p, amg.DefaultOptions()), smo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Levels != want.NumLevels() || got.HierarchyBytes != want.HierarchyBytes() {
+			t.Errorf("%s: served %d levels / %d B, library %d levels / %d B",
+				p, got.Levels, got.HierarchyBytes, want.NumLevels(), want.HierarchyBytes())
+		}
 	}
 }

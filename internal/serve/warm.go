@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,8 +10,8 @@ import (
 	"sync"
 
 	"asyncmg/internal/engine"
-	"asyncmg/internal/harness"
-	"asyncmg/internal/mtx"
+	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 // Hierarchy replication, node side. The cluster router keeps each shard's
@@ -74,9 +71,9 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad warm request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	sp, err := specFromRequest(&SolveRequest{
+	sp, err := (&solve.Spec{
 		Problem: req.Problem, Size: req.Size, Smoother: req.Smoother, Omega: req.Omega,
-	})
+	}).Validate()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -86,19 +83,13 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var build func() (*engine.Engine, error)
 	switch {
 	case req.MatrixFP != "":
-		key = matrixKey(req.MatrixFP, sp.smoCfg)
+		key = solve.MatrixKey(req.MatrixFP, sp.Smoother)
 		build = func() (*engine.Engine, error) {
-			return s.buildFromFingerprint(r.Context(), req.MatrixFP, req.Source, sp)
+			return s.buildFromFingerprint(r.Context(), req.MatrixFP, req.Source, sp.Smoother)
 		}
 	case req.Problem != "":
-		key = problemKey(req.Problem, req.Size, sp.smoCfg)
-		build = func() (*engine.Engine, error) {
-			a, err := harness.BuildProblem(req.Problem, req.Size)
-			if err != nil {
-				return nil, err
-			}
-			return s.newSetup(a, sp.smoCfg)
-		}
+		key = solve.ProblemKey(req.Problem, req.Size, sp.Smoother)
+		build = func() (*engine.Engine, error) { return s.buildProblem(req.Problem, req.Size, sp.Smoother) }
 	default:
 		http.Error(w, "warm needs problem or matrix_fp", http.StatusBadRequest)
 		return
@@ -135,7 +126,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 // the local byte store, pulling the bytes from the warm's source peer when
 // they are not resident. The pulled bytes are fingerprint-verified: a
 // replica never caches under an identity the bytes do not hash to.
-func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, sp *spec) (*engine.Engine, error) {
+func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, smo smoother.Config) (*engine.Engine, error) {
 	raw, ok := s.matrices.get(fp)
 	if !ok {
 		pulled, err := s.pullMatrix(ctx, fp, source)
@@ -144,14 +135,7 @@ func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, sp
 		}
 		raw = pulled
 	}
-	a, err := mtx.Read(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("matrix is %dx%d, want square", a.Rows, a.Cols)
-	}
-	return s.newSetup(a, sp.smoCfg)
+	return s.buildMatrix(raw, smo)
 }
 
 // pullMatrix fetches matrix bytes by fingerprint from a peer node and
@@ -179,8 +163,7 @@ func (s *Server) pullMatrix(ctx context.Context, fp, source string) ([]byte, err
 	if int64(len(raw)) > s.cfg.MaxBodyBytes {
 		return nil, fmt.Errorf("pulled matrix exceeds body limit")
 	}
-	sum := sha256.Sum256(raw)
-	if hex.EncodeToString(sum[:]) != fp {
+	if Fingerprint(raw) != fp {
 		return nil, fmt.Errorf("pulled matrix does not hash to %s", fp[:min(12, len(fp))])
 	}
 	s.matrices.put(fp, raw)
