@@ -41,7 +41,7 @@
 // The subpackage structure is internal; the library surface is exported
 // here via type aliases, so godoc for this one package documents it. The
 // experiment harness and the solver service are commands (cmd/mgbench,
-// cmd/mgsim, cmd/mgserve), not part of this API.
+// the one paper driver, and cmd/mgserve), not part of this API.
 package asyncmg
 
 import (

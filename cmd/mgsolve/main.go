@@ -48,9 +48,7 @@ type config struct {
 	setup        solve.SetupFlags
 	parWorkers   int
 	parThreshold int
-	metricsOut   string
-	pprofAddr    string
-	traceOut     string
+	obs          obs.Flags
 }
 
 // parseArgs turns the command line into mgsolve's configuration and the
@@ -71,9 +69,7 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 	stragglers := fs.String("stragglers", "", "perturbation: comma-separated grid indices that refresh 4x slower")
 	fs.IntVar(&c.parWorkers, "par-workers", 0, "worker-pool size for the sharded level kernels (0 = GOMAXPROCS)")
 	fs.IntVar(&c.parThreshold, "par-threshold", 0, "minimum kernel work before sharding; smaller levels stay serial (0 = default)")
-	fs.StringVar(&c.metricsOut, "metrics-out", "", "write solver metrics (per-grid relaxation counts, staleness histogram, pool gauges) to this file in exposition format")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
-	fs.StringVar(&c.traceOut, "trace", "", "write a runtime execution trace to this file (view with go tool trace)")
+	c.obs.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(os.Stderr)
@@ -175,28 +171,14 @@ func main() {
 	par.SetWorkers(c.parWorkers)
 	par.SetThreshold(c.parThreshold)
 
-	var o *obs.Observer
-	if c.metricsOut != "" || c.pprofAddr != "" {
-		o = obs.New(32).WithTrace(4096)
-	}
-	if c.pprofAddr != "" {
-		addr, err := obs.ServeDebug(c.pprofAddr, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("serving metrics and pprof on http://%s", addr)
-	}
-	stopTrace, err := obs.StartTrace(c.traceOut)
+	o, stopObs, err := c.obs.Start(log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// finish flushes the observability outputs on every successful path
 	// (error paths exit through log.Fatal, which skips the flush).
 	finish := func() {
-		if err := stopTrace(); err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteMetricsFile(c.metricsOut, o); err != nil {
+		if err := stopObs(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -232,7 +214,7 @@ func main() {
 		fmt.Printf("per-grid corrections: %v (avg %.1f)\n", res.Corrections, res.AvgCorrects)
 		if plan.Damping.Mode != async.DampOff {
 			fmt.Printf("damping %v: final ω per grid %v (tightens %d, relaxes %d, rolled back=%v)\n",
-				plan.Damping.Mode, formatOmegas(res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
+				plan.Damping.Mode, fmt.Sprintf("%.3f", res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
 		}
 		failed = res.Diverged
 	case plan.Mode == solve.ModeDist:
@@ -259,18 +241,4 @@ func main() {
 		finish() // os.Exit skips the deferred flush
 		os.Exit(1)
 	}
-}
-
-// formatOmegas prints the per-grid damping factors compactly.
-func formatOmegas(ws []float64) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for i, w := range ws {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%.3f", w)
-	}
-	sb.WriteByte(']')
-	return sb.String()
 }

@@ -79,30 +79,46 @@ func DefaultFig1(method engine.Method) Fig1Config {
 func Fig1(w io.Writer, cfg Fig1Config) error {
 	fmt.Fprintf(w, "# Figure 1 (%s): semi-async %s, delta=0, mean of %d runs\n",
 		cfg.Problem, cfg.Method, cfg.Runs)
+	cols := make([]modelColumn, len(cfg.Alphas))
+	for i, a := range cfg.Alphas {
+		cols[i] = modelColumn{fmt.Sprintf("alpha=%.1f", a), model.Config{Variant: model.SemiAsync, Alpha: a}}
+	}
+	return modelSweep(w, cfg, 7, cols)
+}
+
+// modelColumn is one column of a model figure: its header and the model
+// configuration of its runs.
+type modelColumn struct {
+	name string
+	cfg  model.Config
+}
+
+// modelSweep prints the body of a model figure (Figures 1 and 2). Each
+// grid size is a row: the synchronous reference, each column's mean final
+// residual over c.Runs runs (run r seeded 1000·r + seed), then the metrics
+// columns, mean relaxations per model run and the median correction
+// staleness. c.Alphas is unused.
+func modelSweep(w io.Writer, c Fig1Config, seed int64, cols []modelColumn) error {
 	fmt.Fprintf(w, "# metrics: relax/run = mean relaxations per model run; stale-p50 = median read delay in sweeps\n")
 	fmt.Fprintf(w, "%8s %12s", "n", "sync")
-	for _, a := range cfg.Alphas {
-		fmt.Fprintf(w, " %12s", fmt.Sprintf("alpha=%.1f", a))
+	for _, col := range cols {
+		fmt.Fprintf(w, " %12s", col.name)
 	}
-	fmt.Fprintf(w, " %10s %9s", "relax/run", "stale-p50")
-	fmt.Fprintln(w)
-	for _, n := range cfg.Sizes {
-		s, err := buildSetup(cfg.Problem, n, PaperSetup(cfg.Problem, cfg.Agg, smoother.WJacobi))
+	fmt.Fprintf(w, " %10s %9s\n", "relax/run", "stale-p50")
+	for _, n := range c.Sizes {
+		s, err := buildSetup(c.Problem, n, PaperSetup(c.Problem, c.Agg, smoother.WJacobi))
 		if err != nil {
 			return err
 		}
 		b := grid.RandomRHS(s.LevelSize(0), 42)
 		row := obs.New(s.NumLevels())
-		fmt.Fprintf(w, "%8d %12.3e", n, relResAfter(s, cfg.Method, b, cfg.Updates))
-		for _, alpha := range cfg.Alphas {
+		fmt.Fprintf(w, "%8d %12.3e", n, relResAfter(s, c.Method, b, c.Updates))
+		for _, col := range cols {
 			var vals []float64
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := model.Run(s, b, model.Config{
-					Variant: model.SemiAsync, Method: cfg.Method,
-					Alpha: alpha, Delta: 0, Updates: cfg.Updates,
-					Seed:     int64(1000*run) + 7,
-					Observer: row,
-				})
+			for run := 0; run < c.Runs; run++ {
+				mc := col.cfg
+				mc.Method, mc.Updates, mc.Seed, mc.Observer = c.Method, c.Updates, int64(1000*run)+seed, row
+				res, err := model.Run(s, b, mc)
 				if err != nil {
 					return err
 				}
@@ -110,26 +126,16 @@ func Fig1(w io.Writer, cfg Fig1Config) error {
 			}
 			fmt.Fprintf(w, " %12.3e", mean(vals))
 		}
-		writeMetricsCols(w, row, cfg.Runs*len(cfg.Alphas))
-		fmt.Fprintln(w)
-		cfg.Observer.Merge(row.Snapshot())
+		snap := row.Snapshot()
+		var relax int64
+		for _, v := range snap.Relaxations {
+			relax += v
+		}
+		perRun := float64(relax) / float64(max(1, c.Runs*len(cols)))
+		fmt.Fprintf(w, " %10.1f %9d\n", perRun, snap.Staleness.Quantile(0.5))
+		c.Observer.Merge(snap)
 	}
 	return nil
-}
-
-// writeMetricsCols appends the observability columns of one figure row:
-// mean relaxations per model run and the median correction staleness.
-func writeMetricsCols(w io.Writer, row *obs.Observer, runs int) {
-	snap := row.Snapshot()
-	var relax int64
-	for _, v := range snap.Relaxations {
-		relax += v
-	}
-	perRun := 0.0
-	if runs > 0 {
-		perRun = float64(relax) / float64(runs)
-	}
-	fmt.Fprintf(w, " %10.1f %9d", perRun, snap.Staleness.Quantile(0.5))
 }
 
 // Fig2Config parameterizes the full-async model figure (Figure 2): final
@@ -169,42 +175,12 @@ func DefaultFig2(method engine.Method, variant model.Variant) Fig2Config {
 func Fig2(w io.Writer, cfg Fig2Config) error {
 	fmt.Fprintf(w, "# Figure 2 (%s): %s %s, alpha=%.2f, mean of %d runs\n",
 		cfg.Problem, cfg.Variant, cfg.Method, cfg.Alpha, cfg.Runs)
-	fmt.Fprintf(w, "# metrics: relax/run = mean relaxations per model run; stale-p50 = median read delay in sweeps\n")
-	fmt.Fprintf(w, "%8s %12s", "n", "sync")
-	for _, d := range cfg.Deltas {
-		fmt.Fprintf(w, " %12s", fmt.Sprintf("delta=%d", d))
+	cols := make([]modelColumn, len(cfg.Deltas))
+	for i, d := range cfg.Deltas {
+		cols[i] = modelColumn{fmt.Sprintf("delta=%d", d), model.Config{Variant: cfg.Variant, Alpha: cfg.Alpha, Delta: d}}
 	}
-	fmt.Fprintf(w, " %10s %9s", "relax/run", "stale-p50")
-	fmt.Fprintln(w)
-	for _, n := range cfg.Sizes {
-		s, err := buildSetup(cfg.Problem, n, PaperSetup(cfg.Problem, cfg.Agg, smoother.WJacobi))
-		if err != nil {
-			return err
-		}
-		b := grid.RandomRHS(s.LevelSize(0), 42)
-		row := obs.New(s.NumLevels())
-		fmt.Fprintf(w, "%8d %12.3e", n, relResAfter(s, cfg.Method, b, cfg.Updates))
-		for _, delta := range cfg.Deltas {
-			var vals []float64
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := model.Run(s, b, model.Config{
-					Variant: cfg.Variant, Method: cfg.Method,
-					Alpha: cfg.Alpha, Delta: delta, Updates: cfg.Updates,
-					Seed:     int64(1000*run) + 13,
-					Observer: row,
-				})
-				if err != nil {
-					return err
-				}
-				vals = append(vals, res.RelRes)
-			}
-			fmt.Fprintf(w, " %12.3e", mean(vals))
-		}
-		writeMetricsCols(w, row, cfg.Runs*len(cfg.Deltas))
-		fmt.Fprintln(w)
-		cfg.Observer.Merge(row.Snapshot())
-	}
-	return nil
+	return modelSweep(w, Fig1Config{Problem: cfg.Problem, Method: cfg.Method, Sizes: cfg.Sizes,
+		Updates: cfg.Updates, Runs: cfg.Runs, Agg: cfg.Agg, Observer: cfg.Observer}, 13, cols)
 }
 
 // Fig4Config parameterizes the grid-size-independence figure for the real
@@ -234,6 +210,15 @@ func DefaultFig4(problem string) Fig4Config {
 		Protocol:  p,
 		Agg:       1,
 	}
+}
+
+// DefaultFig5 is Figure 5: the Figure 4 sweep on the FEM Laplace set,
+// without aggressive coarsening.
+func DefaultFig5() Fig4Config {
+	cfg := DefaultFig4(ProblemLaplaceFEM)
+	cfg.Sizes = []int{6, 8, 10}
+	cfg.Agg = 0
+	return cfg
 }
 
 // fig4Methods is the method set shown in Figures 4 and 5.
@@ -293,30 +278,35 @@ type Table1Config struct {
 // sizes: 7pt/27pt 30, MFEM Laplace ~29.5k rows, MFEM Elasticity ~37k rows;
 // 272 threads; 20 runs).
 func DefaultTable1(problem string) Table1Config {
-	p := DefaultProtocol()
-	agg := 2
-	if problem == ProblemElasticity {
-		// The vector problem is the paper's hardest family and our
-		// unknown-approach interpolation is simpler than BoomerAMG's
-		// systems interpolation, so the per-cycle rate is ~0.95 instead of
-		// the paper's ~0.90: sweep a longer budget, skip aggressive
-		// coarsening (it destroys the delicate vector interpolation), and
-		// measure at tau 1e-6 — the method ordering matches the paper's
-		// 1e-9 table (see EXPERIMENTS.md).
-		p.CycleStep = 25
-		p.CycleMax = 600
-		p.Tau = 1e-6
-		agg = 0
-	}
-	return Table1Config{
+	cfg := Table1Config{
 		Problem: problem,
 		Size:    12,
 		Smoothers: []smoother.Kind{
 			smoother.WJacobi, smoother.L1Jacobi, smoother.HybridJGS, smoother.AsyncGS,
 		},
-		Protocol: p,
-		Agg:      agg,
+		Protocol: DefaultProtocol(),
+		Agg:      2,
 	}
+	if problem == ProblemElasticity {
+		cfg.Size, cfg.Agg = elasticityProtocol(&cfg.Protocol)
+	}
+	return cfg
+}
+
+// elasticityProtocol applies the protocol Table I and Figure 6 share on
+// the vector problem and returns its mesh size and aggressive levels. The
+// vector problem is the paper's hardest family and our unknown-approach
+// interpolation is simpler than BoomerAMG's systems interpolation, so the
+// per-cycle rate is ~0.95 instead of the paper's ~0.90: sweep a longer
+// budget, skip aggressive coarsening (it destroys the delicate vector
+// interpolation), and measure at tau 1e-6 — the method ordering matches
+// the paper's 1e-9 table (see EXPERIMENTS.md). Size 4, because its
+// unknowns grow 3× faster than a scalar family's.
+func elasticityProtocol(p *Protocol) (size, agg int) {
+	p.CycleStep = 25
+	p.CycleMax = 600
+	p.Tau = 1e-6
+	return 4, 0
 }
 
 // Table1 prints one panel of Table I: for each smoother, the
@@ -360,15 +350,20 @@ type Fig6Config struct {
 // DefaultFig6 mirrors Figure 6 at reduced scale (the paper sweeps 1..272
 // threads on four matrices with ω-Jacobi smoothing).
 func DefaultFig6(problem string) Fig6Config {
-	p := DefaultProtocol()
-	p.Runs = 3
-	return Fig6Config{
+	cfg := Fig6Config{
 		Problem:  problem,
 		Size:     12,
 		Threads:  []int{8, 16, 32},
-		Protocol: p,
+		Protocol: DefaultProtocol(),
 		Agg:      2,
 	}
+	switch problem {
+	case ProblemElasticity:
+		cfg.Size, cfg.Agg = elasticityProtocol(&cfg.Protocol)
+	case ProblemLaplaceFEM:
+		cfg.Size, cfg.Agg = 10, 0
+	}
+	return cfg
 }
 
 // Fig6 prints the Figure 6 series. Alongside wall-clock time (whose

@@ -279,6 +279,21 @@ func TestDefaultConfigsAreSane(t *testing.T) {
 	if c := DefaultFig6(Problem27pt); len(c.Threads) == 0 {
 		t.Errorf("DefaultFig6: %+v", c)
 	}
+	// Table I and Figure 6 measure elasticity under one protocol, at
+	// size 4; Figure 6 runs FEM Laplace at size 10 without aggressive
+	// coarsening, and so does Figure 5 at sizes 6, 8, 10.
+	t1, f6 := DefaultTable1(ProblemElasticity), DefaultFig6(ProblemElasticity)
+	if f6.Agg != 0 || f6.Protocol.Tau != 1e-6 || f6.Protocol.CycleMax != 600 || f6.Size != 4 ||
+		f6.Agg != t1.Agg || f6.Protocol.Tau != t1.Protocol.Tau || f6.Protocol.CycleMax != t1.Protocol.CycleMax ||
+		f6.Protocol.CycleStep != t1.Protocol.CycleStep || f6.Size != t1.Size {
+		t.Errorf("elasticity protocols differ: Table I %+v, Figure 6 %+v", t1, f6)
+	}
+	if c := DefaultFig6(ProblemLaplaceFEM); c.Size != 10 || c.Agg != 0 {
+		t.Errorf("DefaultFig6(mfem-laplace): %+v", c)
+	}
+	if c := DefaultFig5(); c.Problem != ProblemLaplaceFEM || c.Agg != 0 || len(c.Sizes) != 3 || c.Sizes[0] != 6 || c.Sizes[2] != 10 {
+		t.Errorf("DefaultFig5: %+v", c)
+	}
 	// Elasticity paper setup enables the unknown approach.
 	if o := PaperSetup(ProblemElasticity, 0, smoother.WJacobi); o.AMG.NumFunctions != 3 {
 		t.Errorf("PaperSetup(elasticity) NumFunctions = %d", o.AMG.NumFunctions)

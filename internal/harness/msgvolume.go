@@ -36,6 +36,8 @@ type MsgVolumeConfig struct {
 	MaxCorrections int
 	// Seed generates the right-hand side (default 11).
 	Seed int64
+	// Observer, when non-nil, accumulates both solves' per-grid counts.
+	Observer *obs.Observer
 }
 
 // DefaultMsgVolume returns the experiment's defaults.
@@ -82,26 +84,10 @@ type MsgVolumeReport struct {
 // coarse-resolution or thresholded payloads, which is a protocol change,
 // not a setup-phase one.
 func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
-	d := DefaultMsgVolume()
-	if cfg.Problem == "" {
-		cfg.Problem = d.Problem
-	}
-	if cfg.Size < 2 {
-		cfg.Size = d.Size
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = d.Theta
-	}
-	if cfg.MaxCorrections < 1 {
-		cfg.MaxCorrections = d.MaxCorrections
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = d.Seed
-	}
 	var method engine.Method
 	switch cfg.Method {
-	case "", "multadd":
-		cfg.Method, method = "multadd", engine.Multadd
+	case "multadd":
+		method = engine.Multadd
 	case "afacx":
 		method = engine.AFACx
 	default:
@@ -134,10 +120,12 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 		if err != nil {
 			return 0, nil, 0, err
 		}
+		cfg.Observer.Merge(o.Snapshot())
 		per := o.SentNNZ.Snapshot(nil)
 		var total int64
-		for _, v := range per {
+		for k, v := range per {
 			total += v
+			cfg.Observer.CorrectionPayload(k, v) // Merge does not carry the payload counters
 		}
 		return total, per, res.RelRes, nil
 	}

@@ -12,7 +12,9 @@ import (
 // the sparsified hierarchy is no larger than the golden one.
 func TestMsgVolumeSmall(t *testing.T) {
 	var sb strings.Builder
-	rep, err := MsgVolume(&sb, MsgVolumeConfig{Size: 8, MaxCorrections: 20})
+	cfg := DefaultMsgVolume()
+	cfg.Size, cfg.MaxCorrections = 8, 20
+	rep, err := MsgVolume(&sb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,55 +87,30 @@ func DefaultProtocol() Protocol {
 // over p.Runs runs with fresh random right-hand sides, then reports the
 // first cycle count whose mean residual is below p.Tau.
 func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
-	n := s.LevelSize(0)
 	// Prescreen at the largest cycle count: if even CycleMax cycles do not
 	// reach the tolerance on the first right-hand side, no smaller count
 	// will, so report immediately instead of grinding through the whole
 	// ascending sweep. (Divergence is detected here too.)
-	{
-		b := grid.RandomRHS(n, p.Seed0)
-		cfg := spec.Cfg
-		cfg.Criterion = async.Criterion2
-		cfg.Threads = p.Threads
-		cfg.MaxCycles = p.CycleMax
-		cfg.Observer = p.Observer
-		res, err := async.Solve(context.Background(), s, b, cfg)
-		switch {
-		case err != nil:
-			return TTResult{Diverged: true}
-		case res.Diverged || math.IsNaN(res.RelRes) || math.IsInf(res.RelRes, 0) || res.RelRes > 1e6:
-			return TTResult{Diverged: true}
-		case res.RelRes >= p.Tau*10:
-			// Not within an order of magnitude of the tolerance even at
-			// the full budget (asynchronous runs are noisy, so borderline
-			// cases still take the full sweep below).
-			return TTResult{NotConverged: true}
-		}
+	res, err := p.solve(s, spec, 0, async.Criterion2, p.CycleMax)
+	switch {
+	case err != nil || blewUp(res):
+		return TTResult{Diverged: true}
+	case res.RelRes >= p.Tau*10:
+		// Not within an order of magnitude of the tolerance even at
+		// the full budget (asynchronous runs are noisy, so borderline
+		// cases still take the full sweep below).
+		return TTResult{NotConverged: true}
 	}
 	for cycles := p.CycleStep; cycles <= p.CycleMax; cycles += p.CycleStep {
 		var sumRes, sumTime, sumCorr float64
-		diverged := false
 		for run := 0; run < p.Runs; run++ {
-			b := grid.RandomRHS(n, p.Seed0+int64(run))
-			cfg := spec.Cfg
-			cfg.Criterion = async.Criterion2
-			cfg.Threads = p.Threads
-			cfg.MaxCycles = cycles
-			cfg.Observer = p.Observer
-			res, err := async.Solve(context.Background(), s, b, cfg)
-			if err != nil {
+			res, err := p.solve(s, spec, run, async.Criterion2, cycles)
+			if err != nil || blewUp(res) {
 				return TTResult{Diverged: true}
-			}
-			if res.Diverged || math.IsNaN(res.RelRes) || math.IsInf(res.RelRes, 0) || res.RelRes > 1e6 {
-				diverged = true
-				break
 			}
 			sumRes += res.RelRes
 			sumTime += res.Elapsed.Seconds()
 			sumCorr += res.AvgCorrects
-		}
-		if diverged {
-			return TTResult{Diverged: true}
 		}
 		meanRes := sumRes / float64(p.Runs)
 		if meanRes < p.Tau {
@@ -153,22 +128,29 @@ func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
 // relative residual over p.Runs runs (the quantity plotted in Figures 4
 // and 5).
 func (p Protocol) MeanRelRes(s *engine.Engine, spec MethodSpec, cycles int) (float64, bool) {
-	n := s.LevelSize(0)
 	var sum float64
 	for run := 0; run < p.Runs; run++ {
-		b := grid.RandomRHS(n, p.Seed0+int64(run))
-		cfg := spec.Cfg
-		cfg.Criterion = async.Criterion1
-		cfg.Threads = p.Threads
-		cfg.MaxCycles = cycles
-		cfg.Observer = p.Observer
-		res, err := async.Solve(context.Background(), s, b, cfg)
+		res, err := p.solve(s, spec, run, async.Criterion1, cycles)
 		if err != nil || res.Diverged {
 			return math.Inf(1), true
 		}
 		sum += res.RelRes
 	}
 	return sum / float64(p.Runs), false
+}
+
+// solve runs one protocol solve: the method for cycles cycles under the
+// stopping criterion, on the right-hand side of the given run.
+func (p Protocol) solve(s *engine.Engine, spec MethodSpec, run int, crit async.Criterion, cycles int) (*async.Result, error) {
+	cfg := spec.Cfg
+	cfg.Criterion, cfg.Threads, cfg.MaxCycles, cfg.Observer = crit, p.Threads, cycles, p.Observer
+	return async.Solve(context.Background(), s, grid.RandomRHS(s.LevelSize(0), p.Seed0+int64(run)), cfg)
+}
+
+// blewUp reports the paper's †: the iterates became non-finite or the
+// residual grew without bound.
+func blewUp(res *async.Result) bool {
+	return res.Diverged || math.IsNaN(res.RelRes) || math.IsInf(res.RelRes, 0) || res.RelRes > 1e6
 }
 
 // FormatTT renders a TTResult the way Table I does: † for divergence,

@@ -17,8 +17,8 @@ import (
 // asynchronous additive solves crossing injected read delay, straggler
 // grids and oversubscribed thread pools against the damping policies,
 // classifying every cell into a stability outcome. The sweep is the
-// verification harness for the adaptive damping controller; mgsim
-// -staleness -out writes its stability map as JSON.
+// verification harness for the adaptive damping controller; mgbench
+// -exp staleness -out DIR writes its stability map to DIR/staleness.json.
 type StalenessConfig struct {
 	Problem string
 	Size    int

@@ -62,7 +62,7 @@ func TestStalenessSweepShape(t *testing.T) {
 	if !strings.Contains(buf.String(), "roll back at ω=1") {
 		t.Errorf("table output missing the rescue summary line:\n%s", buf.String())
 	}
-	// The map round-trips through JSON (mgsim -staleness -out writes it).
+	// The map round-trips through JSON (mgbench -exp staleness -out writes it).
 	var jb bytes.Buffer
 	if err := m.WriteJSON(&jb); err != nil {
 		t.Fatal(err)
