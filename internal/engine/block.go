@@ -178,7 +178,8 @@ func (s *Engine) blockMultCycle(x, b []float64, k int, w *BlockWorkspace) {
 }
 
 // blockMultaddCycle performs one additive Multadd V-cycle on k packed
-// right-hand sides. Requires diagonal smoothers (see BlockCycle).
+// right-hand sides, summing the corrections coarsest-first as prolongSum
+// does. Requires diagonal smoothers (see BlockCycle).
 func (s *Engine) blockMultaddCycle(x, b []float64, k int, w *BlockWorkspace) {
 	l := s.NumLevels()
 	s.blockOp(0).ResidualBlock(w.r[0], b, x, k)
@@ -192,13 +193,11 @@ func (s *Engine) blockMultaddCycle(x, b []float64, k int, w *BlockWorkspace) {
 			blockScale(w.e[lev], s.Smo[lev].InvDiag(), w.r[lev], k)
 		}
 		s.obs.Relaxed(lev, int64(k))
-		cur := w.e[lev]
-		for j := lev - 1; j >= 0; j-- {
-			s.blockItp(j, true).ApplyBlock(w.tmp[j], cur, k)
-			cur = w.tmp[j]
-		}
-		vec.AxpyPar(1, x, cur)
 	}
+	for lev := l - 2; lev >= 0; lev-- {
+		s.blockItp(lev, true).ApplyAddBlock(w.e[lev], w.e[lev+1], k)
+	}
+	vec.AxpyPar(1, x, w.e[0])
 	s.countBlockCorrections(k)
 }
 

@@ -56,6 +56,10 @@ type CorrBuffers struct {
 // must be Multadd or AFACx. The fine residual must not be reused by the
 // caller until the correction completes.
 //
+// Grid k's correction goes up through all k interpolants on its own, not
+// coarsest-first as in prolongSum: in the paper's §IV each grid corrects
+// independently, so there is no other correction to share that work with.
+//
 // The level-k correction is scaled by omega before prolongation: the
 // additive damping ω_k B_k of the stabilised asynchronous cycle. By
 // linearity of the interpolants, scaling at level k equals scaling the

@@ -104,9 +104,9 @@ func (s *Engine) multCycle(x, b []float64, w *Workspace, s1, s2 int) {
 //
 //	x ← x + Σ_k P̄⁰_k Λ_k (P̄⁰_k)ᵀ r,  Λ_ℓ = A_ℓ⁻¹.
 //
-// The multilevel smoothed interpolants are applied factor by factor; the
-// restricted residuals cascade down once and each grid's correction is
-// prolongated back up and added into x.
+// The multilevel smoothed interpolants are applied factor by factor: the
+// restricted residuals cascade down once, and the grid corrections are
+// summed coarsest-first on the way up, applying each interpolant once.
 func (s *Engine) MultaddCycle(x, b []float64, w *Workspace) {
 	s.additiveCycle(x, b, w, s.SItp, false, 1)
 }
@@ -133,10 +133,9 @@ func (s *Engine) BPXCycle(x, b []float64, w *Workspace) {
 // chain holds the two-level interpolants Π_k is composed from (smoothed
 // for Multadd, plain for BPX), and symmetrized selects Λ_k = M̄_k⁻¹ (two
 // sweeps) over the single zero-guess sweep Λ_k = M_k⁻¹. Every grid's
-// correction is scaled by omega before prolongation — the deterministic
-// sequential reference for the asynchronous damped path; omega = 1 is the
-// undamped cycle bit for bit (the scaling pass is skipped and AxpyPar with
-// α = 1 is exact).
+// correction is scaled by omega at its own level — the deterministic
+// sequential reference for the asynchronous damped path — and prolongSum
+// adds them into x with L−1 interpolant applies in all.
 func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64) {
 	l := s.NumLevels()
 	s.restrictCascade(w, chain, x, b)
@@ -154,8 +153,8 @@ func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, 
 			s.Smo[k].Apply(w.e[k], w.r[k])
 			s.obs.Relaxed(k, 1)
 		}
-		s.addCorrection(x, w, chain, k, omega)
 	}
+	s.prolongSum(x, w, chain, omega)
 	s.countCorrections()
 }
 
@@ -168,19 +167,20 @@ func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64
 	}
 }
 
-// addCorrection damps grid k's correction w.e[k] by omega at its own level
-// (matching where Correction scales; omega = 1 skips the pass),
-// prolongates it to the finest level through chain and adds it into x.
-func (s *Engine) addCorrection(x []float64, w *Workspace, chain []op.Interp, k int, omega float64) {
-	if omega != 1 {
-		vec.Scale(omega, w.e[k])
+// prolongSum adds Σ_k Π_k ω e_k into x for the level corrections in w.e,
+// coarsest first (e_k ← ω e_k + chain[k] e_{k+1}, then x += e_0): the
+// composite interpolants in nested form, L−1 applies instead of L(L−1)/2.
+// omega = 1 skips the scaling passes. It overwrites w.e.
+func (s *Engine) prolongSum(x []float64, w *Workspace, chain []op.Interp, omega float64) {
+	for k := len(chain); k >= 0; k-- {
+		if omega != 1 {
+			vec.Scale(omega, w.e[k])
+		}
+		if k < len(chain) {
+			chain[k].ApplyAdd(w.e[k], w.e[k+1])
+		}
 	}
-	cur := w.e[k]
-	for j := k - 1; j >= 0; j-- {
-		chain[j].Apply(w.tmp[j], cur)
-		cur = w.tmp[j]
-	}
-	vec.AxpyPar(1, x, cur)
+	vec.AxpyPar(1, x, w.e[0])
 }
 
 // countCorrections records one applied correction per grid: a synchronous
@@ -216,10 +216,11 @@ func (s *Engine) AFACxCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
 }
 
 // afacxCycle is AFACxCycleSweeps with every grid's final correction ẽ_k
-// scaled by omega before prolongation (the next-coarser helper sweep
-// e_{k+1} inside the modified right-hand side stays undamped, matching the
+// scaled by omega at its own level (the next-coarser helper sweep e_{k+1}
+// inside the modified right-hand side stays undamped, matching the
 // asynchronous Correction). It shares the additive body's restriction
-// cascade, damping and prolong-add; omega = 1 is undamped bit for bit.
+// cascade and prolongSum: ẽ_k is left in w.e[k], whose scratch use for
+// P e_{k+1} comes before ẽ_k is written.
 func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega float64) {
 	if s1 < 1 || s2 < 1 {
 		panic(fmt.Sprintf("mg: AFACx sweep counts must be >= 1, got (%d/%d)", s1, s2))
@@ -256,8 +257,8 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega floa
 			s.smoothSweeps(k, w.e[k], mod, w.r[k], s1)
 			s.obs.Relaxed(k, int64(s1))
 		}
-		s.addCorrection(x, w, s.Itp, k, omega)
 	}
+	s.prolongSum(x, w, s.Itp, omega)
 	s.countCorrections()
 }
 

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
@@ -428,57 +430,101 @@ func TestSawtoothCycleConverges(t *testing.T) {
 	}
 }
 
-func TestGridCorrectionSumsToMultaddCycle(t *testing.T) {
-	// One Multadd cycle's update equals the sum of the per-grid
-	// corrections evaluated on the same fine residual — GridCorrection is
-	// exactly the B_k operator decomposition.
-	s := setup7pt(t, 8, smoother.DefaultConfig())
-	n := s.LevelSize(0)
-	b := grid.RandomRHS(n, 16)
-	x0 := grid.RandomRHS(n, 17)
+type namedEngine struct {
+	name string
+	s    *Engine
+}
 
-	xCycle := append([]float64(nil), x0...)
-	w := s.NewWorkspace()
-	s.MultaddCycle(xCycle, b, w)
-
-	rfine := make([]float64, n)
-	s.H.Levels[0].A.Residual(rfine, b, x0)
-	sum := append([]float64(nil), x0...)
-	cw := s.NewCorrWorkspace()
-	out := make([]float64, n)
-	for k := 0; k < s.NumLevels(); k++ {
-		s.GridCorrection(Multadd, k, out, rfine, 1, cw)
-		vec.Axpy(1, sum, out)
+// setupStencil7F32 builds the matrix-free Stencil7 engine with float32
+// coarse levels, whose smoothed interpolants are composed, not stored: the
+// configuration PCG runs on at scale.
+func setupStencil7F32(t *testing.T, n int) *Engine {
+	t.Helper()
+	opt := amg.DefaultOptions()
+	opt.CoarsePrecision = op.CoarseFloat32
+	s, err := NewOperator(op.NewStencil7(n), opt, smoother.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range sum {
-		if math.Abs(sum[i]-xCycle[i]) > 1e-11 {
-			t.Fatalf("decomposition mismatch at %d: %v vs %v", i, sum[i], xCycle[i])
+	if _, ok := s.SItp[0].(*op.SmoothedInterp); !ok {
+		t.Fatalf("matrix-free smoothed interpolant is %T, want *op.SmoothedInterp", s.SItp[0])
+	}
+	return s
+}
+
+// decompositionEngines are the hierarchies the per-grid decomposition is
+// checked on: the default assembled 7pt one, the matrix-free Stencil7 +
+// float32 one, and a 27pt hierarchy whose coarse operators were
+// sparsified after RAP.
+func decompositionEngines(t *testing.T) []namedEngine {
+	t.Helper()
+	spOpt := amg.DefaultOptions()
+	spOpt.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
+	sp, err := New(grid.Laplacian27pt(16), spOpt, smoother.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Setup.DroppedNNZ() == 0 {
+		t.Fatal("sparsified hierarchy dropped no coarse entries")
+	}
+	cases := []namedEngine{
+		{"csr-7pt", setup7pt(t, 8, smoother.DefaultConfig())},
+		{"stencil7-f32-coarse", setupStencil7F32(t, 12)},
+		{"sparsified-27pt", sp},
+	}
+	for _, tc := range cases {
+		// Three levels at least, so a correction crosses more than one
+		// interpolant on its way to the finest level.
+		if l := tc.s.NumLevels(); l < 3 {
+			t.Fatalf("%s: %d levels, want >= 3", tc.name, l)
+		}
+	}
+	return cases
+}
+
+// checkDecomposition asserts that one (damped) cycle of method m from x0
+// equals x0 plus the sum of the per-grid corrections GridCorrection
+// evaluates on the same fine residual: GridCorrection is exactly the
+// B_k/C_k decomposition of the cycle, on every configuration and ω.
+func checkDecomposition(t *testing.T, m Method, seed int64) {
+	for _, tc := range decompositionEngines(t) {
+		for _, omega := range []float64{1, 0.8} {
+			t.Run(fmt.Sprintf("%s/omega=%g", tc.name, omega), func(t *testing.T) {
+				s := tc.s
+				n := s.LevelSize(0)
+				b := grid.RandomRHS(n, seed)
+				x0 := grid.RandomRHS(n, seed+1)
+
+				xCycle := append([]float64(nil), x0...)
+				w := s.NewWorkspace()
+				if m == Multadd {
+					s.additiveCycle(xCycle, b, w, s.SItp, false, omega)
+				} else {
+					s.afacxCycle(xCycle, b, w, 1, 1, omega)
+				}
+
+				rfine := make([]float64, n)
+				s.Ops[0].Residual(rfine, b, x0)
+				sum := append([]float64(nil), x0...)
+				cw := s.NewCorrWorkspace()
+				out := make([]float64, n)
+				for k := 0; k < s.NumLevels(); k++ {
+					s.GridCorrection(m, k, out, rfine, omega, cw)
+					vec.Axpy(1, sum, out)
+				}
+				for i := range sum {
+					if math.Abs(sum[i]-xCycle[i]) > 1e-11 {
+						t.Fatalf("%v decomposition mismatch at %d: %v vs %v", m, i, sum[i], xCycle[i])
+					}
+				}
+			})
 		}
 	}
 }
 
-func TestGridCorrectionSumsToAFACxCycle(t *testing.T) {
-	s := setup7pt(t, 8, smoother.DefaultConfig())
-	n := s.LevelSize(0)
-	b := grid.RandomRHS(n, 18)
+func TestGridCorrectionSumsToMultaddCycle(t *testing.T) { checkDecomposition(t, Multadd, 16) }
 
-	xCycle := make([]float64, n)
-	w := s.NewWorkspace()
-	s.AFACxCycle(xCycle, b, w)
-
-	sum := make([]float64, n)
-	cw := s.NewCorrWorkspace()
-	out := make([]float64, n)
-	for k := 0; k < s.NumLevels(); k++ {
-		s.GridCorrection(AFACx, k, out, b, 1, cw) // residual of x=0 is b
-		vec.Axpy(1, sum, out)
-	}
-	for i := range sum {
-		if math.Abs(sum[i]-xCycle[i]) > 1e-11 {
-			t.Fatalf("AFACx decomposition mismatch at %d: %v vs %v", i, sum[i], xCycle[i])
-		}
-	}
-}
+func TestGridCorrectionSumsToAFACxCycle(t *testing.T) { checkDecomposition(t, AFACx, 18) }
 
 func TestGridCorrectionPanicsOnMult(t *testing.T) {
 	s := setup7pt(t, 4, smoother.DefaultConfig())

@@ -132,9 +132,6 @@ func (t *CSRInterp[V, I]) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	t.PT.ApplyRange(coarse, fine, lo, hi)
 }
 
-func (t *CSRInterp[V, I]) ApplyBlock(fine, coarse []float64, k int) {
-	t.P.RunBlock(sparse.KApplyBlock, fine, nil, coarse, k)
-}
 func (t *CSRInterp[V, I]) ApplyAddBlock(fine, coarse []float64, k int) {
 	t.P.RunBlock(sparse.KApplyAddBlock, fine, nil, coarse, k)
 }

@@ -159,7 +159,6 @@ type BlockApplier interface {
 
 // BlockInterp is the multi-RHS capability of an Interp.
 type BlockInterp interface {
-	ApplyBlock(fine, coarse []float64, k int)
 	ApplyAddBlock(fine, coarse []float64, k int)
 	ApplyTBlock(coarse, fine []float64, k int)
 }
