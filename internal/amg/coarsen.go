@@ -88,8 +88,10 @@ func CoarsenAggressive(s *Strength, method CoarsenMethod, seed int64) []PointTyp
 func rsFirstPass(s, st *Strength) []bool {
 	n := s.N
 	lambda := make([]int, n)
+	maxLam := 0 // bucket queue over measures; measures can grow by at most n
 	for i := 0; i < n; i++ {
 		lambda[i] = len(st.Rows[i])
+		maxLam = max(maxLam, lambda[i])
 	}
 	const (
 		undecided = 0
@@ -97,13 +99,6 @@ func rsFirstPass(s, st *Strength) []bool {
 		fPt       = 2
 	)
 	state := make([]byte, n)
-	// Bucket queue over measures; measures can grow by at most n.
-	maxLam := 0
-	for _, l := range lambda {
-		if l > maxLam {
-			maxLam = l
-		}
-	}
 	// Stale bucket entries are dropped lazily when popped, so no in-bucket
 	// position tracking is needed.
 	buckets := make([][]int, maxLam+n+2)
@@ -111,10 +106,7 @@ func rsFirstPass(s, st *Strength) []bool {
 		buckets[lambda[i]] = append(buckets[lambda[i]], i)
 	}
 	cur := len(buckets) - 1
-	inBucket := make([]int, n)
-	for i := range inBucket {
-		inBucket[i] = lambda[i]
-	}
+	inBucket := append([]int(nil), lambda...)
 	push := func(i int) {
 		l := lambda[i]
 		if l >= len(buckets) {
@@ -212,6 +204,20 @@ func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 		// independent: make it C (it cannot be interpolated).
 		undecidedCount++
 	}
+	// makeC turns undecided candidate i into a C point and its undecided
+	// candidate neighbours into F points.
+	makeC := func(i int) {
+		state[i] = cPt
+		undecidedCount--
+		for _, nbrs := range [2][]int{s.Rows[i], st.Rows[i]} {
+			for _, j := range nbrs {
+				if candidate[j] && state[j] == undecided {
+					state[j] = fPt
+					undecidedCount--
+				}
+			}
+		}
+	}
 	// Iterate: in each round, undecided candidates whose measure is a strict
 	// local maximum among undecided candidate neighbours become C; their
 	// undecided candidate neighbours become F.
@@ -222,24 +228,13 @@ func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 			if state[i] != undecided {
 				continue
 			}
+			// i loses to any undecided candidate neighbour with a measure
+			// at least its own.
 			isMax := true
-			check := func(j int) {
-				if j != i && candidate[j] && state[j] == undecided && measure[j] >= measure[i] {
-					isMax = false
-				}
-			}
-			for _, j := range s.Rows[i] {
-				check(j)
-				if !isMax {
-					break
-				}
-			}
-			if isMax {
-				for _, j := range st.Rows[i] {
-					check(j)
-					if !isMax {
-						break
-					}
+			for _, nbrs := range [2][]int{s.Rows[i], st.Rows[i]} {
+				for z := 0; z < len(nbrs) && isMax; z++ {
+					j := nbrs[z]
+					isMax = j == i || !candidate[j] || state[j] != undecided || measure[j] < measure[i]
 				}
 			}
 			if isMax {
@@ -247,43 +242,16 @@ func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 			}
 		}
 		for _, i := range newC {
-			if state[i] != undecided {
-				continue
-			}
-			state[i] = cPt
-			undecidedCount--
-			progress = true
-			for _, j := range s.Rows[i] {
-				if candidate[j] && state[j] == undecided {
-					state[j] = fPt
-					undecidedCount--
-				}
-			}
-			for _, j := range st.Rows[i] {
-				if candidate[j] && state[j] == undecided {
-					state[j] = fPt
-					undecidedCount--
-				}
+			if state[i] == undecided {
+				makeC(i)
+				progress = true
 			}
 		}
 		if !progress {
 			// Ties in measure can in principle stall; break them by fiat.
-			for i := 0; i < n && undecidedCount > 0; i++ {
+			for i := 0; i < n; i++ {
 				if state[i] == undecided {
-					state[i] = cPt
-					undecidedCount--
-					for _, j := range s.Rows[i] {
-						if candidate[j] && state[j] == undecided {
-							state[j] = fPt
-							undecidedCount--
-						}
-					}
-					for _, j := range st.Rows[i] {
-						if candidate[j] && state[j] == undecided {
-							state[j] = fPt
-							undecidedCount--
-						}
-					}
+					makeC(i)
 					break
 				}
 			}
@@ -293,8 +261,6 @@ func pmisFiltered(s, st *Strength, candidate []bool, seed int64) []PointType {
 	for i := 0; i < n; i++ {
 		if state[i] == cPt {
 			out[i] = CPoint
-		} else {
-			out[i] = FPoint
 		}
 	}
 	return out

@@ -183,16 +183,15 @@ type SetupStats struct {
 	// SparsifyFallbacks counts levels the convergence guard reverted to
 	// their unsparsified operators.
 	SparsifyFallbacks int
+	// StagedPeak is the most untruncated composed entries the later
+	// multipass passes held at once on any level: a count, the same on
+	// every run and at any worker count.
+	StagedPeak int
 }
 
-// Build runs the AMG setup phase on the fine-grid matrix a.
-func Build(a *sparse.CSR, opt Options) (*Hierarchy, error) {
-	h, _, err := BuildWithStats(a, opt)
-	return h, err
-}
-
-// BuildWithStats is Build plus a per-stage wall-time breakdown, feeding
-// the setup observability tables and benchmarks.
+// BuildWithStats runs the AMG setup phase on the fine-grid matrix a and
+// returns its per-stage breakdown, feeding the setup observability tables
+// and benchmarks.
 func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("amg: matrix must be square, got %dx%d", a.Rows, a.Cols)
@@ -243,8 +242,9 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 			it = Multipass
 		}
 		t0 = time.Now()
-		p := stageInterp(cur, s, types, it, fun).toCSR(opt.TruncTol, opt.TruncMax)
+		p, staged := interpolate(cur, s, types, it, fun, opt.TruncTol, opt.TruncMax)
 		st.Interp += time.Since(t0)
+		st.StagedPeak = max(st.StagedPeak, staged)
 		// One transpose per level, shared by the triple product here and
 		// by the engine's restriction view (which used to recompute it).
 		t0 = time.Now()
@@ -288,12 +288,6 @@ func (h *Hierarchy) GridSizes() []int {
 		out[i] = h.Levels[i].Rows()
 	}
 	return out
-}
-
-// BuildOperator runs the setup phase on an arbitrary fine-level operator.
-func BuildOperator(a op.Operator, opt Options) (*Hierarchy, error) {
-	h, _, err := BuildOperatorWithStats(a, opt)
-	return h, err
 }
 
 // BuildOperatorWithStats is the operator-generic setup entry. A fine

@@ -1,9 +1,8 @@
 package amg
 
 import (
-	"cmp"
 	"math"
-	"slices"
+	"math/bits"
 
 	"asyncmg/internal/sparse"
 )
@@ -45,91 +44,64 @@ func (t InterpType) String() string {
 func coarseIndex(types []PointType) (idx []int, nc int) {
 	idx = make([]int, len(types))
 	for i, t := range types {
+		idx[i] = -1
 		if t == CPoint {
-			idx[i] = nc
-			nc++
-		} else {
-			idx[i] = -1
+			idx[i], nc = nc, nc+1
 		}
 	}
 	return
 }
 
-// BuildInterpolation constructs the prolongation matrix P (n × nc) for the
-// given splitting using the requested scheme. Rows of C points are identity
-// rows. The matrix A and its strength graph s must correspond.
-func BuildInterpolation(a *sparse.CSR, s *Strength, types []PointType, typ InterpType) *sparse.CSR {
-	return BuildInterpolationFunc(a, s, types, typ, nil)
-}
-
-// BuildInterpolationFunc is BuildInterpolation with the unknown-approach
-// function map: when fun is non-nil, row sums in the direct and multipass
-// formulas are restricted to same-function couplings (cross-function
-// entries behave as weak connections, matching StrengthGraphFunc).
-func BuildInterpolationFunc(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int) *sparse.CSR {
-	return stageInterp(a, s, types, typ, fun).toCSR(0, 0)
-}
-
-// TruncateInterp limits each row of P to its maxPerRow largest-magnitude
-// entries and drops entries below relTol times the row's largest magnitude,
-// rescaling the kept entries so the row sum is preserved (BoomerAMG's
-// interpolation truncation). maxPerRow <= 0 means unlimited.
-func TruncateInterp(p *sparse.CSR, relTol float64, maxPerRow int) *sparse.CSR {
-	st := &stagedRows{nc: p.Cols, cols: make([][]int, p.Rows), vals: make([][]float64, p.Rows)}
-	for i := range st.cols {
-		st.cols[i] = p.ColIdx[p.RowPtr[i]:p.RowPtr[i+1]]
-		st.vals[i] = p.Vals[p.RowPtr[i]:p.RowPtr[i+1]]
-	}
-	return st.toCSR(relTol, maxPerRow)
-}
-
-// stageInterp builds the untruncated rows of P. Build packs them straight
-// into the truncated CSR, so the untruncated P of an aggressive level (tens
-// of entries per row, against the handful that truncation keeps) is never
-// assembled.
-func stageInterp(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int) *stagedRows {
+// interpolate builds P for the splitting with the requested scheme,
+// truncated as truncateRow documents, and reports the most untruncated
+// composed entries multipass held at once (0 for the other schemes). C
+// rows are identity rows; a non-nil fun restricts the direct and multipass
+// row sums to same-function couplings (the unknown approach).
+func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int, relTol float64, maxPerRow int) (*sparse.CSR, int) {
 	cidx, nc := coarseIndex(types)
-	// A row that interpolates from the strong C neighbours of matrix row i
-	// alone has at most as many entries as that row (one, for a C point).
-	rowCap := make([]int, a.Rows)
-	for i := range rowCap {
-		rowCap[i] = a.RowPtr[i+1] - a.RowPtr[i] + 1
-	}
+	strong, rowCap := strongMask(a, s, types)
 	st := newStagedRows(nc, rowCap)
-	strong := strongMask(a, s)
 	switch typ {
 	case Direct:
 		runRows(a.Rows, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st})
 	case Multipass:
-		multipassInterp(a, strong, types, cidx, fun, st)
+		peak := multipassInterp(a, strong, types, cidx, fun, st, relTol, maxPerRow)
+		return st.toCSR(0, 0), peak
 	default:
 		runRows(a.Rows, a.NNZ(), &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
 	}
-	return st
+	return st.toCSR(relTol, maxPerRow), 0
 }
 
 // strongMask flags the strong connections on A's own pattern: mask[q] is
 // true when entry q of row i has its column in s.Rows[i]. StrengthGraphFunc
 // lists a row's strong columns in the order the matrix row has them, so
-// one two-pointer walk per row finds them all.
-func strongMask(a *sparse.CSR, s *Strength) []bool {
-	mask := make([]bool, a.NNZ())
+// one two-pointer walk per row finds them all. rowCap[i] bounds the row of
+// P built from the strong C neighbours of row i: one entry per neighbour,
+// or one for a C point.
+func strongMask(a *sparse.CSR, s *Strength, types []PointType) (mask []bool, rowCap []int) {
+	mask, rowCap = make([]bool, a.NNZ()), make([]int, a.Rows)
 	for i, sr := range s.Rows {
 		z := 0
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1] && z < len(sr); q++ {
 			if a.ColIdx[q] == sr[z] {
 				mask[q] = true
+				if types[sr[z]] == CPoint {
+					rowCap[i]++
+				}
 				z++
 			}
 		}
+		if types[i] == CPoint {
+			rowCap[i] = 1
+		}
 	}
-	return mask
+	return mask, rowCap
 }
 
 // stagedRows holds rows of P between their computation and the exactly
-// sized CSR. Row i is the pair cols[i], vals[i]; the rows are windows into
-// flat arenas that only grow at the end and never move, so staging a row
-// allocates nothing and copies nothing.
+// sized CSR. Row i is the pair cols[i], vals[i], a window into a flat arena
+// (newStagedRows) or, for a composed multipass row, into slabs.
 type stagedRows struct {
 	nc   int
 	cols [][]int
@@ -163,26 +135,19 @@ func (st *stagedRows) put(i, col int, val float64) {
 }
 
 // toCSR packs the staged rows into a CSR sized exactly by a prefix sum over
-// the row lengths, first truncating each row as TruncateInterp documents
-// when relTol or maxPerRow asks for it. Rows are independent, so both
-// sweeps shard over the kernel pool, and the result is bitwise-identical to
-// serial for any worker count.
+// the row lengths, first truncating each row in place when relTol or
+// maxPerRow asks for it. Rows are independent, so both sweeps shard over
+// the kernel pool, and the result is bitwise-identical to serial for any
+// worker count.
 func (st *stagedRows) toCSR(relTol float64, maxPerRow int) *sparse.CSR {
 	n := len(st.cols)
 	if relTol > 0 || maxPerRow > 0 {
-		// A truncated row is no longer than the row, nor than maxPerRow.
-		rowCap := make([]int, n)
 		entries := 0
-		for i, c := range st.cols {
+		for _, c := range st.cols {
 			entries += len(c)
-			rowCap[i] = len(c)
-			if maxPerRow > 0 && rowCap[i] > maxPerRow {
-				rowCap[i] = maxPerRow
-			}
 		}
-		out := newStagedRows(st.nc, rowCap)
-		runRows(n, entries, &truncateKernel{in: st, out: out, relTol: relTol, maxPerRow: maxPerRow})
-		st = out
+		// truncateRow reads each entry twice, then once per selection pass.
+		runRows(n, entries*(2+max(maxPerRow, 0)), &truncateKernel{st: st, relTol: relTol, maxPerRow: maxPerRow})
 	}
 	p := &sparse.CSR{Rows: n, Cols: st.nc, RowPtr: make([]int, n+1)}
 	for i, c := range st.cols {
@@ -207,68 +172,87 @@ func (k *packKernel) Do(_, lo, hi int) {
 	}
 }
 
-// truncateKernel stages the truncation of each row of in as the same row
-// of out.
+// truncateKernel truncates staged rows in place: the rows listed in rows,
+// or every row when rows is nil.
 type truncateKernel struct {
-	in, out   *stagedRows
+	st        *stagedRows
+	rows      []int
 	relTol    float64
 	maxPerRow int
 }
 
-type interpEntry struct {
-	col int
-	val float64
+func (k *truncateKernel) Do(_, lo, hi int) {
+	for z := lo; z < hi; z++ {
+		i := z
+		if k.rows != nil {
+			i = k.rows[z]
+		}
+		cols, vals := k.st.cols[i], k.st.vals[i]
+		keep := truncateRow(cols, vals, k.relTol, k.maxPerRow)
+		k.st.cols[i], k.st.vals[i] = cols[:keep], vals[:keep]
+	}
 }
 
-func (k *truncateKernel) Do(_, lo, hi int) {
-	relTol, maxPerRow := k.relTol, k.maxPerRow
-	var kept []interpEntry // per-worker scratch
-	for i := lo; i < hi; i++ {
-		cols, vals := k.in.cols[i], k.in.vals[i]
-		rowSum := 0.0
-		maxMag := 0.0
-		for _, v := range vals {
-			rowSum += v
-			if m := math.Abs(v); m > maxMag {
-				maxMag = m
-			}
-		}
-		// Drop small entries.
-		kept = kept[:0]
-		for z, v := range vals {
-			if math.Abs(v) >= relTol*maxMag {
-				kept = append(kept, interpEntry{cols[z], v})
-			}
-		}
-		// Keep only the largest maxPerRow by magnitude.
-		if maxPerRow > 0 && len(kept) > maxPerRow {
-			// Selection of the top maxPerRow; ties go to the entry that
-			// comes first in the order the earlier swaps left.
-			for a := 0; a < maxPerRow; a++ {
-				best, bestMag := a, math.Abs(kept[a].val)
-				for b := a + 1; b < len(kept); b++ {
-					if m := math.Abs(kept[b].val); m > bestMag {
-						best, bestMag = b, m
-					}
-				}
-				kept[a], kept[best] = kept[best], kept[a]
-			}
-			kept = kept[:maxPerRow]
-			// Restore column order.
-			slices.SortFunc(kept, func(x, y interpEntry) int { return cmp.Compare(x.col, y.col) })
-		}
-		keptSum := 0.0
-		for _, e := range kept {
-			keptSum += e.val
-		}
-		scale := 1.0
-		if keptSum != 0 && rowSum != 0 {
-			scale = rowSum / keptSum
-		}
-		for _, e := range kept {
-			k.out.put(i, e.col, e.val*scale)
+// truncateRow is BoomerAMG's interpolation truncation of one row, in
+// place: drop entries below relTol times the largest magnitude, keep the
+// maxPerRow largest (<= 0: all), rescale them to the old row sum, and
+// return how many were kept, in column order at the front of the row.
+func truncateRow(cols []int, vals []float64, relTol float64, maxPerRow int) int {
+	if !(relTol > 0 || maxPerRow > 0) {
+		return len(cols)
+	}
+	rowSum, maxMag := 0.0, 0.0
+	for _, v := range vals {
+		rowSum += v
+		if m := math.Abs(v); m > maxMag {
+			maxMag = m
 		}
 	}
+	// Drop small entries.
+	keep := 0
+	for z, v := range vals {
+		if math.Abs(v) >= relTol*maxMag {
+			cols[keep], vals[keep] = cols[z], v
+			keep++
+		}
+	}
+	// Keep only the largest maxPerRow by magnitude.
+	if maxPerRow > 0 && keep > maxPerRow {
+		// Selection of the top maxPerRow; ties go to the entry that comes
+		// first in the order the earlier swaps left.
+		for a := 0; a < maxPerRow; a++ {
+			best, bestMag := a, math.Abs(vals[a])
+			for b := a + 1; b < keep; b++ {
+				if m := math.Abs(vals[b]); m > bestMag {
+					best, bestMag = b, m
+				}
+			}
+			cols[a], cols[best] = cols[best], cols[a]
+			vals[a], vals[best] = vals[best], vals[a]
+		}
+		keep = maxPerRow
+		// Restore column order (the columns of a row are distinct).
+		for a := 1; a < keep; a++ {
+			c, v := cols[a], vals[a]
+			b := a
+			for ; b > 0 && cols[b-1] > c; b-- {
+				cols[b], vals[b] = cols[b-1], vals[b-1]
+			}
+			cols[b], vals[b] = c, v
+		}
+	}
+	keptSum := 0.0
+	for _, v := range vals[:keep] {
+		keptSum += v
+	}
+	scale := 1.0
+	if keptSum != 0 && rowSum != 0 {
+		scale = rowSum / keptSum
+	}
+	for z := range vals[:keep] {
+		vals[z] *= scale
+	}
+	return keep
 }
 
 // directInterpKernel builds direct interpolation:
@@ -295,11 +279,16 @@ type directInterpKernel struct {
 }
 
 func (k *directInterpKernel) Do(_, lo, hi int) {
+	a, strong, types := k.a, k.strong, k.types
 	for i := lo; i < hi; i++ {
-		if k.types[i] == CPoint {
+		if types[i] == CPoint {
 			k.st.put(i, k.cidx[i], 1)
-		} else {
-			k.fRow(i)
+		} else if alpha, diag, ok := directAlpha(a, strong, k.fun, i, types, CPoint); ok {
+			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+				if j := a.ColIdx[q]; j != i && types[j] == CPoint && strong[q] {
+					k.st.put(i, k.cidx[j], -alpha*a.Vals[q]/diag)
+				}
+			}
 		}
 		if k.done != nil {
 			k.done[i] = len(k.st.cols[i]) > 0
@@ -307,10 +296,13 @@ func (k *directInterpKernel) Do(_, lo, hi int) {
 	}
 }
 
-// fRow stages the direct-interpolation row of F point i.
-func (k *directInterpKernel) fRow(i int) {
-	a, strong, types, fun := k.a, k.strong, k.types, k.fun
-	var diag, rowSum, cSum float64
+// directAlpha returns the diagonal of F row i and α_i = Σ_{j≠i} a_ij /
+// Σ_k a_ik, both sums over same-function couplings and the second over the
+// strong neighbours k with set[k] == in: the C points for direct
+// interpolation, the rows done so far for multipass. ok is false when the
+// diagonal or the second sum is 0.
+func directAlpha[T comparable](a *sparse.CSR, strong []bool, fun []int, i int, set []T, in T) (alpha, diag float64, ok bool) {
+	var rowSum, inSum float64
 	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 		j := a.ColIdx[q]
 		v := a.Vals[q]
@@ -322,21 +314,14 @@ func (k *directInterpKernel) fRow(i int) {
 			continue
 		}
 		rowSum += v
-		if types[j] == CPoint && strong[q] {
-			cSum += v
+		if strong[q] && set[j] == in {
+			inSum += v
 		}
 	}
-	if diag == 0 || cSum == 0 {
-		return
+	if diag == 0 || inSum == 0 {
+		return 0, 0, false
 	}
-	alpha := rowSum / cSum
-	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-		j := a.ColIdx[q]
-		if j == i || types[j] != CPoint || !strong[q] {
-			continue
-		}
-		k.st.put(i, k.cidx[j], -alpha*a.Vals[q]/diag)
-	}
+	return rowSum / inSum, diag, true
 }
 
 // classicalInterpKernel builds Ruge-Stüben classical interpolation with the
@@ -452,62 +437,80 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 	}
 }
 
-// multipassInterp builds Stüben multipass interpolation. C rows are
-// identity. Pass 1 gives direct interpolation to rows with strong C
-// neighbours. Later passes interpolate remaining rows through
-// already-interpolated strong neighbours, composing their P rows. Rows that
-// never acquire an interpolated strong neighbour end up empty.
+// multipassInterp builds Stüben multipass interpolation, truncated, and
+// returns the most untruncated composed entries it held at once. Pass 1
+// (sharded) gives direct interpolation to rows with strong C neighbours.
+// Later passes interpolate the remaining rows through already-interpolated
+// strong neighbours, composing their untruncated rows; they stay serial,
+// because a row composes through rows finished earlier in the same sweep
+// and that ordering is part of what P is. Rows that never acquire an
+// interpolated strong neighbour end up empty.
 //
-// Pass 1 shards over the kernel pool. The later passes stay serial: a row
-// composes through every strong neighbour that is done when the sweep
-// reaches it, including rows finished earlier in the same sweep, and that
-// ordering is part of what P is. Each row is summed in a dense accumulator
-// over the coarse columns, in the neighbour order of the matrix row, with a
-// stamped marker telling which columns the row has touched; the touched
-// columns are then sorted and the row appended to the arena.
-func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows) {
+// pending[k] counts the rows not yet done that k strongly influences, the
+// only rows that can still compose through k. When it reaches 0 with k
+// done, k is released (and pending[k] set to -1): truncated in place by the
+// pool, releaseBatch entries at a time, and, if composed, moved to a window
+// its truncated length fits. Rows never released by then are truncated at
+// the end.
+func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows, relTol float64, maxPerRow int) int {
 	n := a.Rows
 	done := make([]bool, n)
 	runRows(n, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
 
-	acc := make([]float64, st.nc)
-	mark := make([]int, st.nc) // mark[c] == stamp: the current row has touched c
-	stamp := 0
-	var touched []int
-	// The composed rows go to chunks the size of pass 1's arena, opened as
-	// the rows come: they are many times longer than the matrix rows, and
-	// how long is known only once each has been summed.
-	chunk := a.NNZ() + n
-	var chunkCols []int
-	var chunkVals []float64
+	pending := make([]int32, n)
+	for i := 0; i < n; i++ {
+		if done[i] {
+			continue
+		}
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			if k := a.ColIdx[q]; strong[q] && k != i {
+				pending[k]++
+			}
+		}
+	}
+	composed := make([]bool, n)       // the row lives in slabs
+	slab := slabs{chunk: a.NNZ() / 8} // chunks of nnz(A)/8 entries
+	trunc := &truncateKernel{st: st, rows: make([]int, 0, releaseBatch), relTol: relTol, maxPerRow: maxPerRow}
+	var queued, live, queuedLive, peak int // entries queued, untruncated composed (live), and both
+	flush := func() {
+		runRows(len(trunc.rows), queued*(2+max(maxPerRow, 0)), trunc)
+		for _, k := range trunc.rows {
+			if cols, vals := st.cols[k], st.vals[k]; composed[k] && 2*len(cols) <= cap(cols) {
+				nc, nv := slab.get(len(cols))
+				st.cols[k], st.vals[k] = append(nc, cols...), append(nv, vals...)
+				slab.put(cols, vals)
+			}
+		}
+		live -= queuedLive
+		trunc.rows, queued, queuedLive = trunc.rows[:0], 0, 0
+	}
+	release := func(k int) {
+		pending[k] = -1
+		trunc.rows = append(trunc.rows, k)
+		queued += len(st.cols[k])
+		if composed[k] {
+			queuedLive += len(st.cols[k])
+		}
+		if queued >= releaseBatch {
+			flush()
+		}
+	}
+
+	acc := make([]float64, st.nc) // zero outside the row being summed
+	seen := make([]uint64, (st.nc+63)/64)
 	for progress := true; progress; {
 		progress = false
 		for i := 0; i < n; i++ {
 			if done[i] {
 				continue
 			}
-			var diag, rowSum, dSum float64
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				j := a.ColIdx[q]
-				v := a.Vals[q]
-				if j == i {
-					diag = v
-					continue
-				}
-				if fun != nil && fun[i] != fun[j] {
-					continue
-				}
-				rowSum += v
-				if strong[q] && done[j] {
-					dSum += v
-				}
-			}
-			if diag == 0 || dSum == 0 {
+			alpha, diag, ok := directAlpha(a, strong, fun, i, done, true)
+			if !ok {
 				continue
 			}
-			alpha := rowSum / dSum
-			stamp++
-			touched = touched[:0]
+			// Words lo..hi of seen cover the touched columns: staged rows
+			// are in ascending column order, so each spans first to last.
+			lo, hi := len(seen), -1
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 				k := a.ColIdx[q]
 				if k == i || !strong[q] || !done[k] {
@@ -516,32 +519,95 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 				wk := -alpha * a.Vals[q] / diag
 				kc := st.cols[k]
 				kv := st.vals[k][:len(kc)]
+				lo, hi = min(lo, kc[0]>>6), max(hi, kc[len(kc)-1]>>6)
 				for z, c := range kc {
-					if mark[c] != stamp {
-						mark[c] = stamp
-						acc[c] = 0
-						touched = append(touched, c)
-					}
+					seen[c>>6] |= 1 << (c & 63)
 					acc[c] += wk * kv[z]
 				}
 			}
-			if len(touched) == 0 {
+			if hi < lo {
 				continue
 			}
-			slices.Sort(touched)
-			if cap(chunkCols)-len(chunkCols) < len(touched) {
-				size := max(chunk, len(touched))
-				chunkCols, chunkVals = make([]int, 0, size), make([]float64, 0, size)
+			size := 0
+			for _, w := range seen[lo : hi+1] {
+				size += bits.OnesCount64(w)
 			}
-			lo := len(chunkCols)
-			chunkCols = append(chunkCols, touched...)
-			for _, c := range touched {
-				chunkVals = append(chunkVals, acc[c])
+			cols, vals := slab.get(size)
+			for w := lo; w <= hi; w++ {
+				for word := seen[w]; word != 0; word &= word - 1 {
+					c := w<<6 | bits.TrailingZeros64(word)
+					cols = append(cols, c)
+					vals = append(vals, acc[c])
+					acc[c] = 0
+				}
+				seen[w] = 0
 			}
-			hi := len(chunkCols)
-			st.cols[i], st.vals[i] = chunkCols[lo:hi:hi], chunkVals[lo:hi:hi]
-			done[i] = true
-			progress = true
+			st.cols[i], st.vals[i] = cols, vals
+			done[i], composed[i], progress = true, true, true
+			live += size
+			peak = max(peak, live)
+			// Row i reads nothing any more.
+			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+				if k := a.ColIdx[q]; strong[q] && k != i {
+					if pending[k]--; pending[k] == 0 && done[k] {
+						release(k)
+					}
+				}
+			}
+			if pending[i] == 0 {
+				release(i)
+			}
 		}
 	}
+	for i := 0; i < n; i++ {
+		if done[i] && pending[i] >= 0 {
+			release(i)
+		}
+	}
+	flush()
+	return peak
+}
+
+// releaseBatch is how many entries multipass queues before truncating them,
+// a constant so that its peak count is the same at any worker count.
+const releaseBatch = 1 << 13
+
+// slabs hands out windows of a power of two entries, carved from chunks
+// that never move, recycled through one free list per size.
+type slabs struct {
+	chunk int
+	cols  []int // the chunk being carved
+	vals  []float64
+	free  [64][]window
+}
+
+type window struct {
+	cols []int
+	vals []float64
+}
+
+// get returns an empty window with room for n entries.
+func (s *slabs) get(n int) ([]int, []float64) {
+	if n == 0 {
+		return nil, nil
+	}
+	c := bits.Len(uint(n - 1))
+	if f := len(s.free[c]) - 1; f >= 0 {
+		w := s.free[c][f]
+		s.free[c] = s.free[c][:f]
+		return w.cols, w.vals
+	}
+	w := 1 << c
+	if cap(s.cols)-len(s.cols) < w {
+		s.cols, s.vals = make([]int, 0, max(s.chunk, w)), make([]float64, 0, max(s.chunk, w))
+	}
+	lo := len(s.cols)
+	s.cols, s.vals = s.cols[:lo+w], s.vals[:lo+w]
+	return s.cols[lo : lo : lo+w], s.vals[lo : lo : lo+w]
+}
+
+// put gives a window from get back.
+func (s *slabs) put(cols []int, vals []float64) {
+	c := bits.Len(uint(cap(cols) - 1))
+	s.free[c] = append(s.free[c], window{cols[:0], vals[:0]})
 }

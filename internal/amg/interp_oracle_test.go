@@ -547,44 +547,96 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []Level {
 	}
 }
 
+// oracleTruncations are the (TruncTol, TruncMax) settings the oracle tests
+// run: the paper's, drop tolerance only, both, and none.
+var oracleTruncations = []struct {
+	tol float64
+	max int
+}{{0, 4}, {0.2, 0}, {0.1, 3}, {0, 0}}
+
 // TestBuildMatchesMapOracle is the whole-hierarchy form of the oracle
 // test: Build with the paper's options (and the unknown approach on
-// elasticity) equals the old code on every level — operators,
-// interpolants, transposes and splittings.
+// elasticity), under every truncation setting, equals the old code on
+// every level — operators, interpolants, transposes and splittings.
 func TestBuildMatchesMapOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := DefaultOptions()
-			opt.NumFunctions = tc.funs
-			want := refBuild(t, tc.a, opt)
+			opts := make([]Options, len(oracleTruncations))
+			wants := make([][]Level, len(oracleTruncations))
+			for z, tr := range oracleTruncations {
+				opts[z] = DefaultOptions()
+				opts[z].NumFunctions = tc.funs
+				opts[z].TruncTol, opts[z].TruncMax = tr.tol, tr.max
+				wants[z] = refBuild(t, tc.a, opts[z])
+			}
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					withSetupWorkers(t, workers)
-					h, err := Build(tc.a, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if h.NumLevels() != len(want) {
-						t.Fatalf("levels %d, want %d", h.NumLevels(), len(want))
-					}
-					for k := range want {
-						lv, lw := h.Levels[k], want[k]
-						csrEq(t, fmt.Sprintf("A[%d]", k), lv.A, lw.A)
-						if (lv.P == nil) != (lw.P == nil) {
-							t.Fatalf("level %d P nil mismatch", k)
+					for z, opt := range opts {
+						want := wants[z]
+						h, err := Build(tc.a, opt)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if lw.P != nil {
-							csrEq(t, fmt.Sprintf("P[%d]", k), lv.P, lw.P)
-							csrEq(t, fmt.Sprintf("PT[%d]", k), lv.PT, lw.PT)
+						trunc := fmt.Sprintf("truncate(%g,%d)", opt.TruncTol, opt.TruncMax)
+						if h.NumLevels() != len(want) {
+							t.Fatalf("%s: levels %d, want %d", trunc, h.NumLevels(), len(want))
 						}
-						if len(lv.Types) != len(lw.Types) {
-							t.Fatalf("level %d Types length %d, want %d", k, len(lv.Types), len(lw.Types))
-						}
-						for i := range lw.Types {
-							if lv.Types[i] != lw.Types[i] {
-								t.Fatalf("level %d C/F split differs at %d", k, i)
+						for k := range want {
+							lv, lw := h.Levels[k], want[k]
+							csrEq(t, fmt.Sprintf("%s A[%d]", trunc, k), lv.A, lw.A)
+							if (lv.P == nil) != (lw.P == nil) {
+								t.Fatalf("%s: level %d P nil mismatch", trunc, k)
+							}
+							if lw.P != nil {
+								csrEq(t, fmt.Sprintf("%s P[%d]", trunc, k), lv.P, lw.P)
+								csrEq(t, fmt.Sprintf("%s PT[%d]", trunc, k), lv.PT, lw.PT)
+							}
+							if len(lv.Types) != len(lw.Types) {
+								t.Fatalf("%s: level %d Types length %d, want %d", trunc, k, len(lv.Types), len(lw.Types))
+							}
+							for i := range lw.Types {
+								if lv.Types[i] != lw.Types[i] {
+									t.Fatalf("%s: level %d C/F split differs at %d", trunc, k, i)
+								}
 							}
 						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestMultipassTruncationMatchesMapOracle checks the truncation multipass
+// does while it composes (each row once nothing reads it any more) against
+// the old code's untruncated P truncated afterwards, under every
+// truncation setting at 1, 2 and 8 workers. The chain case is the one
+// where rows finished in the same sweep read each other before they are
+// truncated.
+func TestMultipassTruncationMatchesMapOracle(t *testing.T) {
+	for _, tc := range oracleCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			fun := funMap(tc.a.Rows, tc.funs)
+			s := StrengthGraphFunc(tc.a, 0.25, fun)
+			types := CoarsenAggressive(s, HMIS, 7)
+			if tc.multiC != nil {
+				types = make([]PointType, s.N)
+				for _, c := range tc.multiC {
+					types[c] = CPoint
+				}
+			}
+			untruncated, _ := refMultipassInterp(tc.a, s, types, fun)
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					withSetupWorkers(t, workers)
+					for _, tr := range oracleTruncations {
+						want := untruncated
+						if tr.tol > 0 || tr.max > 0 {
+							want = refTruncateInterp(untruncated, tr.tol, tr.max)
+						}
+						got, _ := interpolate(tc.a, s, types, Multipass, fun, tr.tol, tr.max)
+						csrEq(t, fmt.Sprintf("truncate(%g,%d)", tr.tol, tr.max), got, want)
 					}
 				})
 			}

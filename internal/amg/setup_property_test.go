@@ -215,3 +215,30 @@ func TestBuildAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMultipassStagedPeakBounded is the memory guard of the aggressive
+// level, kept in counts rather than bytes: the later multipass passes hold
+// at most half as many untruncated composed entries at once as A₀ has.
+// Kept until the end, as they once were, the composed rows came to 5-13
+// times nnz(A₀) on these problems.
+func TestMultipassStagedPeakBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"7pt n=32", grid.Laplacian7pt(32)},
+		{"7pt n=36", grid.Laplacian7pt(36)},
+		{"27pt n=32", grid.Laplacian27pt(32)},
+	} {
+		_, st, err := BuildWithStats(tc.a, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.StagedPeak == 0 {
+			t.Fatalf("%s: no multipass row was composed", tc.name)
+		}
+		if 2*st.StagedPeak > tc.a.NNZ() {
+			t.Errorf("%s: %d untruncated composed entries at once, over half of nnz(A0) = %d", tc.name, st.StagedPeak, tc.a.NNZ())
+		}
+	}
+}

@@ -226,10 +226,7 @@ func probeConvFactor(h *Hierarchy, cycles int) float64 {
 	}
 	x := make([]float64, n)
 	r := make([]float64, n)
-	half := cycles / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(cycles/2, 1)
 	rHalf := 0.0
 	for c := 0; c < cycles; c++ {
 		if c == cycles-half {
@@ -311,9 +308,7 @@ func (p *probe) vcycle(k int, x, b []float64) {
 	a.Residual(p.r[k], b, x)
 	lvl.PT.MatVec(p.bc[k], p.r[k])
 	ec := p.xc[k]
-	for i := range ec {
-		ec[i] = 0
-	}
+	clear(ec)
 	p.vcycle(k+1, ec, p.bc[k])
 	lvl.P.MatVecAdd(x, ec)
 	p.jacobi(k, x, b)

@@ -7,6 +7,7 @@
 package amg
 
 import (
+	"math"
 	"slices"
 
 	"asyncmg/internal/par"
@@ -44,25 +45,20 @@ func splitRows(buf, end []int) [][]int {
 	return rows
 }
 
-// StrengthGraph computes the classical strength-of-connection graph with
-// threshold theta: j strongly influences i when
+// StrengthGraphFunc computes the classical strength-of-connection graph
+// with threshold theta: j strongly influences i when
 //
 //	-a_ij >= theta * max_{k != i} (-a_ik).
 //
 // For rows whose off-diagonal entries are all non-negative (non-M-matrix
 // rows, which occur in the FEM problems), the absolute-value variant
 // |a_ij| >= theta * max |a_ik| is used for that row instead, which is the
-// standard robust fallback.
-func StrengthGraph(a *sparse.CSR, theta float64) *Strength {
-	return StrengthGraphFunc(a, theta, nil)
-}
-
-// StrengthGraphFunc is StrengthGraph restricted to same-function couplings:
-// entry (i, j) is considered only when fun[i] == fun[j]. This is the
-// "unknown approach" for PDE systems (BoomerAMG's default for, e.g.,
-// elasticity): each solution component coarsens and interpolates through
-// its own couplings, and cross-component entries are treated as weak.
-// fun == nil treats all rows as one function.
+// standard robust fallback. A non-nil fun restricts the graph to
+// same-function couplings: entry (i, j) is considered only when fun[i] ==
+// fun[j]. This is the "unknown approach" for PDE systems (BoomerAMG's
+// default for, e.g., elasticity): each solution component coarsens and
+// interpolates through its own couplings, and cross-component entries are
+// treated as weak.
 func StrengthGraphFunc(a *sparse.CSR, theta float64, fun []int) *Strength {
 	s := &Strength{N: a.Rows, Rows: make([][]int, a.Rows)}
 	runRows(a.Rows, a.NNZ(), &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
@@ -96,23 +92,17 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 			if -v > maxNeg {
 				maxNeg = -v
 			}
-			av := v
-			if av < 0 {
-				av = -av
-			}
-			if av > maxAbs {
-				maxAbs = av
+			if math.Abs(v) > maxAbs {
+				maxAbs = math.Abs(v)
 			}
 		}
 		if maxAbs == 0 {
 			continue // isolated row
 		}
 		useAbs := maxNeg == 0
-		var thresh float64
+		thresh := theta * maxNeg
 		if useAbs {
 			thresh = theta * maxAbs
-		} else {
-			thresh = theta * maxNeg
 		}
 		row := k.buf[a.RowPtr[i]:a.RowPtr[i]:a.RowPtr[i+1]]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
@@ -120,18 +110,7 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 			if j == i || !sameFun(i, j) {
 				continue
 			}
-			v := a.Vals[p]
-			strong := false
-			if useAbs {
-				av := v
-				if av < 0 {
-					av = -av
-				}
-				strong = av >= thresh
-			} else {
-				strong = -v >= thresh
-			}
-			if strong {
+			if v := a.Vals[p]; (useAbs && math.Abs(v) >= thresh) || (!useAbs && -v >= thresh) {
 				row = append(row, j)
 			}
 		}

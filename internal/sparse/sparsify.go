@@ -124,7 +124,7 @@ func releaseSparsifyScratch(s *sparsifyScratch) { sparsifyScratchPool.Put(s) }
 const noDiag = -1.0
 
 // sparsifyThreshKernel computes each row's drop threshold: theta times
-// the classical strength measure of amg.StrengthGraph (largest negative
+// the classical strength measure of amg.StrengthGraphFunc (largest negative
 // coupling -a_ik, with the |a_ik| fallback for rows whose off-diagonal
 // entries are all non-negative). Rows with no off-diagonal entries or no
 // stored diagonal get the noDiag sentinel and are kept verbatim.
