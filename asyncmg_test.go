@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"asyncmg"
-	"asyncmg/internal/harness"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/serve"
 )
 
@@ -236,16 +236,16 @@ func TestPublicSyncHistory(t *testing.T) {
 }
 
 func TestPublicProblemRegistry(t *testing.T) {
-	names := harness.AllProblems()
+	names := problem.Paper()
 	if len(names) != 4 {
 		t.Fatalf("problem families = %v", names)
 	}
 	for _, name := range names {
 		size := 4
-		if name == harness.ProblemElasticity {
+		if name == problem.Elasticity {
 			size = 2
 		}
-		a, err := harness.BuildProblem(name, size)
+		a, err := problem.Build(name, size)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

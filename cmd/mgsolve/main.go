@@ -33,10 +33,10 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
 	"asyncmg/internal/engine"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/par"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/solve"
 )
 
@@ -57,7 +57,7 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 	fs := flag.NewFlagSet("mgsolve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // errors are returned, not printed
 
-	spec := solve.Spec{Problem: harness.Problem7pt, Size: 12, Seed: 1}
+	spec := solve.Spec{Problem: problem.Laplace7pt, Size: 12, Seed: 1}
 	spec.Bind(fs)
 	var c config
 	fs.StringVar(&c.matrix, "matrix", "", "Matrix Market file to solve instead of a generated problem")
@@ -90,23 +90,23 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 	// are mgsolve-only overrides on the resolved plan.
 	switch *write {
 	case "lock":
-		plan.Write = async.LockWrite
+		plan.Async.Write = async.LockWrite
 	case "atomic":
-		plan.Write = async.AtomicWrite
+		plan.Async.Write = async.AtomicWrite
 	default:
 		return c, nil, fmt.Errorf("unknown write mode %q (want lock, atomic)", *write)
 	}
 	switch *res {
 	case "local":
-		plan.Res = async.LocalRes
+		plan.Async.Res = async.LocalRes
 	case "global":
-		plan.Res = async.GlobalRes
+		plan.Async.Res = async.GlobalRes
 	case "residual":
-		plan.Res = async.ResidualRes
+		plan.Async.Res = async.ResidualRes
 	default:
 		return c, nil, fmt.Errorf("unknown residual mode %q (want local, global, residual)", *res)
 	}
-	plan.Perturb.ReadHold = *readHold
+	plan.Async.Perturb.ReadHold = *readHold
 	for _, f := range strings.Split(*stragglers, ",") {
 		if f = strings.TrimSpace(f); f == "" {
 			continue
@@ -115,14 +115,13 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 		if err != nil {
 			return c, nil, fmt.Errorf("bad -stragglers entry %q", f)
 		}
-		plan.Perturb.Stragglers = append(plan.Perturb.Stragglers, k)
+		plan.Async.Perturb.Stragglers = append(plan.Async.Perturb.Stragglers, k)
 	}
 	return c, plan, nil
 }
 
-// build prints the operator line and runs the AMG setup: the uploaded
-// matrix, or the generated problem under its family's setup rule,
-// matrix-free when asked.
+// build runs the AMG setup of the matrix file or the generated problem
+// and prints the operator line.
 func build(c config, plan *solve.Plan) (*engine.Engine, error) {
 	opt := amg.DefaultOptions()
 	if o, err := c.setup.AMG(); err != nil {
@@ -131,30 +130,25 @@ func build(c config, plan *solve.Plan) (*engine.Engine, error) {
 		opt = *o
 	}
 	opt.AggressiveLevels = c.aggressive
+	src := solve.Source{Problem: plan.Problem, Size: plan.Size}
+	name := fmt.Sprintf("problem %s size %d", plan.Problem, plan.Size)
 	if c.matrix != "" {
 		a, err := mtx.ReadFile(c.matrix)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("matrix %s: %d rows, %d nonzeros\n", c.matrix, a.Rows, a.NNZ())
-		return engine.New(a, opt, plan.Smoother)
+		src, name = solve.Source{Matrix: a}, "matrix "+c.matrix
 	}
-	opt = harness.ProblemOptions(plan.Problem, opt)
-	if c.setup.MatrixFree {
-		a, ok := harness.BuildProblemOperator(plan.Problem, plan.Size)
-		if !ok {
-			return nil, fmt.Errorf("-matrix-free needs a structured problem (7pt, 27pt), got %q", plan.Problem)
-		}
-		fmt.Printf("problem %s size %d: %d rows, %d stencil nonzeros (matrix-free)\n",
-			plan.Problem, plan.Size, a.Rows(), a.NNZEquivalent())
-		return engine.NewOperator(a, opt, plan.Smoother)
-	}
-	a, err := harness.BuildProblem(plan.Problem, plan.Size)
+	e, err := solve.Build(src, opt, plan.Smoother, c.setup.MatrixFree)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("problem %s size %d: %d rows, %d nonzeros\n", plan.Problem, plan.Size, a.Rows, a.NNZ())
-	return engine.New(a, opt, plan.Smoother)
+	fine, form := e.Ops[0], "nonzeros"
+	if e.H.Levels[0].A == nil {
+		form = "stencil nonzeros (matrix-free)"
+	}
+	fmt.Printf("%s: %d rows, %d %s\n", name, fine.Rows(), fine.NNZEquivalent(), form)
+	return e, nil
 }
 
 func main() {
@@ -210,11 +204,11 @@ func main() {
 	case plan.Mode == solve.ModeAsync:
 		res := out.Async
 		fmt.Printf("async %v %v %v: rel res %.3e in %v (diverged=%v)\n",
-			m, plan.Write, plan.Res, res.RelRes, res.Elapsed, res.Diverged)
+			m, plan.Async.Write, plan.Async.Res, res.RelRes, res.Elapsed, res.Diverged)
 		fmt.Printf("per-grid corrections: %v (avg %.1f)\n", res.Corrections, res.AvgCorrects)
-		if plan.Damping.Mode != async.DampOff {
+		if plan.Async.Damping.Mode != async.DampOff {
 			fmt.Printf("damping %v: final ω per grid %v (tightens %d, relaxes %d, rolled back=%v)\n",
-				plan.Damping.Mode, fmt.Sprintf("%.3f", res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
+				plan.Async.Damping.Mode, fmt.Sprintf("%.3f", res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
 		}
 		failed = res.Diverged
 	case plan.Mode == solve.ModeDist:

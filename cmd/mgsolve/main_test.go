@@ -16,6 +16,7 @@ import (
 	"asyncmg/internal/async"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/harness"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/serve"
 	"asyncmg/internal/smoother"
@@ -92,13 +93,60 @@ func TestFlagsParseLikeQuery(t *testing.T) {
 	_, p := mustParse(t, "-mode", "async", "-damping", "auto", "-damp_rollback",
 		"-write", "atomic", "-res", "global", "-read-hold", "3", "-stragglers", "1, 2")
 	want := async.DampingPolicy{Mode: async.DampAuto, Rollback: true}
-	if p.Damping != want || p.Write != async.AtomicWrite || p.Res != async.GlobalRes ||
-		p.Perturb.ReadHold != 3 || !reflect.DeepEqual(p.Perturb.Stragglers, []int{1, 2}) {
+	if a := p.Async; a.Damping != want || a.Write != async.AtomicWrite || a.Res != async.GlobalRes ||
+		a.Perturb.ReadHold != 3 || !reflect.DeepEqual(a.Perturb.Stragglers, []int{1, 2}) {
 		t.Errorf("async overrides resolved to %+v", p)
 	}
 	// Run's default write mode is mgsolve's default too.
-	if _, p := mustParse(t, "-mode", "async"); p.Write != async.LockWrite {
-		t.Errorf("default -write resolved to %v, want lock-write", p.Write)
+	if _, p := mustParse(t, "-mode", "async"); p.Async.Write != async.LockWrite {
+		t.Errorf("default -write resolved to %v, want lock-write", p.Async.Write)
+	}
+}
+
+// TestTableIRowsAreFlagLines: a paper method name means one thing in the
+// harness and on the command line. Every asynchronous Table I row is the
+// plan of its mgsolve flag line; the team-synchronous rows (goroutine
+// teams behind global barriers) have no flag form.
+func TestTableIRowsAreFlagLines(t *testing.T) {
+	noFlagForm := []string{
+		"sync Mult", "sync Multadd, lock-write", "sync Multadd, atomic-write",
+		"sync AFACx, lock-write", "sync AFACx, atomic-write",
+	}
+	var synced []string
+	for _, r := range harness.TableIMethods() {
+		want := r.Plan
+		if want.Async.Sync {
+			synced = append(synced, r.Label)
+			continue
+		}
+		_, got := mustParse(t, "-mode", "async", "-method", want.Method.String(),
+			"-write", strings.TrimSuffix(want.Async.Write.String(), "-write"),
+			"-res", strings.TrimSuffix(want.Async.Res.String(), "-res"))
+		if got.Method != want.Method || got.Mode != want.Mode ||
+			got.Async.Write != want.Async.Write || got.Async.Res != want.Async.Res {
+			t.Errorf("%s: flag line resolved to %v %s %v %v", r.Label,
+				got.Method, got.Mode, got.Async.Write, got.Async.Res)
+		}
+	}
+	if !reflect.DeepEqual(synced, noFlagForm) {
+		t.Errorf("team-synchronous rows %q, want %q", synced, noFlagForm)
+	}
+}
+
+// TestNonFiniteMatrixRefused: a matrix file with a NaN entry fails the
+// setup, so mgsolve exits non-zero instead of printing an infinite
+// residual history.
+func TestNonFiniteMatrixRefused(t *testing.T) {
+	for _, v := range []string{"nan", "inf"} {
+		path := filepath.Join(t.TempDir(), "a.mtx")
+		body := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 " + v + "\n2 2 1\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, plan := mustParse(t, "-matrix", path, "-method", "mult")
+		if _, err := build(c, plan); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s entry: build error %v, want non-finite", v, err)
+		}
 	}
 }
 

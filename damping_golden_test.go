@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"asyncmg"
-	"asyncmg/internal/harness"
+	"asyncmg/internal/problem"
 )
 
 // The damped histories below were recorded at %.17g from SolveSyncDamped
@@ -26,7 +26,7 @@ type dampedGolden struct {
 
 var dampedGoldens = []dampedGolden{
 	{
-		name: harness.Problem7pt, size: 14,
+		name: problem.Laplace7pt, size: 14,
 		dampedMultadd: []float64{1, 0.43010777771837211, 0.25055618145002523,
 			0.16449447554888058, 0.1154608260121268, 0.084525716922236413,
 			0.063604860033566607, 0.048793436368898976, 0.037974405793602117},
@@ -35,7 +35,7 @@ var dampedGoldens = []dampedGolden{
 			0.064202485740331383, 0.049483111703216835, 0.038705129114976297},
 	},
 	{
-		name: harness.Problem27pt, size: 10,
+		name: problem.Laplace27pt, size: 10,
 		dampedMultadd: []float64{1, 0.38250331483803779, 0.17443887915363879,
 			0.09574659616112019, 0.060243507574976395, 0.040986882253667756,
 			0.029111187146162225, 0.021218011856677332, 0.015734643104713165},
@@ -44,7 +44,7 @@ var dampedGoldens = []dampedGolden{
 			0.028634481164445353, 0.020849082793490906, 0.015459555340388637},
 	},
 	{
-		name: harness.ProblemLaplaceFEM, size: 8,
+		name: problem.LaplaceFEM, size: 8,
 		dampedMultadd: []float64{1, 0.63854466872901894, 0.4648540474274096,
 			0.3626432257385106, 0.29430296687408719, 0.24489524953068598,
 			0.20734976648868361, 0.17783769780782777, 0.15407065108091966},
@@ -53,7 +53,7 @@ var dampedGoldens = []dampedGolden{
 			0.21177264602314494, 0.18209979314842695, 0.1582179278551992},
 	},
 	{
-		name: harness.ProblemElasticity, size: 3,
+		name: problem.Elasticity, size: 3,
 		dampedMultadd: []float64{1, 0.68522876318002979, 0.55787982080609644,
 			0.48382105620163834, 0.43229673420096892, 0.39283458096581542,
 			0.36103658759930524, 0.33468461946585276, 0.31247097575187288},
@@ -73,15 +73,15 @@ func TestDampedGolden(t *testing.T) {
 	const teamRelTol = 1e-9
 	for _, g := range dampedGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			a, err := harness.BuildProblem(g.name, g.size)
+			a, err := problem.Build(g.name, g.size)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			opt := asyncmg.DefaultAMGOptions()
-			if g.name == harness.ProblemElasticity {
+			if g.name == problem.Elasticity {
 				opt.NumFunctions = 3
 			}
-			smo := asyncmg.SmootherConfig{Kind: asyncmg.WJacobi, Omega: harness.DefaultOmega(g.name), Blocks: 1}
+			smo := asyncmg.SmootherConfig{Kind: asyncmg.WJacobi, Omega: problem.DefaultOmega(g.name), Blocks: 1}
 			s, err := asyncmg.NewSetup(a, opt, smo)
 			if err != nil {
 				t.Fatalf("setup: %v", err)

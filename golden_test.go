@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"asyncmg"
-	"asyncmg/internal/harness"
+	"asyncmg/internal/problem"
 )
 
 // The histories below were recorded on the pre-engine implementation (the
@@ -119,22 +119,22 @@ func TestMixedPrecisionGolden(t *testing.T) {
 		name string
 		size int
 	}{
-		{harness.Problem7pt, 14},
-		{harness.Problem27pt, 10},
-		{harness.ProblemLaplaceFEM, 8},
-		{harness.ProblemElasticity, 3},
+		{problem.Laplace7pt, 14},
+		{problem.Laplace27pt, 10},
+		{problem.LaplaceFEM, 8},
+		{problem.Elasticity, 3},
 	}
 	for _, p := range problems {
 		t.Run(p.name, func(t *testing.T) {
-			a, err := harness.BuildProblem(p.name, p.size)
+			a, err := problem.Build(p.name, p.size)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			opt := asyncmg.DefaultAMGOptions()
-			if p.name == harness.ProblemElasticity {
+			if p.name == problem.Elasticity {
 				opt.NumFunctions = 3
 			}
-			smo := asyncmg.SmootherConfig{Kind: asyncmg.WJacobi, Omega: harness.DefaultOmega(p.name), Blocks: 1}
+			smo := asyncmg.SmootherConfig{Kind: asyncmg.WJacobi, Omega: problem.DefaultOmega(p.name), Blocks: 1}
 			s64, err := asyncmg.NewSetup(a, opt, smo)
 			if err != nil {
 				t.Fatalf("float64 setup: %v", err)

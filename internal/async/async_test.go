@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
@@ -264,6 +266,36 @@ func TestParallelMultAllSmoothers(t *testing.T) {
 		if res.Diverged || res.RelRes > 1e-6 {
 			t.Errorf("%v: Mult relres %g", kind, res.RelRes)
 		}
+	}
+}
+
+func TestPaceHoldsLeaderUntilSlowestGridCatchesUp(t *testing.T) {
+	rt := &solverState{ctx: context.Background(), corrCount: make([]atomic.Int64, 3)}
+	g := &gridRun{rt: rt}
+	rt.corrCount[0].Store(maxLead)
+	rt.corrCount[1].Store(maxLead)
+	// Grid 2 has done nothing: a grid within maxLead of it goes on.
+	if g.pace(maxLead - 1) {
+		t.Fatal("pace stopped a grid within the lead bound")
+	}
+	done := make(chan bool)
+	go func() { done <- g.pace(maxLead) }()
+	select {
+	case <-done:
+		t.Fatal("pace let a grid run maxLead corrections ahead")
+	case <-time.After(20 * time.Millisecond):
+	}
+	rt.corrCount[2].Store(1)
+	if <-done {
+		t.Fatal("pace reported a stop once the slowest grid advanced")
+	}
+	// A held grid leaves on cancellation and reports the stop.
+	ctx, cancel := context.WithCancel(context.Background())
+	rt.ctx = ctx
+	go func() { done <- g.pace(maxLead + 1) }()
+	cancel()
+	if !<-done {
+		t.Fatal("pace did not report the stop after cancellation")
 	}
 }
 

@@ -43,6 +43,9 @@ func (g *gridRun) runAsync(tid int) {
 			// Publish the controller's pending ω before the barrier so
 			// every teammate reads the same factor this cycle.
 			g.omega = g.nextOmega
+			if !g.stopLocal {
+				g.stopLocal = g.pace(myCount)
+			}
 		}
 		g.team.Wait()
 		if g.stopLocal {
@@ -112,6 +115,43 @@ func (g *gridRun) runAsync(tid int) {
 		// restores the fair interleaving a real parallel machine provides.
 		runtime.Gosched()
 	}
+}
+
+// maxLead bounds how many corrections a grid may run ahead of the slowest
+// grid: the bounded-delay assumption of asynchronous iteration theory.
+// On a machine with a core per thread the work-proportional thread
+// assignment keeps the grids within a few corrections of each other and
+// the bound never binds. On an oversubscribed machine the scheduler can
+// leave a team unscheduled while another does every one of its
+// corrections (a coarse AFACx grid doing all 80 corrections before the
+// fine team starts diverges), and the bound turns that starvation back
+// into the interleaving the method assumes.
+const maxLead = 8
+
+// pace holds thread 0 of a grid that has done `done` corrections while it
+// leads the slowest grid by maxLead, yielding so the laggards can run.
+// Grids that finished under criterion 1 hold MaxCycles corrections, so
+// they never count as laggards. It reports whether the grid must stop
+// instead: the context was cancelled, the rollback guard aborted, or the
+// criterion-2 stop flag went up while it waited.
+func (g *gridRun) pace(done int) bool {
+	rt := g.rt
+	for done-rt.slowest() >= maxLead {
+		if rt.ctx.Err() != nil || rt.abort.Load() || rt.stop.Load() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+// slowest returns the smallest correction count over all grids.
+func (rt *solverState) slowest() int {
+	m := rt.corrCount[0].Load()
+	for j := 1; j < len(rt.corrCount); j++ {
+		m = min(m, rt.corrCount[j].Load())
+	}
+	return int(m)
 }
 
 // runSync is the per-thread body of the synchronous additive baselines

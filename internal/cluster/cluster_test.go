@@ -478,3 +478,25 @@ func TestAliasSpellingsShareAShard(t *testing.T) {
 		}
 	}
 }
+
+// TestDivergenceIsFinal: a node answers a solve that diverges to an
+// infinite residual with 422. A status below 500 is the request's own
+// fault, so the router passes it on after one node attempt instead of
+// retrying the divergence on every replica.
+func TestDivergenceIsFinal(t *testing.T) {
+	tc := newTestCluster(t, 3, func(c *Config) { c.HedgeAfter = time.Minute })
+	w := httptest.NewRecorder()
+	body := `{"problem":"7pt","size":8,"omega":2,"method":"mult","cycles":3000}`
+	tc.rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/solve", strings.NewReader(body)))
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "non-finite") {
+		t.Fatalf("status %d %q, want 422 naming the non-finite field", w.Code, w.Body.String())
+	}
+	var attempts int64
+	for _, o := range tc.obs {
+		attempts += o.Requests.Load()
+	}
+	if attempts != 1 || tc.rt.Observer().RouteRetries.Load() != 0 || tc.rt.Observer().RouteFailovers.Load() != 0 {
+		t.Errorf("%d node attempts, %d retries, %d failovers; want one attempt",
+			attempts, tc.rt.Observer().RouteRetries.Load(), tc.rt.Observer().RouteFailovers.Load())
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/model"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 )
 
 // Overrides is the one knob set a run of a registry entry may change from
@@ -86,13 +87,13 @@ func Experiments() []Experiment {
 			return m, err // Run reads m only when err is nil
 		}},
 		{"fig4", kProblem | kSize | kRuns | kThreads | kSeed, kSize, func(w io.Writer, ov Overrides) (jsonWriter, error) {
-			return nil, each(w, ov.problems(Problem7pt, Problem27pt), func(p string) error { return ov.fig4(w, DefaultFig4(p)) })
+			return nil, each(w, ov.problems(problem.Laplace7pt, problem.Laplace27pt), func(p string) error { return ov.fig4(w, DefaultFig4(p)) })
 		}},
 		{"fig5", kSize | kRuns | kThreads | kSeed, kSize, func(w io.Writer, ov Overrides) (jsonWriter, error) {
 			return nil, ov.fig4(w, DefaultFig5())
 		}},
 		{"table1", kProblem | kSize | kRuns | kThreads | kTau | kSeed, 0, func(w io.Writer, ov Overrides) (jsonWriter, error) {
-			return nil, each(w, ov.problems(AllProblems()...), func(p string) error {
+			return nil, each(w, ov.problems(problem.Paper()...), func(p string) error {
 				c := DefaultTable1(p)
 				ov.size(&c.Size)
 				ov.protocol(&c.Protocol)
@@ -100,7 +101,7 @@ func Experiments() []Experiment {
 			})
 		}},
 		{"fig6", kProblem | kSize | kRuns | kThreads | kTau | kSeed, kThreads, func(w io.Writer, ov Overrides) (jsonWriter, error) {
-			return nil, each(w, ov.problems(AllProblems()...), func(p string) error {
+			return nil, each(w, ov.problems(problem.Paper()...), func(p string) error {
 				c := DefaultFig6(p)
 				ov.size(&c.Size)
 				if len(ov.Threads) > 0 {
@@ -126,8 +127,8 @@ func Experiments() []Experiment {
 func Select(name string, ov Overrides) ([]Experiment, error) {
 	bad := func(min int) func(int) bool { return func(n int) bool { return n < min } }
 	switch {
-	case ov.Problem != "" && !slices.Contains(KnownProblems(), ov.Problem):
-		return nil, fmt.Errorf("unknown problem %q (want %v)", ov.Problem, KnownProblems())
+	case ov.Problem != "" && !slices.Contains(problem.Known(), ov.Problem):
+		return nil, fmt.Errorf("unknown problem %q (want %v)", ov.Problem, problem.Known())
 	case slices.ContainsFunc(ov.Sizes, bad(2)) || slices.ContainsFunc(ov.Threads, bad(1)) ||
 		ov.Runs < 0 || ov.Tau < 0 || ov.Tau >= 1:
 		return nil, fmt.Errorf("overrides out of range (sizes ≥ 2, threads ≥ 1, runs ≥ 0, 0 ≤ tau < 1): %+v", ov)

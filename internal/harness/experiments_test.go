@@ -3,10 +3,14 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"asyncmg/internal/problem"
 )
 
 // TestSelectOverrides crosses registry entries with overrides: an entry
@@ -18,30 +22,30 @@ func TestSelectOverrides(t *testing.T) {
 		ov  Overrides
 		ok  bool
 	}{
-		{"fig1", Overrides{Problem: Problem7pt, Sizes: []int{8, 10}, Runs: 2}, true},
+		{"fig1", Overrides{Problem: problem.Laplace7pt, Sizes: []int{8, 10}, Runs: 2}, true},
 		{"fig1", Overrides{Threads: []int{4}}, false},
 		{"fig1", Overrides{Tau: 1e-6}, false},
 		{"fig1", Overrides{Seed: 2}, false},
 		{"fig2", Overrides{Sizes: []int{6}, Runs: 1}, true},
 		{"fig2", Overrides{Seed: 2}, false},
-		{"fault", Overrides{Problem: Problem7pt, Sizes: []int{8}, Seed: 7}, true},
+		{"fault", Overrides{Problem: problem.Laplace7pt, Sizes: []int{8}, Seed: 7}, true},
 		{"fault", Overrides{Sizes: []int{8, 10}}, false},
 		{"fault", Overrides{Runs: 2}, false},
 		{"staleness", Overrides{Sizes: []int{8}, Seed: 2}, true},
 		{"staleness", Overrides{Threads: []int{4}}, false},
-		{"fig4", Overrides{Problem: Problem27pt, Sizes: []int{8, 12}, Runs: 1, Threads: []int{4}, Seed: 2}, true},
+		{"fig4", Overrides{Problem: problem.Laplace27pt, Sizes: []int{8, 12}, Runs: 1, Threads: []int{4}, Seed: 2}, true},
 		{"fig4", Overrides{Threads: []int{4, 8}}, false},
 		{"fig4", Overrides{Tau: 1e-6}, false},
 		{"fig5", Overrides{Sizes: []int{6, 8}, Runs: 1, Threads: []int{4}, Seed: 2}, true},
-		{"fig5", Overrides{Problem: Problem27pt}, false},
-		{"table1", Overrides{Problem: Problem7pt, Sizes: []int{8}, Runs: 1, Threads: []int{8}, Tau: 1e-6, Seed: 2}, true},
+		{"fig5", Overrides{Problem: problem.Laplace27pt}, false},
+		{"table1", Overrides{Problem: problem.Laplace7pt, Sizes: []int{8}, Runs: 1, Threads: []int{8}, Tau: 1e-6, Seed: 2}, true},
 		{"table1", Overrides{Sizes: []int{8, 12}}, false},
 		{"table1", Overrides{Threads: []int{8, 16}}, false},
-		{"fig6", Overrides{Problem: Problem7pt, Sizes: []int{8}, Runs: 1, Threads: []int{4, 8}, Tau: 1e-6, Seed: 2}, true},
+		{"fig6", Overrides{Problem: problem.Laplace7pt, Sizes: []int{8}, Runs: 1, Threads: []int{4, 8}, Tau: 1e-6, Seed: 2}, true},
 		{"fig6", Overrides{Sizes: []int{8, 12}}, false},
-		{"msgvol", Overrides{Problem: Problem7pt, Sizes: []int{12}, Seed: 3}, true},
+		{"msgvol", Overrides{Problem: problem.Laplace7pt, Sizes: []int{12}, Seed: 3}, true},
 		{"msgvol", Overrides{Runs: 1}, false},
-		{"all", Overrides{Problem: Problem7pt, Sizes: []int{8}, Runs: 1, Tau: 1e-6, Seed: 2}, true},
+		{"all", Overrides{Problem: problem.Laplace7pt, Sizes: []int{8}, Runs: 1, Tau: 1e-6, Seed: 2}, true},
 		{"all", Overrides{Sizes: []int{8, 12}}, false},  // table1 takes one size
 		{"all", Overrides{Threads: []int{4, 8}}, false}, // fig4 takes one thread count
 		{"fig1", Overrides{Problem: "nope"}, false},
@@ -76,11 +80,11 @@ func TestExperimentsAtTestScale(t *testing.T) {
 		"fig2":      {Overrides{Sizes: []int{6}, Runs: 1}, "# Figure 2 (27pt): full-async-solution afacx, alpha=0.10, mean of 1 runs"},
 		"fault":     {Overrides{Sizes: []int{6}}, "# Fault sweep (7pt n=6): distributed Multadd, 40 corrections/grid, 2 levels, seed 1"},
 		"staleness": {Overrides{}, "# Staleness sweep (7pt n=8): async additive, 240 cycles/grid, 2 levels, tol 1e-03"},
-		"fig4":      {Overrides{Problem: Problem7pt, Sizes: []int{6}, Runs: 1, Threads: []int{4}}, "# Figure 4/5 (7pt, smoother=w-jacobi): rel res after 20 cycles, 4 threads, mean of 1 runs"},
+		"fig4":      {Overrides{Problem: problem.Laplace7pt, Sizes: []int{6}, Runs: 1, Threads: []int{4}}, "# Figure 4/5 (7pt, smoother=w-jacobi): rel res after 20 cycles, 4 threads, mean of 1 runs"},
 		"fig5":      {Overrides{Sizes: []int{6}, Runs: 1}, "# Figure 4/5 (mfem-laplace, smoother=w-jacobi): rel res after 20 cycles, 12 threads, mean of 1 runs"},
-		"table1":    {Overrides{Problem: Problem7pt, Sizes: []int{6}, Runs: 1, Tau: 1e-6}, "# Table I (7pt): 216 rows, 1296 nonzeros; tau=1e-06, 16 threads, mean of 1 runs"},
-		"fig6":      {Overrides{Problem: Problem7pt, Sizes: []int{6}, Runs: 1, Threads: []int{8}, Tau: 1e-6}, "# Figure 6 (7pt, 216 rows): time-to-tau vs threads; tau=1e-06"},
-		"msgvol":    {Overrides{Problem: Problem7pt, Sizes: []int{8}}, "# distmem message volume, 7pt multadd size=8 theta=0.25, 60 corrections"},
+		"table1":    {Overrides{Problem: problem.Laplace7pt, Sizes: []int{6}, Runs: 1, Tau: 1e-6}, "# Table I (7pt): 216 rows, 1296 nonzeros; tau=1e-06, 16 threads, mean of 1 runs"},
+		"fig6":      {Overrides{Problem: problem.Laplace7pt, Sizes: []int{6}, Runs: 1, Threads: []int{8}, Tau: 1e-6}, "# Figure 6 (7pt, 216 rows): time-to-tau vs threads; tau=1e-06"},
+		"msgvol":    {Overrides{Problem: problem.Laplace7pt, Sizes: []int{8}}, "# distmem message volume, 7pt multadd size=8 theta=0.25, 60 corrections"},
 	}
 	dir := t.TempDir()
 	for _, e := range Experiments() {
@@ -110,5 +114,39 @@ func TestExperimentsAtTestScale(t *testing.T) {
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 1 {
 		t.Errorf("JSON files %v, want only staleness.json", files)
+	}
+}
+
+// TestModelFiguresMatchResults: results/fig1.txt and fig2.txt are checked
+// artifacts. The registry regenerates both at the committed scale (5
+// runs) byte for byte, so a change that moves a model figure must
+// regenerate the file and say why.
+func TestModelFiguresMatchResults(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Go fuses multiply-add on arm64, ppc64le and s390x, which moves
+		// the last printed digits; the files were written on amd64.
+		t.Skipf("results/ was written on amd64, not %s", runtime.GOARCH)
+	}
+	dir := t.TempDir()
+	ov := Overrides{Runs: 5}
+	for _, name := range []string{"fig1", "fig2"} {
+		exps, err := Select(name, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exps[0].Run(io.Discard, ov, dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from results/%s.txt:\n%s", name, name, got)
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"asyncmg/internal/fault"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 // FaultConfig parameterizes the fault-injection sweep: one distributed
@@ -36,7 +38,7 @@ type FaultConfig struct {
 // a scale that runs in seconds.
 func DefaultFault() FaultConfig {
 	return FaultConfig{
-		Problem:   Problem7pt,
+		Problem:   problem.Laplace7pt,
 		Size:      10,
 		Updates:   40,
 		Seed:      1,
@@ -56,7 +58,7 @@ type faultScenario struct {
 // FaultSweep prints the fault-injection table: each scenario's converged
 // relative residual alongside the injected-fault and recovery counters.
 func FaultSweep(w io.Writer, cfg FaultConfig) error {
-	s, err := buildSetup(cfg.Problem, cfg.Size, PaperSetup(cfg.Problem, cfg.Agg, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: cfg.Problem, Size: cfg.Size}, cfg.Agg, smoother.WJacobi)
 	if err != nil {
 		return err
 	}

@@ -10,36 +10,18 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/model"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
-// SetupOptions bundles the per-experiment AMG and smoother choices.
-type SetupOptions struct {
-	AMG      amg.Options
-	Smoother smoother.Config
-}
-
-// PaperSetup returns the paper's configuration for a problem family:
-// HMIS coarsening, classical modified interpolation, aggressive levels per
-// experiment, ω-Jacobi with the family's weight.
-func PaperSetup(problem string, aggressiveLevels int, kind smoother.Kind) SetupOptions {
-	a := amg.DefaultOptions()
-	a.Coarsening = amg.HMIS
-	a.Interp = amg.ClassicalModified
-	a.AggressiveLevels = aggressiveLevels
-	return SetupOptions{
-		AMG:      ProblemOptions(problem, a),
-		Smoother: smoother.Config{Kind: kind, Omega: DefaultOmega(problem), Blocks: 1},
-	}
-}
-
-// buildSetup generates the matrix and runs the AMG setup.
-func buildSetup(problem string, size int, opt SetupOptions) (*engine.Engine, error) {
-	a, err := BuildProblem(problem, size)
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(a, opt.AMG, opt.Smoother)
+// paperEngine runs the paper's setup of src: amg.DefaultOptions (HMIS
+// coarsening, classical modified interpolation) with agg aggressive
+// levels, smoothed by kind at the family's ω.
+func paperEngine(src solve.Source, agg int, kind smoother.Kind) (*engine.Engine, error) {
+	opt := amg.DefaultOptions()
+	opt.AggressiveLevels = agg
+	return solve.Build(src, opt, smoother.Config{Kind: kind, Omega: problem.DefaultOmega(src.Problem), Blocks: 1}, false)
 }
 
 // Fig1Config parameterizes the semi-async model figure (Figure 1): final
@@ -64,7 +46,7 @@ type Fig1Config struct {
 // set with sizes 40..80 and 20 runs).
 func DefaultFig1(method engine.Method) Fig1Config {
 	return Fig1Config{
-		Problem: Problem27pt,
+		Problem: problem.Laplace27pt,
 		Method:  method,
 		Sizes:   []int{10, 14, 18},
 		Alphas:  []float64{0.1, 0.3, 0.5, 0.7, 0.9},
@@ -106,7 +88,7 @@ func modelSweep(w io.Writer, c Fig1Config, seed int64, cols []modelColumn) error
 	}
 	fmt.Fprintf(w, " %10s %9s\n", "relax/run", "stale-p50")
 	for _, n := range c.Sizes {
-		s, err := buildSetup(c.Problem, n, PaperSetup(c.Problem, c.Agg, smoother.WJacobi))
+		s, err := paperEngine(solve.Source{Problem: c.Problem, Size: n}, c.Agg, smoother.WJacobi)
 		if err != nil {
 			return err
 		}
@@ -159,7 +141,7 @@ type Fig2Config struct {
 // DefaultFig2 mirrors the paper at reduced scale.
 func DefaultFig2(method engine.Method, variant model.Variant) Fig2Config {
 	return Fig2Config{
-		Problem: Problem27pt,
+		Problem: problem.Laplace27pt,
 		Method:  method,
 		Variant: variant,
 		Sizes:   []int{10, 14, 18},
@@ -198,12 +180,12 @@ type Fig4Config struct {
 
 // DefaultFig4 mirrors Figure 4 at reduced scale (paper: 7pt and 27pt,
 // sizes 40..80, ω-Jacobi + async GS, 68 threads, 20 runs).
-func DefaultFig4(problem string) Fig4Config {
+func DefaultFig4(name string) Fig4Config {
 	p := DefaultProtocol()
 	p.Runs = 3
 	p.Threads = 12
 	return Fig4Config{
-		Problem:   problem,
+		Problem:   name,
 		Sizes:     []int{8, 12, 16},
 		Smoothers: []smoother.Kind{smoother.WJacobi, smoother.AsyncGS},
 		Cycles:    20,
@@ -215,21 +197,21 @@ func DefaultFig4(problem string) Fig4Config {
 // DefaultFig5 is Figure 5: the Figure 4 sweep on the FEM Laplace set,
 // without aggressive coarsening.
 func DefaultFig5() Fig4Config {
-	cfg := DefaultFig4(ProblemLaplaceFEM)
+	cfg := DefaultFig4(problem.LaplaceFEM)
 	cfg.Sizes = []int{6, 8, 10}
 	cfg.Agg = 0
 	return cfg
 }
 
 // fig4Methods is the method set shown in Figures 4 and 5.
-func fig4Methods() []MethodSpec {
-	return []MethodSpec{
-		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
-		{"sync Multadd", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
-		{"sync AFACx", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}},
-		{"AFACx lock-write", async.Config{Method: engine.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
-		{"Multadd lock global-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
-		{"Multadd lock local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
+func fig4Methods() []Row {
+	return []Row{
+		row("sync Mult", engine.Mult, async.Config{Sync: true}),
+		row("sync Multadd", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}),
+		row("sync AFACx", engine.AFACx, async.Config{Sync: true, Write: async.LockWrite}),
+		row("AFACx lock-write", engine.AFACx, async.Config{Write: async.LockWrite, Res: async.LocalRes}),
+		row("Multadd lock global-res", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.GlobalRes}),
+		row("Multadd lock local-res", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.LocalRes}),
 	}
 }
 
@@ -246,7 +228,7 @@ func Fig4(w io.Writer, cfg Fig4Config) error {
 		}
 		fmt.Fprintln(w)
 		for _, n := range cfg.Sizes {
-			s, err := buildSetup(cfg.Problem, n, PaperSetup(cfg.Problem, cfg.Agg, kind))
+			s, err := paperEngine(solve.Source{Problem: cfg.Problem, Size: n}, cfg.Agg, kind)
 			if err != nil {
 				return err
 			}
@@ -277,9 +259,9 @@ type Table1Config struct {
 // DefaultTable1 mirrors one Table I panel at reduced scale (the paper's
 // sizes: 7pt/27pt 30, MFEM Laplace ~29.5k rows, MFEM Elasticity ~37k rows;
 // 272 threads; 20 runs).
-func DefaultTable1(problem string) Table1Config {
+func DefaultTable1(name string) Table1Config {
 	cfg := Table1Config{
-		Problem: problem,
+		Problem: name,
 		Size:    12,
 		Smoothers: []smoother.Kind{
 			smoother.WJacobi, smoother.L1Jacobi, smoother.HybridJGS, smoother.AsyncGS,
@@ -287,7 +269,7 @@ func DefaultTable1(problem string) Table1Config {
 		Protocol: DefaultProtocol(),
 		Agg:      2,
 	}
-	if problem == ProblemElasticity {
+	if name == problem.Elasticity {
 		cfg.Size, cfg.Agg = elasticityProtocol(&cfg.Protocol)
 	}
 	return cfg
@@ -312,7 +294,7 @@ func elasticityProtocol(p *Protocol) (size, agg int) {
 // Table1 prints one panel of Table I: for each smoother, the
 // time/corrects/V-cycles triple for all twelve method variants.
 func Table1(w io.Writer, cfg Table1Config) error {
-	a, err := BuildProblem(cfg.Problem, cfg.Size)
+	a, err := problem.Build(cfg.Problem, cfg.Size)
 	if err != nil {
 		return err
 	}
@@ -321,12 +303,11 @@ func Table1(w io.Writer, cfg Table1Config) error {
 	// One setup per smoother (the smoothed interpolants depend on the
 	// smoother's iteration matrix).
 	for _, kind := range cfg.Smoothers {
-		opt := PaperSetup(cfg.Problem, cfg.Agg, kind)
-		s, err := engine.New(a, opt.AMG, opt.Smoother)
+		s, err := paperEngine(solve.Source{Problem: cfg.Problem, Matrix: a}, cfg.Agg, kind)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\n## smoother: %v (omega=%.2f)\n", kind, opt.Smoother.Omega)
+		fmt.Fprintf(w, "\n## smoother: %v (omega=%.2f)\n", kind, s.Cfg.Omega)
 		fmt.Fprintf(w, "%-36s %10s %8s %8s\n", "method", "time(s)", "corrects", "V-cycles")
 		for _, m := range TableIMethods() {
 			r := cfg.Protocol.TimeToTol(s, m)
@@ -349,18 +330,18 @@ type Fig6Config struct {
 
 // DefaultFig6 mirrors Figure 6 at reduced scale (the paper sweeps 1..272
 // threads on four matrices with ω-Jacobi smoothing).
-func DefaultFig6(problem string) Fig6Config {
+func DefaultFig6(name string) Fig6Config {
 	cfg := Fig6Config{
-		Problem:  problem,
+		Problem:  name,
 		Size:     12,
 		Threads:  []int{8, 16, 32},
 		Protocol: DefaultProtocol(),
 		Agg:      2,
 	}
-	switch problem {
-	case ProblemElasticity:
+	switch name {
+	case problem.Elasticity:
 		cfg.Size, cfg.Agg = elasticityProtocol(&cfg.Protocol)
-	case ProblemLaplaceFEM:
+	case problem.LaplaceFEM:
 		cfg.Size, cfg.Agg = 10, 0
 	}
 	return cfg
@@ -372,15 +353,14 @@ func DefaultFig6(problem string) Fig6Config {
 // cycle, where the paper's ordering Mult ≫ sync Multadd > async Multadd is
 // architecture-independent.
 func Fig6(w io.Writer, cfg Fig6Config) error {
-	opt := PaperSetup(cfg.Problem, cfg.Agg, smoother.WJacobi)
-	s, err := buildSetup(cfg.Problem, cfg.Size, opt)
+	s, err := paperEngine(solve.Source{Problem: cfg.Problem, Size: cfg.Size}, cfg.Agg, smoother.WJacobi)
 	if err != nil {
 		return err
 	}
-	methods := []MethodSpec{
-		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
-		{"sync Multadd lock-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
-		{"Multadd lock-write local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
+	methods := []Row{
+		row("sync Mult", engine.Mult, async.Config{Sync: true}),
+		row("sync Multadd lock-write", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}),
+		row("Multadd lock-write local-res", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.LocalRes}),
 	}
 	l := s.NumLevels()
 	// Global synchronization points per V-cycle: Mult synchronizes all

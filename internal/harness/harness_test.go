@@ -6,20 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/model"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 func TestBuildProblemAll(t *testing.T) {
 	sizes := map[string]int{
-		Problem7pt:        6,
-		Problem27pt:       6,
-		ProblemLaplaceFEM: 6,
-		ProblemElasticity: 3,
+		problem.Laplace7pt:  6,
+		problem.Laplace27pt: 6,
+		problem.LaplaceFEM:  6,
+		problem.Elasticity:  3,
 	}
-	for _, name := range AllProblems() {
-		a, err := BuildProblem(name, sizes[name])
+	for _, name := range problem.Paper() {
+		a, err := problem.Build(name, sizes[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -33,19 +36,19 @@ func TestBuildProblemAll(t *testing.T) {
 }
 
 func TestBuildProblemErrors(t *testing.T) {
-	if _, err := BuildProblem("nope", 8); err == nil {
+	if _, err := problem.Build("nope", 8); err == nil {
 		t.Error("unknown problem accepted")
 	}
-	if _, err := BuildProblem(Problem7pt, 1); err == nil {
+	if _, err := problem.Build(problem.Laplace7pt, 1); err == nil {
 		t.Error("size 1 accepted")
 	}
 }
 
 func TestDefaultOmega(t *testing.T) {
-	if DefaultOmega(Problem7pt) != 0.9 || DefaultOmega(Problem27pt) != 0.9 {
+	if problem.DefaultOmega(problem.Laplace7pt) != 0.9 || problem.DefaultOmega(problem.Laplace27pt) != 0.9 {
 		t.Error("stencil omega should be 0.9")
 	}
-	if DefaultOmega(ProblemLaplaceFEM) != 0.5 || DefaultOmega(ProblemElasticity) != 0.5 {
+	if problem.DefaultOmega(problem.LaplaceFEM) != 0.5 || problem.DefaultOmega(problem.Elasticity) != 0.5 {
 		t.Error("FEM omega should be 0.5")
 	}
 }
@@ -68,7 +71,7 @@ func smallProtocol() Protocol {
 }
 
 func TestTimeToTolSyncMult(t *testing.T) {
-	s, err := buildSetup(Problem7pt, 8, PaperSetup(Problem7pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace7pt, Size: 8}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestTimeToTolSyncMult(t *testing.T) {
 
 func TestTimeToTolAsyncLocalBeatsGlobalInCycles(t *testing.T) {
 	// Paper: local-res needs fewer V-cycles than global-res (most cases).
-	s, err := buildSetup(Problem7pt, 8, PaperSetup(Problem7pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace7pt, Size: 8}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestTimeToTolAsyncLocalBeatsGlobalInCycles(t *testing.T) {
 }
 
 func TestMeanRelResDecreasesWithCycles(t *testing.T) {
-	s, err := buildSetup(Problem7pt, 8, PaperSetup(Problem7pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace7pt, Size: 8}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestFormatTT(t *testing.T) {
 func TestFig1Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Fig1Config{
-		Problem: Problem27pt, Method: engine.Multadd,
+		Problem: problem.Laplace27pt, Method: engine.Multadd,
 		Sizes: []int{6, 8}, Alphas: []float64{0.1, 0.9},
 		Updates: 10, Runs: 2, Agg: 1,
 	}
@@ -167,7 +170,7 @@ func TestFig1Smoke(t *testing.T) {
 func TestFig2Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Fig2Config{
-		Problem: Problem27pt, Method: engine.AFACx, Variant: model.FullAsyncResidual,
+		Problem: problem.Laplace27pt, Method: engine.AFACx, Variant: model.FullAsyncResidual,
 		Sizes: []int{6}, Deltas: []int{0, 4}, Alpha: 0.1,
 		Updates: 8, Runs: 2, Agg: 1,
 	}
@@ -184,7 +187,7 @@ func TestFig4Smoke(t *testing.T) {
 	p := smallProtocol()
 	p.Runs = 1
 	cfg := Fig4Config{
-		Problem: Problem7pt, Sizes: []int{6, 8},
+		Problem: problem.Laplace7pt, Sizes: []int{6, 8},
 		Smoothers: []smoother.Kind{smoother.WJacobi},
 		Cycles:    10, Protocol: p, Agg: 1,
 	}
@@ -204,7 +207,7 @@ func TestFig4Smoke(t *testing.T) {
 func TestTable1Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Table1Config{
-		Problem: Problem7pt, Size: 8,
+		Problem: problem.Laplace7pt, Size: 8,
 		Smoothers: []smoother.Kind{smoother.WJacobi},
 		Protocol:  Protocol{Tau: 1e-5, CycleStep: 20, CycleMax: 120, Runs: 1, Threads: 8, Seed0: 1},
 		Agg:       1,
@@ -223,7 +226,7 @@ func TestTable1Smoke(t *testing.T) {
 func TestFig6Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Fig6Config{
-		Problem: Problem7pt, Size: 8,
+		Problem: problem.Laplace7pt, Size: 8,
 		Threads:  []int{8},
 		Protocol: Protocol{Tau: 1e-5, CycleStep: 20, CycleMax: 120, Runs: 1, Threads: 8, Seed0: 1},
 		Agg:      1,
@@ -265,41 +268,41 @@ func TestDefaultConfigsAreSane(t *testing.T) {
 	if c := DefaultFig2(engine.AFACx, model.FullAsyncResidual); len(c.Deltas) == 0 || c.Alpha != 0.1 {
 		t.Errorf("DefaultFig2: %+v", c)
 	}
-	if c := DefaultFig4(Problem7pt); c.Cycles != 20 || c.Agg != 1 {
+	if c := DefaultFig4(problem.Laplace7pt); c.Cycles != 20 || c.Agg != 1 {
 		t.Errorf("DefaultFig4: %+v", c)
 	}
-	if c := DefaultTable1(Problem7pt); c.Agg != 2 || len(c.Smoothers) != 4 {
+	if c := DefaultTable1(problem.Laplace7pt); c.Agg != 2 || len(c.Smoothers) != 4 {
 		t.Errorf("DefaultTable1(7pt): %+v", c)
 	}
 	// Elasticity overrides: longer budget, relaxed tolerance, no
 	// aggressive coarsening.
-	if c := DefaultTable1(ProblemElasticity); c.Agg != 0 || c.Protocol.Tau != 1e-6 || c.Protocol.CycleMax < 400 {
+	if c := DefaultTable1(problem.Elasticity); c.Agg != 0 || c.Protocol.Tau != 1e-6 || c.Protocol.CycleMax < 400 {
 		t.Errorf("DefaultTable1(elasticity): %+v", c)
 	}
-	if c := DefaultFig6(Problem27pt); len(c.Threads) == 0 {
+	if c := DefaultFig6(problem.Laplace27pt); len(c.Threads) == 0 {
 		t.Errorf("DefaultFig6: %+v", c)
 	}
 	// Table I and Figure 6 measure elasticity under one protocol, at
 	// size 4; Figure 6 runs FEM Laplace at size 10 without aggressive
 	// coarsening, and so does Figure 5 at sizes 6, 8, 10.
-	t1, f6 := DefaultTable1(ProblemElasticity), DefaultFig6(ProblemElasticity)
+	t1, f6 := DefaultTable1(problem.Elasticity), DefaultFig6(problem.Elasticity)
 	if f6.Agg != 0 || f6.Protocol.Tau != 1e-6 || f6.Protocol.CycleMax != 600 || f6.Size != 4 ||
 		f6.Agg != t1.Agg || f6.Protocol.Tau != t1.Protocol.Tau || f6.Protocol.CycleMax != t1.Protocol.CycleMax ||
 		f6.Protocol.CycleStep != t1.Protocol.CycleStep || f6.Size != t1.Size {
 		t.Errorf("elasticity protocols differ: Table I %+v, Figure 6 %+v", t1, f6)
 	}
-	if c := DefaultFig6(ProblemLaplaceFEM); c.Size != 10 || c.Agg != 0 {
+	if c := DefaultFig6(problem.LaplaceFEM); c.Size != 10 || c.Agg != 0 {
 		t.Errorf("DefaultFig6(mfem-laplace): %+v", c)
 	}
-	if c := DefaultFig5(); c.Problem != ProblemLaplaceFEM || c.Agg != 0 || len(c.Sizes) != 3 || c.Sizes[0] != 6 || c.Sizes[2] != 10 {
+	if c := DefaultFig5(); c.Problem != problem.LaplaceFEM || c.Agg != 0 || len(c.Sizes) != 3 || c.Sizes[0] != 6 || c.Sizes[2] != 10 {
 		t.Errorf("DefaultFig5: %+v", c)
 	}
 	// Elasticity paper setup enables the unknown approach.
-	if o := PaperSetup(ProblemElasticity, 0, smoother.WJacobi); o.AMG.NumFunctions != 3 {
-		t.Errorf("PaperSetup(elasticity) NumFunctions = %d", o.AMG.NumFunctions)
+	if o := problem.Options(problem.Elasticity, amg.DefaultOptions()); o.NumFunctions != 3 {
+		t.Errorf("problem.Options(elasticity) NumFunctions = %d", o.NumFunctions)
 	}
-	if o := PaperSetup(Problem7pt, 1, smoother.WJacobi); o.AMG.NumFunctions != 0 {
-		t.Errorf("PaperSetup(7pt) NumFunctions = %d", o.AMG.NumFunctions)
+	if o := problem.Options(problem.Laplace7pt, amg.DefaultOptions()); o.NumFunctions != 0 {
+		t.Errorf("problem.Options(7pt) NumFunctions = %d", o.NumFunctions)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"io"
 
 	"asyncmg/internal/amg"
-	"asyncmg/internal/distmem"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/smoother"
+	"asyncmg/internal/problem"
+	"asyncmg/internal/solve"
 	"asyncmg/internal/sparse"
 )
 
@@ -42,7 +42,7 @@ type MsgVolumeConfig struct {
 
 // DefaultMsgVolume returns the experiment's defaults.
 func DefaultMsgVolume() MsgVolumeConfig {
-	return MsgVolumeConfig{Problem: Problem27pt, Method: "multadd", Size: 16, Theta: 0.25, MaxCorrections: 60, Seed: 11}
+	return MsgVolumeConfig{Problem: problem.Laplace27pt, Method: "multadd", Size: 16, Theta: 0.25, MaxCorrections: 60, Seed: 11}
 }
 
 // MsgVolumeReport is the before/after message-volume table.
@@ -84,39 +84,27 @@ type MsgVolumeReport struct {
 // coarse-resolution or thresholded payloads, which is a protocol change,
 // not a setup-phase one.
 func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
-	var method engine.Method
-	switch cfg.Method {
-	case "multadd":
-		method = engine.Multadd
-	case "afacx":
-		method = engine.AFACx
-	default:
-		return nil, fmt.Errorf("msgvolume: method %q (want multadd or afacx)", cfg.Method)
+	plan, err := (&solve.Spec{Problem: cfg.Problem, Size: cfg.Size, Method: cfg.Method,
+		Mode: solve.ModeDist, Cycles: cfg.MaxCorrections}).Validate()
+	if err != nil {
+		return nil, fmt.Errorf("msgvolume: %w", err)
 	}
-	a, err := BuildProblem(cfg.Problem, cfg.Size)
+	src := solve.Source{Problem: cfg.Problem, Size: cfg.Size}
+	opt := amg.DefaultOptions()
+	golden, err := solve.Build(src, opt, plan.Smoother, false)
 	if err != nil {
 		return nil, err
 	}
-	opt := PaperSetup(cfg.Problem, 1, smoother.WJacobi)
-	golden, err := engine.New(a, opt.AMG, opt.Smoother)
+	opt.Sparsify = amg.SparsifyOptions{Theta: cfg.Theta, Mode: sparse.SparsifyLump}
+	sparsified, err := solve.Build(src, opt, plan.Smoother, false)
 	if err != nil {
 		return nil, err
 	}
-	sOpt := opt.AMG
-	sOpt.Sparsify = amg.SparsifyOptions{Theta: cfg.Theta, Mode: sparse.SparsifyLump}
-	sparsified, err := engine.New(a, sOpt, opt.Smoother)
-	if err != nil {
-		return nil, err
-	}
-	b := grid.RandomRHS(a.Rows, cfg.Seed)
+	b := grid.RandomRHS(golden.LevelSize(0), cfg.Seed)
 
 	run := func(s *engine.Engine) (int64, []int64, float64, error) {
 		o := obs.New(s.NumLevels())
-		res, err := distmem.Solve(context.Background(), s, b, distmem.Config{
-			Method:         method,
-			MaxCorrections: cfg.MaxCorrections,
-			Observer:       o,
-		})
+		res, err := solve.Run(context.Background(), s, plan, b, o)
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -131,7 +119,7 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 	}
 
 	rep := &MsgVolumeReport{
-		Problem: cfg.Problem, Method: cfg.Method, Rows: a.Rows, Theta: cfg.Theta,
+		Problem: cfg.Problem, Method: cfg.Method, Rows: len(b), Theta: cfg.Theta,
 		HierarchyBytesGolden:     golden.HierarchyBytes(),
 		HierarchyBytesSparsified: sparsified.HierarchyBytes(),
 	}

@@ -7,7 +7,9 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/krylov"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 	"asyncmg/internal/sparse"
 )
 
@@ -19,10 +21,10 @@ var paperMatrices = []struct {
 	problem string
 	size    int
 }{
-	{Problem7pt, 16},
-	{Problem27pt, 16},
-	{ProblemLaplaceFEM, 16},
-	{ProblemElasticity, 5},
+	{problem.Laplace7pt, 16},
+	{problem.Laplace27pt, 16},
+	{problem.LaplaceFEM, 16},
+	{problem.Elasticity, 5},
 }
 
 // itersTo returns the first cycle index whose relative residual is at or
@@ -46,13 +48,14 @@ func TestSparsifyPaperMatrices(t *testing.T) {
 	const tau, maxCycles = 1e-6, 800
 	before, after := 0, 0
 	for _, tc := range paperMatrices {
-		opt := PaperSetup(tc.problem, 1, smoother.WJacobi)
-		golden, err := buildSetup(tc.problem, tc.size, opt)
+		src := solve.Source{Problem: tc.problem, Size: tc.size}
+		golden, err := paperEngine(src, 1, smoother.WJacobi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.AMG.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
-		sparsified, err := buildSetup(tc.problem, tc.size, opt)
+		opt := amg.DefaultOptions()
+		opt.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
+		sparsified, err := solve.Build(src, opt, golden.Cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +79,7 @@ func TestSparsifyPaperMatrices(t *testing.T) {
 		}
 
 		st := sparsified.Setup
-		if tc.problem != ProblemElasticity {
+		if tc.problem != problem.Elasticity {
 			if st.SparsifyFallbacks != 0 || st.DroppedNNZ() == 0 {
 				t.Errorf("%s: %d levels reverted, %d nnz dropped; want a clean reduction",
 					tc.problem, st.SparsifyFallbacks, st.DroppedNNZ())
@@ -115,7 +118,7 @@ func TestSparsifyPaperMatrices(t *testing.T) {
 func TestKrylovOnPaperMatrices(t *testing.T) {
 	const tau, maxIter = 1e-6, 800
 	for _, tc := range paperMatrices {
-		s, err := buildSetup(tc.problem, tc.size, PaperSetup(tc.problem, 1, smoother.WJacobi))
+		s, err := paperEngine(solve.Source{Problem: tc.problem, Size: tc.size}, 1, smoother.WJacobi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +141,7 @@ func TestKrylovOnPaperMatrices(t *testing.T) {
 
 	const cdTau, cdBudget = 1e-8, 100
 	a := grid.ConvectionDiffusion7pt(16, 1024)
-	opt := PaperSetup(ProblemConvDiff, 1, smoother.WJacobi)
-	s, err := engine.New(a, opt.AMG, opt.Smoother)
+	s, err := paperEngine(solve.Source{Problem: problem.ConvDiff, Matrix: a}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,8 @@
+// Package harness reproduces the paper's evaluation: on the four test
+// families of internal/problem it runs the measurement protocol of
+// Section V (mean of R runs, cycle sweeps, first-crossing
+// time-to-tolerance) through solve.Run, and prints the rows and series of
+// Table I and Figures 1, 2, 4, 5 and 6.
 package harness
 
 import (
@@ -9,31 +14,38 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/solve"
 )
 
-// MethodSpec names one row of Table I: a solver variant with its write and
-// residual modes.
-type MethodSpec struct {
+// Row is one labelled method of Table I or Figures 4-6: a mode-async plan
+// (team-synchronous rows set Async.Sync) that the protocol completes with
+// the cycle budget, the threads and the stopping criterion.
+type Row struct {
 	Label string
-	Cfg   async.Config // Method, Sync, Write, Res (Criterion/Threads/MaxCycles set by the protocol)
+	Plan  solve.Plan
+}
+
+// row is the Row of method m under the runtime's Sync, Write and Res.
+func row(label string, m engine.Method, cfg async.Config) Row {
+	return Row{label, solve.Plan{Method: m, Mode: solve.ModeAsync, Async: cfg}}
 }
 
 // TableIMethods returns the twelve method variants of Table I, in the
 // paper's row order.
-func TableIMethods() []MethodSpec {
-	return []MethodSpec{
-		{"sync Mult", async.Config{Method: engine.Mult, Sync: true}},
-		{"sync Multadd, lock-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}},
-		{"sync Multadd, atomic-write", async.Config{Method: engine.Multadd, Sync: true, Write: async.AtomicWrite}},
-		{"sync AFACx, lock-write", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}},
-		{"sync AFACx, atomic-write", async.Config{Method: engine.AFACx, Sync: true, Write: async.AtomicWrite}},
-		{"AFACx, lock-write", async.Config{Method: engine.AFACx, Write: async.LockWrite, Res: async.LocalRes}},
-		{"AFACx, atomic-write", async.Config{Method: engine.AFACx, Write: async.AtomicWrite, Res: async.LocalRes}},
-		{"Multadd, lock-write, global-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.GlobalRes}},
-		{"Multadd, lock-write, local-res", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}},
-		{"Multadd, atomic-write, global-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.GlobalRes}},
-		{"Multadd, atomic-write, local-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.LocalRes}},
-		{"r-Multadd, atomic-write, local-res", async.Config{Method: engine.Multadd, Write: async.AtomicWrite, Res: async.ResidualRes}},
+func TableIMethods() []Row {
+	return []Row{
+		row("sync Mult", engine.Mult, async.Config{Sync: true}),
+		row("sync Multadd, lock-write", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}),
+		row("sync Multadd, atomic-write", engine.Multadd, async.Config{Sync: true, Write: async.AtomicWrite}),
+		row("sync AFACx, lock-write", engine.AFACx, async.Config{Sync: true, Write: async.LockWrite}),
+		row("sync AFACx, atomic-write", engine.AFACx, async.Config{Sync: true, Write: async.AtomicWrite}),
+		row("AFACx, lock-write", engine.AFACx, async.Config{Write: async.LockWrite, Res: async.LocalRes}),
+		row("AFACx, atomic-write", engine.AFACx, async.Config{Write: async.AtomicWrite, Res: async.LocalRes}),
+		row("Multadd, lock-write, global-res", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.GlobalRes}),
+		row("Multadd, lock-write, local-res", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.LocalRes}),
+		row("Multadd, atomic-write, global-res", engine.Multadd, async.Config{Write: async.AtomicWrite, Res: async.GlobalRes}),
+		row("Multadd, atomic-write, local-res", engine.Multadd, async.Config{Write: async.AtomicWrite, Res: async.LocalRes}),
+		row("r-Multadd, atomic-write, local-res", engine.Multadd, async.Config{Write: async.AtomicWrite, Res: async.ResidualRes}),
 	}
 }
 
@@ -86,12 +98,12 @@ func DefaultProtocol() Protocol {
 // cycle count, it averages the wall-clock time and final relative residual
 // over p.Runs runs with fresh random right-hand sides, then reports the
 // first cycle count whose mean residual is below p.Tau.
-func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
+func (p Protocol) TimeToTol(s *engine.Engine, r Row) TTResult {
 	// Prescreen at the largest cycle count: if even CycleMax cycles do not
 	// reach the tolerance on the first right-hand side, no smaller count
 	// will, so report immediately instead of grinding through the whole
 	// ascending sweep. (Divergence is detected here too.)
-	res, err := p.solve(s, spec, 0, async.Criterion2, p.CycleMax)
+	res, err := p.solve(s, r, 0, async.Criterion2, p.CycleMax)
 	switch {
 	case err != nil || blewUp(res):
 		return TTResult{Diverged: true}
@@ -104,13 +116,13 @@ func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
 	for cycles := p.CycleStep; cycles <= p.CycleMax; cycles += p.CycleStep {
 		var sumRes, sumTime, sumCorr float64
 		for run := 0; run < p.Runs; run++ {
-			res, err := p.solve(s, spec, run, async.Criterion2, cycles)
+			res, err := p.solve(s, r, run, async.Criterion2, cycles)
 			if err != nil || blewUp(res) {
 				return TTResult{Diverged: true}
 			}
 			sumRes += res.RelRes
-			sumTime += res.Elapsed.Seconds()
-			sumCorr += res.AvgCorrects
+			sumTime += res.Async.Elapsed.Seconds()
+			sumCorr += res.Async.AvgCorrects
 		}
 		meanRes := sumRes / float64(p.Runs)
 		if meanRes < p.Tau {
@@ -127,10 +139,10 @@ func (p Protocol) TimeToTol(s *engine.Engine, spec MethodSpec) TTResult {
 // MeanRelRes runs the method for a fixed cycle count and returns the mean
 // relative residual over p.Runs runs (the quantity plotted in Figures 4
 // and 5).
-func (p Protocol) MeanRelRes(s *engine.Engine, spec MethodSpec, cycles int) (float64, bool) {
+func (p Protocol) MeanRelRes(s *engine.Engine, r Row, cycles int) (float64, bool) {
 	var sum float64
 	for run := 0; run < p.Runs; run++ {
-		res, err := p.solve(s, spec, run, async.Criterion1, cycles)
+		res, err := p.solve(s, r, run, async.Criterion1, cycles)
 		if err != nil || res.Diverged {
 			return math.Inf(1), true
 		}
@@ -139,17 +151,18 @@ func (p Protocol) MeanRelRes(s *engine.Engine, spec MethodSpec, cycles int) (flo
 	return sum / float64(p.Runs), false
 }
 
-// solve runs one protocol solve: the method for cycles cycles under the
-// stopping criterion, on the right-hand side of the given run.
-func (p Protocol) solve(s *engine.Engine, spec MethodSpec, run int, crit async.Criterion, cycles int) (*async.Result, error) {
-	cfg := spec.Cfg
-	cfg.Criterion, cfg.Threads, cfg.MaxCycles, cfg.Observer = crit, p.Threads, cycles, p.Observer
-	return async.Solve(context.Background(), s, grid.RandomRHS(s.LevelSize(0), p.Seed0+int64(run)), cfg)
+// solve runs one protocol solve: the row's method for cycles cycles under
+// the stopping criterion, on the right-hand side of the given run.
+func (p Protocol) solve(s *engine.Engine, r Row, run int, crit async.Criterion, cycles int) (solve.Outcome, error) {
+	plan := r.Plan
+	plan.Cycles = cycles
+	plan.Async.Criterion, plan.Async.Threads = crit, p.Threads
+	return solve.Run(context.Background(), s, &plan, grid.RandomRHS(s.LevelSize(0), p.Seed0+int64(run)), p.Observer)
 }
 
 // blewUp reports the paper's †: the iterates became non-finite or the
 // residual grew without bound.
-func blewUp(res *async.Result) bool {
+func blewUp(res solve.Outcome) bool {
 	return res.Diverged || math.IsNaN(res.RelRes) || math.IsInf(res.RelRes, 0) || res.RelRes > 1e6
 }
 

@@ -8,7 +8,9 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/model"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 // These tests encode the paper's qualitative claims — the "shape" of each
@@ -24,7 +26,7 @@ func TestShapeFig1AlphaOrderingAndSizeIndependence(t *testing.T) {
 	ratios := map[float64][]float64{}
 	alphas := []float64{0.1, 0.9}
 	for _, n := range sizes {
-		s, err := buildSetup(Problem27pt, n, PaperSetup(Problem27pt, 1, smoother.WJacobi))
+		s, err := paperEngine(solve.Source{Problem: problem.Laplace27pt, Size: n}, 1, smoother.WJacobi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +64,7 @@ func TestShapeFig1AlphaOrderingAndSizeIndependence(t *testing.T) {
 // TestShapeFig2ResidualBasedBeatsSolutionBased at large δ (averaged over
 // seeds; the paper's Figure 2 conclusion).
 func TestShapeFig2ResidualBasedBeatsSolutionBased(t *testing.T) {
-	s, err := buildSetup(Problem27pt, 10, PaperSetup(Problem27pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace27pt, Size: 10}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +97,13 @@ func TestShapeFig2ResidualBasedBeatsSolutionBased(t *testing.T) {
 // count (asynchrony is free in convergence), while global-res is allowed to
 // be (and typically is) worse.
 func TestShapeFig4LocalResTracksSync(t *testing.T) {
-	s, err := buildSetup(Problem27pt, 10, PaperSetup(Problem27pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace27pt, Size: 10}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Protocol{Tau: 1e-9, CycleStep: 10, CycleMax: 100, Runs: 3, Threads: 10, Seed0: 1}
-	syncV, d1 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}}, 20)
-	local, d2 := p.MeanRelRes(s, MethodSpec{"", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}}, 20)
+	syncV, d1 := p.MeanRelRes(s, row("", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}), 20)
+	local, d2 := p.MeanRelRes(s, row("", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.LocalRes}), 20)
 	if d1 || d2 {
 		t.Fatal("unexpected divergence")
 	}
@@ -115,10 +117,10 @@ func TestShapeFig4LocalResTracksSync(t *testing.T) {
 // residual version.
 func TestShapeFig4AsyncGSBeatsJacobi(t *testing.T) {
 	p := Protocol{Tau: 1e-9, CycleStep: 10, CycleMax: 100, Runs: 3, Threads: 10, Seed0: 1}
-	spec := MethodSpec{"", async.Config{Method: engine.Multadd, Write: async.LockWrite, Res: async.LocalRes}}
+	spec := row("", engine.Multadd, async.Config{Write: async.LockWrite, Res: async.LocalRes})
 	var vals []float64
 	for _, kind := range []smoother.Kind{smoother.WJacobi, smoother.AsyncGS} {
-		s, err := buildSetup(Problem27pt, 10, PaperSetup(Problem27pt, 1, kind))
+		s, err := paperEngine(solve.Source{Problem: problem.Laplace27pt, Size: 10}, 1, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,13 +138,13 @@ func TestShapeFig4AsyncGSBeatsJacobi(t *testing.T) {
 // TestShapeTable1AFACxNeedsMoreCyclesThanMultadd: the paper's consistent
 // Table I ordering.
 func TestShapeTable1AFACxNeedsMoreCyclesThanMultadd(t *testing.T) {
-	s, err := buildSetup(Problem7pt, 8, PaperSetup(Problem7pt, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: problem.Laplace7pt, Size: 8}, 1, smoother.WJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Protocol{Tau: 1e-6, CycleStep: 10, CycleMax: 200, Runs: 2, Threads: 8, Seed0: 1}
-	ma := p.TimeToTol(s, MethodSpec{"", async.Config{Method: engine.Multadd, Sync: true, Write: async.LockWrite}})
-	af := p.TimeToTol(s, MethodSpec{"", async.Config{Method: engine.AFACx, Sync: true, Write: async.LockWrite}})
+	ma := p.TimeToTol(s, row("", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}))
+	af := p.TimeToTol(s, row("", engine.AFACx, async.Config{Sync: true, Write: async.LockWrite}))
 	if ma.Diverged || ma.NotConverged || af.Diverged || af.NotConverged {
 		t.Fatal("baseline did not converge")
 	}

@@ -10,7 +10,9 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/solve"
 )
 
 // StalenessConfig parameterizes the staleness sweep: a grid of
@@ -48,7 +50,7 @@ type StalenessConfig struct {
 // scale that runs in seconds.
 func DefaultStaleness() StalenessConfig {
 	return StalenessConfig{
-		Problem:       Problem7pt,
+		Problem:       problem.Laplace7pt,
 		Size:          8,
 		Cycles:        240,
 		Holds:         []int{1, 4, 8},
@@ -221,18 +223,6 @@ func classify(res *async.Result, tol float64) string {
 	return OutcomeConverged
 }
 
-// minOmega is the smallest final per-grid factor of a solve (1 when
-// damping never moved).
-func minOmega(res *async.Result) float64 {
-	w := 1.0
-	for _, v := range res.FinalOmega {
-		if v < w {
-			w = v
-		}
-	}
-	return w
-}
-
 // StalenessSweep runs the staleness × damping-policy grid, prints the
 // stability table, and returns the machine-checkable map. Asynchronous
 // runs are nondeterministic in general, but every scenario here injects
@@ -241,7 +231,7 @@ func minOmega(res *async.Result) float64 {
 // scheduling-independent — the acceptance tests pin the same cells
 // under -race.
 func StalenessSweep(w io.Writer, cfg StalenessConfig) (*StabilityMap, error) {
-	s, err := buildSetup(cfg.Problem, cfg.Size, PaperSetup(cfg.Problem, 1, smoother.WJacobi))
+	s, err := paperEngine(solve.Source{Problem: cfg.Problem, Size: cfg.Size}, 1, smoother.WJacobi)
 	if err != nil {
 		return nil, err
 	}
@@ -255,15 +245,17 @@ func StalenessSweep(w io.Writer, cfg StalenessConfig) (*StabilityMap, error) {
 		"scenario", "method", "policy", "outcome", "relres", "min(ω)", "tighten", "relax")
 	for _, sc := range cfg.scenarios() {
 		for _, pc := range cfg.policies() {
-			res, err := async.Solve(context.Background(), s, b, async.Config{
-				Method: sc.method, Res: async.LocalRes, Write: async.AtomicWrite,
-				Criterion: async.Criterion1, Threads: sc.threadsPerGrid * l,
-				MaxCycles: cfg.Cycles, Perturb: sc.perturb, Damping: pc.policy,
-				Observer: cfg.Observer,
-			})
+			out, err := solve.Run(context.Background(), s, &solve.Plan{
+				Method: sc.method, Mode: solve.ModeAsync, Cycles: cfg.Cycles,
+				Async: async.Config{
+					Res: async.LocalRes, Write: async.AtomicWrite, Criterion: async.Criterion1,
+					Threads: sc.threadsPerGrid * l, Perturb: sc.perturb, Damping: pc.policy,
+				},
+			}, b, cfg.Observer)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s policy %s: %w", sc.name, pc.name, err)
 			}
+			res := out.Async
 			cell := StabilityCell{
 				Scenario: sc.name,
 				Method:   sc.method.String(),
@@ -272,7 +264,7 @@ func StalenessSweep(w io.Writer, cfg StalenessConfig) (*StabilityMap, error) {
 				RelRes:   res.RelRes,
 				Tightens: res.DampTightens,
 				Relaxes:  res.DampRelaxes,
-				MinOmega: minOmega(res),
+				MinOmega: out.MinOmega(),
 			}
 			m.Cells = append(m.Cells, cell)
 			fmt.Fprintf(w, "%-22s %-8s %-9s %-12s %12.3e %9.3f %8d %8d\n",

@@ -85,6 +85,8 @@ func (c *cache) getOrBuild(key string, build func() (*engine.Engine, error)) (e 
 	e.setupNS = time.Since(start).Nanoseconds()
 	e.setup, e.err = setup, err
 	if setup != nil {
+		// Stage timings go to the setup_*_ns counters once per build.
+		setup.SetObserver(c.obs)
 		e.rows = setup.LevelSize(0)
 		e.bytes = setup.HierarchyBytes()
 	}

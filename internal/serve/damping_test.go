@@ -87,16 +87,16 @@ func TestDampingRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good auto request rejected: %v", err)
 	}
-	if sp.Damping.Mode != async.DampAuto || sp.Damping.Omega != 0.9 || !sp.Damping.Rollback {
-		t.Errorf("auto policy decoded as %+v", sp.Damping)
+	if sp.Async.Damping.Mode != async.DampAuto || sp.Async.Damping.Omega != 0.9 || !sp.Async.Damping.Rollback {
+		t.Errorf("auto policy decoded as %+v", sp.Async.Damping)
 	}
 	sp, err = solve.Parse([]byte(
 		`{"problem":"7pt","size":5,"mode":"async","damping":"fixed","damp_omega":0.5}`))
 	if err != nil {
 		t.Fatalf("good fixed request rejected: %v", err)
 	}
-	if sp.Damping.Mode != async.DampFixed || sp.Damping.Omega != 0.5 {
-		t.Errorf("fixed policy decoded as %+v", sp.Damping)
+	if sp.Async.Damping.Mode != async.DampFixed || sp.Async.Damping.Omega != 0.5 {
+		t.Errorf("fixed policy decoded as %+v", sp.Async.Damping)
 	}
 }
 

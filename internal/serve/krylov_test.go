@@ -8,9 +8,9 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
 )
@@ -69,7 +69,7 @@ func itersToTol(hist []float64, tau float64) int {
 func TestServeFGMRESNonSymmetric(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, code := postSolve(t, ts.URL, SolveRequest{
-		Problem: harness.ProblemConvDiff, Size: 8, Method: "multadd",
+		Problem: problem.ConvDiff, Size: 8, Method: "multadd",
 		Solver: "fgmres", Tol: 1e-8, MaxIter: 300, Seed: 5,
 	})
 	if code != 200 {

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -45,12 +46,12 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/async"
 	"asyncmg/internal/engine"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // Config tunes the solver service. The zero value picks sensible defaults
@@ -235,7 +236,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.solve(w, r, sp, solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother), func() (*engine.Engine, error) {
-		return s.buildProblem(sp.Problem, sp.Size, sp.Smoother)
+		return s.build(solve.Source{Problem: sp.Problem, Size: sp.Size}, nil, sp.Smoother)
 	})
 }
 
@@ -266,7 +267,7 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 	// fingerprint instead of needing the client to re-upload it.
 	s.matrices.put(fp, raw)
 	s.solve(w, r, sp, solve.MatrixKey(fp, sp.Smoother), func() (*engine.Engine, error) {
-		return s.buildMatrix(raw, sp.Smoother)
+		return s.build(solve.Source{}, raw, sp.Smoother)
 	})
 }
 
@@ -307,44 +308,17 @@ func Fingerprint(plain []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// buildProblem builds the engine of a generated problem under the
-// family's setup rule, matrix-free when the server is configured so and
-// the family has a stencil form.
-func (s *Server) buildProblem(problem string, size int, smo smoother.Config) (*engine.Engine, error) {
-	opt := harness.ProblemOptions(problem, *s.cfg.AMG)
-	if s.cfg.MatrixFree {
-		if a, ok := harness.BuildProblemOperator(problem, size); ok {
-			return s.observed(engine.NewOperator(a, opt, smo))
+// build runs the setup of src, or, when raw is set, of the MatrixMarket
+// operator raw holds, under the server's hierarchy options.
+func (s *Server) build(src solve.Source, raw []byte, smo smoother.Config) (*engine.Engine, error) {
+	if raw != nil {
+		a, err := mtx.Read(bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
 		}
+		src.Matrix = a
 	}
-	a, err := harness.BuildProblem(problem, size)
-	if err != nil {
-		return nil, err
-	}
-	return s.observed(engine.New(a, opt, smo))
-}
-
-// buildMatrix builds the engine of an uploaded MatrixMarket operator.
-func (s *Server) buildMatrix(raw []byte, smo smoother.Config) (*engine.Engine, error) {
-	a, err := mtx.Read(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("matrix is %dx%d, want square", a.Rows, a.Cols)
-	}
-	return s.observed(engine.New(a, *s.cfg.AMG, smo))
-}
-
-// observed wires the service observer into a new engine, so per-setup
-// stage timings land in the setup_*_ns counters (which stay flat across
-// cache hits).
-func (s *Server) observed(setup *engine.Engine, err error) (*engine.Engine, error) {
-	if err != nil {
-		return nil, err
-	}
-	setup.SetObserver(s.obs)
-	return setup, nil
+	return solve.Build(src, *s.cfg.AMG, smo, s.cfg.MatrixFree)
 }
 
 // ---- admission control ----
@@ -482,15 +456,16 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, k
 	if sp.ReturnX {
 		resp.X = out.X
 	}
-	if sp.Damping.Mode != async.DampOff {
+	if sp.Async.Damping.Mode != async.DampOff {
 		resp.DampTightens = out.Async.DampTightens
 		resp.DampRelaxes = out.Async.DampRelaxes
-		resp.MinOmega = 1
-		for _, w := range out.Async.FinalOmega {
-			if w < resp.MinOmega {
-				resp.MinOmega = w
-			}
-		}
+		resp.MinOmega = out.MinOmega()
+	}
+	// JSON has no NaN or Inf: a diverged solve is a well-formed request
+	// the iteration could not carry through, answered like a breakdown.
+	if math.IsNaN(resp.RelRes) || math.IsInf(resp.RelRes, 0) || vec.HasNonFinite(resp.History) || vec.HasNonFinite(resp.X) {
+		http.Error(w, "solve diverged: non-finite relres, history or x", http.StatusUnprocessableEntity)
+		return
 	}
 	writeJSON(w, resp)
 }
@@ -513,8 +488,14 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// writeJSON encodes v before it writes the header, so a value JSON cannot
+// carry answers 500 with the error instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }

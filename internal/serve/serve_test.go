@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -22,9 +23,9 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
 )
@@ -655,7 +656,7 @@ func TestSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if sp.Method != engine.Multadd || sp.Mode != solve.ModeSync || sp.Cycles != 30 || sp.Threads != 8 {
+	if sp.Method != engine.Multadd || sp.Mode != solve.ModeSync || sp.Cycles != 30 || sp.Async.Threads != 8 {
 		t.Errorf("defaults wrong: %+v", sp)
 	}
 	if sp.Smoother.Omega != 0.5 {
@@ -692,7 +693,7 @@ func TestDistMethodRefusedBeforeSetup(t *testing.T) {
 func TestServeFamiliesMatchLibrarySetup(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	sizes := map[string]int{"7pt": 6, "27pt": 5, "mfem-laplace": 4, "mfem-elasticity": 3, "conv-diff": 6}
-	for _, p := range harness.KnownProblems() {
+	for _, p := range problem.Known() {
 		size, ok := sizes[p]
 		if !ok {
 			t.Fatalf("no test size for family %q", p)
@@ -701,12 +702,12 @@ func TestServeFamiliesMatchLibrarySetup(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", p, code)
 		}
-		a, err := harness.BuildProblem(p, size)
+		a, err := problem.Build(p, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		smo := smoother.Config{Kind: smoother.WJacobi, Omega: harness.DefaultOmega(p), Blocks: 1}
-		want, err := engine.New(a, harness.ProblemOptions(p, amg.DefaultOptions()), smo)
+		smo := smoother.Config{Kind: smoother.WJacobi, Omega: problem.DefaultOmega(p), Blocks: 1}
+		want, err := engine.New(a, problem.Options(p, amg.DefaultOptions()), smo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,5 +715,47 @@ func TestServeFamiliesMatchLibrarySetup(t *testing.T) {
 			t.Errorf("%s: served %d levels / %d B, library %d levels / %d B",
 				p, got.Levels, got.HierarchyBytes, want.NumLevels(), want.HierarchyBytes())
 		}
+	}
+}
+
+// TestServeNonFinite: what JSON cannot carry never reaches the encoder.
+// An upload with a NaN or Inf entry is refused before setup (400), like a
+// non-square one, and a solve that diverges to an infinite residual
+// answers 422 with a reason — not a 200 with an empty body.
+func TestServeNonFinite(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, tc := range []struct{ size, entry, want string }{
+		{"2 2", "1 1 nan", "non-finite"},
+		{"2 2", "1 1 inf", "non-finite"},
+		{"2 2", "1 1 -inf", "non-finite"},
+		{"2 3", "1 3 1", "want square"},
+	} {
+		body := "%%MatrixMarket matrix coordinate real general\n" + tc.size + " 2\n" + tc.entry + "\n2 2 1\n"
+		resp, err := http.Post(ts.URL+"/solve/matrix?method=mult", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s upload with %q: status %d %q, want 400 with %q", tc.size, tc.entry, resp.StatusCode, msg, tc.want)
+		}
+	}
+
+	const diverging = `{"problem":"7pt","size":8,"omega":2,"method":"mult","cycles":3000}`
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(diverging))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "non-finite") {
+		t.Errorf("diverging solve: status %d %q, want 422 naming the non-finite field", resp.StatusCode, msg)
+	}
+
+	w := httptest.NewRecorder()
+	writeJSON(w, SolveResponse{RelRes: math.Inf(1)})
+	if w.Code != http.StatusInternalServerError || w.Body.Len() == 0 {
+		t.Errorf("writeJSON of +Inf: status %d, %d-byte body; want 500 with the error", w.Code, w.Body.Len())
 	}
 }

@@ -89,7 +89,9 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		}
 	case req.Problem != "":
 		key = solve.ProblemKey(req.Problem, req.Size, sp.Smoother)
-		build = func() (*engine.Engine, error) { return s.buildProblem(req.Problem, req.Size, sp.Smoother) }
+		build = func() (*engine.Engine, error) {
+			return s.build(solve.Source{Problem: req.Problem, Size: req.Size}, nil, sp.Smoother)
+		}
 	default:
 		http.Error(w, "warm needs problem or matrix_fp", http.StatusBadRequest)
 		return
@@ -135,7 +137,7 @@ func (s *Server) buildFromFingerprint(ctx context.Context, fp, source string, sm
 		}
 		raw = pulled
 	}
-	return s.buildMatrix(raw, smo)
+	return s.build(solve.Source{}, raw, smo)
 }
 
 // pullMatrix fetches matrix bytes by fingerprint from a peer node and

@@ -1,4 +1,4 @@
-package serve
+package solve
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"asyncmg/internal/engine"
-	"asyncmg/internal/solve"
 )
 
 // FuzzParseSolveRequest is the decoder's no-panic contract: the /solve
@@ -36,55 +35,55 @@ func FuzzParseSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"problem":"7pt","size":8,"mode":"dist","method":"bpx"}`))
 	f.Add([]byte(`{"problem":"7pt","size":8,"mode":"dist","method":"afacx","cycles":5}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		sp, err := solve.Parse(body)
+		sp, err := Parse(body)
 		if err != nil {
 			if sp != nil {
 				t.Fatal("error with non-nil spec")
 			}
 			return
 		}
-		if err := sp.Damping.Validate(); err != nil {
+		if err := sp.Async.Damping.Validate(); err != nil {
 			t.Fatalf("validated spec has bad damping policy: %v", err)
 		}
-		if sp.Cycles < 1 || sp.Cycles > solve.MaxCycles {
+		if sp.Cycles < 1 || sp.Cycles > MaxCycles {
 			t.Fatalf("validated spec has cycles %d", sp.Cycles)
 		}
-		if sp.Threads < 1 || sp.Threads > solve.MaxThreads {
-			t.Fatalf("validated spec has threads %d", sp.Threads)
+		if sp.Async.Threads < 1 || sp.Async.Threads > MaxThreads {
+			t.Fatalf("validated spec has threads %d", sp.Async.Threads)
 		}
-		if sp.Problem != "" && (sp.Size < 2 || sp.Size > solve.MaxSize) {
+		if sp.Problem != "" && (sp.Size < 2 || sp.Size > MaxSize) {
 			t.Fatalf("validated spec has size %d", sp.Size)
 		}
 		switch sp.Mode {
-		case solve.ModeSync, solve.ModeAsync, solve.ModeDist:
+		case ModeSync, ModeAsync, ModeDist:
 		default:
 			t.Fatalf("validated spec has mode %q", sp.Mode)
 		}
 		// The message-passing simulation runs the additive methods only;
 		// anything else must be refused here, before a worker slot and a
 		// hierarchy are spent on it.
-		if sp.Mode == solve.ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
+		if sp.Mode == ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
 			t.Fatalf("validated dist spec has method %v", sp.Method)
 		}
 		if sp.Timeout < 0 {
 			t.Fatalf("validated spec has negative timeout %v", sp.Timeout)
 		}
 		switch sp.Solver {
-		case solve.SolverCycle:
+		case SolverCycle:
 			if sp.Tol != 0 || sp.MaxIter != 0 || sp.Restart != 0 {
 				t.Fatalf("cycle spec carries krylov knobs: %+v", sp)
 			}
-		case solve.SolverPCG, solve.SolverFGMRES:
-			if sp.Mode != solve.ModeSync {
+		case SolverPCG, SolverFGMRES:
+			if sp.Mode != ModeSync {
 				t.Fatalf("krylov spec has mode %q", sp.Mode)
 			}
 			if !(sp.Tol > 0 && sp.Tol < 1) {
 				t.Fatalf("krylov spec has tol %v", sp.Tol)
 			}
-			if sp.MaxIter < 1 || sp.MaxIter > solve.MaxKrylovIter {
+			if sp.MaxIter < 1 || sp.MaxIter > MaxKrylovIter {
 				t.Fatalf("krylov spec has maxiter %d", sp.MaxIter)
 			}
-			if sp.Solver == solve.SolverFGMRES && (sp.Restart < 1 || sp.Restart > solve.MaxRestart) {
+			if sp.Solver == SolverFGMRES && (sp.Restart < 1 || sp.Restart > MaxRestart) {
 				t.Fatalf("fgmres spec has restart %d", sp.Restart)
 			}
 		default:
@@ -111,7 +110,7 @@ func FuzzSpecFromQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sp, err := solve.FromQuery(q)
+		sp, err := FromQuery(q)
 		if err != nil {
 			return
 		}
@@ -123,7 +122,7 @@ func FuzzSpecFromQuery(f *testing.F) {
 		if sp.Problem != "" || sp.Size != 0 || sp.RHS != nil {
 			t.Fatalf("query spec carries JSON-only knobs: %+v", sp)
 		}
-		if sp.Mode == solve.ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
+		if sp.Mode == ModeDist && sp.Method != engine.Multadd && sp.Method != engine.AFACx {
 			t.Fatalf("validated dist spec has method %v", sp.Method)
 		}
 	})
@@ -143,7 +142,7 @@ func FuzzKrylovRequest(f *testing.F) {
 	f.Add("PCG", "bpx", "sync", 0.99, 10000, 0)
 	f.Add("gmres", "mult", "dist", math.NaN(), -5, 1<<30)
 	f.Fuzz(func(t *testing.T, solver, method, mode string, tol float64, maxiter, restart int) {
-		req := &SolveRequest{
+		req := &Spec{
 			Problem: "7pt", Size: 6,
 			Solver: solver, Method: method, Mode: mode,
 			Tol: tol, MaxIter: maxiter, Restart: restart,
@@ -156,14 +155,14 @@ func FuzzKrylovRequest(f *testing.F) {
 			return
 		}
 		switch sp.Solver {
-		case solve.SolverCycle:
-		case solve.SolverPCG:
+		case SolverCycle:
+		case SolverPCG:
 			if sp.Method == engine.AFACx {
 				t.Fatal("decoder accepted pcg with a non-SPD preconditioner")
 			}
 			fallthrough
-		case solve.SolverFGMRES:
-			if sp.Mode != solve.ModeSync || !(sp.Tol > 0 && sp.Tol < 1) || sp.MaxIter < 1 || sp.MaxIter > solve.MaxKrylovIter {
+		case SolverFGMRES:
+			if sp.Mode != ModeSync || !(sp.Tol > 0 && sp.Tol < 1) || sp.MaxIter < 1 || sp.MaxIter > MaxKrylovIter {
 				t.Fatalf("decoder accepted an unusable krylov spec: %+v", sp)
 			}
 		default:
@@ -186,8 +185,8 @@ func FuzzDampingRequest(f *testing.F) {
 	f.Add("adaptive", -0.5, 2.0, int64(-9), true)
 	f.Add("auto", math.NaN(), math.Inf(1), int64(1<<62), false)
 	f.Fuzz(func(t *testing.T, name string, omega, minOmega float64, ref int64, rollback bool) {
-		req := &SolveRequest{
-			Problem: "7pt", Size: 6, Mode: solve.ModeAsync,
+		req := &Spec{
+			Problem: "7pt", Size: 6, Mode: ModeAsync,
 			Damping: name, DampOmega: omega, DampMinOmega: minOmega,
 			DampStalenessRef: ref, DampRollback: rollback,
 		}
@@ -198,10 +197,10 @@ func FuzzDampingRequest(f *testing.F) {
 			}
 			return
 		}
-		if err := sp.Damping.Validate(); err != nil {
+		if err := sp.Async.Damping.Validate(); err != nil {
 			t.Fatalf("decoder accepted a policy the solver rejects: %v", err)
 		}
-		if sp.Mode != solve.ModeAsync {
+		if sp.Mode != ModeAsync {
 			t.Fatalf("damped spec has mode %q", sp.Mode)
 		}
 	})

@@ -35,6 +35,18 @@ type Outcome struct {
 	Async *async.Result
 }
 
+// MinOmega is the smallest final per-grid damping factor of an async
+// solve; 1 when damping never moved or the solve was not async.
+func (o *Outcome) MinOmega() float64 {
+	w := 1.0
+	if o.Async != nil {
+		for _, v := range o.Async.FinalOmega {
+			w = min(w, v)
+		}
+	}
+	return w
+}
+
 // Run solves e x = b as plan says: synchronous cycling, PCG or FGMRES
 // preconditioned by one cycle, the asynchronous runtime, or the
 // distributed-memory simulation. o receives the Krylov, async and dist
@@ -44,16 +56,9 @@ func Run(ctx context.Context, e *engine.Engine, plan *Plan, b []float64, o *obs.
 	var out Outcome
 	switch {
 	case plan.Mode == ModeAsync:
-		res, err := async.Solve(ctx, e, b, async.Config{
-			Method:    plan.Method,
-			Write:     plan.Write,
-			Res:       plan.Res,
-			Threads:   plan.Threads,
-			MaxCycles: plan.Cycles,
-			Damping:   plan.Damping,
-			Perturb:   plan.Perturb,
-			Observer:  o,
-		})
+		cfg := plan.Async
+		cfg.Method, cfg.MaxCycles, cfg.Observer = plan.Method, plan.Cycles, o
+		res, err := async.Solve(ctx, e, b, cfg)
 		if err != nil {
 			return out, err
 		}

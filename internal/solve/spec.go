@@ -4,8 +4,9 @@
 // here from a JSON body (Parse), a query string (FromQuery) or a command
 // line (Spec.Bind), checked and defaulted by one Validate, and dispatched
 // to the synchronous, Krylov, asynchronous or distributed solver by one
-// Run. The service, the cluster router and mgsolve all go through it, so
-// a knob has one name and one meaning on every entry point.
+// Run, on an engine from the one builder, Build. The service, the cluster
+// router, mgsolve and the paper harness all go through it, so a knob has
+// one name and one meaning on every entry point.
 package solve
 
 import (
@@ -23,8 +24,8 @@ import (
 	"asyncmg/internal/async"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
-	"asyncmg/internal/harness"
 	"asyncmg/internal/krylov"
+	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 )
 
@@ -91,29 +92,26 @@ const (
 // Plan is a validated Spec with every default filled in and every name
 // resolved to its enum.
 type Plan struct {
-	Problem  string // harness family, or "" for an uploaded matrix
+	Problem  string // problem family, or "" for an uploaded matrix
 	Size     int
 	Method   engine.Method
 	Smoother smoother.Config
 	Cycles   int
 	Mode     string // ModeSync, ModeAsync or ModeDist
-	Threads  int
 	RHS      []float64
 	Seed     int64
 	Timeout  time.Duration
 	ReturnX  bool
-	Damping  async.DampingPolicy
 	Solver   string // SolverCycle, SolverPCG or SolverFGMRES
 	Tol      float64
 	MaxIter  int
 	Restart  int
 
-	// Write, Res and Perturb tune the asynchronous runtime beyond what a
-	// Spec says. Validate leaves them at their zero values (lock-write,
-	// local-res, no perturbation); only mgsolve overrides them.
-	Write   async.WriteMode
-	Res     async.ResMode
-	Perturb async.Perturb
+	// Async configures mode async; Run sets its Method, MaxCycles and
+	// Observer. Validate sets Threads and Damping and leaves the rest
+	// zero (lock-write, local-res, Criterion 1); mgsolve's flags and the
+	// paper harness's rows (Sync, Criterion) set the others.
+	Async async.Config
 }
 
 // Parse decodes and validates a /solve JSON body. It must never panic on
@@ -244,8 +242,8 @@ func (v *boolValue) IsBoolFlag() bool { return true }
 func (s *Spec) Validate() (*Plan, error) {
 	p := &Plan{Problem: s.Problem, Size: s.Size, RHS: s.RHS, Seed: s.Seed, ReturnX: s.ReturnX}
 	if s.Problem != "" {
-		if !slices.Contains(harness.KnownProblems(), s.Problem) {
-			return nil, fmt.Errorf("unknown problem %q (want one of %v)", s.Problem, harness.KnownProblems())
+		if !slices.Contains(problem.Known(), s.Problem) {
+			return nil, fmt.Errorf("unknown problem %q (want one of %v)", s.Problem, problem.Known())
 		}
 		if s.Size < 2 || s.Size > MaxSize {
 			return nil, fmt.Errorf("size %d outside [2, %d]", s.Size, MaxSize)
@@ -264,7 +262,7 @@ func (s *Spec) Validate() (*Plan, error) {
 		return nil, fmt.Errorf("omega %v outside [0, 2]", omega)
 	}
 	if omega == 0 {
-		omega = harness.DefaultOmega(s.Problem)
+		omega = problem.DefaultOmega(s.Problem)
 	}
 	p.Smoother = smoother.Config{Kind: kind, Omega: omega, Blocks: 1}
 	if p.Cycles, err = count("cycles", s.Cycles, 30, MaxCycles); err != nil {
@@ -282,7 +280,7 @@ func (s *Spec) Validate() (*Plan, error) {
 	if p.Mode == ModeDist && !additive {
 		return nil, fmt.Errorf("dist mode supports multadd and afacx only")
 	}
-	if p.Threads, err = count("threads", s.Threads, 8, MaxThreads); err != nil {
+	if p.Async.Threads, err = count("threads", s.Threads, 8, MaxThreads); err != nil {
 		return nil, err
 	}
 	if len(p.RHS) > MaxRHSEntries {
@@ -301,7 +299,7 @@ func (s *Spec) Validate() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Damping = async.DampingPolicy{
+	p.Async.Damping = async.DampingPolicy{
 		Mode:         dampMode,
 		Omega:        s.DampOmega,
 		MinOmega:     s.DampMinOmega,
@@ -310,7 +308,7 @@ func (s *Spec) Validate() (*Plan, error) {
 	}
 	// Bounds (and NaN/Inf) are rejected even with damping off, so a bad
 	// damp_omega is always an error rather than a silently ignored knob.
-	if err := p.Damping.Validate(); err != nil {
+	if err := p.Async.Damping.Validate(); err != nil {
 		return nil, err
 	}
 	if dampMode != async.DampOff || s.DampRollback {

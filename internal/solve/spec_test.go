@@ -64,7 +64,7 @@ func TestFromQueryRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cycles != 30 || p.Method != engine.Mult || p.Problem != "" || p.Size != 0 || p.RHS != nil || p.Threads != 4 {
+	if p.Cycles != 30 || p.Method != engine.Mult || p.Problem != "" || p.Size != 0 || p.RHS != nil || p.Async.Threads != 4 {
 		t.Errorf("query resolved to %+v", p)
 	}
 	if p.Smoother.Omega != 0.9 {
