@@ -448,6 +448,28 @@ func TestBuildHierarchyMaxLevels(t *testing.T) {
 	}
 }
 
+// TestBuildSkipsOversizedCoarseLU: coarsening that stalls at level 0
+// leaves the whole matrix as the coarsest level. Above maxCoarseLU rows
+// the setup does not factor it (a dense LU of 12 000 rows is 1.15 GB);
+// Coarse stays nil and the solvers smooth there instead.
+func TestBuildSkipsOversizedCoarseLU(t *testing.T) {
+	const n = 12000
+	coo := sparse.NewCOO(n, n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, float64(1+i%5))
+	}
+	h, st, err := BuildWithStats(coo.ToCSR(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumLevels() != 1 || st.Levels != 1 {
+		t.Fatalf("diagonal matrix: %d levels, want 1 (coarsening stalls)", h.NumLevels())
+	}
+	if h.Coarse != nil {
+		t.Errorf("%d-row coarsest level was factored densely; want Coarse == nil above %d rows", n, maxCoarseLU)
+	}
+}
+
 func TestBuildRejectsNonSquare(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Add(0, 0, 1)

@@ -129,8 +129,9 @@ func (l *Level) Operator() op.Operator {
 type Hierarchy struct {
 	Levels []Level
 	// Coarse is the LU factorization of the coarsest operator, or nil if
-	// the coarsest matrix was singular (solvers then fall back to
-	// smoothing on the coarsest level, as AFACx does anyway).
+	// the coarsest matrix was singular or above maxCoarseLU rows (solvers
+	// then fall back to smoothing on the coarsest level, as AFACx does
+	// anyway).
 	Coarse *dense.LU
 	// Precision is the storage-precision policy requested for the
 	// solver's hierarchy view (Options.CoarsePrecision, recorded here so
@@ -188,6 +189,12 @@ type SetupStats struct {
 	// every run and at any worker count.
 	StagedPeak int
 }
+
+// maxCoarseLU is the largest coarsest level BuildWithStats factors: a
+// dense LU takes 8·n² bytes, 128 MiB at 4 096 rows. A coarsest level
+// above it (coarsening stalled, or MaxLevels cut it short) keeps Coarse
+// nil, and the solvers smooth there instead.
+const maxCoarseLU = 4096
 
 // BuildWithStats runs the AMG setup phase on the fine-grid matrix a and
 // returns its per-stage breakdown, feeding the setup observability tables
@@ -269,11 +276,11 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	// Sparsify interior coarse operators (and run the convergence guard)
 	// before factoring, so the factored/viewed chain is the guarded one.
 	sparsifyHierarchy(h, opt.Sparsify, st)
-	// Factor the coarsest operator for exact solves.
+	// Factor the coarsest operator for exact solves, if it is small
+	// enough to hold densely.
 	t0 := time.Now()
-	lu, err := dense.Factor(h.Levels[len(h.Levels)-1].A)
-	if err == nil {
-		h.Coarse = lu
+	if last := h.Levels[len(h.Levels)-1].A; last.Rows <= maxCoarseLU {
+		h.Coarse, _ = dense.Factor(last) // nil if singular
 	}
 	st.Factor = time.Since(t0)
 	st.Total = time.Since(start)

@@ -2,8 +2,9 @@ package op
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
+	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
@@ -259,123 +260,225 @@ func GeomInterpCSR(n int) *sparse.CSR { return NewGeomInterp(n).CSR() }
 
 // ---- matrix-free Galerkin coarsening ----
 
-// rowEnumerator yields a row's (column, value) entries; the stencils
-// implement it so setup-time sparse products can consume them without a
-// materialized matrix.
-type rowEnumerator interface {
-	Rows() int
-	enumerateRow(r int, fn func(col int, val float64))
+// stencilEntry is one term of a constant-coefficient stencil: the grid
+// offset of the neighbour and its coefficient.
+type stencilEntry struct {
+	di, dj, dk int8
+	v          float64
 }
 
-func (s *Stencil7) enumerateRow(r int, fn func(col int, val float64)) {
-	n := s.n
-	nn := n * n
-	i, j, k := r/nn, (r%nn)/n, r%n
-	if i > 0 {
-		fn(r-nn, lap7Off)
+// The stencils' entry tables, in ascending-column order (lexicographic in
+// (di, dj, dk)), the order the CSR generators store a row in.
+var (
+	lap7Entries = []stencilEntry{
+		{-1, 0, 0, lap7Off}, {0, -1, 0, lap7Off}, {0, 0, -1, lap7Off},
+		{0, 0, 0, lap7Diag},
+		{0, 0, 1, lap7Off}, {0, 1, 0, lap7Off}, {1, 0, 0, lap7Off},
 	}
-	if j > 0 {
-		fn(r-n, lap7Off)
+	lap27Entries = []stencilEntry{
+		{-1, -1, -1, lap27Off}, {-1, -1, 0, lap27Off}, {-1, -1, 1, lap27Off},
+		{-1, 0, -1, lap27Off}, {-1, 0, 0, lap27Off}, {-1, 0, 1, lap27Off},
+		{-1, 1, -1, lap27Off}, {-1, 1, 0, lap27Off}, {-1, 1, 1, lap27Off},
+		{0, -1, -1, lap27Off}, {0, -1, 0, lap27Off}, {0, -1, 1, lap27Off},
+		{0, 0, -1, lap27Off}, {0, 0, 0, lap27Diag}, {0, 0, 1, lap27Off},
+		{0, 1, -1, lap27Off}, {0, 1, 0, lap27Off}, {0, 1, 1, lap27Off},
+		{1, -1, -1, lap27Off}, {1, -1, 0, lap27Off}, {1, -1, 1, lap27Off},
+		{1, 0, -1, lap27Off}, {1, 0, 0, lap27Off}, {1, 0, 1, lap27Off},
+		{1, 1, -1, lap27Off}, {1, 1, 0, lap27Off}, {1, 1, 1, lap27Off},
 	}
-	if k > 0 {
-		fn(r-1, lap7Off)
-	}
-	fn(r, lap7Diag)
-	if k < n-1 {
-		fn(r+1, lap7Off)
-	}
-	if j < n-1 {
-		fn(r+n, lap7Off)
-	}
-	if i < n-1 {
-		fn(r+nn, lap7Off)
-	}
+)
+
+// geomTap is geomDim's result for one fine index: the cnt coarse indices
+// it interpolates from and their common 1-D weight.
+type geomTap struct {
+	c   [2]int
+	cnt int
+	w   float64
 }
 
-func (s *Stencil27) enumerateRow(r int, fn func(col int, val float64)) {
-	n := s.n
-	nn := n * n
-	i, j, k := r/nn, (r%nn)/n, r%n
-	for di := -1; di <= 1; di++ {
-		ii := i + di
-		if ii < 0 || ii >= n {
-			continue
-		}
-		for dj := -1; dj <= 1; dj++ {
-			jj := j + dj
-			if jj < 0 || jj >= n {
+// galerkinKernel forms rows of A₁ = P₀ᵀ·A·P₀ for a constant-coefficient
+// stencil A and the trilinear P₀, one coarse row I at a time:
+//
+//   - I's fine neighbours f (its Pᵀ row) are walked in ascending order
+//     with the weights ApplyTRange uses;
+//   - row f of A·P₀ is accumulated over A's row f (stencil entries in
+//     ascending-column order) times P₀'s rows (taps tabulated per
+//     dimension), then folded into row I as w_If·(A·P₀)_f.
+//
+// Every column either accumulator touches lies in the 3×3×3 coarse box
+// centred at I, so both are 27-slot arrays indexed by box position, and
+// a bitset of touched slots yields the columns in ascending order without
+// a sort. The floating-point operations and their order are those of
+// sparse.MatMul(P₀ᵀ, A·P₀) with A·P₀ from the same Gustavson row merge,
+// so the result is bitwise equal to it at any worker count.
+type galerkinKernel struct {
+	n, nc int
+	st    []stencilEntry
+	taps  []geomTap
+	a1    *sparse.CSR
+}
+
+func (k *galerkinKernel) Do(_, lo, hi int) {
+	n, nc := k.n, k.nc
+	ncnc := nc * nc
+	var ap, acc [27]float64
+	ci, cj, ck := lo/ncnc, (lo%ncnc)/nc, lo%nc
+	for row := lo; row < hi; row++ {
+		var rowSet uint32
+		for di := -1; di <= 1; di++ {
+			fi := 2*ci + 1 + di
+			if fi < 0 || fi >= n {
 				continue
 			}
-			base := (ii*n + jj) * n
-			for dk := -1; dk <= 1; dk++ {
-				kk := k + dk
-				if kk < 0 || kk >= n {
+			wi := 1.0
+			if di != 0 {
+				wi = 0.5
+			}
+			for dj := -1; dj <= 1; dj++ {
+				fj := 2*cj + 1 + dj
+				if fj < 0 || fj >= n {
 					continue
 				}
-				c := base + kk
-				if c == r {
-					fn(c, lap27Diag)
-				} else {
-					fn(c, lap27Off)
+				wj := 1.0
+				if dj != 0 {
+					wj = 0.5
 				}
+				wij := wi * wj
+				for dk := -1; dk <= 1; dk++ {
+					fk := 2*ck + 1 + dk
+					if fk < 0 || fk >= n {
+						continue
+					}
+					wk := 1.0
+					if dk != 0 {
+						wk = 0.5
+					}
+					apSet := k.apRow(&ap, fi, fj, fk, ci-1, cj-1, ck-1)
+					w := wij * wk
+					for set := apSet; set != 0; set &= set - 1 {
+						s := bits.TrailingZeros32(set)
+						if rowSet&(1<<s) == 0 {
+							rowSet |= 1 << s
+							acc[s] = 0
+						}
+						acc[s] += w * ap[s]
+					}
+				}
+			}
+		}
+		q, end := k.a1.RowPtr[row], k.a1.RowPtr[row+1]
+		if got := bits.OnesCount32(rowSet); got != end-q {
+			panic(fmt.Sprintf("op: Galerkin row %d has %d entries, want %d", row, got, end-q))
+		}
+		corner := ((ci-1)*nc+cj-1)*nc + ck - 1 // column of box slot 0
+		for set := rowSet; set != 0; set &= set - 1 {
+			s := bits.TrailingZeros32(set)
+			k.a1.ColIdx[q] = corner + (s/9*nc+s/3%3)*nc + s%3
+			k.a1.Vals[q] = acc[s]
+			q++
+		}
+		if ck++; ck == nc {
+			ck = 0
+			if cj++; cj == nc {
+				cj = 0
+				ci++
 			}
 		}
 	}
 }
 
-// mulEnumCSR computes the sparse product A·P where A is given by row
-// enumeration (a stencil) and P is CSR, using a generation-stamped
-// marker/accumulator pair per row. Setup-time only.
-func mulEnumCSR(a rowEnumerator, p *sparse.CSR) *sparse.CSR {
-	rows := a.Rows()
-	out := &sparse.CSR{Rows: rows, Cols: p.Cols, RowPtr: make([]int, rows+1)}
-	marker := make([]int, p.Cols)
-	acc := make([]float64, p.Cols)
-	for i := range marker {
-		marker[i] = -1
-	}
-	cols := make([]int, 0, 64)
-	for i := 0; i < rows; i++ {
-		cols = cols[:0]
-		a.enumerateRow(i, func(j int, v float64) {
-			for q := p.RowPtr[j]; q < p.RowPtr[j+1]; q++ {
-				c := p.ColIdx[q]
-				if marker[c] != i {
-					marker[c] = i
-					acc[c] = 0
-					cols = append(cols, c)
-				}
-				acc[c] += v * p.Vals[q]
-			}
-		})
-		sort.Ints(cols)
-		for _, c := range cols {
-			out.ColIdx = append(out.ColIdx, c)
-			out.Vals = append(out.Vals, acc[c])
+// apRow accumulates row f = (fi, fj, fk) of A·P₀ into ap, indexed by
+// position in the 3×3×3 coarse box whose first point is (ci0, cj0, ck0),
+// and returns the bitset of the slots it touched.
+func (k *galerkinKernel) apRow(ap *[27]float64, fi, fj, fk, ci0, cj0, ck0 int) uint32 {
+	n, taps := k.n, k.taps
+	var set uint32
+	for _, e := range k.st {
+		gi, gj, gk := fi+int(e.di), fj+int(e.dj), fk+int(e.dk)
+		if gi < 0 || gi >= n || gj < 0 || gj >= n || gk < 0 || gk >= n {
+			continue
 		}
-		out.RowPtr[i+1] = len(out.Vals)
+		ti, tj, tk := &taps[gi], &taps[gj], &taps[gk]
+		for a := 0; a < ti.cnt; a++ {
+			for b := 0; b < tj.cnt; b++ {
+				base := ((ti.c[a]-ci0)*3 + tj.c[b] - cj0) * 3
+				pij := ti.w * tj.w
+				for c := 0; c < tk.cnt; c++ {
+					s := base + tk.c[c] - ck0
+					if set&(1<<s) == 0 {
+						set |= 1 << s
+						ap[s] = 0
+					}
+					ap[s] += e.v * (pij * tk.w)
+				}
+			}
+		}
 	}
-	return out
+	return set
 }
 
 // geomCoarsen builds the first (geometric) coarsening of a structured
-// stencil operator: the trilinear interpolant P₀ and the Galerkin coarse
-// matrix A₁ = P₀ᵀ (A P₀) as materialized CSR, without ever materializing
-// the fine matrix. The algebraic AMG setup continues from A₁.
-func geomCoarsen(a rowEnumerator, n int) (Interp, *sparse.CSR, error) {
+// stencil operator on an n×n×n grid: the matrix-free trilinear
+// interpolant P₀ and the Galerkin coarse matrix A₁ = P₀ᵀ·A·P₀ as CSR,
+// formed row by row without materializing A, P₀, P₀ᵀ or A·P₀. The
+// algebraic AMG setup continues from A₁.
+//
+// Row I of A₁ covers exactly the 3×3×3 coarse box around I clipped to
+// the grid (each box point J is reached through the fine point between I
+// and J and the stencil's diagonal), so the row pointers are known in
+// closed form and ColIdx/Vals are allocated once at their exact size;
+// the kernel checks every row against them.
+func geomCoarsen(st []stencilEntry, n int) (Interp, *sparse.CSR, error) {
 	if n < 3 {
 		return nil, nil, fmt.Errorf("op: grid edge %d too small to coarsen geometrically (need n >= 3)", n)
 	}
 	g := NewGeomInterp(n)
-	p := g.CSR()
-	ap := mulEnumCSR(a, p)
-	a1 := sparse.MatMul(p.Transpose(), ap)
+	nc := g.nc
+	rows := g.CoarseRows()
+	span := func(c int) int {
+		s := 1
+		if c > 0 {
+			s++
+		}
+		if c < nc-1 {
+			s++
+		}
+		return s
+	}
+	a1 := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
+	row := 0
+	for ci := 0; ci < nc; ci++ {
+		for cj := 0; cj < nc; cj++ {
+			sij := span(ci) * span(cj)
+			for ck := 0; ck < nc; ck++ {
+				a1.RowPtr[row+1] = a1.RowPtr[row] + sij*span(ck)
+				row++
+			}
+		}
+	}
+	nnz := a1.RowPtr[rows]
+	a1.ColIdx = make([]int, nnz)
+	a1.Vals = make([]float64, nnz)
+
+	taps := make([]geomTap, n)
+	for f := range taps {
+		t := &taps[f]
+		c0, w, c1, _, cnt := geomDim(f, nc)
+		t.c, t.cnt, t.w = [2]int{c0, c1}, cnt, w
+	}
+	k := &galerkinKernel{n: n, nc: nc, st: st, taps: taps, a1: a1}
+	// Each A₁ entry gathers up to 27 fine rows of up to len(st)·8 products.
+	if par.Par(nnz * len(st) * 8) {
+		par.Default().Run(rows, k)
+	} else {
+		k.Do(0, 0, rows)
+	}
 	return g, a1, nil
 }
 
 // Coarsen implements Coarsenable: the 2h trilinear interpolant and the
 // Galerkin coarse matrix, matrix-free on the fine side.
-func (s *Stencil7) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(s, s.n) }
+func (s *Stencil7) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(lap7Entries, s.n) }
 
 // Coarsen implements Coarsenable.
-func (s *Stencil27) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(s, s.n) }
+func (s *Stencil27) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(lap27Entries, s.n) }

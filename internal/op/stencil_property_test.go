@@ -1,8 +1,10 @@
 package op
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"asyncmg/internal/grid"
@@ -202,34 +204,66 @@ func TestGeomInterpMatchesCSRBitwise(t *testing.T) {
 }
 
 // TestStencilCoarsenMatchesAlgebraicGalerkin pins the matrix-free
-// Galerkin product A1 = P0ᵀ(A·P0) against the same product computed from
-// the materialized fine matrix.
+// Galerkin product A1 = P0ᵀ(A·P0) bitwise against the same product
+// computed from the materialized fine matrix and interpolant, for even
+// and odd fine edges at worker counts 1, 2 and 8.
 func TestStencilCoarsenMatchesAlgebraicGalerkin(t *testing.T) {
-	const n = 8
-	for _, f := range stencilFixtures(t, n) {
-		itp, a1, err := f.st.(Coarsenable).Coarsen()
-		if err != nil {
-			t.Fatalf("%s: Coarsen: %v", f.name, err)
-		}
-		g := itp.(*GeomInterp)
-		p := g.CSR()
-		want := sparse.MatMul(p.Transpose(), sparse.MatMul(f.csr, p))
-		if a1.Rows != want.Rows || a1.NNZ() != want.NNZ() {
-			t.Fatalf("%s: coarse shape %dx%d nnz %d, want %dx%d nnz %d",
-				f.name, a1.Rows, a1.Cols, a1.NNZ(), want.Rows, want.Cols, want.NNZ())
-		}
-		for i := 0; i <= a1.Rows; i++ {
-			if a1.RowPtr[i] != want.RowPtr[i] {
-				t.Fatalf("%s: RowPtr[%d] = %d, want %d", f.name, i, a1.RowPtr[i], want.RowPtr[i])
+	for _, workers := range []int{1, 2, 8} {
+		withWorkers(t, workers)
+		for _, n := range []int{3, 4, 5, 8, 9, 16, 17} {
+			for _, f := range stencilFixtures(t, n) {
+				name := fmt.Sprintf("%s/n=%d/workers=%d", f.name, n, workers)
+				itp, a1, err := f.st.(Coarsenable).Coarsen()
+				if err != nil {
+					t.Fatalf("%s: Coarsen: %v", name, err)
+				}
+				p := itp.(*GeomInterp).CSR()
+				want := sparse.MatMul(p.Transpose(), sparse.MatMul(f.csr, p))
+				if a1.Rows != want.Rows || a1.Cols != want.Cols || a1.NNZ() != want.NNZ() {
+					t.Fatalf("%s: coarse shape %dx%d nnz %d, want %dx%d nnz %d",
+						name, a1.Rows, a1.Cols, a1.NNZ(), want.Rows, want.Cols, want.NNZ())
+				}
+				for i := 0; i <= a1.Rows; i++ {
+					if a1.RowPtr[i] != want.RowPtr[i] {
+						t.Fatalf("%s: RowPtr[%d] = %d, want %d", name, i, a1.RowPtr[i], want.RowPtr[i])
+					}
+				}
+				for q := range a1.Vals {
+					if a1.ColIdx[q] != want.ColIdx[q] {
+						t.Fatalf("%s: ColIdx[%d] = %d, want %d", name, q, a1.ColIdx[q], want.ColIdx[q])
+					}
+				}
+				assertBitwise(t, name+"/vals", a1.Vals, want.Vals)
 			}
 		}
-		for q := range a1.Vals {
-			if a1.ColIdx[q] != want.ColIdx[q] {
-				t.Fatalf("%s: ColIdx[%d] = %d, want %d", f.name, q, a1.ColIdx[q], want.ColIdx[q])
+	}
+}
+
+// TestStencilCoarsenAllocBound is the scaling guard on the geometric
+// first coarsening's setup bytes: one Coarsen allocates at most 3× the
+// coarse matrix it returns, so no fine-sized intermediate (P₀, P₀ᵀ,
+// A·P₀) is ever formed. A count of bytes, not a time.
+func TestStencilCoarsenAllocBound(t *testing.T) {
+	const n = 32
+	for _, workers := range []int{1, 2} {
+		withWorkers(t, workers)
+		for _, st := range []Coarsenable{NewStencil7(n), NewStencil27(n)} {
+			if _, _, err := st.Coarsen(); err != nil { // warm-up
+				t.Fatal(err)
 			}
-			if math.Abs(a1.Vals[q]-want.Vals[q]) > 1e-12*math.Abs(want.Vals[q])+1e-300 {
-				t.Fatalf("%s: Vals[%d] = %v, want %v", f.name, q, a1.Vals[q], want.Vals[q])
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, a1, err := st.Coarsen()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got := after.TotalAlloc - before.TotalAlloc
+			if limit := 3 * uint64(a1.Bytes()); got > limit {
+				t.Errorf("%T n=%d workers=%d: Coarsen allocated %d B, over 3 × A1.Bytes() = %d B",
+					st, n, workers, got, limit)
+			}
+			t.Logf("%T workers=%d: %d B allocated, %.2f × A1.Bytes()", st, workers, got, float64(got)/float64(a1.Bytes()))
 		}
 	}
 }
