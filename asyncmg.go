@@ -218,11 +218,12 @@ const (
 
 // Stencil7 is the matrix-free operator of the 7-point Laplacian on an
 // n×n×n grid: Laplacian7pt(n) without storing the matrix. Its kernels
-// are bitwise-identical to the CSR kernels on the same problem.
-type Stencil7 = op.Stencil7
+// are bitwise-identical to the CSR kernels on the same problem. It is the
+// one structured operator type, op.Stencil, as is Stencil27.
+type Stencil7 = op.Stencil
 
 // Stencil27 is the matrix-free 27-point Laplacian operator.
-type Stencil27 = op.Stencil27
+type Stencil27 = op.Stencil
 
 // NewStencil7 builds the matrix-free 7-point Laplacian on an n×n×n grid.
 func NewStencil7(n int) *Stencil7 { return op.NewStencil7(n) }
@@ -232,9 +233,9 @@ func NewStencil27(n int) *Stencil27 { return op.NewStencil27(n) }
 
 // NewSetupMatrixFree builds the hierarchy and all solver operators from
 // an arbitrary fine-level operator. A matrix-free stencil coarsens itself
-// geometrically (trilinear 2h interpolation plus a Galerkin product) and
-// the AMG setup continues algebraically from the first coarse matrix —
-// the fine-level matrix is never materialized. A CSR-backed operator
+// geometrically (trilinear 2h interpolation plus a Galerkin product, one
+// row per boundary class) and the AMG setup continues algebraically from
+// the first coarse matrix — the fine-level matrix is never materialized. A CSR-backed operator
 // takes the standard NewSetup path.
 func NewSetupMatrixFree(a Operator, amgOpt AMGOptions, smoCfg SmootherConfig) (*Setup, error) {
 	return engine.NewOperator(a, amgOpt, smoCfg)

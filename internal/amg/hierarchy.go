@@ -77,10 +77,14 @@ func DefaultOptions() Options {
 type Level struct {
 	// A is the operator on this level as float64 CSR (Galerkin product
 	// below the finest); nil on a matrix-free fine level, where Op holds
-	// the operator instead.
+	// the operator instead. Level 1 of a matrix-free hierarchy holds both:
+	// A materialized from the class stencil Op for the algebraic setup
+	// below it and for the engine's P̄₁, dropped by the engine's
+	// ReleaseFloat64Storage.
 	A *sparse.CSR
-	// Op is the operator view of a level without a materialized float64
-	// matrix (the matrix-free stencil fine level); nil when A is set.
+	// Op is the operator view of a level stored other than as float64 CSR
+	// (a stencil, or a float32 store after ReleaseFloat64Storage); when
+	// set, it is the level's operator.
 	Op op.Operator
 	// P prolongates from the next coarser level to this one; nil on the
 	// coarsest level and on levels whose interpolant is matrix-free (Itp).
@@ -299,29 +303,30 @@ func (h *Hierarchy) GridSizes() []int {
 
 // BuildOperatorWithStats is the operator-generic setup entry. A fine
 // operator backed by float64 CSR takes the standard algebraic path
-// (BuildWithStats on the matrix). A matrix-free operator must implement
-// op.Coarsenable: its own geometric first coarsening produces the level-1
-// Galerkin matrix A₁ = P₀ᵀ A P₀ as CSR — the fine matrix is never
-// materialized — and the algebraic setup continues from A₁. The returned
-// hierarchy has the matrix-free operator as level 0 (Op/Itp views) and
-// the algebraic hierarchy of A₁ below it.
+// (BuildWithStats on the matrix). A matrix-free stencil coarsens itself
+// geometrically (op.Stencil.Coarsen): level 1 is the Galerkin coarse
+// stencil A₁ = P₀ᵀ A P₀, materialized once as CSR for the algebraic setup
+// below it, and the fine matrix is never formed. The returned hierarchy
+// has the stencil as level 0 (Op/Itp views), A₁ as level 1 (Op and A) and
+// the algebraic hierarchy of A₁ below.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)
 	}
-	c, ok := a.(op.Coarsenable)
+	fine, ok := a.(*op.Stencil)
 	if !ok {
-		return nil, nil, fmt.Errorf("amg: operator %T is neither CSR-backed nor Coarsenable", a)
+		return nil, nil, fmt.Errorf("amg: operator %T is neither CSR-backed nor a stencil", a)
 	}
 	if opt.MaxLevels < 2 {
 		return nil, nil, fmt.Errorf("amg: matrix-free setup needs MaxLevels >= 2, got %d", opt.MaxLevels)
 	}
 	start := time.Now()
 	t0 := time.Now()
-	itp, a1, err := c.Coarsen()
+	itp, coarse, err := fine.Coarsen()
 	if err != nil {
 		return nil, nil, fmt.Errorf("amg: geometric coarsening: %w", err)
 	}
+	a1 := coarse.CSR()
 	rap := time.Since(t0)
 	sub := opt
 	sub.MaxLevels = opt.MaxLevels - 1
@@ -335,6 +340,7 @@ func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats
 	if err != nil {
 		return nil, nil, err
 	}
+	h.Levels[0].Op = coarse
 	h.Levels = append([]Level{{Op: a, Itp: itp}}, h.Levels...)
 	st.RAP += rap
 	st.Total = time.Since(start)

@@ -171,6 +171,8 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 		if f32 && k >= 1 {
 			if m := op.AsCSR(a); m != nil {
 				a = op.NewCSR32(m)
+			} else if st, ok := a.(*op.Stencil); ok {
+				a = st.RoundFloat32()
 			}
 		}
 		s.Ops[k] = a
@@ -282,16 +284,15 @@ func (s *Engine) HierarchyBytes() int {
 }
 
 // ReleaseFloat64Storage rewires the hierarchy levels onto the engine's
-// compressed (float32) operator and interpolant views and drops the
-// setup-built float64 matrices they replaced, making that storage
-// collectable. Call only when the engine exclusively owns its hierarchy
-// (the facade's one-shot setup does; a hierarchy shared across engines
-// must keep its float64 levels). No-op on float64-precision engines. The
-// fine level and the coarse LU factorization are always retained.
+// stencil and float32 views and drops the setup-built float64 matrices
+// they replaced, making that storage collectable: the materialized A₁
+// beside a stencil level 1 (only the setup and P̄₁ read it) and, on a
+// float32 hierarchy, every float64 operator and interpolant. Call only
+// when the engine exclusively owns its hierarchy (the facade's one-shot
+// setup does; a hierarchy shared across engines must keep its float64
+// levels). The fine level and the coarse LU factorization are always
+// retained.
 func (s *Engine) ReleaseFloat64Storage() {
-	if s.H.Precision != op.CoarseFloat32 {
-		return
-	}
 	for k := range s.H.Levels {
 		lev := &s.H.Levels[k]
 		if k < len(s.Itp) {
@@ -300,7 +301,8 @@ func (s *Engine) ReleaseFloat64Storage() {
 				lev.Itp = s.Itp[k]
 			}
 		}
-		if _, ok := s.Ops[k].(*op.CSR[float32, int32]); ok {
+		switch s.Ops[k].(type) {
+		case *op.CSR[float32, int32], *op.Stencil:
 			lev.A = nil
 			lev.Op = s.Ops[k]
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
@@ -260,34 +259,6 @@ func GeomInterpCSR(n int) *sparse.CSR { return NewGeomInterp(n).CSR() }
 
 // ---- matrix-free Galerkin coarsening ----
 
-// stencilEntry is one term of a constant-coefficient stencil: the grid
-// offset of the neighbour and its coefficient.
-type stencilEntry struct {
-	di, dj, dk int8
-	v          float64
-}
-
-// The stencils' entry tables, in ascending-column order (lexicographic in
-// (di, dj, dk)), the order the CSR generators store a row in.
-var (
-	lap7Entries = []stencilEntry{
-		{-1, 0, 0, lap7Off}, {0, -1, 0, lap7Off}, {0, 0, -1, lap7Off},
-		{0, 0, 0, lap7Diag},
-		{0, 0, 1, lap7Off}, {0, 1, 0, lap7Off}, {1, 0, 0, lap7Off},
-	}
-	lap27Entries = []stencilEntry{
-		{-1, -1, -1, lap27Off}, {-1, -1, 0, lap27Off}, {-1, -1, 1, lap27Off},
-		{-1, 0, -1, lap27Off}, {-1, 0, 0, lap27Off}, {-1, 0, 1, lap27Off},
-		{-1, 1, -1, lap27Off}, {-1, 1, 0, lap27Off}, {-1, 1, 1, lap27Off},
-		{0, -1, -1, lap27Off}, {0, -1, 0, lap27Off}, {0, -1, 1, lap27Off},
-		{0, 0, -1, lap27Off}, {0, 0, 0, lap27Diag}, {0, 0, 1, lap27Off},
-		{0, 1, -1, lap27Off}, {0, 1, 0, lap27Off}, {0, 1, 1, lap27Off},
-		{1, -1, -1, lap27Off}, {1, -1, 0, lap27Off}, {1, -1, 1, lap27Off},
-		{1, 0, -1, lap27Off}, {1, 0, 0, lap27Off}, {1, 0, 1, lap27Off},
-		{1, 1, -1, lap27Off}, {1, 1, 0, lap27Off}, {1, 1, 1, lap27Off},
-	}
-)
-
 // geomTap is geomDim's result for one fine index: the cnt coarse indices
 // it interpolates from and their common 1-D weight.
 type geomTap struct {
@@ -296,12 +267,34 @@ type geomTap struct {
 	w   float64
 }
 
-// galerkinKernel forms rows of A₁ = P₀ᵀ·A·P₀ for a constant-coefficient
-// stencil A and the trilinear P₀, one coarse row I at a time:
+// Coarsen builds the first geometric coarsening of the operator: the
+// trilinear interpolant P₀ onto the 2h grid and the Galerkin coarse level
+// A₁ = P₀ᵀ·A·P₀ as a Stencil. A coarse row's products depend only on which
+// of its coordinates touch the grid boundary, so A₁ has the same 27
+// classes and the Galerkin row body runs once per class, on the class's
+// representative row: O(27) rows whatever n. The algebraic AMG setup
+// continues from A₁ materialized (CSR).
+func (s *Stencil) Coarsen() (*GeomInterp, *Stencil, error) {
+	if s.n < 3 {
+		return nil, nil, fmt.Errorf("op: grid edge %d too small to coarsen geometrically (need n >= 3)", s.n)
+	}
+	g := NewGeomInterp(s.n)
+	taps := make([]geomTap, s.n)
+	for f := range taps {
+		t := &taps[f]
+		c0, w, c1, _, cnt := geomDim(f, g.nc)
+		t.c, t.cnt, t.w = [2]int{c0, c1}, cnt, w
+	}
+	k := &galerkin{fine: s, taps: taps}
+	return g, newStencil(g.nc, k.row), nil
+}
+
+// galerkin forms rows of A₁ = P₀ᵀ·A·P₀ for the fine stencil A and the
+// trilinear P₀, one coarse row I at a time:
 //
 //   - I's fine neighbours f (its Pᵀ row) are walked in ascending order
 //     with the weights ApplyTRange uses;
-//   - row f of A·P₀ is accumulated over A's row f (stencil entries in
+//   - row f of A·P₀ is accumulated over f's class row (entries in
 //     ascending-column order) times P₀'s rows (taps tabulated per
 //     dimension), then folded into row I as w_If·(A·P₀)_f.
 //
@@ -310,95 +303,75 @@ type geomTap struct {
 // a bitset of touched slots yields the columns in ascending order without
 // a sort. The floating-point operations and their order are those of
 // sparse.MatMul(P₀ᵀ, A·P₀) with A·P₀ from the same Gustavson row merge,
-// so the result is bitwise equal to it at any worker count.
-type galerkinKernel struct {
-	n, nc int
-	st    []stencilEntry
-	taps  []geomTap
-	a1    *sparse.CSR
+// so each row is bitwise equal to that product's.
+type galerkin struct {
+	fine *Stencil
+	taps []geomTap
 }
 
-func (k *galerkinKernel) Do(_, lo, hi int) {
-	n, nc := k.n, k.nc
-	ncnc := nc * nc
+// row appends coarse row p = (ci, cj, ck) of A₁ to dst.
+func (k *galerkin) row(p [3]int, dst []stencilEntry) []stencilEntry {
+	n := k.fine.n
+	ci, cj, ck := p[0], p[1], p[2]
 	var ap, acc [27]float64
-	ci, cj, ck := lo/ncnc, (lo%ncnc)/nc, lo%nc
-	for row := lo; row < hi; row++ {
-		var rowSet uint32
-		for di := -1; di <= 1; di++ {
-			fi := 2*ci + 1 + di
-			if fi < 0 || fi >= n {
+	var rowSet uint32
+	for di := -1; di <= 1; di++ {
+		fi := 2*ci + 1 + di
+		if fi < 0 || fi >= n {
+			continue
+		}
+		wi := 1.0
+		if di != 0 {
+			wi = 0.5
+		}
+		for dj := -1; dj <= 1; dj++ {
+			fj := 2*cj + 1 + dj
+			if fj < 0 || fj >= n {
 				continue
 			}
-			wi := 1.0
-			if di != 0 {
-				wi = 0.5
+			wj := 1.0
+			if dj != 0 {
+				wj = 0.5
 			}
-			for dj := -1; dj <= 1; dj++ {
-				fj := 2*cj + 1 + dj
-				if fj < 0 || fj >= n {
+			wij := wi * wj
+			for dk := -1; dk <= 1; dk++ {
+				fk := 2*ck + 1 + dk
+				if fk < 0 || fk >= n {
 					continue
 				}
-				wj := 1.0
-				if dj != 0 {
-					wj = 0.5
+				wk := 1.0
+				if dk != 0 {
+					wk = 0.5
 				}
-				wij := wi * wj
-				for dk := -1; dk <= 1; dk++ {
-					fk := 2*ck + 1 + dk
-					if fk < 0 || fk >= n {
-						continue
+				apSet := k.apRow(&ap, fi, fj, fk, ci-1, cj-1, ck-1)
+				w := wij * wk
+				for set := apSet; set != 0; set &= set - 1 {
+					s := bits.TrailingZeros32(set)
+					if rowSet&(1<<s) == 0 {
+						rowSet |= 1 << s
+						acc[s] = 0
 					}
-					wk := 1.0
-					if dk != 0 {
-						wk = 0.5
-					}
-					apSet := k.apRow(&ap, fi, fj, fk, ci-1, cj-1, ck-1)
-					w := wij * wk
-					for set := apSet; set != 0; set &= set - 1 {
-						s := bits.TrailingZeros32(set)
-						if rowSet&(1<<s) == 0 {
-							rowSet |= 1 << s
-							acc[s] = 0
-						}
-						acc[s] += w * ap[s]
-					}
+					acc[s] += w * ap[s]
 				}
-			}
-		}
-		q, end := k.a1.RowPtr[row], k.a1.RowPtr[row+1]
-		if got := bits.OnesCount32(rowSet); got != end-q {
-			panic(fmt.Sprintf("op: Galerkin row %d has %d entries, want %d", row, got, end-q))
-		}
-		corner := ((ci-1)*nc+cj-1)*nc + ck - 1 // column of box slot 0
-		for set := rowSet; set != 0; set &= set - 1 {
-			s := bits.TrailingZeros32(set)
-			k.a1.ColIdx[q] = corner + (s/9*nc+s/3%3)*nc + s%3
-			k.a1.Vals[q] = acc[s]
-			q++
-		}
-		if ck++; ck == nc {
-			ck = 0
-			if cj++; cj == nc {
-				cj = 0
-				ci++
 			}
 		}
 	}
+	for set := rowSet; set != 0; set &= set - 1 {
+		s := bits.TrailingZeros32(set)
+		dst = append(dst, stencilEntry{d: [3]int8{int8(s/9 - 1), int8(s/3%3 - 1), int8(s%3 - 1)}, v: acc[s]})
+	}
+	return dst
 }
 
 // apRow accumulates row f = (fi, fj, fk) of A·P₀ into ap, indexed by
 // position in the 3×3×3 coarse box whose first point is (ci0, cj0, ck0),
-// and returns the bitset of the slots it touched.
-func (k *galerkinKernel) apRow(ap *[27]float64, fi, fj, fk, ci0, cj0, ck0 int) uint32 {
-	n, taps := k.n, k.taps
+// and returns the bitset of the slots it touched. f's class row holds
+// exactly the in-grid neighbours, so no entry is bounds-checked.
+func (k *galerkin) apRow(ap *[27]float64, fi, fj, fk, ci0, cj0, ck0 int) uint32 {
+	f, taps := k.fine, k.taps
 	var set uint32
-	for _, e := range k.st {
-		gi, gj, gk := fi+int(e.di), fj+int(e.dj), fk+int(e.dk)
-		if gi < 0 || gi >= n || gj < 0 || gj >= n || gk < 0 || gk >= n {
-			continue
-		}
-		ti, tj, tk := &taps[gi], &taps[gj], &taps[gk]
+	for _, e := range f.classes[f.classOf(fi, fj, fk)] {
+		ti, tj, tk := &taps[fi+int(e.d[0])], &taps[fj+int(e.d[1])], &taps[fk+int(e.d[2])]
 		for a := 0; a < ti.cnt; a++ {
 			for b := 0; b < tj.cnt; b++ {
 				base := ((ti.c[a]-ci0)*3 + tj.c[b] - cj0) * 3
@@ -416,69 +389,3 @@ func (k *galerkinKernel) apRow(ap *[27]float64, fi, fj, fk, ci0, cj0, ck0 int) u
 	}
 	return set
 }
-
-// geomCoarsen builds the first (geometric) coarsening of a structured
-// stencil operator on an n×n×n grid: the matrix-free trilinear
-// interpolant P₀ and the Galerkin coarse matrix A₁ = P₀ᵀ·A·P₀ as CSR,
-// formed row by row without materializing A, P₀, P₀ᵀ or A·P₀. The
-// algebraic AMG setup continues from A₁.
-//
-// Row I of A₁ covers exactly the 3×3×3 coarse box around I clipped to
-// the grid (each box point J is reached through the fine point between I
-// and J and the stencil's diagonal), so the row pointers are known in
-// closed form and ColIdx/Vals are allocated once at their exact size;
-// the kernel checks every row against them.
-func geomCoarsen(st []stencilEntry, n int) (Interp, *sparse.CSR, error) {
-	if n < 3 {
-		return nil, nil, fmt.Errorf("op: grid edge %d too small to coarsen geometrically (need n >= 3)", n)
-	}
-	g := NewGeomInterp(n)
-	nc := g.nc
-	rows := g.CoarseRows()
-	span := func(c int) int {
-		s := 1
-		if c > 0 {
-			s++
-		}
-		if c < nc-1 {
-			s++
-		}
-		return s
-	}
-	a1 := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
-	row := 0
-	for ci := 0; ci < nc; ci++ {
-		for cj := 0; cj < nc; cj++ {
-			sij := span(ci) * span(cj)
-			for ck := 0; ck < nc; ck++ {
-				a1.RowPtr[row+1] = a1.RowPtr[row] + sij*span(ck)
-				row++
-			}
-		}
-	}
-	nnz := a1.RowPtr[rows]
-	a1.ColIdx = make([]int, nnz)
-	a1.Vals = make([]float64, nnz)
-
-	taps := make([]geomTap, n)
-	for f := range taps {
-		t := &taps[f]
-		c0, w, c1, _, cnt := geomDim(f, nc)
-		t.c, t.cnt, t.w = [2]int{c0, c1}, cnt, w
-	}
-	k := &galerkinKernel{n: n, nc: nc, st: st, taps: taps, a1: a1}
-	// Each A₁ entry gathers up to 27 fine rows of up to len(st)·8 products.
-	if par.Par(nnz * len(st) * 8) {
-		par.Default().Run(rows, k)
-	} else {
-		k.Do(0, 0, rows)
-	}
-	return g, a1, nil
-}
-
-// Coarsen implements Coarsenable: the 2h trilinear interpolant and the
-// Galerkin coarse matrix, matrix-free on the fine side.
-func (s *Stencil7) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(lap7Entries, s.n) }
-
-// Coarsen implements Coarsenable.
-func (s *Stencil27) Coarsen() (Interp, *sparse.CSR, error) { return geomCoarsen(lap27Entries, s.n) }

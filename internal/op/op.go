@@ -14,11 +14,13 @@
 //     float64 accumulation) — the mixed-precision storage for coarse-level
 //     and interpolant matrices (AMGCL's design: hierarchy storage drops
 //     ~50% with no convergence cost at multigrid tolerances).
-//   - Stencil7/Stencil27 are matrix-free operators for the structured
-//     7-point/27-point Laplacians of package grid: the fine level of a
-//     structured solve never materializes a CSR matrix. Their kernels are
-//     constructed to be bitwise-identical to the CSR kernels on the same
-//     problem and shard over the par worker pool.
+//   - Stencil is the one matrix-free structured operator: a class table
+//     of 27 rows (offset, value) on an n³ grid. NewStencil7/NewStencil27
+//     build the 7-point/27-point Laplacians of package grid, so the fine
+//     level of a structured solve never materializes a CSR matrix, and
+//     Stencil.Coarsen builds the Galerkin level 1 as a Stencil too. Its
+//     kernels are bitwise-identical to the CSR kernels on the
+//     materialized matrix and shard over the par worker pool.
 //   - GeomInterp is the matrix-free trilinear interpolant between a fine
 //     n³ grid and its 2h coarsening — prolongation and restriction without
 //     storing P or Pᵀ.
@@ -161,17 +163,6 @@ type BlockApplier interface {
 type BlockInterp interface {
 	ApplyAddBlock(fine, coarse []float64, k int)
 	ApplyTBlock(coarse, fine []float64, k int)
-}
-
-// Coarsenable is an Operator that can produce its own first coarsening:
-// the interpolant to a coarser space plus the Galerkin coarse matrix
-// Pᵀ·A·P as a materialized CSR, without ever materializing A itself. The
-// structured stencil operators implement it with the trilinear 2h
-// interpolant; the AMG setup builds the rest of the hierarchy
-// algebraically from the returned coarse matrix.
-type Coarsenable interface {
-	Operator
-	Coarsen() (itp Interp, coarse *sparse.CSR, err error)
 }
 
 // ---- fused engine-facing helpers ----

@@ -17,9 +17,14 @@ import "sync"
 // Note the composition is mathematically identical to the materialized
 // P̄ but not bitwise: the materialized path sums P̄'s pre-multiplied
 // entries, the composed path applies the two factors in sequence. The
-// default engine configuration therefore still materializes (golden
-// histories stay pinned); composed mode is chosen for matrix-free and
-// reduced-precision hierarchies, which pin their own goldens.
+// engine composes only over a matrix-free base interpolant (the geometric
+// P₀ of a stencil fine level); every stored interpolant, float32 ones
+// included, gets a materialized P̄. Composing P̄₁ over the level-1 class
+// stencil as well was measured on lib-pcg-mf (2 vCPU Intel Xeon,
+// go1.24): hier_mb 14.69 → 7.63 MB,
+// but each apply adds a full level-1 operator pass and solve_s rose
+// 0.328 → 0.335 s, worse in 4 of 5 pairs (EXPERIMENTS.md, "Composed P̄₁
+// over the class stencil").
 type SmoothedInterp struct {
 	A     Operator
 	P     Interp
@@ -94,9 +99,7 @@ func (si *SmoothedInterp) ApplyT(coarse, fine []float64) {
 // into its own scratch and then runs the fused scaled residual on the
 // requested rows only — correct (and deterministic) from concurrent
 // goroutine-team members, at the cost of recomputing the base
-// prolongation per caller. The engine's Correction chain uses the staged
-// Stage*/Gather* methods instead, which amortize that work across the
-// team.
+// prolongation per caller.
 func (si *SmoothedInterp) ApplyRange(fine, coarse []float64, lo, hi int) {
 	t := si.getScratch()
 	si.P.Apply(*t, coarse)
@@ -126,37 +129,4 @@ func (si *SmoothedInterp) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	}
 	si.P.ApplyTRange(coarse, *t, lo, hi)
 	si.putScratch(t)
-}
-
-// CanStage reports whether the operator supports the staged range
-// kernels below (the goroutine-team Correction path).
-func (si *SmoothedInterp) CanStage() bool {
-	_, ok := si.A.(SmoothedApplier)
-	return ok
-}
-
-// StageSmoothedResidualRange computes w[lo:hi] = (fine − A (scale∘fine))[lo:hi]
-// — the first stage of a team restriction. All fine rows must be staged
-// (across the team) before any GatherTRange call.
-func (si *SmoothedInterp) StageSmoothedResidualRange(w, fine []float64, lo, hi int) {
-	si.A.(SmoothedApplier).SmoothedResidualRange(w, si.Scale, fine, lo, hi)
-}
-
-// GatherTRange computes coarse[lo:hi] = (Pᵀ w)[lo:hi] — the second stage
-// of a team restriction, consuming the fully staged w.
-func (si *SmoothedInterp) GatherTRange(coarse, w []float64, lo, hi int) {
-	si.P.ApplyTRange(coarse, w, lo, hi)
-}
-
-// StageProlongRange computes t[lo:hi] = (P coarse)[lo:hi] — the first
-// stage of a team prolongation. All fine rows must be staged before any
-// SmoothRange call.
-func (si *SmoothedInterp) StageProlongRange(t, coarse []float64, lo, hi int) {
-	si.P.ApplyRange(t, coarse, lo, hi)
-}
-
-// SmoothRange computes fine[lo:hi] = (t − scale∘(A t))[lo:hi] — the
-// second stage of a team prolongation, consuming the fully staged t.
-func (si *SmoothedInterp) SmoothRange(fine, t []float64, lo, hi int) {
-	si.A.(SmoothedApplier).ScaledResidualRange(fine, si.Scale, t, lo, hi)
 }

@@ -2,771 +2,476 @@ package op
 
 import (
 	"fmt"
+	"math"
 
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
 
-// Stencil7 is the matrix-free 7-point 3-D Laplacian on an n×n×n grid of
-// interior points (diagonal 6, off-diagonals −1 toward the six axis
-// neighbours, Dirichlet boundaries eliminated) — exactly the operator
-// grid.Laplacian7pt materializes, without the matrix. Row r maps to grid
-// point (i,j,k) via r = (i·n+j)·n+k.
+// Stencil is a matrix-free constant-coefficient operator on an n×n×n grid
+// whose rows reach at most one point along each axis. Row r is grid point
+// (i, j, k), r = (i·n+j)·n+k.
 //
-// Every kernel visits a row's stencil entries in the same ascending-column
-// order as the CSR generator ((i−1),(j−1),(k−1),diag,(k+1),(j+1),(i+1))
-// and uses the same expression shapes as the CSR kernels (`s += v·x[c]`,
-// `s -= v·x[c]`, `s -= v·(d[c]·r[c])`), so results are bitwise-identical
-// to the CSR path at any worker count.
-type Stencil7 struct {
-	n int
+// It is stored as a class table. Along each axis a coordinate is lo (0),
+// in (1 … n−2) or hi (n−1); with n = 1 the one coordinate is lo and is
+// clipped on both sides. All rows of one class (c_i, c_j, c_k) ∈
+// {lo, in, hi}³ hold the same entries, so the operator stores 27 class rows
+// of (offset, value) entries in ascending-column order and nothing that
+// grows with n.
+//
+// NewStencil7 and NewStencil27 clip the Laplacians of package grid per
+// class, and Coarsen returns the Galerkin coarse level as a Stencil. Every
+// kernel visits a row's entries in the order of the CSR row and uses the
+// CSR row kernels' expression shapes (`s += v·x[c]`, `s -= v·x[c]`,
+// `s -= v·(d[c]·r[c])`), so it is bitwise-identical to the sparse kernel
+// on the materialized matrix (CSR) at any worker count. The interior class
+// takes an unrolled path, its coefficients held in locals, when it is the
+// 7-point axis pattern or the full 3×3×3 box.
+type Stencil struct {
+	n       int
+	classes [27][]stencilEntry
+	nnz     int // nonzeros of the materialized matrix
+	entries int // entries over all class rows
+	// fast is 7 or 27 when the interior class is the 7-point axis pattern
+	// or the full 3×3×3 box, whose coefficients coef holds; 0 otherwise.
+	fast int
+	coef [27]float64
 }
 
-// NewStencil7 returns the matrix-free 7-point Laplacian on an n×n×n grid.
-func NewStencil7(n int) *Stencil7 {
+// stencilEntry is one coefficient of a class row: the neighbour's grid
+// offset d = (di, dj, dk), the row offset it makes on this grid (an int32
+// up to n = 46 340, a grid of 10¹⁴ rows) and the value.
+type stencilEntry struct {
+	off int32
+	d   [3]int8
+	v   float64
+}
+
+// entryBytes is the size of one stencilEntry.
+const entryBytes = 16
+
+// interior is the class index of (in, in, in).
+const interior = 13
+
+// axis7 is the 7-point pattern in ascending-column order.
+var axis7 = [7][3]int8{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 0}, {0, 0, 1}, {0, 1, 0}, {1, 0, 0}}
+
+// NewStencil7 returns the 7-point Laplacian on an n×n×n grid (diagonal 6,
+// −1 toward each of the up-to-six axis neighbours, Dirichlet boundaries
+// eliminated): the operator grid.Laplacian7pt materializes.
+func NewStencil7(n int) *Stencil {
+	return laplacian(n, 6, func(di, dj, dk int) bool { return di*di+dj*dj+dk*dk <= 1 })
+}
+
+// NewStencil27 returns the 27-point Laplacian on an n×n×n grid (diagonal
+// 26, −1 toward each of the up-to-26 neighbours in the 3×3×3 box): the
+// operator grid.Laplacian27pt materializes.
+func NewStencil27(n int) *Stencil {
+	return laplacian(n, 26, func(_, _, _ int) bool { return true })
+}
+
+// laplacian builds the Laplacian whose row holds the box neighbours keep
+// admits, clipped to the grid: −1 off the diagonal, diag on it.
+func laplacian(n int, diag float64, keep func(di, dj, dk int) bool) *Stencil {
 	if n < 1 {
-		panic(fmt.Sprintf("op: Stencil7 needs n >= 1, got %d", n))
+		panic(fmt.Sprintf("op: stencil needs n >= 1, got %d", n))
 	}
-	return &Stencil7{n: n}
+	in := func(c int) bool { return c >= 0 && c < n }
+	return newStencil(n, func(p [3]int, row []stencilEntry) []stencilEntry {
+		for di := -1; di <= 1; di++ {
+			for dj := -1; dj <= 1; dj++ {
+				for dk := -1; dk <= 1; dk++ {
+					if !keep(di, dj, dk) || !in(p[0]+di) || !in(p[1]+dj) || !in(p[2]+dk) {
+						continue
+					}
+					v := -1.0
+					if di == 0 && dj == 0 && dk == 0 {
+						v = diag
+					}
+					row = append(row, stencilEntry{d: [3]int8{int8(di), int8(dj), int8(dk)}, v: v})
+				}
+			}
+		}
+		return row
+	})
+}
+
+// newStencil builds the class table of an n×n×n operator from its row
+// function, evaluated once per class on the class's representative grid
+// point (lo → 0, in → 1, hi → n−1). A class without rows (in when n < 3,
+// hi when n = 1) stays empty.
+func newStencil(n int, row func(p [3]int, dst []stencilEntry) []stencilEntry) *Stencil {
+	s := &Stencil{n: n}
+	rep := [3]int{0, 1, n - 1}
+	count := [3]int{1, max(n-2, 0), min(n-1, 1)}
+	for c := range s.classes {
+		ci, cj, ck := c/9, c/3%3, c%3
+		rows := count[ci] * count[cj] * count[ck]
+		if rows == 0 {
+			continue
+		}
+		es := row([3]int{rep[ci], rep[cj], rep[ck]}, nil)
+		for q := range es {
+			d := &es[q].d
+			es[q].off = int32((int(d[0])*n+int(d[1]))*n + int(d[2]))
+		}
+		s.classes[c] = es
+		s.nnz += rows * len(es)
+		s.entries += len(es)
+	}
+	in := s.classes[interior]
+	switch len(in) {
+	case 7:
+		s.fast = 7
+		for q, e := range in {
+			if e.d != axis7[q] {
+				s.fast = 0
+			}
+		}
+	case 27:
+		s.fast = 27 // 27 distinct box offsets in ascending order: the box
+	}
+	for q, e := range in {
+		s.coef[q] = e.v
+	}
+	return s
+}
+
+// class1 is the class of coordinate c along one axis: 0 (lo), 1 (in) or
+// 2 (hi).
+func (s *Stencil) class1(c int) int {
+	switch {
+	case c == 0:
+		return 0
+	case c == s.n-1:
+		return 2
+	}
+	return 1
+}
+
+// classOf is the class index of grid point (i, j, k).
+func (s *Stencil) classOf(i, j, k int) int { return 9*s.class1(i) + 3*s.class1(j) + s.class1(k) }
+
+// classRuns walks rows [lo, hi) as runs of consecutive rows in one class:
+// along each grid line (i, j fixed) the row at k = 0, the rows 1 … n−2 and
+// the row at k = n−1.
+type classRuns struct {
+	s           *Stencil
+	lo, hi, end int
+	es          []stencilEntry // the current run's class row
+	fast        bool           // the run is interior rows with a fast path
+}
+
+func (s *Stencil) runs(lo, hi int) classRuns { return classRuns{s: s, hi: lo, end: hi} }
+
+func (r *classRuns) next() bool {
+	if r.hi >= r.end {
+		return false
+	}
+	s, n := r.s, r.s.n
+	r.lo = r.hi
+	k := r.lo % n
+	r.hi = r.lo + 1
+	if s.class1(k) == 1 {
+		r.hi = r.lo + n - 1 - k
+	}
+	r.hi = min(r.hi, r.end)
+	c := s.classOf(r.lo/(n*n), r.lo/n%n, k)
+	r.es, r.fast = s.classes[c], c == interior && s.fast != 0
+	return true
 }
 
 // N is the grid edge length.
-func (s *Stencil7) N() int    { return s.n }
-func (s *Stencil7) Rows() int { return s.n * s.n * s.n }
-func (s *Stencil7) Cols() int { return s.n * s.n * s.n }
+func (s *Stencil) N() int    { return s.n }
+func (s *Stencil) Rows() int { return s.n * s.n * s.n }
+func (s *Stencil) Cols() int { return s.n * s.n * s.n }
 
-// NNZEquivalent is the nonzero count of the materialized stencil:
-// 7n³ − 6n².
-func (s *Stencil7) NNZEquivalent() int { return 7*s.n*s.n*s.n - 6*s.n*s.n }
+// NNZEquivalent is the nonzero count of the materialized matrix (7n³ − 6n²
+// for the 7-point Laplacian, (3n−2)³ for the 27-point one).
+func (s *Stencil) NNZEquivalent() int { return s.nnz }
 
-// Bytes is zero: the operator holds no matrix storage.
-func (s *Stencil7) Bytes() int { return 0 }
+// Bytes is the class table: at most 27 rows of 27 entries, whatever n.
+func (s *Stencil) Bytes() int { return entryBytes * s.entries }
 
-const (
-	lap7Diag = 6.0
-	lap7Off  = -1.0
-)
+// RoundFloat32 returns a copy whose coefficients are rounded to float32,
+// exactly as NewCSR32 rounds the materialized matrix: the mixed-precision
+// view of a coarse level, still accumulated in float64.
+func (s *Stencil) RoundFloat32() *Stencil {
+	r := *s
+	for c, es := range s.classes {
+		r.classes[c] = make([]stencilEntry, len(es))
+		for q, e := range es {
+			e.v = float64(float32(e.v))
+			r.classes[c][q] = e
+		}
+	}
+	for q, v := range s.coef {
+		r.coef[q] = float64(float32(v))
+	}
+	return &r
+}
 
-func (s *Stencil7) ApplyRange(y, x []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for r := lo; r < hi; r++ {
-		t := 0.0
-		if i > 0 {
-			t += lap7Off * x[r-nn]
-		}
-		if j > 0 {
-			t += lap7Off * x[r-n]
-		}
-		if k > 0 {
-			t += lap7Off * x[r-1]
-		}
-		t += lap7Diag * x[r]
-		if k < n-1 {
-			t += lap7Off * x[r+1]
-		}
-		if j < n-1 {
-			t += lap7Off * x[r+n]
-		}
-		if i < n-1 {
-			t += lap7Off * x[r+nn]
-		}
-		y[r] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
+// CSR materializes the operator as a float64 CSR matrix, allocated once at
+// its exact size: each row a column-shifted copy of its class row.
+func (s *Stencil) CSR() *sparse.CSR {
+	rows := s.Rows()
+	m := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, s.nnz), Vals: make([]float64, s.nnz)}
+	q := 0
+	for r := s.runs(0, rows); r.next(); {
+		for row := r.lo; row < r.hi; row++ {
+			for _, e := range r.es {
+				m.ColIdx[q], m.Vals[q] = row+int(e.off), e.v
+				q++
 			}
+			m.RowPtr[row+1] = q
 		}
 	}
+	return m
 }
 
-func (s *Stencil7) ResidualRange(r, b, x []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := b[row]
-		if i > 0 {
-			t -= lap7Off * x[row-nn]
-		}
-		if j > 0 {
-			t -= lap7Off * x[row-n]
-		}
-		if k > 0 {
-			t -= lap7Off * x[row-1]
-		}
-		t -= lap7Diag * x[row]
-		if k < n-1 {
-			t -= lap7Off * x[row+1]
-		}
-		if j < n-1 {
-			t -= lap7Off * x[row+n]
-		}
-		if i < n-1 {
-			t -= lap7Off * x[row+nn]
-		}
-		r[row] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
+// ApplyRange computes y[lo:hi] = (A x)[lo:hi].
+func (s *Stencil) ApplyRange(y, x []float64, lo, hi int) { s.applyRows(y, nil, x, lo, hi) }
+
+// ScaledResidualRange computes w[lo:hi] = (r − scale∘(A r))[lo:hi].
+func (s *Stencil) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
+	s.applyRows(w, scale, r, lo, hi)
 }
 
-func (s *Stencil7) Apply(y, x []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KApply, s, y, x)
-}
-
-func (s *Stencil7) Residual(r, b, x []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KResidual, s, r, b, x)
-}
-
-func (s *Stencil7) Diag() []float64 {
-	d := make([]float64, s.Rows())
-	for i := range d {
-		d[i] = lap7Diag
-	}
-	return d
-}
-
-// RowL1Norms is 6 + (number of neighbours); all terms are small integers,
-// so any summation order is exact and matches the CSR row sums.
-func (s *Stencil7) RowL1Norms() []float64 {
-	n := s.n
-	l1 := make([]float64, s.Rows())
-	i, j, k := 0, 0, 0
-	for r := range l1 {
-		cnt := 0
-		if i > 0 {
-			cnt++
-		}
-		if j > 0 {
-			cnt++
-		}
-		if k > 0 {
-			cnt++
-		}
-		if k < n-1 {
-			cnt++
-		}
-		if j < n-1 {
-			cnt++
-		}
-		if i < n-1 {
-			cnt++
-		}
-		l1[r] = lap7Diag + float64(cnt)
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-	return l1
-}
-
-func (s *Stencil7) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		e[row] = invDiag[row] * r[row]
-		u := r[row]
-		if i > 0 {
-			u -= lap7Off * (invDiag[row-nn] * r[row-nn])
-		}
-		if j > 0 {
-			u -= lap7Off * (invDiag[row-n] * r[row-n])
-		}
-		if k > 0 {
-			u -= lap7Off * (invDiag[row-1] * r[row-1])
-		}
-		u -= lap7Diag * (invDiag[row] * r[row])
-		if k < n-1 {
-			u -= lap7Off * (invDiag[row+1] * r[row+1])
-		}
-		if j < n-1 {
-			u -= lap7Off * (invDiag[row+n] * r[row+n])
-		}
-		if i < n-1 {
-			u -= lap7Off * (invDiag[row+nn] * r[row+nn])
-		}
-		t[row] = u
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-func (s *Stencil7) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
-}
-
-func (s *Stencil7) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := 0.0
-		if i > 0 {
-			t += lap7Off * r[row-nn]
-		}
-		if j > 0 {
-			t += lap7Off * r[row-n]
-		}
-		if k > 0 {
-			t += lap7Off * r[row-1]
-		}
-		t += lap7Diag * r[row]
-		if k < n-1 {
-			t += lap7Off * r[row+1]
-		}
-		if j < n-1 {
-			t += lap7Off * r[row+n]
-		}
-		if i < n-1 {
-			t += lap7Off * r[row+nn]
-		}
-		w[row] = r[row] - scale[row]*t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-func (s *Stencil7) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := r[row]
-		if i > 0 {
-			t -= lap7Off * (scale[row-nn] * r[row-nn])
-		}
-		if j > 0 {
-			t -= lap7Off * (scale[row-n] * r[row-n])
-		}
-		if k > 0 {
-			t -= lap7Off * (scale[row-1] * r[row-1])
-		}
-		t -= lap7Diag * (scale[row] * r[row])
-		if k < n-1 {
-			t -= lap7Off * (scale[row+1] * r[row+1])
-		}
-		if j < n-1 {
-			t -= lap7Off * (scale[row+n] * r[row+n])
-		}
-		if i < n-1 {
-			t -= lap7Off * (scale[row+nn] * r[row+nn])
-		}
-		w[row] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-func (s *Stencil7) ScaledResidual(w, scale, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KScaledResidual, s, w, scale, r)
-}
-
-func (s *Stencil7) SmoothedResidual(w, scale, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
-}
-
-// ResidualAtomicRange is the stencil form of the asynchronous runtime's
-// global-residual refresh against a shared atomic iterate.
-func (s *Stencil7) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := b[row]
-		if i > 0 {
-			t -= lap7Off * x.Load(row-nn)
-		}
-		if j > 0 {
-			t -= lap7Off * x.Load(row-n)
-		}
-		if k > 0 {
-			t -= lap7Off * x.Load(row-1)
-		}
-		t -= lap7Diag * x.Load(row)
-		if k < n-1 {
-			t -= lap7Off * x.Load(row+1)
-		}
-		if j < n-1 {
-			t -= lap7Off * x.Load(row+n)
-		}
-		if i < n-1 {
-			t -= lap7Off * x.Load(row+nn)
-		}
-		dst.Store(row, t)
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-// Stencil27 is the matrix-free 27-point 3-D Laplacian on an n×n×n grid
-// (diagonal 26, −1 toward each of the up-to-26 neighbours in the 3×3×3
-// box) — the operator grid.Laplacian27pt materializes. Kernels enumerate
-// each row's box in the generator's ascending di/dj/dk order for bitwise
-// equality with the CSR path.
-type Stencil27 struct {
-	n int
-}
-
-// NewStencil27 returns the matrix-free 27-point Laplacian on an n×n×n
-// grid.
-func NewStencil27(n int) *Stencil27 {
-	if n < 1 {
-		panic(fmt.Sprintf("op: Stencil27 needs n >= 1, got %d", n))
-	}
-	return &Stencil27{n: n}
-}
-
-const (
-	lap27Diag = 26.0
-	lap27Off  = -1.0
-)
-
-// N is the grid edge length.
-func (s *Stencil27) N() int    { return s.n }
-func (s *Stencil27) Rows() int { return s.n * s.n * s.n }
-func (s *Stencil27) Cols() int { return s.n * s.n * s.n }
-
-// NNZEquivalent is the nonzero count of the materialized stencil:
-// (3n−2)³.
-func (s *Stencil27) NNZEquivalent() int {
-	m := 3*s.n - 2
-	return m * m * m
-}
-
-// Bytes is zero: the operator holds no matrix storage.
-func (s *Stencil27) Bytes() int { return 0 }
-
-func (s *Stencil27) ApplyRange(y, x []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := 0.0
-		// Interior fast path: all 27 neighbors exist, so the bounds
-		// checks and the diagonal branch are hoisted out. The terms are
-		// accumulated in the identical (ascending-column) order as the
-		// general loop below, keeping the result bitwise-equal.
-		if i > 0 && i < n-1 && j > 0 && j < n-1 && k > 0 && k < n-1 {
-			p := x[row-nn-n-1 : row-nn+n+2]
-			t += lap27Off * p[0]
-			t += lap27Off * p[1]
-			t += lap27Off * p[2]
-			t += lap27Off * p[n]
-			t += lap27Off * p[n+1]
-			t += lap27Off * p[n+2]
-			t += lap27Off * p[2*n]
-			t += lap27Off * p[2*n+1]
-			t += lap27Off * p[2*n+2]
-			p = x[row-n-1 : row+n+2]
-			t += lap27Off * p[0]
-			t += lap27Off * p[1]
-			t += lap27Off * p[2]
-			t += lap27Off * p[n]
-			t += lap27Diag * p[n+1]
-			t += lap27Off * p[n+2]
-			t += lap27Off * p[2*n]
-			t += lap27Off * p[2*n+1]
-			t += lap27Off * p[2*n+2]
-			p = x[row+nn-n-1 : row+nn+n+2]
-			t += lap27Off * p[0]
-			t += lap27Off * p[1]
-			t += lap27Off * p[2]
-			t += lap27Off * p[n]
-			t += lap27Off * p[n+1]
-			t += lap27Off * p[n+2]
-			t += lap27Off * p[2*n]
-			t += lap27Off * p[2*n+1]
-			t += lap27Off * p[2*n+2]
+// applyRows forms t = (A x)[row] for rows [lo, hi) and stores y[row] = t,
+// or y[row] = x[row] − scale[row]·t when scale is set.
+func (s *Stencil) applyRows(y, scale, x []float64, lo, hi int) {
+	n, nn, c := s.n, s.n*s.n, s.coef
+	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
+	store := func(row int, t float64) {
+		if scale == nil {
 			y[row] = t
-			if k++; k == n {
-				k = 0
-				if j++; j == n {
-					j = 0
-					i++
-				}
-			}
-			continue
+		} else {
+			y[row] = x[row] - scale[row]*t
 		}
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
-			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
+	}
+	for r := s.runs(lo, hi); r.next(); {
+		switch {
+		case !r.fast:
+			for row := r.lo; row < r.hi; row++ {
+				t := 0.0
+				for _, e := range r.es {
+					t += e.v * x[row+int(e.off)]
 				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						t += lap27Diag * x[c]
-					} else {
-						t += lap27Off * x[c]
-					}
-				}
+				store(row, t)
 			}
-		}
-		y[row] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
+		case s.fast == 7:
+			for row := r.lo; row < r.hi; row++ {
+				t := 0.0
+				t += c0 * x[row-nn]
+				t += c1 * x[row-n]
+				t += c2 * x[row-1]
+				t += c3 * x[row]
+				t += c4 * x[row+1]
+				t += c5 * x[row+n]
+				t += c6 * x[row+nn]
+				store(row, t)
+			}
+		default:
+			for row := r.lo; row < r.hi; row++ {
+				t := 0.0
+				for p, cq := row-nn-n-1, c[:]; len(cq) >= 9; p, cq = p+nn, cq[9:] {
+					v := x[p : p+2*n+3]
+					t += cq[0] * v[0]
+					t += cq[1] * v[1]
+					t += cq[2] * v[2]
+					t += cq[3] * v[n]
+					t += cq[4] * v[n+1]
+					t += cq[5] * v[n+2]
+					t += cq[6] * v[2*n]
+					t += cq[7] * v[2*n+1]
+					t += cq[8] * v[2*n+2]
+				}
+				store(row, t)
 			}
 		}
 	}
 }
 
-func (s *Stencil27) ResidualRange(r, b, x []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := b[row]
-		// Interior fast path; see ApplyRange. Same subtraction order as
-		// the general loop, so the residual stays bitwise-equal.
-		if i > 0 && i < n-1 && j > 0 && j < n-1 && k > 0 && k < n-1 {
-			p := x[row-nn-n-1 : row-nn+n+2]
-			t -= lap27Off * p[0]
-			t -= lap27Off * p[1]
-			t -= lap27Off * p[2]
-			t -= lap27Off * p[n]
-			t -= lap27Off * p[n+1]
-			t -= lap27Off * p[n+2]
-			t -= lap27Off * p[2*n]
-			t -= lap27Off * p[2*n+1]
-			t -= lap27Off * p[2*n+2]
-			p = x[row-n-1 : row+n+2]
-			t -= lap27Off * p[0]
-			t -= lap27Off * p[1]
-			t -= lap27Off * p[2]
-			t -= lap27Off * p[n]
-			t -= lap27Diag * p[n+1]
-			t -= lap27Off * p[n+2]
-			t -= lap27Off * p[2*n]
-			t -= lap27Off * p[2*n+1]
-			t -= lap27Off * p[2*n+2]
-			p = x[row+nn-n-1 : row+nn+n+2]
-			t -= lap27Off * p[0]
-			t -= lap27Off * p[1]
-			t -= lap27Off * p[2]
-			t -= lap27Off * p[n]
-			t -= lap27Off * p[n+1]
-			t -= lap27Off * p[n+2]
-			t -= lap27Off * p[2*n]
-			t -= lap27Off * p[2*n+1]
-			t -= lap27Off * p[2*n+2]
-			r[row] = t
-			if k++; k == n {
-				k = 0
-				if j++; j == n {
-					j = 0
-					i++
+// ResidualRange computes r[lo:hi] = (b − A x)[lo:hi].
+func (s *Stencil) ResidualRange(r, b, x []float64, lo, hi int) {
+	n, nn, c := s.n, s.n*s.n, s.coef
+	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
+	for ru := s.runs(lo, hi); ru.next(); {
+		switch {
+		case !ru.fast:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := b[row]
+				for _, e := range ru.es {
+					t -= e.v * x[row+int(e.off)]
 				}
+				r[row] = t
 			}
-			continue
-		}
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
+		case s.fast == 7:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := b[row]
+				t -= c0 * x[row-nn]
+				t -= c1 * x[row-n]
+				t -= c2 * x[row-1]
+				t -= c3 * x[row]
+				t -= c4 * x[row+1]
+				t -= c5 * x[row+n]
+				t -= c6 * x[row+nn]
+				r[row] = t
 			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
+		default:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := b[row]
+				for p, cq := row-nn-n-1, c[:]; len(cq) >= 9; p, cq = p+nn, cq[9:] {
+					v := x[p : p+2*n+3]
+					t -= cq[0] * v[0]
+					t -= cq[1] * v[1]
+					t -= cq[2] * v[2]
+					t -= cq[3] * v[n]
+					t -= cq[4] * v[n+1]
+					t -= cq[5] * v[n+2]
+					t -= cq[6] * v[2*n]
+					t -= cq[7] * v[2*n+1]
+					t -= cq[8] * v[2*n+2]
 				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						t -= lap27Diag * x[c]
-					} else {
-						t -= lap27Off * x[c]
-					}
-				}
-			}
-		}
-		r[row] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
+				r[row] = t
 			}
 		}
 	}
 }
 
-func (s *Stencil27) Apply(y, x []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KApply, s, y, x)
+// JacobiResidualRange is the fused zero-guess diagonal sweep + residual:
+// e[lo:hi] = (invDiag∘r)[lo:hi] and t[lo:hi] = (r − A (invDiag∘r))[lo:hi].
+func (s *Stencil) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
+	s.smoothedRows(e, t, invDiag, r, lo, hi)
 }
 
-func (s *Stencil27) Residual(r, b, x []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KResidual, s, r, b, x)
+// SmoothedResidualRange computes w[lo:hi] = (r − A (scale∘r))[lo:hi].
+func (s *Stencil) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
+	s.smoothedRows(nil, w, scale, r, lo, hi)
 }
 
-func (s *Stencil27) Diag() []float64 {
-	d := make([]float64, s.Rows())
-	for i := range d {
-		d[i] = lap27Diag
-	}
-	return d
-}
-
-// RowL1Norms is 26 + (number of neighbours); exact integer sums matching
-// the CSR row sums in any order.
-func (s *Stencil27) RowL1Norms() []float64 {
-	n := s.n
-	l1 := make([]float64, s.Rows())
-	span := func(a int) int {
-		c := 1
-		if a > 0 {
-			c++
+// smoothedRows stores w[row] = r[row] − Σ a·(scale[c]·r[c]) for rows
+// [lo, hi), and e[row] = scale[row]·r[row] first when e is set.
+func (s *Stencil) smoothedRows(e, w, scale, r []float64, lo, hi int) {
+	n, nn, c := s.n, s.n*s.n, s.coef
+	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
+	head := func(row int) float64 {
+		if e != nil {
+			e[row] = scale[row] * r[row]
 		}
-		if a < n-1 {
-			c++
-		}
-		return c
+		return r[row]
 	}
-	i, j, k := 0, 0, 0
-	for r := range l1 {
-		cnt := span(i)*span(j)*span(k) - 1
-		l1[r] = lap27Diag + float64(cnt)
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-	return l1
-}
-
-func (s *Stencil27) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		e[row] = invDiag[row] * r[row]
-		u := r[row]
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
-			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
+	for ru := s.runs(lo, hi); ru.next(); {
+		switch {
+		case !ru.fast:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := head(row)
+				for _, en := range ru.es {
+					q := row + int(en.off)
+					t -= en.v * (scale[q] * r[q])
 				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						u -= lap27Diag * (invDiag[c] * r[c])
-					} else {
-						u -= lap27Off * (invDiag[c] * r[c])
-					}
-				}
+				w[row] = t
 			}
-		}
-		t[row] = u
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
+		case s.fast == 7:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := head(row)
+				t -= c0 * (scale[row-nn] * r[row-nn])
+				t -= c1 * (scale[row-n] * r[row-n])
+				t -= c2 * (scale[row-1] * r[row-1])
+				t -= c3 * (scale[row] * r[row])
+				t -= c4 * (scale[row+1] * r[row+1])
+				t -= c5 * (scale[row+n] * r[row+n])
+				t -= c6 * (scale[row+nn] * r[row+nn])
+				w[row] = t
+			}
+		default:
+			for row := ru.lo; row < ru.hi; row++ {
+				t := head(row)
+				for p, cq := row-nn-n-1, c[:]; len(cq) >= 9; p, cq = p+nn, cq[9:] {
+					d, v := scale[p:p+2*n+3], r[p:p+2*n+3]
+					t -= cq[0] * (d[0] * v[0])
+					t -= cq[1] * (d[1] * v[1])
+					t -= cq[2] * (d[2] * v[2])
+					t -= cq[3] * (d[n] * v[n])
+					t -= cq[4] * (d[n+1] * v[n+1])
+					t -= cq[5] * (d[n+2] * v[n+2])
+					t -= cq[6] * (d[2*n] * v[2*n])
+					t -= cq[7] * (d[2*n+1] * v[2*n+1])
+					t -= cq[8] * (d[2*n+2] * v[2*n+2])
+				}
+				w[row] = t
 			}
 		}
 	}
-}
-
-func (s *Stencil27) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
-}
-
-func (s *Stencil27) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := 0.0
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
-			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
-				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						t += lap27Diag * r[c]
-					} else {
-						t += lap27Off * r[c]
-					}
-				}
-			}
-		}
-		w[row] = r[row] - scale[row]*t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-func (s *Stencil27) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := r[row]
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
-			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
-				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						t -= lap27Diag * (scale[c] * r[c])
-					} else {
-						t -= lap27Off * (scale[c] * r[c])
-					}
-				}
-			}
-		}
-		w[row] = t
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
-		}
-	}
-}
-
-func (s *Stencil27) ScaledResidual(w, scale, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KScaledResidual, s, w, scale, r)
-}
-
-func (s *Stencil27) SmoothedResidual(w, scale, r []float64) {
-	sparse.RunRows(s.NNZEquivalent(), s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
 }
 
 // ResidualAtomicRange is the stencil form of the asynchronous runtime's
 // global-residual refresh against a shared atomic iterate.
-func (s *Stencil27) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int) {
-	n := s.n
-	nn := n * n
-	i, j, k := lo/nn, (lo%nn)/n, lo%n
-	for row := lo; row < hi; row++ {
-		t := b[row]
-		for di := -1; di <= 1; di++ {
-			ii := i + di
-			if ii < 0 || ii >= n {
-				continue
+func (s *Stencil) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int) {
+	for r := s.runs(lo, hi); r.next(); {
+		for row := r.lo; row < r.hi; row++ {
+			t := b[row]
+			for _, e := range r.es {
+				t -= e.v * x.Load(row+int(e.off))
 			}
-			for dj := -1; dj <= 1; dj++ {
-				jj := j + dj
-				if jj < 0 || jj >= n {
-					continue
-				}
-				base := (ii*n+jj)*n + k
-				for dk := -1; dk <= 1; dk++ {
-					kk := k + dk
-					if kk < 0 || kk >= n {
-						continue
-					}
-					c := base + dk
-					if c == row {
-						t -= lap27Diag * x.Load(c)
-					} else {
-						t -= lap27Off * x.Load(c)
-					}
-				}
-			}
-		}
-		dst.Store(row, t)
-		if k++; k == n {
-			k = 0
-			if j++; j == n {
-				j = 0
-				i++
-			}
+			dst.Store(row, t)
 		}
 	}
+}
+
+func (s *Stencil) Apply(y, x []float64) {
+	sparse.RunRows(s.nnz, s.Rows(), sparse.KApply, s, y, x)
+}
+
+func (s *Stencil) Residual(r, b, x []float64) {
+	sparse.RunRows(s.nnz, s.Rows(), sparse.KResidual, s, r, b, x)
+}
+
+func (s *Stencil) FusedJacobiResidual(e, t, invDiag, r []float64) {
+	sparse.RunRows(s.nnz, s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
+}
+
+func (s *Stencil) ScaledResidual(w, scale, r []float64) {
+	sparse.RunRows(s.nnz, s.Rows(), sparse.KScaledResidual, s, w, scale, r)
+}
+
+func (s *Stencil) SmoothedResidual(w, scale, r []float64) {
+	sparse.RunRows(s.nnz, s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
+}
+
+// Diag returns the main diagonal: each class row's entry at offset 0.
+func (s *Stencil) Diag() []float64 {
+	return s.perRow(func(es []stencilEntry) float64 {
+		for _, e := range es {
+			if e.d == [3]int8{} {
+				return e.v
+			}
+		}
+		return 0
+	})
+}
+
+// RowL1Norms returns Σ_j |a_ij| per row, summed over the class row in
+// column order as sparse's RowL1Norms sums a stored row.
+func (s *Stencil) RowL1Norms() []float64 {
+	return s.perRow(func(es []stencilEntry) float64 {
+		t := 0.0
+		for _, e := range es {
+			t += math.Abs(e.v)
+		}
+		return t
+	})
+}
+
+// perRow returns f of each row's class row, evaluated once per run.
+func (s *Stencil) perRow(f func([]stencilEntry) float64) []float64 {
+	out := make([]float64, s.Rows())
+	for r := s.runs(0, len(out)); r.next(); {
+		v := f(r.es)
+		for row := r.lo; row < r.hi; row++ {
+			out[row] = v
+		}
+	}
+	return out
 }

@@ -96,10 +96,11 @@ func Build(name string, size int) (*sparse.CSR, error) {
 // Operator generates the matrix-free form of a structured family: the 7pt
 // and 27pt Laplacians have stencil operators whose fine level is never
 // materialized as CSR. ok is false for the FEM families (and unknown
-// names), which only exist in assembled form — callers fall back to
+// names), which only exist in assembled form, and below size 3, the
+// smallest grid the stencil coarsens geometrically — callers fall back to
 // Build.
 func Operator(name string, size int) (a op.Operator, ok bool) {
-	if size < 2 {
+	if size < 3 {
 		return nil, false
 	}
 	switch name {
