@@ -377,7 +377,7 @@ func SolvePCG(a Operator, b []float64, opt CGOptions) (CGResult, error) {
 // x = 0. Unlike PCG it tolerates non-symmetric operators and
 // non-SPD/varying preconditioners (AFACx, asynchronous cycles).
 func SolveFGMRES(a Operator, b []float64, opt CGOptions) (CGResult, error) {
-	return krylov.FGMRES(a, b, opt)
+	return krylov.FGMRESCtx(context.Background(), a, b, opt)
 }
 
 // ---- Distributed-memory simulation ----
@@ -437,7 +437,7 @@ func SpectralRadius(a *Matrix, tol float64, maxIter int) (float64, error) {
 // iteration matrix G = I − diag(s)·A (ω/a_ii for ω-Jacobi and the
 // GS-family smoothers' interpolant scaling, 1/Σ|a_ij| for ℓ1-Jacobi).
 func SmootherScaling(a *Matrix, cfg SmootherConfig) ([]float64, error) {
-	return smoother.InterpolantScaling(a, cfg)
+	return smoother.InterpolantScalingOp(op.FromCSR(a), cfg, smoother.Precomputed{})
 }
 
 // ---- Observability ----

@@ -652,3 +652,12 @@ func TestUnknownApproachImprovesElasticityLikeSystem(t *testing.T) {
 		t.Errorf("unknown approach left %v empty interpolation rows", e)
 	}
 }
+
+// NNZ returns the number of strong connections.
+func (s *Strength) NNZ() int {
+	n := 0
+	for _, r := range s.Rows {
+		n += len(r)
+	}
+	return n
+}

@@ -142,15 +142,6 @@ func (s *Strength) Transpose() *Strength {
 	return &Strength{N: s.N, Rows: splitRows(buf, next[:s.N])}
 }
 
-// NNZ returns the number of strong connections.
-func (s *Strength) NNZ() int {
-	n := 0
-	for _, r := range s.Rows {
-		n += len(r)
-	}
-	return n
-}
-
 // distanceTwo builds the strength graph among the vertices marked keep,
 // where u ~ v when u != v, both are kept, and either u→v is a strong edge or
 // there is a path u→w→v of strong edges (w arbitrary). This is the graph on

@@ -228,11 +228,6 @@ func (p Perturb) holdFor(k int) int {
 	return h
 }
 
-// enabled reports whether the perturbation injects anything.
-func (p Perturb) enabled() bool {
-	return p.ReadHold > 1 || (len(p.Stragglers) > 0 && p.StragglerHold != 1)
-}
-
 // ---- the per-grid controller (thread 0 of each team only) ----
 
 // checkHealth runs at every read refresh, after the grid's residual

@@ -302,10 +302,16 @@ func TestDampingObserverSignals(t *testing.T) {
 	if res.DampTightens == 0 {
 		t.Fatal("no tighten events under ReadHold=8")
 	}
-	if got := o.DampTightens.Total(); got != res.DampTightens {
+	total := func(g *obs.GridCounters) (t int64) {
+		for _, v := range g.Snapshot(nil) {
+			t += v
+		}
+		return t
+	}
+	if got := total(o.DampTightens); got != res.DampTightens {
 		t.Errorf("observer tightens %d, result %d", got, res.DampTightens)
 	}
-	if got := o.DampRelaxes.Total(); got != res.DampRelaxes {
+	if got := total(o.DampRelaxes); got != res.DampRelaxes {
 		t.Errorf("observer relaxes %d, result %d", got, res.DampRelaxes)
 	}
 	minOmega := int64(1000)

@@ -12,23 +12,24 @@ import (
 	"testing"
 	"time"
 
-	"asyncmg/internal/fault"
+	"asyncmg/internal/fault/faulttest"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/serve"
+	"asyncmg/internal/solve"
 )
 
 // The acceptance matrix of the cluster tier, run against an in-process
 // fleet: N serve.Server handlers on a LocalTransport behind
-// fault.HTTPChaos, so node crashes, partitions, stragglers and restarts
+// faulttest.HTTPChaos, so node crashes, partitions, stragglers and restarts
 // replay deterministically under -race. No sockets, no sleep-and-hope
-// membership: tests drive ProbeNow explicitly.
+// membership: tests drive probeAll explicitly.
 
 type testCluster struct {
 	t      *testing.T
 	lt     *LocalTransport
-	chaos  *fault.HTTPChaos
+	chaos  *faulttest.HTTPChaos
 	client *http.Client
 	obs    []*obs.Observer
 	srvs   []*serve.Server
@@ -38,12 +39,12 @@ type testCluster struct {
 func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t, lt: NewLocalTransport()}
-	tc.chaos = fault.NewHTTPChaos(fault.HTTPConfig{Seed: 7}, tc.lt)
+	tc.chaos = faulttest.NewHTTPChaos(faulttest.HTTPConfig{Seed: 7}, tc.lt)
 	tc.client = &http.Client{Transport: tc.chaos}
 	cfg := Config{
 		Replicas:         2,
 		Client:           tc.client,
-		ProbeInterval:    -1, // membership transitions via ProbeNow only
+		ProbeInterval:    -1, // membership transitions via probeAll only
 		HedgeAfter:       10 * time.Millisecond,
 		RetryBase:        5 * time.Millisecond,
 		RetryAfterCap:    20 * time.Millisecond,
@@ -108,7 +109,7 @@ func (tc *testCluster) mustSolve(size int) serve.SolveResponse {
 }
 
 func (tc *testCluster) key(size int) string {
-	return ShardKey(&serve.SolveRequest{Problem: "7pt", Size: size})
+	return shardKey(&serve.SolveRequest{Problem: "7pt", Size: size})
 }
 
 // sizeOwnedBy finds a problem size whose primary owner is node idx on
@@ -138,7 +139,7 @@ func TestAffinityAndReplicaWarm(t *testing.T) {
 		t.Fatalf("second solve: cache %q, want hit (affinity broken)", r.Cache)
 	}
 	tc.rt.Quiesce()
-	if n := tc.rt.Observer().ReplicaWarms.Load(); n != 1 {
+	if n := tc.rt.o.ReplicaWarms.Load(); n != 1 {
 		t.Fatalf("replica warms = %d, want 1", n)
 	}
 	var warms int64
@@ -151,7 +152,7 @@ func TestAffinityAndReplicaWarm(t *testing.T) {
 
 	owners := tc.rt.Owners(tc.key(size))
 	tc.chaos.Kill(fmt.Sprintf("node%d", owners[0]))
-	tc.rt.ProbeNow()
+	tc.rt.probeAll()
 	r := tc.mustSolve(size)
 	if r.Cache != "hit" {
 		t.Fatalf("post-kill solve: cache %q, want hit (replication failed)", r.Cache)
@@ -176,7 +177,7 @@ func TestKillMidSolveHedgeSucceeds(t *testing.T) {
 	if r := tc.mustSolve(size); r.Cache != "hit" {
 		t.Fatalf("hedged solve: cache %q, want hit on the warm replica", r.Cache)
 	}
-	if n := tc.rt.Observer().RouteHedgeWins.Load(); n < 1 {
+	if n := tc.rt.o.RouteHedgeWins.Load(); n < 1 {
 		t.Fatalf("hedge wins = %d, want >= 1", n)
 	}
 
@@ -205,7 +206,7 @@ func TestRestartRepopulatesCache(t *testing.T) {
 	tc.rt.Quiesce()
 
 	tc.chaos.Kill("node0")
-	tc.rt.ProbeNow()
+	tc.rt.probeAll()
 	for _, s := range sizes {
 		tc.mustSolve(s) // survivors carry the load
 	}
@@ -213,10 +214,10 @@ func TestRestartRepopulatesCache(t *testing.T) {
 		t.Fatalf("ready nodes after kill = %d, want 2", st.ReadyNodes)
 	}
 
-	rebuilds := tc.rt.Observer().RingRebuilds.Load()
+	rebuilds := tc.rt.o.RingRebuilds.Load()
 	tc.restart(0)
-	tc.rt.ProbeNow()
-	if n := tc.rt.Observer().RingRebuilds.Load(); n != rebuilds+1 {
+	tc.rt.probeAll()
+	if n := tc.rt.o.RingRebuilds.Load(); n != rebuilds+1 {
 		t.Fatalf("ring rebuilds after restart = %d, want %d", n, rebuilds+1)
 	}
 	if got := tc.rt.Owners(tc.key(sz0))[0]; got != 0 {
@@ -246,14 +247,14 @@ func TestFullPartitionFallsBackToLocal(t *testing.T) {
 	tc := newTestCluster(t, 2, func(c *Config) { c.Local = local })
 
 	tc.chaos.Partition("node0", "node1")
-	tc.rt.ProbeNow()
+	tc.rt.probeAll()
 	if st := tc.rt.Status(); st.ReadyNodes != 0 {
 		t.Fatalf("ready nodes under full partition = %d, want 0", st.ReadyNodes)
 	}
 	if r := tc.mustSolve(6); r.Cache != "miss" {
 		t.Fatalf("local fallback solve: cache %q, want miss", r.Cache)
 	}
-	if n := tc.rt.Observer().RouteLocalFallbacks.Load(); n != 1 {
+	if n := tc.rt.o.RouteLocalFallbacks.Load(); n != 1 {
 		t.Fatalf("local fallbacks = %d, want 1", n)
 	}
 	if localObs.Requests.Load() == 0 {
@@ -261,9 +262,9 @@ func TestFullPartitionFallsBackToLocal(t *testing.T) {
 	}
 
 	tc.chaos.Heal()
-	tc.rt.ProbeNow()
+	tc.rt.probeAll()
 	tc.mustSolve(6)
-	if n := tc.rt.Observer().RouteLocalFallbacks.Load(); n != 1 {
+	if n := tc.rt.o.RouteLocalFallbacks.Load(); n != 1 {
 		t.Fatalf("healed cluster still falling back locally (%d fallbacks)", n)
 	}
 }
@@ -298,7 +299,7 @@ func TestDrainRebalanceZeroFailures(t *testing.T) {
 	if err := tc.srvs[0].Shutdown(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	tc.rt.ProbeNow()
+	tc.rt.probeAll()
 	wg.Wait()
 
 	if n := failed.Load(); n != 0 {
@@ -313,7 +314,7 @@ func TestDrainRebalanceZeroFailures(t *testing.T) {
 			t.Fatalf("draining node0: live=%t ready=%t, want live and not ready", ns.Live, ns.Ready)
 		}
 	}
-	if n := tc.rt.Observer().RingRebuilds.Load(); n < 2 {
+	if n := tc.rt.o.RingRebuilds.Load(); n < 2 {
 		t.Fatalf("ring rebuilds = %d, want >= 2 (initial + drain)", n)
 	}
 }
@@ -331,12 +332,12 @@ func TestBreakerRoutesAroundDeadNode(t *testing.T) {
 		c.Local = local
 	})
 	size := tc.sizeOwnedBy(0)
-	tc.chaos.Kill("node0") // no ProbeNow: membership still trusts it
+	tc.chaos.Kill("node0") // no probe: membership still trusts it
 
 	for i := 0; i < 3; i++ {
 		tc.mustSolve(size) // all served, via retry sweeps + local fallback
 	}
-	o := tc.rt.Observer()
+	o := tc.rt.o
 	if o.BreakerOpens.Load() < 1 {
 		t.Fatalf("breaker opens = %d, want >= 1", o.BreakerOpens.Load())
 	}
@@ -347,9 +348,9 @@ func TestBreakerRoutesAroundDeadNode(t *testing.T) {
 		t.Fatalf("local fallbacks = %d, want 3", o.RouteLocalFallbacks.Load())
 	}
 
-	tc.rt.ProbeNow() // membership finally notices the corpse
+	tc.rt.probeAll() // membership finally notices the corpse
 	tc.restart(0)
-	tc.rt.ProbeNow() // not-ready -> ready transition resets the breaker
+	tc.rt.probeAll() // not-ready -> ready transition resets the breaker
 	before := o.RouteLocalFallbacks.Load()
 	tc.mustSolve(size)
 	if o.RouteLocalFallbacks.Load() != before {
@@ -403,10 +404,10 @@ func TestRouterHonors429RetryAfter(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("node saw %d calls, want 2 (429 then success)", calls.Load())
 	}
-	if rt.Observer().RouteRetries.Load() < 1 {
+	if rt.o.RouteRetries.Load() < 1 {
 		t.Fatal("429 retry not counted")
 	}
-	if rt.Observer().RouteFailovers.Load() != 0 {
+	if rt.o.RouteFailovers.Load() != 0 {
 		t.Fatal("429 triggered a failover instead of a same-node retry")
 	}
 }
@@ -439,12 +440,12 @@ func TestAliasSpellingsShareAShard(t *testing.T) {
 		{{Problem: "mfem-laplace", Size: 4}, {Problem: "mfem-laplace", Size: 4, Omega: 0.5}},
 		{{Problem: "27pt", Size: 5, Smoother: "l1"}, {Problem: "27pt", Size: 5, Smoother: "l1-jacobi"}},
 	} {
-		a, b := ShardKey(&pair[0]), ShardKey(&pair[1])
+		a, b := shardKey(&pair[0]), shardKey(&pair[1])
 		if a == "" || a != b {
 			t.Errorf("%+v and %+v: shard keys %q and %q", pair[0], pair[1], a, b)
 		}
 	}
-	if ShardKey(&serve.SolveRequest{Problem: "7pt", Size: 6, Smoother: "l1"}) == ShardKey(&serve.SolveRequest{Problem: "7pt", Size: 6}) {
+	if shardKey(&serve.SolveRequest{Problem: "7pt", Size: 6, Smoother: "l1"}) == shardKey(&serve.SolveRequest{Problem: "7pt", Size: 6}) {
 		t.Error("different smoothers share a shard key")
 	}
 
@@ -495,8 +496,22 @@ func TestDivergenceIsFinal(t *testing.T) {
 	for _, o := range tc.obs {
 		attempts += o.Requests.Load()
 	}
-	if attempts != 1 || tc.rt.Observer().RouteRetries.Load() != 0 || tc.rt.Observer().RouteFailovers.Load() != 0 {
+	if attempts != 1 || tc.rt.o.RouteRetries.Load() != 0 || tc.rt.o.RouteFailovers.Load() != 0 {
 		t.Errorf("%d node attempts, %d retries, %d failovers; want one attempt",
-			attempts, tc.rt.Observer().RouteRetries.Load(), tc.rt.Observer().RouteFailovers.Load())
+			attempts, tc.rt.o.RouteRetries.Load(), tc.rt.o.RouteFailovers.Load())
 	}
+}
+
+// shardKey is the routing key of a generated-problem solve: the node's
+// own cache key of the hierarchy the request resolves to, so spellings
+// that share a hierarchy ("jacobi" or no smoother, ω omitted or the family
+// default) share owners. Tests use it to find a shard's owners and aim
+// faults at a node they know carries traffic. An invalid request has no
+// key ("").
+func shardKey(req *serve.SolveRequest) string {
+	sp, err := req.Validate()
+	if err != nil {
+		return ""
+	}
+	return solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother)
 }

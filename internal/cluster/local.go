@@ -12,7 +12,7 @@ import (
 // dispatches requests by URL host to registered handlers, with no
 // sockets involved. A cluster acceptance test registers N serve.Server
 // handlers under synthetic hosts ("node0", "node1", ...), wraps the
-// transport in fault.HTTPChaos, and gets a deterministic 3-node fleet
+// transport in faulttest.HTTPChaos, and gets a deterministic 3-node fleet
 // whose crashes, partitions and stragglers replay identically under
 // -race. Re-registering a host swaps its handler, which is how a restart
 // with an empty cache is modeled: a fresh serve.Server under the old

@@ -49,14 +49,12 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// ProbeNow runs one synchronous membership probe round, rebuilding the
-// ring if the ready set changed. The background prober does the same on
-// a timer; tests and drain orchestration call this to make membership
-// transitions deterministic instead of waiting out a tick.
-func (rt *Router) ProbeNow() { rt.probeAll() }
-
+// probeAll runs one synchronous membership probe round, rebuilding the
+// ring if the ready set changed. The background prober calls it on a
+// timer; tests call it to make membership transitions deterministic
+// instead of waiting out a tick.
 func (rt *Router) probeAll() {
-	// One round at a time: ProbeNow racing the ticker must not double-count
+	// One round at a time: a test's round racing the ticker must not double-count
 	// rebuilds or interleave transition handling.
 	rt.probeMu.Lock()
 	defer rt.probeMu.Unlock()

@@ -9,7 +9,7 @@
 // a fallback to a local solver engine. Membership is health-checked
 // (liveness vs readiness/drain are distinct signals) and drives ring
 // rebuilds. Every random decision is seeded through fault.Jitter01, so a
-// chaos run (fault.HTTPChaos under the router's HTTP client) replays
+// chaos run (faulttest.HTTPChaos under the router's HTTP client) replays
 // deterministically under -race.
 package cluster
 
@@ -43,12 +43,12 @@ type Config struct {
 	// VNodes is the number of ring points per node (default 64).
 	VNodes int
 	// Client performs all node traffic — forwards, probes, warms. Point
-	// it at a fault.HTTPChaos (over a LocalTransport for in-process
+	// it at a faulttest.HTTPChaos (over a LocalTransport for in-process
 	// fleets) to run the acceptance matrix deterministically (default
 	// http.DefaultClient).
 	Client *http.Client
 	// ProbeInterval paces the background membership prober (default 1s;
-	// negative disables it — tests drive ProbeNow explicitly).
+	// negative disables it — tests call probeAll explicitly).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one readiness probe (default 500ms).
 	ProbeTimeout time.Duration
@@ -209,9 +209,6 @@ func New(cfg Config) (*Router, error) {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Observer returns the router's metrics observer.
-func (rt *Router) Observer() *obs.Observer { return rt.o }
-
 // Quiesce waits for in-flight replication warm pushes to finish. Call it
 // between load phases when warm-driven cache state must be settled.
 func (rt *Router) Quiesce() { rt.warmWG.Wait() }
@@ -352,20 +349,6 @@ func (rt *Router) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 	rt.route(w, r, fwd, solve.MatrixKey(fp, sp.Smoother), serve.WarmRequest{
 		Smoother: sp.Smoother.Kind.String(), Omega: sp.Smoother.Omega, MatrixFP: fp,
 	})
-}
-
-// ShardKey is the routing key of a generated-problem solve: the node's
-// own cache key of the hierarchy the request resolves to, so spellings
-// that share a hierarchy ("jacobi" or no smoother, ω omitted or the family
-// default) share owners. A load generator uses it to find a shard's owners
-// (Owners) and aim faults at a node it knows carries traffic. An invalid
-// request has no key ("").
-func ShardKey(req *serve.SolveRequest) string {
-	sp, err := req.Validate()
-	if err != nil {
-		return ""
-	}
-	return solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother)
 }
 
 func copyHeaders(from http.Header, keys ...string) http.Header {

@@ -45,24 +45,6 @@ func Factor(a *sparse.CSR) (*LU, error) {
 	return f, nil
 }
 
-// FactorDense is like Factor but takes a dense row-major matrix (copied, the
-// caller's data is not modified).
-func FactorDense(m [][]float64) (*LU, error) {
-	n := len(m)
-	f := &LU{n: n, lu: make([]float64, n*n), perm: make([]int, n)}
-	for i := 0; i < n; i++ {
-		if len(m[i]) != n {
-			return nil, errors.New("dense: FactorDense requires a square matrix")
-		}
-		f.perm[i] = i
-		copy(f.lu[i*n:(i+1)*n], m[i])
-	}
-	if err := f.factorize(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 func (f *LU) factorize() error {
 	n := f.n
 	for k := 0; k < n; k++ {
@@ -100,9 +82,6 @@ func (f *LU) factorize() error {
 	}
 	return nil
 }
-
-// N returns the dimension of the factored matrix.
-func (f *LU) N() int { return f.n }
 
 // Solve computes x = A⁻¹ b. x and b may alias. len(x) == len(b) == n.
 func (f *LU) Solve(x, b []float64) {

@@ -30,9 +30,6 @@ func TestFactorSolveTridiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != n {
-		t.Fatalf("N() = %d, want %d", f.N(), n)
-	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i%7) - 3
@@ -88,13 +85,24 @@ func TestFactorRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// factorDense factors a dense row-major matrix through its CSR form.
+func factorDense(m [][]float64) (*LU, error) {
+	coo := sparse.NewCOO(len(m), len(m), len(m)*len(m))
+	for i, row := range m {
+		for j, v := range row {
+			coo.Add(i, j, v)
+		}
+	}
+	return Factor(coo.ToCSR())
+}
+
 func TestPivotingNeeded(t *testing.T) {
 	// Zero on the leading diagonal forces a pivot swap.
 	m := [][]float64{
 		{0, 1},
 		{1, 0},
 	}
-	f, err := FactorDense(m)
+	f, err := factorDense(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +130,7 @@ func TestRandomSolveProperty(t *testing.T) {
 			}
 			m[i][i] = rowSum + 1 // strict diagonal dominance => nonsingular
 		}
-		lu, err := FactorDense(m)
+		lu, err := factorDense(m)
 		if err != nil {
 			return false
 		}
@@ -145,16 +153,5 @@ func TestRandomSolveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFactorDenseDoesNotMutateInput(t *testing.T) {
-	m := [][]float64{{2, 1}, {1, 2}}
-	_, err := FactorDense(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 2 || m[0][1] != 1 || m[1][0] != 1 || m[1][1] != 2 {
-		t.Fatal("FactorDense mutated its input")
 	}
 }

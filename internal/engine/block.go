@@ -33,9 +33,6 @@ type BlockWorkspace struct {
 	colR, colE, colS []float64
 }
 
-// K returns the column count the workspace was built for.
-func (w *BlockWorkspace) K() int { return w.k }
-
 // NewBlockWorkspace allocates block scratch for k packed columns.
 func (s *Engine) NewBlockWorkspace(k int) *BlockWorkspace {
 	if k <= 0 {

@@ -124,8 +124,8 @@ func TestBlockWorkspacePoolReuse(t *testing.T) {
 	}
 	s := allocTestEngine(t)
 	w := s.AcquireBlockWorkspace(4)
-	if w.K() != 4 {
-		t.Fatalf("workspace k = %d, want 4", w.K())
+	if w.k != 4 {
+		t.Fatalf("workspace k = %d, want 4", w.k)
 	}
 	s.ReleaseBlockWorkspace(w)
 	w2 := s.AcquireBlockWorkspace(4)
@@ -133,7 +133,7 @@ func TestBlockWorkspacePoolReuse(t *testing.T) {
 		t.Error("expected the pooled workspace back for the same k")
 	}
 	w8 := s.AcquireBlockWorkspace(8)
-	if w8 == w2 || w8.K() != 8 {
-		t.Errorf("k=8 workspace should be fresh, got k=%d", w8.K())
+	if w8 == w2 || w8.k != 8 {
+		t.Errorf("k=8 workspace should be fresh, got k=%d", w8.k)
 	}
 }

@@ -41,58 +41,31 @@ func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
 // MultCycle performs one classical multiplicative V(1,1)-cycle
 // (Algorithm 1): pre-smooth and restrict down the hierarchy, exact-solve on
 // the coarsest grid, prolong and post-smooth back up, then correct x.
-func (s *Engine) MultCycle(x, b []float64, w *Workspace) { s.multCycle(x, b, w, 1, 1) }
-
-// MultCycleSweeps performs one multiplicative V(s1,s2)-cycle: s1
-// pre-smoothing sweeps on the way down and s2 post-smoothing sweeps on the
-// way up (the paper's experiments all use V(1,1); extra sweeps trade work
-// for per-cycle convergence, the standard knob real AMG deployments tune).
-// V(0,1) is the sawtooth cycle of the "chaotic cycle" method of Hawkes et
-// al. (reference [11] of the paper): residuals are restricted directly on
-// the way down, corrections prolongated and post-smoothed on the way up.
-func (s *Engine) MultCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
-	s.multCycle(x, b, w, s1, s2)
-}
-
-// multCycle is the one multiplicative body, V(s1,s2).
-func (s *Engine) multCycle(x, b []float64, w *Workspace, s1, s2 int) {
-	if s1 < 0 || s2 < 0 || s1+s2 == 0 {
-		panic(fmt.Sprintf("mg: V(%d,%d) needs non-negative sweep counts with at least one sweep", s1, s2))
-	}
+func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
 	l := s.NumLevels()
 	s.Ops[0].Residual(w.r[0], b, x)
-	// Downward sweep: r_{k+1} = Pᵀ (r_k − A_k e_k) after s1 pre-smoothing
-	// sweeps from a zero guess.
+	// Downward sweep: r_{k+1} = Pᵀ (r_k − A_k e_k) after one pre-smoothing
+	// sweep from a zero guess.
 	for k := 0; k < l-1; k++ {
-		switch id := s.Smo[k].InvDiag(); {
-		case s1 == 0:
-			s.Itp[k].ApplyT(w.r[k+1], w.r[k])
-			continue
-		case s1 == 1 && id != nil:
-			// One diagonal sweep: the pre-smooth, the post-smoothing
+		if id := s.Smo[k].InvDiag(); id != nil {
+			// A diagonal sweep: the pre-smooth, the post-smoothing
 			// residual and the restriction fuse into one matrix sweep.
 			op.FusedJacobiResidualRestrict(s.Ops[k], s.Itp[k], w.e[k], w.r[k+1], id, w.r[k], w.tmp[k])
-		default:
+		} else {
 			vec.Zero(w.e[k])
-			s.smoothSweeps(k, w.e[k], w.r[k], w.tmp[k], s1)
+			s.Smo[k].Apply(w.e[k], w.r[k])
 			op.FusedResidualRestrict(s.Ops[k], s.Itp[k], w.r[k+1], w.r[k], w.e[k], w.tmp[k])
 		}
-		s.obs.Relaxed(k, int64(s1))
+		s.obs.Relaxed(k, 1)
 	}
 	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
 	s.obs.Relaxed(l-1, 1)
-	// Upward sweep: e_k += P e_{k+1} (e_k is unset without pre-smoothing),
-	// then s2 post-smoothing sweeps e_k += Λ_k (r_k − A_k e_k).
+	// Upward sweep: e_k += P e_{k+1}, then one post-smoothing sweep
+	// e_k += Λ_k (r_k − A_k e_k).
 	for k := l - 2; k >= 0; k-- {
-		if s1 == 0 {
-			s.Itp[k].Apply(w.e[k], w.e[k+1])
-		} else {
-			s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
-		}
-		for t := 0; t < s2; t++ {
-			s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
-		}
-		s.obs.Relaxed(k, int64(s2))
+		s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
+		s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
+		s.obs.Relaxed(k, 1)
 	}
 	vec.AxpyPar(1, x, w.e[0])
 	s.countCorrections()
@@ -205,26 +178,15 @@ func (s *Engine) countCorrections() {
 //
 // and the coarsest grid contributes x += P⁰_ℓ A_ℓ⁻¹ r_ℓ. Restriction uses
 // the plain interpolants.
-func (s *Engine) AFACxCycle(x, b []float64, w *Workspace) { s.afacxCycle(x, b, w, 1, 1, 1) }
+func (s *Engine) AFACxCycle(x, b []float64, w *Workspace) { s.afacxCycle(x, b, w, 1) }
 
-// AFACxCycleSweeps performs one AFACx V(s1/s2,0)-cycle: s1 smoothing sweeps
-// compute each grid's own correction and s2 sweeps compute the next-coarser
-// correction that is subtracted to prevent over-correction. The paper
-// evaluates V(1/1,0); more sweeps trade work for per-cycle convergence.
-func (s *Engine) AFACxCycleSweeps(x, b []float64, w *Workspace, s1, s2 int) {
-	s.afacxCycle(x, b, w, s1, s2, 1)
-}
-
-// afacxCycle is AFACxCycleSweeps with every grid's final correction ẽ_k
-// scaled by omega at its own level (the next-coarser helper sweep e_{k+1}
-// inside the modified right-hand side stays undamped, matching the
-// asynchronous Correction). It shares the additive body's restriction
-// cascade and prolongSum: ẽ_k is left in w.e[k], whose scratch use for
-// P e_{k+1} comes before ẽ_k is written.
-func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega float64) {
-	if s1 < 1 || s2 < 1 {
-		panic(fmt.Sprintf("mg: AFACx sweep counts must be >= 1, got (%d/%d)", s1, s2))
-	}
+// afacxCycle is AFACxCycle with every grid's final correction ẽ_k scaled
+// by omega at its own level (the next-coarser helper sweep e_{k+1} inside
+// the modified right-hand side stays undamped, matching the asynchronous
+// Correction). It shares the additive body's restriction cascade and
+// prolongSum: ẽ_k is left in w.e[k], whose scratch use for P e_{k+1}
+// comes before ẽ_k is written.
+func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64) {
 	l := s.NumLevels()
 	s.restrictCascade(w, s.Itp, x, b)
 	for k := 0; k < l; k++ {
@@ -232,14 +194,14 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega floa
 			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
 			s.obs.Relaxed(k, 1)
 		} else {
-			// s2 smoothing sweeps on the next-coarser equations from zero.
+			// One smoothing sweep on the next-coarser equations from zero.
 			ec := w.tmp[k+1]
 			vec.Zero(ec)
-			s.smoothSweeps(k+1, ec, w.r[k+1], w.e[k+1], s2)
-			s.obs.Relaxed(k+1, int64(s2))
+			s.Smo[k+1].Apply(ec, w.r[k+1])
+			s.obs.Relaxed(k+1, 1)
 			// Modified right-hand side: r_k − A_k P e_{k+1}. (By linearity
-			// of the stationary smoother, s1 sweeps from the initial guess
-			// P e_{k+1} equal P e_{k+1} plus s1 sweeps from zero on this
+			// of the stationary smoother, a sweep from the initial guess
+			// P e_{k+1} equals P e_{k+1} plus a sweep from zero on this
 			// modified system, so the redundant prolongations cancel.)
 			pe := w.e[k] // reuse e_k as scratch for P e_{k+1}
 			s.Itp[k].Apply(pe, ec)
@@ -251,26 +213,12 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, s1, s2 int, omega floa
 				mod[i] = w.r[k][i] - mod[i]
 			}
 			vec.Zero(w.e[k])
-			// w.r[k] is free from here on (the restriction cascade is done
-			// and no later grid reads it), so it serves as sweep scratch —
-			// mod aliases w.tmp[k] and must not be clobbered.
-			s.smoothSweeps(k, w.e[k], mod, w.r[k], s1)
-			s.obs.Relaxed(k, int64(s1))
+			s.Smo[k].Apply(w.e[k], mod)
+			s.obs.Relaxed(k, 1)
 		}
 	}
 	s.prolongSum(x, w, s.Itp, omega)
 	s.countCorrections()
-}
-
-// smoothSweeps applies `sweeps` smoothing sweeps on level k to A e = r with
-// the current contents of e as the initial guess (callers zero e for a
-// zero-guess solve). scratch must be a level-k sized buffer distinct from e
-// and r.
-func (s *Engine) smoothSweeps(k int, e, r, scratch []float64, sweeps int) {
-	s.Smo[k].Apply(e, r) // first sweep from zero guess
-	for t := 1; t < sweeps; t++ {
-		s.Smo[k].Sweep(e, r, scratch)
-	}
 }
 
 // ---- solve loops ----
@@ -308,7 +256,7 @@ func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x 
 	case Multadd:
 		cycle = func(x []float64, w *Workspace) { s.additiveCycle(x, b, w, s.SItp, false, omega) }
 	case AFACx:
-		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, 1, 1, omega) }
+		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, omega) }
 	default:
 		panic(fmt.Sprintf("mg: SolveDamped supports Multadd and AFACx, got %v", m))
 	}

@@ -132,9 +132,6 @@ func (s *Engine) SetObserver(o *obs.Observer) {
 	}
 }
 
-// Observer returns the attached observer (nil when not set).
-func (s *Engine) Observer() *obs.Observer { return s.obs }
-
 // New builds the hierarchy for a and all solver operators.
 func New(a *sparse.CSR, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, error) {
 	h, st, err := amg.BuildWithStats(a, amgOpt)

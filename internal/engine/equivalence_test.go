@@ -50,11 +50,13 @@ func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
 				wAdd := s.NewWorkspace()
 				s.MultaddCycleSymmetrized(xAdd, b, wAdd)
 
-				maxDiff := 0.0
-				scale := vec.NormInf(xMult)
+				maxDiff, scale := 0.0, 0.0
 				for i := range xMult {
 					if d := math.Abs(xMult[i] - xAdd[i]); d > maxDiff {
 						maxDiff = d
+					}
+					if a := math.Abs(xMult[i]); a > scale {
+						scale = a
 					}
 				}
 				if maxDiff > 1e-10*(1+scale) {

@@ -78,7 +78,7 @@ func TestCyclesApplyEachInterpolantOnce(t *testing.T) {
 				{"multadd-damped", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, false, 0.8) }, 0, l - 1},
 				{"precondition-multadd", func(x []float64) { s.PreconditionCycle(Multadd, x, b, w) }, 0, l - 1},
 				{"afacx", func(x []float64) { s.AFACxCycle(x, b, w) }, l - 1, l - 1},
-				{"afacx-damped", func(x []float64) { s.afacxCycle(x, b, w, 1, 1, 0.8) }, l - 1, l - 1},
+				{"afacx-damped", func(x []float64) { s.afacxCycle(x, b, w, 0.8) }, l - 1, l - 1},
 			} {
 				*c = interpCounts{}
 				cyc.run(make([]float64, n))

@@ -295,10 +295,6 @@ func (t *Transport) CrashNow(k, it int) bool {
 // Dead reports whether grid k's links are permanently severed.
 func (t *Transport) Dead(k int) bool { return t.dead[k] }
 
-// Done is closed when the transport closes; in-flight blocking deliveries
-// abandon their message when it fires.
-func (t *Transport) Done() <-chan struct{} { return t.done }
-
 // Close severs the transport and waits for every in-flight delayed
 // delivery goroutine to finish, guaranteeing that nothing is delivered
 // after Close returns. Safe to call more than once.

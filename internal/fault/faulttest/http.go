@@ -1,4 +1,15 @@
-package fault
+// Package faulttest is the HTTP face of the fault substrate, for tests: an
+// http.RoundTripper that injects the failure modes a routing tier sees
+// when forwarding solves across an mgserve fleet — killed nodes
+// (connection refused, and in-flight responses lost), network partitions,
+// per-node stragglers, and random request loss. Like fault's message
+// transport, every random decision is a pure function of (seed, host,
+// attempt), so a cluster acceptance run replays identically for a given
+// seed. The mutable state (which nodes are down, partitioned or
+// straggling) is driven explicitly by the test, which is what makes "kill
+// node 0 at request 100" a deterministic scenario rather than a timing
+// accident. No binary links this package.
+package faulttest
 
 import (
 	"fmt"
@@ -7,18 +18,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// This file is the HTTP face of the fault substrate: an http.RoundTripper
-// that injects the failure modes a routing tier sees when forwarding
-// solves across an mgserve fleet — killed nodes (connection refused, and
-// in-flight responses lost), network partitions, per-node stragglers, and
-// random request loss. Like the message transport above, every random
-// decision is a pure function of (seed, host, attempt), so a cluster
-// acceptance run replays identically for a given seed. The mutable state
-// (which nodes are down, partitioned or straggling) is driven explicitly
-// by the test or load generator, which is what makes "kill node 0 at
-// request 100" a deterministic scenario rather than a timing accident.
+	"asyncmg/internal/fault"
+)
 
 // HTTPConfig parameterizes the random faults of an HTTP chaos transport.
 // The zero value injects nothing; kills, partitions and stragglers are
@@ -198,7 +200,7 @@ func (c *HTTPChaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	hs := hostSalt(host)
 	attempt := c.attempt(host)
-	if c.cfg.DropRate > 0 && Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPDrop) < c.cfg.DropRate {
+	if c.cfg.DropRate > 0 && fault.Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPDrop) < c.cfg.DropRate {
 		c.dropped.Add(1)
 		return nil, &hostError{host: host, mode: "dropped"}
 	}
@@ -206,9 +208,9 @@ func (c *HTTPChaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	delay := c.cfg.BaseDelay + c.straggle[host]
 	c.mu.RUnlock()
 	if c.cfg.DelayRate > 0 && c.cfg.ExtraDelay > 0 &&
-		Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPDelay) < c.cfg.DelayRate {
+		fault.Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPDelay) < c.cfg.DelayRate {
 		c.delayed.Add(1)
-		delay += time.Duration(Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPJitter) * float64(c.cfg.ExtraDelay))
+		delay += time.Duration(fault.Jitter01(c.cfg.Seed, hs, uint64(attempt), saltHTTPJitter) * float64(c.cfg.ExtraDelay))
 	}
 	if delay > 0 {
 		timer := time.NewTimer(delay)

@@ -1,4 +1,4 @@
-package fault
+package fault_test
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asyncmg/internal/fault/faulttest"
 )
 
 // okTransport is a loopback RoundTripper returning 200 "ok" without any
@@ -20,7 +22,7 @@ func (okTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-func get(t *testing.T, c *HTTPChaos, url string) (*http.Response, error) {
+func get(t *testing.T, c *faulttest.HTTPChaos, url string) (*http.Response, error) {
 	t.Helper()
 	req, err := http.NewRequest("GET", url, nil)
 	if err != nil {
@@ -30,7 +32,7 @@ func get(t *testing.T, c *HTTPChaos, url string) (*http.Response, error) {
 }
 
 func TestHTTPChaosKillRestartPartition(t *testing.T) {
-	c := NewHTTPChaos(HTTPConfig{}, okTransport{})
+	c := faulttest.NewHTTPChaos(faulttest.HTTPConfig{}, okTransport{})
 
 	resp, err := get(t, c, "http://n0:1/healthz")
 	if err != nil || resp.StatusCode != 200 {
@@ -78,17 +80,17 @@ func TestHTTPChaosKillRestartPartition(t *testing.T) {
 
 // killTransport kills the target inside the round trip, modelling a node
 // dying while the solve is in flight: the response must be lost.
-type killTransport struct{ c *HTTPChaos }
+type killTransport struct{ c *faulttest.HTTPChaos }
 
-func (k killTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (k *killTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	k.c.Kill(req.URL.Host)
 	return okTransport{}.RoundTrip(req)
 }
 
 func TestHTTPChaosKillMidFlightLosesResponse(t *testing.T) {
-	var c *HTTPChaos
-	c = NewHTTPChaos(HTTPConfig{}, killTransport{})
-	c.next = killTransport{c}
+	kt := &killTransport{}
+	c := faulttest.NewHTTPChaos(faulttest.HTTPConfig{}, kt)
+	kt.c = c
 	if _, err := get(t, c, "http://n0:1/solve"); err == nil {
 		t.Fatal("response survived a mid-flight kill")
 	} else if !strings.Contains(err.Error(), "reset") {
@@ -101,7 +103,7 @@ func TestHTTPChaosKillMidFlightLosesResponse(t *testing.T) {
 
 func TestHTTPChaosDeterministicDrops(t *testing.T) {
 	run := func() []bool {
-		c := NewHTTPChaos(HTTPConfig{Seed: 7, DropRate: 0.5}, okTransport{})
+		c := faulttest.NewHTTPChaos(faulttest.HTTPConfig{Seed: 7, DropRate: 0.5}, okTransport{})
 		out := make([]bool, 40)
 		for i := range out {
 			resp, err := get(t, c, "http://n0:1/solve")
@@ -126,7 +128,7 @@ func TestHTTPChaosDeterministicDrops(t *testing.T) {
 		t.Errorf("drop rate 0.5 produced %d/%d drops", drops, len(a))
 	}
 	// A different seed must produce a different schedule.
-	c2 := NewHTTPChaos(HTTPConfig{Seed: 8, DropRate: 0.5}, okTransport{})
+	c2 := faulttest.NewHTTPChaos(faulttest.HTTPConfig{Seed: 8, DropRate: 0.5}, okTransport{})
 	diff := false
 	for i := range a {
 		resp, err := get(t, c2, "http://n0:1/solve")
@@ -143,7 +145,7 @@ func TestHTTPChaosDeterministicDrops(t *testing.T) {
 }
 
 func TestHTTPChaosStragglerRespectsContext(t *testing.T) {
-	c := NewHTTPChaos(HTTPConfig{}, okTransport{})
+	c := faulttest.NewHTTPChaos(faulttest.HTTPConfig{}, okTransport{})
 	c.Straggle("n0:1", 10*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

@@ -260,8 +260,10 @@ func TestElasticityRigidTranslationNullspace(t *testing.T) {
 	}
 	y := make([]float64, k.Rows)
 	k.MatVec(y, x)
-	if nrm := vec.NormInf(y); nrm > 1e-10 {
-		t.Errorf("K·translation = %g, want 0", nrm)
+	for i, v := range y {
+		if math.Abs(v) > 1e-10 {
+			t.Fatalf("(K·translation)[%d] = %g, want 0", i, v)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -237,15 +236,6 @@ func TestFig6Smoke(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "gsync/cyc") {
 		t.Errorf("missing sync-point annotation:\n%s", out)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := geoMean([]float64{1, 100}); math.Abs(g-10) > 1e-12 {
-		t.Errorf("geoMean = %v, want 10", g)
-	}
-	if geoMean(nil) != 0 {
-		t.Error("geoMean(nil) should be 0")
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -154,7 +155,7 @@ func TestKrylovOnPaperMatrices(t *testing.T) {
 	defer p.Release()
 	ko := krylov.DefaultOptions()
 	ko.Tol, ko.MaxIter, ko.M = cdTau, cdBudget, p
-	res, err := krylov.FGMRES(s.Ops[0], b, ko)
+	res, err := krylov.FGMRESCtx(context.Background(), s.Ops[0], b, ko)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,18 +185,3 @@ func relResAfter(s *engine.Engine, method engine.Method, b []float64, cycles int
 	_, hist := s.Solve(method, b, cycles)
 	return hist[len(hist)-1]
 }
-
-// geoMean returns the geometric mean of positive values (residual averages
-// in the figures are means of 20 runs; the arithmetic mean of residuals is
-// what the paper plots, but the geometric mean is exposed for the summary
-// statistics in EXPERIMENTS.md).
-func geoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 
@@ -87,7 +88,9 @@ func TestPCGSteadyStateAllocFree(t *testing.T) {
 // the basis vectors, Hessenberg and rotation scratch all pool.
 func TestFGMRESSteadyStateAllocFree(t *testing.T) {
 	warmPools(t)
-	assertWarmSolveAllocFree(t, "FGMRES", FGMRES)
+	assertWarmSolveAllocFree(t, "FGMRES", func(a op.Operator, b []float64, opt Options) (Result, error) {
+		return FGMRESCtx(context.Background(), a, b, opt)
+	})
 }
 
 // TestPlainCGAllocFreeOnOperator: the unpreconditioned iteration path is

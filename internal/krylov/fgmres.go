@@ -8,18 +8,14 @@ import (
 	"asyncmg/internal/vec"
 )
 
-// FGMRES runs flexible restarted GMRES(m) on A x = b from x = 0. Unlike
+// FGMRESCtx runs flexible restarted GMRES(m) on A x = b from x = 0. Unlike
 // right-preconditioned GMRES, the flexible variant stores the
 // preconditioned basis Z = [M⁻¹v₁ … M⁻¹vⱼ] and forms the update from it,
 // so the preconditioner may vary between applications — exactly what a
 // multigrid cycle under adaptive damping (or any non-symmetric,
 // non-constant cycle) is. Neither A nor M needs to be symmetric.
-func FGMRES(a op.Operator, b []float64, opt Options) (Result, error) {
-	return FGMRESCtx(context.Background(), a, b, opt)
-}
-
-// FGMRESCtx is FGMRES with cancellation checked at each iteration
-// boundary; a cancelled solve returns the partial result with ctx's error.
+// Cancellation is checked at each iteration boundary; a cancelled solve
+// returns the partial result with ctx's error.
 func FGMRESCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Result, error) {
 	n, x, err := checkSystem(a.Rows(), a.Cols(), b, &opt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFGMRESSolvesSPD(t *testing.T) {
 	b := grid.RandomRHS(a.Rows, 1)
 	opt := DefaultOptions()
 	opt.Tol = 1e-8
-	res, err := FGMRES(op.FromCSR(a), b, opt)
+	res, err := FGMRESCtx(context.Background(), op.FromCSR(a), b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestFGMRESNonSymmetricConvectionDiffusion(t *testing.T) {
 	opt.Tol = 1e-8
 	opt.MaxIter = 200
 	opt.M = p
-	res, err := FGMRES(s.Ops[0], b, opt)
+	res, err := FGMRESCtx(context.Background(), s.Ops[0], b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestFGMRESRestartsStillConverge(t *testing.T) {
 	opt.MaxIter = 400
 	opt.Restart = 3
 	opt.M = p
-	res, err := FGMRES(s.Ops[0], b, opt)
+	res, err := FGMRESCtx(context.Background(), s.Ops[0], b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFGMRESHistoryMonotone(t *testing.T) {
 	opt.Tol = 1e-10
 	opt.MaxIter = 120
 	opt.M = p
-	res, err := FGMRES(s.Ops[0], b, opt)
+	res, err := FGMRESCtx(context.Background(), s.Ops[0], b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +133,13 @@ func TestFGMRESValidationAndZeroRHS(t *testing.T) {
 	a := op.FromCSR(grid.Laplacian7pt(4))
 	opt := DefaultOptions()
 	opt.MaxIter = 0
-	if _, err := FGMRES(a, make([]float64, a.Rows()), opt); err == nil {
+	if _, err := FGMRESCtx(context.Background(), a, make([]float64, a.Rows()), opt); err == nil {
 		t.Error("MaxIter 0 accepted")
 	}
-	if _, err := FGMRES(a, make([]float64, 5), DefaultOptions()); err == nil {
+	if _, err := FGMRESCtx(context.Background(), a, make([]float64, 5), DefaultOptions()); err == nil {
 		t.Error("wrong-length RHS accepted")
 	}
-	res, err := FGMRES(a, make([]float64, a.Rows()), DefaultOptions())
+	res, err := FGMRESCtx(context.Background(), a, make([]float64, a.Rows()), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFGMRESMatrixFreePreconditioned(t *testing.T) {
 	o := DefaultOptions()
 	o.Tol = 1e-8
 	o.M = p
-	res, err := FGMRES(s.Ops[0], b, o)
+	res, err := FGMRESCtx(context.Background(), s.Ops[0], b, o)
 	if err != nil {
 		t.Fatal(err)
 	}

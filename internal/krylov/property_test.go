@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"testing"
 
 	"asyncmg/internal/engine"
@@ -76,7 +77,7 @@ func TestFGMRESBitwiseAcrossWorkerCounts(t *testing.T) {
 		opt.Tol = 1e-9
 		opt.MaxIter = 80
 		opt.M = p
-		res, err := FGMRES(s.Ops[0], b, opt)
+		res, err := FGMRESCtx(context.Background(), s.Ops[0], b, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,16 +80,6 @@ func (g *Gauge) Set(v int64) {
 	g.bumpMax(v)
 }
 
-// Add moves the gauge by d and returns the new value.
-func (g *Gauge) Add(d int64) int64 {
-	if g == nil {
-		return 0
-	}
-	v := g.v.Add(d)
-	g.bumpMax(v)
-	return v
-}
-
 func (g *Gauge) bumpMax(v int64) {
 	for {
 		m := g.max.Load()
@@ -156,15 +146,6 @@ func (g *GridCounters) Len() int {
 		return 0
 	}
 	return len(g.cells)
-}
-
-// Total returns the sum over all grids.
-func (g *GridCounters) Total() int64 {
-	var t int64
-	for k := 0; k < g.Len(); k++ {
-		t += g.Load(k)
-	}
-	return t
 }
 
 // Snapshot appends the per-grid counts to dst and returns it.

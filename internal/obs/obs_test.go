@@ -24,8 +24,8 @@ func TestCounterGauge(t *testing.T) {
 	g.Set(9) // nil-safe
 	g = &Gauge{}
 	g.Set(3)
-	g.Add(4)
-	g.Add(-5)
+	g.Set(7)
+	g.Set(2)
 	if got := g.Load(); got != 2 {
 		t.Fatalf("gauge = %d, want 2", got)
 	}
@@ -43,15 +43,15 @@ func TestGridCounters(t *testing.T) {
 	if got := gc.Load(0); got != 1 {
 		t.Fatalf("grid 0 = %d, want 1", got)
 	}
-	if got := gc.Total(); got != 11 {
-		t.Fatalf("total = %d, want 11", got)
+	if got := gc.Load(2); got != 10 {
+		t.Fatalf("grid 2 = %d, want 10", got)
 	}
 	if snap := gc.Snapshot(nil); len(snap) != 3 || snap[2] != 10 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	var nilGC *GridCounters
 	nilGC.Inc(0)
-	if nilGC.Len() != 0 || nilGC.Total() != 0 {
+	if nilGC.Len() != 0 || nilGC.Load(0) != 0 {
 		t.Fatal("nil GridCounters not inert")
 	}
 }

@@ -78,9 +78,6 @@ func (a *CSR[V, I]) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Ato
 func (a *CSR[V, I]) ResidualBlock(r, b, x []float64, k int) {
 	a.M.RunBlock(sparse.KResidualBlock, r, b, x, k)
 }
-func (a *CSR[V, I]) ApplyBlock(y, x []float64, k int) {
-	a.M.RunBlock(sparse.KApplyBlock, y, nil, x, k)
-}
 
 // AsCSR returns the float64 CSR behind a, or nil when a is matrix-free or
 // stored in another precision. Consumers that genuinely need row storage
@@ -118,7 +115,6 @@ func NewCSR32Interp(p, pt *sparse.CSR) *CSRInterp[float32, int32] {
 }
 
 func (t *CSRInterp[V, I]) FineRows() int      { return t.P.Rows }
-func (t *CSRInterp[V, I]) CoarseRows() int    { return t.P.Cols }
 func (t *CSRInterp[V, I]) NNZEquivalent() int { return t.P.NNZ() }
 func (t *CSRInterp[V, I]) Bytes() int         { return t.P.Bytes() + t.PT.Bytes() }
 

@@ -60,10 +60,6 @@ func geomDim(fi, nc int) (c0 int, w0 float64, c1 int, w1 float64, cnt int) {
 	return c0, w0, c1, w1, cnt
 }
 
-// N is the fine grid edge length; NC the coarse edge length.
-func (g *GeomInterp) N() int  { return g.n }
-func (g *GeomInterp) NC() int { return g.nc }
-
 func (g *GeomInterp) FineRows() int      { return g.n * g.n * g.n }
 func (g *GeomInterp) CoarseRows() int    { return g.nc * g.nc * g.nc }
 func (g *GeomInterp) NNZEquivalent() int { return g.nnz }

@@ -129,7 +129,11 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 				split(func(lo, hi int) { m.ApplyBlockRange(y, in.xBlock, blockK, lo, hi) })
 				return y
 			},
-			sharded: func() []float64 { y := out(blockK); a.ApplyBlock(y, in.xBlock, blockK); return y },
+			sharded: func() []float64 {
+				y := out(blockK)
+				m.RunBlock(sparse.KApplyBlock, y, nil, in.xBlock, blockK)
+				return y
+			},
 			composed: func() []float64 {
 				return perColumn(rows, func(y, x, _ []float64) { m.MatVec(y, x) }, in.xBlock, nil, nil)
 			}},
@@ -325,17 +329,13 @@ func TestCSRKernelOperandValidation(t *testing.T) {
 	if AsCSR(a32) != nil || AsCSR(NewStencil7(4)) != nil {
 		t.Fatal("AsCSR on a float32 store or a stencil should be nil")
 	}
-	type blockOp interface {
-		BlockOperator
-		BlockApplier
-	}
-	for name, a := range map[string]blockOp{"f64": a64, "f32": a32} {
+	for name, a := range map[string]BlockOperator{"f64": a64, "f32": a32} {
 		for _, bad := range []struct {
 			what string
 			call func()
 		}{
-			{"k=0", func() { a.ApplyBlock(make([]float64, n), make([]float64, n), 0) }},
-			{"short x", func() { a.ApplyBlock(make([]float64, 2*n), make([]float64, 2*n-1), 2) }},
+			{"k=0", func() { a.ResidualBlock(make([]float64, n), make([]float64, n), make([]float64, n), 0) }},
+			{"short x", func() { a.ResidualBlock(make([]float64, 2*n), make([]float64, 2*n), make([]float64, 2*n-1), 2) }},
 			{"short y", func() { a.ResidualBlock(make([]float64, n), make([]float64, 2*n), make([]float64, 2*n), 2) }},
 			{"short rhs", func() { a.ResidualBlock(make([]float64, 2*n), make([]float64, n), make([]float64, 2*n), 2) }},
 		} {

@@ -98,7 +98,6 @@ type Operator interface {
 // rows, ApplyT* methods over coarse rows.
 type Interp interface {
 	FineRows() int
-	CoarseRows() int
 	NNZEquivalent() int
 	Bytes() int
 	// Apply computes fine = P coarse.
@@ -151,12 +150,6 @@ type AtomicResidualer interface {
 // on every level.
 type BlockOperator interface {
 	ResidualBlock(r, b, x []float64, k int)
-}
-
-// BlockApplier is the multi-RHS product capability y = A x (k packed
-// columns, row-major). The CSR-backed operators provide it.
-type BlockApplier interface {
-	ApplyBlock(y, x []float64, k int)
 }
 
 // BlockInterp is the multi-RHS capability of an Interp.

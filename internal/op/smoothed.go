@@ -46,8 +46,7 @@ func NewSmoothedInterp(a Operator, p Interp, scale []float64) *SmoothedInterp {
 	return si
 }
 
-func (si *SmoothedInterp) FineRows() int   { return si.P.FineRows() }
-func (si *SmoothedInterp) CoarseRows() int { return si.P.CoarseRows() }
+func (si *SmoothedInterp) FineRows() int { return si.P.FineRows() }
 
 // NNZEquivalent is the work of one apply: the base interpolant plus a
 // full operator pass.

@@ -181,8 +181,6 @@ func (r *classRuns) next() bool {
 	return true
 }
 
-// N is the grid edge length.
-func (s *Stencil) N() int    { return s.n }
 func (s *Stencil) Rows() int { return s.n * s.n * s.n }
 func (s *Stencil) Cols() int { return s.n * s.n * s.n }
 

@@ -380,7 +380,7 @@ func TestStencilCoarsenMatchesAlgebraicGalerkin(t *testing.T) {
 				a1 := coarse.CSR()
 				p := itp.CSR()
 				assertSameCSR(t, name+"/matmul", a1, sparse.MatMul(p.Transpose(), sparse.MatMul(f.csr, p)))
-				assertSameCSR(t, name+"/every-row", a1, galerkinOracle(f.st, itp.NC()))
+				assertSameCSR(t, name+"/every-row", a1, galerkinOracle(f.st, itp.nc))
 			}
 		}
 	}

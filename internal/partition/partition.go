@@ -37,37 +37,6 @@ func SplitRows(n, p int) []Range {
 	return out
 }
 
-// SplitWeighted partitions [0, n) into p contiguous ranges balancing the
-// prefix sums of w (per-row weights, e.g. row nnz counts). Each range
-// receives approximately total/p weight.
-func SplitWeighted(w []float64, p int) []Range {
-	n := len(w)
-	if p < 1 {
-		panic(fmt.Sprintf("partition: SplitWeighted needs p >= 1, got %d", p))
-	}
-	total := 0.0
-	for _, x := range w {
-		total += x
-	}
-	out := make([]Range, p)
-	lo := 0
-	acc := 0.0
-	for i := 0; i < p; i++ {
-		target := total * float64(i+1) / float64(p)
-		hi := lo
-		for hi < n && (acc < target || i == p-1) {
-			acc += w[hi]
-			hi++
-		}
-		if i == p-1 {
-			hi = n
-		}
-		out[i] = Range{lo, hi}
-		lo = hi
-	}
-	return out
-}
-
 // Assign distributes nthreads threads over len(work) grids proportionally to
 // work[k] (> 0), guaranteeing at least one thread per grid when
 // nthreads >= len(work). It uses the largest-remainder method. When

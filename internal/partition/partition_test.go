@@ -57,48 +57,6 @@ func TestSplitRowsPanicsOnBadP(t *testing.T) {
 	SplitRows(5, 0)
 }
 
-func TestSplitWeightedBalances(t *testing.T) {
-	// Heavily skewed weights: first row as heavy as the whole rest.
-	w := make([]float64, 100)
-	for i := range w {
-		w[i] = 1
-	}
-	w[0] = 99
-	rs := SplitWeighted(w, 2)
-	if rs[0] != (Range{0, 1}) {
-		t.Errorf("heavy row not isolated: %v", rs[0])
-	}
-	if rs[1] != (Range{1, 100}) {
-		t.Errorf("second range %v", rs[1])
-	}
-}
-
-func TestSplitWeightedCoversAll(t *testing.T) {
-	f := func(seed int64) bool {
-		if seed < 0 {
-			seed = -seed
-		}
-		n := int(seed%50) + 1
-		p := int(seed%7) + 1
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = float64((seed+int64(i)*31)%10) + 1
-		}
-		rs := SplitWeighted(w, p)
-		lo := 0
-		for _, r := range rs {
-			if r.Lo != lo {
-				return false
-			}
-			lo = r.Hi
-		}
-		return lo == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAssignProportional(t *testing.T) {
 	got := Assign([]float64{70, 20, 10}, 10)
 	if got[0]+got[1]+got[2] != 10 {

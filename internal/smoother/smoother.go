@@ -208,9 +208,6 @@ func (s *S) offBlockL1() []float64 {
 	return l1Off
 }
 
-// NumBlocks returns the number of blocks of the smoother's partition.
-func (s *S) NumBlocks() int { return len(s.Blocks) }
-
 // InvDiag exposes the diagonal scaling M⁻¹ of the Jacobi-type smoothers
 // (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi) so cycle engines can fuse
 // the zero-guess sweep with the post-sweep residual. Nil for the block
@@ -359,19 +356,14 @@ func (s *S) Sweep(e, r, scratch []float64) {
 	}
 }
 
-// InterpolantScaling returns the diagonal vector s such that the smoothing
-// iteration matrix used to build the smoothed interpolants of Multadd is
-// G = I − diag(s)·A. Per Section V of the paper, the ℓ1-Jacobi smoother uses
-// its own iteration matrix (s_i = 1/Σ_j |a_ij|), while every other smoother
-// uses the ω-Jacobi iteration matrix (s_i = ω/a_ii) so the interpolants stay
-// sparse.
-func InterpolantScaling(a *sparse.CSR, cfg Config) ([]float64, error) {
-	return InterpolantScalingOp(op.FromCSR(a), cfg, Precomputed{})
-}
-
-// InterpolantScalingOp is InterpolantScaling for an arbitrary operator,
-// sourcing the diagonal and row-norm vectors from pre when available so
-// hierarchy-view owners do not rescan each level's matrix a second time.
+// InterpolantScalingOp returns the diagonal vector s such that the
+// smoothing iteration matrix used to build the smoothed interpolants of
+// Multadd is G = I − diag(s)·A. Per Section V of the paper, the ℓ1-Jacobi
+// smoother uses its own iteration matrix (s_i = 1/Σ_j |a_ij|), while every
+// other smoother uses the ω-Jacobi iteration matrix (s_i = ω/a_ii) so the
+// interpolants stay sparse. It sources the diagonal and row-norm vectors
+// from pre when available so hierarchy-view owners do not rescan each
+// level's matrix a second time.
 func InterpolantScalingOp(a op.Operator, cfg Config, pre Precomputed) ([]float64, error) {
 	omega := cfg.Omega
 	if omega <= 0 {

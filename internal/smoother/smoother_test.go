@@ -8,7 +8,9 @@ import (
 	"testing/quick"
 
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
 )
 
@@ -68,8 +70,8 @@ func TestMoreBlocksThanRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumBlocks() != 10 {
-		t.Fatalf("blocks = %d, want 10", s.NumBlocks())
+	if len(s.Blocks) != 10 {
+		t.Fatalf("blocks = %d, want 10", len(s.Blocks))
 	}
 	e := make([]float64, 3)
 	r := []float64{2, 2, 2}
@@ -136,7 +138,7 @@ func TestHybridOneBlockIsGaussSeidel(t *testing.T) {
 	e := make([]float64, 8)
 	s.Apply(e, r)
 	want := make([]float64, 8)
-	a.GaussSeidelSweepRange(want, r, 0, 8)
+	sparsetest.GaussSeidelSweepRange(a, want, r, 0, 8)
 	for i := range e {
 		if math.Abs(e[i]-want[i]) > 1e-14 {
 			t.Errorf("e[%d] = %v, want %v", i, e[i], want[i])
@@ -178,7 +180,7 @@ func TestSweepFixedPoint(t *testing.T) {
 	// Solve exactly via many GS sweeps.
 	x := make([]float64, 12)
 	for k := 0; k < 4000; k++ {
-		a.GaussSeidelSweepRange(x, b, 0, 12)
+		sparsetest.GaussSeidelSweepRange(a, x, b, 0, 12)
 	}
 	for _, cfg := range allKinds() {
 		s, err := New(a, cfg)
@@ -271,7 +273,7 @@ func TestApplyBlockAtomicMatchesSerialForDiagonal(t *testing.T) {
 		serial := make([]float64, n)
 		s.Apply(serial, r)
 		at := vec.NewAtomic(n)
-		for b := 0; b < s.NumBlocks(); b++ {
+		for b := 0; b < len(s.Blocks); b++ {
 			s.ApplyBlockAtomic(at, r, b)
 		}
 		got := make([]float64, n)
@@ -297,7 +299,7 @@ func TestApplyBlockAtomicHybridIgnoresOffBlock(t *testing.T) {
 	serial := make([]float64, n)
 	s.Apply(serial, r)
 	at := vec.NewAtomic(n)
-	for b := 0; b < s.NumBlocks(); b++ {
+	for b := 0; b < len(s.Blocks); b++ {
 		s.ApplyBlockAtomic(at, r, b)
 	}
 	got := make([]float64, n)
@@ -319,13 +321,13 @@ func TestAsyncGSSequentialEqualsGS(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := vec.NewAtomic(10)
-	for b := 0; b < s.NumBlocks(); b++ {
+	for b := 0; b < len(s.Blocks); b++ {
 		s.ApplyBlockAtomic(at, r, b)
 	}
 	got := make([]float64, 10)
 	at.Snapshot(got)
 	want := make([]float64, 10)
-	a.GaussSeidelSweepRange(want, r, 0, 10)
+	sparsetest.GaussSeidelSweepRange(a, want, r, 0, 10)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-14 {
 			t.Fatalf("async GS sequential != GS at %d: %v vs %v", i, got[i], want[i])
@@ -352,7 +354,7 @@ func TestAsyncGSConcurrentConverges(t *testing.T) {
 	// pass of block Gauss-Seidel under run-to-completion scheduling.)
 	for round := 0; round < 150; round++ {
 		var wg sync.WaitGroup
-		for blk := 0; blk < s.NumBlocks(); blk++ {
+		for blk := 0; blk < len(s.Blocks); blk++ {
 			wg.Add(1)
 			go func(blk int) {
 				defer wg.Done()
@@ -375,7 +377,7 @@ func TestAsyncGSConcurrentConverges(t *testing.T) {
 func TestInterpolantScaling(t *testing.T) {
 	a := lap1d(4)
 	// ω-Jacobi scaling.
-	s, err := InterpolantScaling(a, Config{Kind: WJacobi, Omega: 0.9})
+	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: WJacobi, Omega: 0.9}, Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestInterpolantScaling(t *testing.T) {
 		}
 	}
 	// Hybrid and async use the ω-Jacobi matrix too.
-	h, err := InterpolantScaling(a, Config{Kind: AsyncGS, Omega: 0.9})
+	h, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: AsyncGS, Omega: 0.9}, Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +397,7 @@ func TestInterpolantScaling(t *testing.T) {
 		}
 	}
 	// ℓ1 scaling uses row l1 norms (3, 4, 4, 3).
-	l1, err := InterpolantScaling(a, Config{Kind: L1Jacobi})
+	l1, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: L1Jacobi}, Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +471,7 @@ func TestL1HybridJGSSweepFixedPointAndAtomicConsistency(t *testing.T) {
 	// Fixed point: exact solution unchanged by a sweep.
 	x := make([]float64, 10)
 	for k := 0; k < 4000; k++ {
-		a.GaussSeidelSweepRange(x, b, 0, 10)
+		sparsetest.GaussSeidelSweepRange(a, x, b, 0, 10)
 	}
 	e := append([]float64(nil), x...)
 	scratch := make([]float64, 10)
@@ -483,7 +485,7 @@ func TestL1HybridJGSSweepFixedPointAndAtomicConsistency(t *testing.T) {
 	serial := make([]float64, 10)
 	s.Apply(serial, b)
 	at := vec.NewAtomic(10)
-	for blk := 0; blk < s.NumBlocks(); blk++ {
+	for blk := 0; blk < len(s.Blocks); blk++ {
 		s.ApplyBlockAtomic(at, b, blk)
 	}
 	got := make([]float64, 10)
@@ -495,7 +497,7 @@ func TestL1HybridJGSSweepFixedPointAndAtomicConsistency(t *testing.T) {
 	}
 	// SolveSweepBlockAtomic at the fixed point leaves x unchanged.
 	at.SetAll(x)
-	for blk := 0; blk < s.NumBlocks(); blk++ {
+	for blk := 0; blk < len(s.Blocks); blk++ {
 		s.SolveSweepBlockAtomic(at, b, blk)
 	}
 	at.Snapshot(got)
@@ -547,7 +549,7 @@ func TestSweepBlockFromResidualMatchesSweep(t *testing.T) {
 		res := make([]float64, n)
 		a.Residual(res, b, e2)
 		var wg sync.WaitGroup
-		for blk := 0; blk < s2.NumBlocks(); blk++ {
+		for blk := 0; blk < len(s2.Blocks); blk++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -578,7 +580,7 @@ func TestSweepBlockFromResidualL1Hybrid(t *testing.T) {
 	s1.Sweep(e1, b, scratch)
 	res := make([]float64, n)
 	a.Residual(res, b, e2)
-	for blk := 0; blk < s1.NumBlocks(); blk++ {
+	for blk := 0; blk < len(s1.Blocks); blk++ {
 		s1.SweepBlockFromResidual(e2, res, blk)
 	}
 	for i := range e1 {
@@ -591,7 +593,7 @@ func TestSweepBlockFromResidualL1Hybrid(t *testing.T) {
 func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	// Omega <= 0 falls back to 0.9 for the default branch.
 	a := lap1d(3)
-	s, err := InterpolantScaling(a, Config{Kind: HybridJGS})
+	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: HybridJGS}, Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,11 +603,11 @@ func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	// Errors for degenerate matrices.
 	z := sparse.NewCOO(1, 1, 1)
 	z.Add(0, 0, 0)
-	if _, err := InterpolantScaling(z.ToCSR(), Config{Kind: WJacobi, Omega: 0.9}); err == nil {
+	if _, err := InterpolantScalingOp(op.FromCSR(z.ToCSR()), Config{Kind: WJacobi, Omega: 0.9}, Precomputed{}); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 	empty := &sparse.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 0}}
-	if _, err := InterpolantScaling(empty, Config{Kind: L1Jacobi}); err == nil {
+	if _, err := InterpolantScalingOp(op.FromCSR(empty), Config{Kind: L1Jacobi}, Precomputed{}); err == nil {
 		t.Error("empty row accepted for l1")
 	}
 }
@@ -623,7 +625,7 @@ func TestSolveSweepBlockAtomicJacobiKinds(t *testing.T) {
 		x0 := grid.RandomRHS(6, 53)
 		at := vec.NewAtomic(6)
 		at.SetAll(x0)
-		for blk := 0; blk < s.NumBlocks(); blk++ {
+		for blk := 0; blk < len(s.Blocks); blk++ {
 			s.SolveSweepBlockAtomic(at, b, blk)
 		}
 		// Serial reference: Gauss-Seidel-like because block 1 reads block

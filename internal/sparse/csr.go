@@ -138,32 +138,6 @@ func (a *Matrix[V, I]) At(i, j int) float64 {
 	return 0
 }
 
-// Clone returns a deep copy of the matrix.
-func (a *Matrix[V, I]) Clone() *Matrix[V, I] {
-	return &Matrix[V, I]{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: append([]I(nil), a.RowPtr...),
-		ColIdx: append([]I(nil), a.ColIdx...),
-		Vals:   append([]V(nil), a.Vals...),
-	}
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *CSR {
-	a := &CSR{Rows: n, Cols: n,
-		RowPtr: make([]int, n+1),
-		ColIdx: make([]int, n),
-		Vals:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		a.RowPtr[i+1] = i + 1
-		a.ColIdx[i] = i
-		a.Vals[i] = 1
-	}
-	return a
-}
-
 // Transpose returns Aᵀ as a new CSR matrix. The result has sorted rows by
 // construction (counting sort over rows of A). Large transposes shard the
 // count and scatter passes over the kernel pool (see transposePar); the
@@ -198,36 +172,6 @@ func (a *Matrix[V, I]) Transpose() *Matrix[V, I] {
 	return t
 }
 
-// DropSmall returns a copy of a with entries |v| <= tol removed (diagonal
-// entries are always kept). Used to post-filter near-zero fill-in from
-// sparse products such as the smoothed interpolants. The output is sized
-// exactly by a counting pass, so no append regrowth occurs.
-func (a *Matrix[V, I]) DropSmall(tol float64) *Matrix[V, I] {
-	keep := 0
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if math.Abs(float64(a.Vals[p])) > tol || int(a.ColIdx[p]) == i {
-				keep++
-			}
-		}
-	}
-	c := &Matrix[V, I]{Rows: a.Rows, Cols: a.Cols,
-		RowPtr: make([]I, a.Rows+1),
-		ColIdx: make([]I, 0, keep),
-		Vals:   make([]V, 0, keep),
-	}
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if math.Abs(float64(a.Vals[p])) > tol || int(a.ColIdx[p]) == i {
-				c.ColIdx = append(c.ColIdx, a.ColIdx[p])
-				c.Vals = append(c.Vals, a.Vals[p])
-			}
-		}
-		c.RowPtr[i+1] = I(len(c.Vals))
-	}
-	return c
-}
-
 // ScaleRows multiplies row i of a by s[i] in place.
 func (a *Matrix[V, I]) ScaleRows(s []float64) {
 	if len(s) != a.Rows {
@@ -238,11 +182,6 @@ func (a *Matrix[V, I]) ScaleRows(s []float64) {
 			a.Vals[p] = V(float64(a.Vals[p]) * s[i])
 		}
 	}
-}
-
-// Add returns A + B for matrices of identical shape.
-func Add(a, b *CSR) *CSR {
-	return addScaled(a, b, 1)
 }
 
 // Sub returns A - B for matrices of identical shape.
@@ -317,28 +256,6 @@ func (a *Matrix[V, I]) LowerTriSolveRange(x, b []float64, lo, hi int) {
 	}
 }
 
-// GaussSeidelSweepRange performs one forward Gauss-Seidel sweep on the row
-// block [lo, hi) of A x = b, reading the most recent values of x everywhere
-// (including outside the block). It is the serial kernel underneath both
-// hybrid JGS (with block-local reads) and async GS (with shared reads).
-func (a *Matrix[V, I]) GaussSeidelSweepRange(x, b []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := b[i]
-		diag := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := int(a.ColIdx[p])
-			if j == i {
-				diag = float64(a.Vals[p])
-			} else {
-				s -= float64(a.Vals[p]) * x[j]
-			}
-		}
-		if diag != 0 {
-			x[i] = s / diag
-		}
-	}
-}
-
 // IsSymmetric reports whether A equals its transpose up to tol, comparing
 // entry by entry. Intended for tests and setup-time validation.
 func (a *Matrix[V, I]) IsSymmetric(tol float64) bool {
@@ -360,18 +277,4 @@ func (a *Matrix[V, I]) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ToDense expands the matrix into a dense row-major slice of slices.
-// Intended for tests and the coarse-grid direct solver.
-func (a *Matrix[V, I]) ToDense() [][]float64 {
-	d := make([][]float64, a.Rows)
-	flat := make([]float64, a.Rows*a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		d[i] = flat[i*a.Cols : (i+1)*a.Cols]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			d[i][a.ColIdx[p]] = float64(a.Vals[p])
-		}
-	}
-	return d
 }

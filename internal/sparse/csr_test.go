@@ -400,61 +400,6 @@ func TestLowerTriSolveBlockIgnoresOutside(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelSweepReducesResidual(t *testing.T) {
-	// One GS sweep on a diagonally dominant system must reduce ||b - Ax||.
-	rng := rand.New(rand.NewSource(9))
-	n := 30
-	coo := NewCOO(n, n, 4*n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4)
-		if i > 0 {
-			coo.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			coo.Add(i, i+1, -1)
-		}
-	}
-	a := coo.ToCSR()
-	b := randVec(rng, n)
-	x := make([]float64, n)
-	r := make([]float64, n)
-	a.Residual(r, b, x)
-	before := norm2(r)
-	a.GaussSeidelSweepRange(x, b, 0, n)
-	a.Residual(r, b, x)
-	after := norm2(r)
-	if after >= before {
-		t.Errorf("GS sweep did not reduce residual: %g -> %g", before, after)
-	}
-}
-
-func norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func TestDropSmall(t *testing.T) {
-	coo := NewCOO(2, 2, 4)
-	coo.Add(0, 0, 1e-15)
-	coo.Add(0, 1, 0.5)
-	coo.Add(1, 0, 1e-14)
-	coo.Add(1, 1, -2)
-	a := coo.ToCSR().DropSmall(1e-12)
-	// (0,0) kept because it is diagonal; (1,0) dropped.
-	if a.At(0, 0) != 1e-15 {
-		t.Error("diagonal entry must survive DropSmall")
-	}
-	if a.NNZ() != 3 {
-		t.Errorf("NNZ = %d, want 3", a.NNZ())
-	}
-	if a.At(1, 0) != 0 {
-		t.Error("small off-diagonal entry must be dropped")
-	}
-}
-
 func TestScaleRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randCSR(rng, 6, 6, 0.4)

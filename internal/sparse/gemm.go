@@ -19,7 +19,7 @@
 //     recycled through a sync.Pool. Markers carry a per-scratch
 //     generation stamp instead of being cleared between rows or calls,
 //     so steady-state re-setup of an unchanged-size hierarchy performs
-//     no marker/accumulator heap allocations (see GEMMScratchAllocs).
+//     no marker/accumulator heap allocations (see gemmScratchNews).
 //
 // The numeric pass accumulates acc[j] += a_ik * b_kj in exactly the same
 // (k ascending, then q ascending) order as the previous fused serial
@@ -55,12 +55,6 @@ var gemmScratchPool = sync.Pool{New: func() any {
 // gemmScratchNews counts pool misses (fresh scratch constructions); the
 // setup allocation tests pin it to prove steady-state scratch reuse.
 var gemmScratchNews atomic.Int64
-
-// GEMMScratchAllocs reports how many GEMM scratch workspaces have been
-// constructed process-wide. A steady-state re-setup of an unchanged-size
-// hierarchy must not move this counter — the allocation-discipline
-// contract enforced by the setup tests.
-func GEMMScratchAllocs() int64 { return gemmScratchNews.Load() }
 
 // acquireGemmScratch returns a pooled scratch with capacity for `cols`
 // columns. Growing an undersized scratch re-allocates its dense arrays
@@ -205,13 +199,6 @@ func MatMul(a, b *CSR) *CSR {
 	return c
 }
 
-// RAP computes the Galerkin coarse-grid operator A_c = Pᵀ A P, the
-// triple product used at every AMG level. Callers that already hold Pᵀ
-// should use RAPWith, which skips the transpose.
-func RAP(a, p *CSR) *CSR {
-	return RAPWith(a, p, p.Transpose())
-}
-
 // RAPWith computes the Galerkin triple product A_c = Pᵀ·(A·P) with a
 // caller-provided transpose of P, fusing the two products over one
 // cached Pᵀ: the AMG hierarchy builder computes one (parallel)
@@ -243,10 +230,6 @@ var transScratchPool = sync.Pool{New: func() any {
 }}
 
 var transScratchNews atomic.Int64
-
-// TransposeScratchAllocs reports how many transpose scratch workspaces
-// have been constructed process-wide (see GEMMScratchAllocs).
-func TransposeScratchAllocs() int64 { return transScratchNews.Load() }
 
 func acquireTransScratch(workers, cols int) *transScratch {
 	s := transScratchPool.Get().(*transScratch)

@@ -1,0 +1,54 @@
+package sparse
+
+// Constructors and conversions this package's tests build their cases
+// and oracles from. No binary needs them.
+
+// Clone returns a deep copy of the matrix.
+func (a *Matrix[V, I]) Clone() *Matrix[V, I] {
+	return &Matrix[V, I]{
+		Rows:   a.Rows,
+		Cols:   a.Cols,
+		RowPtr: append([]I(nil), a.RowPtr...),
+		ColIdx: append([]I(nil), a.ColIdx...),
+		Vals:   append([]V(nil), a.Vals...),
+	}
+}
+
+// Identity returns the n-by-n identity matrix.
+func Identity(n int) *CSR {
+	a := &CSR{Rows: n, Cols: n,
+		RowPtr: make([]int, n+1),
+		ColIdx: make([]int, n),
+		Vals:   make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		a.RowPtr[i+1] = i + 1
+		a.ColIdx[i] = i
+		a.Vals[i] = 1
+	}
+	return a
+}
+
+// Add returns A + B for matrices of identical shape.
+func Add(a, b *CSR) *CSR {
+	return addScaled(a, b, 1)
+}
+
+// RAP computes the Galerkin coarse-grid operator A_c = Pᵀ A P, forming
+// Pᵀ itself (the AMG setup calls RAPWith with its cached transpose).
+func RAP(a, p *CSR) *CSR {
+	return RAPWith(a, p, p.Transpose())
+}
+
+// ToDense expands the matrix into a dense row-major slice of slices.
+func (a *Matrix[V, I]) ToDense() [][]float64 {
+	d := make([][]float64, a.Rows)
+	flat := make([]float64, a.Rows*a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		d[i] = flat[i*a.Cols : (i+1)*a.Cols]
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			d[i][a.ColIdx[p]] = float64(a.Vals[p])
+		}
+	}
+	return d
+}

@@ -25,7 +25,7 @@
 // write their own output slots, so the sharded result is bitwise
 // identical to the serial one at any worker count. Per-call scratch (the
 // threshold arrays) is recycled through a sync.Pool with an allocation
-// counter (SparsifyScratchAllocs), and SparsifyStrengthInto reuses the
+// counter (sparsifyScratchNews), and SparsifyStrengthInto reuses the
 // caller's output storage: steady-state re-sparsification of an
 // unchanged-size operator performs zero heap allocations.
 package sparse
@@ -98,13 +98,8 @@ var sparsifyScratchPool = sync.Pool{New: func() any {
 	return &sparsifyScratch{}
 }}
 
+// sparsifyScratchNews counts pool misses; the allocation tests pin it.
 var sparsifyScratchNews atomic.Int64
-
-// SparsifyScratchAllocs reports how many sparsify scratch workspaces
-// have been constructed process-wide. Steady-state re-sparsification of
-// an unchanged-size operator must not move this counter (the allocation
-// contract, enforced like GEMMScratchAllocs).
-func SparsifyScratchAllocs() int64 { return sparsifyScratchNews.Load() }
 
 func acquireSparsifyScratch(rows int) *sparsifyScratch {
 	s := sparsifyScratchPool.Get().(*sparsifyScratch)

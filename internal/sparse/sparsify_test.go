@@ -220,14 +220,14 @@ func TestSparsifyIntoSteadyStateAllocs(t *testing.T) {
 	a := anisoLaplacian(10, 0.02)
 	dst := &CSR{}
 	SparsifyStrengthInto(dst, a, 0.5, SparsifyLump) // warm dst and the scratch pool
-	before := SparsifyScratchAllocs()
+	before := sparsifyScratchNews.Load()
 	allocs := testing.AllocsPerRun(20, func() {
 		SparsifyStrengthInto(dst, a, 0.5, SparsifyLump)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SparsifyStrengthInto allocates %.0f times per op, want 0", allocs)
 	}
-	if after := SparsifyScratchAllocs(); after != before {
+	if after := sparsifyScratchNews.Load(); after != before {
 		t.Fatalf("scratch pool constructed %d new workspaces in steady state", after-before)
 	}
 }

@@ -29,7 +29,9 @@ func Radius(a *sparse.CSR, tol float64, maxIter int) (float64, error) {
 	}
 	n := a.Rows
 	x := make([]float64, n)
-	vec.Fill(x, 1/math.Sqrt(float64(n)))
+	for i := range x {
+		x[i] = 1 / math.Sqrt(float64(n))
+	}
 	y := make([]float64, n)
 	est := 0.0
 	for it := 0; it < maxIter; it++ {

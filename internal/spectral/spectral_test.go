@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 )
@@ -113,7 +114,7 @@ func TestAsyncSmootherRadius7pt(t *testing.T) {
 	// convergence condition ρ(|G|) < 1 must hold (this is why async GS
 	// converges in the experiments).
 	a := grid.Laplacian7pt(6)
-	scale, err := smoother.InterpolantScaling(a, smoother.Config{Kind: smoother.WJacobi, Omega: 0.9})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 0.9}, smoother.Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestAsyncSmootherRadiusL1AlwaysSafe(t *testing.T) {
 	// ℓ1-Jacobi: |G| row sums are (Σ|a_ij| - |a_ii| + |a_ii - Σ|a_ij||)/Σ|a_ij| <= 1,
 	// so ρ(|G|) <= 1 on any matrix; on the Laplacians it is < 1.
 	a := grid.Laplacian27pt(5)
-	scale, err := smoother.InterpolantScaling(a, smoother.Config{Kind: smoother.L1Jacobi})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.L1Jacobi}, smoother.Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestOverRelaxedJacobiUnsafe(t *testing.T) {
 	// off-diagonals: ρ(|G|) > 1, correctly flagging the divergent
 	// configuration.
 	a := grid.Laplacian7pt(4)
-	scale, err := smoother.InterpolantScaling(a, smoother.Config{Kind: smoother.WJacobi, Omega: 2})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 2}, smoother.Precomputed{})
 	if err != nil {
 		t.Fatal(err)
 	}

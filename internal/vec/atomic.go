@@ -82,10 +82,3 @@ func (a *Atomic) Snapshot(dst []float64) {
 func (a *Atomic) SetAll(src []float64) {
 	a.StoreRange(src, 0, len(src))
 }
-
-// ZeroAll stores 0 in every element.
-func (a *Atomic) ZeroAll() {
-	for i := range a.bits {
-		a.bits[i].Store(0)
-	}
-}

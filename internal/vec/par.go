@@ -4,23 +4,16 @@
 // never pay goroutine-handoff costs. Kernel descriptors are recycled
 // through sync.Pools, keeping the steady state allocation-free.
 //
-// Axpy sharding is elementwise-independent and bitwise-identical to the
-// serial kernel. The reductions (DotPar, Norm2Par) combine per-shard
-// partial sums in shard order, which can differ from the serial
-// summation order at rounding level; callers that need bit-stable
-// histories (golden tests) should use the serial Dot/Norm2.
+// The sharded updates are elementwise-independent and bitwise-identical
+// to the serial kernels. There are no sharded reductions: Dot and Norm2
+// stay serial, so residual histories are bit-stable at any worker count.
 package vec
 
 import (
-	"math"
 	"sync"
 
 	"asyncmg/internal/par"
 )
-
-// partialStride spaces per-shard reduction slots one cache line apart to
-// avoid false sharing.
-const partialStride = 8
 
 type axpyKernel struct {
 	alpha float64
@@ -70,124 +63,4 @@ func XpayPar(alpha float64, y, x []float64) {
 	par.Default().Run(len(y), k)
 	k.y, k.x = nil, nil
 	xpayPool.Put(k)
-}
-
-// reduceKernel accumulates per-shard partial sums for the dot and norm
-// reductions. partial is sized workers*partialStride; slot i*partialStride
-// belongs to shard i.
-type reduceKernel struct {
-	op      int // 0: dot, 1: maxabs, 2: sum of (v/scale)^2
-	x, y    []float64
-	scale   float64
-	partial []float64
-}
-
-const (
-	opDot = iota
-	opMaxAbs
-	opSumSq
-)
-
-func (k *reduceKernel) Do(shard, lo, hi int) {
-	switch k.op {
-	case opDot:
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += k.x[i] * k.y[i]
-		}
-		k.partial[shard*partialStride] = s
-	case opMaxAbs:
-		m := 0.0
-		for i := lo; i < hi; i++ {
-			v := k.x[i]
-			if math.IsNaN(v) {
-				m = math.Inf(1)
-				break
-			}
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
-		k.partial[shard*partialStride] = m
-	case opSumSq:
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			t := k.x[i] / k.scale
-			s += t * t
-		}
-		k.partial[shard*partialStride] = s
-	}
-}
-
-var reducePool = sync.Pool{New: func() any { return new(reduceKernel) }}
-
-func getReduceKernel(workers int) *reduceKernel {
-	k := reducePool.Get().(*reduceKernel)
-	if cap(k.partial) < workers*partialStride {
-		k.partial = make([]float64, workers*partialStride)
-	}
-	k.partial = k.partial[:workers*partialStride]
-	return k
-}
-
-func putReduceKernel(k *reduceKernel) {
-	k.x, k.y = nil, nil
-	reducePool.Put(k)
-}
-
-// DotPar returns the inner product of x and y, sharded for long vectors.
-// Shard partials are combined in shard order (rounding-level difference
-// from the serial Dot).
-func DotPar(x, y []float64) float64 {
-	if !par.Par(len(x)) {
-		return Dot(x, y)
-	}
-	p := par.Default()
-	k := getReduceKernel(p.Workers())
-	k.op, k.x, k.y = opDot, x, y
-	p.Run(len(x), k)
-	s := 0.0
-	for i := 0; i < p.Workers(); i++ {
-		s += k.partial[i*partialStride]
-	}
-	putReduceKernel(k)
-	return s
-}
-
-// Norm2Par returns the Euclidean norm of v with the same overflow
-// guarding as Norm2 (scaled two-pass), sharding both passes for long
-// vectors.
-func Norm2Par(v []float64) float64 {
-	if !par.Par(2 * len(v)) {
-		return Norm2(v)
-	}
-	p := par.Default()
-	k := getReduceKernel(p.Workers())
-	k.op, k.x = opMaxAbs, v
-	p.Run(len(v), k)
-	maxAbs := 0.0
-	for i := 0; i < p.Workers(); i++ {
-		if m := k.partial[i*partialStride]; m > maxAbs {
-			maxAbs = m
-		}
-	}
-	if maxAbs == 0 {
-		putReduceKernel(k)
-		return 0
-	}
-	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		putReduceKernel(k)
-		return math.Inf(1)
-	}
-	k.op, k.scale = opSumSq, maxAbs
-	p.Run(len(v), k)
-	s := 0.0
-	for i := 0; i < p.Workers(); i++ {
-		s += k.partial[i*partialStride]
-	}
-	putReduceKernel(k)
-	return maxAbs * math.Sqrt(s)
 }

@@ -14,14 +14,6 @@ func Zero(v []float64) {
 	}
 }
 
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("vec: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Axpy computes y += alpha*x.
 func Axpy(alpha float64, y, x []float64) {
 	for i := range y {
@@ -48,20 +40,6 @@ func Xpay(alpha float64, y, x []float64) {
 func XpayRange(alpha float64, y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		y[i] = x[i] + alpha*y[i]
-	}
-}
-
-// Add computes z = x + y elementwise.
-func Add(z, x, y []float64) {
-	for i := range z {
-		z[i] = x[i] + y[i]
-	}
-}
-
-// Sub computes z = x - y elementwise.
-func Sub(z, x, y []float64) {
-	for i := range z {
-		z[i] = x[i] - y[i]
 	}
 }
 
@@ -106,24 +84,6 @@ func Norm2(v []float64) float64 {
 		s += t * t
 	}
 	return maxAbs * math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute value of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Fill sets every element of v to alpha.
-func Fill(v []float64, alpha float64) {
-	for i := range v {
-		v[i] = alpha
-	}
 }
 
 // HasNonFinite reports whether v contains a NaN or infinity. The solvers use
