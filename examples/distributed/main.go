@@ -38,7 +38,8 @@ func main() {
 	fmt.Println("\n30 corrections per grid process:")
 	run("no latency", asyncmg.DistConfig{Method: asyncmg.Multadd, MaxCorrections: 30})
 	run("0.5 ms per message", asyncmg.DistConfig{
-		Method: asyncmg.Multadd, MaxCorrections: 30, Latency: 500 * time.Microsecond,
+		Method: asyncmg.Multadd, MaxCorrections: 30,
+		Fault: asyncmg.FaultConfig{BaseDelay: 500 * time.Microsecond},
 	})
 	run("sparse broadcasts (every 4)", asyncmg.DistConfig{
 		Method: asyncmg.Multadd, MaxCorrections: 30, BroadcastEvery: 4,

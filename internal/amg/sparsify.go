@@ -49,20 +49,19 @@ type SparsifyOptions struct {
 	// larger one. 0 means the default (0.05, i.e. at most 5% more
 	// iterations); negative disables the guard.
 	GuardTol float64
-	// GuardCycles is the number of probe V-cycles used to estimate the
-	// convergence factor; the factor is measured over the last half so
-	// the initial transient (which flatters a sparsified hierarchy) is
-	// excluded. 0 means the default (24) — long enough for the asymptotic
-	// rate of a slow hierarchy (elasticity) to emerge from the transient.
-	GuardCycles int
 }
 
 // Enabled reports whether sparsification is active.
 func (o SparsifyOptions) Enabled() bool { return o.Theta > 0 }
 
 const (
-	defaultGuardTol    = 0.05
-	defaultGuardCycles = 24
+	defaultGuardTol = 0.05
+	// guardCycles is the number of probe V-cycles used to estimate the
+	// convergence factor; the factor is measured over the last half so
+	// the initial transient (which flatters a sparsified hierarchy) is
+	// excluded. 24 is long enough for the asymptotic rate of a slow
+	// hierarchy (elasticity) to emerge from the transient.
+	guardCycles = 24
 )
 
 func (o SparsifyOptions) guardTol() float64 {
@@ -70,13 +69,6 @@ func (o SparsifyOptions) guardTol() float64 {
 		return defaultGuardTol
 	}
 	return o.GuardTol
-}
-
-func (o SparsifyOptions) guardCycles() int {
-	if o.GuardCycles <= 0 {
-		return defaultGuardCycles
-	}
-	return o.GuardCycles
 }
 
 // SparsifyLevelStat records the guard-visible outcome of sparsifying one
@@ -158,12 +150,11 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 	// Guard: probe the sparsified hierarchy against the unsparsified one.
 	// The probe is deterministic, so the golden factor is computed by
 	// temporarily restoring the originals (they are still retained here).
-	cycles := opt.guardCycles()
 	for i := range installed {
 		lvl := installed[i].stat.Level
 		h.Levels[lvl].A, installed[i].orig = installed[i].orig, h.Levels[lvl].A
 	}
-	golden := probeConvFactor(h, cycles)
+	golden := probeConvFactor(h)
 	for i := range installed {
 		lvl := installed[i].stat.Level
 		h.Levels[lvl].A, installed[i].orig = installed[i].orig, h.Levels[lvl].A
@@ -181,7 +172,7 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 		return installed[i].stat.Level < installed[j].stat.Level
 	})
 	for _, c := range installed {
-		if iterInflation(probeConvFactor(h, cycles), golden) <= limit {
+		if iterInflation(probeConvFactor(h), golden) <= limit {
 			break
 		}
 		h.Levels[c.stat.Level].A = c.orig
@@ -207,8 +198,8 @@ func iterInflation(s, g float64) float64 {
 }
 
 // probeConvFactor estimates the hierarchy's asymptotic convergence
-// factor with a self-contained V(1,1) l1-Jacobi cycle on a fixed
-// pseudorandom right-hand side. The factor is measured over the LAST
+// factor from guardCycles self-contained V(1,1) l1-Jacobi cycles on a
+// fixed pseudorandom right-hand side. The factor is measured over the LAST
 // half of the run, (‖r_k‖/‖r_{k/2}‖)^(2/k): the early cycles are
 // dominated by the transient reduction of rough error components, which
 // a sparsified hierarchy handles as well as the golden one — only the
@@ -217,7 +208,7 @@ func iterInflation(s, g float64) float64 {
 // level is smoothed (two Jacobi sweeps) rather than solved — a fixed
 // handicap shared by both the golden and the sparsified probe, so their
 // difference isolates the sparsification effect.
-func probeConvFactor(h *Hierarchy, cycles int) float64 {
+func probeConvFactor(h *Hierarchy) float64 {
 	p := newProbe(h)
 	n := h.Levels[0].A.Rows
 	b := make([]float64, n)
@@ -226,10 +217,10 @@ func probeConvFactor(h *Hierarchy, cycles int) float64 {
 	}
 	x := make([]float64, n)
 	r := make([]float64, n)
-	half := max(cycles/2, 1)
+	half := guardCycles / 2
 	rHalf := 0.0
-	for c := 0; c < cycles; c++ {
-		if c == cycles-half {
+	for c := 0; c < guardCycles; c++ {
+		if c == guardCycles-half {
 			h.Levels[0].A.Residual(r, b, x)
 			rHalf = norm2(r)
 		}

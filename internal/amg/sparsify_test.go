@@ -121,8 +121,7 @@ func TestSparsifyGuardFallsBack(t *testing.T) {
 	}
 	// The guarded hierarchy's probe implies at most GuardTol extra
 	// iterations over golden.
-	cycles := aggressive.guardCycles()
-	gf, sf := probeConvFactor(golden, cycles), probeConvFactor(h, cycles)
+	gf, sf := probeConvFactor(golden), probeConvFactor(h)
 	if infl := iterInflation(sf, gf); infl > 1+aggressive.guardTol() {
 		t.Fatalf("guarded probe factor %v vs golden %v implies %.2fx iterations, above 1 + tol", sf, gf, infl)
 	}

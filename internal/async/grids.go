@@ -5,7 +5,9 @@ import (
 	"runtime"
 
 	"asyncmg/internal/op"
+	"asyncmg/internal/partition"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/vec"
 )
 
 // fineAtomic returns the fine operator's atomic-residual face. Every fine
@@ -264,24 +266,36 @@ func (ts *teamSite) CoarseSolve(e, r []float64) {
 // lvl: e = Λ r. For async GS the sweep runs over the grid-local atomic
 // buffer so teammates' writes are visible mid-sweep.
 func (g *gridRun) applySmoother(tid int, sm *smoother.S, e, r []float64, lvl int) {
-	rg := g.levelRanges[lvl][tid]
+	var atom *vec.Atomic
 	if g.rt.s.Cfg.Kind == smoother.AsyncGS && lvl == g.k {
+		atom = g.eAtom
+	}
+	teamSmooth(tid, g.levelRanges[lvl][tid], g.team, sm, atom, e, r)
+}
+
+// teamSmooth is one team-parallel zero-guess smoothing step e = Λ r, in
+// which thread tid owns the rows rg and block tid of sm. With atom set it
+// is one asynchronous GS sweep over that atomic buffer (at least as long
+// as e), so teammates' writes are visible mid-sweep; otherwise each thread
+// applies its own block.
+func teamSmooth(tid int, rg partition.Range, team *Barrier, sm *smoother.S, atom *vec.Atomic, e, r []float64) {
+	if atom != nil {
 		for i := rg.Lo; i < rg.Hi; i++ {
-			g.eAtom.Store(i, 0)
+			atom.Store(i, 0)
 		}
-		g.team.Wait()
-		sm.ApplyBlockAtomic(g.eAtom, r, tid)
-		g.team.Wait()
-		g.eAtom.LoadRange(e, rg.Lo, rg.Hi)
-		g.team.Wait()
+		team.Wait()
+		sm.SweepBlockAtomic(atom, r, tid)
+		team.Wait()
+		atom.LoadRange(e, rg.Lo, rg.Hi)
+		team.Wait()
 		return
 	}
 	for i := rg.Lo; i < rg.Hi; i++ {
 		e[i] = 0
 	}
-	g.team.Wait()
+	team.Wait()
 	sm.ApplyBlock(e, r, tid)
-	g.team.Wait()
+	team.Wait()
 }
 
 // writeX adds the fine-level correction out into the global solution using

@@ -54,33 +54,13 @@ func solveMult(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (
 		ov = vec.NewAtomic(n)
 	}
 
-	preSmooth := func(tid, k int) {
-		rg := ranges[k][tid]
-		if ov != nil {
-			for i := rg.Lo; i < rg.Hi; i++ {
-				ov.Store(i, 0)
-			}
-			bar.Wait()
-			smos[k].ApplyBlockAtomic(ov, r[k], tid)
-			bar.Wait()
-			ov.LoadRange(e[k], rg.Lo, rg.Hi)
-			bar.Wait()
-			return
-		}
-		for i := rg.Lo; i < rg.Hi; i++ {
-			e[k][i] = 0
-		}
-		bar.Wait()
-		smos[k].ApplyBlock(e[k], r[k], tid)
-		bar.Wait()
-	}
 	postSmooth := func(tid, k int) {
 		rg := ranges[k][tid]
 		if ov != nil {
 			// One asynchronous GS sweep on A e = r in place.
 			ov.StoreRange(e[k], rg.Lo, rg.Hi)
 			bar.Wait()
-			smos[k].SolveSweepBlockAtomic(ov, r[k], tid)
+			smos[k].SweepBlockAtomic(ov, r[k], tid)
 			bar.Wait()
 			ov.LoadRange(e[k], rg.Lo, rg.Hi)
 			bar.Wait()
@@ -116,8 +96,8 @@ func solveMult(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (
 				}
 				// Downward sweep.
 				for k := 0; k < l-1; k++ {
-					preSmooth(tid, k)
 					rg := ranges[k][tid]
+					teamSmooth(tid, rg, bar, smos[k], ov, e[k], r[k])
 					s.Ops[k].ResidualRange(tmp[k], r[k], e[k], rg.Lo, rg.Hi)
 					bar.Wait()
 					rgc := ranges[k+1][tid]

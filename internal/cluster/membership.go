@@ -82,11 +82,14 @@ func (rt *Router) probeAll() {
 	}
 }
 
+// probeTimeout bounds one readiness probe.
+const probeTimeout = 500 * time.Millisecond
+
 // probe checks one node's /readyz. A transport error means not live (and
 // counts as a probe failure); a 503 means alive but draining. Only a 200
 // makes the node routable.
 func (rt *Router) probe(ns *nodeState) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+ns.node.Addr+"/readyz", nil)
 	if err != nil {
@@ -114,7 +117,7 @@ func (rt *Router) rebuildRing(mask uint64) {
 			members = append(members, i)
 		}
 	}
-	r := buildRing(ids, members, rt.cfg.VNodes)
+	r := buildRing(ids, members)
 	rt.mu.Lock()
 	rt.ring = r
 	rt.memberMask = mask

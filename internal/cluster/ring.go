@@ -10,7 +10,7 @@ import (
 // always lands on the same node while membership is stable, so that
 // node's setup-cache LRU stays hot) and minimal reshuffling (when a node
 // leaves, only the shards it owned move; everyone else's cache stays
-// warm). Each member contributes VNodes points hashed from its stable ID,
+// warm). Each member contributes vnodes points hashed from its stable ID,
 // smoothing the load split; a key's owners are the first R distinct
 // nodes clockwise from its hash, which is also the replication set.
 
@@ -42,12 +42,15 @@ func hash64(s string) uint64 {
 	return h
 }
 
+// vnodes is the number of ring points per node.
+const vnodes = 64
+
 // buildRing places vnodes points per member on the ring. ids indexes all
 // configured nodes by position; members lists the positions currently in
 // the ring (the ready set). Points are hashed from the node's stable ID,
 // not its position, so a node that leaves and returns reclaims exactly
 // its old shards.
-func buildRing(ids []string, members []int, vnodes int) *ring {
+func buildRing(ids []string, members []int) *ring {
 	pts := make([]ringPoint, 0, len(members)*vnodes)
 	for _, m := range members {
 		for v := 0; v < vnodes; v++ {

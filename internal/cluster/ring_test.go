@@ -7,7 +7,7 @@ import (
 
 func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 	ids := []string{"a", "b", "c"}
-	r := buildRing(ids, []int{0, 1, 2}, 64)
+	r := buildRing(ids, []int{0, 1, 2})
 	for k := 0; k < 50; k++ {
 		key := fmt.Sprintf("key-%d", k)
 		own := r.owners(key, 2)
@@ -27,7 +27,7 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 		t.Fatalf("owners(5) over 3 members = %v, want all 3", own)
 	}
 	// Empty ring yields no owners.
-	if own := buildRing(ids, nil, 64).owners("k", 2); own != nil {
+	if own := buildRing(ids, nil).owners("k", 2); own != nil {
 		t.Fatalf("empty ring returned owners %v", own)
 	}
 }
@@ -38,8 +38,8 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 // the surviving nodes' setup caches hot through a kill.
 func TestRingAffinityAcrossMembershipChange(t *testing.T) {
 	ids := []string{"node0", "node1", "node2"}
-	full := buildRing(ids, []int{0, 1, 2}, 64)
-	reduced := buildRing(ids, []int{0, 1}, 64) // node2 left
+	full := buildRing(ids, []int{0, 1, 2})
+	reduced := buildRing(ids, []int{0, 1}) // node2 left
 	moved, kept := 0, 0
 	for k := 0; k < 200; k++ {
 		key := fmt.Sprintf("prob:7pt:%d:w-jacobi:0.9", k)
@@ -59,7 +59,7 @@ func TestRingAffinityAcrossMembershipChange(t *testing.T) {
 	}
 	// A node that returns reclaims its exact old shards (ID-hashed, not
 	// position-hashed).
-	restored := buildRing(ids, []int{0, 1, 2}, 64)
+	restored := buildRing(ids, []int{0, 1, 2})
 	for k := 0; k < 200; k++ {
 		key := fmt.Sprintf("prob:7pt:%d:w-jacobi:0.9", k)
 		if full.owners(key, 2)[0] != restored.owners(key, 2)[0] {
@@ -70,7 +70,7 @@ func TestRingAffinityAcrossMembershipChange(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	ids := []string{"node0", "node1", "node2"}
-	r := buildRing(ids, []int{0, 1, 2}, 64)
+	r := buildRing(ids, []int{0, 1, 2})
 	counts := make([]int, 3)
 	for k := 0; k < 300; k++ {
 		counts[r.owners(fmt.Sprintf("key-%d", k), 1)[0]]++

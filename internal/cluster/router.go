@@ -40,8 +40,6 @@ type Config struct {
 	// Replicas is how many owners each shard has: the primary plus
 	// Replicas-1 warm secondaries (default 2).
 	Replicas int
-	// VNodes is the number of ring points per node (default 64).
-	VNodes int
 	// Client performs all node traffic — forwards, probes, warms. Point
 	// it at a faulttest.HTTPChaos (over a LocalTransport for in-process
 	// fleets) to run the acceptance matrix deterministically (default
@@ -50,17 +48,10 @@ type Config struct {
 	// ProbeInterval paces the background membership prober (default 1s;
 	// negative disables it — tests call probeAll explicitly).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readiness probe (default 500ms).
-	ProbeTimeout time.Duration
 	// HedgeAfter is how long the first attempt may run before a hedge is
 	// launched against the next owner (default 50ms; negative disables
 	// hedging).
 	HedgeAfter time.Duration
-	// RetrySweeps is how many passes over the owner set a request gets
-	// before degrading (default 3). Later sweeps re-read the ring, which
-	// is what lets a request started before a kill finish after the
-	// rebuild.
-	RetrySweeps int
 	// RetryBase seeds the jittered exponential backoff between sweeps
 	// (default 25ms).
 	RetryBase time.Duration
@@ -72,8 +63,6 @@ type Config struct {
 	// half-open probe (default 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxBodyBytes caps request and response bodies (default 64 MiB).
-	MaxBodyBytes int64
 	// MaxTimeout caps one routed request end to end, sweeps and backoffs
 	// included (default 60s).
 	MaxTimeout time.Duration
@@ -87,16 +76,11 @@ type Config struct {
 	// degradation ladder when no node is reachable. Nil means a fully
 	// partitioned router answers 502.
 	Local *serve.Server
-	// DisableWarm turns off replication warm pushes.
-	DisableWarm bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -104,14 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 50 * time.Millisecond
-	}
-	if c.RetrySweeps <= 0 {
-		c.RetrySweeps = 3
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 25 * time.Millisecond
@@ -124,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
@@ -298,7 +273,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 // so a bad request is refused before any hop; the body is forwarded
 // verbatim.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, _, status, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes, false)
+	body, _, status, err := serve.ReadBody(r, false)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -329,7 +304,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 	// Fingerprint the decompressed bytes (the node's rule) but forward
 	// the body exactly as received.
-	raw, plain, status, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes, true)
+	raw, plain, status, err := serve.ReadBody(r, true)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -424,14 +399,19 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, fwd *forwardReq,
 	http.Error(w, "no ready nodes and no local engine", http.StatusBadGateway)
 }
 
-// forward tries up to RetrySweeps passes over the current owner set,
+// retrySweeps is how many passes over the owner set a request gets
+// before degrading. Later sweeps re-read the ring, which is what lets a
+// request started before a kill finish after the rebuild.
+const retrySweeps = 3
+
+// forward tries up to retrySweeps passes over the current owner set,
 // with jittered exponential backoff between passes. Each pass re-reads
 // the ring, so a membership change mid-request (kill, drain, recovery)
 // redirects the remaining attempts.
 func (rt *Router) forward(ctx context.Context, fwd *forwardReq, key string) (*captured, int) {
 	rt.o.RouteForwards.Inc()
 	var last *captured
-	for s := 0; s < rt.cfg.RetrySweeps; s++ {
+	for s := 0; s < retrySweeps; s++ {
 		if s > 0 {
 			rt.o.RouteRetries.Inc()
 			if !sleepCtx(ctx, rt.sweepBackoff(s, key)) {
@@ -621,7 +601,7 @@ func (rt *Router) do(ctx context.Context, addr string, fwd *forwardReq) (*captur
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
+	body, _, err := serve.ReadCapped(resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -658,7 +638,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // otherwise). The winner's address rides along as the pull source for
 // uploaded matrices.
 func (rt *Router) warmReplicas(key string, winner int, wreq serve.WarmRequest) {
-	if rt.cfg.DisableWarm || rt.cfg.Replicas < 2 {
+	if rt.cfg.Replicas < 2 {
 		return
 	}
 	wreq.Source = "http://" + rt.nodes[winner].node.Addr

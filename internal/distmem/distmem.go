@@ -42,9 +42,12 @@ import (
 // Default recovery parameters (see Config).
 const (
 	DefaultWatchdogTimeout = 100 * time.Millisecond
-	DefaultRespawnAfter    = 2
 	DefaultRetireAfter     = 6
 	DefaultDivergeFactor   = 1e8
+	// respawnAfter is the number of consecutive no-progress watchdog
+	// fires after which a stalled grid's worker is respawned (the
+	// recovery for a crashed worker).
+	respawnAfter = 2
 	// maxBackoffFactor caps the watchdog's exponential backoff at this
 	// multiple of WatchdogTimeout.
 	maxBackoffFactor = 16
@@ -76,10 +79,6 @@ type Config struct {
 	// MaxCorrections is the number of corrections each grid process
 	// performs.
 	MaxCorrections int
-	// Latency delays every message by this duration (0 = none), modelling
-	// interconnect latency. Shorthand for Fault.BaseDelay (ignored when
-	// Fault.BaseDelay is set).
-	Latency time.Duration
 	// BroadcastEvery makes the owner rebroadcast the residual after every
 	// this-many applied corrections (default 1: after each).
 	BroadcastEvery int
@@ -102,10 +101,6 @@ type Config struct {
 	// grids. 0 selects DefaultWatchdogTimeout; negative disables the
 	// watchdog (a lossy network can then hang the solve until ctx fires).
 	WatchdogTimeout time.Duration
-	// RespawnAfter is the number of consecutive no-progress watchdog
-	// fires after which a stalled grid's worker is respawned (the
-	// recovery for a crashed worker). 0 selects DefaultRespawnAfter.
-	RespawnAfter int
 	// RetireAfter is the number of consecutive no-progress watchdog fires
 	// after which a stalled grid is declared dead and retired: the owner
 	// reports it as finished in subsequent snapshots (releasing the
@@ -256,10 +251,6 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 	if wdTimeout == 0 {
 		wdTimeout = DefaultWatchdogTimeout
 	}
-	respawnAfter := cfg.RespawnAfter
-	if respawnAfter <= 0 {
-		respawnAfter = DefaultRespawnAfter
-	}
 	retireAfter := cfg.RetireAfter
 	if retireAfter <= 0 {
 		retireAfter = DefaultRetireAfter
@@ -269,11 +260,7 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 		divergeFactor = DefaultDivergeFactor
 	}
 
-	fc := cfg.Fault
-	if fc.BaseDelay == 0 && cfg.Latency > 0 {
-		fc.BaseDelay = cfg.Latency
-	}
-	tr := fault.New(fc, l)
+	tr := fault.New(cfg.Fault, l)
 
 	ictx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
@@ -536,7 +523,7 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 			if backoff > maxBackoff {
 				backoff = maxBackoff
 			}
-			resetTimer(watchdogDelay(fc.Seed, res.WatchdogFires, backoff), true)
+			resetTimer(watchdogDelay(cfg.Fault.Seed, res.WatchdogFires, backoff), true)
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
+	"asyncmg/internal/fault"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
@@ -83,7 +84,8 @@ func TestLatencySlowsButConverges(t *testing.T) {
 	s := buildSetup(t, 8)
 	b := grid.RandomRHS(s.LevelSize(0), 4)
 	res, err := Solve(context.Background(), s, b, Config{
-		Method: engine.Multadd, MaxCorrections: 40, Latency: 200 * time.Microsecond,
+		Method: engine.Multadd, MaxCorrections: 40,
+		Fault: fault.Config{BaseDelay: 200 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

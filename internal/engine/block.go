@@ -155,7 +155,7 @@ func (s *Engine) blockMultCycle(x, b []float64, k int, w *BlockWorkspace) {
 		ak := s.blockOp(lev)
 		id := s.Smo[lev].InvDiag()
 		// Pre-smooth from zero guess, post-smoothing residual, restrict:
-		// the block form of the fused down-leg, step for step.
+		// the block form of MultCycle's down-leg, step for step.
 		blockScale(w.e[lev], id, w.r[lev], k)
 		ak.ResidualBlock(w.tmp[lev], w.r[lev], w.e[lev], k)
 		s.blockItp(lev, false).ApplyTBlock(w.r[lev+1], w.tmp[lev], k)

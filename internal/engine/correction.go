@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"asyncmg/internal/op"
-	"asyncmg/internal/vec"
 )
 
 // Site is one executor of a grid correction: the whole computation for a
@@ -148,10 +147,7 @@ func (ss *serialSite) Span(level int) (int, int) { return 0, ss.s.LevelSize(leve
 
 func (ss *serialSite) Sync() {}
 
-func (ss *serialSite) Smooth(level int, e, r []float64) {
-	vec.Zero(e)
-	ss.s.Smo[level].Apply(e, r)
-}
+func (ss *serialSite) Smooth(level int, e, r []float64) { ss.s.Smo[level].Apply(e, r) }
 
 func (ss *serialSite) CoarseSolve(e, r []float64) {
 	// Mod is free here: the AFACx modified-RHS path never runs on the

@@ -1,13 +1,10 @@
 // The multigrid cycles: one body per cycle family (multiplicative,
-// additive, AFACx), every entry point a choice of its parameters. The
-// cycles run on the fused/parallel kernels behind package op: the V-cycle
-// down-leg collapses pre-smooth, residual and restriction into one matrix
-// sweep for diagonal smoothers, and every SpMV/axpy shards onto the par
-// worker pool for large levels.
-// All kernel substitutions are bitwise-identical to the plain serial
-// sequence, so residual histories are unchanged from the pre-engine
-// solvers; only reductions (norms) could differ, and Solve keeps the
-// serial Norm2 for bit-stable histories.
+// additive, AFACx), every entry point a choice of its parameters. Each
+// step is one operator or interpolant call (Apply, Residual, ApplyT,
+// ApplyAdd); every such kernel shards onto the par worker pool for large
+// levels and is bitwise-identical to its serial form, so residual
+// histories do not depend on the worker count. Solve keeps the serial
+// Norm2 for bit-stable histories.
 package engine
 
 import (
@@ -44,18 +41,12 @@ func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
 func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
 	l := s.NumLevels()
 	s.Ops[0].Residual(w.r[0], b, x)
-	// Downward sweep: r_{k+1} = Pᵀ (r_k − A_k e_k) after one pre-smoothing
-	// sweep from a zero guess.
+	// Downward sweep: e_k = Λ_k r_k (one pre-smoothing sweep from a zero
+	// guess), then r_{k+1} = Pᵀ (r_k − A_k e_k).
 	for k := 0; k < l-1; k++ {
-		if id := s.Smo[k].InvDiag(); id != nil {
-			// A diagonal sweep: the pre-smooth, the post-smoothing
-			// residual and the restriction fuse into one matrix sweep.
-			op.FusedJacobiResidualRestrict(s.Ops[k], s.Itp[k], w.e[k], w.r[k+1], id, w.r[k], w.tmp[k])
-		} else {
-			vec.Zero(w.e[k])
-			s.Smo[k].Apply(w.e[k], w.r[k])
-			op.FusedResidualRestrict(s.Ops[k], s.Itp[k], w.r[k+1], w.r[k], w.e[k], w.tmp[k])
-		}
+		s.Smo[k].Apply(w.e[k], w.r[k])
+		s.Ops[k].Residual(w.tmp[k], w.r[k], w.e[k])
+		s.Itp[k].ApplyT(w.r[k+1], w.tmp[k])
 		s.obs.Relaxed(k, 1)
 	}
 	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
@@ -122,7 +113,6 @@ func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, 
 			s.Smo[k].ApplySymmetrized(w.e[k], w.r[k], w.tmp[k])
 			s.obs.Relaxed(k, 2)
 		default:
-			vec.Zero(w.e[k])
 			s.Smo[k].Apply(w.e[k], w.r[k])
 			s.obs.Relaxed(k, 1)
 		}
@@ -196,7 +186,6 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64) {
 		} else {
 			// One smoothing sweep on the next-coarser equations from zero.
 			ec := w.tmp[k+1]
-			vec.Zero(ec)
 			s.Smo[k+1].Apply(ec, w.r[k+1])
 			s.obs.Relaxed(k+1, 1)
 			// Modified right-hand side: r_k − A_k P e_{k+1}. (By linearity
@@ -212,7 +201,6 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64) {
 			for i := range mod {
 				mod[i] = w.r[k][i] - mod[i]
 			}
-			vec.Zero(w.e[k])
 			s.Smo[k].Apply(w.e[k], mod)
 			s.obs.Relaxed(k, 1)
 		}

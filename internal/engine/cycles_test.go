@@ -30,24 +30,36 @@ func setup7pt(t *testing.T, n int, cfg smoother.Config) *Engine {
 	return s
 }
 
+// csrItp returns the stored float64 pair behind an interpolant view of the
+// default configuration.
+func csrItp(t *testing.T, itp op.Interp) *op.CSRInterp[float64, int] {
+	t.Helper()
+	c, ok := itp.(*op.CSRInterp[float64, int])
+	if !ok {
+		t.Fatalf("interpolant is %T, want a float64 CSR pair", itp)
+	}
+	return c
+}
+
 func TestSetupStructure(t *testing.T) {
 	s := setup7pt(t, 8, smoother.DefaultConfig())
 	l := s.NumLevels()
 	if l < 2 {
 		t.Fatalf("levels = %d", l)
 	}
-	if len(s.P) != l-1 || len(s.PBar) != l-1 {
+	if len(s.Itp) != l-1 || len(s.SItp) != l-1 {
 		t.Fatalf("interpolant slices wrong length")
 	}
 	for k := 0; k < l-1; k++ {
-		if s.P[k].Rows != s.LevelSize(k) || s.P[k].Cols != s.LevelSize(k+1) {
-			t.Errorf("P[%d] shape %dx%d, levels %d/%d", k, s.P[k].Rows, s.P[k].Cols, s.LevelSize(k), s.LevelSize(k+1))
+		p, pbar := csrItp(t, s.Itp[k]).P, csrItp(t, s.SItp[k]).P
+		if p.Rows != s.LevelSize(k) || p.Cols != s.LevelSize(k+1) {
+			t.Errorf("P[%d] shape %dx%d, levels %d/%d", k, p.Rows, p.Cols, s.LevelSize(k), s.LevelSize(k+1))
 		}
-		if s.PBar[k].Rows != s.P[k].Rows || s.PBar[k].Cols != s.P[k].Cols {
+		if pbar.Rows != p.Rows || pbar.Cols != p.Cols {
 			t.Errorf("PBar[%d] shape mismatch", k)
 		}
 		// PBar should be denser than P (it includes A·P fill).
-		if s.PBar[k].NNZ() < s.P[k].NNZ() {
+		if pbar.NNZ() < p.NNZ() {
 			t.Errorf("PBar[%d] sparser than P — smoothing missing?", k)
 		}
 	}
@@ -61,14 +73,14 @@ func TestSmoothedInterpolantFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.P[0]
+	p, pbar := csrItp(t, s.Itp[0]).P, csrItp(t, s.SItp[0]).P
 	d := a.Diag()
 	ap := sparse.MatMul(a, p)
 	for i := 0; i < p.Rows; i++ {
 		for j := 0; j < p.Cols; j++ {
 			want := p.At(i, j) - 0.9/d[i]*ap.At(i, j)
-			if math.Abs(s.PBar[0].At(i, j)-want) > 1e-12 {
-				t.Fatalf("PBar(%d,%d) = %v, want %v", i, j, s.PBar[0].At(i, j), want)
+			if math.Abs(pbar.At(i, j)-want) > 1e-12 {
+				t.Fatalf("PBar(%d,%d) = %v, want %v", i, j, pbar.At(i, j), want)
 			}
 		}
 	}
@@ -181,11 +193,11 @@ func TestMultaddTwoGridFormula(t *testing.T) {
 	want := make([]float64, n)
 	s.Smo[0].Apply(want, b) // Λ₀ b
 	rc := make([]float64, s.LevelSize(1))
-	s.PBarT[0].MatVec(rc, b)
+	csrItp(t, s.SItp[0]).PT.MatVec(rc, b)
 	ec := make([]float64, s.LevelSize(1))
 	s.CoarseSolve(ec, rc)
 	fine := make([]float64, n)
-	s.PBar[0].MatVec(fine, ec)
+	csrItp(t, s.SItp[0]).P.MatVec(fine, ec)
 	vec.Axpy(1, want, fine)
 
 	for i := range x {
@@ -217,11 +229,12 @@ func TestAFACxTwoGridModifiedRHSEquivalence(t *testing.T) {
 	// = e0 − P e1s. Grid 1 (coarsest): contribution P A₁⁻¹ r₁.
 	r0 := append([]float64(nil), b...)
 	r1 := make([]float64, s.LevelSize(1))
-	s.PT[0].MatVec(r1, r0)
+	itp := csrItp(t, s.Itp[0])
+	itp.PT.MatVec(r1, r0)
 	e1s := make([]float64, s.LevelSize(1))
 	s.Smo[1].Apply(e1s, r1)
 	pe := make([]float64, n)
-	s.P[0].MatVec(pe, e1s)
+	itp.P.MatVec(pe, e1s)
 	mod := make([]float64, n)
 	s.H.Levels[0].A.Residual(mod, r0, pe)
 	e0tilde := make([]float64, n)
@@ -237,7 +250,7 @@ func TestAFACxTwoGridModifiedRHSEquivalence(t *testing.T) {
 	ec := make([]float64, s.LevelSize(1))
 	s.CoarseSolve(ec, r1)
 	pec := make([]float64, n)
-	s.P[0].MatVec(pec, ec)
+	itp.P.MatVec(pec, ec)
 	vec.Axpy(1, want, pec) // grid 1 contribution
 
 	for i := range x {

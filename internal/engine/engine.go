@@ -76,14 +76,6 @@ type Engine struct {
 	// the smoothed interpolant view P̄ = (I − diag(s_k) A_k) P[k] that
 	// Multadd's correction chains use. len == levels-1.
 	Itp, SItp []op.Interp
-	// P[k] prolongates level k+1 -> k (plain interpolants); PT[k] is its
-	// transpose. len == levels-1. Populated only in the default float64
-	// configuration (matrix-free and compressed interpolants live in
-	// Itp/SItp alone); retained for consumers that need row storage.
-	P, PT []*sparse.CSR
-	// PBar[k] = (I − diag(s_k) A_k) P[k] are Multadd's smoothed two-level
-	// interpolants; PBarT[k] their transposes. Like P/PT, float64 mode only.
-	PBar, PBarT []*sparse.CSR
 	// Cfg is the smoother configuration used on every level.
 	Cfg smoother.Config
 
@@ -194,10 +186,6 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 		}
 		s.Smo[k] = sm
 	}
-	s.P = make([]*sparse.CSR, l-1)
-	s.PT = make([]*sparse.CSR, l-1)
-	s.PBar = make([]*sparse.CSR, l-1)
-	s.PBarT = make([]*sparse.CSR, l-1)
 	s.Itp = make([]op.Interp, l-1)
 	s.SItp = make([]op.Interp, l-1)
 	for k := 0; k < l-1; k++ {
@@ -209,8 +197,12 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 			// Matrix-free interpolant: the plain view comes from the
 			// hierarchy and the smoothed view is composed on the fly — P̄
 			// and P̄ᵀ are never materialized on this level.
+			sa, ok := s.Ops[k].(op.SmoothedApplier)
+			if !ok {
+				return nil, fmt.Errorf("mg: level %d operator %T cannot compose a smoothed interpolant", k, s.Ops[k])
+			}
 			s.Itp[k] = itp
-			s.SItp[k] = op.NewSmoothedInterp(s.Ops[k], itp, scale)
+			s.SItp[k] = op.NewSmoothedInterp(sa, itp, scale)
 			continue
 		}
 		p := h.Levels[k].P
@@ -232,12 +224,8 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 			s.SItp[k] = op.NewCSR32Interp(pbar, pbar.Transpose())
 			continue
 		}
-		s.P[k] = p
-		s.PT[k] = pt
-		s.PBar[k] = pbar
-		s.PBarT[k] = pbar.Transpose()
 		s.Itp[k] = op.InterpFromCSR(p, pt)
-		s.SItp[k] = op.InterpFromCSR(pbar, s.PBarT[k])
+		s.SItp[k] = op.InterpFromCSR(pbar, pbar.Transpose())
 	}
 	return s, nil
 }

@@ -132,8 +132,8 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 					t.Errorf("level %d retains a materialized CSR (%d nnz)", k, s.H.Levels[k].A.NNZ())
 				}
 			}
-			if s.H.Levels[0].P != nil || s.P[0] != nil {
-				t.Errorf("fine interpolant materialized P")
+			if _, geom := s.Itp[0].(*op.GeomInterp); s.H.Levels[0].P != nil || !geom {
+				t.Errorf("fine interpolant materialized P (%T)", s.Itp[0])
 			}
 			if got := s.Itp[0].Bytes(); got != 0 {
 				t.Errorf("fine interpolant holds %d resident bytes, want 0", got)

@@ -44,10 +44,6 @@ func (a *CSR[V, I]) ResidualRange(r, b, x []float64, lo, hi int) {
 func (a *CSR[V, I]) Diag() []float64       { return a.M.Diag() }
 func (a *CSR[V, I]) RowL1Norms() []float64 { return a.M.RowL1Norms() }
 
-func (a *CSR[V, I]) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	sparse.RunRows(a.M.NNZ(), a.M.Rows, sparse.KJacobiResidual, a.M, e, t, invDiag, r)
-}
-
 func (a *CSR[V, I]) ScaledResidual(w, scale, r []float64) {
 	sparse.RunRows(a.M.NNZ(), a.M.Rows, sparse.KScaledResidual, a.M, w, scale, r)
 }
@@ -133,9 +129,4 @@ func (t *CSRInterp[V, I]) ApplyAddBlock(fine, coarse []float64, k int) {
 }
 func (t *CSRInterp[V, I]) ApplyTBlock(coarse, fine []float64, k int) {
 	t.PT.RunBlock(sparse.KApplyBlock, coarse, nil, fine, k)
-}
-
-func asCSRInterp(itp Interp) *CSRInterp[float64, int] {
-	t, _ := itp.(*CSRInterp[float64, int])
-	return t
 }

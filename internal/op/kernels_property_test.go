@@ -41,7 +41,7 @@ func newKernelInputs(rng *rand.Rand, rows, cols int) kernelInputs {
 // its output row-major with `width` values per matrix row. serial runs the
 // Range method over two uneven pieces; sharded runs the full-vector form
 // the engine calls (nil when the kernel has none); composed, when set, is
-// the unfused sequence a fused kernel must reproduce bitwise.
+// the plain sequence a one-pass kernel must reproduce bitwise.
 type kernelCase struct {
 	name                      string
 	width                     int
@@ -57,13 +57,6 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 	split := func(f func(lo, hi int)) { f(0, rows/3); f(rows/3, rows) }
 	out := func(w int) []float64 { return make([]float64, rows*w) }
 	from := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	zip := func(e, t []float64) []float64 {
-		o := out(2)
-		for i := range e {
-			o[2*i], o[2*i+1] = e[i], t[i]
-		}
-		return o
-	}
 	return []kernelCase{
 		{name: "apply", width: 1,
 			serial:  func() []float64 { y := out(1); split(func(lo, hi int) { m.ApplyRange(y, in.x, lo, hi) }); return y },
@@ -82,25 +75,6 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 				return r
 			},
 			sharded: func() []float64 { r := out(1); a.Residual(r, in.b, in.x); return r }},
-		{name: "jacobi-residual", width: 2, square: true,
-			serial: func() []float64 {
-				e, t := out(1), out(1)
-				split(func(lo, hi int) { m.JacobiResidualRange(e, t, in.invDiag, in.b, lo, hi) })
-				return zip(e, t)
-			},
-			sharded: func() []float64 {
-				e, t := out(1), out(1)
-				a.FusedJacobiResidual(e, t, in.invDiag, in.b)
-				return zip(e, t)
-			},
-			composed: func() []float64 {
-				e, t := out(1), out(1)
-				for i := range e {
-					e[i] = in.invDiag[i] * in.b[i]
-				}
-				m.Residual(t, in.b, e)
-				return zip(e, t)
-			}},
 		{name: "scaled-residual", width: 1, square: true,
 			serial: func() []float64 {
 				w := out(1)

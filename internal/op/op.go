@@ -1,6 +1,6 @@
 // Package op defines the operator abstraction the cycle engine runs on:
-// a linear operator A (matrix-vector products, residuals, fused smoothing
-// kernels, diagonal extraction) and an interpolation operator P
+// a linear operator A (matrix-vector products, residuals, diagonal
+// extraction) and an interpolation operator P
 // (prolongation, restriction), decoupled from any particular storage.
 //
 // Implementations:
@@ -24,20 +24,20 @@
 //   - GeomInterp is the matrix-free trilinear interpolant between a fine
 //     n³ grid and its 2h coarsening — prolongation and restriction without
 //     storing P or Pᵀ.
-//   - SmoothedInterp composes P̄ = (I − diag(s)·A)·P from an Operator and
-//     an Interp without materializing P̄ or P̄ᵀ (Multadd's smoothed
-//     interpolants become zero-storage).
+//   - SmoothedInterp composes P̄ = (I − diag(s)·A)·P from a
+//     SmoothedApplier (an Operator with the two one-pass kernels the
+//     composition needs) and an Interp without materializing P̄ or P̄ᵀ
+//     (Multadd's smoothed interpolants become zero-storage).
 //
 // All kernels follow the package sparse contract: every implementation
 // provides serial Range methods, full-vector methods shard them through
 // sparse.RunRows above the work threshold, and the sharded form is
-// bitwise-identical to the serial one at any worker count.
+// bitwise-identical to the serial one at any worker count. There is one
+// kernel per operation: the cycles compose Apply, Residual and ApplyT
+// rather than calling fused multi-operation kernels.
 package op
 
-import (
-	"asyncmg/internal/sparse"
-	"asyncmg/internal/vec"
-)
+import "asyncmg/internal/vec"
 
 // Precision selects the storage precision policy of a hierarchy.
 type Precision int
@@ -114,23 +114,16 @@ type Interp interface {
 
 // ---- optional capabilities ----
 
-// JacobiFused is implemented by operators that can run the zero-guess
-// diagonal smoothing sweep fused with its post-sweep residual in one pass:
-// e = invDiag∘r and t = r − A e.
-type JacobiFused interface {
-	FusedJacobiResidual(e, t, invDiag, r []float64)
-}
-
-// SmoothedApplier is implemented by operators providing the two fused
-// one-pass kernels the composed smoothed interpolant P̄ = (I − diag(s)A)P
-// needs:
+// SmoothedApplier is an operator with the two one-pass kernels the
+// composed smoothed interpolant P̄ = (I − diag(s)A)P needs:
 //
 //	ScaledResidual:   w = r − s∘(A r)   (the P̄ apply tail)
 //	SmoothedResidual: w = r − A (s∘r)   (the P̄ᵀ apply head; A symmetric)
 //
-// Both recompute the scaled operand on the fly (like the fused Jacobi
-// kernel), so they are single passes with no ordering hazard.
+// The second recomputes the scaled operand on the fly, so both are single
+// passes with no ordering hazard. CSR and Stencil implement it.
 type SmoothedApplier interface {
+	Operator
 	ScaledResidual(w, scale, r []float64)
 	ScaledResidualRange(w, scale, r []float64, lo, hi int)
 	SmoothedResidual(w, scale, r []float64)
@@ -158,70 +151,15 @@ type BlockInterp interface {
 	ApplyTBlock(coarse, fine []float64, k int)
 }
 
-// ---- fused engine-facing helpers ----
-
-// FusedResidualRestrict computes rc = Pᵀ (b − A x), the down-leg step of
-// every multiplicative V-cycle, generically over operator and interpolant.
-// For the float64 CSR pair it delegates to the fused sparse kernel
-// (bitwise-identical to the pre-refactor engine); for every other pairing
-// it runs the operator's sharded residual into tmp followed by the
-// interpolant's restriction — the same two-step sequence the sparse kernel
-// uses above the parallel threshold, which is bitwise-identical to the
-// fused scatter by the kernel contract. tmp must be a fine-length scratch.
-func FusedResidualRestrict(a Operator, itp Interp, rc, b, x, tmp []float64) {
-	if ac, ic := AsCSR(a), asCSRInterp(itp); ac != nil && ic != nil {
-		sparse.FusedResidualRestrict(ac, ic.P, ic.PT, rc, b, x, tmp)
-		return
-	}
-	a.Residual(tmp, b, x)
-	itp.ApplyT(rc, tmp)
-}
-
-// FusedJacobiResidualRestrict fuses a multiplicative down-leg level step
-// for diagonal smoothers: e = invDiag∘r, then rc = Pᵀ (r − A e). Same
-// dispatch policy as FusedResidualRestrict.
+// FusedJacobiResidualRestrict is the multiplicative down-leg level step
+// for a diagonal smoother: e = invDiag∘r, then rc = Pᵀ (r − A e), as the
+// plain sequence of one scaling, Residual and ApplyT. Its only caller is
+// the benchmark's sparse.fused_jrr_over_unfused probe, which retires with
+// it.
 func FusedJacobiResidualRestrict(a Operator, itp Interp, e, rc, invDiag, r, tmp []float64) {
-	if ac, ic := AsCSR(a), asCSRInterp(itp); ac != nil && ic != nil {
-		sparse.FusedJacobiResidualRestrict(ac, ic.P, ic.PT, e, rc, invDiag, r, tmp)
-		return
+	for i := range e {
+		e[i] = invDiag[i] * r[i]
 	}
-	if jf, ok := a.(JacobiFused); ok {
-		jf.FusedJacobiResidual(e, tmp, invDiag, r)
-	} else {
-		n := a.Rows()
-		for i := 0; i < n; i++ {
-			e[i] = invDiag[i] * r[i]
-		}
-		a.Residual(tmp, r, e)
-	}
+	a.Residual(tmp, r, e)
 	itp.ApplyT(rc, tmp)
-}
-
-// ScaledResidual computes w = r − scale∘(A r) through the operator's fused
-// capability, falling back to a two-pass apply with the caller's scratch.
-func ScaledResidual(a Operator, w, scale, r, scratch []float64) {
-	if sa, ok := a.(SmoothedApplier); ok {
-		sa.ScaledResidual(w, scale, r)
-		return
-	}
-	a.Apply(scratch, r)
-	for i := range w {
-		w[i] = r[i] - scale[i]*scratch[i]
-	}
-}
-
-// SmoothedResidual computes w = r − A (scale∘r) through the operator's
-// fused capability, falling back to a two-pass apply.
-func SmoothedResidual(a Operator, w, scale, r, scratch []float64) {
-	if sa, ok := a.(SmoothedApplier); ok {
-		sa.SmoothedResidual(w, scale, r)
-		return
-	}
-	for i := range scratch {
-		scratch[i] = scale[i] * r[i]
-	}
-	a.Apply(w, scratch)
-	for i := range w {
-		w[i] = r[i] - w[i]
-	}
 }

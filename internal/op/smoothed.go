@@ -7,9 +7,9 @@ import "sync"
 //	P̄ = (I − diag(scale)·A) · P
 //
 // from an operator and a base interpolant without materializing P̄ or P̄ᵀ:
-// prolongation is a base prolongation followed by the fused scaled
+// prolongation is a base prolongation followed by the one-pass scaled
 // residual (fine = t − scale∘(A t)), and restriction uses A = Aᵀ to run
-// the fused smoothed residual ahead of the base restriction
+// the one-pass smoothed residual ahead of the base restriction
 // (coarse = Pᵀ (fine − A (scale∘fine))). Against a CSR A and P this
 // replaces two stored matrices (P̄ and P̄ᵀ, each as dense as A·P) with one
 // pooled fine-length scratch vector.
@@ -26,7 +26,7 @@ import "sync"
 // 0.328 → 0.335 s, worse in 4 of 5 pairs (EXPERIMENTS.md, "Composed P̄₁
 // over the class stencil").
 type SmoothedInterp struct {
-	A     Operator
+	A     SmoothedApplier
 	P     Interp
 	Scale []float64
 
@@ -36,7 +36,7 @@ type SmoothedInterp struct {
 // NewSmoothedInterp composes P̄ = (I − diag(scale)·A)·P. A must be
 // symmetric (true for every operator this solver builds hierarchies
 // from); scale has fine length.
-func NewSmoothedInterp(a Operator, p Interp, scale []float64) *SmoothedInterp {
+func NewSmoothedInterp(a SmoothedApplier, p Interp, scale []float64) *SmoothedInterp {
 	si := &SmoothedInterp{A: a, P: p, Scale: scale}
 	n := p.FineRows()
 	si.fineScratch.New = func() any {
@@ -65,7 +65,7 @@ func (si *SmoothedInterp) putScratch(s *[]float64) { si.fineScratch.Put(s) }
 func (si *SmoothedInterp) Apply(fine, coarse []float64) {
 	t := si.getScratch()
 	si.P.Apply(*t, coarse)
-	ScaledResidual(si.A, fine, si.Scale, *t, fine)
+	si.A.ScaledResidual(fine, si.Scale, *t)
 	si.putScratch(t)
 }
 
@@ -82,36 +82,21 @@ func (si *SmoothedInterp) ApplyAdd(fine, coarse []float64) {
 // ApplyT computes coarse = P̄ᵀ fine = Pᵀ (fine − A (scale∘fine)).
 func (si *SmoothedInterp) ApplyT(coarse, fine []float64) {
 	t := si.getScratch()
-	if sa, ok := si.A.(SmoothedApplier); ok {
-		sa.SmoothedResidual(*t, si.Scale, fine)
-	} else {
-		u := si.getScratch()
-		SmoothedResidual(si.A, *t, si.Scale, fine, *u)
-		si.putScratch(u)
-	}
+	si.A.SmoothedResidual(*t, si.Scale, fine)
 	si.P.ApplyT(coarse, *t)
 	si.putScratch(t)
 }
 
 // ApplyRange computes fine[lo:hi] = (P̄ coarse)[lo:hi]. The smoothing
 // factor needs the full base prolongation, so each call stages P coarse
-// into its own scratch and then runs the fused scaled residual on the
+// into its own scratch and then runs the one-pass scaled residual on the
 // requested rows only — correct (and deterministic) from concurrent
 // goroutine-team members, at the cost of recomputing the base
 // prolongation per caller.
 func (si *SmoothedInterp) ApplyRange(fine, coarse []float64, lo, hi int) {
 	t := si.getScratch()
 	si.P.Apply(*t, coarse)
-	if sa, ok := si.A.(SmoothedApplier); ok {
-		sa.ScaledResidualRange(fine, si.Scale, *t, lo, hi)
-	} else {
-		u := si.getScratch()
-		si.A.Apply(*u, *t)
-		for i := lo; i < hi; i++ {
-			fine[i] = (*t)[i] - si.Scale[i]*(*u)[i]
-		}
-		si.putScratch(u)
-	}
+	si.A.ScaledResidualRange(fine, si.Scale, *t, lo, hi)
 	si.putScratch(t)
 }
 
@@ -119,13 +104,7 @@ func (si *SmoothedInterp) ApplyRange(fine, coarse []float64, lo, hi int) {
 // smoothed residual per caller (see ApplyRange).
 func (si *SmoothedInterp) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	t := si.getScratch()
-	if sa, ok := si.A.(SmoothedApplier); ok {
-		sa.SmoothedResidual(*t, si.Scale, fine)
-	} else {
-		u := si.getScratch()
-		SmoothedResidual(si.A, *t, si.Scale, fine, *u)
-		si.putScratch(u)
-	}
+	si.A.SmoothedResidual(*t, si.Scale, fine)
 	si.P.ApplyTRange(coarse, *t, lo, hi)
 	si.putScratch(t)
 }

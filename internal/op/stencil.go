@@ -338,33 +338,15 @@ func (s *Stencil) ResidualRange(r, b, x []float64, lo, hi int) {
 	}
 }
 
-// JacobiResidualRange is the fused zero-guess diagonal sweep + residual:
-// e[lo:hi] = (invDiag∘r)[lo:hi] and t[lo:hi] = (r − A (invDiag∘r))[lo:hi].
-func (s *Stencil) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
-	s.smoothedRows(e, t, invDiag, r, lo, hi)
-}
-
 // SmoothedResidualRange computes w[lo:hi] = (r − A (scale∘r))[lo:hi].
 func (s *Stencil) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	s.smoothedRows(nil, w, scale, r, lo, hi)
-}
-
-// smoothedRows stores w[row] = r[row] − Σ a·(scale[c]·r[c]) for rows
-// [lo, hi), and e[row] = scale[row]·r[row] first when e is set.
-func (s *Stencil) smoothedRows(e, w, scale, r []float64, lo, hi int) {
 	n, nn, c := s.n, s.n*s.n, s.coef
 	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-	head := func(row int) float64 {
-		if e != nil {
-			e[row] = scale[row] * r[row]
-		}
-		return r[row]
-	}
 	for ru := s.runs(lo, hi); ru.next(); {
 		switch {
 		case !ru.fast:
 			for row := ru.lo; row < ru.hi; row++ {
-				t := head(row)
+				t := r[row]
 				for _, en := range ru.es {
 					q := row + int(en.off)
 					t -= en.v * (scale[q] * r[q])
@@ -373,7 +355,7 @@ func (s *Stencil) smoothedRows(e, w, scale, r []float64, lo, hi int) {
 			}
 		case s.fast == 7:
 			for row := ru.lo; row < ru.hi; row++ {
-				t := head(row)
+				t := r[row]
 				t -= c0 * (scale[row-nn] * r[row-nn])
 				t -= c1 * (scale[row-n] * r[row-n])
 				t -= c2 * (scale[row-1] * r[row-1])
@@ -385,7 +367,7 @@ func (s *Stencil) smoothedRows(e, w, scale, r []float64, lo, hi int) {
 			}
 		default:
 			for row := ru.lo; row < ru.hi; row++ {
-				t := head(row)
+				t := r[row]
 				for p, cq := row-nn-n-1, c[:]; len(cq) >= 9; p, cq = p+nn, cq[9:] {
 					d, v := scale[p:p+2*n+3], r[p:p+2*n+3]
 					t -= cq[0] * (d[0] * v[0])
@@ -424,10 +406,6 @@ func (s *Stencil) Apply(y, x []float64) {
 
 func (s *Stencil) Residual(r, b, x []float64) {
 	sparse.RunRows(s.nnz, s.Rows(), sparse.KResidual, s, r, b, x)
-}
-
-func (s *Stencil) FusedJacobiResidual(e, t, invDiag, r []float64) {
-	sparse.RunRows(s.nnz, s.Rows(), sparse.KJacobiResidual, s, e, t, invDiag, r)
 }
 
 func (s *Stencil) ScaledResidual(w, scale, r []float64) {

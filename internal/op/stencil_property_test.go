@@ -116,11 +116,6 @@ var stencilKernels = []struct {
 		a.ResidualRange(r, in.b, in.x, a.Rows()/3, a.Rows())
 		return r
 	}},
-	{"jacobi-residual", func(a Operator, in kernelInputs) []float64 {
-		e, t := make([]float64, a.Rows()), make([]float64, a.Rows())
-		a.(JacobiFused).FusedJacobiResidual(e, t, in.invDiag, in.b)
-		return append(e, t...)
-	}},
 	{"scaled-residual", func(a Operator, in kernelInputs) []float64 {
 		w := make([]float64, a.Rows())
 		a.(SmoothedApplier).ScaledResidual(w, in.invDiag, in.b)

@@ -1,6 +1,6 @@
 // Package par provides the persistent goroutine worker pool behind the
 // repository's parallel compute kernels (sparse SpMV/residual, vec
-// axpy/dot/norm, fused multigrid kernels).
+// axpy/dot/norm, the smoothed-interpolant kernels).
 //
 // The pool is built for steady-state hot loops: dispatching a kernel
 // performs no heap allocation (workers are parked on per-worker channels

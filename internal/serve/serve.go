@@ -54,6 +54,11 @@ import (
 	"asyncmg/internal/vec"
 )
 
+// maxBodyBytes caps every body the service reads: requests and uploads
+// (before and after decompression), replication pulls, and, in the cluster
+// router, requests and node responses.
+const maxBodyBytes = 64 << 20
+
 // Config tunes the solver service. The zero value picks sensible defaults
 // for every field.
 type Config struct {
@@ -64,8 +69,6 @@ type Config struct {
 	MaxQueue int
 	// Workers bounds concurrently executing solves (default GOMAXPROCS).
 	Workers int
-	// MaxBodyBytes caps request bodies, uploads included (default 64 MiB).
-	MaxBodyBytes int64
 	// MaxTimeout caps per-request deadlines; it is also the default for
 	// requests that set none (default 60s).
 	MaxTimeout time.Duration
@@ -81,9 +84,6 @@ type Config struct {
 	// and never materialized as CSR. FEM and uploaded-matrix problems are
 	// unaffected.
 	MatrixFree bool
-	// MatrixStoreSize bounds the uploaded-matrix byte store that backs
-	// hierarchy replication pulls (default 16 matrices).
-	MatrixStoreSize int
 	// PeerClient performs replication pulls from peer nodes (default
 	// http.DefaultClient). A cluster harness points it at its chaos
 	// transport so pulls share the injected fault schedule.
@@ -100,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
@@ -112,9 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.AMG == nil {
 		opt := amg.DefaultOptions()
 		c.AMG = &opt
-	}
-	if c.MatrixStoreSize <= 0 {
-		c.MatrixStoreSize = 16
 	}
 	if c.PeerClient == nil {
 		c.PeerClient = http.DefaultClient
@@ -153,7 +147,7 @@ func New(cfg Config) *Server {
 		obs:      cfg.Observer,
 		cache:    newCache(cfg.CacheSize, cfg.Observer),
 		sem:      make(chan struct{}, cfg.Workers),
-		matrices: newMatrixStore(cfg.MatrixStoreSize),
+		matrices: newMatrixStore(),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /solve", s.handleSolve)
@@ -221,7 +215,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, _, status, err := ReadBody(r, s.cfg.MaxBodyBytes, false)
+	body, _, status, err := ReadBody(r, false)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -254,7 +248,7 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	_, raw, status, err := ReadBody(r, s.cfg.MaxBodyBytes, true)
+	_, raw, status, err := ReadBody(r, true)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -271,18 +265,25 @@ func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ReadBody reads r's body, capped at limit bytes. With unzip, a gzip body
+// ReadCapped reads rd to its end or to the body cap, whichever comes
+// first; over reports that rd held more than the cap.
+func ReadCapped(rd io.Reader) (b []byte, over bool, err error) {
+	b, err = io.ReadAll(io.LimitReader(rd, maxBodyBytes+1))
+	return b, len(b) > maxBodyBytes, err
+}
+
+// ReadBody reads r's body under the body cap. With unzip, a gzip body
 // (by Content-Encoding header or magic bytes) is decompressed under the
 // same cap: raw is what arrived, plain what it says (the same slice when
 // it was not compressed). On failure status is the HTTP status to answer.
-// The cluster router reads uploads through it too, so node and router
-// fingerprint the same bytes.
-func ReadBody(r *http.Request, limit int64, unzip bool) (raw, plain []byte, status int, err error) {
-	raw, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
+// The cluster router reads requests and uploads through it too, so node
+// and router apply one cap and fingerprint the same bytes.
+func ReadBody(r *http.Request, unzip bool) (raw, plain []byte, status int, err error) {
+	raw, over, err := ReadCapped(r.Body)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
 	}
-	if int64(len(raw)) > limit {
+	if over {
 		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("body too large")
 	}
 	if !unzip || (r.Header.Get("Content-Encoding") != "gzip" && !(len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b)) {
@@ -290,12 +291,12 @@ func ReadBody(r *http.Request, limit int64, unzip bool) (raw, plain []byte, stat
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err == nil {
-		plain, err = io.ReadAll(io.LimitReader(zr, limit+1))
+		plain, over, err = ReadCapped(zr)
 	}
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("gzip: %w", err)
 	}
-	if int64(len(plain)) > limit {
+	if over {
 		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("decompressed body too large")
 	}
 	return raw, plain, 0, nil

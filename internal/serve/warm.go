@@ -158,11 +158,11 @@ func (s *Server) pullMatrix(ctx context.Context, fp, source string) ([]byte, err
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("pull from %s: status %d", source, resp.StatusCode)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes+1))
+	raw, over, err := ReadCapped(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(raw)) > s.cfg.MaxBodyBytes {
+	if over {
 		return nil, fmt.Errorf("pulled matrix exceeds body limit")
 	}
 	if Fingerprint(raw) != fp {
@@ -191,7 +191,6 @@ func (s *Server) handleMatrixGet(w http.ResponseWriter, r *http.Request) {
 // never reads it.
 type matrixStore struct {
 	mu      sync.Mutex
-	max     int
 	order   *list.List
 	entries map[string]*list.Element
 }
@@ -201,11 +200,11 @@ type matrixEntry struct {
 	raw []byte
 }
 
-func newMatrixStore(max int) *matrixStore {
-	if max < 1 {
-		max = 1
-	}
-	return &matrixStore{max: max, order: list.New(), entries: make(map[string]*list.Element)}
+// matrixStoreSize bounds the store, in matrices.
+const matrixStoreSize = 16
+
+func newMatrixStore() *matrixStore {
+	return &matrixStore{order: list.New(), entries: make(map[string]*list.Element)}
 }
 
 func (m *matrixStore) put(fp string, raw []byte) {
@@ -216,7 +215,7 @@ func (m *matrixStore) put(fp string, raw []byte) {
 		return
 	}
 	m.entries[fp] = m.order.PushFront(&matrixEntry{fp: fp, raw: raw})
-	for m.order.Len() > m.max {
+	for m.order.Len() > matrixStoreSize {
 		oldest := m.order.Back()
 		m.order.Remove(oldest)
 		delete(m.entries, oldest.Value.(*matrixEntry).fp)

@@ -6,7 +6,7 @@
 //
 // Each smoother exposes zero-initial-guess application (the Λ_k of additive
 // multigrid), a general sweep (for multiplicative V-cycles), block-wise
-// variants for goroutine teams, and an atomic-vector variant used by async
+// variants for goroutine teams, and an atomic-vector sweep used by async
 // GS inside the asynchronous runtime.
 package smoother
 
@@ -209,9 +209,9 @@ func (s *S) offBlockL1() []float64 {
 }
 
 // InvDiag exposes the diagonal scaling M⁻¹ of the Jacobi-type smoothers
-// (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi) so cycle engines can fuse
-// the zero-guess sweep with the post-sweep residual. Nil for the block
-// smoothers, whose application is not a diagonal scaling.
+// (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi), which the block cycle path
+// applies to packed columns. Nil for the block smoothers, whose
+// application is not a diagonal scaling.
 func (s *S) InvDiag() []float64 {
 	switch s.Kind {
 	case WJacobi, L1Jacobi:
@@ -221,7 +221,8 @@ func (s *S) InvDiag() []float64 {
 }
 
 // Apply computes e = Λ r, i.e. one smoothing sweep on A e = r from a zero
-// initial guess, serially over all blocks. e and r must not alias.
+// initial guess, serially over all blocks. It overwrites e, whatever e
+// held before; e and r must not alias.
 func (s *S) Apply(e, r []float64) {
 	for b := range s.Blocks {
 		s.ApplyBlock(e, r, b)
@@ -283,76 +284,15 @@ func (s *S) l1LowerSolve(x, b []float64, blk partition.Range) {
 	}
 }
 
-// ApplyBlockAtomic computes the block-b rows of e = Λ r from a zero initial
-// guess against a shared atomic vector, writing each relaxed value
-// immediately. For AsyncGS this realizes the paper's asynchronous smoothing:
-// concurrent blocks observe mixed-age values of e. The caller must zero e
-// beforehand.
-func (s *S) ApplyBlockAtomic(e *vec.Atomic, r []float64, b int) {
-	blk := s.Blocks[b]
-	switch s.Kind {
-	case WJacobi, L1Jacobi:
-		for i := blk.Lo; i < blk.Hi; i++ {
-			e.Store(i, s.invDiag[i]*r[i])
-		}
-	case HybridJGS, AsyncGS, L1HybridJGS:
-		for i := blk.Lo; i < blk.Hi; i++ {
-			sum := r[i]
-			diag := 0.0
-			if s.Kind == L1HybridJGS {
-				diag = s.l1Off[i]
-			}
-			for p := s.A.RowPtr[i]; p < s.A.RowPtr[i+1]; p++ {
-				j := s.A.ColIdx[p]
-				switch {
-				case j == i:
-					diag += s.A.Vals[p]
-				case s.Kind != AsyncGS && (j < blk.Lo || j >= blk.Hi):
-					// Block-Jacobi across blocks; the initial guess is
-					// zero, so off-block terms vanish.
-				default:
-					sum -= s.A.Vals[p] * e.Load(j)
-				}
-			}
-			if diag != 0 {
-				e.Store(i, sum/diag)
-			}
-		}
-	}
-}
-
-// Sweep performs one general smoothing sweep e ← e + M⁻¹ (r − A e). The
-// residual goes through the operator view, which shards large levels and is
-// bitwise-identical to the serial kernel at any worker count. scratch must
+// Sweep performs one general smoothing sweep e ← e + M⁻¹ (r − A e): the
+// residual of the frozen incoming iterate once, through the operator view
+// (which shards large levels, bitwise-identical to the serial kernel at any
+// worker count), then every block's SweepBlockFromResidual. scratch must
 // have length A.Rows and is clobbered.
 func (s *S) Sweep(e, r, scratch []float64) {
-	switch s.Kind {
-	case WJacobi, L1Jacobi:
-		s.Op.Residual(scratch, r, e)
-		for i := range e {
-			e[i] += s.invDiag[i] * scratch[i]
-		}
-	case HybridJGS, AsyncGS:
-		// Hybrid semantics: every block reads the same frozen incoming
-		// iterate. Compute res = r − A e once, then add each block's
-		// lower-triangular correction e_b += L_b⁻¹ res_b.
-		s.Op.Residual(scratch, r, e)
-		for _, blk := range s.Blocks {
-			for i := blk.Lo; i < blk.Hi; i++ {
-				s.delta[i] = 0
-			}
-			s.A.LowerTriSolveRange(s.delta, scratch, blk.Lo, blk.Hi)
-			vec.AxpyRange(1, e, s.delta, blk.Lo, blk.Hi)
-		}
-	case L1HybridJGS:
-		s.Op.Residual(scratch, r, e)
-		for _, blk := range s.Blocks {
-			for i := blk.Lo; i < blk.Hi; i++ {
-				s.delta[i] = 0
-			}
-			s.l1LowerSolve(s.delta, scratch, blk)
-			vec.AxpyRange(1, e, s.delta, blk.Lo, blk.Hi)
-		}
+	s.Op.Residual(scratch, r, e)
+	for b := range s.Blocks {
+		s.SweepBlockFromResidual(e, scratch, b)
 	}
 }
 
@@ -372,43 +312,30 @@ func InterpolantScalingOp(a op.Operator, cfg Config, pre Precomputed) ([]float64
 	return diagonalScaling(a, cfg.Kind == L1Jacobi, omega, pre)
 }
 
-// SolveSweepBlockAtomic performs one relaxation sweep of block b directly on
-// the system A x = b, reading and writing the shared atomic iterate x with
-// per-element atomicity and no synchronization. Repeated concurrent calls
-// from different blocks realize the asynchronous iteration of Equation 5 of
-// the paper: each read may observe a mix of old and new values, and the
-// iteration converges whenever ρ(|G|) < 1.
-func (s *S) SolveSweepBlockAtomic(x *vec.Atomic, b []float64, blk int) {
+// SweepBlockAtomic performs one asynchronous Gauss-Seidel sweep (AsyncGS)
+// of block b on A x = b in place, reading and writing the shared atomic
+// iterate x with per-element atomicity and no synchronization: each row
+// reads its neighbours' current values, whether another block has already
+// written them or not. Repeated concurrent calls from different blocks
+// realize the asynchronous iteration of Equation 5 of the paper, which
+// converges whenever ρ(|G|) < 1; from x = 0 one call per block is the
+// zero-guess smoothing application e = Λ r.
+func (s *S) SweepBlockAtomic(x *vec.Atomic, b []float64, blk int) {
 	r := s.Blocks[blk]
 	a := s.A
-	switch s.Kind {
-	case WJacobi, L1Jacobi:
-		for i := r.Lo; i < r.Hi; i++ {
-			sum := b[i]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				sum -= a.Vals[p] * x.Load(a.ColIdx[p])
+	for i := r.Lo; i < r.Hi; i++ {
+		sum := b[i]
+		diag := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.ColIdx[p]
+			if j == i {
+				diag += a.Vals[p]
+				continue
 			}
-			x.Add(i, s.invDiag[i]*sum)
+			sum -= a.Vals[p] * x.Load(j)
 		}
-	case HybridJGS, AsyncGS, L1HybridJGS:
-		for i := r.Lo; i < r.Hi; i++ {
-			sum := b[i]
-			diag := 0.0
-			if s.Kind == L1HybridJGS {
-				diag = s.l1Off[i]
-				sum += s.l1Off[i] * x.Load(i)
-			}
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				j := a.ColIdx[p]
-				if j == i {
-					diag += a.Vals[p]
-					continue
-				}
-				sum -= a.Vals[p] * x.Load(j)
-			}
-			if diag != 0 {
-				x.Store(i, sum/diag)
-			}
+		if diag != 0 {
+			x.Store(i, sum/diag)
 		}
 	}
 }

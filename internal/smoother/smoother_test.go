@@ -259,58 +259,6 @@ func TestSweepEquivalentToApplyFromZero(t *testing.T) {
 	}
 }
 
-func TestApplyBlockAtomicMatchesSerialForDiagonal(t *testing.T) {
-	// For the diagonal smoothers the atomic variant is exactly the serial
-	// one.
-	a := grid.Laplacian7pt(3)
-	n := a.Rows
-	r := grid.RandomRHS(n, 9)
-	for _, cfg := range []Config{{Kind: WJacobi, Omega: 0.9, Blocks: 3}, {Kind: L1Jacobi, Blocks: 3}} {
-		s, err := New(a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := make([]float64, n)
-		s.Apply(serial, r)
-		at := vec.NewAtomic(n)
-		for b := 0; b < len(s.Blocks); b++ {
-			s.ApplyBlockAtomic(at, r, b)
-		}
-		got := make([]float64, n)
-		at.Snapshot(got)
-		for i := range got {
-			if math.Abs(got[i]-serial[i]) > 1e-15 {
-				t.Fatalf("%v: atomic apply differs at %d", cfg.Kind, i)
-			}
-		}
-	}
-}
-
-func TestApplyBlockAtomicHybridIgnoresOffBlock(t *testing.T) {
-	// Hybrid JGS atomic: sequential execution must equal the plain-slice
-	// Apply (off-block terms skipped).
-	a := grid.Laplacian7pt(3)
-	n := a.Rows
-	r := grid.RandomRHS(n, 13)
-	s, err := New(a, Config{Kind: HybridJGS, Blocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := make([]float64, n)
-	s.Apply(serial, r)
-	at := vec.NewAtomic(n)
-	for b := 0; b < len(s.Blocks); b++ {
-		s.ApplyBlockAtomic(at, r, b)
-	}
-	got := make([]float64, n)
-	at.Snapshot(got)
-	for i := range got {
-		if math.Abs(got[i]-serial[i]) > 1e-13 {
-			t.Fatalf("hybrid atomic differs at %d: %v vs %v", i, got[i], serial[i])
-		}
-	}
-}
-
 func TestAsyncGSSequentialEqualsGS(t *testing.T) {
 	// Executed block-by-block in order, async GS reads all previously
 	// written values: it degenerates to plain forward Gauss-Seidel.
@@ -322,7 +270,7 @@ func TestAsyncGSSequentialEqualsGS(t *testing.T) {
 	}
 	at := vec.NewAtomic(10)
 	for b := 0; b < len(s.Blocks); b++ {
-		s.ApplyBlockAtomic(at, r, b)
+		s.SweepBlockAtomic(at, r, b)
 	}
 	got := make([]float64, 10)
 	at.Snapshot(got)
@@ -359,7 +307,7 @@ func TestAsyncGSConcurrentConverges(t *testing.T) {
 			go func(blk int) {
 				defer wg.Done()
 				for it := 0; it < 2; it++ {
-					s.SolveSweepBlockAtomic(x, b, blk)
+					s.SweepBlockAtomic(x, b, blk)
 				}
 			}(blk)
 		}
@@ -461,7 +409,7 @@ func TestL1HybridJGSConvergesWithManyBlocks(t *testing.T) {
 	}
 }
 
-func TestL1HybridJGSSweepFixedPointAndAtomicConsistency(t *testing.T) {
+func TestL1HybridJGSSweepFixedPoint(t *testing.T) {
 	a := lap1d(10)
 	b := grid.RandomRHS(10, 33)
 	s, err := New(a, Config{Kind: L1HybridJGS, Blocks: 3})
@@ -479,31 +427,6 @@ func TestL1HybridJGSSweepFixedPointAndAtomicConsistency(t *testing.T) {
 	for i := range e {
 		if math.Abs(e[i]-x[i]) > 1e-10 {
 			t.Fatalf("sweep moved exact solution at %d", i)
-		}
-	}
-	// Atomic apply equals plain apply when run sequentially.
-	serial := make([]float64, 10)
-	s.Apply(serial, b)
-	at := vec.NewAtomic(10)
-	for blk := 0; blk < len(s.Blocks); blk++ {
-		s.ApplyBlockAtomic(at, b, blk)
-	}
-	got := make([]float64, 10)
-	at.Snapshot(got)
-	for i := range got {
-		if math.Abs(got[i]-serial[i]) > 1e-14 {
-			t.Fatalf("atomic apply differs at %d: %v vs %v", i, got[i], serial[i])
-		}
-	}
-	// SolveSweepBlockAtomic at the fixed point leaves x unchanged.
-	at.SetAll(x)
-	for blk := 0; blk < len(s.Blocks); blk++ {
-		s.SolveSweepBlockAtomic(at, b, blk)
-	}
-	at.Snapshot(got)
-	for i := range got {
-		if math.Abs(got[i]-x[i]) > 1e-10 {
-			t.Fatalf("atomic solve sweep moved exact solution at %d by %g", i, got[i]-x[i])
 		}
 	}
 }
@@ -609,41 +532,5 @@ func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	empty := &sparse.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 0}}
 	if _, err := InterpolantScalingOp(op.FromCSR(empty), Config{Kind: L1Jacobi}, Precomputed{}); err == nil {
 		t.Error("empty row accepted for l1")
-	}
-}
-
-func TestSolveSweepBlockAtomicJacobiKinds(t *testing.T) {
-	// The Jacobi branch of SolveSweepBlockAtomic performs damped Jacobi on
-	// A x = b; sequential block execution equals the serial update.
-	a := lap1d(6)
-	for _, cfg := range []Config{{Kind: WJacobi, Omega: 0.7, Blocks: 2}, {Kind: L1Jacobi, Blocks: 2}} {
-		s, err := New(a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := grid.RandomRHS(6, 51)
-		x0 := grid.RandomRHS(6, 53)
-		at := vec.NewAtomic(6)
-		at.SetAll(x0)
-		for blk := 0; blk < len(s.Blocks); blk++ {
-			s.SolveSweepBlockAtomic(at, b, blk)
-		}
-		// Serial reference: Gauss-Seidel-like because block 1 reads block
-		// 0's fresh values; emulate exactly.
-		want := append([]float64(nil), x0...)
-		for i := 0; i < 6; i++ {
-			sum := b[i]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				sum -= a.Vals[p] * want[a.ColIdx[p]]
-			}
-			want[i] += s.invDiag[i] * sum
-		}
-		got := make([]float64, 6)
-		at.Snapshot(got)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-13 {
-				t.Fatalf("%v: atomic jacobi solve sweep differs at %d: %v vs %v", cfg.Kind, i, got[i], want[i])
-			}
-		}
 	}
 }

@@ -1,4 +1,4 @@
-// CSR row kernels, their sharding, and the fused down-leg kernels.
+// CSR row kernels and their sharding.
 //
 // Every row kernel is written once, as a serial Range method on
 // Matrix[V, I] computing the half-open row range [lo, hi): stored values
@@ -14,16 +14,6 @@
 // bitwise-identical to its serial form at any worker count. The one shard
 // descriptor is recycled through a sync.Pool, so the steady state
 // allocates nothing.
-//
-// The fused kernels collapse the multigrid level loop's adjacent passes
-// (smoother apply → residual → restriction) into single sweeps over the
-// matrix, the optimization Munch et al. (2022) identify as dominating
-// matrix-free multigrid throughput. Each fused kernel is constructed to be
-// bitwise-identical to the unfused sequence it replaces: the scatter form
-// of the restriction accumulates every coarse entry in the same ascending
-// fine-row order as the gather (Pᵀ rows are sorted by construction), and
-// the fused Jacobi sweep recomputes invDiag[j]*r[j] on the fly, which
-// rounds identically to reading the stored e[j].
 package sparse
 
 import (
@@ -44,7 +34,6 @@ const (
 	KApplyAdd                       // ApplyAddRange(y, x, lo, hi): y += A x
 	KApplyT                         // ApplyTRange(y, x, lo, hi): y = Aᵀ x, rows of Aᵀ
 	KResidual                       // ResidualRange(r, b, x, lo, hi): r = b − A x
-	KJacobiResidual                 // JacobiResidualRange(e, t, invDiag, r, lo, hi)
 	KScaledResidual                 // ScaledResidualRange(w, scale, r, lo, hi)
 	KSmoothedResidual               // SmoothedResidualRange(w, scale, r, lo, hi)
 	KApplyBlock                     // ApplyBlockRange(y, x, k, lo, hi)
@@ -83,10 +72,6 @@ func (s *shard) Do(_, lo, hi int) {
 		s.on.(interface {
 			ResidualRange(r, b, x []float64, lo, hi int)
 		}).ResidualRange(v[0], v[1], v[2], lo, hi)
-	case KJacobiResidual:
-		s.on.(interface {
-			JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int)
-		}).JacobiResidualRange(v[0], v[1], v[2], v[3], lo, hi)
 	case KScaledResidual:
 		s.on.(interface {
 			ScaledResidualRange(w, scale, r []float64, lo, hi int)
@@ -187,30 +172,12 @@ func (a *Matrix[V, I]) ResidualRange(r, b, x []float64, lo, hi int) {
 	}
 }
 
-// JacobiResidualRange is the fused zero-guess diagonal smoothing sweep +
-// residual: for rows [lo, hi) it writes e[i] = invDiag[i]*r[i] (invDiag
-// e.g. ω/a_ii for ω-Jacobi or 1/‖a_i‖₁ for ℓ1-Jacobi) and
-// t[i] = r[i] − Σ_j a_ij·(invDiag[j]·r[j]). Recomputing invDiag[j]*r[j]
-// instead of loading e[j] keeps the pass fused (no ordering hazard on e)
-// and rounds identically to Apply followed by Residual.
-func (a *Matrix[V, I]) JacobiResidualRange(e, t, invDiag, r []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e[i] = invDiag[i] * r[i]
-		s := r[i]
-		cols, vals := a.row(i)
-		for q, j := range cols {
-			s -= float64(vals[q]) * (invDiag[j] * r[j])
-		}
-		t[i] = s
-	}
-}
-
 // The composed smoothed interpolant P̄ = (I − diag(s)·A)·P needs two
 // one-pass forms of "residual against a scaled operand": the prolongation
 // tail w = r − s∘(A r) and (using A = Aᵀ) the restriction head
-// w = r − A (s∘r). Like the fused Jacobi kernel, the second form
-// recomputes s_j·r_j on the fly, so both are single passes with no
-// ordering hazard and shard row-independently.
+// w = r − A (s∘r). The second form recomputes s_j·r_j on the fly, so
+// both are single passes with no ordering hazard and shard
+// row-independently.
 
 // ScaledResidualRange computes w[lo:hi] = (r − scale∘(A r))[lo:hi].
 func (a *Matrix[V, I]) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
@@ -308,86 +275,4 @@ func (a *Matrix[V, I]) MatVecAddPar(y, x []float64) {
 // when the matrix is large enough. Bitwise-identical to Residual.
 func (a *Matrix[V, I]) ResidualPar(r, b, x []float64) {
 	RunRows(a.NNZ(), a.Rows, KResidual, a, r, b, x)
-}
-
-// ---- fused scatter kernels (float64 pair) ----
-
-// residualRestrictSerial computes rc = pT (b − A x) in one pass over the
-// fine rows: each fine row's residual is formed once and immediately
-// scattered into the coarse vector through p's row. rc is zeroed first.
-// For fixed coarse index c, contributions arrive in ascending fine-row
-// order — the same order the gather (pT row c, sorted ascending) sums
-// them — so the result is bitwise-identical to Residual followed by
-// pT.MatVec.
-func residualRestrictSerial(a, p *CSR, rc, b, x []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		t := b[j]
-		cols, vals := a.row(j)
-		for q, c := range cols {
-			t -= vals[q] * x[c]
-		}
-		cols, vals = p.row(j)
-		for q, c := range cols {
-			rc[c] += vals[q] * t
-		}
-	}
-}
-
-// FusedResidualRestrict computes rc = Pᵀ (b − A x): the residual of the
-// fine level restricted to the coarse level, the down-leg step of every
-// multiplicative V-cycle. Below the parallel threshold it runs as a
-// single fused scatter pass with no intermediate fine-length vector read
-// back from memory; above it, it runs as a sharded residual into tmp
-// followed by a sharded gather with pT. Both paths are bitwise-identical.
-// tmp must be a fine-length scratch vector (used by the parallel path);
-// pT must be p's transpose (pass nil to force the serial scatter path).
-func FusedResidualRestrict(a, p, pT *CSR, rc, b, x, tmp []float64) {
-	if pT == nil || !par.Par(a.NNZ()+p.NNZ()) {
-		for i := range rc {
-			rc[i] = 0
-		}
-		residualRestrictSerial(a, p, rc, b, x, 0, a.Rows)
-		return
-	}
-	a.ResidualPar(tmp, b, x)
-	pT.MatVecPar(rc, tmp)
-}
-
-// jacobiResidualRestrictSerial is the triple-fused down-leg step for
-// diagonal smoothers: pre-smooth (e = D⁻¹ r), post-smoothing residual,
-// and scatter restriction through p, all in one pass over the fine rows.
-// rc must be zeroed by the caller.
-func jacobiResidualRestrictSerial(a, p *CSR, e, rc, invDiag, r []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e[i] = invDiag[i] * r[i]
-		t := r[i]
-		cols, vals := a.row(i)
-		for q, j := range cols {
-			t -= vals[q] * (invDiag[j] * r[j])
-		}
-		cols, vals = p.row(i)
-		for q, c := range cols {
-			rc[c] += vals[q] * t
-		}
-	}
-}
-
-// FusedJacobiResidualRestrict fuses an entire multiplicative-cycle
-// down-leg level step for diagonal smoothers: pre-smooth e = D⁻¹ r,
-// compute the post-smoothing residual, and restrict it to the coarse
-// level, rc = Pᵀ (r − A D⁻¹ r). Serial mode is one pass over the fine
-// matrix; parallel mode runs the fused sweep+residual sharded into tmp
-// and then a sharded gather with pT. Both are bitwise-identical to the
-// three-step sequence (Apply; Residual; pT.MatVec). tmp must be a
-// fine-length scratch; pT must be p's transpose (nil forces serial).
-func FusedJacobiResidualRestrict(a, p, pT *CSR, e, rc, invDiag, r, tmp []float64) {
-	if pT == nil || !par.Par(a.NNZ()+p.NNZ()) {
-		for i := range rc {
-			rc[i] = 0
-		}
-		jacobiResidualRestrictSerial(a, p, e, rc, invDiag, r, 0, a.Rows)
-		return
-	}
-	RunRows(a.NNZ(), a.Rows, KJacobiResidual, a, e, tmp, invDiag, r)
-	pT.MatVecPar(rc, tmp)
 }
