@@ -13,6 +13,7 @@ import (
 	"asyncmg"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/serve"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 // These tests exercise the public façade end to end, the way a downstream
@@ -174,7 +175,7 @@ func TestPublicCOOAssembly(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsSymmetric(0) {
+	if !sparsetest.IsSymmetric(a, 0) {
 		t.Error("assembled matrix not symmetric")
 	}
 }

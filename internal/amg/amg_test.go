@@ -7,6 +7,7 @@ import (
 
 	"asyncmg/internal/grid"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func lap1d(n int) *sparse.CSR {
@@ -398,7 +399,7 @@ func TestBuildHierarchy7pt(t *testing.T) {
 	}
 	// All coarse operators stay symmetric (Galerkin of symmetric A).
 	for l, lev := range h.Levels {
-		if !lev.A.IsSymmetric(1e-8) {
+		if !sparsetest.IsSymmetric(lev.A, 1e-8) {
 			t.Errorf("level %d operator lost symmetry", l)
 		}
 		if err := lev.A.Validate(); err != nil {

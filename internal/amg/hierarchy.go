@@ -12,10 +12,6 @@ import (
 // Options configures the AMG setup. The zero value is not valid; use
 // DefaultOptions and modify.
 type Options struct {
-	// Theta is the strength-of-connection threshold.
-	Theta float64
-	// Coarsening selects PMIS or HMIS.
-	Coarsening CoarsenMethod
 	// AggressiveLevels applies aggressive (distance-two) coarsening on the
 	// first this-many levels, as in the paper's BoomerAMG configuration
 	// ("HMIS coarsening with one/two aggressive levels").
@@ -33,8 +29,6 @@ type Options struct {
 	MaxLevels int
 	// MinCoarse stops coarsening when a level has at most this many rows.
 	MinCoarse int
-	// Seed feeds the randomized coarsening tie-breakers.
-	Seed int64
 	// NumFunctions enables the "unknown approach" for PDE systems with
 	// interleaved degrees of freedom (e.g. 3 for 3-D elasticity with
 	// x/y/z displacements per node): strength of connection, coarsening
@@ -61,17 +55,24 @@ type Options struct {
 // moderate truncation.
 func DefaultOptions() Options {
 	return Options{
-		Theta:            0.25,
-		Coarsening:       HMIS,
 		AggressiveLevels: 1,
 		Interp:           ClassicalModified,
 		TruncMax:         4,
 		TruncTol:         0.0,
 		MaxLevels:        25,
 		MinCoarse:        40,
-		Seed:             7,
 	}
 }
+
+// The setup's fixed choices, those of the paper's BoomerAMG
+// configuration: the strength-of-connection threshold, HMIS coarsening,
+// and the seed of the randomized coarsening tie-breakers (level k
+// coarsens with seed+k).
+const (
+	theta      = 0.25
+	coarsening = HMIS
+	seed       = 7
+)
 
 // Level is one level of the multigrid hierarchy.
 type Level struct {
@@ -231,15 +232,15 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 			break
 		}
 		t0 := time.Now()
-		s := StrengthGraphFunc(cur, opt.Theta, fun)
+		s := StrengthGraphFunc(cur, theta, fun)
 		st.Strength += time.Since(t0)
 		aggressive := lvl < opt.AggressiveLevels
 		t0 = time.Now()
 		var types []PointType
 		if aggressive {
-			types = CoarsenAggressive(s, opt.Coarsening, opt.Seed+int64(lvl))
+			types = CoarsenAggressive(s, coarsening, seed+int64(lvl))
 		} else {
-			types = Coarsen(s, opt.Coarsening, opt.Seed+int64(lvl))
+			types = Coarsen(s, coarsening, seed+int64(lvl))
 		}
 		st.Coarsen += time.Since(t0)
 		nc := CountC(types)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
@@ -63,12 +64,12 @@ func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, 
 	st := newStagedRows(nc, rowCap)
 	switch typ {
 	case Direct:
-		runRows(a.Rows, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st})
+		par.Run(a.NNZ(), a.Rows, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st})
 	case Multipass:
 		peak := multipassInterp(a, strong, types, cidx, fun, st, relTol, maxPerRow)
 		return st.toCSR(0, 0), peak
 	default:
-		runRows(a.Rows, a.NNZ(), &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
+		par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
 	}
 	return st.toCSR(relTol, maxPerRow), 0
 }
@@ -147,7 +148,7 @@ func (st *stagedRows) toCSR(relTol float64, maxPerRow int) *sparse.CSR {
 			entries += len(c)
 		}
 		// truncateRow reads each entry twice, then once per selection pass.
-		runRows(n, entries*(2+max(maxPerRow, 0)), &truncateKernel{st: st, relTol: relTol, maxPerRow: maxPerRow})
+		par.Run(entries*(2+max(maxPerRow, 0)), n, &truncateKernel{st: st, relTol: relTol, maxPerRow: maxPerRow})
 	}
 	p := &sparse.CSR{Rows: n, Cols: st.nc, RowPtr: make([]int, n+1)}
 	for i, c := range st.cols {
@@ -155,7 +156,7 @@ func (st *stagedRows) toCSR(relTol float64, maxPerRow int) *sparse.CSR {
 	}
 	p.ColIdx = make([]int, p.RowPtr[n])
 	p.Vals = make([]float64, p.RowPtr[n])
-	runRows(n, p.RowPtr[n], &packKernel{st: st, p: p})
+	par.Run(p.RowPtr[n], n, &packKernel{st: st, p: p})
 	return p
 }
 
@@ -455,7 +456,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows, relTol float64, maxPerRow int) int {
 	n := a.Rows
 	done := make([]bool, n)
-	runRows(n, a.NNZ(), &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
+	par.Run(a.NNZ(), n, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
 
 	pending := make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -473,7 +474,7 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 	trunc := &truncateKernel{st: st, rows: make([]int, 0, releaseBatch), relTol: relTol, maxPerRow: maxPerRow}
 	var queued, live, queuedLive, peak int // entries queued, untruncated composed (live), and both
 	flush := func() {
-		runRows(len(trunc.rows), queued*(2+max(maxPerRow, 0)), trunc)
+		par.Run(queued*(2+max(maxPerRow, 0)), len(trunc.rows), trunc)
 		for _, k := range trunc.rows {
 			if cols, vals := st.cols[k], st.vals[k]; composed[k] && 2*len(cols) <= cap(cols) {
 				nc, nv := slab.get(len(cols))

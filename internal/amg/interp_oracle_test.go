@@ -508,13 +508,13 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []Level {
 		if lvl == opt.MaxLevels-1 || cur.Rows <= opt.MinCoarse {
 			return append(levels, Level{A: cur})
 		}
-		s := StrengthGraphFunc(cur, opt.Theta, fun)
+		s := StrengthGraphFunc(cur, theta, fun)
 		aggressive := lvl < opt.AggressiveLevels
 		var types []PointType
 		if aggressive {
-			types = CoarsenAggressive(s, opt.Coarsening, opt.Seed+int64(lvl))
+			types = CoarsenAggressive(s, coarsening, seed+int64(lvl))
 		} else {
-			types = Coarsen(s, opt.Coarsening, opt.Seed+int64(lvl))
+			types = Coarsen(s, coarsening, seed+int64(lvl))
 		}
 		nc := CountC(types)
 		if nc == 0 || nc >= cur.Rows {

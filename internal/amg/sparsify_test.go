@@ -6,6 +6,7 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func coarseNNZ(h *Hierarchy) int {
@@ -50,7 +51,7 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 			if lvl.NNZ() != s.NNZAfter {
 				t.Fatalf("level %d nnz %d, stats say %d", s.Level, lvl.NNZ(), s.NNZAfter)
 			}
-			if !lvl.IsSymmetric(1e-12) {
+			if !sparsetest.IsSymmetric(lvl, 1e-12) {
 				t.Fatalf("level %d lost symmetry under lumped sparsification", s.Level)
 			}
 		}

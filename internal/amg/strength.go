@@ -24,16 +24,6 @@ type Strength struct {
 	Rows [][]int
 }
 
-// runRows runs a row kernel over n rows: across the kernel pool when the
-// work (in entries touched) is large enough, on the caller otherwise.
-func runRows(n, work int, k par.Kernel) {
-	if par.Par(work) {
-		par.Default().Run(n, k)
-	} else {
-		k.Do(0, 0, n)
-	}
-}
-
 // splitRows cuts a flat buffer into rows, row i ending at end[i].
 func splitRows(buf, end []int) [][]int {
 	rows := make([][]int, len(end))
@@ -61,7 +51,7 @@ func splitRows(buf, end []int) [][]int {
 // treated as weak.
 func StrengthGraphFunc(a *sparse.CSR, theta float64, fun []int) *Strength {
 	s := &Strength{N: a.Rows, Rows: make([][]int, a.Rows)}
-	runRows(a.Rows, a.NNZ(), &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
+	par.Run(a.NNZ(), a.Rows, &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
 	return s
 }
 

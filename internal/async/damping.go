@@ -11,10 +11,11 @@
 //     recorded into the obs staleness histogram) exceeds the reference
 //     δ₀, ω_k drops toward δ₀/δ — the staleness-proportional weight of
 //     adaptive additive damping; when the grid's residual slab has grown
-//     since its previous read refresh, ω_k is multiplied by Tighten.
+//     since its previous read refresh, ω_k is halved (defaultTighten).
 //   - relax: when reads are fresh (δ ≤ δ₀) and the residual history is
-//     healthy, ω_k is multiplied by Relax, capped at the policy maximum,
-//     so a transient stall does not permanently slow convergence.
+//     healthy, ω_k is multiplied by defaultRelax (1.25), capped at the
+//     policy maximum, so a transient stall does not permanently slow
+//     convergence.
 //   - rollback-last: only if the residual still blows past the
 //     divergence threshold is the solve aborted and the iterate
 //     discarded (Result.RolledBack) — the defense that used to be the
@@ -66,12 +67,6 @@ type DampingPolicy struct {
 	// toward StalenessRef/δ. 0 means the number of grids — one full
 	// round of everyone else correcting once. DampAuto only.
 	StalenessRef int64
-	// Tighten multiplies ω when the grid's residual history degrades
-	// between read refreshes (0 means 0.5). DampAuto only.
-	Tighten float64
-	// Relax multiplies ω back toward Omega on fresh, healthy cycles
-	// (0 means 1.25). DampAuto only.
-	Relax float64
 	// Rollback arms the rollback-last defense: each grid's thread 0
 	// monitors its refreshed residual slab, and when it blows past the
 	// divergence threshold the solve aborts, the iterate is discarded,
@@ -81,7 +76,10 @@ type DampingPolicy struct {
 	Rollback bool
 }
 
-// Default controller constants (see resolve).
+// Controller constants: the MinOmega default (see resolve), and the
+// factors ω is multiplied by when the grid's residual history degrades
+// between read refreshes (defaultTighten) and on fresh, healthy cycles
+// (defaultRelax, back toward Omega). DampAuto only.
 const (
 	defaultMinOmega = 0.05
 	defaultTighten  = 0.5
@@ -106,12 +104,6 @@ func (p DampingPolicy) resolve(grids int) DampingPolicy {
 	}
 	if p.StalenessRef == 0 {
 		p.StalenessRef = int64(grids)
-	}
-	if p.Tighten == 0 {
-		p.Tighten = defaultTighten
-	}
-	if p.Relax == 0 {
-		p.Relax = defaultRelax
 	}
 	return p
 }
@@ -142,12 +134,6 @@ func (p DampingPolicy) validate() error {
 	}
 	if p.StalenessRef < 0 {
 		return fmt.Errorf("async: damping StalenessRef must be >= 0, got %d", p.StalenessRef)
-	}
-	if bad(p.Tighten) || p.Tighten < 0 || p.Tighten >= 1 {
-		return fmt.Errorf("async: damping Tighten must be in (0, 1), got %v", p.Tighten)
-	}
-	if bad(p.Relax) || p.Relax < 0 || (p.Relax != 0 && p.Relax <= 1) || p.Relax > 16 {
-		return fmt.Errorf("async: damping Relax must be in (1, 16], got %v", p.Relax)
 	}
 	return nil
 }
@@ -234,9 +220,9 @@ func (p Perturb) holdFor(k int) int {
 // slab was recomputed: it samples the thread-0 slab's squared norm as a
 // residual-health proxy, arms the rollback guard, and (auto mode) moves
 // ω on the refresh-to-refresh trend — any growth beyond proxyGrowTol
-// tightens ω by Tighten (a geometric search for the stable factor:
+// tightens ω by defaultTighten (a geometric search for the stable factor:
 // while the residual keeps growing, ω keeps halving), while a shrinking
-// slab relaxes ω by Relax back toward the policy maximum. Relaxing only
+// slab relaxes ω by defaultRelax back toward the policy maximum. Relaxing only
 // here, once per refresh and only on observed progress, is what keeps a
 // persistently stale grid from talking itself back up to an unstable ω
 // between tightens. Only thread-0-private state and the pending
@@ -260,11 +246,11 @@ func (g *gridRun) checkHealth() {
 		switch {
 		case g.lastProxy > 0 && proxy > g.lastProxy*proxyGrowTol:
 			g.healthy = false
-			g.tightenOmega(g.nextOmega * p.Tighten)
+			g.tightenOmega(g.nextOmega * defaultTighten)
 		case g.lastProxy > 0 && proxy < g.lastProxy:
 			g.healthy = true
 			if g.nextOmega < p.Omega {
-				w := g.nextOmega * p.Relax
+				w := g.nextOmega * defaultRelax
 				if w > p.Omega {
 					w = p.Omega
 				}

@@ -24,11 +24,7 @@ func TestDampingPolicyValidation(t *testing.T) {
 		{Mode: DampAuto, MinOmega: 2},              // floor > 1
 		{Mode: DampAuto, Omega: 0.3, MinOmega: .5}, // floor above max
 		{Mode: DampAuto, StalenessRef: -1},         // negative δ₀
-		{Mode: DampAuto, Tighten: 1.5},             // tighten must shrink
-		{Mode: DampAuto, Tighten: math.NaN()},
-		{Mode: DampAuto, Relax: 0.5}, // relax must grow
-		{Mode: DampAuto, Relax: 64},  // absurd relax
-		{Mode: DampMode(99)},         // unknown mode
+		{Mode: DampMode(99)},                       // unknown mode
 	}
 	for i, p := range bad {
 		cfg := Config{Method: engine.Multadd, Threads: 8, MaxCycles: 2, Damping: p}

@@ -1,11 +1,13 @@
 package engine
 
 import (
-	"context"
+	"fmt"
 	"testing"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/obs"
+	"asyncmg/internal/op"
 	"asyncmg/internal/par"
 	"asyncmg/internal/smoother"
 )
@@ -24,8 +26,7 @@ func withEngineWorkers(t *testing.T, workers int) {
 // TestBlockCycleBitwiseMatchesCycles is the block-cycle contract: after
 // every cycle, each packed column of a BlockCycle iterate equals bitwise
 // the iterate of single-RHS Cycles on that column, at any worker count,
-// for both block methods. A configuration without a block path (block
-// smoothers) panics instead of returning wrong columns.
+// for every method, smoother and operator.
 func TestBlockCycleBitwiseMatchesCycles(t *testing.T) {
 	a := grid.Laplacian7pt(8)
 	s, err := New(a, amg.DefaultOptions(), smoother.DefaultConfig())
@@ -68,72 +69,71 @@ func TestBlockCycleBitwiseMatchesCycles(t *testing.T) {
 		}
 	}
 
+	// Beyond the CSR Jacobi default: a block smoother, AFACx, and a
+	// matrix-free fine level with composed P̄₀ and float32 coarse levels.
 	hy, err := New(grid.Laplacian7pt(6), amg.DefaultOptions(), smoother.Config{Kind: smoother.HybridJGS, Omega: 0.9, Blocks: 2})
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BlockCycle with a block smoother did not panic")
-		}
-	}()
-	m := hy.LevelSize(0)
-	hy.BlockCycle(Mult, make([]float64, m), make([]float64, m), 1, hy.NewBlockWorkspace(1))
-}
-
-// TestSolveCtxCancel checks the ctx plumbing of the synchronous solve
-// loop: an expired context stops the solve at a cycle boundary with the
-// context's error, and a live one reproduces Solve bit for bit.
-func TestSolveCtxCancel(t *testing.T) {
-	a := grid.Laplacian7pt(6)
-	s, err := New(a, amg.DefaultOptions(), smoother.DefaultConfig())
+	opt := amg.DefaultOptions()
+	opt.CoarsePrecision = op.CoarseFloat32
+	mf, err := NewOperator(op.NewStencil7(8), opt, smoother.DefaultConfig())
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	b := grid.RandomRHS(a.Rows, 3)
-	refX, refH := s.Solve(Mult, b, 6)
-	x, hist, err := s.SolveCtx(context.Background(), Mult, b, 6)
-	if err != nil {
-		t.Fatalf("SolveCtx: %v", err)
+	if _, ok := mf.SItp[0].(*op.SmoothedInterp); !ok {
+		t.Fatalf("matrix-free P̄₀ is %T, want the composed *op.SmoothedInterp", mf.SItp[0])
 	}
-	for i := range refH {
-		if hist[i] != refH[i] {
-			t.Fatalf("history[%d] = %v, want %v", i, hist[i], refH[i])
+	withEngineWorkers(t, 2)
+	for name, e := range map[string]*Engine{"hybrid-jgs": hy, "stencil7-f32": mf} {
+		for _, m := range []Method{Mult, Multadd, AFACx} {
+			checkBlockColumns(t, fmt.Sprintf("%s/%v", name, m), e, m, 3, 4)
 		}
-	}
-	for i := range refX {
-		if x[i] != refX[i] {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], refX[i])
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, hist, err = s.SolveCtx(ctx, Mult, b, 6)
-	if err != context.Canceled {
-		t.Fatalf("cancelled SolveCtx error = %v, want context.Canceled", err)
-	}
-	if len(hist) != 1 {
-		t.Fatalf("cancelled SolveCtx ran %d cycles, want 0", len(hist)-1)
 	}
 }
 
-// TestBlockWorkspacePoolReuse checks the per-k pool recycles workspaces.
-func TestBlockWorkspacePoolReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race by design; pooled reuse does not hold")
+// checkBlockColumns runs tmax BlockCycles of m on k packed columns and,
+// after each, the single-RHS Cycle on every column: the columns must
+// agree bitwise, and the observer must count k relaxations and k
+// corrections per level and cycle, as k Cycles do.
+func checkBlockColumns(t *testing.T, name string, s *Engine, m Method, k, tmax int) {
+	t.Helper()
+	n := s.LevelSize(0)
+	b := make([]float64, n*k)
+	cols := make([][]float64, k)
+	for c := range cols {
+		cols[c] = grid.RandomRHS(n, int64(200+c))
+		for i, v := range cols[c] {
+			b[i*k+c] = v
+		}
 	}
-	s := allocTestEngine(t)
-	w := s.AcquireBlockWorkspace(4)
-	if w.k != 4 {
-		t.Fatalf("workspace k = %d, want 4", w.k)
+	x, ref := make([]float64, n*k), make([][]float64, k)
+	for c := range ref {
+		ref[c] = make([]float64, n)
 	}
-	s.ReleaseBlockWorkspace(w)
-	w2 := s.AcquireBlockWorkspace(4)
-	if w2 != w {
-		t.Error("expected the pooled workspace back for the same k")
+	w, bw := s.AcquireWorkspace(), s.AcquireBlockWorkspace(k)
+	defer s.ReleaseWorkspace(w)
+	defer s.ReleaseBlockWorkspace(bw)
+	blockObs, cycleObs := obs.New(s.NumLevels()), obs.New(s.NumLevels())
+	defer s.SetObserver(nil)
+	for it := 1; it <= tmax; it++ {
+		s.SetObserver(blockObs)
+		s.BlockCycle(m, x, b, k, bw)
+		s.SetObserver(cycleObs)
+		for c := 0; c < k; c++ {
+			s.Cycle(m, ref[c], cols[c], w)
+			for i, v := range ref[c] {
+				if x[i*k+c] != v {
+					t.Fatalf("%s cycle %d col %d: x[%d] = %v, want %v", name, it, c, i, x[i*k+c], v)
+				}
+			}
+		}
 	}
-	w8 := s.AcquireBlockWorkspace(8)
-	if w8 == w2 || w8.k != 8 {
-		t.Errorf("k=8 workspace should be fresh, got k=%d", w8.k)
+	got, want := blockObs.Snapshot(), cycleObs.Snapshot()
+	for lev := 0; lev < s.NumLevels(); lev++ {
+		if got.Relaxations[lev] != want.Relaxations[lev] || got.Corrections[lev] != want.Corrections[lev] {
+			t.Errorf("%s level %d: block cycles counted %d relaxations and %d corrections, Cycles %d and %d",
+				name, lev, got.Relaxations[lev], got.Corrections[lev], want.Relaxations[lev], want.Corrections[lev])
+		}
 	}
 }

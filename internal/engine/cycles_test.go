@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
 )
 
@@ -78,9 +80,9 @@ func TestSmoothedInterpolantFormula(t *testing.T) {
 	ap := sparse.MatMul(a, p)
 	for i := 0; i < p.Rows; i++ {
 		for j := 0; j < p.Cols; j++ {
-			want := p.At(i, j) - 0.9/d[i]*ap.At(i, j)
-			if math.Abs(pbar.At(i, j)-want) > 1e-12 {
-				t.Fatalf("PBar(%d,%d) = %v, want %v", i, j, pbar.At(i, j), want)
+			want := sparsetest.At(p, i, j) - 0.9/d[i]*sparsetest.At(ap, i, j)
+			if math.Abs(sparsetest.At(pbar, i, j)-want) > 1e-12 {
+				t.Fatalf("PBar(%d,%d) = %v, want %v", i, j, sparsetest.At(pbar, i, j), want)
 			}
 		}
 	}
@@ -543,5 +545,41 @@ func TestConvergenceFactorMatchesObservedRate(t *testing.T) {
 	observed := math.Pow(hist[len(hist)-1]/hist[20], 1.0/float64(len(hist)-1-20))
 	if math.Abs(f-observed) > 0.15*observed {
 		t.Errorf("estimated factor %v vs observed %v", f, observed)
+	}
+}
+
+// TestSolveCtxCancel checks the ctx plumbing of the synchronous solve
+// loop: an expired context stops the solve at a cycle boundary with the
+// context's error, and a live one reproduces Solve bit for bit.
+func TestSolveCtxCancel(t *testing.T) {
+	a := grid.Laplacian7pt(6)
+	s, err := New(a, amg.DefaultOptions(), smoother.DefaultConfig())
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	b := grid.RandomRHS(a.Rows, 3)
+	refX, refH := s.Solve(Mult, b, 6)
+	x, hist, err := s.SolveCtx(context.Background(), Mult, b, 6)
+	if err != nil {
+		t.Fatalf("SolveCtx: %v", err)
+	}
+	for i := range refH {
+		if hist[i] != refH[i] {
+			t.Fatalf("history[%d] = %v, want %v", i, hist[i], refH[i])
+		}
+	}
+	for i := range refX {
+		if x[i] != refX[i] {
+			t.Fatalf("x[%d] = %v, want %v", i, x[i], refX[i])
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, hist, err = s.SolveCtx(ctx, Mult, b, 6)
+	if err != context.Canceled {
+		t.Fatalf("cancelled SolveCtx error = %v, want context.Canceled", err)
+	}
+	if len(hist) != 1 {
+		t.Fatalf("cancelled SolveCtx ran %d cycles, want 0", len(hist)-1)
 	}
 }

@@ -91,9 +91,6 @@ type Engine struct {
 	diag, rowL1 [][]float64
 
 	wsPool, corrPool sync.Pool
-	// blockPools recycles block (multi-RHS) workspaces, keyed by column
-	// count k.
-	blockPools sync.Map
 
 	// obs receives per-grid relaxation/correction counts and cycle
 	// residual samples from the engine's own cycle methods. Nil (the

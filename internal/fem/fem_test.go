@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
 )
 
@@ -139,7 +140,7 @@ func TestAssembleLaplaceSPD(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsSymmetric(1e-12) {
+	if !sparsetest.IsSymmetric(a, 1e-12) {
 		t.Error("Laplace stiffness not symmetric")
 	}
 	// Positive definiteness spot check: xᵀAx > 0 for random x.
@@ -228,7 +229,7 @@ func TestAssembleElasticitySPD(t *testing.T) {
 	if a.Rows != 3*(len(m.Nodes)-countBound(m)) {
 		t.Errorf("reduced size %d inconsistent", a.Rows)
 	}
-	if !a.IsSymmetric(1e-10) {
+	if !sparsetest.IsSymmetric(a, 1e-10) {
 		t.Error("elasticity stiffness not symmetric")
 	}
 	for seed := int64(0); seed < 5; seed++ {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func TestLaplacian7ptPaperCounts(t *testing.T) {
@@ -47,13 +49,13 @@ func TestLaplacian7ptStructure(t *testing.T) {
 	if got := a.RowPtr[corner+1] - a.RowPtr[corner]; got != 4 {
 		t.Errorf("corner row has %d entries, want 4", got)
 	}
-	if a.At(interior, interior) != 6 {
-		t.Errorf("diagonal = %v, want 6", a.At(interior, interior))
+	if sparsetest.At(a, interior, interior) != 6 {
+		t.Errorf("diagonal = %v, want 6", sparsetest.At(a, interior, interior))
 	}
-	if a.At(interior, idx(1, 1, 2)) != -1 {
-		t.Errorf("neighbour coupling = %v, want -1", a.At(interior, idx(1, 1, 2)))
+	if sparsetest.At(a, interior, idx(1, 1, 2)) != -1 {
+		t.Errorf("neighbour coupling = %v, want -1", sparsetest.At(a, interior, idx(1, 1, 2)))
 	}
-	if a.At(interior, idx(0, 0, 0)) != 0 {
+	if sparsetest.At(a, interior, idx(0, 0, 0)) != 0 {
 		t.Errorf("non-neighbour coupling should be 0")
 	}
 }
@@ -70,21 +72,21 @@ func TestLaplacian27ptStructure(t *testing.T) {
 	if got := a.RowPtr[corner+1] - a.RowPtr[corner]; got != 8 {
 		t.Errorf("corner row has %d entries, want 8", got)
 	}
-	if a.At(interior, interior) != 26 {
-		t.Errorf("diagonal = %v, want 26", a.At(interior, interior))
+	if sparsetest.At(a, interior, interior) != 26 {
+		t.Errorf("diagonal = %v, want 26", sparsetest.At(a, interior, interior))
 	}
 	// Diagonal neighbour coupling present.
-	if a.At(interior, idx(2, 2, 2)) != -1 {
-		t.Errorf("corner-of-stencil coupling = %v, want -1", a.At(interior, idx(2, 2, 2)))
+	if sparsetest.At(a, interior, idx(2, 2, 2)) != -1 {
+		t.Errorf("corner-of-stencil coupling = %v, want -1", sparsetest.At(a, interior, idx(2, 2, 2)))
 	}
 }
 
 func TestLaplaciansSymmetric(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
-		if !Laplacian7pt(n).IsSymmetric(0) {
+		if !sparsetest.IsSymmetric(Laplacian7pt(n), 0) {
 			t.Errorf("7pt n=%d not symmetric", n)
 		}
-		if !Laplacian27pt(n).IsSymmetric(0) {
+		if !sparsetest.IsSymmetric(Laplacian27pt(n), 0) {
 			t.Errorf("27pt n=%d not symmetric", n)
 		}
 	}

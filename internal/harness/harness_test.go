@@ -11,6 +11,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func TestBuildProblemAll(t *testing.T) {
@@ -28,7 +29,7 @@ func TestBuildProblemAll(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if !a.IsSymmetric(1e-9) {
+		if !sparsetest.IsSymmetric(a, 1e-9) {
 			t.Errorf("%s not symmetric", name)
 		}
 	}

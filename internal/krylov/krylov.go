@@ -1,8 +1,7 @@
 // Package krylov is the AMG-preconditioned Krylov subsystem: operator-
 // generic PCG (symmetric positive definite systems) and FGMRES(m)
-// (non-symmetric systems, flexible preconditioning) plus a multi-RHS block
-// PCG that advances k packed solves in lockstep through the engine's block
-// cycle path. Solvers run on the op.Operator abstraction, so matrix-free
+// (non-symmetric systems, flexible preconditioning), one right-hand side
+// per solve. Solvers run on the op.Operator abstraction, so matrix-free
 // stencil fine levels and float32 coarse hierarchies precondition without
 // ever materializing CSR.
 //

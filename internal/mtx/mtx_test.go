@@ -12,6 +12,7 @@ import (
 
 	"asyncmg/internal/grid"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -29,7 +30,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if got := back.At(i, a.ColIdx[p]); got != a.Vals[p] {
+			if got := sparsetest.At(back, i, a.ColIdx[p]); got != a.Vals[p] {
 				t.Fatalf("(%d,%d): %v != %v", i, a.ColIdx[p], got, a.Vals[p])
 			}
 		}
@@ -61,7 +62,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if math.Abs(back.At(i, j)-a.At(i, j)) > 0 {
+				if math.Abs(sparsetest.At(back, i, j)-sparsetest.At(a, i, j)) > 0 {
 					return false
 				}
 			}
@@ -91,10 +92,10 @@ func TestReadSymmetric(t *testing.T) {
 	if a.NNZ() != 6 {
 		t.Fatalf("nnz = %d, want 6", a.NNZ())
 	}
-	if a.At(1, 0) != -1 || a.At(0, 1) != -1 {
+	if sparsetest.At(a, 1, 0) != -1 || sparsetest.At(a, 0, 1) != -1 {
 		t.Error("symmetric expansion missing")
 	}
-	if !a.IsSymmetric(0) {
+	if !sparsetest.IsSymmetric(a, 0) {
 		t.Error("expanded matrix not symmetric")
 	}
 }
@@ -110,7 +111,7 @@ func TestReadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.At(0, 0) != 1 || a.At(0, 1) != 1 || a.At(1, 1) != 1 || a.At(1, 0) != 0 {
+	if sparsetest.At(a, 0, 0) != 1 || sparsetest.At(a, 0, 1) != 1 || sparsetest.At(a, 1, 1) != 1 || sparsetest.At(a, 1, 0) != 0 {
 		t.Errorf("pattern read wrong: %v", a.Vals)
 	}
 }
@@ -125,7 +126,7 @@ func TestReadIntegerField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.At(0, 0) != 3 || a.At(1, 1) != -4 {
+	if sparsetest.At(a, 0, 0) != 3 || sparsetest.At(a, 1, 1) != -4 {
 		t.Error("integer values wrong")
 	}
 }
@@ -181,8 +182,8 @@ func TestValuesPreservedExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.At(0, 0) != 0.1+0.2 {
-		t.Errorf("value not bit-exact: %v", back.At(0, 0))
+	if sparsetest.At(back, 0, 0) != 0.1+0.2 {
+		t.Errorf("value not bit-exact: %v", sparsetest.At(back, 0, 0))
 	}
 }
 

@@ -71,10 +71,6 @@ func (a *CSR[V, I]) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Ato
 	}
 }
 
-func (a *CSR[V, I]) ResidualBlock(r, b, x []float64, k int) {
-	a.M.RunBlock(sparse.KResidualBlock, r, b, x, k)
-}
-
 // AsCSR returns the float64 CSR behind a, or nil when a is matrix-free or
 // stored in another precision. Consumers that genuinely need row storage
 // (block-triangular smoothers, the dense coarse factorization, sparse
@@ -122,11 +118,4 @@ func (t *CSRInterp[V, I]) ApplyRange(fine, coarse []float64, lo, hi int) {
 func (t *CSRInterp[V, I]) ApplyT(coarse, fine []float64) { t.PT.MatVecPar(coarse, fine) }
 func (t *CSRInterp[V, I]) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	t.PT.ApplyRange(coarse, fine, lo, hi)
-}
-
-func (t *CSRInterp[V, I]) ApplyAddBlock(fine, coarse []float64, k int) {
-	t.P.RunBlock(sparse.KApplyAddBlock, fine, nil, coarse, k)
-}
-func (t *CSRInterp[V, I]) ApplyTBlock(coarse, fine []float64, k int) {
-	t.PT.RunBlock(sparse.KApplyBlock, coarse, nil, fine, k)
 }

@@ -16,20 +16,14 @@ import (
 // lie in [-1, 1] (invDiag and scale in (0, 1]), so every product operand a
 // kernel forms is bounded by 1 — the float32 error bound below relies on it.
 type kernelInputs struct {
-	x, b          []float64 // len cols, len rows
-	invDiag       []float64 // len rows (square matrices: rows == cols)
-	xBlock        []float64 // len cols*blockK
-	bBlock, yInit []float64 // len rows*blockK
+	x, b    []float64 // len cols, len rows
+	invDiag []float64 // len rows (square matrices: rows == cols)
 }
-
-const blockK = 3
 
 func newKernelInputs(rng *rand.Rand, rows, cols int) kernelInputs {
 	in := kernelInputs{
 		x: randVec(rng, cols), b: randVec(rng, rows),
 		invDiag: make([]float64, rows),
-		xBlock:  randVec(rng, cols*blockK),
-		bBlock:  randVec(rng, rows*blockK), yInit: randVec(rng, rows*blockK),
 	}
 	for i := range in.invDiag {
 		in.invDiag[i] = 1 - 0.9*rng.Float64()
@@ -38,13 +32,12 @@ func newKernelInputs(rng *rand.Rand, rows, cols int) kernelInputs {
 }
 
 // kernelCase is one row kernel of the one kernel set. Every form returns
-// its output row-major with `width` values per matrix row. serial runs the
+// one value per matrix row. serial runs the
 // Range method over two uneven pieces; sharded runs the full-vector form
 // the engine calls (nil when the kernel has none); composed, when set, is
 // the plain sequence a one-pass kernel must reproduce bitwise.
 type kernelCase struct {
 	name                      string
-	width                     int
 	square                    bool // needs rows == cols
 	serial, sharded, composed func() []float64
 }
@@ -55,132 +48,65 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 	a := &CSR[V, I]{M: m}
 	itp := &CSRInterp[V, I]{P: m, PT: m}
 	split := func(f func(lo, hi int)) { f(0, rows/3); f(rows/3, rows) }
-	out := func(w int) []float64 { return make([]float64, rows*w) }
+	out := func() []float64 { return make([]float64, rows) }
 	from := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	return []kernelCase{
-		{name: "apply", width: 1,
-			serial:  func() []float64 { y := out(1); split(func(lo, hi int) { m.ApplyRange(y, in.x, lo, hi) }); return y },
-			sharded: func() []float64 { y := out(1); a.Apply(y, in.x); return y }},
-		{name: "apply-add", width: 1,
+		{name: "apply",
+			serial:  func() []float64 { y := out(); split(func(lo, hi int) { m.ApplyRange(y, in.x, lo, hi) }); return y },
+			sharded: func() []float64 { y := out(); a.Apply(y, in.x); return y }},
+		{name: "apply-add",
 			serial: func() []float64 {
 				y := from(in.b)
 				split(func(lo, hi int) { m.ApplyAddRange(y, in.x, lo, hi) })
 				return y
 			},
 			sharded: func() []float64 { y := from(in.b); itp.ApplyAdd(y, in.x); return y }},
-		{name: "residual", width: 1,
+		{name: "residual",
 			serial: func() []float64 {
-				r := out(1)
+				r := out()
 				split(func(lo, hi int) { m.ResidualRange(r, in.b, in.x, lo, hi) })
 				return r
 			},
-			sharded: func() []float64 { r := out(1); a.Residual(r, in.b, in.x); return r }},
-		{name: "scaled-residual", width: 1, square: true,
+			sharded: func() []float64 { r := out(); a.Residual(r, in.b, in.x); return r }},
+		{name: "scaled-residual", square: true,
 			serial: func() []float64 {
-				w := out(1)
+				w := out()
 				split(func(lo, hi int) { m.ScaledResidualRange(w, in.invDiag, in.b, lo, hi) })
 				return w
 			},
-			sharded: func() []float64 { w := out(1); a.ScaledResidual(w, in.invDiag, in.b); return w },
+			sharded: func() []float64 { w := out(); a.ScaledResidual(w, in.invDiag, in.b); return w },
 			composed: func() []float64 {
-				w := out(1)
+				w := out()
 				m.MatVec(w, in.b)
 				for i := range w {
 					w[i] = in.b[i] - in.invDiag[i]*w[i]
 				}
 				return w
 			}},
-		{name: "smoothed-residual", width: 1, square: true,
+		{name: "smoothed-residual", square: true,
 			serial: func() []float64 {
-				w := out(1)
+				w := out()
 				split(func(lo, hi int) { m.SmoothedResidualRange(w, in.invDiag, in.b, lo, hi) })
 				return w
 			},
-			sharded: func() []float64 { w := out(1); a.SmoothedResidual(w, in.invDiag, in.b); return w }},
-		{name: "apply-block", width: blockK,
-			serial: func() []float64 {
-				y := out(blockK)
-				split(func(lo, hi int) { m.ApplyBlockRange(y, in.xBlock, blockK, lo, hi) })
-				return y
-			},
-			sharded: func() []float64 {
-				y := out(blockK)
-				m.RunBlock(sparse.KApplyBlock, y, nil, in.xBlock, blockK)
-				return y
-			},
-			composed: func() []float64 {
-				return perColumn(rows, func(y, x, _ []float64) { m.MatVec(y, x) }, in.xBlock, nil, nil)
-			}},
-		{name: "apply-add-block", width: blockK,
-			serial: func() []float64 {
-				y := from(in.yInit)
-				split(func(lo, hi int) { m.ApplyAddBlockRange(y, in.xBlock, blockK, lo, hi) })
-				return y
-			},
-			sharded: func() []float64 { y := from(in.yInit); itp.ApplyAddBlock(y, in.xBlock, blockK); return y },
-			composed: func() []float64 {
-				return perColumn(rows, func(y, x, _ []float64) { m.MatVecAdd(y, x) }, in.xBlock, nil, in.yInit)
-			}},
-		{name: "residual-block", width: blockK,
-			serial: func() []float64 {
-				r := out(blockK)
-				split(func(lo, hi int) { m.ResidualBlockRange(r, in.bBlock, in.xBlock, blockK, lo, hi) })
-				return r
-			},
-			// r aliasing b is the form the block cycle uses.
-			sharded: func() []float64 { r := from(in.bBlock); a.ResidualBlock(r, r, in.xBlock, blockK); return r },
-			composed: func() []float64 {
-				return perColumn(rows, func(r, x, b []float64) { m.Residual(r, b, x) }, in.xBlock, in.bBlock, nil)
-			}},
-		{name: "atomic-residual", width: 1, square: true,
+			sharded: func() []float64 { w := out(); a.SmoothedResidual(w, in.invDiag, in.b); return w }},
+		{name: "atomic-residual", square: true,
 			serial: func() []float64 {
 				x, dst := vec.NewAtomic(rows), vec.NewAtomic(rows)
 				for i, v := range in.x {
 					x.Store(i, v)
 				}
 				split(func(lo, hi int) { a.ResidualAtomicRange(dst, in.b, x, lo, hi) })
-				r := out(1)
+				r := out()
 				for i := range r {
 					r[i] = dst.Load(i)
 				}
 				return r
 			},
-			composed: func() []float64 { r := out(1); m.Residual(r, in.b, in.x); return r }},
-		{name: "diag", width: 1, square: true, serial: m.Diag, sharded: a.Diag},
-		{name: "row-l1", width: 1, serial: m.RowL1Norms, sharded: a.RowL1Norms},
+			composed: func() []float64 { r := out(); m.Residual(r, in.b, in.x); return r }},
+		{name: "diag", square: true, serial: m.Diag, sharded: a.Diag},
+		{name: "row-l1", serial: m.RowL1Norms, sharded: a.RowL1Norms},
 	}
-}
-
-// perColumn runs the single-vector kernel f once per packed column and
-// returns the results re-packed row-major: the k-independent-solves
-// reference every block kernel must match column by column. y starts from
-// yInit's column when given.
-func perColumn(rows int, f func(y, x, b []float64), xBlock, bBlock, yInit []float64) []float64 {
-	cols := len(xBlock) / blockK
-	o := make([]float64, rows*blockK)
-	x, b, y := make([]float64, cols), make([]float64, rows), make([]float64, rows)
-	column := func(dst, block []float64, c int) {
-		for i := range dst {
-			dst[i] = block[i*blockK+c]
-		}
-	}
-	for c := 0; c < blockK; c++ {
-		column(x, xBlock, c)
-		if bBlock != nil {
-			column(b, bBlock, c)
-		}
-		for i := range y {
-			y[i] = 0
-		}
-		if yInit != nil {
-			column(y, yInit, c)
-		}
-		f(y, x, b)
-		for i, v := range y {
-			o[i*blockK+c] = v
-		}
-	}
-	return o
 }
 
 func randomCSR(rng *rand.Rand, rows, cols, nnzPerRow int) *sparse.CSR {
@@ -201,8 +127,8 @@ func randomCSR(rng *rand.Rand, rows, cols, nnzPerRow int) *sparse.CSR {
 //
 //   - the full-vector form equals the serial Range form bitwise, sharded at
 //     1, 2 and 8 workers (threshold 1) and on its below-threshold serial
-//     fallback, and a fused or block kernel equals the unfused / per-column
-//     sequence it replaces;
+//     fallback, and a one-pass kernel equals the plain sequence it
+//     replaces;
 //   - conversion to float32/int32 rounds each entry once, and the float32
 //     instantiation equals the float64 one run on those rounded entries
 //     bitwise (float64 accumulation: only the stored entries differ);
@@ -265,7 +191,7 @@ func TestCSRKernelTable(t *testing.T) {
 			}
 			assertBitwise(t, name+"/f32 vs f64 on rounded entries", serial32[ci], cw[ci].serial())
 			for i, got := range serial32[ci] {
-				if tol := 0x1p-24 * rowL1[i/kc.width] * (1 + 1e-6); math.Abs(got-serial64[ci][i]) > tol {
+				if tol := 0x1p-24 * rowL1[i] * (1 + 1e-6); math.Abs(got-serial64[ci][i]) > tol {
 					t.Fatalf("%s: f32 vs f64 differ by %g at %d, bound %g", name, math.Abs(got-serial64[ci][i]), i, tol)
 				}
 			}
@@ -289,38 +215,14 @@ func TestCSRKernelTable(t *testing.T) {
 	}
 }
 
-// TestCSRKernelOperandValidation pins the operand checks on both
-// instantiations: a block kernel with a mismatched column count or slice
-// length panics before touching memory, and AsCSR exposes only the
-// zero-copy float64 view.
+// TestCSRKernelOperandValidation pins AsCSR on both instantiations: it
+// exposes only the zero-copy float64 view.
 func TestCSRKernelOperandValidation(t *testing.T) {
 	m := grid.Laplacian7pt(4)
-	n := m.Rows
-	a64, a32 := FromCSR(m), NewCSR32(m)
-	if AsCSR(a64) != m {
+	if AsCSR(FromCSR(m)) != m {
 		t.Fatal("AsCSR should return the wrapped matrix")
 	}
-	if AsCSR(a32) != nil || AsCSR(NewStencil7(4)) != nil {
+	if AsCSR(NewCSR32(m)) != nil || AsCSR(NewStencil7(4)) != nil {
 		t.Fatal("AsCSR on a float32 store or a stencil should be nil")
-	}
-	for name, a := range map[string]BlockOperator{"f64": a64, "f32": a32} {
-		for _, bad := range []struct {
-			what string
-			call func()
-		}{
-			{"k=0", func() { a.ResidualBlock(make([]float64, n), make([]float64, n), make([]float64, n), 0) }},
-			{"short x", func() { a.ResidualBlock(make([]float64, 2*n), make([]float64, 2*n), make([]float64, 2*n-1), 2) }},
-			{"short y", func() { a.ResidualBlock(make([]float64, n), make([]float64, 2*n), make([]float64, 2*n), 2) }},
-			{"short rhs", func() { a.ResidualBlock(make([]float64, 2*n), make([]float64, n), make([]float64, 2*n), 2) }},
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: block kernel with %s did not panic", name, bad.what)
-					}
-				}()
-				bad.call()
-			}()
-		}
 	}
 }

@@ -138,19 +138,6 @@ type AtomicResidualer interface {
 	ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int)
 }
 
-// BlockOperator is implemented by operators with a fused multi-RHS
-// residual (k packed columns, row-major): the block cycle path requires it
-// on every level.
-type BlockOperator interface {
-	ResidualBlock(r, b, x []float64, k int)
-}
-
-// BlockInterp is the multi-RHS capability of an Interp.
-type BlockInterp interface {
-	ApplyAddBlock(fine, coarse []float64, k int)
-	ApplyTBlock(coarse, fine []float64, k int)
-}
-
 // FusedJacobiResidualRestrict is the multiplicative down-leg level step
 // for a diagonal smoother: e = invDiag∘r, then rc = Pᵀ (r − A e), as the
 // plain sequence of one scaling, Residual and ApplyT. Its only caller is

@@ -243,3 +243,13 @@ func Par(work int) bool {
 	stats.serial.Add(1)
 	return false
 }
+
+// Run executes k over [0, n): across the shared pool when work meets the
+// Par threshold, serially on the caller otherwise (and counted as such).
+func Run(work, n int, k Kernel) {
+	if Par(work) {
+		Default().Run(n, k)
+		return
+	}
+	k.Do(0, 0, n)
+}

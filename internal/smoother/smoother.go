@@ -209,9 +209,10 @@ func (s *S) offBlockL1() []float64 {
 }
 
 // InvDiag exposes the diagonal scaling M⁻¹ of the Jacobi-type smoothers
-// (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi), which the block cycle path
-// applies to packed columns. Nil for the block smoothers, whose
-// application is not a diagonal scaling.
+// (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi); nil for the block
+// smoothers, whose application is not a diagonal scaling. Its only caller
+// is the benchmark's sparse.fused_jrr_over_unfused probe, which retires
+// with it and op.FusedJacobiResidualRestrict.
 func (s *S) InvDiag() []float64 {
 	switch s.Kind {
 	case WJacobi, L1Jacobi:

@@ -17,7 +17,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"asyncmg/internal/par"
@@ -125,17 +124,6 @@ func (a *Matrix[V, I]) Validate() error {
 		}
 	}
 	return nil
-}
-
-// At returns the value stored at (i, j), or 0 if no entry exists. It is
-// O(log nnz(row i)) and intended for tests and small problems, not kernels.
-func (a *Matrix[V, I]) At(i, j int) float64 {
-	cols, vals := a.row(i)
-	k := sort.Search(len(cols), func(k int) bool { return int(cols[k]) >= j })
-	if k < len(cols) && int(cols[k]) == j {
-		return float64(vals[k])
-	}
-	return 0
 }
 
 // Transpose returns Aᵀ as a new CSR matrix. The result has sorted rows by
@@ -254,27 +242,4 @@ func (a *Matrix[V, I]) LowerTriSolveRange(x, b []float64, lo, hi int) {
 			x[i] = s / diag
 		}
 	}
-}
-
-// IsSymmetric reports whether A equals its transpose up to tol, comparing
-// entry by entry. Intended for tests and setup-time validation.
-func (a *Matrix[V, I]) IsSymmetric(tol float64) bool {
-	if a.Rows != a.Cols {
-		return false
-	}
-	t := a.Transpose()
-	if t.NNZ() != a.NNZ() {
-		return false
-	}
-	for i := 0; i < a.Rows; i++ {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if a.ColIdx[p] != t.ColIdx[p] || math.Abs(float64(a.Vals[p]-t.Vals[p])) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -165,16 +165,12 @@ func MatMul(a, b *CSR) *CSR {
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1)}
-	parallel := par.Par(gemmWork(a, b))
+	work := gemmWork(a, b)
 
 	// Symbolic pass: per-row nonzero counts into RowPtr[i+1].
 	sym := gemmSymbolicPool.Get().(*gemmSymbolicKernel)
 	sym.a, sym.b, sym.rowPtr = a, b, c.RowPtr
-	if parallel {
-		par.Default().Run(a.Rows, sym)
-	} else {
-		sym.Do(0, 0, a.Rows)
-	}
+	par.Run(work, a.Rows, sym)
 	*sym = gemmSymbolicKernel{}
 	gemmSymbolicPool.Put(sym)
 
@@ -189,11 +185,7 @@ func MatMul(a, b *CSR) *CSR {
 	// Numeric pass: accumulate and write each row into its exact slot.
 	num := gemmNumericPool.Get().(*gemmNumericKernel)
 	num.a, num.b, num.c = a, b, c
-	if parallel {
-		par.Default().Run(a.Rows, num)
-	} else {
-		num.Do(0, 0, a.Rows)
-	}
+	par.Run(work, a.Rows, num)
 	*num = gemmNumericKernel{}
 	gemmNumericPool.Put(num)
 	return c
@@ -224,12 +216,7 @@ type transScratch struct {
 	counts [][]int
 }
 
-var transScratchPool = sync.Pool{New: func() any {
-	transScratchNews.Add(1)
-	return &transScratch{}
-}}
-
-var transScratchNews atomic.Int64
+var transScratchPool = sync.Pool{New: func() any { return &transScratch{} }}
 
 func acquireTransScratch(workers, cols int) *transScratch {
 	s := transScratchPool.Get().(*transScratch)

@@ -5,7 +5,9 @@
 // convert to float64 at load and every row accumulates in float64 over its
 // entries in ascending column order, so only the stored entries themselves
 // are rounded (once, at conversion) and the float64/int and float32/int32
-// instantiations differ in nothing but bytes streamed.
+// instantiations differ in nothing but bytes streamed. Every kernel takes
+// one vector: with the operators resident in cache a k-column block SpMV
+// costs about k single ones (EXPERIMENTS.md, "Block path deleted").
 //
 // Full-vector kernels shard their row loop over the shared par.Default()
 // worker pool through RunRows when the operand carries enough work
@@ -13,7 +15,8 @@
 // otherwise. Because row loops are independent, a sharded kernel is
 // bitwise-identical to its serial form at any worker count. The one shard
 // descriptor is recycled through a sync.Pool, so the steady state
-// allocates nothing.
+// allocates nothing. The setup kernels (GEMM, sparsification) dispatch
+// through par.Run instead: they run a few times per setup, not per cycle.
 package sparse
 
 import (
@@ -36,19 +39,15 @@ const (
 	KResidual                       // ResidualRange(r, b, x, lo, hi): r = b − A x
 	KScaledResidual                 // ScaledResidualRange(w, scale, r, lo, hi)
 	KSmoothedResidual               // SmoothedResidualRange(w, scale, r, lo, hi)
-	KApplyBlock                     // ApplyBlockRange(y, x, k, lo, hi)
-	KApplyAddBlock                  // ApplyAddBlockRange(y, x, k, lo, hi)
-	KResidualBlock                  // ResidualBlockRange(r, b, x, k, lo, hi)
 )
 
 // shard is the one pooled descriptor behind every sharded full-vector
 // kernel: which Range method of on to run, with the vector arguments v in
-// that method's own order (k is the block kernels' column count).
+// that method's own order.
 type shard struct {
 	kernel Kernel
 	on     any
 	v      [4][]float64
-	k      int
 }
 
 // Do runs the described kernel on rows [lo, hi). The interface assertion
@@ -80,18 +79,6 @@ func (s *shard) Do(_, lo, hi int) {
 		s.on.(interface {
 			SmoothedResidualRange(w, scale, r []float64, lo, hi int)
 		}).SmoothedResidualRange(v[0], v[1], v[2], lo, hi)
-	case KApplyBlock:
-		s.on.(interface {
-			ApplyBlockRange(y, x []float64, k, lo, hi int)
-		}).ApplyBlockRange(v[0], v[1], s.k, lo, hi)
-	case KApplyAddBlock:
-		s.on.(interface {
-			ApplyAddBlockRange(y, x []float64, k, lo, hi int)
-		}).ApplyAddBlockRange(v[0], v[1], s.k, lo, hi)
-	case KResidualBlock:
-		s.on.(interface {
-			ResidualBlockRange(r, b, x []float64, k, lo, hi int)
-		}).ResidualBlockRange(v[0], v[1], v[2], s.k, lo, hi)
 	}
 }
 

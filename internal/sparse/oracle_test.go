@@ -1,5 +1,10 @@
 package sparse
 
+import (
+	"math"
+	"sort"
+)
+
 // Constructors and conversions this package's tests build their cases
 // and oracles from. No binary needs them.
 
@@ -51,4 +56,38 @@ func (a *Matrix[V, I]) ToDense() [][]float64 {
 		}
 	}
 	return d
+}
+
+// At returns the value stored at (i, j), or 0 if no entry exists: a copy
+// of sparsetest.At, which this package's tests cannot import.
+func (a *Matrix[V, I]) At(i, j int) float64 {
+	cols, vals := a.row(i)
+	k := sort.Search(len(cols), func(k int) bool { return int(cols[k]) >= j })
+	if k < len(cols) && int(cols[k]) == j {
+		return float64(vals[k])
+	}
+	return 0
+}
+
+// IsSymmetric reports whether A equals its transpose up to tol, comparing
+// entry by entry. A copy of sparsetest.IsSymmetric.
+func (a *Matrix[V, I]) IsSymmetric(tol float64) bool {
+	if a.Rows != a.Cols {
+		return false
+	}
+	t := a.Transpose()
+	if t.NNZ() != a.NNZ() {
+		return false
+	}
+	for i := 0; i < a.Rows; i++ {
+		if a.RowPtr[i] != t.RowPtr[i] {
+			return false
+		}
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if a.ColIdx[p] != t.ColIdx[p] || math.Abs(float64(a.Vals[p]-t.Vals[p])) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

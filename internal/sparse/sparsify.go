@@ -308,18 +308,17 @@ func SparsifyStrengthInto(dst, a *CSR, theta float64, mode SparsifyMode) {
 		copyInto(dst, a)
 		return
 	}
-	parallel := par.Par(a.NNZ())
 	s := acquireSparsifyScratch(a.Rows)
 
 	tk := sparsifyThreshPool.Get().(*sparsifyThreshKernel)
 	tk.a, tk.theta, tk.thresh, tk.useAbs = a, theta, s.thresh, s.useAbs
-	runSparsify(parallel, a.Rows, tk)
+	par.Run(a.NNZ(), a.Rows, tk)
 	*tk = sparsifyThreshKernel{}
 	sparsifyThreshPool.Put(tk)
 
 	ck := sparsifyCountPool.Get().(*sparsifyCountKernel)
 	ck.a, ck.scratch, ck.rowPtr = a, s, dst.RowPtr
-	runSparsify(parallel, a.Rows, ck)
+	par.Run(a.NNZ(), a.Rows, ck)
 	*ck = sparsifyCountKernel{}
 	sparsifyCountPool.Put(ck)
 
@@ -336,19 +335,11 @@ func SparsifyStrengthInto(dst, a *CSR, theta float64, mode SparsifyMode) {
 
 	fk := sparsifyFillPool.Get().(*sparsifyFillKernel)
 	fk.a, fk.out, fk.scratch, fk.mode = a, dst, s, mode
-	runSparsify(parallel, a.Rows, fk)
+	par.Run(a.NNZ(), a.Rows, fk)
 	*fk = sparsifyFillKernel{}
 	sparsifyFillPool.Put(fk)
 
 	releaseSparsifyScratch(s)
-}
-
-func runSparsify(parallel bool, rows int, k par.Kernel) {
-	if parallel {
-		par.Default().Run(rows, k)
-	} else {
-		k.Do(0, 0, rows)
-	}
 }
 
 // copyInto clones a into dst reusing dst's capacity.

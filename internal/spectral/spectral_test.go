@@ -8,6 +8,7 @@ import (
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 func diag(vals ...float64) *sparse.CSR {
@@ -80,8 +81,8 @@ func TestAbsIterationMatrixEntries(t *testing.T) {
 	want := [][]float64{{0.5, 0.25}, {0.25, 0.5}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if math.Abs(g.At(i, j)-want[i][j]) > 1e-15 {
-				t.Errorf("|G|(%d,%d) = %v, want %v", i, j, g.At(i, j), want[i][j])
+			if math.Abs(sparsetest.At(g, i, j)-want[i][j]) > 1e-15 {
+				t.Errorf("|G|(%d,%d) = %v, want %v", i, j, sparsetest.At(g, i, j), want[i][j])
 			}
 		}
 	}
@@ -104,7 +105,7 @@ func TestAbsIterationMatrixMissingDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.At(0, 0) != 1 || g.At(1, 1) != 1 {
+	if sparsetest.At(g, 0, 0) != 1 || sparsetest.At(g, 1, 1) != 1 {
 		t.Error("identity part missing for rows without diagonal entries")
 	}
 }

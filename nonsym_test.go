@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asyncmg"
+	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
 )
 
@@ -53,7 +54,7 @@ func upwindConvectionDiffusion7pt(n int, beta float64) *asyncmg.Matrix {
 // symmetric-only assumptions and façade/primitive drift.
 func TestNonSymmetricCycleMatchesFacade(t *testing.T) {
 	a := upwindConvectionDiffusion7pt(9, 0.8)
-	if a.IsSymmetric(1e-14) {
+	if sparsetest.IsSymmetric(a, 1e-14) {
 		t.Fatal("test operator is symmetric; upwind bias lost")
 	}
 	s, err := asyncmg.NewSetup(a, asyncmg.DefaultAMGOptions(), asyncmg.DefaultSmoother())
