@@ -234,9 +234,10 @@ func NewStencil27(n int) *Stencil27 { return op.NewStencil27(n) }
 // NewSetupMatrixFree builds the hierarchy and all solver operators from
 // an arbitrary fine-level operator. A matrix-free stencil coarsens itself
 // geometrically (trilinear 2h interpolation plus a Galerkin product, one
-// row per boundary class) and the AMG setup continues algebraically from
-// the first coarse matrix — the fine-level matrix is never materialized. A CSR-backed operator
-// takes the standard NewSetup path.
+// row per boundary class), level after level down to 4 096 rows, and the
+// AMG setup continues algebraically from the first coarse matrix of at
+// most 4 096 rows — the fine-level matrix is never materialized. A
+// CSR-backed operator takes the standard NewSetup path.
 func NewSetupMatrixFree(a Operator, amgOpt AMGOptions, smoCfg SmootherConfig) (*Setup, error) {
 	return engine.NewOperator(a, amgOpt, smoCfg)
 }

@@ -78,10 +78,10 @@ const (
 type Level struct {
 	// A is the operator on this level as float64 CSR (Galerkin product
 	// below the finest); nil on a matrix-free fine level, where Op holds
-	// the operator instead. Level 1 of a matrix-free hierarchy holds both:
-	// A materialized from the class stencil Op for the algebraic setup
-	// below it and for the engine's P̄₁, dropped by the engine's
-	// ReleaseFloat64Storage.
+	// the operator instead. The geometric coarse levels of a matrix-free
+	// hierarchy hold both: A materialized from the class stencil Op for
+	// the engine's P̄_k and, on the last of them, for the algebraic setup
+	// below it, dropped by the engine's ReleaseFloat64Storage.
 	A *sparse.CSR
 	// Op is the operator view of a level stored other than as float64 CSR
 	// (a stencil, or a float32 store after ReleaseFloat64Storage); when
@@ -174,7 +174,8 @@ type SetupStats struct {
 	// lumped into RAP).
 	Transpose time.Duration
 	// RAP covers the Galerkin triple product (and, on a matrix-free fine
-	// level, the geometric first coarsening that produces A₁).
+	// level, the geometric coarsenings with their materialized A_k, P_k
+	// and P_kᵀ).
 	RAP time.Duration
 	// Factor covers the dense LU factorization of the coarsest operator.
 	Factor time.Duration
@@ -302,14 +303,23 @@ func (h *Hierarchy) GridSizes() []int {
 	return out
 }
 
+// geomStopRows is the largest level a stencil hierarchy hands to the
+// algebraic setup: BuildOperatorWithStats coarsens geometrically while the
+// coarse level has more rows. Going geometric all the way down to
+// MinCoarse made AFACx diverge on even grid edges (EXPERIMENTS.md
+// "Geometric levels above 4 096 rows").
+const geomStopRows = 4096
+
 // BuildOperatorWithStats is the operator-generic setup entry. A fine
 // operator backed by float64 CSR takes the standard algebraic path
 // (BuildWithStats on the matrix). A matrix-free stencil coarsens itself
-// geometrically (op.Stencil.Coarsen): level 1 is the Galerkin coarse
-// stencil A₁ = P₀ᵀ A P₀, materialized once as CSR for the algebraic setup
-// below it, and the fine matrix is never formed. The returned hierarchy
-// has the stencil as level 0 (Op/Itp views), A₁ as level 1 (Op and A) and
-// the algebraic hierarchy of A₁ below.
+// geometrically (op.Stencil.Coarsen), once always and again while the
+// coarse level has more than geomStopRows rows; the fine matrix is never
+// formed. The returned hierarchy has the stencil as level 0 (Op/Itp
+// views), every further geometric level k as its class stencil A_k with
+// A_k, P_k and P_kᵀ materialized (Op, A, P, PT), and the algebraic
+// hierarchy of the first level with at most geomStopRows rows below,
+// that level's stencil as its Op.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)
@@ -323,26 +333,37 @@ func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats
 	}
 	start := time.Now()
 	t0 := time.Now()
-	itp, coarse, err := fine.Coarsen()
-	if err != nil {
-		return nil, nil, fmt.Errorf("amg: geometric coarsening: %w", err)
+	// The fine level coarsens always; a coarse level again while it is
+	// above the stop, MinCoarse does not end the hierarchy there and
+	// MaxLevels leaves room below it.
+	var levels []Level
+	coarse := fine
+	for len(levels) == 0 || coarse.Rows() > max(geomStopRows, opt.MinCoarse) && len(levels)+2 <= opt.MaxLevels {
+		itp, next, err := coarse.Coarsen()
+		if err != nil {
+			return nil, nil, fmt.Errorf("amg: geometric coarsening: %w", err)
+		}
+		lev := Level{Op: coarse, Itp: itp}
+		if len(levels) > 0 {
+			lev = Level{Op: coarse, A: coarse.CSR(), P: itp.CSR()}
+			lev.PT = lev.P.Transpose()
+		}
+		levels = append(levels, lev)
+		coarse = next
 	}
-	a1 := coarse.CSR()
+	ak := coarse.CSR()
 	rap := time.Since(t0)
+	// Aggressive coarsening counts from the finest level, and each
+	// geometric level already did one (2h) coarsening step.
 	sub := opt
-	sub.MaxLevels = opt.MaxLevels - 1
-	// Aggressive coarsening counts from the finest algebraic level; the
-	// geometric level already did one (2h) coarsening step, so consume one
-	// aggressive level if configured.
-	if sub.AggressiveLevels > 0 {
-		sub.AggressiveLevels--
-	}
-	h, st, err := BuildWithStats(a1, sub)
+	sub.MaxLevels = opt.MaxLevels - len(levels)
+	sub.AggressiveLevels = max(opt.AggressiveLevels-len(levels), 0)
+	h, st, err := BuildWithStats(ak, sub)
 	if err != nil {
 		return nil, nil, err
 	}
 	h.Levels[0].Op = coarse
-	h.Levels = append([]Level{{Op: a, Itp: itp}}, h.Levels...)
+	h.Levels = append(levels, h.Levels...)
 	st.RAP += rap
 	st.Total = time.Since(start)
 	st.Levels = len(h.Levels)

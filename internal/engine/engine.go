@@ -230,8 +230,9 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 // NewOperator builds the hierarchy and all solver operators from an
 // arbitrary fine-level operator: the operator-generic New. A CSR-backed
 // operator takes the standard algebraic setup; a matrix-free stencil
-// coarsens itself geometrically first (amg.BuildOperatorWithStats) and
-// the fine matrix is never materialized.
+// coarsens itself geometrically down to 4 096 rows first
+// (amg.BuildOperatorWithStats), every geometric level keeps its class
+// stencil as its operator, and the fine matrix is never materialized.
 func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, error) {
 	h, st, err := amg.BuildOperatorWithStats(a, amgOpt)
 	if err != nil {
@@ -267,13 +268,13 @@ func (s *Engine) HierarchyBytes() int {
 
 // ReleaseFloat64Storage rewires the hierarchy levels onto the engine's
 // stencil and float32 views and drops the setup-built float64 matrices
-// they replaced, making that storage collectable: the materialized A₁
-// beside a stencil level 1 (only the setup and P̄₁ read it) and, on a
-// float32 hierarchy, every float64 operator and interpolant. Call only
-// when the engine exclusively owns its hierarchy (the facade's one-shot
-// setup does; a hierarchy shared across engines must keep its float64
-// levels). The fine level and the coarse LU factorization are always
-// retained.
+// they replaced, making that storage collectable: the materialized A_k
+// beside every geometric coarse level's stencil (only the setup and P̄_k
+// read it) and, on a float32 hierarchy, every float64 operator and
+// interpolant. Call only when the engine exclusively owns its hierarchy
+// (the facade's one-shot setup does; a hierarchy shared across engines
+// must keep its float64 levels). The fine level and the coarse LU
+// factorization are always retained.
 func (s *Engine) ReleaseFloat64Storage() {
 	for k := range s.H.Levels {
 		lev := &s.H.Levels[k]

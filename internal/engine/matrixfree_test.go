@@ -14,30 +14,37 @@ import (
 )
 
 // matrixFreeCase pairs a stencil operator with the CSR Laplacian it
-// represents.
+// represents and the number of geometric coarse levels its hierarchy has
+// (levels 1 … geom are class stencils).
 type matrixFreeCase struct {
 	name string
 	n    int
 	st   op.Operator
 	csr  *sparse.CSR
+	geom int
 }
 
+// matrixFreeCases are one-geometric-level hierarchies and, at n = 34
+// ([39304 4913 512 …]), hierarchies that coarsen geometrically twice
+// before the algebraic setup takes over.
 func matrixFreeCases() []matrixFreeCase {
 	return []matrixFreeCase{
-		{"7pt", 12, op.NewStencil7(12), grid.Laplacian7pt(12)},
-		{"27pt", 10, op.NewStencil27(10), grid.Laplacian27pt(10)},
+		{"7pt", 12, op.NewStencil7(12), grid.Laplacian7pt(12), 1},
+		{"27pt", 10, op.NewStencil27(10), grid.Laplacian27pt(10), 1},
+		{"7pt-n34", 34, op.NewStencil7(34), grid.Laplacian7pt(34), 2},
+		{"27pt-n34", 34, op.NewStencil27(34), grid.Laplacian27pt(34), 2},
 	}
 }
 
 // TestMatrixFreeBitwiseVsCSR pins the matrix-free levels to the CSR path:
 // the same hierarchy, expressed once with the stencil operators (fine
-// level and Galerkin level 1) and geometric interpolant and once with
-// their materialized CSR twins (the generator's matrix, the materialized
-// A₁), must produce identical residual histories. Mult and AFACx work on the plain
-// interpolant and are bitwise-equal; Multadd applies the smoothed
-// interpolant P̄ = G·P composed (matrix-free) versus materialized (CSR),
-// whose products round differently, so it gets a rounding-level
-// tolerance.
+// level and every geometric Galerkin level) and geometric interpolant and
+// once with their materialized CSR twins (the generator's matrix, the
+// materialized A_k), must produce identical residual histories. Mult and
+// AFACx work on the plain interpolant and are bitwise-equal; Multadd
+// applies the smoothed interpolant P̄ = G·P composed (matrix-free) versus
+// materialized (CSR), whose products round differently, so it gets a
+// rounding-level tolerance.
 func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 	opt := amg.DefaultOptions()
 	smo := smoother.DefaultConfig()
@@ -51,12 +58,15 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 			if !ok {
 				t.Fatalf("fine interpolant is %T, want *op.GeomInterp", hMF.Levels[0].Itp)
 			}
-			if _, ok := hMF.Levels[1].Op.(*op.Stencil); !ok || hMF.Levels[1].A == nil {
-				t.Fatalf("level 1 is %T with A %v, want a stencil beside its materialized A₁", hMF.Levels[1].Op, hMF.Levels[1].A != nil)
-			}
 			p := geom.CSR()
 			levels := append([]amg.Level{{A: tc.csr, P: p, PT: p.Transpose()}}, hMF.Levels[1:]...)
-			levels[1].Op = nil // the twin's level 1 is the materialized A₁
+			for k := 1; k < len(levels); k++ {
+				_, ok := levels[k].Op.(*op.Stencil)
+				if want := k <= tc.geom; ok != want || ok && levels[k].A == nil {
+					t.Fatalf("level %d is %T with A %v, want a stencil beside its materialized A_k: %v", k, levels[k].Op, levels[k].A != nil, want)
+				}
+				levels[k].Op = nil // the twin's level k is the materialized A_k
+			}
 			hCSR := &amg.Hierarchy{Levels: levels, Coarse: hMF.Coarse}
 
 			sMF, err := NewFromHierarchy(hMF, smo)
@@ -109,9 +119,9 @@ func relDiff(a, b float64) float64 {
 // TestMatrixFreeAllocContract is the matrix-free storage guarantee: a
 // structured solve built through NewOperator never materializes the
 // fine-level CSR (the operator holds only its class table, the
-// interpolant nothing), keeps no materialized A₁ beside its level-1
-// stencil, and cycles stay allocation-free in steady state, exactly like
-// the assembled path.
+// interpolant nothing), keeps no materialized A_k beside any geometric
+// level's stencil, and cycles stay allocation-free in steady state,
+// exactly like the assembled path.
 func TestMatrixFreeAllocContract(t *testing.T) {
 	for _, tc := range matrixFreeCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +134,10 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 			}
 			// A class table holds at most 27 rows of 27 16-byte entries.
 			const tableBytes = 27 * 27 * 16
-			for k := 0; k < 2; k++ {
+			for k := 0; k <= tc.geom; k++ {
+				if _, ok := s.Ops[k].(*op.Stencil); !ok {
+					t.Errorf("level %d operator is %T, want a stencil", k, s.Ops[k])
+				}
 				if got := s.Ops[k].Bytes(); got > tableBytes {
 					t.Errorf("level %d operator holds %d resident bytes, want <= %d (one class table)", k, got, tableBytes)
 				}
@@ -202,6 +215,75 @@ func TestFloat32HierarchyFootprint(t *testing.T) {
 	for k := 0; k < s32.NumLevels()-1; k++ {
 		if s32.H.Levels[k].P != nil || s32.H.Levels[k].PT != nil {
 			t.Errorf("level %d retains float64 P/PT after release", k)
+		}
+	}
+}
+
+// oneGeometricLevel is the matrix-free hierarchy with a single geometric
+// coarsening: the stencil's first Coarsen and the algebraic setup of the
+// materialized A₁ below it, the reference TestGeometricLevelsConvergeNoWorse
+// holds amg.BuildOperatorWithStats's further geometric levels to.
+func oneGeometricLevel(t *testing.T, st *op.Stencil, opt amg.Options) *amg.Hierarchy {
+	t.Helper()
+	itp, coarse, err := st.Coarsen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := opt
+	sub.MaxLevels--
+	sub.AggressiveLevels = max(sub.AggressiveLevels-1, 0)
+	h, _, err := amg.BuildWithStats(coarse.CSR(), sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Levels[0].Op = coarse
+	h.Levels = append([]amg.Level{{Op: st, Itp: itp}}, h.Levels...)
+	return h
+}
+
+// TestGeometricLevelsConvergeNoWorse guards the 4 096-row stop of the
+// geometric coarsening. On 7pt and 27pt n = 34, whose NewOperator
+// hierarchy has two geometric coarse levels, the convergence factor of
+// Mult, Multadd and AFACx is at most that of the one-geometric-level
+// hierarchy plus 0.01. On n = 32, whose first coarsening already reaches
+// 4 096 rows, AFACx converges: going geometric all the way down makes it
+// diverge there (factors 1.38 and 1.71; EXPERIMENTS.md "Geometric levels
+// above 4 096 rows").
+func TestGeometricLevelsConvergeNoWorse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("comparative convergence test")
+	}
+	const iters, slack = 30, 0.01
+	opt := amg.DefaultOptions()
+	smo := smoother.DefaultConfig()
+	type stencil struct {
+		name string
+		op   *op.Stencil
+	}
+	for _, st := range []stencil{{"7pt", op.NewStencil7(34)}, {"27pt", op.NewStencil27(34)}} {
+		s, err := NewOperator(st.op, opt, smo)
+		if err != nil {
+			t.Fatalf("%s: setup: %v", st.name, err)
+		}
+		ref, err := NewFromHierarchy(oneGeometricLevel(t, st.op, opt), smo)
+		if err != nil {
+			t.Fatalf("%s: oracle setup: %v", st.name, err)
+		}
+		for _, m := range []Method{Mult, Multadd, AFACx} {
+			got, want := s.ConvergenceFactor(m, iters, 1), ref.ConvergenceFactor(m, iters, 1)
+			t.Logf("%s n=34 %v: factor %.3f, one geometric level %.3f", st.name, m, got, want)
+			if got > want+slack {
+				t.Errorf("%s n=34 %v: convergence factor %.3f, above the one-geometric-level hierarchy's %.3f + %.2f", st.name, m, got, want, slack)
+			}
+		}
+	}
+	for _, st := range []stencil{{"7pt", op.NewStencil7(32)}, {"27pt", op.NewStencil27(32)}} {
+		s, err := NewOperator(st.op, opt, smo)
+		if err != nil {
+			t.Fatalf("%s: setup: %v", st.name, err)
+		}
+		if f := s.ConvergenceFactor(AFACx, iters, 1); f >= 1 {
+			t.Errorf("%s n=32: AFACx factor %.3f on levels %v, want < 1", st.name, f, s.H.GridSizes())
 		}
 	}
 }

@@ -263,13 +263,15 @@ type geomTap struct {
 	w   float64
 }
 
-// Coarsen builds the first geometric coarsening of the operator: the
-// trilinear interpolant P₀ onto the 2h grid and the Galerkin coarse level
-// A₁ = P₀ᵀ·A·P₀ as a Stencil. A coarse row's products depend only on which
-// of its coordinates touch the grid boundary, so A₁ has the same 27
-// classes and the Galerkin row body runs once per class, on the class's
-// representative row: O(27) rows whatever n. The algebraic AMG setup
-// continues from A₁ materialized (CSR).
+// Coarsen builds one geometric coarsening of the operator: the trilinear
+// interpolant P onto the 2h grid and the Galerkin coarse level Pᵀ·A·P as
+// a Stencil. A coarse row's products depend only on which of its
+// coordinates touch the grid boundary, so the coarse level has the same
+// 27 classes and the Galerkin row body runs once per class, on the
+// class's representative row: O(27) rows whatever n. The coarse level is
+// a Stencil like any other, so it coarsens again the same way;
+// amg.BuildOperatorWithStats does so down to 4 096 rows and continues
+// algebraically from the last coarse level materialized (CSR).
 func (s *Stencil) Coarsen() (*GeomInterp, *Stencil, error) {
 	if s.n < 3 {
 		return nil, nil, fmt.Errorf("op: grid edge %d too small to coarsen geometrically (need n >= 3)", s.n)
@@ -286,7 +288,8 @@ func (s *Stencil) Coarsen() (*GeomInterp, *Stencil, error) {
 }
 
 // galerkin forms rows of A₁ = P₀ᵀ·A·P₀ for the fine stencil A and the
-// trilinear P₀, one coarse row I at a time:
+// trilinear P₀ (A and A₁ stand for any two consecutive geometric levels),
+// one coarse row I at a time:
 //
 //   - I's fine neighbours f (its Pᵀ row) are walked in ascending order
 //     with the weights ApplyTRange uses;

@@ -18,8 +18,8 @@
 //     of 27 rows (offset, value) on an n³ grid. NewStencil7/NewStencil27
 //     build the 7-point/27-point Laplacians of package grid, so the fine
 //     level of a structured solve never materializes a CSR matrix, and
-//     Stencil.Coarsen builds the Galerkin level 1 as a Stencil too. Its
-//     kernels are bitwise-identical to the CSR kernels on the
+//     Stencil.Coarsen builds each geometric Galerkin level as a Stencil
+//     too. Its kernels are bitwise-identical to the CSR kernels on the
 //     materialized matrix and shard over the par worker pool.
 //   - GeomInterp is the matrix-free trilinear interpolant between a fine
 //     n³ grid and its 2h coarsening — prolongation and restriction without

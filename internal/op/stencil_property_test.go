@@ -360,11 +360,15 @@ func assertSameCSR(t *testing.T, name string, got, want *sparse.CSR) {
 // product A1 = P0ᵀ(A·P0) of the materialized fine matrix and interpolant
 // and to the Galerkin row body run on every coarse row, for even and odd
 // fine edges at worker counts 1, 2 and 8. The fine stencils materialize to
-// the generators' matrices.
+// the generators' matrices. One step further down, where the coarse edge
+// allows it (n ≥ 3), Coarsen of the coarse class stencil is pinned the
+// same way against A1 and P1, and is again a table of at most 27 class
+// rows: the repeated coarsening of BuildOperatorWithStats.
 func TestStencilCoarsenMatchesAlgebraicGalerkin(t *testing.T) {
+	sizes := append(append([]int(nil), coarsenSizes...), 34)
 	for _, workers := range []int{1, 2, 8} {
 		withWorkers(t, workers)
-		for _, n := range coarsenSizes {
+		for _, n := range sizes {
 			for _, f := range stencilFixtures(t, n) {
 				name := fmt.Sprintf("%s/n=%d/workers=%d", f.name, n, workers)
 				assertSameCSR(t, name+"/fine", f.st.CSR(), f.csr)
@@ -376,6 +380,20 @@ func TestStencilCoarsenMatchesAlgebraicGalerkin(t *testing.T) {
 				p := itp.CSR()
 				assertSameCSR(t, name+"/matmul", a1, sparse.MatMul(p.Transpose(), sparse.MatMul(f.csr, p)))
 				assertSameCSR(t, name+"/every-row", a1, galerkinOracle(f.st, itp.nc))
+				if coarse.n < 3 {
+					continue
+				}
+				itp1, coarse2, err := coarse.Coarsen()
+				if err != nil {
+					t.Fatalf("%s: second Coarsen: %v", name, err)
+				}
+				if b := coarse2.Bytes(); b <= 0 || b > 27*27*entryBytes {
+					t.Fatalf("%s: A2's table holds %d B, want (0, 27 rows of 27 entries]", name, b)
+				}
+				a2 := coarse2.CSR()
+				p1 := itp1.CSR()
+				assertSameCSR(t, name+"/A2/matmul", a2, sparse.MatMul(p1.Transpose(), sparse.MatMul(a1, p1)))
+				assertSameCSR(t, name+"/A2/every-row", a2, galerkinOracle(coarse, itp1.nc))
 			}
 		}
 	}
