@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -228,8 +229,14 @@ func main() {
 		for t, h := range out.History {
 			fmt.Printf("  cycle %3d: %.6e\n", t, h)
 		}
-		fmt.Printf("asymptotic convergence factor (power iteration): %.4f\n",
-			setup.ConvergenceFactor(m, 30, plan.Seed))
+		factor := setup.ConvergenceFactor(m, 30, plan.Seed)
+		fmt.Printf("asymptotic convergence factor (power iteration): %.4f\n", factor)
+		// A cycle that does not contract (or a factor or history gone
+		// non-finite) is a failed solve, like a diverged async one.
+		failed = !(factor < 1)
+		if n := len(out.History); n > 0 {
+			failed = failed || math.IsNaN(out.History[n-1]) || math.IsInf(out.History[n-1], 0)
+		}
 	}
 	if failed {
 		finish() // os.Exit skips the deferred flush

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -146,6 +147,35 @@ func TestNonFiniteMatrixRefused(t *testing.T) {
 		c, plan := mustParse(t, "-matrix", path, "-method", "mult")
 		if _, err := build(c, plan); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("%s entry: build error %v, want non-finite", v, err)
+		}
+	}
+}
+
+// TestCyclingExitStatus: in cycling mode a solve whose cycle does not
+// contract exits non-zero, like a diverged asynchronous or distributed
+// one, and a converging solve exits 0. The command is built and run as a
+// process, so the exit status itself is checked.
+func TestCyclingExitStatus(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mgsolve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args string
+		code int
+	}{
+		{"-problem 7pt -size 8 -method mult -omega 2 -cycles 20", 1}, // factor 8.21
+		{"-problem 7pt -size 8 -method mult -cycles 10", 0},          // factor 0.58
+	} {
+		out, err := exec.Command(bin, strings.Fields(tc.args)...).CombinedOutput()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if code != tc.code {
+			t.Errorf("mgsolve %s: exit %d, want %d\n%s", tc.args, code, tc.code, out)
 		}
 	}
 }

@@ -77,11 +77,10 @@ const (
 // Level is one level of the multigrid hierarchy.
 type Level struct {
 	// A is the operator on this level as float64 CSR (Galerkin product
-	// below the finest); nil on a matrix-free fine level, where Op holds
-	// the operator instead. The geometric coarse levels of a matrix-free
-	// hierarchy hold both: A materialized from the class stencil Op for
-	// the engine's P̄_k and, on the last of them, for the algebraic setup
-	// below it, dropped by the engine's ReleaseFloat64Storage.
+	// below the finest); nil on the geometric levels of a matrix-free
+	// hierarchy, where Op holds the class stencil instead. The first
+	// level below them holds both: A materialized from its stencil for
+	// the algebraic setup, dropped by the engine's ReleaseFloat64Storage.
 	A *sparse.CSR
 	// Op is the operator view of a level stored other than as float64 CSR
 	// (a stencil, or a float32 store after ReleaseFloat64Storage); when
@@ -96,8 +95,8 @@ type Level struct {
 	// nil on the coarsest level.
 	PT *sparse.CSR
 	// Itp is the interpolant view of a level without materialized P/PT
-	// (the geometric interpolant of a matrix-free fine level); nil when P
-	// is set.
+	// (the class-table interpolant of a geometric level); nil when P is
+	// set.
 	Itp op.Interp
 	// Types is the C/F splitting used to build P; nil on the coarsest and
 	// on geometrically coarsened levels.
@@ -174,8 +173,8 @@ type SetupStats struct {
 	// lumped into RAP).
 	Transpose time.Duration
 	// RAP covers the Galerkin triple product (and, on a matrix-free fine
-	// level, the geometric coarsenings with their materialized A_k, P_k
-	// and P_kᵀ).
+	// level, the geometric coarsenings and the materialization of the
+	// first level below them).
 	RAP time.Duration
 	// Factor covers the dense LU factorization of the coarsest operator.
 	Factor time.Duration
@@ -315,11 +314,11 @@ const geomStopRows = 4096
 // (BuildWithStats on the matrix). A matrix-free stencil coarsens itself
 // geometrically (op.Stencil.Coarsen), once always and again while the
 // coarse level has more than geomStopRows rows; the fine matrix is never
-// formed. The returned hierarchy has the stencil as level 0 (Op/Itp
-// views), every further geometric level k as its class stencil A_k with
-// A_k, P_k and P_kᵀ materialized (Op, A, P, PT), and the algebraic
-// hierarchy of the first level with at most geomStopRows rows below,
-// that level's stencil as its Op.
+// formed. Every geometric level k, the fine one included, is its class
+// stencil A_k and class-table interpolant P_k (Op and Itp; no A, P or PT),
+// and below them comes the algebraic hierarchy of the first level with at
+// most geomStopRows rows, the one level materialized (A, with its stencil
+// as Op).
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)
@@ -343,12 +342,7 @@ func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats
 		if err != nil {
 			return nil, nil, fmt.Errorf("amg: geometric coarsening: %w", err)
 		}
-		lev := Level{Op: coarse, Itp: itp}
-		if len(levels) > 0 {
-			lev = Level{Op: coarse, A: coarse.CSR(), P: itp.CSR()}
-			lev.PT = lev.P.Transpose()
-		}
-		levels = append(levels, lev)
+		levels = append(levels, Level{Op: coarse, Itp: itp})
 		coarse = next
 	}
 	ak := coarse.CSR()

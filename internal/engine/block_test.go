@@ -70,7 +70,7 @@ func TestBlockCycleBitwiseMatchesCycles(t *testing.T) {
 	}
 
 	// Beyond the CSR Jacobi default: a block smoother, AFACx, and a
-	// matrix-free fine level with composed P̄₀ and float32 coarse levels.
+	// matrix-free fine level with class-table P̄₀ and float32 coarse levels.
 	hy, err := New(grid.Laplacian7pt(6), amg.DefaultOptions(), smoother.Config{Kind: smoother.HybridJGS, Omega: 0.9, Blocks: 2})
 	if err != nil {
 		t.Fatalf("setup: %v", err)
@@ -81,8 +81,8 @@ func TestBlockCycleBitwiseMatchesCycles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	if _, ok := mf.SItp[0].(*op.SmoothedInterp); !ok {
-		t.Fatalf("matrix-free P̄₀ is %T, want the composed *op.SmoothedInterp", mf.SItp[0])
+	if _, ok := mf.SItp[0].(*op.GeomInterp); !ok {
+		t.Fatalf("matrix-free P̄₀ is %T, want the class table *op.GeomInterp", mf.SItp[0])
 	}
 	withEngineWorkers(t, 2)
 	for name, e := range map[string]*Engine{"hybrid-jgs": hy, "stencil7-f32": mf} {

@@ -369,8 +369,8 @@ type namedEngine struct {
 }
 
 // setupStencil7F32 builds the matrix-free Stencil7 engine with float32
-// coarse levels, whose smoothed interpolants are composed, not stored: the
-// configuration PCG runs on at scale.
+// coarse levels, whose geometric smoothed interpolants are class tables,
+// not stored matrices: the configuration PCG runs on at scale.
 func setupStencil7F32(t *testing.T, n int) *Engine {
 	t.Helper()
 	opt := amg.DefaultOptions()
@@ -379,8 +379,8 @@ func setupStencil7F32(t *testing.T, n int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.SItp[0].(*op.SmoothedInterp); !ok {
-		t.Fatalf("matrix-free smoothed interpolant is %T, want *op.SmoothedInterp", s.SItp[0])
+	if _, ok := s.SItp[0].(*op.GeomInterp); !ok {
+		t.Fatalf("matrix-free smoothed interpolant is %T, want the class table *op.GeomInterp", s.SItp[0])
 	}
 	return s
 }

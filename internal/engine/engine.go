@@ -190,16 +190,20 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 		if err != nil {
 			return nil, fmt.Errorf("mg: level %d interpolant scaling: %w", k, err)
 		}
-		if itp := h.Levels[k].Itp; itp != nil {
-			// Matrix-free interpolant: the plain view comes from the
-			// hierarchy and the smoothed view is composed on the fly — P̄
-			// and P̄ᵀ are never materialized on this level.
-			sa, ok := s.Ops[k].(op.SmoothedApplier)
+		if g, ok := h.Levels[k].Itp.(*op.GeomInterp); ok {
+			// Geometric level: P and P̄ are class tables over the level's
+			// float64 stencil. Level 0 stays float64; coarser P̄ weights
+			// round to float32 as a CSR32 P̄ would (P's are powers of two,
+			// exact in float32 already).
+			a, ok := h.Levels[k].Op.(*op.Stencil)
 			if !ok {
-				return nil, fmt.Errorf("mg: level %d operator %T cannot compose a smoothed interpolant", k, s.Ops[k])
+				return nil, fmt.Errorf("mg: level %d operator %T cannot smooth a geometric interpolant", k, h.Levels[k].Op)
 			}
-			s.Itp[k] = itp
-			s.SItp[k] = op.NewSmoothedInterp(sa, itp, scale)
+			pbar := g.Smooth(a, scale)
+			if f32 && k >= 1 {
+				pbar = pbar.RoundFloat32()
+			}
+			s.Itp[k], s.SItp[k] = g, pbar
 			continue
 		}
 		p := h.Levels[k].P
@@ -268,13 +272,13 @@ func (s *Engine) HierarchyBytes() int {
 
 // ReleaseFloat64Storage rewires the hierarchy levels onto the engine's
 // stencil and float32 views and drops the setup-built float64 matrices
-// they replaced, making that storage collectable: the materialized A_k
-// beside every geometric coarse level's stencil (only the setup and P̄_k
-// read it) and, on a float32 hierarchy, every float64 operator and
-// interpolant. Call only when the engine exclusively owns its hierarchy
-// (the facade's one-shot setup does; a hierarchy shared across engines
-// must keep its float64 levels). The fine level and the coarse LU
-// factorization are always retained.
+// they replaced, making that storage collectable: the materialized A
+// beside the stencil of the first level below the geometric ones (only
+// the algebraic setup read it) and, on a float32 hierarchy, every
+// float64 operator and interpolant. Call only when the engine
+// exclusively owns its hierarchy (the facade's one-shot setup does; a
+// hierarchy shared across engines must keep its float64 levels). The
+// fine level and the coarse LU factorization are always retained.
 func (s *Engine) ReleaseFloat64Storage() {
 	for k := range s.H.Levels {
 		lev := &s.H.Levels[k]

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -38,13 +39,12 @@ func matrixFreeCases() []matrixFreeCase {
 
 // TestMatrixFreeBitwiseVsCSR pins the matrix-free levels to the CSR path:
 // the same hierarchy, expressed once with the stencil operators (fine
-// level and every geometric Galerkin level) and geometric interpolant and
-// once with their materialized CSR twins (the generator's matrix, the
-// materialized A_k), must produce identical residual histories. Mult and
-// AFACx work on the plain interpolant and are bitwise-equal; Multadd
-// applies the smoothed interpolant P̄ = G·P composed (matrix-free) versus
-// materialized (CSR), whose products round differently, so it gets a
-// rounding-level tolerance.
+// level and every geometric Galerkin level) and class-table interpolants
+// and once with their materialized CSR twins (the generator's matrix, the
+// materialized A_k and P_k), must produce identical residual histories.
+// Mult and AFACx work on the plain interpolant, Multadd on the smoothed
+// one, whose class table is bitwise the twin's GEMM-built P̄: all three
+// are bitwise-equal.
 func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 	opt := amg.DefaultOptions()
 	smo := smoother.DefaultConfig()
@@ -54,19 +54,21 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 			if err != nil {
 				t.Fatalf("matrix-free build: %v", err)
 			}
-			geom, ok := hMF.Levels[0].Itp.(*op.GeomInterp)
-			if !ok {
-				t.Fatalf("fine interpolant is %T, want *op.GeomInterp", hMF.Levels[0].Itp)
-			}
-			p := geom.CSR()
-			levels := append([]amg.Level{{A: tc.csr, P: p, PT: p.Transpose()}}, hMF.Levels[1:]...)
-			for k := 1; k < len(levels); k++ {
-				_, ok := levels[k].Op.(*op.Stencil)
-				if want := k <= tc.geom; ok != want || ok && levels[k].A == nil {
-					t.Fatalf("level %d is %T with A %v, want a stencil beside its materialized A_k: %v", k, levels[k].Op, levels[k].A != nil, want)
+			levels := append([]amg.Level(nil), hMF.Levels...)
+			for k := 0; k < len(levels); k++ {
+				st, ok := levels[k].Op.(*op.Stencil)
+				g, geom := levels[k].Itp.(*op.GeomInterp)
+				if ok != (k <= tc.geom) || geom != (k < tc.geom) || (levels[k].A == nil) != geom {
+					t.Fatalf("level %d is %T with %T and A %v, want stencils down to level %d, class-table interpolants and no A above it",
+						k, levels[k].Op, levels[k].Itp, levels[k].A != nil, tc.geom)
+				}
+				if geom {
+					p := g.CSR()
+					levels[k] = amg.Level{A: st.CSR(), P: p, PT: p.Transpose()}
 				}
 				levels[k].Op = nil // the twin's level k is the materialized A_k
 			}
+			levels[0].A = tc.csr
 			hCSR := &amg.Hierarchy{Levels: levels, Coarse: hMF.Coarse}
 
 			sMF, err := NewFromHierarchy(hMF, smo)
@@ -79,7 +81,7 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 			}
 
 			b := grid.RandomRHS(tc.st.Rows(), 5)
-			for _, m := range []Method{Mult, AFACx} {
+			for _, m := range []Method{Mult, AFACx, Multadd} {
 				_, hmf := sMF.Solve(m, b, 6)
 				_, hcs := sCSR.Solve(m, b, 6)
 				if len(hmf) != len(hcs) {
@@ -91,37 +93,17 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 					}
 				}
 			}
-			_, hmf := sMF.Solve(Multadd, b, 6)
-			_, hcs := sCSR.Solve(Multadd, b, 6)
-			for i := range hmf {
-				if err := relDiff(hmf[i], hcs[i]); err > 1e-12 {
-					t.Errorf("multadd cycle %d: matrix-free %.17g vs csr %.17g (rel %.3g)", i, hmf[i], hcs[i], err)
-				}
-			}
 		})
 	}
 }
 
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if b == 0 {
-		return d
-	}
-	if b < 0 {
-		b = -b
-	}
-	return d / b
-}
-
 // TestMatrixFreeAllocContract is the matrix-free storage guarantee: a
 // structured solve built through NewOperator never materializes the
-// fine-level CSR (the operator holds only its class table, the
-// interpolant nothing), keeps no materialized A_k beside any geometric
-// level's stencil, and cycles stay allocation-free in steady state,
-// exactly like the assembled path.
+// fine-level CSR (the operator holds only its class table), keeps no
+// materialized A_k, P_k or P_kᵀ on any geometric level, holds every
+// geometric interpolant, plain and smoothed, as one class table, and
+// cycles stay allocation-free in steady state, exactly like the
+// assembled path.
 func TestMatrixFreeAllocContract(t *testing.T) {
 	for _, tc := range matrixFreeCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,8 +114,15 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 			if m := op.AsCSR(s.Ops[0]); m != nil {
 				t.Errorf("fine operator is CSR-backed (%T)", s.Ops[0])
 			}
-			// A class table holds at most 27 rows of 27 16-byte entries.
+			// An operator's class table holds at most 27 rows of 27 16-byte
+			// entries; an interpolant's at most 216 prolongation rows of 27
+			// entries and 216 restriction rows of 125, plus a class byte per
+			// fine and coarse grid index.
 			const tableBytes = 27 * 27 * 16
+			itpBytes := func(k int) int {
+				edge := int(math.Round(math.Cbrt(float64(s.LevelSize(k)))))
+				return 216*(27+125)*16 + edge + edge/2
+			}
 			for k := 0; k <= tc.geom; k++ {
 				if _, ok := s.Ops[k].(*op.Stencil); !ok {
 					t.Errorf("level %d operator is %T, want a stencil", k, s.Ops[k])
@@ -144,12 +133,19 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 				if s.H.Levels[k].A != nil {
 					t.Errorf("level %d retains a materialized CSR (%d nnz)", k, s.H.Levels[k].A.NNZ())
 				}
-			}
-			if _, geom := s.Itp[0].(*op.GeomInterp); s.H.Levels[0].P != nil || !geom {
-				t.Errorf("fine interpolant materialized P (%T)", s.Itp[0])
-			}
-			if got := s.Itp[0].Bytes(); got != 0 {
-				t.Errorf("fine interpolant holds %d resident bytes, want 0", got)
+				if k == tc.geom {
+					break
+				}
+				if lev := s.H.Levels[k]; lev.P != nil || lev.PT != nil {
+					t.Errorf("geometric level %d retains a materialized P (%v) or Pᵀ (%v)", k, lev.P != nil, lev.PT != nil)
+				}
+				for name, itp := range map[string]op.Interp{"P": s.Itp[k], "P̄": s.SItp[k]} {
+					if _, ok := itp.(*op.GeomInterp); !ok {
+						t.Errorf("level %d %s is %T, want a class table", k, name, itp)
+					} else if got := itp.Bytes(); got <= 0 || got > itpBytes(k) {
+						t.Errorf("level %d %s holds %d resident bytes, want (0, %d] (one class table)", k, name, got, itpBytes(k))
+					}
+				}
 			}
 
 			if raceEnabled {

@@ -44,19 +44,6 @@ func (a *CSR[V, I]) ResidualRange(r, b, x []float64, lo, hi int) {
 func (a *CSR[V, I]) Diag() []float64       { return a.M.Diag() }
 func (a *CSR[V, I]) RowL1Norms() []float64 { return a.M.RowL1Norms() }
 
-func (a *CSR[V, I]) ScaledResidual(w, scale, r []float64) {
-	sparse.RunRows(a.M.NNZ(), a.M.Rows, sparse.KScaledResidual, a.M, w, scale, r)
-}
-func (a *CSR[V, I]) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
-	a.M.ScaledResidualRange(w, scale, r, lo, hi)
-}
-func (a *CSR[V, I]) SmoothedResidual(w, scale, r []float64) {
-	sparse.RunRows(a.M.NNZ(), a.M.Rows, sparse.KSmoothedResidual, a.M, w, scale, r)
-}
-func (a *CSR[V, I]) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	a.M.SmoothedResidualRange(w, scale, r, lo, hi)
-}
-
 // ResidualAtomicRange computes dst[i] = b[i] − Σ_j a_ij·x.Load(j) for
 // rows [lo, hi) against a shared atomic iterate. The loop body is the one
 // the asynchronous runtime's global-residual refresh has always run.
@@ -106,7 +93,6 @@ func NewCSR32Interp(p, pt *sparse.CSR) *CSRInterp[float32, int32] {
 	return &CSRInterp[float32, int32]{P: sparse.Convert[float32, int32](p), PT: sparse.Convert[float32, int32](pt)}
 }
 
-func (t *CSRInterp[V, I]) FineRows() int      { return t.P.Rows }
 func (t *CSRInterp[V, I]) NNZEquivalent() int { return t.P.NNZ() }
 func (t *CSRInterp[V, I]) Bytes() int         { return t.P.Bytes() + t.PT.Bytes() }
 

@@ -13,22 +13,14 @@ import (
 )
 
 // kernelInputs are the operands every kernel case draws from. All entries
-// lie in [-1, 1] (invDiag and scale in (0, 1]), so every product operand a
-// kernel forms is bounded by 1 — the float32 error bound below relies on it.
+// lie in [-1, 1], so every product operand a kernel forms is bounded by 1 —
+// the float32 error bound below relies on it.
 type kernelInputs struct {
-	x, b    []float64 // len cols, len rows
-	invDiag []float64 // len rows (square matrices: rows == cols)
+	x, b []float64 // len cols, len rows
 }
 
 func newKernelInputs(rng *rand.Rand, rows, cols int) kernelInputs {
-	in := kernelInputs{
-		x: randVec(rng, cols), b: randVec(rng, rows),
-		invDiag: make([]float64, rows),
-	}
-	for i := range in.invDiag {
-		in.invDiag[i] = 1 - 0.9*rng.Float64()
-	}
-	return in
+	return kernelInputs{x: randVec(rng, cols), b: randVec(rng, rows)}
 }
 
 // kernelCase is one row kernel of the one kernel set. Every form returns
@@ -68,28 +60,6 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 				return r
 			},
 			sharded: func() []float64 { r := out(); a.Residual(r, in.b, in.x); return r }},
-		{name: "scaled-residual", square: true,
-			serial: func() []float64 {
-				w := out()
-				split(func(lo, hi int) { m.ScaledResidualRange(w, in.invDiag, in.b, lo, hi) })
-				return w
-			},
-			sharded: func() []float64 { w := out(); a.ScaledResidual(w, in.invDiag, in.b); return w },
-			composed: func() []float64 {
-				w := out()
-				m.MatVec(w, in.b)
-				for i := range w {
-					w[i] = in.b[i] - in.invDiag[i]*w[i]
-				}
-				return w
-			}},
-		{name: "smoothed-residual", square: true,
-			serial: func() []float64 {
-				w := out()
-				split(func(lo, hi int) { m.SmoothedResidualRange(w, in.invDiag, in.b, lo, hi) })
-				return w
-			},
-			sharded: func() []float64 { w := out(); a.SmoothedResidual(w, in.invDiag, in.b); return w }},
 		{name: "atomic-residual", square: true,
 			serial: func() []float64 {
 				x, dst := vec.NewAtomic(rows), vec.NewAtomic(rows)

@@ -21,13 +21,13 @@
 //     Stencil.Coarsen builds each geometric Galerkin level as a Stencil
 //     too. Its kernels are bitwise-identical to the CSR kernels on the
 //     materialized matrix and shard over the par worker pool.
-//   - GeomInterp is the matrix-free trilinear interpolant between a fine
-//     n³ grid and its 2h coarsening — prolongation and restriction without
-//     storing P or Pᵀ.
-//   - SmoothedInterp composes P̄ = (I − diag(s)·A)·P from a
-//     SmoothedApplier (an Operator with the two one-pass kernels the
-//     composition needs) and an Interp without materializing P̄ or P̄ᵀ
-//     (Multadd's smoothed interpolants become zero-storage).
+//   - GeomInterp is the matrix-free interpolant between a fine n³ grid
+//     and its 2h coarsening, a class table too: Coarsen returns the
+//     trilinear P, and Smooth builds Multadd's smoothed interpolant
+//     P̄ = P − diag(s)·A·P over a stencil as a table of the same classes
+//     (at most 216 prolongation and 216 restriction rows), whose weights
+//     equal the sparse product's bitwise. No level of a stencil hierarchy
+//     stores, multiplies or composes an interpolation matrix.
 //
 // All kernels follow the package sparse contract: every implementation
 // provides serial Range methods, full-vector methods shard them through
@@ -97,7 +97,6 @@ type Operator interface {
 // fine = P·coarse and coarse = Pᵀ·fine. Apply* methods range over fine
 // rows, ApplyT* methods over coarse rows.
 type Interp interface {
-	FineRows() int
 	NNZEquivalent() int
 	Bytes() int
 	// Apply computes fine = P coarse.
@@ -113,22 +112,6 @@ type Interp interface {
 }
 
 // ---- optional capabilities ----
-
-// SmoothedApplier is an operator with the two one-pass kernels the
-// composed smoothed interpolant P̄ = (I − diag(s)A)P needs:
-//
-//	ScaledResidual:   w = r − s∘(A r)   (the P̄ apply tail)
-//	SmoothedResidual: w = r − A (s∘r)   (the P̄ᵀ apply head; A symmetric)
-//
-// The second recomputes the scaled operand on the fly, so both are single
-// passes with no ordering hazard. CSR and Stencil implement it.
-type SmoothedApplier interface {
-	Operator
-	ScaledResidual(w, scale, r []float64)
-	ScaledResidualRange(w, scale, r []float64, lo, hi int)
-	SmoothedResidual(w, scale, r []float64)
-	SmoothedResidualRange(w, scale, r []float64, lo, hi int)
-}
 
 // AtomicResidualer computes residual rows against a shared atomic iterate
 // (the asynchronous shared-memory runtime's global-residual refresh):

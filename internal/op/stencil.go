@@ -22,8 +22,7 @@ import (
 // NewStencil7 and NewStencil27 clip the Laplacians of package grid per
 // class, and Coarsen returns the Galerkin coarse level as a Stencil. Every
 // kernel visits a row's entries in the order of the CSR row and uses the
-// CSR row kernels' expression shapes (`s += v·x[c]`, `s -= v·x[c]`,
-// `s -= v·(d[c]·r[c])`), so it is bitwise-identical to the sparse kernel
+// CSR row kernels' expression shapes (`s += v·x[c]`, `s -= v·x[c]`), so it is bitwise-identical to the sparse kernel
 // on the materialized matrix (CSR) at any worker count. The interior class
 // takes an unrolled path, its coefficients held in locals, when it is the
 // 7-point axis pattern or the full 3×3×3 box.
@@ -229,25 +228,9 @@ func (s *Stencil) CSR() *sparse.CSR {
 }
 
 // ApplyRange computes y[lo:hi] = (A x)[lo:hi].
-func (s *Stencil) ApplyRange(y, x []float64, lo, hi int) { s.applyRows(y, nil, x, lo, hi) }
-
-// ScaledResidualRange computes w[lo:hi] = (r − scale∘(A r))[lo:hi].
-func (s *Stencil) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
-	s.applyRows(w, scale, r, lo, hi)
-}
-
-// applyRows forms t = (A x)[row] for rows [lo, hi) and stores y[row] = t,
-// or y[row] = x[row] − scale[row]·t when scale is set.
-func (s *Stencil) applyRows(y, scale, x []float64, lo, hi int) {
+func (s *Stencil) ApplyRange(y, x []float64, lo, hi int) {
 	n, nn, c := s.n, s.n*s.n, s.coef
 	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-	store := func(row int, t float64) {
-		if scale == nil {
-			y[row] = t
-		} else {
-			y[row] = x[row] - scale[row]*t
-		}
-	}
 	for r := s.runs(lo, hi); r.next(); {
 		switch {
 		case !r.fast:
@@ -256,7 +239,7 @@ func (s *Stencil) applyRows(y, scale, x []float64, lo, hi int) {
 				for _, e := range r.es {
 					t += e.v * x[row+int(e.off)]
 				}
-				store(row, t)
+				y[row] = t
 			}
 		case s.fast == 7:
 			for row := r.lo; row < r.hi; row++ {
@@ -268,7 +251,7 @@ func (s *Stencil) applyRows(y, scale, x []float64, lo, hi int) {
 				t += c4 * x[row+1]
 				t += c5 * x[row+n]
 				t += c6 * x[row+nn]
-				store(row, t)
+				y[row] = t
 			}
 		default:
 			for row := r.lo; row < r.hi; row++ {
@@ -285,7 +268,7 @@ func (s *Stencil) applyRows(y, scale, x []float64, lo, hi int) {
 					t += cq[7] * v[2*n+1]
 					t += cq[8] * v[2*n+2]
 				}
-				store(row, t)
+				y[row] = t
 			}
 		}
 	}
@@ -338,54 +321,6 @@ func (s *Stencil) ResidualRange(r, b, x []float64, lo, hi int) {
 	}
 }
 
-// SmoothedResidualRange computes w[lo:hi] = (r − A (scale∘r))[lo:hi].
-func (s *Stencil) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	n, nn, c := s.n, s.n*s.n, s.coef
-	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-	for ru := s.runs(lo, hi); ru.next(); {
-		switch {
-		case !ru.fast:
-			for row := ru.lo; row < ru.hi; row++ {
-				t := r[row]
-				for _, en := range ru.es {
-					q := row + int(en.off)
-					t -= en.v * (scale[q] * r[q])
-				}
-				w[row] = t
-			}
-		case s.fast == 7:
-			for row := ru.lo; row < ru.hi; row++ {
-				t := r[row]
-				t -= c0 * (scale[row-nn] * r[row-nn])
-				t -= c1 * (scale[row-n] * r[row-n])
-				t -= c2 * (scale[row-1] * r[row-1])
-				t -= c3 * (scale[row] * r[row])
-				t -= c4 * (scale[row+1] * r[row+1])
-				t -= c5 * (scale[row+n] * r[row+n])
-				t -= c6 * (scale[row+nn] * r[row+nn])
-				w[row] = t
-			}
-		default:
-			for row := ru.lo; row < ru.hi; row++ {
-				t := r[row]
-				for p, cq := row-nn-n-1, c[:]; len(cq) >= 9; p, cq = p+nn, cq[9:] {
-					d, v := scale[p:p+2*n+3], r[p:p+2*n+3]
-					t -= cq[0] * (d[0] * v[0])
-					t -= cq[1] * (d[1] * v[1])
-					t -= cq[2] * (d[2] * v[2])
-					t -= cq[3] * (d[n] * v[n])
-					t -= cq[4] * (d[n+1] * v[n+1])
-					t -= cq[5] * (d[n+2] * v[n+2])
-					t -= cq[6] * (d[2*n] * v[2*n])
-					t -= cq[7] * (d[2*n+1] * v[2*n+1])
-					t -= cq[8] * (d[2*n+2] * v[2*n+2])
-				}
-				w[row] = t
-			}
-		}
-	}
-}
-
 // ResidualAtomicRange is the stencil form of the asynchronous runtime's
 // global-residual refresh against a shared atomic iterate.
 func (s *Stencil) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int) {
@@ -406,14 +341,6 @@ func (s *Stencil) Apply(y, x []float64) {
 
 func (s *Stencil) Residual(r, b, x []float64) {
 	sparse.RunRows(s.nnz, s.Rows(), sparse.KResidual, s, r, b, x)
-}
-
-func (s *Stencil) ScaledResidual(w, scale, r []float64) {
-	sparse.RunRows(s.nnz, s.Rows(), sparse.KScaledResidual, s, w, scale, r)
-}
-
-func (s *Stencil) SmoothedResidual(w, scale, r []float64) {
-	sparse.RunRows(s.nnz, s.Rows(), sparse.KSmoothedResidual, s, w, scale, r)
 }
 
 // Diag returns the main diagonal: each class row's entry at offset 0.

@@ -116,16 +116,6 @@ var stencilKernels = []struct {
 		a.ResidualRange(r, in.b, in.x, a.Rows()/3, a.Rows())
 		return r
 	}},
-	{"scaled-residual", func(a Operator, in kernelInputs) []float64 {
-		w := make([]float64, a.Rows())
-		a.(SmoothedApplier).ScaledResidual(w, in.invDiag, in.b)
-		return w
-	}},
-	{"smoothed-residual", func(a Operator, in kernelInputs) []float64 {
-		w := make([]float64, a.Rows())
-		a.(SmoothedApplier).SmoothedResidual(w, in.invDiag, in.b)
-		return w
-	}},
 	{"atomic-residual", func(a Operator, in kernelInputs) []float64 {
 		rows := a.Rows()
 		x, dst := vec.NewAtomic(rows), vec.NewAtomic(rows)
@@ -315,11 +305,7 @@ var coarsenSizes = []int{3, 4, 5, 8, 9, 16, 17}
 // galerkinOracle forms A₁ whole: the Galerkin row body run on every coarse
 // row instead of once per class, emitted as CSR.
 func galerkinOracle(fine *Stencil, nc int) *sparse.CSR {
-	k := &galerkin{fine: fine, taps: make([]geomTap, fine.n)}
-	for f := range k.taps {
-		c0, w, c1, _, cnt := geomDim(f, nc)
-		k.taps[f] = geomTap{c: [2]int{c0, c1}, cnt: cnt, w: w}
-	}
+	k := &galerkin{fine: fine, taps: axisTaps(fine.n, nc)}
 	rows := nc * nc * nc
 	a1 := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
 	var row []stencilEntry

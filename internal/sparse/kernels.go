@@ -33,12 +33,10 @@ import (
 type Kernel uint8
 
 const (
-	KApply            Kernel = iota // ApplyRange(y, x, lo, hi): y = A x
-	KApplyAdd                       // ApplyAddRange(y, x, lo, hi): y += A x
-	KApplyT                         // ApplyTRange(y, x, lo, hi): y = Aᵀ x, rows of Aᵀ
-	KResidual                       // ResidualRange(r, b, x, lo, hi): r = b − A x
-	KScaledResidual                 // ScaledResidualRange(w, scale, r, lo, hi)
-	KSmoothedResidual               // SmoothedResidualRange(w, scale, r, lo, hi)
+	KApply    Kernel = iota // ApplyRange(y, x, lo, hi): y = A x
+	KApplyAdd               // ApplyAddRange(y, x, lo, hi): y += A x
+	KApplyT                 // ApplyTRange(y, x, lo, hi): y = Aᵀ x, rows of Aᵀ
+	KResidual               // ResidualRange(r, b, x, lo, hi): r = b − A x
 )
 
 // shard is the one pooled descriptor behind every sharded full-vector
@@ -47,7 +45,7 @@ const (
 type shard struct {
 	kernel Kernel
 	on     any
-	v      [4][]float64
+	v      [3][]float64
 }
 
 // Do runs the described kernel on rows [lo, hi). The interface assertion
@@ -71,14 +69,6 @@ func (s *shard) Do(_, lo, hi int) {
 		s.on.(interface {
 			ResidualRange(r, b, x []float64, lo, hi int)
 		}).ResidualRange(v[0], v[1], v[2], lo, hi)
-	case KScaledResidual:
-		s.on.(interface {
-			ScaledResidualRange(w, scale, r []float64, lo, hi int)
-		}).ScaledResidualRange(v[0], v[1], v[2], lo, hi)
-	case KSmoothedResidual:
-		s.on.(interface {
-			SmoothedResidualRange(w, scale, r []float64, lo, hi int)
-		}).SmoothedResidualRange(v[0], v[1], v[2], lo, hi)
 	}
 }
 
@@ -156,37 +146,6 @@ func (a *Matrix[V, I]) ResidualRange(r, b, x []float64, lo, hi int) {
 			s -= float64(vals[q]) * x[j]
 		}
 		r[i] = s
-	}
-}
-
-// The composed smoothed interpolant P̄ = (I − diag(s)·A)·P needs two
-// one-pass forms of "residual against a scaled operand": the prolongation
-// tail w = r − s∘(A r) and (using A = Aᵀ) the restriction head
-// w = r − A (s∘r). The second form recomputes s_j·r_j on the fly, so
-// both are single passes with no ordering hazard and shard
-// row-independently.
-
-// ScaledResidualRange computes w[lo:hi] = (r − scale∘(A r))[lo:hi].
-func (a *Matrix[V, I]) ScaledResidualRange(w, scale, r []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		cols, vals := a.row(i)
-		for q, j := range cols {
-			s += float64(vals[q]) * r[j]
-		}
-		w[i] = r[i] - scale[i]*s
-	}
-}
-
-// SmoothedResidualRange computes w[lo:hi] = (r − A (scale∘r))[lo:hi].
-func (a *Matrix[V, I]) SmoothedResidualRange(w, scale, r []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := r[i]
-		cols, vals := a.row(i)
-		for q, j := range cols {
-			s -= float64(vals[q]) * (scale[j] * r[j])
-		}
-		w[i] = s
 	}
 }
 
