@@ -438,7 +438,7 @@ func SpectralRadius(a *Matrix, tol float64, maxIter int) (float64, error) {
 // iteration matrix G = I − diag(s)·A (ω/a_ii for ω-Jacobi and the
 // GS-family smoothers' interpolant scaling, 1/Σ|a_ij| for ℓ1-Jacobi).
 func SmootherScaling(a *Matrix, cfg SmootherConfig) ([]float64, error) {
-	return smoother.InterpolantScalingOp(op.FromCSR(a), cfg, smoother.Precomputed{})
+	return smoother.InterpolantScalingOp(op.FromCSR(a), cfg)
 }
 
 // ---- Observability ----

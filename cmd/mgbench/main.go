@@ -33,10 +33,10 @@ import (
 
 // config is what the command line selects beyond the entries to run.
 type config struct {
-	out                      string
-	ov                       harness.Overrides
-	parWorkers, parThreshold int
-	obs                      obs.Flags
+	out        string
+	ov         harness.Overrides
+	parWorkers int
+	obs        obs.Flags
 }
 
 // parseArgs turns the command line into the configuration and the checked
@@ -53,7 +53,6 @@ func parseArgs(args []string) (config, []harness.Experiment, error) {
 	fs.Float64Var(&c.ov.Tau, "tau", 0, "time-to-tolerance threshold (0 = the experiment's; the paper's is 1e-9)")
 	fs.Int64Var(&c.ov.Seed, "seed", 0, "right-hand-side or fault-schedule seed (0 = the experiment's)")
 	fs.IntVar(&c.parWorkers, "par-workers", 0, "worker-pool size for the sharded level kernels (0 = GOMAXPROCS)")
-	fs.IntVar(&c.parThreshold, "par-threshold", 0, "minimum kernel work before sharding; smaller levels stay serial (0 = default)")
 	c.obs.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return c, nil, err
@@ -77,7 +76,6 @@ func main() {
 		log.Fatal(err)
 	}
 	par.SetWorkers(c.parWorkers)
-	par.SetThreshold(c.parThreshold)
 	if c.out != "" {
 		if err := os.MkdirAll(c.out, 0o755); err != nil {
 			log.Fatal(err)

@@ -36,6 +36,7 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/op"
 	"asyncmg/internal/par"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/solve"
@@ -44,12 +45,11 @@ import (
 // config is what mgsolve's own flags select beyond the solve plan: the
 // operator source, the hierarchy setup, and the outputs.
 type config struct {
-	matrix       string
-	aggressive   int
-	setup        solve.SetupFlags
-	parWorkers   int
-	parThreshold int
-	obs          obs.Flags
+	matrix     string
+	aggressive int
+	setup      solve.SetupFlags
+	parWorkers int
+	obs        obs.Flags
 }
 
 // parseArgs turns the command line into mgsolve's configuration and the
@@ -69,7 +69,6 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 	readHold := fs.Int("read-hold", 0, "perturbation: each grid refreshes its read only every N of its own corrections (0/1 = off)")
 	stragglers := fs.String("stragglers", "", "perturbation: comma-separated grid indices that refresh 4x slower")
 	fs.IntVar(&c.parWorkers, "par-workers", 0, "worker-pool size for the sharded level kernels (0 = GOMAXPROCS)")
-	fs.IntVar(&c.parThreshold, "par-threshold", 0, "minimum kernel work before sharding; smaller levels stay serial (0 = default)")
 	c.obs.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -145,7 +144,7 @@ func build(c config, plan *solve.Plan) (*engine.Engine, error) {
 		return nil, err
 	}
 	fine, form := e.Ops[0], "nonzeros"
-	if e.H.Levels[0].A == nil {
+	if op.AsCSR(fine) == nil {
 		form = "stencil nonzeros (matrix-free)"
 	}
 	fmt.Printf("%s: %d rows, %d %s\n", name, fine.Rows(), fine.NNZEquivalent(), form)
@@ -164,7 +163,6 @@ func main() {
 		log.Fatal(err)
 	}
 	par.SetWorkers(c.parWorkers)
-	par.SetThreshold(c.parThreshold)
 
 	o, stopObs, err := c.obs.Start(log.Printf)
 	if err != nil {

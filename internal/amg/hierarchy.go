@@ -16,15 +16,8 @@ type Options struct {
 	// first this-many levels, as in the paper's BoomerAMG configuration
 	// ("HMIS coarsening with one/two aggressive levels").
 	AggressiveLevels int
-	// Interp selects the interpolation scheme for non-aggressive levels.
-	// Aggressive levels always use multipass interpolation (required,
-	// since F points can be two strong edges from every C point).
-	Interp InterpType
 	// TruncMax limits interpolation stencil size per row (0 = unlimited).
 	TruncMax int
-	// TruncTol drops interpolation entries below TruncTol times the row
-	// max magnitude.
-	TruncTol float64
 	// MaxLevels caps the hierarchy depth (including the finest level).
 	MaxLevels int
 	// MinCoarse stops coarsening when a level has at most this many rows.
@@ -40,8 +33,8 @@ type Options struct {
 	// operators and interpolants in the solver's hierarchy view
 	// (op.Float64 keeps everything in float64 CSR; op.CoarseFloat32
 	// re-stores levels k >= 1 and all interpolants in float32 with
-	// float64 accumulation). The setup itself always runs in float64 —
-	// the engine performs the conversion after building its cached view.
+	// float64 accumulation). The setup itself always runs in float64;
+	// the engine performs the conversion.
 	CoarsePrecision op.Precision
 	// Sparsify enables post-RAP sparsification of interior coarse
 	// operators (with the per-level convergence guard). The zero value
@@ -56,9 +49,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		AggressiveLevels: 1,
-		Interp:           ClassicalModified,
 		TruncMax:         4,
-		TruncTol:         0.0,
 		MaxLevels:        25,
 		MinCoarse:        40,
 	}
@@ -66,67 +57,34 @@ func DefaultOptions() Options {
 
 // The setup's fixed choices, those of the paper's BoomerAMG
 // configuration: the strength-of-connection threshold, HMIS coarsening,
-// and the seed of the randomized coarsening tie-breakers (level k
-// coarsens with seed+k).
+// classical modified interpolation on the non-aggressive levels (the
+// aggressive ones always use multipass: their F points can be two strong
+// edges from every C point), and the seed of the randomized coarsening
+// tie-breakers (level k coarsens with seed+k).
 const (
 	theta      = 0.25
 	coarsening = HMIS
+	interp     = ClassicalModified
 	seed       = 7
 )
 
-// Level is one level of the multigrid hierarchy.
+// Level is one level of the multigrid hierarchy: the operator and the
+// interpolant the cycles run, one view each.
 type Level struct {
-	// A is the operator on this level as float64 CSR (Galerkin product
-	// below the finest); nil on the geometric levels of a matrix-free
-	// hierarchy, where Op holds the class stencil instead. The first
-	// level below them holds both: A materialized from its stencil for
-	// the algebraic setup, dropped by the engine's ReleaseFloat64Storage.
-	A *sparse.CSR
-	// Op is the operator view of a level stored other than as float64 CSR
-	// (a stencil, or a float32 store after ReleaseFloat64Storage); when
-	// set, it is the level's operator.
+	// Op is the level's operator A_k: op.FromCSR of the float64 Galerkin
+	// product on an algebraic level, the class stencil on a geometric
+	// level and on the first level below them. Once an engine built by New
+	// or NewOperator owns the hierarchy, it is that engine's view (a
+	// float32 store on the coarse levels of a CoarseFloat32 hierarchy).
 	Op op.Operator
-	// P prolongates from the next coarser level to this one; nil on the
-	// coarsest level and on levels whose interpolant is matrix-free (Itp).
-	P *sparse.CSR
-	// PT is the cached transpose of P, computed once during setup and
-	// shared between the Galerkin triple product and the solver-facing
-	// restriction view (the engine previously re-transposed P per level);
-	// nil on the coarsest level.
-	PT *sparse.CSR
-	// Itp is the interpolant view of a level without materialized P/PT
-	// (the class-table interpolant of a geometric level); nil when P is
-	// set.
+	// Itp interpolates from the next coarser level to this one:
+	// op.InterpFromCSR(P, Pᵀ) on an algebraic level, the class-table
+	// op.GeomInterp on a geometric one, and, once an engine owns the
+	// hierarchy, that engine's view; nil on the coarsest level.
 	Itp op.Interp
 	// Types is the C/F splitting used to build P; nil on the coarsest and
 	// on geometrically coarsened levels.
 	Types []PointType
-}
-
-// Rows returns the level's row count from whichever view is present.
-func (l *Level) Rows() int {
-	if l.A != nil {
-		return l.A.Rows
-	}
-	return l.Op.Rows()
-}
-
-// NNZ returns the level operator's stored-or-implied nonzero count.
-func (l *Level) NNZ() int {
-	if l.A != nil {
-		return l.A.NNZ()
-	}
-	return l.Op.NNZEquivalent()
-}
-
-// Operator returns the level's operator view, wrapping a CSR level on
-// demand. The wrapper is a thin adapter; hierarchy-view owners that call
-// per cycle should cache the result.
-func (l *Level) Operator() op.Operator {
-	if l.Op != nil {
-		return l.Op
-	}
-	return op.FromCSR(l.A)
 }
 
 // Hierarchy is the output of the AMG setup: level 0 is the finest grid.
@@ -139,8 +97,8 @@ type Hierarchy struct {
 	Coarse *dense.LU
 	// Precision is the storage-precision policy requested for the
 	// solver's hierarchy view (Options.CoarsePrecision, recorded here so
-	// view owners see it without the Options). The Levels above are
-	// always float64; the engine applies the conversion.
+	// view owners see it without the Options). The setup leaves the
+	// Levels above in float64; the engine applies the conversion.
 	Precision op.Precision
 }
 
@@ -153,9 +111,9 @@ func (h *Hierarchy) NumLevels() int { return len(h.Levels) }
 func (h *Hierarchy) OperatorComplexity() float64 {
 	total := 0
 	for i := range h.Levels {
-		total += h.Levels[i].NNZ()
+		total += h.Levels[i].Op.NNZEquivalent()
 	}
-	return float64(total) / float64(h.Levels[0].NNZ())
+	return float64(total) / float64(h.Levels[0].Op.NNZEquivalent())
 }
 
 // SetupStats is the per-stage wall-time breakdown of one AMG setup. All
@@ -228,7 +186,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	}
 	for lvl := 0; ; lvl++ {
 		if lvl == opt.MaxLevels-1 || cur.Rows <= opt.MinCoarse {
-			h.Levels = append(h.Levels, Level{A: cur})
+			h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur)})
 			break
 		}
 		t0 := time.Now()
@@ -246,26 +204,26 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 		nc := CountC(types)
 		if nc == 0 || nc >= cur.Rows {
 			// Coarsening stalled; stop here.
-			h.Levels = append(h.Levels, Level{A: cur})
+			h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur)})
 			break
 		}
-		it := opt.Interp
+		it := interp
 		if aggressive {
 			it = Multipass
 		}
 		t0 = time.Now()
-		p, staged := interpolate(cur, s, types, it, fun, opt.TruncTol, opt.TruncMax)
+		p, staged := interpolate(cur, s, types, it, fun, opt.TruncMax)
 		st.Interp += time.Since(t0)
 		st.StagedPeak = max(st.StagedPeak, staged)
 		// One transpose per level, shared by the triple product here and
-		// by the engine's restriction view (which used to recompute it).
+		// by the level's restriction.
 		t0 = time.Now()
 		pt := p.Transpose()
 		st.Transpose += time.Since(t0)
 		t0 = time.Now()
 		next := sparse.RAPWith(cur, p, pt)
 		st.RAP += time.Since(t0)
-		h.Levels = append(h.Levels, Level{A: cur, P: p, PT: pt, Types: types})
+		h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur), Itp: op.InterpFromCSR(p, pt), Types: types})
 		// Coarse points inherit their fine point's function.
 		if fun != nil {
 			coarseFun := make([]int, 0, nc)
@@ -281,11 +239,11 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	// Sparsify interior coarse operators (and run the convergence guard)
 	// before factoring, so the factored/viewed chain is the guarded one.
 	sparsifyHierarchy(h, opt.Sparsify, st)
-	// Factor the coarsest operator for exact solves, if it is small
-	// enough to hold densely.
+	// Factor the coarsest operator (cur, which sparsification does not
+	// touch) for exact solves, if it is small enough to hold densely.
 	t0 := time.Now()
-	if last := h.Levels[len(h.Levels)-1].A; last.Rows <= maxCoarseLU {
-		h.Coarse, _ = dense.Factor(last) // nil if singular
+	if cur.Rows <= maxCoarseLU {
+		h.Coarse, _ = dense.Factor(cur) // nil if singular
 	}
 	st.Factor = time.Since(t0)
 	st.Total = time.Since(start)
@@ -297,7 +255,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 func (h *Hierarchy) GridSizes() []int {
 	out := make([]int, len(h.Levels))
 	for i := range h.Levels {
-		out[i] = h.Levels[i].Rows()
+		out[i] = h.Levels[i].Op.Rows()
 	}
 	return out
 }
@@ -315,10 +273,11 @@ const geomStopRows = 4096
 // geometrically (op.Stencil.Coarsen), once always and again while the
 // coarse level has more than geomStopRows rows; the fine matrix is never
 // formed. Every geometric level k, the fine one included, is its class
-// stencil A_k and class-table interpolant P_k (Op and Itp; no A, P or PT),
-// and below them comes the algebraic hierarchy of the first level with at
-// most geomStopRows rows, the one level materialized (A, with its stencil
-// as Op).
+// stencil A_k and class-table interpolant P_k (Op and Itp), and below them
+// comes the algebraic hierarchy of the first level with at most
+// geomStopRows rows. That hand-off level keeps only its class stencil as
+// Op: the CSR the algebraic setup reads is materialized here and dropped
+// when the setup returns.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)

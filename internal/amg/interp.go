@@ -19,9 +19,6 @@ const (
 	// when no shared C point exists). This is BoomerAMG's "classical
 	// modified interpolation" used throughout the paper.
 	ClassicalModified InterpType = iota
-	// Direct interpolation uses only the C points in each row with the
-	// row-sum-preserving scaling. Cheapest, used as a reference.
-	Direct
 	// Multipass interpolation interpolates rows with no direct C
 	// neighbours through already-interpolated neighbours in successive
 	// passes. Required for aggressive coarsening, where F points can be
@@ -33,8 +30,6 @@ func (t InterpType) String() string {
 	switch t {
 	case ClassicalModified:
 		return "classical-modified"
-	case Direct:
-		return "direct"
 	case Multipass:
 		return "multipass"
 	}
@@ -56,22 +51,18 @@ func coarseIndex(types []PointType) (idx []int, nc int) {
 // interpolate builds P for the splitting with the requested scheme,
 // truncated as truncateRow documents, and reports the most untruncated
 // composed entries multipass held at once (0 for the other schemes). C
-// rows are identity rows; a non-nil fun restricts the direct and multipass
-// row sums to same-function couplings (the unknown approach).
-func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int, relTol float64, maxPerRow int) (*sparse.CSR, int) {
+// rows are identity rows; a non-nil fun restricts the multipass row sums
+// to same-function couplings (the unknown approach).
+func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int, maxPerRow int) (*sparse.CSR, int) {
 	cidx, nc := coarseIndex(types)
 	strong, rowCap := strongMask(a, s, types)
 	st := newStagedRows(nc, rowCap)
-	switch typ {
-	case Direct:
-		par.Run(a.NNZ(), a.Rows, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st})
-	case Multipass:
-		peak := multipassInterp(a, strong, types, cidx, fun, st, relTol, maxPerRow)
-		return st.toCSR(0, 0), peak
-	default:
-		par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
+	if typ == Multipass {
+		peak := multipassInterp(a, strong, types, cidx, fun, st, maxPerRow)
+		return st.toCSR(0), peak
 	}
-	return st.toCSR(relTol, maxPerRow), 0
+	par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
+	return st.toCSR(maxPerRow), 0
 }
 
 // strongMask flags the strong connections on A's own pattern: mask[q] is
@@ -136,19 +127,19 @@ func (st *stagedRows) put(i, col int, val float64) {
 }
 
 // toCSR packs the staged rows into a CSR sized exactly by a prefix sum over
-// the row lengths, first truncating each row in place when relTol or
-// maxPerRow asks for it. Rows are independent, so both sweeps shard over
+// the row lengths, first truncating each row in place when maxPerRow > 0
+// asks for it. Rows are independent, so both sweeps shard over
 // the kernel pool, and the result is bitwise-identical to serial for any
 // worker count.
-func (st *stagedRows) toCSR(relTol float64, maxPerRow int) *sparse.CSR {
+func (st *stagedRows) toCSR(maxPerRow int) *sparse.CSR {
 	n := len(st.cols)
-	if relTol > 0 || maxPerRow > 0 {
+	if maxPerRow > 0 {
 		entries := 0
 		for _, c := range st.cols {
 			entries += len(c)
 		}
 		// truncateRow reads each entry twice, then once per selection pass.
-		par.Run(entries*(2+max(maxPerRow, 0)), n, &truncateKernel{st: st, relTol: relTol, maxPerRow: maxPerRow})
+		par.Run(entries*(2+maxPerRow), n, &truncateKernel{st: st, maxPerRow: maxPerRow})
 	}
 	p := &sparse.CSR{Rows: n, Cols: st.nc, RowPtr: make([]int, n+1)}
 	for i, c := range st.cols {
@@ -178,7 +169,6 @@ func (k *packKernel) Do(_, lo, hi int) {
 type truncateKernel struct {
 	st        *stagedRows
 	rows      []int
-	relTol    float64
 	maxPerRow int
 }
 
@@ -189,58 +179,45 @@ func (k *truncateKernel) Do(_, lo, hi int) {
 			i = k.rows[z]
 		}
 		cols, vals := k.st.cols[i], k.st.vals[i]
-		keep := truncateRow(cols, vals, k.relTol, k.maxPerRow)
+		keep := truncateRow(cols, vals, k.maxPerRow)
 		k.st.cols[i], k.st.vals[i] = cols[:keep], vals[:keep]
 	}
 }
 
 // truncateRow is BoomerAMG's interpolation truncation of one row, in
-// place: drop entries below relTol times the largest magnitude, keep the
-// maxPerRow largest (<= 0: all), rescale them to the old row sum, and
-// return how many were kept, in column order at the front of the row.
-func truncateRow(cols []int, vals []float64, relTol float64, maxPerRow int) int {
-	if !(relTol > 0 || maxPerRow > 0) {
-		return len(cols)
+// place: keep the maxPerRow largest magnitudes (<= 0: all), rescale them
+// to the old row sum, and return how many were kept, in column order at
+// the front of the row.
+func truncateRow(cols []int, vals []float64, maxPerRow int) int {
+	keep := len(vals)
+	if maxPerRow <= 0 || keep <= maxPerRow {
+		return keep
 	}
-	rowSum, maxMag := 0.0, 0.0
+	rowSum := 0.0
 	for _, v := range vals {
 		rowSum += v
-		if m := math.Abs(v); m > maxMag {
-			maxMag = m
-		}
 	}
-	// Drop small entries.
-	keep := 0
-	for z, v := range vals {
-		if math.Abs(v) >= relTol*maxMag {
-			cols[keep], vals[keep] = cols[z], v
-			keep++
+	// Selection of the top maxPerRow by magnitude; ties go to the entry
+	// that comes first in the order the earlier swaps left.
+	for a := 0; a < maxPerRow; a++ {
+		best, bestMag := a, math.Abs(vals[a])
+		for b := a + 1; b < keep; b++ {
+			if m := math.Abs(vals[b]); m > bestMag {
+				best, bestMag = b, m
+			}
 		}
+		cols[a], cols[best] = cols[best], cols[a]
+		vals[a], vals[best] = vals[best], vals[a]
 	}
-	// Keep only the largest maxPerRow by magnitude.
-	if maxPerRow > 0 && keep > maxPerRow {
-		// Selection of the top maxPerRow; ties go to the entry that comes
-		// first in the order the earlier swaps left.
-		for a := 0; a < maxPerRow; a++ {
-			best, bestMag := a, math.Abs(vals[a])
-			for b := a + 1; b < keep; b++ {
-				if m := math.Abs(vals[b]); m > bestMag {
-					best, bestMag = b, m
-				}
-			}
-			cols[a], cols[best] = cols[best], cols[a]
-			vals[a], vals[best] = vals[best], vals[a]
+	keep = maxPerRow
+	// Restore column order (the columns of a row are distinct).
+	for a := 1; a < keep; a++ {
+		c, v := cols[a], vals[a]
+		b := a
+		for ; b > 0 && cols[b-1] > c; b-- {
+			cols[b], vals[b] = cols[b-1], vals[b-1]
 		}
-		keep = maxPerRow
-		// Restore column order (the columns of a row are distinct).
-		for a := 1; a < keep; a++ {
-			c, v := cols[a], vals[a]
-			b := a
-			for ; b > 0 && cols[b-1] > c; b-- {
-				cols[b], vals[b] = cols[b-1], vals[b-1]
-			}
-			cols[b], vals[b] = c, v
-		}
+		cols[b], vals[b] = c, v
 	}
 	keptSum := 0.0
 	for _, v := range vals[:keep] {
@@ -262,9 +239,9 @@ func truncateRow(cols []int, vals []float64, relTol float64, maxPerRow int) int 
 //
 // which preserves row sums (interpolates constants exactly for zero-row-sum
 // operators). Rows with no strong C neighbour or a degenerate denominator
-// get an empty P row (no coarse correction for that point). It is also
-// pass 1 of multipass interpolation, which passes done to learn which rows
-// now have a stencil.
+// get an empty P row (no coarse correction for that point). It is pass 1
+// of multipass interpolation, which reads done to learn which rows now
+// have a stencil.
 //
 // The row loop is sharded over the kernel pool: each row reads only A,
 // the splitting and the strength mask (all read-only here) and writes its
@@ -276,7 +253,7 @@ type directInterpKernel struct {
 	cidx   []int
 	fun    []int
 	st     *stagedRows
-	done   []bool // nil outside multipass
+	done   []bool
 }
 
 func (k *directInterpKernel) Do(_, lo, hi int) {
@@ -291,9 +268,7 @@ func (k *directInterpKernel) Do(_, lo, hi int) {
 				}
 			}
 		}
-		if k.done != nil {
-			k.done[i] = len(k.st.cols[i]) > 0
-		}
+		k.done[i] = len(k.st.cols[i]) > 0
 	}
 }
 
@@ -453,7 +428,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 // pool, releaseBatch entries at a time, and, if composed, moved to a window
 // its truncated length fits. Rows never released by then are truncated at
 // the end.
-func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows, relTol float64, maxPerRow int) int {
+func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows, maxPerRow int) int {
 	n := a.Rows
 	done := make([]bool, n)
 	par.Run(a.NNZ(), n, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
@@ -471,7 +446,7 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 	}
 	composed := make([]bool, n)       // the row lives in slabs
 	slab := slabs{chunk: a.NNZ() / 8} // chunks of nnz(A)/8 entries
-	trunc := &truncateKernel{st: st, rows: make([]int, 0, releaseBatch), relTol: relTol, maxPerRow: maxPerRow}
+	trunc := &truncateKernel{st: st, rows: make([]int, 0, releaseBatch), maxPerRow: maxPerRow}
 	var queued, live, queuedLive, peak int // entries queued, untruncated composed (live), and both
 	flush := func() {
 		par.Run(queued*(2+max(maxPerRow, 0)), len(trunc.rows), trunc)

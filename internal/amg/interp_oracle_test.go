@@ -277,7 +277,7 @@ func refMultipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int
 	return refRowsToCSR(n, nc, rowCols, rowVals), passes
 }
 
-func refTruncateInterp(p *sparse.CSR, relTol float64, maxPerRow int) *sparse.CSR {
+func refTruncateInterp(p *sparse.CSR, maxPerRow int) *sparse.CSR {
 	out := &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int, p.Rows+1)}
 	type ent struct {
 		col int
@@ -287,25 +287,16 @@ func refTruncateInterp(p *sparse.CSR, relTol float64, maxPerRow int) *sparse.CSR
 	for i := 0; i < p.Rows; i++ {
 		row = row[:0]
 		rowSum := 0.0
-		maxMag := 0.0
 		for q := p.RowPtr[i]; q < p.RowPtr[i+1]; q++ {
 			v := p.Vals[q]
 			rowSum += v
-			if m := math.Abs(v); m > maxMag {
-				maxMag = m
-			}
 			row = append(row, ent{p.ColIdx[q], v})
 		}
 		if len(row) == 0 {
 			out.RowPtr[i+1] = len(out.Vals)
 			continue
 		}
-		kept := row[:0]
-		for _, e := range row {
-			if math.Abs(e.val) >= relTol*maxMag {
-				kept = append(kept, e)
-			}
-		}
+		kept := row
 		if maxPerRow > 0 && len(kept) > maxPerRow {
 			for a := 0; a < maxPerRow; a++ {
 				best := a
@@ -477,19 +468,16 @@ func TestInterpMatchesMapOracle(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					withSetupWorkers(t, workers)
-					direct := BuildInterpolationFunc(tc.a, s, types, Direct, fun)
+					direct := DirectInterpolation(tc.a, s, types, fun)
 					classical := BuildInterpolationFunc(tc.a, s, types, ClassicalModified, fun)
 					multi := BuildInterpolationFunc(tc.a, s, typesAgg, Multipass, fun)
 					csrEq(t, "direct", direct, wantDirect)
 					csrEq(t, "classical-modified", classical, wantClassical)
 					csrEq(t, "multipass", multi, wantMulti)
-					for _, tr := range []struct {
-						tol float64
-						max int
-					}{{0, 4}, {0.2, 0}, {0.1, 3}} {
-						name := fmt.Sprintf("truncate(%g,%d)", tr.tol, tr.max)
-						csrEq(t, name+" classical", TruncateInterp(classical, tr.tol, tr.max), refTruncateInterp(wantClassical, tr.tol, tr.max))
-						csrEq(t, name+" multipass", TruncateInterp(multi, tr.tol, tr.max), refTruncateInterp(wantMulti, tr.tol, tr.max))
+					for _, tr := range []int{4, 3, 2} {
+						name := fmt.Sprintf("truncate(%d)", tr)
+						csrEq(t, name+" classical", TruncateInterp(classical, tr), refTruncateInterp(wantClassical, tr))
+						csrEq(t, name+" multipass", TruncateInterp(multi, tr), refTruncateInterp(wantMulti, tr))
 					}
 				})
 			}
@@ -497,16 +485,22 @@ func TestInterpMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// refLevel is one level of refBuild's hierarchy, as float64 matrices.
+type refLevel struct {
+	A, P, PT *sparse.CSR
+	Types    []PointType
+}
+
 // refBuild is the setup loop of BuildWithStats over the oracle
 // interpolation: old interpolation, old truncation, everything else shared.
-func refBuild(t *testing.T, a *sparse.CSR, opt Options) []Level {
+func refBuild(t *testing.T, a *sparse.CSR, opt Options) []refLevel {
 	t.Helper()
-	var levels []Level
+	var levels []refLevel
 	fun := funMap(a.Rows, opt.NumFunctions)
 	cur := a
 	for lvl := 0; ; lvl++ {
 		if lvl == opt.MaxLevels-1 || cur.Rows <= opt.MinCoarse {
-			return append(levels, Level{A: cur})
+			return append(levels, refLevel{A: cur})
 		}
 		s := StrengthGraphFunc(cur, theta, fun)
 		aggressive := lvl < opt.AggressiveLevels
@@ -518,22 +512,19 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []Level {
 		}
 		nc := CountC(types)
 		if nc == 0 || nc >= cur.Rows {
-			return append(levels, Level{A: cur})
+			return append(levels, refLevel{A: cur})
 		}
 		var p *sparse.CSR
-		switch {
-		case aggressive:
+		if aggressive {
 			p, _ = refMultipassInterp(cur, s, types, fun)
-		case opt.Interp == Direct:
-			p = refDirectInterp(cur, s, types, fun)
-		default:
+		} else {
 			p = refClassicalInterp(cur, s, types)
 		}
-		if opt.TruncMax > 0 || opt.TruncTol > 0 {
-			p = refTruncateInterp(p, opt.TruncTol, opt.TruncMax)
+		if opt.TruncMax > 0 {
+			p = refTruncateInterp(p, opt.TruncMax)
 		}
 		pt := p.Transpose()
-		levels = append(levels, Level{A: cur, P: p, PT: pt, Types: types})
+		levels = append(levels, refLevel{A: cur, P: p, PT: pt, Types: types})
 		if fun != nil {
 			coarseFun := make([]int, 0, nc)
 			for i, ty := range types {
@@ -547,12 +538,9 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []Level {
 	}
 }
 
-// oracleTruncations are the (TruncTol, TruncMax) settings the oracle tests
-// run: the paper's, drop tolerance only, both, and none.
-var oracleTruncations = []struct {
-	tol float64
-	max int
-}{{0, 4}, {0.2, 0}, {0.1, 3}, {0, 0}}
+// oracleTruncations are the TruncMax settings the oracle tests run: the
+// paper's, two tighter ones, and none.
+var oracleTruncations = []int{4, 3, 2, 0}
 
 // TestBuildMatchesMapOracle is the whole-hierarchy form of the oracle
 // test: Build with the paper's options (and the unknown approach on
@@ -562,11 +550,11 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := make([]Options, len(oracleTruncations))
-			wants := make([][]Level, len(oracleTruncations))
+			wants := make([][]refLevel, len(oracleTruncations))
 			for z, tr := range oracleTruncations {
 				opts[z] = DefaultOptions()
 				opts[z].NumFunctions = tc.funs
-				opts[z].TruncTol, opts[z].TruncMax = tr.tol, tr.max
+				opts[z].TruncMax = tr
 				wants[z] = refBuild(t, tc.a, opts[z])
 			}
 			for _, workers := range []int{1, 2, 8} {
@@ -578,19 +566,20 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						trunc := fmt.Sprintf("truncate(%g,%d)", opt.TruncTol, opt.TruncMax)
+						trunc := fmt.Sprintf("truncate(%d)", opt.TruncMax)
 						if h.NumLevels() != len(want) {
 							t.Fatalf("%s: levels %d, want %d", trunc, h.NumLevels(), len(want))
 						}
 						for k := range want {
 							lv, lw := h.Levels[k], want[k]
-							csrEq(t, fmt.Sprintf("%s A[%d]", trunc, k), lv.A, lw.A)
-							if (lv.P == nil) != (lw.P == nil) {
+							a, p, pt := levelCSR(lv)
+							csrEq(t, fmt.Sprintf("%s A[%d]", trunc, k), a, lw.A)
+							if (p == nil) != (lw.P == nil) {
 								t.Fatalf("%s: level %d P nil mismatch", trunc, k)
 							}
 							if lw.P != nil {
-								csrEq(t, fmt.Sprintf("%s P[%d]", trunc, k), lv.P, lw.P)
-								csrEq(t, fmt.Sprintf("%s PT[%d]", trunc, k), lv.PT, lw.PT)
+								csrEq(t, fmt.Sprintf("%s P[%d]", trunc, k), p, lw.P)
+								csrEq(t, fmt.Sprintf("%s PT[%d]", trunc, k), pt, lw.PT)
 							}
 							if len(lv.Types) != len(lw.Types) {
 								t.Fatalf("%s: level %d Types length %d, want %d", trunc, k, len(lv.Types), len(lw.Types))
@@ -632,11 +621,11 @@ func TestMultipassTruncationMatchesMapOracle(t *testing.T) {
 					withSetupWorkers(t, workers)
 					for _, tr := range oracleTruncations {
 						want := untruncated
-						if tr.tol > 0 || tr.max > 0 {
-							want = refTruncateInterp(untruncated, tr.tol, tr.max)
+						if tr > 0 {
+							want = refTruncateInterp(untruncated, tr)
 						}
-						got, _ := interpolate(tc.a, s, types, Multipass, fun, tr.tol, tr.max)
-						csrEq(t, fmt.Sprintf("truncate(%g,%d)", tr.tol, tr.max), got, want)
+						got, _ := interpolate(tc.a, s, types, Multipass, fun, tr)
+						csrEq(t, fmt.Sprintf("truncate(%d)", tr), got, want)
 					}
 				})
 			}

@@ -63,7 +63,7 @@ func TestStrengthAndInterpBitwiseAcrossWorkers(t *testing.T) {
 	par.SetWorkers(1)
 	sRef := StrengthGraph(a, 0.25)
 	types := Coarsen(sRef, HMIS, 7)
-	pDirect := BuildInterpolation(a, sRef, types, Direct)
+	pDirect := DirectInterpolation(a, sRef, types, nil)
 	pClassical := BuildInterpolation(a, sRef, types, ClassicalModified)
 	typesAgg := CoarsenAggressive(sRef, HMIS, 7)
 	pMulti := BuildInterpolation(a, sRef, typesAgg, Multipass)
@@ -86,7 +86,7 @@ func TestStrengthAndInterpBitwiseAcrossWorkers(t *testing.T) {
 					}
 				}
 			}
-			csrEq(t, "direct", BuildInterpolation(a, s, types, Direct), pDirect)
+			csrEq(t, "direct", DirectInterpolation(a, s, types, nil), pDirect)
 			csrEq(t, "classical-modified", BuildInterpolation(a, s, types, ClassicalModified), pClassical)
 			csrEq(t, "multipass", BuildInterpolation(a, s, typesAgg, Multipass), pMulti)
 		})
@@ -130,13 +130,15 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 					}
 					for k := range ref.Levels {
 						lv, lw := h.Levels[k], ref.Levels[k]
-						csrEq(t, "A", lv.A, lw.A)
-						if (lv.P == nil) != (lw.P == nil) {
+						av, pv, ptv := levelCSR(lv)
+						aw, pw, ptw := levelCSR(lw)
+						csrEq(t, "A", av, aw)
+						if (pv == nil) != (pw == nil) {
 							t.Fatalf("level %d P nil mismatch", k)
 						}
-						if lw.P != nil {
-							csrEq(t, "P", lv.P, lw.P)
-							csrEq(t, "PT", lv.PT, lw.PT)
+						if pw != nil {
+							csrEq(t, "P", pv, pw)
+							csrEq(t, "PT", ptv, ptw)
 						}
 						if len(lv.Types) != len(lw.Types) {
 							t.Fatalf("level %d Types length %d, want %d", k, len(lv.Types), len(lw.Types))
@@ -162,16 +164,13 @@ func TestLevelPTMatchesTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, lv := range h.Levels {
-		if lv.P == nil {
-			if lv.PT != nil {
-				t.Fatalf("level %d has PT without P", k)
-			}
-			continue
+		_, p, pt := levelCSR(lv)
+		if (p == nil) != (k == len(h.Levels)-1) {
+			t.Fatalf("level %d of %d: P present = %v", k, len(h.Levels), p != nil)
 		}
-		if lv.PT == nil {
-			t.Fatalf("level %d missing cached PT", k)
+		if p != nil {
+			csrEq(t, "PT", pt, p.Transpose())
 		}
-		csrEq(t, "PT", lv.PT, lv.P.Transpose())
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"asyncmg/internal/op"
 	"asyncmg/internal/sparse"
 )
 
@@ -109,21 +110,19 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 	t0 := time.Now()
 	defer func() { st.Sparsify += time.Since(t0) }()
 
-	fineDensity := float64(h.Levels[0].NNZ()) / float64(h.Levels[0].Rows())
+	fineDensity := float64(h.Levels[0].Op.NNZEquivalent()) / float64(h.Levels[0].Op.Rows())
 
 	type candidate struct {
 		stat *SparsifyLevelStat
-		orig *sparse.CSR // unsparsified operator, retained until the guard passes
+		orig op.Operator // unsparsified operator, retained until the guard passes
 	}
 	var installed []candidate
 	// Pre-size the stats so the appends below never reallocate: the
 	// retained *SparsifyLevelStat pointers must stay valid for the guard.
 	st.SparsifyLevels = make([]SparsifyLevelStat, 0, len(h.Levels)-2)
 	for lvl := 1; lvl < len(h.Levels)-1; lvl++ {
-		a := h.Levels[lvl].A
-		if a == nil {
-			continue
-		}
+		orig := h.Levels[lvl].Op
+		a := op.AsCSR(orig)
 		st.SparsifyLevels = append(st.SparsifyLevels, SparsifyLevelStat{
 			Level: lvl, NNZBefore: a.NNZ(), NNZAfter: a.NNZ(),
 		})
@@ -140,8 +139,8 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 			continue
 		}
 		stat.NNZAfter = twin.NNZ()
-		h.Levels[lvl].A = twin
-		installed = append(installed, candidate{stat: stat, orig: a})
+		h.Levels[lvl].Op = op.FromCSR(twin)
+		installed = append(installed, candidate{stat: stat, orig: orig})
 	}
 	if len(installed) == 0 || opt.GuardTol < 0 {
 		return
@@ -150,15 +149,15 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 	// Guard: probe the sparsified hierarchy against the unsparsified one.
 	// The probe is deterministic, so the golden factor is computed by
 	// temporarily restoring the originals (they are still retained here).
-	for i := range installed {
-		lvl := installed[i].stat.Level
-		h.Levels[lvl].A, installed[i].orig = installed[i].orig, h.Levels[lvl].A
+	swap := func() {
+		for i := range installed {
+			lev := &h.Levels[installed[i].stat.Level]
+			lev.Op, installed[i].orig = installed[i].orig, lev.Op
+		}
 	}
+	swap()
 	golden := probeConvFactor(h)
-	for i := range installed {
-		lvl := installed[i].stat.Level
-		h.Levels[lvl].A, installed[i].orig = installed[i].orig, h.Levels[lvl].A
-	}
+	swap()
 	limit := 1 + opt.guardTol()
 
 	// Revert the most aggressively sparsified levels first (largest
@@ -175,7 +174,7 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 		if iterInflation(probeConvFactor(h), golden) <= limit {
 			break
 		}
-		h.Levels[c.stat.Level].A = c.orig
+		h.Levels[c.stat.Level].Op = c.orig
 		c.stat.Reverted = true
 		c.stat.NNZAfter = c.stat.NNZBefore
 		st.SparsifyFallbacks++
@@ -210,7 +209,8 @@ func iterInflation(s, g float64) float64 {
 // difference isolates the sparsification effect.
 func probeConvFactor(h *Hierarchy) float64 {
 	p := newProbe(h)
-	n := h.Levels[0].A.Rows
+	a := h.Levels[0].Op
+	n := a.Rows()
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = probeRHS(i)
@@ -221,7 +221,7 @@ func probeConvFactor(h *Hierarchy) float64 {
 	rHalf := 0.0
 	for c := 0; c < guardCycles; c++ {
 		if c == guardCycles-half {
-			h.Levels[0].A.Residual(r, b, x)
+			a.Residual(r, b, x)
 			rHalf = norm2(r)
 		}
 		p.vcycle(0, x, b)
@@ -229,7 +229,7 @@ func probeConvFactor(h *Hierarchy) float64 {
 	if rHalf == 0 {
 		return 0
 	}
-	h.Levels[0].A.Residual(r, b, x)
+	a.Residual(r, b, x)
 	return math.Pow(norm2(r)/rHalf, 1/float64(half))
 }
 
@@ -251,11 +251,11 @@ func newProbe(h *Hierarchy) *probe {
 	L := len(h.Levels)
 	p := &probe{h: h, diag: make([][]float64, L), r: make([][]float64, L), bc: make([][]float64, L), xc: make([][]float64, L)}
 	for k := 0; k < L; k++ {
-		a := h.Levels[k].A
-		p.diag[k] = l1RowNorms(a)
-		p.r[k] = make([]float64, a.Rows)
+		a := h.Levels[k].Op
+		p.diag[k] = a.RowL1Norms()
+		p.r[k] = make([]float64, a.Rows())
 		if k+1 < L {
-			nc := h.Levels[k+1].A.Rows
+			nc := h.Levels[k+1].Op.Rows()
 			p.bc[k] = make([]float64, nc)
 			p.xc[k] = make([]float64, nc)
 		}
@@ -263,24 +263,10 @@ func newProbe(h *Hierarchy) *probe {
 	return p
 }
 
-// l1RowNorms returns d_i = sum_j |a_ij| per row.
-func l1RowNorms(a *sparse.CSR) []float64 {
-	d := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += math.Abs(a.Vals[p])
-		}
-		d[i] = s
-	}
-	return d
-}
-
 // jacobi performs one l1-Jacobi sweep x += D_l1⁻¹ (b − A x) on level k.
 func (p *probe) jacobi(k int, x, b []float64) {
-	a := p.h.Levels[k].A
 	r, d := p.r[k], p.diag[k]
-	a.Residual(r, b, x)
+	p.h.Levels[k].Op.Residual(r, b, x)
 	for i := range x {
 		if d[i] != 0 {
 			x[i] += r[i] / d[i]
@@ -295,13 +281,13 @@ func (p *probe) vcycle(k int, x, b []float64) {
 		return
 	}
 	p.jacobi(k, x, b)
-	a, lvl := p.h.Levels[k].A, &p.h.Levels[k]
-	a.Residual(p.r[k], b, x)
-	lvl.PT.MatVec(p.bc[k], p.r[k])
+	lvl := &p.h.Levels[k]
+	lvl.Op.Residual(p.r[k], b, x)
+	lvl.Itp.ApplyT(p.bc[k], p.r[k])
 	ec := p.xc[k]
 	clear(ec)
 	p.vcycle(k+1, ec, p.bc[k])
-	lvl.P.MatVecAdd(x, ec)
+	lvl.Itp.ApplyAdd(x, ec)
 	p.jacobi(k, x, b)
 }
 

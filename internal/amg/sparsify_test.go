@@ -12,7 +12,7 @@ import (
 func coarseNNZ(h *Hierarchy) int {
 	total := 0
 	for k := 1; k < len(h.Levels); k++ {
-		total += h.Levels[k].NNZ()
+		total += h.Levels[k].Op.NNZEquivalent()
 	}
 	return total
 }
@@ -43,7 +43,7 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 		t.Fatal("stats report zero dropped nonzeros")
 	}
 	for _, s := range st.SparsifyLevels {
-		lvl := h.Levels[s.Level].A
+		lvl, _, _ := levelCSR(h.Levels[s.Level])
 		if err := lvl.Validate(); err != nil {
 			t.Fatalf("level %d invalid after sparsification: %v", s.Level, err)
 		}
@@ -59,9 +59,10 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 	// The Galerkin chain itself is built unsparsified: interpolants are
 	// bitwise-identical to the golden build.
 	for k := range golden.Levels {
-		if golden.Levels[k].P != nil {
-			csrEq(t, "P", h.Levels[k].P, golden.Levels[k].P)
-			csrEq(t, "PT", h.Levels[k].PT, golden.Levels[k].PT)
+		_, p, pt := levelCSR(h.Levels[k])
+		if _, gp, gpt := levelCSR(golden.Levels[k]); gp != nil {
+			csrEq(t, "P", p, gp)
+			csrEq(t, "PT", pt, gpt)
 		}
 	}
 }
@@ -115,7 +116,9 @@ func TestSparsifyGuardFallsBack(t *testing.T) {
 		if s.NNZAfter != s.NNZBefore {
 			t.Fatalf("reverted level %d reports nnz %d != before %d", s.Level, s.NNZAfter, s.NNZBefore)
 		}
-		csrEq(t, "reverted level A", h.Levels[s.Level].A, golden.Levels[s.Level].A)
+		a, _, _ := levelCSR(h.Levels[s.Level])
+		ga, _, _ := levelCSR(golden.Levels[s.Level])
+		csrEq(t, "reverted level A", a, ga)
 	}
 	if reverted != st.SparsifyFallbacks {
 		t.Fatalf("%d reverted level stats, %d fallbacks counted", reverted, st.SparsifyFallbacks)
@@ -191,7 +194,9 @@ func TestSparsifySetupBitwiseAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d levels, want %d", workers, len(h.Levels), len(ref.Levels))
 		}
 		for k := range ref.Levels {
-			csrEq(t, "level A", h.Levels[k].A, ref.Levels[k].A)
+			a, _, _ := levelCSR(h.Levels[k])
+			ra, _, _ := levelCSR(ref.Levels[k])
+			csrEq(t, "level A", a, ra)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 func testOptions() amg.Options {
 	opt := amg.DefaultOptions()
 	opt.AggressiveLevels = 0
-	opt.Interp = amg.ClassicalModified
 	return opt
 }
 
@@ -238,7 +237,7 @@ func TestAFACxTwoGridModifiedRHSEquivalence(t *testing.T) {
 	pe := make([]float64, n)
 	itp.P.MatVec(pe, e1s)
 	mod := make([]float64, n)
-	s.H.Levels[0].A.Residual(mod, r0, pe)
+	s.Ops[0].Residual(mod, r0, pe)
 	e0tilde := make([]float64, n)
 	s.Smo[0].Apply(e0tilde, mod)
 	e0 := make([]float64, n)
@@ -490,7 +489,7 @@ func TestCoarseSolveFallbackToSmoothing(t *testing.T) {
 	r := grid.RandomRHS(nc, 19)
 	s.CoarseSolve(e, r)
 	// One Jacobi sweep from zero: e = ω D⁻¹ r.
-	d := s.H.Levels[l-1].A.Diag()
+	d := s.Ops[l-1].Diag()
 	for i := range e {
 		want := 0.9 * r[i] / d[i]
 		if math.Abs(e[i]-want) > 1e-14 {

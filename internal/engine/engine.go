@@ -1,7 +1,9 @@
 // Package engine is the shared multigrid cycle engine: it owns the
-// hierarchy view (the AMG levels plus every matrix-derived operator the
-// solvers need — transposes, smoothed interpolants, cached diagonals and
-// row norms), pooled per-level workspaces, and the single implementation
+// hierarchy view (each level's operator and interpolant in the storage
+// precision the hierarchy asks for, its smoother, and Multadd's smoothed
+// interpolant built from that smoother's own M⁻¹; the smoothers hold the
+// diagonals and row norms, which the engine does not cache beside them),
+// pooled per-level workspaces, and the single implementation
 // of the cycles and of the per-grid correction math that the synchronous
 // solvers, the goroutine-team asynchronous runtime (package async), the
 // sequential §III models (package model), the Krylov preconditioners
@@ -57,24 +59,24 @@ func (m Method) String() string {
 	return "unknown"
 }
 
-// Engine bundles everything the cycles need: the AMG hierarchy,
-// per-level smoothers, the smoothed interpolants of Multadd with their
-// transposes, and the cached per-level diagonals/row norms that smoother
-// construction and interpolant scaling share.
+// Engine bundles everything the cycles need: the AMG hierarchy, its
+// per-level operator and interpolant views, per-level smoothers and the
+// smoothed interpolants of Multadd.
 type Engine struct {
 	H *amg.Hierarchy
 	// Smo[k] smooths on level k. The coarsest level also has a smoother
 	// (AFACx smooths there; Mult/Multadd use the exact solve when
 	// available).
 	Smo []*smoother.S
-	// Ops[k] is the operator view of level k the cycles run on: a CSR
-	// adapter in the default float64 configuration, the hierarchy's
-	// matrix-free operator on a stencil fine level, or a float32 re-store
-	// on compressed coarse levels.
+	// Ops[k] is the operator view of level k the cycles run on: the
+	// hierarchy's own Levels[k].Op (a float64 CSR adapter or a class
+	// stencil), or its float32 re-store on the coarse levels of a
+	// CoarseFloat32 hierarchy.
 	Ops []op.Operator
-	// Itp[k] is the plain interpolant view for level pair k/k+1; SItp[k]
-	// the smoothed interpolant view P̄ = (I − diag(s_k) A_k) P[k] that
-	// Multadd's correction chains use. len == levels-1.
+	// Itp[k] is the plain interpolant view for level pair k/k+1 (the
+	// hierarchy's, or its float32 re-store); SItp[k] the smoothed
+	// interpolant view P̄ = (I − diag(s_k) A_k) P[k] that Multadd's
+	// correction chains use. len == levels-1.
 	Itp, SItp []op.Interp
 	// Cfg is the smoother configuration used on every level.
 	Cfg smoother.Config
@@ -83,12 +85,6 @@ type Engine struct {
 	// engine ran it (New); nil when the engine wrapped a pre-built
 	// hierarchy (NewFromHierarchy).
 	Setup *amg.SetupStats
-
-	// diag[k] caches A_k's diagonal; rowL1[k] its row ℓ1 norms (only
-	// populated when the smoother kind needs them). Both are shared with
-	// every smoother built through NewLevelSmoother, so repeated smoother
-	// construction (one per async team, per level) never rescans a matrix.
-	diag, rowL1 [][]float64
 
 	wsPool, corrPool sync.Pool
 
@@ -127,108 +123,7 @@ func New(a *sparse.CSR, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, er
 	if err != nil {
 		return nil, err
 	}
-	eng, err := NewFromHierarchy(h, smoCfg)
-	if err != nil {
-		return nil, err
-	}
-	eng.Setup = st
-	// The hierarchy was built here and is exclusively this engine's, so a
-	// compressed view may drop the float64 copies it replaced.
-	eng.ReleaseFloat64Storage()
-	return eng, nil
-}
-
-// NewFromHierarchy builds solver operators on an existing hierarchy.
-// The hierarchy's Precision policy is applied here: with CoarseFloat32
-// the coarse operators (k >= 1) and every interpolant are re-stored in
-// float32 (float64 accumulation) for the engine's view; the setup-built
-// float64 matrices stay on the hierarchy untouched (see
-// ReleaseFloat64Storage for dropping them when the engine owns it).
-func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error) {
-	l := h.NumLevels()
-	s := &Engine{H: h, Cfg: smoCfg}
-	f32 := h.Precision == op.CoarseFloat32
-	// Operator views: the default path wraps each CSR level once, a
-	// matrix-free fine level passes through, and compressed coarse levels
-	// convert to float32 storage.
-	s.Ops = make([]op.Operator, l)
-	for k := 0; k < l; k++ {
-		a := h.Levels[k].Operator()
-		if f32 && k >= 1 {
-			if m := op.AsCSR(a); m != nil {
-				a = op.NewCSR32(m)
-			} else if st, ok := a.(*op.Stencil); ok {
-				a = st.RoundFloat32()
-			}
-		}
-		s.Ops[k] = a
-	}
-	// Cache the operator-derived vectors once per level; smoother
-	// construction and interpolant scaling below both read them. On
-	// compressed levels the diagonal comes from the float32 store, so the
-	// smoother and the matrix it sweeps agree on precision.
-	s.diag = make([][]float64, l)
-	s.rowL1 = make([][]float64, l)
-	for k := 0; k < l; k++ {
-		s.diag[k] = s.Ops[k].Diag()
-		if smoCfg.Kind == smoother.L1Jacobi {
-			s.rowL1[k] = s.Ops[k].RowL1Norms()
-		}
-	}
-	s.Smo = make([]*smoother.S, l)
-	for k := 0; k < l; k++ {
-		sm, err := smoother.NewOperator(s.Ops[k], smoCfg, s.Pre(k))
-		if err != nil {
-			return nil, fmt.Errorf("mg: level %d smoother: %w", k, err)
-		}
-		s.Smo[k] = sm
-	}
-	s.Itp = make([]op.Interp, l-1)
-	s.SItp = make([]op.Interp, l-1)
-	for k := 0; k < l-1; k++ {
-		scale, err := smoother.InterpolantScalingOp(s.Ops[k], smoCfg, s.Pre(k))
-		if err != nil {
-			return nil, fmt.Errorf("mg: level %d interpolant scaling: %w", k, err)
-		}
-		if g, ok := h.Levels[k].Itp.(*op.GeomInterp); ok {
-			// Geometric level: P and P̄ are class tables over the level's
-			// float64 stencil. Level 0 stays float64; coarser P̄ weights
-			// round to float32 as a CSR32 P̄ would (P's are powers of two,
-			// exact in float32 already).
-			a, ok := h.Levels[k].Op.(*op.Stencil)
-			if !ok {
-				return nil, fmt.Errorf("mg: level %d operator %T cannot smooth a geometric interpolant", k, h.Levels[k].Op)
-			}
-			pbar := g.Smooth(a, scale)
-			if f32 && k >= 1 {
-				pbar = pbar.RoundFloat32()
-			}
-			s.Itp[k], s.SItp[k] = g, pbar
-			continue
-		}
-		p := h.Levels[k].P
-		// The setup phase caches Pᵀ on the level (it already needed it for
-		// the Galerkin product); only hand-built hierarchies lack it.
-		pt := h.Levels[k].PT
-		if pt == nil {
-			pt = p.Transpose()
-		}
-		// P̄ = P − diag(scale)·A·P, computed as a sparse product then a
-		// row-scaled subtraction.
-		ap := sparse.MatMul(h.Levels[k].A, p)
-		ap.ScaleRows(scale)
-		pbar := sparse.Sub(p, ap)
-		if f32 {
-			// Compressed interpolants: the float64 P̄ pair is converted and
-			// dropped; P/PT stay only on the hierarchy.
-			s.Itp[k] = op.NewCSR32Interp(p, pt)
-			s.SItp[k] = op.NewCSR32Interp(pbar, pbar.Transpose())
-			continue
-		}
-		s.Itp[k] = op.InterpFromCSR(p, pt)
-		s.SItp[k] = op.InterpFromCSR(pbar, pbar.Transpose())
-	}
-	return s, nil
+	return adopt(h, st, smoCfg)
 }
 
 // NewOperator builds the hierarchy and all solver operators from an
@@ -242,20 +137,111 @@ func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*En
 	if err != nil {
 		return nil, err
 	}
+	return adopt(h, st, smoCfg)
+}
+
+// adopt builds the engine on a hierarchy built for it alone, which then
+// holds the engine's views: on a CoarseFloat32 hierarchy the float64
+// operators and interpolants they replace become collectable.
+func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engine, error) {
 	eng, err := NewFromHierarchy(h, smoCfg)
 	if err != nil {
 		return nil, err
 	}
 	eng.Setup = st
-	eng.ReleaseFloat64Storage()
+	for k := range h.Levels {
+		h.Levels[k].Op = eng.Ops[k]
+		if k < len(eng.Itp) {
+			h.Levels[k].Itp = eng.Itp[k]
+		}
+	}
 	return eng, nil
+}
+
+// NewFromHierarchy builds solver operators on an existing hierarchy,
+// which it leaves as it is. The hierarchy's Precision policy is applied
+// here: with CoarseFloat32 the coarse operators (k >= 1) and every
+// interpolant are re-stored in float32 (float64 accumulation) for the
+// engine's view.
+func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error) {
+	l := h.NumLevels()
+	s := &Engine{H: h, Cfg: smoCfg, Ops: make([]op.Operator, l), Smo: make([]*smoother.S, l),
+		Itp: make([]op.Interp, l-1), SItp: make([]op.Interp, l-1)}
+	f32 := h.Precision == op.CoarseFloat32
+	for k := range h.Levels {
+		lev := &h.Levels[k]
+		a := lev.Op
+		if f32 && k >= 1 {
+			switch v := a.(type) {
+			case *op.CSR[float64, int]:
+				a = op.NewCSR32(v.M)
+			case *op.Stencil:
+				a = v.RoundFloat32()
+			}
+		}
+		s.Ops[k] = a
+		sm, err := smoother.NewOperator(a, smoCfg)
+		if err != nil {
+			return nil, fmt.Errorf("mg: level %d smoother: %w", k, err)
+		}
+		s.Smo[k] = sm
+		if k == l-1 {
+			break
+		}
+		// P̄ scales by the smoother's own M⁻¹; the block kinds, whose M is
+		// not diagonal, by ω-Jacobi's (Section V).
+		scale := sm.InvDiag()
+		if scale == nil {
+			if scale, err = smoother.InterpolantScalingOp(a, smoCfg); err != nil {
+				return nil, fmt.Errorf("mg: level %d interpolant scaling: %w", k, err)
+			}
+		}
+		if g, ok := lev.Itp.(*op.GeomInterp); ok {
+			// Geometric level: P and P̄ are class tables over the level's
+			// float64 stencil. Level 0 stays float64; coarser P̄ weights
+			// round to float32 as a CSR32 P̄ would (P's are powers of two,
+			// exact in float32 already).
+			st, ok := lev.Op.(*op.Stencil)
+			if !ok {
+				return nil, fmt.Errorf("mg: level %d operator %T cannot smooth a geometric interpolant", k, lev.Op)
+			}
+			pbar := g.Smooth(st, scale)
+			if f32 && k >= 1 {
+				pbar = pbar.RoundFloat32()
+			}
+			s.Itp[k], s.SItp[k] = g, pbar
+			continue
+		}
+		itp, ok := lev.Itp.(*op.CSRInterp[float64, int])
+		if !ok {
+			return nil, fmt.Errorf("mg: level %d interpolant %T is not a float64 P", k, lev.Itp)
+		}
+		// P̄ = P − diag(scale)·A·P, computed as a sparse product then a
+		// row-scaled subtraction, over the float64 A_k. The hand-off level
+		// of a stencil hierarchy holds A_k as its class stencil, which the
+		// product reads materialized, here only.
+		ak := op.AsCSR(lev.Op)
+		if st, ok := lev.Op.(*op.Stencil); ok {
+			ak = st.CSR()
+		}
+		ap := sparse.MatMul(ak, itp.P)
+		ap.ScaleRows(scale)
+		pbar := sparse.Sub(itp.P, ap)
+		if f32 {
+			s.Itp[k] = op.NewCSR32Interp(itp.P, itp.PT)
+			s.SItp[k] = op.NewCSR32Interp(pbar, nil)
+			continue
+		}
+		s.Itp[k] = itp
+		s.SItp[k] = op.InterpFromCSR(pbar, nil)
+	}
+	return s, nil
 }
 
 // HierarchyBytes reports the resident storage of the engine's hierarchy
 // view: every level operator plus the plain and smoothed interpolant
 // views. Matrix-free operators contribute O(1); a compressed view counts
-// its float32 stores (the float64 originals still on the hierarchy are
-// not the engine's — see ReleaseFloat64Storage).
+// its float32 stores.
 func (s *Engine) HierarchyBytes() int {
 	total := 0
 	for _, a := range s.Ops {
@@ -270,60 +256,19 @@ func (s *Engine) HierarchyBytes() int {
 	return total
 }
 
-// ReleaseFloat64Storage rewires the hierarchy levels onto the engine's
-// stencil and float32 views and drops the setup-built float64 matrices
-// they replaced, making that storage collectable: the materialized A
-// beside the stencil of the first level below the geometric ones (only
-// the algebraic setup read it) and, on a float32 hierarchy, every
-// float64 operator and interpolant. Call only when the engine
-// exclusively owns its hierarchy (the facade's one-shot setup does; a
-// hierarchy shared across engines must keep its float64 levels). The
-// fine level and the coarse LU factorization are always retained.
-func (s *Engine) ReleaseFloat64Storage() {
-	for k := range s.H.Levels {
-		lev := &s.H.Levels[k]
-		if k < len(s.Itp) {
-			if _, ok := s.Itp[k].(*op.CSRInterp[float32, int32]); ok {
-				lev.P, lev.PT = nil, nil
-				lev.Itp = s.Itp[k]
-			}
-		}
-		switch s.Ops[k].(type) {
-		case *op.CSR[float32, int32], *op.Stencil:
-			lev.A = nil
-			lev.Op = s.Ops[k]
-		}
-	}
-}
-
 // NumLevels returns the hierarchy depth.
 func (s *Engine) NumLevels() int { return s.H.NumLevels() }
 
 // LevelSize returns the number of rows on level k.
-func (s *Engine) LevelSize(k int) int { return s.H.Levels[k].Rows() }
+func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 
-// Pre returns the cached matrix-derived vectors of level k for smoother
-// construction. Zero-valued (forcing recomputation) when the engine was
-// built without the constructors.
-func (s *Engine) Pre(k int) smoother.Precomputed {
-	pre := smoother.Precomputed{}
-	if k < len(s.diag) {
-		pre.Diag = s.diag[k]
-	}
-	if k < len(s.rowL1) {
-		pre.RowL1 = s.rowL1[k]
-	}
-	return pre
-}
-
-// NewLevelSmoother builds a level-k smoother with the engine's
-// configuration and the given block count (team runtimes use one block
-// per thread), sourcing the diagonal/row-norm vectors from the cached
-// hierarchy view.
+// NewLevelSmoother builds a level-k smoother on the engine's operator
+// view with the engine's configuration and the given block count (team
+// runtimes use one block per thread).
 func (s *Engine) NewLevelSmoother(k, blocks int) (*smoother.S, error) {
 	cfg := s.Cfg
 	cfg.Blocks = blocks
-	return smoother.NewOperator(s.Ops[k], cfg, s.Pre(k))
+	return smoother.NewOperator(s.Ops[k], cfg)
 }
 
 // Workspace holds the per-level scratch vectors of one cycle execution.

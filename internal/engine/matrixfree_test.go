@@ -58,17 +58,18 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 			for k := 0; k < len(levels); k++ {
 				st, ok := levels[k].Op.(*op.Stencil)
 				g, geom := levels[k].Itp.(*op.GeomInterp)
-				if ok != (k <= tc.geom) || geom != (k < tc.geom) || (levels[k].A == nil) != geom {
-					t.Fatalf("level %d is %T with %T and A %v, want stencils down to level %d, class-table interpolants and no A above it",
-						k, levels[k].Op, levels[k].Itp, levels[k].A != nil, tc.geom)
+				if ok != (k <= tc.geom) || geom != (k < tc.geom) {
+					t.Fatalf("level %d is %T with %T, want stencils down to level %d and class-table interpolants above it",
+						k, levels[k].Op, levels[k].Itp, tc.geom)
 				}
 				if geom {
-					p := g.CSR()
-					levels[k] = amg.Level{A: st.CSR(), P: p, PT: p.Transpose()}
+					levels[k].Itp = op.InterpFromCSR(g.CSR(), nil)
 				}
-				levels[k].Op = nil // the twin's level k is the materialized A_k
+				if ok {
+					levels[k].Op = op.FromCSR(st.CSR()) // the twin's level k is the materialized A_k
+				}
 			}
-			levels[0].A = tc.csr
+			levels[0].Op = op.FromCSR(tc.csr)
 			hCSR := &amg.Hierarchy{Levels: levels, Coarse: hMF.Coarse}
 
 			sMF, err := NewFromHierarchy(hMF, smo)
@@ -130,14 +131,14 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 				if got := s.Ops[k].Bytes(); got > tableBytes {
 					t.Errorf("level %d operator holds %d resident bytes, want <= %d (one class table)", k, got, tableBytes)
 				}
-				if s.H.Levels[k].A != nil {
-					t.Errorf("level %d retains a materialized CSR (%d nnz)", k, s.H.Levels[k].A.NNZ())
+				if lev := s.H.Levels[k]; lev.Op != s.Ops[k] {
+					t.Errorf("level %d holds %T, not the engine's stencil", k, lev.Op)
 				}
 				if k == tc.geom {
 					break
 				}
-				if lev := s.H.Levels[k]; lev.P != nil || lev.PT != nil {
-					t.Errorf("geometric level %d retains a materialized P (%v) or Pᵀ (%v)", k, lev.P != nil, lev.PT != nil)
+				if lev := s.H.Levels[k]; lev.Itp != s.Itp[k] {
+					t.Errorf("geometric level %d holds %T, not the engine's class table", k, lev.Itp)
 				}
 				for name, itp := range map[string]op.Interp{"P": s.Itp[k], "P̄": s.SItp[k]} {
 					if _, ok := itp.(*op.GeomInterp); !ok {
@@ -200,17 +201,16 @@ func TestFloat32HierarchyFootprint(t *testing.T) {
 		t.Errorf("float32 coarse storage saves %.1f%% (f64 %d B, f32 %d B), want >= 35%%",
 			100*reduction, b64, b32)
 	}
-	// The released float64 coarse levels must actually be droppable: the
-	// engine owns its hierarchy here, so the levels were rewired onto the
-	// compressed views.
+	// The float64 coarse levels must actually be droppable: the engine
+	// owns its hierarchy here, so the levels hold the compressed views.
 	for k := 1; k < s32.NumLevels(); k++ {
-		if s32.H.Levels[k].A != nil {
-			t.Errorf("level %d retains its float64 CSR after release", k)
+		if op.AsCSR(s32.H.Levels[k].Op) != nil {
+			t.Errorf("level %d holds its float64 CSR", k)
 		}
 	}
 	for k := 0; k < s32.NumLevels()-1; k++ {
-		if s32.H.Levels[k].P != nil || s32.H.Levels[k].PT != nil {
-			t.Errorf("level %d retains float64 P/PT after release", k)
+		if _, ok := s32.H.Levels[k].Itp.(*op.CSRInterp[float32, int32]); !ok {
+			t.Errorf("level %d holds a %T interpolant, want the float32 one", k, s32.H.Levels[k].Itp)
 		}
 	}
 }

@@ -63,8 +63,8 @@ func TestSparsifyPaperMatrices(t *testing.T) {
 		// Coarse nnz over every level below the finest; the coarsest is
 		// never a candidate but counts, so the reduction is over all of them.
 		for k := 1; k < golden.NumLevels(); k++ {
-			before += golden.H.Levels[k].NNZ()
-			after += sparsified.H.Levels[k].NNZ()
+			before += golden.H.Levels[k].Op.NNZEquivalent()
+			after += sparsified.H.Levels[k].Op.NNZEquivalent()
 		}
 
 		b := grid.RandomRHS(golden.LevelSize(0), 11)

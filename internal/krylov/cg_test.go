@@ -7,6 +7,7 @@ import (
 	"asyncmg/internal/amg"
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
@@ -104,7 +105,7 @@ func TestBPXPreconditionedCGBeatsPlainCG(t *testing.T) {
 	// condition-number-independent CG iteration counts. It must beat plain
 	// CG decisively on a Laplacian.
 	s := buildSetup(t, 10)
-	a := s.H.Levels[0].A
+	a := op.AsCSR(s.Ops[0])
 	b := grid.RandomRHS(a.Rows, 3)
 
 	plain, err := Solve(a, b, DefaultOptions())
@@ -132,7 +133,7 @@ func TestBPXPCGIterationsGridIndependent(t *testing.T) {
 	var iters []int
 	for _, n := range []int{6, 9, 12} {
 		s := buildSetup(t, n)
-		a := s.H.Levels[0].A
+		a := op.AsCSR(s.Ops[0])
 		b := grid.RandomRHS(a.Rows, 4)
 		opt := DefaultOptions()
 		opt.Tol = 1e-8
@@ -155,7 +156,7 @@ func TestSymmetrizedMultaddPreconditioner(t *testing.T) {
 	// The symmetrized Multadd cycle is SPD (it equals the symmetric
 	// V(1,1)-cycle), so PCG with it must converge fast with no breakdown.
 	s := buildSetup(t, 10)
-	a := s.H.Levels[0].A
+	a := op.AsCSR(s.Ops[0])
 	b := grid.RandomRHS(a.Rows, 5)
 	p := NewMGPreconditioner(s, engine.Multadd)
 	p.Symmetrized = true

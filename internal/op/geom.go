@@ -290,7 +290,7 @@ func (g *GeomInterp) ApplyRange(fine, coarse []float64, lo, hi int) {
 }
 
 // ApplyAddRange computes fine[lo:hi] += (P coarse)[lo:hi]: the row sum
-// accumulates fully before the single add, as MatVecAdd's does.
+// accumulates fully before the single add, as the CSR kernel's does.
 func (g *GeomInterp) ApplyAddRange(fine, coarse []float64, lo, hi int) {
 	g.prolong(fine, coarse, lo, hi, true)
 }

@@ -103,7 +103,7 @@ func assertKernels(t *testing.T, name string, g *GeomInterp, p, pt *sparse.CSR, 
 	wantP := make([]float64, p.Rows)
 	p.MatVec(wantP, coarse)
 	wantAdd := append([]float64(nil), fine...)
-	p.MatVecAdd(wantAdd, coarse)
+	p.ApplyAddRange(wantAdd, coarse, 0, p.Rows)
 	wantT := make([]float64, pt.Rows)
 	pt.MatVec(wantT, fine)
 

@@ -274,7 +274,7 @@ func TestGeomInterpMatchesCSRBitwise(t *testing.T) {
 		pt.MatVec(wantPT, fine)
 		wantAdd := make([]float64, g.FineRows())
 		copy(wantAdd, fine)
-		p.MatVecAdd(wantAdd, coarse)
+		p.ApplyAddRange(wantAdd, coarse, 0, p.Rows)
 
 		check := func(t *testing.T) {
 			got := make([]float64, g.FineRows())

@@ -93,37 +93,20 @@ type S struct {
 	delta []float64
 }
 
-// Precomputed carries matrix-derived vectors a caller has already
-// computed (e.g. the engine's cached hierarchy view), so repeated
-// smoother construction on the same level does not rescan the matrix.
-// Either field may be nil, in which case it is computed from a.
-type Precomputed struct {
-	// Diag is the matrix diagonal (a.Diag()).
-	Diag []float64
-	// RowL1 holds the row ℓ1 norms (a.RowL1Norms()).
-	RowL1 []float64
-}
-
 // New builds a smoother for a. cfg.Blocks <= 0 defaults to 1 block.
 func New(a *sparse.CSR, cfg Config) (*S, error) {
-	return NewOperator(op.FromCSR(a), cfg, Precomputed{})
+	return NewOperator(op.FromCSR(a), cfg)
 }
 
 // diagonalScaling returns the diagonal M⁻¹ of a Jacobi-type iteration on
 // a: 1/Σ_j|a_ij| for the ℓ1 form (omega is ignored), omega/a_ii otherwise.
-// The row norms or diagonal come from pre when available.
-func diagonalScaling(a op.Operator, l1 bool, omega float64, pre Precomputed) ([]float64, error) {
-	d, what := pre.Diag, "zero diagonal at"
+func diagonalScaling(a op.Operator, l1 bool, omega float64) ([]float64, error) {
+	d, what := a.Diag, "zero diagonal at"
 	if l1 {
-		d, what, omega = pre.RowL1, "empty", 1
-	}
-	if d == nil && l1 {
-		d = a.RowL1Norms()
-	} else if d == nil {
-		d = a.Diag()
+		d, what, omega = a.RowL1Norms, "empty", 1
 	}
 	out := make([]float64, a.Rows())
-	for i, v := range d {
+	for i, v := range d() {
 		if v == 0 {
 			return nil, fmt.Errorf("smoother: %s row %d", what, i)
 		}
@@ -132,12 +115,11 @@ func diagonalScaling(a op.Operator, l1 bool, omega float64, pre Precomputed) ([]
 	return out, nil
 }
 
-// NewOperator builds a smoother bound to an arbitrary operator, reusing
-// any precomputed diagonal or row-norm vectors instead of rescanning the
-// matrix. The block kinds need triangular row storage, so they require an
-// operator backed by a float64 CSR; matrix-free and reduced-precision
-// operators support only the diagonal kinds (WJacobi, L1Jacobi).
-func NewOperator(a op.Operator, cfg Config, pre Precomputed) (*S, error) {
+// NewOperator builds a smoother bound to an arbitrary operator. The block
+// kinds need triangular row storage, so they require an operator backed
+// by a float64 CSR; matrix-free and reduced-precision operators support
+// only the diagonal kinds (WJacobi, L1Jacobi).
+func NewOperator(a op.Operator, cfg Config) (*S, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("smoother: operator must be square, got %dx%d", a.Rows(), a.Cols())
 	}
@@ -161,9 +143,9 @@ func NewOperator(a op.Operator, cfg Config, pre Precomputed) (*S, error) {
 		if cfg.Omega <= 0 || cfg.Omega > 2 {
 			return nil, fmt.Errorf("smoother: ω-Jacobi weight %v outside (0, 2]", cfg.Omega)
 		}
-		s.invDiag, err = diagonalScaling(a, false, cfg.Omega, pre)
+		s.invDiag, err = diagonalScaling(a, false, cfg.Omega)
 	case L1Jacobi:
-		s.invDiag, err = diagonalScaling(a, true, 0, pre)
+		s.invDiag, err = diagonalScaling(a, true, 0)
 	case HybridJGS, AsyncGS, L1HybridJGS:
 		if s.A == nil {
 			return nil, fmt.Errorf("smoother: %v requires a materialized float64 matrix; matrix-free and reduced-precision operators support only the diagonal smoothers (w-jacobi, l1-jacobi)", cfg.Kind)
@@ -210,9 +192,9 @@ func (s *S) offBlockL1() []float64 {
 
 // InvDiag exposes the diagonal scaling M⁻¹ of the Jacobi-type smoothers
 // (ω/a_ii for WJacobi, 1/‖a_i‖₁ for L1Jacobi); nil for the block
-// smoothers, whose application is not a diagonal scaling. Its only caller
-// is the benchmark's sparse.fused_jrr_over_unfused probe, which retires
-// with it and op.FusedJacobiResidualRestrict.
+// smoothers, whose application is not a diagonal scaling. The engine
+// builds each level's smoothed interpolant P̄ = (I − M⁻¹A)P from it, and
+// the benchmark's sparse.fused_jrr_over_unfused probe reads it too.
 func (s *S) InvDiag() []float64 {
 	switch s.Kind {
 	case WJacobi, L1Jacobi:
@@ -302,15 +284,14 @@ func (s *S) Sweep(e, r, scratch []float64) {
 // Multadd is G = I − diag(s)·A. Per Section V of the paper, the ℓ1-Jacobi
 // smoother uses its own iteration matrix (s_i = 1/Σ_j |a_ij|), while every
 // other smoother uses the ω-Jacobi iteration matrix (s_i = ω/a_ii) so the
-// interpolants stay sparse. It sources the diagonal and row-norm vectors
-// from pre when available so hierarchy-view owners do not rescan each
-// level's matrix a second time.
-func InterpolantScalingOp(a op.Operator, cfg Config, pre Precomputed) ([]float64, error) {
+// interpolants stay sparse. For the Jacobi kinds it equals the
+// smoother's InvDiag bit for bit.
+func InterpolantScalingOp(a op.Operator, cfg Config) ([]float64, error) {
 	omega := cfg.Omega
 	if omega <= 0 {
 		omega = 0.9
 	}
-	return diagonalScaling(a, cfg.Kind == L1Jacobi, omega, pre)
+	return diagonalScaling(a, cfg.Kind == L1Jacobi, omega)
 }
 
 // SweepBlockAtomic performs one asynchronous Gauss-Seidel sweep (AsyncGS)

@@ -325,7 +325,7 @@ func TestAsyncGSConcurrentConverges(t *testing.T) {
 func TestInterpolantScaling(t *testing.T) {
 	a := lap1d(4)
 	// ω-Jacobi scaling.
-	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: WJacobi, Omega: 0.9}, Precomputed{})
+	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: WJacobi, Omega: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestInterpolantScaling(t *testing.T) {
 		}
 	}
 	// Hybrid and async use the ω-Jacobi matrix too.
-	h, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: AsyncGS, Omega: 0.9}, Precomputed{})
+	h, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: AsyncGS, Omega: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestInterpolantScaling(t *testing.T) {
 		}
 	}
 	// ℓ1 scaling uses row l1 norms (3, 4, 4, 3).
-	l1, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: L1Jacobi}, Precomputed{})
+	l1, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: L1Jacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestSweepBlockFromResidualL1Hybrid(t *testing.T) {
 func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	// Omega <= 0 falls back to 0.9 for the default branch.
 	a := lap1d(3)
-	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: HybridJGS}, Precomputed{})
+	s, err := InterpolantScalingOp(op.FromCSR(a), Config{Kind: HybridJGS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,11 +526,11 @@ func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	// Errors for degenerate matrices.
 	z := sparse.NewCOO(1, 1, 1)
 	z.Add(0, 0, 0)
-	if _, err := InterpolantScalingOp(op.FromCSR(z.ToCSR()), Config{Kind: WJacobi, Omega: 0.9}, Precomputed{}); err == nil {
+	if _, err := InterpolantScalingOp(op.FromCSR(z.ToCSR()), Config{Kind: WJacobi, Omega: 0.9}); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 	empty := &sparse.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 0}}
-	if _, err := InterpolantScalingOp(op.FromCSR(empty), Config{Kind: L1Jacobi}, Precomputed{}); err == nil {
+	if _, err := InterpolantScalingOp(op.FromCSR(empty), Config{Kind: L1Jacobi}); err == nil {
 		t.Error("empty row accepted for l1")
 	}
 }

@@ -22,7 +22,7 @@ func TestBuildMatrixFreeFallback(t *testing.T) {
 					t.Fatalf("Build: %v", err)
 				}
 				_, stencil := e.Ops[0].(*op.Stencil)
-				csr := e.H.Levels[0].A != nil
+				csr := op.AsCSR(e.Ops[0]) != nil
 				if want := size >= 3; stencil != want || csr == want {
 					t.Errorf("fine level is %T (CSR %v), want a stencil = %v", e.Ops[0], csr, want)
 				}

@@ -171,12 +171,12 @@ func TestMatVecAdd(t *testing.T) {
 	x := randVec(rng, 9)
 	y := randVec(rng, 9)
 	y0 := append([]float64(nil), y...)
-	a.MatVecAdd(y, x)
+	a.ApplyAddRange(y, x, 0, a.Rows)
 	ax := make([]float64, 9)
 	a.MatVec(ax, x)
 	for i := range y {
 		if math.Abs(y[i]-(y0[i]+ax[i])) > 1e-14 {
-			t.Fatalf("MatVecAdd[%d] wrong", i)
+			t.Fatalf("ApplyAddRange[%d] wrong", i)
 		}
 	}
 }

@@ -194,9 +194,6 @@ func (a *Matrix[V, I]) MatVec(y, x []float64) {
 	a.ApplyRange(y, x, 0, a.Rows)
 }
 
-// MatVecAdd computes y += A x serially.
-func (a *Matrix[V, I]) MatVecAdd(y, x []float64) { a.ApplyAddRange(y, x, 0, a.Rows) }
-
 // Residual computes r = b - A x serially.
 func (a *Matrix[V, I]) Residual(r, b, x []float64) {
 	if len(r) != a.Rows || len(b) != a.Rows || len(x) != a.Cols {

@@ -115,7 +115,7 @@ func TestAsyncSmootherRadius7pt(t *testing.T) {
 	// convergence condition ρ(|G|) < 1 must hold (this is why async GS
 	// converges in the experiments).
 	a := grid.Laplacian7pt(6)
-	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 0.9}, smoother.Precomputed{})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAsyncSmootherRadiusL1AlwaysSafe(t *testing.T) {
 	// ℓ1-Jacobi: |G| row sums are (Σ|a_ij| - |a_ii| + |a_ii - Σ|a_ij||)/Σ|a_ij| <= 1,
 	// so ρ(|G|) <= 1 on any matrix; on the Laplacians it is < 1.
 	a := grid.Laplacian27pt(5)
-	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.L1Jacobi}, smoother.Precomputed{})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.L1Jacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestOverRelaxedJacobiUnsafe(t *testing.T) {
 	// off-diagonals: ρ(|G|) > 1, correctly flagging the divergent
 	// configuration.
 	a := grid.Laplacian7pt(4)
-	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 2}, smoother.Precomputed{})
+	scale, err := smoother.InterpolantScalingOp(op.FromCSR(a), smoother.Config{Kind: smoother.WJacobi, Omega: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
