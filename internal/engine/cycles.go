@@ -19,15 +19,24 @@ import (
 
 // Cycle runs one V-cycle of the chosen method, updating x in place.
 func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
+	s.cycle(m, x, b, w, false, false)
+}
+
+// cycle is the one method dispatch. zero says x is the zero vector on
+// entry: the fine residual b − A·0 is then b itself and the corrected
+// iterate 0 + e₀ is e₀, so the cycle copies b in and e₀ out instead of
+// computing either (only the sign of a zero entry can differ). symmetrized
+// selects Multadd's symmetrized smoother; the other methods ignore it.
+func (s *Engine) cycle(m Method, x, b []float64, w *Workspace, zero, symmetrized bool) {
 	switch m {
 	case Mult:
-		s.MultCycle(x, b, w)
+		s.multCycle(x, b, w, zero)
 	case Multadd:
-		s.MultaddCycle(x, b, w)
+		s.additiveCycle(x, b, w, s.SItp, symmetrized, 1, zero)
 	case AFACx:
-		s.AFACxCycle(x, b, w)
+		s.afacxCycle(x, b, w, 1, zero)
 	case BPX:
-		s.BPXCycle(x, b, w)
+		s.additiveCycle(x, b, w, s.Itp, false, 1, zero)
 	default:
 		panic(fmt.Sprintf("mg: unknown method %d", m))
 	}
@@ -35,12 +44,12 @@ func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
 
 // ---- the multiplicative family ----
 
-// MultCycle performs one classical multiplicative V(1,1)-cycle
+// multCycle performs one classical multiplicative V(1,1)-cycle
 // (Algorithm 1): pre-smooth and restrict down the hierarchy, exact-solve on
 // the coarsest grid, prolong and post-smooth back up, then correct x.
-func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
+func (s *Engine) multCycle(x, b []float64, w *Workspace, zero bool) {
 	l := s.NumLevels()
-	s.Ops[0].Residual(w.r[0], b, x)
+	s.fineResidual(w, x, b, zero)
 	// Downward sweep: e_k = Λ_k r_k (one pre-smoothing sweep from a zero
 	// guess), then r_{k+1} = Pᵀ (r_k − A_k e_k).
 	for k := 0; k < l-1; k++ {
@@ -58,51 +67,48 @@ func (s *Engine) MultCycle(x, b []float64, w *Workspace) {
 		s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
 		s.obs.Relaxed(k, 1)
 	}
-	vec.AxpyPar(1, x, w.e[0])
+	correct(x, w.e[0], zero)
 	s.countCorrections()
+}
+
+// fineResidual forms w.r[0] = b − A x, which from a zero x is b.
+func (s *Engine) fineResidual(w *Workspace, x, b []float64, zero bool) {
+	if zero {
+		copy(w.r[0], b)
+		return
+	}
+	s.Ops[0].Residual(w.r[0], b, x)
+}
+
+// correct adds the fine correction e into x, which from a zero x is e.
+func correct(x, e []float64, zero bool) {
+	if zero {
+		copy(x, e)
+		return
+	}
+	vec.AxpyPar(1, x, e)
 }
 
 // ---- the additive family ----
 
-// MultaddCycle performs one additive Multadd V-cycle (Equation 2):
-//
-//	x ← x + Σ_k P̄⁰_k Λ_k (P̄⁰_k)ᵀ r,  Λ_ℓ = A_ℓ⁻¹.
-//
-// The multilevel smoothed interpolants are applied factor by factor: the
-// restricted residuals cascade down once, and the grid corrections are
-// summed coarsest-first on the way up, applying each interpolant once.
-func (s *Engine) MultaddCycle(x, b []float64, w *Workspace) {
-	s.additiveCycle(x, b, w, s.SItp, false, 1)
-}
-
-// MultaddCycleSymmetrized performs one Multadd V-cycle with the symmetrized
-// smoother Λ_k = M̄_k⁻¹ = M⁻ᵀ(M + Mᵀ − A)M⁻¹ in place of the single-sweep
-// Λ_k = M_k⁻¹. Per Section II.B.1 of the paper (Vassilevski & Yang), this
-// additive cycle is mathematically equivalent to the symmetric
-// multiplicative V(1,1)-cycle — for the diagonal smoothers (M = Mᵀ) it
-// reproduces MultCycle exactly, bit-for-bit up to floating-point rounding.
-// Only diagonal smoothers are supported (see smoother.ApplySymmetrized).
-func (s *Engine) MultaddCycleSymmetrized(x, b []float64, w *Workspace) {
-	s.additiveCycle(x, b, w, s.SItp, true, 1)
-}
-
-// BPXCycle performs one BPX update x ← x + Σ_k P⁰_k Λ_k (P⁰_k)ᵀ r
-// (Equation 1). As a standalone solver this over-corrects and diverges; it
-// is exposed for the ablation benchmarks and for use as a preconditioner.
-func (s *Engine) BPXCycle(x, b []float64, w *Workspace) {
-	s.additiveCycle(x, b, w, s.Itp, false, 1)
-}
-
 // additiveCycle is the one additive body x ← x + ω Σ_k Π_k Λ_k Π_kᵀ r:
-// chain holds the two-level interpolants Π_k is composed from (smoothed
-// for Multadd, plain for BPX), and symmetrized selects Λ_k = M̄_k⁻¹ (two
-// sweeps) over the single zero-guess sweep Λ_k = M_k⁻¹. Every grid's
-// correction is scaled by omega at its own level — the deterministic
-// sequential reference for the asynchronous damped path — and prolongSum
-// adds them into x with L−1 interpolant applies in all.
-func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64) {
+// chain holds the two-level interpolants Π_k is composed from, the
+// smoothed ones for Multadd (Equation 2, Π_k = P̄⁰_k) and the plain ones
+// for BPX (Equation 1, Π_k = P⁰_k; as a standalone solver BPX
+// over-corrects and diverges, so it serves the ablations and the
+// preconditioner). symmetrized selects Λ_k = M̄_k⁻¹ = M⁻ᵀ(M + Mᵀ − A)M⁻¹
+// (two sweeps) over the single zero-guess sweep Λ_k = M_k⁻¹: per Section
+// II.B.1 of the paper (Vassilevski & Yang) that Multadd is the symmetric
+// multiplicative V(1,1)-cycle, and for the diagonal smoothers (M = Mᵀ,
+// the only ones smoother.ApplySymmetrized supports) it reproduces Mult up
+// to rounding. Λ_ℓ = A_ℓ⁻¹ on the coarsest grid. Every grid's correction
+// is scaled by omega at its own level — the deterministic sequential
+// reference for the asynchronous damped path — and the restricted
+// residuals cascade down once while prolongSum sums the corrections
+// coarsest-first, L−1 interpolant applies in all.
+func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64, zero bool) {
 	l := s.NumLevels()
-	s.restrictCascade(w, chain, x, b)
+	s.restrictCascade(w, chain, x, b, zero)
 	for k := 0; k < l; k++ {
 		// Grid k's correction at its own level.
 		switch {
@@ -117,14 +123,14 @@ func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, 
 			s.obs.Relaxed(k, 1)
 		}
 	}
-	s.prolongSum(x, w, chain, omega)
+	s.prolongSum(x, w, chain, omega, zero)
 	s.countCorrections()
 }
 
 // restrictCascade forms the fine residual w.r[0] = b − A x and restricts it
 // once down the chain into w.r[1:].
-func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64) {
-	s.Ops[0].Residual(w.r[0], b, x)
+func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64, zero bool) {
+	s.fineResidual(w, x, b, zero)
 	for k, t := range chain {
 		t.ApplyT(w.r[k+1], w.r[k])
 	}
@@ -134,7 +140,7 @@ func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64
 // coarsest first (e_k ← ω e_k + chain[k] e_{k+1}, then x += e_0): the
 // composite interpolants in nested form, L−1 applies instead of L(L−1)/2.
 // omega = 1 skips the scaling passes. It overwrites w.e.
-func (s *Engine) prolongSum(x []float64, w *Workspace, chain []op.Interp, omega float64) {
+func (s *Engine) prolongSum(x []float64, w *Workspace, chain []op.Interp, omega float64, zero bool) {
 	for k := len(chain); k >= 0; k-- {
 		if omega != 1 {
 			vec.Scale(omega, w.e[k])
@@ -143,7 +149,7 @@ func (s *Engine) prolongSum(x []float64, w *Workspace, chain []op.Interp, omega 
 			chain[k].ApplyAdd(w.e[k], w.e[k+1])
 		}
 	}
-	vec.AxpyPar(1, x, w.e[0])
+	correct(x, w.e[0], zero)
 }
 
 // countCorrections records one applied correction per grid: a synchronous
@@ -158,27 +164,24 @@ func (s *Engine) countCorrections() {
 	}
 }
 
-// AFACxCycle performs one AFACx V(1/1,0)-cycle (Algorithm 2). For each grid
-// k < ℓ the correction is computed with the modified right-hand side so the
-// redundant prolongations cancel:
+// afacxCycle performs one AFACx V(1/1,0)-cycle (Algorithm 2). For each
+// grid k < ℓ the correction is computed with the modified right-hand side
+// so the redundant prolongations cancel:
 //
 //	e_{k+1} = Λ_{k+1} r_{k+1}            (one sweep, zero guess)
 //	ẽ_k     = Λ_k (r_k − A_k P e_{k+1})  (one sweep, zero guess)
 //	x      += P⁰_k ẽ_k
 //
 // and the coarsest grid contributes x += P⁰_ℓ A_ℓ⁻¹ r_ℓ. Restriction uses
-// the plain interpolants.
-func (s *Engine) AFACxCycle(x, b []float64, w *Workspace) { s.afacxCycle(x, b, w, 1) }
-
-// afacxCycle is AFACxCycle with every grid's final correction ẽ_k scaled
-// by omega at its own level (the next-coarser helper sweep e_{k+1} inside
-// the modified right-hand side stays undamped, matching the asynchronous
+// the plain interpolants. Every grid's final correction ẽ_k is scaled by
+// omega at its own level (the next-coarser helper sweep e_{k+1} inside the
+// modified right-hand side stays undamped, matching the asynchronous
 // Correction). It shares the additive body's restriction cascade and
 // prolongSum: ẽ_k is left in w.e[k], whose scratch use for P e_{k+1}
 // comes before ẽ_k is written.
-func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64) {
+func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64, zero bool) {
 	l := s.NumLevels()
-	s.restrictCascade(w, s.Itp, x, b)
+	s.restrictCascade(w, s.Itp, x, b, zero)
 	for k := 0; k < l; k++ {
 		if k == l-1 {
 			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
@@ -205,7 +208,7 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64) {
 			s.obs.Relaxed(k, 1)
 		}
 	}
-	s.prolongSum(x, w, s.Itp, omega)
+	s.prolongSum(x, w, s.Itp, omega, zero)
 	s.countCorrections()
 }
 
@@ -242,9 +245,9 @@ func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x 
 	var cycle func(x []float64, w *Workspace)
 	switch m {
 	case Multadd:
-		cycle = func(x []float64, w *Workspace) { s.additiveCycle(x, b, w, s.SItp, false, omega) }
+		cycle = func(x []float64, w *Workspace) { s.additiveCycle(x, b, w, s.SItp, false, omega, false) }
 	case AFACx:
-		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, omega) }
+		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, omega, false) }
 	default:
 		panic(fmt.Sprintf("mg: SolveDamped supports Multadd and AFACx, got %v", m))
 	}
@@ -284,12 +287,16 @@ func (s *Engine) solve(ctx context.Context, b []float64, tmax int, cycle func(x 
 
 // PreconditionCycle applies one cycle of method m from a zero initial
 // guess: z = B r, the multigrid-preconditioner application of the Krylov
-// subsystem. For symmetric A with diagonal smoothers, Mult (the symmetric
-// V(1,1)-cycle), BPX, and the plain additive Multadd all yield a symmetric
+// subsystem, in the cycle's zero-guess form: r itself is restricted (no
+// r − A·0) and the fine correction is written into z (z is not zeroed
+// first, nor added to), with the entries of zeroing z and running Cycle
+// up to the sign of a zero. symmetrized selects the symmetrized smoother
+// M̄_k⁻¹ for Multadd and is ignored by the other methods. For symmetric
+// A with diagonal smoothers, Mult (the symmetric V(1,1)-cycle), BPX, and
+// the plain and symmetrized additive Multadd all yield a symmetric
 // positive definite B, as PCG requires; AFACx does not.
-func (s *Engine) PreconditionCycle(m Method, z, r []float64, w *Workspace) {
-	vec.Zero(z)
-	s.Cycle(m, z, r, w)
+func (s *Engine) PreconditionCycle(m Method, symmetrized bool, z, r []float64, w *Workspace) {
+	s.cycle(m, z, r, w, true, symmetrized)
 }
 
 // ConvergenceFactor estimates the asymptotic convergence factor ρ of one

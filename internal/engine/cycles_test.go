@@ -188,7 +188,7 @@ func TestMultaddTwoGridFormula(t *testing.T) {
 	b := grid.RandomRHS(n, 6)
 	x := make([]float64, n)
 	w := s.NewWorkspace()
-	s.MultaddCycle(x, b, w)
+	s.Cycle(Multadd, x, b, w)
 
 	// Reference computation.
 	want := make([]float64, n)
@@ -223,7 +223,7 @@ func TestAFACxTwoGridModifiedRHSEquivalence(t *testing.T) {
 	b := grid.RandomRHS(n, 7)
 	x := make([]float64, n)
 	w := s.NewWorkspace()
-	s.AFACxCycle(x, b, w)
+	s.Cycle(AFACx, x, b, w)
 
 	// Textbook form. Grid 0: e1s = Λ₁ r₁ (smoothing);
 	// e0 = P e1s + Λ₀(r₀ − A₀ P e1s); contribution P⁰₀ e0 − P⁰₁ e1s
@@ -430,9 +430,9 @@ func checkDecomposition(t *testing.T, m Method, seed int64) {
 				xCycle := append([]float64(nil), x0...)
 				w := s.NewWorkspace()
 				if m == Multadd {
-					s.additiveCycle(xCycle, b, w, s.SItp, false, omega)
+					s.additiveCycle(xCycle, b, w, s.SItp, false, omega, false)
 				} else {
-					s.afacxCycle(xCycle, b, w, omega)
+					s.afacxCycle(xCycle, b, w, omega, false)
 				}
 
 				rfine := make([]float64, n)

@@ -13,9 +13,9 @@ import (
 // of Section II.B.1: Multadd with the symmetrized smoothing matrix
 // Λ_k = M̄_k⁻¹ is mathematically EQUAL to the symmetric multiplicative
 // V(1,1)-cycle. Because ω-Jacobi and ℓ1-Jacobi have symmetric M, our
-// MultCycle (same M pre and post) is the symmetric cycle, so one
-// MultaddCycleSymmetrized from the same iterate must reproduce one
-// MultCycle to rounding error. This exercises the entire pipeline — AMG
+// Mult cycle (same M pre and post) is the symmetric cycle, so one
+// symmetrized Multadd cycle from the same iterate must reproduce one
+// Mult cycle to rounding error. This exercises the entire pipeline — AMG
 // setup, Galerkin products, smoothed interpolants, both cycle
 // implementations — against an exact mathematical theorem.
 func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
@@ -44,11 +44,11 @@ func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
 
 				xMult := append([]float64(nil), x0...)
 				wMult := s.NewWorkspace()
-				s.MultCycle(xMult, b, wMult)
+				s.Cycle(Mult, xMult, b, wMult)
 
 				xAdd := append([]float64(nil), x0...)
 				wAdd := s.NewWorkspace()
-				s.MultaddCycleSymmetrized(xAdd, b, wAdd)
+				s.additiveCycle(xAdd, b, wAdd, s.SItp, true, 1, false)
 
 				maxDiff, scale := 0.0, 0.0
 				for i := range xMult {
@@ -86,8 +86,8 @@ func TestMultaddSymmetrizedManyCycles(t *testing.T) {
 	wAdd := s.NewWorkspace()
 	r := make([]float64, n)
 	for cyc := 0; cyc < 15; cyc++ {
-		s.MultCycle(xMult, b, wMult)
-		s.MultaddCycleSymmetrized(xAdd, b, wAdd)
+		s.Cycle(Mult, xMult, b, wMult)
+		s.additiveCycle(xAdd, b, wAdd, s.SItp, true, 1, false)
 		a.Residual(r, b, xMult)
 		rm := vec.Norm2(r)
 		a.Residual(r, b, xAdd)

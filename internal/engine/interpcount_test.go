@@ -3,9 +3,11 @@ package engine
 import (
 	"testing"
 
+	"asyncmg/internal/amg"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/vec"
 )
 
 // interpCounts tallies the prolongations run through counted
@@ -72,13 +74,12 @@ func TestCyclesApplyEachInterpolantOnce(t *testing.T) {
 				run             func(x []float64)
 				apply, applyAdd int
 			}{
-				{"multadd", func(x []float64) { s.MultaddCycle(x, b, w) }, 0, l - 1},
-				{"multadd-symmetrized", func(x []float64) { s.MultaddCycleSymmetrized(x, b, w) }, 0, l - 1},
-				{"bpx", func(x []float64) { s.BPXCycle(x, b, w) }, 0, l - 1},
-				{"multadd-damped", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, false, 0.8) }, 0, l - 1},
-				{"precondition-multadd", func(x []float64) { s.PreconditionCycle(Multadd, x, b, w) }, 0, l - 1},
-				{"afacx", func(x []float64) { s.AFACxCycle(x, b, w) }, l - 1, l - 1},
-				{"afacx-damped", func(x []float64) { s.afacxCycle(x, b, w, 0.8) }, l - 1, l - 1},
+				{"multadd", func(x []float64) { s.Cycle(Multadd, x, b, w) }, 0, l - 1},
+				{"multadd-symmetrized", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, true, 1, false) }, 0, l - 1},
+				{"bpx", func(x []float64) { s.Cycle(BPX, x, b, w) }, 0, l - 1},
+				{"multadd-damped", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, false, 0.8, false) }, 0, l - 1},
+				{"afacx", func(x []float64) { s.Cycle(AFACx, x, b, w) }, l - 1, l - 1},
+				{"afacx-damped", func(x []float64) { s.afacxCycle(x, b, w, 0.8, false) }, l - 1, l - 1},
 			} {
 				*c = interpCounts{}
 				cyc.run(make([]float64, n))
@@ -95,6 +96,113 @@ func TestCyclesApplyEachInterpolantOnce(t *testing.T) {
 				s.GridCorrection(Multadd, k, out, b, 1, cw)
 				if c.apply != k || c.applyAdd != 0 {
 					t.Errorf("GridCorrection(Multadd, %d): %d Apply + %d ApplyAdd, want %d + 0", k, c.apply, c.applyAdd, k)
+				}
+			}
+		})
+	}
+}
+
+// countingOp tallies the Residual calls (full and row-range) the engine
+// makes on one level's operator. The smoothers hold their own operator,
+// so their sweeps are not counted.
+type countingOp struct {
+	op.Operator
+	residuals *int
+}
+
+func (co countingOp) Residual(r, b, x []float64) {
+	*co.residuals++
+	co.Operator.Residual(r, b, x)
+}
+
+func (co countingOp) ResidualRange(r, b, x []float64, lo, hi int) {
+	*co.residuals++
+	co.Operator.ResidualRange(r, b, x, lo, hi)
+}
+
+// preconditionOracle is the zero-guess cycle written the long way: zero z,
+// then run the solver's cycle on it, fine residual r − A·0 and z = 0 + e₀
+// included.
+func preconditionOracle(s *Engine, m Method, symmetrized bool, z, r []float64, w *Workspace) {
+	vec.Zero(z)
+	s.cycle(m, z, r, w, false, symmetrized)
+}
+
+// preconditionEngines are the storage forms a preconditioner runs on, each
+// with at least three levels: assembled float64 CSR, assembled with
+// float32 coarse levels, and the matrix-free Stencil7 fine level with
+// float32 coarse levels.
+func preconditionEngines(t *testing.T) []namedEngine {
+	t.Helper()
+	f32 := amg.DefaultOptions()
+	f32.CoarsePrecision = op.CoarseFloat32
+	s27, err := New(grid.Laplacian27pt(16), f32, smoother.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedEngine{
+		{"csr-7pt", setup7pt(t, 16, smoother.DefaultConfig())},
+		{"csr-27pt-f32-coarse", s27},
+		{"stencil7-f32-coarse", setupStencil7F32(t, 32)},
+	}
+}
+
+// TestPreconditionCycleSkipsFineResidual pins the zero-guess form of every
+// preconditioner cycle: it equals the oracle (zero z, then the solver's
+// cycle) entry for entry with ==, makes exactly one fewer fine-level
+// Residual call than the oracle, and applies the interpolants as often.
+func TestPreconditionCycleSkipsFineResidual(t *testing.T) {
+	for _, tc := range preconditionEngines(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			l := s.NumLevels()
+			if l < 3 {
+				t.Fatalf("%d levels, want >= 3", l)
+			}
+			c := countInterps(s)
+			residuals := 0
+			s.Ops[0] = countingOp{s.Ops[0], &residuals}
+			n := s.LevelSize(0)
+			r := grid.RandomRHS(n, 53)
+			w := s.NewWorkspace()
+			// The fine-level Residual calls PreconditionCycle makes (the
+			// oracle makes one more: the r − A·0 it starts from) and the
+			// interpolant applies both make. Mult's one is its down-leg
+			// r − A e₀.
+			for _, f := range []struct {
+				name                       string
+				m                          Method
+				symmetrized                bool
+				residuals, apply, applyAdd int
+			}{
+				{"mult", Mult, false, 1, 0, l - 1},
+				{"multadd", Multadd, false, 0, 0, l - 1},
+				{"multadd-symmetrized", Multadd, true, 0, 0, l - 1},
+				{"afacx", AFACx, false, 0, l - 1, l - 1},
+				{"bpx", BPX, false, 0, 0, l - 1},
+			} {
+				// Both start from a z full of garbage: neither may read it.
+				want := grid.RandomRHS(n, 54)
+				residuals, *c = 0, interpCounts{}
+				preconditionOracle(s, f.m, f.symmetrized, want, r, w)
+				oracleResiduals, oracleItp := residuals, *c
+
+				got := grid.RandomRHS(n, 55)
+				residuals, *c = 0, interpCounts{}
+				s.PreconditionCycle(f.m, f.symmetrized, got, r, w)
+
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: z[%d] = %v, oracle %v", f.name, i, got[i], want[i])
+					}
+				}
+				if residuals != f.residuals || oracleResiduals != f.residuals+1 {
+					t.Errorf("%s: %d fine-level Residual calls (oracle %d), want %d (oracle %d)",
+						f.name, residuals, oracleResiduals, f.residuals, f.residuals+1)
+				}
+				if c.apply != f.apply || c.applyAdd != f.applyAdd || *c != oracleItp {
+					t.Errorf("%s: %d Apply + %d ApplyAdd (oracle %d + %d), want %d + %d",
+						f.name, c.apply, c.applyAdd, oracleItp.apply, oracleItp.applyAdd, f.apply, f.applyAdd)
 				}
 			}
 		})

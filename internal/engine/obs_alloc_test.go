@@ -114,6 +114,9 @@ func TestCycleEntryPointsRecordCounts(t *testing.T) {
 	}
 	type cycleFn func(x []float64, w *Workspace)
 	viaCycle := func(m Method) cycleFn { return func(x []float64, w *Workspace) { s.Cycle(m, x, b, w) } }
+	precond := func(m Method, symmetrized bool) cycleFn {
+		return func(z []float64, w *Workspace) { s.PreconditionCycle(m, symmetrized, z, b, w) }
+	}
 	for _, tc := range []struct {
 		name    string
 		run     cycleFn
@@ -124,12 +127,11 @@ func TestCycleEntryPointsRecordCounts(t *testing.T) {
 		{"Cycle(Multadd)", viaCycle(Multadd), uniform(1), 1},
 		{"Cycle(AFACx)", viaCycle(AFACx), afacx, 2},
 		{"Cycle(BPX)", viaCycle(BPX), uniform(1), 1},
-		{"PreconditionCycle(Multadd)", func(x []float64, w *Workspace) { s.PreconditionCycle(Multadd, x, b, w) }, uniform(1), 1},
-		{"MultCycle", func(x []float64, w *Workspace) { s.MultCycle(x, b, w) }, uniform(2), 1},
-		{"MultaddCycle", func(x []float64, w *Workspace) { s.MultaddCycle(x, b, w) }, uniform(1), 1},
-		{"MultaddCycleSymmetrized", func(x []float64, w *Workspace) { s.MultaddCycleSymmetrized(x, b, w) }, uniform(2), 1},
-		{"BPXCycle", func(x []float64, w *Workspace) { s.BPXCycle(x, b, w) }, uniform(1), 1},
-		{"AFACxCycle", func(x []float64, w *Workspace) { s.AFACxCycle(x, b, w) }, afacx, 2},
+		{"PreconditionCycle(Mult)", precond(Mult, false), uniform(2), 1},
+		{"PreconditionCycle(Multadd)", precond(Multadd, false), uniform(1), 1},
+		{"PreconditionCycle(Multadd, symmetrized)", precond(Multadd, true), uniform(2), 1},
+		{"PreconditionCycle(AFACx)", precond(AFACx, false), afacx, 2},
+		{"PreconditionCycle(BPX)", precond(BPX, false), uniform(1), 1},
 		{"Solve(Mult)", func([]float64, *Workspace) { s.Solve(Mult, b, 1) }, uniform(2), 1},
 		{"SolveDamped(Multadd)", func([]float64, *Workspace) { s.SolveDamped(Multadd, b, 1, 0.8) }, uniform(1), 1},
 		{"SolveDamped(AFACx)", func([]float64, *Workspace) { s.SolveDamped(AFACx, b, 1, 0.8) }, afacx, 2},

@@ -26,7 +26,6 @@ import (
 
 	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/vec"
 )
 
 // Preconditioner applies z = M⁻¹ r.
@@ -44,18 +43,21 @@ func (Identity) Precondition(z, r []float64) { copy(z, r) }
 
 // MGPreconditioner applies one V-cycle of a multigrid method from a zero
 // initial guess as the preconditioner: z = B r where B is the cycle's
-// error propagation operator applied to the residual. For PCG to converge,
-// B must be symmetric positive definite; for symmetric A with diagonal
-// smoothers that holds for BPX, the plain additive Multadd, the
-// symmetrized Multadd, and the symmetric V(1,1)-cycle of Mult — but not
-// AFACx. FGMRES tolerates any of them (flexible preconditioning makes no
-// symmetry or constancy assumption).
+// error propagation operator applied to the residual. The cycle runs in
+// engine.PreconditionCycle's zero-guess form, which restricts r directly
+// and writes the fine correction into z: no b − A·0 residual and no
+// zeroing of z. For PCG to converge, B must be symmetric positive
+// definite; for symmetric A with diagonal smoothers that holds for BPX,
+// the plain additive Multadd, the symmetrized Multadd, and the symmetric
+// V(1,1)-cycle of Mult — but not AFACx. FGMRES tolerates any of them
+// (flexible preconditioning makes no symmetry or constancy assumption).
 type MGPreconditioner struct {
 	Setup *engine.Engine
 	// Method selects the cycle; engine.BPX is the classical choice.
 	Method engine.Method
-	// Symmetrized uses MultaddCycleSymmetrized when Method == engine.Multadd,
-	// which is SPD for diagonal smoothers (required for PCG theory).
+	// Symmetrized uses the symmetrized smoother M̄⁻¹ when Method ==
+	// engine.Multadd, which is SPD for diagonal smoothers (required for
+	// PCG theory); the other methods ignore it.
 	Symmetrized bool
 	ws          *engine.Workspace
 }
@@ -78,12 +80,7 @@ func (p *MGPreconditioner) Release() {
 
 // Precondition runs one cycle on A z = r from z = 0.
 func (p *MGPreconditioner) Precondition(z, r []float64) {
-	if p.Symmetrized && p.Method == engine.Multadd {
-		vec.Zero(z)
-		p.Setup.MultaddCycleSymmetrized(z, r, p.ws)
-		return
-	}
-	p.Setup.PreconditionCycle(p.Method, z, r, p.ws)
+	p.Setup.PreconditionCycle(p.Method, p.Symmetrized, z, r, p.ws)
 }
 
 // Options configures a Krylov solve.

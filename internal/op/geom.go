@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -29,6 +30,10 @@ import (
 //     offsets from the coarse point's fine position. Restriction is a
 //     gather over fine rows, so it shards over coarse rows with no
 //     atomics.
+//
+// Classes whose rows are bitwise equal share one slice (of the 125 Pᵀ
+// classes at even n, the plain P has 8 distinct rows and P̄ 27), and the
+// table stores and counts each distinct row once.
 //
 // Every row is evaluated once, on its class's representative point, with
 // the floating-point operations of the materialized product, and both
@@ -196,6 +201,26 @@ func (g *GeomInterp) build(row func(f [3]int, dst []stencilEntry) []stencilEntry
 		}
 		g.pt[c] = es
 	}
+	shareRows(g.p)
+	shareRows(g.pt)
+}
+
+// shareRows points every row that equals an earlier one (entry for entry,
+// weights bitwise) at that row's slice.
+func shareRows(rows [][]stencilEntry) {
+	var distinct [][]stencilEntry
+next:
+	for c, es := range rows {
+		for _, d := range distinct {
+			if slices.EqualFunc(d, es, func(a, b stencilEntry) bool {
+				return a.off == b.off && a.d == b.d && math.Float64bits(a.v) == math.Float64bits(b.v)
+			}) {
+				rows[c] = d
+				continue next
+			}
+		}
+		distinct = append(distinct, es)
+	}
 }
 
 // fineClass is the table index of fine point (i, j, k).
@@ -250,17 +275,25 @@ func (g *GeomInterp) Smooth(a *Stencil, scale []float64) *GeomInterp {
 // RoundFloat32 returns a copy whose weights are rounded to float32,
 // exactly as NewCSR32Interp rounds the materialized pair: the
 // mixed-precision view of a coarse-level interpolant, still accumulated
-// in float64.
+// in float64. Each distinct row is rounded once and stays shared.
 func (g *GeomInterp) RoundFloat32() *GeomInterp {
 	r := *g
+	rounded := map[*stencilEntry][]stencilEntry{} // by the shared row's first entry
 	round := func(rows [][]stencilEntry) [][]stencilEntry {
 		out := make([][]stencilEntry, len(rows))
 		for c, es := range rows {
-			out[c] = make([]stencilEntry, len(es))
-			for q, e := range es {
-				e.v = float64(float32(e.v))
-				out[c][q] = e
+			if len(es) == 0 {
+				continue
 			}
+			if rounded[&es[0]] == nil {
+				rs := make([]stencilEntry, len(es))
+				for q, e := range es {
+					e.v = float64(float32(e.v))
+					rs[q] = e
+				}
+				rounded[&es[0]] = rs
+			}
+			out[c] = rounded[&es[0]]
 		}
 		return out
 	}
@@ -272,13 +305,17 @@ func (g *GeomInterp) FineRows() int      { return g.n * g.n * g.n }
 func (g *GeomInterp) CoarseRows() int    { return g.nc * g.nc * g.nc }
 func (g *GeomInterp) NNZEquivalent() int { return g.nnz }
 
-// Bytes is the class table: both parts' entries and the per-axis class
-// maps, whatever the grid's row count.
+// Bytes is the class table: the entries of both parts' distinct rows and
+// the per-axis class maps, whatever the grid's row count.
 func (g *GeomInterp) Bytes() int {
 	b := len(g.cls) + len(g.ccls)
+	seen := map[*stencilEntry]bool{} // a shared row by its first entry
 	for _, rows := range [][][]stencilEntry{g.p, g.pt} {
 		for _, es := range rows {
-			b += entryBytes * len(es)
+			if len(es) > 0 && !seen[&es[0]] {
+				seen[&es[0]] = true
+				b += entryBytes * len(es)
+			}
 		}
 	}
 	return b

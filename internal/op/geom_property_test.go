@@ -85,6 +85,27 @@ func assertRows(t *testing.T, name string, g *GeomInterp, want *sparse.CSR, rest
 	}
 }
 
+// distinctRowBytes is the footprint Bytes must report: the entries of each
+// value-distinct row of both parts (weights compared bitwise) once, plus
+// the per-axis class maps.
+func distinctRowBytes(g *GeomInterp) int {
+	b := len(g.cls) + len(g.ccls)
+	for _, rows := range [][][]stencilEntry{g.p, g.pt} {
+		var distinct [][]stencilEntry
+		for _, es := range rows {
+			if !slices.ContainsFunc(distinct, func(d []stencilEntry) bool {
+				return slices.EqualFunc(d, es, func(a, b stencilEntry) bool {
+					return a.off == b.off && a.d == b.d && math.Float64bits(a.v) == math.Float64bits(b.v)
+				})
+			}) {
+				distinct = append(distinct, es)
+				b += entryBytes * len(es)
+			}
+		}
+	}
+	return b
+}
+
 // cuts are the row bounds a range kernel is split at: mid-line, right
 // after a boundary row and right before one, so pieces start and end
 // inside boundary classes.
@@ -143,15 +164,18 @@ func assertKernels(t *testing.T, name string, g *GeomInterp, p, pt *sparse.CSR, 
 //     product's Transpose, pattern and values bitwise, in float64 and,
 //     after RoundFloat32, in float32;
 //   - NNZEquivalent is the materialized nonzero count;
+//   - Bytes counts each value-distinct row once, and RoundFloat32 keeps
+//     the float64 table's sharing (the same Bytes);
 //   - every kernel equals the CSR kernel on the materialized pair bitwise,
 //     serially and on the pool at 1, 2 and 8 workers, the range forms on
 //     pieces that cut through boundary classes.
 //
-// n = 64 (lib-pcg-mf's fine edge) is skipped in short and race runs: its
+// n = 32, 33 and 64 are the edges whose shared rows were counted; n = 64
+// (lib-pcg-mf's fine edge) is skipped in short and race runs: its
 // 27-point references hold about 300 MB.
 func TestGeomInterpSmoothedMatchesGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	sizes := append(append([]int(nil), coarsenSizes...), 34)
+	sizes := append(append([]int(nil), coarsenSizes...), 32, 33, 34)
 	if !testing.Short() && !raceEnabled {
 		sizes = append(sizes, 64)
 	}
@@ -196,6 +220,9 @@ func TestGeomInterpSmoothedMatchesGEMM(t *testing.T) {
 					}
 					if tb.NNZEquivalent() != want.NNZ() {
 						t.Fatalf("%s: NNZEquivalent %d, product nnz %d", name, tb.NNZEquivalent(), want.NNZ())
+					}
+					if b, want := tb.Bytes(), distinctRowBytes(tab); b != want {
+						t.Fatalf("%s: Bytes %d, distinct rows hold %d", name, b, want)
 					}
 					assertRows(t, name+"/P", tb, want, false, round)
 					assertRows(t, name+"/PT", tb, wantT, true, round)
