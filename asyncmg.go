@@ -144,14 +144,6 @@ type AMGOptions = amg.Options
 // coarsening, classical modified interpolation, one aggressive level.
 func DefaultAMGOptions() AMGOptions { return amg.DefaultOptions() }
 
-// SparsifyOptions configures post-RAP sparsification of interior coarse
-// operators (AMGOptions.Sparsify): entries weak under the classical
-// strength measure at Theta — as seen from both endpoint rows — are
-// dropped with compensation, and a per-level convergence guard reverts
-// any level whose removal degrades a deterministic probe cycle beyond
-// GuardTol. The zero value disables sparsification.
-type SparsifyOptions = amg.SparsifyOptions
-
 // ---- Smoothers ----
 
 // SmootherKind identifies one of the four smoothers of the paper.

@@ -75,17 +75,13 @@ func parseFlags(args []string) (serve.Config, mode, error) {
 		return serve.Config{}, mode{}, err
 	}
 
-	opt, err := setup.AMG()
-	if err != nil {
-		return serve.Config{}, mode{}, err
-	}
 	cfg := serve.Config{
 		CacheSize:  *cacheSize,
 		MaxQueue:   *maxQueue,
 		Workers:    *workers,
 		MaxTimeout: *timeout,
 		Observer:   obs.New(32),
-		AMG:        opt,
+		AMG:        setup.AMG(),
 		MatrixFree: setup.MatrixFree,
 	}
 	for _, p := range strings.Split(*peers, ",") {

@@ -10,16 +10,15 @@ import (
 	"asyncmg/internal/cluster"
 	"asyncmg/internal/op"
 	"asyncmg/internal/serve"
-	"asyncmg/internal/sparse"
 )
 
 func TestParseFlags(t *testing.T) {
 	f32 := amg.DefaultOptions()
 	f32.CoarsePrecision = op.CoarseFloat32
 	sparsified := amg.DefaultOptions()
-	sparsified.Sparsify = amg.SparsifyOptions{Theta: 0.5, Mode: sparse.SparsifyRescale}
+	sparsified.Sparsify = true
 	both := f32
-	both.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
+	both.Sparsify = true
 
 	// The values serve.Config documents as its defaults, spelled out: the
 	// flags must not drift from the library.
@@ -41,10 +40,8 @@ func TestParseFlags(t *testing.T) {
 			},
 			mode: func(m *mode) { m.addr, m.parWorkers = ":9", 6 }},
 		{name: "f32 coarse", args: "-f32-coarse", wantAMG: &f32},
-		{name: "sparsify", args: "-sparsify -sparsify-theta 0.5 -sparsify-mode rescale", wantAMG: &sparsified},
+		{name: "sparsify", args: "-sparsify", wantAMG: &sparsified},
 		{name: "f32 + sparsify defaults", args: "-f32-coarse -sparsify", wantAMG: &both},
-		{name: "sparsify knobs without -sparsify are inert", args: "-sparsify-theta 0.9 -sparsify-mode bogus"},
-		{name: "bad sparsify mode", args: "-sparsify -sparsify-mode bogus", wantErr: "bogus"},
 		{name: "cluster", args: "-cluster -peers a:1,,b:2 -replicas 3",
 			mode: func(m *mode) {
 				m.cluster, m.replicas = true, 3
@@ -91,12 +88,13 @@ func TestParseFlags(t *testing.T) {
 
 // TestLoadGeneratorFlagsAreGone: the load generators and their knobs left
 // with the legacy benchmark pipeline; bench/ drives the service now. The
-// request-coalescing knobs left with the coalescing.
+// request-coalescing knobs left with the coalescing, and the sparsify
+// threshold and compensation knobs left when -sparsify became one switch.
 func TestLoadGeneratorFlagsAreGone(t *testing.T) {
 	for _, name := range []string{
 		"loadgen", "cluster-loadgen", "out", "problem", "size", "cycles", "repeats",
 		"batch", "cluster-nodes", "cluster-conc", "cluster-reqs", "seed",
-		"batch-window", "max-batch",
+		"batch-window", "max-batch", "sparsify-theta", "sparsify-mode",
 	} {
 		if _, _, err := parseFlags([]string{"-" + name + "=1"}); err == nil ||
 			!strings.Contains(err.Error(), "not defined") {

@@ -124,9 +124,7 @@ func parseArgs(args []string) (config, *solve.Plan, error) {
 // and prints the operator line.
 func build(c config, plan *solve.Plan) (*engine.Engine, error) {
 	opt := amg.DefaultOptions()
-	if o, err := c.setup.AMG(); err != nil {
-		return nil, err
-	} else if o != nil {
+	if o := c.setup.AMG(); o != nil {
 		opt = *o
 	}
 	opt.AggressiveLevels = c.aggressive

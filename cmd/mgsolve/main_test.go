@@ -104,6 +104,20 @@ func TestFlagsParseLikeQuery(t *testing.T) {
 	}
 }
 
+// TestSparsifyKnobFlagsAreGone: -sparsify is one switch; the threshold
+// and compensation knobs are refused, not ignored.
+func TestSparsifyKnobFlagsAreGone(t *testing.T) {
+	for _, name := range []string{"sparsify-theta", "sparsify-mode"} {
+		if _, _, err := parseArgs([]string{"-" + name + "=1"}); err == nil ||
+			!strings.Contains(err.Error(), "not defined") {
+			t.Errorf("-%s: err = %v, want flag not defined", name, err)
+		}
+	}
+	if c, _ := mustParse(t, "-sparsify"); c.setup.AMG() == nil || !c.setup.AMG().Sparsify {
+		t.Errorf("-sparsify resolved to %+v, want Sparsify set", c.setup.AMG())
+	}
+}
+
 // TestTableIRowsAreFlagLines: a paper method name means one thing in the
 // harness and on the command line. Every asynchronous Table I row is the
 // plan of its mgsolve flag line; the team-synchronous rows (goroutine

@@ -37,10 +37,12 @@ type Options struct {
 	// the engine performs the conversion.
 	CoarsePrecision op.Precision
 	// Sparsify enables post-RAP sparsification of interior coarse
-	// operators (with the per-level convergence guard). The zero value
-	// disables it, keeping the hierarchy bitwise-identical to previous
-	// builds.
-	Sparsify SparsifyOptions
+	// operators: entries weak under the setup's strength measure at Theta
+	// as seen from both endpoint rows are dropped and lumped onto the
+	// diagonal, and a per-level convergence guard reverts levels whose
+	// loss would cost more than 5% extra iterations. Off, the hierarchy is
+	// the plain Galerkin one.
+	Sparsify bool
 }
 
 // DefaultOptions mirrors the paper's BoomerAMG configuration: HMIS
@@ -60,9 +62,11 @@ func DefaultOptions() Options {
 // classical modified interpolation on the non-aggressive levels (the
 // aggressive ones always use multipass: their F points can be two strong
 // edges from every C point), and the seed of the randomized coarsening
-// tie-breakers (level k coarsens with seed+k).
+// tie-breakers (level k coarsens with seed+k). Theta, the
+// strength-of-connection threshold, is also the drop threshold of
+// Options.Sparsify.
 const (
-	theta      = 0.25
+	Theta      = 0.25
 	coarsening = HMIS
 	interp     = ClassicalModified
 	seed       = 7
@@ -190,7 +194,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 			break
 		}
 		t0 := time.Now()
-		s := StrengthGraphFunc(cur, theta, fun)
+		s := StrengthGraphFunc(cur, Theta, fun)
 		st.Strength += time.Since(t0)
 		aggressive := lvl < opt.AggressiveLevels
 		t0 = time.Now()
@@ -238,7 +242,9 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	}
 	// Sparsify interior coarse operators (and run the convergence guard)
 	// before factoring, so the factored/viewed chain is the guarded one.
-	sparsifyHierarchy(h, opt.Sparsify, st)
+	if opt.Sparsify {
+		sparsifyHierarchy(h, Theta, st)
+	}
 	// Factor the coarsest operator (cur, which sparsification does not
 	// touch) for exact solves, if it is small enough to hold densely.
 	t0 := time.Now()
@@ -277,7 +283,8 @@ const geomStopRows = 4096
 // comes the algebraic hierarchy of the first level with at most
 // geomStopRows rows. That hand-off level keeps only its class stencil as
 // Op: the CSR the algebraic setup reads is materialized here and dropped
-// when the setup returns.
+// when the setup returns. Options.Sparsify sparsifies and probes only that
+// algebraic tail; its SetupStats.SparsifyLevels index the whole hierarchy.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)
@@ -317,6 +324,9 @@ func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats
 	}
 	h.Levels[0].Op = coarse
 	h.Levels = append(levels, h.Levels...)
+	for i := range st.SparsifyLevels {
+		st.SparsifyLevels[i].Level += len(levels)
+	}
 	st.RAP += rap
 	st.Total = time.Since(start)
 	st.Levels = len(h.Levels)

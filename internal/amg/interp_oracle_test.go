@@ -502,7 +502,7 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []refLevel {
 		if lvl == opt.MaxLevels-1 || cur.Rows <= opt.MinCoarse {
 			return append(levels, refLevel{A: cur})
 		}
-		s := StrengthGraphFunc(cur, theta, fun)
+		s := StrengthGraphFunc(cur, Theta, fun)
 		aggressive := lvl < opt.AggressiveLevels
 		var types []PointType
 		if aggressive {

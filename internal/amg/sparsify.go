@@ -5,58 +5,39 @@
 // (strength graphs, C/F splits, interpolants, triple products) is
 // bitwise-identical to a build without sparsification. After the level
 // loop each interior coarse operator is replaced by its strength-aware
-// sparsified twin (sparse.SparsifyStrength), and a cheap deterministic
-// probe — a V(1,1) l1-Jacobi cycle on a fixed pseudorandom right
-// hand side — compares the convergence factor of the sparsified
+// sparsified twin (sparsifyLump at the setup's Theta), and a cheap
+// deterministic probe — a V(1,1) l1-Jacobi cycle on a fixed pseudorandom
+// right hand side — compares the convergence factor of the sparsified
 // hierarchy against the unsparsified one. When the factors imply more
-// than GuardTol extra iterations-to-tolerance, levels are reverted,
-// largest relative drop first, until the probe is back within bound. The guard's
-// decisions are surfaced in SetupStats (per-level nnz before/after,
-// skip/revert flags, fallback count) and forwarded to obs counters by
-// the engine.
+// than guardTol extra iterations-to-tolerance, levels are reverted,
+// largest relative drop first, until the probe is back within bound. The
+// guard's decisions are surfaced in SetupStats (per-level nnz
+// before/after, skip/revert flags, fallback count) and forwarded to obs
+// counters by the engine. This is the non-Galerkin sparsification idea of
+// Bienz, Falgout, Gropp, Olson & Schroder.
 package amg
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"asyncmg/internal/op"
+	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
 
-// SparsifyOptions configures post-RAP coarse-operator sparsification.
-// The zero value disables it (Theta <= 0).
-type SparsifyOptions struct {
-	// Theta is the drop threshold for the classical strength measure;
-	// entries weak under BOTH endpoint rows at this threshold are
-	// dropped. <= 0 disables sparsification entirely.
-	Theta float64
-	// Mode selects the compensation for dropped mass (lump preserves row
-	// sums and symmetry; rescale preserves row sums only; drop is
-	// uncompensated and exists for experiments and guard tests).
-	Mode sparse.SparsifyMode
-	// MaxLevelGrowth gates which levels are sparsified: only levels whose
-	// nnz/row exceeds MaxLevelGrowth times the finest level's nnz/row are
-	// candidates. 0 means no gate (every interior coarse level).
-	MaxLevelGrowth float64
-	// GuardTol bounds the estimated iteration inflation the probe may
+const (
+	// guardTol bounds the estimated iteration inflation the probe may
 	// attribute to sparsification before the guard reverts levels:
 	// iterations-to-tolerance scale as 1/−log ρ of the probe convergence
 	// factor, and the sparsified estimate may exceed the unsparsified one
-	// by at most this fraction. The bound is on iterations, not on the
-	// factor itself, because near ρ = 1 a tiny absolute factor increase
-	// multiplies the iteration count while a fast hierarchy absorbs a far
-	// larger one. 0 means the default (0.05, i.e. at most 5% more
-	// iterations); negative disables the guard.
-	GuardTol float64
-}
-
-// Enabled reports whether sparsification is active.
-func (o SparsifyOptions) Enabled() bool { return o.Theta > 0 }
-
-const (
-	defaultGuardTol = 0.05
+	// by at most this fraction (5% more iterations). The bound is on
+	// iterations, not on the factor itself, because near ρ = 1 a tiny
+	// absolute factor increase multiplies the iteration count while a
+	// fast hierarchy absorbs a far larger one.
+	guardTol = 0.05
 	// guardCycles is the number of probe V-cycles used to estimate the
 	// convergence factor; the factor is measured over the last half so
 	// the initial transient (which flatters a sparsified hierarchy) is
@@ -65,23 +46,18 @@ const (
 	guardCycles = 24
 )
 
-func (o SparsifyOptions) guardTol() float64 {
-	if o.GuardTol == 0 {
-		return defaultGuardTol
-	}
-	return o.GuardTol
-}
-
 // SparsifyLevelStat records the guard-visible outcome of sparsifying one
-// hierarchy level.
+// hierarchy level. On a stencil hierarchy (BuildOperatorWithStats) only
+// the algebraic tail below the geometric levels is sparsified and probed;
+// Level still indexes the whole hierarchy.
 type SparsifyLevelStat struct {
 	// Level is the hierarchy level index (finest = 0).
 	Level int
 	// NNZBefore and NNZAfter are the operator's stored nonzeros before
 	// and after sparsification (equal when skipped or reverted).
 	NNZBefore, NNZAfter int
-	// Skipped means the level was a candidate but not sparsified (the
-	// MaxLevelGrowth gate, or sparsification removed nothing).
+	// Skipped means the level was a candidate but sparsification removed
+	// nothing from it.
 	Skipped bool
 	// Reverted means the level was sparsified but the convergence guard
 	// restored the unsparsified operator.
@@ -100,17 +76,15 @@ func (st *SetupStats) DroppedNNZ() int {
 
 // sparsifyHierarchy replaces interior coarse operators (levels 1..L-2;
 // level 0 is the problem definition, the coarsest is LU-factored and
-// tiny) with their sparsified twins, then runs the convergence guard.
-// Must run before dense.Factor so a reverted coarsest-adjacent chain is
-// what gets factored and viewed.
-func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
-	if !opt.Enabled() || len(h.Levels) < 3 {
+// tiny) with their twins sparsified at theta, then runs the convergence
+// guard. Must run before dense.Factor so a reverted coarsest-adjacent
+// chain is what gets factored and viewed.
+func sparsifyHierarchy(h *Hierarchy, theta float64, st *SetupStats) {
+	if len(h.Levels) < 3 {
 		return
 	}
 	t0 := time.Now()
 	defer func() { st.Sparsify += time.Since(t0) }()
-
-	fineDensity := float64(h.Levels[0].Op.NNZEquivalent()) / float64(h.Levels[0].Op.Rows())
 
 	type candidate struct {
 		stat *SparsifyLevelStat
@@ -127,13 +101,7 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 			Level: lvl, NNZBefore: a.NNZ(), NNZAfter: a.NNZ(),
 		})
 		stat := &st.SparsifyLevels[len(st.SparsifyLevels)-1]
-		if opt.MaxLevelGrowth > 0 {
-			if density := float64(a.NNZ()) / float64(a.Rows); density <= opt.MaxLevelGrowth*fineDensity {
-				stat.Skipped = true
-				continue
-			}
-		}
-		twin := sparse.SparsifyStrength(a, opt.Theta, opt.Mode)
+		twin := sparsifyLump(a, theta)
 		if twin.NNZ() >= a.NNZ() {
 			stat.Skipped = true
 			continue
@@ -142,7 +110,7 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 		h.Levels[lvl].Op = op.FromCSR(twin)
 		installed = append(installed, candidate{stat: stat, orig: orig})
 	}
-	if len(installed) == 0 || opt.GuardTol < 0 {
+	if len(installed) == 0 {
 		return
 	}
 
@@ -158,7 +126,6 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 	swap()
 	golden := probeConvFactor(h)
 	swap()
-	limit := 1 + opt.guardTol()
 
 	// Revert the most aggressively sparsified levels first (largest
 	// relative drop; ties to the finer level, whose operator matters most).
@@ -171,7 +138,7 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 		return installed[i].stat.Level < installed[j].stat.Level
 	})
 	for _, c := range installed {
-		if iterInflation(probeConvFactor(h), golden) <= limit {
+		if iterInflation(probeConvFactor(h), golden) <= 1+guardTol {
 			break
 		}
 		h.Levels[c.stat.Level].Op = c.orig
@@ -179,6 +146,112 @@ func sparsifyHierarchy(h *Hierarchy, opt SparsifyOptions, st *SetupStats) {
 		c.stat.NNZAfter = c.stat.NNZBefore
 		st.SparsifyFallbacks++
 	}
+}
+
+// noDrop marks a row whose entries are never weak: one without a stored
+// diagonal (it cannot absorb lumped mass, so it is kept verbatim) or
+// without off-diagonal couplings.
+const noDrop = -1.0
+
+// sparsifyLump returns a copy of the square matrix a without the
+// off-diagonal entries that are weak under the classical strength
+// measure at theta (the rule of StrengthGraphFunc, absolute-value
+// fallback included) as seen from BOTH endpoint rows, each dropped value
+// added to its row's diagonal. The drop decision for (i, j) and (j, i) is
+// the same on a symmetric matrix and only diagonals move, so lumping
+// preserves row sums and symmetry. Rows without a stored diagonal are
+// copied verbatim.
+//
+// Three row passes run over the shared par pool: each row's threshold,
+// each row's kept count (a serial prefix sum then sizes the output
+// exactly), and the kept entries with the lumped diagonal. Rows read A and
+// the thresholds and write only their own slots, so the result is
+// bitwise-identical at any worker count. Column order within a row is the
+// input order, so the output needs no sort.
+func sparsifyLump(a *sparse.CSR, theta float64) *sparse.CSR {
+	out := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
+	k := &lumpKernel{a: a, out: out, theta: theta, thresh: make([]float64, a.Rows), useAbs: make([]bool, a.Rows)}
+	run := func(pass int) {
+		k.pass = pass
+		par.Run(a.NNZ(), a.Rows, k)
+	}
+	run(0)
+	run(1)
+	for i := 0; i < a.Rows; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	out.ColIdx = make([]int, out.RowPtr[a.Rows])
+	out.Vals = make([]float64, out.RowPtr[a.Rows])
+	run(2)
+	return out
+}
+
+// lumpKernel runs pass 0 (thresholds), 1 (kept counts into out.RowPtr[i+1])
+// or 2 (kept entries and lumped diagonals) of sparsifyLump on its rows.
+type lumpKernel struct {
+	a, out *sparse.CSR
+	theta  float64
+	pass   int
+	thresh []float64
+	useAbs []bool
+}
+
+func (k *lumpKernel) Do(_, lo, hi int) {
+	a, out := k.a, k.out
+	for i := lo; i < hi; i++ {
+		cols, vals := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], a.Vals[a.RowPtr[i]:a.RowPtr[i+1]]
+		switch k.pass {
+		case 0:
+			thresh, useAbs, ok := rowThreshold(cols, vals, i, k.theta, nil)
+			if !ok || !slices.Contains(cols, i) {
+				thresh = noDrop
+			}
+			k.thresh[i], k.useAbs[i] = thresh, useAbs
+		case 1:
+			kept := 0
+			for p, j := range cols {
+				if j == i || !k.drop(i, j, vals[p]) {
+					kept++
+				}
+			}
+			out.RowPtr[i+1] = kept
+		case 2:
+			q, diag, dropped := out.RowPtr[i], -1, 0.0
+			for p, j := range cols {
+				v := vals[p]
+				if j == i {
+					diag = q
+				} else if k.drop(i, j, v) {
+					dropped += v
+					continue
+				}
+				out.ColIdx[q], out.Vals[q] = j, v
+				q++
+			}
+			if dropped != 0 {
+				out.Vals[diag] += dropped
+			}
+		}
+	}
+}
+
+// drop reports whether entry (i, j) of value v is weak under both row i's
+// and row j's threshold.
+func (k *lumpKernel) drop(i, j int, v float64) bool {
+	return weakUnder(v, k.thresh[i], k.useAbs[i]) && weakUnder(v, k.thresh[j], k.useAbs[j])
+}
+
+// weakUnder reports whether an entry of value v is weak under a row's
+// threshold: the negation of StrengthGraphFunc's strong test. A noDrop
+// row never classifies anything as weak.
+func weakUnder(v, thresh float64, useAbs bool) bool {
+	if thresh < 0 {
+		return false
+	}
+	if useAbs {
+		return math.Abs(v) < thresh
+	}
+	return -v < thresh
 }
 
 // iterInflation estimates the relative increase in iterations-to-

@@ -70,42 +70,51 @@ type strengthKernel struct {
 
 func (k *strengthKernel) Do(_, lo, hi int) {
 	a, theta, fun := k.a, k.theta, k.fun
-	sameFun := func(i, j int) bool { return fun == nil || fun[i] == fun[j] }
 	for i := lo; i < hi; i++ {
-		maxNeg, maxAbs := 0.0, 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			if j == i || !sameFun(i, j) {
-				continue
-			}
-			v := a.Vals[p]
-			if -v > maxNeg {
-				maxNeg = -v
-			}
-			if math.Abs(v) > maxAbs {
-				maxAbs = math.Abs(v)
-			}
-		}
-		if maxAbs == 0 {
+		cols, vals := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], a.Vals[a.RowPtr[i]:a.RowPtr[i+1]]
+		thresh, useAbs, ok := rowThreshold(cols, vals, i, theta, fun)
+		if !ok {
 			continue // isolated row
 		}
-		useAbs := maxNeg == 0
-		thresh := theta * maxNeg
-		if useAbs {
-			thresh = theta * maxAbs
-		}
 		row := k.buf[a.RowPtr[i]:a.RowPtr[i]:a.RowPtr[i+1]]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			if j == i || !sameFun(i, j) {
+		for p, j := range cols {
+			if j == i || fun != nil && fun[i] != fun[j] {
 				continue
 			}
-			if v := a.Vals[p]; (useAbs && math.Abs(v) >= thresh) || (!useAbs && -v >= thresh) {
+			if v := vals[p]; (useAbs && math.Abs(v) >= thresh) || (!useAbs && -v >= thresh) {
 				row = append(row, j)
 			}
 		}
 		k.rows[i] = row
 	}
+}
+
+// rowThreshold returns the strength threshold of row i, given as its
+// columns and values: theta times its largest negative off-diagonal
+// coupling or, for a row without one (useAbs), theta times its largest
+// |a_ij|. A non-nil fun restricts the couplings to fun[j] == fun[i]. ok is
+// false for a row without such couplings.
+func rowThreshold(cols []int, vals []float64, i int, theta float64, fun []int) (thresh float64, useAbs, ok bool) {
+	maxNeg, maxAbs := 0.0, 0.0
+	for p, j := range cols {
+		if j == i || fun != nil && fun[i] != fun[j] {
+			continue
+		}
+		v := vals[p]
+		if -v > maxNeg {
+			maxNeg = -v
+		}
+		if math.Abs(v) > maxAbs {
+			maxAbs = math.Abs(v)
+		}
+	}
+	switch {
+	case maxAbs == 0:
+		return 0, false, false
+	case maxNeg == 0:
+		return theta * maxAbs, true, true
+	}
+	return theta * maxNeg, false, true
 }
 
 // Transpose returns the influence-transpose graph: T.Rows[j] lists the rows

@@ -391,7 +391,7 @@ func setupStencil7F32(t *testing.T, n int) *Engine {
 func decompositionEngines(t *testing.T) []namedEngine {
 	t.Helper()
 	spOpt := amg.DefaultOptions()
-	spOpt.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
+	spOpt.Sparsify = true
 	sp, err := New(grid.Laplacian27pt(16), spOpt, smoother.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"asyncmg/internal/obs"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/solve"
-	"asyncmg/internal/sparse"
 )
 
 // MsgVolumeConfig parameterizes the sparsification message-volume
@@ -30,8 +29,6 @@ type MsgVolumeConfig struct {
 	// big enough that the 27pt hierarchy has a sparsifiable middle
 	// level; at 12 it is two levels and theta never fires).
 	Size int
-	// Theta is the sparsification drop threshold (default 0.25).
-	Theta float64
 	// MaxCorrections bounds the distmem solve (default 60).
 	MaxCorrections int
 	// Seed generates the right-hand side (default 11).
@@ -42,7 +39,7 @@ type MsgVolumeConfig struct {
 
 // DefaultMsgVolume returns the experiment's defaults.
 func DefaultMsgVolume() MsgVolumeConfig {
-	return MsgVolumeConfig{Problem: problem.Laplace27pt, Method: "multadd", Size: 16, Theta: 0.25, MaxCorrections: 60, Seed: 11}
+	return MsgVolumeConfig{Problem: problem.Laplace27pt, Method: "multadd", Size: 16, MaxCorrections: 60, Seed: 11}
 }
 
 // MsgVolumeReport is the before/after message-volume table.
@@ -95,7 +92,7 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.Sparsify = amg.SparsifyOptions{Theta: cfg.Theta, Mode: sparse.SparsifyLump}
+	opt.Sparsify = true
 	sparsified, err := solve.Build(src, opt, plan.Smoother, false)
 	if err != nil {
 		return nil, err
@@ -119,7 +116,7 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 	}
 
 	rep := &MsgVolumeReport{
-		Problem: cfg.Problem, Method: cfg.Method, Rows: len(b), Theta: cfg.Theta,
+		Problem: cfg.Problem, Method: cfg.Method, Rows: len(b), Theta: amg.Theta,
 		HierarchyBytesGolden:     golden.HierarchyBytes(),
 		HierarchyBytesSparsified: sparsified.HierarchyBytes(),
 	}
@@ -134,7 +131,7 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 	}
 
 	fmt.Fprintf(w, "# distmem message volume, %s %s size=%d theta=%.2f, %d corrections\n",
-		cfg.Problem, cfg.Method, cfg.Size, cfg.Theta, cfg.MaxCorrections)
+		cfg.Problem, cfg.Method, cfg.Size, amg.Theta, cfg.MaxCorrections)
 	fmt.Fprintf(w, "%-12s %15s %15s\n", "grid", "sent nnz", "sent nnz'")
 	for k := range rep.PerGridGolden {
 		var after int64

@@ -76,7 +76,7 @@ func TestScalingMetamorphic(t *testing.T) {
 			opt := amg.DefaultOptions()
 			opt.CoarsePrecision = cfg.precision
 			if cfg.sparsify {
-				opt.Sparsify = amg.SparsifyOptions{Theta: 0.25, Mode: sparse.SparsifyLump}
+				opt.Sparsify = true
 			}
 			smo := smoother.Config{Kind: cfg.kind, Omega: problem.DefaultOmega(pm.problem), Blocks: 1}
 			build := func(a *sparse.CSR) *engine.Engine {

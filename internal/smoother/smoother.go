@@ -224,36 +224,36 @@ func (s *S) ApplyBlock(e, r []float64, b int) {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] = s.invDiag[i] * r[i]
 		}
-	case HybridJGS, AsyncGS:
+	case HybridJGS, AsyncGS, L1HybridJGS:
 		// Zero initial guess: off-block couplings multiply zeros, so the
 		// block lower-triangular solve is exactly one GS sweep from zero.
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] = 0
 		}
-		s.A.LowerTriSolveRange(e, r, blk.Lo, blk.Hi)
-	case L1HybridJGS:
-		for i := blk.Lo; i < blk.Hi; i++ {
-			e[i] = 0
-		}
-		s.l1LowerSolve(e, r, blk)
+		lowerSolve(s.A, s.l1Off, e, r, blk)
 	}
 }
 
-// l1LowerSolve performs the block forward substitution of L1HybridJGS:
-// (L_b + D^ℓ1_b) x_b = r_b, where the diagonal is augmented by the ℓ1 norm
-// of the row's off-block entries.
-func (s *S) l1LowerSolve(x, b []float64, blk partition.Range) {
-	a := s.A
+// lowerSolve performs the block forward substitution of the hybrid
+// smoothers, (L_b + D_b + diag(aug_b)) x_b = b_b over the rows of blk:
+// only columns inside the block and on or below the diagonal take part,
+// and entries of x outside the block are untouched. aug is the ℓ1 norm of
+// each row's off-block entries for L1HybridJGS and nil for HybridJGS and
+// AsyncGS, whose diagonal is then 0 + a_ii = a_ii. A row whose (augmented)
+// diagonal is zero leaves x unchanged.
+func lowerSolve(a *sparse.CSR, aug, x, b []float64, blk partition.Range) {
 	for i := blk.Lo; i < blk.Hi; i++ {
-		sum := b[i]
-		diag := s.l1Off[i]
+		sum, diag := b[i], 0.0
+		if aug != nil {
+			diag = aug[i]
+		}
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.ColIdx[p]
 			if j < blk.Lo {
 				continue
 			}
 			if j > i {
-				break
+				break // sorted columns: nothing at or below the diagonal remains
 			}
 			if j == i {
 				diag += a.Vals[p]
@@ -334,23 +334,14 @@ func (s *S) SweepBlockFromResidual(e, res []float64, b int) {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] += s.invDiag[i] * res[i]
 		}
-	case HybridJGS, AsyncGS:
-		a := s.A
+	case HybridJGS, AsyncGS, L1HybridJGS:
 		// Forward solve L_b δ = res_b, then accumulate. Blocks write
 		// disjoint slices of the shared scratch, so concurrent team calls
 		// on distinct blocks are safe.
 		for i := blk.Lo; i < blk.Hi; i++ {
 			s.delta[i] = 0
 		}
-		a.LowerTriSolveRange(s.delta, res, blk.Lo, blk.Hi)
-		for i := blk.Lo; i < blk.Hi; i++ {
-			e[i] += s.delta[i]
-		}
-	case L1HybridJGS:
-		for i := blk.Lo; i < blk.Hi; i++ {
-			s.delta[i] = 0
-		}
-		s.l1LowerSolve(s.delta, res, blk)
+		lowerSolve(s.A, s.l1Off, s.delta, res, blk)
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] += s.delta[i]
 		}

@@ -9,6 +9,7 @@ import (
 
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
+	"asyncmg/internal/partition"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
@@ -162,14 +163,74 @@ func TestHybridBlocksIndependent(t *testing.T) {
 	// Reference: per-block independent computation.
 	want := make([]float64, n)
 	for _, blk := range s.Blocks {
-		tmp := make([]float64, n)
-		a.LowerTriSolveRange(tmp, r, blk.Lo, blk.Hi)
-		copy(want[blk.Lo:blk.Hi], tmp[blk.Lo:blk.Hi])
+		for i := blk.Lo; i < blk.Hi; i++ {
+			sum, diag := r[i], 0.0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				switch j := a.ColIdx[p]; {
+				case j == i:
+					diag = a.Vals[p]
+				case j >= blk.Lo && j < i:
+					sum -= a.Vals[p] * want[j]
+				}
+			}
+			want[i] = sum / diag
+		}
 	}
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-14 {
 			t.Fatalf("block independence violated at %d: %v vs %v", i, got[i], want[i])
 		}
+	}
+}
+
+func TestLowerSolveRange(t *testing.T) {
+	// A small SPD-ish lower-triangular-dominant matrix; a full-range lower
+	// solve must satisfy L x = b exactly where L = tril(A).
+	coo := sparse.NewCOO(4, 4, 10)
+	vals := [][3]float64{
+		{0, 0, 4}, {1, 0, -1}, {1, 1, 4}, {2, 1, -1}, {2, 2, 4},
+		{3, 2, -1}, {3, 3, 4}, {0, 1, -1}, {1, 2, -1}, {2, 3, -1},
+	}
+	for _, e := range vals {
+		coo.Add(int(e[0]), int(e[1]), e[2])
+	}
+	a := coo.ToCSR()
+	b := []float64{1, 2, 3, 4}
+	x := make([]float64, 4)
+	lowerSolve(a, nil, x, b, partition.Range{Lo: 0, Hi: 4})
+	// Verify L x = b with L = lower triangle of A.
+	for i := 0; i < 4; i++ {
+		s := 0.0
+		for j := 0; j <= i; j++ {
+			s += sparsetest.At(a, i, j) * x[j]
+		}
+		if math.Abs(s-b[i]) > 1e-12 {
+			t.Errorf("row %d: Lx = %v, want %v", i, s, b[i])
+		}
+	}
+}
+
+func TestLowerSolveIgnoresOutsideBlock(t *testing.T) {
+	coo := sparse.NewCOO(4, 4, 8)
+	coo.Add(0, 0, 2)
+	coo.Add(1, 1, 2)
+	coo.Add(2, 2, 2)
+	coo.Add(3, 3, 2)
+	coo.Add(2, 0, 100) // outside block [2,4): must be ignored
+	coo.Add(3, 2, -2)
+	a := coo.ToCSR()
+	x := []float64{7, 7, 0, 0}
+	b := []float64{0, 0, 2, 2}
+	lowerSolve(a, nil, x, b, partition.Range{Lo: 2, Hi: 4})
+	if x[0] != 7 || x[1] != 7 {
+		t.Error("block solve touched entries outside the block")
+	}
+	if math.Abs(x[2]-1) > 1e-14 {
+		t.Errorf("x[2] = %v, want 1 (column 0 coupling must be ignored)", x[2])
+	}
+	// row 3: 2*x3 - 2*x2 = 2 -> x3 = 2
+	if math.Abs(x[3]-2) > 1e-14 {
+		t.Errorf("x[3] = %v, want 2", x[3])
 	}
 }
 

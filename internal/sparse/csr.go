@@ -1,17 +1,15 @@
 // Package sparse implements the compressed sparse row (CSR) matrix kernels
 // that every other subsystem in this repository is built on: sparse
 // matrix-vector products, transposes, sparse general matrix-matrix products,
-// the Galerkin triple product used by the AMG setup, triangular solves for
-// Gauss-Seidel-type smoothers, and a COO assembly builder for the FEM and
-// stencil problem generators.
+// the Galerkin triple product used by the AMG setup, and a COO assembly
+// builder for the FEM and stencil problem generators.
 //
 // All matrices use 0-based indices and row-major CSR storage, generic over
 // the stored value and index types (Matrix); every kernel accumulates in
-// float64 against float64 vectors. The setup phase (assembly, GEMM,
-// sparsification) works on CSR, the float64/int instantiation. Within each
-// row, column indices are kept sorted ascending; every constructor and
-// transformation in this package preserves that invariant, and Validate
-// checks it.
+// float64 against float64 vectors. The setup phase (assembly, GEMM) works
+// on CSR, the float64/int instantiation. Within each row, column indices
+// are kept sorted ascending; every constructor and transformation in this
+// package preserves that invariant, and Validate checks it.
 package sparse
 
 import (
@@ -212,34 +210,4 @@ func addScaled(a, b *CSR, beta float64) *CSR {
 		c.RowPtr[i+1] = len(c.Vals)
 	}
 	return c
-}
-
-// LowerTriSolveRange performs a forward substitution with the lower
-// triangular part (including diagonal) of A restricted to the index block
-// [lo, hi): it solves L x = b treating only columns within [lo, hi) and on
-// or below the diagonal, which is exactly one block of the hybrid
-// Jacobi-Gauss-Seidel smoother. Entries of x outside [lo, hi) are not
-// touched. Rows with a zero diagonal leave x unchanged for that row.
-func (a *Matrix[V, I]) LowerTriSolveRange(x, b []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := b[i]
-		diag := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := int(a.ColIdx[p])
-			if j < lo {
-				continue
-			}
-			if j > i {
-				break // sorted columns: nothing at or below the diagonal remains
-			}
-			if j == i {
-				diag = float64(a.Vals[p])
-			} else {
-				s -= float64(a.Vals[p]) * x[j]
-			}
-		}
-		if diag != 0 {
-			x[i] = s / diag
-		}
-	}
 }

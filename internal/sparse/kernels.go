@@ -15,8 +15,8 @@
 // otherwise. Because row loops are independent, a sharded kernel is
 // bitwise-identical to its serial form at any worker count. The one shard
 // descriptor is recycled through a sync.Pool, so the steady state
-// allocates nothing. The setup kernels (GEMM, sparsification) dispatch
-// through par.Run instead: they run a few times per setup, not per cycle.
+// allocates nothing. The setup GEMM dispatches through par.Run instead:
+// it runs a few times per setup, not per cycle.
 package sparse
 
 import (
