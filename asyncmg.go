@@ -346,7 +346,11 @@ func DefaultCGOptions() CGOptions { return krylov.DefaultOptions() }
 
 // SolveCG runs (preconditioned) conjugate gradients on A x = b from x = 0.
 func SolveCG(a *Matrix, b []float64, opt CGOptions) (*CGResult, error) {
-	return krylov.Solve(a, b, opt)
+	res, err := krylov.PCG(op.FromCSR(a), b, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // NewMGPreconditioner builds a one-cycle multigrid preconditioner.

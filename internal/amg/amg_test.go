@@ -572,7 +572,7 @@ func TestHierarchyCoarseSolveExact(t *testing.T) {
 		b[i] = float64(i%5) - 2
 	}
 	x := make([]float64, ac.Rows)
-	h.Coarse.Solve(x, b)
+	h.Coarse.SolveScratch(x, b, make([]float64, ac.Rows))
 	r := make([]float64, ac.Rows)
 	ac.Residual(r, b, x)
 	for i := range r {

@@ -259,36 +259,24 @@ type solverState struct {
 
 // gridRun is the per-grid team state.
 type gridRun struct {
-	rt   *solverState
-	k    int // grid (level) index
-	team *Barrier
-	m    int // team size
+	team
+	rt *solverState
+	k  int // grid (level) index
+	m  int // team size
 
-	// fineRanges[tid] is this team's split of the fine grid rows.
-	fineRanges []partition.Range
-	// levelRanges[j][tid] splits level j's rows among the team.
-	levelRanges [][]partition.Range
 	// globalRanges[tid] is the team's share of the global-res parallel
 	// loop: each thread owns a static slice of ALL fine rows (the OpenMP
 	// static schedule of Algorithm 3 line 1 / Algorithm 5 lines 15-17).
 	globalRanges []partition.Range
 
-	// Per-level scratch shared by the team (disjoint row writes).
-	lvl, lvl2 [][]float64
 	// Fine-level local buffers: the team's snapshot of x and its local
 	// residual.
 	xk, rk []float64
-	// eBuf holds the level-k correction; modBuf the AFACx modified RHS.
-	eBuf, modBuf []float64
-	// buf views the scratch above as the engine's correction buffers;
-	// sites[tid] adapts each thread to the engine's Site interface. Both
-	// are built once so the steady-state correction allocates nothing.
-	buf   engine.CorrBuffers
+	// buf is the team's shared correction scratch (disjoint row writes);
+	// sites[tid] is each member as an engine.Site. Both are built once so
+	// the steady-state correction allocates nothing.
+	buf   engine.CorrWorkspace
 	sites []teamSite
-	// smoothers with team-sized blocks for level k and (AFACx) k+1.
-	smo, smoNext *smoother.S
-	// eAtom is the level-k atomic buffer used by async GS smoothing.
-	eAtom *vec.Atomic
 	// stopLocal is thread 0's team-consistent break decision (written
 	// before a barrier, read after it).
 	stopLocal bool
@@ -312,23 +300,6 @@ type gridRun struct {
 	lastProxy         float64
 	healthy           bool
 	tightens, relaxes int64
-}
-
-// recordCorrection reports one applied correction of grid k to the
-// configured observer: the smoothing sweeps the engine's Correction body
-// performed for it (one on grid k — the coarse exact solve counts as one
-// — plus, for AFACx, one on grid k+1), and the correction itself with
-// its staleness.
-func (rt *solverState) recordCorrection(k int, staleness int64) {
-	o := rt.cfg.Observer
-	if o == nil {
-		return
-	}
-	o.Relaxed(k, 1)
-	if rt.cfg.Method == engine.AFACx && k+1 < rt.s.NumLevels() {
-		o.Relaxed(k+1, 1)
-	}
-	o.Corrected(k, staleness)
 }
 
 // solveAdditive runs Multadd/AFACx, synchronous or asynchronous.
@@ -399,11 +370,9 @@ func solveAdditive(ctx context.Context, s *engine.Engine, b []float64, cfg Confi
 
 	x := make([]float64, rt.n)
 	rt.x.Snapshot(x)
-	res := make([]float64, rt.n)
-	s.Ops[0].Residual(res, b, x)
 	out := &Result{
 		X:           x,
-		RelRes:      vec.Norm2(res) / rt.normB,
+		RelRes:      s.RelRes(b, x),
 		Corrections: make([]int, l),
 		Elapsed:     elapsed,
 		FinalOmega:  make([]float64, l),
@@ -466,30 +435,37 @@ func newGridRun(rt *solverState, k, m int) (*gridRun, error) {
 		return nil, fmt.Errorf("async: grid %d received no threads", k)
 	}
 	s := rt.s
-	g := &gridRun{rt: rt, k: k, m: m, team: NewBarrier(m)}
+	// The grid's correction touches levels 0..k and, below the coarsest
+	// grid, k+1; it smooths on k, and on k+1 for AFACx's helper sweep.
+	l := s.NumLevels()
+	top := min(k+1, l-1)
+	// Async GS sweeps the grid's own level over a level-sized overlay.
+	var ov *vec.Atomic
+	if s.Cfg.Kind == smoother.AsyncGS {
+		ov = vec.NewAtomic(s.LevelSize(k))
+	}
+	afacx := rt.cfg.Method == engine.AFACx
+	tm, err := newTeam(s, m, top, func(j int) (bool, *vec.Atomic) {
+		if j == k {
+			return true, ov
+		}
+		return j == k+1 && afacx, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("async: grid %d: %w", k, err)
+	}
+	g := &gridRun{team: tm, rt: rt, k: k, m: m}
 	g.hold = rt.cfg.Perturb.holdFor(k)
 	g.omega = rt.damp.initialOmega()
 	g.nextOmega = g.omega
 	g.healthy = true
-	g.fineRanges = partition.SplitRows(rt.n, m)
-	l := s.NumLevels()
-	g.levelRanges = make([][]partition.Range, l)
-	g.lvl = make([][]float64, l)
-	g.lvl2 = make([][]float64, l)
-	for j := 0; j <= k; j++ {
-		g.levelRanges[j] = partition.SplitRows(s.LevelSize(j), m)
-		g.lvl[j] = make([]float64, s.LevelSize(j))
-		g.lvl2[j] = make([]float64, s.LevelSize(j))
-	}
-	if k+1 < l {
-		g.levelRanges[k+1] = partition.SplitRows(s.LevelSize(k+1), m)
-		g.lvl[k+1] = make([]float64, s.LevelSize(k+1))
-		g.lvl2[k+1] = make([]float64, s.LevelSize(k+1))
+	g.buf = engine.CorrWorkspace{Lvl: make([][]float64, l), Lvl2: make([][]float64, l), E: make([]float64, s.LevelSize(k))}
+	for j := 0; j <= top; j++ {
+		g.buf.Lvl[j] = make([]float64, s.LevelSize(j))
+		g.buf.Lvl2[j] = make([]float64, s.LevelSize(j))
 	}
 	g.xk = make([]float64, rt.n)
 	g.rk = make([]float64, rt.n)
-	g.eBuf = make([]float64, s.LevelSize(k))
-	g.modBuf = make([]float64, s.LevelSize(k))
 	copy(g.rk, rt.b) // Algorithm 5: initialize r^k = b
 
 	// The global-res loop splits ALL fine rows across ALL threads: this
@@ -502,24 +478,9 @@ func newGridRun(rt *solverState, k, m int) (*gridRun, error) {
 	all := partition.SplitRows(rt.n, rt.cfg.Threads)
 	g.globalRanges = all[offset : offset+m]
 
-	var err error
-	g.smo, err = s.NewLevelSmoother(k, m)
-	if err != nil {
-		return nil, fmt.Errorf("async: grid %d smoother: %w", k, err)
-	}
-	if rt.cfg.Method == engine.AFACx && k+1 < l {
-		g.smoNext, err = s.NewLevelSmoother(k+1, m)
-		if err != nil {
-			return nil, fmt.Errorf("async: grid %d next-level smoother: %w", k, err)
-		}
-	}
-	if s.Cfg.Kind == smoother.AsyncGS {
-		g.eAtom = vec.NewAtomic(s.LevelSize(k))
-	}
-	g.buf = engine.CorrBuffers{Lvl: g.lvl, Lvl2: g.lvl2, E: g.eBuf, Mod: g.modBuf}
 	g.sites = make([]teamSite, m)
-	for tid := 0; tid < m; tid++ {
-		g.sites[tid] = teamSite{g: g, tid: tid}
+	for tid := range g.sites {
+		g.sites[tid] = teamSite{team: &g.team, tid: tid}
 	}
 	return g, nil
 }

@@ -230,7 +230,7 @@ func (p Perturb) holdFor(k int) int {
 // next cycle-top barrier.
 func (g *gridRun) checkHealth() {
 	rt := g.rt
-	fr := g.fineRanges[0]
+	fr := g.ranges[0][0]
 	proxy := 0.0
 	for i := fr.Lo; i < fr.Hi; i++ {
 		proxy += g.rk[i] * g.rk[i]

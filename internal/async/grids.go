@@ -5,9 +5,6 @@ import (
 	"runtime"
 
 	"asyncmg/internal/op"
-	"asyncmg/internal/partition"
-	"asyncmg/internal/smoother"
-	"asyncmg/internal/vec"
 )
 
 // fineAtomic returns the fine operator's atomic-residual face. Every fine
@@ -49,7 +46,7 @@ func (g *gridRun) runAsync(tid int) {
 				g.stopLocal = g.pace(myCount)
 			}
 		}
-		g.team.Wait()
+		g.bar.Wait()
 		if g.stopLocal {
 			return
 		}
@@ -87,7 +84,7 @@ func (g *gridRun) runAsync(tid int) {
 			// actually had.
 			applied := rt.epoch.Add(1) - 1
 			delta := applied - g.readEpoch
-			rt.recordCorrection(g.k, delta)
+			rt.s.RecordCorrection(rt.cfg.Observer, rt.cfg.Method, g.k, delta)
 			if rt.auto {
 				g.adaptOmega(delta)
 			}
@@ -165,9 +162,9 @@ func (g *gridRun) runSync(tid int) {
 	rt := g.rt
 	for t := 0; t < rt.cfg.MaxCycles; t++ {
 		// Consistent snapshot of the global residual into team-local rk.
-		fr := g.fineRanges[tid]
+		fr := g.ranges[0][tid]
 		rt.r.LoadRange(g.rk, fr.Lo, fr.Hi)
-		g.team.Wait()
+		g.bar.Wait()
 		out := g.computeCorrection(tid, g.rk)
 		g.writeX(tid, out)
 		rt.globalBarrier.Wait()
@@ -191,7 +188,7 @@ func (g *gridRun) runSync(tid int) {
 			// Synchronous cycles correct from a residual consistent with
 			// every previously applied correction: staleness 0 by
 			// construction.
-			rt.recordCorrection(g.k, 0)
+			rt.s.RecordCorrection(rt.cfg.Observer, rt.cfg.Method, g.k, 0)
 		}
 		// Record the post-cycle residual norm. Only one thread computes it,
 		// and nothing writes the global residual until every thread passes
@@ -223,104 +220,29 @@ func (g *gridRun) computeCorrection(tid int, rfine []float64) []float64 {
 	return g.rt.s.Correction(g.rt.cfg.Method, g.k, rfine, g.omega, &g.buf, &g.sites[tid])
 }
 
-// teamSite adapts one team thread to the engine's Site interface: spans
-// are the thread's static row ranges, Sync is the team barrier, and
-// smoothing dispatches to the team-blocked smoothers (including the
-// async-GS atomic path on the grid's own level).
-type teamSite struct {
-	g   *gridRun
-	tid int
-}
-
-func (ts *teamSite) Span(level int) (int, int) {
-	rg := ts.g.levelRanges[level][ts.tid]
-	return rg.Lo, rg.Hi
-}
-
-func (ts *teamSite) Sync() { ts.g.team.Wait() }
-
-func (ts *teamSite) Smooth(level int, e, r []float64) {
-	sm := ts.g.smo
-	if level != ts.g.k {
-		sm = ts.g.smoNext
-	}
-	ts.g.applySmoother(ts.tid, sm, e, r, level)
-}
-
-func (ts *teamSite) CoarseSolve(e, r []float64) {
-	g := ts.g
-	s := g.rt.s
-	if s.H.Coarse != nil {
-		if ts.tid == 0 {
-			// modBuf is free during the coarse solve (the AFACx
-			// modified-RHS path never runs on the coarsest grid).
-			s.CoarseSolveScratch(e, r, g.modBuf)
-		}
-		g.team.Wait()
-		return
-	}
-	g.applySmoother(ts.tid, g.smo, e, r, g.k)
-}
-
-// applySmoother runs one team-parallel zero-guess sweep of sm on level
-// lvl: e = Λ r. For async GS the sweep runs over the grid-local atomic
-// buffer so teammates' writes are visible mid-sweep.
-func (g *gridRun) applySmoother(tid int, sm *smoother.S, e, r []float64, lvl int) {
-	var atom *vec.Atomic
-	if g.rt.s.Cfg.Kind == smoother.AsyncGS && lvl == g.k {
-		atom = g.eAtom
-	}
-	teamSmooth(tid, g.levelRanges[lvl][tid], g.team, sm, atom, e, r)
-}
-
-// teamSmooth is one team-parallel zero-guess smoothing step e = Λ r, in
-// which thread tid owns the rows rg and block tid of sm. With atom set it
-// is one asynchronous GS sweep over that atomic buffer (at least as long
-// as e), so teammates' writes are visible mid-sweep; otherwise each thread
-// applies its own block.
-func teamSmooth(tid int, rg partition.Range, team *Barrier, sm *smoother.S, atom *vec.Atomic, e, r []float64) {
-	if atom != nil {
-		for i := rg.Lo; i < rg.Hi; i++ {
-			atom.Store(i, 0)
-		}
-		team.Wait()
-		sm.SweepBlockAtomic(atom, r, tid)
-		team.Wait()
-		atom.LoadRange(e, rg.Lo, rg.Hi)
-		team.Wait()
-		return
-	}
-	for i := rg.Lo; i < rg.Hi; i++ {
-		e[i] = 0
-	}
-	team.Wait()
-	sm.ApplyBlock(e, r, tid)
-	team.Wait()
-}
-
 // writeX adds the fine-level correction out into the global solution using
 // the configured write mode.
 func (g *gridRun) writeX(tid int, out []float64) {
 	rt := g.rt
-	fr := g.fineRanges[tid]
+	fr := g.ranges[0][tid]
 	if rt.cfg.Write == LockWrite {
 		if tid == 0 {
 			rt.muX.Lock()
 		}
-		g.team.Wait()
+		g.bar.Wait()
 		for i := fr.Lo; i < fr.Hi; i++ {
 			if out[i] != 0 {
 				rt.x.Store(i, rt.x.Load(i)+out[i])
 			}
 		}
-		g.team.Wait()
+		g.bar.Wait()
 		if tid == 0 {
 			rt.muX.Unlock()
 		}
 		return
 	}
 	rt.x.AddRange(out, fr.Lo, fr.Hi)
-	g.team.Wait()
+	g.bar.Wait()
 }
 
 // readX stores the current global solution into the team-local x^k. Under
@@ -329,21 +251,21 @@ func (g *gridRun) writeX(tid int, out []float64) {
 // model, per Section IV).
 func (g *gridRun) readX(tid int) {
 	rt := g.rt
-	fr := g.fineRanges[tid]
+	fr := g.ranges[0][tid]
 	if rt.cfg.Write == LockWrite {
 		if tid == 0 {
 			rt.muX.Lock()
 		}
-		g.team.Wait()
+		g.bar.Wait()
 		rt.x.LoadRange(g.xk, fr.Lo, fr.Hi)
-		g.team.Wait()
+		g.bar.Wait()
 		if tid == 0 {
 			rt.muX.Unlock()
 		}
 		return
 	}
 	rt.x.LoadRange(g.xk, fr.Lo, fr.Hi)
-	g.team.Wait()
+	g.bar.Wait()
 }
 
 // publishResidual propagates this grid's just-applied correction into the
@@ -354,7 +276,7 @@ func (g *gridRun) readX(tid int) {
 // global residual (Equations 9/10).
 func (g *gridRun) publishResidual(tid int, out []float64) {
 	rt := g.rt
-	fr := g.fineRanges[tid]
+	fr := g.ranges[0][tid]
 	switch rt.cfg.Res {
 	case LocalRes:
 		// Nothing shared to publish.
@@ -368,20 +290,20 @@ func (g *gridRun) publishResidual(tid int, out []float64) {
 	case ResidualRes:
 		// r ← r − A e with the configured write mode (the A·e support
 		// overlaps other grids' rows, so this is a racing update).
-		ae := g.lvl[0]
+		ae := g.buf.Lvl[0]
 		rt.s.Ops[0].ApplyRange(ae, out, fr.Lo, fr.Hi)
-		g.team.Wait()
+		g.bar.Wait()
 		if rt.cfg.Write == LockWrite {
 			if tid == 0 {
 				rt.muR.Lock()
 			}
-			g.team.Wait()
+			g.bar.Wait()
 			for i := fr.Lo; i < fr.Hi; i++ {
 				if ae[i] != 0 {
 					rt.r.Store(i, rt.r.Load(i)-ae[i])
 				}
 			}
-			g.team.Wait()
+			g.bar.Wait()
 			if tid == 0 {
 				rt.muR.Unlock()
 			}
@@ -391,7 +313,7 @@ func (g *gridRun) publishResidual(tid int, out []float64) {
 					rt.r.Add(i, -ae[i])
 				}
 			}
-			g.team.Wait()
+			g.bar.Wait()
 		}
 	}
 }
@@ -402,12 +324,12 @@ func (g *gridRun) publishResidual(tid int, out []float64) {
 // memory (Algorithm 5 lines 13 / 18).
 func (g *gridRun) acquireResidual(tid int) {
 	rt := g.rt
-	fr := g.fineRanges[tid]
+	fr := g.ranges[0][tid]
 	switch rt.cfg.Res {
 	case LocalRes:
 		rt.s.Ops[0].ResidualRange(g.rk, rt.b, g.xk, fr.Lo, fr.Hi)
 	case GlobalRes, ResidualRes:
 		rt.r.LoadRange(g.rk, fr.Lo, fr.Hi)
 	}
-	g.team.Wait()
+	g.bar.Wait()
 }

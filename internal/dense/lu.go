@@ -83,14 +83,10 @@ func (f *LU) factorize() error {
 	return nil
 }
 
-// Solve computes x = A⁻¹ b. x and b may alias. len(x) == len(b) == n.
-func (f *LU) Solve(x, b []float64) {
-	f.SolveScratch(x, b, make([]float64, f.n))
-}
-
-// SolveScratch is Solve with a caller-provided forward-substitution
-// scratch vector y (len >= n, clobbered), for allocation-free repeated
-// solves. y must not alias x or b.
+// SolveScratch computes x = A⁻¹ b with a caller-provided
+// forward-substitution scratch vector y (len >= n, clobbered), for
+// allocation-free repeated solves. x and b may alias; y must alias
+// neither. len(x) == len(b) == n.
 func (f *LU) SolveScratch(x, b, y []float64) {
 	n := f.n
 	// Apply permutation while forward-substituting L y = P b.

@@ -155,3 +155,8 @@ func TestRandomSolveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Solve is SolveScratch with its own scratch.
+func (f *LU) Solve(x, b []float64) {
+	f.SolveScratch(x, b, make([]float64, f.n))
+}

@@ -341,16 +341,6 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 	}
 
 	o := cfg.Observer
-	// relaxed attributes the smoothing work of one applied correction of
-	// grid k (workers relax, but attribution happens at apply time so the
-	// relaxation counts reconcile with the applied-correction counts —
-	// discarded duplicates are not double-counted).
-	relaxed := func(k int) {
-		o.Relaxed(k, 1)
-		if cfg.Method == engine.AFACx && k+1 < l {
-			o.Relaxed(k+1, 1)
-		}
-	}
 
 	finished := func(k int) bool { return retired[k] || counts[k] >= maxCorr }
 	allDone := func() bool {
@@ -442,9 +432,11 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 			applied++
 			rnorm := vec.Norm2(r)
 			// Staleness: corrections applied since the snapshot this
-			// correction was computed from (excluding itself).
-			relaxed(c.grid)
-			o.Corrected(c.grid, int64(applied-1-c.base))
+			// correction was computed from (excluding itself). Workers
+			// relax, but attribution happens at apply time so the
+			// relaxation counts reconcile with the applied-correction
+			// counts — discarded duplicates are not double-counted.
+			s.RecordCorrection(o, cfg.Method, c.grid, int64(applied-1-c.base))
 			o.ResidualSample(c.grid, rnorm/normB)
 			if debugTrace != nil {
 				debugTrace(applied, c.grid, rnorm)
@@ -546,11 +538,8 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 		o.StaleSnapshot.Add(st.StaleDrops)
 	}
 
-	// True residual from scratch.
-	rr := make([]float64, n)
-	a.Residual(rr, b, x)
 	res.X = x
-	res.RelRes = vec.Norm2(rr) / normB
+	res.RelRes = s.RelRes(b, x)
 	res.Diverged = vec.Diverged(x, res.RelRes)
 	return res, nil
 }

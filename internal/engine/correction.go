@@ -1,52 +1,100 @@
-// The single implementation of the per-grid correction math (the B_k/C_k
+// The level steps every cycle body and grid correction is written in, and
+// the single implementation of the per-grid correction math (the B_k/C_k
 // operators of the paper's Section III): restrict the fine residual to
 // grid k, smooth (or coarse-solve, or apply AFACx's modified right-hand
 // side), and prolongate the correction back to the finest level. Serial
-// callers (model, distmem, krylov) and goroutine-team callers
-// (async) both run this body; the Site interface abstracts what differs
-// — the row span each executor owns, the barrier between stages, and how
-// a smoothing sweep is dispatched.
+// callers (the cycles, model, distmem, krylov) and goroutine-team callers
+// (async) run the same bodies; the Site interface is what differs: which
+// rows a step computes and how the executors synchronize after it.
 package engine
 
 import (
 	"fmt"
 
+	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
+	"asyncmg/internal/vec"
 )
 
-// Site is one executor of a grid correction: the whole computation for a
-// serial caller, or a single thread of a goroutine team. Correction
-// calls each stage for the site's span and synchronizes between stages;
-// with a team site every teammate runs Correction concurrently and the
-// stages interleave exactly as the team-parallel loops they replace.
+// Site is one executor of level steps: the whole computation for a serial
+// caller, or one thread of a goroutine team. Each method performs one step
+// on the site's rows of level k, the level it writes, then synchronizes so
+// that every site may read the step's output: teammates running one body
+// concurrently interleave as team-parallel loops with a barrier after each.
 type Site interface {
-	// Span returns the half-open row range [lo, hi) this site owns on
-	// the given level.
-	Span(level int) (lo, hi int)
-	// Sync is a barrier among the sites cooperating on the correction; a
-	// no-op for serial execution.
-	Sync()
-	// Smooth performs one zero-guess smoothing sweep e = Λ_level r over
-	// the site's rows, including zeroing e and any synchronization the
-	// sweep needs internally.
-	Smooth(level int, e, r []float64)
-	// CoarseSolve computes e = A_L⁻¹ r on the coarsest level (falling
-	// back to a smoothing sweep when no factorization exists).
-	CoarseSolve(e, r []float64)
+	// Residual computes r = b − A_k x.
+	Residual(k int, r, b, x []float64)
+	// ApplySub computes y = b − A_k x as the product, then the subtraction
+	// (Residual accumulates from b instead): AFACx's modified right-hand
+	// side, whose rounding the golden histories pin.
+	ApplySub(k int, y, b, x []float64)
+	// Restrict computes rc = tᵀ r into level k (t's coarse level).
+	Restrict(t op.Interp, k int, rc, r []float64)
+	// Prolong computes e = t ec into level k (t's fine level), or
+	// e += t ec with add set.
+	Prolong(t op.Interp, k int, e, ec []float64, add bool)
+	// Smooth performs one zero-guess smoothing sweep e = Λ_k r.
+	Smooth(k int, e, r []float64)
+	// PostSmooth performs the multiplicative cycle's post-smoothing sweep
+	// e ← e + Λ_k (r − A_k e); scratch is level-k scratch.
+	PostSmooth(k int, e, r, scratch []float64)
+	// CoarseSolve computes e = A_L⁻¹ r on the coarsest level, as
+	// CoarseSolveScratch does.
+	CoarseSolve(e, r, scratch []float64)
+	// Scale computes v ← a·v on level k.
+	Scale(k int, a float64, v []float64)
+	// Add computes y ← y + x on level k.
+	Add(k int, y, x []float64)
 }
 
-// CorrBuffers is the scratch a grid correction runs in. Team callers
-// share one CorrBuffers across the team (sites write disjoint spans);
-// serial callers own theirs exclusively.
-type CorrBuffers struct {
+// serialSite runs each step on the calling goroutine over whole vectors,
+// through the sharded kernels and the engine's own smoothers. One pointer
+// wide, it converts to a Site without allocating.
+type serialSite struct{ s *Engine }
+
+func (ss serialSite) Residual(k int, r, b, x []float64) { ss.s.Ops[k].Residual(r, b, x) }
+
+func (ss serialSite) ApplySub(k int, y, b, x []float64) {
+	ss.s.Ops[k].Apply(y, x)
+	for i := range y {
+		y[i] = b[i] - y[i]
+	}
+}
+
+func (ss serialSite) Restrict(t op.Interp, _ int, rc, r []float64) { t.ApplyT(rc, r) }
+
+func (ss serialSite) Prolong(t op.Interp, _ int, e, ec []float64, add bool) {
+	if add {
+		t.ApplyAdd(e, ec)
+		return
+	}
+	t.Apply(e, ec)
+}
+
+func (ss serialSite) Smooth(k int, e, r []float64) { ss.s.Smo[k].Apply(e, r) }
+
+func (ss serialSite) PostSmooth(k int, e, r, scratch []float64) { ss.s.Smo[k].Sweep(e, r, scratch) }
+
+func (ss serialSite) CoarseSolve(e, r, scratch []float64) { ss.s.CoarseSolveScratch(e, r, scratch) }
+
+func (ss serialSite) Scale(_ int, a float64, v []float64) { vec.Scale(a, v) }
+
+func (ss serialSite) Add(_ int, y, x []float64) { vec.AxpyPar(1, y, x) }
+
+// CorrWorkspace is the scratch a grid correction runs in. Team callers
+// share one across the team (sites write disjoint rows); serial callers
+// own theirs exclusively. Prefer AcquireCorrWorkspace/ReleaseCorrWorkspace,
+// which recycle workspaces through a pool.
+type CorrWorkspace struct {
 	// Lvl[j] and Lvl2[j] are level-j sized scratch vectors; the
 	// restriction cascade descends through Lvl, the prolongation ascends
-	// through Lvl2. Only entries 0..k+1 are touched for a grid-k
-	// correction.
+	// through Lvl2, and Lvl2[k] holds AFACx's modified right-hand side (or
+	// the coarse solve's scratch). Only entries 0..k+1 are touched for a
+	// grid-k correction.
 	Lvl, Lvl2 [][]float64
 	// E holds the level-k correction (sized >= the largest level the
-	// caller corrects on); Mod the AFACx modified right-hand side.
-	E, Mod []float64
+	// caller corrects on).
+	E []float64
 }
 
 // Correction computes grid k's additive correction at the finest level
@@ -64,9 +112,9 @@ type CorrBuffers struct {
 // linearity of the interpolants, scaling at level k equals scaling the
 // finest-level output while touching only level-k entries, and the
 // elementwise scale is bitwise reproducible for any team size. omega = 1
-// skips the scaling pass (and its barrier) entirely, so the undamped path
-// is unchanged bit for bit.
-func (s *Engine) Correction(method Method, k int, rfine []float64, omega float64, b *CorrBuffers, site Site) []float64 {
+// skips the scaling step (and its barrier) entirely, so the undamped path
+// is unchanged bit for bit. Every site must read the same omega.
+func (s *Engine) Correction(method Method, k int, rfine []float64, omega float64, b *CorrWorkspace, site Site) []float64 {
 	l := s.NumLevels()
 	var chain []op.Interp
 	switch method {
@@ -80,109 +128,72 @@ func (s *Engine) Correction(method Method, k int, rfine []float64, omega float64
 	// Restrict the fine residual to level k.
 	cur := rfine
 	for j := 0; j < k; j++ {
-		dst := b.Lvl[j+1]
-		lo, hi := site.Span(j + 1)
-		chain[j].ApplyTRange(dst, cur, lo, hi)
-		site.Sync()
-		cur = dst
+		site.Restrict(chain[j], j+1, b.Lvl[j+1], cur)
+		cur = b.Lvl[j+1]
 	}
 	e := b.E[:s.LevelSize(k)]
 	switch {
 	case k == l-1:
-		site.CoarseSolve(e, cur)
+		site.CoarseSolve(e, cur, b.Lvl2[k])
 	case method == Multadd:
 		site.Smooth(k, e, cur)
-	default: // AFACx V(1/1,0) with the modified right-hand side
-		// One sweep on the next-coarser equations from a zero guess.
-		rkp1 := b.Lvl[k+1]
-		lo, hi := site.Span(k + 1)
-		s.Itp[k].ApplyTRange(rkp1, cur, lo, hi)
-		site.Sync()
-		ec := b.Lvl2[k+1]
-		site.Smooth(k+1, ec, rkp1)
-		// Modified RHS: cur − A_k·(P ec), reusing Lvl2[k] for P·ec (it is
-		// not needed again until the prolongation overwrites it).
-		pe := b.Lvl2[k]
-		lo, hi = site.Span(k)
-		s.Itp[k].ApplyRange(pe, ec, lo, hi)
-		site.Sync()
-		mod := b.Mod[:s.LevelSize(k)]
-		// mod[lo:hi] = (cur − A_k pe)[lo:hi]: the residual-range kernel has
-		// the exact summation shape of the raw CSR loop this replaced.
-		s.Ops[k].ResidualRange(mod, cur, pe, lo, hi)
-		site.Sync()
-		site.Smooth(k, e, mod)
+	default:
+		site.Restrict(s.Itp[k], k+1, b.Lvl[k+1], cur)
+		s.afacxCorrection(site, k, e, cur, b.Lvl[k+1], b.Lvl2[k+1], b.Lvl2[k])
 	}
 	if omega != 1 {
-		// Damp this grid's correction over the site's span. Every site
-		// reads the same omega (the caller establishes that), so the
-		// branch and the barrier count agree across the team.
-		lo, hi := site.Span(k)
-		ek := e[lo:hi]
-		for i := range ek {
-			ek[i] *= omega
-		}
-		site.Sync()
+		site.Scale(k, omega, e)
 	}
 	// Prolongate back to the finest level.
 	out := e
 	for j := k - 1; j >= 0; j-- {
-		dst := b.Lvl2[j]
-		lo, hi := site.Span(j)
-		chain[j].ApplyRange(dst, out, lo, hi)
-		site.Sync()
-		out = dst
+		site.Prolong(chain[j], j, b.Lvl2[j], out, false)
+		out = b.Lvl2[j]
 	}
 	return out
 }
 
-// serialSite executes a grid correction on the calling goroutine: full
-// spans, no barriers, the engine's own per-level smoothers.
-type serialSite struct {
-	s *Engine
-	w *CorrWorkspace
+// afacxCorrection computes grid k's AFACx correction below the coarsest
+// grid from its residual r and the next-coarser residual rc (Algorithm 2):
+//
+//	ec = Λ_{k+1} rc               (one sweep, zero guess)
+//	e  = Λ_k (r − A_k P ec)       (one sweep, zero guess)
+//
+// By linearity of the stationary smoother, a sweep from the initial guess
+// P ec equals P ec plus a sweep from zero on this modified system, so the
+// redundant prolongations cancel. ec is level-(k+1) scratch and mod
+// level-k scratch; e holds P ec until the last sweep overwrites it.
+func (s *Engine) afacxCorrection(site Site, k int, e, r, rc, ec, mod []float64) {
+	site.Smooth(k+1, ec, rc)
+	site.Prolong(s.Itp[k], k, e, ec, false)
+	site.ApplySub(k, mod, r, e)
+	site.Smooth(k, e, mod)
 }
 
-func (ss *serialSite) Span(level int) (int, int) { return 0, ss.s.LevelSize(level) }
-
-func (ss *serialSite) Sync() {}
-
-func (ss *serialSite) Smooth(level int, e, r []float64) { ss.s.Smo[level].Apply(e, r) }
-
-func (ss *serialSite) CoarseSolve(e, r []float64) {
-	// Mod is free here: the AFACx modified-RHS path never runs on the
-	// coarsest grid, the only place CoarseSolve is called.
-	ss.s.CoarseSolveScratch(e, r, ss.w.buf.Mod)
+// RecordCorrection reports one applied correction of grid k to o: the
+// smoothing sweeps Correction ran for it (one on grid k, the coarse exact
+// solve counting as one, and for AFACx one more on grid k+1) and the
+// correction itself with its staleness. Correction records nothing, so
+// every caller attributes through here when it applies a correction.
+func (s *Engine) RecordCorrection(o *obs.Observer, m Method, k int, staleness int64) {
+	if o == nil {
+		return
+	}
+	o.Relaxed(k, 1)
+	if m == AFACx && k+1 < s.NumLevels() {
+		o.Relaxed(k+1, 1)
+	}
+	o.Corrected(k, staleness)
 }
 
-// CorrWorkspace holds the per-level scratch for single-grid correction
-// evaluations (GridCorrection). Not safe for concurrent use. Prefer
-// AcquireCorrWorkspace/ReleaseCorrWorkspace, which recycle workspaces
-// through a pool.
-type CorrWorkspace struct {
-	buf  CorrBuffers
-	site serialSite
-}
-
-// NewCorrWorkspace allocates scratch for GridCorrection calls.
+// NewCorrWorkspace allocates scratch for corrections on every grid.
 func (s *Engine) NewCorrWorkspace() *CorrWorkspace {
 	l := s.NumLevels()
-	w := &CorrWorkspace{buf: CorrBuffers{
-		Lvl:  make([][]float64, l),
-		Lvl2: make([][]float64, l),
-	}}
-	maxN := 0
-	for k := 0; k < l; k++ {
-		n := s.LevelSize(k)
-		w.buf.Lvl[k] = make([]float64, n)
-		w.buf.Lvl2[k] = make([]float64, n)
-		if n > maxN {
-			maxN = n
-		}
+	w := &CorrWorkspace{Lvl: make([][]float64, l), Lvl2: make([][]float64, l), E: make([]float64, s.LevelSize(0))}
+	for k := range w.Lvl {
+		w.Lvl[k] = make([]float64, s.LevelSize(k))
+		w.Lvl2[k] = make([]float64, s.LevelSize(k))
 	}
-	w.buf.E = make([]float64, maxN)
-	w.buf.Mod = make([]float64, maxN)
-	w.site = serialSite{s: s, w: w}
 	return w
 }
 
@@ -194,6 +205,6 @@ func (s *Engine) NewCorrWorkspace() *CorrWorkspace {
 // is also the serial reference the worker-count property tests compare
 // the team-parallel damped path against.
 func (s *Engine) GridCorrection(method Method, k int, out, rfine []float64, omega float64, w *CorrWorkspace) {
-	res := s.Correction(method, k, rfine, omega, &w.buf, &w.site)
+	res := s.Correction(method, k, rfine, omega, w, serialSite{s})
 	copy(out, res)
 }

@@ -1,10 +1,9 @@
 // The multigrid cycles: one body per cycle family (multiplicative,
-// additive, AFACx), every entry point a choice of its parameters. Each
-// step is one operator or interpolant call (Apply, Residual, ApplyT,
-// ApplyAdd); every such kernel shards onto the par worker pool for large
-// levels and is bitwise-identical to its serial form, so residual
-// histories do not depend on the worker count. Solve keeps the serial
-// Norm2 for bit-stable histories.
+// additive, AFACx), every entry point a choice of its parameters, each
+// written in Site steps. On the serial site every step is one sharded
+// operator or interpolant call, bitwise-identical to its serial form, so
+// residual histories do not depend on the worker count. Solve keeps the
+// serial Norm2 for bit-stable histories.
 package engine
 
 import (
@@ -13,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 
+	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
 	"asyncmg/internal/vec"
 )
@@ -22,15 +22,17 @@ func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
 	s.cycle(m, x, b, w, false, false)
 }
 
-// cycle is the one method dispatch. zero says x is the zero vector on
-// entry: the fine residual b − A·0 is then b itself and the corrected
-// iterate 0 + e₀ is e₀, so the cycle copies b in and e₀ out instead of
-// computing either (only the sign of a zero entry can differ). symmetrized
-// selects Multadd's symmetrized smoother; the other methods ignore it.
+// cycle is the one serial method dispatch, and the one place a serial
+// cycle is reported to the engine's observer. zero says x is the zero
+// vector on entry: the fine residual b − A·0 is then b itself and the
+// corrected iterate 0 + e₀ is e₀, so the cycle copies b in and e₀ out
+// instead of computing either (only the sign of a zero entry can differ).
+// symmetrized selects Multadd's symmetrized smoother; the other methods
+// ignore it.
 func (s *Engine) cycle(m Method, x, b []float64, w *Workspace, zero, symmetrized bool) {
 	switch m {
 	case Mult:
-		s.multCycle(x, b, w, zero)
+		s.multCycle(serialSite{s}, x, b, w, zero)
 	case Multadd:
 		s.additiveCycle(x, b, w, s.SItp, symmetrized, 1, zero)
 	case AFACx:
@@ -40,53 +42,83 @@ func (s *Engine) cycle(m Method, x, b []float64, w *Workspace, zero, symmetrized
 	default:
 		panic(fmt.Sprintf("mg: unknown method %d", m))
 	}
+	s.RecordCycle(s.obs, m, m == Multadd && symmetrized)
+}
+
+// RecordCycle reports one synchronous V-cycle of method m to o: the
+// smoothing sweeps it ran on every grid (the coarsest grid's exact solve
+// counts as one; symmetrized is Multadd's two-sweep smoother) and one
+// correction per grid at staleness 0, since a synchronous cycle corrects
+// every grid once from a fresh residual. The cycle bodies record nothing,
+// so a team running one body on many sites reports it once, here.
+func (s *Engine) RecordCycle(o *obs.Observer, m Method, symmetrized bool) {
+	if o == nil {
+		return
+	}
+	l := s.NumLevels()
+	for k := 0; k < l; k++ {
+		// Mult pre- and post-smooths below the coarsest grid, and an
+		// AFACx grid also sweeps as the next-finer grid's helper.
+		sweeps := int64(1)
+		if k < l-1 && (m == Mult || symmetrized) || m == AFACx && k > 0 {
+			sweeps = 2
+		}
+		o.Relaxed(k, sweeps)
+		o.Corrected(k, 0)
+	}
 }
 
 // ---- the multiplicative family ----
 
+// MultCycle runs one classical multiplicative V(1,1)-cycle with its level
+// steps executed by site, updating x in place. A goroutine team runs it by
+// calling MultCycle concurrently, one site per member, over one shared
+// workspace; every site must span the whole hierarchy. It reports nothing
+// to any observer (see RecordCycle).
+func (s *Engine) MultCycle(site Site, x, b []float64, w *Workspace) {
+	s.multCycle(site, x, b, w, false)
+}
+
 // multCycle performs one classical multiplicative V(1,1)-cycle
 // (Algorithm 1): pre-smooth and restrict down the hierarchy, exact-solve on
-// the coarsest grid, prolong and post-smooth back up, then correct x.
-func (s *Engine) multCycle(x, b []float64, w *Workspace, zero bool) {
+// the coarsest grid, prolong and post-smooth back up, then correct x. The
+// zero-guess form copies whole vectors, so only the serial site takes it.
+func (s *Engine) multCycle(site Site, x, b []float64, w *Workspace, zero bool) {
 	l := s.NumLevels()
-	s.fineResidual(w, x, b, zero)
+	fineResidual(site, w, x, b, zero)
 	// Downward sweep: e_k = Λ_k r_k (one pre-smoothing sweep from a zero
 	// guess), then r_{k+1} = Pᵀ (r_k − A_k e_k).
 	for k := 0; k < l-1; k++ {
-		s.Smo[k].Apply(w.e[k], w.r[k])
-		s.Ops[k].Residual(w.tmp[k], w.r[k], w.e[k])
-		s.Itp[k].ApplyT(w.r[k+1], w.tmp[k])
-		s.obs.Relaxed(k, 1)
+		site.Smooth(k, w.e[k], w.r[k])
+		site.Residual(k, w.tmp[k], w.r[k], w.e[k])
+		site.Restrict(s.Itp[k], k+1, w.r[k+1], w.tmp[k])
 	}
-	s.CoarseSolveScratch(w.e[l-1], w.r[l-1], w.tmp[l-1])
-	s.obs.Relaxed(l-1, 1)
+	site.CoarseSolve(w.e[l-1], w.r[l-1], w.tmp[l-1])
 	// Upward sweep: e_k += P e_{k+1}, then one post-smoothing sweep
 	// e_k += Λ_k (r_k − A_k e_k).
 	for k := l - 2; k >= 0; k-- {
-		s.Itp[k].ApplyAdd(w.e[k], w.e[k+1])
-		s.Smo[k].Sweep(w.e[k], w.r[k], w.tmp[k])
-		s.obs.Relaxed(k, 1)
+		site.Prolong(s.Itp[k], k, w.e[k], w.e[k+1], true)
+		site.PostSmooth(k, w.e[k], w.r[k], w.tmp[k])
 	}
-	correct(x, w.e[0], zero)
-	s.countCorrections()
+	correct(site, x, w.e[0], zero)
 }
 
 // fineResidual forms w.r[0] = b − A x, which from a zero x is b.
-func (s *Engine) fineResidual(w *Workspace, x, b []float64, zero bool) {
+func fineResidual(site Site, w *Workspace, x, b []float64, zero bool) {
 	if zero {
 		copy(w.r[0], b)
 		return
 	}
-	s.Ops[0].Residual(w.r[0], b, x)
+	site.Residual(0, w.r[0], b, x)
 }
 
 // correct adds the fine correction e into x, which from a zero x is e.
-func correct(x, e []float64, zero bool) {
+func correct(site Site, x, e []float64, zero bool) {
 	if zero {
 		copy(x, e)
 		return
 	}
-	vec.AxpyPar(1, x, e)
+	site.Add(0, x, e)
 }
 
 // ---- the additive family ----
@@ -107,32 +139,29 @@ func correct(x, e []float64, zero bool) {
 // residuals cascade down once while prolongSum sums the corrections
 // coarsest-first, L−1 interpolant applies in all.
 func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64, zero bool) {
+	site := serialSite{s}
 	l := s.NumLevels()
-	s.restrictCascade(w, chain, x, b, zero)
+	s.restrictCascade(site, w, chain, x, b, zero)
 	for k := 0; k < l; k++ {
 		// Grid k's correction at its own level.
 		switch {
 		case k == l-1:
-			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
-			s.obs.Relaxed(k, 1)
+			site.CoarseSolve(w.e[k], w.r[k], w.tmp[k])
 		case symmetrized:
 			s.Smo[k].ApplySymmetrized(w.e[k], w.r[k], w.tmp[k])
-			s.obs.Relaxed(k, 2)
 		default:
-			s.Smo[k].Apply(w.e[k], w.r[k])
-			s.obs.Relaxed(k, 1)
+			site.Smooth(k, w.e[k], w.r[k])
 		}
 	}
-	s.prolongSum(x, w, chain, omega, zero)
-	s.countCorrections()
+	s.prolongSum(site, x, w, chain, omega, zero)
 }
 
 // restrictCascade forms the fine residual w.r[0] = b − A x and restricts it
 // once down the chain into w.r[1:].
-func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64, zero bool) {
-	s.fineResidual(w, x, b, zero)
+func (s *Engine) restrictCascade(site Site, w *Workspace, chain []op.Interp, x, b []float64, zero bool) {
+	fineResidual(site, w, x, b, zero)
 	for k, t := range chain {
-		t.ApplyT(w.r[k+1], w.r[k])
+		site.Restrict(t, k+1, w.r[k+1], w.r[k])
 	}
 }
 
@@ -140,76 +169,35 @@ func (s *Engine) restrictCascade(w *Workspace, chain []op.Interp, x, b []float64
 // coarsest first (e_k ← ω e_k + chain[k] e_{k+1}, then x += e_0): the
 // composite interpolants in nested form, L−1 applies instead of L(L−1)/2.
 // omega = 1 skips the scaling passes. It overwrites w.e.
-func (s *Engine) prolongSum(x []float64, w *Workspace, chain []op.Interp, omega float64, zero bool) {
+func (s *Engine) prolongSum(site Site, x []float64, w *Workspace, chain []op.Interp, omega float64, zero bool) {
 	for k := len(chain); k >= 0; k-- {
 		if omega != 1 {
-			vec.Scale(omega, w.e[k])
+			site.Scale(k, omega, w.e[k])
 		}
 		if k < len(chain) {
-			chain[k].ApplyAdd(w.e[k], w.e[k+1])
+			site.Prolong(chain[k], k, w.e[k], w.e[k+1], true)
 		}
 	}
-	correct(x, w.e[0], zero)
+	correct(site, x, w.e[0], zero)
 }
 
-// countCorrections records one applied correction per grid: a synchronous
-// cycle corrects every grid once from a fresh residual, so the staleness
-// is 0 by construction.
-func (s *Engine) countCorrections() {
-	if s.obs == nil {
-		return
-	}
-	for k := 0; k < s.NumLevels(); k++ {
-		s.obs.Corrected(k, 0)
-	}
-}
-
-// afacxCycle performs one AFACx V(1/1,0)-cycle (Algorithm 2). For each
-// grid k < ℓ the correction is computed with the modified right-hand side
-// so the redundant prolongations cancel:
-//
-//	e_{k+1} = Λ_{k+1} r_{k+1}            (one sweep, zero guess)
-//	ẽ_k     = Λ_k (r_k − A_k P e_{k+1})  (one sweep, zero guess)
-//	x      += P⁰_k ẽ_k
-//
-// and the coarsest grid contributes x += P⁰_ℓ A_ℓ⁻¹ r_ℓ. Restriction uses
-// the plain interpolants. Every grid's final correction ẽ_k is scaled by
-// omega at its own level (the next-coarser helper sweep e_{k+1} inside the
+// afacxCycle performs one AFACx V(1/1,0)-cycle (Algorithm 2): every grid
+// k < ℓ contributes x += P⁰_k ẽ_k with ẽ_k from afacxCorrection's modified
+// right-hand side, and the coarsest grid x += P⁰_ℓ A_ℓ⁻¹ r_ℓ. Restriction
+// uses the plain interpolants. Every grid's final correction ẽ_k is scaled
+// by omega at its own level (the next-coarser helper sweep inside the
 // modified right-hand side stays undamped, matching the asynchronous
 // Correction). It shares the additive body's restriction cascade and
-// prolongSum: ẽ_k is left in w.e[k], whose scratch use for P e_{k+1}
-// comes before ẽ_k is written.
+// prolongSum, which sums the ẽ_k left in w.e.
 func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64, zero bool) {
+	site := serialSite{s}
 	l := s.NumLevels()
-	s.restrictCascade(w, s.Itp, x, b, zero)
-	for k := 0; k < l; k++ {
-		if k == l-1 {
-			s.CoarseSolveScratch(w.e[k], w.r[k], w.tmp[k])
-			s.obs.Relaxed(k, 1)
-		} else {
-			// One smoothing sweep on the next-coarser equations from zero.
-			ec := w.tmp[k+1]
-			s.Smo[k+1].Apply(ec, w.r[k+1])
-			s.obs.Relaxed(k+1, 1)
-			// Modified right-hand side: r_k − A_k P e_{k+1}. (By linearity
-			// of the stationary smoother, a sweep from the initial guess
-			// P e_{k+1} equals P e_{k+1} plus a sweep from zero on this
-			// modified system, so the redundant prolongations cancel.)
-			pe := w.e[k] // reuse e_k as scratch for P e_{k+1}
-			s.Itp[k].Apply(pe, ec)
-			mod := w.tmp[k]
-			// Apply-then-subtract, not Residual: the subtraction order here
-			// is the one the golden histories pin.
-			s.Ops[k].Apply(mod, pe)
-			for i := range mod {
-				mod[i] = w.r[k][i] - mod[i]
-			}
-			s.Smo[k].Apply(w.e[k], mod)
-			s.obs.Relaxed(k, 1)
-		}
+	s.restrictCascade(site, w, s.Itp, x, b, zero)
+	for k := 0; k < l-1; k++ {
+		s.afacxCorrection(site, k, w.e[k], w.r[k], w.r[k+1], w.tmp[k+1], w.tmp[k])
 	}
-	s.prolongSum(x, w, s.Itp, omega, zero)
-	s.countCorrections()
+	site.CoarseSolve(w.e[l-1], w.r[l-1], w.tmp[l-1])
+	s.prolongSum(site, x, w, s.Itp, omega, zero)
 }
 
 // ---- solve loops ----
@@ -242,16 +230,17 @@ func (s *Engine) SolveCtx(ctx context.Context, m Method, b []float64, tmax int) 
 // histories depend on scheduling while these do not. omega = 1 matches
 // Solve bit for bit.
 func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x []float64, hist []float64) {
-	var cycle func(x []float64, w *Workspace)
-	switch m {
-	case Multadd:
-		cycle = func(x []float64, w *Workspace) { s.additiveCycle(x, b, w, s.SItp, false, omega, false) }
-	case AFACx:
-		cycle = func(x []float64, w *Workspace) { s.afacxCycle(x, b, w, omega, false) }
-	default:
+	if m != Multadd && m != AFACx {
 		panic(fmt.Sprintf("mg: SolveDamped supports Multadd and AFACx, got %v", m))
 	}
-	x, hist, _ = s.solve(context.Background(), b, tmax, cycle)
+	x, hist, _ = s.solve(context.Background(), b, tmax, func(x []float64, w *Workspace) {
+		if m == Multadd {
+			s.additiveCycle(x, b, w, s.SItp, false, omega, false)
+		} else {
+			s.afacxCycle(x, b, w, omega, false)
+		}
+		s.RecordCycle(s.obs, m, false)
+	})
 	return x, hist
 }
 

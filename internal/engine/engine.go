@@ -91,9 +91,10 @@ type Engine struct {
 	// obs receives per-grid relaxation/correction counts and cycle
 	// residual samples from the engine's own cycle methods. Nil (the
 	// default) disables instrumentation at the cost of one branch per
-	// event. The shared Correction body is NOT auto-instrumented — the
-	// async/distmem/model callers attribute their own counts, so a solve
-	// is never double-counted.
+	// event. The cycle and Correction bodies record nothing themselves:
+	// the serial dispatch reports each cycle (RecordCycle), and the
+	// async/distmem/model callers attribute each applied correction
+	// (RecordCorrection), so a solve is never double-counted.
 	obs *obs.Observer
 }
 
@@ -262,6 +263,20 @@ func (s *Engine) NumLevels() int { return s.H.NumLevels() }
 // LevelSize returns the number of rows on level k.
 func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 
+// RelRes returns the true relative residual ‖b − A x‖₂/‖b‖₂ of an iterate
+// on the fine level (‖b‖₂ = 0 divides by 1), through the fine operator's
+// Residual and the serial Norm2, so it does not depend on the worker
+// count.
+func (s *Engine) RelRes(b, x []float64) float64 {
+	r := make([]float64, len(b))
+	s.Ops[0].Residual(r, b, x)
+	nb := vec.Norm2(b)
+	if nb == 0 {
+		nb = 1
+	}
+	return vec.Norm2(r) / nb
+}
+
 // NewLevelSmoother builds a level-k smoother on the engine's operator
 // view with the engine's configuration and the given block count (team
 // runtimes use one block per thread).
@@ -282,16 +297,10 @@ type Workspace struct {
 // pool.
 func (s *Engine) NewWorkspace() *Workspace {
 	l := s.NumLevels()
-	w := &Workspace{
-		r:   make([][]float64, l),
-		e:   make([][]float64, l),
-		tmp: make([][]float64, l),
-	}
-	for k := 0; k < l; k++ {
+	w := &Workspace{r: make([][]float64, l), e: make([][]float64, l), tmp: make([][]float64, l)}
+	for k := range w.r {
 		n := s.LevelSize(k)
-		w.r[k] = make([]float64, n)
-		w.e[k] = make([]float64, n)
-		w.tmp[k] = make([]float64, n)
+		w.r[k], w.e[k], w.tmp[k] = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
 	return w
 }
@@ -321,20 +330,10 @@ func (s *Engine) AcquireCorrWorkspace() *CorrWorkspace {
 // ReleaseCorrWorkspace returns w to the pool for reuse.
 func (s *Engine) ReleaseCorrWorkspace(w *CorrWorkspace) { s.corrPool.Put(w) }
 
-// CoarseSolve computes e = A_L⁻¹ r on the coarsest level, falling back
-// to a single smoothing sweep if the LU factorization is unavailable.
-func (s *Engine) CoarseSolve(e, r []float64) {
-	if s.H.Coarse != nil {
-		s.H.Coarse.Solve(e, r)
-		return
-	}
-	vec.Zero(e)
-	s.Smo[s.NumLevels()-1].Apply(e, r)
-}
-
-// CoarseSolveScratch is CoarseSolve with caller-provided scratch
-// (len >= the coarsest level size, clobbered), for allocation-free
-// repeated solves.
+// CoarseSolveScratch computes e = A_L⁻¹ r on the coarsest level, falling
+// back to a single smoothing sweep if the LU factorization is unavailable;
+// scratch (len >= the coarsest level size) is clobbered, so repeated
+// solves allocate nothing.
 func (s *Engine) CoarseSolveScratch(e, r, scratch []float64) {
 	if s.H.Coarse != nil {
 		s.H.Coarse.SolveScratch(e, r, scratch)

@@ -23,3 +23,8 @@ func PreconditionEngines(t *testing.T) []NamedEngine {
 	}
 	return out
 }
+
+// CoarseSolve is CoarseSolveScratch with its own scratch.
+func (s *Engine) CoarseSolve(e, r []float64) {
+	s.CoarseSolveScratch(e, r, make([]float64, len(r)))
+}

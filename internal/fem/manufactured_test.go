@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/krylov"
+	"asyncmg/internal/op"
 )
 
 // TestManufacturedSolutionConvergence solves -Δu = f on the unit cube with
@@ -52,7 +53,7 @@ func TestManufacturedSolutionConvergence(t *testing.T) {
 		for r, f := range prob.FreeDOF {
 			b[r] = source(mesh.Nodes[f]) * lump[f]
 		}
-		res, err := krylov.Solve(prob.A, b, krylov.Options{Tol: 1e-12, MaxIter: 5000})
+		res, err := krylov.PCG(op.FromCSR(prob.A), b, krylov.Options{Tol: 1e-12, MaxIter: 5000})
 		if err != nil {
 			t.Fatal(err)
 		}

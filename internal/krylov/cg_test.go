@@ -16,7 +16,7 @@ import (
 func TestPlainCGSolvesSPD(t *testing.T) {
 	a := grid.Laplacian7pt(8)
 	b := grid.RandomRHS(a.Rows, 1)
-	res, err := Solve(a, b, DefaultOptions())
+	res, err := PCG(op.FromCSR(a), b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestCGHistoryMonotoneEnough(t *testing.T) {
 	// last entry must be the minimum within tolerance.
 	a := grid.Laplacian7pt(6)
 	b := grid.RandomRHS(a.Rows, 2)
-	res, err := Solve(a, b, DefaultOptions())
+	res, err := PCG(op.FromCSR(a), b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCGHistoryMonotoneEnough(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	a := grid.Laplacian7pt(4)
-	res, err := Solve(a, make([]float64, a.Rows), DefaultOptions())
+	res, err := PCG(op.FromCSR(a), make([]float64, a.Rows), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +62,16 @@ func TestCGZeroRHS(t *testing.T) {
 func TestCGValidation(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Add(0, 0, 1)
-	if _, err := Solve(coo.ToCSR(), make([]float64, 2), DefaultOptions()); err == nil {
+	if _, err := PCG(op.FromCSR(coo.ToCSR()), make([]float64, 2), DefaultOptions()); err == nil {
 		t.Error("non-square accepted")
 	}
 	a := grid.Laplacian7pt(3)
-	if _, err := Solve(a, make([]float64, 5), DefaultOptions()); err == nil {
+	if _, err := PCG(op.FromCSR(a), make([]float64, 5), DefaultOptions()); err == nil {
 		t.Error("wrong-length RHS accepted")
 	}
 	opt := DefaultOptions()
 	opt.MaxIter = 0
-	if _, err := Solve(a, make([]float64, a.Rows), opt); err == nil {
+	if _, err := PCG(op.FromCSR(a), make([]float64, a.Rows), opt); err == nil {
 		t.Error("MaxIter 0 accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	coo.Add(0, 0, 1)
 	coo.Add(1, 1, -1)
 	a := coo.ToCSR()
-	_, err := Solve(a, []float64{0, 1}, DefaultOptions())
+	_, err := PCG(op.FromCSR(a), []float64{0, 1}, DefaultOptions())
 	if err != ErrBreakdown {
 		t.Fatalf("err = %v, want ErrBreakdown", err)
 	}
@@ -108,13 +108,13 @@ func TestBPXPreconditionedCGBeatsPlainCG(t *testing.T) {
 	a := op.AsCSR(s.Ops[0])
 	b := grid.RandomRHS(a.Rows, 3)
 
-	plain, err := Solve(a, b, DefaultOptions())
+	plain, err := PCG(op.FromCSR(a), b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.M = NewMGPreconditioner(s, engine.BPX)
-	pcg, err := Solve(a, b, opt)
+	pcg, err := PCG(op.FromCSR(a), b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBPXPCGIterationsGridIndependent(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Tol = 1e-8
 		opt.M = NewMGPreconditioner(s, engine.BPX)
-		res, err := Solve(a, b, opt)
+		res, err := PCG(op.FromCSR(a), b, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestSymmetrizedMultaddPreconditioner(t *testing.T) {
 	p.Symmetrized = true
 	opt := DefaultOptions()
 	opt.M = p
-	res, err := Solve(a, b, opt)
+	res, err := PCG(op.FromCSR(a), b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestSymmetrizedMultaddPreconditioner(t *testing.T) {
 func TestIdentityPreconditionerEqualsPlainCG(t *testing.T) {
 	a := grid.Laplacian7pt(5)
 	b := grid.RandomRHS(a.Rows, 6)
-	plain, err := Solve(a, b, DefaultOptions())
+	plain, err := PCG(op.FromCSR(a), b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.M = Identity{}
-	ident, err := Solve(a, b, opt)
+	ident, err := PCG(op.FromCSR(a), b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCGMaxIterNonConverged(t *testing.T) {
 	b := grid.RandomRHS(a.Rows, 7)
 	opt := DefaultOptions()
 	opt.MaxIter = 3
-	res, err := Solve(a, b, opt)
+	res, err := PCG(op.FromCSR(a), b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"asyncmg/internal/op"
-	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
 
@@ -87,20 +86,6 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 	res.RelRes = res.History[len(res.History)-1]
 	opt.Observer.KrylovSolved("pcg", false)
 	return res, nil
-}
-
-// Solve runs (preconditioned) conjugate gradients on a CSR system — the
-// assembled-matrix convenience wrapper around PCG, kept for the paper's
-// BPX-preconditioning experiments and the facade.
-func Solve(a *sparse.CSR, b []float64, opt Options) (*Result, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("krylov: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	res, err := PCG(op.FromCSR(a), b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
 }
 
 // checkSystem validates the operator shape, right-hand side and options

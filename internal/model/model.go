@@ -168,16 +168,7 @@ func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 	// record reports grid k's correction at instant t, computed from
 	// information read at instant z (staleness t − z: the model's exact
 	// read delay, bounded by δ).
-	record := func(k, z int) {
-		if o == nil {
-			return
-		}
-		o.Relaxed(k, 1)
-		if cfg.Method == engine.AFACx && k+1 < l {
-			o.Relaxed(k+1, 1)
-		}
-		o.Corrected(k, int64(t-z))
-	}
+	record := func(k, z int) { s.RecordCorrection(o, cfg.Method, k, int64(t-z)) }
 	for done < l && t < maxT {
 		vec.Zero(sum)
 		active := false
@@ -201,7 +192,7 @@ func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 				hist.at(z, t, readBuf)
 				// B_k needs the fine residual b − A x^(z).
 				a.Residual(w.rfine, b, readBuf)
-				applyCorrection(s, cfg.Method, k, w)
+				s.GridCorrection(cfg.Method, k, w.corr, w.rfine, 1, w.cw)
 				vec.Axpy(1, sum, w.corr)
 				record(k, z)
 			case FullAsyncSolution:
@@ -218,7 +209,7 @@ func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 				}
 				lastRead[k] = maxZ
 				a.Residual(w.rfine, b, readBuf)
-				applyCorrection(s, cfg.Method, k, w)
+				s.GridCorrection(cfg.Method, k, w.corr, w.rfine, 1, w.cw)
 				vec.Axpy(1, sum, w.corr)
 				record(k, minZ)
 			case FullAsyncResidual:
@@ -234,7 +225,7 @@ func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 					w.rfine[i] = hist.elem(z, t, i)
 				}
 				lastRead[k] = maxZ
-				applyCorrection(s, cfg.Method, k, w)
+				s.GridCorrection(cfg.Method, k, w.corr, w.rfine, 1, w.cw)
 				vec.Axpy(1, sum, w.corr)
 				record(k, minZ)
 			}
@@ -255,23 +246,17 @@ func Run(s *engine.Engine, b []float64, cfg Config) (*Result, error) {
 			hist.push(x)
 		}
 	}
-	// Report the true relative residual.
-	rr := make([]float64, n)
-	a.Residual(rr, b, x)
-	nb := vec.Norm2(b)
-	if nb == 0 {
-		nb = 1
-	}
 	return &Result{
 		X:           x,
-		RelRes:      vec.Norm2(rr) / nb,
+		RelRes:      s.RelRes(b, x),
 		Instants:    t,
 		Corrections: corr,
 	}, nil
 }
 
 // corrWorkspace holds the scratch used to evaluate one grid's correction
-// from a fine-grid residual.
+// from a fine-grid residual: B_k (solution-based) and C_k (residual-based)
+// coincide once the fine residual is in hand.
 type corrWorkspace struct {
 	rfine []float64 // input: fine residual
 	corr  []float64 // output: fine-level correction of grid k
@@ -292,14 +277,6 @@ func newCorrWorkspace(s *engine.Engine) *corrWorkspace {
 // release returns the pooled engine scratch; the workspace must not be
 // used afterwards.
 func (w *corrWorkspace) release(s *engine.Engine) { s.ReleaseCorrWorkspace(w.cw) }
-
-// applyCorrection computes grid k's fine-level correction from the fine
-// residual in w.rfine into w.corr. This is B_k (solution-based) and C_k
-// (residual-based): the operators coincide once the fine residual is in
-// hand.
-func applyCorrection(s *engine.Engine, method engine.Method, k int, w *corrWorkspace) {
-	s.GridCorrection(method, k, w.corr, w.rfine, 1, w.cw)
-}
 
 // ring is a fixed-depth history of vectors indexed by absolute time
 // instant.

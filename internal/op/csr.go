@@ -101,6 +101,9 @@ func (t *CSRInterp[V, I]) ApplyAdd(fine, coarse []float64) { t.P.MatVecAddPar(fi
 func (t *CSRInterp[V, I]) ApplyRange(fine, coarse []float64, lo, hi int) {
 	t.P.ApplyRange(fine, coarse, lo, hi)
 }
+func (t *CSRInterp[V, I]) ApplyAddRange(fine, coarse []float64, lo, hi int) {
+	t.P.ApplyAddRange(fine, coarse, lo, hi)
+}
 func (t *CSRInterp[V, I]) ApplyT(coarse, fine []float64) { t.PT.MatVecPar(coarse, fine) }
 func (t *CSRInterp[V, I]) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	t.PT.ApplyRange(coarse, fine, lo, hi)

@@ -105,6 +105,8 @@ type Interp interface {
 	ApplyAdd(fine, coarse []float64)
 	// ApplyRange computes fine[lo:hi] = (P coarse)[lo:hi].
 	ApplyRange(fine, coarse []float64, lo, hi int)
+	// ApplyAddRange computes fine[lo:hi] += (P coarse)[lo:hi].
+	ApplyAddRange(fine, coarse []float64, lo, hi int)
 	// ApplyT computes coarse = Pᵀ fine.
 	ApplyT(coarse, fine []float64)
 	// ApplyTRange computes coarse[lo:hi] = (Pᵀ fine)[lo:hi].
