@@ -422,8 +422,9 @@ func TestBuildHierarchy7pt(t *testing.T) {
 // TestLevelsHoldOneView pins the level layout on the four paper matrices
 // (BuildWithStats) and on the matrix-free 7pt and 27pt n = 34 hierarchies
 // (BuildOperatorWithStats, float64 and CoarseFloat32): every level holds
-// its operator view, every level but the coarsest its interpolant, and
-// the level sizes and operator complexity equal their recorded values.
+// its operator view, every level but the coarsest its interpolant, every
+// algebraic level its A·P (checkLevelAPs), and the level sizes and
+// operator complexity equal their recorded values.
 func TestLevelsHoldOneView(t *testing.T) {
 	lap, err := fem.AssembleLaplace(fem.BallMesh(16))
 	if err != nil {
@@ -482,6 +483,7 @@ func TestLevelsHoldOneView(t *testing.T) {
 				t.Errorf("%s: level %d of %d has interpolant %T", tc.name, k, len(h.Levels), lev.Itp)
 			}
 		}
+		checkLevelAPs(t, tc.name, h)
 		if got := h.GridSizes(); !slices.Equal(got, tc.sizes) {
 			t.Errorf("%s: levels %v, want %v", tc.name, got, tc.sizes)
 		}

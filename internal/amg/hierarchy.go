@@ -73,7 +73,8 @@ const (
 )
 
 // Level is one level of the multigrid hierarchy: the operator and the
-// interpolant the cycles run, one view each.
+// interpolant the cycles run, one view each, and on an algebraic level the
+// product A_k·P_k the engine forms Multadd's smoothed interpolant from.
 type Level struct {
 	// Op is the level's operator A_k: op.FromCSR of the float64 Galerkin
 	// product on an algebraic level, the class stencil on a geometric
@@ -89,6 +90,13 @@ type Level struct {
 	// Types is the C/F splitting used to build P; nil on the coarsest and
 	// on geometrically coarsened levels.
 	Types []PointType
+	// AP is A_k·P_k on a level with a CSR interpolant: the first product
+	// of the Galerkin RAP, kept so the engine forms the smoothed
+	// interpolant P − diag(s)·A·P without a second product. A_k is the
+	// level's operator, so where sparsification keeps a twin, AP is
+	// twin·P_k. Nil on geometric levels, on the coarsest, and once an
+	// engine built by New or NewOperator owns the hierarchy.
+	AP *sparse.CSR
 }
 
 // Hierarchy is the output of the AMG setup: level 0 is the finest grid.
@@ -134,14 +142,15 @@ type SetupStats struct {
 	// Transpose covers building the cached Pᵀ per level (previously
 	// lumped into RAP).
 	Transpose time.Duration
-	// RAP covers the Galerkin triple product (and, on a matrix-free fine
-	// level, the geometric coarsenings and the materialization of the
-	// first level below them).
+	// RAP covers the Galerkin triple product, whose first product A·P
+	// each level keeps (and, on a matrix-free fine level, the geometric
+	// coarsenings and the materialization of the first level below them).
 	RAP time.Duration
 	// Factor covers the dense LU factorization of the coarsest operator.
 	Factor time.Duration
 	// Sparsify covers coarse-operator sparsification including the
-	// convergence-guard probes; zero when sparsification is disabled.
+	// convergence-guard probes and re-forming A·P on the levels it keeps
+	// sparsified; zero when sparsification is disabled.
 	Sparsify time.Duration
 	// Levels is the hierarchy depth produced.
 	Levels int
@@ -225,9 +234,9 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 		pt := p.Transpose()
 		st.Transpose += time.Since(t0)
 		t0 = time.Now()
-		next := sparse.RAPWith(cur, p, pt)
+		next, ap := sparse.RAPWith(cur, p, pt)
 		st.RAP += time.Since(t0)
-		h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur), Itp: op.InterpFromCSR(p, pt), Types: types})
+		h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur), Itp: op.InterpFromCSR(p, pt), Types: types, AP: ap})
 		// Coarse points inherit their fine point's function.
 		if fun != nil {
 			coarseFun := make([]int, 0, nc)
@@ -281,10 +290,11 @@ const geomStopRows = 4096
 // formed. Every geometric level k, the fine one included, is its class
 // stencil A_k and class-table interpolant P_k (Op and Itp), and below them
 // comes the algebraic hierarchy of the first level with at most
-// geomStopRows rows. That hand-off level keeps only its class stencil as
-// Op: the CSR the algebraic setup reads is materialized here and dropped
-// when the setup returns. Options.Sparsify sparsifies and probes only that
-// algebraic tail; its SetupStats.SparsifyLevels index the whole hierarchy.
+// geomStopRows rows. That hand-off level keeps its class stencil as Op and
+// the A·P of its Galerkin product: the CSR the algebraic setup reads is
+// materialized here and dropped when the setup returns. Options.Sparsify
+// sparsifies and probes only that algebraic tail; its
+// SetupStats.SparsifyLevels index the whole hierarchy.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)

@@ -534,7 +534,7 @@ func refBuild(t *testing.T, a *sparse.CSR, opt Options) []refLevel {
 			}
 			fun = coarseFun
 		}
-		cur = sparse.RAPWith(cur, p, pt)
+		cur, _ = sparse.RAPWith(cur, p, pt)
 	}
 }
 

@@ -1,12 +1,14 @@
 package amg
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
+	"asyncmg/internal/op"
 	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
 )
@@ -41,6 +43,28 @@ func csrEq(t *testing.T, name string, got, want *sparse.CSR) {
 			t.Fatalf("%s: entry %d = (%d, %v), want (%d, %v) — not bitwise-identical",
 				name, p, got.ColIdx[p], got.Vals[p], want.ColIdx[p], want.Vals[p])
 		}
+	}
+}
+
+// checkLevelAPs holds every level's A·P to its operator and interpolant:
+// a level with a CSR interpolant keeps A_k·P_k bitwise MatMul(A_k, P_k),
+// A_k the level's operator (materialized on a stencil hand-off level);
+// geometric levels and the coarsest keep none.
+func checkLevelAPs(t *testing.T, name string, h *Hierarchy) {
+	t.Helper()
+	for k, lev := range h.Levels {
+		itp, ok := lev.Itp.(*op.CSRInterp[float64, int])
+		if ok != (lev.AP != nil) {
+			t.Fatalf("%s: level %d with interpolant %T holds A·P %v", name, k, lev.Itp, lev.AP != nil)
+		}
+		if !ok {
+			continue
+		}
+		a := op.AsCSR(lev.Op)
+		if st, ok := lev.Op.(*op.Stencil); ok {
+			a = st.CSR()
+		}
+		csrEq(t, fmt.Sprintf("%s: level %d A·P", name, k), lev.AP, sparse.MatMul(a, itp.P))
 	}
 }
 

@@ -89,6 +89,7 @@ func sparsifyHierarchy(h *Hierarchy, theta float64, st *SetupStats) {
 	type candidate struct {
 		stat *SparsifyLevelStat
 		orig op.Operator // unsparsified operator, retained until the guard passes
+		ap   *sparse.CSR // and its A·P
 	}
 	var installed []candidate
 	// Pre-size the stats so the appends below never reallocate: the
@@ -107,8 +108,8 @@ func sparsifyHierarchy(h *Hierarchy, theta float64, st *SetupStats) {
 			continue
 		}
 		stat.NNZAfter = twin.NNZ()
-		h.Levels[lvl].Op = op.FromCSR(twin)
-		installed = append(installed, candidate{stat: stat, orig: orig})
+		installed = append(installed, candidate{stat: stat, orig: orig, ap: h.Levels[lvl].AP})
+		h.Levels[lvl].Op, h.Levels[lvl].AP = op.FromCSR(twin), nil
 	}
 	if len(installed) == 0 {
 		return
@@ -121,6 +122,7 @@ func sparsifyHierarchy(h *Hierarchy, theta float64, st *SetupStats) {
 		for i := range installed {
 			lev := &h.Levels[installed[i].stat.Level]
 			lev.Op, installed[i].orig = installed[i].orig, lev.Op
+			lev.AP, installed[i].ap = installed[i].ap, lev.AP
 		}
 	}
 	swap()
@@ -141,10 +143,17 @@ func sparsifyHierarchy(h *Hierarchy, theta float64, st *SetupStats) {
 		if iterInflation(probeConvFactor(h), golden) <= 1+guardTol {
 			break
 		}
-		h.Levels[c.stat.Level].Op = c.orig
+		lev := &h.Levels[c.stat.Level]
+		lev.Op, lev.AP = c.orig, c.ap
 		c.stat.Reverted = true
 		c.stat.NNZAfter = c.stat.NNZBefore
 		st.SparsifyFallbacks++
+	}
+	// The probes never read A·P: form it once, for the twins kept.
+	for _, c := range installed {
+		if lev := &h.Levels[c.stat.Level]; !c.stat.Reverted {
+			lev.AP = sparse.MatMul(op.AsCSR(lev.Op), lev.Itp.(*op.CSRInterp[float64, int]).P)
+		}
 	}
 }
 

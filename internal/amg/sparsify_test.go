@@ -174,8 +174,9 @@ func coarseNNZ(h *Hierarchy) int {
 
 // TestSparsifyHierarchyReducesCoarseNNZ checks the effect: lumped at the
 // setup strength threshold, the 7-point Laplacian's densified coarse
-// operators shed nonzeros, levels stay valid and symmetric, and the stats
-// record the per-level reduction.
+// operators shed nonzeros, levels stay valid and symmetric, each kept
+// twin's A·P is re-formed as twin·P, and the stats record the per-level
+// reduction.
 func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 	a := grid.Laplacian7pt(24)
 	opt := DefaultOptions()
@@ -211,6 +212,7 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 			}
 		}
 	}
+	checkLevelAPs(t, "sparsified", h)
 	// The Galerkin chain itself is built unsparsified: interpolants are
 	// bitwise-identical to the golden build.
 	for k := range golden.Levels {
@@ -226,8 +228,8 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 // folds nearly all coarse off-diagonal mass into the diagonal, wrecking
 // diagonal dominance — the probe convergence factor blows past golden +
 // tol, the guard reverts the damaged levels, and the reverted operators
-// are bitwise-identical to the golden (unsparsified) build — the
-// residual history is restored exactly.
+// and their A·P are bitwise-identical to the golden (unsparsified) build —
+// the residual history is restored exactly.
 func TestSparsifyGuardFallsBack(t *testing.T) {
 	a := grid.Laplacian7pt(24)
 	golden, _, err := BuildWithStats(a, DefaultOptions())
@@ -266,7 +268,9 @@ func TestSparsifyGuardFallsBack(t *testing.T) {
 		a, _, _ := levelCSR(h.Levels[s.Level])
 		ga, _, _ := levelCSR(golden.Levels[s.Level])
 		csrEq(t, "reverted level A", a, ga)
+		csrEq(t, "reverted level A·P", h.Levels[s.Level].AP, golden.Levels[s.Level].AP)
 	}
+	checkLevelAPs(t, "guarded", h)
 	if reverted != st.SparsifyFallbacks {
 		t.Fatalf("%d reverted level stats, %d fallbacks counted", reverted, st.SparsifyFallbacks)
 	}

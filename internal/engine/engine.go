@@ -1,7 +1,8 @@
 // Package engine is the shared multigrid cycle engine: it owns the
 // hierarchy view (each level's operator and interpolant in the storage
 // precision the hierarchy asks for, its smoother, and Multadd's smoothed
-// interpolant built from that smoother's own M⁻¹; the smoothers hold the
+// interpolant built from that smoother's own M⁻¹ and the A·P the setup
+// kept, so the engine forms no sparse product; the smoothers hold the
 // diagonals and row norms, which the engine does not cache beside them),
 // pooled per-level workspaces, and the single implementation
 // of the cycles and of the per-grid correction math that the synchronous
@@ -142,8 +143,9 @@ func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*En
 }
 
 // adopt builds the engine on a hierarchy built for it alone, which then
-// holds the engine's views: on a CoarseFloat32 hierarchy the float64
-// operators and interpolants they replace become collectable.
+// holds the engine's views and no A·P: on a CoarseFloat32 hierarchy the
+// float64 operators and interpolants they replace become collectable, and
+// of each A·P only the pattern a float64 P̄ shares stays alive.
 func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engine, error) {
 	eng, err := NewFromHierarchy(h, smoCfg)
 	if err != nil {
@@ -151,6 +153,7 @@ func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engin
 	}
 	eng.Setup = st
 	for k := range h.Levels {
+		h.Levels[k].AP = nil
 		h.Levels[k].Op = eng.Ops[k]
 		if k < len(eng.Itp) {
 			h.Levels[k].Itp = eng.Itp[k]
@@ -163,7 +166,9 @@ func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engin
 // which it leaves as it is. The hierarchy's Precision policy is applied
 // here: with CoarseFloat32 the coarse operators (k >= 1) and every
 // interpolant are re-stored in float32 (float64 accumulation) for the
-// engine's view.
+// engine's view. Each smoothed interpolant comes from its level's A·P in
+// one merge pass (smoothedInterp); a level with a CSR interpolant and no
+// A·P is an error.
 func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error) {
 	l := h.NumLevels()
 	s := &Engine{H: h, Cfg: smoCfg, Ops: make([]op.Operator, l), Smo: make([]*smoother.S, l),
@@ -217,17 +222,10 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 		if !ok {
 			return nil, fmt.Errorf("mg: level %d interpolant %T is not a float64 P", k, lev.Itp)
 		}
-		// P̄ = P − diag(scale)·A·P, computed as a sparse product then a
-		// row-scaled subtraction, over the float64 A_k. The hand-off level
-		// of a stencil hierarchy holds A_k as its class stencil, which the
-		// product reads materialized, here only.
-		ak := op.AsCSR(lev.Op)
-		if st, ok := lev.Op.(*op.Stencil); ok {
-			ak = st.CSR()
+		if ap := lev.AP; ap == nil || ap.Rows != itp.P.Rows || ap.Cols != itp.P.Cols {
+			return nil, fmt.Errorf("mg: level %d holds no %dx%d A·P to smooth its interpolant with", k, itp.P.Rows, itp.P.Cols)
 		}
-		ap := sparse.MatMul(ak, itp.P)
-		ap.ScaleRows(scale)
-		pbar := sparse.Sub(itp.P, ap)
+		pbar := smoothedInterp(itp.P, lev.AP, scale)
 		if f32 {
 			s.Itp[k] = op.NewCSR32Interp(itp.P, itp.PT)
 			s.SItp[k] = op.NewCSR32Interp(pbar, nil)
@@ -239,10 +237,82 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 	return s, nil
 }
 
+// smoothedInterp returns P̄ = P − diag(scale)·AP for AP = A·P. P's row is
+// inside A·P's unless a C row stores no diagonal and no neighbour
+// interpolates from it, which only ℓ1-Jacobi accepts; when every row is,
+// P̄ shares AP's RowPtr and ColIdx and allocates only its values.
+// Otherwise it gets exact-size storage for the union of the two patterns.
+// Each value rounds as P − ScaleRows(A·P) rounds it: p − ap·s where both
+// store the entry, −(ap·s) where only A·P does, p where only P does; the
+// conversions keep ap·s from fusing into the subtraction.
+func smoothedInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
+	vals := make([]float64, len(ap.Vals))
+	for i := 0; i < p.Rows; i++ {
+		s := scale[i]
+		pp, pe := p.RowPtr[i], p.RowPtr[i+1]
+		for q := ap.RowPtr[i]; q < ap.RowPtr[i+1]; q++ {
+			if pp < pe && p.ColIdx[pp] == ap.ColIdx[q] {
+				vals[q] = p.Vals[pp] - float64(ap.Vals[q]*s)
+				pp++
+			} else {
+				vals[q] = -float64(ap.Vals[q] * s)
+			}
+		}
+		if pp < pe { // a column of P's row i is not in A·P's
+			return unionInterp(p, ap, scale)
+		}
+	}
+	return &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: ap.RowPtr, ColIdx: ap.ColIdx, Vals: vals}
+}
+
+// unionInterp is smoothedInterp over the union of P's and AP's patterns.
+func unionInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
+	out := &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int, p.Rows+1)}
+	for i := 0; i < p.Rows; i++ {
+		out.RowPtr[i+1] = out.RowPtr[i] + smoothRow(p, ap, i, 0, nil, nil)
+	}
+	out.ColIdx, out.Vals = make([]int, out.RowPtr[p.Rows]), make([]float64, out.RowPtr[p.Rows])
+	for i := 0; i < p.Rows; i++ {
+		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
+		smoothRow(p, ap, i, scale[i], out.ColIdx[lo:hi], out.Vals[lo:hi])
+	}
+	return out
+}
+
+// smoothRow merges row i of P and of AP into P̄'s row, rounded as
+// smoothedInterp rounds it, writing columns to cols and values to vals
+// unless cols is nil, and returns the row's length.
+func smoothRow(p, ap *sparse.CSR, i int, s float64, cols []int, vals []float64) int {
+	n := 0
+	pp, pe, q, qe := p.RowPtr[i], p.RowPtr[i+1], ap.RowPtr[i], ap.RowPtr[i+1]
+	for ; pp < pe || q < qe; n++ {
+		var j int
+		var v float64
+		switch {
+		case pp == pe || q < qe && ap.ColIdx[q] < p.ColIdx[pp]:
+			j, v = ap.ColIdx[q], -float64(ap.Vals[q]*s)
+			q++
+		case q == qe || p.ColIdx[pp] < ap.ColIdx[q]:
+			j, v = p.ColIdx[pp], p.Vals[pp]
+			pp++
+		default:
+			j, v = p.ColIdx[pp], p.Vals[pp]-float64(ap.Vals[q]*s)
+			pp++
+			q++
+		}
+		if cols != nil {
+			cols[n], vals[n] = j, v
+		}
+	}
+	return n
+}
+
 // HierarchyBytes reports the resident storage of the engine's hierarchy
 // view: every level operator plus the plain and smoothed interpolant
 // views. Matrix-free operators contribute O(1); a compressed view counts
-// its float32 stores.
+// its float32 stores. A float64 P̄ counts the pattern it shares with its
+// level's A·P; the A·P values a hierarchy given to NewFromHierarchy keeps
+// (New and NewOperator drop them) are not counted.
 func (s *Engine) HierarchyBytes() int {
 	total := 0
 	for _, a := range s.Ops {

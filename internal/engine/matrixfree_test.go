@@ -41,7 +41,8 @@ func matrixFreeCases() []matrixFreeCase {
 // the same hierarchy, expressed once with the stencil operators (fine
 // level and every geometric Galerkin level) and class-table interpolants
 // and once with their materialized CSR twins (the generator's matrix, the
-// materialized A_k and P_k), must produce identical residual histories.
+// materialized A_k and P_k, and the A_k·P_k the setup keeps on an
+// algebraic level), must produce identical residual histories.
 // Mult and AFACx work on the plain interpolant, Multadd on the smoothed
 // one, whose class table is bitwise the twin's GEMM-built P̄: all three
 // are bitwise-equal.
@@ -62,11 +63,13 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 					t.Fatalf("level %d is %T with %T, want stencils down to level %d and class-table interpolants above it",
 						k, levels[k].Op, levels[k].Itp, tc.geom)
 				}
-				if geom {
-					levels[k].Itp = op.InterpFromCSR(g.CSR(), nil)
-				}
 				if ok {
 					levels[k].Op = op.FromCSR(st.CSR()) // the twin's level k is the materialized A_k
+				}
+				if geom {
+					p := g.CSR()
+					levels[k].Itp = op.InterpFromCSR(p, nil)
+					levels[k].AP = sparse.MatMul(op.AsCSR(levels[k].Op), p)
 				}
 			}
 			levels[0].Op = op.FromCSR(tc.csr)

@@ -1,0 +1,168 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"asyncmg/internal/amg"
+	"asyncmg/internal/op"
+	"asyncmg/internal/problem"
+	"asyncmg/internal/smoother"
+	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
+)
+
+// sameCSRBits reports whether a and b store the same pattern and the same
+// value bits.
+func sameCSRBits[V sparse.Value, I sparse.Index](a, b *sparse.Matrix[V, I]) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
+		return false
+	}
+	return slices.EqualFunc(a.Vals, b.Vals, func(x, y V) bool {
+		return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	})
+}
+
+// pbarOracle is level k's smoothed interpolant recomputed from the level's
+// float64 operator, the stencil's materialized CSR on the hand-off level:
+// Sub(P, ScaleRows(MatMul(A_k, P), s)), with s the scale of the engine's
+// level-k smoother.
+func pbarOracle(t *testing.T, s *Engine, k int) *sparse.CSR {
+	t.Helper()
+	lev := s.H.Levels[k]
+	a := op.AsCSR(lev.Op)
+	if st, ok := lev.Op.(*op.Stencil); ok {
+		a = st.CSR()
+	}
+	scale := s.Smo[k].InvDiag()
+	if scale == nil {
+		var err error
+		if scale, err = smoother.InterpolantScalingOp(s.Ops[k], s.Cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sparsetest.SmoothedInterp(a, lev.Itp.(*op.CSRInterp[float64, int]).P, scale)
+}
+
+// TestSmoothedInterpMatchesGEMM is the smoothed-interpolant contract:
+// every CSR P̄ the engine forms from its level's A·P is bitwise the
+// product-then-subtraction oracle (pbarOracle), in float64 and, re-stored,
+// in float32, on the four paper families at test size and the hand-off
+// level of a matrix-free 7pt n = 34 hierarchy, under ω-Jacobi, ℓ1-Jacobi
+// and hybrid JGS, with and without sparsification (whose kept twins carry
+// a re-formed A·P), at 1 and 2 workers. Hybrid JGS on a float32 or
+// stencil operator is refused, as NewOperator refuses it.
+func TestSmoothedInterpMatchesGEMM(t *testing.T) {
+	mat := func(name string, size int) op.Operator {
+		a, err := problem.Build(name, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op.FromCSR(a)
+	}
+	elas := amg.DefaultOptions()
+	elas.NumFunctions = 3
+	cases := []struct {
+		name string
+		a    op.Operator
+		opt  amg.Options
+	}{
+		{"7pt-n12", mat(problem.Laplace7pt, 12), amg.DefaultOptions()},
+		{"27pt-n10", mat(problem.Laplace27pt, 10), amg.DefaultOptions()},
+		{"femlap-16", mat(problem.LaplaceFEM, 16), amg.DefaultOptions()},
+		{"elas-5", mat(problem.Elasticity, 5), elas},
+		{"stencil7-n34", op.NewStencil7(34), amg.DefaultOptions()},
+	}
+	smoothers := []smoother.Config{
+		smoother.DefaultConfig(),
+		{Kind: smoother.L1Jacobi, Blocks: 1},
+		{Kind: smoother.HybridJGS, Blocks: 4},
+	}
+	dropped := 0
+	for _, workers := range []int{1, 2} {
+		for _, tc := range cases {
+			for _, prec := range []op.Precision{op.Float64, op.CoarseFloat32} {
+				for _, sparsify := range []bool{false, true} {
+					name := fmt.Sprintf("w%d/%s/f32=%v/sparsify=%v", workers, tc.name, prec == op.CoarseFloat32, sparsify)
+					t.Run(name, func(t *testing.T) {
+						withEngineWorkers(t, workers)
+						opt := tc.opt
+						opt.CoarsePrecision, opt.Sparsify = prec, sparsify
+						h, st, err := amg.BuildOperatorWithStats(tc.a, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dropped += st.DroppedNNZ()
+						for _, cfg := range smoothers {
+							s, err := NewFromHierarchy(h, cfg)
+							_, stencil := tc.a.(*op.Stencil)
+							if refused := cfg.Kind == smoother.HybridJGS && (stencil || prec == op.CoarseFloat32); refused != (err != nil) {
+								t.Fatalf("%v: NewFromHierarchy error %v, refusal expected %v", cfg.Kind, err, refused)
+							} else if refused {
+								continue
+							}
+							checked := 0
+							for k, itp := range s.SItp {
+								var ok bool
+								switch pbar := itp.(type) {
+								case *op.CSRInterp[float64, int]:
+									ok = sameCSRBits(pbar.P, pbarOracle(t, s, k))
+								case *op.CSRInterp[float32, int32]:
+									ok = sameCSRBits(pbar.P, sparse.Convert[float32, int32](pbarOracle(t, s, k)))
+								default:
+									continue
+								}
+								if !ok {
+									t.Errorf("%v level %d: P̄ differs from Sub(P, ScaleRows(MatMul(A, P), s))", cfg.Kind, k)
+								}
+								checked++
+							}
+							if checked == 0 {
+								t.Fatalf("%v: no CSR P̄ checked", cfg.Kind)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Error("no case kept a sparsified level: the re-formed A·P went unchecked")
+	}
+}
+
+// TestSmoothedInterpUnionPattern: a C row that stores no diagonal and
+// that no neighbour interpolates from leaves P's column out of A·P's row
+// (ℓ1-Jacobi accepts such a row), and that level's P̄ gets its own
+// exact-size storage for the union pattern, bitwise the oracle.
+//
+//	A = [ 0 -1  0 ]   P = [ 1  0  ]
+//	    [-1  2 -1 ]       [ 0  1  ]
+//	    [ 0 -1  2 ]       [ 0 1/2 ]
+func TestSmoothedInterpUnionPattern(t *testing.T) {
+	a := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 4, 6},
+		ColIdx: []int{1, 0, 1, 2, 1, 2}, Vals: []float64{-1, -1, 2, -1, -1, 2}}
+	p := &sparse.CSR{Rows: 3, Cols: 2, RowPtr: []int{0, 1, 2, 3},
+		ColIdx: []int{0, 1, 1}, Vals: []float64{1, 1, 0.5}}
+	ac, ap := sparse.RAPWith(a, p, p.Transpose())
+	if ap.RowPtr[1] != 1 || ap.ColIdx[0] != 1 {
+		t.Fatalf("A·P row 0 holds columns %v, want [1] alone", ap.ColIdx[:ap.RowPtr[1]])
+	}
+	h := &amg.Hierarchy{Levels: []amg.Level{
+		{Op: op.FromCSR(a), Itp: op.InterpFromCSR(p, nil), AP: ap},
+		{Op: op.FromCSR(ac)},
+	}}
+	s, err := NewFromHierarchy(h, smoother.Config{Kind: smoother.L1Jacobi, Blocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.SItp[0].(*op.CSRInterp[float64, int]).P
+	if want := pbarOracle(t, s, 0); !sameCSRBits(got, want) {
+		t.Fatalf("P̄ %v/%v/%v, oracle %v/%v/%v", got.RowPtr, got.ColIdx, got.Vals, want.RowPtr, want.ColIdx, want.Vals)
+	}
+	if got.NNZ() != ap.NNZ()+1 || cap(got.ColIdx) != got.NNZ() || cap(got.Vals) != got.NNZ() {
+		t.Errorf("P̄ stores %d entries in capacity %d/%d, want the exact union of %d", got.NNZ(), cap(got.ColIdx), cap(got.Vals), ap.NNZ()+1)
+	}
+}

@@ -8,13 +8,17 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/sparse"
 )
 
 // TestEnginesShareHierarchyViews: NewFromHierarchy leaves the hierarchy's
-// level views as the setup made them, so two engines built on one
-// hierarchy run the same Multadd bit for bit; New and NewOperator, whose
-// hierarchy is their own, leave each level holding the engine's views.
-// Assembled and stencil fine levels, float64 and CoarseFloat32.
+// level views and each level's A·P as the setup made them, so two engines
+// built on one hierarchy run the same Multadd bit for bit; a float64 P̄
+// shares its level's A·P pattern (so no product was formed for it), and a
+// level with a CSR interpolant and no A·P is an error. New and
+// NewOperator, whose hierarchy is their own, leave each level holding the
+// engine's views and no A·P. Assembled and stencil fine levels, float64
+// and CoarseFloat32.
 func TestEnginesShareHierarchyViews(t *testing.T) {
 	smo := smoother.DefaultConfig()
 	f32 := amg.DefaultOptions()
@@ -35,6 +39,15 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := slices.Clone(h.Levels)
+			var aps []*sparse.CSR
+			for _, lev := range h.Levels {
+				if _, csr := lev.Itp.(*op.CSRInterp[float64, int]); csr != (lev.AP != nil) {
+					t.Fatalf("level with interpolant %T holds A·P %v", lev.Itp, lev.AP != nil)
+				}
+				if lev.AP != nil {
+					aps = append(aps, sparse.Convert[float64, int](lev.AP)) // a copy
+				}
+			}
 			var hists [2][]float64
 			for i := range hists {
 				s, err := NewFromHierarchy(h, smo)
@@ -42,14 +55,33 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k, lev := range h.Levels {
-					if lev.Op != before[k].Op || lev.Itp != before[k].Itp {
+					if lev.Op != before[k].Op || lev.Itp != before[k].Itp || lev.AP != before[k].AP {
 						t.Fatalf("engine %d: level %d holds %T/%T, the setup left %T/%T", i, k, lev.Op, lev.Itp, before[k].Op, before[k].Itp)
+					}
+				}
+				for k, itp := range s.SItp {
+					if pbar, ok := itp.(*op.CSRInterp[float64, int]); ok && &pbar.P.ColIdx[0] != &h.Levels[k].AP.ColIdx[0] {
+						t.Errorf("engine %d: level %d P̄ does not share its A·P pattern", i, k)
 					}
 				}
 				_, hists[i] = s.Solve(Multadd, grid.RandomRHS(s.LevelSize(0), 7), 6)
 			}
 			if !slices.Equal(hists[0], hists[1]) {
 				t.Errorf("Multadd histories differ on one hierarchy: %v vs %v", hists[0], hists[1])
+			}
+			for k, i := 0, 0; k < len(h.Levels); k++ {
+				if ap := h.Levels[k].AP; ap != nil {
+					if !sameCSRBits(ap, aps[i]) {
+						t.Errorf("level %d A·P changed under its engines", k)
+					}
+					i++
+				}
+			}
+			k := len(h.Levels) - 2 // the last level with an interpolant is algebraic
+			noAP := &amg.Hierarchy{Levels: slices.Clone(h.Levels), Coarse: h.Coarse, Precision: h.Precision}
+			noAP.Levels[k].AP = nil
+			if _, err := NewFromHierarchy(noAP, smo); err == nil {
+				t.Errorf("level %d without A·P: NewFromHierarchy returned no error", k)
 			}
 
 			owned := []*Engine{}
@@ -66,6 +98,9 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 			}
 			for _, s := range owned {
 				for k, lev := range s.H.Levels {
+					if lev.AP != nil {
+						t.Errorf("level %d of an owned hierarchy keeps its A·P", k)
+					}
 					if lev.Op != s.Ops[k] {
 						t.Errorf("level %d holds %T, not the engine's %T", k, lev.Op, s.Ops[k])
 					}

@@ -233,9 +233,9 @@ func (g *GeomInterp) fineClass(i, j, k int) int {
 // the fine operator a, as a table of the same classes. scale must be
 // constant on each class of a, as the ω- and ℓ1-Jacobi scales of a
 // stencil are; it is read at each class's representative row. Each row is
-// formed as sparse.MatMul(A, P), ScaleRows and Sub form it: A·P by the
-// Galerkin coarsening's row merge, then each entry scaled and subtracted
-// from P's, so every weight equals the product's bitwise.
+// formed as the engine forms an algebraic level's P̄ from the setup's A·P:
+// A·P by the Galerkin coarsening's row merge, then each entry scaled and
+// subtracted from P's, so every weight equals the product's bitwise.
 func (g *GeomInterp) Smooth(a *Stencil, scale []float64) *GeomInterp {
 	if a.n != g.n || len(scale) != a.Rows() {
 		panic(fmt.Sprintf("op: Smooth of a %d-edge interpolant over a %d-edge operator with %d scales", g.n, a.n, len(scale)))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/sparse"
+	"asyncmg/internal/sparse/sparsetest"
 )
 
 // trilinearOracle materializes the trilinear interpolant of a fine n×n×n
@@ -207,9 +208,7 @@ func TestGeomInterpSmoothedMatchesGEMM(t *testing.T) {
 						s[i] = sc.scale(i)
 					}
 					tab = g.Smooth(f.st, s)
-					ap := sparse.MatMul(f.csr, p)
-					ap.ScaleRows(s)
-					want = sparse.Sub(p, ap)
+					want = sparsetest.SmoothedInterp(f.csr, p, s)
 				}
 				wantT := want.Transpose()
 				for _, round := range []bool{false, true} {

@@ -157,57 +157,3 @@ func (a *Matrix[V, I]) Transpose() *Matrix[V, I] {
 	}
 	return t
 }
-
-// ScaleRows multiplies row i of a by s[i] in place.
-func (a *Matrix[V, I]) ScaleRows(s []float64) {
-	if len(s) != a.Rows {
-		panic("sparse: ScaleRows length mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			a.Vals[p] = V(float64(a.Vals[p]) * s[i])
-		}
-	}
-}
-
-// Sub returns A - B for matrices of identical shape.
-func Sub(a, b *CSR) *CSR {
-	return addScaled(a, b, -1)
-}
-
-func addScaled(a, b *CSR, beta float64) *CSR {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("sparse: Add/Sub shape mismatch")
-	}
-	// nnz(A)+nnz(B) bounds the union of the two sparsity patterns, so the
-	// output never regrows (overlapping columns only make it smaller).
-	bound := a.NNZ() + b.NNZ()
-	c := &CSR{Rows: a.Rows, Cols: a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int, 0, bound),
-		Vals:   make([]float64, 0, bound),
-	}
-	for i := 0; i < a.Rows; i++ {
-		pa, pb := a.RowPtr[i], b.RowPtr[i]
-		ea, eb := a.RowPtr[i+1], b.RowPtr[i+1]
-		for pa < ea || pb < eb {
-			switch {
-			case pb >= eb || (pa < ea && a.ColIdx[pa] < b.ColIdx[pb]):
-				c.ColIdx = append(c.ColIdx, a.ColIdx[pa])
-				c.Vals = append(c.Vals, a.Vals[pa])
-				pa++
-			case pa >= ea || b.ColIdx[pb] < a.ColIdx[pa]:
-				c.ColIdx = append(c.ColIdx, b.ColIdx[pb])
-				c.Vals = append(c.Vals, beta*b.Vals[pb])
-				pb++
-			default: // equal columns
-				c.ColIdx = append(c.ColIdx, a.ColIdx[pa])
-				c.Vals = append(c.Vals, a.Vals[pa]+beta*b.Vals[pb])
-				pa++
-				pb++
-			}
-		}
-		c.RowPtr[i+1] = len(c.Vals)
-	}
-	return c
-}

@@ -278,57 +278,6 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-func TestRAPSymmetryProperty(t *testing.T) {
-	// If A is symmetric, Pᵀ A P is symmetric.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, nc := 10, 4
-		base := randCSR(rng, n, n, 0.3)
-		sym := Add(base, base.Transpose())
-		p := randCSR(rng, n, nc, 0.4)
-		ac := RAP(sym, p)
-		return ac.IsSymmetric(1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAddSub(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randCSR(rng, 8, 9, 0.3)
-	b := randCSR(rng, 8, 9, 0.3)
-	sum := Add(a, b)
-	diff := Sub(a, b)
-	if err := sum.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := diff.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 9; j++ {
-			if math.Abs(sum.At(i, j)-(a.At(i, j)+b.At(i, j))) > 1e-14 {
-				t.Fatalf("Add wrong at (%d,%d)", i, j)
-			}
-			if math.Abs(diff.At(i, j)-(a.At(i, j)-b.At(i, j))) > 1e-14 {
-				t.Fatalf("Sub wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestSubSelfIsZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randCSR(rng, 10, 10, 0.3)
-	z := Sub(a, a)
-	for _, v := range z.Vals {
-		if v != 0 {
-			t.Fatalf("A - A has nonzero value %v", v)
-		}
-	}
-}
-
 func TestDiagAndL1Norms(t *testing.T) {
 	coo := NewCOO(3, 3, 6)
 	coo.Add(0, 0, 2)
@@ -346,21 +295,6 @@ func TestDiagAndL1Norms(t *testing.T) {
 	wantL1 := []float64{3, 5, 1}
 	if maxAbsDiff(l1, wantL1) != 0 {
 		t.Errorf("RowL1Norms = %v, want %v", l1, wantL1)
-	}
-}
-
-func TestScaleRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randCSR(rng, 6, 6, 0.4)
-	ref := a.Clone()
-	s := []float64{1, 2, 0, -1, 0.5, 3}
-	a.ScaleRows(s)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if math.Abs(a.At(i, j)-s[i]*ref.At(i, j)) > 1e-14 {
-				t.Fatalf("ScaleRows wrong at (%d,%d)", i, j)
-			}
-		}
 	}
 }
 

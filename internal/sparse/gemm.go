@@ -2,10 +2,11 @@
 // Galerkin triple product, and the sharded transpose.
 //
 // MatMul is the dominant cost of the AMG setup phase (two products per
-// level for the Galerkin RAP, plus one per level for Multadd's smoothed
-// interpolants), so it is written as a Gustavson row-merge split into a
-// symbolic pass (count each output row's nonzeros) and a numeric pass
-// (accumulate values into exactly pre-sized storage):
+// level for the Galerkin RAP; the first, A·P, is kept on the level and
+// Multadd's smoothed interpolant is formed from it), so it is written as
+// a Gustavson row-merge split into a symbolic pass (count each output
+// row's nonzeros) and a numeric pass (accumulate values into exactly
+// pre-sized storage):
 //
 //   - Both passes are row-partitioned over the shared par.Default() pool.
 //     Rows of C are independent, so the sharded result is bitwise-identical
@@ -192,18 +193,20 @@ func MatMul(a, b *CSR) *CSR {
 }
 
 // RAPWith computes the Galerkin triple product A_c = Pᵀ·(A·P) with a
-// caller-provided transpose of P, fusing the two products over one
-// cached Pᵀ: the AMG hierarchy builder computes one (parallel)
+// caller-provided transpose of P, and returns it beside the intermediate
+// product A·P. The AMG hierarchy builder computes one (parallel)
 // transpose per level and threads it into both the triple product here
 // and the solver-facing hierarchy view, so nothing downstream ever
-// re-transposes an interpolant.
-func RAPWith(a, p, pT *CSR) *CSR {
+// re-transposes an interpolant; it keeps A·P on the level, where the
+// engine forms the smoothed interpolant P − diag(s)·A·P from it without
+// a second product.
+func RAPWith(a, p, pT *CSR) (ac, ap *CSR) {
 	if pT.Rows != p.Cols || pT.Cols != p.Rows {
 		panic(fmt.Sprintf("sparse: RAPWith transpose shape mismatch: P is %dx%d, PT is %dx%d",
 			p.Rows, p.Cols, pT.Rows, pT.Cols))
 	}
-	ap := MatMul(a, p)
-	return MatMul(pT, ap)
+	ap = MatMul(a, p)
+	return MatMul(pT, ap), ap
 }
 
 // ---- sharded transpose ----

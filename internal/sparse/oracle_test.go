@@ -34,15 +34,11 @@ func Identity(n int) *CSR {
 	return a
 }
 
-// Add returns A + B for matrices of identical shape.
-func Add(a, b *CSR) *CSR {
-	return addScaled(a, b, 1)
-}
-
 // RAP computes the Galerkin coarse-grid operator A_c = Pᵀ A P, forming
 // Pᵀ itself (the AMG setup calls RAPWith with its cached transpose).
 func RAP(a, p *CSR) *CSR {
-	return RAPWith(a, p, p.Transpose())
+	ac, _ := RAPWith(a, p, p.Transpose())
+	return ac
 }
 
 // ToDense expands the matrix into a dense row-major slice of slices.
