@@ -409,10 +409,13 @@ func SolveDistributedCtx(ctx context.Context, s *Setup, b []float64, cfg DistCon
 
 // ---- Matrix Market I/O ----
 
-// ReadMatrixMarketFile reads a Matrix Market file from disk.
+// ReadMatrixMarketFile reads a Matrix Market file from disk. It refuses a
+// matrix that stores fewer entries than it has rows: such a matrix has a
+// row with no diagonal.
 func ReadMatrixMarketFile(path string) (*Matrix, error) { return mtx.ReadFile(path) }
 
-// WriteMatrixMarketFile writes a Matrix to a Matrix Market file.
+// WriteMatrixMarketFile writes a Matrix to a Matrix Market file, which
+// ReadMatrixMarketFile reads back unless a stores fewer entries than rows.
 func WriteMatrixMarketFile(path string, a *Matrix) error { return mtx.WriteFile(path, a) }
 
 // ---- Convergence diagnostics ----

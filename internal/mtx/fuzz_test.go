@@ -9,10 +9,10 @@ import (
 // must never panic, and anything it accepts must be a structurally valid
 // matrix.
 func FuzzRead(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5\n")
-	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.5\n2 2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 -1\n2 2 4\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
-	f.Add("%%MatrixMarket matrix coordinate integer general\n% c\n3 3 0\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n% c\n3 3 3\n1 1 3\n2 2 -4\n3 3 7\n")
 	f.Add("")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1\n1 1 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
@@ -32,11 +32,15 @@ func FuzzRead(f *testing.F) {
 // inputs are expanded on the first read, so the re-read equals the
 // in-memory form, not the original text).
 func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5\n")
-	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.5\n2 2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 -1\n2 2 4\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n3 4 2\n1 4 1e-300\n3 1 -2.0000000000000004\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 4 2\n1 4 1e-300\n2 1 -2.0000000000000004\n")
 	f.Add("%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n1 1 4\n2 1 -1\n")
+	// Duplicates summed below the row count (refused, as its written form
+	// would be) and summed but still covering every row.
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n1 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1\n1 1 1\n2 2 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		a, err := Read(strings.NewReader(in))
 		if err != nil || a.Validate() != nil {

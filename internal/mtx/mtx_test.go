@@ -132,20 +132,24 @@ func TestReadIntegerField(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
-		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
-		"%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 1\n",
-		"%%MatrixMarket matrix coordinate real general\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n",
-		"not a header\n",
-	}
-	for i, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted invalid input", i)
+	const gen = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct{ in, want string }{
+		{"", "empty input"},
+		{"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n", "only coordinate"},
+		{"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n", "unsupported field type"},
+		{"%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 1\n", "unsupported symmetry"},
+		{gen, "missing size line"},
+		{gen + "2 2 2\n1 1 1.0\n", "expected 2 entries, got 1"},
+		{gen + "2 2 2\n5 1 1.0\n2 2 1.0\n", "out of range"},
+		{gen + "2 2 2\n1 x 1.0\n2 2 1.0\n", "bad column index"},
+		{gen + "2 2 1\n1 1 1.0\n", "declares 2 rows but 1 entries"},
+		{gen + "2 2 2\n1 1 1.0\n1 1 1.0\n", "distinct entries"},
+		{"%%MatrixMarket matrix coordinate real symmetric\n2 1 2\n2 1 0\n1 1 1\n", "must be square"},
+		{"not a header\n", "bad header"},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want one containing %q", tc.in, err, tc.want)
 		}
 	}
 }

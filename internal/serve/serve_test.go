@@ -672,15 +672,25 @@ func TestServeBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.want)
 		}
 	}
-	// Upload that is not a matrix.
-	resp, err := http.Post(ts.URL+"/solve/matrix", "text/plain", strings.NewReader("hello"))
-	if err != nil {
-		t.Fatalf("bad upload: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad upload: status %d, want 400", resp.StatusCode)
+	// Uploads that are not a matrix. Two are a size line alone: 58 bytes
+	// declaring five million entries, and five million rows with no
+	// entries. The last is a symmetric 2x1 matrix, whose mirrored entry
+	// once panicked the reader.
+	for _, body := range []string{
+		"hello",
+		"%%MatrixMarket matrix coordinate real general\n1 1 5000000\n",
+		"%%MatrixMarket matrix coordinate real general\n5000000 5000000 0\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 1 2\n2 1 0\n1 1 1\n",
+	} {
+		resp, err := http.Post(ts.URL+"/solve/matrix", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("bad upload: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad upload %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 
