@@ -36,12 +36,10 @@ type Options struct {
 	// float64 accumulation). The setup itself always runs in float64;
 	// the engine performs the conversion.
 	CoarsePrecision op.Precision
-	// Sparsify enables post-RAP sparsification of interior coarse
-	// operators: entries weak under the setup's strength measure at Theta
-	// as seen from both endpoint rows are dropped and lumped onto the
-	// diagonal, and a per-level convergence guard reverts levels whose
-	// loss would cost more than 5% extra iterations. Off, the hierarchy is
-	// the plain Galerkin one.
+	// Sparsify asks the engine constructors (engine.New, NewOperator) to
+	// lump the weak entries of interior coarse operators onto the diagonal
+	// (SparsifyLump at Theta) under a per-level convergence guard. The
+	// setup here ignores it and returns the plain Galerkin hierarchy.
 	Sparsify bool
 }
 
@@ -148,9 +146,8 @@ type SetupStats struct {
 	RAP time.Duration
 	// Factor covers the dense LU factorization of the coarsest operator.
 	Factor time.Duration
-	// Sparsify covers coarse-operator sparsification including the
-	// convergence-guard probes and re-forming A·P on the levels it keeps
-	// sparsified; zero when sparsification is disabled.
+	// Sparsify covers the engine constructors' sparsification and its
+	// guard probes, also counted in Total; zero when it is disabled.
 	Sparsify time.Duration
 	// Levels is the hierarchy depth produced.
 	Levels int
@@ -249,13 +246,8 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 		}
 		cur = next
 	}
-	// Sparsify interior coarse operators (and run the convergence guard)
-	// before factoring, so the factored/viewed chain is the guarded one.
-	if opt.Sparsify {
-		sparsifyHierarchy(h, Theta, st)
-	}
-	// Factor the coarsest operator (cur, which sparsification does not
-	// touch) for exact solves, if it is small enough to hold densely.
+	// Factor the coarsest operator for exact solves, if it is small
+	// enough to hold densely.
 	t0 := time.Now()
 	if cur.Rows <= maxCoarseLU {
 		h.Coarse, _ = dense.Factor(cur) // nil if singular
@@ -292,9 +284,7 @@ const geomStopRows = 4096
 // comes the algebraic hierarchy of the first level with at most
 // geomStopRows rows. That hand-off level keeps its class stencil as Op and
 // the A·P of its Galerkin product: the CSR the algebraic setup reads is
-// materialized here and dropped when the setup returns. Options.Sparsify
-// sparsifies and probes only that algebraic tail; its
-// SetupStats.SparsifyLevels index the whole hierarchy.
+// materialized here and dropped when the setup returns.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
 	if m := op.AsCSR(a); m != nil {
 		return BuildWithStats(m, opt)
@@ -334,9 +324,6 @@ func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats
 	}
 	h.Levels[0].Op = coarse
 	h.Levels = append(levels, h.Levels...)
-	for i := range st.SparsifyLevels {
-		st.SparsifyLevels[i].Level += len(levels)
-	}
 	st.RAP += rap
 	st.Total = time.Since(start)
 	st.Levels = len(h.Levels)

@@ -9,7 +9,9 @@
 // solvers, the goroutine-team asynchronous runtime (package async), the
 // sequential §III models (package model), the Krylov preconditioners
 // (package krylov) and the distributed-memory simulation (package
-// distmem) all consume.
+// distmem) all consume. New and NewOperator also apply
+// amg.Options.Sparsify, whose guard measures with this package's own Mult
+// cycle (sparsify.go).
 //
 // Hot paths are allocation-free in the steady state: workspaces are
 // recycled through sync.Pools, the coarse LU solve uses caller-provided
@@ -121,11 +123,7 @@ func (s *Engine) SetObserver(o *obs.Observer) {
 
 // New builds the hierarchy for a and all solver operators.
 func New(a *sparse.CSR, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, error) {
-	h, st, err := amg.BuildWithStats(a, amgOpt)
-	if err != nil {
-		return nil, err
-	}
-	return adopt(h, st, smoCfg)
+	return NewOperator(op.FromCSR(a), amgOpt, smoCfg)
 }
 
 // NewOperator builds the hierarchy and all solver operators from an
@@ -134,10 +132,17 @@ func New(a *sparse.CSR, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, er
 // coarsens itself geometrically down to 4 096 rows first
 // (amg.BuildOperatorWithStats), every geometric level keeps its class
 // stencil as its operator, and the fine matrix is never materialized.
+// With amgOpt.Sparsify the interior coarse operators are sparsified and
+// guarded (sparsifyHierarchy) before the engine is built.
 func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*Engine, error) {
 	h, st, err := amg.BuildOperatorWithStats(a, amgOpt)
 	if err != nil {
 		return nil, err
+	}
+	if amgOpt.Sparsify {
+		if err := sparsifyHierarchy(h, amg.Theta, st); err != nil {
+			return nil, fmt.Errorf("mg: sparsification guard: %w", err)
+		}
 	}
 	return adopt(h, st, smoCfg)
 }

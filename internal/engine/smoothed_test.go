@@ -52,8 +52,8 @@ func pbarOracle(t *testing.T, s *Engine, k int) *sparse.CSR {
 // in float32, on the four paper families at test size and the hand-off
 // level of a matrix-free 7pt n = 34 hierarchy, under ω-Jacobi, ℓ1-Jacobi
 // and hybrid JGS, with and without sparsification (whose kept twins carry
-// a re-formed A·P), at 1 and 2 workers. Hybrid JGS on a float32 or
-// stencil operator is refused, as NewOperator refuses it.
+// the twin·P sparsifyHierarchy formed), at 1 and 2 workers. Hybrid JGS on
+// a float32 or stencil operator is refused, as NewOperator refuses it.
 func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 	mat := func(name string, size int) op.Operator {
 		a, err := problem.Build(name, size)
@@ -89,10 +89,15 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						withEngineWorkers(t, workers)
 						opt := tc.opt
-						opt.CoarsePrecision, opt.Sparsify = prec, sparsify
+						opt.CoarsePrecision = prec
 						h, st, err := amg.BuildOperatorWithStats(tc.a, opt)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if sparsify {
+							if err := sparsifyHierarchy(h, amg.Theta, st); err != nil {
+								t.Fatal(err)
+							}
 						}
 						dropped += st.DroppedNNZ()
 						for _, cfg := range smoothers {

@@ -138,8 +138,18 @@ func readHeader(sc *bufio.Scanner) (header, error) {
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &h.rows, &h.cols, &h.nnz); err != nil {
-			return h, fmt.Errorf("mtx: bad size line %q: %v", line, err)
+		// Exactly three base-10 fields, read as entry indices are.
+		rest := sc.Bytes()
+		for _, n := range []*int{&h.rows, &h.cols, &h.nnz} {
+			var f []byte
+			f, rest = field(rest)
+			var err error
+			if *n, err = strconv.Atoi(string(f)); err != nil {
+				return h, fmt.Errorf("mtx: bad size line %q: %v", line, err)
+			}
+		}
+		if f, _ := field(rest); len(f) != 0 {
+			return h, fmt.Errorf("mtx: bad size line %q: a fourth field", line)
 		}
 		break
 	}

@@ -160,6 +160,10 @@ func TestReadMatchesOracle(t *testing.T) {
 		itg = "%%MatrixMarket matrix coordinate integer general\n"
 	)
 	long := "0." + strings.Repeat("0", 40) + "125e42" // longer than a 32-byte stack buffer
+	diag10 := ""
+	for i := 1; i <= 10; i++ {
+		diag10 += fmt.Sprintf("%d %d 1\n", i, i)
+	}
 	for _, tc := range []struct {
 		name, in string
 		ok       bool
@@ -208,6 +212,10 @@ func TestReadMatchesOracle(t *testing.T) {
 		{"truncated at size line", gen + "% only a comment\n", false},
 		{"bad size line", gen + "2 x 2\n", false},
 		{"negative size", gen + "2 2 -1\n", false},
+		{"size line leading zeros", gen + "02 02 002\n1 1 1\n2 2 1\n", true},
+		{"size line hex", gen + "0x2 2 2\n1 1 1\n2 2 1\n", false},
+		{"size line underscore", gen + "1_0 1_0 1_0\n" + diag10, false},
+		{"size line fourth field", gen + "2 2 2 2\n1 1 1\n2 2 1\n", false},
 		{"empty matrix", gen + "0 0 0\n", true},
 		{"declared entries", hostileEntries, false},
 		{"huge symmetric count", sym + "1 1 4611686018427387904\n1 1 1\n", false},
@@ -222,6 +230,30 @@ func TestReadMatchesOracle(t *testing.T) {
 				t.Errorf("accepted = %v, want %v", ok, tc.ok)
 			}
 		})
+	}
+}
+
+// TestReadSizeLineBase10: the size line is read in base 10 like the
+// entry lines, so a leading zero is not octal (010 is ten, not eight), and
+// a hexadecimal or underscored count and a fourth field are refused.
+func TestReadSizeLineBase10(t *testing.T) {
+	const gen = "%%MatrixMarket matrix coordinate real general\n"
+	var body strings.Builder
+	body.WriteString(gen + "010 010 030\n")
+	for i := 1; i <= 10; i++ {
+		fmt.Fprintf(&body, "%d %d 4\n%d %d -1\n%d %d -1\n", i, i, i, i%10+1, i, (i+8)%10+1)
+	}
+	a, err := Read(strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rows != 10 || a.Cols != 10 || a.NNZ() != 30 {
+		t.Fatalf("010 010 030 read as %dx%d with %d entries, want 10x10 with 30", a.Rows, a.Cols, a.NNZ())
+	}
+	for _, size := range []string{"0x10 0x10 0x30", "1_0 1_0 3_0", "10 10 30 1"} {
+		if _, err := Read(strings.NewReader(gen + size + "\n" + body.String()[len(gen)+len("010 010 030\n"):])); err == nil {
+			t.Errorf("size line %q accepted", size)
+		}
 	}
 }
 

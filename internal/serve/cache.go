@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -81,7 +83,7 @@ func (c *cache) getOrBuild(key string, build func() (*engine.Engine, error)) (e 
 	}
 
 	start := time.Now()
-	setup, err := build()
+	setup, err := buildContained(build)
 	e.setupNS = time.Since(start).Nanoseconds()
 	e.setup, e.err = setup, err
 	if setup != nil {
@@ -102,6 +104,22 @@ func (c *cache) getOrBuild(key string, build func() (*engine.Engine, error)) (e 
 	}
 	close(e.ready)
 	return e, false
+}
+
+// errSetupPanic marks a setup that panicked: the server's fault, not the
+// request's, so the solve handler answers 500 for it.
+var errSetupPanic = errors.New("setup panicked")
+
+// buildContained runs build and turns a panic into an errSetupPanic
+// error, so the entry is still dropped and its ready channel closed, and
+// the requests waiting on it fail instead of waiting out their deadlines.
+func buildContained(build func() (*engine.Engine, error)) (setup *engine.Engine, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			setup, err = nil, fmt.Errorf("%w: %v", errSetupPanic, p)
+		}
+	}()
+	return build()
 }
 
 // len reports the number of cached entries (including in-flight builds).

@@ -412,7 +412,11 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, k
 		return
 	}
 	if e.err != nil {
-		http.Error(w, "setup: "+e.err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.Is(e.err, errSetupPanic) {
+			status = http.StatusInternalServerError
+		}
+		http.Error(w, "setup: "+e.err.Error(), status)
 		return
 	}
 	b, err := sp.RightHandSide(e.rows)
