@@ -449,15 +449,15 @@ func TestLevelsHoldOneView(t *testing.T) {
 		{"7pt n=16", func() (*Hierarchy, *SetupStats, error) {
 			return BuildWithStats(grid.Laplacian7pt(16), DefaultOptions())
 		},
-			[]int{4096, 271, 60, 16}, 1.3025869693396226},
+			[]int{4096, 271, 54, 11}, 1.2205188679245282},
 		{"27pt n=16", func() (*Hierarchy, *SetupStats, error) {
 			return BuildWithStats(grid.Laplacian27pt(16), DefaultOptions())
 		},
-			[]int{4096, 67, 17}, 1.0203419084408647},
+			[]int{4096, 67, 20}, 1.013674282896359},
 		{"femlap n=16", func() (*Hierarchy, *SetupStats, error) { return BuildWithStats(lap.A, DefaultOptions()) },
-			[]int{3375, 286, 74, 15}, 1.2274959804418211},
+			[]int{3375, 286, 70, 15}, 1.1731383388762857},
 		{"elasticity n=5", func() (*Hierarchy, *SetupStats, error) { return BuildWithStats(elas.A, elOpt) },
-			[]int{2160, 208, 52, 10}, 1.1594402385868319},
+			[]int{2160, 208, 55, 9}, 1.1441971909969157},
 		{"stencil7 n=34", func() (*Hierarchy, *SetupStats, error) {
 			return BuildOperatorWithStats(op.NewStencil7(34), DefaultOptions())
 		},

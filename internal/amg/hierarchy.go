@@ -157,9 +157,10 @@ type SetupStats struct {
 	// SparsifyFallbacks counts levels the convergence guard reverted to
 	// their unsparsified operators.
 	SparsifyFallbacks int
-	// StagedPeak is the most untruncated composed entries the later
-	// multipass passes held at once on any level: a count, the same on
-	// every run and at any worker count.
+	// StagedPeak is the most untruncated composed entries held at once on
+	// any level. The later multipass passes keep every row they compose
+	// until the level's one truncation, so it is all of them: a count, the
+	// same on every run and at any worker count.
 	StagedPeak int
 }
 

@@ -48,21 +48,22 @@ func coarseIndex(types []PointType) (idx []int, nc int) {
 	return
 }
 
-// interpolate builds P for the splitting with the requested scheme,
-// truncated as truncateRow documents, and reports the most untruncated
-// composed entries multipass held at once (0 for the other schemes). C
-// rows are identity rows; a non-nil fun restricts the multipass row sums
+// interpolate builds P for the splitting with the requested scheme, then
+// truncates every row once as truncateRow documents, and reports how many
+// untruncated composed entries multipass staged (0 for the other schemes).
+// C rows are identity rows; a non-nil fun restricts the multipass row sums
 // to same-function couplings (the unknown approach).
 func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int, maxPerRow int) (*sparse.CSR, int) {
 	cidx, nc := coarseIndex(types)
 	strong, rowCap := strongMask(a, s, types)
 	st := newStagedRows(nc, rowCap)
+	staged := 0
 	if typ == Multipass {
-		peak := multipassInterp(a, strong, types, cidx, fun, st, maxPerRow)
-		return st.toCSR(0), peak
+		staged = multipassInterp(a, strong, types, cidx, fun, st)
+	} else {
+		par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
 	}
-	par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
-	return st.toCSR(maxPerRow), 0
+	return st.toCSR(maxPerRow), staged
 }
 
 // strongMask flags the strong connections on A's own pattern: mask[q] is
@@ -93,7 +94,8 @@ func strongMask(a *sparse.CSR, s *Strength, types []PointType) (mask []bool, row
 
 // stagedRows holds rows of P between their computation and the exactly
 // sized CSR. Row i is the pair cols[i], vals[i], a window into a flat arena
-// (newStagedRows) or, for a composed multipass row, into slabs.
+// (newStagedRows) or, for a composed multipass row, into multipassInterp's
+// arena.
 type stagedRows struct {
 	nc   int
 	cols [][]int
@@ -164,20 +166,14 @@ func (k *packKernel) Do(_, lo, hi int) {
 	}
 }
 
-// truncateKernel truncates staged rows in place: the rows listed in rows,
-// or every row when rows is nil.
+// truncateKernel truncates staged rows in place.
 type truncateKernel struct {
 	st        *stagedRows
-	rows      []int
 	maxPerRow int
 }
 
 func (k *truncateKernel) Do(_, lo, hi int) {
-	for z := lo; z < hi; z++ {
-		i := z
-		if k.rows != nil {
-			i = k.rows[z]
-		}
+	for i := lo; i < hi; i++ {
 		cols, vals := k.st.cols[i], k.st.vals[i]
 		keep := truncateRow(cols, vals, k.maxPerRow)
 		k.st.cols[i], k.st.vals[i] = cols[:keep], vals[:keep]
@@ -413,73 +409,40 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 	}
 }
 
-// multipassInterp builds Stüben multipass interpolation, truncated, and
-// returns the most untruncated composed entries it held at once. Pass 1
-// (sharded) gives direct interpolation to rows with strong C neighbours.
-// Later passes interpolate the remaining rows through already-interpolated
-// strong neighbours, composing their untruncated rows; they stay serial,
-// because a row composes through rows finished earlier in the same sweep
-// and that ordering is part of what P is. Rows that never acquire an
-// interpolated strong neighbour end up empty.
+// multipassInterp builds Stüben multipass interpolation, untruncated, and
+// returns how many composed entries it staged. Pass 1 (directInterpKernel,
+// sharded) gives direct interpolation to rows with strong C neighbours.
+// Pass p ≥ 2 interpolates each remaining row i through its strong
+// neighbours k that were done before the pass began:
 //
-// pending[k] counts the rows not yet done that k strongly influences, the
-// only rows that can still compose through k. When it reaches 0 with k
-// done, k is released (and pending[k] set to -1): truncated in place by the
-// pool, releaseBatch entries at a time, and, if composed, moved to a window
-// its truncated length fits. Rows never released by then are truncated at
-// the end.
-func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows, maxPerRow int) int {
+//	p_i = Σ_k -α_i a_ik / a_ii · p_k,  α_i = Σ_{j≠i} a_ij / Σ_k a_ik
+//
+// with the k in matrix-row order and each untruncated p_k accumulated in
+// its stored column order. α_i and the composition both read done as the
+// pass found it, so a row finished in pass p is read from pass p+1 on, and
+// P depends neither on the row order nor on the worker count. The passes
+// run over a worklist of the remaining rows and stop at the first that
+// finishes none; the rows still left end up empty. A pass could shard, but
+// sharded at two workers it measured within 3 % of this serial loop.
+func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows) int {
 	n := a.Rows
 	done := make([]bool, n)
 	par.Run(a.NNZ(), n, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
-
-	pending := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if done[i] {
-			continue
-		}
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			if k := a.ColIdx[q]; strong[q] && k != i {
-				pending[k]++
-			}
+	var rest []int
+	for i := range done {
+		if !done[i] {
+			rest = append(rest, i)
 		}
 	}
-	composed := make([]bool, n)       // the row lives in slabs
-	slab := slabs{chunk: a.NNZ() / 8} // chunks of nnz(A)/8 entries
-	trunc := &truncateKernel{st: st, rows: make([]int, 0, releaseBatch), maxPerRow: maxPerRow}
-	var queued, live, queuedLive, peak int // entries queued, untruncated composed (live), and both
-	flush := func() {
-		par.Run(queued*(2+max(maxPerRow, 0)), len(trunc.rows), trunc)
-		for _, k := range trunc.rows {
-			if cols, vals := st.cols[k], st.vals[k]; composed[k] && 2*len(cols) <= cap(cols) {
-				nc, nv := slab.get(len(cols))
-				st.cols[k], st.vals[k] = append(nc, cols...), append(nv, vals...)
-				slab.put(cols, vals)
-			}
-		}
-		live -= queuedLive
-		trunc.rows, queued, queuedLive = trunc.rows[:0], 0, 0
-	}
-	release := func(k int) {
-		pending[k] = -1
-		trunc.rows = append(trunc.rows, k)
-		queued += len(st.cols[k])
-		if composed[k] {
-			queuedLive += len(st.cols[k])
-		}
-		if queued >= releaseBatch {
-			flush()
-		}
-	}
-
 	acc := make([]float64, st.nc) // zero outside the row being summed
 	seen := make([]uint64, (st.nc+63)/64)
-	for progress := true; progress; {
-		progress = false
-		for i := 0; i < n; i++ {
-			if done[i] {
-				continue
-			}
+	// One arena holds the composed rows, about two entries each. An append
+	// that grows it leaves the earlier windows in the old array, where
+	// they stay valid.
+	cols, vals := make([]int, 0, 2*len(rest)), make([]float64, 0, 2*len(rest))
+	staged := 0
+	for len(rest) > 0 {
+		for _, i := range rest {
 			alpha, diag, ok := directAlpha(a, strong, fun, i, done, true)
 			if !ok {
 				continue
@@ -501,14 +464,7 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 					acc[c] += wk * kv[z]
 				}
 			}
-			if hi < lo {
-				continue
-			}
-			size := 0
-			for _, w := range seen[lo : hi+1] {
-				size += bits.OnesCount64(w)
-			}
-			cols, vals := slab.get(size)
+			start := len(cols)
 			for w := lo; w <= hi; w++ {
 				for word := seen[w]; word != 0; word &= word - 1 {
 					c := w<<6 | bits.TrailingZeros64(word)
@@ -518,72 +474,21 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 				}
 				seen[w] = 0
 			}
-			st.cols[i], st.vals[i] = cols, vals
-			done[i], composed[i], progress = true, true, true
-			live += size
-			peak = max(peak, live)
-			// Row i reads nothing any more.
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				if k := a.ColIdx[q]; strong[q] && k != i {
-					if pending[k]--; pending[k] == 0 && done[k] {
-						release(k)
-					}
-				}
-			}
-			if pending[i] == 0 {
-				release(i)
+			st.cols[i], st.vals[i] = cols[start:len(cols):len(cols)], vals[start:len(vals):len(vals)]
+		}
+		left := rest[:0]
+		for _, i := range rest {
+			if c := len(st.cols[i]); c > 0 {
+				done[i] = true
+				staged += c
+			} else {
+				left = append(left, i)
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if done[i] && pending[i] >= 0 {
-			release(i)
+		if len(left) == len(rest) {
+			break
 		}
+		rest = left
 	}
-	flush()
-	return peak
-}
-
-// releaseBatch is how many entries multipass queues before truncating them,
-// a constant so that its peak count is the same at any worker count.
-const releaseBatch = 1 << 13
-
-// slabs hands out windows of a power of two entries, carved from chunks
-// that never move, recycled through one free list per size.
-type slabs struct {
-	chunk int
-	cols  []int // the chunk being carved
-	vals  []float64
-	free  [64][]window
-}
-
-type window struct {
-	cols []int
-	vals []float64
-}
-
-// get returns an empty window with room for n entries.
-func (s *slabs) get(n int) ([]int, []float64) {
-	if n == 0 {
-		return nil, nil
-	}
-	c := bits.Len(uint(n - 1))
-	if f := len(s.free[c]) - 1; f >= 0 {
-		w := s.free[c][f]
-		s.free[c] = s.free[c][:f]
-		return w.cols, w.vals
-	}
-	w := 1 << c
-	if cap(s.cols)-len(s.cols) < w {
-		s.cols, s.vals = make([]int, 0, max(s.chunk, w)), make([]float64, 0, max(s.chunk, w))
-	}
-	lo := len(s.cols)
-	s.cols, s.vals = s.cols[:lo+w], s.vals[:lo+w]
-	return s.cols[lo : lo : lo+w], s.vals[lo : lo : lo+w]
-}
-
-// put gives a window from get back.
-func (s *slabs) put(cols []int, vals []float64) {
-	c := bits.Len(uint(cap(cols) - 1))
-	s.free[c] = append(s.free[c], window{cols[:0], vals[:0]})
+	return staged
 }

@@ -3,6 +3,7 @@ package amg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"asyncmg/internal/fem"
@@ -203,8 +204,10 @@ func refClassicalInterp(a *sparse.CSR, s *Strength, types []PointType) *sparse.C
 }
 
 // refMultipassInterp is the old multipass interpolation: the later passes
-// accumulate each row in one shared map and insertion-sort its keys. It
-// also reports how many passes (pass 1 included) finished at least one row.
+// accumulate each row in one shared map and insertion-sort its keys. Each
+// pass reads a copy of done taken when it begins, so a row finished in a
+// pass is read from the next pass on. It also reports how many passes
+// (pass 1 included) finished at least one row.
 func refMultipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int) (*sparse.CSR, int) {
 	cidx, nc := coarseIndex(types)
 	isStrong := refStrongSet(s)
@@ -218,8 +221,9 @@ func refMultipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int
 	acc := map[int]float64{}
 	for {
 		progress := false
+		before := slices.Clone(done)
 		for i := 0; i < n; i++ {
-			if done[i] {
+			if before[i] {
 				continue
 			}
 			var diag, rowSum, dSum float64
@@ -234,7 +238,7 @@ func refMultipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int
 					continue
 				}
 				rowSum += v
-				if isStrong(i, j) && done[j] {
+				if isStrong(i, j) && before[j] {
 					dSum += v
 				}
 			}
@@ -245,7 +249,7 @@ func refMultipassInterp(a *sparse.CSR, s *Strength, types []PointType, fun []int
 			clear(acc)
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 				k := a.ColIdx[q]
-				if k == i || !isStrong(i, k) || !done[k] {
+				if k == i || !isStrong(i, k) || !before[k] {
 					continue
 				}
 				wk := -alpha * a.Vals[q] / diag
@@ -414,10 +418,9 @@ func oracleCases(t *testing.T) []oracleCase {
 		{name: "27pt-n12", a: grid.Laplacian27pt(12)},
 		{name: "femlap", a: lap.A},
 		{name: "elasticity", a: elasticityMatrix(t), funs: 3},
-		// A chain whose one C point sits in the middle: the rows after it
-		// all finish in the first later sweep, each composing through the
-		// row finished just before it in the same sweep, while the rows
-		// before it finish one per sweep.
+		// A chain whose one C point sits in the middle: each pass finishes
+		// the two rows next to those done before it, so the rows on both
+		// sides compose through the pass before theirs, four passes in all.
 		{name: "chain", a: lap1d(9), multiC: []int{4}, minPasses: 4},
 	}
 }
@@ -436,8 +439,8 @@ func funMap(n, funs int) []int {
 // TestInterpMatchesMapOracle demands bitwise equality between the
 // array-based interpolation and the old map-based code, for direct,
 // classical and multipass (untruncated and truncated), at 1, 2 and 8
-// workers. The chain case needs four passes, which is where the in-sweep
-// ordering of the serial passes decides what P is.
+// workers. The chain case needs four passes, each reading only the rows
+// the passes before it finished.
 func TestInterpMatchesMapOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -597,12 +600,11 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestMultipassTruncationMatchesMapOracle checks the truncation multipass
-// does while it composes (each row once nothing reads it any more) against
-// the old code's untruncated P truncated afterwards, under every
-// truncation setting at 1, 2 and 8 workers. The chain case is the one
-// where rows finished in the same sweep read each other before they are
-// truncated.
+// TestMultipassTruncationMatchesMapOracle checks multipass interpolation
+// with its one truncation at the end against the old code's untruncated P
+// truncated afterwards, under every truncation setting at 1, 2 and 8
+// workers. In the chain case every later pass composes through the
+// untruncated rows of the pass before it.
 func TestMultipassTruncationMatchesMapOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -140,7 +140,7 @@ func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*En
 		return nil, err
 	}
 	if amgOpt.Sparsify {
-		if err := sparsifyHierarchy(h, amg.Theta, st); err != nil {
+		if err := sparsifyHierarchy(h, amg.Theta, smoCfg, st); err != nil {
 			return nil, fmt.Errorf("mg: sparsification guard: %w", err)
 		}
 	}

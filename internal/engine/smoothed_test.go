@@ -95,7 +95,7 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 							t.Fatal(err)
 						}
 						if sparsify {
-							if err := sparsifyHierarchy(h, amg.Theta, st); err != nil {
+							if err := sparsifyHierarchy(h, amg.Theta, smoothers[1], st); err != nil {
 								t.Fatal(err)
 							}
 						}

@@ -23,24 +23,23 @@ const (
 	guardReduction = 1e-6
 )
 
-// guardSmoother is the probe's fixed smoother, so a decision is a
-// property of the hierarchy and not of a request. ℓ1-Jacobi converges on
-// every SPD operator, so neither probe of a comparison can diverge on its
-// own account (ω-Jacobi diverges on the FEM hierarchies).
-var guardSmoother = smoother.Config{Kind: smoother.L1Jacobi, Blocks: 1}
-
 // sparsifyHierarchy replaces each interior coarse operator with a
 // CSR-backed Op (levels 1..L-2; level 0 is the problem definition, the
 // coarsest is LU-factored and tiny) by its twin lumped at theta, with
 // twin·P as its A·P. The guard then probes the Mult factor of the
 // sparsified hierarchy against the Galerkin one's and reverts levels,
 // largest relative drop first, until extraCycles is at most one. The
-// probe runs the engine's own Mult with guardSmoother in float64 on the
-// hierarchy from the first level with a CSR interpolant down (all of it
-// on the assembled path, the algebraic tail of a stencil one), sharing
-// h.Coarse, which no candidate feeds. The outcome goes to st, whose Total
-// gains the time spent here.
-func sparsifyHierarchy(h *amg.Hierarchy, theta float64, st *amg.SetupStats) error {
+// probe runs the engine's own Mult with smo, the smoother the engine will
+// be built with, so a decision is made for the cycles it serves; the
+// cache keys name the smoother, so a cached hierarchy is never served to
+// another. It runs in float64 on the hierarchy from the first level with
+// a CSR interpolant down (all of it on the assembled path, the algebraic
+// tail of a stencil one), sharing h.Coarse, which no candidate feeds.
+// Where smo diverges on the Galerkin hierarchy (factor ≥ 1), a twin stays
+// only if the probe factor does not grow, and the solvers report the
+// divergence as they would without sparsification. The outcome goes to
+// st, whose Total gains the time spent here.
+func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st *amg.SetupStats) error {
 	defer func(t0 time.Time) {
 		d := time.Since(t0)
 		st.Sparsify, st.Total = st.Sparsify+d, st.Total+d
@@ -74,7 +73,7 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, st *amg.SetupStats) erro
 	// interpolant: the fine level, or a stencil hierarchy's hand-off level.
 	tail := &amg.Hierarchy{Levels: h.Levels[st.SparsifyLevels[0].Level-1:], Coarse: h.Coarse}
 	probe := func() (float64, error) {
-		s, err := NewFromHierarchy(tail, guardSmoother)
+		s, err := NewFromHierarchy(tail, smo)
 		if err != nil {
 			return 0, err
 		}

@@ -14,14 +14,21 @@ import (
 	"asyncmg/internal/sparse/sparsetest"
 )
 
-// buildSparsified runs the plain setup on a and then the guard at theta.
-func buildSparsified(t *testing.T, a op.Operator, opt amg.Options, theta float64) (*amg.Hierarchy, *amg.SetupStats) {
+// paperSmoother is the paper's smoother for a problem family: ω-Jacobi at
+// problem.DefaultOmega.
+func paperSmoother(name string) smoother.Config {
+	return smoother.Config{Kind: smoother.WJacobi, Omega: problem.DefaultOmega(name), Blocks: 1}
+}
+
+// buildSparsified runs the plain setup on a and then the guard at theta,
+// probing with smo.
+func buildSparsified(t *testing.T, a op.Operator, opt amg.Options, theta float64, smo smoother.Config) (*amg.Hierarchy, *amg.SetupStats) {
 	t.Helper()
 	h, st, err := amg.BuildOperatorWithStats(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparsifyHierarchy(h, theta, st); err != nil {
+	if err := sparsifyHierarchy(h, theta, smo, st); err != nil {
 		t.Fatal(err)
 	}
 	return h, st
@@ -63,7 +70,7 @@ func TestSparsifyHierarchyReducesCoarseNNZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, st := buildSparsified(t, a, amg.DefaultOptions(), amg.Theta)
+	h, st := buildSparsified(t, a, amg.DefaultOptions(), amg.Theta, paperSmoother(problem.Laplace7pt))
 	if len(st.SparsifyLevels) == 0 {
 		t.Fatal("no sparsify level stats recorded")
 	}
@@ -122,7 +129,8 @@ func TestSparsifyGuardFallsBack(t *testing.T) {
 		}
 	}
 
-	h, st := buildSparsified(t, a, amg.DefaultOptions(), aggressive)
+	smo := paperSmoother(problem.Laplace7pt)
+	h, st := buildSparsified(t, a, amg.DefaultOptions(), aggressive, smo)
 	if st.SparsifyFallbacks == 0 {
 		t.Fatal("guard never fell back under theta=0.9 lumping")
 	}
@@ -148,7 +156,7 @@ func TestSparsifyGuardFallsBack(t *testing.T) {
 	}
 	// The guarded hierarchy's probe costs at most one extra cycle.
 	factor := func(h *amg.Hierarchy) float64 {
-		s, err := NewFromHierarchy(h, guardSmoother)
+		s, err := NewFromHierarchy(h, smo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,9 +248,10 @@ func TestSparsifyStencilLevelStats(t *testing.T) {
 // three matrix-free hierarchies and the θ = 0.9 lumping of
 // TestSparsifyGuardFallsBack, at 1, 2 and 8 workers, with every level
 // operator bitwise the one-worker build's. A change to the probe's cycle
-// that flips a decision shows here. The closest call is matrix-free 7pt
-// n = 64, whose kept L3 and L4 cost +0.014 cycles against the bound's 1;
-// elasticity's L2 alone costs +12.8.
+// that flips a decision shows here. Each case probes with its problem's
+// ω-Jacobi, the smoother its engine runs. The closest call is
+// matrix-free 7pt n = 64, whose kept L3 and L4 cost +0.026 cycles against
+// the bound's 1; elasticity's L2 alone costs +10.3.
 func TestSparsifyGuardDecisions(t *testing.T) {
 	cases := []struct {
 		problem    string
@@ -282,7 +291,7 @@ func TestSparsifyGuardDecisions(t *testing.T) {
 			var ref *amg.Hierarchy
 			for _, workers := range []int{1, 2, 8} {
 				withEngineWorkers(t, workers)
-				h, st := buildSparsified(t, a, opt, tc.theta)
+				h, st := buildSparsified(t, a, opt, tc.theta, paperSmoother(tc.problem))
 				var got []string
 				for _, l := range st.SparsifyLevels {
 					d := "kept"

@@ -40,7 +40,7 @@ func itersTo(hist []float64, tau float64) int {
 
 // TestSparsifyPaperMatrices pins what guarded coarse-operator
 // sparsification buys on the paper's matrices at the setup strength
-// threshold: the total coarse-level nonzeros exactly (33 030 → 19 832,
+// threshold: the total coarse-level nonzeros exactly (26 490 → 18 606,
 // the EXPERIMENTS.md table; a count, so any change to the drop rule, the
 // lumping or the guard shows), no matrix paying more than one extra
 // V(1,1) cycle to 1e-6 for it, and the elasticity system — where
@@ -105,8 +105,8 @@ func TestSparsifyPaperMatrices(t *testing.T) {
 			t.Errorf("elasticity: fully reverted hierarchy took %d cycles, unsparsified %d", sIters, gIters)
 		}
 	}
-	if before != 33030 || after != 19832 {
-		t.Errorf("total coarse nnz %d -> %d, want 33030 -> 19832", before, after)
+	if before != 26490 || after != 18606 {
+		t.Errorf("total coarse nnz %d -> %d, want 26490 -> 18606", before, after)
 	}
 }
 
