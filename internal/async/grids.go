@@ -3,17 +3,7 @@ package async
 import (
 	"math"
 	"runtime"
-
-	"asyncmg/internal/op"
 )
-
-// fineAtomic returns the fine operator's atomic-residual face. Every fine
-// operator the engine builds implements it (the CSR adapter and the
-// matrix-free stencils); the assertion documents the requirement for
-// hand-built operators.
-func (rt *solverState) fineAtomic() op.AtomicResidualer {
-	return rt.s.Ops[0].(op.AtomicResidualer)
-}
 
 // runAsync is the per-thread body of the asynchronous additive solve
 // (Algorithm 5). Each grid team loops: restrict its local residual to its
@@ -171,7 +161,7 @@ func (g *gridRun) runSync(tid int) {
 		// Global residual recompute: each thread owns a static slice of all
 		// fine rows (OpenMP static schedule).
 		gr := g.globalRanges[tid]
-		rt.fineAtomic().ResidualAtomicRange(rt.r, rt.b, rt.x, gr.Lo, gr.Hi)
+		rt.s.Ops[0].ResidualAtomicRange(rt.r, rt.b, rt.x, gr.Lo, gr.Hi)
 		// One designated thread folds context cancellation into the stop
 		// flag; the store is sequenced before the barrier every thread
 		// passes below, so the post-barrier loads agree and all threads
@@ -286,7 +276,7 @@ func (g *gridRun) publishResidual(tid int, out []float64) {
 		// stale — the defining weakness of global-res. "No Wait": no
 		// barrier with other teams.
 		gr := g.globalRanges[tid]
-		rt.fineAtomic().ResidualAtomicRange(rt.r, rt.b, rt.x, gr.Lo, gr.Hi)
+		rt.s.Ops[0].ResidualAtomicRange(rt.r, rt.b, rt.x, gr.Lo, gr.Hi)
 	case ResidualRes:
 		// r ← r − A e with the configured write mode (the A·e support
 		// overlaps other grids' rows, so this is a racing update).

@@ -175,6 +175,13 @@ func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engin
 // one merge pass (smoothedInterp); a level with a CSR interpolant and no
 // A·P is an error.
 func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error) {
+	return newFromHierarchy(h, smoCfg, true)
+}
+
+// newFromHierarchy is NewFromHierarchy; without smoothed it builds only
+// what Mult and AFACx read, leaving SItp nil and reading no A·P (the
+// sparsification guard's probes).
+func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (*Engine, error) {
 	l := h.NumLevels()
 	s := &Engine{H: h, Cfg: smoCfg, Ops: make([]op.Operator, l), Smo: make([]*smoother.S, l),
 		Itp: make([]op.Interp, l-1), SItp: make([]op.Interp, l-1)}
@@ -199,6 +206,14 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 		if k == l-1 {
 			break
 		}
+		s.Itp[k] = lev.Itp
+		itp, csr := lev.Itp.(*op.CSRInterp[float64, int])
+		if csr && f32 {
+			s.Itp[k] = op.NewCSR32Interp(itp.P, itp.PT)
+		}
+		if !smoothed {
+			continue
+		}
 		// P̄ scales by the smoother's own M⁻¹; the block kinds, whose M is
 		// not diagonal, by ω-Jacobi's (Section V).
 		scale := sm.InvDiag()
@@ -220,24 +235,20 @@ func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error)
 			if f32 && k >= 1 {
 				pbar = pbar.RoundFloat32()
 			}
-			s.Itp[k], s.SItp[k] = g, pbar
+			s.SItp[k] = pbar
 			continue
 		}
-		itp, ok := lev.Itp.(*op.CSRInterp[float64, int])
-		if !ok {
+		if !csr {
 			return nil, fmt.Errorf("mg: level %d interpolant %T is not a float64 P", k, lev.Itp)
 		}
 		if ap := lev.AP; ap == nil || ap.Rows != itp.P.Rows || ap.Cols != itp.P.Cols {
 			return nil, fmt.Errorf("mg: level %d holds no %dx%d A·P to smooth its interpolant with", k, itp.P.Rows, itp.P.Cols)
 		}
-		pbar := smoothedInterp(itp.P, lev.AP, scale)
-		if f32 {
-			s.Itp[k] = op.NewCSR32Interp(itp.P, itp.PT)
+		if pbar := smoothedInterp(itp.P, lev.AP, scale); f32 {
 			s.SItp[k] = op.NewCSR32Interp(pbar, nil)
-			continue
+		} else {
+			s.SItp[k] = op.InterpFromCSR(pbar, nil)
 		}
-		s.Itp[k] = itp
-		s.SItp[k] = op.InterpFromCSR(pbar, nil)
 	}
 	return s, nil
 }

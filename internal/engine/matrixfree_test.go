@@ -45,10 +45,17 @@ func matrixFreeCases() []matrixFreeCase {
 // algebraic level), must produce identical residual histories.
 // Mult and AFACx work on the plain interpolant, Multadd on the smoothed
 // one, whose class table is bitwise the twin's GEMM-built P̄: all three
-// are bitwise-equal.
+// are bitwise-equal, under ω-Jacobi, hybrid JGS and ℓ1 hybrid JGS at four
+// blocks and async GS at one, whose sweeps on a stencil level are the
+// class-row walks.
 func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 	opt := amg.DefaultOptions()
-	smo := smoother.DefaultConfig()
+	smoothers := []smoother.Config{
+		smoother.DefaultConfig(),
+		{Kind: smoother.HybridJGS, Omega: 0.9, Blocks: 4},
+		{Kind: smoother.L1HybridJGS, Omega: 0.9, Blocks: 4},
+		{Kind: smoother.AsyncGS, Omega: 0.9, Blocks: 1},
+	}
 	for _, tc := range matrixFreeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			hMF, _, err := amg.BuildOperatorWithStats(tc.st, opt)
@@ -75,25 +82,26 @@ func TestMatrixFreeBitwiseVsCSR(t *testing.T) {
 			levels[0].Op = op.FromCSR(tc.csr)
 			hCSR := &amg.Hierarchy{Levels: levels, Coarse: hMF.Coarse}
 
-			sMF, err := NewFromHierarchy(hMF, smo)
-			if err != nil {
-				t.Fatalf("matrix-free engine: %v", err)
-			}
-			sCSR, err := NewFromHierarchy(hCSR, smo)
-			if err != nil {
-				t.Fatalf("csr engine: %v", err)
-			}
-
 			b := grid.RandomRHS(tc.st.Rows(), 5)
-			for _, m := range []Method{Mult, AFACx, Multadd} {
-				_, hmf := sMF.Solve(m, b, 6)
-				_, hcs := sCSR.Solve(m, b, 6)
-				if len(hmf) != len(hcs) {
-					t.Fatalf("%v: history lengths %d vs %d", m, len(hmf), len(hcs))
+			for _, smo := range smoothers {
+				sMF, err := NewFromHierarchy(hMF, smo)
+				if err != nil {
+					t.Fatalf("%v matrix-free engine: %v", smo.Kind, err)
 				}
-				for i := range hmf {
-					if hmf[i] != hcs[i] {
-						t.Errorf("%v cycle %d: matrix-free %.17g != csr %.17g", m, i, hmf[i], hcs[i])
+				sCSR, err := NewFromHierarchy(hCSR, smo)
+				if err != nil {
+					t.Fatalf("%v csr engine: %v", smo.Kind, err)
+				}
+				for _, m := range []Method{Mult, AFACx, Multadd} {
+					_, hmf := sMF.Solve(m, b, 6)
+					_, hcs := sCSR.Solve(m, b, 6)
+					if len(hmf) != len(hcs) {
+						t.Fatalf("%v %v: history lengths %d vs %d", smo.Kind, m, len(hmf), len(hcs))
+					}
+					for i := range hmf {
+						if hmf[i] != hcs[i] {
+							t.Errorf("%v %v cycle %d: matrix-free %.17g != csr %.17g", smo.Kind, m, i, hmf[i], hcs[i])
+						}
 					}
 				}
 			}

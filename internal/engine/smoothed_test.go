@@ -52,8 +52,8 @@ func pbarOracle(t *testing.T, s *Engine, k int) *sparse.CSR {
 // in float32, on the four paper families at test size and the hand-off
 // level of a matrix-free 7pt n = 34 hierarchy, under ω-Jacobi, ℓ1-Jacobi
 // and hybrid JGS, with and without sparsification (whose kept twins carry
-// the twin·P sparsifyHierarchy formed), at 1 and 2 workers. Hybrid JGS on
-// a float32 or stencil operator is refused, as NewOperator refuses it.
+// the twin·P sparsifyHierarchy formed), at 1 and 2 workers. Every
+// smoother builds on every level, the stencil and float32 ones included.
 func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 	mat := func(name string, size int) op.Operator {
 		a, err := problem.Build(name, size)
@@ -102,11 +102,8 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 						dropped += st.DroppedNNZ()
 						for _, cfg := range smoothers {
 							s, err := NewFromHierarchy(h, cfg)
-							_, stencil := tc.a.(*op.Stencil)
-							if refused := cfg.Kind == smoother.HybridJGS && (stencil || prec == op.CoarseFloat32); refused != (err != nil) {
-								t.Fatalf("%v: NewFromHierarchy error %v, refusal expected %v", cfg.Kind, err, refused)
-							} else if refused {
-								continue
+							if err != nil {
+								t.Fatalf("%v: NewFromHierarchy: %v", cfg.Kind, err)
 							}
 							checked := 0
 							for k, itp := range s.SItp {

@@ -25,16 +25,17 @@ const (
 
 // sparsifyHierarchy replaces each interior coarse operator with a
 // CSR-backed Op (levels 1..L-2; level 0 is the problem definition, the
-// coarsest is LU-factored and tiny) by its twin lumped at theta, with
-// twin·P as its A·P. The guard then probes the Mult factor of the
-// sparsified hierarchy against the Galerkin one's and reverts levels,
-// largest relative drop first, until extraCycles is at most one. The
-// probe runs the engine's own Mult with smo, the smoother the engine will
-// be built with, so a decision is made for the cycles it serves; the
-// cache keys name the smoother, so a cached hierarchy is never served to
-// another. It runs in float64 on the hierarchy from the first level with
-// a CSR interpolant down (all of it on the assembled path, the algebraic
-// tail of a stencil one), sharing h.Coarse, which no candidate feeds.
+// coarsest is LU-factored and tiny) by its twin lumped at theta. The
+// guard then probes the Mult factor of the sparsified hierarchy against
+// the Galerkin one's and reverts levels, largest relative drop first,
+// until extraCycles is at most one; each twin it keeps gets twin·P as its
+// A·P. The probe runs the engine's own Mult with smo, the smoother the
+// engine will be built with, so a decision is made for the cycles it
+// serves; the cache keys name the smoother, so a cached hierarchy is never
+// served to another. It runs in float64 on the hierarchy from the first
+// level with a CSR interpolant down (all of it on the assembled path, the
+// algebraic tail of a stencil one), sharing h.Coarse, which no candidate
+// feeds.
 // Where smo diverges on the Galerkin hierarchy (factor ≥ 1), a twin stays
 // only if the probe factor does not grow, and the solvers report the
 // divergence as they would without sparsification. The outcome goes to
@@ -48,7 +49,6 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 	type candidate struct {
 		stat int         // index into st.SparsifyLevels
 		op   op.Operator // the other of the Galerkin operator and its twin
-		ap   *sparse.CSR // and its A·P
 	}
 	var installed []candidate
 	for lvl := 1; lvl < len(h.Levels)-1; lvl++ {
@@ -60,8 +60,8 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 		twin := amg.SparsifyLump(a, theta) // never larger than a
 		stat := amg.SparsifyLevelStat{Level: lvl, NNZBefore: a.NNZ(), NNZAfter: twin.NNZ(), Skipped: twin.NNZ() == a.NNZ()}
 		if !stat.Skipped {
-			installed = append(installed, candidate{stat: len(st.SparsifyLevels), op: lev.Op, ap: lev.AP})
-			lev.Op, lev.AP = op.FromCSR(twin), sparse.MatMul(twin, lev.Itp.(*op.CSRInterp[float64, int]).P)
+			installed = append(installed, candidate{stat: len(st.SparsifyLevels), op: lev.Op})
+			lev.Op = op.FromCSR(twin)
 		}
 		st.SparsifyLevels = append(st.SparsifyLevels, stat)
 	}
@@ -71,9 +71,11 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 
 	// The level above the first candidate is the first with a CSR
 	// interpolant: the fine level, or a stencil hierarchy's hand-off level.
+	// A probe builds only what Mult reads: no P̄, so the levels' A·P stay
+	// the Galerkin ones until the guard has decided.
 	tail := &amg.Hierarchy{Levels: h.Levels[st.SparsifyLevels[0].Level-1:], Coarse: h.Coarse}
 	probe := func() (float64, error) {
-		s, err := NewFromHierarchy(tail, smo)
+		s, err := newFromHierarchy(tail, smo, false)
 		if err != nil {
 			return 0, err
 		}
@@ -83,7 +85,7 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 	swap := func() {
 		for i, c := range installed {
 			lev := &h.Levels[st.SparsifyLevels[c.stat].Level]
-			lev.Op, lev.AP, installed[i].op, installed[i].ap = c.op, c.ap, lev.Op, lev.AP
+			lev.Op, installed[i].op = c.op, lev.Op
 		}
 	}
 	swap()
@@ -103,14 +105,22 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 	sort.SliceStable(installed, func(i, j int) bool { return drop(installed[i]) > drop(installed[j]) })
 	for _, c := range installed {
 		rho, err := probe()
-		if err != nil || extraCycles(rho, golden) <= 1 {
+		if err != nil {
 			return err
 		}
+		if extraCycles(rho, golden) <= 1 {
+			break
+		}
 		stat := &st.SparsifyLevels[c.stat]
-		lev := &h.Levels[stat.Level]
-		lev.Op, lev.AP = c.op, c.ap
+		h.Levels[stat.Level].Op = c.op
 		stat.Reverted, stat.NNZAfter = true, stat.NNZBefore
 		st.SparsifyFallbacks++
+	}
+	// Each kept twin gets its twin·P.
+	for _, s := range st.SparsifyLevels {
+		if lev := &h.Levels[s.Level]; !s.Skipped && !s.Reverted {
+			lev.AP = sparse.MatMul(op.AsCSR(lev.Op), lev.Itp.(*op.CSRInterp[float64, int]).P)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 
+	"asyncmg/internal/op"
 	"asyncmg/internal/sparse"
 )
 
@@ -14,51 +15,10 @@ import (
 // -1-β, remaining neighbours -1) — the FGMRES target problem, since plain
 // multigrid cycling degrades as β grows.
 func ConvectionDiffusion7pt(n int, beta float64) *sparse.CSR {
-	if n < 1 {
-		panic(fmt.Sprintf("grid: ConvectionDiffusion7pt needs n >= 1, got %d", n))
-	}
 	if beta < 0 {
 		panic(fmt.Sprintf("grid: ConvectionDiffusion7pt needs beta >= 0, got %v", beta))
 	}
-	rows := n * n * n
-	a := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
-	a.ColIdx = make([]int, 0, 7*rows)
-	a.Vals = make([]float64, 0, 7*rows)
-	idx := func(i, j, k int) int { return (i*n+j)*n + k }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				r := idx(i, j, k)
-				// Emit entries in ascending column order.
-				if i > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i-1, j, k))
-					a.Vals = append(a.Vals, -1-beta)
-				}
-				if j > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i, j-1, k))
-					a.Vals = append(a.Vals, -1-beta)
-				}
-				if k > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i, j, k-1))
-					a.Vals = append(a.Vals, -1)
-				}
-				a.ColIdx = append(a.ColIdx, r)
-				a.Vals = append(a.Vals, 6+2*beta)
-				if k < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i, j, k+1))
-					a.Vals = append(a.Vals, -1)
-				}
-				if j < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i, j+1, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				if i < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i+1, j, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				a.RowPtr[r+1] = len(a.Vals)
-			}
-		}
-	}
-	return a
+	var c [27]float64 // the box index of (di, dj, dk) is 9(di+1)+3(dj+1)+dk+1
+	c[4], c[10], c[12], c[13], c[14], c[16], c[22] = -1-beta, -1-beta, -1, 6+2*beta, -1, -1, -1
+	return op.NewBoxStencil(n, c).CSR()
 }

@@ -6,114 +6,25 @@
 package grid
 
 import (
-	"fmt"
 	"math/rand"
 
+	"asyncmg/internal/op"
 	"asyncmg/internal/sparse"
 )
 
 // Laplacian7pt returns the 7-point 3-D Laplacian on an n×n×n grid of
 // interior points: diagonal 6, off-diagonals -1 toward the six axis
 // neighbours. This matches the paper's 7pt test set (n=30 gives 27,000 rows
-// and 183,600 nonzeros).
-func Laplacian7pt(n int) *sparse.CSR {
-	if n < 1 {
-		panic(fmt.Sprintf("grid: Laplacian7pt needs n >= 1, got %d", n))
-	}
-	rows := n * n * n
-	a := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
-	a.ColIdx = make([]int, 0, 7*rows)
-	a.Vals = make([]float64, 0, 7*rows)
-	idx := func(i, j, k int) int { return (i*n+j)*n + k }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				r := idx(i, j, k)
-				// Emit entries in ascending column order.
-				if i > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i-1, j, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				if j > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i, j-1, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				if k > 0 {
-					a.ColIdx = append(a.ColIdx, idx(i, j, k-1))
-					a.Vals = append(a.Vals, -1)
-				}
-				a.ColIdx = append(a.ColIdx, r)
-				a.Vals = append(a.Vals, 6)
-				if k < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i, j, k+1))
-					a.Vals = append(a.Vals, -1)
-				}
-				if j < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i, j+1, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				if i < n-1 {
-					a.ColIdx = append(a.ColIdx, idx(i+1, j, k))
-					a.Vals = append(a.Vals, -1)
-				}
-				a.RowPtr[r+1] = len(a.Vals)
-			}
-		}
-	}
-	return a
-}
+// and 183,600 nonzeros). It is the materialized op.NewStencil7, the one
+// definition of the operator.
+func Laplacian7pt(n int) *sparse.CSR { return op.NewStencil7(n).CSR() }
 
 // Laplacian27pt returns the 27-point 3-D Laplacian on an n×n×n grid of
 // interior points: diagonal 26, and -1 toward each of the (up to) 26
 // neighbours in the 3×3×3 stencil box. This matches the paper's 27pt test
-// set (n=30 gives 27,000 rows and 681,472 nonzeros).
-func Laplacian27pt(n int) *sparse.CSR {
-	if n < 1 {
-		panic(fmt.Sprintf("grid: Laplacian27pt needs n >= 1, got %d", n))
-	}
-	rows := n * n * n
-	a := &sparse.CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
-	a.ColIdx = make([]int, 0, 27*rows)
-	a.Vals = make([]float64, 0, 27*rows)
-	idx := func(i, j, k int) int { return (i*n+j)*n + k }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				r := idx(i, j, k)
-				// di,dj,dk loops in this order visit columns ascending because
-				// idx is lexicographic in (i,j,k).
-				for di := -1; di <= 1; di++ {
-					ii := i + di
-					if ii < 0 || ii >= n {
-						continue
-					}
-					for dj := -1; dj <= 1; dj++ {
-						jj := j + dj
-						if jj < 0 || jj >= n {
-							continue
-						}
-						for dk := -1; dk <= 1; dk++ {
-							kk := k + dk
-							if kk < 0 || kk >= n {
-								continue
-							}
-							c := idx(ii, jj, kk)
-							if c == r {
-								a.ColIdx = append(a.ColIdx, c)
-								a.Vals = append(a.Vals, 26)
-							} else {
-								a.ColIdx = append(a.ColIdx, c)
-								a.Vals = append(a.Vals, -1)
-							}
-						}
-					}
-				}
-				a.RowPtr[r+1] = len(a.Vals)
-			}
-		}
-	}
-	return a
-}
+// set (n=30 gives 27,000 rows and 681,472 nonzeros). It is the
+// materialized op.NewStencil27.
+func Laplacian27pt(n int) *sparse.CSR { return op.NewStencil27(n).CSR() }
 
 // RandomRHS returns a right-hand side with entries uniform in [-1, 1],
 // matching the paper's test protocol, reproducible under seed.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"asyncmg/internal/sparse"
 	"asyncmg/internal/sparse/sparsetest"
 )
 
@@ -78,6 +79,77 @@ func TestLaplacian27ptStructure(t *testing.T) {
 	// Diagonal neighbour coupling present.
 	if sparsetest.At(a, interior, idx(2, 2, 2)) != -1 {
 		t.Errorf("corner-of-stencil coupling = %v, want -1", sparsetest.At(a, interior, idx(2, 2, 2)))
+	}
+}
+
+// TestLaplacianEntriesBruteForce is the independent oracle of the
+// stencils' definition: every entry (i, j) of the n³×n³ matrix, for
+// n ∈ {1, 2, 3, 5}, is the diagonal (6 or 26) on the diagonal, −1 where j
+// is an in-box neighbour of i (an axis neighbour for 7pt, any of the 26
+// box neighbours for 27pt) and 0 elsewhere, and each row stores exactly
+// its nonzeros in ascending column order. Convection-diffusion is the
+// 7pt pattern with diagonal 6+2β and −1−β toward the −x and −y
+// neighbours.
+func TestLaplacianEntriesBruteForce(t *testing.T) {
+	axis := func(di, dj, dk int) float64 {
+		if di*di+dj*dj+dk*dk == 1 {
+			return -1
+		}
+		return 0
+	}
+	convDiff := func(beta float64) func(di, dj, dk int) float64 {
+		return func(di, dj, dk int) float64 {
+			if v := axis(di, dj, dk); v == 0 || di+dj != -1 {
+				return v
+			}
+			return -1 - beta // upwind: the −x or −y neighbour
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		gen       func(int) *sparse.CSR
+		diag      float64
+		neighbour func(di, dj, dk int) float64 // an off-diagonal box entry
+	}{
+		{"7pt", Laplacian7pt, 6, axis},
+		{"27pt", Laplacian27pt, 26, func(_, _, _ int) float64 { return -1 }},
+		{"conv-diff-0", func(n int) *sparse.CSR { return ConvectionDiffusion7pt(n, 0) }, 6, convDiff(0)},
+		{"conv-diff-0.8", func(n int) *sparse.CSR { return ConvectionDiffusion7pt(n, 0.8) }, 6 + 2*0.8, convDiff(0.8)},
+		{"conv-diff-1024", func(n int) *sparse.CSR { return ConvectionDiffusion7pt(n, 1024) }, 6 + 2*1024, convDiff(1024)},
+	} {
+		for _, n := range []int{1, 2, 3, 5} {
+			a := tc.gen(n)
+			rows := n * n * n
+			if a.Rows != rows || a.Cols != rows {
+				t.Fatalf("%s n=%d: %dx%d, want %dx%d", tc.name, n, a.Rows, a.Cols, rows, rows)
+			}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}
+			abs := func(v int) int { return max(v, -v) }
+			for r := 0; r < rows; r++ {
+				nz := 0
+				for c := 0; c < rows; c++ {
+					di, dj, dk := c/(n*n)-r/(n*n), c/n%n-r/n%n, c%n-r%n
+					want := 0.0
+					switch {
+					case r == c:
+						want = tc.diag
+					case abs(di) <= 1 && abs(dj) <= 1 && abs(dk) <= 1:
+						want = tc.neighbour(di, dj, dk)
+					}
+					if got := sparsetest.At(a, r, c); got != want {
+						t.Fatalf("%s n=%d: entry (%d, %d) = %v, want %v", tc.name, n, r, c, got, want)
+					}
+					if want != 0 {
+						nz++
+					}
+				}
+				if stored := a.RowPtr[r+1] - a.RowPtr[r]; stored != nz {
+					t.Fatalf("%s n=%d: row %d stores %d entries, want its %d nonzeros", tc.name, n, r, stored, nz)
+				}
+			}
+		}
 	}
 }
 

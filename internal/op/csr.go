@@ -1,6 +1,8 @@
 package op
 
 import (
+	"math"
+
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
@@ -16,6 +18,12 @@ import (
 // 8 bytes per nonzero against 16, every stored value converted to float64
 // at load and accumulated in float64, so only the matrix entries themselves
 // are rounded — once, at conversion.
+//
+// The row walks of the block smoothers and the asynchronous runtime
+// (LowerSolveRange, OffBlockL1Range and the two atomic kernels) are
+// written here, on the same stored rows, rather than in package sparse,
+// whose float64 kernels' cache-line placement the Mult solve time is
+// sensitive to (EXPERIMENTS.md, "Code alignment").
 type CSR[V sparse.Value, I sparse.Index] struct {
 	M *sparse.Matrix[V, I]
 }
@@ -58,10 +66,29 @@ func (a *CSR[V, I]) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Ato
 	}
 }
 
+// GaussSeidelAtomicRange is the in-place Gauss-Seidel sweep of rows
+// [lo, hi) against a shared atomic iterate; a zero pivot skips its row.
+func (a *CSR[V, I]) GaussSeidelAtomicRange(x *vec.Atomic, b []float64, lo, hi int) {
+	m := a.M
+	for i := lo; i < hi; i++ {
+		sum, diag := b[i], 0.0
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			j := int(m.ColIdx[p])
+			if j == i {
+				diag += float64(m.Vals[p])
+				continue
+			}
+			sum -= float64(m.Vals[p]) * x.Load(j)
+		}
+		if diag != 0 {
+			x.Store(i, sum/diag)
+		}
+	}
+}
+
 // AsCSR returns the float64 CSR behind a, or nil when a is matrix-free or
-// stored in another precision. Consumers that genuinely need row storage
-// (block-triangular smoothers, the dense coarse factorization, sparse
-// products) use it.
+// stored in another precision. Only setup steps that need the float64
+// rows themselves (the algebraic setup, sparsification) use it.
 func AsCSR(a Operator) *sparse.CSR {
 	if c, ok := a.(*CSR[float64, int]); ok {
 		return c.M
@@ -107,4 +134,50 @@ func (t *CSRInterp[V, I]) ApplyAddRange(fine, coarse []float64, lo, hi int) {
 func (t *CSRInterp[V, I]) ApplyT(coarse, fine []float64) { t.PT.MatVecPar(coarse, fine) }
 func (t *CSRInterp[V, I]) ApplyTRange(coarse, fine []float64, lo, hi int) {
 	t.PT.ApplyRange(coarse, fine, lo, hi)
+}
+
+// LowerSolveRange is the hybrid smoothers' block forward substitution,
+// (L + D + diag(aug)) x = b on the block of rows [lo, hi): only columns in
+// the block and on or below the diagonal take part, aug (ℓ1 hybrid JGS's
+// diagonal augmentation) may be nil, and a zero pivot leaves x_i as it is.
+func (a *CSR[V, I]) LowerSolveRange(x, b, aug []float64, lo, hi int) {
+	m := a.M
+	for i := lo; i < hi; i++ {
+		sum, diag := b[i], 0.0
+		if aug != nil {
+			diag = aug[i]
+		}
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			j := int(m.ColIdx[p])
+			if j < lo {
+				continue
+			}
+			if j > i {
+				break // sorted columns: nothing at or below the diagonal remains
+			}
+			if j == i {
+				diag += float64(m.Vals[p])
+			} else {
+				sum -= float64(m.Vals[p]) * x[j]
+			}
+		}
+		if diag != 0 {
+			x[i] = sum / diag
+		}
+	}
+}
+
+// OffBlockL1Range computes dst[i] = Σ_{j ∉ [lo, hi)} |a_ij|, each block
+// row's ℓ1 norm outside the block [lo, hi).
+func (a *CSR[V, I]) OffBlockL1Range(dst []float64, lo, hi int) {
+	m := a.M
+	for i := lo; i < hi; i++ {
+		off := 0.0
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			if j := int(m.ColIdx[p]); j < lo || j >= hi {
+				off += math.Abs(float64(m.Vals[p]))
+			}
+		}
+		dst[i] = off
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"asyncmg/internal/fem"
-	"asyncmg/internal/grid"
+	"asyncmg/internal/partition"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
 )
@@ -117,8 +117,8 @@ func TestCSRKernelTable(t *testing.T) {
 		m       *sparse.CSR
 		exact32 bool
 	}{
-		{"7pt", grid.Laplacian7pt(7), true},
-		{"27pt", grid.Laplacian27pt(6), true},
+		{"7pt", NewStencil7(7).CSR(), true},
+		{"27pt", NewStencil27(6).CSR(), true},
 		{"geom-P", GeomInterpCSR(9), true},
 		{"fem-laplace", ball.A, false},
 		{"random", randomCSR(rng, 313, 313, 8), false},
@@ -188,11 +188,186 @@ func TestCSRKernelTable(t *testing.T) {
 // TestCSRKernelOperandValidation pins AsCSR on both instantiations: it
 // exposes only the zero-copy float64 view.
 func TestCSRKernelOperandValidation(t *testing.T) {
-	m := grid.Laplacian7pt(4)
+	m := NewStencil7(4).CSR()
 	if AsCSR(FromCSR(m)) != m {
 		t.Fatal("AsCSR should return the wrapped matrix")
 	}
 	if AsCSR(NewCSR32(m)) != nil || AsCSR(NewStencil7(4)) != nil {
 		t.Fatal("AsCSR on a float32 store or a stencil should be nil")
+	}
+}
+
+// The block smoothers' row walks as package smoother ran them on a float64
+// CSR before they became Operator kernels: the oracles of
+// TestBlockSmootherKernelTable.
+
+func lowerSolveOracle(a *sparse.CSR, aug, x, b []float64, blk partition.Range) {
+	for i := blk.Lo; i < blk.Hi; i++ {
+		sum, diag := b[i], 0.0
+		if aug != nil {
+			diag = aug[i]
+		}
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.ColIdx[p]
+			if j < blk.Lo {
+				continue
+			}
+			if j > i {
+				break
+			}
+			if j == i {
+				diag += a.Vals[p]
+			} else {
+				sum -= a.Vals[p] * x[j]
+			}
+		}
+		if diag != 0 {
+			x[i] = sum / diag
+		}
+	}
+}
+
+func offBlockL1Oracle(a *sparse.CSR, blocks []partition.Range) []float64 {
+	l1Off := make([]float64, a.Rows)
+	for _, blk := range blocks {
+		for i := blk.Lo; i < blk.Hi; i++ {
+			off := 0.0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				j := a.ColIdx[p]
+				if j < blk.Lo || j >= blk.Hi {
+					v := a.Vals[p]
+					if v < 0 {
+						v = -v
+					}
+					off += v
+				}
+			}
+			l1Off[i] = off
+		}
+	}
+	return l1Off
+}
+
+func sweepBlockAtomicOracle(a *sparse.CSR, x *vec.Atomic, b []float64, r partition.Range) {
+	for i := r.Lo; i < r.Hi; i++ {
+		sum := b[i]
+		diag := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.ColIdx[p]
+			if j == i {
+				diag += a.Vals[p]
+				continue
+			}
+			sum -= a.Vals[p] * x.Load(j)
+		}
+		if diag != 0 {
+			x.Store(i, sum/diag)
+		}
+	}
+}
+
+// blockWalks runs the three block-smoother kernels of a over blocks in
+// order, from the iterate x0: the off-block ℓ1 norms, the block forward
+// substitution without and with them as aug, and the in-place atomic sweep.
+// oracle, when set, runs the pre-Operator bodies on that float64 matrix
+// instead.
+func blockWalks(a Operator, oracle *sparse.CSR, blocks []partition.Range, x0, b []float64) map[string][]float64 {
+	l1 := make([]float64, len(b))
+	plain := append([]float64(nil), x0...)
+	aug := append([]float64(nil), x0...)
+	atom := vec.NewAtomic(len(b))
+	atom.StoreRange(x0, 0, len(x0))
+	if oracle != nil {
+		l1 = offBlockL1Oracle(oracle, blocks)
+	} else {
+		for _, blk := range blocks {
+			a.OffBlockL1Range(l1, blk.Lo, blk.Hi)
+		}
+	}
+	for _, blk := range blocks {
+		if oracle != nil {
+			lowerSolveOracle(oracle, nil, plain, b, blk)
+			lowerSolveOracle(oracle, l1, aug, b, blk)
+			sweepBlockAtomicOracle(oracle, atom, b, blk)
+			continue
+		}
+		a.LowerSolveRange(plain, b, nil, blk.Lo, blk.Hi)
+		a.LowerSolveRange(aug, b, l1, blk.Lo, blk.Hi)
+		a.GaussSeidelAtomicRange(atom, b, blk.Lo, blk.Hi)
+	}
+	gs := make([]float64, len(b))
+	atom.Snapshot(gs)
+	return map[string][]float64{"off-block-l1": l1, "lower-solve": plain, "lower-solve-aug": aug, "atomic-gs": gs}
+}
+
+// TestBlockSmootherKernelTable pins the block smoothers' row walks
+// (LowerSolveRange with and without aug, OffBlockL1Range,
+// GaussSeidelAtomicRange) on every operator type to the bodies package
+// smoother ran on a float64 CSR: the 7-point and 27-point stencils at
+// n ∈ {1, 2, 3, 5}, a Coarsen'ed 27-point stencil, each beside its
+// materialized CSR[float64, int], and each again rounded to float32
+// (RoundFloat32 beside NewCSR32), plus a random CSR in both precisions.
+// The block splits cut grid lines mid-line, include empty blocks when
+// there are more blocks than rows, and are swept in an order that is not
+// the row order. float64 operators must equal the oracle bitwise on the
+// materialized matrix, float32 ones on its rounded entries.
+func TestBlockSmootherKernelTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	type fixture struct {
+		name string
+		st   *Stencil // nil for the random CSR
+		m    *sparse.CSR
+	}
+	var fixtures []fixture
+	for _, n := range []int{1, 2, 3, 5} {
+		for _, st := range []struct {
+			name string
+			s    *Stencil
+		}{{"7pt", NewStencil7(n)}, {"27pt", NewStencil27(n)}} {
+			fixtures = append(fixtures, fixture{fmt.Sprintf("%s/n=%d", st.name, n), st.s, st.s.CSR()})
+		}
+	}
+	_, coarse, err := randomStencil(5).Coarsen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures = append(fixtures, fixture{"random27-coarsened/n=5", coarse, coarse.CSR()},
+		fixture{"random-csr", nil, randomCSR(rng, 157, 157, 6)})
+
+	for _, fx := range fixtures {
+		rows := fx.m.Rows
+		m32 := sparse.Convert[float32, int32](fx.m)
+		rounded := sparse.Convert[float64, int](m32)
+		type operand struct {
+			name   string
+			a      Operator
+			oracle *sparse.CSR
+		}
+		ops := []operand{{"csr-f64", FromCSR(fx.m), fx.m}, {"csr-f32", &CSR[float32, int32]{M: m32}, rounded}}
+		if fx.st != nil {
+			ops = append(ops, operand{"stencil-f64", fx.st, fx.m}, operand{"stencil-f32", fx.st.RoundFloat32(), rounded})
+		}
+		x0, b := randVec(rng, rows), randVec(rng, rows)
+		splits := map[string][]partition.Range{
+			"one-block": partition.SplitRows(rows, 1),
+			"3-blocks":  partition.SplitRows(rows, 3),
+			"4-blocks":  partition.SplitRows(rows, 4),
+			"7-blocks":  partition.SplitRows(rows, 7),
+			"uneven":    {{Lo: 0, Hi: rows / 5}, {Lo: rows / 5, Hi: rows / 2}, {Lo: rows / 2, Hi: rows}},
+		}
+		// Swept last block first: a block's atomic sweep then reads rows
+		// of the blocks after it already updated.
+		rev := partition.SplitRows(rows, 3)
+		rev[0], rev[2] = rev[2], rev[0]
+		splits["3-blocks-reversed"] = rev
+		for split, blocks := range splits {
+			for _, o := range ops {
+				name := fx.name + "/" + split + "/" + o.name
+				want := blockWalks(nil, o.oracle, blocks, x0, b)
+				for kernel, got := range blockWalks(o.a, nil, blocks, x0, b) {
+					assertBitwise(t, name+"/"+kernel, got, want[kernel])
+				}
+			}
+		}
 	}
 }

@@ -16,11 +16,12 @@
 //     ~50% with no convergence cost at multigrid tolerances).
 //   - Stencil is the one matrix-free structured operator: a class table
 //     of 27 rows (offset, value) on an n³ grid. NewStencil7/NewStencil27
-//     build the 7-point/27-point Laplacians of package grid, so the fine
-//     level of a structured solve never materializes a CSR matrix, and
-//     Stencil.Coarsen builds each geometric Galerkin level as a Stencil
-//     too. Its kernels are bitwise-identical to the CSR kernels on the
-//     materialized matrix and shard over the par worker pool.
+//     build the 7-point/27-point Laplacians (package grid's matrices are
+//     their CSR), so the fine level of a structured solve never
+//     materializes a CSR matrix, and Stencil.Coarsen builds each
+//     geometric Galerkin level as a Stencil too. Its kernels are
+//     bitwise-identical to the CSR kernels on the materialized matrix and
+//     shard over the par worker pool.
 //   - GeomInterp is the matrix-free interpolant between a fine n³ grid
 //     and its 2h coarsening, a class table too: Coarsen returns the
 //     trilinear P, and Smooth builds Multadd's smoothed interpolant
@@ -35,6 +36,13 @@
 // bitwise-identical to the serial one at any worker count. There is one
 // kernel per operation: the cycles compose Apply, Residual and ApplyT
 // rather than calling fused multi-operation kernels.
+//
+// Every Operator also carries the serial row walks of the block smoothers
+// and the asynchronous runtime, so no consumer needs a stored matrix: the
+// block forward substitution (LowerSolveRange), the off-block ℓ1 norms
+// (OffBlockL1Range), and the in-place Gauss-Seidel sweep and residual
+// against a shared atomic iterate (GaussSeidelAtomicRange,
+// ResidualAtomicRange), each bitwise-identical across operator types.
 package op
 
 import "asyncmg/internal/vec"
@@ -91,6 +99,19 @@ type Operator interface {
 	Diag() []float64
 	// RowL1Norms returns Σ_j |a_ij| per row as a fresh slice.
 	RowL1Norms() []float64
+
+	// LowerSolveRange solves (L + D + diag(aug)) x = b on the block of
+	// rows [lo, hi) by forward substitution, ignoring columns outside it
+	// (aug may be nil; a zero pivot leaves x_i as it is).
+	LowerSolveRange(x, b, aug []float64, lo, hi int)
+	// OffBlockL1Range sets dst_i = Σ_{j∉[lo,hi)} |a_ij| for i in [lo, hi).
+	OffBlockL1Range(dst []float64, lo, hi int)
+	// GaussSeidelAtomicRange sweeps rows [lo, hi) of A x = b in place on
+	// a shared atomic iterate, reading every neighbour's current value.
+	GaussSeidelAtomicRange(x *vec.Atomic, b []float64, lo, hi int)
+	// ResidualAtomicRange stores b_i − (A x)_i into dst for rows [lo, hi)
+	// of a shared atomic iterate.
+	ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int)
 }
 
 // Interp is the prolongation/restriction view of one level pair:
@@ -111,16 +132,6 @@ type Interp interface {
 	ApplyT(coarse, fine []float64)
 	// ApplyTRange computes coarse[lo:hi] = (Pᵀ fine)[lo:hi].
 	ApplyTRange(coarse, fine []float64, lo, hi int)
-}
-
-// ---- optional capabilities ----
-
-// AtomicResidualer computes residual rows against a shared atomic iterate
-// (the asynchronous shared-memory runtime's global-residual refresh):
-// dst[i] = b[i] − Σ_j a_ij·x.Load(j) for i in [lo, hi), stored with
-// dst.Store(i, ·).
-type AtomicResidualer interface {
-	ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomic, lo, hi int)
 }
 
 // FusedJacobiResidualRestrict is the multiplicative down-leg level step

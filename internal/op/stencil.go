@@ -19,13 +19,16 @@ import (
 // of (offset, value) entries in ascending-column order and nothing that
 // grows with n.
 //
-// NewStencil7 and NewStencil27 clip the Laplacians of package grid per
-// class, and Coarsen returns the Galerkin coarse level as a Stencil. Every
-// kernel visits a row's entries in the order of the CSR row and uses the
-// CSR row kernels' expression shapes (`s += v·x[c]`, `s -= v·x[c]`), so it is bitwise-identical to the sparse kernel
-// on the materialized matrix (CSR) at any worker count. The interior class
+// NewBoxStencil clips a constant 3×3×3 box of coefficients per class
+// (NewStencil7 and NewStencil27 are the two Laplacians), and Coarsen
+// returns the Galerkin coarse level as a Stencil. Every kernel visits a
+// row's entries in the order of the CSR row and uses the CSR row kernels'
+// expression shapes (`s += v·x[c]`, `s -= v·x[c]`), so it is
+// bitwise-identical to the sparse kernel on the materialized matrix
+// (CSR) at any worker count. For Apply and Residual the interior class
 // takes an unrolled path, its coefficients held in locals, when it is the
-// 7-point axis pattern or the full 3×3×3 box.
+// 7-point axis pattern or the full 3×3×3 box; the other kernels walk the
+// class row.
 type Stencil struct {
 	n       int
 	classes [27][]stencilEntry
@@ -57,38 +60,40 @@ var axis7 = [7][3]int8{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 0}, {0, 0, 1},
 
 // NewStencil7 returns the 7-point Laplacian on an n×n×n grid (diagonal 6,
 // −1 toward each of the up-to-six axis neighbours, Dirichlet boundaries
-// eliminated): the operator grid.Laplacian7pt materializes.
+// eliminated), the paper's 7pt test set. This is the operator's one
+// definition: grid.Laplacian7pt is its CSR.
 func NewStencil7(n int) *Stencil {
-	return laplacian(n, 6, func(di, dj, dk int) bool { return di*di+dj*dj+dk*dk <= 1 })
+	var c [27]float64
+	c[4], c[10], c[12], c[13], c[14], c[16], c[22] = -1, -1, -1, 6, -1, -1, -1
+	return NewBoxStencil(n, c)
 }
 
 // NewStencil27 returns the 27-point Laplacian on an n×n×n grid (diagonal
-// 26, −1 toward each of the up-to-26 neighbours in the 3×3×3 box): the
-// operator grid.Laplacian27pt materializes.
+// 26, −1 toward each of the up-to-26 neighbours in the 3×3×3 box), the
+// paper's 27pt test set; grid.Laplacian27pt is its CSR.
 func NewStencil27(n int) *Stencil {
-	return laplacian(n, 26, func(_, _, _ int) bool { return true })
+	var c [27]float64
+	for q := range c {
+		c[q] = -1
+	}
+	c[13] = 26
+	return NewBoxStencil(n, c)
 }
 
-// laplacian builds the Laplacian whose row holds the box neighbours keep
-// admits, clipped to the grid: −1 off the diagonal, diag on it.
-func laplacian(n int, diag float64, keep func(di, dj, dk int) bool) *Stencil {
+// NewBoxStencil returns the constant-coefficient operator on an n×n×n grid
+// whose every row holds coef[9(di+1)+3(dj+1)+dk+1] toward its neighbour
+// (di, dj, dk) in the 3×3×3 box, clipped to the grid (Dirichlet boundaries
+// eliminated). Zero coefficients are not stored.
+func NewBoxStencil(n int, coef [27]float64) *Stencil {
 	if n < 1 {
 		panic(fmt.Sprintf("op: stencil needs n >= 1, got %d", n))
 	}
 	in := func(c int) bool { return c >= 0 && c < n }
 	return newStencil(n, func(p [3]int, row []stencilEntry) []stencilEntry {
-		for di := -1; di <= 1; di++ {
-			for dj := -1; dj <= 1; dj++ {
-				for dk := -1; dk <= 1; dk++ {
-					if !keep(di, dj, dk) || !in(p[0]+di) || !in(p[1]+dj) || !in(p[2]+dk) {
-						continue
-					}
-					v := -1.0
-					if di == 0 && dj == 0 && dk == 0 {
-						v = diag
-					}
-					row = append(row, stencilEntry{d: [3]int8{int8(di), int8(dj), int8(dk)}, v: v})
-				}
+		for q, v := range coef {
+			di, dj, dk := q/9-1, q/3%3-1, q%3-1
+			if v != 0 && in(p[0]+di) && in(p[1]+dj) && in(p[2]+dk) {
+				row = append(row, stencilEntry{d: [3]int8{int8(di), int8(dj), int8(dk)}, v: v})
 			}
 		}
 		return row
@@ -331,6 +336,73 @@ func (s *Stencil) ResidualAtomicRange(dst *vec.Atomic, b []float64, x *vec.Atomi
 				t -= e.v * x.Load(row+int(e.off))
 			}
 			dst.Store(row, t)
+		}
+	}
+}
+
+// GaussSeidelAtomicRange is the stencil form of the asynchronous GS sweep
+// against a shared atomic iterate.
+func (s *Stencil) GaussSeidelAtomicRange(x *vec.Atomic, b []float64, lo, hi int) {
+	for r := s.runs(lo, hi); r.next(); {
+		for row := r.lo; row < r.hi; row++ {
+			sum, diag := b[row], 0.0
+			for _, e := range r.es {
+				if e.off == 0 {
+					diag += e.v
+					continue
+				}
+				sum -= e.v * x.Load(row+int(e.off))
+			}
+			if diag != 0 {
+				x.Store(row, sum/diag)
+			}
+		}
+	}
+}
+
+// LowerSolveRange is the stencil form of the hybrid smoothers' block
+// forward substitution: a class row's entries are in ascending offset
+// order, so its lower part ends at offset 0.
+func (s *Stencil) LowerSolveRange(x, b, aug []float64, lo, hi int) {
+	for r := s.runs(lo, hi); r.next(); {
+		for row := r.lo; row < r.hi; row++ {
+			sum, diag := b[row], 0.0
+			if aug != nil {
+				diag = aug[row]
+			}
+			for _, e := range r.es {
+				j := row + int(e.off)
+				if j < lo {
+					continue
+				}
+				if j > row {
+					break
+				}
+				if j == row {
+					diag += e.v
+				} else {
+					sum -= e.v * x[j]
+				}
+			}
+			if diag != 0 {
+				x[row] = sum / diag
+			}
+		}
+	}
+}
+
+// OffBlockL1Range computes each block row's ℓ1 norm outside the block
+// [lo, hi), summed over the class row in column order.
+func (s *Stencil) OffBlockL1Range(dst []float64, lo, hi int) {
+	for r := s.runs(lo, hi); r.next(); {
+		for row := r.lo; row < r.hi; row++ {
+			off := 0.0
+			for _, e := range r.es {
+				if j := row + int(e.off); j < lo || j >= hi {
+					off += math.Abs(e.v)
+				}
+			}
+			dst[row] = off
 		}
 	}
 }

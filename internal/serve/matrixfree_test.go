@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"testing"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/op"
+	"asyncmg/internal/solve"
 )
 
 // TestServeMatrixFree checks the service-level plumbing of the
@@ -85,4 +87,60 @@ func relDiff(a, b float64) float64 {
 		return d
 	}
 	return d / b
+}
+
+// TestServeBlockSmoothersWithoutCSR pins the block smoothers on the levels
+// that hold no float64 CSR: a matrix-free server given async-gs, a
+// float32-coarse one given hybrid-jgs, and one with both given
+// l1-hybrid-jgs answer 200 with bitwise the history solve.Run gives on an
+// engine built as the server builds it.
+func TestServeBlockSmoothersWithoutCSR(t *testing.T) {
+	f32 := amg.DefaultOptions()
+	f32.CoarsePrecision = op.CoarseFloat32
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		req  SolveRequest
+	}{
+		{"matrix-free", Config{MatrixFree: true}, SolveRequest{Smoother: "async-gs"}},
+		{"f32-coarse", Config{AMG: &f32}, SolveRequest{Smoother: "hybrid-jgs"}},
+		{"matrix-free-f32-coarse", Config{MatrixFree: true, AMG: &f32}, SolveRequest{Smoother: "l1-hybrid-jgs"}},
+	} {
+		t.Run(tc.name+"/"+tc.req.Smoother, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			req := tc.req
+			req.Problem, req.Size, req.Method, req.Cycles, req.Seed = "7pt", 10, "mult", 8, 3
+			got, code := postSolve(t, ts.URL, req)
+			if code != 200 {
+				t.Fatalf("status %d, want 200", code)
+			}
+			plan, err := req.Validate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := solve.Build(solve.Source{Problem: req.Problem, Size: req.Size}, *s.cfg.AMG, plan.Smoother, tc.cfg.MatrixFree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := plan.RightHandSide(e.LevelSize(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solve.Run(context.Background(), e, plan, b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.History) != len(want.History) || len(want.History) != req.Cycles+1 {
+				t.Fatalf("history lengths %d served, %d from solve.Run, want %d", len(got.History), len(want.History), req.Cycles+1)
+			}
+			for i, h := range want.History {
+				if got.History[i] != h {
+					t.Fatalf("history[%d] = %v served, %v from solve.Run", i, got.History[i], h)
+				}
+			}
+			if got.RelRes > 1e-3 {
+				t.Errorf("relres %g after %d cycles", got.RelRes, req.Cycles)
+			}
+		})
+	}
 }

@@ -8,6 +8,12 @@
 // multigrid), a general sweep (for multiplicative V-cycles), block-wise
 // variants for goroutine teams, and an atomic-vector sweep used by async
 // GS inside the asynchronous runtime.
+//
+// Every smoother runs on the op.Operator interface alone, so each kind
+// works on every operator the hierarchy holds: a float64 or float32 CSR
+// level and a matrix-free class stencil. The block kinds' row walks (the
+// block forward substitution, the atomic sweep and the off-block ℓ1 norms)
+// are the operator's own Range kernels, written once per operator type.
 package smoother
 
 import (
@@ -76,12 +82,9 @@ func DefaultConfig() Config { return Config{Kind: WJacobi, Omega: 0.9, Blocks: 1
 // S is a smoother bound to an operator.
 type S struct {
 	Kind Kind
-	// Op is the operator view every residual and product goes through.
-	Op op.Operator
-	// A is the float64 CSR behind Op, which the block kinds' triangular
-	// solves need; nil on a matrix-free or reduced-precision operator
-	// (diagonal kinds only).
-	A      *sparse.CSR
+	// Op is the operator every sweep goes through: its residuals and
+	// products, and the block kinds' row walks.
+	Op     op.Operator
 	Omega  float64
 	Blocks []partition.Range
 	// invDiag is ω/d_i for WJacobi, 1/Σ|a_ij| for L1Jacobi; nil otherwise.
@@ -115,10 +118,8 @@ func diagonalScaling(a op.Operator, l1 bool, omega float64) ([]float64, error) {
 	return out, nil
 }
 
-// NewOperator builds a smoother bound to an arbitrary operator. The block
-// kinds need triangular row storage, so they require an operator backed
-// by a float64 CSR; matrix-free and reduced-precision operators support
-// only the diagonal kinds (WJacobi, L1Jacobi).
+// NewOperator builds a smoother of any kind bound to an arbitrary square
+// operator.
 func NewOperator(a op.Operator, cfg Config) (*S, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("smoother: operator must be square, got %dx%d", a.Rows(), a.Cols())
@@ -133,7 +134,6 @@ func NewOperator(a op.Operator, cfg Config) (*S, error) {
 	s := &S{
 		Kind:   cfg.Kind,
 		Op:     a,
-		A:      op.AsCSR(a),
 		Omega:  cfg.Omega,
 		Blocks: partition.SplitRows(a.Rows(), nb),
 	}
@@ -147,15 +147,15 @@ func NewOperator(a op.Operator, cfg Config) (*S, error) {
 	case L1Jacobi:
 		s.invDiag, err = diagonalScaling(a, true, 0)
 	case HybridJGS, AsyncGS, L1HybridJGS:
-		if s.A == nil {
-			return nil, fmt.Errorf("smoother: %v requires a materialized float64 matrix; matrix-free and reduced-precision operators support only the diagonal smoothers (w-jacobi, l1-jacobi)", cfg.Kind)
-		}
 		// The sweep scratch is allocated eagerly: team threads call the
 		// block sweeps concurrently (on disjoint blocks), so lazy
 		// allocation would race.
 		s.delta = make([]float64, a.Rows())
 		if cfg.Kind == L1HybridJGS {
-			s.l1Off = s.offBlockL1()
+			s.l1Off = make([]float64, a.Rows())
+			for _, blk := range s.Blocks {
+				a.OffBlockL1Range(s.l1Off, blk.Lo, blk.Hi)
+			}
 		}
 	default:
 		return nil, fmt.Errorf("smoother: unknown kind %d", cfg.Kind)
@@ -164,30 +164,6 @@ func NewOperator(a op.Operator, cfg Config) (*S, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// offBlockL1 returns the ℓ1 norm of each row's entries outside its own
-// block (the L1HybridJGS diagonal augmentation).
-func (s *S) offBlockL1() []float64 {
-	a := s.A
-	l1Off := make([]float64, a.Rows)
-	for _, blk := range s.Blocks {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			off := 0.0
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				j := a.ColIdx[p]
-				if j < blk.Lo || j >= blk.Hi {
-					v := a.Vals[p]
-					if v < 0 {
-						v = -v
-					}
-					off += v
-				}
-			}
-			l1Off[i] = off
-		}
-	}
-	return l1Off
 }
 
 // InvDiag exposes the diagonal scaling M⁻¹ of the Jacobi-type smoothers
@@ -230,40 +206,7 @@ func (s *S) ApplyBlock(e, r []float64, b int) {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] = 0
 		}
-		lowerSolve(s.A, s.l1Off, e, r, blk)
-	}
-}
-
-// lowerSolve performs the block forward substitution of the hybrid
-// smoothers, (L_b + D_b + diag(aug_b)) x_b = b_b over the rows of blk:
-// only columns inside the block and on or below the diagonal take part,
-// and entries of x outside the block are untouched. aug is the ℓ1 norm of
-// each row's off-block entries for L1HybridJGS and nil for HybridJGS and
-// AsyncGS, whose diagonal is then 0 + a_ii = a_ii. A row whose (augmented)
-// diagonal is zero leaves x unchanged.
-func lowerSolve(a *sparse.CSR, aug, x, b []float64, blk partition.Range) {
-	for i := blk.Lo; i < blk.Hi; i++ {
-		sum, diag := b[i], 0.0
-		if aug != nil {
-			diag = aug[i]
-		}
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			if j < blk.Lo {
-				continue
-			}
-			if j > i {
-				break // sorted columns: nothing at or below the diagonal remains
-			}
-			if j == i {
-				diag += a.Vals[p]
-			} else {
-				sum -= a.Vals[p] * x[j]
-			}
-		}
-		if diag != 0 {
-			x[i] = sum / diag
-		}
+		s.Op.LowerSolveRange(e, r, s.l1Off, blk.Lo, blk.Hi)
 	}
 }
 
@@ -304,22 +247,7 @@ func InterpolantScalingOp(a op.Operator, cfg Config) ([]float64, error) {
 // zero-guess smoothing application e = Λ r.
 func (s *S) SweepBlockAtomic(x *vec.Atomic, b []float64, blk int) {
 	r := s.Blocks[blk]
-	a := s.A
-	for i := r.Lo; i < r.Hi; i++ {
-		sum := b[i]
-		diag := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			if j == i {
-				diag += a.Vals[p]
-				continue
-			}
-			sum -= a.Vals[p] * x.Load(j)
-		}
-		if diag != 0 {
-			x.Store(i, sum/diag)
-		}
-	}
+	s.Op.GaussSeidelAtomicRange(x, b, r.Lo, r.Hi)
 }
 
 // SweepBlockFromResidual applies the block-b part of one smoothing sweep
@@ -341,7 +269,7 @@ func (s *S) SweepBlockFromResidual(e, res []float64, b int) {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			s.delta[i] = 0
 		}
-		lowerSolve(s.A, s.l1Off, s.delta, res, blk)
+		s.Op.LowerSolveRange(s.delta, res, s.l1Off, blk.Lo, blk.Hi)
 		for i := blk.Lo; i < blk.Hi; i++ {
 			e[i] += s.delta[i]
 		}

@@ -9,7 +9,6 @@ import (
 
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
-	"asyncmg/internal/partition"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/sparse/sparsetest"
 	"asyncmg/internal/vec"
@@ -197,7 +196,7 @@ func TestLowerSolveRange(t *testing.T) {
 	a := coo.ToCSR()
 	b := []float64{1, 2, 3, 4}
 	x := make([]float64, 4)
-	lowerSolve(a, nil, x, b, partition.Range{Lo: 0, Hi: 4})
+	op.FromCSR(a).LowerSolveRange(x, b, nil, 0, 4)
 	// Verify L x = b with L = lower triangle of A.
 	for i := 0; i < 4; i++ {
 		s := 0.0
@@ -221,7 +220,7 @@ func TestLowerSolveIgnoresOutsideBlock(t *testing.T) {
 	a := coo.ToCSR()
 	x := []float64{7, 7, 0, 0}
 	b := []float64{0, 0, 2, 2}
-	lowerSolve(a, nil, x, b, partition.Range{Lo: 2, Hi: 4})
+	op.FromCSR(a).LowerSolveRange(x, b, nil, 2, 4)
 	if x[0] != 7 || x[1] != 7 {
 		t.Error("block solve touched entries outside the block")
 	}
@@ -593,5 +592,53 @@ func TestInterpolantScalingDefaultsOmega(t *testing.T) {
 	empty := &sparse.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 0}}
 	if _, err := InterpolantScalingOp(op.FromCSR(empty), Config{Kind: L1Jacobi}); err == nil {
 		t.Error("empty row accepted for l1")
+	}
+}
+
+// TestBlockKindsOnEveryOperator builds every block kind on a matrix-free
+// stencil and on a float32 store beside their float64 CSR twins (the
+// materialized matrix; the float32 stencil's twin is NewCSR32 of it) and
+// requires Apply, Sweep and the atomic block sweeps to agree bitwise.
+func TestBlockKindsOnEveryOperator(t *testing.T) {
+	st := op.NewStencil27(5)
+	m := st.CSR()
+	n := m.Rows
+	r, e0 := grid.RandomRHS(n, 51), grid.RandomRHS(n, 53)
+	for _, pair := range []struct {
+		name string
+		a, b op.Operator
+	}{
+		{"stencil-vs-csr", st, op.FromCSR(m)},
+		{"f32-stencil-vs-csr32", st.RoundFloat32(), op.NewCSR32(m)},
+	} {
+		for _, kind := range []Kind{HybridJGS, AsyncGS, L1HybridJGS} {
+			cfg := Config{Kind: kind, Omega: 0.9, Blocks: 4}
+			var got [2][3][]float64
+			for side, a := range []op.Operator{pair.a, pair.b} {
+				s, err := NewOperator(a, cfg)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", pair.name, kind, err)
+				}
+				apply := make([]float64, n)
+				s.Apply(apply, r)
+				sweep := append([]float64(nil), e0...)
+				s.Sweep(sweep, r, make([]float64, n))
+				x := vec.NewAtomic(n)
+				x.StoreRange(e0, 0, n)
+				for b := len(s.Blocks) - 1; b >= 0; b-- {
+					s.SweepBlockAtomic(x, r, b)
+				}
+				atomic := make([]float64, n)
+				x.Snapshot(atomic)
+				got[side] = [3][]float64{apply, sweep, atomic}
+			}
+			for q, name := range []string{"apply", "sweep", "atomic"} {
+				for i := range got[0][q] {
+					if math.Float64bits(got[0][q][i]) != math.Float64bits(got[1][q][i]) {
+						t.Fatalf("%s/%v/%s: row %d differs: %v vs %v", pair.name, kind, name, i, got[0][q][i], got[1][q][i])
+					}
+				}
+			}
+		}
 	}
 }
