@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -72,7 +74,7 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 // models the process coming back with an empty cache under its old name.
 func (tc *testCluster) startNode(i int) {
 	o := obs.New(16)
-	s := serve.New(serve.Config{Observer: o, PeerClient: tc.client})
+	s := serve.New(serve.Config{Observer: o})
 	tc.lt.Register(fmt.Sprintf("node%d", i), s.Handler())
 	if i < len(tc.obs) {
 		tc.obs[i], tc.srvs[i] = o, s
@@ -125,40 +127,81 @@ func (tc *testCluster) sizeOwnedBy(idx int) int {
 	return 0
 }
 
-// TestAffinityAndReplicaWarm: repeat solves of one problem hit one
-// node's cache, the replica is warmed in the background, and after the
-// primary is killed the promoted replica serves the shard cache-hot —
-// the failover never pays the AMG setup.
+// TestAffinityAndReplicaWarm: repeat solves of one hierarchy hit one
+// node's cache, the replica is warmed in the background by a replay of
+// the routed request, and after the primary is killed the promoted
+// replica serves the shard cache-hot: the failover never pays the AMG
+// setup. One case is a generated problem, the other a gzip upload, whose
+// warm carries the compressed bytes the client sent.
 func TestAffinityAndReplicaWarm(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	const size = 6
-	if r := tc.mustSolve(size); r.Cache != "miss" {
-		t.Fatalf("first solve: cache %q, want miss", r.Cache)
+	var plain, gz bytes.Buffer
+	if err := mtx.Write(&plain, grid.Laplacian7pt(5)); err != nil {
+		t.Fatal(err)
 	}
-	if r := tc.mustSolve(size); r.Cache != "hit" {
-		t.Fatalf("second solve: cache %q, want hit (affinity broken)", r.Cache)
-	}
-	tc.rt.Quiesce()
-	if n := tc.rt.o.ReplicaWarms.Load(); n != 1 {
-		t.Fatalf("replica warms = %d, want 1", n)
-	}
-	var warms int64
-	for _, o := range tc.obs {
-		warms += o.Warms.Load()
-	}
-	if warms != 1 {
-		t.Fatalf("node-side warms = %d, want 1", warms)
-	}
+	zw := gzip.NewWriter(&gz)
+	zw.Write(plain.Bytes())
+	zw.Close()
+	for _, c := range []struct {
+		name, target, encoding string
+		body                   []byte
+	}{
+		{"problem", "/solve", "", []byte(`{"problem":"7pt","size":6,"cycles":4}`)},
+		{"gzip upload", "/solve/matrix?cycles=4", "gzip", gz.Bytes()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			newReq := func() *http.Request {
+				r := httptest.NewRequest("POST", c.target, bytes.NewReader(c.body))
+				if c.encoding != "" {
+					r.Header.Set("Content-Encoding", c.encoding)
+				}
+				return r
+			}
+			req, _, err := serve.ReadRequest(newReq(), c.encoding != "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc := newTestCluster(t, 3, nil)
+			post := func() serve.SolveResponse {
+				t.Helper()
+				w := httptest.NewRecorder()
+				tc.rt.Handler().ServeHTTP(w, newReq())
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body.String())
+				}
+				var resp serve.SolveResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("bad response: %v", err)
+				}
+				return resp
+			}
+			if r := post(); r.Cache != "miss" {
+				t.Fatalf("first solve: cache %q, want miss", r.Cache)
+			}
+			if r := post(); r.Cache != "hit" {
+				t.Fatalf("second solve: cache %q, want hit (affinity broken)", r.Cache)
+			}
+			tc.rt.Quiesce()
+			if n := tc.rt.o.ReplicaWarms.Load(); n != 1 {
+				t.Fatalf("replica warms = %d, want 1", n)
+			}
+			var warms int64
+			for _, o := range tc.obs {
+				warms += o.Warms.Load()
+			}
+			if warms != 1 {
+				t.Fatalf("node-side warms = %d, want 1", warms)
+			}
 
-	owners := tc.rt.Owners(tc.key(size))
-	tc.chaos.Kill(fmt.Sprintf("node%d", owners[0]))
-	tc.rt.probeAll()
-	r := tc.mustSolve(size)
-	if r.Cache != "hit" {
-		t.Fatalf("post-kill solve: cache %q, want hit (replication failed)", r.Cache)
-	}
-	if got := tc.rt.Owners(tc.key(size))[0]; got != owners[1] {
-		t.Fatalf("promoted primary = node%d, want old replica node%d", got, owners[1])
+			owners := tc.rt.Owners(req.Key)
+			tc.chaos.Kill(fmt.Sprintf("node%d", owners[0]))
+			tc.rt.probeAll()
+			if r := post(); r.Cache != "hit" || r.SetupNS != 0 {
+				t.Fatalf("post-kill solve: cache %q setup_ns %d, want a hit that paid no setup (replication failed)", r.Cache, r.SetupNS)
+			}
+			if got := tc.rt.Owners(req.Key)[0]; got != owners[1] {
+				t.Fatalf("promoted primary = node%d, want old replica node%d", got, owners[1])
+			}
+		})
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"asyncmg/internal/fault"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/serve"
-	"asyncmg/internal/solve"
 )
 
 // Config tunes the cluster router. The zero value of every field picks a
@@ -167,8 +166,8 @@ func New(cfg Config) (*Router, error) {
 		})
 	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /solve", rt.handleSolve)
-	rt.mux.HandleFunc("POST /solve/matrix", rt.handleSolveMatrix)
+	rt.mux.HandleFunc("POST /solve", func(w http.ResponseWriter, r *http.Request) { rt.handleSolve(w, r, false) })
+	rt.mux.HandleFunc("POST /solve/matrix", func(w http.ResponseWriter, r *http.Request) { rt.handleSolve(w, r, true) })
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
@@ -268,62 +267,28 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rt.Status())
 }
 
-// handleSolve shards a JSON solve on its hierarchy identity and routes
-// it. The router validates the body by the node's own rules (solve.Parse),
-// so a bad request is refused before any hop; the body is forwarded
-// verbatim.
-func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, _, status, err := serve.ReadBody(r, false)
+// handleSolve shards a solve, or with upload a matrix upload, on its
+// hierarchy identity and routes it. The router reads the request with the
+// node's own reader (serve.ReadRequest), so a bad request is refused
+// before any hop and the shard key is the node's cache key: spellings of
+// one hierarchy, and repeat uploads of one operator, compressed or not,
+// land on one node. The body is forwarded as received.
+func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upload bool) {
+	req, status, err := serve.ReadRequest(r, upload)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	sp, err := solve.Parse(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if sp.Problem == "" {
-		http.Error(w, "problem is required (use /solve/matrix to upload a matrix)", http.StatusBadRequest)
-		return
-	}
 	fwd := &forwardReq{
-		path:   "/solve",
-		body:   body,
-		header: copyHeaders(r.Header, "Content-Type"),
-	}
-	rt.route(w, r, fwd, solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother), serve.WarmRequest{
-		Problem: sp.Problem, Size: sp.Size,
-		Smoother: sp.Smoother.Kind.String(), Omega: sp.Smoother.Omega,
-	})
-}
-
-// handleSolveMatrix shards an upload on the node's cache key — the
-// matrix's sha256 fingerprint plus the resolved smoother — so repeat
-// uploads of the same operator hit the same node's cache.
-func (rt *Router) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
-	// Fingerprint the decompressed bytes (the node's rule) but forward
-	// the body exactly as received.
-	raw, plain, status, err := serve.ReadBody(r, true)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	fp := serve.Fingerprint(plain)
-	sp, err := solve.FromQuery(r.URL.Query())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fwd := &forwardReq{
-		path:   "/solve/matrix",
+		path:   r.URL.Path,
 		query:  r.URL.RawQuery,
-		body:   raw,
+		body:   req.Raw,
 		header: copyHeaders(r.Header, "Content-Type", "Content-Encoding"),
 	}
-	rt.route(w, r, fwd, solve.MatrixKey(fp, sp.Smoother), serve.WarmRequest{
-		Smoother: sp.Smoother.Kind.String(), Omega: sp.Smoother.Omega, MatrixFP: fp,
-	})
+	if upload {
+		fwd.warmQuery = serve.WarmUpload + "=1&" + r.URL.RawQuery
+	}
+	rt.route(w, r, fwd, req.Key)
 }
 
 func copyHeaders(from http.Header, keys ...string) http.Header {
@@ -339,12 +304,14 @@ func copyHeaders(from http.Header, keys ...string) http.Header {
 // ---- the routing core ----
 
 // forwardReq is one request as forwarded to nodes: attempts may race, so
-// the body is a replayable byte slice, never a stream.
+// the body is a replayable byte slice, never a stream. A replica's warm
+// replays it to /internal/warm with warmQuery, which marks an upload.
 type forwardReq struct {
-	path   string
-	query  string
-	body   []byte
-	header http.Header
+	path      string
+	query     string
+	warmQuery string
+	body      []byte
+	header    http.Header
 }
 
 // captured is a node's buffered response.
@@ -375,14 +342,14 @@ func (c *captured) write(w http.ResponseWriter) {
 // route runs the degradation ladder for one request: owner sweeps with
 // hedging and failover, then the local engine, then the least-bad
 // buffered response.
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, fwd *forwardReq, key string, wreq serve.WarmRequest) {
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, fwd *forwardReq, key string) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.MaxTimeout)
 	defer cancel()
 	cap, winner := rt.forward(ctx, fwd, key)
 	if cap != nil && cap.ok() {
 		cap.write(w)
 		if cap.status == http.StatusOK && winner >= 0 {
-			rt.warmReplicas(key, winner, wreq)
+			rt.warmReplicas(key, winner, fwd)
 		}
 		return
 	}
@@ -633,15 +600,16 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // ---- replication ----
 
-// warmReplicas pushes the just-solved shard's recipe to its secondary
-// owners (async; at most once per node per key until membership says
-// otherwise). The winner's address rides along as the pull source for
-// uploaded matrices.
-func (rt *Router) warmReplicas(key string, winner int, wreq serve.WarmRequest) {
+// warmReplicas replays the just-solved request to its shard's secondary
+// owners as a warm (async; at most once per node per key until membership
+// says otherwise). The replica builds the hierarchy from the request
+// itself, so nothing is pulled from the winner.
+func (rt *Router) warmReplicas(key string, winner int, fwd *forwardReq) {
 	if rt.cfg.Replicas < 2 {
 		return
 	}
-	wreq.Source = "http://" + rt.nodes[winner].node.Addr
+	warm := *fwd
+	warm.path, warm.query = "/internal/warm", fwd.warmQuery
 	for _, i := range rt.Owners(key) {
 		if i == winner || !rt.nodes[i].ready.Load() {
 			continue
@@ -655,31 +623,15 @@ func (rt *Router) warmReplicas(key string, winner int, wreq serve.WarmRequest) {
 		rt.warmed[key] = bits | 1<<uint(i)
 		rt.warmMu.Unlock()
 		rt.warmWG.Add(1)
-		go rt.pushWarm(i, key, wreq)
+		go rt.pushWarm(i, key, &warm)
 	}
 }
 
-func (rt *Router) pushWarm(idx int, key string, wreq serve.WarmRequest) {
+func (rt *Router) pushWarm(idx int, key string, warm *forwardReq) {
 	defer rt.warmWG.Done()
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.MaxTimeout)
 	defer cancel()
-	body, err := json.Marshal(wreq)
-	if err != nil {
-		return
-	}
-	ok := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+rt.nodes[idx].node.Addr+"/internal/warm", bytes.NewReader(body))
-	if err == nil {
-		req.Header.Set("Content-Type", "application/json")
-		resp, derr := rt.client.Do(req)
-		if derr == nil {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			ok = resp.StatusCode == http.StatusOK
-		}
-	}
-	if ok {
+	if cap, err := rt.do(ctx, rt.nodes[idx].node.Addr, warm); err == nil && cap.status == http.StatusOK {
 		rt.o.ReplicaWarms.Inc()
 		return
 	}

@@ -91,7 +91,8 @@ type Observer struct {
 	QueueDepth                             *Gauge
 	Rejected, Requests                     *Counter
 	// Warms counts replication warm requests a node served (package
-	// serve's /internal/warm — the pull side of hierarchy replication).
+	// serve's /internal/warm, where the cluster router pushes a replay
+	// of a routed request).
 	Warms *Counter
 
 	// Cluster routing counters (package cluster): solves forwarded to

@@ -1,11 +1,89 @@
 package serve
 
-import "asyncmg/internal/solve"
+import (
+	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"net/http"
+
+	"asyncmg/internal/solve"
+)
 
 // SolveRequest is the JSON body of POST /solve: the canonical solve.Spec.
 // Matrix uploads (POST /solve/matrix) carry the same knobs as query
 // parameters instead, with the MatrixMarket stream as the body.
 type SolveRequest = solve.Spec
+
+// Request is a solve request as ReadRequest read it.
+type Request struct {
+	Plan *solve.Plan
+	// Key is the hierarchy's cache key, which is also the cluster
+	// router's shard key.
+	Key string
+	// Raw is the body as received, compressed or not: what the router
+	// forwards to a node and replays to a replica's warm.
+	Raw []byte
+	// Plain is an upload's decompressed MatrixMarket bytes (the same
+	// slice as Raw when it was not compressed); nil for a /solve body.
+	Plain []byte
+}
+
+// ReadRequest is the one place a solve body is read under the body cap,
+// parsed, fingerprinted and keyed. Without upload, r is a /solve JSON
+// body. With upload, r is a /solve/matrix upload: the knobs are query
+// parameters and the body is a MatrixMarket stream, gzip-compressed when
+// Content-Encoding or its magic bytes say so. The node's solve and warm
+// handlers and the cluster router all call it, so the router's shard key
+// is the node's cache key by construction. On failure status is the HTTP
+// status to answer.
+func ReadRequest(r *http.Request, upload bool) (req Request, status int, err error) {
+	if upload {
+		if req.Plan, err = solve.FromQuery(r.URL.Query()); err != nil {
+			return Request{}, http.StatusBadRequest, err
+		}
+	}
+	raw, over, err := ReadCapped(r.Body)
+	if err != nil {
+		return Request{}, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	}
+	if over {
+		return Request{}, http.StatusRequestEntityTooLarge, errors.New("body too large")
+	}
+	req.Raw = raw
+	if !upload {
+		if req.Plan, err = solve.Parse(raw); err != nil {
+			return Request{}, http.StatusBadRequest, err
+		}
+		if req.Plan.Problem == "" {
+			return Request{}, http.StatusBadRequest, errors.New("problem is required (use /solve/matrix to upload a matrix)")
+		}
+		req.Key = solve.ProblemKey(req.Plan.Problem, req.Plan.Size, req.Plan.Smoother)
+		return req, 0, nil
+	}
+	req.Plain = raw
+	if r.Header.Get("Content-Encoding") == "gzip" || len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b {
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err == nil {
+			req.Plain, over, err = ReadCapped(zr)
+		}
+		if err != nil {
+			return Request{}, http.StatusBadRequest, fmt.Errorf("gzip: %w", err)
+		}
+		if over {
+			return Request{}, http.StatusRequestEntityTooLarge, errors.New("decompressed body too large")
+		}
+	}
+	// The fingerprint is of the decompressed bytes, so the same matrix
+	// hits the same cache entry whether or not the client compressed it.
+	sum := sha256.Sum256(req.Plain)
+	fp := hex.EncodeToString(sum[:])
+	req.Plan.Problem = "mtx:" + fp[:12]
+	req.Key = solve.MatrixKey(fp, req.Plan.Smoother)
+	return req, 0, nil
+}
 
 // SolveResponse is the JSON reply of the solve endpoints.
 type SolveResponse struct {

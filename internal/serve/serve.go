@@ -27,10 +27,7 @@ package serve
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,14 +46,13 @@ import (
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
-	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
 	"asyncmg/internal/vec"
 )
 
-// maxBodyBytes caps every body the service reads: requests and uploads
-// (before and after decompression), replication pulls, and, in the cluster
-// router, requests and node responses.
+// maxBodyBytes caps every body the service reads: requests, uploads and
+// warms (before and after decompression), and, in the cluster router,
+// requests and node responses.
 const maxBodyBytes = 64 << 20
 
 // Config tunes the solver service. The zero value picks sensible defaults
@@ -84,9 +80,9 @@ type Config struct {
 	// and never materialized as CSR. FEM and uploaded-matrix problems are
 	// unaffected.
 	MatrixFree bool
-	// PeerClient performs replication pulls from peer nodes (default
-	// http.DefaultClient). A cluster harness points it at its chaos
-	// transport so pulls share the injected fault schedule.
+	// PeerClient is unused: a node never calls a peer, since replication
+	// is pushed by the cluster router. The field stays because the
+	// benchmark's cluster fleet (bench/serve.go) still sets it.
 	PeerClient *http.Client
 }
 
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 		opt := amg.DefaultOptions()
 		c.AMG = &opt
 	}
-	if c.PeerClient == nil {
-		c.PeerClient = http.DefaultClient
-	}
 	return c
 }
 
@@ -134,29 +127,26 @@ type Server struct {
 	// solveEWMA is an exponentially weighted moving average of recent
 	// solve wall times (nanoseconds); it sizes the 429 Retry-After hint.
 	solveEWMA atomic.Int64
-	// matrices retains uploaded matrix bytes by fingerprint so replica
-	// nodes can pull them (/internal/matrix) instead of re-uploading.
-	matrices *matrixStore
 }
 
 // New builds a server from cfg (zero value is fine).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		obs:      cfg.Observer,
-		cache:    newCache(cfg.CacheSize, cfg.Observer),
-		sem:      make(chan struct{}, cfg.Workers),
-		matrices: newMatrixStore(),
+		cfg:   cfg,
+		obs:   cfg.Observer,
+		cache: newCache(cfg.CacheSize, cfg.Observer),
+		sem:   make(chan struct{}, cfg.Workers),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /solve", s.handleSolve)
-	s.mux.HandleFunc("POST /solve/matrix", s.handleSolveMatrix)
+	s.mux.HandleFunc("POST /solve", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, false, false) })
+	s.mux.HandleFunc("POST /solve/matrix", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, true, false) })
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /internal/warm", s.handleWarm)
-	s.mux.HandleFunc("GET /internal/matrix", s.handleMatrixGet)
+	s.mux.HandleFunc("POST /internal/warm", func(w http.ResponseWriter, r *http.Request) {
+		s.handle(w, r, r.URL.Query().Get(WarmUpload) != "", true)
+	})
 	return s
 }
 
@@ -209,60 +199,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.obs.WriteText(w)
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// handle runs one request through admission, ReadRequest, the worker
+// semaphore and the hierarchy cache, then solves it. Without upload the
+// body is /solve's JSON; with upload it is a MatrixMarket operator,
+// optionally gzip-compressed, with the solver knobs in the query string.
+// A warm (POST /internal/warm) stops once the hierarchy is built.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, upload, warm bool) {
 	release, ok := s.admit(w)
 	if !ok {
 		return
 	}
 	defer release()
-	body, _, status, err := ReadBody(r, false)
+	if warm {
+		s.obs.Warms.Inc()
+	}
+	req, status, err := ReadRequest(r, upload)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	sp, err := solve.Parse(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if sp.Problem == "" {
-		http.Error(w, "problem is required (use /solve/matrix to upload a matrix)", http.StatusBadRequest)
-		return
-	}
-	s.solve(w, r, sp, solve.ProblemKey(sp.Problem, sp.Size, sp.Smoother), func() (*engine.Engine, error) {
-		return s.build(solve.Source{Problem: sp.Problem, Size: sp.Size}, nil, sp.Smoother)
-	})
-}
-
-// handleSolveMatrix solves on an uploaded MatrixMarket operator. The body
-// is the matrix (optionally gzip-compressed — by Content-Encoding header
-// or magic-byte sniff); solver knobs ride in the query string.
-func (s *Server) handleSolveMatrix(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	sp, err := solve.FromQuery(r.URL.Query())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	_, raw, status, err := ReadBody(r, true)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	// The fingerprint is of the decompressed bytes, so the same matrix
-	// hits the same cache entry whether or not the client compressed it.
-	fp := Fingerprint(raw)
-	sp.Problem = "mtx:" + fp[:12]
-	// Retain the bytes so replica nodes can pull this matrix by
-	// fingerprint instead of needing the client to re-upload it.
-	s.matrices.put(fp, raw)
-	s.solve(w, r, sp, solve.MatrixKey(fp, sp.Smoother), func() (*engine.Engine, error) {
-		return s.build(solve.Source{}, raw, sp.Smoother)
-	})
+	s.solve(w, r, req, warm)
 }
 
 // ReadCapped reads rd to its end or to the body cap, whichever comes
@@ -272,54 +228,18 @@ func ReadCapped(rd io.Reader) (b []byte, over bool, err error) {
 	return b, len(b) > maxBodyBytes, err
 }
 
-// ReadBody reads r's body under the body cap. With unzip, a gzip body
-// (by Content-Encoding header or magic bytes) is decompressed under the
-// same cap: raw is what arrived, plain what it says (the same slice when
-// it was not compressed). On failure status is the HTTP status to answer.
-// The cluster router reads requests and uploads through it too, so node
-// and router apply one cap and fingerprint the same bytes.
-func ReadBody(r *http.Request, unzip bool) (raw, plain []byte, status int, err error) {
-	raw, over, err := ReadCapped(r.Body)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
-	}
-	if over {
-		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("body too large")
-	}
-	if !unzip || (r.Header.Get("Content-Encoding") != "gzip" && !(len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b)) {
-		return raw, raw, 0, nil
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err == nil {
-		plain, over, err = ReadCapped(zr)
-	}
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("gzip: %w", err)
-	}
-	if over {
-		return nil, nil, http.StatusRequestEntityTooLarge, errors.New("decompressed body too large")
-	}
-	return raw, plain, 0, nil
-}
-
-// Fingerprint is the identity of an uploaded matrix: the hex sha256 of its
-// decompressed MatrixMarket bytes.
-func Fingerprint(plain []byte) string {
-	sum := sha256.Sum256(plain)
-	return hex.EncodeToString(sum[:])
-}
-
-// build runs the setup of src, or, when raw is set, of the MatrixMarket
-// operator raw holds, under the server's hierarchy options.
-func (s *Server) build(src solve.Source, raw []byte, smo smoother.Config) (*engine.Engine, error) {
-	if raw != nil {
-		a, err := mtx.Read(bytes.NewReader(raw))
+// build runs the setup of req's generated problem, or of the MatrixMarket
+// operator it uploaded, under the server's hierarchy options.
+func (s *Server) build(req Request) (*engine.Engine, error) {
+	src := solve.Source{Problem: req.Plan.Problem, Size: req.Plan.Size}
+	if req.Plain != nil {
+		a, err := mtx.Read(bytes.NewReader(req.Plain))
 		if err != nil {
 			return nil, err
 		}
-		src.Matrix = a
+		src = solve.Source{Matrix: a}
 	}
-	return solve.Build(src, *s.cfg.AMG, smo, s.cfg.MatrixFree)
+	return solve.Build(src, *s.cfg.AMG, req.Plan.Smoother, s.cfg.MatrixFree)
 }
 
 // ---- admission control ----
@@ -386,7 +306,11 @@ func (s *Server) recordSolveNS(ns int64) {
 
 // ---- the solve pipeline ----
 
-func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, key string, build func() (*engine.Engine, error)) {
+// solve answers req from its cached hierarchy, building it on a miss; a
+// warm answers once the hierarchy is resident, with what a solve of the
+// same request would answer for a setup that fails.
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, req Request, warm bool) {
+	sp := req.Plan
 	timeout := s.cfg.MaxTimeout
 	if sp.Timeout > 0 && sp.Timeout < timeout {
 		timeout = sp.Timeout
@@ -404,7 +328,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, k
 		return
 	}
 
-	e, hit := s.cache.getOrBuild(key, build)
+	e, hit := s.cache.getOrBuild(req.Key, func() (*engine.Engine, error) { return s.build(req) })
 	select {
 	case <-e.ready:
 	case <-ctx.Done():
@@ -417,6 +341,14 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, sp *solve.Plan, k
 			status = http.StatusInternalServerError
 		}
 		http.Error(w, "setup: "+e.err.Error(), status)
+		return
+	}
+	if warm {
+		resp := WarmResponse{Key: req.Key, Cached: hit}
+		if !hit {
+			resp.SetupNS = e.setupNS
+		}
+		writeJSON(w, resp)
 		return
 	}
 	b, err := sp.RightHandSide(e.rows)

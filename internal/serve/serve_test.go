@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -504,16 +502,17 @@ func TestRetryAfterHeaderOnBackpressure(t *testing.T) {
 	}
 }
 
-// TestWarmProblem checks replication warming of a generated problem: the
-// first warm builds, the second reports cached, and a subsequent solve is
-// a pure cache hit.
+// TestWarmProblem checks replication warming of a generated problem: a
+// warm carries the /solve JSON body the router forwarded, the first warm
+// builds, the second reports cached, and a subsequent solve is a pure
+// cache hit.
 func TestWarmProblem(t *testing.T) {
 	o := obs.New(16)
 	_, ts := newTestServer(t, Config{Workers: 2, Observer: o})
 	warm := func() WarmResponse {
 		t.Helper()
-		body, _ := json.Marshal(WarmRequest{Problem: "7pt", Size: 5})
-		resp, err := http.Post(ts.URL+"/internal/warm", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/internal/warm", "application/json",
+			strings.NewReader(`{"problem":"7pt","size":5,"method":"mult","cycles":3}`))
 		if err != nil {
 			t.Fatalf("warm: %v", err)
 		}
@@ -541,70 +540,48 @@ func TestWarmProblem(t *testing.T) {
 	}
 }
 
-// TestWarmMatrixPull checks the replication pull path end to end: a
-// matrix uploaded to node A is warmed onto node B by fingerprint, B pulls
-// the bytes from A, and a solve of the same upload on B is a cache hit.
-func TestWarmMatrixPull(t *testing.T) {
-	_, tsA := newTestServer(t, Config{Workers: 2})
-	oB := obs.New(16)
-	_, tsB := newTestServer(t, Config{Workers: 2, Observer: oB})
-
-	a := grid.Laplacian7pt(4)
-	var plain bytes.Buffer
-	if err := mtx.Write(&plain, a); err != nil {
+// TestWarmUploadJoinsSolve: a warm replaying a gzip upload and a plain
+// /solve/matrix of the same matrix, sent together, share one build. Both
+// answer 200 and the node misses its cache once. The warm carries the
+// bytes, so neither request can fail on anything but the matrix itself.
+func TestWarmUploadJoinsSolve(t *testing.T) {
+	o := obs.New(16)
+	_, ts := newTestServer(t, Config{Workers: 2, Observer: o})
+	var plain, gz bytes.Buffer
+	if err := mtx.Write(&plain, grid.Laplacian7pt(6)); err != nil {
 		t.Fatalf("mtx.Write: %v", err)
 	}
-	sum := sha256.Sum256(plain.Bytes())
-	fp := hex.EncodeToString(sum[:])
+	zw := gzip.NewWriter(&gz)
+	zw.Write(plain.Bytes())
+	zw.Close()
 
-	resp, err := http.Post(tsA.URL+"/solve/matrix?method=mult&cycles=3", "text/plain", bytes.NewReader(plain.Bytes()))
-	if err != nil {
-		t.Fatalf("upload to A: %v", err)
+	var wg sync.WaitGroup
+	for i, url := range []string{"/internal/warm?" + WarmUpload + "=1&method=mult&cycles=3", "/solve/matrix?method=mult&cycles=3"} {
+		body := plain.Bytes()
+		if i == 0 {
+			body = gz.Bytes()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+url, "text/plain", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("%s: %v", url, err)
+				return
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d: %s", url, resp.StatusCode, b)
+			}
+		}()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload to A: status %d", resp.StatusCode)
+	wg.Wait()
+	if got := o.CacheMisses.Load(); got != 1 {
+		t.Errorf("serve_cache_misses_total = %d, want 1 (one build for the warm and the solve)", got)
 	}
-
-	body, _ := json.Marshal(WarmRequest{MatrixFP: fp, Source: tsA.URL})
-	resp, err = http.Post(tsB.URL+"/internal/warm", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("warm B: %v", err)
-	}
-	var wout WarmResponse
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("warm B: status %d: %s", resp.StatusCode, b)
-	}
-	json.NewDecoder(resp.Body).Decode(&wout)
-	resp.Body.Close()
-	if wout.Cached || wout.SetupNS <= 0 {
-		t.Fatalf("warm B: %+v, want a fresh pulled build", wout)
-	}
-
-	resp, err = http.Post(tsB.URL+"/solve/matrix?method=mult&cycles=3", "text/plain", bytes.NewReader(plain.Bytes()))
-	if err != nil {
-		t.Fatalf("solve on B: %v", err)
-	}
-	var sout SolveResponse
-	json.NewDecoder(resp.Body).Decode(&sout)
-	resp.Body.Close()
-	if sout.Cache != "hit" {
-		t.Errorf("solve on B after warm: cache %q, want hit (replication made setup free)", sout.Cache)
-	}
-
-	// A warm for bytes nobody holds fails loudly, not silently.
-	bogus := strings.Repeat("ab", 32)
-	body, _ = json.Marshal(WarmRequest{MatrixFP: bogus, Source: tsA.URL})
-	resp, err = http.Post(tsB.URL+"/internal/warm", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("bogus warm: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Errorf("bogus warm: status %d, want 502", resp.StatusCode)
+	if got := o.Warms.Load(); got != 1 {
+		t.Errorf("serve_warms_total = %d, want 1", got)
 	}
 }
 
