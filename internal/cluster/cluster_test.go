@@ -240,7 +240,10 @@ func TestKillMidSolveHedgeSucceeds(t *testing.T) {
 // gives it back its exact old shards, replication re-warms it, and
 // traffic lands cache-hot again.
 func TestRestartRepopulatesCache(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
+	// No hedging: a hedge the warm replica answers from its cache would
+	// make the restarted node's cold rebuild read as a hit under load.
+	// TestKillMidSolveHedgeSucceeds covers hedging.
+	tc := newTestCluster(t, 3, func(c *Config) { c.HedgeAfter = -1 })
 	sz0 := tc.sizeOwnedBy(0)
 	sizes := []int{sz0, sz0 + 1, sz0 + 2}
 	for _, s := range sizes {

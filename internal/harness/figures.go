@@ -115,7 +115,7 @@ func modelSweep(w io.Writer, c Fig1Config, seed int64, cols []modelColumn) error
 		}
 		perRun := float64(relax) / float64(max(1, c.Runs*len(cols)))
 		fmt.Fprintf(w, " %10.1f %9d\n", perRun, snap.Staleness.Quantile(0.5))
-		c.Observer.Merge(snap)
+		c.Observer.Merge(row)
 	}
 	return nil
 }

@@ -105,12 +105,11 @@ func MsgVolume(w io.Writer, cfg MsgVolumeConfig) (*MsgVolumeReport, error) {
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		cfg.Observer.Merge(o.Snapshot())
+		cfg.Observer.Merge(o)
 		per := o.SentNNZ.Snapshot(nil)
 		var total int64
-		for k, v := range per {
+		for _, v := range per {
 			total += v
-			cfg.Observer.CorrectionPayload(k, v) // Merge does not carry the payload counters
 		}
 		return total, per, res.RelRes, nil
 	}

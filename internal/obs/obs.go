@@ -1,10 +1,12 @@
 // Package obs is the solver observability layer: allocation-free metric
 // instruments (atomic counters and gauges, cache-line-padded per-grid
 // counter vectors, fixed-bucket histograms), an optional bounded
-// ring-buffer event tracer, a named Registry with a plain-text exposition
-// writer, and the Observer type that the cycle engine, the asynchronous
-// goroutine teams, the distributed-memory simulation, the §III models,
-// the par worker pool and the Krylov solvers all report into.
+// ring-buffer event tracer, and the Observer type that the cycle engine,
+// the asynchronous goroutine teams, the distributed-memory simulation,
+// the §III models, the par worker pool and the Krylov solvers all report
+// into. Each Observer field names its exposition metric in a struct tag;
+// New turns the tags into the one table that WriteText, Merge and
+// Snapshot walk.
 //
 // Everything the paper's evaluation plots — per-grid relaxation counts
 // (Figures 4-6 x-axes), correction staleness (the read delay δ of the
@@ -26,10 +28,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -132,6 +130,15 @@ func (g *GridCounters) Add(k int, d int64) {
 // Inc increments grid k's counter by one.
 func (g *GridCounters) Inc(k int) { g.Add(k, 1) }
 
+// Set stores v as grid k's value, for a vector that holds a per-grid
+// setting rather than a count (the damping factors ω_k).
+func (g *GridCounters) Set(k int, v int64) {
+	if g == nil || k < 0 || k >= len(g.cells) {
+		return
+	}
+	g.cells[k].v.Store(v)
+}
+
 // Load returns grid k's count.
 func (g *GridCounters) Load(k int) int64 {
 	if g == nil || k < 0 || k >= len(g.cells) {
@@ -154,46 +161,6 @@ func (g *GridCounters) Snapshot(dst []int64) []int64 {
 		dst = append(dst, g.Load(k))
 	}
 	return dst
-}
-
-// GridGauges is a fixed-length vector of per-grid gauges, one padded
-// cache line per grid (no high-water mark: damping factors move both
-// ways and the instantaneous value is the signal). Methods are nil-safe
-// and ignore out-of-range grid indices.
-type GridGauges struct {
-	cells []cell
-}
-
-// NewGridGauges returns a gauge vector for `grids` grids.
-func NewGridGauges(grids int) *GridGauges {
-	if grids < 0 {
-		grids = 0
-	}
-	return &GridGauges{cells: make([]cell, grids)}
-}
-
-// Set stores v as grid k's current value.
-func (g *GridGauges) Set(k int, v int64) {
-	if g == nil || k < 0 || k >= len(g.cells) {
-		return
-	}
-	g.cells[k].v.Store(v)
-}
-
-// Load returns grid k's current value.
-func (g *GridGauges) Load(k int) int64 {
-	if g == nil || k < 0 || k >= len(g.cells) {
-		return 0
-	}
-	return g.cells[k].v.Load()
-}
-
-// Len returns the number of grids.
-func (g *GridGauges) Len() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.cells)
 }
 
 // Histogram is a fixed-bucket histogram of int64 observations (counts,
@@ -265,18 +232,14 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum()) / float64(n)
 }
 
-// MergeSnapshot adds another histogram's snapshot into h. The snapshot
-// must have the same bucket layout (same bounds length); mismatched
-// layouts are ignored. Nil-safe.
-func (h *Histogram) MergeSnapshot(s HistSnapshot) {
-	if h == nil || len(s.Counts) != len(h.buckets) {
-		return
+// merge adds src's observations into h. Every histogram an observer
+// holds has the staleness bucket layout.
+func (h *Histogram) merge(src *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i].v.Add(src.buckets[i].v.Load())
 	}
-	for i, c := range s.Counts {
-		h.buckets[i].v.Add(c)
-	}
-	h.sum.Add(s.Sum)
-	h.count.Add(s.Count)
+	h.sum.Add(src.sum.Load())
+	h.count.Add(src.count.Load())
 }
 
 // HistSnapshot is a point-in-time copy of a histogram.
@@ -327,148 +290,4 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1] + 1
-}
-
-// ---- Registry ----
-
-// metric is one named exposition entry.
-type metric struct {
-	name string
-	// one of:
-	c    *Counter
-	g    *Gauge
-	gc   *GridCounters
-	gg   *GridGauges
-	h    *Histogram
-	call func() int64
-}
-
-// Registry is a named collection of instruments with a deterministic
-// plain-text exposition writer. Registration is mutex-guarded (setup
-// path); recording goes directly through the instruments (hot path).
-type Registry struct {
-	mu      sync.Mutex
-	metrics []metric
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-func (r *Registry) add(m metric) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.metrics = append(r.metrics, m)
-	r.mu.Unlock()
-}
-
-// NewCounter registers and returns a counter.
-func (r *Registry) NewCounter(name string) *Counter {
-	c := &Counter{}
-	r.add(metric{name: name, c: c})
-	return c
-}
-
-// NewGauge registers and returns a gauge (exposed as <name> and
-// <name>_max).
-func (r *Registry) NewGauge(name string) *Gauge {
-	g := &Gauge{}
-	r.add(metric{name: name, g: g})
-	return g
-}
-
-// NewGridCounters registers and returns a per-grid counter vector
-// (exposed as <name>{grid="k"}).
-func (r *Registry) NewGridCounters(name string, grids int) *GridCounters {
-	gc := NewGridCounters(grids)
-	r.add(metric{name: name, gc: gc})
-	return gc
-}
-
-// NewGridGauges registers and returns a per-grid gauge vector (exposed
-// as <name>{grid="k"}).
-func (r *Registry) NewGridGauges(name string, grids int) *GridGauges {
-	gg := NewGridGauges(grids)
-	r.add(metric{name: name, gg: gg})
-	return gg
-}
-
-// NewHistogram registers and returns a histogram (exposed as
-// <name>_bucket{le="..."} / _sum / _count).
-func (r *Registry) NewHistogram(name string, bounds []int64) *Histogram {
-	h := NewHistogram(bounds)
-	r.add(metric{name: name, h: h})
-	return h
-}
-
-// NewCallback registers a read-only metric computed at exposition time
-// (used to fold external atomic state — e.g. the par worker-pool stats —
-// into one registry).
-func (r *Registry) NewCallback(name string, f func() int64) {
-	r.add(metric{name: name, call: f})
-}
-
-// WriteText writes every registered metric in a stable, sorted,
-// Prometheus-style plain-text format:
-//
-//	name 42
-//	name{grid="0"} 7
-//	name_bucket{le="4"} 3
-//	name_bucket{le="+Inf"} 5
-//	name_sum 12
-//	name_count 5
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	ms := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, m := range ms {
-		var err error
-		switch {
-		case m.c != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.c.Load())
-		case m.g != nil:
-			if _, err = fmt.Fprintf(w, "%s %d\n", m.name, m.g.Load()); err == nil {
-				_, err = fmt.Fprintf(w, "%s_max %d\n", m.name, m.g.Max())
-			}
-		case m.gc != nil:
-			for k := 0; k < m.gc.Len(); k++ {
-				if _, err = fmt.Fprintf(w, "%s{grid=%q} %d\n", m.name, strconv.Itoa(k), m.gc.Load(k)); err != nil {
-					break
-				}
-			}
-		case m.gg != nil:
-			for k := 0; k < m.gg.Len(); k++ {
-				if _, err = fmt.Fprintf(w, "%s{grid=%q} %d\n", m.name, strconv.Itoa(k), m.gg.Load(k)); err != nil {
-					break
-				}
-			}
-		case m.h != nil:
-			s := m.h.Snapshot()
-			var cum int64
-			for i, c := range s.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(s.Bounds) {
-					le = strconv.FormatInt(s.Bounds[i], 10)
-				}
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, le, cum); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				_, err = fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", m.name, s.Sum, m.name, s.Count)
-			}
-		case m.call != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.call())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

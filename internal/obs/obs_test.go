@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +49,11 @@ func TestGridCounters(t *testing.T) {
 	}
 	if snap := gc.Snapshot(nil); len(snap) != 3 || snap[2] != 10 {
 		t.Fatalf("snapshot = %v", snap)
+	}
+	gc.Set(2, 4)
+	gc.Set(3, 99) // dropped
+	if got := gc.Load(2); got != 4 {
+		t.Fatalf("grid 2 after Set = %d, want 4", got)
 	}
 	var nilGC *GridCounters
 	nilGC.Inc(0)
@@ -101,12 +107,7 @@ func TestTracerRingAndDropped(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.Record(EvCorrection, i, float64(i))
 	}
-	if got := tr.Len(); got != 4 {
-		t.Fatalf("len = %d, want 4", got)
-	}
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
+	// The ring keeps the last four events; the two oldest are dropped.
 	ev := tr.Events()
 	if len(ev) != 4 || ev[0].Seq != 2 || ev[3].Seq != 5 || ev[3].Grid != 5 {
 		t.Fatalf("events = %+v", ev)
@@ -118,51 +119,48 @@ func TestTracerRingAndDropped(t *testing.T) {
 	}
 	var nilT *Tracer
 	nilT.Record(EvCycle, 0, 0)
-	if nilT.Len() != 0 || nilT.Events() != nil {
+	if nilT.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
 }
 
-func TestRegistryWriteText(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("beta_total")
-	c.Add(7)
-	g := r.NewGauge("alpha_depth")
-	g.Set(2)
-	gc := r.NewGridCounters("grid_x_total", 2)
-	gc.Add(1, 3)
-	h := r.NewHistogram("stale", []int64{1, 2})
-	h.Observe(2)
-	r.NewCallback("zz_cb", func() int64 { return 42 })
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	wantLines := []string{
-		"alpha_depth 2",
-		"alpha_depth_max 2",
-		"beta_total 7",
-		`grid_x_total{grid="0"} 0`,
-		`grid_x_total{grid="1"} 3`,
-		`stale_bucket{le="1"} 0`,
-		`stale_bucket{le="2"} 1`,
-		`stale_bucket{le="+Inf"} 1`,
-		"stale_sum 2",
-		"stale_count 1",
-		"zz_cb 42",
-	}
-	for _, l := range wantLines {
-		if !strings.Contains(got, l+"\n") {
-			t.Errorf("exposition missing line %q:\n%s", l, got)
+// TestMerge merges a fully exercised observer into a fresh one: every
+// line of the exposition but the gauges, the pool readings and the trace
+// must match the source's, and the gauges must stay unmerged.
+func TestMerge(t *testing.T) {
+	gauges := regexp.MustCompile(`(?m)^(serve_queue_depth|damping_omega_milli)\S* -?[0-9]+\n`)
+	counts := func(o *Observer) string {
+		var b bytes.Buffer
+		if err := o.WriteText(&b); err != nil {
+			t.Fatal(err)
 		}
+		return gauges.ReplaceAllString(stable(b.String()), "")
 	}
-	// Deterministic ordering: alpha before beta before grid_x.
-	if strings.Index(got, "alpha_depth") > strings.Index(got, "beta_total") ||
-		strings.Index(got, "beta_total") > strings.Index(got, "grid_x_total") {
-		t.Errorf("exposition not sorted:\n%s", got)
+	src := New(4).WithTrace(16)
+	exercise(src)
+	dst := New(4)
+	dst.Merge(src)
+	if got, want := counts(dst), counts(src); got != want {
+		t.Errorf("merged exposition:\n%s\nwant:\n%s", got, want)
 	}
+	if dst.QueueDepth.Max() != 0 || dst.Omega.Load(0) != 0 {
+		t.Errorf("gauges merged: queue depth max %d, omega %d", dst.QueueDepth.Max(), dst.Omega.Load(0))
+	}
+
+	// A second merge doubles the counts; a shallower observer drops the
+	// grids it does not have; nil on either side is a no-op.
+	dst.Merge(src)
+	if got := dst.SentNNZ.Load(0); got != 2*4096 {
+		t.Errorf("distmem_sent_nnz_total{grid=0} after two merges = %d, want %d", got, 2*4096)
+	}
+	short := New(2)
+	short.Merge(src)
+	if short.Relaxations.Len() != 2 || short.Relaxations.Load(0) != 2 || short.Drops.Load() != 101 {
+		t.Errorf("merge into 2 grids: relaxations %v, drops %d", short.Relaxations.Snapshot(nil), short.Drops.Load())
+	}
+	short.Merge(nil)
+	var nilObs *Observer
+	nilObs.Merge(src)
 }
 
 func TestObserverNilSafe(t *testing.T) {
@@ -244,7 +242,7 @@ func TestObserverConcurrent(t *testing.T) {
 				o.Corrected(w%4, int64(i%10))
 				if i%50 == 0 {
 					_ = o.Snapshot()
-					_ = o.Registry.WriteText(&bytes.Buffer{})
+					_ = o.WriteText(&bytes.Buffer{})
 				}
 			}
 		}(w)

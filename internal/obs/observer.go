@@ -1,7 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"reflect"
+	"sort"
+	"strconv"
 	"time"
 
 	"asyncmg/internal/par"
@@ -13,87 +18,109 @@ import (
 // thread one *Observer unconditionally; a nil observer costs one branch
 // per event.
 //
-// The well-known instruments are exported fields for allocation-free hot
-// path access; they are also registered (together with the par
-// worker-pool callbacks) in Registry, so one WriteText call exposes the
-// whole signal catalog.
+// The instruments are exported fields for allocation-free hot path
+// access. Each field's `obs` tag is its exposition name, the one place
+// the name is written; New builds the observer's table from the tags,
+// together with the par worker-pool readings.
 type Observer struct {
-	// Registry holds every instrument below plus the worker-pool
-	// callbacks, for text exposition.
-	Registry *Registry
+	// Trace is the optional bounded event timeline (nil unless the
+	// observer was built WithTrace). It is the first field so that no
+	// instrument sits at offset 0: the solvers inline the recording
+	// methods, and a zero offset encodes shorter, which would move the
+	// solver code linked after obs to a new alignment (EXPERIMENTS.md,
+	// "Code alignment").
+	Trace *Tracer
 
 	// Relaxations counts smoothing sweeps per grid (level): the x-axis
 	// quantity of the paper's Figures 4-6 ("relative residual vs
 	// relaxations"). One coarse exact solve counts as one relaxation on
 	// the coarsest grid.
-	Relaxations *GridCounters
+	Relaxations *GridCounters `obs:"grid_relaxations_total"`
 	// Corrections counts applied corrections per grid (the paper's
 	// "Corrects" column).
-	Corrections *GridCounters
+	Corrections *GridCounters `obs:"grid_corrections_total"`
 	// Staleness is the age, in globally applied corrections (sweeps), of
 	// the residual information each applied correction was computed from —
 	// the empirical read delay δ of the §III models.
-	Staleness *Histogram
+	Staleness *Histogram `obs:"staleness_sweeps"`
 	// CycleResiduals is the count of residual-norm samples recorded on
 	// the trace (synchronous cycles, CG iterations, distmem applies).
-	CycleResiduals *Counter
+	CycleResiduals *Counter `obs:"residual_samples_total"`
 
 	// Omega is each grid's current damping factor ω_k in milli-units
 	// (1000 = undamped), set by the async adaptive-damping controller.
-	Omega *GridGauges
+	// It is a gauge: Merge leaves it alone.
+	Omega *GridCounters `obs:"damping_omega_milli" gauge:"true"`
 	// DampTightens / DampRelaxes count controller events per grid: a
 	// tighten lowers ω_k (stale reads or degrading residual history), a
 	// relax raises it back toward 1 as reads freshen.
-	DampTightens, DampRelaxes *GridCounters
+	DampTightens *GridCounters `obs:"damping_tightens_total"`
+	DampRelaxes  *GridCounters `obs:"damping_relaxes_total"`
 	// Rollbacks counts asynchronous solves whose iterate was discarded
 	// by the rollback-last divergence defense.
-	Rollbacks *Counter
+	Rollbacks *Counter `obs:"async_rollbacks_total"`
 
-	// Faults unifies the fault/recovery counters of the distmem solver
-	// under the registry (mirrors of distmem.Result's counters).
-	Drops, Duplicates, Crashes, Respawns   *Counter
-	WatchdogFires, DivergenceResets        *Counter
-	Discarded, RetiredGrids, StaleSnapshot *Counter
+	// The fault/recovery counters of the distmem solver (mirrors of
+	// distmem.Result's counters), which Snapshot.Faults reports.
+	Drops            *Counter `obs:"fault_drops_total" fault:"true"`
+	Duplicates       *Counter `obs:"fault_duplicates_total" fault:"true"`
+	Crashes          *Counter `obs:"fault_crashes_total" fault:"true"`
+	Respawns         *Counter `obs:"recovery_respawns_total" fault:"true"`
+	WatchdogFires    *Counter `obs:"recovery_watchdog_fires_total" fault:"true"`
+	DivergenceResets *Counter `obs:"recovery_divergence_resets_total" fault:"true"`
+	Discarded        *Counter `obs:"recovery_discarded_total" fault:"true"`
+	RetiredGrids     *Counter `obs:"recovery_retired_grids_total" fault:"true"`
+	StaleSnapshot    *Counter `obs:"stale_snapshot_drops_total" fault:"true"`
 
 	// SetupBuilds counts AMG setup phases recorded through SetupDone; the
 	// *NS counters accumulate the per-stage wall time (nanoseconds) of
 	// those setups, matching amg.SetupStats stage for stage (the cached
 	// Pᵀ build and the Galerkin triple product are separate stages).
-	SetupBuilds                    *Counter
-	SetupTotalNS, SetupStrengthNS  *Counter
-	SetupCoarsenNS, SetupInterpNS  *Counter
-	SetupTransposeNS, SetupRAPNS   *Counter
-	SetupFactorNS, SetupSparsifyNS *Counter
+	SetupBuilds      *Counter `obs:"setup_builds_total"`
+	SetupTotalNS     *Counter `obs:"setup_total_ns_total"`
+	SetupStrengthNS  *Counter `obs:"setup_strength_ns_total"`
+	SetupCoarsenNS   *Counter `obs:"setup_coarsen_ns_total"`
+	SetupInterpNS    *Counter `obs:"setup_interp_ns_total"`
+	SetupTransposeNS *Counter `obs:"setup_transpose_ns_total"`
+	SetupRAPNS       *Counter `obs:"setup_rap_ns_total"`
+	SetupFactorNS    *Counter `obs:"setup_factor_ns_total"`
+	SetupSparsifyNS  *Counter `obs:"setup_sparsify_ns_total"`
 	// Sparsification-guard outcomes recorded through Sparsified: levels
 	// that kept a sparsified operator, total nonzeros dropped from coarse
 	// operators, and levels the convergence guard reverted.
-	SparsifyLevels, SparsifyDropped *Counter
-	SparsifyFallbacks               *Counter
+	SparsifyLevels    *Counter `obs:"sparsify_levels_total"`
+	SparsifyDropped   *Counter `obs:"sparsify_dropped_nnz_total"`
+	SparsifyFallbacks *Counter `obs:"sparsify_fallbacks_total"`
 
 	// SentNNZ accumulates, per grid, the nonzero payload volume of
 	// correction messages the distmem workers sent to the owner — the
 	// message-volume signal coarse-operator sparsification shrinks.
-	SentNNZ *GridCounters
+	SentNNZ *GridCounters `obs:"distmem_sent_nnz_total"`
 
 	// Krylov-subsystem counters (package krylov): iterations across all
 	// solver kinds, completed PCG and FGMRES solves, solves that reached
 	// tolerance, and breakdowns (non-SPD operator or preconditioner
 	// detected mid-solve). Zero-valued for pure cycling workloads.
-	KrylovIterations                   *Counter
-	KrylovPCGSolves, KrylovFGMRESolves *Counter
-	KrylovConverged, KrylovBreakdowns  *Counter
+	KrylovIterations  *Counter `obs:"krylov_iterations_total"`
+	KrylovPCGSolves   *Counter `obs:"krylov_pcg_solves_total"`
+	KrylovFGMRESolves *Counter `obs:"krylov_fgmres_solves_total"`
+	KrylovConverged   *Counter `obs:"krylov_converged_total"`
+	KrylovBreakdowns  *Counter `obs:"krylov_breakdowns_total"`
 
 	// Serving counters of the solver service (package serve): hierarchy
 	// setup-cache traffic, admission-queue depth, and requests rejected by
 	// admission control (backpressure or drain). Zero-valued and harmless
 	// for non-serving solves.
-	CacheHits, CacheMisses, CacheEvictions *Counter
-	QueueDepth                             *Gauge
-	Rejected, Requests                     *Counter
+	CacheHits      *Counter `obs:"serve_cache_hits_total"`
+	CacheMisses    *Counter `obs:"serve_cache_misses_total"`
+	CacheEvictions *Counter `obs:"serve_cache_evictions_total"`
+	QueueDepth     *Gauge   `obs:"serve_queue_depth"`
+	Rejected       *Counter `obs:"serve_rejected_total"`
+	Requests       *Counter `obs:"serve_requests_total"`
 	// Warms counts replication warm requests a node served (package
 	// serve's /internal/warm, where the cluster router pushes a replay
 	// of a routed request).
-	Warms *Counter
+	Warms *Counter `obs:"serve_warms_total"`
 
 	// Cluster routing counters (package cluster): solves forwarded to
 	// nodes, 429 retries honoring Retry-After, hedged requests launched
@@ -102,86 +129,71 @@ type Observer struct {
 	// engine, per-node circuit-breaker transitions, ring rebuilds driven
 	// by membership changes, replica warm pushes, and failed health
 	// probes. Zero-valued and harmless outside a cluster router.
-	RouteForwards, RouteRetries         *Counter
-	RouteHedges, RouteHedgeWins         *Counter
-	RouteFailovers, RouteLocalFallbacks *Counter
-	BreakerOpens, BreakerRejects        *Counter
-	RingRebuilds, ReplicaWarms          *Counter
-	ProbeFailures                       *Counter
+	RouteForwards       *Counter `obs:"cluster_forwards_total"`
+	RouteRetries        *Counter `obs:"cluster_retries_total"`
+	RouteHedges         *Counter `obs:"cluster_hedges_total"`
+	RouteHedgeWins      *Counter `obs:"cluster_hedge_wins_total"`
+	RouteFailovers      *Counter `obs:"cluster_failovers_total"`
+	RouteLocalFallbacks *Counter `obs:"cluster_local_fallbacks_total"`
+	BreakerOpens        *Counter `obs:"cluster_breaker_opens_total"`
+	BreakerRejects      *Counter `obs:"cluster_breaker_rejects_total"`
+	RingRebuilds        *Counter `obs:"cluster_ring_rebuilds_total"`
+	ReplicaWarms        *Counter `obs:"cluster_replica_warms_total"`
+	ProbeFailures       *Counter `obs:"cluster_probe_failures_total"`
 
-	// Trace is the optional bounded event timeline (nil unless the
-	// observer was built WithTrace).
-	Trace *Tracer
+	// metrics is the exposition table, sorted by name.
+	metrics []metric
+}
+
+// metric is one row of an observer's table: an exposition name and its
+// instrument, a *Counter, *Gauge, *GridCounters, *Histogram or a reading
+// of the par worker pool's stats.
+type metric struct {
+	name string
+	v    any
+	// fault marks a counter that Snapshot.Faults reports; gauge marks a
+	// per-grid vector of set values, which Merge does not add.
+	fault, gauge bool
 }
 
 // New builds an observer for a solve over `grids` grids (hierarchy
-// levels). Pass the hierarchy depth; out-of-range grid indices are
-// dropped, so an over-estimate is safe.
+// levels): one instrument per tagged field, each a row of its table.
+// Pass the hierarchy depth; out-of-range grid indices are dropped, so an
+// over-estimate is safe.
 func New(grids int) *Observer {
-	r := NewRegistry()
-	o := &Observer{
-		Registry:            r,
-		Relaxations:         r.NewGridCounters("grid_relaxations_total", grids),
-		Corrections:         r.NewGridCounters("grid_corrections_total", grids),
-		Staleness:           r.NewHistogram("staleness_sweeps", DefaultStalenessBounds()),
-		CycleResiduals:      r.NewCounter("residual_samples_total"),
-		Omega:               r.NewGridGauges("damping_omega_milli", grids),
-		DampTightens:        r.NewGridCounters("damping_tightens_total", grids),
-		DampRelaxes:         r.NewGridCounters("damping_relaxes_total", grids),
-		Rollbacks:           r.NewCounter("async_rollbacks_total"),
-		Drops:               r.NewCounter("fault_drops_total"),
-		Duplicates:          r.NewCounter("fault_duplicates_total"),
-		Crashes:             r.NewCounter("fault_crashes_total"),
-		Respawns:            r.NewCounter("recovery_respawns_total"),
-		WatchdogFires:       r.NewCounter("recovery_watchdog_fires_total"),
-		DivergenceResets:    r.NewCounter("recovery_divergence_resets_total"),
-		Discarded:           r.NewCounter("recovery_discarded_total"),
-		RetiredGrids:        r.NewCounter("recovery_retired_grids_total"),
-		StaleSnapshot:       r.NewCounter("stale_snapshot_drops_total"),
-		SetupBuilds:         r.NewCounter("setup_builds_total"),
-		SetupTotalNS:        r.NewCounter("setup_total_ns_total"),
-		SetupStrengthNS:     r.NewCounter("setup_strength_ns_total"),
-		SetupCoarsenNS:      r.NewCounter("setup_coarsen_ns_total"),
-		SetupInterpNS:       r.NewCounter("setup_interp_ns_total"),
-		SetupTransposeNS:    r.NewCounter("setup_transpose_ns_total"),
-		SetupRAPNS:          r.NewCounter("setup_rap_ns_total"),
-		SetupFactorNS:       r.NewCounter("setup_factor_ns_total"),
-		SetupSparsifyNS:     r.NewCounter("setup_sparsify_ns_total"),
-		SparsifyLevels:      r.NewCounter("sparsify_levels_total"),
-		SparsifyDropped:     r.NewCounter("sparsify_dropped_nnz_total"),
-		SparsifyFallbacks:   r.NewCounter("sparsify_fallbacks_total"),
-		SentNNZ:             r.NewGridCounters("distmem_sent_nnz_total", grids),
-		KrylovIterations:    r.NewCounter("krylov_iterations_total"),
-		KrylovPCGSolves:     r.NewCounter("krylov_pcg_solves_total"),
-		KrylovFGMRESolves:   r.NewCounter("krylov_fgmres_solves_total"),
-		KrylovConverged:     r.NewCounter("krylov_converged_total"),
-		KrylovBreakdowns:    r.NewCounter("krylov_breakdowns_total"),
-		CacheHits:           r.NewCounter("serve_cache_hits_total"),
-		CacheMisses:         r.NewCounter("serve_cache_misses_total"),
-		CacheEvictions:      r.NewCounter("serve_cache_evictions_total"),
-		QueueDepth:          r.NewGauge("serve_queue_depth"),
-		Rejected:            r.NewCounter("serve_rejected_total"),
-		Requests:            r.NewCounter("serve_requests_total"),
-		Warms:               r.NewCounter("serve_warms_total"),
-		RouteForwards:       r.NewCounter("cluster_forwards_total"),
-		RouteRetries:        r.NewCounter("cluster_retries_total"),
-		RouteHedges:         r.NewCounter("cluster_hedges_total"),
-		RouteHedgeWins:      r.NewCounter("cluster_hedge_wins_total"),
-		RouteFailovers:      r.NewCounter("cluster_failovers_total"),
-		RouteLocalFallbacks: r.NewCounter("cluster_local_fallbacks_total"),
-		BreakerOpens:        r.NewCounter("cluster_breaker_opens_total"),
-		BreakerRejects:      r.NewCounter("cluster_breaker_rejects_total"),
-		RingRebuilds:        r.NewCounter("cluster_ring_rebuilds_total"),
-		ReplicaWarms:        r.NewCounter("cluster_replica_warms_total"),
-		ProbeFailures:       r.NewCounter("cluster_probe_failures_total"),
+	o := &Observer{}
+	v := reflect.ValueOf(o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name := f.Tag.Get("obs")
+		if name == "" {
+			continue
+		}
+		var inst any
+		switch v.Field(i).Interface().(type) {
+		case *GridCounters:
+			inst = NewGridCounters(grids)
+		case *Histogram:
+			inst = NewHistogram(DefaultStalenessBounds())
+		default: // *Counter or *Gauge, whose zero value is ready
+			inst = reflect.New(f.Type.Elem()).Interface()
+		}
+		v.Field(i).Set(reflect.ValueOf(inst))
+		m := metric{name: name, v: inst}
+		_, m.fault = f.Tag.Lookup("fault")
+		_, m.gauge = f.Tag.Lookup("gauge")
+		o.metrics = append(o.metrics, m)
 	}
-	// Worker-pool signals: callbacks folding par's package-level atomics
-	// into this registry at exposition time.
-	r.NewCallback("pool_dispatches_total", func() int64 { return par.ReadStats().Dispatches })
-	r.NewCallback("pool_serial_kernels_total", func() int64 { return par.ReadStats().Serial })
-	r.NewCallback("pool_queue_depth", func() int64 { return par.ReadStats().QueueDepth })
-	r.NewCallback("pool_queue_depth_max", func() int64 { return par.ReadStats().MaxQueueDepth })
-	r.NewCallback("pool_busy_ns_total", func() int64 { return par.ReadStats().BusyNS })
+	// The par worker pool's process-wide stats, read at exposition time;
+	// Merge and Snapshot leave them alone. (A package-level table of these
+	// rows would move the data linked after obs to new cache-line offsets.)
+	o.metrics = append(o.metrics,
+		metric{name: "pool_dispatches_total", v: func(s par.Stats) int64 { return s.Dispatches }},
+		metric{name: "pool_serial_kernels_total", v: func(s par.Stats) int64 { return s.Serial }},
+		metric{name: "pool_queue_depth", v: func(s par.Stats) int64 { return s.QueueDepth }},
+		metric{name: "pool_queue_depth_max", v: func(s par.Stats) int64 { return s.MaxQueueDepth }},
+		metric{name: "pool_busy_ns_total", v: func(s par.Stats) int64 { return s.BusyNS }})
+	sort.Slice(o.metrics, func(i, j int) bool { return o.metrics[i].name < o.metrics[j].name })
 	return o
 }
 
@@ -360,54 +372,31 @@ func (o *Observer) TraceEvent(kind EventKind, grid int, value float64) {
 	o.Trace.Record(kind, grid, value)
 }
 
-// Merge folds another observer's snapshot into o: per-grid relaxation
-// and correction counts are added index-aligned (extra grids in the
-// snapshot are dropped), the staleness histogram is merged bucket-wise
-// (ignored on bucket-layout mismatch), and the fault/recovery counters
-// are added by name. The trace timeline and pool gauges are not merged
-// (pool stats are process-global already). Use it to aggregate
-// per-experiment observers into one exposition registry. Nil-safe.
-func (o *Observer) Merge(s Snapshot) {
-	if o == nil {
+// Merge adds other's counts into o: every counter, every per-grid
+// counter (index-aligned; grids o does not have are dropped) and the
+// staleness histogram. Gauges (the queue depth, the ω vector), the pool
+// readings (process-wide already) and the trace timeline are not merged.
+// Use it to aggregate per-run observers into one exposition. Nil-safe.
+func (o *Observer) Merge(other *Observer) {
+	if o == nil || other == nil {
 		return
 	}
-	for k, v := range s.Relaxations {
-		o.Relaxations.Add(k, v)
-	}
-	for k, v := range s.Corrections {
-		o.Corrections.Add(k, v)
-	}
-	o.Staleness.MergeSnapshot(s.Staleness)
-	for name, v := range s.Faults {
-		if c := o.faultCounter(name); c != nil {
-			c.Add(v)
+	// Both tables come from New, so their rows line up.
+	for i, m := range o.metrics[:min(len(o.metrics), len(other.metrics))] {
+		switch v := m.v.(type) {
+		case *Counter:
+			v.Add(other.metrics[i].v.(*Counter).Load())
+		case *GridCounters:
+			if !m.gauge {
+				src := other.metrics[i].v.(*GridCounters)
+				for k := range src.Len() {
+					v.Add(k, src.Load(k))
+				}
+			}
+		case *Histogram:
+			v.merge(other.metrics[i].v.(*Histogram))
 		}
 	}
-}
-
-// faultCounter maps an exposition name to the matching counter field.
-func (o *Observer) faultCounter(name string) *Counter {
-	switch name {
-	case "fault_drops_total":
-		return o.Drops
-	case "fault_duplicates_total":
-		return o.Duplicates
-	case "fault_crashes_total":
-		return o.Crashes
-	case "recovery_respawns_total":
-		return o.Respawns
-	case "recovery_watchdog_fires_total":
-		return o.WatchdogFires
-	case "recovery_divergence_resets_total":
-		return o.DivergenceResets
-	case "recovery_discarded_total":
-		return o.Discarded
-	case "recovery_retired_grids_total":
-		return o.RetiredGrids
-	case "stale_snapshot_drops_total":
-		return o.StaleSnapshot
-	}
-	return nil
 }
 
 // ---- snapshots and exposition ----
@@ -418,15 +407,11 @@ type Snapshot struct {
 	Relaxations, Corrections []int64
 	// Staleness is the correction-staleness histogram.
 	Staleness HistSnapshot
-	// Pool is the worker-pool state.
-	Pool par.Stats
-	// Faults are the unified fault/recovery counters, keyed as exposed
+	// Faults are the fault/recovery counters, keyed as exposed
 	// (fault_drops_total, recovery_respawns_total, ...).
 	Faults map[string]int64
-	// Events is the retained trace timeline (nil without tracing);
-	// EventsDropped counts ring overwrites.
-	Events        []Event
-	EventsDropped uint64
+	// Events is the retained trace timeline (nil without tracing).
+	Events []Event
 }
 
 // Snapshot copies the observer's current state. Safe to call while a
@@ -436,35 +421,72 @@ func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
+	faults := make(map[string]int64)
+	for _, m := range o.metrics {
+		if m.fault {
+			faults[m.name] = m.v.(*Counter).Load()
+		}
+	}
 	return Snapshot{
 		Relaxations: o.Relaxations.Snapshot(nil),
 		Corrections: o.Corrections.Snapshot(nil),
 		Staleness:   o.Staleness.Snapshot(),
-		Pool:        par.ReadStats(),
-		Faults: map[string]int64{
-			"fault_drops_total":                o.Drops.Load(),
-			"fault_duplicates_total":           o.Duplicates.Load(),
-			"fault_crashes_total":              o.Crashes.Load(),
-			"recovery_respawns_total":          o.Respawns.Load(),
-			"recovery_watchdog_fires_total":    o.WatchdogFires.Load(),
-			"recovery_divergence_resets_total": o.DivergenceResets.Load(),
-			"recovery_discarded_total":         o.Discarded.Load(),
-			"recovery_retired_grids_total":     o.RetiredGrids.Load(),
-			"stale_snapshot_drops_total":       o.StaleSnapshot.Load(),
-		},
-		Events:        o.Trace.Events(),
-		EventsDropped: o.Trace.Dropped(),
+		Faults:      faults,
+		Events:      o.Trace.Events(),
 	}
 }
 
-// WriteText writes the full registry in exposition format, followed by
-// the trace timeline when tracing is enabled. Nil-safe.
+// WriteText writes every metric in a stable, sorted, Prometheus-style
+// plain-text format, followed by the trace timeline when tracing is
+// enabled:
+//
+//	name 42
+//	name{grid="0"} 7
+//	name_bucket{le="4"} 3
+//	name_bucket{le="+Inf"} 5
+//	name_sum 12
+//	name_count 5
+//
+// A gauge adds a name_max line, its high-water mark. Nil-safe.
 func (o *Observer) WriteText(w io.Writer) error {
 	if o == nil {
 		return nil
 	}
-	if err := o.Registry.WriteText(w); err != nil {
-		return err
+	var b bytes.Buffer
+	writeMetrics(&b, o.metrics)
+	o.Trace.writeText(&b)
+	_, err := b.WriteTo(w)
+	return err
+}
+
+// writeMetrics writes one line per counter, gauge reading, grid or
+// bucket of the table ms, in its order.
+func writeMetrics(b *bytes.Buffer, ms []metric) {
+	ps := par.ReadStats()
+	for _, m := range ms {
+		switch v := m.v.(type) {
+		case *Counter:
+			fmt.Fprintf(b, "%s %d\n", m.name, v.Load())
+		case *Gauge:
+			fmt.Fprintf(b, "%s %d\n%s_max %d\n", m.name, v.Load(), m.name, v.Max())
+		case *GridCounters:
+			for k := range v.Len() {
+				fmt.Fprintf(b, "%s{grid=\"%d\"} %d\n", m.name, k, v.Load(k))
+			}
+		case *Histogram:
+			s := v.Snapshot()
+			var cum int64
+			for i, c := range s.Counts {
+				cum += c
+				le := "+Inf"
+				if i < len(s.Bounds) {
+					le = strconv.FormatInt(s.Bounds[i], 10)
+				}
+				fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", m.name, le, cum)
+			}
+			fmt.Fprintf(b, "%s_sum %d\n%s_count %d\n", m.name, s.Sum, m.name, s.Count)
+		case func(par.Stats) int64:
+			fmt.Fprintf(b, "%s %d\n", m.name, v(ps))
+		}
 	}
-	return o.Trace.WriteText(w)
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -36,24 +36,14 @@ const (
 	EvDamp
 )
 
+// eventNames holds the kinds' names from EvCycle on. Its 128 bytes are a
+// whole number of cache lines, so the data linked after obs keeps its
+// line offsets (EXPERIMENTS.md, "One metric table").
+var eventNames = [...]string{"cycle", "correction", "residual", "broadcast", "recovery", "rollback", "iteration", "damp"}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvCycle:
-		return "cycle"
-	case EvCorrection:
-		return "correction"
-	case EvResidual:
-		return "residual"
-	case EvBroadcast:
-		return "broadcast"
-	case EvRecovery:
-		return "recovery"
-	case EvRollback:
-		return "rollback"
-	case EvIteration:
-		return "iteration"
-	case EvDamp:
-		return "damp"
+	if k >= EvCycle && int(k-EvCycle) < len(eventNames) {
+		return eventNames[k-EvCycle]
 	}
 	return "unknown"
 }
@@ -71,8 +61,8 @@ type Event struct {
 // Tracer is a bounded ring buffer of timeline events. Recording copies a
 // fixed-size Event into a preallocated ring under a short mutex — no
 // allocation, no unbounded growth; once the ring wraps, the oldest events
-// are overwritten (Dropped counts them). A nil *Tracer ignores Record,
-// so tracing is strictly opt-in.
+// are overwritten (each event keeps its Seq, its number among all events
+// recorded). A nil *Tracer ignores Record, so tracing is strictly opt-in.
 type Tracer struct {
 	mu    sync.Mutex
 	start time.Time
@@ -105,32 +95,6 @@ func (t *Tracer) Record(kind EventKind, grid int, value float64) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of events currently retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next < uint64(len(t.ring)) {
-		return int(t.next)
-	}
-	return len(t.ring)
-}
-
-// Dropped returns how many events were overwritten by ring wraparound.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next < uint64(len(t.ring)) {
-		return 0
-	}
-	return t.next - uint64(len(t.ring))
-}
-
 // Events returns the retained events in recording order (oldest first).
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -149,16 +113,12 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// WriteText writes the retained events as one line each:
+// writeText writes the retained events as one line each:
 //
 //	trace 12 3.45ms correction grid=2 value=1
-func (t *Tracer) WriteText(w io.Writer) error {
+func (t *Tracer) writeText(b *bytes.Buffer) {
 	for _, e := range t.Events() {
-		_, err := fmt.Fprintf(w, "trace %d %s %s grid=%d value=%g\n",
+		fmt.Fprintf(b, "trace %d %s %s grid=%d value=%g\n",
 			e.Seq, time.Duration(e.When), e.Kind, e.Grid, e.Value)
-		if err != nil {
-			return err
-		}
 	}
-	return nil
 }
