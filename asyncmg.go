@@ -63,6 +63,7 @@ import (
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/spectral"
+	"asyncmg/internal/vec"
 )
 
 // ---- Parallel kernel configuration ----
@@ -324,6 +325,17 @@ func SolveAsync(s *Setup, b []float64, cfg AsyncConfig) (*AsyncResult, error) {
 func SolveAsyncCtx(ctx context.Context, s *Setup, b []float64, cfg AsyncConfig) (*AsyncResult, error) {
 	return async.Solve(ctx, s, b, cfg)
 }
+
+// Verdict is how a solve ended (Converged, Stalled, Grew or Diverged), by
+// one rule over the residual the solver computed; see DESIGN.md.
+type Verdict = vec.Verdict
+
+const (
+	Converged = vec.Converged
+	Stalled   = vec.Stalled
+	Grew      = vec.Grew
+	Diverged  = vec.Diverged
+)
 
 // ---- Krylov solvers ----
 

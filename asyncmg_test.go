@@ -114,8 +114,8 @@ func TestPublicPCGFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Iterations > 40 {
-		t.Errorf("BPX-PCG: converged=%v its=%d", res.Converged, res.Iterations)
+	if res.Verdict != asyncmg.Converged || res.Iterations > 40 {
+		t.Errorf("BPX-PCG: %v its=%d", res.Verdict, res.Iterations)
 	}
 }
 
@@ -132,8 +132,8 @@ func TestPublicDistributedFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged || res.RelRes > 1e-3 {
-		t.Errorf("distributed relres %g", res.RelRes)
+	if res.Verdict != asyncmg.Converged || res.RelRes > 1e-3 {
+		t.Errorf("distributed relres %g (%v)", res.RelRes, res.Verdict)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,6 +39,7 @@ import (
 	"asyncmg/internal/par"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // config is what mgsolve's own flags select beyond the solve plan: the
@@ -196,45 +196,35 @@ func main() {
 		log.Fatal(err)
 	}
 	m := plan.Method
-	failed := false
 	switch {
 	case plan.Mode == solve.ModeAsync:
 		res := out.Async
-		fmt.Printf("async %v %v %v: rel res %.3e in %v (diverged=%v)\n",
-			m, plan.Async.Write, plan.Async.Res, res.RelRes, res.Elapsed, res.Diverged)
+		fmt.Printf("async %v %v %v: rel res %.3e in %v (%v)\n",
+			m, plan.Async.Write, plan.Async.Res, res.RelRes, res.Elapsed, res.Verdict)
 		fmt.Printf("per-grid corrections: %v (avg %.1f)\n", res.Corrections, res.AvgCorrects)
 		if plan.Async.Damping.Mode != async.DampOff {
 			fmt.Printf("damping %v: final ω per grid %v (tightens %d, relaxes %d, rolled back=%v)\n",
 				plan.Async.Damping.Mode, fmt.Sprintf("%.3f", res.FinalOmega), res.DampTightens, res.DampRelaxes, res.RolledBack)
 		}
-		failed = res.Diverged
 	case plan.Mode == solve.ModeDist:
-		fmt.Printf("dist %v: rel res %.3e after %d corrections per grid (diverged=%v)\n",
-			m, out.RelRes, out.Cycles, out.Diverged)
-		failed = out.Diverged
+		fmt.Printf("dist %v: rel res %.3e after %d corrections per grid (%v)\n",
+			m, out.RelRes, out.Cycles, out.Verdict)
 	case plan.Solver != solve.SolverCycle:
 		fmt.Printf("%s(%v-preconditioned) convergence (rel res per iteration):\n", plan.Solver, m)
 		for t, h := range out.History {
 			fmt.Printf("  iter %3d: %.6e\n", t, h)
 		}
-		fmt.Printf("%s: rel res %.3e in %d iterations (converged=%v)\n",
-			plan.Solver, out.RelRes, out.Iterations, out.Converged)
-		failed = !out.Converged
+		fmt.Printf("%s: true rel res %.3e in %d iterations (%v)\n",
+			plan.Solver, out.RelRes, out.Iterations, out.Verdict)
 	default:
 		fmt.Printf("sequential %v convergence (rel res per cycle):\n", m)
 		for t, h := range out.History {
 			fmt.Printf("  cycle %3d: %.6e\n", t, h)
 		}
-		factor := setup.ConvergenceFactor(m, 30, plan.Seed)
-		fmt.Printf("asymptotic convergence factor (power iteration): %.4f\n", factor)
-		// A cycle that does not contract (or a factor or history gone
-		// non-finite) is a failed solve, like a diverged async one.
-		failed = !(factor < 1)
-		if n := len(out.History); n > 0 {
-			failed = failed || math.IsNaN(out.History[n-1]) || math.IsInf(out.History[n-1], 0)
-		}
+		fmt.Printf("asymptotic convergence factor (power iteration): %.4f (%v)\n",
+			setup.ConvergenceFactor(m, 30, plan.Seed), out.Verdict)
 	}
-	if failed {
+	if out.Verdict != vec.Converged { // a failed solve
 		finish() // os.Exit skips the deferred flush
 		os.Exit(1)
 	}

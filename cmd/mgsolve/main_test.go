@@ -165,10 +165,11 @@ func TestNonFiniteMatrixRefused(t *testing.T) {
 	}
 }
 
-// TestCyclingExitStatus: in cycling mode a solve whose cycle does not
-// contract exits non-zero, like a diverged asynchronous or distributed
-// one, and a converging solve exits 0. The command is built and run as a
-// process, so the exit status itself is checked.
+// TestCyclingExitStatus: mgsolve exits 1 on any verdict but converged, in
+// every mode: a cycling, asynchronous or distributed solve whose residual
+// grew (ω = 2 over-weights the smoother), a PCG solve stopped above its
+// tolerance; a converging solve exits 0. The command is built and run as
+// a process, so the exit status itself is checked.
 func TestCyclingExitStatus(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "mgsolve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -180,6 +181,15 @@ func TestCyclingExitStatus(t *testing.T) {
 	}{
 		{"-problem 7pt -size 8 -method mult -omega 2 -cycles 20", 1}, // factor 8.21
 		{"-problem 7pt -size 8 -method mult -cycles 10", 0},          // factor 0.58
+		// The factor is a printed diagnostic, not the verdict: BPX's
+		// factor is 2.61 here, but its one cycle reduced the residual.
+		{"-problem mfem-elasticity -size 8 -method bpx -smoother hybrid-jgs -cycles 1", 0},
+		{"-problem 7pt -size 8 -mode async -method multadd -threads 4 -omega 2 -cycles 5", 1},
+		{"-problem 7pt -size 8 -mode async -method multadd -threads 4 -cycles 30", 0},
+		{"-problem 7pt -size 8 -mode dist -method multadd -omega 2 -cycles 5", 1},
+		{"-problem 7pt -size 8 -mode dist -method multadd -cycles 30", 0},
+		{"-problem 7pt -size 8 -solver pcg -maxiter 1", 1},
+		{"-problem 7pt -size 8 -solver pcg", 0},
 	} {
 		out, err := exec.Command(bin, strings.Fields(tc.args)...).CombinedOutput()
 		code := 0

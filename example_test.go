@@ -84,6 +84,6 @@ func ExampleSolveCG() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Converged)
-	// Output: true
+	fmt.Println(res.Verdict)
+	// Output: converged
 }

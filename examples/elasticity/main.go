@@ -47,11 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		marker := ""
-		if res.Diverged {
-			marker = "  † diverged"
-		}
-		fmt.Printf("  %-12v rel res %.3e in %v%s\n", kind, res.RelRes, res.Elapsed, marker)
+		fmt.Printf("  %-12v rel res %.3e in %v (%v)\n", kind, res.RelRes, res.Elapsed, res.Verdict)
 	}
 
 	// The paper's Table I shows global-res diverging on elasticity for
@@ -73,10 +69,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		marker := ""
-		if res.Diverged {
-			marker = "  † diverged"
-		}
-		fmt.Printf("  %-12v rel res %.3e%s\n", rm, res.RelRes, marker)
+		fmt.Printf("  %-12v rel res %.3e (%v)\n", rm, res.RelRes, res.Verdict)
 	}
 }

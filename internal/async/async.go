@@ -156,17 +156,16 @@ type Result struct {
 	AvgCorrects float64
 	// Elapsed is the wall-clock solve time (setup excluded).
 	Elapsed time.Duration
-	// Diverged is set when the iterate contains non-finite values or the
-	// final relative residual exceeds vec.DivergedRelRes — a residual
-	// that blew up by ten orders of magnitude but has not overflowed yet
-	// is still divergence (the paper's † marker covers both).
+	// Verdict is vec.Judge over X and RelRes with no tolerance; a fired
+	// rollback guard is Diverged. Diverged is Verdict == vec.Diverged.
+	Verdict  vec.Verdict
 	Diverged bool
 	// History holds ‖r‖₂/‖b‖₂ after each cycle when RecordHistory was set
 	// on a synchronous run (History[0] == 1); nil otherwise.
 	History []float64
 	// RolledBack is set when the rollback-last defense discarded the
-	// iterate: X is the initial guess (zero), RelRes is 1, and Diverged
-	// is set. Requires DampingPolicy.Rollback (or a divergent finish
+	// iterate: X is the initial guess (zero), RelRes is 1, and the Verdict
+	// is Diverged. Requires DampingPolicy.Rollback (or a divergent finish
 	// under an armed policy).
 	RolledBack bool
 	// FinalOmega[k] is grid k's damping factor when the solve ended
@@ -182,15 +181,19 @@ type Result struct {
 // Cancelling ctx (or passing a deadline) stops the teams at the next cycle
 // boundary and returns ctx's error.
 func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Result, error) {
-	if cfg.MaxCycles <= 0 {
+	switch {
+	case cfg.MaxCycles <= 0:
 		return nil, fmt.Errorf("async: MaxCycles must be positive, got %d", cfg.MaxCycles)
-	}
-	if cfg.Threads <= 0 {
+	case cfg.Threads <= 0:
 		return nil, fmt.Errorf("async: Threads must be positive, got %d", cfg.Threads)
-	}
-	n := s.LevelSize(0)
-	if len(b) != n {
-		return nil, fmt.Errorf("async: len(b) = %d, want %d", len(b), n)
+	case len(b) != s.LevelSize(0):
+		return nil, fmt.Errorf("async: len(b) = %d, want %d", len(b), s.LevelSize(0))
+	case cfg.Write != LockWrite && cfg.Write != AtomicWrite:
+		return nil, fmt.Errorf("async: unknown write mode %d", int(cfg.Write))
+	case cfg.Res < LocalRes || cfg.Res > ResidualRes:
+		return nil, fmt.Errorf("async: unknown residual mode %d", int(cfg.Res))
+	case cfg.Criterion != Criterion1 && cfg.Criterion != Criterion2:
+		return nil, fmt.Errorf("async: unknown stopping criterion %d", int(cfg.Criterion))
 	}
 	if err := cfg.Damping.validate(); err != nil {
 		return nil, err
@@ -377,7 +380,7 @@ func solveAdditive(ctx context.Context, s *engine.Engine, b []float64, cfg Confi
 		Elapsed:     elapsed,
 		FinalOmega:  make([]float64, l),
 	}
-	out.Diverged = vec.Diverged(x, out.RelRes)
+	out.Verdict = vec.Judge(x, out.RelRes, 0)
 	total := 0
 	for k := 0; k < l; k++ {
 		c := int(rt.corrCount[k].Load())
@@ -391,16 +394,17 @@ func solveAdditive(ctx context.Context, s *engine.Engine, b []float64, cfg Confi
 	}
 	out.AvgCorrects = float64(total) / float64(l)
 	out.History = rt.history
-	if rt.damp.Rollback && (rt.abort.Load() || out.Diverged) {
+	if rt.damp.Rollback && (rt.abort.Load() || out.Verdict == vec.Diverged) {
 		// Rollback-last: damping could not stabilise the run (or was
 		// off); discard the iterate and return the initial guess, whose
 		// relative residual is exactly 1.
 		cfg.Observer.RolledBack(out.RelRes)
 		vec.Zero(out.X)
 		out.RelRes = 1
-		out.Diverged = true
+		out.Verdict = vec.Diverged
 		out.RolledBack = true
 	}
+	out.Diverged = out.Verdict == vec.Diverged
 	return out, nil
 }
 

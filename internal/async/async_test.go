@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,6 +97,36 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Solve(context.Background(), s, b[:3], Config{Method: engine.Multadd, Threads: 8, MaxCycles: 5}); err == nil {
 		t.Error("accepted short RHS")
+	}
+}
+
+// TestSolveRejectsUnknownModes: an out-of-range WriteMode, ResMode or
+// Criterion is an error before any team starts. Unchecked, Criterion(2)
+// waited for a stop flag only Criterion2 raises, ResMode(3) never
+// refreshed a residual, and an unknown WriteMode ran atomic-write.
+func TestSolveRejectsUnknownModes(t *testing.T) {
+	s := buildSetup(t, 6, smoother.WJacobi)
+	b := grid.RandomRHS(s.LevelSize(0), 1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"criterion", Config{Method: engine.Multadd, Criterion: Criterion(2)}, "stopping criterion 2"},
+		{"negative criterion", Config{Method: engine.Multadd, Criterion: Criterion(-1)}, "stopping criterion -1"},
+		{"res mode", Config{Method: engine.Multadd, Res: ResMode(3)}, "residual mode 3"},
+		{"negative res mode", Config{Method: engine.AFACx, Res: ResMode(-1)}, "residual mode -1"},
+		{"write mode", Config{Method: engine.Multadd, Write: WriteMode(2)}, "write mode 2"},
+		{"write mode under Mult", Config{Method: engine.Mult, Write: WriteMode(7)}, "write mode 7"},
+	} {
+		cfg := tc.cfg
+		cfg.Threads, cfg.MaxCycles = 8, 10
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := Solve(ctx, s, b, cfg)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -78,6 +78,7 @@ func solveMult(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (
 		AvgCorrects: float64(cfg.MaxCycles),
 		Elapsed:     elapsed,
 	}
-	out.Diverged = vec.Diverged(out.X, out.RelRes)
+	out.Verdict = vec.Judge(out.X, out.RelRes, 0)
+	out.Diverged = out.Verdict == vec.Diverged
 	return out, nil
 }

@@ -43,7 +43,6 @@ import (
 const (
 	DefaultWatchdogTimeout = 100 * time.Millisecond
 	DefaultRetireAfter     = 6
-	DefaultDivergeFactor   = 1e8
 	// respawnAfter is the number of consecutive no-progress watchdog
 	// fires after which a stalled grid's worker is respawned (the
 	// recovery for a crashed worker).
@@ -107,12 +106,6 @@ type Config struct {
 	// MaxLead pacing bound) and stops waiting for its corrections, so the
 	// remaining grids converge without it. 0 selects DefaultRetireAfter.
 	RetireAfter int
-	// DivergeFactor triggers the divergence monitor when ‖r‖ exceeds
-	// DivergeFactor·‖b‖: the owner rolls x and r back to the best
-	// checkpoint seen and rebroadcasts, instead of letting the iterate
-	// blow up silently. 0 selects DefaultDivergeFactor; negative
-	// disables the monitor.
-	DivergeFactor float64
 
 	// Observer, when non-nil, receives per-grid relaxation/correction
 	// counts, correction staleness (corrections the owner applied between
@@ -140,9 +133,8 @@ type Result struct {
 	StaleDrops int
 	// Elapsed is the wall-clock solve time.
 	Elapsed time.Duration
-	// Diverged is set when the final iterate is non-finite or the final
-	// relative residual exceeds vec.DivergedRelRes (the paper's † marker).
-	Diverged bool
+	// Verdict is vec.Judge over X and RelRes with no tolerance.
+	Verdict vec.Verdict
 
 	// Drops, Duplicates and DelayedMsgs count messages the fault
 	// transport lost, duplicated, and reorder-delayed.
@@ -187,10 +179,6 @@ func actionable(counts []int, k, it, maxCorr, lead int) bool {
 	}
 	return true
 }
-
-// debugTrace, when non-nil, receives (applied, grid, ‖r‖) after every
-// applied correction. Test-only hook.
-var debugTrace func(applied, grid int, rnorm float64)
 
 // snapshot is an owner→worker message: the residual and the per-grid
 // applied-correction counts at the moment it was taken. Workers only read
@@ -254,10 +242,6 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 	retireAfter := cfg.RetireAfter
 	if retireAfter <= 0 {
 		retireAfter = DefaultRetireAfter
-	}
-	divergeFactor := cfg.DivergeFactor
-	if divergeFactor == 0 {
-		divergeFactor = DefaultDivergeFactor
 	}
 
 	tr := fault.New(cfg.Fault, l)
@@ -335,10 +319,6 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 	bestX := make([]float64, n)
 	bestR := append([]float64(nil), b...)
 	bestNorm := vec.Norm2(r)
-	divLimit := math.Inf(1)
-	if divergeFactor > 0 {
-		divLimit = divergeFactor * normB
-	}
 
 	o := cfg.Observer
 
@@ -438,11 +418,9 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 			// counts — discarded duplicates are not double-counted.
 			s.RecordCorrection(o, cfg.Method, c.grid, int64(applied-1-c.base))
 			o.ResidualSample(c.grid, rnorm/normB)
-			if debugTrace != nil {
-				debugTrace(applied, c.grid, rnorm)
-			}
-			if rnorm > divLimit || math.IsNaN(rnorm) {
-				// Divergence: roll back to the best checkpoint and force
+			if vec.Judge(nil, rnorm/normB, 0) == vec.Diverged {
+				// Divergence (the one verdict rule, on the residual the
+				// owner holds): roll back to the best checkpoint and force
 				// every grid to recompute from the restored residual.
 				copy(x, bestX)
 				copy(r, bestR)
@@ -540,6 +518,6 @@ func Solve(ctx context.Context, s *engine.Engine, b []float64, cfg Config) (*Res
 
 	res.X = x
 	res.RelRes = s.RelRes(b, x)
-	res.Diverged = vec.Diverged(x, res.RelRes)
+	res.Verdict = vec.Judge(x, res.RelRes, 0)
 	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/vec"
 )
 
 func buildSetup(t *testing.T, n int) *engine.Engine {
@@ -46,7 +47,7 @@ func TestDistributedMultaddConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged {
+	if res.Verdict == vec.Diverged {
 		t.Fatal("diverged")
 	}
 	if res.RelRes > 1e-5 {
@@ -72,8 +73,8 @@ func TestDistributedAFACxConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged || res.RelRes > 1e-4 {
-		t.Errorf("AFACx relres %g (diverged=%v)", res.RelRes, res.Diverged)
+	if res.Verdict == vec.Diverged || res.RelRes > 1e-4 {
+		t.Errorf("AFACx relres %g (verdict %v)", res.RelRes, res.Verdict)
 	}
 }
 
@@ -90,7 +91,7 @@ func TestLatencySlowsButConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged {
+	if res.Verdict == vec.Diverged {
 		t.Fatal("diverged under latency")
 	}
 	if res.RelRes > 1e-2 {
@@ -120,7 +121,7 @@ func TestBroadcastCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged || res.RelRes > 1e-2 {
+	if res.Verdict == vec.Diverged || res.RelRes > 1e-2 {
 		t.Errorf("relres %g with sparse broadcasts", res.RelRes)
 	}
 }
@@ -193,7 +194,7 @@ func TestMaxLeadOneIsNearLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged || res.RelRes > 1e-4 {
+	if res.Verdict == vec.Diverged || res.RelRes > 1e-4 {
 		t.Errorf("lockstep-ish run relres %g", res.RelRes)
 	}
 }

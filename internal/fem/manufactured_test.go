@@ -6,6 +6,7 @@ import (
 
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/op"
+	"asyncmg/internal/vec"
 )
 
 // TestManufacturedSolutionConvergence solves -Δu = f on the unit cube with
@@ -57,7 +58,7 @@ func TestManufacturedSolutionConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Converged {
+		if res.Verdict != vec.Converged {
 			t.Fatalf("n=%d: CG did not converge", n)
 		}
 		// Nodal max error against the exact solution.

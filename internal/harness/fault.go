@@ -14,6 +14,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // FaultConfig parameterizes the fault-injection sweep: one distributed
@@ -118,7 +119,7 @@ func FaultSweep(w io.Writer, cfg FaultConfig) error {
 			return fmt.Errorf("scenario %s: %w", sc.name, err)
 		}
 		relres := fmt.Sprintf("%12.3e", res.RelRes)
-		if res.Diverged {
+		if res.Verdict >= vec.Grew {
 			relres += "†"
 		}
 		retired := "-"

@@ -13,6 +13,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // paperEngine runs the paper's setup of src: amg.DefaultOptions (HMIS
@@ -65,7 +66,7 @@ func Fig1(w io.Writer, cfg Fig1Config) error {
 	for i, a := range cfg.Alphas {
 		cols[i] = modelColumn{fmt.Sprintf("alpha=%.1f", a), model.Config{Variant: model.SemiAsync, Alpha: a}}
 	}
-	return modelSweep(w, cfg, 7, cols)
+	return modelSweep(w, cfg.Problem, cfg.Sizes, cfg.Agg, cfg.Runs, cfg.Observer, cfg.Method, cfg.Updates, 7, cols)
 }
 
 // modelColumn is one column of a model figure: its header and the model
@@ -75,31 +76,31 @@ type modelColumn struct {
 	cfg  model.Config
 }
 
-// modelSweep prints the body of a model figure (Figures 1 and 2). Each
-// grid size is a row: the synchronous reference, each column's mean final
-// residual over c.Runs runs (run r seeded 1000·r + seed), then the metrics
-// columns, mean relaxations per model run and the median correction
-// staleness. c.Alphas is unused.
-func modelSweep(w io.Writer, c Fig1Config, seed int64, cols []modelColumn) error {
+// modelSweep prints the body of a model figure (Figures 1 and 2). Each of
+// prob's grid sizes is a row: the synchronous reference, each column's
+// mean final residual over runs runs of updates corrections (run r seeded
+// 1000·r + seed), then the metrics columns, mean relaxations per model run
+// and the median correction staleness, which o accumulates.
+func modelSweep(w io.Writer, prob string, sizes []int, agg, runs int, o *obs.Observer, method engine.Method, updates int, seed int64, cols []modelColumn) error {
 	fmt.Fprintf(w, "# metrics: relax/run = mean relaxations per model run; stale-p50 = median read delay in sweeps\n")
 	fmt.Fprintf(w, "%8s %12s", "n", "sync")
 	for _, col := range cols {
 		fmt.Fprintf(w, " %12s", col.name)
 	}
 	fmt.Fprintf(w, " %10s %9s\n", "relax/run", "stale-p50")
-	for _, n := range c.Sizes {
-		s, err := paperEngine(solve.Source{Problem: c.Problem, Size: n}, c.Agg, smoother.WJacobi)
+	for _, n := range sizes {
+		s, err := paperEngine(solve.Source{Problem: prob, Size: n}, agg, smoother.WJacobi)
 		if err != nil {
 			return err
 		}
 		b := grid.RandomRHS(s.LevelSize(0), 42)
 		row := obs.New(s.NumLevels())
-		fmt.Fprintf(w, "%8d %12.3e", n, relResAfter(s, c.Method, b, c.Updates))
+		fmt.Fprintf(w, "%8d %12.3e", n, relResAfter(s, method, b, updates))
 		for _, col := range cols {
 			var vals []float64
-			for run := 0; run < c.Runs; run++ {
+			for run := 0; run < runs; run++ {
 				mc := col.cfg
-				mc.Method, mc.Updates, mc.Seed, mc.Observer = c.Method, c.Updates, int64(1000*run)+seed, row
+				mc.Method, mc.Updates, mc.Seed, mc.Observer = method, updates, int64(1000*run)+seed, row
 				res, err := model.Run(s, b, mc)
 				if err != nil {
 					return err
@@ -113,9 +114,9 @@ func modelSweep(w io.Writer, c Fig1Config, seed int64, cols []modelColumn) error
 		for _, v := range snap.Relaxations {
 			relax += v
 		}
-		perRun := float64(relax) / float64(max(1, c.Runs*len(cols)))
+		perRun := float64(relax) / float64(max(1, runs*len(cols)))
 		fmt.Fprintf(w, " %10.1f %9d\n", perRun, snap.Staleness.Quantile(0.5))
-		c.Observer.Merge(row)
+		o.Merge(row)
 	}
 	return nil
 }
@@ -161,8 +162,7 @@ func Fig2(w io.Writer, cfg Fig2Config) error {
 	for i, d := range cfg.Deltas {
 		cols[i] = modelColumn{fmt.Sprintf("delta=%d", d), model.Config{Variant: cfg.Variant, Alpha: cfg.Alpha, Delta: d}}
 	}
-	return modelSweep(w, Fig1Config{Problem: cfg.Problem, Method: cfg.Method, Sizes: cfg.Sizes,
-		Updates: cfg.Updates, Runs: cfg.Runs, Agg: cfg.Agg, Observer: cfg.Observer}, 13, cols)
+	return modelSweep(w, cfg.Problem, cfg.Sizes, cfg.Agg, cfg.Runs, cfg.Observer, cfg.Method, cfg.Updates, 13, cols)
 }
 
 // Fig4Config parameterizes the grid-size-independence figure for the real
@@ -384,7 +384,7 @@ func Fig6(w io.Writer, cfg Fig6Config) error {
 		fmt.Fprintf(w, "%10d", th)
 		for _, m := range methods {
 			r := p.TimeToTol(s, m)
-			if r.Diverged {
+			if r.Verdict >= vec.Grew {
 				fmt.Fprintf(w, " %28s", "†")
 			} else {
 				fmt.Fprintf(w, " %28.4f", r.Seconds)

@@ -12,6 +12,7 @@ import (
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
 	"asyncmg/internal/sparse/sparsetest"
+	"asyncmg/internal/vec"
 )
 
 func TestBuildProblemAll(t *testing.T) {
@@ -77,8 +78,8 @@ func TestTimeToTolSyncMult(t *testing.T) {
 	}
 	p := smallProtocol()
 	r := p.TimeToTol(s, TableIMethods()[0])
-	if r.Diverged {
-		t.Fatal("sync Mult diverged")
+	if r.Verdict != vec.Converged {
+		t.Fatalf("sync Mult: %v", r.Verdict)
 	}
 	if r.Cycles <= 0 || r.Cycles%p.CycleStep != 0 {
 		t.Errorf("cycles = %d", r.Cycles)
@@ -101,10 +102,10 @@ func TestTimeToTolAsyncLocalBeatsGlobalInCycles(t *testing.T) {
 	ms := TableIMethods()
 	local := p.TimeToTol(s, ms[8])  // Multadd, lock-write, local-res
 	global := p.TimeToTol(s, ms[7]) // Multadd, lock-write, global-res
-	if local.Diverged {
+	if local.Verdict >= vec.Grew {
 		t.Fatal("local-res diverged")
 	}
-	if !global.Diverged && global.Cycles < local.Cycles {
+	if global.Verdict < vec.Grew && global.Cycles < local.Cycles {
 		t.Logf("note: global-res %d cycles < local-res %d on this run (scheduling-dependent)",
 			global.Cycles, local.Cycles)
 	}
@@ -128,8 +129,10 @@ func TestMeanRelResDecreasesWithCycles(t *testing.T) {
 }
 
 func TestFormatTT(t *testing.T) {
-	if !strings.Contains(FormatTT(TTResult{Diverged: true}), "†") {
-		t.Error("divergence marker missing")
+	for v, want := range map[vec.Verdict]string{vec.Diverged: "†", vec.Grew: "†", vec.Stalled: ">max"} {
+		if !strings.Contains(FormatTT(TTResult{Verdict: v}), want) {
+			t.Errorf("%v: marker %q missing", v, want)
+		}
 	}
 	s := FormatTT(TTResult{Seconds: 0.5, Corrects: 42, Cycles: 30})
 	if !strings.Contains(s, "0.5000") || !strings.Contains(s, "42") || !strings.Contains(s, "30") {

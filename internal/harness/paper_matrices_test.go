@@ -11,6 +11,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // paperMatrices are the four test sets at the size the recorded
@@ -134,9 +135,9 @@ func TestKrylovOnPaperMatrices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pcg: %v", tc.problem, err)
 		}
-		if cyc := itersTo(hist, tau); !res.Converged || res.Iterations > cyc {
-			t.Errorf("%s: pcg converged=%v in %d iterations, plain cycling needs %d",
-				tc.problem, res.Converged, res.Iterations, cyc)
+		if cyc := itersTo(hist, tau); res.Verdict != vec.Converged || res.Iterations > cyc {
+			t.Errorf("%s: pcg %v in %d iterations, plain cycling needs %d",
+				tc.problem, res.Verdict, res.Iterations, cyc)
 		}
 	}
 
@@ -159,7 +160,7 @@ func TestKrylovOnPaperMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Verdict != vec.Converged {
 		t.Errorf("conv-diff: fgmres at relres %g after %d iterations, want converged", res.RelRes, res.Iterations)
 	}
 }

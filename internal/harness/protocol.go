@@ -15,6 +15,7 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // Row is one labelled method of Table I or Figures 4-6: a mode-async plan
@@ -59,12 +60,9 @@ type TTResult struct {
 	Corrects float64
 	// Cycles is the first t_max that reached the tolerance.
 	Cycles int
-	// Diverged marks the paper's †: the iterates became non-finite or the
-	// residual grew without bound.
-	Diverged bool
-	// NotConverged is set when no cycle count within the sweep reached the
-	// tolerance but the method was not diverging (rendered as ">max").
-	NotConverged bool
+	// Verdict is Converged when a cycle count reached the tolerance,
+	// Stalled (">max") when none did, or a solve's Grew or Diverged (†).
+	Verdict vec.Verdict
 }
 
 // Protocol is the measurement procedure of Section V.
@@ -102,30 +100,29 @@ func (p Protocol) TimeToTol(s *engine.Engine, r Row) TTResult {
 	// Prescreen at the largest cycle count: if even CycleMax cycles do not
 	// reach the tolerance on the first right-hand side, no smaller count
 	// will, so report immediately instead of grinding through the whole
-	// ascending sweep. (Divergence is detected here too.)
-	res, err := p.solve(s, r, 0, async.Criterion2, p.CycleMax)
+	// ascending sweep. (A solve that grew or diverged is † here too.)
+	res := p.solve(s, r, 0, async.Criterion2, p.CycleMax)
 	switch {
-	case err != nil || blewUp(res):
-		return TTResult{Diverged: true}
-	case res.RelRes >= p.Tau*10:
+	case res.Verdict >= vec.Grew:
+		return TTResult{Verdict: res.Verdict}
+	case vec.Judge(nil, res.RelRes, p.Tau*10) == vec.Stalled:
 		// Not within an order of magnitude of the tolerance even at
 		// the full budget (asynchronous runs are noisy, so borderline
 		// cases still take the full sweep below).
-		return TTResult{NotConverged: true}
+		return TTResult{Verdict: vec.Stalled}
 	}
 	for cycles := p.CycleStep; cycles <= p.CycleMax; cycles += p.CycleStep {
 		var sumRes, sumTime, sumCorr float64
 		for run := 0; run < p.Runs; run++ {
-			res, err := p.solve(s, r, run, async.Criterion2, cycles)
-			if err != nil || blewUp(res) {
-				return TTResult{Diverged: true}
+			res := p.solve(s, r, run, async.Criterion2, cycles)
+			if res.Verdict >= vec.Grew {
+				return TTResult{Verdict: res.Verdict}
 			}
 			sumRes += res.RelRes
 			sumTime += res.Async.Elapsed.Seconds()
 			sumCorr += res.Async.AvgCorrects
 		}
-		meanRes := sumRes / float64(p.Runs)
-		if meanRes < p.Tau {
+		if vec.Judge(nil, sumRes/float64(p.Runs), p.Tau) == vec.Converged {
 			return TTResult{
 				Seconds:  sumTime / float64(p.Runs),
 				Corrects: sumCorr / float64(p.Runs),
@@ -133,17 +130,17 @@ func (p Protocol) TimeToTol(s *engine.Engine, r Row) TTResult {
 			}
 		}
 	}
-	return TTResult{NotConverged: true}
+	return TTResult{Verdict: vec.Stalled}
 }
 
 // MeanRelRes runs the method for a fixed cycle count and returns the mean
 // relative residual over p.Runs runs (the quantity plotted in Figures 4
-// and 5).
+// and 5), or true for the paper's † when a run grew or diverged.
 func (p Protocol) MeanRelRes(s *engine.Engine, r Row, cycles int) (float64, bool) {
 	var sum float64
 	for run := 0; run < p.Runs; run++ {
-		res, err := p.solve(s, r, run, async.Criterion1, cycles)
-		if err != nil || res.Diverged {
+		res := p.solve(s, r, run, async.Criterion1, cycles)
+		if res.Verdict >= vec.Grew {
 			return math.Inf(1), true
 		}
 		sum += res.RelRes
@@ -152,27 +149,27 @@ func (p Protocol) MeanRelRes(s *engine.Engine, r Row, cycles int) (float64, bool
 }
 
 // solve runs one protocol solve: the row's method for cycles cycles under
-// the stopping criterion, on the right-hand side of the given run.
-func (p Protocol) solve(s *engine.Engine, r Row, run int, crit async.Criterion, cycles int) (solve.Outcome, error) {
+// the stopping criterion, on the right-hand side of the given run. A solve
+// that fails to run is marked †, as Diverged.
+func (p Protocol) solve(s *engine.Engine, r Row, run int, crit async.Criterion, cycles int) solve.Outcome {
 	plan := r.Plan
 	plan.Cycles = cycles
 	plan.Async.Criterion, plan.Async.Threads = crit, p.Threads
-	return solve.Run(context.Background(), s, &plan, grid.RandomRHS(s.LevelSize(0), p.Seed0+int64(run)), p.Observer)
+	out, err := solve.Run(context.Background(), s, &plan, grid.RandomRHS(s.LevelSize(0), p.Seed0+int64(run)), p.Observer)
+	if err != nil {
+		out.Verdict = vec.Diverged
+	}
+	return out
 }
 
-// blewUp reports the paper's †: the iterates became non-finite or the
-// residual grew without bound.
-func blewUp(res solve.Outcome) bool {
-	return res.Diverged || math.IsNaN(res.RelRes) || math.IsInf(res.RelRes, 0) || res.RelRes > 1e6
-}
-
-// FormatTT renders a TTResult the way Table I does: † for divergence,
-// ">max" when the cycle budget ran out without convergence.
+// FormatTT renders a TTResult the way Table I does: † for a run that
+// grew or diverged, ">max" when the cycle budget ran out without
+// convergence.
 func FormatTT(r TTResult) string {
-	switch {
-	case r.Diverged:
+	switch r.Verdict {
+	case vec.Grew, vec.Diverged:
 		return fmt.Sprintf("%10s %8s %8s", "†", "†", "†")
-	case r.NotConverged:
+	case vec.Stalled:
 		return fmt.Sprintf("%10s %8s %8s", ">max", ">max", ">max")
 	}
 	return fmt.Sprintf("%10.4f %8.0f %8d", r.Seconds, r.Corrects, r.Cycles)

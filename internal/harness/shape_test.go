@@ -11,6 +11,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // These tests encode the paper's qualitative claims — the "shape" of each
@@ -145,7 +146,7 @@ func TestShapeTable1AFACxNeedsMoreCyclesThanMultadd(t *testing.T) {
 	p := Protocol{Tau: 1e-6, CycleStep: 10, CycleMax: 200, Runs: 2, Threads: 8, Seed0: 1}
 	ma := p.TimeToTol(s, row("", engine.Multadd, async.Config{Sync: true, Write: async.LockWrite}))
 	af := p.TimeToTol(s, row("", engine.AFACx, async.Config{Sync: true, Write: async.LockWrite}))
-	if ma.Diverged || ma.NotConverged || af.Diverged || af.NotConverged {
+	if ma.Verdict != vec.Converged || af.Verdict != vec.Converged {
 		t.Fatal("baseline did not converge")
 	}
 	if af.Cycles < ma.Cycles {

@@ -13,6 +13,7 @@ import (
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/vec"
 )
 
 // StalenessConfig parameterizes the staleness sweep: a grid of
@@ -213,9 +214,9 @@ func (cfg StalenessConfig) policies() []struct {
 // classify maps a finished solve to its stability outcome.
 func classify(res *async.Result, tol float64) string {
 	switch {
-	case res.RolledBack || res.Diverged:
+	case res.Verdict == vec.Diverged: // a fired rollback guard included
 		return OutcomeRolledBack
-	case res.RelRes > tol:
+	case vec.Judge(res.X, res.RelRes, tol) != vec.Converged:
 		return OutcomeStalled
 	case res.DampTightens > 0:
 		return OutcomeStabilised

@@ -20,7 +20,7 @@ func TestPlainCGSolvesSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Verdict != vec.Converged {
 		t.Fatalf("CG did not converge: relres %g after %d its", res.RelRes, res.Iterations)
 	}
 	// Verify against the true residual.
@@ -54,7 +54,7 @@ func TestCGZeroRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || vec.Norm2(res.X) != 0 {
+	if res.Verdict != vec.Converged || vec.Norm2(res.X) != 0 {
 		t.Error("zero RHS must give zero solution immediately")
 	}
 }
@@ -118,7 +118,7 @@ func TestBPXPreconditionedCGBeatsPlainCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pcg.Converged {
+	if pcg.Verdict != vec.Converged {
 		t.Fatalf("BPX-PCG did not converge: %g", pcg.RelRes)
 	}
 	if pcg.Iterations >= plain.Iterations {
@@ -142,7 +142,7 @@ func TestBPXPCGIterationsGridIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Converged {
+		if res.Verdict != vec.Converged {
 			t.Fatalf("n=%d did not converge", n)
 		}
 		iters = append(iters, res.Iterations)
@@ -166,8 +166,8 @@ func TestSymmetrizedMultaddPreconditioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Iterations > 30 {
-		t.Errorf("symmetrized-Multadd PCG: converged=%v in %d its", res.Converged, res.Iterations)
+	if res.Verdict != vec.Converged || res.Iterations > 30 {
+		t.Errorf("symmetrized-Multadd PCG: verdict %v in %d its", res.Verdict, res.Iterations)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestCGMaxIterNonConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged {
+	if res.Verdict == vec.Converged {
 		t.Error("claimed convergence in 3 iterations at 1e-9")
 	}
 	if res.Iterations != 3 {

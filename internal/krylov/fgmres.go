@@ -36,7 +36,7 @@ func FGMRESCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Re
 
 	nb := vec.Norm2(b)
 	if nb == 0 {
-		return Result{X: x, RelRes: 0, History: append(hist, 0), Converged: true}, nil
+		return Result{X: x, History: append(hist, 0), Verdict: vec.Judge(x, 0, opt.Tol)}, nil
 	}
 	hist = append(hist, 1)
 
@@ -135,15 +135,13 @@ func FGMRESCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Re
 		for i := 0; i < j; i++ {
 			vec.AxpyPar(y[i], x, zv[i])
 		}
+		// Restart from, or stop on, the true residual.
+		a.Residual(r, b, x)
 		if rel < opt.Tol {
 			break
 		}
-		// Restart from the true residual.
-		a.Residual(r, b, x)
 	}
-	res.RelRes = rel
-	res.Converged = rel < opt.Tol
-	opt.Observer.KrylovSolved("fgmres", res.Converged)
+	res.judge("fgmres", r, nb, &opt)
 	return res, nil
 }
 

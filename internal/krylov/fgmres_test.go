@@ -10,6 +10,7 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/vec"
 )
 
 // buildConvDiffSetup builds an AMG hierarchy on the non-symmetric upwind
@@ -38,7 +39,7 @@ func TestFGMRESSolvesSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Verdict != vec.Converged {
 		t.Fatalf("FGMRES did not converge: relres %g after %d its", res.RelRes, res.Iterations)
 	}
 	r := make([]float64, a.Rows)
@@ -70,7 +71,7 @@ func TestFGMRESNonSymmetricConvectionDiffusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Verdict != vec.Converged {
 		t.Fatalf("FGMRES did not converge on conv-diff: relres %g after %d its",
 			res.RelRes, res.Iterations)
 	}
@@ -102,7 +103,7 @@ func TestFGMRESRestartsStillConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Verdict != vec.Converged {
 		t.Fatalf("FGMRES(3) did not converge: relres %g after %d its", res.RelRes, res.Iterations)
 	}
 }
@@ -143,7 +144,7 @@ func TestFGMRESValidationAndZeroRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.RelRes != 0 {
+	if res.Verdict != vec.Converged || res.RelRes != 0 {
 		t.Error("zero RHS must converge immediately")
 	}
 }
@@ -169,7 +170,7 @@ func TestFGMRESMatrixFreePreconditioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Iterations > 25 {
-		t.Fatalf("matrix-free FGMRES: converged=%v in %d its", res.Converged, res.Iterations)
+	if res.Verdict != vec.Converged || res.Iterations > 25 {
+		t.Fatalf("matrix-free FGMRES: verdict %v in %d its", res.Verdict, res.Iterations)
 	}
 }

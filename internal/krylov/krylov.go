@@ -26,6 +26,7 @@ import (
 
 	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/vec"
 )
 
 // Preconditioner applies z = M⁻¹ r.
@@ -118,10 +119,12 @@ func DefaultOptions() Options { return Options{Tol: 1e-9, MaxIter: 1000} }
 type Result struct {
 	X          []float64
 	Iterations int
-	RelRes     float64
-	// History holds ‖r‖₂/‖b‖₂ per iteration (History[0] == 1).
-	History   []float64
-	Converged bool
+	// RelRes is the true ‖b − A X‖₂/‖b‖₂, computed at exit.
+	RelRes float64
+	// History holds the recurrence (PCG) or Arnoldi (FGMRES) residual
+	// estimate per iteration (History[0] == 1).
+	History []float64
+	Verdict vec.Verdict // vec.Judge over X, RelRes and Options.Tol
 }
 
 // ErrBreakdown is returned when PCG encounters a non-positive or

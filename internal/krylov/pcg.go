@@ -32,7 +32,7 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 
 	nb := vec.Norm2(b)
 	if nb == 0 {
-		return Result{X: x, RelRes: 0, History: append(hist, 0), Converged: true}, nil
+		return Result{X: x, History: append(hist, 0), Verdict: vec.Judge(x, 0, opt.Tol)}, nil
 	}
 	hist = append(hist, 1)
 
@@ -68,10 +68,7 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 		res.Iterations = it + 1
 		opt.Observer.IterationDone(rel)
 		if rel < opt.Tol {
-			res.RelRes = rel
-			res.Converged = true
-			opt.Observer.KrylovSolved("pcg", true)
-			return res, nil
+			break
 		}
 		m.Precondition(z, r)
 		rzNew := vec.Dot(r, z)
@@ -83,9 +80,17 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 		rz = rzNew
 		vec.XpayPar(beta, p, z)
 	}
-	res.RelRes = res.History[len(res.History)-1]
-	opt.Observer.KrylovSolved("pcg", false)
+	a.Residual(ap, b, x)
+	res.judge("pcg", ap, nb, &opt)
 	return res, nil
+}
+
+// judge sets RelRes from the true residual r = b − A·X the solver
+// computed at exit, and the Verdict on it.
+func (res *Result) judge(kind string, r []float64, nb float64, opt *Options) {
+	res.RelRes = vec.Norm2(r) / nb
+	res.Verdict = vec.Judge(res.X, res.RelRes, opt.Tol)
+	opt.Observer.KrylovSolved(kind, res.Verdict == vec.Converged)
 }
 
 // checkSystem validates the operator shape, right-hand side and options

@@ -161,9 +161,9 @@ func TestServeConcurrentPCGMatchesSolo(t *testing.T) {
 		if got[c].Batched != 1 {
 			t.Errorf("client %d: batched %d, want 1", c, got[c].Batched)
 		}
-		if got[c].Iterations != want.Iterations || got[c].Converged != want.Converged {
-			t.Errorf("client %d: served %d its (conv %v), library %d its (conv %v)",
-				c, got[c].Iterations, got[c].Converged, want.Iterations, want.Converged)
+		if got[c].Iterations != want.Iterations || got[c].Verdict != want.Verdict.String() || got[c].RelRes != want.RelRes {
+			t.Errorf("client %d: served %d its (%s, relres %v), library %d its (%v, relres %v)",
+				c, got[c].Iterations, got[c].Verdict, got[c].RelRes, want.Iterations, want.Verdict, want.RelRes)
 		}
 		if fmt.Sprint(got[c].History) != fmt.Sprint(want.History) {
 			t.Errorf("client %d: served history %v != library %v", c, got[c].History, want.History)

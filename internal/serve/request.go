@@ -94,11 +94,14 @@ type SolveResponse struct {
 	Mode    string `json:"mode"`
 	// Cycles is the number of V-cycles actually run.
 	Cycles int `json:"cycles"`
-	// Solver echoes the outer iteration that ran; Iterations and
-	// Converged report the Krylov solve (absent for plain cycling).
+	// Solver echoes the outer iteration that ran; Iterations reports the
+	// Krylov solve (absent for plain cycling).
 	Solver     string `json:"solver,omitempty"`
 	Iterations int    `json:"iterations,omitempty"`
-	Converged  bool   `json:"converged,omitempty"`
+	// Verdict is "converged", "stalled" or "grew" (a diverged solve
+	// answers 422); Converged is Verdict == "converged".
+	Verdict   string `json:"verdict"`
+	Converged bool   `json:"converged,omitempty"`
 	// RelRes is the final relative residual; History the per-cycle trace
 	// (sync mode).
 	RelRes  float64   `json:"relres"`
@@ -115,13 +118,13 @@ type SolveResponse struct {
 	// SolveNS the solve time.
 	SetupNS int64 `json:"setup_ns"`
 	SolveNS int64 `json:"solve_ns"`
-	// Diverged marks a solve whose iterate blew up.
+	// Diverged is Verdict == "diverged", which no 200 carries.
 	Diverged bool `json:"diverged,omitempty"`
 	// X is the solution vector, present only when the request set
 	// return_x.
 	X []float64 `json:"x,omitempty"`
 	// RolledBack marks an async solve whose iterate the rollback guard
-	// discarded (X is zero, RelRes 1).
+	// discarded. The guard's verdict is Diverged, so no 200 carries it.
 	RolledBack bool `json:"rolled_back,omitempty"`
 	// DampTightens / DampRelaxes count adaptive-damping controller
 	// events across the solve's grids; MinOmega is the smallest final

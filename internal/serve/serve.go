@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -371,15 +370,16 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, req Request, warm
 		Mode:           sp.Mode,
 		Cycles:         out.Cycles,
 		Iterations:     out.Iterations,
-		Converged:      out.Converged,
+		Verdict:        out.Verdict.String(),
+		Converged:      out.Verdict == vec.Converged,
 		RelRes:         out.RelRes,
 		History:        out.History,
 		Cache:          "miss",
 		HierarchyBytes: e.bytes,
 		Batched:        1,
 		SolveNS:        time.Since(start).Nanoseconds(),
-		Diverged:       out.Diverged,
-		RolledBack:     out.RolledBack,
+		Diverged:       out.Verdict == vec.Diverged,
+		RolledBack:     out.Async != nil && out.Async.RolledBack,
 	}
 	s.recordSolveNS(resp.SolveNS)
 	if hit {
@@ -398,10 +398,10 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, req Request, warm
 		resp.DampRelaxes = out.Async.DampRelaxes
 		resp.MinOmega = out.MinOmega()
 	}
-	// JSON has no NaN or Inf: a diverged solve is a well-formed request
-	// the iteration could not carry through, answered like a breakdown.
-	if math.IsNaN(resp.RelRes) || math.IsInf(resp.RelRes, 0) || vec.HasNonFinite(resp.History) || vec.HasNonFinite(resp.X) {
-		http.Error(w, "solve diverged: non-finite relres, history or x", http.StatusUnprocessableEntity)
+	// A diverged solve is a well-formed request the iteration could not
+	// carry through, answered like a breakdown (JSON has no NaN or Inf).
+	if resp.Diverged {
+		http.Error(w, "solve diverged: non-finite iterate or relres, or relres above 1e10", http.StatusUnprocessableEntity)
 		return
 	}
 	writeJSON(w, resp)

@@ -739,6 +739,32 @@ func TestServeFamiliesMatchLibrarySetup(t *testing.T) {
 	}
 }
 
+// TestServeVerdict: every 200 carries the solve's verdict, and a 422
+// answers exactly the Diverged one: a residual past 1e10 that is still
+// finite (ω = 2 Mult for 15 cycles) is refused like an overflowed one.
+func TestServeVerdict(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, tc := range []struct {
+		body    string
+		code    int
+		verdict string
+	}{
+		{`{"problem":"7pt","size":8,"method":"mult","cycles":10}`, http.StatusOK, "converged"},
+		{`{"problem":"7pt","size":8,"method":"mult","omega":2,"cycles":5}`, http.StatusOK, "grew"},
+		{`{"problem":"7pt","size":8,"solver":"pcg","tol":1e-8,"maxiter":1}`, http.StatusOK, "stalled"},
+		{`{"problem":"7pt","size":8,"method":"mult","omega":2,"cycles":15}`, http.StatusUnprocessableEntity, ""},
+	} {
+		out, code := postSolveBody(t, ts.URL, tc.body)
+		if code != tc.code {
+			t.Errorf("%s: status %d, want %d", tc.body, code, tc.code)
+			continue
+		}
+		if out != nil && (out.Verdict != tc.verdict || out.Converged != (tc.verdict == "converged") || out.Diverged) {
+			t.Errorf("%s: verdict %q converged %v diverged %v, want %q", tc.body, out.Verdict, out.Converged, out.Diverged, tc.verdict)
+		}
+	}
+}
+
 // TestServeNonFinite: what JSON cannot carry never reaches the encoder.
 // An upload with a NaN or Inf entry is refused before setup (400), like a
 // non-square one, and a solve that diverges to an infinite residual

@@ -23,13 +23,11 @@ type Outcome struct {
 	// Cycles is the number of cycles run: len(History)-1 for sync
 	// cycling, the plan's t_max for async and dist, 0 for Krylov.
 	Cycles int
-	// Iterations and Converged report a Krylov solve.
+	// Iterations reports a Krylov solve.
 	Iterations int
-	Converged  bool
-	Diverged   bool
-	// RolledBack marks an async solve whose iterate the rollback guard
-	// discarded.
-	RolledBack bool
+	// Verdict is the solver's vec.Judge over X and RelRes: Krylov
+	// against the plan's tolerance, the other modes with none.
+	Verdict vec.Verdict
 	// Async is the asynchronous runtime's full report (per-grid
 	// corrections, final damping factors); nil for the other modes.
 	Async *async.Result
@@ -63,7 +61,7 @@ func Run(ctx context.Context, e *engine.Engine, plan *Plan, b []float64, o *obs.
 			return out, err
 		}
 		out = Outcome{X: res.X, RelRes: res.RelRes, Cycles: plan.Cycles,
-			Diverged: res.Diverged, RolledBack: res.RolledBack, Async: res}
+			Verdict: res.Verdict, Async: res}
 	case plan.Mode == ModeDist:
 		res, err := distmem.Solve(ctx, e, b, distmem.Config{
 			Method:         plan.Method,
@@ -73,7 +71,7 @@ func Run(ctx context.Context, e *engine.Engine, plan *Plan, b []float64, o *obs.
 		if err != nil {
 			return out, err
 		}
-		out = Outcome{X: res.X, RelRes: res.RelRes, Cycles: plan.Cycles, Diverged: res.Diverged}
+		out = Outcome{X: res.X, RelRes: res.RelRes, Cycles: plan.Cycles, Verdict: res.Verdict}
 	case plan.Solver != SolverCycle:
 		opt := krylov.DefaultOptions()
 		opt.Tol, opt.MaxIter, opt.Restart = plan.Tol, plan.MaxIter, plan.Restart
@@ -91,19 +89,14 @@ func Run(ctx context.Context, e *engine.Engine, plan *Plan, b []float64, o *obs.
 		if err != nil {
 			return out, err
 		}
-		out = Outcome{X: res.X, History: res.History, Iterations: res.Iterations, Converged: res.Converged}
+		out = Outcome{X: res.X, RelRes: res.RelRes, History: res.History, Iterations: res.Iterations, Verdict: res.Verdict}
 	default:
 		x, hist, err := e.SolveCtx(ctx, plan.Method, b, plan.Cycles)
 		if err != nil {
 			return out, err
 		}
-		out = Outcome{X: x, History: hist, Cycles: len(hist) - 1}
-	}
-	if plan.Mode == ModeSync {
-		if n := len(out.History); n > 0 {
-			out.RelRes = out.History[n-1]
-		}
-		out.Diverged = vec.Diverged(out.X, out.RelRes)
+		out = Outcome{X: x, History: hist, Cycles: len(hist) - 1, RelRes: hist[len(hist)-1]}
+		out.Verdict = vec.Judge(x, out.RelRes, 0)
 	}
 	return out, nil
 }

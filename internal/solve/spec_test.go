@@ -14,6 +14,7 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/krylov"
 	"asyncmg/internal/smoother"
+	"asyncmg/internal/vec"
 )
 
 // TestQueryAndFlagsParseAlike: every knob that is both a query parameter
@@ -115,12 +116,12 @@ func TestRunDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.History, want.History) || out.Iterations != want.Iterations || !out.Converged || out.Cycles != 0 {
+	if !reflect.DeepEqual(out.History, want.History) || out.Iterations != want.Iterations || out.Verdict != vec.Converged || out.Cycles != 0 {
 		t.Errorf("pcg: %+v, want %d iterations", out, want.Iterations)
 	}
 
 	out = run(`{"problem":"7pt","size":6,"solver":"fgmres","method":"afacx","restart":5}`)
-	if !out.Converged || out.Iterations == 0 {
+	if out.Verdict != vec.Converged || out.Iterations == 0 {
 		t.Errorf("fgmres: %+v", out)
 	}
 

@@ -86,8 +86,7 @@ func Norm2(v []float64) float64 {
 	return maxAbs * math.Sqrt(s)
 }
 
-// HasNonFinite reports whether v contains a NaN or infinity. The solvers use
-// this to flag divergence (the † entries in the paper's Table I).
+// HasNonFinite reports whether v contains a NaN or infinity.
 func HasNonFinite(v []float64) bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -97,17 +96,38 @@ func HasNonFinite(v []float64) bool {
 	return false
 }
 
-// DivergedRelRes is the relative-residual threshold beyond which a solve is
-// reported as diverged even when the iterate is still finite: a residual
-// that has grown ten orders of magnitude is garbage whether or not it has
-// overflowed yet.
+// Verdict is how a solve ended, in rising severity; Grew and Diverged
+// are the paper's †.
+type Verdict int
+
+const (
+	Converged Verdict = iota
+	Stalled
+	Grew
+	Diverged
+)
+
+func (v Verdict) String() string { return [...]string{"converged", "stalled", "grew", "diverged"}[v] }
+
+// DivergedRelRes is the relative residual past which a finite iterate is
+// Diverged: a residual grown ten orders of magnitude is garbage.
 const DivergedRelRes = 1e10
 
-// Diverged reports whether a solve with final iterate x and relative
-// residual relres diverged (the paper's † marker): the iterate contains
-// non-finite values, the residual is non-finite, or the residual exceeds
-// DivergedRelRes.
-func Diverged(x []float64, relres float64) bool {
-	return HasNonFinite(x) || math.IsNaN(relres) || math.IsInf(relres, 0) ||
-		relres > DivergedRelRes
+// Judge is the one verdict rule, over a solve's final iterate x (nil when
+// only the residual is at hand) and the relative residual relres the
+// solver computed from it, checked in order: Diverged if x or relres is
+// non-finite or relres > DivergedRelRes; Grew if relres ≥ 1, no reduction
+// from x₀ = 0, where every solver starts; Stalled if tol > 0 and relres >
+// tol; Converged otherwise, which with no tolerance (a fixed t_max) means
+// the run ended below its start.
+func Judge(x []float64, relres, tol float64) Verdict {
+	switch {
+	case HasNonFinite(x) || math.IsNaN(relres) || math.IsInf(relres, 0) || relres > DivergedRelRes:
+		return Diverged
+	case relres >= 1:
+		return Grew
+	case tol > 0 && relres > tol:
+		return Stalled
+	}
+	return Converged
 }

@@ -196,10 +196,35 @@ func TestDiverged(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Diverged(tc.x, tc.relres); got != tc.want {
-				t.Errorf("Diverged(%v, %v) = %v, want %v", tc.x, tc.relres, got, tc.want)
+			if got := Judge(tc.x, tc.relres, 0) == Diverged; got != tc.want {
+				t.Errorf("Judge(%v, %v, 0) == Diverged is %v, want %v", tc.x, tc.relres, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestJudge walks the rule's order: a non-finite or huge residual is
+// Diverged before it is Grew, and Grew before a tolerance is consulted.
+func TestJudge(t *testing.T) {
+	for _, tc := range []struct {
+		x           []float64
+		relres, tol float64
+		want        Verdict
+	}{
+		{[]float64{1}, 1e-9, 1e-8, Converged},
+		{[]float64{1}, 1e-7, 1e-8, Stalled},
+		{[]float64{1}, 1e-8, 1e-8, Converged},
+		{[]float64{1}, 0.5, 0, Converged},
+		{[]float64{1}, 1, 1e-8, Grew},
+		{[]float64{1}, 1, 0, Grew},
+		{nil, 1e9, 0, Grew},
+		{nil, 2e10, 1e-8, Diverged},
+		{[]float64{math.NaN()}, 1e-12, 1e-8, Diverged},
+		{nil, math.NaN(), 0, Diverged},
+	} {
+		if got := Judge(tc.x, tc.relres, tc.tol); got != tc.want {
+			t.Errorf("Judge(%v, %g, %g) = %v, want %v", tc.x, tc.relres, tc.tol, got, tc.want)
+		}
 	}
 }
 
