@@ -2,7 +2,10 @@ package asyncmg_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -26,29 +29,35 @@ import (
 // smoother sweeps must reproduce the same arithmetic exactly. The CSR
 // entries were re-recorded when multipass interpolation became
 // pass-synchronous; the stencil entries have no multipass level.
+//
+// xhash pins each case's final iterate (iterateHash): the history is
+// measured through vec.Norm2, the iterate through no reduction at all, so
+// a change to how the norm sums moves want alone, and xhash shows the
+// cycle arithmetic stayed put.
 const multGoldenCycles = 10
 
 var multGoldens = []struct {
-	name string
+	name  string
+	xhash uint64
 	// build returns the engine the history is recorded on.
 	build func() (*engine.Engine, error)
 	want  []float64
 }{
-	{name: "7pt-n8/hybrid-jgs", build: blockEngine(grid.Laplacian7pt, smoother.HybridJGS),
+	{name: "7pt-n8/hybrid-jgs", xhash: 0xbbe4b005dae13f0b, build: blockEngine(grid.Laplacian7pt, smoother.HybridJGS),
 		want: []float64{1, 0.099212587076825232, 0.020086633072957018, 0.0050144755796973734, 0.0014473225895850139, 0.0004820123190526204, 0.000176566893320396, 6.7461471118081392e-05, 2.6173184774433233e-05, 1.0206830305204108e-05, 3.9869846549256966e-06}},
-	{name: "7pt-n8/async-gs", build: blockEngine(grid.Laplacian7pt, smoother.AsyncGS),
+	{name: "7pt-n8/async-gs", xhash: 0xbbe4b005dae13f0b, build: blockEngine(grid.Laplacian7pt, smoother.AsyncGS),
 		want: []float64{1, 0.099212587076825232, 0.020086633072957018, 0.0050144755796973734, 0.0014473225895850139, 0.0004820123190526204, 0.000176566893320396, 6.7461471118081392e-05, 2.6173184774433233e-05, 1.0206830305204108e-05, 3.9869846549256966e-06}},
-	{name: "7pt-n8/l1-hybrid-jgs", build: blockEngine(grid.Laplacian7pt, smoother.L1HybridJGS),
+	{name: "7pt-n8/l1-hybrid-jgs", xhash: 0x2ba0974994de8f23, build: blockEngine(grid.Laplacian7pt, smoother.L1HybridJGS),
 		want: []float64{1, 0.11088548356000952, 0.029941450294821828, 0.0095713865286129185, 0.003249420847942584, 0.0011621921119731391, 0.00044226413134360992, 0.0001797223592197198, 7.7195072627950077e-05, 3.4430552926750529e-05, 1.5694862262839034e-05}},
-	{name: "27pt-n8/hybrid-jgs", build: blockEngine(grid.Laplacian27pt, smoother.HybridJGS),
+	{name: "27pt-n8/hybrid-jgs", xhash: 0x2046e1ecde5a1467, build: blockEngine(grid.Laplacian27pt, smoother.HybridJGS),
 		want: []float64{1, 0.035423350934627784, 0.0088951446278497503, 0.00263064490640133, 0.00079703097138089532, 0.00024445644554737595, 7.5565034691910219e-05, 2.3458882797862726e-05, 7.2973279678680088e-06, 2.2714849366437668e-06, 7.0701305257106049e-07}},
-	{name: "27pt-n8/async-gs", build: blockEngine(grid.Laplacian27pt, smoother.AsyncGS),
+	{name: "27pt-n8/async-gs", xhash: 0x2046e1ecde5a1467, build: blockEngine(grid.Laplacian27pt, smoother.AsyncGS),
 		want: []float64{1, 0.035423350934627784, 0.0088951446278497503, 0.00263064490640133, 0.00079703097138089532, 0.00024445644554737595, 7.5565034691910219e-05, 2.3458882797862726e-05, 7.2973279678680088e-06, 2.2714849366437668e-06, 7.0701305257106049e-07}},
-	{name: "27pt-n8/l1-hybrid-jgs", build: blockEngine(grid.Laplacian27pt, smoother.L1HybridJGS),
+	{name: "27pt-n8/l1-hybrid-jgs", xhash: 0x8c2491455b04a426, build: blockEngine(grid.Laplacian27pt, smoother.L1HybridJGS),
 		want: []float64{1, 0.067641175816167881, 0.019156708771512435, 0.0077750570936059625, 0.0033374872972128876, 0.0014624861886888268, 0.0006491862014109907, 0.00029091381114190924, 0.00013130291455574683, 5.9583058474056809e-05, 2.714558447443489e-05}},
-	{name: "stencil7-n16/w-jacobi", build: stencilEngine(op.NewStencil7(16)),
+	{name: "stencil7-n16/w-jacobi", xhash: 0x96b029ebdb19a419, build: stencilEngine(op.NewStencil7(16)),
 		want: []float64{1, 0.15274188885798165, 0.053315143634936495, 0.022669056862498111, 0.010636585486391686, 0.0052988124778897815, 0.0027496883809454867, 0.0014697683327704186, 0.00080314605728736075, 0.0004462272498513597, 0.00025106950753395397}},
-	{name: "stencil27-n16/w-jacobi", build: stencilEngine(op.NewStencil27(16)),
+	{name: "stencil27-n16/w-jacobi", xhash: 0x8ce9beea371d8c19, build: stencilEngine(op.NewStencil27(16)),
 		want: []float64{1, 0.029741851392099488, 0.002711473811826222, 0.00028488490175607211, 3.2148089411100978e-05, 3.80286692813541e-06, 4.6502636131613399e-07, 5.8267381839244288e-08, 7.4363720109551964e-09, 9.6256472215903794e-10, 1.2596908259832461e-10}},
 }
 
@@ -81,6 +90,23 @@ func checkBitwise(t *testing.T, got, want []float64) {
 	}
 }
 
+// iterateHash folds the bit patterns of x into h.
+func iterateHash(h hash.Hash64, x []float64) {
+	var b [8]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+}
+
+// checkIterate fails unless h holds the pinned iterate hash.
+func checkIterate(t *testing.T, h hash.Hash64, want uint64) {
+	t.Helper()
+	if got := h.Sum64(); got != want {
+		t.Errorf("final iterate hash %#016x, want %#016x", got, want)
+	}
+}
+
 // TestMultGoldenBitwise pins the serial Engine.Solve(Mult) histories.
 func TestMultGoldenBitwise(t *testing.T) {
 	for _, g := range multGoldens {
@@ -92,16 +118,21 @@ func TestMultGoldenBitwise(t *testing.T) {
 			if s.NumLevels() < 2 {
 				t.Fatalf("%d levels: the golden needs a down-leg", s.NumLevels())
 			}
-			_, hist := s.Solve(engine.Mult, grid.RandomRHS(s.LevelSize(0), 5), multGoldenCycles)
+			x, hist := s.Solve(engine.Mult, grid.RandomRHS(s.LevelSize(0), 5), multGoldenCycles)
 			checkBitwise(t, hist, g.want)
+			h := fnv.New64a()
+			iterateHash(h, x)
+			checkIterate(t, h, g.xhash)
 		})
 	}
 }
 
 // TestTeamMultGoldenBitwise pins the team-synchronous Mult (async.Solve,
 // one thread, async-GS smoothing over the atomic overlay): the final
-// relative residual after each cycle count 1 … 10.
+// relative residual after each cycle count 1 … 10, and the ten final
+// iterates folded into one hash.
 func TestTeamMultGoldenBitwise(t *testing.T) {
+	const xhash = 0x8afe829ecbf2acb1
 	want := []float64{0.090937947318641257, 0.016897476373076908, 0.0037740872351878945, 0.00099163116706480771, 0.00031141454047682902, 0.00010447506007512029, 3.5757160180491663e-05, 1.2364813338790952e-05, 4.2963101655694071e-06, 1.4953815804931081e-06}
 	s, err := blockEngine(grid.Laplacian7pt, smoother.AsyncGS)()
 	if err != nil {
@@ -109,12 +140,15 @@ func TestTeamMultGoldenBitwise(t *testing.T) {
 	}
 	b := grid.RandomRHS(s.LevelSize(0), 5)
 	got := make([]float64, 0, multGoldenCycles)
+	h := fnv.New64a()
 	for cycles := 1; cycles <= multGoldenCycles; cycles++ {
 		res, err := async.Solve(context.Background(), s, b, async.Config{Method: engine.Mult, Threads: 1, MaxCycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, res.RelRes)
+		iterateHash(h, res.X)
 	}
 	checkBitwise(t, got, want)
+	checkIterate(t, h, xhash)
 }
