@@ -2,8 +2,8 @@
 // additive, AFACx), every entry point a choice of its parameters, each
 // written in Site steps. On the serial site every step is one sharded
 // operator or interpolant call, bitwise-identical to its serial form, so
-// residual histories do not depend on the worker count. Solve keeps the
-// serial Norm2 for bit-stable histories.
+// residual histories do not depend on the worker count. Solve's norm is
+// vec.Norm2, whose block-ordered sum is the same at any worker count.
 package engine
 
 import (
@@ -206,8 +206,8 @@ func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64, zero bo
 // final iterate together with the relative residual 2-norm history
 // (‖r‖₂/‖b‖₂ after each cycle, hist[0] being 1 before any cycle). Solve
 // stops early if the iterate becomes non-finite (divergence). The history
-// uses the serial Norm2, so it is bit-stable regardless of the parallel
-// kernel configuration.
+// uses vec.Norm2, whose block-ordered sum is bit-stable regardless of the
+// parallel kernel configuration.
 func (s *Engine) Solve(m Method, b []float64, tmax int) (x []float64, hist []float64) {
 	x, hist, _ = s.SolveCtx(context.Background(), m, b, tmax)
 	return x, hist

@@ -351,8 +351,8 @@ func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 
 // RelRes returns the true relative residual ‖b − A x‖₂/‖b‖₂ of an iterate
 // on the fine level (‖b‖₂ = 0 divides by 1), through the fine operator's
-// Residual and the serial Norm2, so it does not depend on the worker
-// count.
+// Residual and the block-ordered vec.Norm2, so it does not depend on the
+// worker count.
 func (s *Engine) RelRes(b, x []float64) float64 {
 	r := make([]float64, len(b))
 	s.Ops[0].Residual(r, b, x)

@@ -13,8 +13,9 @@
 //
 // Determinism and allocation contract: elementwise vector updates run on
 // the sharded kernels (bitwise-identical to serial at any worker count)
-// while the scalar reductions use the serial vec.Dot/vec.Norm2, so
-// residual histories are bit-stable across worker counts. All iteration
+// and every reduction is vec's block-ordered one (vec.Block), sharded yet
+// independent of the worker count, so residual histories are bit-stable
+// across worker counts. All iteration
 // scratch cycles through a package pool; reusing Options.X and
 // Options.History makes repeated same-size solves allocation-free
 // (AllocsPerRun-enforced).

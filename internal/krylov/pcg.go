@@ -44,9 +44,10 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 	copy(r, b)
 	m.Precondition(z, r)
 	copy(p, z)
-	// Elementwise updates run on the sharded kernels (bitwise-identical
-	// to serial); the reductions use the serial Dot/Norm2 so histories
-	// are bit-stable across worker counts.
+	// Three sharded passes per iteration besides the preconditioner:
+	// Ap = A·p with p·Ap, the x/r update with ‖r‖, and r·z with the
+	// p update. Their reductions are block-ordered (vec.Block), so
+	// histories are bit-stable across worker counts.
 	rz := vec.Dot(r, z)
 	res := Result{X: x, History: hist}
 	for it := 0; it < opt.MaxIter; it++ {
@@ -54,16 +55,13 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 			res.RelRes = res.History[len(res.History)-1]
 			return res, err
 		}
-		a.Apply(ap, p)
-		pap := vec.Dot(p, ap)
+		pap := vec.ApplyDot(a.NNZEquivalent(), a, ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
 			opt.Observer.KrylovBreakdown()
 			return Result{}, ErrBreakdown
 		}
 		alpha := rz / pap
-		vec.AxpyPar(alpha, x, p)
-		vec.AxpyPar(-alpha, r, ap)
-		rel := vec.Norm2(r) / nb
+		rel := vec.CGUpdate(alpha, x, r, p, ap) / nb
 		res.History = append(res.History, rel)
 		res.Iterations = it + 1
 		opt.Observer.IterationDone(rel)

@@ -1,6 +1,7 @@
 // Package par provides the persistent goroutine worker pool behind the
 // repository's parallel compute kernels (sparse SpMV/residual, vec
-// axpy/dot/norm, the smoothed-interpolant kernels).
+// axpy/dot/norm and the fused Krylov passes, the smoothed-interpolant
+// kernels).
 //
 // The pool is built for steady-state hot loops: dispatching a kernel
 // performs no heap allocation (workers are parked on per-worker channels
@@ -11,9 +12,10 @@
 // Kernels are sharded over a contiguous index space [0, n): worker i
 // receives the half-open range [i*n/w, (i+1)*n/w). Row-independent kernels
 // (SpMV, residual, axpy) therefore produce bitwise-identical results
-// regardless of the worker count; only reductions (dot, norm) combine
-// shard partials in shard order, which can differ from the serial sum at
-// rounding level.
+// regardless of the worker count. The reductions of package vec shard an
+// index space of fixed-size row blocks and write one partial per block,
+// which the caller adds in block order, so they too are independent of
+// the worker count.
 package par
 
 import (
@@ -128,13 +130,17 @@ func ShardRange(n, workers, shard int) (lo, hi int) {
 // Pool observability counters (package-level, covering every pool; the
 // asyncmg deployments run one shared pool, so per-pool attribution is not
 // worth per-pool state). All are plain atomics — recording costs one
-// atomic add on a path that amortizes over a whole sharded kernel.
+// atomic add on a path that amortizes over a whole sharded kernel. Every
+// dispatch writes them, so 64 bytes of padding on each side keep them off
+// the cache lines of whatever package data the linker places beside them.
 var stats struct {
+	_          [64]byte
 	dispatches atomic.Int64 // kernels sharded across workers
 	serial     atomic.Int64 // kernels kept serial (below threshold or 1 worker)
 	inflight   atomic.Int64 // Run callers currently queued or running
 	maxDepth   atomic.Int64 // high-water mark of inflight
 	busyNS     atomic.Int64 // wall time spent inside parallel dispatches
+	_          [64]byte
 }
 
 // Stats is a point-in-time copy of the pool counters.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // fillKernel writes shard-invariant values so results can be checked.
@@ -118,5 +119,14 @@ func TestNilPoolRunsSerially(t *testing.T) {
 	p.Run(10, k)
 	if k.out[9] != 19 {
 		t.Fatal("nil pool did not run kernel")
+	}
+}
+
+// TestStatsPadded pins the padding around the pool counters: no other
+// variable can share a cache line with them.
+func TestStatsPadded(t *testing.T) {
+	first, last := unsafe.Offsetof(stats.dispatches), unsafe.Offsetof(stats.busyNS)+unsafe.Sizeof(stats.busyNS)
+	if first < 64 || unsafe.Sizeof(stats)-last < 64 {
+		t.Errorf("counters at bytes [%d, %d) of %d, want 64 bytes of padding on each side", first, last, unsafe.Sizeof(stats))
 	}
 }

@@ -37,7 +37,7 @@ func runBody(t *testing.T, body string, opt amg.Options, poison bool) (Outcome, 
 
 // TestReportedRelResIsTrueResidual: every solver reports as RelRes the
 // residual the engine computes from the iterate it returns, b − A·X
-// through the fine operator's Residual and the serial Norm2 over ‖b‖, to
+// through the fine operator's Residual and the block-ordered Norm2 over ‖b‖, to
 // the last bit. The Krylov solvers compute it at exit; their histories
 // stay the recurrence (PCG) and the Arnoldi estimate (FGMRES).
 func TestReportedRelResIsTrueResidual(t *testing.T) {

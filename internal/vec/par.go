@@ -5,8 +5,9 @@
 // through sync.Pools, keeping the steady state allocation-free.
 //
 // The sharded updates are elementwise-independent and bitwise-identical
-// to the serial kernels. There are no sharded reductions: Dot and Norm2
-// stay serial, so residual histories are bit-stable at any worker count.
+// to the serial kernels. The reductions (reduce.go) shard fixed blocks of
+// rows and add the block partials in block order, so they too give the
+// same bits at any worker count.
 package vec
 
 import (

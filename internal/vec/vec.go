@@ -50,42 +50,6 @@ func Scale(alpha float64, v []float64) {
 	}
 }
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	s := 0.0
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow for the
-// magnitudes that arise when a divergent solver is detected.
-func Norm2(v []float64) float64 {
-	// Two-pass scaled norm: cheap and robust.
-	maxAbs := 0.0
-	for _, x := range v {
-		if math.IsNaN(x) {
-			return math.Inf(1)
-		}
-		if a := math.Abs(x); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return 0
-	}
-	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		return math.Inf(1)
-	}
-	s := 0.0
-	for _, x := range v {
-		t := x / maxAbs
-		s += t * t
-	}
-	return maxAbs * math.Sqrt(s)
-}
-
 // HasNonFinite reports whether v contains a NaN or infinity.
 func HasNonFinite(v []float64) bool {
 	for _, x := range v {
