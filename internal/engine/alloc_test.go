@@ -133,6 +133,26 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRelResZeroAllocs: with an idle workspace in the pool, RelRes forms
+// its residual in the workspace's level-0 slot and allocates nothing.
+func TestRelResZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design; per-call alloc counts do not hold")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := allocTestEngine(t)
+	b := grid.RandomRHS(s.LevelSize(0), 3)
+	x, _ := s.Solve(Multadd, b, 2)
+	// AllocsPerRun runs on one P, and a pool's per-P slot is not stolen
+	// from another P: release the idle workspace inside the measured call.
+	if a := testing.AllocsPerRun(5, func() {
+		s.ReleaseWorkspace(s.AcquireWorkspace())
+		s.RelRes(b, x)
+	}); a != 0 {
+		t.Errorf("RelRes with a warm workspace pool: %v allocations, want 0", a)
+	}
+}
+
 // TestNewLevelSmootherMatchesFresh checks that level smoothers built
 // through the engine match a smoother built afresh on the level's matrix
 // exactly.

@@ -19,26 +19,45 @@ import (
 
 // Cycle runs one V-cycle of the chosen method, updating x in place.
 func (s *Engine) Cycle(m Method, x, b []float64, w *Workspace) {
-	s.cycle(m, x, b, w, false, false)
+	s.cycle(m, x, b, w, fromIterate, false)
 }
 
+// start is how a cycle finds the fine residual w.r[0] the bodies start
+// from: formed as b − A x from the iterate, already there (the solve
+// loop's history residual), or, from x = 0, b itself standing in level
+// 0's residual slot while x stands in its correction slot (b − A·0 and
+// 0 + e₀ up to the sign of a zero).
+type start int
+
+const (
+	fromIterate start = iota
+	fromResidual
+	fromZero
+)
+
 // cycle is the one serial method dispatch, and the one place a serial
-// cycle is reported to the engine's observer. zero says x is the zero
-// vector on entry: the fine residual b − A·0 is then b itself and the
-// corrected iterate 0 + e₀ is e₀, so the cycle copies b in and e₀ out
-// instead of computing either (only the sign of a zero entry can differ).
-// symmetrized selects Multadd's symmetrized smoother; the other methods
-// ignore it.
-func (s *Engine) cycle(m Method, x, b []float64, w *Workspace, zero, symmetrized bool) {
+// cycle is reported to the engine's observer. From zero, the workspace's
+// own level-0 slots are put back when the cycle returns (no body writes a
+// residual slot, so b is only read). symmetrized selects Multadd's
+// symmetrized smoother; the other methods ignore it.
+func (s *Engine) cycle(m Method, x, b []float64, w *Workspace, st start, symmetrized bool) {
+	switch st {
+	case fromIterate:
+		s.Ops[0].Residual(w.r[0], b, x)
+	case fromZero:
+		defer func(r0, e0 []float64) { w.r[0], w.e[0] = r0, e0 }(w.r[0], w.e[0])
+		w.r[0], w.e[0] = b, x
+	}
+	zero := st == fromZero
 	switch m {
 	case Mult:
-		s.multCycle(serialSite{s}, x, b, w, zero)
+		s.multCycle(serialSite{s}, x, w, zero)
 	case Multadd:
-		s.additiveCycle(x, b, w, s.SItp, symmetrized, 1, zero)
+		s.additiveCycle(x, w, s.SItp, symmetrized, 1, zero)
 	case AFACx:
-		s.afacxCycle(x, b, w, 1, zero)
+		s.afacxCycle(x, w, 1, zero)
 	case BPX:
-		s.additiveCycle(x, b, w, s.Itp, false, 1, zero)
+		s.additiveCycle(x, w, s.Itp, false, 1, zero)
 	default:
 		panic(fmt.Sprintf("mg: unknown method %d", m))
 	}
@@ -76,16 +95,16 @@ func (s *Engine) RecordCycle(o *obs.Observer, m Method, symmetrized bool) {
 // workspace; every site must span the whole hierarchy. It reports nothing
 // to any observer (see RecordCycle).
 func (s *Engine) MultCycle(site Site, x, b []float64, w *Workspace) {
-	s.multCycle(site, x, b, w, false)
+	site.Residual(0, w.r[0], b, x)
+	s.multCycle(site, x, w, false)
 }
 
 // multCycle performs one classical multiplicative V(1,1)-cycle
-// (Algorithm 1): pre-smooth and restrict down the hierarchy, exact-solve on
-// the coarsest grid, prolong and post-smooth back up, then correct x. The
-// zero-guess form copies whole vectors, so only the serial site takes it.
-func (s *Engine) multCycle(site Site, x, b []float64, w *Workspace, zero bool) {
+// (Algorithm 1) from the fine residual in w.r[0]: pre-smooth and restrict
+// down the hierarchy, exact-solve on the coarsest grid, prolong and
+// post-smooth back up, then correct x (from zero, x holds e₀ already).
+func (s *Engine) multCycle(site Site, x []float64, w *Workspace, zero bool) {
 	l := s.NumLevels()
-	fineResidual(site, w, x, b, zero)
 	// Downward sweep: e_k = Λ_k r_k (one pre-smoothing sweep from a zero
 	// guess), then r_{k+1} = Pᵀ (r_k − A_k e_k).
 	for k := 0; k < l-1; k++ {
@@ -103,22 +122,11 @@ func (s *Engine) multCycle(site Site, x, b []float64, w *Workspace, zero bool) {
 	correct(site, x, w.e[0], zero)
 }
 
-// fineResidual forms w.r[0] = b − A x, which from a zero x is b.
-func fineResidual(site Site, w *Workspace, x, b []float64, zero bool) {
-	if zero {
-		copy(w.r[0], b)
-		return
-	}
-	site.Residual(0, w.r[0], b, x)
-}
-
-// correct adds the fine correction e into x, which from a zero x is e.
+// correct adds the fine correction e into x; from zero, x is e.
 func correct(site Site, x, e []float64, zero bool) {
-	if zero {
-		copy(x, e)
-		return
+	if !zero {
+		site.Add(0, x, e)
 	}
-	site.Add(0, x, e)
 }
 
 // ---- the additive family ----
@@ -138,10 +146,10 @@ func correct(site Site, x, e []float64, zero bool) {
 // reference for the asynchronous damped path — and the restricted
 // residuals cascade down once while prolongSum sums the corrections
 // coarsest-first, L−1 interpolant applies in all.
-func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64, zero bool) {
+func (s *Engine) additiveCycle(x []float64, w *Workspace, chain []op.Interp, symmetrized bool, omega float64, zero bool) {
 	site := serialSite{s}
 	l := s.NumLevels()
-	s.restrictCascade(site, w, chain, x, b, zero)
+	s.restrictCascade(site, w, chain)
 	for k := 0; k < l; k++ {
 		// Grid k's correction at its own level.
 		switch {
@@ -156,10 +164,9 @@ func (s *Engine) additiveCycle(x, b []float64, w *Workspace, chain []op.Interp, 
 	s.prolongSum(site, x, w, chain, omega, zero)
 }
 
-// restrictCascade forms the fine residual w.r[0] = b − A x and restricts it
-// once down the chain into w.r[1:].
-func (s *Engine) restrictCascade(site Site, w *Workspace, chain []op.Interp, x, b []float64, zero bool) {
-	fineResidual(site, w, x, b, zero)
+// restrictCascade restricts the fine residual w.r[0] once down the chain
+// into w.r[1:].
+func (s *Engine) restrictCascade(site Site, w *Workspace, chain []op.Interp) {
 	for k, t := range chain {
 		site.Restrict(t, k+1, w.r[k+1], w.r[k])
 	}
@@ -189,10 +196,10 @@ func (s *Engine) prolongSum(site Site, x []float64, w *Workspace, chain []op.Int
 // modified right-hand side stays undamped, matching the asynchronous
 // Correction). It shares the additive body's restriction cascade and
 // prolongSum, which sums the ẽ_k left in w.e.
-func (s *Engine) afacxCycle(x, b []float64, w *Workspace, omega float64, zero bool) {
+func (s *Engine) afacxCycle(x []float64, w *Workspace, omega float64, zero bool) {
 	site := serialSite{s}
 	l := s.NumLevels()
-	s.restrictCascade(site, w, s.Itp, x, b, zero)
+	s.restrictCascade(site, w, s.Itp)
 	for k := 0; k < l-1; k++ {
 		s.afacxCorrection(site, k, w.e[k], w.r[k], w.r[k+1], w.tmp[k+1], w.tmp[k])
 	}
@@ -219,7 +226,7 @@ func (s *Engine) Solve(m Method, b []float64, tmax int) (x []float64, hist []flo
 // error. The iterate and history are bitwise-identical to Solve's for the
 // cycles that did run.
 func (s *Engine) SolveCtx(ctx context.Context, m Method, b []float64, tmax int) (x []float64, hist []float64, err error) {
-	return s.solve(ctx, b, tmax, func(x []float64, w *Workspace) { s.Cycle(m, x, b, w) })
+	return s.solve(ctx, b, tmax, func(x []float64, w *Workspace) { s.cycle(m, x, b, w, fromResidual, false) })
 }
 
 // SolveDamped runs tmax uniformly damped additive V-cycles of method m
@@ -235,9 +242,9 @@ func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x 
 	}
 	x, hist, _ = s.solve(context.Background(), b, tmax, func(x []float64, w *Workspace) {
 		if m == Multadd {
-			s.additiveCycle(x, b, w, s.SItp, false, omega, false)
+			s.additiveCycle(x, w, s.SItp, false, omega, false)
 		} else {
-			s.afacxCycle(x, b, w, omega, false)
+			s.afacxCycle(x, w, omega, false)
 		}
 		s.RecordCycle(s.obs, m, false)
 	})
@@ -245,26 +252,26 @@ func (s *Engine) SolveDamped(m Method, b []float64, tmax int, omega float64) (x 
 }
 
 // solve is the one cycling loop: from x = 0, up to tmax calls of cycle,
-// each followed by a residual-history sample.
+// each starting from the fine residual in the workspace's level-0 slot (b −
+// A·0 first) and followed by a history sample whose residual is formed there.
 func (s *Engine) solve(ctx context.Context, b []float64, tmax int, cycle func(x []float64, w *Workspace)) (x []float64, hist []float64, err error) {
-	n := s.LevelSize(0)
-	x = make([]float64, n)
+	x = make([]float64, s.LevelSize(0))
 	w := s.AcquireWorkspace()
 	defer s.ReleaseWorkspace(w)
-	r := make([]float64, n)
 	nb := vec.Norm2(b)
 	if nb == 0 {
 		nb = 1
 	}
 	hist = make([]float64, 1, tmax+1)
 	hist[0] = 1
+	s.Ops[0].Residual(w.r[0], b, x)
 	for t := 0; t < tmax; t++ {
 		if err := ctx.Err(); err != nil {
 			return x, hist, err
 		}
 		cycle(x, w)
-		s.Ops[0].Residual(r, b, x)
-		rel := vec.Norm2(r) / nb
+		s.Ops[0].Residual(w.r[0], b, x)
+		rel := vec.Norm2(w.r[0]) / nb
 		hist = append(hist, rel)
 		s.obs.CycleDone(rel)
 		if vec.HasNonFinite(x) {
@@ -276,16 +283,17 @@ func (s *Engine) solve(ctx context.Context, b []float64, tmax int, cycle func(x 
 
 // PreconditionCycle applies one cycle of method m from a zero initial
 // guess: z = B r, the multigrid-preconditioner application of the Krylov
-// subsystem, in the cycle's zero-guess form: r itself is restricted (no
-// r − A·0) and the fine correction is written into z (z is not zeroed
-// first, nor added to), with the entries of zeroing z and running Cycle
-// up to the sign of a zero. symmetrized selects the symmetrized smoother
-// M̄_k⁻¹ for Multadd and is ignored by the other methods. For symmetric
-// A with diagonal smoothers, Mult (the symmetric V(1,1)-cycle), BPX, and
-// the plain and symmetrized additive Multadd all yield a symmetric
-// positive definite B, as PCG requires; AFACx does not.
+// subsystem, in the cycle's zero-guess form: r is level 0's residual (no
+// r − A·0) and z its correction (z is not zeroed first, nor added to, and
+// nothing is copied in or out), with the entries of zeroing z and running
+// Cycle up to the sign of a zero. z and r must not alias. symmetrized
+// selects the symmetrized smoother M̄_k⁻¹ for Multadd and is ignored by
+// the other methods. For symmetric A with diagonal smoothers, Mult (the
+// symmetric V(1,1)-cycle), BPX, and the plain and symmetrized additive
+// Multadd all yield a symmetric positive definite B, as PCG requires;
+// AFACx does not.
 func (s *Engine) PreconditionCycle(m Method, symmetrized bool, z, r []float64, w *Workspace) {
-	s.cycle(m, z, r, w, true, symmetrized)
+	s.cycle(m, z, r, w, fromZero, symmetrized)
 }
 
 // ConvergenceFactor estimates the asymptotic convergence factor ρ of one

@@ -414,6 +414,18 @@ func decompositionEngines(t *testing.T) []namedEngine {
 	return cases
 }
 
+// dampedCycle runs one damped additive cycle of m (Multadd or AFACx) from
+// the iterate x: it forms the fine residual the bodies start from, which
+// SolveDamped's loop forms for them.
+func dampedCycle(s *Engine, m Method, x, b []float64, w *Workspace, omega float64) {
+	s.Ops[0].Residual(w.r[0], b, x)
+	if m == Multadd {
+		s.additiveCycle(x, w, s.SItp, false, omega, false)
+	} else {
+		s.afacxCycle(x, w, omega, false)
+	}
+}
+
 // checkDecomposition asserts that one (damped) cycle of method m from x0
 // equals x0 plus the sum of the per-grid corrections GridCorrection
 // evaluates on the same fine residual: GridCorrection is exactly the
@@ -429,11 +441,7 @@ func checkDecomposition(t *testing.T, m Method, seed int64) {
 
 				xCycle := append([]float64(nil), x0...)
 				w := s.NewWorkspace()
-				if m == Multadd {
-					s.additiveCycle(xCycle, b, w, s.SItp, false, omega, false)
-				} else {
-					s.afacxCycle(xCycle, b, w, omega, false)
-				}
+				dampedCycle(s, m, xCycle, b, w, omega)
 
 				rfine := make([]float64, n)
 				s.Ops[0].Residual(rfine, b, x0)
@@ -549,7 +557,8 @@ func TestConvergenceFactorMatchesObservedRate(t *testing.T) {
 
 // TestSolveCtxCancel checks the ctx plumbing of the synchronous solve
 // loop: an expired context stops the solve at a cycle boundary with the
-// context's error, and a live one reproduces Solve bit for bit.
+// context's error, a live one reproduces Solve bit for bit, and the
+// workspace a cancelled solve releases serves a Cycle like a fresh one.
 func TestSolveCtxCancel(t *testing.T) {
 	a := grid.Laplacian7pt(6)
 	s, err := New(a, amg.DefaultOptions(), smoother.DefaultConfig())
@@ -581,4 +590,37 @@ func TestSolveCtxCancel(t *testing.T) {
 	if len(hist) != 1 {
 		t.Fatalf("cancelled SolveCtx ran %d cycles, want 0", len(hist)-1)
 	}
+
+	// Cancelled after three cycles, the solve releases a workspace whose
+	// level-0 residual is its last history residual. A Cycle that then
+	// reuses it computes its own: no "residual present" state leaks.
+	_, hist, err = s.SolveCtx(&cancelAfter{context.Background(), 3}, Mult, b, 6)
+	if err != context.Canceled || len(hist) != 4 {
+		t.Fatalf("SolveCtx cancelled after 3 cycles: error %v, %d cycles", err, len(hist)-1)
+	}
+	x0 := grid.RandomRHS(a.Rows, 4)
+	want := append([]float64(nil), x0...)
+	s.Cycle(Mult, want, b, s.NewWorkspace())
+	w := s.AcquireWorkspace()
+	defer s.ReleaseWorkspace(w)
+	s.Cycle(Mult, x0, b, w)
+	for i := range want {
+		if x0[i] != want[i] {
+			t.Fatalf("Cycle in a workspace a cancelled solve released: x[%d] = %v, fresh workspace %v", i, x0[i], want[i])
+		}
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled after n checks.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
 }

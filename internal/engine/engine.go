@@ -352,9 +352,16 @@ func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 // RelRes returns the true relative residual ‖b − A x‖₂/‖b‖₂ of an iterate
 // on the fine level (‖b‖₂ = 0 divides by 1), through the fine operator's
 // Residual and the block-ordered vec.Norm2, so it does not depend on the
-// worker count.
+// worker count. The residual goes into an idle pooled workspace's level-0
+// slot; a cold pool costs one n-vector, not a whole workspace.
 func (s *Engine) RelRes(b, x []float64) float64 {
-	r := make([]float64, len(b))
+	var r []float64
+	if w, _ := s.wsPool.Get().(*Workspace); w != nil {
+		defer s.wsPool.Put(w)
+		r = w.r[0]
+	} else {
+		r = make([]float64, len(b))
+	}
 	s.Ops[0].Residual(r, b, x)
 	nb := vec.Norm2(b)
 	if nb == 0 {

@@ -48,7 +48,7 @@ func TestMultaddSymmetrizedEqualsMultiplicative(t *testing.T) {
 
 				xAdd := append([]float64(nil), x0...)
 				wAdd := s.NewWorkspace()
-				s.additiveCycle(xAdd, b, wAdd, s.SItp, true, 1, false)
+				s.cycle(Multadd, xAdd, b, wAdd, fromIterate, true)
 
 				maxDiff, scale := 0.0, 0.0
 				for i := range xMult {
@@ -87,7 +87,7 @@ func TestMultaddSymmetrizedManyCycles(t *testing.T) {
 	r := make([]float64, n)
 	for cyc := 0; cyc < 15; cyc++ {
 		s.Cycle(Mult, xMult, b, wMult)
-		s.additiveCycle(xAdd, b, wAdd, s.SItp, true, 1, false)
+		s.cycle(Multadd, xAdd, b, wAdd, fromIterate, true)
 		a.Residual(r, b, xMult)
 		rm := vec.Norm2(r)
 		a.Residual(r, b, xAdd)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -75,11 +76,11 @@ func TestCyclesApplyEachInterpolantOnce(t *testing.T) {
 				apply, applyAdd int
 			}{
 				{"multadd", func(x []float64) { s.Cycle(Multadd, x, b, w) }, 0, l - 1},
-				{"multadd-symmetrized", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, true, 1, false) }, 0, l - 1},
+				{"multadd-symmetrized", func(x []float64) { s.cycle(Multadd, x, b, w, fromIterate, true) }, 0, l - 1},
 				{"bpx", func(x []float64) { s.Cycle(BPX, x, b, w) }, 0, l - 1},
-				{"multadd-damped", func(x []float64) { s.additiveCycle(x, b, w, s.SItp, false, 0.8, false) }, 0, l - 1},
+				{"multadd-damped", func(x []float64) { dampedCycle(s, Multadd, x, b, w, 0.8) }, 0, l - 1},
 				{"afacx", func(x []float64) { s.Cycle(AFACx, x, b, w) }, l - 1, l - 1},
-				{"afacx-damped", func(x []float64) { s.afacxCycle(x, b, w, 0.8, false) }, l - 1, l - 1},
+				{"afacx-damped", func(x []float64) { dampedCycle(s, AFACx, x, b, w, 0.8) }, l - 1, l - 1},
 			} {
 				*c = interpCounts{}
 				cyc.run(make([]float64, n))
@@ -125,7 +126,7 @@ func (co countingOp) ResidualRange(r, b, x []float64, lo, hi int) {
 // included.
 func preconditionOracle(s *Engine, m Method, symmetrized bool, z, r []float64, w *Workspace) {
 	vec.Zero(z)
-	s.cycle(m, z, r, w, false, symmetrized)
+	s.cycle(m, z, r, w, fromIterate, symmetrized)
 }
 
 // preconditionEngines are the storage forms a preconditioner runs on, each
@@ -147,10 +148,14 @@ func preconditionEngines(t *testing.T) []namedEngine {
 	}
 }
 
+// sentinel marks workspace entries a cycle must not touch.
+const sentinel = -1.25e300
+
 // TestPreconditionCycleSkipsFineResidual pins the zero-guess form of every
 // preconditioner cycle: it equals the oracle (zero z, then the solver's
 // cycle) entry for entry with ==, makes exactly one fewer fine-level
-// Residual call than the oracle, and applies the interpolants as often.
+// Residual call than the oracle, applies the interpolants as often, and
+// leaves the workspace's level-0 residual and correction untouched.
 func TestPreconditionCycleSkipsFineResidual(t *testing.T) {
 	for _, tc := range preconditionEngines(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,7 +194,19 @@ func TestPreconditionCycleSkipsFineResidual(t *testing.T) {
 
 				got := grid.RandomRHS(n, 55)
 				residuals, *c = 0, interpCounts{}
+				// Level 0's own residual and correction slots hold a
+				// sentinel: r and z stand in for them, so neither is
+				// copied into or out of the workspace.
+				for i := range w.r[0] {
+					w.r[0][i], w.e[0][i] = sentinel, sentinel
+				}
 				s.PreconditionCycle(f.m, f.symmetrized, got, r, w)
+				for i := range w.r[0] {
+					if w.r[0][i] != sentinel || w.e[0][i] != sentinel {
+						t.Fatalf("%s: workspace level 0 r[%d] = %v, e[%d] = %v, want the sentinel untouched",
+							f.name, i, w.r[0][i], i, w.e[0][i])
+					}
+				}
 
 				for i := range got {
 					if got[i] != want[i] {
@@ -203,6 +220,97 @@ func TestPreconditionCycleSkipsFineResidual(t *testing.T) {
 				if c.apply != f.apply || c.applyAdd != f.applyAdd || *c != oracleItp {
 					t.Errorf("%s: %d Apply + %d ApplyAdd (oracle %d + %d), want %d + %d",
 						f.name, c.apply, c.applyAdd, oracleItp.apply, oracleItp.applyAdd, f.apply, f.applyAdd)
+				}
+			}
+		})
+	}
+}
+
+// solveOracle is the cycling loop written the long way: every cycle
+// computes its own fine residual b − A x, and the history sample computes
+// it again into a vector of its own.
+func solveOracle(s *Engine, b []float64, tmax int, cycle func(x []float64, w *Workspace)) (x, hist []float64) {
+	x, r := make([]float64, len(b)), make([]float64, len(b))
+	w := s.NewWorkspace()
+	nb := vec.Norm2(b)
+	hist = []float64{1}
+	for t := 0; t < tmax; t++ {
+		cycle(x, w)
+		s.Ops[0].Residual(r, b, x)
+		hist = append(hist, vec.Norm2(r)/nb)
+		if vec.HasNonFinite(x) {
+			break
+		}
+	}
+	return x, hist
+}
+
+// TestSolveComputesOneFineResidualPerCycle pins the cycling loop's one
+// fine residual per cycle: Solve, SolveCtx and SolveDamped start every
+// cycle from the residual the loop formed before it (b − A·0, then each
+// history residual), so they equal the oracle (each cycle computing its
+// own) in history and iterate with ==, and make tmax − 1 fewer
+// fine-level Residual calls. RelRes of the final iterate is the last
+// history entry.
+func TestSolveComputesOneFineResidualPerCycle(t *testing.T) {
+	const tmax, omega = 6, 0.8
+	for _, tc := range []namedEngine{
+		{"csr-7pt", setup7pt(t, 16, smoother.DefaultConfig())},
+		{"stencil7-f32-coarse", setupStencil7F32(t, 32)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			residuals := 0
+			s.Ops[0] = countingOp{s.Ops[0], &residuals}
+			b := grid.RandomRHS(s.LevelSize(0), 61)
+			type run struct {
+				name  string
+				solve func() (x, hist []float64)
+				cycle func(x []float64, w *Workspace)
+			}
+			var runs []run
+			for _, m := range []Method{Mult, Multadd, AFACx, BPX} {
+				cycle := func(x []float64, w *Workspace) { s.Cycle(m, x, b, w) }
+				runs = append(runs,
+					run{"Solve/" + m.String(), func() ([]float64, []float64) { return s.Solve(m, b, tmax) }, cycle},
+					run{"SolveCtx/" + m.String(), func() ([]float64, []float64) {
+						x, hist, err := s.SolveCtx(context.Background(), m, b, tmax)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return x, hist
+					}, cycle})
+			}
+			runs = append(runs,
+				run{"SolveDamped/Multadd", func() ([]float64, []float64) { return s.SolveDamped(Multadd, b, tmax, omega) },
+					func(x []float64, w *Workspace) { dampedCycle(s, Multadd, x, b, w, omega) }},
+				run{"SolveDamped/AFACx", func() ([]float64, []float64) { return s.SolveDamped(AFACx, b, tmax, omega) },
+					func(x []float64, w *Workspace) { dampedCycle(s, AFACx, x, b, w, omega) }})
+			for _, r := range runs {
+				residuals = 0
+				wantX, wantHist := solveOracle(s, b, tmax, r.cycle)
+				oracle := residuals
+				residuals = 0
+				x, hist := r.solve()
+				if len(hist) != tmax+1 || len(wantHist) != tmax+1 {
+					t.Fatalf("%s: %d history entries (oracle %d), want %d", r.name, len(hist), len(wantHist), tmax+1)
+				}
+				for i := range wantHist {
+					if hist[i] != wantHist[i] {
+						t.Fatalf("%s: hist[%d] = %v, oracle %v", r.name, i, hist[i], wantHist[i])
+					}
+				}
+				for i := range wantX {
+					if x[i] != wantX[i] {
+						t.Fatalf("%s: x[%d] = %v, oracle %v", r.name, i, x[i], wantX[i])
+					}
+				}
+				if residuals != oracle-(tmax-1) {
+					t.Errorf("%s: %d fine-level Residual calls, want %d (oracle %d − %d)",
+						r.name, residuals, oracle-(tmax-1), oracle, tmax-1)
+				}
+				if got := s.RelRes(b, x); got != hist[tmax] {
+					t.Errorf("%s: RelRes = %v, last history entry %v", r.name, got, hist[tmax])
 				}
 			}
 		})

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -401,10 +402,27 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, req Request, warm
 	// A diverged solve is a well-formed request the iteration could not
 	// carry through, answered like a breakdown (JSON has no NaN or Inf).
 	if resp.Diverged {
-		http.Error(w, "solve diverged: non-finite iterate or relres, or relres above 1e10", http.StatusUnprocessableEntity)
+		http.Error(w, divergedText(resp, out.X, sp.Async.Damping.Mode != async.DampOff), http.StatusUnprocessableEntity)
 		return
 	}
 	writeJSON(w, resp)
+}
+
+// divergedText is the 422 body of a Diverged solve: the vec.Judge rule
+// that fired, or the rollback guard's discard, and for a damped solve the
+// damping telemetry its JSON fields would have carried.
+func divergedText(resp SolveResponse, x []float64, damped bool) string {
+	why := fmt.Sprintf("relres %g above %g", resp.RelRes, vec.DivergedRelRes)
+	switch {
+	case resp.RolledBack:
+		why = "rolled back to the initial guess"
+	case vec.HasNonFinite(x) || math.IsNaN(resp.RelRes) || math.IsInf(resp.RelRes, 0):
+		why = "non-finite iterate or relres"
+	}
+	if damped {
+		why += fmt.Sprintf(" (damp_tightens %d, min_omega %g)", resp.DampTightens, resp.MinOmega)
+	}
+	return "solve diverged: " + why
 }
 
 // fail maps solve errors to HTTP statuses: deadline → 504, client gone →

@@ -763,6 +763,25 @@ func TestServeVerdict(t *testing.T) {
 			t.Errorf("%s: verdict %q converged %v diverged %v, want %q", tc.body, out.Verdict, out.Converged, out.Diverged, tc.verdict)
 		}
 	}
+
+	// A 422's text names the rule that fired, and for a damped solve the
+	// damping telemetry its JSON fields would have carried.
+	for _, tc := range []struct{ body, want string }{
+		{`{"problem":"7pt","size":8,"method":"mult","omega":2,"cycles":3000}`,
+			"solve diverged: non-finite iterate or relres\n"},
+		{`{"problem":"7pt","size":8,"mode":"async","threads":2,"method":"multadd","omega":2,"cycles":200,"damping":"fixed","damp_omega":0.9,"damp_rollback":true}`,
+			"solve diverged: rolled back to the initial guess (damp_tightens 0, min_omega 0.9)\n"},
+	} {
+		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || string(msg) != tc.want {
+			t.Errorf("%s: status %d %q, want 422 %q", tc.body, resp.StatusCode, msg, tc.want)
+		}
+	}
 }
 
 // TestServeNonFinite: what JSON cannot carry never reaches the encoder.
