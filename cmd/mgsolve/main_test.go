@@ -118,6 +118,26 @@ func TestSparsifyKnobFlagsAreGone(t *testing.T) {
 	}
 }
 
+// TestSparsifyDropsOnCIFlagLines: the two -sparsify solves CI greps for
+// "sparsify: [1-9]" drop coarse nonzeros, on the assembled 27pt n=16
+// hierarchy and on the algebraic tail of the matrix-free 7pt n=34 one:
+// the guard finds its candidates among the uint32 CSR levels.
+func TestSparsifyDropsOnCIFlagLines(t *testing.T) {
+	for _, args := range []string{
+		"-problem 27pt -size 16 -method mult -sparsify",
+		"-problem 7pt -size 34 -matrix-free -sparsify -method mult -cycles 5",
+	} {
+		c, plan := mustParse(t, strings.Fields(args)...)
+		e, err := build(c, plan)
+		if err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		if st := e.Setup; st == nil || st.DroppedNNZ() == 0 {
+			t.Errorf("%s: no coarse nonzero dropped", args)
+		}
+	}
+}
+
 // TestTableIRowsAreFlagLines: a paper method name means one thing in the
 // harness and on the command line. Every asynchronous Table I row is the
 // plan of its mgsolve flag line; the team-synchronous rows (goroutine

@@ -740,3 +740,13 @@ func (s *Strength) NNZ() int {
 	}
 	return n
 }
+
+// TestBuildRefusesUint32Overflow: the setup stores every level with uint32
+// indices, so a fine matrix with 2³² rows is refused before anything is
+// converted (its arrays are nil; only the counts are checked).
+func TestBuildRefusesUint32Overflow(t *testing.T) {
+	a := &sparse.CSR{Rows: 1 << 32, Cols: 1 << 32}
+	if _, _, err := BuildWithStats(a, DefaultOptions()); err == nil {
+		t.Fatal("BuildWithStats accepted a 2³²-row matrix")
+	}
+}

@@ -26,8 +26,8 @@ func BuildInterpolationFunc(a *sparse.CSR, s *Strength, types []PointType, typ I
 func DirectInterpolation(a *sparse.CSR, s *Strength, types []PointType, fun []int) *sparse.CSR {
 	cidx, nc := coarseIndex(types)
 	strong, rowCap := strongMask(a, s, types)
-	st := newStagedRows(nc, rowCap)
-	par.Run(a.NNZ(), a.Rows, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: make([]bool, a.Rows)})
+	st := newStagedRows[int](nc, rowCap)
+	par.Run(a.NNZ(), a.Rows, &directInterpKernel[int]{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: make([]bool, a.Rows)})
 	return st.toCSR(0)
 }
 
@@ -35,7 +35,7 @@ func DirectInterpolation(a *sparse.CSR, s *Strength, types []PointType, fun []in
 // documents; p itself is left as it is.
 func TruncateInterp(p *sparse.CSR, maxPerRow int) *sparse.CSR {
 	cols, vals := slices.Clone(p.ColIdx), slices.Clone(p.Vals)
-	st := &stagedRows{nc: p.Cols, cols: make([][]int, p.Rows), vals: make([][]float64, p.Rows)}
+	st := &stagedRows[int]{nc: p.Cols, cols: make([][]int, p.Rows), vals: make([][]float64, p.Rows)}
 	for i := range st.cols {
 		st.cols[i] = cols[p.RowPtr[i]:p.RowPtr[i+1]]
 		st.vals[i] = vals[p.RowPtr[i]:p.RowPtr[i+1]]
@@ -43,12 +43,13 @@ func TruncateInterp(p *sparse.CSR, maxPerRow int) *sparse.CSR {
 	return st.toCSR(maxPerRow)
 }
 
-// levelCSR returns the float64 matrices behind a level BuildWithStats
-// made: A, and P and Pᵀ (nil on the coarsest level).
+// levelCSR returns the float64/uint32 matrices behind a level
+// BuildWithStats made, widened to int: A, and P and Pᵀ (nil on the
+// coarsest level).
 func levelCSR(lev Level) (a, p, pt *sparse.CSR) {
-	a = op.AsCSR(lev.Op)
-	if t, ok := lev.Itp.(*op.CSRInterp[float64, int]); ok {
-		p, pt = t.P, t.PT
+	a = sparse.Convert[float64, int](op.AsCSR(lev.Op))
+	if t, ok := lev.Itp.(*op.CSRInterp[float64, uint32]); ok {
+		p, pt = sparse.Convert[float64, int](t.P), sparse.Convert[float64, int](t.PT)
 	}
 	return a, p, pt
 }

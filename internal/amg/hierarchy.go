@@ -31,8 +31,8 @@ type Options struct {
 	NumFunctions int
 	// CoarsePrecision selects the storage precision of coarse-level
 	// operators and interpolants in the solver's hierarchy view
-	// (op.Float64 keeps everything in float64 CSR; op.CoarseFloat32
-	// re-stores levels k >= 1 and all interpolants in float32 with
+	// (op.Float64 keeps everything in float64/uint32 CSR; op.CoarseFloat32
+	// re-stores levels k >= 1 and all interpolants in float32/uint32 with
 	// float64 accumulation). The setup itself always runs in float64;
 	// the engine performs the conversion.
 	CoarsePrecision op.Precision
@@ -74,11 +74,11 @@ const (
 // interpolant the cycles run, one view each, and on an algebraic level the
 // product A_k·P_k the engine forms Multadd's smoothed interpolant from.
 type Level struct {
-	// Op is the level's operator A_k: op.FromCSR of the float64 Galerkin
-	// product on an algebraic level, the class stencil on a geometric
-	// level and on the first level below them. Once an engine built by New
-	// or NewOperator owns the hierarchy, it is that engine's view (a
-	// float32 store on the coarse levels of a CoarseFloat32 hierarchy).
+	// Op is the level's operator A_k: op.FromCSR of the float64/uint32
+	// Galerkin product on an algebraic level, the class stencil on a
+	// geometric level and on the first level below them. Once an engine
+	// built by New or NewOperator owns the hierarchy, it is that engine's
+	// view (a float32 store on the coarse levels of a CoarseFloat32 one).
 	Op op.Operator
 	// Itp interpolates from the next coarser level to this one:
 	// op.InterpFromCSR(P, Pᵀ) on an algebraic level, the class-table
@@ -94,7 +94,7 @@ type Level struct {
 	// level's operator, so where sparsification keeps a twin, AP is
 	// twin·P_k. Nil on geometric levels, on the coarsest, and once an
 	// engine built by New or NewOperator owns the hierarchy.
-	AP *sparse.CSR
+	AP *sparse.Matrix[float64, uint32]
 }
 
 // Hierarchy is the output of the AMG setup: level 0 is the finest grid.
@@ -172,7 +172,7 @@ const maxCoarseLU = 4096
 
 // BuildWithStats runs the AMG setup phase on the fine-grid matrix a and
 // returns its per-stage breakdown, feeding the setup observability tables
-// and benchmarks.
+// and benchmarks. It runs on a uint32 copy of a, the levels' index width.
 func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("amg: matrix must be square, got %dx%d", a.Rows, a.Cols)
@@ -180,10 +180,13 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	if opt.MaxLevels < 1 {
 		return nil, nil, fmt.Errorf("amg: MaxLevels must be >= 1, got %d", opt.MaxLevels)
 	}
+	if err := sparse.Fits[uint32](a.Rows, a.NNZ()); err != nil {
+		return nil, nil, fmt.Errorf("amg: %w", err)
+	}
 	st := &SetupStats{}
 	start := time.Now()
 	h := &Hierarchy{Precision: opt.CoarsePrecision}
-	cur := a
+	cur := sparse.Convert[float64, uint32](a)
 	// Function map for the unknown approach (nil for scalar problems).
 	var fun []int
 	if opt.NumFunctions > 1 {
@@ -287,8 +290,8 @@ const geomStopRows = 4096
 // the A·P of its Galerkin product: the CSR the algebraic setup reads is
 // materialized here and dropped when the setup returns.
 func BuildOperatorWithStats(a op.Operator, opt Options) (*Hierarchy, *SetupStats, error) {
-	if m := op.AsCSR(a); m != nil {
-		return BuildWithStats(m, opt)
+	if m, ok := a.(*op.CSR[float64, int]); ok {
+		return BuildWithStats(m.M, opt)
 	}
 	fine, ok := a.(*op.Stencil)
 	if !ok {

@@ -53,15 +53,15 @@ func coarseIndex(types []PointType) (idx []int, nc int) {
 // untruncated composed entries multipass staged (0 for the other schemes).
 // C rows are identity rows; a non-nil fun restricts the multipass row sums
 // to same-function couplings (the unknown approach).
-func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, fun []int, maxPerRow int) (*sparse.CSR, int) {
+func interpolate[I sparse.Index](a *sparse.Matrix[float64, I], s *Strength, types []PointType, typ InterpType, fun []int, maxPerRow int) (*sparse.Matrix[float64, I], int) {
 	cidx, nc := coarseIndex(types)
 	strong, rowCap := strongMask(a, s, types)
-	st := newStagedRows(nc, rowCap)
+	st := newStagedRows[I](nc, rowCap)
 	staged := 0
 	if typ == Multipass {
 		staged = multipassInterp(a, strong, types, cidx, fun, st)
 	} else {
-		par.Run(a.NNZ(), a.Rows, &classicalInterpKernel{a: a, strong: strong, types: types, cidx: cidx, st: st})
+		par.Run(a.NNZ(), a.Rows, &classicalInterpKernel[I]{a: a, strong: strong, types: types, cidx: cidx, st: st})
 	}
 	return st.toCSR(maxPerRow), staged
 }
@@ -72,12 +72,12 @@ func interpolate(a *sparse.CSR, s *Strength, types []PointType, typ InterpType, 
 // one two-pointer walk per row finds them all. rowCap[i] bounds the row of
 // P built from the strong C neighbours of row i: one entry per neighbour,
 // or one for a C point.
-func strongMask(a *sparse.CSR, s *Strength, types []PointType) (mask []bool, rowCap []int) {
+func strongMask[I sparse.Index](a *sparse.Matrix[float64, I], s *Strength, types []PointType) (mask []bool, rowCap []int) {
 	mask, rowCap = make([]bool, a.NNZ()), make([]int, a.Rows)
 	for i, sr := range s.Rows {
 		z := 0
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1] && z < len(sr); q++ {
-			if a.ColIdx[q] == sr[z] {
+			if int(a.ColIdx[q]) == sr[z] {
 				mask[q] = true
 				if types[sr[z]] == CPoint {
 					rowCap[i]++
@@ -96,23 +96,23 @@ func strongMask(a *sparse.CSR, s *Strength, types []PointType) (mask []bool, row
 // sized CSR. Row i is the pair cols[i], vals[i], a window into a flat arena
 // (newStagedRows) or, for a composed multipass row, into multipassInterp's
 // arena.
-type stagedRows struct {
+type stagedRows[I sparse.Index] struct {
 	nc   int
-	cols [][]int
+	cols [][]I
 	vals [][]float64
 }
 
 // newStagedRows gives row i an empty window of capacity rowCap[i] in one
 // flat arena; put fills the windows, each row its own, so sharded kernels
 // never meet.
-func newStagedRows(nc int, rowCap []int) *stagedRows {
+func newStagedRows[I sparse.Index](nc int, rowCap []int) *stagedRows[I] {
 	n := len(rowCap)
 	total := 0
 	for _, c := range rowCap {
 		total += c
 	}
-	st := &stagedRows{nc: nc, cols: make([][]int, n), vals: make([][]float64, n)}
-	cols, vals := make([]int, total), make([]float64, total)
+	st := &stagedRows[I]{nc: nc, cols: make([][]I, n), vals: make([][]float64, n)}
+	cols, vals := make([]I, total), make([]float64, total)
 	lo := 0
 	for i, c := range rowCap {
 		st.cols[i] = cols[lo : lo : lo+c]
@@ -123,8 +123,8 @@ func newStagedRows(nc int, rowCap []int) *stagedRows {
 }
 
 // put appends one entry to row i, within the window newStagedRows gave it.
-func (st *stagedRows) put(i, col int, val float64) {
-	st.cols[i] = append(st.cols[i], col)
+func (st *stagedRows[I]) put(i, col int, val float64) {
+	st.cols[i] = append(st.cols[i], I(col))
 	st.vals[i] = append(st.vals[i], val)
 }
 
@@ -133,7 +133,7 @@ func (st *stagedRows) put(i, col int, val float64) {
 // asks for it. Rows are independent, so both sweeps shard over
 // the kernel pool, and the result is bitwise-identical to serial for any
 // worker count.
-func (st *stagedRows) toCSR(maxPerRow int) *sparse.CSR {
+func (st *stagedRows[I]) toCSR(maxPerRow int) *sparse.Matrix[float64, I] {
 	n := len(st.cols)
 	if maxPerRow > 0 {
 		entries := 0
@@ -141,25 +141,25 @@ func (st *stagedRows) toCSR(maxPerRow int) *sparse.CSR {
 			entries += len(c)
 		}
 		// truncateRow reads each entry twice, then once per selection pass.
-		par.Run(entries*(2+maxPerRow), n, &truncateKernel{st: st, maxPerRow: maxPerRow})
+		par.Run(entries*(2+maxPerRow), n, &truncateKernel[I]{st: st, maxPerRow: maxPerRow})
 	}
-	p := &sparse.CSR{Rows: n, Cols: st.nc, RowPtr: make([]int, n+1)}
+	p := &sparse.Matrix[float64, I]{Rows: n, Cols: st.nc, RowPtr: make([]I, n+1)}
 	for i, c := range st.cols {
-		p.RowPtr[i+1] = p.RowPtr[i] + len(c)
+		p.RowPtr[i+1] = p.RowPtr[i] + I(len(c))
 	}
-	p.ColIdx = make([]int, p.RowPtr[n])
+	p.ColIdx = make([]I, p.RowPtr[n])
 	p.Vals = make([]float64, p.RowPtr[n])
-	par.Run(p.RowPtr[n], n, &packKernel{st: st, p: p})
+	par.Run(len(p.Vals), n, &packKernel[I]{st: st, p: p})
 	return p
 }
 
 // packKernel copies staged rows to their places in the CSR.
-type packKernel struct {
-	st *stagedRows
-	p  *sparse.CSR
+type packKernel[I sparse.Index] struct {
+	st *stagedRows[I]
+	p  *sparse.Matrix[float64, I]
 }
 
-func (k *packKernel) Do(_, lo, hi int) {
+func (k *packKernel[I]) Do(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		copy(k.p.ColIdx[k.p.RowPtr[i]:], k.st.cols[i])
 		copy(k.p.Vals[k.p.RowPtr[i]:], k.st.vals[i])
@@ -167,12 +167,12 @@ func (k *packKernel) Do(_, lo, hi int) {
 }
 
 // truncateKernel truncates staged rows in place.
-type truncateKernel struct {
-	st        *stagedRows
+type truncateKernel[I sparse.Index] struct {
+	st        *stagedRows[I]
 	maxPerRow int
 }
 
-func (k *truncateKernel) Do(_, lo, hi int) {
+func (k *truncateKernel[I]) Do(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		cols, vals := k.st.cols[i], k.st.vals[i]
 		keep := truncateRow(cols, vals, k.maxPerRow)
@@ -184,7 +184,7 @@ func (k *truncateKernel) Do(_, lo, hi int) {
 // place: keep the maxPerRow largest magnitudes (<= 0: all), rescale them
 // to the old row sum, and return how many were kept, in column order at
 // the front of the row.
-func truncateRow(cols []int, vals []float64, maxPerRow int) int {
+func truncateRow[I sparse.Index](cols []I, vals []float64, maxPerRow int) int {
 	keep := len(vals)
 	if maxPerRow <= 0 || keep <= maxPerRow {
 		return keep
@@ -242,24 +242,24 @@ func truncateRow(cols []int, vals []float64, maxPerRow int) int {
 // The row loop is sharded over the kernel pool: each row reads only A,
 // the splitting and the strength mask (all read-only here) and writes its
 // own slot (and done flag), so the result is bitwise-identical to serial.
-type directInterpKernel struct {
-	a      *sparse.CSR
+type directInterpKernel[I sparse.Index] struct {
+	a      *sparse.Matrix[float64, I]
 	strong []bool
 	types  []PointType
 	cidx   []int
 	fun    []int
-	st     *stagedRows
+	st     *stagedRows[I]
 	done   []bool
 }
 
-func (k *directInterpKernel) Do(_, lo, hi int) {
+func (k *directInterpKernel[I]) Do(_, lo, hi int) {
 	a, strong, types := k.a, k.strong, k.types
 	for i := lo; i < hi; i++ {
 		if types[i] == CPoint {
 			k.st.put(i, k.cidx[i], 1)
 		} else if alpha, diag, ok := directAlpha(a, strong, k.fun, i, types, CPoint); ok {
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				if j := a.ColIdx[q]; j != i && types[j] == CPoint && strong[q] {
+				if j := a.ColIdx[q]; int(j) != i && types[j] == CPoint && strong[q] {
 					k.st.put(i, k.cidx[j], -alpha*a.Vals[q]/diag)
 				}
 			}
@@ -273,12 +273,12 @@ func (k *directInterpKernel) Do(_, lo, hi int) {
 // strong neighbours k with set[k] == in: the C points for direct
 // interpolation, the rows done so far for multipass. ok is false when the
 // diagonal or the second sum is 0.
-func directAlpha[T comparable](a *sparse.CSR, strong []bool, fun []int, i int, set []T, in T) (alpha, diag float64, ok bool) {
+func directAlpha[I sparse.Index, T comparable](a *sparse.Matrix[float64, I], strong []bool, fun []int, i int, set []T, in T) (alpha, diag float64, ok bool) {
 	var rowSum, inSum float64
 	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 		j := a.ColIdx[q]
 		v := a.Vals[q]
-		if j == i {
+		if int(j) == i {
 			diag = v
 			continue
 		}
@@ -310,15 +310,15 @@ func directAlpha[T comparable](a *sparse.CSR, strong []bool, fun []int, i int, s
 // workspace is per-worker, every other input is read-only during the
 // sweep, and each row stages into its own slot — bitwise-identical to
 // serial for any worker count.
-type classicalInterpKernel struct {
-	a      *sparse.CSR
+type classicalInterpKernel[I sparse.Index] struct {
+	a      *sparse.Matrix[float64, I]
 	strong []bool
 	types  []PointType
 	cidx   []int
-	st     *stagedRows
+	st     *stagedRows[I]
 }
 
-func (k *classicalInterpKernel) Do(_, lo, hi int) {
+func (k *classicalInterpKernel[I]) Do(_, lo, hi int) {
 	a, strong, types, cidx, st := k.a, k.strong, k.types, k.cidx, k.st
 
 	// Per-worker workspace mapping coarse column -> accumulator slot for
@@ -327,7 +327,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 	for i := range slot {
 		slot[i] = -1
 	}
-	var cols []int
+	var cols []I
 	var wts []float64
 
 	for i := lo; i < hi; i++ {
@@ -344,7 +344,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 			j := a.ColIdx[q]
 			v := a.Vals[q]
 			switch {
-			case j == i:
+			case int(j) == i:
 				diag += v
 			case strong[q] && types[j] == CPoint:
 				slot[j] = len(cols)
@@ -362,7 +362,7 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 		// points.
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 			k := a.ColIdx[q]
-			if k == i || !strong[q] || types[k] != FPoint {
+			if int(k) == i || !strong[q] || types[k] != FPoint {
 				continue
 			}
 			aik := a.Vals[q]
@@ -424,10 +424,10 @@ func (k *classicalInterpKernel) Do(_, lo, hi int) {
 // run over a worklist of the remaining rows and stop at the first that
 // finishes none; the rows still left end up empty. A pass could shard, but
 // sharded at two workers it measured within 3 % of this serial loop.
-func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun []int, st *stagedRows) int {
+func multipassInterp[I sparse.Index](a *sparse.Matrix[float64, I], strong []bool, types []PointType, cidx, fun []int, st *stagedRows[I]) int {
 	n := a.Rows
 	done := make([]bool, n)
-	par.Run(a.NNZ(), n, &directInterpKernel{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
+	par.Run(a.NNZ(), n, &directInterpKernel[I]{a: a, strong: strong, types: types, cidx: cidx, fun: fun, st: st, done: done})
 	var rest []int
 	for i := range done {
 		if !done[i] {
@@ -439,7 +439,7 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 	// One arena holds the composed rows, about two entries each. An append
 	// that grows it leaves the earlier windows in the old array, where
 	// they stay valid.
-	cols, vals := make([]int, 0, 2*len(rest)), make([]float64, 0, 2*len(rest))
+	cols, vals := make([]I, 0, 2*len(rest)), make([]float64, 0, 2*len(rest))
 	staged := 0
 	for len(rest) > 0 {
 		for _, i := range rest {
@@ -452,13 +452,13 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 			lo, hi := len(seen), -1
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 				k := a.ColIdx[q]
-				if k == i || !strong[q] || !done[k] {
+				if int(k) == i || !strong[q] || !done[k] {
 					continue
 				}
 				wk := -alpha * a.Vals[q] / diag
 				kc := st.cols[k]
 				kv := st.vals[k][:len(kc)]
-				lo, hi = min(lo, kc[0]>>6), max(hi, kc[len(kc)-1]>>6)
+				lo, hi = min(lo, int(kc[0]>>6)), max(hi, int(kc[len(kc)-1]>>6))
 				for z, c := range kc {
 					seen[c>>6] |= 1 << (c & 63)
 					acc[c] += wk * kv[z]
@@ -468,7 +468,7 @@ func multipassInterp(a *sparse.CSR, strong []bool, types []PointType, cidx, fun 
 			for w := lo; w <= hi; w++ {
 				for word := seen[w]; word != 0; word &= word - 1 {
 					c := w<<6 | bits.TrailingZeros64(word)
-					cols = append(cols, c)
+					cols = append(cols, I(c))
 					vals = append(vals, acc[c])
 					acc[c] = 0
 				}

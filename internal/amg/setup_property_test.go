@@ -29,7 +29,7 @@ func withSetupWorkers(t *testing.T, workers int) {
 	})
 }
 
-func csrEq(t *testing.T, name string, got, want *sparse.CSR) {
+func csrEq[I sparse.Index](t *testing.T, name string, got, want *sparse.Matrix[float64, I]) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
 		t.Fatalf("%s: shape/nnz %dx%d/%d, want %dx%d/%d",
@@ -55,7 +55,7 @@ func csrEq(t *testing.T, name string, got, want *sparse.CSR) {
 func checkLevelAPs(t *testing.T, name string, h *Hierarchy) {
 	t.Helper()
 	for k, lev := range h.Levels {
-		itp, ok := lev.Itp.(*op.CSRInterp[float64, int])
+		itp, ok := lev.Itp.(*op.CSRInterp[float64, uint32])
 		if ok != (lev.AP != nil) {
 			t.Fatalf("%s: level %d with interpolant %T holds A·P %v", name, k, lev.Itp, lev.AP != nil)
 		}
@@ -64,7 +64,7 @@ func checkLevelAPs(t *testing.T, name string, h *Hierarchy) {
 		}
 		a := op.AsCSR(lev.Op)
 		if st, ok := lev.Op.(*op.Stencil); ok {
-			a = st.CSR()
+			a = sparse.Convert[float64, uint32](st.CSR())
 		}
 		csrEq(t, fmt.Sprintf("%s: level %d A·P", name, k), lev.AP, sparse.MatMul(a, itp.P))
 	}

@@ -62,9 +62,9 @@ const noDrop = -1.0
 // the thresholds and write only their own slots, so the result is
 // bitwise-identical at any worker count. Column order within a row is the
 // input order, so the output needs no sort.
-func SparsifyLump(a *sparse.CSR, theta float64) *sparse.CSR {
-	out := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	k := &lumpKernel{a: a, out: out, theta: theta, thresh: make([]float64, a.Rows), useAbs: make([]bool, a.Rows)}
+func SparsifyLump[I sparse.Index](a *sparse.Matrix[float64, I], theta float64) *sparse.Matrix[float64, I] {
+	out := &sparse.Matrix[float64, I]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]I, a.Rows+1)}
+	k := &lumpKernel[I]{a: a, out: out, theta: theta, thresh: make([]float64, a.Rows), useAbs: make([]bool, a.Rows)}
 	run := func(pass int) {
 		k.pass = pass
 		par.Run(a.NNZ(), a.Rows, k)
@@ -74,7 +74,7 @@ func SparsifyLump(a *sparse.CSR, theta float64) *sparse.CSR {
 	for i := 0; i < a.Rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
 	}
-	out.ColIdx = make([]int, out.RowPtr[a.Rows])
+	out.ColIdx = make([]I, out.RowPtr[a.Rows])
 	out.Vals = make([]float64, out.RowPtr[a.Rows])
 	run(2)
 	return out
@@ -82,40 +82,40 @@ func SparsifyLump(a *sparse.CSR, theta float64) *sparse.CSR {
 
 // lumpKernel runs pass 0 (thresholds), 1 (kept counts into out.RowPtr[i+1])
 // or 2 (kept entries and lumped diagonals) of SparsifyLump on its rows.
-type lumpKernel struct {
-	a, out *sparse.CSR
+type lumpKernel[I sparse.Index] struct {
+	a, out *sparse.Matrix[float64, I]
 	theta  float64
 	pass   int
 	thresh []float64
 	useAbs []bool
 }
 
-func (k *lumpKernel) Do(_, lo, hi int) {
+func (k *lumpKernel[I]) Do(_, lo, hi int) {
 	a, out := k.a, k.out
 	for i := lo; i < hi; i++ {
 		cols, vals := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], a.Vals[a.RowPtr[i]:a.RowPtr[i+1]]
 		switch k.pass {
 		case 0:
 			thresh, useAbs, ok := rowThreshold(cols, vals, i, k.theta, nil)
-			if !ok || !slices.Contains(cols, i) {
+			if !ok || !slices.Contains(cols, I(i)) {
 				thresh = noDrop
 			}
 			k.thresh[i], k.useAbs[i] = thresh, useAbs
 		case 1:
 			kept := 0
 			for p, j := range cols {
-				if j == i || !k.drop(i, j, vals[p]) {
+				if int(j) == i || !k.drop(i, int(j), vals[p]) {
 					kept++
 				}
 			}
-			out.RowPtr[i+1] = kept
+			out.RowPtr[i+1] = I(kept)
 		case 2:
-			q, diag, dropped := out.RowPtr[i], -1, 0.0
+			q, diag, dropped := int(out.RowPtr[i]), -1, 0.0
 			for p, j := range cols {
 				v := vals[p]
-				if j == i {
+				if int(j) == i {
 					diag = q
-				} else if k.drop(i, j, v) {
+				} else if k.drop(i, int(j), v) {
 					dropped += v
 					continue
 				}
@@ -131,7 +131,7 @@ func (k *lumpKernel) Do(_, lo, hi int) {
 
 // drop reports whether entry (i, j) of value v is weak under both row i's
 // and row j's threshold.
-func (k *lumpKernel) drop(i, j int, v float64) bool {
+func (k *lumpKernel[I]) drop(i, j int, v float64) bool {
 	return weakUnder(v, k.thresh[i], k.useAbs[i]) && weakUnder(v, k.thresh[j], k.useAbs[j])
 }
 

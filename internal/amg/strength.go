@@ -49,9 +49,9 @@ func splitRows(buf, end []int) [][]int {
 // default for, e.g., elasticity): each solution component coarsens and
 // interpolates through its own couplings, and cross-component entries are
 // treated as weak.
-func StrengthGraphFunc(a *sparse.CSR, theta float64, fun []int) *Strength {
+func StrengthGraphFunc[I sparse.Index](a *sparse.Matrix[float64, I], theta float64, fun []int) *Strength {
 	s := &Strength{N: a.Rows, Rows: make([][]int, a.Rows)}
-	par.Run(a.NNZ(), a.Rows, &strengthKernel{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
+	par.Run(a.NNZ(), a.Rows, &strengthKernel[I]{a: a, theta: theta, fun: fun, rows: s.Rows, buf: make([]int, a.NNZ())})
 	return s
 }
 
@@ -60,15 +60,15 @@ func StrengthGraphFunc(a *sparse.CSR, theta float64, fun []int) *Strength {
 // are written into the row's own span of buf (shaped like a.ColIdx): rows
 // only read A (and fun) and write their own span and Rows[i], and the
 // sharded result is identical to the serial one for any worker count.
-type strengthKernel struct {
-	a     *sparse.CSR
+type strengthKernel[I sparse.Index] struct {
+	a     *sparse.Matrix[float64, I]
 	theta float64
 	fun   []int
 	rows  [][]int
 	buf   []int
 }
 
-func (k *strengthKernel) Do(_, lo, hi int) {
+func (k *strengthKernel[I]) Do(_, lo, hi int) {
 	a, theta, fun := k.a, k.theta, k.fun
 	for i := lo; i < hi; i++ {
 		cols, vals := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], a.Vals[a.RowPtr[i]:a.RowPtr[i+1]]
@@ -78,11 +78,11 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 		}
 		row := k.buf[a.RowPtr[i]:a.RowPtr[i]:a.RowPtr[i+1]]
 		for p, j := range cols {
-			if j == i || fun != nil && fun[i] != fun[j] {
+			if int(j) == i || fun != nil && fun[i] != fun[j] {
 				continue
 			}
 			if v := vals[p]; (useAbs && math.Abs(v) >= thresh) || (!useAbs && -v >= thresh) {
-				row = append(row, j)
+				row = append(row, int(j))
 			}
 		}
 		k.rows[i] = row
@@ -94,10 +94,10 @@ func (k *strengthKernel) Do(_, lo, hi int) {
 // coupling or, for a row without one (useAbs), theta times its largest
 // |a_ij|. A non-nil fun restricts the couplings to fun[j] == fun[i]. ok is
 // false for a row without such couplings.
-func rowThreshold(cols []int, vals []float64, i int, theta float64, fun []int) (thresh float64, useAbs, ok bool) {
+func rowThreshold[I sparse.Index](cols []I, vals []float64, i int, theta float64, fun []int) (thresh float64, useAbs, ok bool) {
 	maxNeg, maxAbs := 0.0, 0.0
 	for p, j := range cols {
-		if j == i || fun != nil && fun[i] != fun[j] {
+		if int(j) == i || fun != nil && fun[i] != fun[j] {
 			continue
 		}
 		v := vals[p]

@@ -27,7 +27,7 @@ var ErrSingular = errors.New("dense: matrix is singular")
 // Factor computes the LU factorization of the sparse matrix a expanded to
 // dense form. Intended for the small coarsest-grid systems (a few hundred
 // rows at most).
-func Factor(a *sparse.CSR) (*LU, error) {
+func Factor[I sparse.Index](a *sparse.Matrix[float64, I]) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("dense: Factor requires a square matrix")
 	}
@@ -36,7 +36,7 @@ func Factor(a *sparse.CSR) (*LU, error) {
 	for i := 0; i < n; i++ {
 		f.perm[i] = i
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			f.lu[i*n+a.ColIdx[p]] = a.Vals[p]
+			f.lu[i*n+int(a.ColIdx[p])] = a.Vals[p]
 		}
 	}
 	if err := f.factorize(); err != nil {

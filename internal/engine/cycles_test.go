@@ -31,15 +31,15 @@ func setup7pt(t *testing.T, n int, cfg smoother.Config) *Engine {
 	return s
 }
 
-// csrItp returns the stored float64 pair behind an interpolant view of the
-// default configuration.
+// csrItp returns the stored float64/uint32 pair behind an interpolant
+// view of the default configuration, widened to int.
 func csrItp(t *testing.T, itp op.Interp) *op.CSRInterp[float64, int] {
 	t.Helper()
-	c, ok := itp.(*op.CSRInterp[float64, int])
+	c, ok := itp.(*op.CSRInterp[float64, uint32])
 	if !ok {
-		t.Fatalf("interpolant is %T, want a float64 CSR pair", itp)
+		t.Fatalf("interpolant is %T, want a float64/uint32 CSR pair", itp)
 	}
-	return c
+	return &op.CSRInterp[float64, int]{P: sparse.Convert[float64, int](c.P), PT: sparse.Convert[float64, int](c.PT)}
 }
 
 func TestSetupStructure(t *testing.T) {

@@ -14,14 +14,15 @@
 // cycle (sparsify.go).
 //
 // Hot paths are allocation-free in the steady state: workspaces are
-// recycled through sync.Pools, the coarse LU solve uses caller-provided
-// scratch, and the sparse/vec kernels dispatch onto the persistent
-// worker pool of package par.
+// recycled through the engine's own free lists, the coarse LU solve uses
+// caller-provided scratch, and the sparse/vec kernels dispatch onto the
+// persistent worker pool of package par.
 package engine
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/obs"
@@ -89,7 +90,8 @@ type Engine struct {
 	// hierarchy (NewFromHierarchy).
 	Setup *amg.SetupStats
 
-	wsPool, corrPool sync.Pool
+	ws   freeList[Workspace]
+	corr freeList[CorrWorkspace]
 
 	// obs receives per-grid relaxation/correction counts and cycle
 	// residual samples from the engine's own cycle methods. Nil (the
@@ -191,7 +193,7 @@ func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (
 		a := lev.Op
 		if f32 && k >= 1 {
 			switch v := a.(type) {
-			case *op.CSR[float64, int]:
+			case *op.CSR[float64, uint32]:
 				a = op.NewCSR32(v.M)
 			case *op.Stencil:
 				a = v.RoundFloat32()
@@ -207,7 +209,7 @@ func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (
 			break
 		}
 		s.Itp[k] = lev.Itp
-		itp, csr := lev.Itp.(*op.CSRInterp[float64, int])
+		itp, csr := lev.Itp.(*op.CSRInterp[float64, uint32])
 		if csr && f32 {
 			s.Itp[k] = op.NewCSR32Interp(itp.P, itp.PT)
 		}
@@ -261,7 +263,7 @@ func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (
 // Each value rounds as P − ScaleRows(A·P) rounds it: p − ap·s where both
 // store the entry, −(ap·s) where only A·P does, p where only P does; the
 // conversions keep ap·s from fusing into the subtraction.
-func smoothedInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
+func smoothedInterp(p, ap *sparse.Matrix[float64, uint32], scale []float64) *sparse.Matrix[float64, uint32] {
 	vals := make([]float64, len(ap.Vals))
 	for i := 0; i < p.Rows; i++ {
 		s := scale[i]
@@ -278,16 +280,16 @@ func smoothedInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
 			return unionInterp(p, ap, scale)
 		}
 	}
-	return &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: ap.RowPtr, ColIdx: ap.ColIdx, Vals: vals}
+	return &sparse.Matrix[float64, uint32]{Rows: p.Rows, Cols: p.Cols, RowPtr: ap.RowPtr, ColIdx: ap.ColIdx, Vals: vals}
 }
 
 // unionInterp is smoothedInterp over the union of P's and AP's patterns.
-func unionInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
-	out := &sparse.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int, p.Rows+1)}
+func unionInterp(p, ap *sparse.Matrix[float64, uint32], scale []float64) *sparse.Matrix[float64, uint32] {
+	out := &sparse.Matrix[float64, uint32]{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]uint32, p.Rows+1)}
 	for i := 0; i < p.Rows; i++ {
-		out.RowPtr[i+1] = out.RowPtr[i] + smoothRow(p, ap, i, 0, nil, nil)
+		out.RowPtr[i+1] = out.RowPtr[i] + uint32(smoothRow(p, ap, i, 0, nil, nil))
 	}
-	out.ColIdx, out.Vals = make([]int, out.RowPtr[p.Rows]), make([]float64, out.RowPtr[p.Rows])
+	out.ColIdx, out.Vals = make([]uint32, out.RowPtr[p.Rows]), make([]float64, out.RowPtr[p.Rows])
 	for i := 0; i < p.Rows; i++ {
 		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
 		smoothRow(p, ap, i, scale[i], out.ColIdx[lo:hi], out.Vals[lo:hi])
@@ -298,11 +300,11 @@ func unionInterp(p, ap *sparse.CSR, scale []float64) *sparse.CSR {
 // smoothRow merges row i of P and of AP into P̄'s row, rounded as
 // smoothedInterp rounds it, writing columns to cols and values to vals
 // unless cols is nil, and returns the row's length.
-func smoothRow(p, ap *sparse.CSR, i int, s float64, cols []int, vals []float64) int {
+func smoothRow(p, ap *sparse.Matrix[float64, uint32], i int, s float64, cols []uint32, vals []float64) int {
 	n := 0
 	pp, pe, q, qe := p.RowPtr[i], p.RowPtr[i+1], ap.RowPtr[i], ap.RowPtr[i+1]
 	for ; pp < pe || q < qe; n++ {
-		var j int
+		var j uint32
 		var v float64
 		switch {
 		case pp == pe || q < qe && ap.ColIdx[q] < p.ColIdx[pp]:
@@ -353,11 +355,11 @@ func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 // on the fine level (‖b‖₂ = 0 divides by 1), through the fine operator's
 // Residual and the block-ordered vec.Norm2, so it does not depend on the
 // worker count. The residual goes into an idle pooled workspace's level-0
-// slot; a cold pool costs one n-vector, not a whole workspace.
+// slot; with none idle it costs one n-vector, not a whole workspace.
 func (s *Engine) RelRes(b, x []float64) float64 {
 	var r []float64
-	if w, _ := s.wsPool.Get().(*Workspace); w != nil {
-		defer s.wsPool.Put(w)
+	if w := s.ws.pop(); w != nil {
+		defer s.ws.push(w)
 		r = w.r[0]
 	} else {
 		r = make([]float64, len(b))
@@ -386,8 +388,8 @@ type Workspace struct {
 }
 
 // NewWorkspace allocates scratch for the engine's hierarchy. Prefer
-// AcquireWorkspace/ReleaseWorkspace, which recycle workspaces through a
-// pool.
+// AcquireWorkspace/ReleaseWorkspace, which recycle workspaces through the
+// engine's free list.
 func (s *Engine) NewWorkspace() *Workspace {
 	l := s.NumLevels()
 	w := &Workspace{r: make([][]float64, l), e: make([][]float64, l), tmp: make([][]float64, l)}
@@ -398,30 +400,75 @@ func (s *Engine) NewWorkspace() *Workspace {
 	return w
 }
 
-// AcquireWorkspace returns a pooled cycle workspace; pair with
-// ReleaseWorkspace. Contents are unspecified (every cycle fully
-// overwrites what it reads).
-func (s *Engine) AcquireWorkspace() *Workspace {
-	if w, _ := s.wsPool.Get().(*Workspace); w != nil {
-		return w
-	}
-	return s.NewWorkspace()
+// AcquireWorkspace returns an idle cycle workspace, or a new one when
+// none is idle; pair with ReleaseWorkspace. Contents are unspecified
+// (every cycle fully overwrites what it reads).
+func (s *Engine) AcquireWorkspace() *Workspace { return s.ws.get(s.NewWorkspace) }
+
+// ReleaseWorkspace returns w to the engine's free list for reuse.
+func (s *Engine) ReleaseWorkspace(w *Workspace) { s.ws.push(w) }
+
+// AcquireCorrWorkspace returns an idle grid-correction workspace, or a
+// new one; pair with ReleaseCorrWorkspace.
+func (s *Engine) AcquireCorrWorkspace() *CorrWorkspace { return s.corr.get(s.NewCorrWorkspace) }
+
+// ReleaseCorrWorkspace returns w to the engine's free list for reuse.
+func (s *Engine) ReleaseCorrWorkspace(w *CorrWorkspace) { s.corr.push(w) }
+
+// freeList is an engine's mutex-guarded stack of idle workspaces of one
+// kind. Unlike a sync.Pool's per-P slots, an idle workspace is found from
+// every goroutine and survives a GC. A workspace is made only when none
+// is idle, so the list never holds more than the engine's peak number of
+// concurrent holders, the count made keeps.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []*T
+	made atomic.Int64
 }
 
-// ReleaseWorkspace returns w to the pool for reuse.
-func (s *Engine) ReleaseWorkspace(w *Workspace) { s.wsPool.Put(w) }
-
-// AcquireCorrWorkspace returns a pooled grid-correction workspace; pair
-// with ReleaseCorrWorkspace.
-func (s *Engine) AcquireCorrWorkspace() *CorrWorkspace {
-	if w, _ := s.corrPool.Get().(*CorrWorkspace); w != nil {
-		return w
+// pop takes an idle workspace off the list, or returns nil.
+func (l *freeList[T]) pop() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.idle)
+	if n == 0 {
+		return nil
 	}
-	return s.NewCorrWorkspace()
+	w := l.idle[n-1]
+	l.idle = l.idle[:n-1]
+	return w
 }
 
-// ReleaseCorrWorkspace returns w to the pool for reuse.
-func (s *Engine) ReleaseCorrWorkspace(w *CorrWorkspace) { s.corrPool.Put(w) }
+// push puts w on the list.
+func (l *freeList[T]) push(w *T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, w)
+	l.mu.Unlock()
+}
+
+// get pops an idle workspace or makes one with fresh.
+func (l *freeList[T]) get(fresh func() *T) *T {
+	if w := l.pop(); w != nil {
+		return w
+	}
+	l.made.Add(1)
+	return fresh()
+}
+
+// WorkspaceBytes reports the storage of the cycle and correction
+// workspaces the engine has made through AcquireWorkspace and
+// AcquireCorrWorkspace, idle or in use: as many of each kind as it ever
+// had concurrent holders. Those NewWorkspace and NewCorrWorkspace return
+// are their callers'.
+func (s *Engine) WorkspaceBytes() int {
+	rows := 0
+	for _, a := range s.Ops {
+		rows += a.Rows()
+	}
+	// A Workspace is r, e and tmp per level; a CorrWorkspace Lvl and Lvl2
+	// per level and a fine-sized E.
+	return 8 * (3*rows*int(s.ws.made.Load()) + (2*rows+s.LevelSize(0))*int(s.corr.made.Load()))
+}
 
 // CoarseSolveScratch computes e = A_L⁻¹ r on the coarsest level, falling
 // back to a single smoothing sweep if the LU factorization is unavailable;

@@ -28,13 +28,16 @@ func sameCSRBits[V sparse.Value, I sparse.Index](a, b *sparse.Matrix[V, I]) bool
 // pbarOracle is level k's smoothed interpolant recomputed from the level's
 // float64 operator, the stencil's materialized CSR on the hand-off level:
 // Sub(P, ScaleRows(MatMul(A_k, P), s)), with s the scale of the engine's
-// level-k smoother.
-func pbarOracle(t *testing.T, s *Engine, k int) *sparse.CSR {
+// level-k smoother. It runs on the int widening of the level's uint32
+// matrices and returns P̄ in uint32.
+func pbarOracle(t *testing.T, s *Engine, k int) *sparse.Matrix[float64, uint32] {
 	t.Helper()
 	lev := s.H.Levels[k]
-	a := op.AsCSR(lev.Op)
+	var a *sparse.CSR
 	if st, ok := lev.Op.(*op.Stencil); ok {
 		a = st.CSR()
+	} else {
+		a = sparse.Convert[float64, int](op.AsCSR(lev.Op))
 	}
 	scale := s.Smo[k].InvDiag()
 	if scale == nil {
@@ -43,7 +46,8 @@ func pbarOracle(t *testing.T, s *Engine, k int) *sparse.CSR {
 			t.Fatal(err)
 		}
 	}
-	return sparsetest.SmoothedInterp(a, lev.Itp.(*op.CSRInterp[float64, int]).P, scale)
+	p := sparse.Convert[float64, int](lev.Itp.(*op.CSRInterp[float64, uint32]).P)
+	return sparse.Convert[float64, uint32](sparsetest.SmoothedInterp(a, p, scale))
 }
 
 // TestSmoothedInterpMatchesGEMM is the smoothed-interpolant contract:
@@ -109,10 +113,10 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 							for k, itp := range s.SItp {
 								var ok bool
 								switch pbar := itp.(type) {
-								case *op.CSRInterp[float64, int]:
+								case *op.CSRInterp[float64, uint32]:
 									ok = sameCSRBits(pbar.P, pbarOracle(t, s, k))
-								case *op.CSRInterp[float32, int32]:
-									ok = sameCSRBits(pbar.P, sparse.Convert[float32, int32](pbarOracle(t, s, k)))
+								case *op.CSRInterp[float32, uint32]:
+									ok = sameCSRBits(pbar.P, sparse.Convert[float32, uint32](pbarOracle(t, s, k)))
 								default:
 									continue
 								}
@@ -144,10 +148,10 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 //	    [-1  2 -1 ]       [ 0  1  ]
 //	    [ 0 -1  2 ]       [ 0 1/2 ]
 func TestSmoothedInterpUnionPattern(t *testing.T) {
-	a := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 4, 6},
-		ColIdx: []int{1, 0, 1, 2, 1, 2}, Vals: []float64{-1, -1, 2, -1, -1, 2}}
-	p := &sparse.CSR{Rows: 3, Cols: 2, RowPtr: []int{0, 1, 2, 3},
-		ColIdx: []int{0, 1, 1}, Vals: []float64{1, 1, 0.5}}
+	a := &sparse.Matrix[float64, uint32]{Rows: 3, Cols: 3, RowPtr: []uint32{0, 1, 4, 6},
+		ColIdx: []uint32{1, 0, 1, 2, 1, 2}, Vals: []float64{-1, -1, 2, -1, -1, 2}}
+	p := &sparse.Matrix[float64, uint32]{Rows: 3, Cols: 2, RowPtr: []uint32{0, 1, 2, 3},
+		ColIdx: []uint32{0, 1, 1}, Vals: []float64{1, 1, 0.5}}
 	ac, ap := sparse.RAPWith(a, p, p.Transpose())
 	if ap.RowPtr[1] != 1 || ap.ColIdx[0] != 1 {
 		t.Fatalf("A·P row 0 holds columns %v, want [1] alone", ap.ColIdx[:ap.RowPtr[1]])
@@ -160,7 +164,7 @@ func TestSmoothedInterpUnionPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.SItp[0].(*op.CSRInterp[float64, int]).P
+	got := s.SItp[0].(*op.CSRInterp[float64, uint32]).P
 	if want := pbarOracle(t, s, 0); !sameCSRBits(got, want) {
 		t.Fatalf("P̄ %v/%v/%v, oracle %v/%v/%v", got.RowPtr, got.ColIdx, got.Vals, want.RowPtr, want.ColIdx, want.Vals)
 	}

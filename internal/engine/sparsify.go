@@ -119,7 +119,7 @@ func sparsifyHierarchy(h *amg.Hierarchy, theta float64, smo smoother.Config, st 
 	// Each kept twin gets its twin·P.
 	for _, s := range st.SparsifyLevels {
 		if lev := &h.Levels[s.Level]; !s.Skipped && !s.Reverted {
-			lev.AP = sparse.MatMul(op.AsCSR(lev.Op), lev.Itp.(*op.CSRInterp[float64, int]).P)
+			lev.AP = sparse.MatMul(op.AsCSR(lev.Op), lev.Itp.(*op.CSRInterp[float64, uint32]).P)
 		}
 	}
 	return nil

@@ -40,7 +40,7 @@ func buildSparsified(t *testing.T, a op.Operator, opt amg.Options, theta float64
 func checkLevelAPs(t *testing.T, name string, h *amg.Hierarchy) {
 	t.Helper()
 	for k, lev := range h.Levels {
-		itp, ok := lev.Itp.(*op.CSRInterp[float64, int])
+		itp, ok := lev.Itp.(*op.CSRInterp[float64, uint32])
 		a := op.AsCSR(lev.Op)
 		if !ok || a == nil {
 			continue

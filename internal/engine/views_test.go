@@ -39,13 +39,13 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := slices.Clone(h.Levels)
-			var aps []*sparse.CSR
+			var aps []*sparse.Matrix[float64, uint32]
 			for _, lev := range h.Levels {
-				if _, csr := lev.Itp.(*op.CSRInterp[float64, int]); csr != (lev.AP != nil) {
+				if _, csr := lev.Itp.(*op.CSRInterp[float64, uint32]); csr != (lev.AP != nil) {
 					t.Fatalf("level with interpolant %T holds A·P %v", lev.Itp, lev.AP != nil)
 				}
 				if lev.AP != nil {
-					aps = append(aps, sparse.Convert[float64, int](lev.AP)) // a copy
+					aps = append(aps, sparse.Convert[float64, uint32](lev.AP)) // a copy
 				}
 			}
 			var hists [2][]float64
@@ -60,7 +60,7 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 					}
 				}
 				for k, itp := range s.SItp {
-					if pbar, ok := itp.(*op.CSRInterp[float64, int]); ok && &pbar.P.ColIdx[0] != &h.Levels[k].AP.ColIdx[0] {
+					if pbar, ok := itp.(*op.CSRInterp[float64, uint32]); ok && &pbar.P.ColIdx[0] != &h.Levels[k].AP.ColIdx[0] {
 						t.Errorf("engine %d: level %d P̄ does not share its A·P pattern", i, k)
 					}
 				}
@@ -90,8 +90,8 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 				t.Fatal(err)
 			}
 			owned = append(owned, s)
-			if m := op.AsCSR(tc.a); m != nil {
-				if s, err = New(m, tc.opt, smo); err != nil {
+			if m, ok := tc.a.(*op.CSR[float64, int]); ok {
+				if s, err = New(m.M, tc.opt, smo); err != nil {
 					t.Fatal(err)
 				}
 				owned = append(owned, s)
@@ -108,6 +108,91 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 						t.Errorf("level %d holds %T, not the engine's %T", k, lev.Itp, s.Itp[k])
 					}
 				}
+			}
+		})
+	}
+}
+
+// csrFormulaBytes is the storage of an engine's views by the CSR formula,
+// 12·nnz + 4·(rows+1) bytes per float64/uint32 matrix and 8·nnz +
+// 4·(rows+1) per float32/uint32 one (Pᵀ and P̄ᵀ counted as matrices of
+// their own), and a stencil's or class-table interpolant's own Bytes. A
+// CSR view in any other instantiation, an int-indexed one among them,
+// fails t.
+func csrFormulaBytes(t *testing.T, s *Engine) int {
+	t.Helper()
+	csr := func(rows, nnz, valBytes int) int { return (valBytes+4)*nnz + 4*(rows+1) }
+	total := 0
+	for k, a := range s.Ops {
+		switch v := a.(type) {
+		case *op.CSR[float64, uint32]:
+			total += csr(v.M.Rows, v.M.NNZ(), 8)
+		case *op.CSR[float32, uint32]:
+			total += csr(v.M.Rows, v.M.NNZ(), 4)
+		case *op.Stencil:
+			total += v.Bytes()
+		default:
+			t.Fatalf("level %d operator is a %T", k, a)
+		}
+	}
+	for k, itp := range append(slices.Clone(s.Itp), s.SItp...) {
+		switch v := itp.(type) {
+		case *op.CSRInterp[float64, uint32]:
+			total += csr(v.P.Rows, v.P.NNZ(), 8) + csr(v.PT.Rows, v.PT.NNZ(), 8)
+		case *op.CSRInterp[float32, uint32]:
+			total += csr(v.P.Rows, v.P.NNZ(), 4) + csr(v.PT.Rows, v.PT.NNZ(), 4)
+		case *op.GeomInterp:
+			total += v.Bytes()
+		default:
+			t.Fatalf("interpolant view %d is a %T", k, itp)
+		}
+	}
+	return total
+}
+
+// TestEngineViewsAreUint32: on every construction path (New, NewOperator
+// on a matrix and on a stencil, NewFromHierarchy, CoarseFloat32 and
+// Sparsify) every CSR view the engine runs on is a uint32 instantiation,
+// so HierarchyBytes is the CSR formula of csrFormulaBytes: 12 bytes per
+// float64 nonzero and 8 per float32 one, 4 per row pointer.
+func TestEngineViewsAreUint32(t *testing.T) {
+	smo := smoother.DefaultConfig()
+	f32 := amg.DefaultOptions()
+	f32.CoarsePrecision = op.CoarseFloat32
+	sparsify := amg.DefaultOptions()
+	sparsify.Sparsify = true
+	fromHierarchy := func(a *sparse.CSR, opt amg.Options) (*Engine, error) {
+		h, _, err := amg.BuildWithStats(a, opt)
+		if err != nil {
+			return nil, err
+		}
+		return NewFromHierarchy(h, smo)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*Engine, error)
+	}{
+		{"New", func() (*Engine, error) { return New(grid.Laplacian7pt(12), amg.DefaultOptions(), smo) }},
+		{"NewOperator-csr", func() (*Engine, error) {
+			return NewOperator(op.FromCSR(grid.Laplacian27pt(10)), amg.DefaultOptions(), smo)
+		}},
+		{"NewOperator-stencil", func() (*Engine, error) { return NewOperator(op.NewStencil7(34), amg.DefaultOptions(), smo) }},
+		{"NewFromHierarchy", func() (*Engine, error) { return fromHierarchy(grid.Laplacian7pt(12), amg.DefaultOptions()) }},
+		{"NewFromHierarchy-f32", func() (*Engine, error) { return fromHierarchy(grid.Laplacian7pt(12), f32) }},
+		{"CoarseFloat32", func() (*Engine, error) { return New(grid.Laplacian27pt(10), f32, smo) }},
+		{"CoarseFloat32-stencil", func() (*Engine, error) { return NewOperator(op.NewStencil7(34), f32, smo) }},
+		{"Sparsify", func() (*Engine, error) { return New(grid.Laplacian27pt(16), sparsify, smo) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.HierarchyBytes(), csrFormulaBytes(t, s); got != want {
+				t.Errorf("HierarchyBytes = %d, want %d by the CSR formula", got, want)
+			}
+			if tc.name == "Sparsify" && s.Setup.DroppedNNZ() == 0 {
+				t.Error("no sparsified level kept: its uint32 twin went unchecked")
 			}
 		})
 	}

@@ -9,14 +9,14 @@ import (
 
 // CSR adapts a stored matrix to the Operator interface, generic over the
 // stored value and index types: the row kernels are sparse.Matrix's, so
-// the float64/int and float32/int32 stores are two instantiations of one
-// implementation and an engine running on either computes exactly what
-// the sparse kernels compute.
+// every store is an instantiation of one implementation and an engine
+// running on any of them computes exactly what the sparse kernels compute.
 //
-// The float32/int32 instantiation is the mixed-precision storage for
-// coarse-level operators and interpolants (AMGCL's precision policy):
-// 8 bytes per nonzero against 16, every stored value converted to float64
-// at load and accumulated in float64, so only the matrix entries themselves
+// A hierarchy stores uint32 indices: float64/uint32 at 12 bytes per
+// nonzero against the caller's float64/int at 16, and float32/uint32 at 8
+// on the coarse levels and interpolants of a CoarseFloat32 hierarchy
+// (AMGCL's precision policy): every stored value converted to float64 at
+// load and accumulated in float64, so only the matrix entries themselves
 // are rounded — once, at conversion.
 //
 // The row walks of the block smoothers and the asynchronous runtime
@@ -29,13 +29,14 @@ type CSR[V sparse.Value, I sparse.Index] struct {
 }
 
 // FromCSR wraps m (zero-copy) as an Operator.
-func FromCSR(m *sparse.CSR) *CSR[float64, int] { return &CSR[float64, int]{M: m} }
+func FromCSR[I sparse.Index](m *sparse.Matrix[float64, I]) *CSR[float64, I] {
+	return &CSR[float64, I]{M: m}
+}
 
-// NewCSR32 re-stores m in float32 values with int32 indices. It panics if
-// a dimension or the nonzero count overflows int32 (coarse-level matrices
-// are orders of magnitude below that).
-func NewCSR32(m *sparse.CSR) *CSR[float32, int32] {
-	return &CSR[float32, int32]{M: sparse.Convert[float32, int32](m)}
+// NewCSR32 re-stores m in float32 values with uint32 indices. It panics if
+// a dimension or the nonzero count overflows uint32.
+func NewCSR32[I sparse.Index](m *sparse.Matrix[float64, I]) *CSR[float32, uint32] {
+	return &CSR[float32, uint32]{M: sparse.Convert[float32, uint32](m)}
 }
 
 func (a *CSR[V, I]) Rows() int          { return a.M.Rows }
@@ -86,11 +87,11 @@ func (a *CSR[V, I]) GaussSeidelAtomicRange(x *vec.Atomic, b []float64, lo, hi in
 	}
 }
 
-// AsCSR returns the float64 CSR behind a, or nil when a is matrix-free or
-// stored in another precision. Only setup steps that need the float64
-// rows themselves (the algebraic setup, sparsification) use it.
-func AsCSR(a Operator) *sparse.CSR {
-	if c, ok := a.(*CSR[float64, int]); ok {
+// AsCSR returns the float64/uint32 matrix behind a hierarchy level, or nil
+// when a is matrix-free or stored in another precision or index width.
+// Only sparsification, which needs the float64 rows themselves, uses it.
+func AsCSR(a Operator) *sparse.Matrix[float64, uint32] {
+	if c, ok := a.(*CSR[float64, uint32]); ok {
 		return c.M
 	}
 	return nil
@@ -104,20 +105,20 @@ type CSRInterp[V sparse.Value, I sparse.Index] struct {
 
 // InterpFromCSR wraps p (and its transpose pt, which may be nil — it is
 // computed once here) as an Interp.
-func InterpFromCSR(p, pt *sparse.CSR) *CSRInterp[float64, int] {
+func InterpFromCSR[I sparse.Index](p, pt *sparse.Matrix[float64, I]) *CSRInterp[float64, I] {
 	if pt == nil {
 		pt = p.Transpose()
 	}
-	return &CSRInterp[float64, int]{P: p, PT: pt}
+	return &CSRInterp[float64, I]{P: p, PT: pt}
 }
 
-// NewCSR32Interp re-stores a float64 interpolant pair in float32/int32.
+// NewCSR32Interp re-stores a float64 interpolant pair in float32/uint32.
 // pt may be nil.
-func NewCSR32Interp(p, pt *sparse.CSR) *CSRInterp[float32, int32] {
+func NewCSR32Interp[I sparse.Index](p, pt *sparse.Matrix[float64, I]) *CSRInterp[float32, uint32] {
 	if pt == nil {
 		pt = p.Transpose()
 	}
-	return &CSRInterp[float32, int32]{P: sparse.Convert[float32, int32](p), PT: sparse.Convert[float32, int32](pt)}
+	return &CSRInterp[float32, uint32]{P: sparse.Convert[float32, uint32](p), PT: sparse.Convert[float32, uint32](pt)}
 }
 
 func (t *CSRInterp[V, I]) NNZEquivalent() int { return t.P.NNZ() }

@@ -34,7 +34,9 @@ type kernelCase struct {
 	serial, sharded, composed func() []float64
 }
 
-// kernelCases builds the table for one stored instantiation of m.
+// kernelCases builds the table for one stored instantiation of m: every
+// Range kernel of sparse.Matrix, op.CSR and op.CSRInterp (the interpolant
+// with P = Pᵀ = m, so ApplyTRange runs m's rows too).
 func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kernelInputs) []kernelCase {
 	rows := m.Rows
 	a := &CSR[V, I]{M: m}
@@ -42,24 +44,32 @@ func kernelCases[V sparse.Value, I sparse.Index](m *sparse.Matrix[V, I], in kern
 	split := func(f func(lo, hi int)) { f(0, rows/3); f(rows/3, rows) }
 	out := func() []float64 { return make([]float64, rows) }
 	from := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	apply := func(rng func(y, x []float64, lo, hi int), full func(y, x []float64), add bool) kernelCase {
+		y0 := out
+		if add {
+			y0 = func() []float64 { return from(in.b) }
+		}
+		c := kernelCase{serial: func() []float64 { y := y0(); split(func(lo, hi int) { rng(y, in.x, lo, hi) }); return y }}
+		if full != nil {
+			c.sharded = func() []float64 { y := y0(); full(y, in.x); return y }
+		}
+		return c
+	}
+	residual := func(rng func(r, b, x []float64, lo, hi int)) kernelCase {
+		return kernelCase{
+			serial:  func() []float64 { r := out(); split(func(lo, hi int) { rng(r, in.b, in.x, lo, hi) }); return r },
+			sharded: func() []float64 { r := out(); a.Residual(r, in.b, in.x); return r }}
+	}
+	named := func(name string, c kernelCase) kernelCase { c.name = name; return c }
 	return []kernelCase{
-		{name: "apply",
-			serial:  func() []float64 { y := out(); split(func(lo, hi int) { m.ApplyRange(y, in.x, lo, hi) }); return y },
-			sharded: func() []float64 { y := out(); a.Apply(y, in.x); return y }},
-		{name: "apply-add",
-			serial: func() []float64 {
-				y := from(in.b)
-				split(func(lo, hi int) { m.ApplyAddRange(y, in.x, lo, hi) })
-				return y
-			},
-			sharded: func() []float64 { y := from(in.b); itp.ApplyAdd(y, in.x); return y }},
-		{name: "residual",
-			serial: func() []float64 {
-				r := out()
-				split(func(lo, hi int) { m.ResidualRange(r, in.b, in.x, lo, hi) })
-				return r
-			},
-			sharded: func() []float64 { r := out(); a.Residual(r, in.b, in.x); return r }},
+		named("apply", apply(m.ApplyRange, a.Apply, false)),
+		named("apply-add", apply(m.ApplyAddRange, itp.ApplyAdd, true)),
+		named("residual", residual(m.ResidualRange)),
+		named("op-apply", apply(a.ApplyRange, nil, false)),
+		named("op-residual", residual(a.ResidualRange)),
+		named("interp-apply", apply(itp.ApplyRange, itp.Apply, false)),
+		named("interp-apply-add", apply(itp.ApplyAddRange, nil, true)),
+		named("interp-apply-t", apply(itp.ApplyTRange, itp.ApplyT, false)),
 		{name: "atomic-residual", square: true,
 			serial: func() []float64 {
 				x, dst := vec.NewAtomic(rows), vec.NewAtomic(rows)
@@ -93,15 +103,19 @@ func randomCSR(rng *rand.Rand, rows, cols, nnzPerRow int) *sparse.CSR {
 }
 
 // TestCSRKernelTable is the contract of the one CSR kernel set, checked for
-// every kernel on both stored instantiations:
+// every kernel on the three stored instantiations, float64/int,
+// float64/uint32 and float32/uint32:
 //
 //   - the full-vector form equals the serial Range form bitwise, sharded at
 //     1, 2 and 8 workers (threshold 1) and on its below-threshold serial
 //     fallback, and a one-pass kernel equals the plain sequence it
 //     replaces;
-//   - conversion to float32/int32 rounds each entry once, and the float32
-//     instantiation equals the float64 one run on those rounded entries
-//     bitwise (float64 accumulation: only the stored entries differ);
+//   - the float64/uint32 instantiation equals the float64/int one bitwise
+//     (the index width moves no arithmetic);
+//   - conversion to float32/uint32 rounds each entry once, and the float32
+//     instantiation equals the float64/int one run on those rounded
+//     entries bitwise (float64 accumulation: only the stored entries
+//     differ);
 //   - on matrices whose entries are exact in float32 (the stencils, the
 //     trilinear interpolant) that makes float32 and float64 storage agree
 //     bitwise; on the FEM Laplacian and random matrices they agree within
@@ -125,11 +139,12 @@ func TestCSRKernelTable(t *testing.T) {
 		{"random-tall", randomCSR(rng, 301, 47, 3), false},
 	} {
 		m64 := fx.m
-		m32 := sparse.Convert[float32, int32](m64)
+		mu := sparse.Convert[float64, uint32](m64)
+		m32 := sparse.Convert[float32, uint32](m64)
 		widened := sparse.Convert[float64, int](m32)
 		exact := true
 		for q, v := range m64.Vals {
-			if m32.Vals[q] != float32(v) || int(m32.ColIdx[q]) != m64.ColIdx[q] {
+			if mu.Vals[q] != v || int(mu.ColIdx[q]) != m64.ColIdx[q] || m32.Vals[q] != float32(v) || m32.ColIdx[q] != mu.ColIdx[q] {
 				t.Fatalf("%s: entry %d converted to (%d, %v), want (%d, %v)", fx.name, q, m32.ColIdx[q], m32.Vals[q], m64.ColIdx[q], float32(v))
 			}
 			exact = exact && widened.Vals[q] == v
@@ -137,15 +152,18 @@ func TestCSRKernelTable(t *testing.T) {
 		if exact != fx.exact32 {
 			t.Fatalf("%s: entries exact in float32 = %v, want %v", fx.name, exact, fx.exact32)
 		}
-		if got, want := m32.Bytes(), 4*(len(m64.RowPtr)+2*m64.NNZ()); got != want {
+		if got, want := m32.Bytes(), 4*len(m64.RowPtr)+8*m64.NNZ(); got != want {
 			t.Fatalf("%s: float32 store is %d bytes, want %d", fx.name, got, want)
+		}
+		if got, want := mu.Bytes(), 4*len(m64.RowPtr)+12*m64.NNZ(); got != want {
+			t.Fatalf("%s: float64/uint32 store is %d bytes, want %d", fx.name, got, want)
 		}
 		if got, want := m64.Bytes(), 8*(len(m64.RowPtr)+2*m64.NNZ()); got != want {
 			t.Fatalf("%s: float64 store is %d bytes, want %d", fx.name, got, want)
 		}
 
 		in := newKernelInputs(rng, m64.Rows, m64.Cols)
-		c64, c32, cw := kernelCases(m64, in), kernelCases(m32, in), kernelCases(widened, in)
+		c64, cu, c32, cw := kernelCases(m64, in), kernelCases(mu, in), kernelCases(m32, in), kernelCases(widened, in)
 		rowL1 := m64.RowL1Norms()
 		serial64 := make([][]float64, len(c64))
 		serial32 := make([][]float64, len(c32))
@@ -157,8 +175,10 @@ func TestCSRKernelTable(t *testing.T) {
 			serial64[ci], serial32[ci] = kc.serial(), c32[ci].serial()
 			if kc.composed != nil {
 				assertBitwise(t, name+"/f64 vs composed", serial64[ci], kc.composed())
+				assertBitwise(t, name+"/u32 vs composed", cu[ci].serial(), cu[ci].composed())
 				assertBitwise(t, name+"/f32 vs composed", serial32[ci], c32[ci].composed())
 			}
+			assertBitwise(t, name+"/u32 vs int", cu[ci].serial(), serial64[ci])
 			assertBitwise(t, name+"/f32 vs f64 on rounded entries", serial32[ci], cw[ci].serial())
 			for i, got := range serial32[ci] {
 				if tol := 0x1p-24 * rowL1[i] * (1 + 1e-6); math.Abs(got-serial64[ci][i]) > tol {
@@ -178,6 +198,7 @@ func TestCSRKernelTable(t *testing.T) {
 						continue
 					}
 					assertBitwise(t, kc.name+"/f64 sharded", kc.sharded(), serial64[ci])
+					assertBitwise(t, kc.name+"/u32 sharded", cu[ci].sharded(), serial64[ci])
 					assertBitwise(t, kc.name+"/f32 sharded", c32[ci].sharded(), serial32[ci])
 				}
 			})
@@ -185,15 +206,16 @@ func TestCSRKernelTable(t *testing.T) {
 	}
 }
 
-// TestCSRKernelOperandValidation pins AsCSR on both instantiations: it
-// exposes only the zero-copy float64 view.
+// TestCSRKernelOperandValidation pins AsCSR on every instantiation: it
+// exposes only the zero-copy float64/uint32 view a hierarchy level holds.
 func TestCSRKernelOperandValidation(t *testing.T) {
 	m := NewStencil7(4).CSR()
-	if AsCSR(FromCSR(m)) != m {
+	mu := sparse.Convert[float64, uint32](m)
+	if AsCSR(FromCSR(mu)) != mu {
 		t.Fatal("AsCSR should return the wrapped matrix")
 	}
-	if AsCSR(NewCSR32(m)) != nil || AsCSR(NewStencil7(4)) != nil {
-		t.Fatal("AsCSR on a float32 store or a stencil should be nil")
+	if AsCSR(FromCSR(m)) != nil || AsCSR(NewCSR32(m)) != nil || AsCSR(NewStencil7(4)) != nil {
+		t.Fatal("AsCSR on a float64/int store, a float32 store or a stencil should be nil")
 	}
 }
 
@@ -305,8 +327,9 @@ func blockWalks(a Operator, oracle *sparse.CSR, blocks []partition.Range, x0, b 
 // GaussSeidelAtomicRange) on every operator type to the bodies package
 // smoother ran on a float64 CSR: the 7-point and 27-point stencils at
 // n ∈ {1, 2, 3, 5}, a Coarsen'ed 27-point stencil, each beside its
-// materialized CSR[float64, int], and each again rounded to float32
-// (RoundFloat32 beside NewCSR32), plus a random CSR in both precisions.
+// materialized CSR[float64, int] and its CSR[float64, uint32] copy, and
+// each again rounded to float32 (RoundFloat32 beside NewCSR32), plus a
+// random CSR in every instantiation.
 // The block splits cut grid lines mid-line, include empty blocks when
 // there are more blocks than rows, and are swept in an order that is not
 // the row order. float64 operators must equal the oracle bitwise on the
@@ -336,14 +359,15 @@ func TestBlockSmootherKernelTable(t *testing.T) {
 
 	for _, fx := range fixtures {
 		rows := fx.m.Rows
-		m32 := sparse.Convert[float32, int32](fx.m)
+		m32 := sparse.Convert[float32, uint32](fx.m)
 		rounded := sparse.Convert[float64, int](m32)
 		type operand struct {
 			name   string
 			a      Operator
 			oracle *sparse.CSR
 		}
-		ops := []operand{{"csr-f64", FromCSR(fx.m), fx.m}, {"csr-f32", &CSR[float32, int32]{M: m32}, rounded}}
+		ops := []operand{{"csr-f64", FromCSR(fx.m), fx.m}, {"csr-u32", FromCSR(sparse.Convert[float64, uint32](fx.m)), fx.m},
+			{"csr-f32", &CSR[float32, uint32]{M: m32}, rounded}}
 		if fx.st != nil {
 			ops = append(ops, operand{"stencil-f64", fx.st, fx.m}, operand{"stencil-f32", fx.st.RoundFloat32(), rounded})
 		}

@@ -8,12 +8,12 @@
 //   - CSR[V, I] adapts a stored sparse.Matrix[V, I] and CSRInterp[V, I] a
 //     stored (P, Pᵀ) pair; the row kernels are package sparse's, written
 //     once for every value and index type. FromCSR / InterpFromCSR wrap a
-//     float64/int matrix zero-copy (the default hierarchy, bitwise-pinned
-//     by the golden tests); NewCSR32 / NewCSR32Interp re-store it in
-//     float32 values with int32 indices (half the bytes per nonzero,
-//     float64 accumulation) — the mixed-precision storage for coarse-level
-//     and interpolant matrices (AMGCL's design: hierarchy storage drops
-//     ~50% with no convergence cost at multigrid tolerances).
+//     float64 matrix zero-copy: a hierarchy's float64/uint32 levels (12
+//     bytes per nonzero) or a caller's float64/int one (16). NewCSR32 /
+//     NewCSR32Interp re-store it in float32 values with uint32 indices
+//     (8 bytes per nonzero, float64 accumulation) — the mixed-precision
+//     storage for coarse-level and interpolant matrices (AMGCL's design:
+//     no convergence cost at multigrid tolerances).
 //   - Stencil is the one matrix-free structured operator: a class table
 //     of 27 rows (offset, value) on an n³ grid. NewStencil7/NewStencil27
 //     build the 7-point/27-point Laplacians (package grid's matrices are

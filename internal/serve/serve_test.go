@@ -23,9 +23,11 @@ import (
 	"asyncmg/internal/grid"
 	"asyncmg/internal/mtx"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/op"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/solve"
+	"asyncmg/internal/sparse"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -237,6 +239,55 @@ func TestServeMatrixUpload(t *testing.T) {
 	resp.Body.Close()
 	if out.Cache != "hit" {
 		t.Errorf("plain upload of the same matrix: cache %q, want hit", out.Cache)
+	}
+}
+
+// TestServeUploadRunsUint32Views: the engine a /solve/matrix upload caches
+// runs every level on uint32-indexed CSR views, and the response's
+// hierarchy_bytes is their CSR formula, 12·nnz + 4·(rows+1) per float64
+// matrix (Pᵀ and P̄ᵀ included).
+func TestServeUploadRunsUint32Views(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	var body bytes.Buffer
+	if err := mtx.Write(&body, grid.Laplacian7pt(10)); err != nil {
+		t.Fatalf("mtx.Write: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/solve/matrix?method=multadd&cycles=3", "text/plain", &body)
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	var out SolveResponse
+	json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || s.cache.len() != 1 {
+		t.Fatalf("upload: status %d, %d cached entries", resp.StatusCode, s.cache.len())
+	}
+	var e *engine.Engine
+	for _, ent := range s.cache.entries {
+		e = ent.setup
+	}
+	if e.NumLevels() < 2 {
+		t.Fatalf("%d levels: no interpolant to check", e.NumLevels())
+	}
+	want := 0
+	for k, a := range e.Ops {
+		m, ok := a.(*op.CSR[float64, uint32])
+		if !ok {
+			t.Fatalf("level %d operator is a %T", k, a)
+		}
+		want += 12*m.M.NNZ() + 4*(m.M.Rows+1)
+	}
+	for k, itp := range append(append([]op.Interp(nil), e.Itp...), e.SItp...) {
+		c, ok := itp.(*op.CSRInterp[float64, uint32])
+		if !ok {
+			t.Fatalf("interpolant view %d is a %T", k, itp)
+		}
+		for _, m := range []*sparse.Matrix[float64, uint32]{c.P, c.PT} {
+			want += 12*m.NNZ() + 4*(m.Rows+1)
+		}
+	}
+	if out.HierarchyBytes != want {
+		t.Errorf("hierarchy_bytes = %d, want %d by the CSR formula", out.HierarchyBytes, want)
 	}
 }
 

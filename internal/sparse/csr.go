@@ -21,10 +21,10 @@ import (
 )
 
 // Value is a stored matrix-entry type; Index a stored row-pointer and
-// column-index type.
+// column-index type (uint32 in the multigrid hierarchy).
 type (
 	Value interface{ float32 | float64 }
-	Index interface{ int32 | int }
+	Index interface{ uint32 | int }
 )
 
 // Matrix is a sparse matrix in compressed sparse row format, generic over
@@ -47,14 +47,22 @@ type Matrix[V Value, I Index] struct {
 // CSR is the float64/int matrix the setup phase builds and transforms.
 type CSR = Matrix[float64, int]
 
+// Fits returns an error naming the first of counts I cannot hold.
+func Fits[I Index](counts ...int) error {
+	for _, n := range counts {
+		if int(I(n)) != n {
+			return fmt.Errorf("sparse: %d does not fit the index type", n)
+		}
+	}
+	return nil
+}
+
 // Convert re-stores m with value type V and index type I (float32 values
 // round once, here). It panics if a dimension or the entry count does not
 // fit I.
 func Convert[V Value, I Index, V0 Value, I0 Index](m *Matrix[V0, I0]) *Matrix[V, I] {
-	for _, n := range [...]int{m.Rows, m.Cols, len(m.Vals)} {
-		if int(I(n)) != n {
-			panic(fmt.Sprintf("sparse: Convert: %d does not fit the index type", n))
-		}
+	if err := Fits[I](m.Rows, m.Cols, len(m.Vals)); err != nil {
+		panic(err)
 	}
 	c := &Matrix[V, I]{
 		Rows:   m.Rows,

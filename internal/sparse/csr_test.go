@@ -346,3 +346,21 @@ func TestMatVecPanicsOnDimensionMismatch(t *testing.T) {
 	a := Identity(3)
 	a.MatVec(make([]float64, 3), make([]float64, 4))
 }
+
+// TestFitsUint32 is the 32-bit fit check on counts alone, so no array of
+// 2³² entries is allocated: a dimension or entry count of 2³²−1 fits a
+// uint32 index, 2³² does not, whichever count it is; int holds both.
+func TestFitsUint32(t *testing.T) {
+	const last = 1<<32 - 1
+	if err := Fits[uint32](last, last, last); err != nil {
+		t.Errorf("2³²−1 does not fit uint32: %v", err)
+	}
+	for _, counts := range [][]int{{last + 1}, {last + 1, 0, 0}, {0, last + 1, 0}, {0, 0, last + 1}} {
+		if err := Fits[uint32](counts...); err == nil {
+			t.Errorf("counts %v fit uint32", counts)
+		}
+	}
+	if err := Fits[int](last + 1); err != nil {
+		t.Errorf("2³² does not fit int: %v", err)
+	}
+}

@@ -77,12 +77,12 @@ func acquireGemmScratch(cols int) *gemmScratch {
 func releaseGemmScratch(s *gemmScratch) { gemmScratchPool.Put(s) }
 
 // gemmSymbolicKernel counts row nonzeros of C = A·B into rowPtr[i+1].
-type gemmSymbolicKernel struct {
-	a, b   *CSR
-	rowPtr []int
+type gemmSymbolicKernel[I Index] struct {
+	a, b   *Matrix[float64, I]
+	rowPtr []I
 }
 
-func (k *gemmSymbolicKernel) Do(_, lo, hi int) {
+func (k *gemmSymbolicKernel[I]) Do(_, lo, hi int) {
 	a, b := k.a, k.b
 	s := acquireGemmScratch(b.Cols)
 	for i := lo; i < hi; i++ {
@@ -99,17 +99,17 @@ func (k *gemmSymbolicKernel) Do(_, lo, hi int) {
 				}
 			}
 		}
-		k.rowPtr[i+1] = cnt
+		k.rowPtr[i+1] = I(cnt)
 	}
 	releaseGemmScratch(s)
 }
 
 // gemmNumericKernel fills the pre-sized ColIdx/Vals of C = A·B.
-type gemmNumericKernel struct {
-	a, b, c *CSR
+type gemmNumericKernel[I Index] struct {
+	a, b, c *Matrix[float64, I]
 }
 
-func (k *gemmNumericKernel) Do(_, lo, hi int) {
+func (k *gemmNumericKernel[I]) Do(_, lo, hi int) {
 	a, b, c := k.a, k.b, k.c
 	s := acquireGemmScratch(b.Cols)
 	for i := lo; i < hi; i++ {
@@ -124,33 +124,19 @@ func (k *gemmNumericKernel) Do(_, lo, hi int) {
 				if s.marker[j] != g {
 					s.marker[j] = g
 					s.acc[j] = 0
-					s.cols = append(s.cols, j)
+					s.cols = append(s.cols, int(j))
 				}
 				s.acc[j] += av * b.Vals[q]
 			}
 		}
 		sort.Ints(s.cols)
-		base := c.RowPtr[i]
+		base := int(c.RowPtr[i])
 		for z, j := range s.cols {
-			c.ColIdx[base+z] = j
+			c.ColIdx[base+z] = I(j)
 			c.Vals[base+z] = s.acc[j]
 		}
 	}
 	releaseGemmScratch(s)
-}
-
-var (
-	gemmSymbolicPool = sync.Pool{New: func() any { return new(gemmSymbolicKernel) }}
-	gemmNumericPool  = sync.Pool{New: func() any { return new(gemmNumericKernel) }}
-)
-
-// gemmWork estimates the flop count of A·B: nnz(A) times the mean row
-// density of B. It drives the parallel-dispatch decision.
-func gemmWork(a, b *CSR) int {
-	if b.Rows == 0 {
-		return 0
-	}
-	return a.NNZ() * (b.NNZ()/b.Rows + 1)
 }
 
 // MatMul computes the sparse product C = A B with a two-pass (symbolic +
@@ -159,36 +145,33 @@ func gemmWork(a, b *CSR) int {
 // loop over the kernel pool when the product carries enough work. The
 // result is bitwise-identical to the serial single-worker product for
 // any worker count (rows are independent, and per-row accumulation
-// order never changes).
-func MatMul(a, b *CSR) *CSR {
+// order never changes). It panics if C's entry count does not fit I.
+func MatMul[I Index](a, b *Matrix[float64, I]) *Matrix[float64, I] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: MatMul dimension mismatch: %dx%d times %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1)}
-	work := gemmWork(a, b)
+	c := &Matrix[float64, I]{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]I, a.Rows+1)}
+	// The flop estimate nnz(A)·(B's mean row density + 1) drives dispatch.
+	work := a.NNZ() * (b.NNZ()/max(b.Rows, 1) + 1)
 
 	// Symbolic pass: per-row nonzero counts into RowPtr[i+1].
-	sym := gemmSymbolicPool.Get().(*gemmSymbolicKernel)
-	sym.a, sym.b, sym.rowPtr = a, b, c.RowPtr
-	par.Run(work, a.Rows, sym)
-	*sym = gemmSymbolicKernel{}
-	gemmSymbolicPool.Put(sym)
+	par.Run(work, a.Rows, &gemmSymbolicKernel[I]{a, b, c.RowPtr})
 
 	// Exact prefix-sum allocation: no append regrowth downstream.
-	for i := 0; i < a.Rows; i++ {
-		c.RowPtr[i+1] += c.RowPtr[i]
+	nnz := 0
+	for i := 1; i <= a.Rows; i++ {
+		nnz += int(c.RowPtr[i])
+		c.RowPtr[i] = I(nnz)
 	}
-	nnz := c.RowPtr[a.Rows]
-	c.ColIdx = make([]int, nnz)
+	if err := Fits[I](nnz); err != nil {
+		panic(err)
+	}
+	c.ColIdx = make([]I, nnz)
 	c.Vals = make([]float64, nnz)
 
 	// Numeric pass: accumulate and write each row into its exact slot.
-	num := gemmNumericPool.Get().(*gemmNumericKernel)
-	num.a, num.b, num.c = a, b, c
-	par.Run(work, a.Rows, num)
-	*num = gemmNumericKernel{}
-	gemmNumericPool.Put(num)
+	par.Run(work, a.Rows, &gemmNumericKernel[I]{a, b, c})
 	return c
 }
 
@@ -200,7 +183,7 @@ func MatMul(a, b *CSR) *CSR {
 // re-transposes an interpolant; it keeps A·P on the level, where the
 // engine forms the smoothed interpolant P − diag(s)·A·P from it without
 // a second product.
-func RAPWith(a, p, pT *CSR) (ac, ap *CSR) {
+func RAPWith[I Index](a, p, pT *Matrix[float64, I]) (ac, ap *Matrix[float64, I]) {
 	if pT.Rows != p.Cols || pT.Cols != p.Rows {
 		panic(fmt.Sprintf("sparse: RAPWith transpose shape mismatch: P is %dx%d, PT is %dx%d",
 			p.Rows, p.Cols, pT.Rows, pT.Cols))

@@ -4,8 +4,9 @@
 // Matrix[V, I] computing the half-open row range [lo, hi): stored values
 // convert to float64 at load and every row accumulates in float64 over its
 // entries in ascending column order, so only the stored entries themselves
-// are rounded (once, at conversion) and the float64/int and float32/int32
-// instantiations differ in nothing but bytes streamed. Every kernel takes
+// are rounded (once, at conversion) and the float64/int, float64/uint32
+// and float32/uint32 instantiations differ in nothing but bytes streamed
+// (16, 12 and 8 per nonzero). Every kernel takes
 // one vector: with the operators resident in cache a k-column block SpMV
 // costs about k single ones (EXPERIMENTS.md, "Block path deleted").
 //

@@ -21,9 +21,12 @@ type blockSum interface {
 	sum(lo, hi int) float64
 }
 
-// reducer is one reduction's pooled state: its kernel (one of the embedded
-// ones, so choosing it allocates nothing) and one partial-sum slot per
-// block, which the shards fill and the caller adds.
+// reducer is one sharded reduction's pooled state: its kernel (one of the
+// embedded ones, so choosing it allocates nothing) and one partial-sum
+// slot per block, which the shards fill and the caller adds. A reduction
+// below the par.Par threshold needs none: it sums its blocks on the
+// caller (serialSum), so it allocates nothing even when a GC has emptied
+// the pool, as the axpy wrappers of par.go do.
 type reducer struct {
 	f     blockSum
 	n     int
@@ -42,24 +45,18 @@ func (r *reducer) Do(_, lo, hi int) {
 
 var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
 
-// reduce returns the block-ordered sum of f over [0, n) and releases r.
-// The blocks are sharded over the shared pool when work meets par.Par.
-func (r *reducer) reduce(work, n int, f blockSum) float64 {
+// reduce returns the block-ordered sum of f over [0, n), its blocks
+// sharded over the shared pool, and releases r.
+func (r *reducer) reduce(n int, f blockSum) float64 {
+	nb := (n + Block - 1) / Block
+	if cap(r.parts) < nb {
+		r.parts = make([]float64, nb)
+	}
+	r.f, r.n, r.parts = f, n, r.parts[:nb]
+	par.Default().Run(nb, r)
 	s := 0.0
-	if par.Par(work) {
-		nb := (n + Block - 1) / Block
-		if cap(r.parts) < nb {
-			r.parts = make([]float64, nb)
-		}
-		r.f, r.n, r.parts = f, n, r.parts[:nb]
-		par.Default().Run(nb, r)
-		for _, p := range r.parts {
-			s += p
-		}
-	} else {
-		for lo := 0; lo < n; lo += Block {
-			s += f.sum(lo, min(lo+Block, n))
-		}
+	for _, p := range r.parts {
+		s += p
 	}
 	*r = reducer{parts: r.parts}
 	reducerPool.Put(r)
@@ -67,6 +64,15 @@ func (r *reducer) reduce(work, n int, f blockSum) float64 {
 }
 
 func getReducer() *reducer { return reducerPool.Get().(*reducer) }
+
+// serialSum is the block-ordered sum of sum over [0, n) on the caller.
+func serialSum(n int, sum func(lo, hi int) float64) float64 {
+	s := 0.0
+	for lo := 0; lo < n; lo += Block {
+		s += sum(lo, min(lo+Block, n))
+	}
+	return s
+}
 
 // dotRange returns Σ x[i]·y[i] over [lo, hi) in row order.
 func dotRange(x, y []float64, lo, hi int) float64 {
@@ -84,18 +90,20 @@ func (k *dotKernel) sum(lo, hi int) float64 { return dotRange(k.x, k.y, lo, hi) 
 
 // Dot returns the inner product of x and y, block-ordered (see Block).
 func Dot(x, y []float64) float64 {
+	k := dotKernel{x, y}
+	if !par.Par(len(x)) {
+		return serialSum(len(x), k.sum)
+	}
 	r := getReducer()
-	r.dot = dotKernel{x, y}
-	return r.reduce(len(x), len(x), &r.dot)
+	r.dot = k
+	return r.reduce(len(x), &r.dot)
 }
 
 // Norm2 returns the Euclidean norm of v: √Σv² in one block-ordered pass,
 // or the scaled two-pass form where that sum is unreliable (see norm2).
 // A NaN anywhere gives +Inf, the divergence sentinel.
 func Norm2(v []float64) float64 {
-	r := getReducer()
-	r.dot = dotKernel{v, v}
-	return norm2(v, r.reduce(len(v), len(v), &r.dot))
+	return norm2(v, Dot(v, v))
 }
 
 // norm2Floor is the smallest Σv² that norm2 takes the root of. A square
@@ -160,9 +168,13 @@ func (k *applyDotKernel) sum(lo, hi int) float64 {
 // product's work (A's nonzeros) for the dispatch threshold. y is A x bit
 // for bit and the result is Dot(x, y) bit for bit.
 func ApplyDot(work int, a Applier, y, x []float64) float64 {
+	k := applyDotKernel{a, y, x}
+	if !par.Par(work) {
+		return serialSum(len(y), k.sum)
+	}
 	r := getReducer()
-	r.apply = applyDotKernel{a, y, x}
-	return r.reduce(work, len(y), &r.apply)
+	r.apply = k
+	return r.reduce(len(y), &r.apply)
 }
 
 type cgKernel struct {
@@ -188,7 +200,11 @@ func (k *cgKernel) sum(lo, hi int) float64 {
 // and r −= α·ap, fused with ‖r‖₂ of the updated r in one pass. x and r are
 // those of AxpyPar bit for bit and the norm is Norm2(r)'s.
 func CGUpdate(alpha float64, x, r, p, ap []float64) float64 {
+	k := cgKernel{alpha, x, r, p, ap}
+	if !par.Par(len(r)) {
+		return norm2(r, serialSum(len(r), k.sum))
+	}
 	red := getReducer()
-	red.cg = cgKernel{alpha, x, r, p, ap}
-	return norm2(r, red.reduce(len(r), len(r), &red.cg))
+	red.cg = k
+	return norm2(r, red.reduce(len(r), &red.cg))
 }
