@@ -172,7 +172,8 @@ const maxCoarseLU = 4096
 
 // BuildWithStats runs the AMG setup phase on the fine-grid matrix a and
 // returns its per-stage breakdown, feeding the setup observability tables
-// and benchmarks. It runs on a uint32 copy of a, the levels' index width.
+// and benchmarks. It runs on a uint32-indexed copy of a that shares a's
+// values, so a must not change while the hierarchy is in use.
 func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("amg: matrix must be square, got %dx%d", a.Rows, a.Cols)

@@ -44,8 +44,9 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 				if _, csr := lev.Itp.(*op.CSRInterp[float64, uint32]); csr != (lev.AP != nil) {
 					t.Fatalf("level with interpolant %T holds A·P %v", lev.Itp, lev.AP != nil)
 				}
-				if lev.AP != nil {
-					aps = append(aps, sparse.Convert[float64, uint32](lev.AP)) // a copy
+				if ap := lev.AP; ap != nil {
+					aps = append(aps, &sparse.Matrix[float64, uint32]{Rows: ap.Rows, Cols: ap.Cols,
+						RowPtr: slices.Clone(ap.RowPtr), ColIdx: slices.Clone(ap.ColIdx), Vals: slices.Clone(ap.Vals)})
 				}
 			}
 			var hists [2][]float64

@@ -58,27 +58,27 @@ func Fits[I Index](counts ...int) error {
 }
 
 // Convert re-stores m with value type V and index type I (float32 values
-// round once, here). It panics if a dimension or the entry count does not
-// fit I.
+// round once, here). Where m already stores V, the result shares m's values
+// and only the indices are re-stored. It panics if a dimension or the
+// entry count does not fit I.
 func Convert[V Value, I Index, V0 Value, I0 Index](m *Matrix[V0, I0]) *Matrix[V, I] {
 	if err := Fits[I](m.Rows, m.Cols, len(m.Vals)); err != nil {
 		panic(err)
 	}
-	c := &Matrix[V, I]{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]I, len(m.RowPtr)),
-		ColIdx: make([]I, len(m.ColIdx)),
-		Vals:   make([]V, len(m.Vals)),
-	}
+	vals, same := any(m.Vals).([]V)
+	c := &Matrix[V, I]{Rows: m.Rows, Cols: m.Cols, Vals: vals,
+		RowPtr: make([]I, len(m.RowPtr)), ColIdx: make([]I, len(m.ColIdx))}
 	for i, p := range m.RowPtr {
 		c.RowPtr[i] = I(p)
 	}
 	for i, j := range m.ColIdx {
 		c.ColIdx[i] = I(j)
 	}
-	for i, v := range m.Vals {
-		c.Vals[i] = V(v)
+	if !same {
+		c.Vals = make([]V, len(m.Vals))
+		for i, v := range m.Vals {
+			c.Vals[i] = V(v)
+		}
 	}
 	return c
 }

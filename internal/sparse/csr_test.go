@@ -364,3 +364,20 @@ func TestFitsUint32(t *testing.T) {
 		t.Errorf("2³² does not fit int: %v", err)
 	}
 }
+
+// TestConvertSharesSameTypeValues: converting to the value type a matrix
+// already stores re-stores only its indices and shares its values; to
+// another value type it copies them, rounded once.
+func TestConvertSharesSameTypeValues(t *testing.T) {
+	m := randCSR(rand.New(rand.NewSource(3)), 9, 7, 0.4)
+	u := Convert[float64, uint32](m)
+	if &u.Vals[0] != &m.Vals[0] || u.Validate() != nil {
+		t.Error("float64/int → float64/uint32 did not share the values")
+	}
+	f := Convert[float32, uint32](m)
+	for q, v := range m.Vals {
+		if f.Vals[q] != float32(v) || int(f.ColIdx[q]) != m.ColIdx[q] {
+			t.Fatalf("entry %d converted to (%d, %v)", q, f.ColIdx[q], f.Vals[q])
+		}
+	}
+}
