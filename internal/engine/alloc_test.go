@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -226,5 +227,32 @@ func TestWorkspaceBytesCountsPeakHolders(t *testing.T) {
 	}
 	if got, want := s.WorkspaceBytes(), 8*(2*3*rows+2*rows+s.LevelSize(0)); got != want {
 		t.Errorf("WorkspaceBytes = %d, want %d", got, want)
+	}
+}
+
+// TestWorkspaceFreeListConcurrent: four goroutines acquiring and
+// releasing both kinds of workspace at once never make more than four of
+// either, so the free lists stay bounded by peak concurrency.
+func TestWorkspaceFreeListConcurrent(t *testing.T) {
+	s := allocTestEngine(t)
+	const holders = 4
+	var wg sync.WaitGroup
+	for g := 0; g < holders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				w, cw := s.AcquireWorkspace(), s.AcquireCorrWorkspace()
+				s.ReleaseCorrWorkspace(cw)
+				s.ReleaseWorkspace(w)
+			}
+		}()
+	}
+	wg.Wait()
+	if ws, corr := s.ws.made.Load(), s.corr.made.Load(); ws > holders || corr > holders {
+		t.Errorf("%d cycle and %d correction workspaces made by %d holders", ws, corr, holders)
+	}
+	if got := len(s.ws.idle); int64(got) != s.ws.made.Load() {
+		t.Errorf("%d of %d cycle workspaces idle after every holder released", got, s.ws.made.Load())
 	}
 }

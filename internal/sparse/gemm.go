@@ -76,45 +76,37 @@ func acquireGemmScratch(cols int) *gemmScratch {
 
 func releaseGemmScratch(s *gemmScratch) { gemmScratchPool.Put(s) }
 
-// gemmSymbolicKernel counts row nonzeros of C = A·B into rowPtr[i+1].
-type gemmSymbolicKernel[I Index] struct {
-	a, b   *Matrix[float64, I]
-	rowPtr []I
+// gemmProduct is one product C = A·B and the descriptor both its passes
+// shard: pass 0 counts each row's nonzeros into C.RowPtr[i+1], pass 1
+// fills C's exactly sized ColIdx/Vals. C lives inside it, so a product
+// allocates this one object and C's three arrays.
+type gemmProduct[I Index] struct {
+	c    Matrix[float64, I]
+	a, b *Matrix[float64, I]
+	pass int
 }
 
-func (k *gemmSymbolicKernel[I]) Do(_, lo, hi int) {
-	a, b := k.a, k.b
+func (k *gemmProduct[I]) Do(_, lo, hi int) {
+	a, b, c := k.a, k.b, &k.c
 	s := acquireGemmScratch(b.Cols)
 	for i := lo; i < hi; i++ {
 		s.gen++
 		g := s.gen
-		cnt := 0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			kk := a.ColIdx[p]
-			for q := b.RowPtr[kk]; q < b.RowPtr[kk+1]; q++ {
-				j := b.ColIdx[q]
-				if s.marker[j] != g {
-					s.marker[j] = g
-					cnt++
+		if k.pass == 0 {
+			cnt := 0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				kk := a.ColIdx[p]
+				for q := b.RowPtr[kk]; q < b.RowPtr[kk+1]; q++ {
+					j := b.ColIdx[q]
+					if s.marker[j] != g {
+						s.marker[j] = g
+						cnt++
+					}
 				}
 			}
+			c.RowPtr[i+1] = I(cnt)
+			continue
 		}
-		k.rowPtr[i+1] = I(cnt)
-	}
-	releaseGemmScratch(s)
-}
-
-// gemmNumericKernel fills the pre-sized ColIdx/Vals of C = A·B.
-type gemmNumericKernel[I Index] struct {
-	a, b, c *Matrix[float64, I]
-}
-
-func (k *gemmNumericKernel[I]) Do(_, lo, hi int) {
-	a, b, c := k.a, k.b, k.c
-	s := acquireGemmScratch(b.Cols)
-	for i := lo; i < hi; i++ {
-		s.gen++
-		g := s.gen
 		s.cols = s.cols[:0]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			kk := a.ColIdx[p]
@@ -151,12 +143,13 @@ func MatMul[I Index](a, b *Matrix[float64, I]) *Matrix[float64, I] {
 		panic(fmt.Sprintf("sparse: MatMul dimension mismatch: %dx%d times %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := &Matrix[float64, I]{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]I, a.Rows+1)}
+	k := &gemmProduct[I]{c: Matrix[float64, I]{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]I, a.Rows+1)}, a: a, b: b}
+	c := &k.c
 	// The flop estimate nnz(A)·(B's mean row density + 1) drives dispatch.
 	work := a.NNZ() * (b.NNZ()/max(b.Rows, 1) + 1)
 
 	// Symbolic pass: per-row nonzero counts into RowPtr[i+1].
-	par.Run(work, a.Rows, &gemmSymbolicKernel[I]{a, b, c.RowPtr})
+	par.Run(work, a.Rows, k)
 
 	// Exact prefix-sum allocation: no append regrowth downstream.
 	nnz := 0
@@ -171,7 +164,9 @@ func MatMul[I Index](a, b *Matrix[float64, I]) *Matrix[float64, I] {
 	c.Vals = make([]float64, nnz)
 
 	// Numeric pass: accumulate and write each row into its exact slot.
-	par.Run(work, a.Rows, &gemmNumericKernel[I]{a, b, c})
+	k.pass = 1
+	par.Run(work, a.Rows, k)
+	k.a, k.b = nil, nil // C keeps k alive, not the factors
 	return c
 }
 
