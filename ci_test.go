@@ -2,7 +2,12 @@ package asyncmg_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -61,6 +66,74 @@ func TestWorkflowStepNames(t *testing.T) {
 	} {
 		if errs := workflowNameErrors(fine); errs != nil {
 			t.Errorf("%.40q fails the check: %v", fine, errs)
+		}
+	}
+}
+
+// syncPoolRefs lists the references to sync.Pool in one Go source file,
+// under whatever name the file imports "sync". Comments do not count.
+func syncPoolRefs(fset *token.FileSet, path string, src any) ([]string, error) {
+	f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{}
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"sync"` {
+			name := "sync"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			names[name] = true
+		}
+	}
+	var refs []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+			if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] {
+				refs = append(refs, fset.Position(sel.Pos()).String())
+			}
+		}
+		return true
+	})
+	return refs, nil
+}
+
+// TestNoSyncPool: the program reuses state through par.FreeList only. A
+// sync.Pool drops what it holds at every GC and keeps it per P, so no
+// non-test Go file outside bench/ may refer to one. The check itself is
+// held to planted sources.
+func TestNoSyncPool(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		refs, err := syncPoolRefs(fset, path, nil)
+		for _, r := range refs {
+			t.Errorf("%s: sync.Pool; reuse state through par.FreeList", r)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src, want := range map[string]int{
+		"package p\nimport \"sync\"\nvar p = sync.Pool{New: func() any { return 0 }}\n": 1,
+		"package p\nimport s \"sync\"\nfunc f() *s.Pool { return new(s.Pool) }\n":       2,
+		"package p\nimport \"sync\"\n// a sync.Pool\nvar m sync.Mutex\n":                0,
+	} {
+		if refs, err := syncPoolRefs(fset, "planted.go", src); err != nil || len(refs) != want {
+			t.Errorf("planted %q: %d references (%v), want %d", src, len(refs), err, want)
 		}
 	}
 }

@@ -131,7 +131,9 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 type SetupStats struct {
 	// Total is the wall time of the whole setup phase.
 	Total time.Duration
-	// Strength covers strength-of-connection graph construction.
+	// Strength covers strength-of-connection graph construction, and
+	// the re-index of the fine matrix to uint32 (with the function map)
+	// that the first strength graph reads.
 	Strength time.Duration
 	// Coarsen covers the PMIS/HMIS (and aggressive second-pass) C/F splits.
 	Coarsen time.Duration
@@ -187,6 +189,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	st := &SetupStats{}
 	start := time.Now()
 	h := &Hierarchy{Precision: opt.CoarsePrecision}
+	t0 := time.Now()
 	cur := sparse.Convert[float64, uint32](a)
 	// Function map for the unknown approach (nil for scalar problems).
 	var fun []int
@@ -199,6 +202,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 			fun[i] = i % opt.NumFunctions
 		}
 	}
+	st.Strength = time.Since(t0)
 	for lvl := 0; ; lvl++ {
 		if lvl == opt.MaxLevels-1 || cur.Rows <= opt.MinCoarse {
 			h.Levels = append(h.Levels, Level{Op: op.FromCSR(cur)})
@@ -253,7 +257,7 @@ func BuildWithStats(a *sparse.CSR, opt Options) (*Hierarchy, *SetupStats, error)
 	}
 	// Factor the coarsest operator for exact solves, if it is small
 	// enough to hold densely.
-	t0 := time.Now()
+	t0 = time.Now()
 	if cur.Rows <= maxCoarseLU {
 		h.Coarse, _ = dense.Factor(cur) // nil if singular
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/fem"
@@ -207,14 +205,7 @@ func TestLevelPTMatchesTranspose(t *testing.T) {
 // per-row slice or map anywhere in strength, coarsening, interpolation or
 // RAP costs: the map-based interpolation made 95 000.
 func TestBuildAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race by design; pooled scratch is re-allocated at random")
-	}
 	const budget = 2000
-	// A collection inside AllocsPerRun empties the kernels' scratch pools
-	// and charges their re-allocation to the Build being measured, so
-	// collect between the measurements only.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	opt := DefaultOptions()
 	opt.AggressiveLevels = 1
 	for _, tc := range []struct {
@@ -233,7 +224,6 @@ func TestBuildAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			runtime.GC()
 			if allocs > budget {
 				t.Errorf("%s, %d workers: Build made %.0f allocations, budget %d", tc.name, workers, allocs, budget)
 			}

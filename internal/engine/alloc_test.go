@@ -232,7 +232,8 @@ func TestWorkspaceBytesCountsPeakHolders(t *testing.T) {
 
 // TestWorkspaceFreeListConcurrent: four goroutines acquiring and
 // releasing both kinds of workspace at once never make more than four of
-// either, so the free lists stay bounded by peak concurrency.
+// either, so the workspace storage stays bounded by peak concurrency
+// (par's TestFreeListConcurrent checks the list itself).
 func TestWorkspaceFreeListConcurrent(t *testing.T) {
 	s := allocTestEngine(t)
 	const holders = 4
@@ -249,10 +250,11 @@ func TestWorkspaceFreeListConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ws, corr := s.ws.made.Load(), s.corr.made.Load(); ws > holders || corr > holders {
-		t.Errorf("%d cycle and %d correction workspaces made by %d holders", ws, corr, holders)
+	rows := 0
+	for k := 0; k < s.NumLevels(); k++ {
+		rows += s.LevelSize(k)
 	}
-	if got := len(s.ws.idle); int64(got) != s.ws.made.Load() {
-		t.Errorf("%d of %d cycle workspaces idle after every holder released", got, s.ws.made.Load())
+	if got, most := s.WorkspaceBytes(), 8*holders*(3*rows+2*rows+s.LevelSize(0)); got > most {
+		t.Errorf("%d holders left %d workspace bytes, want at most %d", holders, got, most)
 	}
 }

@@ -8,7 +8,7 @@ type BlockWorkspace struct {
 	xc, bc []float64
 }
 
-// AcquireBlockWorkspace returns a BlockCycle workspace around a pooled
+// AcquireBlockWorkspace returns a BlockCycle workspace around a free-listed
 // cycle workspace; pair with ReleaseBlockWorkspace. The columns are one
 // right-hand side long whatever k is.
 func (s *Engine) AcquireBlockWorkspace(k int) *BlockWorkspace {

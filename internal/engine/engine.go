@@ -4,7 +4,7 @@
 // interpolant built from that smoother's own M⁻¹ and the A·P the setup
 // kept, so the engine forms no sparse product; the smoothers hold the
 // diagonals and row norms, which the engine does not cache beside them),
-// pooled per-level workspaces, and the single implementation
+// free-listed per-level workspaces, and the single implementation
 // of the cycles and of the per-grid correction math that the synchronous
 // solvers, the goroutine-team asynchronous runtime (package async), the
 // sequential §III models (package model), the Krylov preconditioners
@@ -21,12 +21,11 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/obs"
 	"asyncmg/internal/op"
+	"asyncmg/internal/par"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
@@ -90,8 +89,8 @@ type Engine struct {
 	// hierarchy (NewFromHierarchy).
 	Setup *amg.SetupStats
 
-	ws   freeList[Workspace]
-	corr freeList[CorrWorkspace]
+	ws   par.FreeList[Workspace]
+	corr par.FreeList[CorrWorkspace]
 
 	// obs receives per-grid relaxation/correction counts and cycle
 	// residual samples from the engine's own cycle methods. Nil (the
@@ -354,12 +353,12 @@ func (s *Engine) LevelSize(k int) int { return s.Ops[k].Rows() }
 // RelRes returns the true relative residual ‖b − A x‖₂/‖b‖₂ of an iterate
 // on the fine level (‖b‖₂ = 0 divides by 1), through the fine operator's
 // Residual and the block-ordered vec.Norm2, so it does not depend on the
-// worker count. The residual goes into an idle pooled workspace's level-0
+// worker count. The residual goes into an idle workspace's level-0
 // slot; with none idle it costs one n-vector, not a whole workspace.
 func (s *Engine) RelRes(b, x []float64) float64 {
 	var r []float64
-	if w := s.ws.pop(); w != nil {
-		defer s.ws.push(w)
+	if w := s.ws.Pop(); w != nil {
+		defer s.ws.Put(w)
 		r = w.r[0]
 	} else {
 		r = make([]float64, len(b))
@@ -403,57 +402,17 @@ func (s *Engine) NewWorkspace() *Workspace {
 // AcquireWorkspace returns an idle cycle workspace, or a new one when
 // none is idle; pair with ReleaseWorkspace. Contents are unspecified
 // (every cycle fully overwrites what it reads).
-func (s *Engine) AcquireWorkspace() *Workspace { return s.ws.get(s.NewWorkspace) }
+func (s *Engine) AcquireWorkspace() *Workspace { return s.ws.Get(s.NewWorkspace) }
 
 // ReleaseWorkspace returns w to the engine's free list for reuse.
-func (s *Engine) ReleaseWorkspace(w *Workspace) { s.ws.push(w) }
+func (s *Engine) ReleaseWorkspace(w *Workspace) { s.ws.Put(w) }
 
 // AcquireCorrWorkspace returns an idle grid-correction workspace, or a
 // new one; pair with ReleaseCorrWorkspace.
-func (s *Engine) AcquireCorrWorkspace() *CorrWorkspace { return s.corr.get(s.NewCorrWorkspace) }
+func (s *Engine) AcquireCorrWorkspace() *CorrWorkspace { return s.corr.Get(s.NewCorrWorkspace) }
 
 // ReleaseCorrWorkspace returns w to the engine's free list for reuse.
-func (s *Engine) ReleaseCorrWorkspace(w *CorrWorkspace) { s.corr.push(w) }
-
-// freeList is an engine's mutex-guarded stack of idle workspaces of one
-// kind. Unlike a sync.Pool's per-P slots, an idle workspace is found from
-// every goroutine and survives a GC. A workspace is made only when none
-// is idle, so the list never holds more than the engine's peak number of
-// concurrent holders, the count made keeps.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	idle []*T
-	made atomic.Int64
-}
-
-// pop takes an idle workspace off the list, or returns nil.
-func (l *freeList[T]) pop() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.idle)
-	if n == 0 {
-		return nil
-	}
-	w := l.idle[n-1]
-	l.idle = l.idle[:n-1]
-	return w
-}
-
-// push puts w on the list.
-func (l *freeList[T]) push(w *T) {
-	l.mu.Lock()
-	l.idle = append(l.idle, w)
-	l.mu.Unlock()
-}
-
-// get pops an idle workspace or makes one with fresh.
-func (l *freeList[T]) get(fresh func() *T) *T {
-	if w := l.pop(); w != nil {
-		return w
-	}
-	l.made.Add(1)
-	return fresh()
-}
+func (s *Engine) ReleaseCorrWorkspace(w *CorrWorkspace) { s.corr.Put(w) }
 
 // WorkspaceBytes reports the storage of the cycle and correction
 // workspaces the engine has made through AcquireWorkspace and
@@ -467,7 +426,7 @@ func (s *Engine) WorkspaceBytes() int {
 	}
 	// A Workspace is r, e and tmp per level; a CorrWorkspace Lvl and Lvl2
 	// per level and a fine-sized E.
-	return 8 * (3*rows*int(s.ws.made.Load()) + (2*rows+s.LevelSize(0))*int(s.corr.made.Load()))
+	return 8 * (3*rows*s.ws.Made() + (2*rows+s.LevelSize(0))*s.corr.Made())
 }
 
 // CoarseSolveScratch computes e = A_L⁻¹ r on the coarsest level, falling

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -160,21 +158,12 @@ func TestMatrixFreeAllocContract(t *testing.T) {
 				}
 			}
 
-			if raceEnabled {
-				t.Skip("sync.Pool drops items under -race by design; per-cycle alloc counts do not hold")
-			}
-			// AllocsPerRun measures on one P, and sync.Pool keeps its most
-			// recent item in a per-P slot no other P can reach: warm and
-			// measure on that one P, with no collection emptying the pools
-			// in between.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			b := grid.RandomRHS(s.LevelSize(0), 1)
 			x := make([]float64, s.LevelSize(0))
 			w := s.NewWorkspace()
 			for _, m := range []Method{Mult, Multadd, AFACx} {
 				vec.Zero(x)
-				s.Cycle(m, x, b, w) // warm pools and the coarse LU
+				s.Cycle(m, x, b, w) // warm the free lists and the coarse LU
 				allocs := testing.AllocsPerRun(10, func() {
 					s.Cycle(m, x, b, w)
 				})

@@ -2,7 +2,6 @@
 
 package engine
 
-// raceEnabled reports whether the race detector is active: sync.Pool
-// intentionally drops items under -race to surface races, so pool-reuse
-// and allocation assertions are not meaningful there.
+// raceEnabled reports whether the race detector is active: its
+// slowdown and shadow memory put the largest setups out of reach.
 const raceEnabled = true

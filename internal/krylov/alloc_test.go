@@ -2,7 +2,6 @@ package krylov
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -11,18 +10,6 @@ import (
 	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 )
-
-// warmPools is the precondition of the allocation contracts below:
-// they hold with warm scratch pools. sync.Pool drops items at random under
-// -race, and a collection landing inside AllocsPerRun empties the pools
-// mid-measurement, so skip the first and switch off the second.
-func warmPools(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race by design; per-solve alloc counts do not hold")
-	}
-	prev := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(prev) })
-}
 
 // allocCase is one multigrid-preconditioned Krylov configuration whose
 // warm repeated solve must not allocate.
@@ -53,8 +40,8 @@ func allocCases(t *testing.T) []allocCase {
 // assertWarmSolveAllocFree is the Krylov allocation contract (like the
 // engine's): with Options.X and Options.History reused, a warm repeated
 // solve allocates nothing — all iteration scratch cycles through the
-// package pool and the preconditioner's workspace comes from the setup's
-// pool.
+// package's free list and the preconditioner's workspace comes from the
+// engine's.
 func assertWarmSolveAllocFree(t *testing.T, solver string, solve func(op.Operator, []float64, Options) (Result, error)) {
 	t.Helper()
 	for _, c := range allocCases(t) {
@@ -71,7 +58,7 @@ func assertWarmSolveAllocFree(t *testing.T, solver string, solve func(op.Operato
 				t.Fatalf("%s %s: %v", solver, c.name, err)
 			}
 		}
-		run() // warm the pools
+		run() // warm the free lists
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Errorf("warm %s solve on %s allocates %.1f times, want 0", solver, c.name, allocs)
 		}
@@ -80,14 +67,12 @@ func assertWarmSolveAllocFree(t *testing.T, solver string, solve func(op.Operato
 }
 
 func TestPCGSteadyStateAllocFree(t *testing.T) {
-	warmPools(t)
 	assertWarmSolveAllocFree(t, "PCG", PCG)
 }
 
 // TestFGMRESSteadyStateAllocFree pins the same contract for FGMRES(m):
-// the basis vectors, Hessenberg and rotation scratch all pool.
+// the basis vectors, Hessenberg and rotation scratch are all reused.
 func TestFGMRESSteadyStateAllocFree(t *testing.T) {
-	warmPools(t)
 	assertWarmSolveAllocFree(t, "FGMRES", func(a op.Operator, b []float64, opt Options) (Result, error) {
 		return FGMRESCtx(context.Background(), a, b, opt)
 	})
@@ -96,7 +81,6 @@ func TestFGMRESSteadyStateAllocFree(t *testing.T) {
 // TestPlainCGAllocFreeOnOperator: the unpreconditioned iteration path is
 // also allocation-free on a reused operator view.
 func TestPlainCGAllocFreeOnOperator(t *testing.T) {
-	warmPools(t)
 	a := op.FromCSR(grid.Laplacian7pt(8))
 	n := a.Rows()
 	b := grid.RandomRHS(n, 12)

@@ -41,7 +41,7 @@ func FGMRESCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Re
 	hist = append(hist, 1)
 
 	ws := acquireScratch()
-	defer releaseScratch(ws)
+	defer scratches.Put(ws)
 	ws.ensureFGMRES(n, m)
 	r, v, zv := ws.r, ws.v, ws.zv
 	// h is the Givens-triangularized Hessenberg, column-major with m+1

@@ -16,17 +16,17 @@
 // and every reduction is vec's block-ordered one (vec.Block), sharded yet
 // independent of the worker count, so residual histories are bit-stable
 // across worker counts. All iteration
-// scratch cycles through a package pool; reusing Options.X and
-// Options.History makes repeated same-size solves allocation-free
-// (AllocsPerRun-enforced).
+// scratch cycles through a package free list (par.FreeList), which keeps
+// it across GCs; reusing Options.X and Options.History makes repeated
+// same-size solves allocation-free (AllocsPerRun-enforced).
 package krylov
 
 import (
 	"errors"
-	"sync"
 
 	"asyncmg/internal/engine"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/par"
 	"asyncmg/internal/vec"
 )
 
@@ -133,11 +133,13 @@ type Result struct {
 // preconditioner, or when FGMRES hits a zero pivot.
 var ErrBreakdown = errors.New("krylov: breakdown (operator or preconditioner not SPD / singular projection)")
 
-// ---- pooled iteration scratch ----
+// ---- reusable iteration scratch ----
 
-// scratch holds one solve's working vectors, recycled through a package
-// pool. Slices grow on demand and keep their capacity across solves, so
-// the steady state of repeated same-size solves allocates nothing.
+// scratch holds one solve's working vectors, recycled through the
+// package's free list. Slices grow on demand and keep their capacity
+// across solves, so the steady state of repeated same-size solves
+// allocates nothing. The list holds one scratch per peak concurrent
+// solve, each as large as the largest solve it served.
 type scratch struct {
 	r, z, p, ap  []float64 // PCG
 	v, zv        [][]float64
@@ -145,7 +147,7 @@ type scratch struct {
 	cs, sn, g, y []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratches par.FreeList[scratch]
 
 func grow(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -186,5 +188,4 @@ func (s *scratch) ensureFGMRES(n, m int) {
 	s.y = grow(s.y, m)
 }
 
-func acquireScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func releaseScratch(s *scratch) { scratchPool.Put(s) }
+func acquireScratch() *scratch { return scratches.Get(func() *scratch { return new(scratch) }) }

@@ -37,7 +37,7 @@ func PCGCtx(ctx context.Context, a op.Operator, b []float64, opt Options) (Resul
 	hist = append(hist, 1)
 
 	ws := acquireScratch()
-	defer releaseScratch(ws)
+	defer scratches.Put(ws)
 	ws.ensurePCG(n)
 	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
 

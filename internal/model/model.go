@@ -274,8 +274,8 @@ func newCorrWorkspace(s *engine.Engine) *corrWorkspace {
 	}
 }
 
-// release returns the pooled engine scratch; the workspace must not be
-// used afterwards.
+// release returns the engine scratch to its free list; the workspace
+// must not be used afterwards.
 func (w *corrWorkspace) release(s *engine.Engine) { s.ReleaseCorrWorkspace(w.cw) }
 
 // ring is a fixed-depth history of vectors indexed by absolute time

@@ -1,7 +1,9 @@
 // Package par provides the persistent goroutine worker pool behind the
 // repository's parallel compute kernels (sparse SpMV/residual, vec
 // axpy/dot/norm and the fused Krylov passes, the smoothed-interpolant
-// kernels).
+// kernels), and FreeList, the one type through which the program reuses
+// state between calls: kernel descriptors, Krylov and GEMM scratch,
+// engine workspaces. A free list keeps its idle objects across GCs.
 //
 // The pool is built for steady-state hot loops: dispatching a kernel
 // performs no heap allocation (workers are parked on per-worker channels

@@ -17,10 +17,11 @@
 //     append regrowth anywhere.
 //   - Each worker's dense marker/accumulator scratch (one int and one
 //     float64 per column of B, plus a column-collection buffer) is
-//     recycled through a sync.Pool. Markers carry a per-scratch
+//     recycled through a par.FreeList, which keeps one scratch per
+//     concurrent worker across GCs. Markers carry a per-scratch
 //     generation stamp instead of being cleared between rows or calls,
 //     so steady-state re-setup of an unchanged-size hierarchy performs
-//     no marker/accumulator heap allocations (see gemmScratchNews).
+//     no marker/accumulator heap allocations (gemmScratches.Made).
 //
 // The numeric pass accumulates acc[j] += a_ik * b_kj in exactly the same
 // (k ascending, then q ascending) order as the previous fused serial
@@ -31,8 +32,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"asyncmg/internal/par"
 )
@@ -48,22 +47,14 @@ type gemmScratch struct {
 	gen    int
 }
 
-var gemmScratchPool = sync.Pool{New: func() any {
-	gemmScratchNews.Add(1)
-	return &gemmScratch{}
-}}
+var gemmScratches par.FreeList[gemmScratch]
 
-// gemmScratchNews counts pool misses (fresh scratch constructions); the
-// setup allocation tests pin it to prove steady-state scratch reuse.
-var gemmScratchNews atomic.Int64
-
-// acquireGemmScratch returns a pooled scratch with capacity for `cols`
-// columns. Growing an undersized scratch re-allocates its dense arrays
-// (counted as a pool construction would be, via the resize below), but a
-// same-size reuse costs nothing and keeps stale markers valid: the
+// acquireGemmScratch returns an idle scratch with capacity for `cols`
+// columns. Growing an undersized scratch re-allocates its dense arrays,
+// but a same-size reuse costs nothing and keeps stale markers valid: the
 // generation stamp only moves forward.
 func acquireGemmScratch(cols int) *gemmScratch {
-	s := gemmScratchPool.Get().(*gemmScratch)
+	s := gemmScratches.Get(func() *gemmScratch { return new(gemmScratch) })
 	if cap(s.marker) < cols {
 		s.marker = make([]int, cols)
 		s.acc = make([]float64, cols)
@@ -73,8 +64,6 @@ func acquireGemmScratch(cols int) *gemmScratch {
 	s.acc = s.acc[:cols]
 	return s
 }
-
-func releaseGemmScratch(s *gemmScratch) { gemmScratchPool.Put(s) }
 
 // gemmProduct is one product C = A·B and the descriptor both its passes
 // shard: pass 0 counts each row's nonzeros into C.RowPtr[i+1], pass 1
@@ -128,7 +117,7 @@ func (k *gemmProduct[I]) Do(_, lo, hi int) {
 			c.Vals[base+z] = s.acc[j]
 		}
 	}
-	releaseGemmScratch(s)
+	gemmScratches.Put(s)
 }
 
 // MatMul computes the sparse product C = A B with a two-pass (symbolic +
@@ -189,7 +178,7 @@ func RAPWith[I Index](a, p, pT *Matrix[float64, I]) (ac, ap *Matrix[float64, I])
 
 // ---- sharded transpose ----
 
-// transScratch is the pooled per-call workspace of the parallel
+// transScratch is the reusable per-call workspace of the parallel
 // transpose: one column-count array per worker, carved out of a single
 // flat backing slice.
 type transScratch struct {
@@ -197,10 +186,10 @@ type transScratch struct {
 	counts [][]int
 }
 
-var transScratchPool = sync.Pool{New: func() any { return &transScratch{} }}
+var transScratches par.FreeList[transScratch]
 
 func acquireTransScratch(workers, cols int) *transScratch {
-	s := transScratchPool.Get().(*transScratch)
+	s := transScratches.Get(func() *transScratch { return new(transScratch) })
 	if cap(s.flat) < workers*cols {
 		s.flat = make([]int, workers*cols)
 	}
@@ -214,8 +203,6 @@ func acquireTransScratch(workers, cols int) *transScratch {
 	}
 	return s
 }
-
-func releaseTransScratch(s *transScratch) { transScratchPool.Put(s) }
 
 // transposeCountKernel counts, per shard, how many entries of A fall in
 // each column. Each shard zeroes and fills only its own count array.
@@ -301,5 +288,5 @@ func (a *Matrix[V, I]) transposePar(t *Matrix[V, I]) {
 
 	pool.Run(a.Rows, &transposeScatterKernel[V, I]{a, t, s.counts})
 
-	releaseTransScratch(s)
+	transScratches.Put(s)
 }

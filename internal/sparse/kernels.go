@@ -14,8 +14,8 @@
 // worker pool through RunRows when the operand carries enough work
 // (measured in nonzeros, par.Par) and run serially on the caller
 // otherwise. Because row loops are independent, a sharded kernel is
-// bitwise-identical to its serial form at any worker count. The one shard
-// descriptor is recycled through a sync.Pool, so the steady state
+// bitwise-identical to its serial form at any worker count. Shard
+// descriptors are recycled through a par.FreeList, so the steady state
 // allocates nothing. The setup GEMM dispatches through par.Run instead:
 // it runs a few times per setup, not per cycle.
 package sparse
@@ -23,7 +23,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"asyncmg/internal/par"
 )
@@ -40,7 +39,7 @@ const (
 	KResidual               // ResidualRange(r, b, x, lo, hi): r = b − A x
 )
 
-// shard is the one pooled descriptor behind every sharded full-vector
+// shard is the one reusable descriptor behind every sharded full-vector
 // kernel: which Range method of on to run, with the vector arguments v in
 // that method's own order.
 type shard struct {
@@ -73,7 +72,7 @@ func (s *shard) Do(_, lo, hi int) {
 	}
 }
 
-var shardPool = sync.Pool{New: func() any { return new(shard) }}
+var shards par.FreeList[shard]
 
 // run executes s over rows [0, n): sharded across the kernel pool when
 // work meets the par.Par threshold, serially on the caller otherwise.
@@ -82,11 +81,11 @@ func (s shard) run(work, n int) {
 		s.Do(0, 0, n)
 		return
 	}
-	p := shardPool.Get().(*shard)
+	p := shards.Get(func() *shard { return new(shard) })
 	*p = s
 	par.Default().Run(n, p)
 	*p = shard{}
-	shardPool.Put(p)
+	shards.Put(p)
 }
 
 // RunRows runs the Range method of on that kernel names over rows [0, n),

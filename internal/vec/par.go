@@ -2,7 +2,7 @@
 // par.Default() worker pool when the vector is long enough (par.Par) and
 // falls back to the serial kernel otherwise, so small multigrid levels
 // never pay goroutine-handoff costs. Kernel descriptors are recycled
-// through sync.Pools, keeping the steady state allocation-free.
+// through par.FreeLists, keeping the steady state allocation-free.
 //
 // The sharded updates are elementwise-independent and bitwise-identical
 // to the serial kernels. The reductions (reduce.go) shard fixed blocks of
@@ -10,11 +10,7 @@
 // same bits at any worker count.
 package vec
 
-import (
-	"sync"
-
-	"asyncmg/internal/par"
-)
+import "asyncmg/internal/par"
 
 type axpyKernel struct {
 	alpha float64
@@ -25,7 +21,7 @@ func (k *axpyKernel) Do(_, lo, hi int) {
 	AxpyRange(k.alpha, k.y, k.x, lo, hi)
 }
 
-var axpyPool = sync.Pool{New: func() any { return new(axpyKernel) }}
+var axpyList par.FreeList[axpyKernel]
 
 // AxpyPar computes y += alpha*x, sharded across the kernel pool for long
 // vectors. Bitwise-identical to Axpy.
@@ -34,11 +30,11 @@ func AxpyPar(alpha float64, y, x []float64) {
 		Axpy(alpha, y, x)
 		return
 	}
-	k := axpyPool.Get().(*axpyKernel)
+	k := axpyList.Get(func() *axpyKernel { return new(axpyKernel) })
 	k.alpha, k.y, k.x = alpha, y, x
 	par.Default().Run(len(y), k)
 	k.y, k.x = nil, nil
-	axpyPool.Put(k)
+	axpyList.Put(k)
 }
 
 type xpayKernel struct {
@@ -50,7 +46,7 @@ func (k *xpayKernel) Do(_, lo, hi int) {
 	XpayRange(k.alpha, k.y, k.x, lo, hi)
 }
 
-var xpayPool = sync.Pool{New: func() any { return new(xpayKernel) }}
+var xpayList par.FreeList[xpayKernel]
 
 // XpayPar computes y = x + alpha*y, sharded across the kernel pool for
 // long vectors. Bitwise-identical to Xpay.
@@ -59,9 +55,9 @@ func XpayPar(alpha float64, y, x []float64) {
 		Xpay(alpha, y, x)
 		return
 	}
-	k := xpayPool.Get().(*xpayKernel)
+	k := xpayList.Get(func() *xpayKernel { return new(xpayKernel) })
 	k.alpha, k.y, k.x = alpha, y, x
 	par.Default().Run(len(y), k)
 	k.y, k.x = nil, nil
-	xpayPool.Put(k)
+	xpayList.Put(k)
 }

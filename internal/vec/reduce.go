@@ -2,7 +2,6 @@ package vec
 
 import (
 	"math"
-	"sync"
 
 	"asyncmg/internal/par"
 )
@@ -21,12 +20,11 @@ type blockSum interface {
 	sum(lo, hi int) float64
 }
 
-// reducer is one sharded reduction's pooled state: its kernel (one of the
-// embedded ones, so choosing it allocates nothing) and one partial-sum
-// slot per block, which the shards fill and the caller adds. A reduction
-// below the par.Par threshold needs none: it sums its blocks on the
-// caller (serialSum), so it allocates nothing even when a GC has emptied
-// the pool, as the axpy wrappers of par.go do.
+// reducer is one sharded reduction's reusable state: its kernel (one of
+// the embedded ones, so choosing it allocates nothing) and one
+// partial-sum slot per block, which the shards fill and the caller adds.
+// A reduction below the par.Par threshold needs none: it sums its blocks
+// on the caller (serialSum).
 type reducer struct {
 	f     blockSum
 	n     int
@@ -43,7 +41,7 @@ func (r *reducer) Do(_, lo, hi int) {
 	}
 }
 
-var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
+var reducers par.FreeList[reducer]
 
 // reduce returns the block-ordered sum of f over [0, n), its blocks
 // sharded over the shared pool, and releases r.
@@ -59,11 +57,11 @@ func (r *reducer) reduce(n int, f blockSum) float64 {
 		s += p
 	}
 	*r = reducer{parts: r.parts}
-	reducerPool.Put(r)
+	reducers.Put(r)
 	return s
 }
 
-func getReducer() *reducer { return reducerPool.Get().(*reducer) }
+func getReducer() *reducer { return reducers.Get(func() *reducer { return new(reducer) }) }
 
 // serialSum is the block-ordered sum of sum over [0, n) on the caller.
 func serialSum(n int, sum func(lo, hi int) float64) float64 {
