@@ -99,12 +99,11 @@ func syncPoolRefs(fset *token.FileSet, path string, src any) ([]string, error) {
 	return refs, nil
 }
 
-// TestNoSyncPool: the program reuses state through par.FreeList only. A
-// sync.Pool drops what it holds at every GC and keeps it per P, so no
-// non-test Go file outside bench/ may refer to one. The check itself is
-// held to planted sources.
-func TestNoSyncPool(t *testing.T) {
-	fset := token.NewFileSet()
+// goFiles lists the Go files of the module outside bench/ (a module of
+// its own), testdata and hidden directories.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -115,17 +114,34 @@ func TestNoSyncPool(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
 		}
-		refs, err := syncPoolRefs(fset, path, nil)
-		for _, r := range refs {
-			t.Errorf("%s: sync.Pool; reuse state through par.FreeList", r)
-		}
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return files
+}
+
+// TestNoSyncPool: the program reuses state through par.FreeList only. A
+// sync.Pool drops what it holds at every GC and keeps it per P, so no
+// non-test Go file outside bench/ may refer to one. The check itself is
+// held to planted sources.
+func TestNoSyncPool(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		refs, err := syncPoolRefs(fset, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range refs {
+			t.Errorf("%s: sync.Pool; reuse state through par.FreeList", r)
+		}
 	}
 	for src, want := range map[string]int{
 		"package p\nimport \"sync\"\nvar p = sync.Pool{New: func() any { return 0 }}\n": 1,
@@ -134,6 +150,48 @@ func TestNoSyncPool(t *testing.T) {
 	} {
 		if refs, err := syncPoolRefs(fset, "planted.go", src); err != nil || len(refs) != want {
 			t.Errorf("planted %q: %d references (%v), want %d", src, len(refs), err, want)
+		}
+	}
+}
+
+// benchmarkFuncs lists the top-level functions named Benchmark… in one Go
+// source file.
+func benchmarkFuncs(fset *token.FileSet, path string, src any) ([]string, error) {
+	f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var funcs []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+			funcs = append(funcs, fmt.Sprintf("%s: func %s", fset.Position(fn.Pos()), fn.Name.Name))
+		}
+	}
+	return funcs, nil
+}
+
+// TestNoBenchmarkOutsideBench: times are measured by bench/ alone, so no
+// Go file outside it, test files included, declares a top-level
+// Benchmark… function (go test benchmarks would be a second pipeline).
+// The check itself is held to planted sources.
+func TestNoBenchmarkOutsideBench(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t) {
+		funcs, err := benchmarkFuncs(fset, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range funcs {
+			t.Errorf("%s; measure in bench/", f)
+		}
+	}
+	for src, want := range map[string]int{
+		"package p\nimport \"testing\"\nfunc BenchmarkSpMV(b *testing.B) {}\n":            1,
+		"package p\nfunc Benchmarks() {}\nfunc benchmarkHelper() {}\n":                    1,
+		"package p\ntype s struct{}\nfunc (s) BenchmarkLike() {}\n// func BenchmarkX()\n": 0,
+	} {
+		if funcs, err := benchmarkFuncs(fset, "planted_test.go", src); err != nil || len(funcs) != want {
+			t.Errorf("planted %q: %d benchmarks (%v), want %d", src, len(funcs), err, want)
 		}
 	}
 }

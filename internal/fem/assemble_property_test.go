@@ -3,6 +3,7 @@ package fem
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"asyncmg/internal/par"
 	"asyncmg/internal/sparse"
@@ -108,5 +109,82 @@ func TestAssemblyErrorsUnderShardedPath(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "tet 0 ") {
 		t.Fatalf("expected the lowest failing element (tet 0), got: %v", err)
+	}
+}
+
+// holdPool occupies the shared pool with a dispatch whose caller shard
+// blocks until release is called, and returns once that shard has started.
+func holdPool() (release func()) {
+	held, free, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	pool := par.Default()
+	go func() {
+		defer close(done)
+		pool.Run(pool.Workers(), blockKernel{held, free})
+	}()
+	<-held
+	return func() {
+		close(free)
+		<-done
+	}
+}
+
+type blockKernel struct{ held, free chan struct{} }
+
+func (k blockKernel) Do(shard, _, _ int) {
+	if shard == 0 {
+		close(k.held)
+		<-k.free
+	}
+}
+
+// TestBusyPoolAssemblyTransposeMatMulBitwise: with the shared pool held by
+// a blocking kernel, every sharded kernel of FEM assembly, Transpose and
+// MatMul runs its shards on the caller, and the results equal the
+// idle-pool ones bit for bit (the merge and the transpose's offset
+// combine read per-shard slots, so the caller must run the same shards).
+func TestBusyPoolAssemblyTransposeMatMulBitwise(t *testing.T) {
+	withAssemblyWorkers(t, 4)
+	ball, beam, mats := BallMesh(4), BeamMesh(3), DefaultBeamMaterials()
+	build := func() (out []*sparse.CSR, err error) {
+		lap, err := AssembleLaplace(ball)
+		if err != nil {
+			return nil, err
+		}
+		el, err := AssembleElasticity(beam, mats)
+		if err != nil {
+			return nil, err
+		}
+		for _, a := range []*sparse.CSR{lap.A, el.A} {
+			at := a.Transpose()
+			out = append(out, a, at, sparse.MatMul(at, a))
+		}
+		return out, nil
+	}
+	want, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := holdPool()
+	defer release()
+	before := par.ReadStats()
+	var got []*sparse.CSR
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got, err = build()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("assembly on a busy pool did not return: the caller waited for the pool")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.ReadStats().Contended == before.Contended {
+		t.Fatal("no kernel found the pool busy")
+	}
+	for i, name := range []string{"laplace", "laplace transpose", "laplace AᵀA", "elasticity", "elasticity transpose", "elasticity AᵀA"} {
+		assembleEq(t, name, got[i], want[i])
 	}
 }

@@ -2,6 +2,9 @@ package krylov
 
 import (
 	"context"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"asyncmg/internal/amg"
@@ -117,4 +120,62 @@ func TestFGMRESBitwiseAcrossWorkerCounts(t *testing.T) {
 		"convdiff-n8/multadd":      func() Result { return krylovSolve(t, FGMRESCtx, s, engine.Multadd, b, 1e-9, 80) },
 		"stencil7-n24-f32/multadd": func() Result { return krylovSolve(t, FGMRESCtx, mf, engine.Multadd, bmf, 1e-8, 100) },
 	})
+}
+
+// TestConcurrentSolvesMatchLoneSolves: a PCG(Multadd) solve and Multadd
+// cycling run at once on one engine, every kernel sharded over a
+// two-worker pool, so kernels of each solve find the pool running the
+// other's and run their shards on the caller. Each history and iterate
+// equals that of the same solve run alone, bit for bit. Two Ps let the
+// solves overlap (at one, each tends to run to its end alone).
+func TestConcurrentSolvesMatchLoneSolves(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s, b := pcgMFSetup(t)
+	withWorkers(t, 2)
+	pcg := func() (Result, error) {
+		p := NewMGPreconditioner(s, engine.Multadd)
+		defer p.Release()
+		opt := DefaultOptions()
+		opt.Tol, opt.MaxIter, opt.M = 1e-8, 100, p
+		return PCG(s.Ops[0], b, opt)
+	}
+	cycle := func() Result {
+		x, h := s.Solve(engine.Multadd, b, 12)
+		return Result{X: x, History: h}
+	}
+	lonePCG, err := pcg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loneCycle := cycle()
+	before := par.ReadStats().Contended
+	for round := 0; round < 3; round++ {
+		var gotPCG, gotCycle Result
+		var pcgErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			gotPCG, pcgErr = pcg()
+		}()
+		go func() {
+			defer wg.Done()
+			gotCycle = cycle()
+		}()
+		wg.Wait()
+		if pcgErr != nil {
+			t.Fatal(pcgErr)
+		}
+		for _, c := range []struct {
+			name      string
+			got, lone Result
+		}{{"PCG(Multadd)", gotPCG, lonePCG}, {"Multadd cycling", gotCycle, loneCycle}} {
+			if !slices.Equal(c.got.History, c.lone.History) || !slices.Equal(c.got.X, c.lone.X) {
+				t.Fatalf("round %d: %s beside another solve differs from its lone solve", round, c.name)
+			}
+		}
+	}
+	if par.ReadStats().Contended == before {
+		t.Error("no kernel found the pool busy: the solves never overlapped")
+	}
 }

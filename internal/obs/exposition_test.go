@@ -101,10 +101,10 @@ func TestExposition(t *testing.T) {
 			t.Errorf("exposition missing line %q", l)
 		}
 	}
-	// Callbacks: the five pool lines, read at exposition time.
-	pool := regexp.MustCompile(`(?m)^pool_(dispatches_total|serial_kernels_total|queue_depth|queue_depth_max|busy_ns_total) [0-9]+$`)
-	if n := len(pool.FindAllString(text, -1)); n != 5 {
-		t.Errorf("exposition has %d pool callback lines, want 5:\n%s", n, text)
+	// Callbacks: the four pool lines, read at exposition time.
+	pool := regexp.MustCompile(`(?m)^pool_(dispatches_total|serial_kernels_total|contended_total|busy_ns_total) [0-9]+$`)
+	if n := len(pool.FindAllString(text, -1)); n != 4 {
+		t.Errorf("exposition has %d pool callback lines, want 4:\n%s", n, text)
 	}
 	// The trace timeline, one line per event, times elided.
 	when := regexp.MustCompile(`(?m)^(trace [0-9]+) [^ ]+ `)

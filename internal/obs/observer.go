@@ -190,8 +190,7 @@ func New(grids int) *Observer {
 	o.metrics = append(o.metrics,
 		metric{name: "pool_dispatches_total", v: func(s par.Stats) int64 { return s.Dispatches }},
 		metric{name: "pool_serial_kernels_total", v: func(s par.Stats) int64 { return s.Serial }},
-		metric{name: "pool_queue_depth", v: func(s par.Stats) int64 { return s.QueueDepth }},
-		metric{name: "pool_queue_depth_max", v: func(s par.Stats) int64 { return s.MaxQueueDepth }},
+		metric{name: "pool_contended_total", v: func(s par.Stats) int64 { return s.Contended }},
 		metric{name: "pool_busy_ns_total", v: func(s par.Stats) int64 { return s.BusyNS }})
 	sort.Slice(o.metrics, func(i, j int) bool { return o.metrics[i].name < o.metrics[j].name })
 	return o

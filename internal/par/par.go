@@ -18,6 +18,11 @@
 // index space of fixed-size row blocks and write one partial per block,
 // which the caller adds in block order, so they too are independent of
 // the worker count.
+//
+// A pool runs one dispatch at a time, and no caller waits for it: a Run
+// that finds the pool busy runs every shard itself, over the same ranges
+// and in shard order, so two solves in flight never queue behind each
+// other's kernels, and a kernel may call Run on its own pool.
 package par
 
 import (
@@ -60,16 +65,22 @@ func Threshold() int { return int(threshold.Load()) }
 
 // Pool is a persistent team of worker goroutines executing Kernels over
 // sharded index ranges. The zero value is not usable; use NewPool. A Pool
-// runs one kernel at a time (Run serializes concurrent callers).
+// dispatches one kernel at a time; a Run that finds it busy runs its
+// shards on the caller (see Run).
 type Pool struct {
 	workers int
-	mu      sync.Mutex
+	mu      sync.Mutex // held by the dispatching Run
 	// Current dispatch, written under mu before workers are woken.
-	k    Kernel
-	n    int
-	wake []chan struct{} // one per auxiliary worker (1..workers-1)
-	done chan struct{}
-	quit chan struct{}
+	k Kernel
+	n int
+	// panicked, guarded by failMu, is the first value a shard of the
+	// current dispatch panicked with, raised again on the caller once
+	// every shard is done.
+	failMu   sync.Mutex
+	panicked any
+	wake     []chan struct{} // one per auxiliary worker (1..workers-1)
+	done     chan struct{}
+	quit     chan struct{}
 }
 
 // NewPool starts a pool with the given number of workers (the caller
@@ -107,12 +118,31 @@ func (p *Pool) worker(shard int) {
 			return
 		case <-p.wake[shard-1]:
 		}
-		lo, hi := shardRange(p.n, p.workers, shard)
-		if lo < hi {
-			p.k.Do(shard, lo, hi)
-		}
+		p.do(shard)
 		p.done <- struct{}{}
 	}
+}
+
+// do runs the current dispatch's share of shard, keeping a panic for Run
+// to raise on the caller: a worker that died would take the process with
+// it, and a caller that left early would leave the pool held.
+func (p *Pool) do(shard int) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.fail(v)
+		}
+	}()
+	if lo, hi := shardRange(p.n, p.workers, shard); lo < hi {
+		p.k.Do(shard, lo, hi)
+	}
+}
+
+func (p *Pool) fail(v any) {
+	p.failMu.Lock()
+	if p.panicked == nil {
+		p.panicked = v
+	}
+	p.failMu.Unlock()
 }
 
 func shardRange(n, workers, shard int) (int, int) {
@@ -139,22 +169,20 @@ var stats struct {
 	_          [64]byte
 	dispatches atomic.Int64 // kernels sharded across workers
 	serial     atomic.Int64 // kernels kept serial (below threshold or 1 worker)
-	inflight   atomic.Int64 // Run callers currently queued or running
-	maxDepth   atomic.Int64 // high-water mark of inflight
+	contended  atomic.Int64 // kernels that found the pool busy and ran on their caller
 	busyNS     atomic.Int64 // wall time spent inside parallel dispatches
 	_          [64]byte
 }
 
-// Stats is a point-in-time copy of the pool counters.
+// Stats is a point-in-time copy of the pool counters. Dispatches + Serial
+// + Contended counts every kernel call.
 type Stats struct {
 	// Dispatches counts kernels sharded across the workers; Serial counts
 	// kernels that ran on the caller (below the work threshold, or a
-	// one-worker pool).
-	Dispatches, Serial int64
-	// QueueDepth is the number of Run callers currently queued or running;
-	// MaxQueueDepth its high-water mark. A sustained depth above 1 means
-	// kernels are serializing behind the pool mutex.
-	QueueDepth, MaxQueueDepth int64
+	// one-worker pool); Contended counts kernels that met the threshold,
+	// found the pool running another kernel and ran every shard on the
+	// caller.
+	Dispatches, Serial, Contended int64
 	// BusyNS is the cumulative wall time (ns) spent inside parallel
 	// dispatches — divide by elapsed wall time for pool utilization.
 	BusyNS int64
@@ -163,49 +191,54 @@ type Stats struct {
 // ReadStats returns the current pool counters.
 func ReadStats() Stats {
 	return Stats{
-		Dispatches:    stats.dispatches.Load(),
-		Serial:        stats.serial.Load(),
-		QueueDepth:    stats.inflight.Load(),
-		MaxQueueDepth: stats.maxDepth.Load(),
-		BusyNS:        stats.busyNS.Load(),
+		Dispatches: stats.dispatches.Load(),
+		Serial:     stats.serial.Load(),
+		Contended:  stats.contended.Load(),
+		BusyNS:     stats.busyNS.Load(),
 	}
 }
 
 // Run executes k over [0, n) across all workers and returns when every
-// shard is done. The caller executes shard 0. Kernels must not call Run
-// on the same pool (the pool's mutex is not reentrant). Run performs no
-// heap allocation.
+// shard is done. The caller executes shard 0. A caller that finds the
+// pool running another kernel (another goroutine's, or its own when a
+// kernel calls Run) does not wait: it runs every shard itself, in shard
+// order, over the ranges the workers would have received, so kernels that
+// write per-shard slots see the same (shard, lo, hi) calls either way. A
+// shard that panics makes Run panic on the caller with the first such
+// value, after every shard is done; the pool stays usable. Run performs
+// no heap allocation.
 func (p *Pool) Run(n int, k Kernel) {
 	if p == nil || p.workers == 1 || n <= 1 {
 		stats.serial.Add(1)
 		k.Do(0, 0, n)
 		return
 	}
-	depth := stats.inflight.Add(1)
-	for {
-		m := stats.maxDepth.Load()
-		if depth <= m || stats.maxDepth.CompareAndSwap(m, depth) {
-			break
+	if !p.mu.TryLock() {
+		stats.contended.Add(1)
+		for shard := range p.workers {
+			if lo, hi := shardRange(n, p.workers, shard); lo < hi {
+				k.Do(shard, lo, hi)
+			}
 		}
+		return
 	}
 	start := time.Now()
-	p.mu.Lock()
 	p.k, p.n = k, n
 	for _, c := range p.wake {
 		c <- struct{}{}
 	}
-	lo, hi := shardRange(n, p.workers, 0)
-	if lo < hi {
-		k.Do(0, lo, hi)
-	}
+	p.do(0)
 	for range p.wake {
 		<-p.done
 	}
-	p.k = nil
+	v := p.panicked
+	p.k, p.panicked = nil, nil
 	p.mu.Unlock()
 	stats.dispatches.Add(1)
 	stats.busyNS.Add(int64(time.Since(start)))
-	stats.inflight.Add(-1)
+	if v != nil {
+		panic(v)
+	}
 }
 
 // Close stops the pool's worker goroutines. A closed pool must not be
