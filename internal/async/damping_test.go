@@ -8,6 +8,7 @@ import (
 	"asyncmg/internal/engine"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/op"
 	"asyncmg/internal/smoother"
 )
 
@@ -82,10 +83,17 @@ func TestPerturbHoldFor(t *testing.T) {
 // reference, exactly as the sync-kernel property tests demand of the
 // undamped kernels. Only block-independent smoothers qualify (Jacobi
 // variants); block smoothers legitimately change arithmetic with the
-// team size.
+// team size. The hierarchy is algebraic, and its P̄ has rows of
+// irregular length.
 func TestDampedCorrectionWorkerCountBitwise(t *testing.T) {
 	for _, kind := range []smoother.Kind{smoother.WJacobi, smoother.L1Jacobi} {
 		s := buildSetup(t, 8, kind)
+		// Multadd prolongs through P̄, whose rows on this CSR hierarchy
+		// differ in length, so the team's shares of P̄'s row-length-ordered
+		// store are checked against the serial rows.
+		if pbar, ok := s.SItp[0].(*op.OrderedInterp[float64, uint32]); !ok || len(pbar.Class) < 2 {
+			t.Fatalf("%v: P̄₀ is a %T, want a row-length-ordered store of irregular rows", kind, s.SItp[0])
+		}
 		l := s.NumLevels()
 		n := s.LevelSize(0)
 		rfine := grid.RandomRHS(n, 42)

@@ -31,7 +31,9 @@ type Site interface {
 	// Restrict computes rc = tᵀ r into level k (t's coarse level).
 	Restrict(t op.Interp, k int, rc, r []float64)
 	// Prolong computes e = t ec into level k (t's fine level), or
-	// e += t ec with add set.
+	// e += t ec with add set. A team site hands t its share of the fine
+	// rows (op.Interp's contract), which need not be the rows it owns, so
+	// no site reads e before the step's barrier.
 	Prolong(t op.Interp, k int, e, ec []float64, add bool)
 	// Smooth performs one zero-guess smoothing sweep e = Λ_k r.
 	Smooth(k int, e, r []float64)

@@ -32,14 +32,18 @@ func setup7pt(t *testing.T, n int, cfg smoother.Config) *Engine {
 }
 
 // csrItp returns the stored float64/uint32 pair behind an interpolant
-// view of the default configuration, widened to int.
+// view of the default configuration, widened to int: a plain P's CSR
+// pair, or a smoothed P̄'s rows back in CSR order beside its Pᵀ.
 func csrItp(t *testing.T, itp op.Interp) *op.CSRInterp[float64, int] {
 	t.Helper()
-	c, ok := itp.(*op.CSRInterp[float64, uint32])
-	if !ok {
-		t.Fatalf("interpolant is %T, want a float64/uint32 CSR pair", itp)
+	switch c := itp.(type) {
+	case *op.CSRInterp[float64, uint32]:
+		return &op.CSRInterp[float64, int]{P: sparse.Convert[float64, int](c.P), PT: sparse.Convert[float64, int](c.PT)}
+	case *op.OrderedInterp[float64, uint32]:
+		return &op.CSRInterp[float64, int]{P: sparse.Convert[float64, int](orderedCSR(c)), PT: sparse.Convert[float64, int](c.PT)}
 	}
-	return &op.CSRInterp[float64, int]{P: sparse.Convert[float64, int](c.P), PT: sparse.Convert[float64, int](c.PT)}
+	t.Fatalf("interpolant is %T, want a float64/uint32 CSR pair or row-length-ordered P̄", itp)
+	return nil
 }
 
 func TestSetupStructure(t *testing.T) {

@@ -79,7 +79,9 @@ type Engine struct {
 	// Itp[k] is the plain interpolant view for level pair k/k+1 (the
 	// hierarchy's, or its float32 re-store); SItp[k] the smoothed
 	// interpolant view P̄ = (I − diag(s_k) A_k) P[k] that Multadd's
-	// correction chains use. len == levels-1.
+	// correction chains use: a class table on a geometric level, a
+	// row-length-ordered store (op.OrderedInterp) on an algebraic one.
+	// len == levels-1.
 	Itp, SItp []op.Interp
 	// Cfg is the smoother configuration used on every level.
 	Cfg smoother.Config
@@ -151,7 +153,8 @@ func NewOperator(a op.Operator, amgOpt amg.Options, smoCfg smoother.Config) (*En
 // adopt builds the engine on a hierarchy built for it alone, which then
 // holds the engine's views and no A·P: on a CoarseFloat32 hierarchy the
 // float64 operators and interpolants they replace become collectable, and
-// of each A·P only the pattern a float64 P̄ shares stays alive.
+// so does every A·P, whose entries each P̄ copied into its own
+// row-length-ordered store.
 func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engine, error) {
 	eng, err := NewFromHierarchy(h, smoCfg)
 	if err != nil {
@@ -172,9 +175,11 @@ func adopt(h *amg.Hierarchy, st *amg.SetupStats, smoCfg smoother.Config) (*Engin
 // which it leaves as it is. The hierarchy's Precision policy is applied
 // here: with CoarseFloat32 the coarse operators (k >= 1) and every
 // interpolant are re-stored in float32 (float64 accumulation) for the
-// engine's view. Each smoothed interpolant comes from its level's A·P in
-// one merge pass (smoothedInterp); a level with a CSR interpolant and no
-// A·P is an error.
+// engine's view. Each smoothed interpolant on an algebraic level is
+// stored in row-length order (op.OrderedInterp), in float32 on a
+// CoarseFloat32 hierarchy, filled from its level's A·P in one merge pass
+// (smoothedInterp); a level with a CSR interpolant and no A·P is an
+// error.
 func NewFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config) (*Engine, error) {
 	return newFromHierarchy(h, smoCfg, true)
 }
@@ -226,7 +231,7 @@ func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (
 		if g, ok := lev.Itp.(*op.GeomInterp); ok {
 			// Geometric level: P and P̄ are class tables over the level's
 			// float64 stencil. Level 0 stays float64; coarser P̄ weights
-			// round to float32 as a CSR32 P̄ would (P's are powers of two,
+			// round to float32 as an algebraic float32 P̄ would (P's are powers of two,
 			// exact in float32 already).
 			st, ok := lev.Op.(*op.Stencil)
 			if !ok {
@@ -245,61 +250,62 @@ func newFromHierarchy(h *amg.Hierarchy, smoCfg smoother.Config, smoothed bool) (
 		if ap := lev.AP; ap == nil || ap.Rows != itp.P.Rows || ap.Cols != itp.P.Cols {
 			return nil, fmt.Errorf("mg: level %d holds no %dx%d A·P to smooth its interpolant with", k, itp.P.Rows, itp.P.Cols)
 		}
-		if pbar := smoothedInterp(itp.P, lev.AP, scale); f32 {
-			s.SItp[k] = op.NewCSR32Interp(pbar, nil)
+		if f32 {
+			s.SItp[k] = smoothedInterp[float32](itp.P, lev.AP, scale)
 		} else {
-			s.SItp[k] = op.InterpFromCSR(pbar, nil)
+			s.SItp[k] = smoothedInterp[float64](itp.P, lev.AP, scale)
 		}
 	}
 	return s, nil
 }
 
-// smoothedInterp returns P̄ = P − diag(scale)·AP for AP = A·P. P's row is
-// inside A·P's unless a C row stores no diagonal and no neighbour
-// interpolates from it, which only ℓ1-Jacobi accepts; when every row is,
-// P̄ shares AP's RowPtr and ColIdx and allocates only its values.
-// Otherwise it gets exact-size storage for the union of the two patterns.
-// Each value rounds as P − ScaleRows(A·P) rounds it: p − ap·s where both
-// store the entry, −(ap·s) where only A·P does, p where only P does; the
-// conversions keep ap·s from fusing into the subtraction.
-func smoothedInterp(p, ap *sparse.Matrix[float64, uint32], scale []float64) *sparse.Matrix[float64, uint32] {
-	vals := make([]float64, len(ap.Vals))
-	for i := 0; i < p.Rows; i++ {
+// smoothedInterp returns P̄ = P − diag(scale)·AP for AP = A·P, values
+// rounded to V, in row-length order (op.OrderedInterp). P's row is inside
+// A·P's unless a C row stores no diagonal and no neighbour interpolates
+// from it, which only ℓ1-Jacobi accepts; when every row is, P̄ has A·P's
+// pattern and is filled in one merge pass over it. Otherwise it is stored
+// over the union of the two patterns (unionInterp). Each value rounds as
+// P − ScaleRows(A·P) rounds it: p − ap·s where both store the entry,
+// −(ap·s) where only A·P does, p where only P does; the conversions keep
+// ap·s from fusing into the subtraction.
+func smoothedInterp[V sparse.Value](p, ap *sparse.Matrix[float64, uint32], scale []float64) *op.OrderedInterp[V, uint32] {
+	inside := true
+	pbar := op.NewOrderedInterp(p.Cols, ap.RowPtr, func(i int, cols []uint32, vals []V) {
 		s := scale[i]
 		pp, pe := p.RowPtr[i], p.RowPtr[i+1]
-		for q := ap.RowPtr[i]; q < ap.RowPtr[i+1]; q++ {
-			if pp < pe && p.ColIdx[pp] == ap.ColIdx[q] {
-				vals[q] = p.Vals[pp] - float64(ap.Vals[q]*s)
+		q0 := ap.RowPtr[i]
+		copy(cols, ap.ColIdx[q0:])
+		for q, j := range cols {
+			if pp < pe && p.ColIdx[pp] == j {
+				vals[q] = V(p.Vals[pp] - float64(ap.Vals[q0+uint32(q)]*s))
 				pp++
 			} else {
-				vals[q] = -float64(ap.Vals[q] * s)
+				vals[q] = V(-float64(ap.Vals[q0+uint32(q)] * s))
 			}
 		}
-		if pp < pe { // a column of P's row i is not in A·P's
-			return unionInterp(p, ap, scale)
-		}
+		inside = inside && pp == pe
+	})
+	if !inside { // a column of some row of P is not in A·P's
+		return unionInterp[V](p, ap, scale)
 	}
-	return &sparse.Matrix[float64, uint32]{Rows: p.Rows, Cols: p.Cols, RowPtr: ap.RowPtr, ColIdx: ap.ColIdx, Vals: vals}
+	return pbar
 }
 
 // unionInterp is smoothedInterp over the union of P's and AP's patterns.
-func unionInterp(p, ap *sparse.Matrix[float64, uint32], scale []float64) *sparse.Matrix[float64, uint32] {
-	out := &sparse.Matrix[float64, uint32]{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]uint32, p.Rows+1)}
+func unionInterp[V sparse.Value](p, ap *sparse.Matrix[float64, uint32], scale []float64) *op.OrderedInterp[V, uint32] {
+	rowPtr := make([]uint32, p.Rows+1)
 	for i := 0; i < p.Rows; i++ {
-		out.RowPtr[i+1] = out.RowPtr[i] + uint32(smoothRow(p, ap, i, 0, nil, nil))
+		rowPtr[i+1] = rowPtr[i] + uint32(smoothRow[V](p, ap, i, 0, nil, nil))
 	}
-	out.ColIdx, out.Vals = make([]uint32, out.RowPtr[p.Rows]), make([]float64, out.RowPtr[p.Rows])
-	for i := 0; i < p.Rows; i++ {
-		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
-		smoothRow(p, ap, i, scale[i], out.ColIdx[lo:hi], out.Vals[lo:hi])
-	}
-	return out
+	return op.NewOrderedInterp(p.Cols, rowPtr, func(i int, cols []uint32, vals []V) {
+		smoothRow(p, ap, i, scale[i], cols, vals)
+	})
 }
 
 // smoothRow merges row i of P and of AP into P̄'s row, rounded as
 // smoothedInterp rounds it, writing columns to cols and values to vals
 // unless cols is nil, and returns the row's length.
-func smoothRow(p, ap *sparse.Matrix[float64, uint32], i int, s float64, cols []uint32, vals []float64) int {
+func smoothRow[V sparse.Value](p, ap *sparse.Matrix[float64, uint32], i int, s float64, cols []uint32, vals []V) int {
 	n := 0
 	pp, pe, q, qe := p.RowPtr[i], p.RowPtr[i+1], ap.RowPtr[i], ap.RowPtr[i+1]
 	for ; pp < pe || q < qe; n++ {
@@ -318,7 +324,7 @@ func smoothRow(p, ap *sparse.Matrix[float64, uint32], i int, s float64, cols []u
 			q++
 		}
 		if cols != nil {
-			cols[n], vals[n] = j, v
+			cols[n], vals[n] = j, V(v)
 		}
 	}
 	return n
@@ -327,9 +333,8 @@ func smoothRow(p, ap *sparse.Matrix[float64, uint32], i int, s float64, cols []u
 // HierarchyBytes reports the resident storage of the engine's hierarchy
 // view: every level operator plus the plain and smoothed interpolant
 // views. Matrix-free operators contribute O(1); a compressed view counts
-// its float32 stores. A float64 P̄ counts the pattern it shares with its
-// level's A·P; the A·P values a hierarchy given to NewFromHierarchy keeps
-// (New and NewOperator drop them) are not counted.
+// its float32 stores. The A·P a hierarchy given to NewFromHierarchy keeps
+// (New and NewOperator drop it) is not counted.
 func (s *Engine) HierarchyBytes() int {
 	total := 0
 	for _, a := range s.Ops {

@@ -203,10 +203,9 @@ func TestFloat32HierarchyFootprint(t *testing.T) {
 		restored += s32.Ops[k].NNZEquivalent()
 	}
 	for k := range s32.Itp {
-		for _, itp := range []op.Interp{s32.Itp[k], s32.SItp[k]} {
-			c := itp.(*op.CSRInterp[float32, uint32])
-			restored += c.P.NNZ() + c.PT.NNZ()
-		}
+		c := s32.Itp[k].(*op.CSRInterp[float32, uint32])
+		pbar := s32.SItp[k].(*op.OrderedInterp[float32, uint32])
+		restored += c.P.NNZ() + c.PT.NNZ() + pbar.NNZEquivalent() + pbar.PT.NNZ()
 	}
 	if b64-b32 != 4*restored {
 		t.Errorf("float32 coarse storage saves %d B (f64 %d B, f32 %d B), want 4 B for each of %d re-stored nonzeros",

@@ -8,6 +8,7 @@ import (
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/op"
+	"asyncmg/internal/par"
 	"asyncmg/internal/problem"
 	"asyncmg/internal/smoother"
 	"asyncmg/internal/sparse"
@@ -23,6 +24,32 @@ func sameCSRBits[V sparse.Value, I sparse.Index](a, b *sparse.Matrix[V, I]) bool
 	return slices.EqualFunc(a.Vals, b.Vals, func(x, y V) bool {
 		return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
 	})
+}
+
+// orderedCSR returns the rows of a row-length-ordered interpolant in CSR
+// order.
+func orderedCSR[V sparse.Value](t *op.OrderedInterp[V, uint32]) *sparse.Matrix[V, uint32] {
+	rows := len(t.Row)
+	m := &sparse.Matrix[V, uint32]{Rows: rows, Cols: t.PT.Rows, RowPtr: make([]uint32, rows+1)}
+	at := make([]int, rows) // stored entry offset of each fine row
+	for c, cl := range t.Class {
+		first := 0
+		if c > 0 {
+			first = int(t.Class[c-1].End)
+		}
+		for r := first; r < int(cl.End); r++ {
+			i := t.Row[r]
+			m.RowPtr[i+1] = cl.Len
+			at[i] = int(cl.Off) + (r-first)*int(cl.Len)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		n := int(m.RowPtr[i+1])
+		m.RowPtr[i+1] += m.RowPtr[i]
+		m.ColIdx = append(m.ColIdx, t.ColIdx[at[i]:at[i]+n]...)
+		m.Vals = append(m.Vals, t.Vals[at[i]:at[i]+n]...)
+	}
+	return m
 }
 
 // pbarOracle is level k's smoothed interpolant recomputed from the level's
@@ -51,9 +78,9 @@ func pbarOracle(t *testing.T, s *Engine, k int) *sparse.Matrix[float64, uint32] 
 }
 
 // TestSmoothedInterpMatchesGEMM is the smoothed-interpolant contract:
-// every CSR P̄ the engine forms from its level's A·P is bitwise the
-// product-then-subtraction oracle (pbarOracle), in float64 and, re-stored,
-// in float32, on the four paper families at test size and the hand-off
+// every row-length-ordered P̄ the engine forms from its level's A·P holds,
+// row for row, bitwise the product-then-subtraction oracle (pbarOracle),
+// and its P̄ᵀ the oracle's Transpose, in float64 and in float32, on the four paper families at test size and the hand-off
 // level of a matrix-free 7pt n = 34 hierarchy, under ω-Jacobi, ℓ1-Jacobi
 // and hybrid JGS, with and without sparsification (whose kept twins carry
 // the twin·P sparsifyHierarchy formed), at 1 and 2 workers. Every
@@ -111,17 +138,24 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 							}
 							checked := 0
 							for k, itp := range s.SItp {
-								var ok bool
+								var ok, okT bool
 								switch pbar := itp.(type) {
-								case *op.CSRInterp[float64, uint32]:
-									ok = sameCSRBits(pbar.P, pbarOracle(t, s, k))
-								case *op.CSRInterp[float32, uint32]:
-									ok = sameCSRBits(pbar.P, sparse.Convert[float32, uint32](pbarOracle(t, s, k)))
-								default:
+								case *op.OrderedInterp[float64, uint32]:
+									want := pbarOracle(t, s, k)
+									ok, okT = sameCSRBits(orderedCSR(pbar), want), sameCSRBits(pbar.PT, want.Transpose())
+								case *op.OrderedInterp[float32, uint32]:
+									want := sparse.Convert[float32, uint32](pbarOracle(t, s, k))
+									ok, okT = sameCSRBits(orderedCSR(pbar), want), sameCSRBits(pbar.PT, want.Transpose())
+								case *op.GeomInterp:
 									continue
+								default:
+									t.Fatalf("%v level %d: P̄ is a %T, want a row-length-ordered store", cfg.Kind, k, itp)
 								}
 								if !ok {
 									t.Errorf("%v level %d: P̄ differs from Sub(P, ScaleRows(MatMul(A, P), s))", cfg.Kind, k)
+								}
+								if !okT {
+									t.Errorf("%v level %d: P̄ᵀ differs from the oracle's Transpose", cfg.Kind, k)
 								}
 								checked++
 							}
@@ -142,7 +176,8 @@ func TestSmoothedInterpMatchesGEMM(t *testing.T) {
 // TestSmoothedInterpUnionPattern: a C row that stores no diagonal and
 // that no neighbour interpolates from leaves P's column out of A·P's row
 // (ℓ1-Jacobi accepts such a row), and that level's P̄ gets its own
-// exact-size storage for the union pattern, bitwise the oracle.
+// exact-size storage for the union pattern, bitwise the oracle, whose
+// prolongation over 1, 2, 3 and 8 shares is its CSR rows' bit for bit.
 //
 //	A = [ 0 -1  0 ]   P = [ 1  0  ]
 //	    [-1  2 -1 ]       [ 0  1  ]
@@ -164,11 +199,25 @@ func TestSmoothedInterpUnionPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.SItp[0].(*op.CSRInterp[float64, uint32]).P
-	if want := pbarOracle(t, s, 0); !sameCSRBits(got, want) {
+	pbar := s.SItp[0].(*op.OrderedInterp[float64, uint32])
+	got := orderedCSR(pbar)
+	if want := pbarOracle(t, s, 0); !sameCSRBits(got, want) || !sameCSRBits(pbar.PT, want.Transpose()) {
 		t.Fatalf("P̄ %v/%v/%v, oracle %v/%v/%v", got.RowPtr, got.ColIdx, got.Vals, want.RowPtr, want.ColIdx, want.Vals)
 	}
-	if got.NNZ() != ap.NNZ()+1 || cap(got.ColIdx) != got.NNZ() || cap(got.Vals) != got.NNZ() {
-		t.Errorf("P̄ stores %d entries in capacity %d/%d, want the exact union of %d", got.NNZ(), cap(got.ColIdx), cap(got.Vals), ap.NNZ()+1)
+	x, b := []float64{0.75, -1.5}, []float64{1, 2, 3}
+	want := slices.Clone(b)
+	got.ApplyAddRange(want, x, 0, got.Rows)
+	for _, workers := range []int{1, 2, 3, 8} {
+		y := slices.Clone(b)
+		for shard := range workers {
+			lo, hi := par.ShardRange(got.Rows, workers, shard)
+			pbar.ApplyAddRange(y, x, lo, hi)
+		}
+		if !slices.Equal(y, want) {
+			t.Errorf("%d shares: ApplyAddRange %v, CSR %v", workers, y, want)
+		}
+	}
+	if got.NNZ() != ap.NNZ()+1 || cap(pbar.ColIdx) != got.NNZ() || cap(pbar.Vals) != got.NNZ() {
+		t.Errorf("P̄ stores %d entries in capacity %d/%d, want the exact union of %d", got.NNZ(), cap(pbar.ColIdx), cap(pbar.Vals), ap.NNZ()+1)
 	}
 }

@@ -13,9 +13,10 @@ import (
 
 // TestEnginesShareHierarchyViews: NewFromHierarchy leaves the hierarchy's
 // level views and each level's A·P as the setup made them, so two engines
-// built on one hierarchy run the same Multadd bit for bit; a float64 P̄
-// shares its level's A·P pattern (so no product was formed for it), and a
-// level with a CSR interpolant and no A·P is an error. New and
+// built on one hierarchy run the same Multadd bit for bit; every P̄ on an
+// algebraic level is a row-length-ordered store holding its own entries,
+// none of its level's A·P (so A·P is collectable once the engine is
+// built), and a level with a CSR interpolant and no A·P is an error. New and
 // NewOperator, whose hierarchy is their own, leave each level holding the
 // engine's views and no A·P. Assembled and stencil fine levels, float64
 // and CoarseFloat32.
@@ -61,8 +62,14 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 					}
 				}
 				for k, itp := range s.SItp {
-					if pbar, ok := itp.(*op.CSRInterp[float64, uint32]); ok && &pbar.P.ColIdx[0] != &h.Levels[k].AP.ColIdx[0] {
-						t.Errorf("engine %d: level %d P̄ does not share its A·P pattern", i, k)
+					switch pbar := itp.(type) {
+					case *op.OrderedInterp[float64, uint32]:
+						if &pbar.ColIdx[0] == &h.Levels[k].AP.ColIdx[0] {
+							t.Errorf("engine %d: level %d P̄ shares its A·P pattern", i, k)
+						}
+					case *op.OrderedInterp[float32, uint32], *op.GeomInterp:
+					default:
+						t.Errorf("engine %d: level %d P̄ is a %T, want a row-length-ordered store or a class table", i, k, itp)
 					}
 				}
 				_, hists[i] = s.Solve(Multadd, grid.RandomRHS(s.LevelSize(0), 7), 6)
@@ -117,9 +124,11 @@ func TestEnginesShareHierarchyViews(t *testing.T) {
 // csrFormulaBytes is the storage of an engine's views by the CSR formula,
 // 12·nnz + 4·(rows+1) bytes per float64/uint32 matrix and 8·nnz +
 // 4·(rows+1) per float32/uint32 one (Pᵀ and P̄ᵀ counted as matrices of
-// their own), and a stencil's or class-table interpolant's own Bytes. A
-// CSR view in any other instantiation, an int-indexed one among them,
-// fails t.
+// their own); a row-length-ordered P̄ counts 12·nnz + 4·rows (8·nnz +
+// 4·rows in float32), its row index in place of the row pointers, plus 12
+// bytes per length class; a stencil or class-table interpolant counts its
+// own Bytes. A view in any other instantiation, an int-indexed one among
+// them, fails t.
 func csrFormulaBytes(t *testing.T, s *Engine) int {
 	t.Helper()
 	csr := func(rows, nnz, valBytes int) int { return (valBytes+4)*nnz + 4*(rows+1) }
@@ -142,6 +151,10 @@ func csrFormulaBytes(t *testing.T, s *Engine) int {
 			total += csr(v.P.Rows, v.P.NNZ(), 8) + csr(v.PT.Rows, v.PT.NNZ(), 8)
 		case *op.CSRInterp[float32, uint32]:
 			total += csr(v.P.Rows, v.P.NNZ(), 4) + csr(v.PT.Rows, v.PT.NNZ(), 4)
+		case *op.OrderedInterp[float64, uint32]:
+			total += 12*len(v.Vals) + 4*len(v.Row) + 12*len(v.Class) + csr(v.PT.Rows, v.PT.NNZ(), 8)
+		case *op.OrderedInterp[float32, uint32]:
+			total += 8*len(v.Vals) + 4*len(v.Row) + 12*len(v.Class) + csr(v.PT.Rows, v.PT.NNZ(), 4)
 		case *op.GeomInterp:
 			total += v.Bytes()
 		default:
@@ -155,7 +168,8 @@ func csrFormulaBytes(t *testing.T, s *Engine) int {
 // on a matrix and on a stencil, NewFromHierarchy, CoarseFloat32 and
 // Sparsify) every CSR view the engine runs on is a uint32 instantiation,
 // so HierarchyBytes is the CSR formula of csrFormulaBytes: 12 bytes per
-// float64 nonzero and 8 per float32 one, 4 per row pointer.
+// float64 nonzero and 8 per float32 one, 4 per row pointer, and 4 per
+// row of a row-length-ordered P̄ in place of its row pointers.
 func TestEngineViewsAreUint32(t *testing.T) {
 	smo := smoother.DefaultConfig()
 	f32 := amg.DefaultOptions()

@@ -430,15 +430,15 @@ func (g *GeomInterp) ApplyTRange(coarse, fine []float64, lo, hi int) {
 }
 
 func (g *GeomInterp) Apply(fine, coarse []float64) {
-	sparse.RunRows(g.nnz, g.FineRows(), sparse.KApply, g, fine, coarse)
+	sparse.RunApply(g.nnz, g.FineRows(), g, fine, coarse)
 }
 
 func (g *GeomInterp) ApplyAdd(fine, coarse []float64) {
-	sparse.RunRows(g.nnz, g.FineRows(), sparse.KApplyAdd, g, fine, coarse)
+	sparse.RunApplyAdd(g.nnz, g.FineRows(), g, fine, coarse)
 }
 
 func (g *GeomInterp) ApplyT(coarse, fine []float64) {
-	sparse.RunRows(g.nnz, g.CoarseRows(), sparse.KApplyT, g, coarse, fine)
+	sparse.RunApplyT(g.nnz, g.CoarseRows(), g, coarse, fine)
 }
 
 // CSR materializes the interpolant as a float64 CSR matrix, allocated

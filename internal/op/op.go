@@ -7,7 +7,12 @@
 //
 //   - CSR[V, I] adapts a stored sparse.Matrix[V, I] and CSRInterp[V, I] a
 //     stored (P, Pᵀ) pair; the row kernels are package sparse's, written
-//     once for every value and index type. FromCSR / InterpFromCSR wrap a
+//     once for every value and index type. OrderedInterp[V, I] stores
+//     Multadd's smoothed interpolant P̄ on an algebraic level in
+//     row-length order, so its prolongation runs each length class with
+//     one inner trip count (P̄'s rows hold 1 to about 10 entries in no
+//     fixed pattern, and a CSR row loop mispredicts its exit), bitwise
+//     the CSR rows' result; its Pᵀ is a plain sparse.Matrix. FromCSR / InterpFromCSR wrap a
 //     float64 matrix zero-copy: a hierarchy's float64/uint32 levels (12
 //     bytes per nonzero) or a caller's float64/int one (16). NewCSR32 /
 //     NewCSR32Interp re-store it in float32 values with uint32 indices
@@ -32,8 +37,8 @@
 //
 // All kernels follow the package sparse contract: every implementation
 // provides serial Range methods, full-vector methods shard them through
-// sparse.RunRows above the work threshold, and the sharded form is
-// bitwise-identical to the serial one at any worker count. There is one
+// sparse.RunApply and its siblings above the work threshold, and the
+// sharded form is bitwise-identical to the serial one at any worker count. There is one
 // kernel per operation: the cycles compose Apply, Residual and ApplyT
 // rather than calling fused multi-operation kernels.
 //
@@ -115,8 +120,14 @@ type Operator interface {
 }
 
 // Interp is the prolongation/restriction view of one level pair:
-// fine = P·coarse and coarse = Pᵀ·fine. Apply* methods range over fine
-// rows, ApplyT* methods over coarse rows.
+// fine = P·coarse and coarse = Pᵀ·fine. ApplyT* methods range over coarse
+// rows. Apply* Range methods take a share [lo, hi) of [0, fine rows): an
+// implementation computes some set of fine rows for it, the rows [lo, hi)
+// themselves for CSRInterp and GeomInterp, stored rows holding about that
+// fraction of the work for OrderedInterp. Disjoint shares that cover
+// [0, fine rows) write every fine row exactly once, so callers that split
+// a prolongation into shares (the kernel pool, a goroutine team) must
+// wait for all of them, as both do, before reading any fine row.
 type Interp interface {
 	NNZEquivalent() int
 	Bytes() int
@@ -124,9 +135,11 @@ type Interp interface {
 	Apply(fine, coarse []float64)
 	// ApplyAdd computes fine += P coarse.
 	ApplyAdd(fine, coarse []float64)
-	// ApplyRange computes fine[lo:hi] = (P coarse)[lo:hi].
+	// ApplyRange computes fine = P coarse on the fine rows of share
+	// [lo, hi).
 	ApplyRange(fine, coarse []float64, lo, hi int)
-	// ApplyAddRange computes fine[lo:hi] += (P coarse)[lo:hi].
+	// ApplyAddRange computes fine += P coarse on the fine rows of share
+	// [lo, hi).
 	ApplyAddRange(fine, coarse []float64, lo, hi int)
 	// ApplyT computes coarse = Pᵀ fine.
 	ApplyT(coarse, fine []float64)

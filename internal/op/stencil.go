@@ -408,11 +408,11 @@ func (s *Stencil) OffBlockL1Range(dst []float64, lo, hi int) {
 }
 
 func (s *Stencil) Apply(y, x []float64) {
-	sparse.RunRows(s.nnz, s.Rows(), sparse.KApply, s, y, x)
+	sparse.RunApply(s.nnz, s.Rows(), s, y, x)
 }
 
 func (s *Stencil) Residual(r, b, x []float64) {
-	sparse.RunRows(s.nnz, s.Rows(), sparse.KResidual, s, r, b, x)
+	sparse.RunResidual(s.nnz, s.Rows(), s, r, b, x)
 }
 
 // Diag returns the main diagonal: each class row's entry at offset 0.

@@ -245,7 +245,8 @@ func TestServeMatrixUpload(t *testing.T) {
 // TestServeUploadRunsUint32Views: the engine a /solve/matrix upload caches
 // runs every level on uint32-indexed CSR views, and the response's
 // hierarchy_bytes is their CSR formula, 12·nnz + 4·(rows+1) per float64
-// matrix (Pᵀ and P̄ᵀ included).
+// matrix (Pᵀ and P̄ᵀ included), with each row-length-ordered P̄ at 12·nnz
+// + 4·rows plus 12 bytes per length class.
 func TestServeUploadRunsUint32Views(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	var body bytes.Buffer
@@ -277,7 +278,7 @@ func TestServeUploadRunsUint32Views(t *testing.T) {
 		}
 		want += 12*m.M.NNZ() + 4*(m.M.Rows+1)
 	}
-	for k, itp := range append(append([]op.Interp(nil), e.Itp...), e.SItp...) {
+	for k, itp := range e.Itp {
 		c, ok := itp.(*op.CSRInterp[float64, uint32])
 		if !ok {
 			t.Fatalf("interpolant view %d is a %T", k, itp)
@@ -285,6 +286,13 @@ func TestServeUploadRunsUint32Views(t *testing.T) {
 		for _, m := range []*sparse.Matrix[float64, uint32]{c.P, c.PT} {
 			want += 12*m.NNZ() + 4*(m.Rows+1)
 		}
+	}
+	for k, itp := range e.SItp {
+		c, ok := itp.(*op.OrderedInterp[float64, uint32])
+		if !ok {
+			t.Fatalf("smoothed interpolant view %d is a %T", k, itp)
+		}
+		want += 12*len(c.Vals) + 4*len(c.Row) + 12*len(c.Class) + 12*c.PT.NNZ() + 4*(c.PT.Rows+1)
 	}
 	if out.HierarchyBytes != want {
 		t.Errorf("hierarchy_bytes = %d, want %d by the CSR formula", out.HierarchyBytes, want)

@@ -11,9 +11,9 @@
 // costs about k single ones (EXPERIMENTS.md, "Block path deleted").
 //
 // Full-vector kernels shard their row loop over the shared par.Default()
-// worker pool through RunRows when the operand carries enough work
-// (measured in nonzeros, par.Par) and run serially on the caller
-// otherwise. Because row loops are independent, a sharded kernel is
+// worker pool through RunApply and its siblings when the operand carries
+// enough work (measured in nonzeros, par.Par) and run serially on the
+// caller otherwise. Because row loops are independent, a sharded kernel is
 // bitwise-identical to its serial form at any worker count. Shard
 // descriptors are recycled through a par.FreeList, so the steady state
 // allocates nothing. The setup GEMM dispatches through par.Run instead:
@@ -29,75 +29,92 @@ import (
 
 // ---- the one shard dispatcher ----
 
-// Kernel names a row kernel by the Range method RunRows shards.
-type Kernel uint8
-
-const (
-	KApply    Kernel = iota // ApplyRange(y, x, lo, hi): y = A x
-	KApplyAdd               // ApplyAddRange(y, x, lo, hi): y += A x
-	KApplyT                 // ApplyTRange(y, x, lo, hi): y = Aᵀ x, rows of Aᵀ
-	KResidual               // ResidualRange(r, b, x, lo, hi): r = b − A x
+// The Range method sets the sharded kernels run. Each full-vector kernel
+// hands its operand over as one of them, converted where the operand's
+// type is known, so no shard asserts a type at run time: an assertion to
+// an interface grows its cache, which allocates, on about 1 in 1 024
+// misses, however long the program has run.
+type (
+	// ApplyRanger computes y = A x on rows [lo, hi).
+	ApplyRanger interface {
+		ApplyRange(y, x []float64, lo, hi int)
+	}
+	// ApplyAddRanger computes y += A x on rows [lo, hi).
+	ApplyAddRanger interface {
+		ApplyAddRange(y, x []float64, lo, hi int)
+	}
+	// ApplyTRanger computes y = Aᵀ x on rows [lo, hi) of Aᵀ.
+	ApplyTRanger interface {
+		ApplyTRange(y, x []float64, lo, hi int)
+	}
+	// ResidualRanger computes r = b − A x on rows [lo, hi).
+	ResidualRanger interface {
+		ResidualRange(r, b, x []float64, lo, hi int)
+	}
 )
 
 // shard is the one reusable descriptor behind every sharded full-vector
-// kernel: which Range method of on to run, with the vector arguments v in
-// that method's own order.
+// kernel: the one Range method set that is not nil, with the vector
+// arguments v in that method's own order.
 type shard struct {
-	kernel Kernel
-	on     any
-	v      [3][]float64
+	apply    ApplyRanger
+	applyAdd ApplyAddRanger
+	applyT   ApplyTRanger
+	residual ResidualRanger
+	v        [3][]float64
 }
 
-// Do runs the described kernel on rows [lo, hi). The interface assertion
-// costs once per shard, never per row.
+// Do runs the described kernel on rows [lo, hi).
 func (s *shard) Do(_, lo, hi int) {
 	v := &s.v
-	switch s.kernel {
-	case KApply:
-		s.on.(interface {
-			ApplyRange(y, x []float64, lo, hi int)
-		}).ApplyRange(v[0], v[1], lo, hi)
-	case KApplyAdd:
-		s.on.(interface {
-			ApplyAddRange(y, x []float64, lo, hi int)
-		}).ApplyAddRange(v[0], v[1], lo, hi)
-	case KApplyT:
-		s.on.(interface {
-			ApplyTRange(y, x []float64, lo, hi int)
-		}).ApplyTRange(v[0], v[1], lo, hi)
-	case KResidual:
-		s.on.(interface {
-			ResidualRange(r, b, x []float64, lo, hi int)
-		}).ResidualRange(v[0], v[1], v[2], lo, hi)
+	switch {
+	case s.apply != nil:
+		s.apply.ApplyRange(v[0], v[1], lo, hi)
+	case s.applyAdd != nil:
+		s.applyAdd.ApplyAddRange(v[0], v[1], lo, hi)
+	case s.applyT != nil:
+		s.applyT.ApplyTRange(v[0], v[1], lo, hi)
+	default:
+		s.residual.ResidualRange(v[0], v[1], v[2], lo, hi)
 	}
 }
 
 var shards par.FreeList[shard]
 
 // run executes s over rows [0, n): sharded across the kernel pool when
-// work meets the par.Par threshold, serially on the caller otherwise.
-func (s shard) run(work, n int) {
+// work (nonzeros) meets the par.Par threshold, serially on the caller
+// otherwise.
+func (s *shard) run(work, n int) {
 	if !par.Par(work) {
 		s.Do(0, 0, n)
 		return
 	}
 	p := shards.Get(func() *shard { return new(shard) })
-	*p = s
+	*p = *s
 	par.Default().Run(n, p)
 	*p = shard{}
 	shards.Put(p)
 }
 
-// RunRows runs the Range method of on that kernel names over rows [0, n),
-// with the vector arguments v in that method's own order: sharded across
-// the kernel pool when work (nonzeros) meets the par.Par threshold,
-// serially on the caller otherwise. Matrix implements every Range method
-// but ApplyTRange; the matrix-free operators of package op implement the
-// subset they shard.
-func RunRows(work, n int, kernel Kernel, on any, v ...[]float64) {
-	s := shard{kernel: kernel, on: on}
-	copy(s.v[:], v)
-	s.run(work, n)
+// RunApply runs on.ApplyRange(y, x, ·) over rows [0, n), sharded when
+// work meets the par.Par threshold. RunApplyAdd, RunApplyT and
+// RunResidual are the same for the other three method sets. Matrix
+// implements every Range method but ApplyTRange; the matrix-free
+// operators and interpolants of package op implement the ones they shard.
+func RunApply(work, n int, on ApplyRanger, y, x []float64) {
+	(&shard{apply: on, v: [3][]float64{y, x}}).run(work, n)
+}
+
+func RunApplyAdd(work, n int, on ApplyAddRanger, y, x []float64) {
+	(&shard{applyAdd: on, v: [3][]float64{y, x}}).run(work, n)
+}
+
+func RunApplyT(work, n int, on ApplyTRanger, y, x []float64) {
+	(&shard{applyT: on, v: [3][]float64{y, x}}).run(work, n)
+}
+
+func RunResidual(work, n int, on ResidualRanger, r, b, x []float64) {
+	(&shard{residual: on, v: [3][]float64{r, b, x}}).run(work, n)
 }
 
 // ---- row kernels ----
@@ -205,17 +222,17 @@ func (a *Matrix[V, I]) Residual(r, b, x []float64) {
 // MatVecPar computes y = A x, sharding rows across the kernel pool when
 // the matrix is large enough. Bitwise-identical to MatVec.
 func (a *Matrix[V, I]) MatVecPar(y, x []float64) {
-	RunRows(a.NNZ(), a.Rows, KApply, a, y, x)
+	RunApply(a.NNZ(), a.Rows, a, y, x)
 }
 
 // MatVecAddPar computes y += A x with the same sharding policy as
 // MatVecPar.
 func (a *Matrix[V, I]) MatVecAddPar(y, x []float64) {
-	RunRows(a.NNZ(), a.Rows, KApplyAdd, a, y, x)
+	RunApplyAdd(a.NNZ(), a.Rows, a, y, x)
 }
 
 // ResidualPar computes r = b - A x, sharding rows across the kernel pool
 // when the matrix is large enough. Bitwise-identical to Residual.
 func (a *Matrix[V, I]) ResidualPar(r, b, x []float64) {
-	RunRows(a.NNZ(), a.Rows, KResidual, a, r, b, x)
+	RunResidual(a.NNZ(), a.Rows, a, r, b, x)
 }
